@@ -1,6 +1,7 @@
 //! The headline comparison as a microbenchmark: one phonetic selection
 //! query under each access path (scan / q-gram / phonetic index /
-//! BK-tree) over a 10K-entry slice of the synthetic dataset.
+//! BK-tree) over a 10K-entry slice of the synthetic dataset, plus the
+//! BK-tree build over the same slice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lexequal::{MatchConfig, NameStore, QgramMode, SearchMethod};
@@ -40,6 +41,9 @@ fn bench_access_paths(c: &mut Criterion) {
             })
         });
     }
+    // What standing the metric index up costs (the daemon pays it at
+    // every `--preload` start and after every mmap load).
+    g.bench_function("bktree_build", |b| b.iter(|| store.build_bktree()));
     g.finish();
 }
 

@@ -18,24 +18,10 @@ use crate::qgram_plan::{QgramFilter, QgramMode};
 use crate::verify::{BatchVerifier, Verifier};
 use lexequal_embed::EMBED_DIM;
 use lexequal_g2p::{G2pError, Language};
-use lexequal_matcher::{bounded_levenshtein, edit_distance, BkTree, UnitCost};
+use lexequal_matcher::BkTree;
 use lexequal_phoneme::{Bytes, PhonemeString, SharedBytes};
 use std::fmt;
 use std::ops::Range;
-
-/// Integer Levenshtein distance between phoneme strings — the BK-tree
-/// metric (the clustered distance is not integer-valued; Levenshtein
-/// bounds it from above, see [`NameStore::search`]). Inserts need the
-/// exact distance; range queries use the bounded early-exit form below.
-fn levenshtein_phonemes(a: &PhonemeString, b: &PhonemeString) -> u32 {
-    edit_distance(a.as_slice(), b.as_slice(), UnitCost) as u32
-}
-
-/// The bounded metric BK-tree range queries probe with: Ukkonen-banded,
-/// `None` past the bound, so pruned subtrees never pay full-matrix cost.
-fn bounded_levenshtein_phonemes(a: &PhonemeString, b: &PhonemeString, bound: u32) -> Option<u32> {
-    bounded_levenshtein(a.as_slice(), b.as_slice(), bound)
-}
 
 /// One stored name.
 #[derive(Debug, Clone)]
@@ -149,9 +135,6 @@ pub struct SearchResult {
     pub verifications: usize,
 }
 
-/// The BK-tree specialisation the store keeps (Levenshtein metric).
-type PhonemeBkTree = BkTree<PhonemeString, u32, fn(&PhonemeString, &PhonemeString) -> u32>;
-
 /// A searchable multiscript name collection.
 ///
 /// Storage is column-oriented (texts, languages, phoneme strings,
@@ -173,7 +156,10 @@ pub struct NameStore {
     embeds: Vec<Bytes>,
     qgram: Option<QgramFilter>,
     phonidx: Option<PhoneticIndex>,
-    bktree: Option<PhonemeBkTree>,
+    /// Ids into `phonemes` under integer Levenshtein distance (the
+    /// clustered distance is not integer-valued; Levenshtein bounds it
+    /// from above, see [`bktree_candidates`](Self::bktree_candidates)).
+    bktree: Option<BkTree>,
 }
 
 impl NameStore {
@@ -432,11 +418,24 @@ impl NameStore {
 
     /// Build the BK-tree access path (Levenshtein metric over phonemes).
     pub fn build_bktree(&mut self) {
-        let mut t: PhonemeBkTree = BkTree::new(levenshtein_phonemes);
-        for (i, p) in self.phonemes.iter().enumerate() {
-            t.insert(p.clone(), i as u32);
-        }
-        self.bktree = Some(t);
+        let n = self.phonemes.len() as u32;
+        self.bktree = Some(BkTree::build(n, |id| self.phonemes[id as usize].id_bytes()));
+    }
+
+    /// Ids the BK-tree range query returns for `q` at threshold `e`: every
+    /// name within the Levenshtein radius that can contain a match under
+    /// the configured model, `k / min positive op cost`. `None` when some
+    /// substitution is free — no finite radius exists, the caller scans.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the BK-tree has not been built.
+    fn bktree_candidates(&self, q: &PhonemeString, e: f64) -> Option<Vec<u32>> {
+        let t = self.bktree.as_ref().expect("call build_bktree first");
+        let radius = (e * q.len() as f64 / self.operator.min_nonzero_cost()?).floor() as u32;
+        let key = |id: u32| self.phonemes[id as usize].id_bytes();
+        let hits = t.range(key, q.id_bytes(), radius);
+        Some(hits.into_iter().map(|(id, _)| id).collect())
     }
 
     /// Search for names phonetically equal to `query` (in `language`)
@@ -517,40 +516,30 @@ impl NameStore {
                 );
                 SearchResult { ids, verifications }
             }
-            SearchMethod::BkTree => {
-                let t = self.bktree.as_ref().expect("call build_bktree first");
-                // Levenshtein radius that can contain every match under
-                // the configured model: k / min positive op cost (full
-                // scan when some substitution is free — no finite radius
-                // exists).
-                let k = e * q.len() as f64;
-                match self.operator.min_nonzero_cost() {
-                    Some(c) => {
-                        let radius = (k / c).floor() as u32;
-                        let mut verifications = 0usize;
-                        let mut ids = Vec::new();
-                        for (_, &id, _) in t.range_bounded(q, radius, bounded_levenshtein_phonemes)
-                        {
-                            verifications += 1;
-                            let cc = Some(self.cluster_ids[id as usize].as_slice());
-                            let ce = Some(self.embeds[id as usize].as_slice());
-                            if verifier.matches(
+            SearchMethod::BkTree => match self.bktree_candidates(q, e) {
+                Some(candidates) => {
+                    let verifications = candidates.len();
+                    let mut ids: Vec<u32> = candidates
+                        .into_iter()
+                        .filter(|&id| {
+                            let i = id as usize;
+                            let cc = Some(self.cluster_ids[i].as_slice());
+                            let ce = Some(self.embeds[i].as_slice());
+                            verifier.matches(
                                 &self.operator,
                                 &prepared,
-                                &self.phonemes[id as usize],
+                                &self.phonemes[i],
                                 cc,
                                 ce,
                                 e,
-                            ) {
-                                ids.push(id);
-                            }
-                        }
-                        ids.sort_unstable();
-                        SearchResult { ids, verifications }
-                    }
-                    None => self.search_phonemes_with(q, e, SearchMethod::Scan, verifier),
+                            )
+                        })
+                        .collect();
+                    ids.sort_unstable();
+                    SearchResult { ids, verifications }
                 }
-            }
+                None => self.search_phonemes_with(q, e, SearchMethod::Scan, verifier),
+            },
         }
     }
 
@@ -611,32 +600,24 @@ impl NameStore {
                 );
                 SearchResult { ids, verifications }
             }
-            SearchMethod::BkTree => {
-                let t = self.bktree.as_ref().expect("call build_bktree first");
-                // Same radius mapping (and free-substitution fallback)
-                // as the pair-at-a-time form.
-                let k = e * q.len() as f64;
-                match self.operator.min_nonzero_cost() {
-                    Some(c) => {
-                        let radius = (k / c).floor() as u32;
-                        let mut ids = Vec::new();
-                        let leaf_runs = t.range_bounded(q, radius, bounded_levenshtein_phonemes);
-                        let verifications = verifier.verify_ids(
-                            &self.operator,
-                            &prepared,
-                            &self.phonemes,
-                            Some(&self.cluster_ids),
-                            Some(&self.embeds),
-                            leaf_runs.iter().map(|(_, &id, _)| id),
-                            e,
-                            &mut ids,
-                        );
-                        ids.sort_unstable();
-                        SearchResult { ids, verifications }
-                    }
-                    None => self.search_phonemes_batched(q, e, SearchMethod::Scan, verifier),
+            SearchMethod::BkTree => match self.bktree_candidates(q, e) {
+                Some(candidates) => {
+                    let mut ids = Vec::new();
+                    let verifications = verifier.verify_ids(
+                        &self.operator,
+                        &prepared,
+                        &self.phonemes,
+                        Some(&self.cluster_ids),
+                        Some(&self.embeds),
+                        candidates,
+                        e,
+                        &mut ids,
+                    );
+                    ids.sort_unstable();
+                    SearchResult { ids, verifications }
                 }
-            }
+                None => self.search_phonemes_batched(q, e, SearchMethod::Scan, verifier),
+            },
         }
     }
 

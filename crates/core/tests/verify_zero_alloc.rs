@@ -11,17 +11,23 @@
 //! measuring thread is observed — the libtest harness's own thread may
 //! allocate (progress output, timers) at any moment, and without the
 //! gate those allocations land in the window and flake the count.
+//!
+//! The same allocator pins the BK-tree's layout: a build allocates its
+//! flat vectors and one mask table, however many names it indexes.
 
-use lexequal::{BatchVerifier, LexEqual, MatchConfig, PreparedQuery, Verifier, MAX_LANES};
+use lexequal::store::NameEntry;
+use lexequal::{
+    BatchVerifier, Language, LexEqual, MatchConfig, NameStore, PreparedQuery, Verifier, MAX_LANES,
+};
 use lexequal_phoneme::{Inventory, Phoneme, PhonemeString};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    // `const` init: reading the flag never itself allocates.
+    // Per thread, so a test that expects allocations (the BK-tree build)
+    // cannot land them in the window of one that expects none. `const`
+    // init: touching the counters never itself allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static COUNT_THIS_THREAD: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -30,14 +36,14 @@ fn count() {
     // panic inside the allocator.
     let counting = COUNT_THIS_THREAD.try_with(Cell::get).unwrap_or(false);
     if counting {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
 struct CountingAllocator;
 
-// SAFETY: delegates every operation to `System`; the counter is a relaxed
-// atomic with no allocation of its own.
+// SAFETY: delegates every operation to `System`; the counter is a
+// thread-local `Cell` with no allocation of its own.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -129,7 +135,7 @@ fn warmed_up_verification_does_not_allocate() {
         &embeds,
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNT_THIS_THREAD.with(|c| c.set(true));
     let hits = verify_all(
         &mut verifier,
@@ -140,7 +146,7 @@ fn warmed_up_verification_does_not_allocate() {
         &embeds,
     );
     COUNT_THIS_THREAD.with(|c| c.set(false));
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = ALLOCATIONS.with(Cell::get) - before;
 
     assert_eq!(hits, warm_hits);
     assert!(hits > 0, "corpus must produce some matches");
@@ -224,7 +230,7 @@ fn warmed_up_batched_verification_does_not_allocate() {
         &mut hits,
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNT_THIS_THREAD.with(|c| c.set(true));
     let total = verify_all_batched(
         &mut verifier,
@@ -236,7 +242,7 @@ fn warmed_up_batched_verification_does_not_allocate() {
         &mut hits,
     );
     COUNT_THIS_THREAD.with(|c| c.set(false));
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = ALLOCATIONS.with(Cell::get) - before;
 
     assert_eq!(total, warm_hits);
     assert!(total > 0, "corpus must produce some matches");
@@ -252,4 +258,39 @@ fn warmed_up_batched_verification_does_not_allocate() {
         "batch-verified {} pairs with {delta} heap allocations after warm-up",
         counters.total() / 2
     );
+}
+
+/// The id-keyed BK-tree clones no key and owns no per-node heap block:
+/// building it over `n` names allocates its two flat vectors (sized up
+/// front) and the one Myers mask table the inserts share — the same
+/// handful at 400 names as at 4000.
+#[test]
+fn bktree_build_allocates_per_vector_not_per_node() {
+    for n in [400usize, 4000] {
+        // 1..=64 phonemes: every key takes the bit-parallel probe (the DP
+        // the longer keys fall back to allocates its rows per probe).
+        let entries = corpus(0x0b1c_73ee, 2 * n)
+            .into_iter()
+            .filter(|p| (1..=64).contains(&p.len()))
+            .take(n)
+            .map(|phonemes| NameEntry {
+                text: String::new(),
+                language: Language::English,
+                phonemes,
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(entries.len(), n);
+        let mut store = NameStore::new(MatchConfig::default());
+        store.extend_transformed(entries);
+
+        let before = ALLOCATIONS.with(Cell::get);
+        COUNT_THIS_THREAD.with(|c| c.set(true));
+        store.build_bktree();
+        COUNT_THIS_THREAD.with(|c| c.set(false));
+        let delta = ALLOCATIONS.with(Cell::get) - before;
+        assert!(
+            delta <= 3,
+            "BK-tree build over {n} names made {delta} heap allocations"
+        );
+    }
 }

@@ -1,4 +1,5 @@
-//! A Burkhard–Keller tree: a metric index over discrete distances.
+//! A Burkhard–Keller tree: a metric index over unit-cost Levenshtein
+//! distance between `u8` symbol strings.
 //!
 //! The paper's future-work section proposes "extending the approximate
 //! indexing techniques [Baeza-Yates & Navarro; Chávez et al.] for creating
@@ -7,283 +8,341 @@
 //! small integer values, probing only children whose edge distance lies in
 //! `[d − k, d + k]` (justified by the triangle inequality).
 //!
-//! The tree stores arbitrary payloads alongside keys, so callers can index
-//! row-ids by phoneme string.
+//! The tree is *id-keyed*: it indexes ids `0..n` of a column of strings the
+//! caller owns and stores no key itself — every method takes the column as
+//! `key: impl Fn(u32) -> &[u8]`. Node `i` is id `i`'s node, so the whole
+//! tree is two flat vectors of fixed-size records: one [`Node`] per id and
+//! one [`Edge`] per distinct key below the root.
+//!
+//! Both walks measure with one [`Probe`] built once per key: the inserted
+//! key's (or the query's) [`MyersPattern`], asked for the exact distance
+//! to each node key it meets in O(|node key|) word operations.
 
-/// A node: a key, its payloads (duplicate keys fold into one node), and
-/// children indexed by distance-to-this-key.
-struct Node<K, V> {
-    key: K,
-    values: Vec<V>,
-    // Sparse child map: (distance, child index) pairs, kept sorted.
-    children: Vec<(u32, usize)>,
+use crate::cost::UnitCost;
+use crate::distance::edit_distance;
+use crate::myers::MyersPattern;
+
+/// "No such node / edge" in the `u32` links below.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node {
+    /// Next id holding the same key. Only the first id with a key is
+    /// linked into the tree; later ones chain behind it, newest first.
+    dup_next: u32,
+    /// Head of this node's child list in `edges` (newest first).
+    first_edge: u32,
+    /// Largest child edge distance; 0 without children.
+    max_edge: u32,
 }
 
-/// A BK-tree over keys `K` with metric `dist`.
-///
-/// The metric must satisfy the usual axioms (identity, symmetry, triangle
-/// inequality) for range queries to be exact; edit distance qualifies.
-pub struct BkTree<K, V, D: Fn(&K, &K) -> u32> {
-    nodes: Vec<Node<K, V>>,
-    dist: D,
-    len: usize,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Edge {
+    /// Distance between the parent's key and the child's.
+    dist: u32,
+    child: u32,
+    /// The parent's next child edge.
+    next: u32,
 }
 
-impl<K, V, D: Fn(&K, &K) -> u32> BkTree<K, V, D> {
-    /// Create an empty tree with the given metric.
-    pub fn new(dist: D) -> Self {
-        BkTree {
-            nodes: Vec::new(),
-            dist,
-            len: 0,
+/// Exact unit-cost Levenshtein distance from one fixed key to any other
+/// string: bit-parallel where the key fits a [`MyersPattern`], the
+/// rolling-row DP for the keys it refuses (empty, or over 64 symbols).
+enum Probe<'a> {
+    Myers(&'a MyersPattern),
+    Dp(&'a [u8]),
+}
+
+impl Probe<'_> {
+    fn distance(&self, other: &[u8]) -> u32 {
+        match self {
+            Probe::Myers(pattern) => pattern.distance(other.iter().copied()) as u32,
+            Probe::Dp(key) => edit_distance(key, other, UnitCost) as u32,
         }
     }
+}
 
-    /// Number of (key, value) insertions performed.
+/// A BK-tree over ids `0..n` of a caller-owned column of symbol strings.
+///
+/// Equality compares the trees node for node: ids, edges and duplicate
+/// chains.
+#[derive(Debug, PartialEq, Eq)]
+pub struct BkTree {
+    nodes: Vec<Node>,
+    edges: Vec<Edge>,
+}
+
+impl BkTree {
+    /// Index ids `0..n` of the column `key`, inserting in id order.
+    pub fn build<'a>(n: u32, key: impl Fn(u32) -> &'a [u8]) -> BkTree {
+        Self::build_probing(n, key, true)
+    }
+
+    /// [`build`](Self::build) measuring every distance with the DP — the
+    /// oracle the bit-parallel build is compared against node for node.
+    #[doc(hidden)]
+    pub fn build_reference<'a>(n: u32, key: impl Fn(u32) -> &'a [u8]) -> BkTree {
+        Self::build_probing(n, key, false)
+    }
+
+    fn build_probing<'a>(n: u32, key: impl Fn(u32) -> &'a [u8], bit_parallel: bool) -> BkTree {
+        let mut tree = BkTree {
+            nodes: Vec::with_capacity(n as usize),
+            edges: Vec::with_capacity((n as usize).saturating_sub(1)),
+        };
+        // One mask table for the whole build; the seed pattern is never
+        // probed with, every key rebuilds it first.
+        let mut pattern = MyersPattern::build([0]).expect("a one-symbol pattern fits");
+        for id in 0..n {
+            let k = key(id);
+            let probe = if bit_parallel && pattern.rebuild(k) {
+                Probe::Myers(&pattern)
+            } else {
+                Probe::Dp(k)
+            };
+            tree.insert(&key, &probe);
+        }
+        tree
+    }
+
+    /// Number of ids indexed.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nodes.is_empty()
     }
 
-    /// Insert a key with a payload. Duplicate keys (distance 0) accumulate
-    /// payloads on the existing node.
-    pub fn insert(&mut self, key: K, value: V) {
-        self.len += 1;
-        if self.nodes.is_empty() {
-            self.nodes.push(Node {
-                key,
-                values: vec![value],
-                children: Vec::new(),
-            });
+    /// The child edges of `node`, newest first.
+    fn children(&self, node: u32) -> impl Iterator<Item = Edge> + '_ {
+        let mut e = self.nodes[node as usize].first_edge;
+        // `NIL` indexes past any vector, which ends the list.
+        std::iter::from_fn(move || {
+            let edge = *self.edges.get(e as usize)?;
+            e = edge.next;
+            Some(edge)
+        })
+    }
+
+    /// Append the next id (`len()`), whose key `probe` measures from. A key
+    /// already in the tree (distance 0) chains the id behind its node.
+    fn insert<'a>(&mut self, key: &impl Fn(u32) -> &'a [u8], probe: &Probe) {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            dup_next: NIL,
+            first_edge: NIL,
+            max_edge: 0,
+        });
+        if id == 0 {
             return;
         }
-        let mut cur = 0usize;
+        let mut cur = 0u32;
         loop {
-            let d = (self.dist)(&self.nodes[cur].key, &key);
+            let d = probe.distance(key(cur));
             if d == 0 {
-                self.nodes[cur].values.push(value);
+                self.nodes[id as usize].dup_next = self.nodes[cur as usize].dup_next;
+                self.nodes[cur as usize].dup_next = id;
                 return;
             }
-            match self.nodes[cur]
-                .children
-                .binary_search_by_key(&d, |&(dd, _)| dd)
-            {
-                Ok(pos) => {
-                    cur = self.nodes[cur].children[pos].1;
-                }
-                Err(pos) => {
-                    let idx = self.nodes.len();
-                    self.nodes.push(Node {
-                        key,
-                        values: vec![value],
-                        children: Vec::new(),
-                    });
-                    self.nodes[cur].children.insert(pos, (d, idx));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// All `(key, value)` pairs whose key is within distance `k` of
-    /// `query`, along with the distance. Order is unspecified.
-    pub fn range(&self, query: &K, k: u32) -> Vec<(&K, &V, u32)> {
-        let mut out = Vec::new();
-        if self.nodes.is_empty() {
-            return out;
-        }
-        let mut stack = vec![0usize];
-        while let Some(i) = stack.pop() {
-            let node = &self.nodes[i];
-            let d = (self.dist)(&node.key, query);
-            if d <= k {
-                for v in &node.values {
-                    out.push((&node.key, v, d));
-                }
-            }
-            let lo = d.saturating_sub(k);
-            let hi = d.saturating_add(k);
-            for &(cd, child) in &node.children {
-                if cd >= lo && cd <= hi {
-                    stack.push(child);
-                }
-            }
-        }
-        out
-    }
-
-    /// [`range`](Self::range) with an early-exit bounded metric.
-    ///
-    /// `bounded(a, b, bound)` must return `Some(d(a, b))` when
-    /// `d(a, b) <= bound` and `None` otherwise — e.g.
-    /// [`bounded_levenshtein`](crate::distance::bounded_levenshtein). Each
-    /// node is probed with `bound = k + max(child edge distance)`: a `None`
-    /// answer proves the node is not a hit *and* that no child edge lies in
-    /// the `[d − k, d + k]` window, so the whole subtree is pruned without
-    /// ever paying full-matrix cost. Results are identical to `range`.
-    pub fn range_bounded<B>(&self, query: &K, k: u32, bounded: B) -> Vec<(&K, &V, u32)>
-    where
-        B: Fn(&K, &K, u32) -> Option<u32>,
-    {
-        let mut out = Vec::new();
-        if self.nodes.is_empty() {
-            return out;
-        }
-        let mut stack = vec![0usize];
-        while let Some(i) = stack.pop() {
-            let node = &self.nodes[i];
-            // Children are sorted by edge distance; the last entry is the
-            // largest distance any probe window could need to cover.
-            let max_edge = node.children.last().map_or(0, |&(cd, _)| cd);
-            let Some(d) = bounded(&node.key, query, k.saturating_add(max_edge)) else {
-                // d > k + max_edge: not a hit, and d − k exceeds every
-                // child edge distance, so the window below is empty.
+            if let Some(edge) = self.children(cur).find(|edge| edge.dist == d) {
+                cur = edge.child;
                 continue;
-            };
-            if d <= k {
-                for v in &node.values {
-                    out.push((&node.key, v, d));
-                }
             }
-            let lo = d.saturating_sub(k);
-            let hi = d.saturating_add(k);
-            for &(cd, child) in &node.children {
-                if cd >= lo && cd <= hi {
-                    stack.push(child);
-                }
-            }
+            let parent = &mut self.nodes[cur as usize];
+            self.edges.push(Edge {
+                dist: d,
+                child: id,
+                next: parent.first_edge,
+            });
+            parent.first_edge = (self.edges.len() - 1) as u32;
+            parent.max_edge = parent.max_edge.max(d);
+            return;
         }
-        out
     }
 
-    /// Number of metric evaluations a `range` query would perform —
-    /// exposes pruning effectiveness for the benchmark suite.
-    pub fn probe_count(&self, query: &K, k: u32) -> usize {
-        if self.nodes.is_empty() {
-            return 0;
-        }
+    /// The one range walk: calls `hit(id, d)` for every id whose key is
+    /// within distance `k` of `query`, and returns how many node keys it
+    /// measured.
+    fn walk<'a>(
+        &self,
+        key: impl Fn(u32) -> &'a [u8],
+        query: &[u8],
+        k: u32,
+        mut hit: impl FnMut(u32, u32),
+    ) -> usize {
+        let pattern = MyersPattern::build(query.iter().copied());
+        let probe = pattern.as_ref().map_or(Probe::Dp(query), Probe::Myers);
         let mut probes = 0usize;
-        let mut stack = vec![0usize];
+        let mut stack = Vec::new();
+        if !self.nodes.is_empty() {
+            stack.push(0u32);
+        }
         while let Some(i) = stack.pop() {
-            let node = &self.nodes[i];
+            let node = self.nodes[i as usize];
             probes += 1;
-            let d = (self.dist)(&node.key, query);
-            let lo = d.saturating_sub(k);
-            let hi = d.saturating_add(k);
-            for &(cd, child) in &node.children {
-                if cd >= lo && cd <= hi {
-                    stack.push(child);
+            let d = probe.distance(key(i));
+            if d <= k {
+                let mut id = i;
+                while id != NIL {
+                    hit(id, d);
+                    id = self.nodes[id as usize].dup_next;
                 }
             }
+            // d − k exceeds every child edge distance: the window below
+            // is empty, so the child list need not be read.
+            if d > k.saturating_add(node.max_edge) {
+                continue;
+            }
+            let window = d.saturating_sub(k)..=d.saturating_add(k);
+            let in_window = self.children(i).filter(|edge| window.contains(&edge.dist));
+            stack.extend(in_window.map(|edge| edge.child));
         }
         probes
+    }
+
+    /// All `(id, distance)` pairs whose key is within distance `k` of
+    /// `query`. Order is unspecified.
+    pub fn range<'a>(
+        &self,
+        key: impl Fn(u32) -> &'a [u8],
+        query: &[u8],
+        k: u32,
+    ) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        self.walk(key, query, k, |id, d| out.push((id, d)));
+        out
+    }
+
+    /// Number of metric evaluations a `range` query performs — exposes
+    /// pruning effectiveness.
+    pub fn probe_count<'a>(&self, key: impl Fn(u32) -> &'a [u8], query: &[u8], k: u32) -> usize {
+        self.walk(key, query, k, |_, _| {})
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::levenshtein;
+    use crate::distance::bounded_levenshtein;
 
-    fn tree_of(words: &[&str]) -> BkTree<String, usize, impl Fn(&String, &String) -> u32> {
-        let mut t = BkTree::new(|a: &String, b: &String| levenshtein(a, b) as u32);
-        for (i, w) in words.iter().enumerate() {
-            t.insert((*w).to_owned(), i);
-        }
-        t
+    fn tree_of(words: &[Vec<u8>]) -> BkTree {
+        BkTree::build(words.len() as u32, |i| &words[i as usize])
+    }
+
+    fn words(list: &[&str]) -> Vec<Vec<u8>> {
+        list.iter().map(|w| w.as_bytes().to_vec()).collect()
+    }
+
+    /// `range`, sorted, against a linear scan with the banded DP.
+    fn assert_range_is_exact(t: &BkTree, words: &[Vec<u8>], query: &[u8], k: u32) {
+        let mut got = t.range(|i| &words[i as usize], query, k);
+        got.sort_unstable();
+        let want: Vec<(u32, u32)> = words
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| Some((i as u32, bounded_levenshtein(w, query, k)?)))
+            .collect();
+        assert_eq!(got, want, "query={query:?} k={k}");
     }
 
     #[test]
     fn exact_lookup_distance_zero() {
-        let t = tree_of(&["nehru", "neru", "nero", "gandhi"]);
-        let hits = t.range(&"nehru".to_owned(), 0);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, "nehru");
-        assert_eq!(hits[0].2, 0);
+        let w = words(&["nehru", "neru", "nero", "gandhi"]);
+        let t = tree_of(&w);
+        assert_eq!(t.range(|i| &w[i as usize], b"nehru", 0), vec![(0, 0)]);
     }
 
     #[test]
     fn range_query_finds_all_within_k() {
-        let t = tree_of(&["nehru", "neru", "nero", "gandhi", "nefertiti"]);
-        let mut hits: Vec<&str> = t
-            .range(&"neru".to_owned(), 1)
-            .into_iter()
-            .map(|(k, _, _)| k.as_str())
-            .collect();
+        let w = words(&["nehru", "neru", "nero", "gandhi", "nefertiti"]);
+        let t = tree_of(&w);
+        let mut hits = t.range(|i| &w[i as usize], b"neru", 1);
         hits.sort_unstable();
-        assert_eq!(hits, vec!["nehru", "nero", "neru"]);
+        assert_eq!(hits, vec![(0, 1), (1, 0), (2, 1)]);
     }
 
     #[test]
-    fn duplicate_keys_accumulate_values() {
-        let mut t = BkTree::new(|a: &String, b: &String| levenshtein(a, b) as u32);
-        t.insert("neru".to_owned(), 1);
-        t.insert("neru".to_owned(), 2);
-        assert_eq!(t.len(), 2);
-        let hits = t.range(&"neru".to_owned(), 0);
-        assert_eq!(hits.len(), 2);
+    fn duplicate_keys_fold_onto_one_node() {
+        let w = words(&["neru", "nero", "neru", "gandhi", "neru", "nero"]);
+        let t = tree_of(&w);
+        assert_eq!(t.len(), 6);
+        // Three distinct keys: the root and two edges.
+        assert_eq!(t.edges.len(), 2);
+        let mut hits = t.range(|i| &w[i as usize], b"neru", 0);
+        hits.sort_unstable();
+        assert_eq!(hits, vec![(0, 0), (2, 0), (4, 0)]);
+        // One probe answers for the whole chain.
+        assert_eq!(t.probe_count(|i| &w[i as usize], b"neru", 0), 1);
+        let mut hits = t.range(|i| &w[i as usize], b"nero", 0);
+        hits.sort_unstable();
+        assert_eq!(hits, vec![(1, 0), (5, 0)]);
     }
 
     #[test]
     fn empty_tree_behaviour() {
-        let t: BkTree<String, (), _> =
-            BkTree::new(|a: &String, b: &String| levenshtein(a, b) as u32);
+        let t = tree_of(&[]);
         assert!(t.is_empty());
-        assert!(t.range(&"x".to_owned(), 5).is_empty());
-        assert_eq!(t.probe_count(&"x".to_owned(), 5), 0);
+        assert!(t.range(|_| &[], b"x", 5).is_empty());
+        assert_eq!(t.probe_count(|_| &[], b"x", 5), 0);
     }
 
     #[test]
-    fn range_bounded_matches_range() {
-        use crate::distance::bounded_levenshtein;
-        let words: Vec<String> = (0..120)
+    fn range_matches_linear_scan() {
+        let w: Vec<Vec<u8>> = (0..120)
             .map(|i| format!("entry{}{}", i % 11, "x".repeat(i % 7)))
             .chain(["nehru", "neru", "nero", "gandhi"].map(str::to_owned))
+            .map(String::into_bytes)
             .collect();
-        let mut t = BkTree::new(|a: &String, b: &String| levenshtein(a, b) as u32);
-        for (i, w) in words.iter().enumerate() {
-            t.insert(w.clone(), i);
-        }
-        let bounded = |a: &String, b: &String, bound: u32| {
-            let av: Vec<char> = a.chars().collect();
-            let bv: Vec<char> = b.chars().collect();
-            bounded_levenshtein(&av, &bv, bound)
-        };
+        let t = tree_of(&w);
         for query in ["neru", "entry3xx", "absent", ""] {
             for k in 0..4u32 {
-                let mut want: Vec<(usize, u32)> = t
-                    .range(&query.to_owned(), k)
-                    .into_iter()
-                    .map(|(_, &v, d)| (v, d))
-                    .collect();
-                let mut got: Vec<(usize, u32)> = t
-                    .range_bounded(&query.to_owned(), k, bounded)
-                    .into_iter()
-                    .map(|(_, &v, d)| (v, d))
-                    .collect();
-                want.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, want, "query={query} k={k}");
+                assert_range_is_exact(&t, &w, query.as_bytes(), k);
             }
         }
     }
 
+    /// Keys `MyersPattern` refuses (0, 65 and 130 symbols) take the DP
+    /// probe, keys at its limits (1 and 64) the bit-parallel one; all of
+    /// them insert, are found, and leave the same tree as the all-DP build.
+    #[test]
+    fn keys_past_the_myers_limits_fall_back_to_the_dp() {
+        let long = |len: usize, salt: u8| -> Vec<u8> {
+            (0..len).map(|i| (i as u8).wrapping_mul(7) ^ salt).collect()
+        };
+        let mut w = words(&["nehru", "neru", "", "gandhi", "n"]);
+        for (len, salt) in [(64, 1), (65, 2), (130, 3), (65, 4), (64, 5), (130, 3)] {
+            w.push(long(len, salt));
+            w.push(format!("short{salt}").into_bytes());
+        }
+        let t = tree_of(&w);
+        assert_eq!(
+            t,
+            BkTree::build_reference(w.len() as u32, |i| &w[i as usize])
+        );
+        for (i, query) in w.iter().enumerate() {
+            let hits = t.range(|i| &w[i as usize], query, 0);
+            assert!(hits.contains(&(i as u32, 0)), "key {i} not found");
+            for k in [0, 1, 3, 70] {
+                assert_range_is_exact(&t, &w, query, k);
+            }
+        }
+        // The two identical 130-symbol keys share a node.
+        assert_eq!(t.range(|i| &w[i as usize], &long(130, 3), 0).len(), 2);
+    }
+
     #[test]
     fn pruning_probes_fewer_than_linear() {
-        let words: Vec<String> = (0..200).map(|i| format!("name{i:03}entry")).collect();
-        let mut t = BkTree::new(|a: &String, b: &String| levenshtein(a, b) as u32);
-        for (i, w) in words.iter().enumerate() {
-            t.insert(w.clone(), i);
-        }
-        let probes = t.probe_count(&"name000entry".to_owned(), 1);
+        let w: Vec<Vec<u8>> = (0..200)
+            .map(|i| format!("name{i:03}entry").into_bytes())
+            .collect();
+        let t = tree_of(&w);
+        let probes = t.probe_count(|i| &w[i as usize], b"name000entry", 1);
         assert!(
-            probes < words.len(),
+            probes < w.len(),
             "expected pruning, probed {probes}/{}",
-            words.len()
+            w.len()
         );
     }
 
@@ -300,20 +359,8 @@ mod tests {
                 query in "[a-c]{0,6}",
                 k in 0u32..4
             ) {
-                let mut t = BkTree::new(|a: &String, b: &String| levenshtein(a, b) as u32);
-                for (i, w) in words.iter().enumerate() {
-                    t.insert(w.clone(), i);
-                }
-                let mut got: Vec<usize> = t.range(&query, k).into_iter().map(|(_, &v, _)| v).collect();
-                got.sort_unstable();
-                let mut want: Vec<usize> = words
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| levenshtein(w, &query) as u32 <= k)
-                    .map(|(i, _)| i)
-                    .collect();
-                want.sort_unstable();
-                prop_assert_eq!(got, want);
+                let w: Vec<Vec<u8>> = words.into_iter().map(String::into_bytes).collect();
+                assert_range_is_exact(&tree_of(&w), &w, query.as_bytes(), k);
             }
         }
     }

@@ -93,10 +93,10 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// Ukkonen's banded decision computed with integer arithmetic and an
 /// early exit, in O(bound · min(|a|,|b|)) time instead of O(|a|·|b|).
 ///
-/// Metric indexes (the BK-tree range query) only consume distances up to
-/// a per-node bound; computing the full matrix per probed node wastes the
-/// triangle-inequality pruning this buys.
-pub fn bounded_levenshtein<T: PartialEq>(a: &[T], b: &[T], bound: u32) -> Option<u32> {
+/// Test oracle only: the BK-tree range query it once served now probes
+/// with one bit-parallel [`MyersPattern`](crate::MyersPattern) per query.
+#[cfg(test)]
+pub(crate) fn bounded_levenshtein<T: PartialEq>(a: &[T], b: &[T], bound: u32) -> Option<u32> {
     // Keep the shorter side as the row: unit costs are symmetric.
     let (row, col) = if b.len() < a.len() { (b, a) } else { (a, b) };
     let (n, m) = (row.len(), col.len());

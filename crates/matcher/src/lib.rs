@@ -30,8 +30,9 @@
 //!   Length / Count / Position filters used to pre-filter candidates.
 //! * [`soundex`](mod@soundex) — the classical Soundex code (Knuth), the pseudo-phonetic
 //!   baseline the paper contrasts against.
-//! * [`bktree`] — a Burkhard-Keller metric tree over any integer-valued
-//!   distance, implementing the paper's "metric index for phonemes"
+//! * [`bktree`] — an id-keyed Burkhard-Keller metric tree under
+//!   Levenshtein distance, built and probed with one Myers pattern per
+//!   key, implementing the paper's "metric index for phonemes"
 //!   future-work direction.
 
 pub mod alignment;
@@ -51,7 +52,7 @@ pub use banded::{within_distance, within_distance_scratch, DpScratch};
 pub use bktree::BkTree;
 pub use cost::{CostModel, UnitCost};
 pub use damerau::damerau_distance;
-pub use distance::{bounded_levenshtein, edit_distance, edit_distance_matrix};
+pub use distance::{edit_distance, edit_distance_matrix};
 pub use myers::MyersPattern;
 pub use myers_batch::MAX_LANES;
 pub use qgram::{

@@ -21,10 +21,13 @@
 ///
 /// Construction is O(|pattern|) plus zeroing the 256-entry mask table;
 /// each subsequent [`distance`](MyersPattern::distance) call is
-/// allocation-free and O(|text|).
+/// allocation-free and O(|text|). A caller probing with many patterns in
+/// turn keeps one value and [`rebuild`](MyersPattern::rebuild)s it.
 pub struct MyersPattern {
     /// `peq[s]` bit `i` is set iff `pattern[i] == s`.
     peq: Box<[u64; 256]>,
+    /// The pattern itself: the `peq` entries a rebuild has to clear.
+    syms: [u8; Self::MAX_LEN],
     len: usize,
 }
 
@@ -36,19 +39,37 @@ impl MyersPattern {
     /// longer than [`MAX_LEN`](Self::MAX_LEN) symbols; callers fall back
     /// to the DP in those cases.
     pub fn build(pattern: impl IntoIterator<Item = u8>) -> Option<MyersPattern> {
-        let mut peq = Box::new([0u64; 256]);
+        let mut syms = [0u8; Self::MAX_LEN];
         let mut len = 0usize;
         for sym in pattern {
-            if len == Self::MAX_LEN {
-                return None;
-            }
-            peq[sym as usize] |= 1u64 << len;
+            *syms.get_mut(len)? = sym;
             len += 1;
         }
-        if len == 0 {
-            return None;
+        let mut built = MyersPattern {
+            peq: Box::new([0u64; 256]),
+            syms,
+            len: 0,
+        };
+        built.rebuild(&syms[..len]).then_some(built)
+    }
+
+    /// Re-point this value at `pattern`, reusing the mask table: only the
+    /// entries the previous pattern set are cleared, not all 256. Returns
+    /// `false`, leaving the previous pattern in place, exactly when
+    /// [`build`](Self::build) would refuse `pattern`.
+    pub fn rebuild(&mut self, pattern: &[u8]) -> bool {
+        if pattern.is_empty() || pattern.len() > Self::MAX_LEN {
+            return false;
         }
-        Some(MyersPattern { peq, len })
+        for &sym in &self.syms[..self.len] {
+            self.peq[sym as usize] = 0;
+        }
+        for (i, &sym) in pattern.iter().enumerate() {
+            self.peq[sym as usize] |= 1u64 << i;
+        }
+        self.syms[..pattern.len()].copy_from_slice(pattern);
+        self.len = pattern.len();
+        true
     }
 
     /// Pattern length in symbols (1..=64).
@@ -136,6 +157,31 @@ mod tests {
         assert!(MyersPattern::build(std::iter::empty()).is_none());
         assert!(MyersPattern::build((0..=64).map(|_| 7u8)).is_none());
         assert!(MyersPattern::build((0..64).map(|_| 7u8)).is_some());
+    }
+
+    #[test]
+    fn rebuild_equals_build_and_refuses_what_build_refuses() {
+        let keys: [&[u8]; 6] = [
+            b"kitten",
+            b"a",
+            &[7; 64],
+            b"sitting",
+            b"flaw",
+            &[255, 0, 255],
+        ];
+        let mut pat = MyersPattern::build(*b"seed").unwrap();
+        for key in keys {
+            assert!(pat.rebuild(key));
+            let fresh = MyersPattern::build(key.iter().copied()).unwrap();
+            assert_eq!(pat.len(), fresh.len());
+            assert_eq!(pat.peq(), fresh.peq(), "stale mask bits after rebuild");
+            // A refused rebuild leaves the pattern usable as it was.
+            assert!(!pat.rebuild(&[]));
+            assert!(!pat.rebuild(&[3; 65]));
+            for text in keys {
+                assert_eq!(pat.distance(text.iter().copied()), reference(key, text));
+            }
+        }
     }
 
     #[test]

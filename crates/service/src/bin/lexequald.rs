@@ -53,8 +53,9 @@
 //! (default 10) is how long a silent replica keeps pinning the horizon
 //! before it is written off as a straggler (it re-seeds from a snapshot
 //! transfer when it comes back). On startup, if the configured
-//! `--snapshot` predates a compacted log (gap), the daemon falls back
-//! to `<wal>.checkpoint` automatically; with no `--snapshot` at all the
+//! `--snapshot` predates a compacted log (a gap, or a log compacted to
+//! empty beside a newer checkpoint), the daemon falls back to
+//! `<wal>.checkpoint` automatically; with no `--snapshot` at all the
 //! checkpoint is used whenever it exists.
 
 use lexequal::{CostModelKind, MatchConfig};
@@ -336,9 +337,10 @@ fn main() -> ExitCode {
     // Recovery candidates, preferred first: the explicit --snapshot,
     // then the compaction checkpoint (<wal>.checkpoint) when one
     // exists, then a fresh store. A candidate too old for a compacted
-    // log (WAL gap) falls through to the next — the checkpoint is
-    // written durably before any truncation precisely so this chain
-    // always lands (DESIGN §5i).
+    // log (a WAL gap, or a log with no record left beside a newer next
+    // candidate) falls through to the next — the checkpoint is written
+    // durably before any truncation precisely so this chain always
+    // lands (DESIGN §5i).
     let checkpoint_path = args.wal.as_ref().map(|w| format!("{w}.checkpoint"));
     let mut candidates: Vec<String> = Vec::new();
     if let Some(s) = &args.snapshot {
@@ -394,6 +396,23 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        // A log holding no record cannot show a gap: a cycle that dropped
+        // every record leaves it as empty as a fresh one. Only the next
+        // candidate can say whether this one is stale (an unreadable one
+        // falls through too, so its load reports the real error).
+        if wal.first_lsn().is_none() {
+            if let Some(next) = candidates.get(candidate + 1) {
+                if MatchService::snapshot_lsn(next).map_or(true, |lsn| lsn > base_lsn) {
+                    eprintln!(
+                        "lexequald: wal {path:?} holds no record, so it cannot vouch for \
+                         snapshot {:?} (lsn {base_lsn}); falling back to {next:?}",
+                        candidates[candidate],
+                    );
+                    candidate += 1;
+                    continue;
+                }
+            }
+        }
         let replayed = tail.len();
         let mut replay_failed = false;
         for record in tail {
@@ -446,28 +465,18 @@ fn main() -> ExitCode {
     // since there is no wire BUILD command to recover them.
     if !pending_builds.is_empty() {
         if args.save_snapshot.is_some() {
-            let start = Instant::now();
-            let n = pending_builds.len();
-            for spec in pending_builds {
-                service.build(spec);
-            }
             eprintln!(
-                "lexequald: {n} access path(s) rebuilt before snapshot save in {:.2?}",
-                start.elapsed()
+                "lexequald: rebuilt before snapshot save {}",
+                timed_builds(&service, &pending_builds)
             );
         } else {
             let service = Arc::clone(&service);
             std::thread::Builder::new()
                 .name("lexequald-bg-build".to_owned())
                 .spawn(move || {
-                    let start = Instant::now();
-                    let n = pending_builds.len();
-                    for spec in pending_builds {
-                        service.build(spec);
-                    }
                     eprintln!(
-                        "lexequald: {n} access path(s) rebuilt in background in {start:?}",
-                        start = start.elapsed()
+                        "lexequald: rebuilt in background {}",
+                        timed_builds(&service, &pending_builds)
                     );
                 })
                 .expect("spawn background index build");
@@ -614,6 +623,25 @@ fn main() -> ExitCode {
     }
 }
 
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Build `specs` in order; the `key=value` fields a startup line reports
+/// them with: `paths=N`, one `<path>_ms` each, `build_ms` for the lot.
+fn timed_builds(service: &MatchService, specs: &[BuildSpec]) -> String {
+    let start = Instant::now();
+    let mut fields = format!("paths={}", specs.len());
+    for &spec in specs {
+        let one = Instant::now();
+        service.build(spec);
+        let path = lexequal_service::metrics::method_name(spec.method());
+        fields.push_str(&format!(" {path}_ms={:.1}", ms_since(one)));
+    }
+    fields.push_str(&format!(" build_ms={:.1}", ms_since(start)));
+    fields
+}
+
 /// One startup recovery candidate, loaded: the serving handle, the WAL
 /// LSN it covers, any index rebuilds an mmap load deferred, and whether
 /// the image predates the embedding column (v1 → backfill needed).
@@ -672,11 +700,28 @@ fn fresh_service(match_config: &MatchConfig, args: &Args) -> LoadedService {
     }));
     if args.preload > 0 {
         eprintln!("lexequald: preloading ~{} synthetic names...", args.preload);
+        let start = Instant::now();
         let dataset = lexequal_service::loadgen::build_dataset(match_config, args.preload);
-        let n = dataset.len();
+        let (names, dataset_ms) = (dataset.len(), ms_since(start));
+        let extend = Instant::now();
         service.extend_transformed(dataset);
-        service.build_all(3, lexequal::QgramMode::Strict);
-        eprintln!("lexequald: {n} names loaded, all access paths built");
+        let extend_ms = ms_since(extend);
+        let builds = timed_builds(
+            &service,
+            &[
+                BuildSpec::Qgram {
+                    q: 3,
+                    mode: lexequal::QgramMode::Strict,
+                },
+                BuildSpec::PhoneticIndex,
+                BuildSpec::BkTree,
+            ],
+        );
+        eprintln!(
+            "lexequald: preloaded names={names} dataset_ms={dataset_ms:.1} \
+             extend_ms={extend_ms:.1} {builds} total_ms={:.1}",
+            ms_since(start)
+        );
     }
     (service, 0, Vec::new(), false)
 }

@@ -230,12 +230,7 @@ impl MatchService {
     pub fn from_store(store: ShardedStore, cache_capacity: usize) -> Self {
         let mut built = 1u8 << method_index(SearchMethod::Scan);
         for spec in store.built_specs() {
-            let method = match spec {
-                BuildSpec::Qgram { .. } => SearchMethod::Qgram,
-                BuildSpec::PhoneticIndex => SearchMethod::PhoneticIndex,
-                BuildSpec::BkTree => SearchMethod::BkTree,
-            };
-            built |= 1 << method_index(method);
+            built |= 1 << method_index(spec.method());
         }
         MatchService {
             store,
@@ -354,6 +349,18 @@ impl MatchService {
         Ok(load)
     }
 
+    /// The WAL LSN the snapshot file at `path` covers, without restoring
+    /// a store from it: a header peek for a binary image, a parse for a
+    /// JSON document.
+    pub fn snapshot_lsn(path: impl AsRef<std::path::Path>) -> Result<u64, lexequal_mdb::DbError> {
+        let bytes = std::fs::read(path)
+            .map_err(|e| lexequal_mdb::DbError::Unsupported(format!("store snapshot open: {e}")))?;
+        match crate::mmapstore::peek(&bytes) {
+            Some((lsn, _)) => Ok(lsn),
+            None => crate::snapshot::StoreSnapshot::read_from(&bytes[..]).map(|s| s.lsn()),
+        }
+    }
+
     /// Persist the store atomically (temp file + rename), stamping the
     /// WAL LSN the state corresponds to, in the default (binary mmap)
     /// format. The caller is responsible for holding writes off while
@@ -449,14 +456,9 @@ impl MatchService {
     /// which previously let a background rebuild racing an `ADD` leave
     /// the daemon panicking on every search of that path.
     pub fn build(&self, spec: BuildSpec) {
-        let method = match spec {
-            BuildSpec::Qgram { .. } => SearchMethod::Qgram,
-            BuildSpec::PhoneticIndex => SearchMethod::PhoneticIndex,
-            BuildSpec::BkTree => SearchMethod::BkTree,
-        };
         self.store.build_with(spec, |_| {
             self.built
-                .fetch_or(1 << method_index(method), Ordering::Release);
+                .fetch_or(1 << method_index(spec.method()), Ordering::Release);
         });
     }
 

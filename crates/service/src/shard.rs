@@ -42,6 +42,17 @@ pub enum BuildSpec {
     BkTree,
 }
 
+impl BuildSpec {
+    /// The access path this spec constructs.
+    pub fn method(self) -> SearchMethod {
+        match self {
+            BuildSpec::Qgram { .. } => SearchMethod::Qgram,
+            BuildSpec::PhoneticIndex => SearchMethod::PhoneticIndex,
+            BuildSpec::BkTree => SearchMethod::BkTree,
+        }
+    }
+}
+
 /// One request to a shard worker. Replies travel over per-call mpsc
 /// channels so any number of client threads can have requests in flight.
 enum Cmd {

@@ -351,6 +351,72 @@ fn kill_loops_across_compaction_recover_byte_identically() {
     }
 }
 
+/// A cycle with no replica to wait for drops every record, so the log a
+/// crash leaves behind is as empty as a fresh one and cannot show the gap
+/// between the original `--snapshot` image and the checkpoint. Restarting
+/// with the original flags must still land on the checkpoint: every
+/// acknowledged `ADD` comes back.
+#[test]
+fn restart_with_original_flags_after_a_cycle_emptied_the_log() {
+    let image = TempPath::new("emptied.img");
+    let wal = TempPath::new("emptied.wal");
+    let mut seed = Server::spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--shards",
+        "2",
+        "--preload",
+        "300",
+        "--save-snapshot",
+        image.as_str(),
+    ]);
+    seed.wait_serving();
+    seed.kill();
+
+    let flags = [
+        "--addr",
+        "127.0.0.1:0",
+        "--snapshot",
+        image.as_str(),
+        "--wal",
+        wal.as_str(),
+    ];
+    let mut primary = Server::spawn(&flags);
+    primary.wait_serving();
+    let mut acknowledged = Vec::new();
+    for i in 0..12 {
+        let resp = primary.request(&format!("ADD en {}", name(i)));
+        let id = resp
+            .strip_prefix("OK ")
+            .unwrap_or_else(|| panic!("ADD not acknowledged: {resp}"));
+        acknowledged.push((name(i), id.to_owned()));
+    }
+    let resp = primary.request("COMPACT");
+    assert_eq!(stat(&resp, "dropped"), Some("12"), "{resp}");
+    assert!(wal.checkpoint().exists());
+    primary.kill();
+
+    let mut revived = Server::spawn(&flags);
+    let lines = revived.wait_serving();
+    for (n, id) in &acknowledged {
+        let resp = revived.request(&format!("MATCH en scan 0 {n}"));
+        let ids = resp.split_once("ids=").map_or("", |(_, ids)| ids);
+        assert!(
+            ids.split(',').any(|got| got == id),
+            "acknowledged id {id} ({n}) lost across the restart: {resp}"
+        );
+    }
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("holds no record") && l.contains("falling back")),
+        "restart must say it fell back to the checkpoint: {lines:?}"
+    );
+    // The fresh ADD continues the LSN sequence past the checkpoint.
+    let resp = revived.request("ADD en Zubin");
+    assert!(resp.starts_with("OK "), "{resp}");
+}
+
 /// Role and flag refusals: COMPACT needs a WAL, runs only on a primary,
 /// and a replica's refusal names the primary to go ask instead.
 #[test]

@@ -269,9 +269,14 @@ fn replica_and_recovered_primary_answer_byte_identically() {
     assert_eq!(battery(&replica), before_crash, "post-recovery divergence");
 
     // And the stream still works: a fresh mutation reaches the replica.
+    // (Wait on the name count, not on `repl_lag`: the lag reads 0 until
+    // the replica has *heard* of the new record, so it can hold before
+    // the record arrives.)
     assert!(revived.request("ADD en Epilogue").starts_with("OK "));
+    let names = revived.request("STATS");
+    let names = stat(&names, "names").expect("names in STATS").to_owned();
     wait_stats(&replica, "post-recovery apply", |s| {
-        stat(s, "repl_lag") == Some("0")
+        stat(s, "names") == Some(names.as_str())
     });
     let q = "MATCH en scan 0.45 Epilogue";
     assert_eq!(replica.request(q), revived.request(q));

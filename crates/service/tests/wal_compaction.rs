@@ -8,7 +8,8 @@
 use lexequal::{Language, MatchConfig};
 use lexequal_service::repl::{self, CompactionPolicy, ReplicaState, Replicator};
 use lexequal_service::{
-    bind_reusable, MatchRequest, MatchService, ServiceConfig, ShutdownSignal, Wal, WalMetrics,
+    bind_reusable, MatchRequest, MatchService, ServiceConfig, ShutdownSignal, Wal, WalError,
+    WalMetrics,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -77,25 +78,53 @@ fn battery(service: &MatchService, n: usize) -> Vec<String> {
         .collect()
 }
 
-/// Recover a store exactly like the daemon does: checkpoint (if one
-/// exists) as the base, then replay the WAL tail past it.
-fn recover(wal_path: &Path, ckpt_path: &Path, config: &MatchConfig) -> Arc<MatchService> {
-    let (service, base) = if ckpt_path.exists() {
-        let load = MatchService::load_snapshot_auto(config.clone(), None, 1024, ckpt_path)
-            .expect("load checkpoint");
-        for spec in load.pending_builds {
-            load.service.build(spec);
+/// Recover a store exactly like the daemon does: the explicit snapshot
+/// (if given), then the checkpoint (if one exists), then a fresh store;
+/// a candidate the log shows to be stale — a gap, or no record at all
+/// beside a newer next candidate — falls through to the next. Then
+/// replay the WAL tail past the base that held.
+fn recover(
+    snapshot: Option<&Path>,
+    wal_path: &Path,
+    ckpt_path: &Path,
+    config: &MatchConfig,
+) -> Arc<MatchService> {
+    let candidates: Vec<&Path> = snapshot
+        .into_iter()
+        .chain(ckpt_path.exists().then_some(ckpt_path))
+        .collect();
+    for (i, candidate) in candidates.iter().map(Some).chain([None]).enumerate() {
+        let (service, base) = match candidate {
+            Some(path) => {
+                let load = MatchService::load_snapshot_auto(config.clone(), None, 1024, path)
+                    .expect("load snapshot");
+                for spec in load.pending_builds {
+                    load.service.build(spec);
+                }
+                (Arc::new(load.service), load.lsn)
+            }
+            None => (fresh_service(config), 0),
+        };
+        let next = candidates.get(i + 1);
+        let metrics = Arc::new(WalMetrics::default());
+        let tail = match Wal::open(wal_path, base, metrics) {
+            Err(WalError::Gap { .. }) if next.is_some() => continue,
+            Ok((wal, _))
+                if wal.first_lsn().is_none()
+                    && next.is_some_and(|n| {
+                        MatchService::snapshot_lsn(n).map_or(true, |lsn| lsn > base)
+                    }) =>
+            {
+                continue
+            }
+            opened => opened.expect("open wal for recovery").1,
+        };
+        for rec in tail {
+            service.apply_op(&rec.op).expect("replay op");
         }
-        (Arc::new(load.service), load.lsn)
-    } else {
-        (fresh_service(config), 0)
-    };
-    let metrics = Arc::new(WalMetrics::default());
-    let (_wal, tail) = Wal::open(wal_path, base, metrics).expect("open wal for recovery");
-    for rec in tail {
-        service.apply_op(&rec.op).expect("replay op");
+        return service;
     }
-    service
+    unreachable!("the fresh store has no next candidate to fall through to")
 }
 
 fn wait_until(what: &str, pred: impl Fn() -> bool) {
@@ -135,9 +164,18 @@ fn recovery_composes_checkpoint_and_surviving_tail_at_every_crash_point() {
         grace: Duration::from_secs(10),
     });
 
+    // The image an operator started the daemon from (`--snapshot`): it
+    // covers lsn 6 and stays on disk, ever staler, through every state.
+    let image = dir.path().join("original.img");
     for i in 0..18 {
         repl.commit_add(&service, &name(i), Language::English)
             .expect("commit");
+        if i == 5 {
+            let lsn = repl
+                .save_snapshot_atomic(&service, &image)
+                .expect("write original image");
+            assert_eq!(lsn, 6);
+        }
     }
 
     // Crash BEFORE the checkpoint landed: the full log alone recovers.
@@ -190,19 +228,29 @@ fn recovery_composes_checkpoint_and_surviving_tail_at_every_crash_point() {
         ],
     );
 
+    // Every state recovers with and without the original image in front
+    // of the chain. `post` with the image is the state whose log, emptied
+    // by the cycle, can no longer show that the image is 12 records old.
     let reference18 = battery(&service, 18);
     for state in [&pre, &mid, &tmp, &post] {
-        let recovered = recover(
-            &state.join("primary.wal"),
-            &state.join("primary.wal.checkpoint"),
-            &config,
-        );
-        assert_eq!(recovered.len(), 18, "state {state:?} lost entries");
-        assert_eq!(
-            battery(&recovered, 18),
-            reference18,
-            "state {state:?} diverged"
-        );
+        for snapshot in [None, Some(image.as_path())] {
+            let recovered = recover(
+                snapshot,
+                &state.join("primary.wal"),
+                &state.join("primary.wal.checkpoint"),
+                &config,
+            );
+            assert_eq!(
+                recovered.len(),
+                18,
+                "state {state:?} from {snapshot:?} lost entries"
+            );
+            assert_eq!(
+                battery(&recovered, 18),
+                reference18,
+                "state {state:?} from {snapshot:?} diverged"
+            );
+        }
     }
     assert!(
         !tmp.join("primary.wal.compact.tmp").exists(),
@@ -223,13 +271,16 @@ fn recovery_composes_checkpoint_and_surviving_tail_at_every_crash_point() {
         ],
     );
     let reference24 = battery(&service, 24);
-    let recovered = recover(
-        &tail_state.join("primary.wal"),
-        &tail_state.join("primary.wal.checkpoint"),
-        &config,
-    );
-    assert_eq!(recovered.len(), 24, "tail replay lost entries");
-    assert_eq!(battery(&recovered, 24), reference24, "tail replay diverged");
+    for snapshot in [None, Some(image.as_path())] {
+        let recovered = recover(
+            snapshot,
+            &tail_state.join("primary.wal"),
+            &tail_state.join("primary.wal.checkpoint"),
+            &config,
+        );
+        assert_eq!(recovered.len(), 24, "tail replay lost entries");
+        assert_eq!(battery(&recovered, 24), reference24, "tail replay diverged");
+    }
 }
 
 /// A replica that disconnects, misses a compaction that truncates past

@@ -70,6 +70,17 @@ cargo clippy -p lexequal-matcher -p lexequal --all-targets --offline -- -D warni
 cargo test -p lexequal --offline -q --test verify_batch_equiv --test verify_zero_alloc
 LEXEQUAL_FORCE_SCALAR=1 cargo test -p lexequal --offline -q --test verify_batch_equiv
 
+echo "== BK-tree: Myers-vs-DP differential + oracle-checked socket smoke"
+# The bit-parallel probe may change how fast the tree is built and
+# walked, never the tree: unit tests (fallback lengths, duplicate
+# chains), the node-for-node differential over the paper corpus and the
+# 20 418-name preload set, and bktree == scan under both cost models.
+# Then lexbench's smoke run drives every access path of the *release*
+# daemon over a real socket and checks each reply against its oracle.
+cargo test -p lexequal-matcher --offline -q bktree
+cargo test -p lexequal-bench --offline -q --test bktree_differential --test pipeline_consistency
+bash crates/lexbench/run.sh --smoke
+
 echo "== embedding prefilter: crate pass + differential suite + A/B smoke"
 # The embedding crate gets its own clippy pass; the differential suite
 # (screen on/off, byte-identical verdicts across widths, backends and

@@ -10,27 +10,34 @@
 //!   superset;
 //! * everything is symmetric and deterministic.
 
-use lexequal::{MatchConfig, NameStore, QgramMode, SearchMethod};
+use lexequal::{CostModelKind, MatchConfig, NameStore, QgramMode, SearchMethod};
 use lexequal_lexicon::Corpus;
 use std::sync::OnceLock;
 
 const THRESHOLD: f64 = 0.3;
 
+/// The corpus slice every test searches, loaded under `config` with no
+/// access path built.
+fn load(config: MatchConfig) -> NameStore {
+    let corpus = Corpus::build(&config);
+    let mut store = NameStore::new(config);
+    // Every 5th group keeps the test fast while spanning all scripts.
+    store
+        .extend(
+            corpus
+                .entries
+                .iter()
+                .filter(|e| e.tag % 5 == 0)
+                .map(|e| (e.text.clone(), e.language)),
+        )
+        .expect("bulk load");
+    store
+}
+
 fn store() -> &'static NameStore {
     static STORE: OnceLock<NameStore> = OnceLock::new();
     STORE.get_or_init(|| {
-        let corpus = Corpus::build(&MatchConfig::default());
-        let mut store = NameStore::new(MatchConfig::default());
-        // Every 5th group keeps the test fast while spanning all scripts.
-        store
-            .extend(
-                corpus
-                    .entries
-                    .iter()
-                    .filter(|e| e.tag % 5 == 0)
-                    .map(|e| (e.text.clone(), e.language)),
-            )
-            .expect("bulk load");
+        let mut store = load(MatchConfig::default());
         store.build_qgram(3, QgramMode::Strict);
         store.build_phonetic_index();
         store.build_bktree();
@@ -38,12 +45,15 @@ fn store() -> &'static NameStore {
     })
 }
 
-fn queries() -> Vec<lexequal::PhonemeString> {
-    let s = store();
+fn queries_of(s: &NameStore) -> Vec<lexequal::PhonemeString> {
     (0..s.len() as u32)
         .step_by(37)
         .map(|i| s.get(i).expect("valid id").phonemes.clone())
         .collect()
+}
+
+fn queries() -> Vec<lexequal::PhonemeString> {
+    queries_of(store())
 }
 
 #[test]
@@ -60,13 +70,30 @@ fn qgram_strict_equals_scan() {
     }
 }
 
+/// Under both cost models, and under the clustered model with free
+/// intra-cluster substitutions — where no finite Levenshtein radius
+/// contains every match, so the path must degrade to a scan.
 #[test]
 fn bktree_equals_scan() {
-    let s = store();
-    for q in queries() {
-        let scan = s.search_phonemes(&q, THRESHOLD, SearchMethod::Scan);
-        let bk = s.search_phonemes(&q, THRESHOLD, SearchMethod::BkTree);
-        assert_eq!(scan.ids, bk.ids, "query /{q}/");
+    for config in [
+        MatchConfig::default(),
+        MatchConfig::default().with_cost_model(CostModelKind::Feature),
+        MatchConfig::default().with_intra_cluster_cost(0.0),
+    ] {
+        let mut s = load(config);
+        s.build_bktree();
+        let finite_radius = s.operator().min_nonzero_cost().is_some();
+        for q in queries_of(&s) {
+            for e in [0.25, 0.35, 0.45] {
+                let scan = s.search_phonemes(&q, e, SearchMethod::Scan);
+                let bk = s.search_phonemes(&q, e, SearchMethod::BkTree);
+                assert_eq!(scan.ids, bk.ids, "query /{q}/ e={e}");
+                assert!(bk.verifications <= scan.verifications);
+                if !finite_radius {
+                    assert_eq!(bk.verifications, s.len(), "fallback verifies every row");
+                }
+            }
+        }
     }
 }
 

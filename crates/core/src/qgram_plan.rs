@@ -5,12 +5,12 @@
 //! … Count and Position … were used to filter out a majority of the
 //! non-matches using standard database operators only."
 //!
-//! [`QgramFilter`] is the in-process analogue: a posting list from q-gram
-//! signature to (string id, position), probed with the three filters; the
-//! surviving candidate set is then verified with the exact (expensive)
-//! LexEQUAL predicate. The same structure is also exported to a SQL
-//! auxiliary table by [`crate::udf::load_qgram_aux_table`], which recreates
-//! the paper's Figure 14 query verbatim.
+//! [`QgramFilter`] is the in-process analogue: the auxiliary table as one
+//! sorted array of packed `(signature, string id, position)` rows, probed
+//! with the three filters; the surviving candidate set is then verified
+//! with the exact (expensive) LexEQUAL predicate. The same table is also
+//! exported to SQL by [`crate::udf::load_qgram_aux_table`], which
+//! recreates the paper's Figure 14 query verbatim.
 //!
 //! ## Threshold semantics under the clustered cost model
 //!
@@ -29,11 +29,8 @@
 
 use crate::operator::LexEqual;
 use crate::verify::{BatchVerifier, PreparedQuery, Verifier};
-use lexequal_matcher::qgram::{
-    count_filter_passes, length_filter_passes, positional_qgrams, PositionalQgram,
-};
-use lexequal_phoneme::{Phoneme, PhonemeString};
-use std::collections::HashMap;
+use lexequal_matcher::qgram::{count_filter_passes, length_filter_passes};
+use lexequal_phoneme::PhonemeString;
 
 /// False-dismissal policy for filtering under the clustered cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,20 +41,67 @@ pub enum QgramMode {
     PaperFaithful,
 }
 
+impl QgramMode {
+    /// The effective Levenshtein bound used for filtering a clustered
+    /// budget `k`. `None` means "no finite bound — use length filter only"
+    /// (Strict mode with intra-cluster cost 0).
+    fn filter_bound(self, k: f64, operator: &LexEqual) -> Option<f64> {
+        match self {
+            QgramMode::PaperFaithful => Some(k),
+            QgramMode::Strict => operator.min_nonzero_cost().map(|c| k / c),
+        }
+    }
+}
+
+/// Signature codes of the `◁` / `▷` padding: phoneme ids are inventory
+/// indices, all below these two.
+const START: u64 = 0xFE;
+const END: u64 = 0xFF;
+
+/// Bits a packed key always leaves for gram positions, whatever the id
+/// width takes: names up to 254 grams stay indexed in any stripe.
+const MIN_POS_BITS: u32 = 8;
+
+/// The positional q-grams of `s` as `(signature, position)`: the window
+/// over the padded string, 8 bits a symbol, rolled one symbol at a time.
+fn packed_grams(s: &[u8], q: usize) -> impl Iterator<Item = (u64, u32)> + '_ {
+    let mask = (1u64 << (8 * q)) - 1;
+    let mut sig = (1..q).fold(0, |acc, _| acc << 8 | START);
+    (0..s.len() + q - 1).map(move |pos| {
+        sig = (sig << 8 | s.get(pos).map_or(END, |&id| id as u64)) & mask;
+        (sig, pos as u32)
+    })
+}
+
+/// `(id_bits, pos_bits)` of the key for `n` strings, the longest of
+/// `longest` symbols: the signature takes 8q bits; ids get what they need
+/// of the rest (short of [`MIN_POS_BITS`]), positions what the longest
+/// string needs of what is left.
+fn key_widths(n: usize, longest: usize, q: usize) -> (u32, u32) {
+    let bits_for = |max: usize| usize::BITS - max.leading_zeros();
+    let spare = u64::BITS - 8 * q as u32;
+    let id_bits = bits_for(n.saturating_sub(1)).min(spare - MIN_POS_BITS);
+    let pos_bits = bits_for((longest + q).saturating_sub(2)).min(spare - id_bits);
+    (id_bits, pos_bits)
+}
+
 /// A q-gram posting-list filter over a corpus of phoneme strings.
 pub struct QgramFilter {
     q: usize,
     mode: QgramMode,
-    /// Signature → (string id, gram position).
-    postings: HashMap<u64, Vec<(u32, u32)>>,
+    /// One key per indexed positional gram, `signature ‖ string id ‖
+    /// position` from the high bits down, sorted: a signature's postings
+    /// are one contiguous run, ordered by id, then position.
+    keys: Vec<u64>,
+    id_bits: u32,
+    pos_bits: u32,
+    /// Ids, ascending, of the strings whose id or last gram position does
+    /// not fit the key: not indexed, admitted on the length filter alone.
+    overflow: Vec<u32>,
     /// Per-string phoneme length (for the length filter).
     lengths: Vec<u32>,
-    /// Per-string gram count (len + q − 1), kept for stats.
+    /// Grams of every string (len + q − 1 each), kept for stats.
     total_grams: usize,
-}
-
-fn signature(g: &PositionalQgram<Phoneme>) -> u64 {
-    g.signature(|p| p.id() as u64)
 }
 
 impl QgramFilter {
@@ -65,25 +109,46 @@ impl QgramFilter {
     /// uses 3); ids are positions in `corpus`.
     pub fn build(corpus: &[PhonemeString], q: usize, mode: QgramMode) -> Self {
         assert!((1..=4).contains(&q), "q must be in 1..=4");
-        let mut postings: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
-        let mut lengths = Vec::with_capacity(corpus.len());
-        let mut total_grams = 0usize;
-        for (id, s) in corpus.iter().enumerate() {
-            lengths.push(s.len() as u32);
-            for g in positional_qgrams(s.as_slice(), q) {
-                total_grams += 1;
-                postings
-                    .entry(signature(&g))
-                    .or_default()
-                    .push((id as u32, g.pos));
-            }
+        let longest = corpus.iter().map(PhonemeString::len).max().unwrap_or(0);
+        let (id_bits, pos_bits) = key_widths(corpus.len(), longest, q);
+        Self::build_packed(corpus, q, mode, id_bits, pos_bits)
+    }
+
+    /// [`build`](Self::build) at given key widths (`8q + id_bits +
+    /// pos_bits ≤ 64`).
+    fn build_packed(
+        corpus: &[PhonemeString],
+        q: usize,
+        mode: QgramMode,
+        id_bits: u32,
+        pos_bits: u32,
+    ) -> Self {
+        let grams_of = |s: &PhonemeString| s.len() + q - 1;
+        let fits = |&(id, s): &(usize, &PhonemeString)| {
+            (id as u64) >> id_bits == 0 && (grams_of(s) as u64).saturating_sub(1) >> pos_bits == 0
+        };
+        let indexed = || corpus.iter().enumerate().filter(fits);
+        // Sized once and sorted where it stands: no per-gram or
+        // per-signature block, no second buffer the size of the index.
+        let mut keys = Vec::with_capacity(indexed().map(|(_, s)| grams_of(s)).sum());
+        for (id, s) in indexed() {
+            let row = (id as u64) << pos_bits;
+            keys.extend(
+                packed_grams(s.id_bytes(), q)
+                    .map(|(sig, pos)| sig << (id_bits + pos_bits) | row | pos as u64),
+            );
         }
+        keys.sort_unstable();
+        let unindexed = corpus.iter().enumerate().filter(|row| !fits(row));
         QgramFilter {
             q,
             mode,
-            postings,
-            lengths,
-            total_grams,
+            keys,
+            id_bits,
+            pos_bits,
+            overflow: unindexed.map(|(id, _)| id as u32).collect(),
+            lengths: corpus.iter().map(|s| s.len() as u32).collect(),
+            total_grams: corpus.iter().map(grams_of).sum(),
         }
     }
 
@@ -107,102 +172,91 @@ impl QgramFilter {
         self.lengths.is_empty()
     }
 
-    /// The effective Levenshtein bound used for filtering a clustered
-    /// budget `k`. `None` means "no finite bound — use length filter only"
-    /// (Strict mode with intra-cluster cost 0).
-    fn filter_bound(&self, k: f64, operator: &LexEqual) -> Option<f64> {
-        match self.mode {
-            QgramMode::PaperFaithful => Some(k),
-            QgramMode::Strict => operator.min_nonzero_cost().map(|c| k / c),
-        }
-    }
-
     /// Candidate ids for `query` under clustered distance budget `k`
-    /// (absolute, not a fraction). Applies Length, Position and Count
-    /// filters; no verification.
+    /// (absolute, not a fraction), ascending. Applies Length, Position and
+    /// Count filters; no verification.
     pub fn candidates(&self, query: &PhonemeString, k: f64, operator: &LexEqual) -> Vec<u32> {
-        let bound = self.filter_bound(k, operator);
-        let qlen = query.len() as u32;
-
+        let qlen = query.len();
         // Indel cost is always 1, so the length filter may use the
         // clustered budget k directly in both modes.
-        let length_ok = |cand: u32| {
-            length_filter_passes(self.lengths[cand as usize] as usize, qlen as usize, k)
+        let length_ok = |len: &u32| length_filter_passes(*len as usize, qlen, k);
+        let length_filter_only = || {
+            let mut out = Vec::with_capacity(self.lengths.len());
+            out.extend(
+                (0u32..)
+                    .zip(&self.lengths)
+                    .filter_map(|(id, l)| length_ok(l).then_some(id)),
+            );
+            out
         };
-
-        let Some(bound) = bound else {
-            // Length filter only.
-            return (0..self.lengths.len() as u32)
-                .filter(|&i| length_ok(i))
-                .collect();
+        let Some(bound) = self.mode.filter_bound(k, operator) else {
+            return length_filter_only();
         };
+        // The count filter's requirement grows with max(|a|, |b|) and
+        // falls with the shared grams: if the longest string the length
+        // filter can admit passes sharing none, every admitted string
+        // passes, and the postings have nothing to say.
+        let longest_admitted = qlen.saturating_add((k + 1e-12).floor() as usize);
+        if count_filter_passes(longest_admitted, qlen, 0, bound, self.q) {
+            return length_filter_only();
+        }
 
-        // Gather position-compatible shared gram counts per candidate.
-        let query_grams = positional_qgrams(query.as_slice(), self.q);
-        // candidate -> list of (cand_pos, query_pos) matched grams; we
-        // count bag-wise per gram signature using the same greedy pairing
-        // as matcher::matching_qgrams, grouped by signature.
-        let mut per_candidate: HashMap<u32, Vec<(u64, u32, u32)>> = HashMap::new();
-        for g in &query_grams {
-            let sig = signature(g);
-            if let Some(posts) = self.postings.get(&sig) {
-                for &(cand, pos) in posts {
-                    if !length_ok(cand) {
-                        continue;
-                    }
-                    if (pos as i64 - g.pos as i64).abs() <= bound.floor() as i64 {
-                        per_candidate
-                            .entry(cand)
-                            .or_default()
-                            .push((sig, pos, g.pos));
-                    }
+        let mut grams: Vec<u64> = packed_grams(query.id_bytes(), self.q)
+            .map(|(sig, pos)| sig << 32 | pos as u64)
+            .collect();
+        grams.sort_unstable();
+        // Positions are u32: a wider window is no wider.
+        let reach = (bound.floor() as i64).min(u32::MAX as i64);
+        let shift = self.id_bits + self.pos_bits;
+        let pos_mask = (1u64 << self.pos_bits) - 1;
+        // Position-compatible shared grams per string. One increment per
+        // posting at most, so a count stays within the string's grams.
+        let mut shared = vec![0u32; self.lengths.len()];
+        let mut runs = grams.as_slice();
+        while let Some(&gram) = runs.first() {
+            let sig = gram >> 32;
+            let (run, rest) = runs.split_at(runs.partition_point(|g| g >> 32 == sig));
+            runs = rest;
+            let first = self.keys.partition_point(|&key| key >> shift < sig);
+            // Bag semantics, per string: its positions ascending, each
+            // takes the lowest query position in reach that no earlier
+            // one took. Both lists ascend, so one cursor finds it — what
+            // it passed is taken or already behind every later window.
+            let (mut row, mut next) = (u64::MAX, 0);
+            for &key in &self.keys[first..] {
+                if key >> shift != sig {
+                    break;
+                }
+                if key >> self.pos_bits != row {
+                    (row, next) = (key >> self.pos_bits, 0);
+                }
+                let pos = (key & pos_mask) as i64;
+                while next < run.len() && (run[next] as u32 as i64) < pos - reach {
+                    next += 1;
+                }
+                if next < run.len() && run[next] as u32 as i64 <= pos + reach {
+                    shared[(row - (sig << self.id_bits)) as usize] += 1;
+                    next += 1;
                 }
             }
         }
-        let mut out = Vec::new();
-        // A string sharing zero grams still passes when the count-filter
-        // requirement is non-positive (large budgets / short strings) —
-        // skipping this would be a false dismissal.
-        for cand in 0..self.lengths.len() as u32 {
-            if per_candidate.contains_key(&cand) {
-                continue;
-            }
-            if !length_ok(cand) {
-                continue;
-            }
-            let clen = self.lengths[cand as usize] as usize;
-            if count_filter_passes(clen, qlen as usize, 0, bound, self.q) {
-                out.push(cand);
-            }
-        }
-        for (cand, mut matches) in per_candidate {
-            // Bag semantics: each (signature, cand_pos) and (signature,
-            // query_pos) occurrence may be used once. Greedy count per
-            // signature.
-            matches.sort_unstable();
-            let mut shared = 0usize;
-            let mut i = 0;
-            while i < matches.len() {
-                let sig = matches[i].0;
-                let mut used_cand: Vec<u32> = Vec::new();
-                let mut used_query: Vec<u32> = Vec::new();
-                while i < matches.len() && matches[i].0 == sig {
-                    let (_, cp, qp) = matches[i];
-                    if !used_cand.contains(&cp) && !used_query.contains(&qp) {
-                        used_cand.push(cp);
-                        used_query.push(qp);
-                        shared += 1;
-                    }
-                    i += 1;
-                }
-            }
-            let clen = self.lengths[cand as usize] as usize;
-            if count_filter_passes(clen, qlen as usize, shared, bound, self.q) {
-                out.push(cand);
+        // Survivors are written over the counters already read, so the
+        // answer needs no vector of its own.
+        let mut overflow = self.overflow.iter().peekable();
+        let mut kept = 0;
+        for id in 0..self.lengths.len() {
+            let unindexed = overflow.next_if(|&&o| o as usize == id).is_some();
+            let len = self.lengths[id];
+            if length_ok(&len)
+                && (unindexed
+                    || count_filter_passes(len as usize, qlen, shared[id] as usize, bound, self.q))
+            {
+                shared[kept] = id as u32;
+                kept += 1;
             }
         }
-        out.sort_unstable();
-        out
+        shared.truncate(kept);
+        shared
     }
 
     /// Full accelerated search: filter then verify with the exact
@@ -292,11 +346,151 @@ impl QgramFilter {
     }
 }
 
+/// The `HashMap` posting lists and per-query `HashMap` bag match that
+/// [`QgramFilter`] replaced, kept verbatim as the oracle
+/// `tests/qgram_differential.rs` holds the flat index to: same `Vec<u32>`
+/// from `candidates` on every call where nothing overflows the key.
+#[doc(hidden)]
+pub mod reference {
+    use super::QgramMode;
+    use crate::operator::LexEqual;
+    use lexequal_matcher::qgram::{
+        count_filter_passes, length_filter_passes, positional_qgrams, PositionalQgram,
+    };
+    use lexequal_phoneme::{Phoneme, PhonemeString};
+    use std::collections::HashMap;
+
+    pub struct HashedQgramFilter {
+        q: usize,
+        mode: QgramMode,
+        /// Signature → (string id, gram position).
+        postings: HashMap<u64, Vec<(u32, u32)>>,
+        /// Per-string phoneme length (for the length filter).
+        lengths: Vec<u32>,
+    }
+
+    fn signature(g: &PositionalQgram<Phoneme>) -> u64 {
+        g.signature(|p| p.id() as u64)
+    }
+
+    impl HashedQgramFilter {
+        pub fn build(corpus: &[PhonemeString], q: usize, mode: QgramMode) -> Self {
+            assert!((1..=4).contains(&q), "q must be in 1..=4");
+            let mut postings: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
+            let mut lengths = Vec::with_capacity(corpus.len());
+            for (id, s) in corpus.iter().enumerate() {
+                lengths.push(s.len() as u32);
+                for g in positional_qgrams(s.as_slice(), q) {
+                    postings
+                        .entry(signature(&g))
+                        .or_default()
+                        .push((id as u32, g.pos));
+                }
+            }
+            HashedQgramFilter {
+                q,
+                mode,
+                postings,
+                lengths,
+            }
+        }
+
+        /// Candidate ids for `query` under clustered distance budget `k`
+        /// (absolute, not a fraction). Applies Length, Position and Count
+        /// filters; no verification.
+        pub fn candidates(&self, query: &PhonemeString, k: f64, operator: &LexEqual) -> Vec<u32> {
+            let bound = self.mode.filter_bound(k, operator);
+            let qlen = query.len() as u32;
+
+            // Indel cost is always 1, so the length filter may use the
+            // clustered budget k directly in both modes.
+            let length_ok = |cand: u32| {
+                length_filter_passes(self.lengths[cand as usize] as usize, qlen as usize, k)
+            };
+
+            let Some(bound) = bound else {
+                // Length filter only.
+                return (0..self.lengths.len() as u32)
+                    .filter(|&i| length_ok(i))
+                    .collect();
+            };
+
+            // Gather position-compatible shared gram counts per candidate.
+            let query_grams = positional_qgrams(query.as_slice(), self.q);
+            // candidate -> list of (cand_pos, query_pos) matched grams; we
+            // count bag-wise per gram signature using the same greedy pairing
+            // as matcher::matching_qgrams, grouped by signature.
+            let mut per_candidate: HashMap<u32, Vec<(u64, u32, u32)>> = HashMap::new();
+            for g in &query_grams {
+                let sig = signature(g);
+                if let Some(posts) = self.postings.get(&sig) {
+                    for &(cand, pos) in posts {
+                        if !length_ok(cand) {
+                            continue;
+                        }
+                        if (pos as i64 - g.pos as i64).abs() <= bound.floor() as i64 {
+                            per_candidate
+                                .entry(cand)
+                                .or_default()
+                                .push((sig, pos, g.pos));
+                        }
+                    }
+                }
+            }
+            let mut out = Vec::new();
+            // A string sharing zero grams still passes when the count-filter
+            // requirement is non-positive (large budgets / short strings) —
+            // skipping this would be a false dismissal.
+            for cand in 0..self.lengths.len() as u32 {
+                if per_candidate.contains_key(&cand) {
+                    continue;
+                }
+                if !length_ok(cand) {
+                    continue;
+                }
+                let clen = self.lengths[cand as usize] as usize;
+                if count_filter_passes(clen, qlen as usize, 0, bound, self.q) {
+                    out.push(cand);
+                }
+            }
+            for (cand, mut matches) in per_candidate {
+                // Bag semantics: each (signature, cand_pos) and (signature,
+                // query_pos) occurrence may be used once. Greedy count per
+                // signature.
+                matches.sort_unstable();
+                let mut shared = 0usize;
+                let mut i = 0;
+                while i < matches.len() {
+                    let sig = matches[i].0;
+                    let mut used_cand: Vec<u32> = Vec::new();
+                    let mut used_query: Vec<u32> = Vec::new();
+                    while i < matches.len() && matches[i].0 == sig {
+                        let (_, cp, qp) = matches[i];
+                        if !used_cand.contains(&cp) && !used_query.contains(&qp) {
+                            used_cand.push(cp);
+                            used_query.push(qp);
+                            shared += 1;
+                        }
+                        i += 1;
+                    }
+                }
+                let clen = self.lengths[cand as usize] as usize;
+                if count_filter_passes(clen, qlen as usize, shared, bound, self.q) {
+                    out.push(cand);
+                }
+            }
+            out.sort_unstable();
+            out
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MatchConfig;
     use lexequal_g2p::Language;
+    use lexequal_phoneme::Phoneme;
 
     fn corpus(ops: &LexEqual, names: &[&str]) -> Vec<PhonemeString> {
         names
@@ -382,6 +576,135 @@ mod tests {
             "filters must prune: got {cands:?}"
         );
         assert!(cands.contains(&0));
+    }
+
+    /// A phoneme string spelling `ids` (inventory indices).
+    fn phonemes(ids: impl IntoIterator<Item = u8>) -> PhonemeString {
+        PhonemeString::new(
+            ids.into_iter()
+                .map(|i| Phoneme::from_id(i).unwrap())
+                .collect(),
+        )
+    }
+
+    /// A stripe with the shapes the key widths must survive: an empty
+    /// name, a 300- and a 4 000-symbol name, repeated grams, duplicates.
+    fn awkward_stripe() -> Vec<PhonemeString> {
+        let mut c: Vec<PhonemeString> = ["nehru", "neru", "nero", "gandi", "kriʃnan", "neru"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        c.push(PhonemeString::empty());
+        c.push(phonemes((0..300).map(|i| (i % 7) as u8)));
+        c.push(phonemes((0..4000).map(|i| (i % 41) as u8)));
+        c.push(phonemes((0..4000).map(|i| (i % 41 + i / 3990) as u8)));
+        c.push(phonemes([3; 12]));
+        c.push(phonemes([3; 9]));
+        c
+    }
+
+    const BUDGETS: [f64; 6] = [0.0, 0.5, 1.0, 2.0, 3.6, 9.0];
+
+    fn scan(ops: &LexEqual, c: &[PhonemeString], q: &PhonemeString, e: f64) -> Vec<u32> {
+        (0u32..)
+            .zip(c)
+            .filter(|(_, s)| ops.matches_phonemes(s, q, e))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    #[test]
+    fn padding_codes_are_outside_the_inventory() {
+        assert!(lexequal_phoneme::Inventory::len() <= START as usize);
+    }
+
+    #[test]
+    fn key_widths_give_ids_their_bits_first() {
+        // Everything fits: exactly what is needed.
+        assert_eq!(key_widths(10_209, 40, 3), (14, 6));
+        assert_eq!(key_widths(0, 0, 1), (0, 0));
+        assert_eq!(key_widths(3, 4000, 4), (2, 12));
+        // 2^22 names and a 4 000-symbol one at q = 4: the long name goes.
+        assert_eq!(key_widths(1 << 22, 4000, 4), (22, 10));
+        // Past 2^24 names at q = 4 ids go too, positions keep their floor.
+        assert_eq!(key_widths(1 << 30, 4000, 4), (24, MIN_POS_BITS));
+        for q in 1..=4 {
+            let (id_bits, pos_bits) = key_widths(usize::MAX, usize::MAX / 2, q);
+            assert_eq!(8 * q as u32 + id_bits + pos_bits, 64);
+        }
+    }
+
+    #[test]
+    fn long_empty_and_repeated_names_answer_like_the_reference() {
+        let ops = LexEqual::default();
+        let c = awkward_stripe();
+        for q in 1..=4 {
+            for mode in [QgramMode::Strict, QgramMode::PaperFaithful] {
+                let flat = QgramFilter::build(&c, q, mode);
+                assert!(flat.overflow.is_empty(), "every name fits at q={q}");
+                assert_eq!(flat.total_grams(), flat.keys.len());
+                let oracle = reference::HashedQgramFilter::build(&c, q, mode);
+                for query in &c {
+                    for k in BUDGETS {
+                        assert_eq!(
+                            flat.candidates(query, k, &ops),
+                            oracle.candidates(query, k, &ops),
+                            "q={q} {mode:?} k={k} |query|={}",
+                            query.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn names_past_the_key_widths_are_admitted_on_length_and_still_answer_exactly() {
+        let ops = LexEqual::default();
+        let c = awkward_stripe();
+        // Two id bits, five position bits: ids 4.. and the three long
+        // names (already among them) do not fit.
+        let flat = QgramFilter::build_packed(&c, 3, QgramMode::Strict, 2, 5);
+        assert_eq!(flat.overflow, (4..c.len() as u32).collect::<Vec<_>>());
+        // Five position bits alone: only the long names go.
+        let narrow_pos = QgramFilter::build_packed(&c, 3, QgramMode::Strict, 4, 5);
+        assert_eq!(narrow_pos.overflow, [7, 8, 9]);
+        let oracle = reference::HashedQgramFilter::build(&c, 3, QgramMode::Strict);
+        for f in [&flat, &narrow_pos] {
+            assert_eq!(
+                f.total_grams(),
+                c.iter().map(|s| s.len() + 2).sum::<usize>()
+            );
+            for query in &c {
+                for k in BUDGETS {
+                    let got = f.candidates(query, k, &ops);
+                    let want = oracle.candidates(query, k, &ops);
+                    assert!(
+                        got.windows(2).all(|w| w[0] < w[1])
+                            && want.iter().all(|id| got.contains(id))
+                    );
+                    for id in got.iter().filter(|id| !want.contains(id)) {
+                        assert!(f.overflow.contains(id), "only unindexed names are extra");
+                    }
+                }
+                for e in [0.0, 0.3] {
+                    assert_eq!(f.search(&c, query, e, &ops).0, scan(&ops, &c, query, e));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_gram_counts_pass_sixteen_bits() {
+        let ops = LexEqual::default();
+        let c = vec![
+            phonemes([5; 70_000]),
+            phonemes([5; 69_990]),
+            phonemes([6; 70_000]),
+        ];
+        let f = QgramFilter::build(&c, 3, QgramMode::PaperFaithful);
+        // Requirement at k = 10: 70 000 − 1 − 9·3 = 69 972 shared grams.
+        assert_eq!(f.candidates(&c[0], 10.0, &ops), [0, 1]);
     }
 
     #[cfg(feature = "property-tests")]

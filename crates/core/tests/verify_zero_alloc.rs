@@ -13,11 +13,15 @@
 //! gate those allocations land in the window and flake the count.
 //!
 //! The same allocator pins the BK-tree's layout: a build allocates its
-//! flat vectors and one mask table, however many names it indexes.
+//! flat vectors and one mask table, however many names it indexes — and
+//! the q-gram index's: one key array and one length column per build, a
+//! gram list and a counter column per probe, nothing per gram, per
+//! signature or per candidate.
 
 use lexequal::store::NameEntry;
 use lexequal::{
-    BatchVerifier, Language, LexEqual, MatchConfig, NameStore, PreparedQuery, Verifier, MAX_LANES,
+    BatchVerifier, Language, LexEqual, MatchConfig, NameStore, PreparedQuery, QgramFilter,
+    QgramMode, Verifier, MAX_LANES,
 };
 use lexequal_phoneme::{Inventory, Phoneme, PhonemeString};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,6 +71,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    COUNT_THIS_THREAD.with(|c| c.set(true));
+    let out = f();
+    COUNT_THIS_THREAD.with(|c| c.set(false));
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// Deterministic xorshift phoneme strings, lengths 0..=70 so the corpus
 /// crosses the 64-symbol Myers window and exercises the DP-only path too.
@@ -135,18 +148,16 @@ fn warmed_up_verification_does_not_allocate() {
         &embeds,
     );
 
-    let before = ALLOCATIONS.with(Cell::get);
-    COUNT_THIS_THREAD.with(|c| c.set(true));
-    let hits = verify_all(
-        &mut verifier,
-        &op,
-        &prepared,
-        &strings,
-        &cluster_ids,
-        &embeds,
-    );
-    COUNT_THIS_THREAD.with(|c| c.set(false));
-    let delta = ALLOCATIONS.with(Cell::get) - before;
+    let (hits, delta) = allocations_in(|| {
+        verify_all(
+            &mut verifier,
+            &op,
+            &prepared,
+            &strings,
+            &cluster_ids,
+            &embeds,
+        )
+    });
 
     assert_eq!(hits, warm_hits);
     assert!(hits > 0, "corpus must produce some matches");
@@ -230,19 +241,17 @@ fn warmed_up_batched_verification_does_not_allocate() {
         &mut hits,
     );
 
-    let before = ALLOCATIONS.with(Cell::get);
-    COUNT_THIS_THREAD.with(|c| c.set(true));
-    let total = verify_all_batched(
-        &mut verifier,
-        &op,
-        &prepared,
-        &strings,
-        &cluster_ids,
-        &embeds,
-        &mut hits,
-    );
-    COUNT_THIS_THREAD.with(|c| c.set(false));
-    let delta = ALLOCATIONS.with(Cell::get) - before;
+    let (total, delta) = allocations_in(|| {
+        verify_all_batched(
+            &mut verifier,
+            &op,
+            &prepared,
+            &strings,
+            &cluster_ids,
+            &embeds,
+            &mut hits,
+        )
+    });
 
     assert_eq!(total, warm_hits);
     assert!(total > 0, "corpus must produce some matches");
@@ -283,14 +292,46 @@ fn bktree_build_allocates_per_vector_not_per_node() {
         let mut store = NameStore::new(MatchConfig::default());
         store.extend_transformed(entries);
 
-        let before = ALLOCATIONS.with(Cell::get);
-        COUNT_THIS_THREAD.with(|c| c.set(true));
-        store.build_bktree();
-        COUNT_THIS_THREAD.with(|c| c.set(false));
-        let delta = ALLOCATIONS.with(Cell::get) - before;
+        let ((), delta) = allocations_in(|| store.build_bktree());
         assert!(
             delta <= 3,
             "BK-tree build over {n} names made {delta} heap allocations"
         );
+    }
+}
+
+/// The flat q-gram index is two vectors sized up front (keys, lengths;
+/// the overflow list stays empty) and sorted in place, and a probe
+/// allocates by the call, not by what it finds: the answer alone where
+/// the count filter cannot reject, the query's gram list and one counter
+/// column (which becomes the answer) where it can.
+#[test]
+fn qgram_index_allocates_per_call_not_per_gram() {
+    let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.25));
+    for n in [400usize, 4000] {
+        let strings = corpus(0x09a2_a115, n);
+        let (filter, built) = allocations_in(|| QgramFilter::build(&strings, 3, QgramMode::Strict));
+        assert!(
+            built <= 3,
+            "q-gram build over {n} names made {built} heap allocations"
+        );
+        assert_eq!(filter.len(), n);
+
+        let query = strings.iter().find(|s| s.len() >= 20).expect("a long name");
+        // e = 0.35: STRICT quadruples the bound, the count filter's
+        // requirement is negative for every admissible length.
+        let vacuous_k = 0.35 * query.len() as f64;
+        let (all, vacuous) = allocations_in(|| filter.candidates(query, vacuous_k, &op));
+        // k = 0.25 is one Levenshtein edit under STRICT: most names must
+        // share grams, so the postings are read.
+        let (few, selective) = allocations_in(|| filter.candidates(query, 0.25, &op));
+        assert!(
+            few.len() < all.len() && !few.is_empty(),
+            "{} selective vs {} vacuous candidates",
+            few.len(),
+            all.len()
+        );
+        assert!(vacuous <= 1, "vacuous probe: {vacuous} allocations");
+        assert!(selective <= 2, "selective probe: {selective} allocations");
     }
 }

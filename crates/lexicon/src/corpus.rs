@@ -46,6 +46,14 @@ impl Corpus {
     /// the respective language's G2P — reproducing the phoneme-set
     /// mismatches of the paper's hand-converted data).
     pub fn build(config: &MatchConfig) -> Self {
+        Self::build_prefix(config, usize::MAX)
+    }
+
+    /// [`build`](Self::build) stopped after the first `base_names` base
+    /// names that yield entries: exactly the first `3 · base_names`
+    /// entries of the full corpus, tags included, without transforming
+    /// the rest.
+    pub fn build_prefix(config: &MatchConfig, base_names: usize) -> Self {
         let operator = LexEqual::new(config.clone());
         let mut entries = Vec::new();
         let mut next_tag = 0u32;
@@ -55,6 +63,9 @@ impl Corpus {
         let mut tag_by_phonemes: std::collections::HashMap<String, u32> =
             std::collections::HashMap::new();
         for (name, domain) in all_names() {
+            if entries.len() / 3 >= base_names {
+                break;
+            }
             let Ok(en) = operator.transform(name, Language::English) else {
                 continue; // defensive: every base name converts in practice
             };
@@ -168,6 +179,21 @@ mod tests {
             assert_eq!(chunk[0].language, Language::English);
             assert_eq!(chunk[1].language, Language::Hindi);
             assert_eq!(chunk[2].language, Language::Tamil);
+        }
+    }
+
+    #[test]
+    fn a_prefix_is_the_head_of_the_full_corpus() {
+        let full = corpus();
+        for base_names in [0, 1, 83, usize::MAX] {
+            let prefix = Corpus::build_prefix(&MatchConfig::default(), base_names);
+            assert_eq!(prefix.len(), full.len().min(base_names.saturating_mul(3)));
+            for (p, f) in prefix.entries.iter().zip(&full.entries) {
+                assert_eq!(
+                    (&p.text, p.language, &p.phonemes, p.tag, p.domain),
+                    (&f.text, f.language, &f.phonemes, f.tag, f.domain)
+                );
+            }
         }
     }
 

@@ -39,9 +39,7 @@ impl SyntheticDataset {
     /// Generate ≈`target` entries from the corpus by in-language pairwise
     /// concatenation, balanced across the three languages.
     pub fn generate(corpus: &Corpus, target: usize) -> Self {
-        let per_language = target / 3;
-        // n(n-1) >= per_language  =>  n ≈ ceil((1+sqrt(1+4p))/2)
-        let n = ((1.0 + (1.0 + 4.0 * per_language as f64).sqrt()) / 2.0).ceil() as usize;
+        let n = Self::base_names(target);
         let mut entries = Vec::with_capacity(3 * n * n.saturating_sub(1));
         for language in [Language::English, Language::Hindi, Language::Tamil] {
             let base: Vec<&crate::corpus::LexiconEntry> = corpus
@@ -64,6 +62,15 @@ impl SyntheticDataset {
             }
         }
         SyntheticDataset { entries }
+    }
+
+    /// How many base names per language [`generate`](Self::generate)
+    /// pairs to reach `target`: it reads no more of the corpus than its
+    /// first `3 · base_names(target)` entries.
+    pub fn base_names(target: usize) -> usize {
+        let per_language = target / 3;
+        // n(n-1) >= per_language  =>  n ≈ ceil((1+sqrt(1+4p))/2)
+        ((1.0 + (1.0 + 4.0 * per_language as f64).sqrt()) / 2.0).ceil() as usize
     }
 
     /// Number of entries.

@@ -114,9 +114,10 @@ pub struct LoadgenReport {
     pub runs: Vec<ShardRun>,
 }
 
-/// Build the synthetic dataset once (shared across shard configurations).
+/// Build the synthetic dataset once (shared across shard configurations),
+/// transforming only the base names it pairs.
 pub fn build_dataset(config: &MatchConfig, target: usize) -> Vec<NameEntry> {
-    let corpus = Corpus::build(config);
+    let corpus = Corpus::build_prefix(config, SyntheticDataset::base_names(target));
     SyntheticDataset::generate(&corpus, target)
         .entries
         .into_iter()
@@ -1963,6 +1964,26 @@ pub fn write_prefilter_bench_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The daemon's `--preload` ids must line up with a corpus built the
+    /// long way (lexbench's oracle is): same entries, same order.
+    #[test]
+    fn build_dataset_equals_the_full_corpus_path() {
+        let config = MatchConfig::default();
+        let corpus = Corpus::build(&config);
+        for target in [100, 2_000, 20_000, 200_000] {
+            let want = SyntheticDataset::generate(&corpus, target).entries;
+            let got = build_dataset(&config, target);
+            assert_eq!(got.len(), want.len(), "target {target}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (&g.text, g.language, &g.phonemes),
+                    (&w.text, w.language, &w.phonemes),
+                    "target {target}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn a_tiny_run_produces_a_sane_report() {

@@ -81,6 +81,20 @@ cargo test -p lexequal-matcher --offline -q bktree
 cargo test -p lexequal-bench --offline -q --test bktree_differential --test pipeline_consistency
 bash crates/lexbench/run.sh --smoke
 
+echo "== q-gram: flat-vs-reference differential + zero false dismissals"
+# The flat index may change how the candidates are found, never which:
+# unit tests (key widths, overflow list, long/empty/repeated names), the
+# call-for-call differential against the kept hash-map algorithm over the
+# paper corpus and the preload set, qgram == scan under every cost regime,
+# allocation counts, Table 2 at full size with its own exact-answer
+# check, and the socket smoke run again with this path's build in it.
+cargo test -p lexequal-matcher --offline -q qgram
+cargo test -p lexequal --offline -q qgram
+cargo test -p lexequal-bench --offline -q --test qgram_differential --test pipeline_consistency
+cargo run --release -p lexequal-bench --offline --bin table2_qgram \
+    | grep "false dismissals vs exact answer: scan 0, join 0"
+bash crates/lexbench/run.sh --smoke
+
 echo "== embedding prefilter: crate pass + differential suite + A/B smoke"
 # The embedding crate gets its own clippy pass; the differential suite
 # (screen on/off, byte-identical verdicts across widths, backends and

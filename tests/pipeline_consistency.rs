@@ -56,30 +56,43 @@ fn queries() -> Vec<lexequal::PhonemeString> {
     queries_of(store())
 }
 
-#[test]
-fn qgram_strict_equals_scan() {
-    let s = store();
-    for q in queries() {
-        let scan = s.search_phonemes(&q, THRESHOLD, SearchMethod::Scan);
-        let qg = s.search_phonemes(&q, THRESHOLD, SearchMethod::Qgram);
-        assert_eq!(scan.ids, qg.ids, "query /{q}/");
-        assert!(
-            qg.verifications <= scan.verifications,
-            "q-grams may not verify more than a scan"
-        );
-    }
-}
-
-/// Under both cost models, and under the clustered model with free
-/// intra-cluster substitutions — where no finite Levenshtein radius
-/// contains every match, so the path must degrade to a scan.
-#[test]
-fn bktree_equals_scan() {
-    for config in [
+/// The three cost regimes every exact access path is held to a scan
+/// under: both cost models, and the clustered model with free
+/// intra-cluster substitutions, where no finite Levenshtein bound
+/// contains every match and the path must degrade (q-grams to the length
+/// filter, the BK-tree to a scan).
+fn cost_regimes() -> [MatchConfig; 3] {
+    [
         MatchConfig::default(),
         MatchConfig::default().with_cost_model(CostModelKind::Feature),
         MatchConfig::default().with_intra_cluster_cost(0.0),
-    ] {
+    ]
+}
+
+#[test]
+fn qgram_strict_equals_scan() {
+    for config in cost_regimes() {
+        let mut s = load(config);
+        s.build_qgram(3, QgramMode::Strict);
+        for q in queries_of(&s) {
+            // The BK-tree's grid, plus a threshold low enough that the
+            // count filter still rejects under STRICT's scaled bound.
+            for e in [0.05, 0.25, 0.35, 0.45] {
+                let scan = s.search_phonemes(&q, e, SearchMethod::Scan);
+                let qg = s.search_phonemes(&q, e, SearchMethod::Qgram);
+                assert_eq!(scan.ids, qg.ids, "query /{q}/ e={e}");
+                assert!(
+                    qg.verifications <= scan.verifications,
+                    "q-grams may not verify more than a scan"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn bktree_equals_scan() {
+    for config in cost_regimes() {
         let mut s = load(config);
         s.build_bktree();
         let finite_radius = s.operator().min_nonzero_cost().is_some();

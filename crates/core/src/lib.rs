@@ -70,7 +70,7 @@ pub use cost::{ClusteredPhonemeCost, DenseSubstCost, FeaturePhonemeCost};
 pub use operator::{LexEqual, Outcome};
 pub use phonidx::PhoneticIndex;
 pub use qgram_plan::{QgramFilter, QgramMode};
-pub use store::{NameStore, SearchMethod, SharedEntry, SharedEntryError};
+pub use store::{NameStore, RowChunk, SearchMethod, SharedEntry, SharedEntryError};
 pub use verify::{
     BatchCounters, BatchVerifier, Lane, PreparedQuery, ScreenCounters, Verifier, MAX_LANES,
 };

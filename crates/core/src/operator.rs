@@ -47,6 +47,9 @@ pub struct LexEqual {
     /// arithmetic); the minimum cross-cluster substitution cost, capped
     /// at 1, for graded models.
     clus_reject_scale: f64,
+    /// [`min_nonzero_cost`](Self::min_nonzero_cost), scanned out of
+    /// `dense` once: every q-gram probe and BK-tree query asks for it.
+    min_nonzero_cost: Option<f64>,
 }
 
 impl LexEqual {
@@ -73,6 +76,7 @@ impl LexEqual {
         }
         // Insertions and deletions induce unit cluster ops at cost 1.
         let clus_reject_scale = clus_reject_scale.min(1.0);
+        let min_nonzero_cost = min_nonzero_cost(&dense);
         LexEqual {
             config,
             cost,
@@ -80,6 +84,7 @@ impl LexEqual {
             embedder,
             embed_scale,
             clus_reject_scale,
+            min_nonzero_cost,
         }
     }
 
@@ -108,20 +113,7 @@ impl LexEqual {
     /// filtering and BK-tree radii. `None` when some distinct pair
     /// substitutes for free (no finite bound exists).
     pub fn min_nonzero_cost(&self) -> Option<f64> {
-        let mut min = 1.0f64; // ins/del
-        for a in Inventory::iter() {
-            for b in Inventory::iter() {
-                if a == b {
-                    continue;
-                }
-                let s = self.dense.sub(&a, &b);
-                if s == 0.0 {
-                    return None;
-                }
-                min = min.min(s);
-            }
-        }
-        Some(min)
+        self.min_nonzero_cost
     }
 
     /// The phonetic embedder in force (shared tables).
@@ -259,6 +251,25 @@ impl LexEqual {
     pub fn budget(&self, a: &PhonemeString, b: &PhonemeString, e: f64) -> f64 {
         e * a.len().min(b.len()) as f64
     }
+}
+
+/// The smallest non-zero edit-operation cost of `dense` (insertions and
+/// deletions cost 1); `None` when some distinct pair substitutes for free.
+fn min_nonzero_cost(dense: &DenseSubstCost) -> Option<f64> {
+    let mut min = 1.0f64; // ins/del
+    for a in Inventory::iter() {
+        for b in Inventory::iter() {
+            if a == b {
+                continue;
+            }
+            let s = dense.sub(&a, &b);
+            if s == 0.0 {
+                return None;
+            }
+            min = min.min(s);
+        }
+    }
+    Some(min)
 }
 
 impl Default for LexEqual {

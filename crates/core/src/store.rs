@@ -92,6 +92,55 @@ impl fmt::Display for SharedEntryError {
 
 impl std::error::Error for SharedEntryError {}
 
+/// A run of consecutive rows copied out of a [`NameStore`] as a few flat
+/// buffers (see [`NameStore::read_rows`]): no per-row `String` or
+/// [`PhonemeString`], and refilling a chunk reuses its allocations.
+#[derive(Debug, Default)]
+pub struct RowChunk {
+    languages: Vec<Language>,
+    /// All texts back to back; row `i` ends at `text_ends[i]`.
+    texts: String,
+    text_ends: Vec<usize>,
+    /// All phoneme-id strings back to back; row `i` ends at
+    /// `phoneme_ends[i]`.
+    phonemes: Vec<u8>,
+    phoneme_ends: Vec<usize>,
+}
+
+impl RowChunk {
+    /// Number of rows held.
+    pub fn len(&self) -> usize {
+        self.languages.len()
+    }
+
+    /// Whether the chunk holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.languages.is_empty()
+    }
+
+    /// Row `i` as `(text, language, phoneme inventory ids)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn row(&self, i: usize) -> (&str, Language, &[u8]) {
+        let start = |ends: &[usize]| if i == 0 { 0 } else { ends[i - 1] };
+        (
+            &self.texts[start(&self.text_ends)..self.text_ends[i]],
+            self.languages[i],
+            &self.phonemes[start(&self.phoneme_ends)..self.phoneme_ends[i]],
+        )
+    }
+
+    fn clear(&mut self) {
+        self.languages.clear();
+        self.texts.clear();
+        self.text_ends.clear();
+        self.phonemes.clear();
+        self.phoneme_ends.clear();
+    }
+}
+
 /// Entry text: an owned string for wire-`ADD`ed names, a borrowed
 /// UTF-8-validated view for mmap-loaded corpora.
 enum StoredText {
@@ -621,15 +670,28 @@ impl NameStore {
         }
     }
 
-    /// Every stored entry, materialized in id order — the export side
-    /// of snapshot persistence: entry `i` here is id `i`, so a store
-    /// rebuilt by feeding this vector back through
-    /// [`extend_transformed`](Self::extend_transformed) assigns every
-    /// name its original id.
-    pub fn export_entries(&self) -> Vec<NameEntry> {
-        (0..self.len() as u32)
-            .map(|i| self.get(i).expect("id in range"))
-            .collect()
+    /// `(text bytes, phoneme bytes)` held by rows `0..rows` — the
+    /// lengths-only pass a streaming snapshot writer lays its arenas out
+    /// from before it copies a single row.
+    pub fn prefix_bytes(&self, rows: usize) -> (usize, usize) {
+        let texts = self.texts[..rows].iter().map(|t| t.as_str().len()).sum();
+        let phonemes = self.phonemes[..rows].iter().map(PhonemeString::len).sum();
+        (texts, phonemes)
+    }
+
+    /// Copy rows `rows` into `out`'s flat buffers, replacing what it
+    /// held — the export side of snapshot persistence. `out` keeps its
+    /// allocations, so a caller that hands the same chunk back for every
+    /// range copies a whole store without a per-row allocation.
+    pub fn read_rows(&self, rows: Range<usize>, out: &mut RowChunk) {
+        out.clear();
+        for i in rows {
+            out.languages.push(self.languages[i]);
+            out.texts.push_str(self.texts[i].as_str());
+            out.text_ends.push(out.texts.len());
+            out.phonemes.extend_from_slice(self.phonemes[i].id_bytes());
+            out.phoneme_ends.push(out.phonemes.len());
+        }
     }
 
     /// Per-string cluster-id vectors, parallel to
@@ -791,6 +853,34 @@ mod tests {
         let mut s = NameStore::new(MatchConfig::default());
         s.insert("Nehru", Language::English).unwrap();
         let _ = s.search("Nehru", Language::English, 0.3, SearchMethod::Qgram);
+    }
+
+    #[test]
+    fn read_rows_copies_a_range_into_a_reused_chunk() {
+        let s = store();
+        let mut chunk = RowChunk::default();
+        for range in [0..s.len(), 1..3, 2..2] {
+            s.read_rows(range.clone(), &mut chunk);
+            assert_eq!(chunk.len(), range.len());
+            assert_eq!(chunk.is_empty(), range.is_empty());
+            for (i, id) in range.enumerate() {
+                let e = s.get(id as u32).unwrap();
+                assert_eq!(
+                    chunk.row(i),
+                    (&*e.text, e.language, e.phonemes.id_bytes()),
+                    "id {id}"
+                );
+            }
+        }
+        let (texts, phonemes) = s.prefix_bytes(2);
+        assert_eq!(texts, s.text(0).unwrap().len() + s.text(1).unwrap().len());
+        assert_eq!(
+            phonemes,
+            s.phoneme_strings()[..2]
+                .iter()
+                .map(PhonemeString::len)
+                .sum::<usize>()
+        );
     }
 
     #[test]

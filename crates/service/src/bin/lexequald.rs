@@ -60,9 +60,9 @@
 
 use lexequal::{CostModelKind, MatchConfig};
 use lexequal_service::{
-    bind_reusable, repl, BuildSpec, CompactionPolicy, MatchService, ReplicaState, Replicator,
-    ReqCtx, ServeMode, ServeOptions, ServiceConfig, ShutdownSignal, SnapshotFormat, Wal, WalError,
-    WalMetrics,
+    bind_reusable, mmapstore, repl, BuildSpec, CompactionPolicy, MatchService, ReplicaState,
+    Replicator, ReqCtx, ServeMode, ServeOptions, ServiceConfig, ShutdownSignal, SnapshotFormat,
+    Wal, WalError, WalMetrics,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -342,6 +342,21 @@ fn main() -> ExitCode {
     // durably before any truncation precisely so this chain always
     // lands (DESIGN §5i).
     let checkpoint_path = args.wal.as_ref().map(|w| format!("{w}.checkpoint"));
+
+    // A daemon killed mid-checkpoint never renamed its temp file, and no
+    // later process shares its pid: sweep those now, before this process
+    // can begin a checkpoint of its own.
+    for path in [&args.snapshot, &args.save_snapshot, &checkpoint_path]
+        .into_iter()
+        .flatten()
+    {
+        for stale in mmapstore::remove_stale_tmp(path) {
+            eprintln!(
+                "lexequald: removed stale checkpoint temp file {stale:?} (its writer is gone)"
+            );
+        }
+    }
+
     let mut candidates: Vec<String> = Vec::new();
     if let Some(s) = &args.snapshot {
         candidates.push(s.clone());

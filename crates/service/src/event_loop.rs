@@ -385,8 +385,10 @@ impl WorkerPool {
             return Err(job);
         }
         jobs.push_back(job);
-        drop(jobs);
+        // Counted under the queue lock: a worker that pops this job
+        // must not subtract it from the gauge before it was added.
         self.metrics.queue_pushed();
+        drop(jobs);
         queue.available.notify_one();
         Ok(())
     }

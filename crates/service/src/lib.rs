@@ -94,7 +94,7 @@ pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use metrics::{
     ConnMetrics, ConnStats, ReplRole, ReplStats, ScreenTotals, ServiceMetrics, WalMetrics, WalStats,
 };
-pub use mmapstore::{LoadedImage, Mmap};
+pub use mmapstore::{ImageSink, LoadedImage, Mmap};
 pub use proto::{FrameError, LineFramer};
 pub use repl::{
     initial_sync, run_replica, serve_repl_listener, serve_replica, spawn_compactor, CommitError,
@@ -108,6 +108,6 @@ pub use service::{
     AddResolution, AutoMatchRequest, AutoPendingLookup, LoadInfo, MatchOutcome, MatchRequest,
     MatchService, PendingLookup, ServiceConfig, SnapshotFormat, SnapshotLoad, StatsSnapshot,
 };
-pub use shard::{BuildSpec, PendingSearch, ShardedStore};
+pub use shard::{BuildSpec, Cut, PendingSearch, ShardedStore};
 pub use snapshot::{StoreSnapshot, STORE_SNAPSHOT_VERSION};
 pub use wal::{CompactionStats, Op, Wal, WalCursor, WalError, WalRecord};

@@ -467,6 +467,13 @@ pub struct ReplStats {
     pub reseeds: u64,
     /// Divergent-history detections: a replica ahead of its primary.
     pub divergences: u64,
+    /// Primary: longest single hold of the commit lock since start (µs).
+    pub commit_hold_max_us: u64,
+    /// Primary: duration (ms) of the newest snapshot written (`SAVE` or
+    /// compaction checkpoint; 0 before the first).
+    pub checkpoint_ms_last: u64,
+    /// Primary: rows in that snapshot.
+    pub checkpoint_rows_last: u64,
 }
 
 impl ServiceMetrics {

@@ -62,8 +62,19 @@
 //! Entries are stored in **global-id order**. Shard striping is the
 //! pure function `g % N` / `g / N` (see [`crate::shard`]), so the
 //! loader reconstructs each shard's rows without any per-shard
-//! sections, and the writer serializes `export_shards()` back to
-//! global order via `g = local * N + shard`.
+//! sections, and the writer reads the rows back in global order through
+//! the store's chunked prefix reader.
+//!
+//! # Streaming writer
+//!
+//! [`write_image`] never holds the corpus: it takes a [`Cut`] (a row
+//! count, not a copy), sizes the six sections from a lengths-only pass
+//! on the shard workers, then pulls the prefix a fixed 1024 rows at a
+//! time and writes each chunk's slice of every section at its final
+//! offset, folding a running checksum per section; the header goes in
+//! last. Transient memory is one chunk plus five small output buffers,
+//! whatever the corpus size, and no store lock is held at any point —
+//! rows below a published length never change (DESIGN §5m).
 //!
 //! # Hostile-file discipline
 //!
@@ -75,14 +86,14 @@
 //! no panics. A corrupt file comes back as a named [`DbError`], never
 //! a crash (`tests/mmap_corruption.rs` is the battery).
 
-use crate::shard::{BuildSpec, ShardedStore};
+use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS};
 use lexequal::store::SharedEntry;
-use lexequal::{Language, MatchConfig, Phoneme, QgramMode, EMBED_DIM};
+use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode, EMBED_DIM};
 use lexequal_mdb::DbError;
 use lexequal_phoneme::{ByteOwner, SharedBytes};
 use std::fs::File;
-use std::io::{Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// First eight bytes of every binary snapshot.
@@ -314,165 +325,383 @@ fn spec_from_record(rec: &[u8]) -> Result<BuildSpec, DbError> {
     }
 }
 
-fn pad_to_align(buf: &mut Vec<u8>) {
-    while buf.len() % 8 != 0 {
-        buf.push(0);
-    }
-}
-
 /// Section checksum: FNV-1a folded over little-endian u64 words, the
 /// zero-padded tail as one final word. One multiply per 8 bytes instead
 /// of per byte — every load checksums the whole file, so this pass has
 /// to fit inside the cold-start budget. Padding is unambiguous because
 /// the section length is stored (and verified) separately.
-fn section_checksum(bytes: &[u8]) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        h = (h ^ w).wrapping_mul(PRIME);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
-    }
-    h
+///
+/// Incremental: the streaming writer feeds a section chunk by chunk, and
+/// a chunk boundary need not fall on a word, so up to seven bytes carry
+/// over between [`update`](Self::update) calls.
+struct SectionSum {
+    h: u64,
+    carry: [u8; 8],
+    carried: usize,
 }
 
-/// Serialize the store into a binary snapshot image covering `lsn`.
-///
-/// Captures under the grow lock (via `export_shards`), so the image is
-/// a consistent point-in-time cut; cluster ids are recomputed from the
-/// configured cost model, making the image self-consistent by
-/// construction.
-pub fn encode(store: &ShardedStore, lsn: u64) -> Result<Vec<u8>, DbError> {
-    let sections = store.export_shards();
-    let builds = store.built_specs();
-    let shards = sections.len();
-    let total: usize = sections.iter().map(Vec::len).sum();
-    let entry_count = u32::try_from(total).map_err(|_| err("entry count exceeds format limit"))?;
-    let operator = lexequal::LexEqual::new(store.config().clone());
+impl SectionSum {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    // Arenas and the entry table, in global-id order. Embeddings are
-    // recomputed from the phonemes (like cluster ids), so the image is
-    // self-consistent by construction.
-    let mut entry_table = Vec::with_capacity(total * ENTRY_RECORD);
-    let mut texts = Vec::new();
-    let mut phonemes = Vec::new();
-    let mut clusters = Vec::new();
-    let mut embeds = Vec::with_capacity(total * EMBED_DIM);
-    for g in 0..total {
-        let entry = &sections[g % shards][g / shards];
-        let text = entry.text.as_bytes();
-        let phon = entry.phonemes.id_bytes();
-        let text_off = u32::try_from(texts.len()).map_err(|_| err("text arena exceeds 4 GiB"))?;
-        let phon_off =
-            u32::try_from(phonemes.len()).map_err(|_| err("phoneme arena exceeds 4 GiB"))?;
-        let text_len =
-            u16::try_from(text.len()).map_err(|_| err("entry text exceeds format limit"))?;
-        let phon_len = u16::try_from(phon.len())
-            .map_err(|_| err("entry phoneme string exceeds format limit"))?;
-        let lang = Language::ALL
-            .iter()
-            .position(|l| *l == entry.language)
-            .expect("every language is in Language::ALL") as u8;
-        texts.extend_from_slice(text);
-        phonemes.extend_from_slice(phon);
-        clusters.extend_from_slice(&operator.cluster_ids(&entry.phonemes));
-        embeds.extend_from_slice(&operator.embed_for(&entry.phonemes));
-        entry_table.extend_from_slice(&text_off.to_le_bytes());
-        entry_table.extend_from_slice(&phon_off.to_le_bytes());
-        entry_table.extend_from_slice(&text_len.to_le_bytes());
-        entry_table.extend_from_slice(&phon_len.to_le_bytes());
-        entry_table.push(lang);
-        entry_table.extend_from_slice(&[0u8; 3]);
+    fn new() -> Self {
+        SectionSum {
+            h: Self::BASIS,
+            carry: [0; 8],
+            carried: 0,
+        }
     }
-    let mut specs = Vec::with_capacity(builds.len() * SPEC_RECORD);
-    for spec in &builds {
+
+    fn word(&mut self, w: [u8; 8]) {
+        self.h = (self.h ^ u64::from_le_bytes(w)).wrapping_mul(Self::PRIME);
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.carried > 0 {
+            let take = (8 - self.carried).min(bytes.len());
+            self.carry[self.carried..self.carried + take].copy_from_slice(&bytes[..take]);
+            self.carried += take;
+            bytes = &bytes[take..];
+            if self.carried < 8 {
+                return;
+            }
+            self.word(self.carry);
+            self.carried = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(w.try_into().expect("8-byte chunk"));
+        }
+        let rem = words.remainder();
+        self.carry[..rem.len()].copy_from_slice(rem);
+        self.carried = rem.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.carried > 0 {
+            self.carry[self.carried..].fill(0);
+            self.word(self.carry);
+        }
+        self.h
+    }
+}
+
+fn section_checksum(bytes: &[u8]) -> u64 {
+    let mut sum = SectionSum::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// Where [`write_image`] puts the image: positional writes into a
+/// pre-sized target. A file and a `Vec<u8>` are the two real sinks;
+/// tests substitute their own (a gate that blocks mid-file, a counter).
+pub trait ImageSink {
+    /// Size the target to exactly `len` bytes, zero-filled — called once,
+    /// before the first write, so the alignment padding between sections
+    /// never has to be written.
+    fn preallocate(&mut self, len: u64) -> io::Result<()>;
+    /// Write all of `bytes` at `offset` (inside the length set above).
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()>;
+}
+
+impl ImageSink for File {
+    fn preallocate(&mut self, len: u64) -> io::Result<()> {
+        self.set_len(len)
+    }
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        std::os::unix::fs::FileExt::write_all_at(self, bytes, offset)
+    }
+}
+
+impl ImageSink for Vec<u8> {
+    fn preallocate(&mut self, len: u64) -> io::Result<()> {
+        let len = usize::try_from(len).map_err(io::Error::other)?;
+        self.clear();
+        self.resize(len, 0);
+        Ok(())
+    }
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        usize::try_from(offset)
+            .ok()
+            .and_then(|at| self.get_mut(at..at.checked_add(bytes.len())?))
+            .ok_or_else(|| io::Error::other("write past the image length"))?
+            .copy_from_slice(bytes);
+        Ok(())
+    }
+}
+
+/// Index of each section in the table (and in file order).
+const SPECS: usize = 0;
+const ENTRIES: usize = 1;
+const TEXTS: usize = 2;
+const PHONEMES: usize = 3;
+const CLUSTERS: usize = 4;
+const EMBEDS: usize = 5;
+
+/// One section while it is streamed: its window in the file, how much
+/// of it has been written, and the checksum of that much.
+struct SectionWriter {
+    off: u64,
+    len: u64,
+    written: u64,
+    sum: SectionSum,
+}
+
+impl SectionWriter {
+    fn put(&mut self, sink: &mut impl ImageSink, bytes: &[u8]) -> io::Result<()> {
+        self.sum.update(bytes);
+        sink.write_at(self.off + self.written, bytes)?;
+        self.written += bytes.len() as u64;
+        Ok(())
+    }
+}
+
+/// The cluster id of every inventory id under `operator`'s cluster table
+/// (`None` for a byte outside the inventory).
+fn cluster_lut(operator: &LexEqual) -> [Option<u8>; 256] {
+    let table = operator.cost_model().clusters();
+    std::array::from_fn(|id| {
+        let p = Phoneme::from_id(id as u8).ok()?;
+        Some(table.cluster_of(p).0)
+    })
+}
+
+/// Stream the store's rows `0..cut.rows` into `sink` as a binary
+/// snapshot image covering `cut.lsn` and recording `cut.builds`; returns
+/// the image length.
+///
+/// Reads the prefix through the store's chunked reader with no lock held
+/// (commits, appends and index builds proceed meanwhile — rows below the
+/// cut never change), so the image is the store exactly as it stood when
+/// the cut was taken. Cluster ids and embeddings are recomputed from the
+/// phonemes under the configured cost model, making the image
+/// self-consistent by construction.
+pub fn write_image(
+    store: &ShardedStore,
+    cut: &Cut,
+    sink: &mut impl ImageSink,
+) -> Result<u64, DbError> {
+    let io_err = |e: io::Error| err(format!("write image: {e}"));
+    let shards =
+        u32::try_from(store.shards()).map_err(|_| err("shard count exceeds format limit"))?;
+    let entry_count =
+        u32::try_from(cut.rows).map_err(|_| err("entry count exceeds format limit"))?;
+    let mut specs = Vec::with_capacity(cut.builds.len() * SPEC_RECORD);
+    for spec in &cut.builds {
         specs.extend_from_slice(&spec_to_record(spec)?);
     }
 
-    // Header + section table, then the six sections, 8-byte aligned.
-    let mut image = Vec::with_capacity(
-        HEADER_LEN
-            + specs.len()
-            + entry_table.len()
-            + texts.len()
-            + phonemes.len()
-            + clusters.len()
-            + embeds.len()
-            + 6 * 8,
-    );
-    image.extend_from_slice(&MAGIC);
-    image.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    image.extend_from_slice(&ENDIAN_TAG.to_le_bytes());
-    image.extend_from_slice(
-        &u32::try_from(shards)
-            .map_err(|_| err("shard count exceeds format limit"))?
-            .to_le_bytes(),
-    );
-    image.extend_from_slice(&entry_count.to_le_bytes());
-    image.extend_from_slice(&lsn.to_le_bytes());
-    image.extend_from_slice(&(V2_SECTIONS as u32).to_le_bytes());
-    image.extend_from_slice(&0u32.to_le_bytes());
-    // Section-table placeholder, patched below.
-    image.resize(HEADER_LEN, 0);
+    // Lengths-only pass, then the layout: six sections, 8-byte aligned.
+    let (text_bytes, phoneme_bytes) = store.prefix_bytes(cut.rows);
+    let mut lens = [0usize; V2_SECTIONS];
+    lens[SPECS] = specs.len();
+    lens[ENTRIES] = cut.rows * ENTRY_RECORD;
+    lens[TEXTS] = text_bytes;
+    lens[PHONEMES] = phoneme_bytes;
+    lens[CLUSTERS] = phoneme_bytes;
+    lens[EMBEDS] = cut.rows * EMBED_DIM;
+    let mut end = HEADER_LEN as u64;
+    let mut sections = lens.map(|len| {
+        let off = end.next_multiple_of(8);
+        end = off + len as u64;
+        SectionWriter {
+            off,
+            len: len as u64,
+            written: 0,
+            sum: SectionSum::new(),
+        }
+    });
+    sink.preallocate(end).map_err(io_err)?;
+    sections[SPECS].put(sink, &specs).map_err(io_err)?;
 
-    let payloads: [&[u8]; V2_SECTIONS] =
-        [&specs, &entry_table, &texts, &phonemes, &clusters, &embeds];
-    let mut table = [[0u64; 3]; V2_SECTIONS];
-    for (i, payload) in payloads.iter().enumerate() {
-        pad_to_align(&mut image);
-        table[i] = [
-            image.len() as u64,
-            payload.len() as u64,
-            section_checksum(payload),
-        ];
-        image.extend_from_slice(payload);
+    // The rows, a chunk at a time: each chunk's slice of every arena is
+    // assembled in five reused buffers and written at its final offset.
+    let operator = LexEqual::new(store.config().clone());
+    let lut = cluster_lut(&operator);
+    let chunk_rows = CHUNK_ROWS.min(cut.rows);
+    let mut entries = Vec::with_capacity(chunk_rows * ENTRY_RECORD);
+    let mut embeds = Vec::with_capacity(chunk_rows * EMBED_DIM);
+    let (mut texts, mut phonemes, mut clusters) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut text_off, mut phon_off) = (0usize, 0usize);
+    let mut reader = store.prefix_reader(cut.rows);
+    while let Some(chunk) = reader.next_chunk() {
+        for buf in [
+            &mut entries,
+            &mut texts,
+            &mut phonemes,
+            &mut clusters,
+            &mut embeds,
+        ] {
+            buf.clear();
+        }
+        for (text, language, phon) in chunk.rows() {
+            let text_off32 =
+                u32::try_from(text_off).map_err(|_| err("text arena exceeds 4 GiB"))?;
+            let phon_off32 =
+                u32::try_from(phon_off).map_err(|_| err("phoneme arena exceeds 4 GiB"))?;
+            let text_len =
+                u16::try_from(text.len()).map_err(|_| err("entry text exceeds format limit"))?;
+            let phon_len = u16::try_from(phon.len())
+                .map_err(|_| err("entry phoneme string exceeds format limit"))?;
+            let lang = Language::ALL
+                .iter()
+                .position(|l| *l == language)
+                .expect("every language is in Language::ALL") as u8;
+            texts.extend_from_slice(text.as_bytes());
+            phonemes.extend_from_slice(phon);
+            clusters.extend(
+                phon.iter()
+                    .map(|&p| lut[p as usize].expect("stored phoneme ids are inventory ids")),
+            );
+            embeds.extend_from_slice(&operator.embedder().embed_ids(phon));
+            entries.extend_from_slice(&text_off32.to_le_bytes());
+            entries.extend_from_slice(&phon_off32.to_le_bytes());
+            entries.extend_from_slice(&text_len.to_le_bytes());
+            entries.extend_from_slice(&phon_len.to_le_bytes());
+            entries.push(lang);
+            entries.extend_from_slice(&[0u8; 3]);
+            text_off += text.len();
+            phon_off += phon.len();
+        }
+        for (section, buf) in [
+            (ENTRIES, &entries),
+            (TEXTS, &texts),
+            (PHONEMES, &phonemes),
+            (CLUSTERS, &clusters),
+            (EMBEDS, &embeds),
+        ] {
+            sections[section].put(sink, buf).map_err(io_err)?;
+        }
     }
-    for (i, [off, len, sum]) in table.iter().enumerate() {
+
+    // Every section must have come out exactly as long as it was laid
+    // out; then the header and section table, last.
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&ENDIAN_TAG.to_le_bytes());
+    header[16..20].copy_from_slice(&shards.to_le_bytes());
+    header[20..24].copy_from_slice(&entry_count.to_le_bytes());
+    header[24..32].copy_from_slice(&cut.lsn.to_le_bytes());
+    header[32..36].copy_from_slice(&(V2_SECTIONS as u32).to_le_bytes());
+    for (i, section) in sections.into_iter().enumerate() {
+        if section.written != section.len {
+            return Err(err(format!(
+                "section {i} streamed {} bytes into a {}-byte window",
+                section.written, section.len
+            )));
+        }
         let at = 40 + i * 24;
-        image[at..at + 8].copy_from_slice(&off.to_le_bytes());
-        image[at + 8..at + 16].copy_from_slice(&len.to_le_bytes());
-        image[at + 16..at + 24].copy_from_slice(&sum.to_le_bytes());
+        header[at..at + 8].copy_from_slice(&section.off.to_le_bytes());
+        header[at + 8..at + 16].copy_from_slice(&section.len.to_le_bytes());
+        header[at + 16..at + 24].copy_from_slice(&section.sum.finish().to_le_bytes());
     }
+    sink.write_at(0, &header).map_err(io_err)?;
+    Ok(end)
+}
+
+/// Serialize the store as it stands into a binary snapshot image
+/// covering `lsn`: [`write_image`] pointed at a `Vec`. The image is the
+/// prefix the store had published when the call began; the caller makes
+/// `lsn` exact for it by holding its own writes off for that instant
+/// (the primary cuts under the commit lock and calls [`write_image`]).
+pub fn encode(store: &ShardedStore, lsn: u64) -> Result<Vec<u8>, DbError> {
+    let mut image = Vec::new();
+    write_image(store, &store.cut(lsn), &mut image)?;
     Ok(image)
 }
 
-/// [`encode`] and write atomically: temp file in the target directory,
-/// fsync, rename over the destination (same discipline as the JSON
-/// snapshot's `write_to_file_atomic`).
+/// Where a snapshot writer of this process stages `path`:
+/// `<file name>.tmp.<pid>` beside it. Both formats' writers name their
+/// temp file here, so [`remove_stale_tmp`] has one pattern to match.
+pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    PathBuf::from(tmp)
+}
+
+/// Run `write` on a fresh temp sibling of `path`, fsync it and rename it
+/// over `path` — a reader (or a crash) never sees a half-written file;
+/// on any error the temp file is removed.
+fn write_atomic<T>(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> Result<T, DbError>,
+) -> Result<T, DbError> {
+    let tmp = tmp_sibling(path);
+    let io_err = |e: io::Error| err(format!("write {}: {e}", path.display()));
+    let result = (|| {
+        let mut f = File::create(&tmp).map_err(io_err)?;
+        let out = write(&mut f)?;
+        f.sync_all().map_err(io_err)?;
+        drop(f);
+        std::fs::rename(&tmp, path).map_err(io_err)?;
+        Ok(out)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Stream the cut of `store` to `path` atomically ([`write_image`] into
+/// a temp file, fsync, rename); returns the image length.
 pub fn write_file_atomic(
     store: &ShardedStore,
-    lsn: u64,
+    cut: &Cut,
     path: impl AsRef<Path>,
 ) -> Result<u64, DbError> {
-    let image = encode(store, lsn)?;
-    write_image_atomic(&image, path)?;
-    Ok(image.len() as u64)
+    write_atomic(path.as_ref(), |f| write_image(store, cut, f))
 }
 
 /// Write an already-encoded image atomically (the replica seeding path
 /// persists the transferred bytes verbatim).
 pub fn write_image_atomic(image: &[u8], path: impl AsRef<Path>) -> Result<(), DbError> {
     let path = path.as_ref();
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let io_err = |e: std::io::Error| err(format!("write {}: {e}", path.display()));
-    let result = (|| {
-        let mut f = File::create(&tmp).map_err(io_err)?;
-        f.write_all(image).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        drop(f);
-        std::fs::rename(&tmp, path).map_err(io_err)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
+    write_atomic(path, |f| {
+        f.write_all(image)
+            .map_err(|e| err(format!("write {}: {e}", path.display())))
+    })
+}
+
+/// Remove the temp files dead writers left beside `path`: a process
+/// killed mid-checkpoint never reaches its rename, and the next daemon
+/// has another pid, so nothing else would ever delete its
+/// `<file name>.tmp.<pid>`. A pid that still names a running process is left
+/// alone, and so is everything on a host without `/proc`, where no pid
+/// can be told dead. Returns what was removed.
+pub fn remove_stale_tmp(path: impl AsRef<Path>) -> Vec<PathBuf> {
+    let path = path.as_ref();
+    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+        return Vec::new();
+    };
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    if !Path::new("/proc/self").exists() {
+        return Vec::new();
     }
-    result
+    let Ok(listing) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut removed = Vec::new();
+    for entry in listing.flatten() {
+        let file = entry.file_name();
+        let Some(pid) = file
+            .to_str()
+            .and_then(|f| f.strip_prefix(name)?.strip_prefix(".tmp."))
+            .filter(|pid| !pid.is_empty() && pid.bytes().all(|b| b.is_ascii_digit()))
+        else {
+            continue;
+        };
+        if Path::new("/proc").join(pid).exists() {
+            continue;
+        }
+        if std::fs::remove_file(entry.path()).is_ok() {
+            removed.push(entry.path());
+        }
+    }
+    removed
 }
 
 // ---------------------------------------------------------------------
@@ -704,27 +933,22 @@ fn load_owner(
     }
     let phon_arena = &image[phonemes.off..phonemes.off + phonemes.len];
     let clus_arena = &image[clusters.off..clusters.off + clusters.len];
-    let operator = lexequal::LexEqual::new(config.clone());
-    let table = operator.cost_model().clusters();
-    let mut lut = [0u8; 256];
-    let mut valid = [false; 256];
-    for id in 0..=u8::MAX {
-        if Phoneme::is_valid_id(id) {
-            valid[id as usize] = true;
-            lut[id as usize] = table.cluster_of(Phoneme::from_id(id).expect("validated")).0;
-        }
-    }
+    let operator = LexEqual::new(config.clone());
+    let lut = cluster_lut(&operator);
     for (i, (&p, &c)) in phon_arena.iter().zip(clus_arena).enumerate() {
-        if !valid[p as usize] {
-            return Err(err(format!(
-                "phoneme arena byte {i} (id {p}) is outside the inventory"
-            )));
-        }
-        if lut[p as usize] != c {
-            return Err(err(
-                "stored cluster ids disagree with the configured cost model \
-                 (snapshot written under a different MatchConfig?)",
-            ));
+        match lut[p as usize] {
+            None => {
+                return Err(err(format!(
+                    "phoneme arena byte {i} (id {p}) is outside the inventory"
+                )))
+            }
+            Some(expect) if expect != c => {
+                return Err(err(
+                    "stored cluster ids disagree with the configured cost model \
+                     (snapshot written under a different MatchConfig?)",
+                ))
+            }
+            Some(_) => {}
         }
     }
 

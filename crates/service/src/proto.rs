@@ -528,14 +528,19 @@ pub fn format_stats(s: &StatsSnapshot) -> String {
                         wal.appends, wal.fsyncs, wal.bytes,
                     ));
                 }
+                // New keys go on the end: every older key keeps its place.
                 line.push_str(&format!(
                     " wal_bytes_live={} compactions={} checkpoint_lsn={} reseeds={} \
-                     divergences={}",
+                     divergences={} commit_hold_max_us={} checkpoint_ms_last={} \
+                     checkpoint_rows_last={}",
                     repl.wal_bytes_live,
                     repl.compactions,
                     repl.checkpoint_lsn,
                     repl.reseeds,
                     repl.divergences,
+                    repl.commit_hold_max_us,
+                    repl.checkpoint_ms_last,
+                    repl.checkpoint_rows_last,
                 ));
             }
             crate::metrics::ReplRole::Replica => {

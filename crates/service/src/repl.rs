@@ -49,7 +49,8 @@
 
 use crate::event_loop::ShutdownSignal;
 use crate::metrics::{ReplRole, ReplStats, WalMetrics, WalStats};
-use crate::service::MatchService;
+use crate::service::{MatchService, SnapshotFormat};
+use crate::shard::Cut;
 use crate::snapshot::StoreSnapshot;
 use crate::wal::{self, Op, Wal, WalCursor, WalError, WalRecord};
 use lexequal::MatchConfig;
@@ -58,7 +59,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -177,11 +178,52 @@ pub struct Replicator {
     /// Serializes compaction cycles (an explicit `COMPACT` racing the
     /// background compactor simply reports "busy").
     compaction: Mutex<()>,
+    /// Serializes snapshot file writers (`SAVE`, the compaction
+    /// checkpoint), each across its whole cut → write → rename: two of
+    /// them on one path share a temp file, and a file must never be
+    /// replaced by an older cut than it holds (the log may already be
+    /// truncated up to the newer one). Commits do not take it.
+    snapshot_writer: Mutex<()>,
     policy: Mutex<CompactionPolicy>,
     compactions: AtomicU64,
     checkpoint_lsn: AtomicU64,
     reseeds: AtomicU64,
     divergences: AtomicU64,
+    /// Longest single hold of the commit lock since start, in µs.
+    commit_hold_max_us: AtomicU64,
+    /// Duration (ms) and row count of the newest snapshot written
+    /// through this replicator (`SAVE` or a compaction checkpoint).
+    checkpoint_ms_last: AtomicU64,
+    checkpoint_rows_last: AtomicU64,
+}
+
+/// The commit lock, held: derefs to the [`Wal`] and, when dropped, folds
+/// how long it was held into `commit_hold_max_us` — so a stop-the-world
+/// under this lock is readable from `STATS` on the running daemon.
+struct CommitGuard<'a> {
+    wal: MutexGuard<'a, Wal>,
+    since: Instant,
+    hold_max_us: &'a AtomicU64,
+}
+
+impl std::ops::Deref for CommitGuard<'_> {
+    type Target = Wal;
+    fn deref(&self) -> &Wal {
+        &self.wal
+    }
+}
+
+impl std::ops::DerefMut for CommitGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Wal {
+        &mut self.wal
+    }
+}
+
+impl Drop for CommitGuard<'_> {
+    fn drop(&mut self) {
+        let held = u64::try_from(self.since.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.hold_max_us.fetch_max(held, Ordering::Relaxed);
+    }
 }
 
 impl std::fmt::Debug for Replicator {
@@ -209,12 +251,26 @@ impl Replicator {
             acks: Mutex::new(HashMap::new()),
             next_replica_id: AtomicU64::new(1),
             compaction: Mutex::new(()),
+            snapshot_writer: Mutex::new(()),
             policy: Mutex::new(CompactionPolicy::default()),
             compactions: AtomicU64::new(0),
             checkpoint_lsn: AtomicU64::new(0),
             reseeds: AtomicU64::new(0),
             divergences: AtomicU64::new(0),
+            commit_hold_max_us: AtomicU64::new(0),
+            checkpoint_ms_last: AtomicU64::new(0),
+            checkpoint_rows_last: AtomicU64::new(0),
         })
+    }
+
+    /// Take the commit lock.
+    fn commit_lock(&self) -> CommitGuard<'_> {
+        let wal = self.wal.lock().expect("wal lock");
+        CommitGuard {
+            wal,
+            since: Instant::now(),
+            hold_max_us: &self.commit_hold_max_us,
+        }
     }
 
     /// Install the compaction policy (checkpoint path, size trigger,
@@ -225,12 +281,12 @@ impl Replicator {
 
     /// Current on-disk WAL size in bytes.
     pub fn live_bytes(&self) -> u64 {
-        self.wal.lock().expect("wal lock").live_bytes()
+        self.commit_lock().live_bytes()
     }
 
     /// First LSN still present in the WAL (`None` = empty log).
     pub fn wal_first_lsn(&self) -> Option<u64> {
-        self.wal.lock().expect("wal lock").first_lsn()
+        self.commit_lock().first_lsn()
     }
 
     /// Completed checkpoint-and-truncate cycles.
@@ -251,6 +307,21 @@ impl Replicator {
     /// Replicas that arrived *ahead* of this primary's history.
     pub fn divergences(&self) -> u64 {
         self.divergences.load(Ordering::Relaxed)
+    }
+
+    /// Longest single hold of the commit lock since start, in µs — an
+    /// `ADD`'s own append + fsync unless something stops the world.
+    pub fn commit_hold_max_us(&self) -> u64 {
+        self.commit_hold_max_us.load(Ordering::Relaxed)
+    }
+
+    /// `(milliseconds, rows)` of the newest snapshot written through
+    /// this replicator (0, 0 before the first).
+    pub fn checkpoint_last(&self) -> (u64, u64) {
+        (
+            self.checkpoint_ms_last.load(Ordering::Relaxed),
+            self.checkpoint_rows_last.load(Ordering::Relaxed),
+        )
     }
 
     /// Last committed LSN.
@@ -284,7 +355,7 @@ impl Replicator {
             language,
             text: text.to_owned(),
         };
-        let mut wal = self.wal.lock().expect("wal lock");
+        let mut wal = self.commit_lock();
         let lsn = wal.append(&op).map_err(CommitError::Wal)?;
         let id = service.apply_entry(entry);
         self.publish(lsn);
@@ -297,7 +368,7 @@ impl Replicator {
         service: &MatchService,
         spec: crate::shard::BuildSpec,
     ) -> Result<u64, CommitError> {
-        let mut wal = self.wal.lock().expect("wal lock");
+        let mut wal = self.commit_lock();
         let lsn = wal.append(&Op::Build(spec)).map_err(CommitError::Wal)?;
         service.build(spec);
         self.publish(lsn);
@@ -314,43 +385,75 @@ impl Replicator {
         self.tail_cv.notify_all();
     }
 
-    /// Capture a store snapshot consistent with the WAL head (holds the
-    /// commit lock for the duration). Returns `(image bytes, lsn)`.
-    /// With [`SnapshotFormat::Mmap`] the bytes are the binary image —
-    /// exactly what a snapshot file holds, so a replica that advertised
-    /// the capability loads the transfer buffer directly (or persists
-    /// it verbatim) with no re-encode. [`SnapshotFormat::Json`] is the
-    /// pre-binary wire document, kept for replicas that predate the
-    /// mmap format (rolling upgrades: new primary, old replicas).
+    /// The store's [`Cut`] at the WAL head — the only thing a snapshot
+    /// needs the commit lock for. Under the lock it reads the head LSN,
+    /// the published row count and the recorded build specs, and lets go:
+    /// O(1), whatever the corpus size. Every mutation commits under the
+    /// same lock and ids are assigned in commit order, so rows
+    /// `0..cut.rows` read at any later time are exactly the store at
+    /// `cut.lsn`; whoever holds the cut streams them out while commits
+    /// keep flowing.
+    pub fn cut(&self, service: &MatchService) -> Cut {
+        let wal = self.commit_lock();
+        service.store().cut(wal.head_lsn())
+    }
+
+    /// Cut at the WAL head, then stream the binary image into `sink`
+    /// with no lock held (see [`cut`](Self::cut)); returns the cut the
+    /// image holds. A replica's binary seed is this call pointed at a
+    /// `Vec`; `SAVE` and the compaction checkpoint are the same two
+    /// steps around a temp file ([`save_snapshot_atomic_format`]).
     ///
-    /// [`SnapshotFormat::Mmap`]: crate::service::SnapshotFormat::Mmap
-    /// [`SnapshotFormat::Json`]: crate::service::SnapshotFormat::Json
+    /// [`save_snapshot_atomic_format`]: Self::save_snapshot_atomic_format
+    pub fn checkpoint_to(
+        &self,
+        service: &MatchService,
+        sink: &mut impl crate::mmapstore::ImageSink,
+    ) -> Result<Cut, lexequal_mdb::DbError> {
+        let cut = self.cut(service);
+        crate::mmapstore::write_image(service.store(), &cut, sink)?;
+        Ok(cut)
+    }
+
+    /// Capture a store snapshot exact at the WAL head it is stamped
+    /// with, as bytes: returns `(image bytes, lsn)`. The commit lock is
+    /// held for the [`cut`](Self::cut) only, not while the bytes are
+    /// produced. With [`SnapshotFormat::Mmap`] the bytes are the binary
+    /// image — exactly what a snapshot file holds, so a replica that
+    /// advertised the capability loads the transfer buffer directly (or
+    /// persists it verbatim) with no re-encode. [`SnapshotFormat::Json`]
+    /// is the pre-binary wire document, kept for replicas that predate
+    /// the mmap format (rolling upgrades: new primary, old replicas).
     pub fn snapshot_document(
         &self,
         service: &MatchService,
-        format: crate::service::SnapshotFormat,
+        format: SnapshotFormat,
     ) -> Result<(Vec<u8>, u64), lexequal_mdb::DbError> {
-        let wal = self.wal.lock().expect("wal lock");
-        let lsn = wal.head_lsn();
-        let bytes = match format {
-            crate::service::SnapshotFormat::Mmap => crate::mmapstore::encode(service.store(), lsn)?,
-            crate::service::SnapshotFormat::Json => {
-                let mut bytes = Vec::new();
-                StoreSnapshot::capture_with_lsn(service.store(), lsn).write_to(&mut bytes)?;
-                bytes
+        let mut bytes = Vec::new();
+        let cut = match format {
+            SnapshotFormat::Mmap => self.checkpoint_to(service, &mut bytes)?,
+            SnapshotFormat::Json => {
+                let cut = self.cut(service);
+                StoreSnapshot::capture_cut(service.store(), &cut).write_to(&mut bytes)?;
+                cut
             }
         };
-        Ok((bytes, lsn))
+        Ok((bytes, cut.lsn))
     }
 
-    /// Snapshot the store to `path` atomically, stamped with the WAL
-    /// head (holds the commit lock). Returns the covered LSN.
+    /// Snapshot the store to `path` atomically (temp file, fsync,
+    /// rename), exact at the WAL head it is stamped with. Returns the
+    /// covered LSN. The commit lock is held for the [`cut`](Self::cut)
+    /// only: commits flow during the whole write, and rows they append
+    /// are not in the file. Snapshot writers themselves take turns (cut
+    /// included), so overlapping calls on one path each leave a whole
+    /// image and the newest cut is the one that stays.
     pub fn save_snapshot_atomic(
         &self,
         service: &MatchService,
         path: &Path,
     ) -> Result<u64, lexequal_mdb::DbError> {
-        self.save_snapshot_atomic_format(service, path, crate::service::SnapshotFormat::Mmap)
+        self.save_snapshot_atomic_format(service, path, SnapshotFormat::Mmap)
     }
 
     /// [`save_snapshot_atomic`](Self::save_snapshot_atomic) in an
@@ -359,25 +462,37 @@ impl Replicator {
         &self,
         service: &MatchService,
         path: &Path,
-        format: crate::service::SnapshotFormat,
+        format: SnapshotFormat,
     ) -> Result<u64, lexequal_mdb::DbError> {
-        let wal = self.wal.lock().expect("wal lock");
-        let lsn = wal.head_lsn();
-        match format {
-            crate::service::SnapshotFormat::Mmap => {
-                crate::mmapstore::write_file_atomic(service.store(), lsn, path)?;
-            }
-            crate::service::SnapshotFormat::Json => {
-                StoreSnapshot::capture_with_lsn(service.store(), lsn).write_to_file_atomic(path)?;
-            }
-        }
-        Ok(lsn)
+        self.save_cut_atomic(service, path, format)
+            .map(|(cut, _)| cut.lsn)
+    }
+
+    /// Cut, write the file, record `checkpoint_{ms,rows}_last`; returns
+    /// the cut written and the milliseconds it took. One writer at a
+    /// time, and the cut is taken inside that turn: files land in cut
+    /// order, whole. A second `SAVE` waits here; a commit never does.
+    fn save_cut_atomic(
+        &self,
+        service: &MatchService,
+        path: &Path,
+        format: SnapshotFormat,
+    ) -> Result<(Cut, u64), lexequal_mdb::DbError> {
+        let _writer = self.snapshot_writer.lock().expect("snapshot writer lock");
+        let start = Instant::now();
+        let cut = self.cut(service);
+        service.save_cut(path, &cut, format)?;
+        let ms = start.elapsed().as_millis() as u64;
+        self.checkpoint_ms_last.store(ms, Ordering::Relaxed);
+        self.checkpoint_rows_last
+            .store(cut.rows as u64, Ordering::Relaxed);
+        Ok((cut, ms))
     }
 
     /// Whether an incremental catch-up from `from` loses nothing
     /// (0 always demands a snapshot — a fresh replica has no state).
     pub fn can_serve_incremental(&self, from: u64) -> bool {
-        from != 0 && self.wal.lock().expect("wal lock").can_serve_from(from)
+        from != 0 && self.commit_lock().can_serve_from(from)
     }
 
     /// Records with `lsn > from`, in order.
@@ -386,7 +501,7 @@ impl Replicator {
     /// small one-shot reads; stream senders use
     /// [`read_tail`](Self::read_tail), which does neither.
     pub fn read_from(&self, from: u64) -> Result<Vec<WalRecord>, WalError> {
-        self.wal.lock().expect("wal lock").read_from(from)
+        self.commit_lock().read_from(from)
     }
 
     /// Records at or past `cursor`, advancing it. The commit lock is
@@ -400,7 +515,7 @@ impl Replicator {
     /// continue and the replica must re-seed on reconnect.
     pub fn read_tail(&self, cursor: &mut WalCursor) -> Result<Vec<WalRecord>, WalError> {
         let (path, generation, first_lsn, head) = {
-            let wal = self.wal.lock().expect("wal lock");
+            let wal = self.commit_lock();
             (
                 wal.path().to_owned(),
                 wal.generation(),
@@ -464,18 +579,23 @@ impl Replicator {
 
     /// One checkpoint-and-truncate cycle:
     ///
-    /// 1. write a durable mmap checkpoint of the store at the WAL head
-    ///    (fsync + rename, via the commit lock so it is exact at its
-    ///    LSN) to the policy's checkpoint path;
+    /// 1. take the [`cut`](Self::cut) at the WAL head (the commit lock
+    ///    is held for that instant only) and stream it as a durable mmap
+    ///    checkpoint (temp file, fsync, rename) to the policy's
+    ///    checkpoint path, holding only the snapshot writers' turn;
     /// 2. compute the horizon: the checkpoint's LSN, clamped down to
     ///    the lowest acknowledged LSN of any in-grace replica;
-    /// 3. atomically rewrite the log, dropping records `<= horizon`.
+    /// 3. under the commit lock, atomically rewrite the log, dropping
+    ///    records `<= horizon` (a rewrite of at most the size cap).
     ///
     /// The ordering is the crash-safety invariant: the checkpoint is
     /// durable *before* any log byte is dropped, so recovery at every
     /// intermediate state composes a complete store from
     /// checkpoint + surviving tail. Concurrent cycles are refused
-    /// ("busy"), commits keep flowing between steps 1 and 3, and a
+    /// ("busy") and a `SAVE` in flight is waited for (one snapshot
+    /// writer at a time, so no older cut can land on the checkpoint
+    /// after step 3); commits keep flowing throughout step 1 — the records
+    /// they append are past the horizon and survive step 3 — and a
     /// sender whose replica the horizon passed (straggler beyond grace)
     /// gets a `Gap` on its next read and hands the replica to the
     /// snapshot re-seed path.
@@ -488,9 +608,10 @@ impl Replicator {
             return Err("no checkpoint path configured (compaction needs a wal)".into());
         };
 
-        let checkpoint_lsn = self
-            .save_snapshot_atomic(service, &checkpoint)
+        let (cut, checkpoint_ms) = self
+            .save_cut_atomic(service, &checkpoint, SnapshotFormat::Mmap)
             .map_err(|e| format!("checkpoint write failed: {e}"))?;
+        let checkpoint_lsn = cut.lsn;
         self.checkpoint_lsn
             .fetch_max(checkpoint_lsn, Ordering::Relaxed);
 
@@ -500,7 +621,7 @@ impl Replicator {
         }
 
         let (stats, live) = {
-            let mut wal = self.wal.lock().expect("wal lock");
+            let mut wal = self.commit_lock();
             let stats = wal
                 .compact_to(horizon)
                 .map_err(|e| format!("wal rewrite failed: {e}"))?;
@@ -510,8 +631,9 @@ impl Replicator {
             self.compactions.fetch_add(1, Ordering::Relaxed);
             eprintln!(
                 "lexequald: wal compacted to lsn {horizon} (checkpoint lsn {checkpoint_lsn}): \
-                 dropped {} records / {} bytes, {live} bytes live",
-                stats.dropped_records, stats.dropped_bytes
+                 dropped {} records / {} bytes, {live} bytes live, \
+                 checkpoint_ms={checkpoint_ms} cut_rows={}",
+                stats.dropped_records, stats.dropped_bytes, cut.rows
             );
         }
         Ok(CompactReport {
@@ -675,9 +797,9 @@ fn stream_to_replica(
     id: u64,
 ) -> io::Result<()> {
     let format = if peer_mmap {
-        crate::service::SnapshotFormat::Mmap
+        SnapshotFormat::Mmap
     } else {
-        crate::service::SnapshotFormat::Json
+        SnapshotFormat::Json
     };
     let mut from = hello_lsn;
     if repl.can_serve_incremental(hello_lsn) {
@@ -895,6 +1017,9 @@ impl ReplicaState {
             checkpoint_lsn: 0,
             reseeds: self.reseeds(),
             divergences: self.divergences(),
+            commit_hold_max_us: 0,
+            checkpoint_ms_last: 0,
+            checkpoint_rows_last: 0,
         }
     }
 }
@@ -1411,7 +1536,7 @@ mod tests {
         }
 
         let (mmap_bytes, mmap_lsn) = repl
-            .snapshot_document(&primary, crate::service::SnapshotFormat::Mmap)
+            .snapshot_document(&primary, SnapshotFormat::Mmap)
             .expect("binary document");
         assert!(
             crate::mmapstore::is_binary(&mmap_bytes),
@@ -1419,7 +1544,7 @@ mod tests {
         );
 
         let (json_bytes, json_lsn) = repl
-            .snapshot_document(&primary, crate::service::SnapshotFormat::Json)
+            .snapshot_document(&primary, SnapshotFormat::Json)
             .expect("json document");
         assert!(
             !crate::mmapstore::is_binary(&json_bytes),

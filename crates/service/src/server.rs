@@ -48,6 +48,7 @@ impl ReqCtx {
     fn repl_stats(&self) -> Option<ReplStats> {
         if let Some(repl) = &self.repl {
             let head = repl.head();
+            let (checkpoint_ms_last, checkpoint_rows_last) = repl.checkpoint_last();
             return Some(ReplStats {
                 role: ReplRole::Primary,
                 head_lsn: head,
@@ -62,6 +63,9 @@ impl ReqCtx {
                 checkpoint_lsn: repl.checkpoint_lsn(),
                 reseeds: repl.reseeds(),
                 divergences: repl.divergences(),
+                commit_hold_max_us: repl.commit_hold_max_us(),
+                checkpoint_ms_last,
+                checkpoint_rows_last,
             });
         }
         self.replica.as_ref().map(|state| state.stats())
@@ -606,7 +610,8 @@ fn execute_save(
         crate::service::SnapshotFormat::Mmap
     };
     let saved = if let Some(repl) = &ctx.repl {
-        // Under the commit lock: the snapshot is exact at its LSN.
+        // Cut under the commit lock, written outside it: the snapshot
+        // is exact at its LSN and commits flow during the write.
         repl.save_snapshot_atomic_format(service, &target, format)
     } else {
         // On a replica the apply loop may advance while capturing; the

@@ -363,8 +363,10 @@ impl MatchService {
 
     /// Persist the store atomically (temp file + rename), stamping the
     /// WAL LSN the state corresponds to, in the default (binary mmap)
-    /// format. The caller is responsible for holding writes off while
-    /// capturing (the daemon captures under its commit lock).
+    /// format. The image holds the rows published when the call began;
+    /// `lsn` is exact for them only if the caller holds its writes off
+    /// for that instant (a primary does not come through here: it cuts
+    /// under its commit lock, see [`crate::repl::Replicator::cut`]).
     pub fn save_snapshot_with_lsn(
         &self,
         path: impl AsRef<std::path::Path>,
@@ -382,14 +384,24 @@ impl MatchService {
         lsn: u64,
         format: SnapshotFormat,
     ) -> Result<(), lexequal_mdb::DbError> {
+        self.save_cut(path, &self.store.cut(lsn), format)
+    }
+
+    /// Persist exactly the rows and build specs of `cut` to `path`,
+    /// atomically, without holding any lock: the capture reads the
+    /// store's immutable prefix, so mutations proceed during the write.
+    pub(crate) fn save_cut(
+        &self,
+        path: impl AsRef<std::path::Path>,
+        cut: &crate::shard::Cut,
+        format: SnapshotFormat,
+    ) -> Result<(), lexequal_mdb::DbError> {
         match format {
             SnapshotFormat::Mmap => {
-                crate::mmapstore::write_file_atomic(&self.store, lsn, path).map(|_| ())
+                crate::mmapstore::write_file_atomic(&self.store, cut, path).map(|_| ())
             }
-            SnapshotFormat::Json => {
-                crate::snapshot::StoreSnapshot::capture_with_lsn(&self.store, lsn)
-                    .write_to_file_atomic(path)
-            }
+            SnapshotFormat::Json => crate::snapshot::StoreSnapshot::capture_cut(&self.store, cut)
+                .write_to_file_atomic(path),
         }
     }
 

@@ -19,9 +19,10 @@ use crate::metrics::{BatchTotals, ScreenTotals};
 use lexequal::store::{NameEntry, SearchResult};
 use lexequal::{
     BatchCounters, BatchVerifier, G2pError, Language, MatchConfig, NameStore, PhonemeString,
-    QgramMode, ScreenCounters, SearchMethod, SharedEntry,
+    QgramMode, RowChunk, ScreenCounters, SearchMethod, SharedEntry,
 };
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -51,6 +52,33 @@ impl BuildSpec {
             BuildSpec::BkTree => SearchMethod::BkTree,
         }
     }
+}
+
+/// A point-in-time cut of an append-only store: "the store at `lsn`" is
+/// rows `0..rows` with `builds` recorded. Rows never change once
+/// appended and ids are assigned in commit order, so the prefix read at
+/// any later time *is* the store as it stood when the cut was taken —
+/// which is why taking one copies nothing (see
+/// [`ShardedStore::cut`] and [`crate::repl::Replicator::cut`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cut {
+    /// WAL LSN the cut covers (0 = no WAL).
+    pub lsn: u64,
+    /// Number of rows (global ids `0..rows`) the cut holds.
+    pub rows: usize,
+    /// Access paths recorded as built at the cut.
+    pub builds: Vec<BuildSpec>,
+}
+
+/// Rows a snapshot writer pulls from the shard workers per round trip
+/// ([`PrefixReader`]): bounds a checkpoint's transient memory at one
+/// chunk whatever the corpus size.
+pub(crate) const CHUNK_ROWS: usize = 1024;
+
+/// How many of global rows `0..rows` live on `shard` of `shards` (its
+/// local rows `0..n`): row `g` is shard `g % shards`'s local `g / shards`.
+fn local_rows(rows: usize, shard: usize, shards: usize) -> usize {
+    (rows + shards - 1 - shard) / shards
 }
 
 /// One request to a shard worker. Replies travel over per-call mpsc
@@ -92,11 +120,20 @@ enum Cmd {
         local: u32,
         reply: Sender<Option<NameEntry>>,
     },
-    /// Export every entry in local-id order (snapshot capture); echoes
-    /// the shard index so the coordinator can collect out of order.
-    Export {
+    /// `(text bytes, phoneme bytes)` of local rows `0..rows` (a snapshot
+    /// writer's lengths-only pass).
+    PrefixBytes {
+        rows: usize,
+        reply: Sender<(usize, usize)>,
+    },
+    /// Copy local rows `rows` into `chunk` and send it back (snapshot
+    /// capture); echoes the shard index so the reader can collect out of
+    /// order. The buffer travels both ways so its allocations are reused.
+    ReadRows {
+        rows: Range<usize>,
+        chunk: RowChunk,
         shard: usize,
-        reply: Sender<(usize, Vec<NameEntry>)>,
+        reply: Sender<(usize, RowChunk)>,
     },
 }
 
@@ -171,8 +208,17 @@ fn worker(
             Cmd::Get { local, reply } => {
                 let _ = reply.send(store.get(local));
             }
-            Cmd::Export { shard, reply } => {
-                let _ = reply.send((shard, store.export_entries()));
+            Cmd::PrefixBytes { rows, reply } => {
+                let _ = reply.send(store.prefix_bytes(rows));
+            }
+            Cmd::ReadRows {
+                rows,
+                mut chunk,
+                shard,
+                reply,
+            } => {
+                store.read_rows(rows, &mut chunk);
+                let _ = reply.send((shard, chunk));
             }
         }
     }
@@ -189,7 +235,12 @@ pub struct ShardedStore {
     /// interleave — the recorded build specs (and the service's built
     /// mask, updated under this lock via the `_with` hooks) always agree
     /// with the actual per-shard index state.
-    grow: Mutex<u32>,
+    grow: Mutex<()>,
+    /// The published row count: stored (under `grow`) only after every
+    /// shard has appended, so a reader that sees `n` can resolve every
+    /// id below `n` — and never waits behind an append or an index
+    /// build to learn it.
+    len: AtomicU32,
     /// Kernel screen counters, flushed by every worker after each search.
     screens: Arc<ScreenTotals>,
     /// Batch-shape counters, flushed alongside the screen counters.
@@ -229,7 +280,8 @@ impl ShardedStore {
             config,
             senders,
             handles,
-            grow: Mutex::new(0),
+            grow: Mutex::new(()),
+            len: AtomicU32::new(0),
             screens,
             batches,
             builds: Mutex::new(Vec::new()),
@@ -258,7 +310,14 @@ impl ShardedStore {
 
     /// Total number of stored names.
     pub fn len(&self) -> usize {
-        *self.grow.lock().expect("grow lock") as usize
+        // Acquire pairs with the Release store in `publish_len`.
+        self.len.load(Ordering::Acquire) as usize
+    }
+
+    /// Publish the row count once every shard has appended (caller holds
+    /// the grow lock).
+    fn publish_len(&self, len: u32) {
+        self.len.store(len, Ordering::Release);
     }
 
     /// Whether the store is empty.
@@ -316,8 +375,8 @@ impl ShardedStore {
         after: impl FnOnce(),
     ) -> Range<u32> {
         let n = self.shards();
-        let guard = self.grow.lock().expect("grow lock");
-        let start = *guard;
+        let _guard = self.grow.lock().expect("grow lock");
+        let start = self.len.load(Ordering::Relaxed);
         let mut per_shard: Vec<Vec<NameEntry>> = (0..n).map(|_| Vec::new()).collect();
         for (offset, entry) in entries.into_iter().enumerate() {
             per_shard[(start as usize + offset) % n].push(entry);
@@ -345,10 +404,7 @@ impl ShardedStore {
             self.builds.lock().expect("builds lock").clear();
             after();
         }
-        // Publish the new length only after every shard has appended, so
-        // a concurrent reader never sees ids it cannot resolve.
-        let mut guard = guard;
-        *guard = end;
+        self.publish_len(end);
         start..end
     }
 
@@ -428,27 +484,51 @@ impl ShardedStore {
         rx.into_iter().sum()
     }
 
-    /// Pull every shard's entries in local-id order (shard `s`, local
-    /// `l` holds global id `l * shards + s`) — the snapshot capture path.
-    pub(crate) fn export_shards(&self) -> Vec<Vec<NameEntry>> {
-        // Hold the grow lock across the export so no concurrent append
-        // can land between two shards' section copies.
-        let _guard = self.grow.lock().expect("grow lock");
-        let n = self.shards();
+    /// The cut of this store as it stands: the published row count and
+    /// the recorded build specs, stamped `lsn`. Two loads, no copy, no
+    /// grow lock. The caller makes the stamp exact by holding its own
+    /// writes off for these two loads (the primary takes it under the
+    /// commit lock, see [`crate::repl::Replicator::cut`]).
+    pub fn cut(&self, lsn: u64) -> Cut {
+        Cut {
+            lsn,
+            rows: self.len(),
+            builds: self.built_specs(),
+        }
+    }
+
+    /// `(text bytes, phoneme bytes)` held by global rows `0..rows`,
+    /// summed on the shard workers — no row is copied.
+    pub(crate) fn prefix_bytes(&self, rows: usize) -> (usize, usize) {
         let (tx, rx) = channel();
         for (shard, s) in self.senders.iter().enumerate() {
-            s.send(Cmd::Export {
-                shard,
+            s.send(Cmd::PrefixBytes {
+                rows: local_rows(rows, shard, self.shards()),
                 reply: tx.clone(),
             })
             .expect("shard worker alive");
         }
         drop(tx);
-        let mut sections: Vec<Vec<NameEntry>> = (0..n).map(|_| Vec::new()).collect();
-        for (shard, entries) in rx {
-            sections[shard] = entries;
+        rx.into_iter()
+            .fold((0, 0), |(t, p), (dt, dp)| (t + dt, p + dp))
+    }
+
+    /// Read global rows `0..rows` in id order, [`CHUNK_ROWS`] at a time —
+    /// the one capture path of both snapshot formats. `rows` must not
+    /// exceed a length this store has published; rows below it never
+    /// change, so no lock is held and appends and builds interleave
+    /// freely with the reader.
+    pub(crate) fn prefix_reader(&self, rows: usize) -> PrefixReader<'_> {
+        debug_assert!(rows <= self.len(), "prefix past the published length");
+        let (reply, replies) = channel();
+        PrefixReader {
+            store: self,
+            rows,
+            next: 0,
+            chunks: (0..self.shards()).map(|_| RowChunk::default()).collect(),
+            reply,
+            replies,
         }
-        sections
     }
 
     /// Place pre-striped sections on the shards — the snapshot restore
@@ -461,8 +541,8 @@ impl ShardedStore {
     /// [`crate::snapshot`] validates both before calling.
     pub(crate) fn import_shards(&self, sections: Vec<Vec<NameEntry>>) {
         debug_assert_eq!(sections.len(), self.shards());
-        let guard = self.grow.lock().expect("grow lock");
-        debug_assert_eq!(*guard, 0, "import into a non-empty store");
+        let _guard = self.grow.lock().expect("grow lock");
+        debug_assert_eq!(self.len(), 0, "import into a non-empty store");
         let total: usize = sections.iter().map(Vec::len).sum();
         let (tx, rx) = channel();
         let mut expected = 0usize;
@@ -482,10 +562,7 @@ impl ShardedStore {
         for _ in 0..expected {
             rx.recv().expect("shard worker replies");
         }
-        // Publish the total only after every shard confirmed its append,
-        // exactly like `extend_transformed`.
-        let mut guard = guard;
-        *guard = total as u32;
+        self.publish_len(total as u32);
     }
 
     /// Place pre-striped zero-copy sections on the shards — the
@@ -495,8 +572,8 @@ impl ShardedStore {
     /// instead of an owned row.
     pub(crate) fn import_shared(&self, sections: Vec<Vec<SharedEntry>>) {
         debug_assert_eq!(sections.len(), self.shards());
-        let guard = self.grow.lock().expect("grow lock");
-        debug_assert_eq!(*guard, 0, "import into a non-empty store");
+        let _guard = self.grow.lock().expect("grow lock");
+        debug_assert_eq!(self.len(), 0, "import into a non-empty store");
         let total: usize = sections.iter().map(Vec::len).sum();
         let (tx, rx) = channel();
         let mut expected = 0usize;
@@ -516,8 +593,7 @@ impl ShardedStore {
         for _ in 0..expected {
             rx.recv().expect("shard worker replies");
         }
-        let mut guard = guard;
-        *guard = total as u32;
+        self.publish_len(total as u32);
     }
 
     /// Entry by global id.
@@ -606,6 +682,79 @@ impl ShardedStore {
             .expect("shard worker alive");
         }
         rx
+    }
+}
+
+/// Chunked reader over a store's row prefix (from
+/// [`ShardedStore::prefix_reader`]). It owns one [`RowChunk`] per shard
+/// and sends each to its worker to be refilled, so a whole pass over the
+/// store allocates what the largest chunk needs, once.
+pub(crate) struct PrefixReader<'a> {
+    store: &'a ShardedStore,
+    rows: usize,
+    /// First global row of the next chunk.
+    next: usize,
+    chunks: Vec<RowChunk>,
+    reply: Sender<(usize, RowChunk)>,
+    replies: Receiver<(usize, RowChunk)>,
+}
+
+impl PrefixReader<'_> {
+    /// Fetch the next chunk; `None` once the prefix is exhausted. The
+    /// rows come back through [`PrefixChunk::rows`] in global-id order.
+    pub(crate) fn next_chunk(&mut self) -> Option<PrefixChunk<'_>> {
+        if self.next >= self.rows {
+            return None;
+        }
+        let first = self.next;
+        let end = (first + CHUNK_ROWS).min(self.rows);
+        self.next = end;
+        let mut expected = 0usize;
+        for (shard, s) in self.store.senders.iter().enumerate() {
+            let n = self.store.shards();
+            let rows = local_rows(first, shard, n)..local_rows(end, shard, n);
+            if rows.is_empty() {
+                continue;
+            }
+            expected += 1;
+            s.send(Cmd::ReadRows {
+                rows,
+                chunk: std::mem::take(&mut self.chunks[shard]),
+                shard,
+                reply: self.reply.clone(),
+            })
+            .expect("shard worker alive");
+        }
+        for _ in 0..expected {
+            let (shard, chunk) = self.replies.recv().expect("shard worker replies");
+            self.chunks[shard] = chunk;
+        }
+        Some(PrefixChunk {
+            first,
+            len: end - first,
+            chunks: &self.chunks,
+        })
+    }
+}
+
+/// One chunk of consecutive global rows, still striped per shard.
+pub(crate) struct PrefixChunk<'a> {
+    first: usize,
+    len: usize,
+    chunks: &'a [RowChunk],
+}
+
+impl<'a> PrefixChunk<'a> {
+    /// The rows in global-id order, each `(text, language, phoneme ids)`.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'a str, Language, &'a [u8])> {
+        let (n, first, chunks) = (self.chunks.len(), self.first, self.chunks);
+        // A shard's slice of a contiguous global range is contiguous and
+        // ascending, so global row g sits in shard g % n's chunk at its
+        // local id less the chunk's first.
+        (first..first + self.len).map(move |g| {
+            let shard = g % n;
+            chunks[shard].row(g / n - local_rows(first, shard, n))
+        })
     }
 }
 
@@ -780,6 +929,56 @@ mod tests {
         ]);
         assert!(err.is_err());
         assert_eq!(s.len(), 0);
+    }
+
+    /// `STATS`' `names=` and a checkpoint's cut must not queue behind an
+    /// append or an index build: both read the published length.
+    #[test]
+    fn len_and_cut_do_not_take_the_grow_lock() {
+        let s = ShardedStore::new(MatchConfig::default(), 2);
+        s.extend(demo_rows()).unwrap();
+        s.build(BuildSpec::BkTree);
+        let _in_flight = s.grow.lock().unwrap();
+        assert_eq!(s.len(), 7);
+        assert_eq!(
+            s.cut(9),
+            Cut {
+                lsn: 9,
+                rows: 7,
+                builds: vec![BuildSpec::BkTree]
+            }
+        );
+    }
+
+    #[test]
+    fn prefix_reader_yields_the_cut_in_id_order_across_chunk_seams() {
+        let rows = 2 * CHUNK_ROWS + 5;
+        let names: Vec<(String, Language)> = (0..rows + 9)
+            .map(|i| (format!("Nehru{}", "a".repeat(i % 7)), Language::English))
+            .collect();
+        let entries = transform_rows(&MatchConfig::default(), names).unwrap();
+        for shards in 1..=3 {
+            let s = ShardedStore::new(MatchConfig::default(), shards);
+            s.extend_transformed(entries.clone());
+            // Rows past the cut are in the store and not in the read.
+            let (mut seen, mut text_bytes, mut phoneme_bytes) = (0usize, 0usize, 0usize);
+            let mut reader = s.prefix_reader(rows);
+            while let Some(chunk) = reader.next_chunk() {
+                for (text, language, ids) in chunk.rows() {
+                    let entry = &entries[seen];
+                    assert_eq!(
+                        (text, language, ids),
+                        (&*entry.text, entry.language, entry.phonemes.id_bytes()),
+                        "{shards} shard(s), id {seen}"
+                    );
+                    text_bytes += text.len();
+                    phoneme_bytes += ids.len();
+                    seen += 1;
+                }
+            }
+            assert_eq!(seen, rows, "{shards} shard(s)");
+            assert_eq!(s.prefix_bytes(rows), (text_bytes, phoneme_bytes));
+        }
     }
 
     #[test]

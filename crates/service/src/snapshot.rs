@@ -36,9 +36,9 @@
 //! are bit-identical to the store that wrote the snapshot, on all four
 //! access paths.
 
-use crate::shard::{BuildSpec, ShardedStore};
+use crate::shard::{BuildSpec, Cut, ShardedStore};
 use lexequal::store::NameEntry;
-use lexequal::{Language, LexEqual, MatchConfig, QgramMode};
+use lexequal::{Language, LexEqual, MatchConfig, Phoneme, PhonemeString, QgramMode};
 use lexequal_mdb::{DbError, Json};
 use std::io::{Read, Write};
 
@@ -230,38 +230,44 @@ fn entry_from_json(j: &Json) -> Result<SnapEntry, DbError> {
 
 impl StoreSnapshot {
     /// Capture a store's entries (per shard, in local-id order), built
-    /// access paths and corpus fingerprint. The snapshot carries no WAL
-    /// anchor (lsn 0) — see [`capture_with_lsn`](Self::capture_with_lsn).
+    /// access paths and corpus fingerprint, as the store stands. The
+    /// snapshot carries no WAL anchor (lsn 0) — see
+    /// [`capture_cut`](Self::capture_cut).
     pub fn capture(store: &ShardedStore) -> StoreSnapshot {
-        Self::capture_with_lsn(store, 0)
+        Self::capture_cut(store, &store.cut(0))
     }
 
-    /// [`capture`](Self::capture), recording the WAL LSN the store state
-    /// corresponds to. The caller must hold writes off (the daemon
-    /// captures under its commit lock) so the anchor is exact.
-    pub fn capture_with_lsn(store: &ShardedStore, lsn: u64) -> StoreSnapshot {
+    /// Capture exactly the rows, build specs and WAL LSN of `cut`,
+    /// reading the rows through the store's chunked prefix reader — no
+    /// lock is held, and rows appended after the cut are not in the
+    /// document.
+    pub fn capture_cut(store: &ShardedStore, cut: &Cut) -> StoreSnapshot {
         let operator = LexEqual::new(store.config().clone());
-        let sections: Vec<Vec<SnapEntry>> = store
-            .export_shards()
-            .into_iter()
-            .map(|entries| {
-                entries
-                    .into_iter()
-                    .map(|e| SnapEntry {
-                        cluster_ids: operator.cluster_ids(&e.phonemes),
-                        phonemes: e.phonemes.to_string(),
-                        text: e.text,
-                        language: e.language,
-                    })
-                    .collect()
-            })
-            .collect();
+        let shards = store.shards();
+        let mut sections: Vec<Vec<SnapEntry>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut reader = store.prefix_reader(cut.rows);
+        let mut g = 0usize;
+        while let Some(chunk) = reader.next_chunk() {
+            for (text, language, ids) in chunk.rows() {
+                let phonemes: PhonemeString = ids
+                    .iter()
+                    .map(|&id| Phoneme::from_id(id).expect("stored phoneme ids are inventory ids"))
+                    .collect();
+                sections[g % shards].push(SnapEntry {
+                    cluster_ids: operator.cluster_ids(&phonemes),
+                    phonemes: phonemes.to_string(),
+                    text: text.to_owned(),
+                    language,
+                });
+                g += 1;
+            }
+        }
         StoreSnapshot {
             version: STORE_SNAPSHOT_VERSION,
-            shards: store.shards(),
-            builds: store.built_specs(),
+            shards,
+            builds: cut.builds.clone(),
             fingerprint: fingerprint(&sections),
-            lsn,
+            lsn: cut.lsn,
             sections,
         }
     }
@@ -523,9 +529,7 @@ impl StoreSnapshot {
     /// (or a crash) never sees a half-written snapshot.
     pub fn write_to_file_atomic(&self, path: impl AsRef<std::path::Path>) -> Result<(), DbError> {
         let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp);
+        let tmp = crate::mmapstore::tmp_sibling(path);
         let write = (|| {
             let f = std::fs::File::create(&tmp)
                 .map_err(|e| DbError::Unsupported(format!("store snapshot create: {e}")))?;

@@ -236,8 +236,12 @@ fn bounded_wal_soaks_with_a_live_replica() {
     assert_eq!(stat(&stats, "divergences"), Some("0"), "{stats}");
 
     // The replica rode through every truncation and converged.
+    // (At the full name count: the lag also reads 0 between two records.)
+    let total = names.len().to_string();
     wait_stats(&replica, "replica catch-up", |s| {
-        stat(s, "repl_lag") == Some("0") && stat(s, "repl_connected") == Some("1")
+        stat(s, "names") == Some(total.as_str())
+            && stat(s, "repl_lag") == Some("0")
+            && stat(s, "repl_connected") == Some("1")
     });
     let probe: Vec<String> = names.iter().step_by(7).cloned().collect();
     assert_eq!(
@@ -415,6 +419,131 @@ fn restart_with_original_flags_after_a_cycle_emptied_the_log() {
     // The fresh ADD continues the LSN sequence past the checkpoint.
     let resp = revived.request("ADD en Zubin");
     assert!(resp.starts_with("OK "), "{resp}");
+}
+
+/// SIGKILL while a checkpoint is streaming, under a pipelined `ADD`
+/// load: the kill lands as soon as the writer's temp file shows up in
+/// the directory, so the image is part-written, the log untruncated and
+/// `ADD`s are being acknowledged all the while (a checkpoint no longer
+/// stops them). Restarting with the original flags must bring back
+/// every acknowledged id, and must sweep the dead writer's temp file.
+#[test]
+fn kill_during_a_streamed_checkpoint_under_load_loses_no_acknowledged_id() {
+    let image = TempPath::new("midstream.img");
+    let wal = TempPath::new("midstream.wal");
+    let mut seed = Server::spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--shards",
+        "2",
+        "--preload",
+        "20000",
+        "--save-snapshot",
+        image.as_str(),
+    ]);
+    seed.wait_serving();
+    seed.kill();
+
+    let flags = [
+        "--addr",
+        "127.0.0.1:0",
+        "--snapshot",
+        image.as_str(),
+        "--wal",
+        wal.as_str(),
+        "--wal-max-bytes",
+        "1024",
+    ];
+    let mut primary = Server::spawn(&flags);
+    primary.wait_serving();
+    let pid = primary.child.id();
+    // The checkpoint writer stages into `<wal>.checkpoint.tmp.<pid>`.
+    let tmp = std::path::PathBuf::from(format!("{}.tmp.{pid}", wal.checkpoint().display()));
+
+    // The load: one connection, ADDs pipelined in bursts; every reply
+    // read is an acknowledged id.
+    let stream = TcpStream::connect(primary.addr.expect("serving")).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut acknowledged: Vec<(String, String)> = Vec::new();
+    let mut sent = 0usize;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut killed_mid_stream = false;
+    'load: while Instant::now() < deadline {
+        let mut burst = String::new();
+        for _ in 0..16 {
+            burst.push_str(&format!("ADD en {}\n", name(sent)));
+            sent += 1;
+        }
+        writer.write_all(burst.as_bytes()).expect("write burst");
+        for i in sent - 16..sent {
+            let mut resp = String::new();
+            reader.read_line(&mut resp).expect("read ack");
+            let id = resp
+                .trim_end()
+                .strip_prefix("OK ")
+                .unwrap_or_else(|| panic!("ADD not acknowledged: {resp:?}"));
+            acknowledged.push((name(i), id.to_owned()));
+            if tmp.exists() {
+                killed_mid_stream = true;
+                break 'load;
+            }
+        }
+    }
+    primary.kill();
+    assert!(
+        killed_mid_stream,
+        "no checkpoint temp file ever appeared: the compactor never ran under load"
+    );
+    assert!(acknowledged.len() >= 16, "{}", acknowledged.len());
+    // The rename may have won the race with the kill; when it did not,
+    // the part-written temp file is what the restart has to sweep.
+    let left_behind = tmp.exists();
+
+    let mut revived = Server::spawn(&flags);
+    let lines = revived.wait_serving();
+    assert!(!tmp.exists(), "stale temp file survived the restart");
+    if left_behind {
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("removed stale checkpoint temp file")),
+            "the sweep must be logged: {lines:?}"
+        );
+    }
+    // Every ADD read back was durable; the rest of the last burst may or
+    // may not have committed before the kill.
+    let stats = revived.request("STATS");
+    let names: usize = stat(&stats, "names")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no names key: {stats}"));
+    assert!(
+        (20_418 + acknowledged.len()..=20_418 + sent).contains(&names),
+        "{names} names after recovery, {} acknowledged of {sent} sent: {stats}",
+        acknowledged.len()
+    );
+    let stream = TcpStream::connect(revived.addr.expect("serving")).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    for batch in acknowledged.chunks(64) {
+        let lookups: String = batch
+            .iter()
+            .map(|(n, _)| format!("MATCH en scan 0 {n}\n"))
+            .collect();
+        writer.write_all(lookups.as_bytes()).expect("write lookups");
+        for (n, id) in batch {
+            let mut resp = String::new();
+            reader.read_line(&mut resp).expect("read lookup");
+            let ids = resp
+                .trim_end()
+                .split_once("ids=")
+                .map_or("", |(_, ids)| ids);
+            assert!(
+                ids.split(',').any(|got| got == id),
+                "acknowledged id {id} ({n}) lost across the kill: {resp}"
+            );
+        }
+    }
 }
 
 /// Role and flag refusals: COMPACT needs a WAL, runs only on a primary,

@@ -218,9 +218,13 @@ fn replica_and_recovered_primary_answer_byte_identically() {
 
     let before_crash = battery(&primary);
 
-    // The replica reports its lag and drains it to zero.
+    // The replica reports its lag and drains it to zero — at the
+    // primary's head: lag is also 0 between two records of the stream.
+    let head = stat(&pstats, "wal_lsn");
     let rstats = wait_stats(&replica, "replica catch-up", |s| {
-        stat(s, "repl_lag") == Some("0") && stat(s, "repl_connected") == Some("1")
+        stat(s, "repl_lsn") == head
+            && stat(s, "repl_lag") == Some("0")
+            && stat(s, "repl_connected") == Some("1")
     });
     assert_eq!(stat(&rstats, "repl_role"), Some("replica"), "{rstats}");
     assert_eq!(battery(&replica), before_crash, "replica diverged");

@@ -8,8 +8,8 @@
 use lexequal::{Language, MatchConfig};
 use lexequal_service::repl::{self, CompactionPolicy, ReplicaState, Replicator};
 use lexequal_service::{
-    bind_reusable, MatchRequest, MatchService, ServiceConfig, ShutdownSignal, Wal, WalError,
-    WalMetrics,
+    bind_reusable, mmapstore, MatchRequest, MatchService, ServiceConfig, ShutdownSignal, Wal,
+    WalError, WalMetrics,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -78,8 +78,9 @@ fn battery(service: &MatchService, n: usize) -> Vec<String> {
         .collect()
 }
 
-/// Recover a store exactly like the daemon does: the explicit snapshot
-/// (if given), then the checkpoint (if one exists), then a fresh store;
+/// Recover a store exactly like the daemon does: sweep the temp files
+/// dead checkpoint writers left behind, then the explicit snapshot (if
+/// given), then the checkpoint (if one exists), then a fresh store;
 /// a candidate the log shows to be stale — a gap, or no record at all
 /// beside a newer next candidate — falls through to the next. Then
 /// replay the WAL tail past the base that held.
@@ -89,6 +90,9 @@ fn recover(
     ckpt_path: &Path,
     config: &MatchConfig,
 ) -> Arc<MatchService> {
+    for path in snapshot.into_iter().chain([ckpt_path]) {
+        mmapstore::remove_stale_tmp(path);
+    }
     let candidates: Vec<&Path> = snapshot
         .into_iter()
         .chain(ckpt_path.exists().then_some(ckpt_path))
@@ -199,6 +203,26 @@ fn recovery_composes_checkpoint_and_surviving_tail_at_every_crash_point() {
         ],
     );
 
+    // Crash MID-STREAM, killed while the checkpoint was being written:
+    // the full log, no checkpoint, and the writer's temp file — sized to
+    // the whole image, a few sections in, the header (written last)
+    // still zeros — under a pid that names no process. Recovery must not
+    // mistake it for anything, and must delete it: no later daemon shares
+    // that pid, so nothing else ever would. A live writer's temp file
+    // (this process's pid) is left alone, and so is a dead writer's for
+    // another artefact that merely shares the stem.
+    let stream = capture_state(dir.path(), "stream", &[(&wal_path, "primary.wal")]);
+    let mut partial = std::fs::read(&ckpt_path).expect("read checkpoint");
+    let written = partial.len() * 3 / 5;
+    partial[written..].fill(0);
+    partial[..184].fill(0);
+    let dead_tmp = stream.join(format!("primary.wal.checkpoint.tmp.{}", u32::MAX));
+    let live_tmp = stream.join(format!("primary.wal.checkpoint.tmp.{}", std::process::id()));
+    let other_tmp = stream.join(format!("primary.wal.tmp.{}", u32::MAX));
+    for tmp in [&dead_tmp, &live_tmp, &other_tmp] {
+        std::fs::write(tmp, &partial).expect("write a checkpoint writer's temp file");
+    }
+
     // Crash MID-REWRITE: like `mid` plus a half-written rewrite scratch
     // that open() must sweep away.
     let tmp = capture_state(
@@ -232,7 +256,7 @@ fn recovery_composes_checkpoint_and_surviving_tail_at_every_crash_point() {
     // of the chain. `post` with the image is the state whose log, emptied
     // by the cycle, can no longer show that the image is 12 records old.
     let reference18 = battery(&service, 18);
-    for state in [&pre, &mid, &tmp, &post] {
+    for state in [&pre, &stream, &mid, &tmp, &post] {
         for snapshot in [None, Some(image.as_path())] {
             let recovered = recover(
                 snapshot,
@@ -255,6 +279,18 @@ fn recovery_composes_checkpoint_and_surviving_tail_at_every_crash_point() {
     assert!(
         !tmp.join("primary.wal.compact.tmp").exists(),
         "stale rewrite scratch must be deleted on open"
+    );
+    assert!(
+        !dead_tmp.exists(),
+        "a dead checkpoint writer's temp file must be swept at startup"
+    );
+    assert!(
+        live_tmp.exists(),
+        "a temp file whose pid names a running process is not stale"
+    );
+    assert!(
+        other_tmp.exists(),
+        "the sweep matches the checkpoint's full file name, not its stem"
     );
 
     // A tail committed past the checkpoint replays on top of it.

@@ -87,12 +87,28 @@ echo "== q-gram: flat-vs-reference differential + zero false dismissals"
 # call-for-call differential against the kept hash-map algorithm over the
 # paper corpus and the preload set, qgram == scan under every cost regime,
 # allocation counts, Table 2 at full size with its own exact-answer
-# check, and the socket smoke run again with this path's build in it.
+# check; the socket smoke run with this path's build in it follows the
+# checkpoint step below.
 cargo test -p lexequal-matcher --offline -q qgram
 cargo test -p lexequal --offline -q qgram
 cargo test -p lexequal-bench --offline -q --test qgram_differential --test pipeline_consistency
 cargo run --release -p lexequal-bench --offline --bin table2_qgram \
     | grep "false dismissals vs exact answer: scan 0, join 0"
+
+echo "== checkpoint: byte-identical image, commits flow, bounded memory"
+# A checkpoint is an O(1) cut under the commit lock plus a chunked,
+# lock-free stream of the store's immutable prefix. checkpoint_stream
+# holds the streamed image to the old whole-store encoder byte for byte,
+# blocks the sink mid-file and requires commit_add and STATS to return,
+# replays the WAL tail over checkpoints cut under an ADD storm, races
+# two savers on one path, and bounds the writer's live heap with a
+# counting allocator; the crash matrix and the e2e suite kill a writer
+# mid-stream and restart; the corruption battery reads what the new
+# writer wrote. One smoke run for this step and the q-gram step above:
+# it drives the release daemon through the q-gram path's build and
+# through write_mix's compaction cycles.
+cargo test -p lexequal-service --offline -q --test checkpoint_stream \
+    --test wal_compaction --test compaction_e2e --test mmap_corruption
 bash crates/lexbench/run.sh --smoke
 
 echo "== embedding prefilter: crate pass + differential suite + A/B smoke"

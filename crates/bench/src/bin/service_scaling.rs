@@ -36,7 +36,7 @@ fn main() {
     let ops = flag("--ops", 250);
 
     println!("building synthetic dataset (~{size} entries) …");
-    let dataset = loadgen::build_dataset(&MatchConfig::default(), size);
+    let dataset = lexequal_lexicon::build_dataset(&MatchConfig::default(), size);
     println!("{} names\n", dataset.len());
 
     // Baseline: the unsharded library store, searched inline.

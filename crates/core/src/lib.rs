@@ -70,7 +70,10 @@ pub use cost::{ClusteredPhonemeCost, DenseSubstCost, FeaturePhonemeCost};
 pub use operator::{LexEqual, Outcome};
 pub use phonidx::PhoneticIndex;
 pub use qgram_plan::{QgramFilter, QgramMode};
-pub use store::{NameStore, RowChunk, SearchMethod, SharedEntry, SharedEntryError};
+pub use store::{
+    BuildSpec, NameStore, PathIndex, PhonemeColumn, RowChunk, SearchMethod, SharedEntry,
+    SharedEntryError,
+};
 pub use verify::{
     BatchCounters, BatchVerifier, Lane, PreparedQuery, ScreenCounters, Verifier, MAX_LANES,
 };

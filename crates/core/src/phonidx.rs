@@ -17,7 +17,7 @@
 //! our evaluation harness reproduces the measurement.
 
 use crate::operator::LexEqual;
-use crate::verify::{BatchVerifier, PreparedQuery, Verifier};
+use crate::verify::Verifier;
 use lexequal_phoneme::{ClusterTable, PhonemeString};
 use std::collections::HashMap;
 
@@ -36,23 +36,34 @@ pub struct PhoneticIndex {
 /// price of occasional extra candidates from fold collisions — which the
 /// verification step removes.
 pub fn grouped_id(clusters: &ClusterTable, s: &PhonemeString) -> i64 {
-    let wide = clusters.packed_key(s);
+    grouped_id_of_ids(clusters, s.id_bytes())
+}
+
+/// [`grouped_id`] of a string given as its raw inventory ids.
+pub fn grouped_id_of_ids(clusters: &ClusterTable, ids: &[u8]) -> i64 {
+    let wide = clusters.packed_key_of_ids(ids);
     (wide % (i64::MAX as u128)) as i64
 }
 
 impl PhoneticIndex {
     /// Build the index over a corpus; ids are positions in `corpus`.
     pub fn build(clusters: &ClusterTable, corpus: &[PhonemeString]) -> Self {
+        Self::build_rows(clusters, corpus.len(), |id| corpus[id].id_bytes())
+    }
+
+    /// [`build`](Self::build) over `n` rows of raw inventory ids.
+    pub fn build_rows<'a>(
+        clusters: &ClusterTable,
+        n: usize,
+        row: impl Fn(usize) -> &'a [u8],
+    ) -> Self {
         let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
-        for (id, s) in corpus.iter().enumerate() {
-            map.entry(grouped_id(clusters, s))
+        for id in 0..n {
+            map.entry(grouped_id_of_ids(clusters, row(id)))
                 .or_default()
                 .push(id as u32);
         }
-        PhoneticIndex {
-            map,
-            entries: corpus.len(),
-        }
+        PhoneticIndex { map, entries: n }
     }
 
     /// Number of strings indexed.
@@ -72,10 +83,27 @@ impl PhoneticIndex {
 
     /// Candidate ids whose grouped identifier equals the query's.
     pub fn candidates(&self, clusters: &ClusterTable, query: &PhonemeString) -> Vec<u32> {
-        self.map
-            .get(&grouped_id(clusters, query))
-            .cloned()
-            .unwrap_or_default()
+        self.candidates_with_tail(clusters, query, &[])
+    }
+
+    /// [`candidates`](Self::candidates) over a corpus that has grown past
+    /// the index: `tail` holds the rows appended since the build (ids
+    /// `len()..`), admitted by the same equality the map applies to the
+    /// rows it holds — so the answer is that of an index over every row.
+    pub fn candidates_with_tail(
+        &self,
+        clusters: &ClusterTable,
+        query: &PhonemeString,
+        tail: &[PhonemeString],
+    ) -> Vec<u32> {
+        let key = grouped_id(clusters, query);
+        let mut out = self.map.get(&key).cloned().unwrap_or_default();
+        out.extend(
+            (self.entries as u32..)
+                .zip(tail)
+                .filter_map(|(id, s)| (grouped_id(clusters, s) == key).then_some(id)),
+        );
+        out
     }
 
     /// Accelerated search: index probe, then verify each candidate with
@@ -90,74 +118,12 @@ impl PhoneticIndex {
     ) -> (Vec<u32>, usize) {
         let prepared = operator.prepare_query(query);
         let mut verifier = Verifier::new();
-        self.search_with::<Vec<u8>, Vec<u8>>(
-            corpus,
-            None,
-            None,
-            &prepared,
-            e,
-            operator,
-            &mut verifier,
-        )
-    }
-
-    /// [`search`](Self::search) through the verification kernel: same
-    /// hits and verification count, but screen-first and allocation-free
-    /// when the caller supplies per-string cluster ids (and, optionally,
-    /// per-string embeddings) and a long-lived [`Verifier`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_with<C: AsRef<[u8]>, E: AsRef<[u8]>>(
-        &self,
-        corpus: &[PhonemeString],
-        cluster_ids: Option<&[C]>,
-        embeds: Option<&[E]>,
-        query: &PreparedQuery,
-        e: f64,
-        operator: &LexEqual,
-        verifier: &mut Verifier,
-    ) -> (Vec<u32>, usize) {
-        let clusters = operator.cost_model().clusters();
-        let mut verified = 0usize;
-        let mut hits = Vec::new();
-        for cand in self.candidates(clusters, query.phonemes()) {
-            verified += 1;
-            let cc = cluster_ids.map(|c| c[cand as usize].as_ref());
-            let ce = embeds.map(|c| c[cand as usize].as_ref());
-            if verifier.matches(operator, query, &corpus[cand as usize], cc, ce, e) {
-                hits.push(cand);
-            }
-        }
-        hits.sort_unstable();
-        (hits, verified)
-    }
-
-    /// [`search_with`](Self::search_with) through the batched kernel:
-    /// identical hits and verification count, with the index probe's
-    /// candidates verified in width-sized interleaved steps.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_batched<C: AsRef<[u8]>, E: AsRef<[u8]>>(
-        &self,
-        corpus: &[PhonemeString],
-        cluster_ids: Option<&[C]>,
-        embeds: Option<&[E]>,
-        query: &PreparedQuery,
-        e: f64,
-        operator: &LexEqual,
-        verifier: &mut BatchVerifier,
-    ) -> (Vec<u32>, usize) {
-        let clusters = operator.cost_model().clusters();
-        let mut hits = Vec::new();
-        let cands = self.candidates(clusters, query.phonemes());
-        let verified = verifier.verify_ids(
-            operator,
-            query,
-            corpus,
-            cluster_ids,
-            embeds,
-            cands,
-            e,
-            &mut hits,
-        );
+        let cands = self.candidates(operator.cost_model().clusters(), query);
+        let verified = cands.len();
+        let mut hits: Vec<u32> = cands
+            .into_iter()
+            .filter(|&c| verifier.matches(operator, &prepared, &corpus[c as usize], None, None, e))
+            .collect();
         hits.sort_unstable();
         (hits, verified)
     }

@@ -28,7 +28,7 @@
 //!   dismissals when the intra-cluster cost is below 1.
 
 use crate::operator::LexEqual;
-use crate::verify::{BatchVerifier, PreparedQuery, Verifier};
+use crate::verify::Verifier;
 use lexequal_matcher::qgram::{count_filter_passes, length_filter_passes};
 use lexequal_phoneme::PhonemeString;
 
@@ -108,53 +108,68 @@ impl QgramFilter {
     /// Build the filter over a corpus. `q` is the gram size (the paper
     /// uses 3); ids are positions in `corpus`.
     pub fn build(corpus: &[PhonemeString], q: usize, mode: QgramMode) -> Self {
-        assert!((1..=4).contains(&q), "q must be in 1..=4");
-        let longest = corpus.iter().map(PhonemeString::len).max().unwrap_or(0);
-        let (id_bits, pos_bits) = key_widths(corpus.len(), longest, q);
-        Self::build_packed(corpus, q, mode, id_bits, pos_bits)
+        Self::build_rows(corpus.len(), |id| corpus[id].id_bytes(), q, mode)
     }
 
-    /// [`build`](Self::build) at given key widths (`8q + id_bits +
-    /// pos_bits ≤ 64`).
-    fn build_packed(
-        corpus: &[PhonemeString],
+    /// [`build`](Self::build) over `n` rows of raw inventory ids.
+    pub fn build_rows<'a>(
+        n: usize,
+        row: impl Fn(usize) -> &'a [u8] + Copy,
+        q: usize,
+        mode: QgramMode,
+    ) -> Self {
+        assert!((1..=4).contains(&q), "q must be in 1..=4");
+        let longest = (0..n).map(|id| row(id).len()).max().unwrap_or(0);
+        let (id_bits, pos_bits) = key_widths(n, longest, q);
+        Self::build_packed(n, row, q, mode, id_bits, pos_bits)
+    }
+
+    /// [`build_rows`](Self::build_rows) at given key widths (`8q + id_bits
+    /// + pos_bits ≤ 64`).
+    fn build_packed<'a>(
+        n: usize,
+        row: impl Fn(usize) -> &'a [u8] + Copy,
         q: usize,
         mode: QgramMode,
         id_bits: u32,
         pos_bits: u32,
     ) -> Self {
-        let grams_of = |s: &PhonemeString| s.len() + q - 1;
-        let fits = |&(id, s): &(usize, &PhonemeString)| {
-            (id as u64) >> id_bits == 0 && (grams_of(s) as u64).saturating_sub(1) >> pos_bits == 0
+        let grams_of = |id: usize| row(id).len() + q - 1;
+        let fits = |&id: &usize| {
+            (id as u64) >> id_bits == 0 && (grams_of(id) as u64).saturating_sub(1) >> pos_bits == 0
         };
-        let indexed = || corpus.iter().enumerate().filter(fits);
+        let indexed = || (0..n).filter(fits);
         // Sized once and sorted where it stands: no per-gram or
         // per-signature block, no second buffer the size of the index.
-        let mut keys = Vec::with_capacity(indexed().map(|(_, s)| grams_of(s)).sum());
-        for (id, s) in indexed() {
-            let row = (id as u64) << pos_bits;
+        let mut keys = Vec::with_capacity(indexed().map(grams_of).sum());
+        for id in indexed() {
+            let key_row = (id as u64) << pos_bits;
             keys.extend(
-                packed_grams(s.id_bytes(), q)
-                    .map(|(sig, pos)| sig << (id_bits + pos_bits) | row | pos as u64),
+                packed_grams(row(id), q)
+                    .map(|(sig, pos)| sig << (id_bits + pos_bits) | key_row | pos as u64),
             );
         }
         keys.sort_unstable();
-        let unindexed = corpus.iter().enumerate().filter(|row| !fits(row));
         QgramFilter {
             q,
             mode,
             keys,
             id_bits,
             pos_bits,
-            overflow: unindexed.map(|(id, _)| id as u32).collect(),
-            lengths: corpus.iter().map(|s| s.len() as u32).collect(),
-            total_grams: corpus.iter().map(grams_of).sum(),
+            overflow: (0..n).filter(|id| !fits(id)).map(|id| id as u32).collect(),
+            lengths: (0..n).map(|id| row(id).len() as u32).collect(),
+            total_grams: (0..n).map(grams_of).sum(),
         }
     }
 
     /// Gram size.
     pub fn q(&self) -> usize {
         self.q
+    }
+
+    /// False-dismissal policy.
+    pub fn mode(&self) -> QgramMode {
+        self.mode
     }
 
     /// Total grams stored (the auxiliary table's row count).
@@ -176,16 +191,37 @@ impl QgramFilter {
     /// (absolute, not a fraction), ascending. Applies Length, Position and
     /// Count filters; no verification.
     pub fn candidates(&self, query: &PhonemeString, k: f64, operator: &LexEqual) -> Vec<u32> {
+        self.candidates_with_tail(query, k, operator, &[])
+    }
+
+    /// [`candidates`](Self::candidates) over a corpus that has grown past
+    /// the index: `tail` holds the rows appended since the build (ids
+    /// `len()..`), each put to the same three filters pair-wise
+    /// ([`shared_grams`] matches a row's grams the way the posting walk
+    /// does), so the answer is that of an index over every row.
+    pub fn candidates_with_tail(
+        &self,
+        query: &PhonemeString,
+        k: f64,
+        operator: &LexEqual,
+        tail: &[PhonemeString],
+    ) -> Vec<u32> {
         let qlen = query.len();
+        let indexed = self.lengths.len();
         // Indel cost is always 1, so the length filter may use the
         // clustered budget k directly in both modes.
-        let length_ok = |len: &u32| length_filter_passes(*len as usize, qlen, k);
+        let length_ok = |len: usize| length_filter_passes(len, qlen, k);
         let length_filter_only = || {
-            let mut out = Vec::with_capacity(self.lengths.len());
+            let mut out = Vec::with_capacity(indexed + tail.len());
             out.extend(
                 (0u32..)
                     .zip(&self.lengths)
-                    .filter_map(|(id, l)| length_ok(l).then_some(id)),
+                    .filter_map(|(id, &l)| length_ok(l as usize).then_some(id)),
+            );
+            out.extend(
+                (indexed as u32..)
+                    .zip(tail)
+                    .filter_map(|(id, s)| length_ok(s.len()).then_some(id)),
             );
             out
         };
@@ -211,17 +247,13 @@ impl QgramFilter {
         let pos_mask = (1u64 << self.pos_bits) - 1;
         // Position-compatible shared grams per string. One increment per
         // posting at most, so a count stays within the string's grams.
-        let mut shared = vec![0u32; self.lengths.len()];
+        let mut shared = vec![0u32; indexed];
         let mut runs = grams.as_slice();
         while let Some(&gram) = runs.first() {
             let sig = gram >> 32;
             let (run, rest) = runs.split_at(runs.partition_point(|g| g >> 32 == sig));
             runs = rest;
             let first = self.keys.partition_point(|&key| key >> shift < sig);
-            // Bag semantics, per string: its positions ascending, each
-            // takes the lowest query position in reach that no earlier
-            // one took. Both lists ascend, so one cursor finds it — what
-            // it passed is taken or already behind every later window.
             let (mut row, mut next) = (u64::MAX, 0);
             for &key in &self.keys[first..] {
                 if key >> shift != sig {
@@ -230,32 +262,32 @@ impl QgramFilter {
                 if key >> self.pos_bits != row {
                     (row, next) = (key >> self.pos_bits, 0);
                 }
-                let pos = (key & pos_mask) as i64;
-                while next < run.len() && (run[next] as u32 as i64) < pos - reach {
-                    next += 1;
-                }
-                if next < run.len() && run[next] as u32 as i64 <= pos + reach {
+                if takes(run, &mut next, (key & pos_mask) as i64, reach) {
                     shared[(row - (sig << self.id_bits)) as usize] += 1;
-                    next += 1;
                 }
             }
         }
+        let passes = |len: usize, shared: usize| {
+            length_ok(len) && count_filter_passes(len, qlen, shared, bound, self.q)
+        };
         // Survivors are written over the counters already read, so the
         // answer needs no vector of its own.
         let mut overflow = self.overflow.iter().peekable();
         let mut kept = 0;
-        for id in 0..self.lengths.len() {
+        for id in 0..indexed {
             let unindexed = overflow.next_if(|&&o| o as usize == id).is_some();
-            let len = self.lengths[id];
-            if length_ok(&len)
-                && (unindexed
-                    || count_filter_passes(len as usize, qlen, shared[id] as usize, bound, self.q))
-            {
+            let len = self.lengths[id] as usize;
+            if passes(len, shared[id] as usize) || (unindexed && length_ok(len)) {
                 shared[kept] = id as u32;
                 kept += 1;
             }
         }
         shared.truncate(kept);
+        let mut scratch = Vec::new();
+        shared.extend((indexed as u32..).zip(tail).filter_map(|(id, s)| {
+            let common = shared_grams(&grams, s.id_bytes(), self.q, reach, &mut scratch);
+            passes(s.len(), common).then_some(id)
+        }));
         shared
     }
 
@@ -271,79 +303,55 @@ impl QgramFilter {
     ) -> (Vec<u32>, usize) {
         let prepared = operator.prepare_query(query);
         let mut verifier = Verifier::new();
-        self.search_with::<Vec<u8>, Vec<u8>>(
-            corpus,
-            None,
-            None,
-            &prepared,
-            e,
-            operator,
-            &mut verifier,
-        )
-    }
-
-    /// [`search`](Self::search) through the verification kernel: same
-    /// hits and verification count, but screen-first and allocation-free
-    /// when the caller supplies per-string cluster ids (and, optionally,
-    /// per-string embeddings) and a long-lived [`Verifier`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_with<C: AsRef<[u8]>, E: AsRef<[u8]>>(
-        &self,
-        corpus: &[PhonemeString],
-        cluster_ids: Option<&[C]>,
-        embeds: Option<&[E]>,
-        query: &PreparedQuery,
-        e: f64,
-        operator: &LexEqual,
-        verifier: &mut Verifier,
-    ) -> (Vec<u32>, usize) {
-        let mut verified = 0usize;
-        let mut hits = Vec::new();
         // Budget depends on the candidate: e · min(|q|, |c|). Filter with
         // the largest possible budget (e · |q|) to stay conservative,
         // then verify each with its true budget.
-        let k_max = e * query.phonemes().len() as f64;
-        for cand in self.candidates(query.phonemes(), k_max, operator) {
-            verified += 1;
-            let cc = cluster_ids.map(|c| c[cand as usize].as_ref());
-            let ce = embeds.map(|c| c[cand as usize].as_ref());
-            if verifier.matches(operator, query, &corpus[cand as usize], cc, ce, e) {
-                hits.push(cand);
-            }
-        }
+        let cands = self.candidates(query, e * query.len() as f64, operator);
+        let verified = cands.len();
+        let hits = cands
+            .into_iter()
+            .filter(|&c| verifier.matches(operator, &prepared, &corpus[c as usize], None, None, e))
+            .collect();
         (hits, verified)
     }
+}
 
-    /// [`search_with`](Self::search_with) through the batched kernel:
-    /// identical hits and verification count, with the surviving
-    /// candidates verified in width-sized interleaved steps.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_batched<C: AsRef<[u8]>, E: AsRef<[u8]>>(
-        &self,
-        corpus: &[PhonemeString],
-        cluster_ids: Option<&[C]>,
-        embeds: Option<&[E]>,
-        query: &PreparedQuery,
-        e: f64,
-        operator: &LexEqual,
-        verifier: &mut BatchVerifier,
-    ) -> (Vec<u32>, usize) {
-        let mut hits = Vec::new();
-        // Same conservative filter budget as `search_with`.
-        let k_max = e * query.phonemes().len() as f64;
-        let cands = self.candidates(query.phonemes(), k_max, operator);
-        let verified = verifier.verify_ids(
-            operator,
-            query,
-            corpus,
-            cluster_ids,
-            embeds,
-            cands,
-            e,
-            &mut hits,
-        );
-        (hits, verified)
+/// One step of the bag match between a string's positions of one gram
+/// (fed ascending) and the query's (`run`, `signature ‖ position`,
+/// ascending): `pos` takes the lowest query position within `reach` that
+/// no earlier one took. Both lists ascend, so one cursor finds it — what
+/// it passed is taken or already behind every later window.
+fn takes(run: &[u64], next: &mut usize, pos: i64, reach: i64) -> bool {
+    while *next < run.len() && (run[*next] as u32 as i64) < pos - reach {
+        *next += 1;
     }
+    let taken = *next < run.len() && run[*next] as u32 as i64 <= pos + reach;
+    *next += taken as usize;
+    taken
+}
+
+/// Position-compatible grams `row` shares with a query (`grams`: its
+/// sorted `signature ‖ position` list) — the count the posting walk
+/// accumulates for an indexed row, computed from the row alone.
+fn shared_grams(grams: &[u64], row: &[u8], q: usize, reach: i64, scratch: &mut Vec<u64>) -> usize {
+    scratch.clear();
+    scratch.extend(packed_grams(row, q).map(|(sig, pos)| sig << 32 | pos as u64));
+    scratch.sort_unstable();
+    let mut shared = 0;
+    let mut rest = scratch.as_slice();
+    while let Some(&gram) = rest.first() {
+        let sig = gram >> 32;
+        let positions;
+        (positions, rest) = rest.split_at(rest.partition_point(|g| g >> 32 == sig));
+        let run = &grams[grams.partition_point(|g| g >> 32 < sig)..];
+        let run = &run[..run.partition_point(|g| g >> 32 == sig)];
+        let mut next = 0;
+        shared += positions
+            .iter()
+            .filter(|&&g| takes(run, &mut next, g as u32 as i64, reach))
+            .count();
+    }
+    shared
 }
 
 /// The `HashMap` posting lists and per-query `HashMap` bag match that
@@ -658,16 +666,44 @@ mod tests {
         }
     }
 
+    /// An index over any prefix of the stripe, probed with the rest as
+    /// its tail, answers like the index over all of it.
+    #[test]
+    fn a_prefix_index_with_its_tail_answers_like_the_full_index() {
+        let ops = LexEqual::default();
+        let c = awkward_stripe();
+        for q in 1..=4 {
+            for mode in [QgramMode::Strict, QgramMode::PaperFaithful] {
+                let full = QgramFilter::build(&c, q, mode);
+                for covered in [0, 1, c.len() / 3, c.len() - 1, c.len()] {
+                    let prefix = QgramFilter::build(&c[..covered], q, mode);
+                    for query in &c {
+                        for k in BUDGETS {
+                            assert_eq!(
+                                prefix.candidates_with_tail(query, k, &ops, &c[covered..]),
+                                full.candidates(query, k, &ops),
+                                "q={q} {mode:?} k={k} covered={covered} |query|={}",
+                                query.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn names_past_the_key_widths_are_admitted_on_length_and_still_answer_exactly() {
         let ops = LexEqual::default();
         let c = awkward_stripe();
         // Two id bits, five position bits: ids 4.. and the three long
         // names (already among them) do not fit.
-        let flat = QgramFilter::build_packed(&c, 3, QgramMode::Strict, 2, 5);
+        let flat =
+            QgramFilter::build_packed(c.len(), |id| c[id].id_bytes(), 3, QgramMode::Strict, 2, 5);
         assert_eq!(flat.overflow, (4..c.len() as u32).collect::<Vec<_>>());
         // Five position bits alone: only the long names go.
-        let narrow_pos = QgramFilter::build_packed(&c, 3, QgramMode::Strict, 4, 5);
+        let narrow_pos =
+            QgramFilter::build_packed(c.len(), |id| c[id].id_bytes(), 3, QgramMode::Strict, 4, 5);
         assert_eq!(narrow_pos.overflow, [7, 8, 9]);
         let oracle = reference::HashedQgramFilter::build(&c, 3, QgramMode::Strict);
         for f in [&flat, &narrow_pos] {

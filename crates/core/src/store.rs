@@ -15,11 +15,11 @@ use crate::config::MatchConfig;
 use crate::operator::LexEqual;
 use crate::phonidx::PhoneticIndex;
 use crate::qgram_plan::{QgramFilter, QgramMode};
-use crate::verify::{BatchVerifier, Verifier};
+use crate::verify::{BatchVerifier, PreparedQuery, Verifier};
 use lexequal_embed::EMBED_DIM;
 use lexequal_g2p::{G2pError, Language};
 use lexequal_matcher::BkTree;
-use lexequal_phoneme::{Bytes, PhonemeString, SharedBytes};
+use lexequal_phoneme::{Bytes, ClusterTable, PhonemeString, SharedBytes};
 use std::fmt;
 use std::ops::Range;
 
@@ -92,6 +92,57 @@ impl fmt::Display for SharedEntryError {
 
 impl std::error::Error for SharedEntryError {}
 
+/// The phoneme-id strings of consecutive rows, back to back in one buffer:
+/// what a cover copies a store's prefix into ([`NameStore::read_phonemes`])
+/// to build an index from on its own thread — two allocations a column,
+/// none a row.
+#[derive(Debug, Default)]
+pub struct PhonemeColumn {
+    ids: Vec<u8>,
+    /// Row `i` ends at `ends[i]`.
+    ends: Vec<u32>,
+}
+
+impl PhonemeColumn {
+    /// Empty the column, keeping its buffers, and make room for `rows`
+    /// rows of `bytes` ids in all.
+    pub fn reset(&mut self, rows: usize, bytes: usize) {
+        self.clear();
+        self.ids.reserve(bytes);
+        self.ends.reserve(rows);
+    }
+
+    /// Number of rows held.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the column holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Row `i`'s inventory ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn row(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.ids[start as usize..self.ends[i] as usize]
+    }
+
+    fn push(&mut self, ids: &[u8]) {
+        self.ids.extend_from_slice(ids);
+        self.ends.push(self.ids.len() as u32);
+    }
+
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.ends.clear();
+    }
+}
+
 /// A run of consecutive rows copied out of a [`NameStore`] as a few flat
 /// buffers (see [`NameStore::read_rows`]): no per-row `String` or
 /// [`PhonemeString`], and refilling a chunk reuses its allocations.
@@ -101,10 +152,7 @@ pub struct RowChunk {
     /// All texts back to back; row `i` ends at `text_ends[i]`.
     texts: String,
     text_ends: Vec<usize>,
-    /// All phoneme-id strings back to back; row `i` ends at
-    /// `phoneme_ends[i]`.
-    phonemes: Vec<u8>,
-    phoneme_ends: Vec<usize>,
+    phonemes: PhonemeColumn,
 }
 
 impl RowChunk {
@@ -124,11 +172,11 @@ impl RowChunk {
     ///
     /// Panics if `i >= len()`.
     pub fn row(&self, i: usize) -> (&str, Language, &[u8]) {
-        let start = |ends: &[usize]| if i == 0 { 0 } else { ends[i - 1] };
+        let start = if i == 0 { 0 } else { self.text_ends[i - 1] };
         (
-            &self.texts[start(&self.text_ends)..self.text_ends[i]],
+            &self.texts[start..self.text_ends[i]],
             self.languages[i],
-            &self.phonemes[start(&self.phoneme_ends)..self.phoneme_ends[i]],
+            self.phonemes.row(i),
         )
     }
 
@@ -137,7 +185,6 @@ impl RowChunk {
         self.texts.clear();
         self.text_ends.clear();
         self.phonemes.clear();
-        self.phoneme_ends.clear();
     }
 }
 
@@ -184,12 +231,124 @@ pub struct SearchResult {
     pub verifications: usize,
 }
 
+/// Which access path to keep over a store's rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildSpec {
+    /// Positional q-gram filter.
+    Qgram {
+        /// Gram length.
+        q: usize,
+        /// False-dismissal policy.
+        mode: QgramMode,
+    },
+    /// Grouped-phoneme-identifier index.
+    PhoneticIndex,
+    /// BK-tree over the Levenshtein phoneme metric.
+    BkTree,
+}
+
+impl BuildSpec {
+    /// The access path this spec serves.
+    pub fn method(self) -> SearchMethod {
+        match self {
+            BuildSpec::Qgram { .. } => SearchMethod::Qgram,
+            BuildSpec::PhoneticIndex => SearchMethod::PhoneticIndex,
+            BuildSpec::BkTree => SearchMethod::BkTree,
+        }
+    }
+}
+
+/// One access path's index over the first [`covered`](Self::covered) rows
+/// of a phoneme column. Rows never change once appended, so an index
+/// built from any copy of a prefix — on any thread — is the index of that
+/// prefix for good; [`NameStore::install`] adopts it.
+pub enum PathIndex {
+    /// See [`QgramFilter`].
+    Qgram(QgramFilter),
+    /// See [`PhoneticIndex`].
+    PhoneticIndex(PhoneticIndex),
+    /// Ids into the column under integer Levenshtein distance (the
+    /// clustered distance is not integer-valued; Levenshtein bounds it
+    /// from above, see `NameStore::candidates`).
+    BkTree(BkTree),
+}
+
+impl PathIndex {
+    /// Build `spec`'s index over rows `0..rows` of a phoneme column
+    /// (`row(i)`: row `i`'s inventory ids) clustered by `clusters`.
+    pub fn build<'a>(
+        spec: BuildSpec,
+        clusters: &ClusterTable,
+        rows: usize,
+        row: impl Fn(usize) -> &'a [u8] + Copy,
+    ) -> Self {
+        match spec {
+            BuildSpec::Qgram { q, mode } => {
+                PathIndex::Qgram(QgramFilter::build_rows(rows, row, q, mode))
+            }
+            BuildSpec::PhoneticIndex => {
+                PathIndex::PhoneticIndex(PhoneticIndex::build_rows(clusters, rows, row))
+            }
+            BuildSpec::BkTree => {
+                PathIndex::BkTree(BkTree::build(rows as u32, |id| row(id as usize)))
+            }
+        }
+    }
+
+    /// The spec this index was built to.
+    pub fn spec(&self) -> BuildSpec {
+        match self {
+            PathIndex::Qgram(f) => qgram_spec(f),
+            PathIndex::PhoneticIndex(_) => BuildSpec::PhoneticIndex,
+            PathIndex::BkTree(_) => BuildSpec::BkTree,
+        }
+    }
+
+    /// How many rows the index holds.
+    pub fn covered(&self) -> usize {
+        match self {
+            PathIndex::Qgram(f) => f.len(),
+            PathIndex::PhoneticIndex(idx) => idx.len(),
+            PathIndex::BkTree(t) => t.len(),
+        }
+    }
+}
+
+fn qgram_spec(f: &QgramFilter) -> BuildSpec {
+    BuildSpec::Qgram {
+        q: f.q(),
+        mode: f.mode(),
+    }
+}
+
+/// Whether an index over `covered` of a store's `rows` rows is due a
+/// re-cover: its tail holds at least [`RECOVER_FLOOR`] rows and a quarter
+/// of the prefix. A search then does pair-wise work on at most a quarter
+/// of what its index spares it, and rebuilding over `n` rows every `n / 4`
+/// appends keeps covering amortised O(1) per append; the floor keeps small
+/// stores, where the pair-wise tail is cheaper than any rebuild, from
+/// re-covering at all.
+pub fn cover_due(covered: usize, rows: usize) -> bool {
+    rows - covered >= RECOVER_FLOOR.max(covered / 4)
+}
+
+const RECOVER_FLOOR: usize = 4096;
+
 /// A searchable multiscript name collection.
 ///
 /// Storage is column-oriented (texts, languages, phoneme strings,
 /// cluster-id vectors in parallel arrays), and every column is
 /// borrowed-or-owned: wire-`ADD`ed rows own their buffers, rows loaded
 /// from a memory-mapped snapshot are views into the mapping.
+///
+/// An access path is *declared* ([`declare`](Self::declare), or any
+/// `build_*`) and from then on answers every search exactly: its index
+/// covers rows `0..covered`, the rows appended since are its tail, and a
+/// search verifies the index's candidates over the prefix plus the tail
+/// rows the path's own pair-wise rule admits — the same candidate set
+/// whatever `covered` is. Appends therefore invalidate nothing; covering
+/// ([`build`](Self::build), or [`install`](Self::install) of an index
+/// built elsewhere) only makes a path fast.
 pub struct NameStore {
     operator: LexEqual,
     texts: Vec<StoredText>,
@@ -203,11 +362,9 @@ pub struct NameStore {
     /// from a v1 snapshot image) — the embedding screen bypasses empty
     /// rows until [`build_embeddings`](Self::build_embeddings) fills them.
     embeds: Vec<Bytes>,
+    /// The declared paths' indices, each over a prefix of `phonemes`.
     qgram: Option<QgramFilter>,
     phonidx: Option<PhoneticIndex>,
-    /// Ids into `phonemes` under integer Levenshtein distance (the
-    /// clustered distance is not integer-valued; Levenshtein bounds it
-    /// from above, see [`bktree_candidates`](Self::bktree_candidates)).
     bktree: Option<BkTree>,
 }
 
@@ -266,9 +423,7 @@ impl NameStore {
         self.languages.get(id as usize).copied()
     }
 
-    /// Insert a name; returns its id. Invalidates built access paths
-    /// (rebuild after bulk loading — or use [`extend`](Self::extend),
-    /// which invalidates only once for a whole batch).
+    /// Insert a name; returns its id.
     pub fn insert(&mut self, text: &str, language: Language) -> Result<u32, G2pError> {
         self.extend([(text.to_owned(), language)]).map(|r| r.start)
     }
@@ -276,8 +431,7 @@ impl NameStore {
     /// Bulk-load names; returns the contiguous id range assigned.
     ///
     /// All rows are transformed *first*, so a G2P failure on any row
-    /// leaves the store unchanged; the built access paths are then
-    /// invalidated once for the whole batch instead of once per row.
+    /// leaves the store unchanged.
     pub fn extend(
         &mut self,
         rows: impl IntoIterator<Item = (String, Language)>,
@@ -297,9 +451,11 @@ impl NameStore {
 
     /// Bulk-load pre-transformed entries (the serving layer transforms on
     /// its own threads); returns the contiguous id range assigned.
-    /// Invalidates built access paths once.
     pub fn extend_transformed(&mut self, entries: Vec<NameEntry>) -> Range<u32> {
         let start = self.texts.len() as u32;
+        // A bulk load sizes the columns once; doubling its way up would
+        // leave freed buffers half the columns' size behind in the heap.
+        self.reserve(entries.len());
         for e in entries {
             self.cluster_ids
                 .push(Bytes::from(self.operator.cluster_ids(&e.phonemes)));
@@ -309,17 +465,12 @@ impl NameStore {
             self.languages.push(e.language);
             self.texts.push(StoredText::Owned(e.text));
         }
-        if start != self.texts.len() as u32 {
-            self.qgram = None;
-            self.phonidx = None;
-            self.bktree = None;
-        }
         start..self.texts.len() as u32
     }
 
     /// Adopt one validated entry whose columns are views into a shared
     /// allocation (the mmap-load fast path: three `Arc` bumps per row,
-    /// no per-entry heap allocation). Invalidates built access paths.
+    /// no per-entry heap allocation).
     ///
     /// Every view is re-validated here so the zero-copy invariants
     /// never depend on the caller: text must be UTF-8, phoneme bytes
@@ -368,9 +519,6 @@ impl NameStore {
         self.phonemes.push(phonemes);
         self.languages.push(language);
         self.texts.push(StoredText::Shared(text));
-        self.qgram = None;
-        self.phonidx = None;
-        self.bktree = None;
         Ok(id)
     }
 
@@ -411,9 +559,6 @@ impl NameStore {
         self.phonemes.push(phonemes);
         self.languages.push(language);
         self.texts.push(StoredText::Shared(text));
-        self.qgram = None;
-        self.phonidx = None;
-        self.bktree = None;
         id
     }
 
@@ -421,10 +566,8 @@ impl NameStore {
     /// from a v1 snapshot image arrive with empty embed views). Returns
     /// how many rows were filled; idempotent.
     ///
-    /// Deliberately does *not* invalidate built access paths: embeddings
-    /// only feed the conservative screen, never candidate generation, so
-    /// paths built before the fill stay exactly as correct after it —
-    /// rows simply stop being screen-bypassed.
+    /// Embeddings only feed the conservative screen, never candidate
+    /// generation: rows simply stop being screen-bypassed.
     pub fn build_embeddings(&mut self) -> usize {
         let mut filled = 0usize;
         for (i, e) in self.embeds.iter_mut().enumerate() {
@@ -441,8 +584,8 @@ impl NameStore {
         self.embeds.iter().filter(|e| e.len() != EMBED_DIM).count()
     }
 
-    /// Whether the access path a [`search`](Self::search) via `method`
-    /// needs has been built (scans need none).
+    /// Whether `method` can serve a [`search`](Self::search): its path has
+    /// been declared (scans need none). Never revoked.
     pub fn is_built(&self, method: SearchMethod) -> bool {
         match method {
             SearchMethod::Scan => true,
@@ -452,39 +595,121 @@ impl NameStore {
         }
     }
 
-    /// Build the q-gram access path.
+    /// The declared paths, each with the rows its index covers.
+    pub fn coverage(&self) -> Vec<(BuildSpec, usize)> {
+        self.paths().collect()
+    }
+
+    fn paths(&self) -> impl Iterator<Item = (BuildSpec, usize)> {
+        let qgram = self.qgram.as_ref().map(|f| (qgram_spec(f), f.len()));
+        let phonidx = (self.phonidx.as_ref()).map(|idx| (BuildSpec::PhoneticIndex, idx.len()));
+        let bktree = (self.bktree.as_ref()).map(|t| (BuildSpec::BkTree, t.len()));
+        [qgram, phonidx, bktree].into_iter().flatten()
+    }
+
+    /// Whether some declared path is [due a re-cover](cover_due).
+    pub fn cover_due(&self) -> bool {
+        self.paths()
+            .any(|(_, covered)| cover_due(covered, self.len()))
+    }
+
+    /// Declare `spec`'s path: from here on searches through it are exact,
+    /// over an index of zero rows until one is [`install`](Self::install)ed.
+    /// Declaring the spec a path already has changes nothing; another spec
+    /// for the same path (a different `q`) replaces it.
+    pub fn declare(&mut self, spec: BuildSpec) {
+        if !self.paths().any(|(declared, _)| declared == spec) {
+            self.put(PathIndex::build(spec, self.clusters(), 0, |_| &[]));
+        }
+    }
+
+    /// Adopt an index built over a prefix of this store's rows. Accepted
+    /// only if its spec is the declared one and it covers more rows than
+    /// the index in place — a cover that raced a re-declaration, or lost
+    /// to a later cover, is dropped.
+    pub fn install(&mut self, index: PathIndex) -> bool {
+        debug_assert!(index.covered() <= self.len(), "covers rows not stored");
+        let spec = index.spec();
+        let wanted =
+            (self.paths()).any(|(declared, covered)| declared == spec && covered < index.covered());
+        if wanted {
+            self.put(index);
+        }
+        wanted
+    }
+
+    fn put(&mut self, index: PathIndex) {
+        match index {
+            PathIndex::Qgram(f) => self.qgram = Some(f),
+            PathIndex::PhoneticIndex(idx) => self.phonidx = Some(idx),
+            PathIndex::BkTree(t) => self.bktree = Some(t),
+        }
+    }
+
+    fn clusters(&self) -> &ClusterTable {
+        self.operator.cost_model().clusters()
+    }
+
+    /// Declare `spec`'s path and cover every row, here and now.
+    pub fn build(&mut self, spec: BuildSpec) {
+        if !self.paths().any(|path| path == (spec, self.len())) {
+            let row = |id: usize| self.phonemes[id].id_bytes();
+            self.put(PathIndex::build(spec, self.clusters(), self.len(), row));
+        }
+    }
+
+    /// [`build`](Self::build) the q-gram access path.
     pub fn build_qgram(&mut self, q: usize, mode: QgramMode) {
-        self.qgram = Some(QgramFilter::build(&self.phonemes, q, mode));
+        self.build(BuildSpec::Qgram { q, mode });
     }
 
-    /// Build the phonetic-index access path.
+    /// [`build`](Self::build) the phonetic-index access path.
     pub fn build_phonetic_index(&mut self) {
-        self.phonidx = Some(PhoneticIndex::build(
-            self.operator.cost_model().clusters(),
-            &self.phonemes,
-        ));
+        self.build(BuildSpec::PhoneticIndex);
     }
 
-    /// Build the BK-tree access path (Levenshtein metric over phonemes).
+    /// [`build`](Self::build) the BK-tree access path (Levenshtein metric
+    /// over phonemes).
     pub fn build_bktree(&mut self) {
-        let n = self.phonemes.len() as u32;
-        self.bktree = Some(BkTree::build(n, |id| self.phonemes[id as usize].id_bytes()));
+        self.build(BuildSpec::BkTree);
     }
 
-    /// Ids the BK-tree range query returns for `q` at threshold `e`: every
-    /// name within the Levenshtein radius that can contain a match under
-    /// the configured model, `k / min positive op cost`. `None` when some
-    /// substitution is free — no finite radius exists, the caller scans.
+    /// The rows `method`'s path asks the verifier about for `q` at
+    /// threshold `e`: its index's candidates over the covered prefix, then
+    /// the tail rows its pair-wise rule admits. `None` means every row —
+    /// a scan, or a BK-tree under a model with a free substitution (the
+    /// radius is `k / min positive op cost`; none is finite then).
     ///
     /// # Panics
     ///
-    /// Panics if the BK-tree has not been built.
-    fn bktree_candidates(&self, q: &PhonemeString, e: f64) -> Option<Vec<u32>> {
-        let t = self.bktree.as_ref().expect("call build_bktree first");
-        let radius = (e * q.len() as f64 / self.operator.min_nonzero_cost()?).floor() as u32;
-        let key = |id: u32| self.phonemes[id as usize].id_bytes();
-        let hits = t.range(key, q.id_bytes(), radius);
-        Some(hits.into_iter().map(|(id, _)| id).collect())
+    /// Panics if the path was never declared.
+    fn candidates(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> Option<Vec<u32>> {
+        let undeclared = || -> ! { panic!("the {method:?} access path was never declared") };
+        match method {
+            SearchMethod::Scan => None,
+            SearchMethod::Qgram => {
+                let f = self.qgram.as_ref().unwrap_or_else(|| undeclared());
+                // Budget depends on the candidate: e · min(|q|, |c|).
+                // Filter with the largest possible budget (e · |q|) to
+                // stay conservative; each is verified with its own.
+                let k_max = e * q.len() as f64;
+                let tail = &self.phonemes[f.len()..];
+                Some(f.candidates_with_tail(q, k_max, &self.operator, tail))
+            }
+            SearchMethod::PhoneticIndex => {
+                let idx = self.phonidx.as_ref().unwrap_or_else(|| undeclared());
+                let tail = &self.phonemes[idx.len()..];
+                Some(idx.candidates_with_tail(self.clusters(), q, tail))
+            }
+            SearchMethod::BkTree => {
+                let t = self.bktree.as_ref().unwrap_or_else(|| undeclared());
+                let radius = e * q.len() as f64 / self.operator.min_nonzero_cost()?;
+                let key = |id: u32| self.phonemes[id as usize].id_bytes();
+                let rows = self.phonemes.len() as u32;
+                let hits = t.range_through(key, q.id_bytes(), radius.floor() as u32, rows);
+                Some(hits.into_iter().map(|(id, _)| id).collect())
+            }
+        }
     }
 
     /// Search for names phonetically equal to `query` (in `language`)
@@ -511,8 +736,7 @@ impl NameStore {
 
     /// [`search_phonemes`](Self::search_phonemes) with a caller-owned
     /// [`Verifier`]: identical results, but the kernel's DP scratch and
-    /// screen counters persist across calls (the serving layer keeps one
-    /// verifier per shard worker).
+    /// screen counters persist across calls.
     pub fn search_phonemes_with(
         &self,
         q: &PhonemeString,
@@ -521,82 +745,32 @@ impl NameStore {
         verifier: &mut Verifier,
     ) -> SearchResult {
         let prepared = self.operator.prepare_query(q);
-        match method {
-            SearchMethod::Scan => {
-                let mut ids = Vec::new();
-                for (i, p) in self.phonemes.iter().enumerate() {
-                    let cc = Some(self.cluster_ids[i].as_slice());
-                    let ce = Some(self.embeds[i].as_slice());
-                    if verifier.matches(&self.operator, &prepared, p, cc, ce, e) {
-                        ids.push(i as u32);
-                    }
-                }
-                SearchResult {
-                    ids,
-                    verifications: self.phonemes.len(),
-                }
-            }
-            SearchMethod::Qgram => {
-                let f = self.qgram.as_ref().expect("call build_qgram first");
-                let (ids, verifications) = f.search_with(
-                    &self.phonemes,
-                    Some(&self.cluster_ids),
-                    Some(&self.embeds),
-                    &prepared,
-                    e,
-                    &self.operator,
-                    verifier,
-                );
-                SearchResult { ids, verifications }
-            }
-            SearchMethod::PhoneticIndex => {
-                let idx = self
-                    .phonidx
-                    .as_ref()
-                    .expect("call build_phonetic_index first");
-                let (ids, verifications) = idx.search_with(
-                    &self.phonemes,
-                    Some(&self.cluster_ids),
-                    Some(&self.embeds),
-                    &prepared,
-                    e,
-                    &self.operator,
-                    verifier,
-                );
-                SearchResult { ids, verifications }
-            }
-            SearchMethod::BkTree => match self.bktree_candidates(q, e) {
-                Some(candidates) => {
-                    let verifications = candidates.len();
-                    let mut ids: Vec<u32> = candidates
-                        .into_iter()
-                        .filter(|&id| {
-                            let i = id as usize;
-                            let cc = Some(self.cluster_ids[i].as_slice());
-                            let ce = Some(self.embeds[i].as_slice());
-                            verifier.matches(
-                                &self.operator,
-                                &prepared,
-                                &self.phonemes[i],
-                                cc,
-                                ce,
-                                e,
-                            )
-                        })
-                        .collect();
-                    ids.sort_unstable();
-                    SearchResult { ids, verifications }
-                }
-                None => self.search_phonemes_with(q, e, SearchMethod::Scan, verifier),
+        let mut matches = |id: &u32| {
+            let i = *id as usize;
+            let cc = Some(self.cluster_ids[i].as_slice());
+            let ce = Some(self.embeds[i].as_slice());
+            verifier.matches(&self.operator, &prepared, &self.phonemes[i], cc, ce, e)
+        };
+        match self.candidates(q, e, method) {
+            None => SearchResult {
+                ids: (0..self.len() as u32).filter(&mut matches).collect(),
+                verifications: self.len(),
             },
+            Some(candidates) => {
+                let verifications = candidates.len();
+                let mut ids: Vec<u32> = candidates.into_iter().filter(&mut matches).collect();
+                ids.sort_unstable();
+                SearchResult { ids, verifications }
+            }
         }
     }
 
     /// [`search_phonemes_with`](Self::search_phonemes_with) through the
     /// batched kernel: the access path produces candidate ids as before,
-    /// and the [`BatchVerifier`] disposes of them in width-sized
-    /// interleaved steps. Hits and verification counts are bit-for-bit
-    /// identical to the pair-at-a-time form on every method.
+    /// and one [`BatchVerifier::verify_ids`] call disposes of them in
+    /// width-sized interleaved steps. Hits and verification counts are
+    /// bit-for-bit identical to the pair-at-a-time form on every method
+    /// (the shard workers serve through this form).
     pub fn search_phonemes_batched(
         &self,
         q: &PhonemeString,
@@ -605,69 +779,37 @@ impl NameStore {
         verifier: &mut BatchVerifier,
     ) -> SearchResult {
         let prepared = self.operator.prepare_query(q);
-        match method {
-            SearchMethod::Scan => {
-                let mut ids = Vec::new();
-                let verifications = verifier.verify_ids(
-                    &self.operator,
-                    &prepared,
-                    &self.phonemes,
-                    Some(&self.cluster_ids),
-                    Some(&self.embeds),
-                    0..self.phonemes.len() as u32,
-                    e,
-                    &mut ids,
-                );
-                SearchResult { ids, verifications }
+        let mut ids = Vec::new();
+        let verifications = match self.candidates(q, e, method) {
+            None => {
+                let all = 0..self.phonemes.len() as u32;
+                self.verify_ids(verifier, &prepared, all, e, &mut ids)
             }
-            SearchMethod::Qgram => {
-                let f = self.qgram.as_ref().expect("call build_qgram first");
-                let (ids, verifications) = f.search_batched(
-                    &self.phonemes,
-                    Some(&self.cluster_ids),
-                    Some(&self.embeds),
-                    &prepared,
-                    e,
-                    &self.operator,
-                    verifier,
-                );
-                SearchResult { ids, verifications }
-            }
-            SearchMethod::PhoneticIndex => {
-                let idx = self
-                    .phonidx
-                    .as_ref()
-                    .expect("call build_phonetic_index first");
-                let (ids, verifications) = idx.search_batched(
-                    &self.phonemes,
-                    Some(&self.cluster_ids),
-                    Some(&self.embeds),
-                    &prepared,
-                    e,
-                    &self.operator,
-                    verifier,
-                );
-                SearchResult { ids, verifications }
-            }
-            SearchMethod::BkTree => match self.bktree_candidates(q, e) {
-                Some(candidates) => {
-                    let mut ids = Vec::new();
-                    let verifications = verifier.verify_ids(
-                        &self.operator,
-                        &prepared,
-                        &self.phonemes,
-                        Some(&self.cluster_ids),
-                        Some(&self.embeds),
-                        candidates,
-                        e,
-                        &mut ids,
-                    );
-                    ids.sort_unstable();
-                    SearchResult { ids, verifications }
-                }
-                None => self.search_phonemes_batched(q, e, SearchMethod::Scan, verifier),
-            },
-        }
+            Some(candidates) => self.verify_ids(verifier, &prepared, candidates, e, &mut ids),
+        };
+        // Only the BK-tree walk yields ids out of order.
+        ids.sort_unstable();
+        SearchResult { ids, verifications }
+    }
+
+    fn verify_ids(
+        &self,
+        verifier: &mut BatchVerifier,
+        query: &PreparedQuery,
+        candidates: impl IntoIterator<Item = u32>,
+        e: f64,
+        hits: &mut Vec<u32>,
+    ) -> usize {
+        verifier.verify_ids(
+            &self.operator,
+            query,
+            &self.phonemes,
+            Some(&self.cluster_ids),
+            Some(&self.embeds),
+            candidates,
+            e,
+            hits,
+        )
     }
 
     /// `(text bytes, phoneme bytes)` held by rows `0..rows` — the
@@ -689,8 +831,15 @@ impl NameStore {
             out.languages.push(self.languages[i]);
             out.texts.push_str(self.texts[i].as_str());
             out.text_ends.push(out.texts.len());
-            out.phonemes.extend_from_slice(self.phonemes[i].id_bytes());
-            out.phoneme_ends.push(out.phonemes.len());
+            out.phonemes.push(self.phonemes[i].id_bytes());
+        }
+    }
+
+    /// Append rows `rows`' phoneme strings to `out` — how a cover copies
+    /// the prefix it will index, a chunk of rows a call.
+    pub fn read_phonemes(&self, rows: Range<usize>, out: &mut PhonemeColumn) {
+        for p in &self.phonemes[rows] {
+            out.push(p.id_bytes());
         }
     }
 
@@ -848,8 +997,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "build_qgram")]
-    fn qgram_search_panics_without_build() {
+    #[should_panic(expected = "never declared")]
+    fn searching_an_undeclared_path_panics() {
         let mut s = NameStore::new(MatchConfig::default());
         s.insert("Nehru", Language::English).unwrap();
         let _ = s.search("Nehru", Language::English, 0.3, SearchMethod::Qgram);
@@ -917,20 +1066,124 @@ mod tests {
         assert!(s.is_empty());
     }
 
+    /// A store that grew past its indices answers like one built over
+    /// every row — ids and verification counts, both search forms.
     #[test]
-    fn extend_invalidates_access_paths_once() {
-        let mut s = store();
-        assert!(s.is_built(SearchMethod::Qgram));
-        assert!(s.is_built(SearchMethod::PhoneticIndex));
-        assert!(s.is_built(SearchMethod::BkTree));
-        // An empty batch is a no-op that keeps the paths.
-        let r = s.extend(std::iter::empty()).unwrap();
-        assert_eq!(r, 7..7);
-        assert!(s.is_built(SearchMethod::Qgram));
-        // A real batch invalidates them.
-        s.extend([("Bose".to_owned(), Language::English)]).unwrap();
+    fn appends_leave_every_path_declared_and_exact() {
+        let mut grown = store();
+        grown
+            .extend(
+                [("Bose", Language::English), ("Neru", Language::English)]
+                    .map(|(t, l)| (t.to_owned(), l)),
+            )
+            .unwrap();
+        let tail = [
+            (qgram3(), 7),
+            (BuildSpec::PhoneticIndex, 7),
+            (BuildSpec::BkTree, 7),
+        ];
+        assert_eq!(grown.coverage(), tail);
+        assert!(!grown.cover_due(), "two rows are far below the floor");
+        let mut fresh = NameStore::new(MatchConfig::default());
+        fresh.extend_transformed((0..9).map(|i| grown.get(i).unwrap()).collect());
+        for (spec, _) in tail {
+            fresh.build(spec);
+        }
+        assert_eq!(fresh.coverage(), tail.map(|(spec, _)| (spec, 9)));
+        let mut batched = BatchVerifier::new();
+        for query in ["Nehru", "Neru", "Bose", "Gandhi"] {
+            let q = grown
+                .operator()
+                .transform(query, Language::English)
+                .unwrap();
+            for method in [
+                SearchMethod::Scan,
+                SearchMethod::Qgram,
+                SearchMethod::PhoneticIndex,
+                SearchMethod::BkTree,
+            ] {
+                for e in [0.0, 0.1, 0.3, 0.45] {
+                    let want = fresh.search_phonemes(&q, e, method);
+                    assert_eq!(grown.search_phonemes(&q, e, method), want, "{query} {e}");
+                    assert_eq!(
+                        grown.search_phonemes_batched(&q, e, method, &mut batched),
+                        want,
+                        "{query} {e} {method:?} batched"
+                    );
+                }
+            }
+        }
+    }
+
+    fn qgram3() -> BuildSpec {
+        BuildSpec::Qgram {
+            q: 3,
+            mode: QgramMode::Strict,
+        }
+    }
+
+    #[test]
+    fn install_takes_the_declared_spec_and_more_coverage_only() {
+        let mut s = NameStore::new(MatchConfig::default());
+        let full = store();
+        s.extend_transformed((0..7).map(|i| full.get(i).unwrap()).collect());
+        let clusters = s.operator().cost_model().clusters().clone();
+        let cover = |spec, rows: usize| {
+            PathIndex::build(spec, &clusters, rows, |id| {
+                s.phoneme_strings()[id].id_bytes()
+            })
+        };
+        let (three, five) = (cover(qgram3(), 3), cover(qgram3(), 5));
+        let other = cover(
+            BuildSpec::Qgram {
+                q: 2,
+                mode: QgramMode::PaperFaithful,
+            },
+            7,
+        );
         assert!(!s.is_built(SearchMethod::Qgram));
-        assert!(!s.is_built(SearchMethod::BkTree));
-        assert!(s.is_built(SearchMethod::Scan));
+        s.declare(qgram3());
+        assert_eq!(s.coverage(), [(qgram3(), 0)]);
+        assert!(!s.install(other), "not the declared spec");
+        assert!(s.install(five));
+        assert!(!s.install(three), "covers less than what is in place");
+        assert_eq!(s.coverage(), [(qgram3(), 5)]);
+        // Declaring the same spec again keeps the index; another resets it.
+        s.declare(qgram3());
+        assert_eq!(s.coverage(), [(qgram3(), 5)]);
+        s.declare(BuildSpec::Qgram {
+            q: 2,
+            mode: QgramMode::Strict,
+        });
+        assert_eq!(s.coverage()[0].1, 0);
+    }
+
+    #[test]
+    fn a_cover_falls_due_at_the_floor_and_a_quarter_of_the_prefix() {
+        let name = |i: usize| NameEntry {
+            text: String::new(),
+            language: Language::English,
+            phonemes: format!("ne{}ru", "a".repeat(i % 5)).parse().unwrap(),
+        };
+        let mut s = NameStore::new(MatchConfig::default());
+        s.extend_transformed((0..RECOVER_FLOOR - 1).map(name).collect());
+        assert!(!s.cover_due(), "nothing declared");
+        s.declare(BuildSpec::PhoneticIndex);
+        assert!(!s.cover_due());
+        s.extend_transformed(vec![name(0)]);
+        assert!(
+            s.cover_due(),
+            "the whole store is tail, and it is 4096 rows"
+        );
+        s.build_phonetic_index();
+        s.extend_transformed((0..RECOVER_FLOOR - 1).map(name).collect());
+        assert!(!s.cover_due(), "a quarter of 4096 is under the floor");
+        s.extend_transformed((0..RECOVER_FLOOR * 4 + 1).map(name).collect());
+        s.build_phonetic_index();
+        assert_eq!(s.coverage(), [(BuildSpec::PhoneticIndex, 24_576)]);
+        s.extend_transformed((0..24_576 / 4 - 1).map(name).collect());
+        assert!(!s.cover_due());
+        s.extend_transformed(vec![name(1)]);
+        assert!(s.cover_due(), "a quarter of 24 576");
     }
 }

@@ -333,5 +333,31 @@ fn qgram_index_allocates_per_call_not_per_gram() {
         );
         assert!(vacuous <= 1, "vacuous probe: {vacuous} allocations");
         assert!(selective <= 2, "selective probe: {selective} allocations");
+
+        // An index that stops short of the corpus puts the rest — its
+        // tail — to the filters pair-wise. A probe with an empty tail is
+        // the probe above, allocation for allocation; one with a tail
+        // adds a single gram buffer that grows to the tail's longest
+        // name, whether the tail holds 10 rows or most of the corpus.
+        for k in [vacuous_k, 0.25] {
+            let (with_no_tail, allocations) =
+                allocations_in(|| filter.candidates_with_tail(query, k, &op, &[]));
+            let (plain, plain_allocations) = allocations_in(|| filter.candidates(query, k, &op));
+            assert_eq!(with_no_tail, plain);
+            assert_eq!(allocations, plain_allocations, "empty tail at k={k}");
+        }
+        for covered in [n - 10, n / 4] {
+            let (prefix, tail) = strings.split_at(covered);
+            let short = QgramFilter::build(prefix, 3, QgramMode::Strict);
+            let (cands, tailed) =
+                allocations_in(|| short.candidates_with_tail(query, 0.25, &op, tail));
+            assert_eq!(cands, few, "index over {covered} of {n} names");
+            // 72 grams at most a name: seven doublings from empty.
+            assert!(
+                tailed <= selective + 8,
+                "probe with a {}-row tail: {tailed} allocations",
+                tail.len()
+            );
+        }
     }
 }

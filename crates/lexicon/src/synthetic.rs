@@ -14,6 +14,8 @@
 //! meets it.
 
 use crate::corpus::Corpus;
+use lexequal::store::NameEntry;
+use lexequal::MatchConfig;
 use lexequal_g2p::Language;
 use lexequal_phoneme::PhonemeString;
 
@@ -26,6 +28,23 @@ pub struct SyntheticEntry {
     pub language: Language,
     /// Concatenated phoneme string.
     pub phonemes: PhonemeString,
+}
+
+/// The ≈`target` synthetic names as store entries, transforming only the
+/// base names [`SyntheticDataset::generate`] pairs — what `lexequald
+/// --preload` loads, entry for entry what generating from the whole corpus
+/// yields.
+pub fn build_dataset(config: &MatchConfig, target: usize) -> Vec<NameEntry> {
+    let corpus = Corpus::build_prefix(config, SyntheticDataset::base_names(target));
+    SyntheticDataset::generate(&corpus, target)
+        .entries
+        .into_iter()
+        .map(|e| NameEntry {
+            text: e.text,
+            language: e.language,
+            phonemes: e.phonemes,
+        })
+        .collect()
 }
 
 /// The generated dataset.
@@ -118,12 +137,30 @@ impl SyntheticDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lexequal::MatchConfig;
     use std::sync::OnceLock;
 
     fn corpus() -> &'static Corpus {
         static C: OnceLock<Corpus> = OnceLock::new();
         C.get_or_init(|| Corpus::build(&MatchConfig::default()))
+    }
+
+    /// The daemon's `--preload` ids must line up with a corpus built the
+    /// long way (lexbench's oracle is): same entries, same order.
+    #[test]
+    fn build_dataset_equals_the_full_corpus_path() {
+        let config = MatchConfig::default();
+        for target in [100, 2_000, 20_000, 200_000] {
+            let want = SyntheticDataset::generate(corpus(), target).entries;
+            let got = build_dataset(&config, target);
+            assert_eq!(got.len(), want.len(), "target {target}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (&g.text, g.language, &g.phonemes),
+                    (&w.text, w.language, &w.phonemes),
+                    "target {target}"
+                );
+            }
+        }
     }
 
     #[test]

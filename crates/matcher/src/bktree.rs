@@ -162,14 +162,18 @@ impl BkTree {
         }
     }
 
-    /// The one range walk: calls `hit(id, d)` for every id whose key is
-    /// within distance `k` of `query`, and returns how many node keys it
-    /// measured.
+    /// The one range walk over ids `0..rows`: calls `hit(id, d)` for every
+    /// id whose key is within distance `k` of `query`, and returns how many
+    /// keys it measured. Ids the tree does not hold yet (`len()..rows`, the
+    /// rows appended to the column since the build) are measured one by one
+    /// with the walk's own probe, so the hits are those of a tree built
+    /// over all of `0..rows`.
     fn walk<'a>(
         &self,
         key: impl Fn(u32) -> &'a [u8],
         query: &[u8],
         k: u32,
+        rows: u32,
         mut hit: impl FnMut(u32, u32),
     ) -> usize {
         let pattern = MyersPattern::build(query.iter().copied());
@@ -199,6 +203,13 @@ impl BkTree {
             let in_window = self.children(i).filter(|edge| window.contains(&edge.dist));
             stack.extend(in_window.map(|edge| edge.child));
         }
+        for id in self.nodes.len() as u32..rows {
+            probes += 1;
+            let d = probe.distance(key(id));
+            if d <= k {
+                hit(id, d);
+            }
+        }
         probes
     }
 
@@ -210,15 +221,27 @@ impl BkTree {
         query: &[u8],
         k: u32,
     ) -> Vec<(u32, u32)> {
+        self.range_through(key, query, k, self.nodes.len() as u32)
+    }
+
+    /// [`range`](Self::range) over ids `0..rows` of a column that has grown
+    /// past the tree: exactly what a tree built over `0..rows` returns.
+    pub fn range_through<'a>(
+        &self,
+        key: impl Fn(u32) -> &'a [u8],
+        query: &[u8],
+        k: u32,
+        rows: u32,
+    ) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
-        self.walk(key, query, k, |id, d| out.push((id, d)));
+        self.walk(key, query, k, rows, |id, d| out.push((id, d)));
         out
     }
 
     /// Number of metric evaluations a `range` query performs — exposes
     /// pruning effectiveness.
     pub fn probe_count<'a>(&self, key: impl Fn(u32) -> &'a [u8], query: &[u8], k: u32) -> usize {
-        self.walk(key, query, k, |_, _| {})
+        self.walk(key, query, k, self.nodes.len() as u32, |_, _| {})
     }
 }
 
@@ -286,6 +309,30 @@ mod tests {
         assert!(t.is_empty());
         assert!(t.range(|_| &[], b"x", 5).is_empty());
         assert_eq!(t.probe_count(|_| &[], b"x", 5), 0);
+    }
+
+    /// A tree over any prefix of the column plus `range_through` equals the
+    /// tree over all of it.
+    #[test]
+    fn a_prefix_tree_ranging_through_its_tail_equals_the_full_tree() {
+        let w: Vec<Vec<u8>> = (0..90)
+            .map(|i| format!("ne{}ru{}", i % 5, "x".repeat(i % 4)).into_bytes())
+            .chain(words(&["nehru", "neru", "", "neru"]))
+            .collect();
+        let n = w.len() as u32;
+        let full = tree_of(&w);
+        for covered in [0, 1, n / 3, n - 1, n] {
+            let prefix = BkTree::build(covered, |i| &w[i as usize]);
+            for query in ["neru", "ne3ruxx", "absent", ""] {
+                for k in 0..4u32 {
+                    let mut got = prefix.range_through(|i| &w[i as usize], query.as_bytes(), k, n);
+                    let mut want = full.range(|i| &w[i as usize], query.as_bytes(), k);
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "covered={covered} query={query:?} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

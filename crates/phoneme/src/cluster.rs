@@ -218,10 +218,20 @@ impl ClusterTable {
     /// condition for cluster-key equality, which preserves index
     /// correctness (it only admits extra candidates, never drops any).
     pub fn packed_key(&self, s: &PhonemeString) -> u128 {
+        self.packed_key_of_ids(s.id_bytes())
+    }
+
+    /// [`packed_key`](Self::packed_key) of a string given as its raw
+    /// inventory ids (a row of a flat phoneme column).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is outside the inventory.
+    pub fn packed_key_of_ids(&self, ids: &[u8]) -> u128 {
         let base = self.cluster_count as u128 + 1;
         let mut acc: u128 = 0;
-        for &p in s.iter().take(self.packed_prefix_len()) {
-            acc = acc * base + (self.cluster_of(p).0 as u128 + 1);
+        for &id in ids.iter().take(self.packed_prefix_len()) {
+            acc = acc * base + (self.assignment[id as usize].0 as u128 + 1);
         }
         acc
     }

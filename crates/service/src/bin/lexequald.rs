@@ -17,20 +17,23 @@
 //! to `--max-pipeline` in-flight requests per connection; `--mode
 //! threaded` is the legacy one-thread-per-connection path.
 //!
-//! Store population, fastest first:
+//! Every store source starts the same way — rows in, the recorded (or
+//! default) access paths *declared*, `serving on`, then one background
+//! cover (DESIGN §5n): a declared path answers exactly from the first
+//! request, fast once covered. Store population, fastest first:
 //!
 //! * `--snapshot PATH` — restore the store from a snapshot written by
-//!   `--save-snapshot` (or the `SAVE` wire command): a file read plus a
-//!   parallel index rebuild, no G2P pass. The store comes back with the
-//!   snapshot's own shard count unless `--shards` pins one (which must
-//!   then match — re-sharding on load is not supported).
+//!   `--save-snapshot` (or the `SAVE` wire command): a file map, no G2P
+//!   pass. The store comes back with the snapshot's own shard count
+//!   unless `--shards` pins one (which must then match — re-sharding on
+//!   load is not supported).
 //! * `--preload N` — bulk-load ≈N synthetic names (paper §5 dataset)
-//!   and build all access paths before accepting connections.
+//!   and declare all three access paths.
 //!
-//! `--save-snapshot PATH` writes the store to PATH once it is populated
-//! (after `--preload`, before serving), so the next start can use
-//! `--snapshot PATH`. It also becomes the default target for the `SAVE`
-//! wire command.
+//! `--save-snapshot PATH` writes the store — its rows and declared paths
+//! — to PATH once it is populated (after `--preload`, before serving), so
+//! the next start can use `--snapshot PATH`. It also becomes the default
+//! target for the `SAVE` wire command.
 //!
 //! Replication (see DESIGN §5e):
 //!
@@ -375,8 +378,8 @@ fn main() -> ExitCode {
     }
 
     let mut candidate = 0usize;
-    let (service, replicator, pending_builds, pending_embeds) = loop {
-        let (service, base_lsn, pending_builds, pending_embeds) = match candidates.get(candidate) {
+    let (service, replicator, pending_embeds) = loop {
+        let (service, base_lsn, pending_embeds) = match candidates.get(candidate) {
             Some(path) => match load_snapshot_service(path, &match_config, &args) {
                 Ok(v) => v,
                 Err(e) => {
@@ -390,7 +393,7 @@ fn main() -> ExitCode {
         // With --wal this daemon is a primary: recover the tail past the
         // snapshot, then commit every future mutation through the log.
         let Some(path) = &args.wal else {
-            break (service, None, pending_builds, pending_embeds);
+            break (service, None, pending_embeds);
         };
         let start = Instant::now();
         let metrics = Arc::new(WalMetrics::default());
@@ -448,12 +451,7 @@ fn main() -> ExitCode {
             wal.head_lsn(),
             start.elapsed(),
         );
-        break (
-            service,
-            Some(Replicator::new(wal, metrics)),
-            pending_builds,
-            pending_embeds,
-        );
+        break (service, Some(Replicator::new(wal, metrics)), pending_embeds);
     };
 
     // Compaction policy: the checkpoint target is fixed next to the
@@ -467,35 +465,6 @@ fn main() -> ExitCode {
                 .wal_ack_grace
                 .map_or(repl::DEFAULT_ACK_GRACE, Duration::from_secs),
         });
-    }
-
-    // An mmap load defers index rebuilds: the scan path serves
-    // immediately, and the recorded access paths come up in the
-    // background. This runs strictly AFTER WAL-tail replay — replayed
-    // mutations invalidate built paths, so building first would waste
-    // the work. With --save-snapshot the builds run synchronously
-    // instead: the saved image records `built_specs()`, and an image
-    // captured while the rebuild was still pending would record zero
-    // access paths — permanently scan-only for any daemon loading it,
-    // since there is no wire BUILD command to recover them.
-    if !pending_builds.is_empty() {
-        if args.save_snapshot.is_some() {
-            eprintln!(
-                "lexequald: rebuilt before snapshot save {}",
-                timed_builds(&service, &pending_builds)
-            );
-        } else {
-            let service = Arc::clone(&service);
-            std::thread::Builder::new()
-                .name("lexequald-bg-build".to_owned())
-                .spawn(move || {
-                    eprintln!(
-                        "lexequald: rebuilt in background {}",
-                        timed_builds(&service, &pending_builds)
-                    );
-                })
-                .expect("spawn background index build");
-        }
     }
 
     // A v1 snapshot image predates the embedding column: serve
@@ -610,6 +579,23 @@ fn main() -> ExitCode {
             ""
         },
     );
+    // Whatever the source — preload, image, replayed `BUILD`s — every
+    // declared path already answers exactly; cover them all once, behind
+    // the traffic. (Strictly after WAL replay: covering first would only
+    // leave the replayed rows as a tail.)
+    let declared = service.store().built_specs();
+    if !declared.is_empty() {
+        let service = Arc::clone(&service);
+        std::thread::Builder::new()
+            .name("lexequald-bg-cover".to_owned())
+            .spawn(move || {
+                eprintln!(
+                    "lexequald: covered in background {}",
+                    timed_builds(&service, &declared)
+                );
+            })
+            .expect("spawn background cover");
+    }
     let ctx = ReqCtx {
         repl: replicator.clone(),
         replica: None,
@@ -642,14 +628,14 @@ fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Build `specs` in order; the `key=value` fields a startup line reports
+/// Cover `specs` in order; the `key=value` fields a startup line reports
 /// them with: `paths=N`, one `<path>_ms` each, `build_ms` for the lot.
 fn timed_builds(service: &MatchService, specs: &[BuildSpec]) -> String {
     let start = Instant::now();
     let mut fields = format!("paths={}", specs.len());
     for &spec in specs {
         let one = Instant::now();
-        service.build(spec);
+        service.store().cover(&[spec]);
         let path = lexequal_service::metrics::method_name(spec.method());
         fields.push_str(&format!(" {path}_ms={:.1}", ms_since(one)));
     }
@@ -657,10 +643,10 @@ fn timed_builds(service: &MatchService, specs: &[BuildSpec]) -> String {
     fields
 }
 
-/// One startup recovery candidate, loaded: the serving handle, the WAL
-/// LSN it covers, any index rebuilds an mmap load deferred, and whether
+/// One startup recovery candidate, loaded: the serving handle (its
+/// recorded access paths declared), the WAL LSN it covers, and whether
 /// the image predates the embedding column (v1 → backfill needed).
-type LoadedService = (Arc<MatchService>, u64, Vec<BuildSpec>, bool);
+type LoadedService = (Arc<MatchService>, u64, bool);
 
 /// Restore the store from a snapshot (or checkpoint) file, announcing
 /// how it loaded. Shared by every recovery candidate in `main`.
@@ -676,7 +662,7 @@ fn load_snapshot_service(
         SnapshotFormat::Mmap => eprintln!(
             "lexequald: snapshot {path:?} loaded via mmap: {} names on {} \
              shard(s), {} bytes mapped, serve-ready in {}ms \
-             ({} access path(s) deferred to background rebuild)",
+             ({} access path(s) declared, covered in the background)",
             load.service.len(),
             load.service.store().shards(),
             load.mapped_bytes,
@@ -692,12 +678,7 @@ fn load_snapshot_service(
             load.load_ms,
         ),
     }
-    Ok((
-        Arc::new(load.service),
-        load.lsn,
-        load.pending_builds,
-        load.pending_embeds,
-    ))
+    Ok((Arc::new(load.service), load.lsn, load.pending_embeds))
 }
 
 /// No snapshot and no checkpoint: an empty store (optionally bulk-seeded
@@ -716,29 +697,28 @@ fn fresh_service(match_config: &MatchConfig, args: &Args) -> LoadedService {
     if args.preload > 0 {
         eprintln!("lexequald: preloading ~{} synthetic names...", args.preload);
         let start = Instant::now();
-        let dataset = lexequal_service::loadgen::build_dataset(match_config, args.preload);
+        let dataset = lexequal_lexicon::build_dataset(match_config, args.preload);
         let (names, dataset_ms) = (dataset.len(), ms_since(start));
         let extend = Instant::now();
         service.extend_transformed(dataset);
         let extend_ms = ms_since(extend);
-        let builds = timed_builds(
-            &service,
-            &[
-                BuildSpec::Qgram {
-                    q: 3,
-                    mode: lexequal::QgramMode::Strict,
-                },
-                BuildSpec::PhoneticIndex,
-                BuildSpec::BkTree,
-            ],
-        );
+        for spec in [
+            BuildSpec::Qgram {
+                q: 3,
+                mode: lexequal::QgramMode::Strict,
+            },
+            BuildSpec::PhoneticIndex,
+            BuildSpec::BkTree,
+        ] {
+            service.store().declare(spec);
+        }
         eprintln!(
             "lexequald: preloaded names={names} dataset_ms={dataset_ms:.1} \
-             extend_ms={extend_ms:.1} {builds} total_ms={:.1}",
+             extend_ms={extend_ms:.1} total_ms={:.1}",
             ms_since(start)
         );
     }
-    (service, 0, Vec::new(), false)
+    (service, 0, false)
 }
 
 /// The `--replica-of` daemon: seed from the primary's snapshot stream,

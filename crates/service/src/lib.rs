@@ -13,7 +13,9 @@
 //!   [`NameStore`](lexequal::NameStore) shards, each owned by a worker
 //!   thread; global ids stripe round-robin (`id % N` picks the shard,
 //!   `id / N` the local slot), searches fan out over channels and merge
-//!   exactly, and index builds run in parallel across shards.
+//!   exactly. Access paths are declared (exact at once) and covered by
+//!   indices built off the workers, behind the traffic; appends are
+//!   their tails, never an invalidation.
 //! * [`cache`] — [`TransformCache`](cache::TransformCache): a
 //!   sharded-mutex LRU memoizing `(text, language) → PhonemeString`
 //!   with hit/miss counters.
@@ -33,8 +35,8 @@
 //! * [`snapshot`] — [`StoreSnapshot`](snapshot::StoreSnapshot):
 //!   versioned on-disk persistence for the sharded store (per-shard
 //!   entry sections, build specs, corpus fingerprint, covered WAL LSN);
-//!   `lexequald --snapshot` cold starts become a file read plus a
-//!   parallel index rebuild instead of a full G2P pass.
+//!   `lexequald --snapshot` cold starts become a file read plus an
+//!   index rebuild instead of a full G2P pass.
 //! * [`wal`] — the write-ahead op log: length-prefixed checksummed
 //!   records with monotonic LSNs; every mutation is durable before the
 //!   client sees `OK`, and restart replays the tail past the snapshot.
@@ -108,6 +110,6 @@ pub use service::{
     AddResolution, AutoMatchRequest, AutoPendingLookup, LoadInfo, MatchOutcome, MatchRequest,
     MatchService, PendingLookup, ServiceConfig, SnapshotFormat, SnapshotLoad, StatsSnapshot,
 };
-pub use shard::{BuildSpec, Cut, PendingSearch, ShardedStore};
+pub use shard::{BuildSpec, CoverStats, Cut, PendingSearch, ShardedStore};
 pub use snapshot::{StoreSnapshot, STORE_SNAPSHOT_VERSION};
 pub use wal::{CompactionStats, Op, Wal, WalCursor, WalError, WalRecord};

@@ -28,7 +28,7 @@ use crate::service::{
 use crate::shard::BuildSpec;
 use lexequal::store::NameEntry;
 use lexequal::{MatchConfig, QgramMode, SearchMethod};
-use lexequal_lexicon::{Corpus, SyntheticDataset};
+use lexequal_lexicon::build_dataset;
 use lexequal_mdb::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -112,21 +112,6 @@ pub struct LoadgenReport {
     pub threshold: f64,
     /// One entry per shard count, in configured order.
     pub runs: Vec<ShardRun>,
-}
-
-/// Build the synthetic dataset once (shared across shard configurations),
-/// transforming only the base names it pairs.
-pub fn build_dataset(config: &MatchConfig, target: usize) -> Vec<NameEntry> {
-    let corpus = Corpus::build_prefix(config, SyntheticDataset::base_names(target));
-    SyntheticDataset::generate(&corpus, target)
-        .entries
-        .into_iter()
-        .map(|e| NameEntry {
-            text: e.text,
-            language: e.language,
-            phonemes: e.phonemes,
-        })
-        .collect()
 }
 
 fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
@@ -1965,26 +1950,6 @@ pub fn write_prefilter_bench_json(
 mod tests {
     use super::*;
 
-    /// The daemon's `--preload` ids must line up with a corpus built the
-    /// long way (lexbench's oracle is): same entries, same order.
-    #[test]
-    fn build_dataset_equals_the_full_corpus_path() {
-        let config = MatchConfig::default();
-        let corpus = Corpus::build(&config);
-        for target in [100, 2_000, 20_000, 200_000] {
-            let want = SyntheticDataset::generate(&corpus, target).entries;
-            let got = build_dataset(&config, target);
-            assert_eq!(got.len(), want.len(), "target {target}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(
-                    (&g.text, g.language, &g.phonemes),
-                    (&w.text, w.language, &w.phonemes),
-                    "target {target}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn a_tiny_run_produces_a_sane_report() {
         let config = LoadgenConfig {
@@ -2035,12 +2000,24 @@ mod tests {
         for r in &report.runs {
             assert_eq!(r.total_ops, 8 * 8, "{:?}", r.mode);
             assert!(r.throughput > 0.0);
-            assert_eq!(r.conns_peak, 8, "{:?}", r.mode);
-            // Evented connections really pipeline; threaded handlers
-            // consume one line at a time (depth observed as 1).
-            if r.mode == ServeMode::Evented {
-                assert!(r.pipeline_max >= 2, "pipeline_max={}", r.pipeline_max);
-            }
+            // What the harness guarantees, not what usually happens: a
+            // client thread reads a reply on each of its four connections
+            // while all four are open, so the server held at least four at
+            // once; whether it held the other thread's four beside them —
+            // or still counted all eight when the STATS connection came in
+            // — is up to the scheduler (the exact `== 8` this replaces
+            // failed one run in 12–24).
+            assert!((4..=9).contains(&r.conns_peak), "{:?}: {r:?}", r.mode);
+            // A window is four requests in one write. The evented loop
+            // usually finds them in one read and dispatches them four
+            // deep; nothing makes it. Threaded handlers take one line at
+            // a time.
+            let deepest = if r.mode == ServeMode::Evented { 4 } else { 1 };
+            assert!(
+                (1..=deepest).contains(&r.pipeline_max),
+                "{:?}: {r:?}",
+                r.mode
+            );
         }
         let json = net_to_json(&report).render();
         let parsed = Json::parse(&json).unwrap();

@@ -713,10 +713,11 @@ pub struct LoadedImage {
     /// The populated store: every entry's columns are views into the
     /// image (the mapping or the transfer buffer).
     pub store: ShardedStore,
-    /// Access paths the image records as built. The loader does *not*
-    /// rebuild them — scans serve immediately (that's the O(1) cold
-    /// start); callers decide whether to rebuild synchronously
-    /// (tests, replicas) or in the background (`lexequald`).
+    /// Access paths the image records. The loader declares them on the
+    /// store — every one answers exactly at once (that's the O(1) cold
+    /// start) — and covers none; callers decide whether to cover
+    /// synchronously (tests, replicas) or in the background
+    /// (`lexequald`).
     pub builds: Vec<BuildSpec>,
     /// The WAL LSN the image covers.
     pub lsn: u64,
@@ -1060,6 +1061,9 @@ fn load_owner(
         });
     }
     store.import_shared(striped);
+    for &spec in &builds {
+        store.declare(spec);
+    }
     Ok(LoadedImage {
         store,
         builds,

@@ -42,6 +42,13 @@
 //! BYE                                          (QUIT)
 //! ```
 //!
+//! `BUILD` *declares* an access path and answers at once: from that
+//! reply on `MATCH … <method>` is served through the path, exactly — an
+//! index covers it in the background, and rows `ADD`ed later are its tail
+//! until the next cover (DESIGN §5n; `STATS` reports `<method>_tail=`).
+//! `NOTBUILT <method>` therefore means one thing: the path was never
+//! declared — no `BUILD`, no `--preload`, none recorded in the snapshot.
+//!
 //! `SAVE` snapshots the running store to disk (atomically, temp file +
 //! rename) in the binary mmap format; `SAVE JSON` writes the
 //! human-readable document instead (debug/export). Without a path it
@@ -561,6 +568,17 @@ pub fn format_stats(s: &StatsSnapshot) -> String {
             }
         }
     }
+    // New keys go on the end: every older key keeps its place.
+    let tail = |m| s.cover.tails[method_index(m)];
+    line.push_str(&format!(
+        " declared={} qgram_tail={} phonidx_tail={} bktree_tail={} covers={} cover_ms_last={}",
+        s.cover.declared,
+        tail(SearchMethod::Qgram),
+        tail(SearchMethod::PhoneticIndex),
+        tail(SearchMethod::BkTree),
+        s.cover.covers,
+        s.cover.cover_ms_last,
+    ));
     line
 }
 
@@ -843,7 +861,21 @@ mod tests {
                 dedup_hits: 0,
             },
             load: crate::service::LoadInfo::default(),
+            cover: crate::shard::CoverStats {
+                declared: 2,
+                tails: [0, 7, 0, 20_418],
+                covers: 3,
+                cover_ms_last: 11,
+            },
         };
+        // Coverage rides on the very end of the line, in this order.
+        assert!(
+            format_stats(&s).ends_with(
+                " declared=2 qgram_tail=7 phonidx_tail=0 bktree_tail=20418 covers=3 cover_ms_last=11"
+            ),
+            "{}",
+            format_stats(&s)
+        );
         assert!(!format_stats(&s).contains("untagged_"));
         assert!(format_stats(&s).contains("snapshot_format=rebuild mmap_bytes=0 load_ms=0"));
         s.untagged.requests = 2;

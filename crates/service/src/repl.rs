@@ -362,16 +362,22 @@ impl Replicator {
         Ok((lsn, id))
     }
 
-    /// Commit one `BUILD`. Returns its LSN.
+    /// Commit one `BUILD`: the commit lock covers the log append and the
+    /// declaration (after which the path is exact); the cover runs in the
+    /// background, beside the commits that follow. Returns its LSN.
     pub fn commit_build(
         &self,
         service: &MatchService,
         spec: crate::shard::BuildSpec,
     ) -> Result<u64, CommitError> {
-        let mut wal = self.commit_lock();
-        let lsn = wal.append(&Op::Build(spec)).map_err(CommitError::Wal)?;
-        service.build(spec);
-        self.publish(lsn);
+        let lsn = {
+            let mut wal = self.commit_lock();
+            let lsn = wal.append(&Op::Build(spec)).map_err(CommitError::Wal)?;
+            service.store().declare(spec);
+            self.publish(lsn);
+            lsn
+        };
+        service.store().schedule_cover(spec);
         Ok(lsn)
     }
 
@@ -1386,8 +1392,7 @@ fn apply_snapshot_delta(
         let range = service.extend_transformed(delta);
         debug_assert_eq!(range.start, have, "ids must continue the local sequence");
     }
-    // Converge the access paths to the snapshot's recorded set (the
-    // appends above invalidated any local ones).
+    // Converge the access paths to the snapshot's recorded set.
     for spec in builds {
         service.build(spec);
     }
@@ -1483,6 +1488,9 @@ fn apply_stream_line(
         service
             .apply_op(&op)
             .map_err(|e| ReplError::Protocol(format!("apply of lsn {lsn} failed: {e:?}")))?;
+        if let Op::Build(spec) = op {
+            service.store().schedule_cover(spec);
+        }
         state.applied.store(lsn, Ordering::Release);
         state.head.fetch_max(lsn, Ordering::AcqRel);
         return Ok(());

@@ -439,7 +439,9 @@ fn replica_read_only(state: &ReplicaState) -> String {
 }
 
 /// Route one build through the context: reject on a replica, commit
-/// through the WAL on a primary, apply directly when standalone.
+/// through the WAL on a primary, apply directly when standalone. Either
+/// way the reply follows the declaration; the cover runs in the
+/// background.
 fn do_build(service: &MatchService, ctx: &ReqCtx, spec: BuildSpec) -> Result<(), String> {
     if let Some(state) = &ctx.replica {
         return Err(replica_read_only(state));
@@ -448,7 +450,8 @@ fn do_build(service: &MatchService, ctx: &ReqCtx, spec: BuildSpec) -> Result<(),
         repl.commit_build(service, spec)
             .map_err(|e| e.to_string())?;
     } else {
-        service.build(spec);
+        service.store().declare(spec);
+        service.store().schedule_cover(spec);
     }
     Ok(())
 }

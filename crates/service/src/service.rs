@@ -3,17 +3,18 @@
 //! This is the layer a front-end (TCP daemon, embedded server, load
 //! generator) talks to. It owns the [`ShardedStore`], memoizes query
 //! transforms in the [`TransformCache`], tracks which access paths have
-//! been built so an unserviceable request degrades to a structured
-//! outcome instead of a worker panic, and records request metrics.
+//! been declared so a request for one that never was degrades to a
+//! structured outcome instead of a worker panic, and records request
+//! metrics.
 
 use crate::cache::TransformCache;
 use crate::metrics::{method_index, ConnStats, ServiceMetrics, UntaggedStats};
-use crate::shard::{BuildSpec, PendingSearch, ShardedStore};
+use crate::shard::{BuildSpec, CoverStats, PendingSearch, ShardedStore};
 use lexequal::store::NameEntry;
 use lexequal::{G2pError, Language, MatchConfig, QgramMode, SearchMethod};
 use lexequal_g2p::{Route, Router, ScriptProfile};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -77,10 +78,10 @@ pub struct SnapshotLoad {
     pub mapped_bytes: u64,
     /// Validate-to-serve-ready time in milliseconds.
     pub load_ms: u64,
-    /// Access paths the snapshot records that have *not* been rebuilt
-    /// yet. Empty for JSON loads (which rebuild synchronously); for
-    /// mmap loads the caller chooses — rebuild in the background
-    /// (`lexequald`) or synchronously (tests, replicas) via
+    /// Access paths the snapshot records that are declared — exact —
+    /// but not covered yet. Empty for JSON loads (which build
+    /// synchronously); for mmap loads the caller chooses — cover in the
+    /// background (`lexequald`) or synchronously (tests, replicas) via
     /// [`MatchService::build`].
     pub pending_builds: Vec<BuildSpec>,
     /// True when the snapshot predates the embedding column (a v1 mmap
@@ -194,7 +195,8 @@ pub enum MatchOutcome {
     /// The query language has no installed converter (paper Figure 8's
     /// `NORESOURCE`).
     NoResource(Language),
-    /// The requested access path has not been built.
+    /// The requested access path was never declared (no `BUILD`, no
+    /// `--preload`, none recorded in the snapshot).
     NotBuilt(SearchMethod),
     /// The query text failed to transform.
     BadInput(String),
@@ -205,9 +207,6 @@ pub struct MatchService {
     store: ShardedStore,
     cache: TransformCache,
     metrics: ServiceMetrics,
-    /// Bitmask of built access paths (bit = `method_index`); Scan's bit
-    /// is set from birth.
-    built: AtomicU8,
     /// How the corpus was loaded (STATS / startup-log provenance).
     load_info: Mutex<LoadInfo>,
 }
@@ -219,24 +218,18 @@ impl MatchService {
             store: ShardedStore::new(config.match_config, config.shards),
             cache: TransformCache::new(config.cache_capacity),
             metrics: ServiceMetrics::default(),
-            built: AtomicU8::new(1 << method_index(SearchMethod::Scan)),
             load_info: Mutex::new(LoadInfo::default()),
         }
     }
 
     /// Wrap an existing store (typically one restored from a snapshot):
-    /// the service's built-path mask is seeded from the store's recorded
-    /// build specs, so a path the snapshot rebuilt serves immediately.
+    /// a path the snapshot recorded is declared on it, and serves
+    /// immediately.
     pub fn from_store(store: ShardedStore, cache_capacity: usize) -> Self {
-        let mut built = 1u8 << method_index(SearchMethod::Scan);
-        for spec in store.built_specs() {
-            built |= 1 << method_index(spec.method());
-        }
         MatchService {
             store,
             cache: TransformCache::new(cache_capacity),
             metrics: ServiceMetrics::default(),
-            built: AtomicU8::new(built),
             load_info: Mutex::new(LoadInfo::default()),
         }
     }
@@ -252,7 +245,7 @@ impl MatchService {
         *self.load_info.lock().expect("load info lock")
     }
 
-    /// Persist the store (entries, striping, built access paths) to
+    /// Persist the store (entries, striping, declared access paths) to
     /// `path` in the default (binary mmap) format — see
     /// [`crate::mmapstore`].
     pub fn save_snapshot(
@@ -277,8 +270,8 @@ impl MatchService {
     /// [`load_snapshot`](Self::load_snapshot), also returning the WAL
     /// LSN the snapshot covers (0 for pre-replication snapshots) so the
     /// daemon knows where log replay starts. Recorded access paths are
-    /// rebuilt synchronously before returning; use
-    /// [`load_snapshot_auto`](Self::load_snapshot_auto) to defer them.
+    /// covered synchronously before returning; use
+    /// [`load_snapshot_auto`](Self::load_snapshot_auto) to defer that.
     pub fn load_snapshot_with_lsn(
         match_config: MatchConfig,
         shards: Option<usize>,
@@ -300,7 +293,7 @@ impl MatchService {
     /// ready as soon as validation passes — O(1) cold start), JSON
     /// documents take the legacy parse-and-rebuild path. The returned
     /// [`SnapshotLoad`] carries provenance for logs/STATS plus any
-    /// recorded access paths not yet rebuilt.
+    /// recorded access paths not yet covered.
     pub fn load_snapshot_auto(
         match_config: MatchConfig,
         shards: Option<usize>,
@@ -387,7 +380,7 @@ impl MatchService {
         self.save_cut(path, &self.store.cut(lsn), format)
     }
 
-    /// Persist exactly the rows and build specs of `cut` to `path`,
+    /// Persist exactly the rows and declared paths of `cut` to `path`,
     /// atomically, without holding any lock: the capture reads the
     /// store's immutable prefix, so mutations proceed during the write.
     pub(crate) fn save_cut(
@@ -440,46 +433,28 @@ impl MatchService {
         &self,
         rows: impl IntoIterator<Item = (String, Language)>,
     ) -> Result<Range<u32>, G2pError> {
-        // The mask invalidation runs under the store's grow lock (only
-        // when rows were actually appended), so it cannot interleave
-        // with a concurrent `build`'s mask update.
-        self.store.extend_with(rows, || self.invalidate_built())
+        self.store.extend(rows)
     }
 
     /// Bulk-load pre-transformed entries.
     pub fn extend_transformed(&self, entries: Vec<NameEntry>) -> Range<u32> {
-        self.store
-            .extend_transformed_with(entries, || self.invalidate_built())
+        self.store.extend_transformed(entries)
     }
 
-    fn invalidate_built(&self) {
-        self.built
-            .store(1 << method_index(SearchMethod::Scan), Ordering::Release);
-    }
-
-    /// Build one access path on every shard (in parallel across shards).
-    ///
-    /// The whole build — per-shard index construction, the store's spec
-    /// record, and this service's built-mask bit — commits under the
-    /// store's grow lock, so a concurrent `ADD` either lands entirely
-    /// before the build (and is indexed by it) or entirely after (and
-    /// invalidates both the record and the mask). The mask can therefore
-    /// never claim a path is built when some shard's index is gone —
-    /// which previously let a background rebuild racing an `ADD` leave
-    /// the daemon panicking on every search of that path.
+    /// Declare one access path and cover it before returning (see
+    /// [`ShardedStore::build`]: the cover runs on this thread; appends
+    /// and searches proceed meanwhile). A front-end that must not wait
+    /// uses the store's [`declare`](ShardedStore::declare) +
+    /// [`schedule_cover`](ShardedStore::schedule_cover) instead.
     pub fn build(&self, spec: BuildSpec) {
-        self.store.build_with(spec, |_| {
-            self.built
-                .fetch_or(1 << method_index(spec.method()), Ordering::Release);
-        });
+        self.store.build(spec);
     }
 
     /// Fill in missing per-entry phonetic embeddings (entries adopted
     /// from a v1 snapshot image, which predates the embedding column);
-    /// returns the number filled. Unlike [`build`](Self::build) this
-    /// never touches the built mask: embeddings feed only the
-    /// verification screen, so serving stays correct (screen bypassed
-    /// per missing entry) before, during, and after the fill.
+    /// returns the number filled. Embeddings feed only the verification
+    /// screen, so serving stays correct (screen bypassed per missing
+    /// entry) before, during, and after the fill.
     pub fn build_embeddings(&self) -> usize {
         self.store.build_embeddings()
     }
@@ -532,20 +507,24 @@ impl MatchService {
                 let entry = self.prepare_entry(text, *language)?;
                 Ok(Some(self.apply_entry(entry)))
             }
+            // Declared only: a log replays many ops, and whoever replays
+            // them covers once at the end (`lexequald` after the tail,
+            // a replica's stream loop per op).
             crate::wal::Op::Build(spec) => {
-                self.build(*spec);
+                self.store.declare(*spec);
                 Ok(None)
             }
         }
     }
 
-    /// Whether `method` can serve a search right now.
+    /// Whether `method` can serve a search: its path has been declared
+    /// (a scan needs none).
     pub fn is_built(&self, method: SearchMethod) -> bool {
-        self.built.load(Ordering::Acquire) & (1 << method_index(method)) != 0
+        self.store.is_declared(method)
     }
 
-    /// The access path an override-free request uses: the cheapest built
-    /// accelerator, falling back to a scan.
+    /// The access path an override-free request uses: the cheapest
+    /// declared accelerator, falling back to a scan.
     pub fn default_method(&self) -> SearchMethod {
         for m in [
             SearchMethod::PhoneticIndex,
@@ -953,6 +932,7 @@ impl MatchService {
             repl: None,
             untagged: self.metrics.untagged.snapshot(),
             load: self.load_info(),
+            cover: self.store.cover_stats(),
         }
     }
 }
@@ -1090,6 +1070,9 @@ pub struct StatsSnapshot {
     /// `json`), bytes mapped, and validate-to-serve-ready time.
     /// `format: "rebuild"` when no snapshot was loaded.
     pub load: LoadInfo,
+    /// Declared access paths, the rows their indices do not cover yet,
+    /// and what covering has cost.
+    pub cover: CoverStats,
 }
 
 #[cfg(test)]
@@ -1152,35 +1135,49 @@ mod tests {
         assert!(matches!(out, MatchOutcome::Matches { .. }));
     }
 
+    /// The defect this replaces: one `ADD` used to turn every accelerated
+    /// `MATCH` into `NOTBUILT` for good.
     #[test]
-    fn adds_invalidate_built_paths() {
+    fn adds_leave_every_path_declared_and_exact() {
         let s = service(2);
         s.build_all(3, QgramMode::Strict);
         assert_eq!(s.default_method(), SearchMethod::PhoneticIndex);
-        s.add("Bose", Language::English).unwrap();
-        assert_eq!(s.default_method(), SearchMethod::Scan);
-        assert_eq!(
-            s.lookup(&MatchRequest {
-                method: Some(SearchMethod::BkTree),
+        let id = s.add("Bose", Language::English).unwrap();
+        assert_eq!(s.default_method(), SearchMethod::PhoneticIndex);
+        let fresh = service(2);
+        fresh.add("Bose", Language::English).unwrap();
+        fresh.build_all(3, QgramMode::Strict);
+        for method in crate::metrics::ALL_METHODS {
+            let req = MatchRequest {
+                method: Some(method),
                 ..MatchRequest::new("Bose", Language::English)
-            }),
-            MatchOutcome::NotBuilt(SearchMethod::BkTree)
-        );
+            };
+            let got = s.lookup(&req);
+            assert_eq!(got, fresh.lookup(&req), "{method:?}");
+            match got {
+                MatchOutcome::Matches { ids, .. } => assert!(ids.contains(&id), "{method:?}"),
+                other => panic!("{method:?} answered {other:?}"),
+            }
+        }
+        let stats = s.stats();
+        assert_eq!(stats.not_built, 0);
+        assert_eq!(stats.cover.declared, 3);
+        assert_eq!(stats.cover.tails, [0, 1, 1, 1], "one uncovered row each");
+        assert_eq!(fresh.stats().cover.tails, [0; 4]);
     }
 
-    /// Regression: a rebuild racing concurrent ADDs used to re-mark
-    /// access paths as built *after* the append had invalidated the
-    /// per-shard indexes, so the next method-pinned MATCH panicked
-    /// inside a shard worker and every later request died on the
-    /// closed channel. Builds now serialize against mutations under
-    /// the store's grow lock, and a worker that still sees a stale
-    /// request degrades to the exact scan — so this hammering must
-    /// never panic and must end in a consistent state.
+    /// Regression, first for a race (a rebuild re-marking paths an append
+    /// had torn down, so the next pinned MATCH panicked inside a shard
+    /// worker and every later request died on the closed channel) and now
+    /// for the rule that removed it: a declared path stays declared, a
+    /// cover only ever adds coverage, so builds hammering beside appends
+    /// never cost a request its path or a worker its life.
     #[test]
-    fn builds_racing_adds_never_kill_a_shard_worker() {
+    fn covers_racing_adds_never_cost_a_request_its_path() {
         use std::sync::atomic::AtomicBool;
 
         let s = std::sync::Arc::new(service(3));
+        s.store.declare(BuildSpec::PhoneticIndex);
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let builder = {
             let s = std::sync::Arc::clone(&s);
@@ -1196,39 +1193,27 @@ mod tests {
             })
         };
         for i in 0..200 {
-            s.add(&format!("Name{i}"), Language::English).unwrap();
+            let name = format!("Name{i}");
+            let id = s.add(&name, Language::English).unwrap();
             let out = s.lookup(&MatchRequest {
                 method: Some(SearchMethod::PhoneticIndex),
                 threshold: Some(0.45),
-                ..MatchRequest::new("Nehru", Language::English)
+                ..MatchRequest::new(name, Language::English)
             });
-            assert!(
-                matches!(
-                    out,
-                    MatchOutcome::Matches { .. } | MatchOutcome::NotBuilt(_)
-                ),
-                "mid-race lookup produced {out:?}"
-            );
+            match out {
+                MatchOutcome::Matches { ids, method, .. } => {
+                    assert_eq!(method, SearchMethod::PhoneticIndex);
+                    assert!(ids.contains(&id), "the row just added matches itself");
+                }
+                other => panic!("mid-race lookup produced {other:?}"),
+            }
         }
         stop.store(true, Ordering::Relaxed);
         builder.join().expect("builder thread panicked");
-
-        // Every worker is still alive and the final state is coherent:
-        // one more build, then a pinned lookup over the full corpus.
-        s.build(BuildSpec::PhoneticIndex);
-        let out = s.lookup(&MatchRequest {
-            method: Some(SearchMethod::PhoneticIndex),
-            threshold: Some(0.45),
-            ..MatchRequest::new("Name123", Language::English)
-        });
-        match out {
-            MatchOutcome::Matches { ids, method, .. } => {
-                assert_eq!(method, SearchMethod::PhoneticIndex);
-                assert!(!ids.is_empty(), "Name123 was added and must match itself");
-            }
-            other => panic!("post-race lookup produced {other:?}"),
-        }
         assert_eq!(s.len(), 5 + 200);
+        s.build(BuildSpec::PhoneticIndex);
+        let stats = s.stats();
+        assert_eq!((stats.not_built, stats.cover.tails[2]), (0, 0));
     }
 
     #[test]

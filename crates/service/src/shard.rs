@@ -10,52 +10,31 @@
 //! result is bit-identical to what an unsharded store over the same rows
 //! would return (see `tests/shard_equivalence.rs`).
 //!
-//! Index builds (`build`) are dispatched to all workers at once, so the
-//! q-gram / phonetic-index / BK-tree builds run in parallel across
-//! shards. Bulk loads parallelize the expensive G2P transform across
-//! scoped threads before striping the finished entries.
+//! An access path is *declared* on every shard (`declare`) and exact from
+//! that moment; making it fast is *covering* (DESIGN §5n): a cover copies
+//! a shard's phoneme column prefix out in chunks, builds the index on its
+//! own thread — never on a worker's command loop, under no lock — and
+//! hands it back to be installed. Appends invalidate nothing; a tail that
+//! outgrows the re-cover rule schedules a background cover. Bulk loads
+//! parallelize the expensive G2P transform across scoped threads before
+//! striping the finished entries.
 
 use crate::metrics::{BatchTotals, ScreenTotals};
-use lexequal::store::{NameEntry, SearchResult};
+use lexequal::store::{cover_due, NameEntry, SearchResult};
+pub use lexequal::BuildSpec;
 use lexequal::{
-    BatchCounters, BatchVerifier, G2pError, Language, MatchConfig, NameStore, PhonemeString,
-    QgramMode, RowChunk, ScreenCounters, SearchMethod, SharedEntry,
+    BatchCounters, BatchVerifier, ClusterTable, G2pError, Language, MatchConfig, NameStore,
+    PathIndex, PhonemeColumn, PhonemeString, RowChunk, ScreenCounters, SearchMethod, SharedEntry,
 };
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-/// Which access path to construct on every shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildSpec {
-    /// Positional q-gram filter.
-    Qgram {
-        /// Gram length.
-        q: usize,
-        /// False-dismissal policy.
-        mode: QgramMode,
-    },
-    /// Grouped-phoneme-identifier index.
-    PhoneticIndex,
-    /// BK-tree over the Levenshtein phoneme metric.
-    BkTree,
-}
-
-impl BuildSpec {
-    /// The access path this spec constructs.
-    pub fn method(self) -> SearchMethod {
-        match self {
-            BuildSpec::Qgram { .. } => SearchMethod::Qgram,
-            BuildSpec::PhoneticIndex => SearchMethod::PhoneticIndex,
-            BuildSpec::BkTree => SearchMethod::BkTree,
-        }
-    }
-}
+use std::time::Instant;
 
 /// A point-in-time cut of an append-only store: "the store at `lsn`" is
-/// rows `0..rows` with `builds` recorded. Rows never change once
+/// rows `0..rows` with `builds` declared. Rows never change once
 /// appended and ids are assigned in commit order, so the prefix read at
 /// any later time *is* the store as it stood when the cut was taken —
 /// which is why taking one copies nothing (see
@@ -66,7 +45,7 @@ pub struct Cut {
     pub lsn: u64,
     /// Number of rows (global ids `0..rows`) the cut holds.
     pub rows: usize,
-    /// Access paths recorded as built at the cut.
+    /// Access paths declared at the cut.
     pub builds: Vec<BuildSpec>,
 }
 
@@ -87,19 +66,34 @@ enum Cmd {
     /// Append pre-transformed entries (infallible: transforms already
     /// happened on the coordinator side, so a failed row can never leave
     /// the shards striped inconsistently).
+    ///
+    /// Replies with the rows appended and whether some path's tail now
+    /// meets the re-cover rule.
     Extend {
         entries: Vec<NameEntry>,
-        reply: Sender<usize>,
+        reply: Sender<(usize, bool)>,
     },
     /// Append zero-copy entries whose columns are views into a shared
     /// allocation (the memory-mapped snapshot load path). Entries were
     /// validated by the loader; the store re-validates on adoption.
     ExtendShared {
         entries: Vec<SharedEntry>,
-        reply: Sender<usize>,
+        reply: Sender<(usize, bool)>,
     },
-    /// Construct an access path.
-    Build { spec: BuildSpec, reply: Sender<()> },
+    /// Declare an access path (an index over zero rows unless the path
+    /// already holds this spec).
+    Declare { spec: BuildSpec, reply: Sender<()> },
+    /// This shard's row count and its declared paths with the rows each
+    /// index covers.
+    Coverage {
+        reply: Sender<(usize, Vec<(BuildSpec, usize)>)>,
+    },
+    /// Adopt an index a cover built over a prefix of this shard's rows;
+    /// replies whether it was accepted (see [`NameStore::install`]).
+    Install {
+        index: PathIndex,
+        reply: Sender<bool>,
+    },
     /// Fill in any missing per-entry phonetic embeddings (entries adopted
     /// from a v1 snapshot image predate the embedding column). Replies
     /// with the number of entries filled on this shard.
@@ -125,6 +119,13 @@ enum Cmd {
     PrefixBytes {
         rows: usize,
         reply: Sender<(usize, usize)>,
+    },
+    /// Append local rows `rows`' phoneme strings to `column` and send it
+    /// back (a cover copying the prefix it will index).
+    ReadPhonemes {
+        rows: Range<usize>,
+        column: PhonemeColumn,
+        reply: Sender<PhonemeColumn>,
     },
     /// Copy local rows `rows` into `chunk` and send it back (snapshot
     /// capture); echoes the shard index so the reader can collect out of
@@ -154,7 +155,7 @@ fn worker(
             Cmd::Extend { entries, reply } => {
                 let n = entries.len();
                 store.extend_transformed(entries);
-                let _ = reply.send(n);
+                let _ = reply.send((n, store.cover_due()));
             }
             Cmd::ExtendShared { entries, reply } => {
                 let n = entries.len();
@@ -165,15 +166,17 @@ fn worker(
                     // 20K entries here would double the cold start.
                     store.push_shared_entry_prevalidated(e);
                 }
-                let _ = reply.send(n);
+                let _ = reply.send((n, store.cover_due()));
             }
-            Cmd::Build { spec, reply } => {
-                match spec {
-                    BuildSpec::Qgram { q, mode } => store.build_qgram(q, mode),
-                    BuildSpec::PhoneticIndex => store.build_phonetic_index(),
-                    BuildSpec::BkTree => store.build_bktree(),
-                }
+            Cmd::Declare { spec, reply } => {
+                store.declare(spec);
                 let _ = reply.send(());
+            }
+            Cmd::Coverage { reply } => {
+                let _ = reply.send((store.len(), store.coverage()));
+            }
+            Cmd::Install { index, reply } => {
+                let _ = reply.send(store.install(index));
             }
             Cmd::BuildEmbeds { reply } => {
                 let _ = reply.send(store.build_embeddings());
@@ -188,18 +191,6 @@ fn worker(
                 shard,
                 reply,
             } => {
-                // The front-end's built-mask check and this command's
-                // arrival are not atomic: an append can land in between
-                // and invalidate the access path the caller saw as
-                // built. Degrading to a scan keeps the answer exact
-                // (every accelerator is a filter over the same
-                // verifier) instead of panicking and killing the
-                // worker — and with it the whole shard — for good.
-                let method = if store.is_built(method) {
-                    method
-                } else {
-                    SearchMethod::Scan
-                };
                 let result = store.search_phonemes_batched(&query, e, method, &mut verifier);
                 screens.add(&verifier.take_counters());
                 batches.add(&verifier.take_batch_counters());
@@ -210,6 +201,14 @@ fn worker(
             }
             Cmd::PrefixBytes { rows, reply } => {
                 let _ = reply.send(store.prefix_bytes(rows));
+            }
+            Cmd::ReadPhonemes {
+                rows,
+                mut column,
+                reply,
+            } => {
+                store.read_phonemes(rows, &mut column);
+                let _ = reply.send(column);
             }
             Cmd::ReadRows {
                 rows,
@@ -224,31 +223,158 @@ fn worker(
     }
 }
 
+/// Send one command to a worker and wait for its reply.
+fn ask<T>(worker: &Sender<Cmd>, cmd: impl FnOnce(Sender<T>) -> Cmd) -> T {
+    let (tx, rx) = channel();
+    worker.send(cmd(tx)).expect("shard worker alive");
+    rx.recv().expect("shard worker replies")
+}
+
+/// What covering shares between the store and its background coverer — a
+/// thread that holds this and its own clones of the command channels,
+/// never the store, which therefore drops when its owner says.
+struct Covering {
+    clusters: Arc<ClusterTable>,
+    /// Declared access paths in declaration order — what a [`Cut`]
+    /// records and a load re-declares.
+    declared: Mutex<Vec<BuildSpec>>,
+    /// The same as a bitmask (bit = `method_index`), for the request
+    /// path: set once every shard holds the declaration, never cleared.
+    declared_mask: AtomicU8,
+    /// One cover at a time; the next finds what this one left.
+    turn: Mutex<()>,
+    /// Paths the next background cover finishes whatever their tail.
+    forced: Mutex<Vec<BuildSpec>>,
+    /// A background cover has been asked for and has not begun.
+    scheduled: AtomicBool,
+    /// The store is dropping: the coverer ends after the cover in hand.
+    stopping: AtomicBool,
+    /// Covers that installed an index, and how long the last one took.
+    covers: AtomicU64,
+    cover_ms_last: AtomicU64,
+}
+
+impl Covering {
+    /// The background coverer's life: parked until a cover is asked for
+    /// ([`ShardedStore::cover_in_background`] unparks it), then one cover
+    /// of the paths [`ShardedStore::schedule_cover`] named and any path
+    /// the re-cover rule names.
+    fn run(&self, workers: &[Sender<Cmd>]) {
+        loop {
+            // Cleared before the cover looks at anything, so whatever is
+            // asked from here on gets a cover of its own.
+            while !self.scheduled.swap(false, Ordering::AcqRel) {
+                if self.stopping.load(Ordering::Acquire) {
+                    return;
+                }
+                std::thread::park();
+            }
+            let forced = std::mem::take(&mut *self.forced.lock().expect("forced lock"));
+            let want = |spec, covered, rows| forced.contains(&spec) || cover_due(covered, rows);
+            self.cover(workers, &want, &|| {});
+        }
+    }
+
+    /// On every shard in turn, build and install an index over the rows
+    /// the shard holds now for each declared path `want(spec, covered,
+    /// rows)` names. All of it happens on the calling thread — a worker is
+    /// asked for its coverage, for one chunk of rows at a time, and to
+    /// adopt the finished index, each a command of microseconds between
+    /// which it serves its queue — and under no lock but the covers' own
+    /// turn. One thread, so a cover takes one core from the traffic it
+    /// runs behind however many shards there are, and holds one shard's
+    /// prefix copy at a time. `on_chunk` runs after every chunk read
+    /// (tests park a cover there).
+    fn cover(
+        &self,
+        workers: &[Sender<Cmd>],
+        want: &dyn Fn(BuildSpec, usize, usize) -> bool,
+        on_chunk: &dyn Fn(),
+    ) {
+        let _turn = self.turn.lock().expect("cover turn");
+        let start = Instant::now();
+        // One copy buffer for the whole cover, refilled shard after shard.
+        let mut prefix = PhonemeColumn::default();
+        let installed = workers.iter().fold(false, |any, worker| {
+            self.cover_shard(worker, want, &mut prefix, on_chunk) | any
+        });
+        if installed {
+            self.covers.fetch_add(1, Ordering::Relaxed);
+            let ms = start.elapsed().as_millis() as u64;
+            self.cover_ms_last.store(ms, Ordering::Relaxed);
+        }
+    }
+
+    fn cover_shard(
+        &self,
+        worker: &Sender<Cmd>,
+        want: &dyn Fn(BuildSpec, usize, usize) -> bool,
+        prefix: &mut PhonemeColumn,
+        on_chunk: &dyn Fn(),
+    ) -> bool {
+        let (rows, coverage) = ask(worker, |reply| Cmd::Coverage { reply });
+        let wanted: Vec<BuildSpec> = coverage
+            .into_iter()
+            .filter(|&(spec, covered)| covered < rows && want(spec, covered, rows))
+            .map(|(spec, _)| spec)
+            .collect();
+        if wanted.is_empty() {
+            return false;
+        }
+        // Copy the prefix off the worker, a chunk of rows a command: the
+        // worker is held for one chunk's memcpy at a time.
+        let (_, bytes) = ask(worker, |reply| Cmd::PrefixBytes { rows, reply });
+        prefix.reset(rows, bytes);
+        for first in (0..rows).step_by(CHUNK_ROWS) {
+            let rows = first..(first + CHUNK_ROWS).min(rows);
+            *prefix = ask(worker, |reply| Cmd::ReadPhonemes {
+                rows,
+                column: std::mem::take(prefix),
+                reply,
+            });
+            on_chunk();
+        }
+        wanted.into_iter().fold(false, |any, spec| {
+            let index = PathIndex::build(spec, &self.clusters, rows, |id| prefix.row(id));
+            ask(worker, |reply| Cmd::Install { index, reply }) | any
+        })
+    }
+}
+
 /// A multiscript name collection partitioned across worker threads.
 pub struct ShardedStore {
     config: MatchConfig,
     senders: Vec<Sender<Cmd>>,
     handles: Vec<JoinHandle<()>>,
     /// Serializes global-id assignment so the round-robin stripe stays
-    /// aligned with each shard's local insertion order. Also held across
-    /// every [`build`](Self::build), so a build and an append can never
-    /// interleave — the recorded build specs (and the service's built
-    /// mask, updated under this lock via the `_with` hooks) always agree
-    /// with the actual per-shard index state.
+    /// aligned with each shard's local insertion order.
     grow: Mutex<()>,
     /// The published row count: stored (under `grow`) only after every
     /// shard has appended, so a reader that sees `n` can resolve every
-    /// id below `n` — and never waits behind an append or an index
-    /// build to learn it.
+    /// id below `n` — and never waits behind an append to learn it.
     len: AtomicU32,
     /// Kernel screen counters, flushed by every worker after each search.
     screens: Arc<ScreenTotals>,
     /// Batch-shape counters, flushed alongside the screen counters.
     batches: Arc<BatchTotals>,
-    /// Access paths currently built on every shard, in build order —
-    /// recorded so a snapshot can rebuild exactly the same paths on
-    /// load. Cleared whenever an append invalidates the shard indexes.
-    builds: Mutex<Vec<BuildSpec>>,
+    covering: Arc<Covering>,
+    /// The background coverer (see [`Covering::run`]), to unpark.
+    coverer: std::thread::Thread,
+}
+
+/// What `STATS` reports of the access paths' coverage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoverStats {
+    /// Declared access paths.
+    pub declared: usize,
+    /// Rows no index covers yet, per path in
+    /// [`method_index`](crate::metrics::method_index) order, summed over
+    /// the shards (0 for a scan and for an undeclared path).
+    pub tails: [usize; 4],
+    /// Covers that installed an index since start.
+    pub covers: u64,
+    /// How long the last of them took, in ms.
+    pub cover_ms_last: u64,
 }
 
 impl ShardedStore {
@@ -276,15 +402,36 @@ impl ShardedStore {
             );
             senders.push(tx);
         }
+        let covering = Arc::new(Covering {
+            clusters: Arc::clone(&config.clusters),
+            declared: Mutex::default(),
+            declared_mask: AtomicU8::new(0),
+            turn: Mutex::default(),
+            forced: Mutex::default(),
+            scheduled: AtomicBool::new(false),
+            stopping: AtomicBool::new(false),
+            covers: AtomicU64::new(0),
+            cover_ms_last: AtomicU64::new(0),
+        });
+        let coverer = {
+            let (covering, workers) = (Arc::clone(&covering), senders.clone());
+            std::thread::Builder::new()
+                .name("lexequal-cover".to_owned())
+                .spawn(move || covering.run(&workers))
+                .expect("spawn coverer")
+        };
         ShardedStore {
             config,
             senders,
-            handles,
+            coverer: coverer.thread().clone(),
+            // Joined first: the workers' loops end only once the coverer
+            // has let go of its command channels too.
+            handles: std::iter::once(coverer).chain(handles).collect(),
             grow: Mutex::new(()),
             len: AtomicU32::new(0),
             screens,
             batches,
-            builds: Mutex::new(Vec::new()),
+            covering,
         }
     }
 
@@ -325,6 +472,19 @@ impl ShardedStore {
         self.len() == 0
     }
 
+    /// Send `cmd(shard, reply)` to every worker — all of them before any
+    /// reply is awaited, so the shards work side by side; the replies
+    /// arrive on the returned channel, one a shard.
+    fn ask_all<T>(&self, mut cmd: impl FnMut(usize, Sender<T>) -> Cmd) -> Receiver<T> {
+        let (tx, rx) = channel();
+        for (shard, worker) in self.senders.iter().enumerate() {
+            worker
+                .send(cmd(shard, tx.clone()))
+                .expect("shard worker alive");
+        }
+        rx
+    }
+
     /// Insert one name; returns its global id.
     pub fn insert(&self, text: &str, language: Language) -> Result<u32, G2pError> {
         self.extend([(text.to_owned(), language)]).map(|r| r.start)
@@ -336,7 +496,7 @@ impl ShardedStore {
     /// threads when the batch is large), so a G2P failure anywhere leaves
     /// the store completely unchanged; the pre-transformed entries are
     /// then striped round-robin and appended by every shard worker
-    /// concurrently, invalidating each shard's access paths once.
+    /// concurrently.
     pub fn extend(
         &self,
         rows: impl IntoIterator<Item = (String, Language)>,
@@ -346,43 +506,19 @@ impl ShardedStore {
         Ok(self.extend_transformed(entries))
     }
 
-    /// [`extend`](Self::extend) with the
-    /// [`extend_transformed_with`](Self::extend_transformed_with) hook.
-    pub(crate) fn extend_with(
-        &self,
-        rows: impl IntoIterator<Item = (String, Language)>,
-        after: impl FnOnce(),
-    ) -> Result<Range<u32>, G2pError> {
-        let rows: Vec<(String, Language)> = rows.into_iter().collect();
-        let entries = transform_rows(&self.config, rows)?;
-        Ok(self.extend_transformed_with(entries, after))
-    }
-
     /// Bulk-load pre-transformed entries; returns the global id range.
+    /// Declared access paths stay declared — the new rows are their tails
+    /// — and a tail that has outgrown the re-cover rule
+    /// ([`lexequal::store::cover_due`]) starts a background cover.
     pub fn extend_transformed(&self, entries: Vec<NameEntry>) -> Range<u32> {
-        self.extend_transformed_with(entries, || {})
-    }
-
-    /// [`extend_transformed`](Self::extend_transformed) with a hook run
-    /// under the grow lock after the recorded build specs are cleared
-    /// (only when at least one row was appended). [`crate::MatchService`]
-    /// invalidates its built-path mask here, so the mask can never claim
-    /// a path is built while the appends have just torn it down — a
-    /// concurrent [`build`](Self::build) serializes behind the same lock.
-    pub(crate) fn extend_transformed_with(
-        &self,
-        entries: Vec<NameEntry>,
-        after: impl FnOnce(),
-    ) -> Range<u32> {
         let n = self.shards();
-        let _guard = self.grow.lock().expect("grow lock");
+        let guard = self.grow.lock().expect("grow lock");
         let start = self.len.load(Ordering::Relaxed);
         let mut per_shard: Vec<Vec<NameEntry>> = (0..n).map(|_| Vec::new()).collect();
         for (offset, entry) in entries.into_iter().enumerate() {
             per_shard[(start as usize + offset) % n].push(entry);
         }
         let (tx, rx) = channel();
-        let mut added = 0u32;
         for (shard, batch) in per_shard.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
@@ -395,59 +531,105 @@ impl ShardedStore {
                 .expect("shard worker alive");
         }
         drop(tx);
-        for count in rx {
+        let (mut added, mut due) = (0u32, false);
+        for (count, shard_due) in rx {
             added += count as u32;
+            due |= shard_due;
         }
         let end = start + added;
-        if added > 0 {
-            // The appends invalidated every shard's access paths.
-            self.builds.lock().expect("builds lock").clear();
-            after();
-        }
         self.publish_len(end);
+        drop(guard);
+        if due {
+            self.cover_in_background();
+        }
         start..end
     }
 
-    /// Build one access path on every shard, in parallel.
+    /// Declare one access path on every shard: from the moment this
+    /// returns, searches through it are exact — over the path's pair-wise
+    /// rule alone until a cover installs an index. Re-declaring a path
+    /// moves it to the end of the recorded order; with a different spec
+    /// (another `q`) it also resets the path's coverage.
+    pub fn declare(&self, spec: BuildSpec) {
+        let mut declared = self.covering.declared.lock().expect("declared lock");
+        self.ask_all(|_, reply| Cmd::Declare { spec, reply })
+            .iter()
+            .count();
+        declared.retain(|d| d.method() != spec.method());
+        declared.push(spec);
+        let bit = 1 << crate::metrics::method_index(spec.method());
+        self.covering.declared_mask.fetch_or(bit, Ordering::Release);
+    }
+
+    /// Whether `method` can serve a search: its path has been declared on
+    /// every shard (a scan needs none). Lock-free; never revoked.
+    pub fn is_declared(&self, method: SearchMethod) -> bool {
+        let bit = 1 << crate::metrics::method_index(method);
+        method == SearchMethod::Scan
+            || self.covering.declared_mask.load(Ordering::Acquire) & bit != 0
+    }
+
+    /// Declare one access path and [`cover`](Self::cover) it.
     pub fn build(&self, spec: BuildSpec) {
-        self.build_with(spec, |_| {});
+        self.declare(spec);
+        self.cover(&[spec]);
     }
 
-    /// [`build`](Self::build) with a hook run under the grow lock after
-    /// the spec is recorded, receiving the full recorded list.
-    ///
-    /// The grow lock is held across the *entire* build — dispatch, every
-    /// shard's completion, and the spec record. Without that, an append
-    /// racing the build could invalidate the freshly built per-shard
-    /// indexes and clear the recorded specs, after which this method's
-    /// record (and the caller's built-mask update in `after`) would
-    /// re-mark the path as built anyway; the next search via that path
-    /// would then panic inside a shard worker. Serializing build against
-    /// mutations makes the recorded state truthful by construction.
-    pub(crate) fn build_with(&self, spec: BuildSpec, after: impl FnOnce(&[BuildSpec])) {
-        let _guard = self.grow.lock().expect("grow lock");
-        let (tx, rx) = channel();
-        for s in &self.senders {
-            s.send(Cmd::Build {
-                spec,
-                reply: tx.clone(),
-            })
-            .expect("shard worker alive");
-        }
-        drop(tx);
-        for _ in rx {}
-        let mut builds = self.builds.lock().expect("builds lock");
-        // Rebuilding the same path replaces its recorded spec (a second
-        // q-gram build with a different `q` overwrites the old filter).
-        builds.retain(|b| std::mem::discriminant(b) != std::mem::discriminant(&spec));
-        builds.push(spec);
-        after(&builds);
+    /// Cover those of `specs` that are declared, on this thread, up to
+    /// the rows stored when the call began.
+    pub fn cover(&self, specs: &[BuildSpec]) {
+        self.cover_with(specs, &|| {});
     }
 
-    /// The access paths currently built on every shard, in build order
-    /// (what a snapshot records and a load rebuilds).
+    /// [`cover`](Self::cover) with a hook run after every chunk of rows
+    /// the cover reads.
+    #[doc(hidden)]
+    pub fn cover_with(&self, specs: &[BuildSpec], on_chunk: &dyn Fn()) {
+        let want = |spec, _, _| specs.contains(&spec);
+        self.covering.cover(&self.senders, &want, on_chunk);
+    }
+
+    /// Leave covering a declared path, whatever its tail, to a background
+    /// thread (the non-blocking half of a wire `BUILD`, after
+    /// [`declare`](Self::declare)).
+    pub fn schedule_cover(&self, spec: BuildSpec) {
+        self.covering.forced.lock().expect("forced lock").push(spec);
+        self.cover_in_background();
+    }
+
+    /// Ask the background coverer for a cover; asks made before it begins
+    /// are one cover.
+    fn cover_in_background(&self) {
+        self.covering.scheduled.store(true, Ordering::Release);
+        self.coverer.unpark();
+    }
+
+    /// The declared access paths, in declaration order (what a snapshot
+    /// records and a load re-declares).
     pub fn built_specs(&self) -> Vec<BuildSpec> {
-        self.builds.lock().expect("builds lock").clone()
+        self.covering
+            .declared
+            .lock()
+            .expect("declared lock")
+            .clone()
+    }
+
+    /// Coverage gauges for `STATS`: asks every worker (one queue slot
+    /// each), so the tails are what the shards hold, not what a
+    /// coordinator-side counter believes.
+    pub fn cover_stats(&self) -> CoverStats {
+        let mut stats = CoverStats {
+            declared: self.built_specs().len(),
+            covers: self.covering.covers.load(Ordering::Relaxed),
+            cover_ms_last: self.covering.cover_ms_last.load(Ordering::Relaxed),
+            ..CoverStats::default()
+        };
+        for (rows, coverage) in self.ask_all(|_, reply| Cmd::Coverage { reply }) {
+            for (spec, covered) in coverage {
+                stats.tails[crate::metrics::method_index(spec.method())] += rows - covered;
+            }
+        }
+        stats
     }
 
     /// Fill in missing per-entry phonetic embeddings on every shard, in
@@ -456,18 +638,14 @@ impl ShardedStore {
     /// served with the embedding screen bypassed until this runs.
     ///
     /// Held under the grow lock so the fill can never interleave with an
-    /// append (embedding rows and entry rows stay column-aligned) — but
-    /// note the fill does *not* invalidate access paths: embeddings feed
-    /// only the verification screen, never candidate generation.
+    /// append (embedding rows and entry rows stay column-aligned).
+    /// Embeddings feed only the verification screen, never candidate
+    /// generation, so access paths are untouched.
     pub fn build_embeddings(&self) -> usize {
         let _guard = self.grow.lock().expect("grow lock");
-        let (tx, rx) = channel();
-        for s in &self.senders {
-            s.send(Cmd::BuildEmbeds { reply: tx.clone() })
-                .expect("shard worker alive");
-        }
-        drop(tx);
-        rx.into_iter().sum()
+        self.ask_all(|_, reply| Cmd::BuildEmbeds { reply })
+            .iter()
+            .sum()
     }
 
     /// Total number of entries across all shards still missing an
@@ -475,17 +653,13 @@ impl ShardedStore {
     /// [`build_embeddings`](Self::build_embeddings) runs).
     pub fn pending_embeddings(&self) -> usize {
         let _guard = self.grow.lock().expect("grow lock");
-        let (tx, rx) = channel();
-        for s in &self.senders {
-            s.send(Cmd::PendingEmbeds { reply: tx.clone() })
-                .expect("shard worker alive");
-        }
-        drop(tx);
-        rx.into_iter().sum()
+        self.ask_all(|_, reply| Cmd::PendingEmbeds { reply })
+            .iter()
+            .sum()
     }
 
     /// The cut of this store as it stands: the published row count and
-    /// the recorded build specs, stamped `lsn`. Two loads, no copy, no
+    /// the declared access paths, stamped `lsn`. Two loads, no copy, no
     /// grow lock. The caller makes the stamp exact by holding its own
     /// writes off for these two loads (the primary takes it under the
     /// commit lock, see [`crate::repl::Replicator::cut`]).
@@ -500,23 +674,19 @@ impl ShardedStore {
     /// `(text bytes, phoneme bytes)` held by global rows `0..rows`,
     /// summed on the shard workers — no row is copied.
     pub(crate) fn prefix_bytes(&self, rows: usize) -> (usize, usize) {
-        let (tx, rx) = channel();
-        for (shard, s) in self.senders.iter().enumerate() {
-            s.send(Cmd::PrefixBytes {
-                rows: local_rows(rows, shard, self.shards()),
-                reply: tx.clone(),
-            })
-            .expect("shard worker alive");
-        }
-        drop(tx);
-        rx.into_iter()
-            .fold((0, 0), |(t, p), (dt, dp)| (t + dt, p + dp))
+        let shard_rows = |shard| local_rows(rows, shard, self.shards());
+        self.ask_all(|shard, reply| Cmd::PrefixBytes {
+            rows: shard_rows(shard),
+            reply,
+        })
+        .iter()
+        .fold((0, 0), |(t, p), (dt, dp)| (t + dt, p + dp))
     }
 
     /// Read global rows `0..rows` in id order, [`CHUNK_ROWS`] at a time —
     /// the one capture path of both snapshot formats. `rows` must not
     /// exceed a length this store has published; rows below it never
-    /// change, so no lock is held and appends and builds interleave
+    /// change, so no lock is held and appends and covers interleave
     /// freely with the reader.
     pub(crate) fn prefix_reader(&self, rows: usize) -> PrefixReader<'_> {
         debug_assert!(rows <= self.len(), "prefix past the published length");
@@ -540,29 +710,7 @@ impl ShardedStore {
     /// `sections.len()` and whose sections form a round-robin stripe —
     /// [`crate::snapshot`] validates both before calling.
     pub(crate) fn import_shards(&self, sections: Vec<Vec<NameEntry>>) {
-        debug_assert_eq!(sections.len(), self.shards());
-        let _guard = self.grow.lock().expect("grow lock");
-        debug_assert_eq!(self.len(), 0, "import into a non-empty store");
-        let total: usize = sections.iter().map(Vec::len).sum();
-        let (tx, rx) = channel();
-        let mut expected = 0usize;
-        for (shard, batch) in sections.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            expected += 1;
-            self.senders[shard]
-                .send(Cmd::Extend {
-                    entries: batch,
-                    reply: tx.clone(),
-                })
-                .expect("shard worker alive");
-        }
-        drop(tx);
-        for _ in 0..expected {
-            rx.recv().expect("shard worker replies");
-        }
-        self.publish_len(total as u32);
+        self.import(sections, |entries, reply| Cmd::Extend { entries, reply });
     }
 
     /// Place pre-striped zero-copy sections on the shards — the
@@ -571,42 +719,32 @@ impl ShardedStore {
     /// contract, but each entry is three `Arc` bumps into the mapping
     /// instead of an owned row.
     pub(crate) fn import_shared(&self, sections: Vec<Vec<SharedEntry>>) {
+        self.import(sections, |entries, reply| Cmd::ExtendShared {
+            entries,
+            reply,
+        });
+    }
+
+    fn import<E>(
+        &self,
+        sections: Vec<Vec<E>>,
+        load: impl Fn(Vec<E>, Sender<(usize, bool)>) -> Cmd,
+    ) {
         debug_assert_eq!(sections.len(), self.shards());
         let _guard = self.grow.lock().expect("grow lock");
         debug_assert_eq!(self.len(), 0, "import into a non-empty store");
-        let total: usize = sections.iter().map(Vec::len).sum();
-        let (tx, rx) = channel();
-        let mut expected = 0usize;
-        for (shard, batch) in sections.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            expected += 1;
-            self.senders[shard]
-                .send(Cmd::ExtendShared {
-                    entries: batch,
-                    reply: tx.clone(),
-                })
-                .expect("shard worker alive");
-        }
-        drop(tx);
-        for _ in 0..expected {
-            rx.recv().expect("shard worker replies");
-        }
-        self.publish_len(total as u32);
+        let mut sections = sections.into_iter();
+        let loaded = self.ask_all(|_, reply| load(sections.next().expect("one a shard"), reply));
+        self.publish_len(loaded.iter().map(|(rows, _)| rows as u32).sum());
     }
 
     /// Entry by global id.
     pub fn get(&self, id: u32) -> Option<NameEntry> {
         let n = self.shards();
-        let (tx, rx) = channel();
-        self.senders[id as usize % n]
-            .send(Cmd::Get {
-                local: id / n as u32,
-                reply: tx,
-            })
-            .expect("shard worker alive");
-        rx.recv().expect("shard worker replies")
+        ask(&self.senders[id as usize % n], |reply| Cmd::Get {
+            local: id / n as u32,
+            reply,
+        })
     }
 
     /// Search with a query string: transform, then fan out.
@@ -627,8 +765,8 @@ impl ShardedStore {
     ///
     /// # Panics
     ///
-    /// Panics (on the worker thread) if the access path was not built;
-    /// see [`crate::MatchService`] for the graceful front-end.
+    /// Panics (on the worker thread) if the access path was never
+    /// declared; see [`crate::MatchService`] for the graceful front-end.
     pub fn search_phonemes(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> SearchResult {
         self.begin_search(q, e, method).merge()
     }
@@ -640,7 +778,13 @@ impl ShardedStore {
     /// evented daemon's verify workers keep all shards busy at once.
     pub fn begin_search(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> PendingSearch {
         PendingSearch {
-            rx: self.fan_out(q, e, method),
+            rx: self.ask_all(|shard, reply| Cmd::Search {
+                query: q.clone(),
+                e,
+                method,
+                shard,
+                reply,
+            }),
             shards: self.shards(),
         }
     }
@@ -660,28 +804,6 @@ impl ShardedStore {
             .map(|(q, e, method)| self.begin_search(q, *e, *method))
             .collect();
         pending.into_iter().map(PendingSearch::merge).collect()
-    }
-
-    /// Enqueue one query on every shard; replies arrive on the returned
-    /// channel tagged with their shard index.
-    fn fan_out(
-        &self,
-        q: &PhonemeString,
-        e: f64,
-        method: SearchMethod,
-    ) -> Receiver<(usize, SearchResult)> {
-        let (tx, rx) = channel();
-        for (shard, s) in self.senders.iter().enumerate() {
-            s.send(Cmd::Search {
-                query: q.clone(),
-                e,
-                method,
-                shard,
-                reply: tx.clone(),
-            })
-            .expect("shard worker alive");
-        }
-        rx
     }
 }
 
@@ -796,7 +918,7 @@ fn merge_replies(rx: Receiver<(usize, SearchResult)>, n: usize) -> SearchResult 
             break;
         }
     }
-    // A worker that died (e.g. searching an unbuilt access path) hangs up
+    // A worker that died (e.g. searching an undeclared access path) hangs up
     // instead of replying; a partial merge must never be passed off as a
     // complete result.
     assert_eq!(replies, n, "a shard worker died mid-search");
@@ -806,6 +928,8 @@ fn merge_replies(rx: Receiver<(usize, SearchResult)>, n: usize) -> SearchResult 
 
 impl Drop for ShardedStore {
     fn drop(&mut self) {
+        self.covering.stopping.store(true, Ordering::Release);
+        self.coverer.unpark();
         // Hanging up every command channel ends the worker loops.
         self.senders.clear();
         for h in self.handles.drain(..) {
@@ -932,13 +1056,14 @@ mod tests {
     }
 
     /// `STATS`' `names=` and a checkpoint's cut must not queue behind an
-    /// append or an index build: both read the published length.
+    /// append or a cover: both read the published length.
     #[test]
-    fn len_and_cut_do_not_take_the_grow_lock() {
+    fn len_and_cut_do_not_take_the_grow_lock_or_a_covers_turn() {
         let s = ShardedStore::new(MatchConfig::default(), 2);
         s.extend(demo_rows()).unwrap();
         s.build(BuildSpec::BkTree);
         let _in_flight = s.grow.lock().unwrap();
+        let _covering = s.covering.turn.lock().unwrap();
         assert_eq!(s.len(), 7);
         assert_eq!(
             s.cut(9),
@@ -948,6 +1073,87 @@ mod tests {
                 builds: vec![BuildSpec::BkTree]
             }
         );
+    }
+
+    fn plain_names(n: usize) -> Vec<NameEntry> {
+        (0..n)
+            .map(|i| NameEntry {
+                text: format!("n{i}"),
+                language: Language::English,
+                phonemes: format!("ne{}ru", "a".repeat(i % 9)).parse().unwrap(),
+            })
+            .collect()
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn appends_become_tails_and_a_due_tail_is_covered_in_the_background() {
+        use lexequal::store::cover_due;
+        let s = ShardedStore::new(MatchConfig::default(), 2);
+        s.extend_transformed(plain_names(200));
+        s.build(BuildSpec::PhoneticIndex);
+        s.declare(BuildSpec::BkTree);
+        let stats = s.cover_stats();
+        assert_eq!((stats.declared, stats.covers), (2, 1));
+        assert_eq!(stats.tails, [0, 0, 0, 200], "declared is not covered");
+        // Under the floor nothing moves: the rows are every path's tail.
+        s.extend_transformed(plain_names(2 * 3900));
+        assert!(!cover_due(100, 4000) && !cover_due(0, 4000));
+        assert_eq!(s.cover_stats().tails, [0, 0, 7800, 8000]);
+        assert_eq!(s.cover_stats().covers, 1);
+        // The append that takes a shard's tails to the floor starts a
+        // cover of every due path — here both — and nobody waits for it.
+        s.extend_transformed(plain_names(2 * 196));
+        assert!(cover_due(100, 4196) && cover_due(0, 4196));
+        wait_for("the background cover", || s.cover_stats().covers == 2);
+        assert_eq!(s.cover_stats().tails, [0; 4]);
+        assert_eq!(
+            s.built_specs(),
+            [BuildSpec::PhoneticIndex, BuildSpec::BkTree]
+        );
+    }
+
+    /// `BUILD QGRAM 2 PAPER` landing while `q = 3` is being covered wins:
+    /// the finished `q = 3` index has no path to go to.
+    #[test]
+    fn a_cover_that_lost_to_a_redeclaration_is_dropped() {
+        let q3 = BuildSpec::Qgram {
+            q: 3,
+            mode: lexequal::QgramMode::Strict,
+        };
+        let q2 = BuildSpec::Qgram {
+            q: 2,
+            mode: lexequal::QgramMode::PaperFaithful,
+        };
+        let s = ShardedStore::new(MatchConfig::default(), 1);
+        s.extend_transformed(plain_names(50));
+        s.declare(q3);
+        let (parked, release) = (channel(), channel::<()>());
+        let release_rx = Mutex::new(release.1);
+        std::thread::scope(|scope| {
+            let cover = scope.spawn(|| {
+                s.cover_with(&[q3], &|| {
+                    parked.0.send(()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                })
+            });
+            parked.1.recv().expect("the cover reads its first chunk");
+            s.declare(q2);
+            release.0.send(()).unwrap();
+            cover.join().unwrap();
+        });
+        let (rows, coverage) = ask(&s.senders[0], |reply| Cmd::Coverage { reply });
+        assert_eq!((rows, coverage), (50, vec![(q2, 0)]));
+        assert_eq!(s.cover_stats().covers, 0, "nothing was installed");
+        s.cover(&[q3, q2]);
+        assert_eq!(s.cover_stats().tails, [0; 4]);
     }
 
     #[test]

@@ -693,13 +693,15 @@ mod tests {
     }
 
     #[test]
-    fn appends_clear_recorded_builds() {
+    fn appends_keep_the_declared_paths_in_the_snapshot() {
         let store = demo_store(2);
-        assert_eq!(store.built_specs().len(), 3);
+        let declared = store.built_specs();
+        assert_eq!(declared.len(), 3);
         store.insert("Bose", Language::English).unwrap();
-        assert!(
-            store.built_specs().is_empty(),
-            "an append invalidates every access path, so the snapshot must not record them"
+        assert_eq!(
+            store.built_specs(),
+            declared,
+            "an append is a tail, not an invalidation: the snapshot still records every path"
         );
     }
 

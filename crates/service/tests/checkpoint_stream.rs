@@ -15,8 +15,7 @@ use lexequal_lexicon::Corpus;
 use lexequal_service::mmapstore::{self, ImageSink};
 use lexequal_service::server::respond_with_ctx;
 use lexequal_service::{
-    loadgen, BuildSpec, Cut, MatchService, Replicator, ReqCtx, ServiceConfig, ShardedStore, Wal,
-    WalMetrics,
+    BuildSpec, Cut, MatchService, Replicator, ReqCtx, ServiceConfig, ShardedStore, Wal, WalMetrics,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
@@ -254,7 +253,7 @@ fn paper_corpus() -> Vec<(String, Language)> {
 
 /// The 20 418 names `lexequald --preload 20000` builds.
 fn preload_set() -> Vec<lexequal::store::NameEntry> {
-    let set = loadgen::build_dataset(&MatchConfig::default(), 20_000);
+    let set = lexequal_lexicon::build_dataset(&MatchConfig::default(), 20_000);
     assert_eq!(set.len(), 20_418, "the set the daemon's --preload builds");
     set
 }
@@ -483,12 +482,18 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
         .filter_map(|token| token.split_once('=').map(|(key, _)| key))
         .collect();
     assert_eq!(
-        keys[keys.len() - 4..],
+        keys[keys.len() - 10..],
         [
             "divergences",
             "commit_hold_max_us",
             "checkpoint_ms_last",
-            "checkpoint_rows_last"
+            "checkpoint_rows_last",
+            "declared",
+            "qgram_tail",
+            "phonidx_tail",
+            "bktree_tail",
+            "covers",
+            "cover_ms_last"
         ],
         "{stats:?}"
     );
@@ -514,6 +519,161 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
         image == oracle::encode(&at_cut, ROWS as u64),
         "the image differs from the store as it stood at the cut"
     );
+    repl.stop_and_join();
+}
+
+// ---------------------------------------------------------------------
+// (b') the same for a cover: parked in its first chunk, it blocks nothing
+// ---------------------------------------------------------------------
+
+/// A `BUILD` used to hold the commit lock (and the grow lock, and every
+/// shard worker) for the whole index construction. A cover holds none of
+/// them: with one parked right after its first chunk of rows, `BUILD ALL`,
+/// forty `ADD`s, `STATS` and a `MATCH` through every path all return —
+/// and the `MATCH`es, served by paths no index covers yet, say what a
+/// store built from scratch says.
+#[test]
+fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chunk() {
+    use lexequal::{NameStore, SearchMethod};
+    use lexequal_service::{proto::format_outcome, MatchOutcome};
+
+    let _serial = serial();
+    let dir = TempDir::new("cover");
+    let (service, repl) = primary(&dir.path().join("cover.wal"), 2);
+    let seed = preload_set();
+    service.extend_transformed(seed.clone());
+    for spec in all_specs() {
+        service.store().declare(spec);
+    }
+
+    let (parked_tx, parked_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
+    let cover = {
+        let service = Arc::clone(&service);
+        let release_rx = Mutex::new(release_rx);
+        let first = AtomicBool::new(true);
+        std::thread::spawn(move || {
+            service.store().cover_with(&all_specs(), &|| {
+                // One shard's cover parks; the other runs to its install.
+                if first.swap(false, Ordering::SeqCst) {
+                    parked_tx.send(()).expect("test is listening");
+                    let gate = release_rx.lock().expect("gate");
+                    gate.recv().expect("test releases the gate");
+                }
+            });
+        })
+    };
+    parked_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the cover reads its first chunk");
+
+    const ADDS: usize = 40;
+    let queries = ["Nehru", "Karam", "Retel"];
+    let battery = move |service: &MatchService, ctx: &ReqCtx| -> Vec<String> {
+        let mut lines = respond_with_ctx("MATCH en scan - Karam", service, ctx, None, &mut false);
+        for method in ["qgram", "phonidx", "bktree"] {
+            for query in queries {
+                let line = format!("MATCH en {method} - {query}");
+                lines.extend(respond_with_ctx(&line, service, ctx, None, &mut false));
+            }
+        }
+        lines
+    };
+    let (done_tx, done_rx) = channel();
+    let during = {
+        let (service, repl) = (Arc::clone(&service), Arc::clone(&repl));
+        std::thread::spawn(move || {
+            let ctx = ReqCtx {
+                repl: Some(Arc::clone(&repl)),
+                ..ReqCtx::default()
+            };
+            let built = respond_with_ctx("BUILD ALL", &service, &ctx, None, &mut false);
+            for i in 0..ADDS {
+                repl.commit_add(&service, &name(i), Language::English)
+                    .expect("commit during the cover");
+            }
+            let stats = respond_with_ctx("STATS", &service, &ctx, None, &mut false);
+            let lines = battery(&service, &ctx);
+            done_tx
+                .send((built, stats, lines))
+                .expect("test is listening");
+        })
+    };
+    let (built, stats, lines) = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("BUILD ALL, commit_add, STATS and MATCH return while a cover is parked");
+    during.join().expect("request thread");
+    assert_eq!(built, ["OK built=all"]);
+    let rows = seed.len() + ADDS;
+    assert!(stats[0].contains(&format!("names={rows} ")), "{stats:?}");
+    assert!(stats[0].contains(" notbuilt=0 "), "{stats:?}");
+    // One shard's three indices are in; the parked shard's rows — and
+    // every row added since — are still tails.
+    let tail = |key: &str| -> usize {
+        let (_, rest) = stats[0].split_once(key).expect("tail key");
+        rest.split(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .expect("a row count")
+    };
+    for key in [" qgram_tail=", " phonidx_tail=", " bktree_tail="] {
+        assert!(
+            tail(key) >= seed.len() / 2 + ADDS,
+            "{key} while parked: {stats:?}"
+        );
+    }
+    assert!(stats[0].contains(" declared=3 "), "{stats:?}");
+
+    let mut oracle = NameStore::new(MatchConfig::default());
+    oracle.extend_transformed(seed);
+    for i in 0..ADDS {
+        oracle.insert(&name(i), Language::English).expect("oracle");
+    }
+    oracle.build_qgram(3, QgramMode::Strict);
+    oracle.build_phonetic_index();
+    oracle.build_bktree();
+    let mut expected = Vec::new();
+    let mut expect = |method, query: &str| {
+        let r = oracle
+            .search(query, Language::English, 0.35, method)
+            .unwrap();
+        expected.push(format_outcome(&MatchOutcome::Matches {
+            method,
+            threshold: 0.35,
+            ids: r.ids,
+            verifications: r.verifications,
+        }));
+    };
+    expect(SearchMethod::Scan, "Karam");
+    for method in [
+        SearchMethod::Qgram,
+        SearchMethod::PhoneticIndex,
+        SearchMethod::BkTree,
+    ] {
+        for query in queries {
+            expect(method, query);
+        }
+    }
+    assert_eq!(lines, expected, "answers while the cover is parked");
+
+    release_tx.send(()).expect("the cover is waiting");
+    cover.join().expect("cover thread");
+    // `BUILD ALL`'s own covers queued behind the parked one; once they
+    // have had their turn nothing is a tail, and no answer has moved.
+    let ctx = ReqCtx {
+        repl: Some(Arc::clone(&repl)),
+        ..ReqCtx::default()
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while service.stats().cover.tails != [0; 4] {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "covers never finished"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(battery(&service, &ctx), expected, "answers once covered");
     repl.stop_and_join();
 }
 

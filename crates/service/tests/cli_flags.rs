@@ -201,15 +201,9 @@ fn snapshot_written_by_one_run_serves_the_next() {
         lines.iter().any(|l| l.contains("2 shard(s)")),
         "snapshot shard count not adopted: {lines:?}"
     );
-    // An mmap load rebuilds recorded access paths in the background;
-    // until the qgram index is back a method-pinned MATCH answers
-    // NOTBUILT, so poll briefly.
-    let mut after = second.request(query);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while after.starts_with("NOTBUILT") && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        after = second.request(query);
-    }
+    // An mmap load declares the recorded access paths and covers them in
+    // the background: the very first method-pinned MATCH is exact.
+    let after = second.request(query);
     assert_eq!(after, before, "MATCH diverged across the restart");
     // STATS agrees on the corpus size (strip the volatile counters).
     let names = |s: &str| {
@@ -233,9 +227,9 @@ fn snapshot_written_by_one_run_serves_the_next() {
 /// Regression: `--snapshot X --save-snapshot Y` used to save while the
 /// background index rebuild was still running, so Y recorded *zero*
 /// access paths and a daemon later loaded from Y served scan-only
-/// forever (the wire protocol has no BUILD command). Pending rebuilds
-/// must now run synchronously before the save, and the written image
-/// must record them.
+/// forever. An image records the *declared* paths, and a load declares
+/// what it finds before anything else happens, so the save needs no
+/// build in front of it and the chain keeps every path.
 #[test]
 fn save_snapshot_after_mmap_load_records_access_paths() {
     let pid = std::process::id();
@@ -258,9 +252,8 @@ fn save_snapshot_after_mmap_load_records_access_paths() {
     seed.wait_serving();
     seed.stop();
 
-    // Chained run: load the image, save a new one. The builds the
-    // image records must be re-run *before* the save, and the daemon
-    // must say so.
+    // Chained run: load the image, save a new one — with no build in
+    // between.
     let mut chain = Server::spawn(&[
         "--addr",
         "127.0.0.1:0",
@@ -271,15 +264,16 @@ fn save_snapshot_after_mmap_load_records_access_paths() {
     ]);
     let lines = chain.wait_serving();
     assert!(
-        lines
+        !lines
             .iter()
-            .any(|l| l.contains("rebuilt before snapshot save")),
-        "no synchronous-rebuild line in {lines:?}"
+            .any(|l| l.contains("_ms=") && l.contains("paths=")),
+        "a build ran before serving: {lines:?}"
     );
-    // By serving time the paths are built — a method-pinned MATCH must
-    // not answer NOTBUILT (no background-rebuild polling window).
     let resp = chain.request("MATCH en qgram 0.45 Nehru");
-    assert!(resp.starts_with("OK "), "{resp}");
+    assert!(
+        resp.starts_with("OK ") && resp.contains("method=qgram"),
+        "{resp}"
+    );
     chain.stop();
 
     // The chained image itself records the access paths: a third
@@ -299,6 +293,98 @@ fn save_snapshot_after_mmap_load_records_access_paths() {
 
     std::fs::remove_file(&first_snap).ok();
     std::fs::remove_file(&second_snap).ok();
+}
+
+/// The one start-up sequence: rows in, paths declared, `serving on`, and
+/// only then the cover — whose first requests are answered exactly.
+#[test]
+fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
+    use lexequal::{Language, MatchConfig, NameStore, QgramMode, SearchMethod};
+    use lexequal_service::{proto::format_outcome, MatchOutcome};
+
+    let mut daemon = Server::spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--shards",
+        "2",
+        "--preload",
+        "20000",
+    ]);
+    let lines = daemon.wait_serving();
+    let preloaded = lines
+        .iter()
+        .position(|l| l.contains("preloaded names=20418 dataset_ms="))
+        .unwrap_or_else(|| panic!("no preload line in {lines:?}"));
+    assert_eq!(
+        preloaded + 2,
+        lines.len(),
+        "preloaded, then serving on: {lines:?}"
+    );
+    for absent in ["qgram_ms=", "paths=", "covered"] {
+        assert!(!lines[preloaded].contains(absent), "{}", lines[preloaded]);
+    }
+    assert!(lines[preloaded].contains(" extend_ms=") && lines[preloaded].contains(" total_ms="));
+
+    // Sent the moment the listener is announced, most likely answered
+    // from an uncovered path (`shard_equivalence.rs` parks a cover to make
+    // that certain); either way it is what a fully built store says.
+    let dataset = lexequal_lexicon::build_dataset(&MatchConfig::default(), 20_000);
+    let stored = dataset[0].text.clone();
+    assert_eq!(dataset[0].language, Language::English);
+    let got = daemon.request(&format!("MATCH en phonidx - {stored}"));
+    let mut oracle = NameStore::new(MatchConfig::default());
+    oracle.extend_transformed(dataset);
+    oracle.build_qgram(3, QgramMode::Strict);
+    oracle.build_phonetic_index();
+    oracle.build_bktree();
+    let expect = |oracle: &NameStore, method, text: &str| {
+        let r = oracle
+            .search(text, Language::English, 0.35, method)
+            .unwrap();
+        format_outcome(&MatchOutcome::Matches {
+            method,
+            threshold: 0.35,
+            ids: r.ids,
+            verifications: r.verifications,
+        })
+    };
+    assert_eq!(got, expect(&oracle, SearchMethod::PhoneticIndex, &stored));
+    assert!(!got.contains(" n=0 "), "{got}");
+
+    // The cover reports once, after the listener, with the per-path fields.
+    let mut covered = String::new();
+    daemon.stderr.read_line(&mut covered).expect("read stderr");
+    for field in [
+        "lexequald: covered in background paths=3 qgram_ms=",
+        " phonidx_ms=",
+        " bktree_ms=",
+        " build_ms=",
+    ] {
+        assert!(covered.contains(field), "{field:?} not in {covered:?}");
+    }
+    // Covered, the paths answer the same — and an ADD costs none of them.
+    assert_eq!(daemon.request(&format!("MATCH en phonidx - {stored}")), got);
+    assert_eq!(daemon.request("ADD en Nehru"), "OK 20418");
+    oracle.insert("Nehru", Language::English).unwrap();
+    oracle.build_qgram(3, QgramMode::Strict);
+    oracle.build_phonetic_index();
+    oracle.build_bktree();
+    for (wire, method) in [
+        ("qgram", SearchMethod::Qgram),
+        ("phonidx", SearchMethod::PhoneticIndex),
+        ("bktree", SearchMethod::BkTree),
+    ] {
+        let reply = daemon.request(&format!("MATCH en {wire} - Nehru"));
+        assert_eq!(reply, expect(&oracle, method, "Nehru"));
+        assert!(reply.contains("20418"), "{reply}");
+    }
+    let stats = daemon.request("STATS");
+    assert!(stats.contains(" notbuilt=0 "), "{stats}");
+    assert!(
+        stats.contains(" declared=3 qgram_tail=1 phonidx_tail=1 bktree_tail=1 covers=3 "),
+        "{stats}"
+    );
+    daemon.stop();
 }
 
 #[test]

@@ -416,6 +416,48 @@ fn restart_with_original_flags_after_a_cycle_emptied_the_log() {
             .any(|l| l.contains("holds no record") && l.contains("falling back")),
         "restart must say it fell back to the checkpoint: {lines:?}"
     );
+    // So does every access path the image recorded: the checkpoint was
+    // cut after `ADD`s, which used to leave it recording none — the
+    // revived daemon answered `NOTBUILT` to all of these, for good.
+    use lexequal::{Language, MatchConfig, NameStore, QgramMode, SearchMethod};
+    let mut oracle = NameStore::new(MatchConfig::default());
+    oracle.extend_transformed(lexequal_lexicon::build_dataset(
+        &MatchConfig::default(),
+        300,
+    ));
+    for (n, _) in &acknowledged {
+        oracle.insert(n, Language::English).expect("oracle insert");
+    }
+    oracle.build_qgram(3, QgramMode::Strict);
+    oracle.build_phonetic_index();
+    oracle.build_bktree();
+    for (wire, method) in [
+        ("qgram", SearchMethod::Qgram),
+        ("phonidx", SearchMethod::PhoneticIndex),
+        ("bktree", SearchMethod::BkTree),
+    ] {
+        for (n, id) in acknowledged.iter().step_by(5) {
+            let want = oracle.search(n, Language::English, 0.35, method).unwrap();
+            let ids: Vec<String> = want.ids.iter().map(u32::to_string).collect();
+            assert!(
+                ids.contains(id),
+                "{wire} {n}: the oracle finds the name itself"
+            );
+            assert_eq!(
+                revived.request(&format!("MATCH en {wire} - {n}")),
+                format!(
+                    "OK n={} verified={} method={wire} e=0.35 ids={}",
+                    ids.len(),
+                    want.verifications,
+                    ids.join(",")
+                ),
+                "{wire} {n}"
+            );
+        }
+    }
+    let stats = revived.request("STATS");
+    assert_eq!(stat(&stats, "notbuilt"), Some("0"), "{stats}");
+    assert_eq!(stat(&stats, "declared"), Some("3"), "{stats}");
     // The fresh ADD continues the LSN sequence past the checkpoint.
     let resp = revived.request("ADD en Zubin");
     assert!(resp.starts_with("OK "), "{resp}");

@@ -32,8 +32,7 @@ fn build_service(dataset: &[lexequal::store::NameEntry]) -> MatchService {
 
 #[test]
 fn a_thousand_pipelined_connections_match_direct_lookups_exactly() {
-    let dataset =
-        lexequal_service::loadgen::build_dataset(&lexequal::MatchConfig::default(), 1_000);
+    let dataset = lexequal_lexicon::build_dataset(&lexequal::MatchConfig::default(), 1_000);
     assert!(
         dataset.len() >= POOL,
         "dataset too small: {}",

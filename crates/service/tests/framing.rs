@@ -67,9 +67,9 @@ fn many_lines_in_one_write_pipeline_in_order() {
     let (addr, shutdown, handle) = spawn_evented(ServeOptions::default());
     let mut stream = TcpStream::connect(addr).expect("connect");
     // One write, five requests, mixed endings and a blank line (which
-    // produces no response). Responses must come back in order. The
-    // MATCH uses scan because the preceding ADD invalidates built
-    // indexes (this test is about framing, not index lifecycle).
+    // produces no response). Responses must come back in order (this
+    // test is about framing; the MATCH uses the path that needs no
+    // BUILD).
     let burst = "ADD en Bose\r\nMATCH en scan 0.45 Nehru\n\nADD en Tagore\nSTATS\n";
     stream.write_all(burst.as_bytes()).expect("write burst");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));

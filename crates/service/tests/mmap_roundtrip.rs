@@ -6,7 +6,7 @@
 //! answering exactly like its primary.
 
 use lexequal::{Language, MatchConfig, SearchMethod};
-use lexequal_service::loadgen::build_dataset;
+use lexequal_lexicon::build_dataset;
 use lexequal_service::service::SnapshotFormat;
 use lexequal_service::{
     mmapstore, serve_with, MatchOutcome, MatchRequest, MatchService, ServeMode, ServeOptions,
@@ -168,7 +168,7 @@ fn mmap_reload_is_bit_identical_on_all_four_access_paths() {
 }
 
 #[test]
-fn deferred_builds_serve_scans_first_then_everything() {
+fn a_load_serves_every_recorded_path_before_any_is_covered() {
     let original = populated_service(2);
     let path = TempPath::new("deferred.snap");
     original.save_snapshot(&path.0).expect("save");
@@ -176,27 +176,20 @@ fn deferred_builds_serve_scans_first_then_everything() {
     let load =
         MatchService::load_snapshot_auto(MatchConfig::default(), None, 256, &path.0).expect("load");
     assert_eq!(load.pending_builds.len(), 3, "three recorded access paths");
-    // Serve-ready means the scan path answers before any index exists.
-    let req = MatchRequest {
-        threshold: Some(0.45),
-        method: Some(SearchMethod::Scan),
-        ..MatchRequest::new("Nehru", Language::English)
-    };
-    let scan_before = load.service.lookup(&req);
-    assert_eq!(scan_before, original.lookup(&req), "scan before builds");
-    // A method-pinned lookup on an unbuilt path degrades, not errors.
-    let qgram_req = MatchRequest {
-        method: Some(SearchMethod::Qgram),
-        ..req.clone()
-    };
-    assert!(matches!(
-        load.service.lookup(&qgram_req),
-        MatchOutcome::NotBuilt { .. }
-    ));
+    // Serve-ready means every recorded path answers — exactly, ids and
+    // verification counts — before any index exists.
+    let cover = load.service.stats().cover;
+    assert_eq!(cover.declared, 3);
+    assert_eq!(
+        cover.tails,
+        [0, original.len(), original.len(), original.len()]
+    );
+    assert_identical(&original, &load.service, "before any cover");
     for spec in load.pending_builds {
         load.service.build(spec);
     }
-    assert_identical(&original, &load.service, "after deferred builds");
+    assert_eq!(load.service.stats().cover.tails, [0; 4]);
+    assert_identical(&original, &load.service, "after the covers");
 }
 
 #[test]

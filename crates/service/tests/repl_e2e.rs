@@ -284,6 +284,36 @@ fn replica_and_recovered_primary_answer_byte_identically() {
     });
     let q = "MATCH en scan 0.45 Epilogue";
     assert_eq!(replica.request(q), revived.request(q));
+
+    // That ADD used to cost both sides every accelerated path (`NOTBUILT`
+    // until the next BUILD). Both applied `Op::Build`s and then an
+    // `Op::Add`: the row is a one-row tail on either side, and every
+    // path answers — alike — as the path that was asked for.
+    let with_tail = battery(&revived);
+    for line in &with_tail {
+        let wire = line.split_whitespace().nth(2).expect("method token");
+        assert!(
+            line.contains("=> OK ") && line.contains(&format!("method={wire}")),
+            "{line}"
+        );
+    }
+    assert_eq!(battery(&replica), with_tail, "replica diverged on a tail");
+    // And alike again once both have covered it.
+    assert_eq!(revived.request("BUILD ALL"), "OK built=all");
+    for (server, who) in [(&revived, "primary"), (&replica, "replica")] {
+        wait_stats(server, &format!("{who} to cover its tail"), |s| {
+            stat(s, "declared") == Some("3")
+                && ["qgram_tail", "phonidx_tail", "bktree_tail"]
+                    .iter()
+                    .all(|key| stat(s, key) == Some("0"))
+        });
+    }
+    assert_eq!(
+        battery(&replica),
+        with_tail,
+        "replica diverged once covered"
+    );
+    assert_eq!(battery(&revived), with_tail, "a cover changed an answer");
 }
 
 /// Replication also works end to end on the threaded serving path
@@ -342,14 +372,9 @@ fn save_command_works_standalone() {
 
     let mut restarted = Server::spawn(&["--addr", "127.0.0.1:0", "--snapshot", snap.as_str()]);
     restarted.wait_serving();
-    // The mmap load defers index rebuilds to the background: a
-    // method-pinned MATCH may answer NOTBUILT for a moment.
-    let mut after = restarted.request(q);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while after.starts_with("NOTBUILT") && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        after = restarted.request(q);
-    }
+    // The mmap load declares the recorded paths and covers them in the
+    // background: the first method-pinned MATCH is already exact.
+    let after = restarted.request(q);
     assert_eq!(after, before);
 
     // REPL HELLO against a daemon with no WAL is a named refusal.

@@ -8,7 +8,10 @@
 //! bijection (`id % N` → shard, `id / N` → local slot). The tests pin
 //! both facts: shard counts that divide the data evenly (2, 4) and one
 //! that doesn't (7), all four methods, and concurrent searchers racing
-//! the same store.
+//! the same store. The same argument makes *coverage* invisible — a row
+//! an index does not hold yet is put to the path's pair-wise rule instead
+//! — so the last test runs appends and searches beside covers that never
+//! stop, and holds every reply to a store built from scratch.
 
 use lexequal::{MatchConfig, NameStore, QgramMode, SearchMethod};
 use lexequal_lexicon::Corpus;
@@ -133,4 +136,58 @@ fn concurrent_searchers_agree_with_sequential_answers() {
             });
         }
     });
+}
+
+/// An `ADD` storm beside searches through every path beside a cover that
+/// never stops: whatever each index happens to cover when a search
+/// arrives, the reply — ids and verification count — is that of a store
+/// built from scratch over exactly the rows acknowledged so far.
+#[test]
+fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let rows = corpus_rows();
+    let (seed, storm) = rows.split_at(rows.len() / 2);
+    let sharded = sharded_store(seed, 3);
+    let mut oracle = reference_store(seed);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                sharded.build(BuildSpec::BkTree);
+                sharded.build(BuildSpec::Qgram {
+                    q: 3,
+                    mode: QgramMode::Strict,
+                });
+                sharded.build(BuildSpec::PhoneticIndex);
+            }
+        });
+        for (text, language) in storm {
+            let id = sharded.insert(text, *language).expect("add");
+            assert_eq!(oracle.insert(text, *language).expect("oracle add"), id);
+            oracle.build_qgram(3, QgramMode::Strict);
+            oracle.build_phonetic_index();
+            oracle.build_bktree();
+            // The row just acknowledged, and one from the seed.
+            for query in [id, id / 3] {
+                let q = &oracle.get(query).expect("valid id").phonemes;
+                for method in METHODS {
+                    assert_eq!(
+                        sharded.search_phonemes(q, THRESHOLD, method),
+                        oracle.search_phonemes(q, THRESHOLD, method),
+                        "{method:?} for id {query} with {} rows",
+                        id + 1
+                    );
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(sharded.len(), rows.len());
+    let stats = sharded.cover_stats();
+    assert_eq!(stats.declared, 3);
+    assert!(
+        stats.covers > 3,
+        "the covers ran beside the storm: {stats:?}"
+    );
 }

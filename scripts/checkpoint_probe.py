@@ -33,8 +33,9 @@ def name(i):
     return f"{HEADS[(i // 8) % 8]}{TAILS[i % 8]}{i // 64}"
 
 
-def spawn(daemon, *args, settled="lexequald: serving on "):
-    """Start a daemon; return (process, address) once it printed `settled`."""
+def spawn(daemon, *args, settled=("lexequald: serving on ",)):
+    """Start a daemon; return (process, address) once it printed a line
+    starting with one of `settled`."""
     proc = subprocess.Popen(
         [daemon, "--addr", "127.0.0.1:0", "--shards", "2", *args],
         stderr=subprocess.PIPE,
@@ -62,10 +63,12 @@ def probe(daemon, image, work, cap):
     args = ["--snapshot", image, "--wal", wal]
     if cap:
         args += ["--wal-max-bytes", str(cap)]
-    # Wait out the deferred index rebuild: it holds the store's grow lock
-    # for a few milliseconds, and an ADD that lands on it is a stall of
-    # its own (EXPERIMENTS.md records it) — not the one measured here.
-    proc, addr = spawn(daemon, *args, settled="lexequald: rebuilt in background")
+    # Wait out the background cover of the image's access paths, so both
+    # runs start from the same indices. (A daemon from before covers says
+    # "rebuilt": there the rebuild also held the store's grow lock for a
+    # few milliseconds, a stall of its own that EXPERIMENTS.md records.)
+    settled = ("lexequald: covered in background", "lexequald: rebuilt in background")
+    proc, addr = spawn(daemon, *args, settled=settled)
     try:
         host, port = addr.rsplit(":", 1)
         conn = socket.create_connection((host, int(port)))

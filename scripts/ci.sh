@@ -111,6 +111,28 @@ cargo test -p lexequal-service --offline -q --test checkpoint_stream \
     --test wal_compaction --test compaction_e2e --test mmap_corruption
 bash crates/lexbench/run.sh --smoke
 
+echo "== coverage: candidate sets independent of cover + paths survive ADD and restart"
+# A declared access path answers exactly whatever its index covers: the
+# rows past the index are put to the path's own pair-wise rule. The three
+# differential/consistency suites walk every path, both q-gram modes,
+# q = 1..4, four thresholds and three cost regimes through indices over
+# 0, 1, n/3, n-1 and n rows (ids and verification counts, paper corpus
+# and preload set); shard_equivalence runs an ADD storm beside searches
+# beside covers that never stop; checkpoint_stream parks a cover in its
+# first chunk and requires BUILD ALL, commit_add, STATS and every path's
+# MATCH to return; the e2e regressions restart a daemon after ADDs + a
+# compaction cycle + SIGKILL, and a replica after Op::Build then Op::Add,
+# and require method=<requested> with the oracle's ids (the parent said
+# NOTBUILT); cli_flags pins preloaded -> serving on -> covered. Then the
+# socket smoke run, whose first probe of every workload now lands on a
+# daemon that is still covering.
+cargo test -p lexequal-bench --offline -q --test pipeline_consistency \
+    --test qgram_differential --test bktree_differential
+cargo test -p lexequal --offline -q --test verify_zero_alloc
+cargo test -p lexequal-service --offline -q --test shard_equivalence \
+    --test checkpoint_stream --test compaction_e2e --test repl_e2e --test cli_flags
+bash crates/lexbench/run.sh --smoke
+
 echo "== embedding prefilter: crate pass + differential suite + A/B smoke"
 # The embedding crate gets its own clippy pass; the differential suite
 # (screen on/off, byte-identical verdicts across widths, backends and

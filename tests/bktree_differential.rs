@@ -5,7 +5,10 @@
 //! the tree: over the paper corpus and over the 20 418-name synthetic set
 //! the daemon preloads, the tree `BkTree::build` grows must equal the one
 //! grown with the rolling-row DP at every probe, node for node, and its
-//! range answers must equal a linear scan with that DP at every radius.
+//! range answers must equal a linear scan with that DP at every radius —
+//! as must those of a tree over any prefix of the keys ranging through
+//! the rest (`range_through`, how a store that has grown past its tree
+//! answers).
 
 use lexequal::{MatchConfig, PhonemeString};
 use lexequal_lexicon::{Corpus, SyntheticDataset};
@@ -20,20 +23,29 @@ fn assert_myers_tree_is_the_dp_tree(keys: &[PhonemeString], query_step: usize) {
         "Myers-probed and DP-probed builds over {} keys grew different trees",
         keys.len()
     );
+    // The whole tree, and trees that stop short of the keys.
+    let n = keys.len() as u32;
+    let mut trees = vec![(n, tree)];
+    trees.extend([0, 1, n / 3, n - 1].map(|covered| (covered, BkTree::build(covered, key))));
     for query in keys.iter().step_by(query_step) {
         let distances: Vec<u32> = keys
             .iter()
             .map(|k| edit_distance(k.id_bytes(), query.id_bytes(), UnitCost) as u32)
             .collect();
         for k in 0..=8u32 {
-            let mut got = tree.range(key, query.id_bytes(), k);
-            got.sort_unstable();
             let want: Vec<(u32, u32)> = (0u32..)
                 .zip(&distances)
                 .filter(|&(_, &d)| d <= k)
                 .map(|(id, &d)| (id, d))
                 .collect();
-            assert_eq!(got, want, "query /{query}/ k={k}");
+            for (covered, tree) in &trees {
+                let mut got = tree.range_through(key, query.id_bytes(), k, n);
+                got.sort_unstable();
+                assert_eq!(
+                    got, want,
+                    "query /{query}/ k={k} tree over {covered} of {n}"
+                );
+            }
         }
     }
 }

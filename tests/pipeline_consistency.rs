@@ -8,9 +8,17 @@
 //! * the BK-tree search returns identical result sets;
 //! * the phonetic index returns a subset (its dismissals), never a
 //!   superset;
-//! * everything is symmetric and deterministic.
+//! * everything is symmetric and deterministic;
+//! * how much of a store an index covers is invisible: every path returns
+//!   the same ids *and* asks the verifier about the same rows at any
+//!   coverage, because a row no index holds is put to the path's own
+//!   pair-wise rule.
 
-use lexequal::{CostModelKind, MatchConfig, NameStore, QgramMode, SearchMethod};
+use lexequal::store::NameEntry;
+use lexequal::{
+    BatchVerifier, BuildSpec, CostModelKind, MatchConfig, NameStore, PathIndex, QgramMode,
+    SearchMethod,
+};
 use lexequal_lexicon::Corpus;
 use std::sync::OnceLock;
 
@@ -165,4 +173,113 @@ fn every_stored_name_matches_itself_at_threshold_zero() {
         let r = s.search_phonemes(&e.phonemes, 0.0, SearchMethod::Scan);
         assert!(r.ids.contains(&id), "{} does not match itself", e.text);
     }
+}
+
+/// Every path spec coverage independence is claimed for: the q-gram
+/// filter at each gram size under both dismissal policies, the phonetic
+/// index and the BK-tree.
+fn specs() -> Vec<BuildSpec> {
+    let modes = [QgramMode::Strict, QgramMode::PaperFaithful];
+    let qgram = (1..=4).flat_map(|q| modes.map(|mode| BuildSpec::Qgram { q, mode }));
+    qgram
+        .chain([BuildSpec::PhoneticIndex, BuildSpec::BkTree])
+        .collect()
+}
+
+/// Load `entries` under a cost regime and walk every spec's index up
+/// through covering 0, 1, n/3, n−1 and n rows of them: at every step a
+/// search must return what it returns at full coverage, ids and
+/// verification counts, for every `query_step`-th stored name at the
+/// thresholds the exact paths are held to a scan under. The batched form
+/// (what the shard workers serve through) always; the pair-at-a-time form
+/// too where `both_forms` can be afforded.
+fn assert_coverage_is_invisible(
+    config: MatchConfig,
+    entries: &[NameEntry],
+    query_step: usize,
+    both_forms: bool,
+) {
+    let n = entries.len();
+    let mut batched = BatchVerifier::new();
+    let mut s = NameStore::new(config);
+    s.extend_transformed(entries.to_vec());
+    let clusters = s.operator().cost_model().clusters().clone();
+    let queries: Vec<_> = (s.phoneme_strings().iter().step_by(query_step))
+        .cloned()
+        .collect();
+    for spec in specs() {
+        let mut answers = Vec::new();
+        for covered in [0, 1, n / 3, n - 1, n] {
+            if covered == 0 {
+                s.declare(spec);
+            } else {
+                let row = |id: usize| s.phoneme_strings()[id].id_bytes();
+                let index = PathIndex::build(spec, &clusters, covered, row);
+                assert!(s.install(index), "{spec:?} to {covered} rows");
+            }
+            assert_eq!(s.coverage().last(), Some(&(spec, covered)));
+            let mut at_this_coverage = Vec::new();
+            for q in &queries {
+                for e in [0.05, 0.25, 0.35, 0.45] {
+                    let many = s.search_phonemes_batched(q, e, spec.method(), &mut batched);
+                    if both_forms {
+                        let one = s.search_phonemes(q, e, spec.method());
+                        assert_eq!(one, many, "{spec:?} /{q}/ e={e} at {covered} rows");
+                    }
+                    at_this_coverage.push(many);
+                }
+            }
+            answers.push((covered, at_this_coverage));
+        }
+        let (_, full) = answers.pop().expect("five coverages");
+        for (covered, partial) in answers {
+            assert!(
+                partial == full,
+                "{spec:?} answers differently covered to {covered} of {n} rows"
+            );
+        }
+    }
+}
+
+#[test]
+fn coverage_is_invisible_over_the_paper_corpus() {
+    let corpus = Corpus::build(&MatchConfig::default());
+    let entries: Vec<NameEntry> = (corpus.entries.into_iter())
+        .map(|e| NameEntry {
+            text: e.text,
+            language: e.language,
+            phonemes: e.phonemes,
+        })
+        .collect();
+    for config in cost_regimes() {
+        assert_coverage_is_invisible(config, &entries, 499, true);
+    }
+}
+
+/// The 20 418 names `lexequald --preload 20000` loads, one test a cost
+/// regime so they run side by side.
+fn preload_set_under(regime: usize) {
+    let entries = lexequal_lexicon::build_dataset(&MatchConfig::default(), 20_000);
+    assert_eq!(
+        entries.len(),
+        20_418,
+        "the set the daemon's --preload builds"
+    );
+    let config = cost_regimes().into_iter().nth(regime).expect("a regime");
+    assert_coverage_is_invisible(config, &entries, 12_007, false);
+}
+
+#[test]
+fn coverage_is_invisible_over_the_preload_set_clustered() {
+    preload_set_under(0);
+}
+
+#[test]
+fn coverage_is_invisible_over_the_preload_set_feature_graded() {
+    preload_set_under(1);
+}
+
+#[test]
+fn coverage_is_invisible_over_the_preload_set_free_intra_cluster() {
+    preload_set_under(2);
 }

@@ -153,6 +153,23 @@ impl CostModel<Phoneme> for DenseSubstCost {
     }
 }
 
+/// The same model over raw inventory ids: a row of a flat phoneme column
+/// goes to the DP as it lies.
+impl CostModel<u8> for DenseSubstCost {
+    fn ins(&self, _t: &u8) -> f64 {
+        1.0
+    }
+
+    fn del(&self, _t: &u8) -> f64 {
+        1.0
+    }
+
+    #[inline]
+    fn sub(&self, a: &u8, b: &u8) -> f64 {
+        self.sub[*a as usize * self.n + *b as usize]
+    }
+}
+
 #[cfg(test)]
 mod dense_cost_tests {
     use super::*;
@@ -175,7 +192,7 @@ mod dense_cost_tests {
                 }
             }
             assert_eq!(dense.ins(&Inventory::iter().next().unwrap()), 1.0);
-            assert_eq!(dense.min_indel(), 1.0);
+            assert_eq!(CostModel::<Phoneme>::min_indel(&dense), 1.0);
         }
     }
 }

@@ -61,6 +61,7 @@ pub mod cost;
 pub mod operator;
 pub mod phonidx;
 pub mod qgram_plan;
+pub mod rows;
 pub mod store;
 pub mod udf;
 pub mod verify;
@@ -70,10 +71,7 @@ pub use cost::{ClusteredPhonemeCost, DenseSubstCost, FeaturePhonemeCost};
 pub use operator::{LexEqual, Outcome};
 pub use phonidx::PhoneticIndex;
 pub use qgram_plan::{QgramFilter, QgramMode};
-pub use store::{
-    BuildSpec, NameStore, PathIndex, PhonemeColumn, RowChunk, SearchMethod, SharedEntry,
-    SharedEntryError,
-};
+pub use store::{BuildSpec, NameStore, PathIndex, PhonemeColumn, RowChunk, SearchMethod};
 pub use verify::{
     BatchCounters, BatchVerifier, Lane, PreparedQuery, ScreenCounters, Verifier, MAX_LANES,
 };

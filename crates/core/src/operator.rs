@@ -145,8 +145,18 @@ impl LexEqual {
     /// the per-string form of the paper's grouped phoneme string
     /// identifier, used by the kernel's fast-reject screen.
     pub fn cluster_ids(&self, s: &PhonemeString) -> Vec<u8> {
+        self.cluster_ids_of(s.id_bytes()).collect()
+    }
+
+    /// [`cluster_ids`](Self::cluster_ids) of a string given as its raw
+    /// inventory ids, one at a time.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics at an id outside the inventory.
+    pub fn cluster_ids_of<'a>(&'a self, ids: &'a [u8]) -> impl Iterator<Item = u8> + 'a {
         let clusters = self.cost.clusters();
-        s.iter().map(|p| clusters.cluster_of(*p).0).collect()
+        ids.iter().map(|&id| clusters.cluster_of_id(id).0)
     }
 
     /// Preprocess a query for the verification kernel: cluster-id vector

@@ -19,12 +19,15 @@
 use crate::operator::LexEqual;
 use crate::verify::Verifier;
 use lexequal_phoneme::{ClusterTable, PhonemeString};
-use std::collections::HashMap;
 
-/// The phonetic index: grouped-phoneme-string-identifier → string ids.
+/// The phonetic index: grouped-phoneme-string-identifier → string ids, as
+/// the paper's B-tree keeps it — sorted. Two parallel arrays, twelve bytes
+/// a string, nothing allocated per key.
 pub struct PhoneticIndex {
-    map: HashMap<i64, Vec<u32>>,
-    entries: usize,
+    /// Every string's identifier, ascending; equal identifiers by id.
+    keys: Vec<i64>,
+    /// `ids[i]` is the string `keys[i]` belongs to.
+    ids: Vec<u32>,
 }
 
 /// Compute the grouped phoneme string identifier as a database-friendly
@@ -57,51 +60,65 @@ impl PhoneticIndex {
         n: usize,
         row: impl Fn(usize) -> &'a [u8],
     ) -> Self {
-        let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
-        for id in 0..n {
-            map.entry(grouped_id_of_ids(clusters, row(id)))
-                .or_default()
-                .push(id as u32);
+        let mut pairs: Vec<(i64, u32)> = (0..n)
+            .map(|id| (grouped_id_of_ids(clusters, row(id)), id as u32))
+            .collect();
+        pairs.sort_unstable();
+        PhoneticIndex {
+            keys: pairs.iter().map(|&(key, _)| key).collect(),
+            ids: pairs.iter().map(|&(_, id)| id).collect(),
         }
-        PhoneticIndex { map, entries: n }
     }
 
     /// Number of strings indexed.
     pub fn len(&self) -> usize {
-        self.entries
+        self.ids.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.ids.is_empty()
     }
 
     /// Number of distinct grouped identifiers (index selectivity).
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.keys.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!self.is_empty())
     }
 
-    /// Candidate ids whose grouped identifier equals the query's.
+    /// Bytes the index's arrays hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<i64>()
+            + self.ids.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Candidate ids whose grouped identifier equals the query's,
+    /// ascending.
     pub fn candidates(&self, clusters: &ClusterTable, query: &PhonemeString) -> Vec<u32> {
-        self.candidates_with_tail(clusters, query, &[])
+        self.candidates_with_tail(clusters, query, self.len(), |_| &[])
     }
 
-    /// [`candidates`](Self::candidates) over a corpus that has grown past
-    /// the index: `tail` holds the rows appended since the build (ids
-    /// `len()..`), admitted by the same equality the map applies to the
-    /// rows it holds — so the answer is that of an index over every row.
-    pub fn candidates_with_tail(
+    /// [`candidates`](Self::candidates) over a column of `rows` rows that
+    /// has grown past the index: the rows appended since the build (ids
+    /// `len()..rows`, read through `row`) are admitted by the same equality
+    /// the index applies to the rows it holds — so the answer is that of
+    /// an index over every row.
+    pub fn candidates_with_tail<'a>(
         &self,
         clusters: &ClusterTable,
         query: &PhonemeString,
-        tail: &[PhonemeString],
+        rows: usize,
+        row: impl Fn(usize) -> &'a [u8],
     ) -> Vec<u32> {
         let key = grouped_id(clusters, query);
-        let mut out = self.map.get(&key).cloned().unwrap_or_default();
+        // The key's run: found by bisection, ended by walking it — it is
+        // the answer, a couple of ids long.
+        let first = self.keys.partition_point(|&k| k < key);
+        let run = self.keys[first..].iter().take_while(|&&k| k == key).count();
+        let mut out = self.ids[first..first + run].to_vec();
         out.extend(
-            (self.entries as u32..)
-                .zip(tail)
-                .filter_map(|(id, s)| (grouped_id(clusters, s) == key).then_some(id)),
+            (self.len()..rows)
+                .filter(|&id| grouped_id_of_ids(clusters, row(id)) == key)
+                .map(|id| id as u32),
         );
         out
     }

@@ -187,24 +187,32 @@ impl QgramFilter {
         self.lengths.is_empty()
     }
 
+    /// Bytes the index's arrays hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<u64>()
+            + (self.overflow.capacity() + self.lengths.capacity()) * std::mem::size_of::<u32>()
+    }
+
     /// Candidate ids for `query` under clustered distance budget `k`
     /// (absolute, not a fraction), ascending. Applies Length, Position and
     /// Count filters; no verification.
     pub fn candidates(&self, query: &PhonemeString, k: f64, operator: &LexEqual) -> Vec<u32> {
-        self.candidates_with_tail(query, k, operator, &[])
+        self.candidates_with_tail(query, k, operator, self.len(), |_| &[])
     }
 
-    /// [`candidates`](Self::candidates) over a corpus that has grown past
-    /// the index: `tail` holds the rows appended since the build (ids
-    /// `len()..`), each put to the same three filters pair-wise
-    /// ([`shared_grams`] matches a row's grams the way the posting walk
-    /// does), so the answer is that of an index over every row.
-    pub fn candidates_with_tail(
+    /// [`candidates`](Self::candidates) over a column of `rows` rows that
+    /// has grown past the index: the rows appended since the build (ids
+    /// `len()..rows`, read through `row`) are each put to the same three
+    /// filters pair-wise ([`shared_grams`] matches a row's grams the way
+    /// the posting walk does), so the answer is that of an index over
+    /// every row.
+    pub fn candidates_with_tail<'a>(
         &self,
         query: &PhonemeString,
         k: f64,
         operator: &LexEqual,
-        tail: &[PhonemeString],
+        rows: usize,
+        row: impl Fn(usize) -> &'a [u8],
     ) -> Vec<u32> {
         let qlen = query.len();
         let indexed = self.lengths.len();
@@ -212,16 +220,16 @@ impl QgramFilter {
         // clustered budget k directly in both modes.
         let length_ok = |len: usize| length_filter_passes(len, qlen, k);
         let length_filter_only = || {
-            let mut out = Vec::with_capacity(indexed + tail.len());
+            let mut out = Vec::with_capacity(rows);
             out.extend(
                 (0u32..)
                     .zip(&self.lengths)
                     .filter_map(|(id, &l)| length_ok(l as usize).then_some(id)),
             );
             out.extend(
-                (indexed as u32..)
-                    .zip(tail)
-                    .filter_map(|(id, s)| length_ok(s.len()).then_some(id)),
+                (indexed..rows)
+                    .filter(|&id| length_ok(row(id).len()))
+                    .map(|id| id as u32),
             );
             out
         };
@@ -284,9 +292,9 @@ impl QgramFilter {
         }
         shared.truncate(kept);
         let mut scratch = Vec::new();
-        shared.extend((indexed as u32..).zip(tail).filter_map(|(id, s)| {
-            let common = shared_grams(&grams, s.id_bytes(), self.q, reach, &mut scratch);
-            passes(s.len(), common).then_some(id)
+        shared.extend((indexed..rows).filter_map(|id| {
+            let common = shared_grams(&grams, row(id), self.q, reach, &mut scratch);
+            passes(row(id).len(), common).then_some(id as u32)
         }));
         shared
     }
@@ -680,7 +688,8 @@ mod tests {
                     for query in &c {
                         for k in BUDGETS {
                             assert_eq!(
-                                prefix.candidates_with_tail(query, k, &ops, &c[covered..]),
+                                prefix.candidates_with_tail(query, k, &ops, c.len(), |id| c[id]
+                                    .id_bytes()),
                                 full.candidates(query, k, &ops),
                                 "q={q} {mode:?} k={k} covered={covered} |query|={}",
                                 query.len()

@@ -15,13 +15,14 @@ use crate::config::MatchConfig;
 use crate::operator::LexEqual;
 use crate::phonidx::PhoneticIndex;
 use crate::qgram_plan::{QgramFilter, QgramMode};
+use crate::rows::{Base, Columns, Row, Rows, MAX_FIELD_BYTES};
 use crate::verify::{BatchVerifier, PreparedQuery, Verifier};
 use lexequal_embed::EMBED_DIM;
 use lexequal_g2p::{G2pError, Language};
 use lexequal_matcher::BkTree;
-use lexequal_phoneme::{Bytes, ClusterTable, PhonemeString, SharedBytes};
-use std::fmt;
+use lexequal_phoneme::{ClusterTable, Phoneme, PhonemeString};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// One stored name.
 #[derive(Debug, Clone)]
@@ -34,63 +35,27 @@ pub struct NameEntry {
     pub phonemes: PhonemeString,
 }
 
-/// One name's columns as validated views into a shared allocation —
-/// the unit the memory-mapped snapshot loader feeds to
-/// [`NameStore::push_shared_entry`]. All four views alias the same
-/// owner (the mapping), so adopting an entry is three `Arc` bumps,
-/// never a copy.
-#[derive(Clone)]
-pub struct SharedEntry {
-    /// UTF-8 text bytes.
-    pub text: SharedBytes,
-    /// Language tag.
-    pub language: Language,
-    /// Raw phoneme inventory ids.
-    pub phonemes: SharedBytes,
-    /// Cluster ids, parallel to `phonemes`.
-    pub clusters: SharedBytes,
-    /// Stored phonetic embedding: either [`EMBED_DIM`] bytes, or an
-    /// empty view meaning "not persisted" (v1 images) — the store then
-    /// bypasses the embedding screen for this entry until
-    /// [`NameStore::build_embeddings`] fills it in.
-    pub embed: SharedBytes,
-}
-
-/// Why [`NameStore::push_shared_entry`] refused an entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SharedEntryError {
-    /// The text bytes are not valid UTF-8.
-    TextNotUtf8,
-    /// A phoneme byte is outside the inventory.
-    BadPhonemeId,
-    /// The cluster-id vector disagrees with the configured cost model
-    /// (wrong length or wrong cluster for a phoneme).
-    ClusterMismatch,
-    /// The stored embedding vector disagrees with what the configured
-    /// embedder computes for the entry's phonemes (wrong length or wrong
-    /// bytes; an *empty* vector is legal and means "rebuild later").
-    EmbedMismatch,
-}
-
-impl fmt::Display for SharedEntryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SharedEntryError::TextNotUtf8 => write!(f, "entry text is not valid UTF-8"),
-            SharedEntryError::BadPhonemeId => {
-                write!(f, "entry contains a phoneme id outside the inventory")
-            }
-            SharedEntryError::ClusterMismatch => write!(
-                f,
-                "stored cluster ids disagree with the configured cost model"
-            ),
-            SharedEntryError::EmbedMismatch => {
-                write!(f, "stored embedding disagrees with the configured embedder")
-            }
+impl NameEntry {
+    /// The entry for `text`, which transformed to `phonemes` — unless
+    /// either is longer than [`MAX_FIELD_BYTES`]: a store could hold such
+    /// a row but no snapshot of it could ever be written, so it is refused
+    /// before it is logged or applied.
+    pub fn new(
+        text: String,
+        language: Language,
+        phonemes: PhonemeString,
+    ) -> Result<Self, G2pError> {
+        let (bytes, limit) = (text.len().max(phonemes.len()), MAX_FIELD_BYTES);
+        if bytes > limit {
+            return Err(G2pError::TooLong { bytes, limit });
         }
+        Ok(NameEntry {
+            text,
+            language,
+            phonemes,
+        })
     }
 }
-
-impl std::error::Error for SharedEntryError {}
 
 /// The phoneme-id strings of consecutive rows, back to back in one buffer:
 /// what a cover copies a store's prefix into ([`NameStore::read_phonemes`])
@@ -144,13 +109,13 @@ impl PhonemeColumn {
 }
 
 /// A run of consecutive rows copied out of a [`NameStore`] as a few flat
-/// buffers (see [`NameStore::read_rows`]): no per-row `String` or
-/// [`PhonemeString`], and refilling a chunk reuses its allocations.
+/// buffers (see [`NameStore::read_rows`]): nothing allocated per row, and
+/// refilling a chunk reuses its allocations.
 #[derive(Debug, Default)]
 pub struct RowChunk {
     languages: Vec<Language>,
     /// All texts back to back; row `i` ends at `text_ends[i]`.
-    texts: String,
+    texts: Vec<u8>,
     text_ends: Vec<usize>,
     phonemes: PhonemeColumn,
 }
@@ -166,12 +131,14 @@ impl RowChunk {
         self.languages.is_empty()
     }
 
-    /// Row `i` as `(text, language, phoneme inventory ids)`.
+    /// Row `i` as `(text, language, phoneme inventory ids)` — the text as
+    /// its bytes (UTF-8, as every stored name is: an image writer copies
+    /// them as they are, nothing on that path re-validates them).
     ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    pub fn row(&self, i: usize) -> (&str, Language, &[u8]) {
+    pub fn row(&self, i: usize) -> (&[u8], Language, &[u8]) {
         let start = if i == 0 { 0 } else { self.text_ends[i - 1] };
         (
             &self.texts[start..self.text_ends[i]],
@@ -185,26 +152,6 @@ impl RowChunk {
         self.texts.clear();
         self.text_ends.clear();
         self.phonemes.clear();
-    }
-}
-
-/// Entry text: an owned string for wire-`ADD`ed names, a borrowed
-/// UTF-8-validated view for mmap-loaded corpora.
-enum StoredText {
-    Owned(String),
-    /// Invariant: the viewed bytes are valid UTF-8 (checked at
-    /// construction in [`NameStore::push_shared_entry`]).
-    Shared(SharedBytes),
-}
-
-impl StoredText {
-    fn as_str(&self) -> &str {
-        match self {
-            StoredText::Owned(s) => s,
-            // SAFETY: UTF-8 validity was checked when the view was
-            // adopted, and the shared allocation is immutable.
-            StoredText::Shared(b) => unsafe { std::str::from_utf8_unchecked(b.as_slice()) },
-        }
     }
 }
 
@@ -336,10 +283,10 @@ const RECOVER_FLOOR: usize = 4096;
 
 /// A searchable multiscript name collection.
 ///
-/// Storage is column-oriented (texts, languages, phoneme strings,
-/// cluster-id vectors in parallel arrays), and every column is
-/// borrowed-or-owned: wire-`ADD`ed rows own their buffers, rows loaded
-/// from a memory-mapped snapshot are views into the mapping.
+/// The rows are flat columns ([`crate::rows`]): an optional immutable base
+/// read in place out of a snapshot image, and an owned tail every append
+/// goes to. Everything that reads a row reads it through
+/// [`rows`](Self::rows), so no answer depends on which segment holds it.
 ///
 /// An access path is *declared* ([`declare`](Self::declare), or any
 /// `build_*`) and from then on answers every search exactly: its index
@@ -351,36 +298,44 @@ const RECOVER_FLOOR: usize = 4096;
 /// built elsewhere) only makes a path fast.
 pub struct NameStore {
     operator: LexEqual,
-    texts: Vec<StoredText>,
-    languages: Vec<Language>,
-    phonemes: Vec<PhonemeString>,
-    /// Per-string cluster-id vectors, parallel to `phonemes` — feeds the
-    /// verification kernel's fast-reject screen without per-pair lookups.
-    cluster_ids: Vec<Bytes>,
-    /// Per-string phonetic embeddings, parallel to `phonemes`: either
-    /// [`EMBED_DIM`] bytes, or empty for "not yet built" (entries adopted
-    /// from a v1 snapshot image) — the embedding screen bypasses empty
-    /// rows until [`build_embeddings`](Self::build_embeddings) fills them.
-    embeds: Vec<Bytes>,
-    /// The declared paths' indices, each over a prefix of `phonemes`.
+    columns: Columns,
+    /// The declared paths' indices, each over a prefix of the rows.
     qgram: Option<QgramFilter>,
     phonidx: Option<PhoneticIndex>,
     bktree: Option<BkTree>,
+    /// Row-shaped copies of three columns for the `#[doc(hidden)]`
+    /// benchmark views below; never filled on a serving path.
+    views: OnceLock<RowViews>,
+}
+
+#[derive(Default)]
+struct RowViews {
+    phonemes: Vec<PhonemeString>,
+    clusters: Vec<Vec<u8>>,
+    embeds: Vec<[u8; EMBED_DIM]>,
 }
 
 impl NameStore {
     /// Create an empty store with the given configuration.
     pub fn new(config: MatchConfig) -> Self {
+        Self::over(config, Columns::default())
+    }
+
+    /// Create a store whose first rows are `base`'s, read where they lie.
+    /// The caller vouches for them: cluster ids and embeddings must be
+    /// what `config` computes for the phonemes (the image loader checks).
+    pub fn with_base(config: MatchConfig, base: Base) -> Self {
+        Self::over(config, Columns::with_base(base))
+    }
+
+    fn over(config: MatchConfig, columns: Columns) -> Self {
         NameStore {
             operator: LexEqual::new(config),
-            texts: Vec::new(),
-            languages: Vec::new(),
-            phonemes: Vec::new(),
-            cluster_ids: Vec::new(),
-            embeds: Vec::new(),
+            columns,
             qgram: None,
             phonidx: None,
             bktree: None,
+            views: OnceLock::new(),
         }
     }
 
@@ -391,36 +346,36 @@ impl NameStore {
 
     /// Number of stored names.
     pub fn len(&self) -> usize {
-        self.texts.len()
+        self.columns.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.texts.is_empty()
+        self.len() == 0
     }
 
-    /// Entry by id, materialized (the store no longer keeps row-shaped
-    /// entries; mmap-backed rows borrow their bytes from the mapping).
+    /// The rows, resolved for reading: `rows().row(i)` is row `i` as
+    /// `(text, language, phonemes, clusters, embed)`, in place.
+    pub fn rows(&self) -> Rows<'_> {
+        self.columns.rows()
+    }
+
+    fn row(&self, id: u32) -> Option<Row<'_>> {
+        ((id as usize) < self.len()).then(|| self.rows().row(id as usize))
+    }
+
+    /// Entry by id, materialized.
     pub fn get(&self, id: u32) -> Option<NameEntry> {
-        let i = id as usize;
-        if i >= self.texts.len() {
-            return None;
-        }
-        Some(NameEntry {
-            text: self.texts[i].as_str().to_owned(),
-            language: self.languages[i],
-            phonemes: self.phonemes[i].clone(),
+        self.row(id).map(|row| NameEntry {
+            text: row.text().to_owned(),
+            language: row.language,
+            phonemes: phoneme_string(row.phonemes),
         })
     }
 
     /// Entry text by id, in place — no materialization.
     pub fn text(&self, id: u32) -> Option<&str> {
-        self.texts.get(id as usize).map(StoredText::as_str)
-    }
-
-    /// Entry language by id.
-    pub fn language(&self, id: u32) -> Option<Language> {
-        self.languages.get(id as usize).copied()
+        self.row(id).map(|row| row.text())
     }
 
     /// Insert a name; returns its id.
@@ -430,8 +385,8 @@ impl NameStore {
 
     /// Bulk-load names; returns the contiguous id range assigned.
     ///
-    /// All rows are transformed *first*, so a G2P failure on any row
-    /// leaves the store unchanged.
+    /// All rows are transformed *first*, so a G2P failure on any row — or
+    /// one too long to store — leaves the store unchanged.
     pub fn extend(
         &mut self,
         rows: impl IntoIterator<Item = (String, Language)>,
@@ -439,11 +394,8 @@ impl NameStore {
         let entries = rows
             .into_iter()
             .map(|(text, language)| {
-                Ok(NameEntry {
-                    phonemes: self.operator.transform(&text, language)?,
-                    text,
-                    language,
-                })
+                let phonemes = self.operator.transform(&text, language)?;
+                NameEntry::new(text, language, phonemes)
             })
             .collect::<Result<Vec<_>, G2pError>>()?;
         Ok(self.extend_transformed(entries))
@@ -452,136 +404,34 @@ impl NameStore {
     /// Bulk-load pre-transformed entries (the serving layer transforms on
     /// its own threads); returns the contiguous id range assigned.
     pub fn extend_transformed(&mut self, entries: Vec<NameEntry>) -> Range<u32> {
-        let start = self.texts.len() as u32;
+        let start = self.len() as u32;
+        self.views = OnceLock::new();
         // A bulk load sizes the columns once; doubling its way up would
         // leave freed buffers half the columns' size behind in the heap.
-        self.reserve(entries.len());
-        for e in entries {
-            self.cluster_ids
-                .push(Bytes::from(self.operator.cluster_ids(&e.phonemes)));
-            self.embeds
-                .push(Bytes::from(self.operator.embed_for(&e.phonemes).to_vec()));
-            self.phonemes.push(e.phonemes);
-            self.languages.push(e.language);
-            self.texts.push(StoredText::Owned(e.text));
-        }
-        start..self.texts.len() as u32
-    }
-
-    /// Adopt one validated entry whose columns are views into a shared
-    /// allocation (the mmap-load fast path: three `Arc` bumps per row,
-    /// no per-entry heap allocation).
-    ///
-    /// Every view is re-validated here so the zero-copy invariants
-    /// never depend on the caller: text must be UTF-8, phoneme bytes
-    /// must be inventory ids, and the cluster ids must be exactly what
-    /// the configured cost model assigns to those phonemes.
-    pub fn push_shared_entry(&mut self, entry: SharedEntry) -> Result<u32, SharedEntryError> {
-        let SharedEntry {
-            text,
-            language,
-            phonemes,
-            clusters,
-            embed,
-        } = entry;
-        if std::str::from_utf8(text.as_slice()).is_err() {
-            return Err(SharedEntryError::TextNotUtf8);
-        }
-        let phonemes =
-            PhonemeString::from_shared(phonemes).map_err(|_| SharedEntryError::BadPhonemeId)?;
-        if clusters.len() != phonemes.len() {
-            return Err(SharedEntryError::ClusterMismatch);
-        }
-        let table = self.operator.cost_model().clusters();
-        let agree = phonemes
-            .as_slice()
+        let (texts, phonemes) = entries
             .iter()
-            .zip(clusters.as_slice())
-            .all(|(&p, &c)| table.cluster_of(p).0 == c);
-        if !agree {
-            return Err(SharedEntryError::ClusterMismatch);
+            .fold((0, 0), |(t, p), e| (t + e.text.len(), p + e.phonemes.len()));
+        self.columns.reserve(entries.len(), texts, phonemes);
+        for e in &entries {
+            let ids = e.phonemes.id_bytes();
+            let embed = self.operator.embedder().embed_ids(ids);
+            let clusters = self.operator.cluster_ids_of(ids);
+            self.columns
+                .push(&e.text, e.language, ids, clusters, &embed);
         }
-        match embed.len() {
-            // Empty means "not persisted" (v1 image); the screen bypasses
-            // the row until `build_embeddings` fills it.
-            0 => {}
-            EMBED_DIM => {
-                let expect = self.operator.embedder().embed_ids(phonemes.id_bytes());
-                if embed.as_slice() != expect {
-                    return Err(SharedEntryError::EmbedMismatch);
-                }
-            }
-            _ => return Err(SharedEntryError::EmbedMismatch),
-        }
-        let id = self.texts.len() as u32;
-        self.cluster_ids.push(Bytes::Shared(clusters));
-        self.embeds.push(Bytes::Shared(embed));
-        self.phonemes.push(phonemes);
-        self.languages.push(language);
-        self.texts.push(StoredText::Shared(text));
-        Ok(id)
+        start..self.len() as u32
     }
 
-    /// Pre-size the column vectors for `additional` more entries —
-    /// bulk import paths know the count up front, so growth reallocs
-    /// (and their copies) are wasted work.
-    pub fn reserve(&mut self, additional: usize) {
-        self.texts.reserve(additional);
-        self.languages.reserve(additional);
-        self.phonemes.reserve(additional);
-        self.cluster_ids.reserve(additional);
-        self.embeds.reserve(additional);
-    }
-
-    /// [`push_shared_entry`](Self::push_shared_entry) for entries a
-    /// loader has already validated arena-wide (the mmap snapshot
-    /// loader checks UTF-8, phoneme ids and cluster agreement over the
-    /// whole file before striping) — re-validating 20K entries per
-    /// shard would double the cold-start cost for nothing. Debug builds
-    /// still assert the invariants; an unvalidated entry here corrupts
-    /// answers, not memory (every downstream read is bounds-checked).
-    #[doc(hidden)]
-    pub fn push_shared_entry_prevalidated(&mut self, entry: SharedEntry) -> u32 {
-        debug_assert!(std::str::from_utf8(entry.text.as_slice()).is_ok());
-        debug_assert_eq!(entry.clusters.len(), entry.phonemes.len());
-        debug_assert!(entry.embed.is_empty() || entry.embed.len() == EMBED_DIM);
-        let SharedEntry {
-            text,
-            language,
-            phonemes,
-            clusters,
-            embed,
-        } = entry;
-        let phonemes = PhonemeString::from_shared_prevalidated(phonemes);
-        let id = self.texts.len() as u32;
-        self.cluster_ids.push(Bytes::Shared(clusters));
-        self.embeds.push(Bytes::Shared(embed));
-        self.phonemes.push(phonemes);
-        self.languages.push(language);
-        self.texts.push(StoredText::Shared(text));
-        id
-    }
-
-    /// Fill in the embedding for every row that lacks one (rows adopted
-    /// from a v1 snapshot image arrive with empty embed views). Returns
-    /// how many rows were filled; idempotent.
-    ///
-    /// Embeddings only feed the conservative screen, never candidate
-    /// generation: rows simply stop being screen-bypassed.
-    pub fn build_embeddings(&mut self) -> usize {
-        let mut filled = 0usize;
-        for (i, e) in self.embeds.iter_mut().enumerate() {
-            if e.len() != EMBED_DIM {
-                *e = Bytes::from(self.operator.embed_for(&self.phonemes[i]).to_vec());
-                filled += 1;
-            }
-        }
-        filled
-    }
-
-    /// How many rows still lack an embedding (empty embed view).
-    pub fn pending_embeddings(&self) -> usize {
-        self.embeds.iter().filter(|e| e.len() != EMBED_DIM).count()
+    /// `[owned column bytes, base image bytes in use, index bytes]`: what
+    /// the rows cost this store — the arenas and offsets it allocated (by
+    /// capacity), the image bytes its base rows occupy, and the declared
+    /// paths' index arrays. Exact for a given history of loads and covers.
+    pub fn memory(&self) -> [usize; 3] {
+        let indices = self.qgram.as_ref().map_or(0, QgramFilter::heap_bytes)
+            + self.phonidx.as_ref().map_or(0, PhoneticIndex::heap_bytes)
+            + self.bktree.as_ref().map_or(0, BkTree::heap_bytes);
+        let columns = &self.columns;
+        [columns.owned_bytes(), columns.mapped_bytes(), indices]
     }
 
     /// Whether `method` can serve a [`search`](Self::search): its path has
@@ -653,8 +503,9 @@ impl NameStore {
     /// Declare `spec`'s path and cover every row, here and now.
     pub fn build(&mut self, spec: BuildSpec) {
         if !self.paths().any(|path| path == (spec, self.len())) {
-            let row = |id: usize| self.phonemes[id].id_bytes();
-            self.put(PathIndex::build(spec, self.clusters(), self.len(), row));
+            let rows = self.rows();
+            let row = |id: usize| rows.row(id).phonemes;
+            self.put(PathIndex::build(spec, self.clusters(), rows.len(), row));
         }
     }
 
@@ -685,6 +536,8 @@ impl NameStore {
     /// Panics if the path was never declared.
     fn candidates(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> Option<Vec<u32>> {
         let undeclared = || -> ! { panic!("the {method:?} access path was never declared") };
+        let rows = self.rows();
+        let row = |id: usize| rows.row(id).phonemes;
         match method {
             SearchMethod::Scan => None,
             SearchMethod::Qgram => {
@@ -693,20 +546,18 @@ impl NameStore {
                 // Filter with the largest possible budget (e · |q|) to
                 // stay conservative; each is verified with its own.
                 let k_max = e * q.len() as f64;
-                let tail = &self.phonemes[f.len()..];
-                Some(f.candidates_with_tail(q, k_max, &self.operator, tail))
+                Some(f.candidates_with_tail(q, k_max, &self.operator, rows.len(), row))
             }
             SearchMethod::PhoneticIndex => {
                 let idx = self.phonidx.as_ref().unwrap_or_else(|| undeclared());
-                let tail = &self.phonemes[idx.len()..];
-                Some(idx.candidates_with_tail(self.clusters(), q, tail))
+                Some(idx.candidates_with_tail(self.clusters(), q, rows.len(), row))
             }
             SearchMethod::BkTree => {
                 let t = self.bktree.as_ref().unwrap_or_else(|| undeclared());
                 let radius = e * q.len() as f64 / self.operator.min_nonzero_cost()?;
-                let key = |id: u32| self.phonemes[id as usize].id_bytes();
-                let rows = self.phonemes.len() as u32;
-                let hits = t.range_through(key, q.id_bytes(), radius.floor() as u32, rows);
+                let key = |id: u32| row(id as usize);
+                let through = rows.len() as u32;
+                let hits = t.range_through(key, q.id_bytes(), radius.floor() as u32, through);
                 Some(hits.into_iter().map(|(id, _)| id).collect())
             }
         }
@@ -745,11 +596,11 @@ impl NameStore {
         verifier: &mut Verifier,
     ) -> SearchResult {
         let prepared = self.operator.prepare_query(q);
+        let rows = self.rows();
         let mut matches = |id: &u32| {
-            let i = *id as usize;
-            let cc = Some(self.cluster_ids[i].as_slice());
-            let ce = Some(self.embeds[i].as_slice());
-            verifier.matches(&self.operator, &prepared, &self.phonemes[i], cc, ce, e)
+            let row = rows.row(*id as usize);
+            let (cc, ce) = (Some(row.clusters), Some(&row.embed[..]));
+            verifier.matches_ids(&self.operator, &prepared, row.phonemes, cc, ce, e)
         };
         match self.candidates(q, e, method) {
             None => SearchResult {
@@ -767,7 +618,7 @@ impl NameStore {
 
     /// [`search_phonemes_with`](Self::search_phonemes_with) through the
     /// batched kernel: the access path produces candidate ids as before,
-    /// and one [`BatchVerifier::verify_ids`] call disposes of them in
+    /// and one [`BatchVerifier::verify_rows`] call disposes of them in
     /// width-sized interleaved steps. Hits and verification counts are
     /// bit-for-bit identical to the pair-at-a-time form on every method
     /// (the shard workers serve through this form).
@@ -781,10 +632,7 @@ impl NameStore {
         let prepared = self.operator.prepare_query(q);
         let mut ids = Vec::new();
         let verifications = match self.candidates(q, e, method) {
-            None => {
-                let all = 0..self.phonemes.len() as u32;
-                self.verify_ids(verifier, &prepared, all, e, &mut ids)
-            }
+            None => self.verify_ids(verifier, &prepared, 0..self.len() as u32, e, &mut ids),
             Some(candidates) => self.verify_ids(verifier, &prepared, candidates, e, &mut ids),
         };
         // Only the BK-tree walk yields ids out of order.
@@ -800,25 +648,22 @@ impl NameStore {
         e: f64,
         hits: &mut Vec<u32>,
     ) -> usize {
-        verifier.verify_ids(
-            &self.operator,
-            query,
-            &self.phonemes,
-            Some(&self.cluster_ids),
-            Some(&self.embeds),
-            candidates,
-            e,
-            hits,
-        )
+        let rows = self.rows();
+        let lane = |id: u32| {
+            let row = rows.row(id as usize);
+            (row.phonemes, Some(row.clusters), Some(row.embed))
+        };
+        verifier.verify_rows(&self.operator, query, lane, candidates, e, hits)
     }
 
     /// `(text bytes, phoneme bytes)` held by rows `0..rows` — the
     /// lengths-only pass a streaming snapshot writer lays its arenas out
     /// from before it copies a single row.
     pub fn prefix_bytes(&self, rows: usize) -> (usize, usize) {
-        let texts = self.texts[..rows].iter().map(|t| t.as_str().len()).sum();
-        let phonemes = self.phonemes[..rows].iter().map(PhonemeString::len).sum();
-        (texts, phonemes)
+        let all = self.rows();
+        (0..rows).map(|i| all.row(i)).fold((0, 0), |(t, p), row| {
+            (t + row.text_bytes().len(), p + row.phonemes.len())
+        })
     }
 
     /// Copy rows `rows` into `out`'s flat buffers, replacing what it
@@ -827,39 +672,68 @@ impl NameStore {
     /// range copies a whole store without a per-row allocation.
     pub fn read_rows(&self, rows: Range<usize>, out: &mut RowChunk) {
         out.clear();
-        for i in rows {
-            out.languages.push(self.languages[i]);
-            out.texts.push_str(self.texts[i].as_str());
+        let all = self.rows();
+        for row in rows.map(|i| all.row(i)) {
+            out.languages.push(row.language);
+            out.texts.extend_from_slice(row.text_bytes());
             out.text_ends.push(out.texts.len());
-            out.phonemes.push(self.phonemes[i].id_bytes());
+            out.phonemes.push(row.phonemes);
         }
     }
 
     /// Append rows `rows`' phoneme strings to `out` — how a cover copies
     /// the prefix it will index, a chunk of rows a call.
     pub fn read_phonemes(&self, rows: Range<usize>, out: &mut PhonemeColumn) {
-        for p in &self.phonemes[rows] {
-            out.push(p.id_bytes());
+        let all = self.rows();
+        for i in rows {
+            out.push(all.row(i).phonemes);
         }
     }
 
+    /// The three row-shaped views below, copied out of the flat columns on
+    /// first use and dropped by the next append.
+    fn views(&self) -> &RowViews {
+        self.views.get_or_init(|| {
+            let rows = self.rows();
+            let mut views = RowViews::default();
+            for row in (0..rows.len()).map(|i| rows.row(i)) {
+                views.phonemes.push(phoneme_string(row.phonemes));
+                views.clusters.push(row.clusters.to_vec());
+                views.embeds.push(*row.embed);
+            }
+            views
+        })
+    }
+
     /// Per-string cluster-id vectors, parallel to
-    /// [`phoneme_strings`](Self::phoneme_strings).
-    pub fn cluster_id_vectors(&self) -> &[Bytes] {
-        &self.cluster_ids
+    /// [`phoneme_strings`](Self::phoneme_strings): a copy of the column,
+    /// one heap block a row, made on first call — for benchmarks that
+    /// dissect the kernel over row-shaped slices, never for serving.
+    #[doc(hidden)]
+    pub fn cluster_id_vectors(&self) -> &[Vec<u8>] {
+        &self.views().clusters
     }
 
     /// Per-string embedding vectors, parallel to
-    /// [`phoneme_strings`](Self::phoneme_strings) — [`EMBED_DIM`] bytes
-    /// each, or empty where not yet built.
-    pub fn embed_vectors(&self) -> &[Bytes] {
-        &self.embeds
+    /// [`phoneme_strings`](Self::phoneme_strings); a copy, as
+    /// [`cluster_id_vectors`](Self::cluster_id_vectors) is.
+    #[doc(hidden)]
+    pub fn embed_vectors(&self) -> &[[u8; EMBED_DIM]] {
+        &self.views().embeds
     }
 
-    /// The phoneme strings (benchmark access).
+    /// The phoneme strings; a copy, as
+    /// [`cluster_id_vectors`](Self::cluster_id_vectors) is.
+    #[doc(hidden)]
     pub fn phoneme_strings(&self) -> &[PhonemeString] {
-        &self.phonemes
+        &self.views().phonemes
     }
+}
+
+/// A stored row's inventory ids as a [`PhonemeString`].
+fn phoneme_string(ids: &[u8]) -> PhonemeString {
+    let phoneme = |&id| Phoneme::from_id(id).expect("stored phoneme ids are inventory ids");
+    ids.iter().map(phoneme).collect()
 }
 
 #[cfg(test)]
@@ -1016,7 +890,7 @@ mod tests {
                 let e = s.get(id as u32).unwrap();
                 assert_eq!(
                     chunk.row(i),
-                    (&*e.text, e.language, e.phonemes.id_bytes()),
+                    (e.text.as_bytes(), e.language, e.phonemes.id_bytes()),
                     "id {id}"
                 );
             }
@@ -1030,6 +904,102 @@ mod tests {
                 .map(PhonemeString::len)
                 .sum::<usize>()
         );
+    }
+
+    /// A store over a base and a tail reads — entries, row chunks, phoneme
+    /// columns, byte counts, answers — as the tail-only store holding the
+    /// same rows does, wherever a range starts or ends.
+    #[test]
+    fn reads_and_searches_cross_the_base_tail_seam() {
+        let full = store();
+        let mut seed = NameStore::new(MatchConfig::default());
+        seed.extend_transformed((0..4).map(|i| full.get(i).unwrap()).collect());
+        let (image, layout) = crate::rows::tests::image_of(seed.rows());
+        let base = Base::new(image, layout, 1, 0).expect("a framed image");
+        let mut seamed = NameStore::with_base(MatchConfig::default(), base);
+        assert_eq!(seamed.memory()[0], 0, "adopting a base allocates no column");
+        seamed.extend_transformed((4..7).map(|i| full.get(i).unwrap()).collect());
+        let [owned, mapped, _] = seamed.memory();
+        assert!(owned > 0 && mapped > 0 && full.memory()[1] == 0);
+
+        assert_eq!(seamed.len(), 7);
+        for id in 0..8 {
+            let (a, b) = (full.get(id), seamed.get(id));
+            assert_eq!(a.is_some(), id < 7);
+            assert_eq!(
+                a.map(|e| (e.text, e.phonemes)),
+                b.map(|e| (e.text, e.phonemes))
+            );
+            assert_eq!(full.text(id), seamed.text(id));
+        }
+        let (mut want, mut got) = (RowChunk::default(), RowChunk::default());
+        for range in [0..7, 0..4, 2..6, 3..4, 3..5, 4..5, 4..7, 5..5] {
+            full.read_rows(range.clone(), &mut want);
+            seamed.read_rows(range.clone(), &mut got);
+            assert_eq!(got.len(), range.len());
+            for i in 0..range.len() {
+                assert_eq!(got.row(i), want.row(i), "{range:?} row {i}");
+            }
+            let (mut want, mut got) = (PhonemeColumn::default(), PhonemeColumn::default());
+            full.read_phonemes(range.clone(), &mut want);
+            seamed.read_phonemes(range.clone(), &mut got);
+            assert_eq!(got.len(), range.len());
+            for i in 0..range.len() {
+                assert_eq!(got.row(i), want.row(i), "{range:?} phonemes {i}");
+            }
+        }
+        for rows in 0..=7 {
+            assert_eq!(seamed.prefix_bytes(rows), full.prefix_bytes(rows), "{rows}");
+        }
+
+        for (spec, _) in full.coverage() {
+            seamed.declare(spec);
+        }
+        let mut batched = BatchVerifier::new();
+        for covered in [false, true] {
+            for query in ["Nehru", "Nero", "Gandhi", "Krishnan", "Bose"] {
+                let q = full.operator().transform(query, Language::English).unwrap();
+                for method in [
+                    SearchMethod::Scan,
+                    SearchMethod::Qgram,
+                    SearchMethod::PhoneticIndex,
+                    SearchMethod::BkTree,
+                ] {
+                    for e in [0.0, 0.3, 0.45] {
+                        let want = full.search_phonemes(&q, e, method);
+                        let what = format!("{query} {e} {method:?} covered={covered}");
+                        assert_eq!(seamed.search_phonemes(&q, e, method), want, "{what}");
+                        let got = seamed.search_phonemes_batched(&q, e, method, &mut batched);
+                        assert_eq!(got, want, "{what} batched");
+                    }
+                }
+            }
+            for (spec, _) in full.coverage() {
+                seamed.build(spec);
+            }
+        }
+        assert_eq!(seamed.memory()[2], full.memory()[2], "index bytes");
+    }
+
+    #[test]
+    fn a_row_too_long_to_save_is_refused_and_the_batch_with_it() {
+        let mut s = NameStore::new(MatchConfig::default());
+        // `x` is /ks/ (/z/ up front), so n of them are 2n − 1 phonemes:
+        // the text fits the limit, its phonemes do not.
+        let limit = MAX_FIELD_BYTES;
+        let long = "x".repeat(limit / 2 + 2);
+        let err = s.extend([
+            ("Nehru".to_owned(), Language::English),
+            (long.clone(), Language::English),
+        ]);
+        let bytes = limit + 2;
+        assert_eq!(err, Err(G2pError::TooLong { bytes, limit }));
+        assert!(s.is_empty());
+        // At the limit a row is stored, and read back whole.
+        let fits = &long[1..];
+        assert_eq!(s.insert(fits, Language::English), Ok(0));
+        assert_eq!(s.rows().row(0).phonemes.len(), limit);
+        assert_eq!(s.text(0), Some(fits));
     }
 
     #[test]

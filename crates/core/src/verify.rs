@@ -38,10 +38,10 @@ use lexequal_phoneme::PhonemeString;
 /// (re-exported from the matcher's lane-batched Myers module).
 pub const MAX_LANES: usize = lexequal_matcher::MAX_LANES;
 
-/// One batched-verification lane: the candidate plus its optional
-/// cached cluster-id sequence and optional stored embedding (see
+/// One batched-verification lane: the candidate's phoneme ids plus its
+/// optional cached cluster-id sequence and optional stored embedding (see
 /// [`BatchVerifier::matches_lanes`]).
-pub type Lane<'a> = (&'a PhonemeString, Option<&'a [u8]>, Option<&'a [u8]>);
+pub type Lane<'a> = (&'a [u8], Option<&'a [u8]>, Option<&'a [u8; EMBED_DIM]>);
 
 /// A query preprocessed for repeated verification: its cluster-id and
 /// phoneme-id vectors and the two Myers bitmask tables (phoneme ids,
@@ -135,9 +135,9 @@ pub struct ScreenCounters {
     /// Pairs the embedding screen rejected (`scale · l1` provably past
     /// the budget). Each is *also* counted in `fast_reject`.
     pub embed_reject: u64,
-    /// Pairs the enabled screen could not examine because the entry had
-    /// no stored embedding (e.g. freshly loaded from a v1 image, rebuild
-    /// pending) — passed downstream unexamined.
+    /// Pairs the enabled screen could not examine because the caller
+    /// supplied no embedding — passed downstream unexamined. A store's
+    /// rows always carry one, so a served search counts none.
     pub embed_bypass: u64,
 }
 
@@ -197,8 +197,8 @@ impl Verifier {
     ///
     /// `cand_embed`, when provided *and* [`EMBED_DIM`] bytes long, must be
     /// `op.embed_for(cand)` — the embedding screen only ever reads stored
-    /// vectors (it never derives them per pair; a missing or pending
-    /// embedding just counts as `embed_bypass` and flows downstream).
+    /// vectors (it never derives them per pair; a missing embedding just
+    /// counts as `embed_bypass` and flows downstream).
     pub fn matches(
         &mut self,
         op: &LexEqual,
@@ -208,16 +208,30 @@ impl Verifier {
         cand_embed: Option<&[u8]>,
         e: f64,
     ) -> bool {
-        if *cand == query.phonemes {
+        self.matches_ids(op, query, cand.id_bytes(), cand_clusters, cand_embed, e)
+    }
+
+    /// [`matches`](Self::matches) for a candidate given as its raw
+    /// inventory ids — a row of a store's flat phoneme column.
+    pub fn matches_ids(
+        &mut self,
+        op: &LexEqual,
+        query: &PreparedQuery,
+        cand: &[u8],
+        cand_clusters: Option<&[u8]>,
+        cand_embed: Option<&[u8]>,
+        e: f64,
+    ) -> bool {
+        if cand == query.phoneme_ids {
             self.counters.fast_accept += 1;
             return true;
         }
-        let smaller = cand.len().min(query.phonemes.len());
+        let smaller = cand.len().min(query.phoneme_ids.len());
         // Same strict-predicate budget as `matches_phonemes`.
         let k = (e * smaller as f64 - 1e-9).max(1e-12);
         // Length filter (min_indel is 1): mirrors the first check inside
         // `within_distance`, hoisted here so it counts as a fast reject.
-        if cand.len().abs_diff(query.phonemes.len()) as f64 > k {
+        if cand.len().abs_diff(query.phoneme_ids.len()) as f64 > k {
             self.counters.fast_reject += 1;
             return false;
         }
@@ -242,10 +256,9 @@ impl Verifier {
         }
         // Both patterns exist iff 1 ≤ |query| ≤ 64.
         if let (Some(phon), Some(clus)) = (&query.phon_pattern, &query.clus_pattern) {
-            let clusters = op.cost_model().clusters();
             let lev_clus = match cand_clusters {
                 Some(ids) => clus.distance(ids.iter().copied()),
-                None => clus.distance(cand.iter().map(|p| clusters.cluster_of(*p).0)),
+                None => clus.distance(op.cluster_ids_of(cand)),
             };
             // Distance ≥ cluster-id Levenshtein · per-op floor: reject.
             // (The scale is exactly 1.0 for the clustered model, keeping
@@ -255,7 +268,7 @@ impl Verifier {
                 return false;
             }
             // Clustered distance ≤ phoneme Levenshtein: accept.
-            let lev_phon = phon.distance(cand.iter().map(|p| p.id()));
+            let lev_phon = phon.distance(cand.iter().copied());
             if lev_phon as f64 <= k + 1e-12 {
                 self.counters.fast_accept += 1;
                 return true;
@@ -265,8 +278,8 @@ impl Verifier {
         }
         self.counters.full_dp += 1;
         within_distance_scratch(
-            cand.as_slice(),
-            query.phonemes.as_slice(),
+            cand,
+            &query.phoneme_ids,
             k,
             op.dense_cost(),
             &mut self.scratch,
@@ -342,7 +355,7 @@ pub struct BatchVerifier {
     level: SimdLevel,
     /// Per-lane cluster-id buffers (filled only for lanes whose caller
     /// did not supply cached cluster ids); phoneme ids are read in
-    /// place via [`PhonemeString::id_bytes`], no buffer needed.
+    /// place, no buffer needed.
     clus_bufs: Vec<Vec<u8>>,
     /// Screen scratch, kept across calls so each flush skips ~0.5KB of
     /// array zero-inits: per-slot Myers distances, survivor lane
@@ -429,12 +442,12 @@ impl BatchVerifier {
     /// `verdicts[l]` receives the verdict for `lanes[l]`, bit-for-bit
     /// what [`Verifier::matches`] returns for that pair.
     ///
-    /// Each lane is a candidate plus its optional cached cluster-id
-    /// sequence (`op.cluster_ids(cand)`) and optional stored embedding
-    /// (`op.embed_for(cand)`); `None` cluster ids are derived into an
-    /// internal per-lane buffer, while a `None` (or wrong-length)
-    /// embedding just bypasses the embedding screen — embeddings are
-    /// never derived per pair.
+    /// Each lane is a candidate's phoneme ids plus its optional cached
+    /// cluster-id sequence (`op.cluster_ids(cand)`) and optional stored
+    /// embedding (`op.embed_for(cand)`); `None` cluster ids are derived
+    /// into an internal per-lane buffer, while a `None` embedding just
+    /// bypasses the embedding screen — embeddings are never derived per
+    /// pair.
     ///
     /// # Panics
     ///
@@ -461,17 +474,17 @@ impl BatchVerifier {
         let mut pending = [0usize; MAX_LANES];
         let mut n_pending = 0;
         for (l, &(cand, _, _)) in lanes.iter().enumerate() {
-            if *cand == query.phonemes {
+            if cand == query.phoneme_ids {
                 self.counters.fast_accept += 1;
                 self.batch.lane_accept += 1;
                 verdicts[l] = true;
                 continue;
             }
-            let smaller = cand.len().min(query.phonemes.len());
+            let smaller = cand.len().min(query.phoneme_ids.len());
             // Same strict-predicate budget as `matches_phonemes`.
             let k = (e * smaller as f64 - 1e-9).max(1e-12);
             ks[l] = k;
-            if cand.len().abs_diff(query.phonemes.len()) as f64 > k {
+            if cand.len().abs_diff(query.phoneme_ids.len()) as f64 > k {
                 self.counters.fast_reject += 1;
                 self.batch.lane_reject += 1;
                 verdicts[l] = false;
@@ -510,7 +523,7 @@ impl BatchVerifier {
         let pending: &[usize] = if embed_scale > 0.0 {
             let mut n_emb = 0;
             for &l in pending {
-                match lanes[l].2.filter(|v| v.len() == EMBED_DIM) {
+                match lanes[l].2 {
                     Some(emb) => {
                         if embed_scale * l1(emb, &query.embed) as f64 > ks[l] + 1e-6 {
                             self.counters.embed_reject += 1;
@@ -542,13 +555,12 @@ impl BatchVerifier {
         if let (Some(phon), Some(clus)) = (&query.phon_pattern, &query.clus_pattern) {
             // Interleaved cluster screen: one pass advances every
             // pending lane's Myers recurrence in lock-step.
-            let clusters = op.cost_model().clusters();
             for (slot, &l) in pending[..n_pending].iter().enumerate() {
                 let (cand, cached, _) = lanes[l];
                 if cached.is_none() {
                     let buf = &mut self.clus_bufs[slot];
                     buf.clear();
-                    buf.extend(cand.iter().map(|p| clusters.cluster_of(*p).0));
+                    buf.extend(op.cluster_ids_of(cand));
                 }
             }
             let mut texts: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
@@ -579,7 +591,7 @@ impl BatchVerifier {
             // each candidate's phoneme ids in place — no copy.
             let mut texts: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
             for (slot, &l) in self.scr_surv[..n_surv].iter().enumerate() {
-                texts[slot] = lanes[l].0.id_bytes();
+                texts[slot] = lanes[l].0;
             }
             phon.distance_batch(&texts[..n_surv], &mut self.scr_dists, self.level);
             // Clustered distance ≤ phoneme Levenshtein: accept.
@@ -612,7 +624,7 @@ impl BatchVerifier {
             self.counters.full_dp += 1;
             self.batch.lane_dp += 1;
             verdicts[l] = within_distance_dense(
-                lanes[l].0.id_bytes(),
+                lanes[l].0,
                 &query.phoneme_ids,
                 ks[l],
                 dense.matrix(),
@@ -623,9 +635,10 @@ impl BatchVerifier {
         }
     }
 
-    /// Verify corpus entries by id in width-sized batches, appending the
-    /// matching ids to `hits` in input order; returns the number of
-    /// candidates verified.
+    /// Verify rows by id in width-sized batches, appending the matching
+    /// ids to `hits` in input order; returns the number of candidates
+    /// verified. `row(id)` is the candidate as a [`Lane`] — a store hands
+    /// its row accessor in, so the kernel reads each row where it lies.
     ///
     /// Candidates the O(1) pre-screens settle (equality accept, length
     /// filter) are decided inline as the id stream arrives; only the
@@ -635,14 +648,57 @@ impl BatchVerifier {
     /// order: an equality accept (the one inline disposition that emits
     /// a hit) first flushes any pending partial batch, whose lanes all
     /// precede it in the stream.
-    ///
-    /// `cluster_ids`, when provided, must hold `op.cluster_ids` of every
-    /// corpus entry (stores cache these), and `embeds` likewise
-    /// `op.embed_for` of every entry (entries whose stored vector is
-    /// empty or mis-sized bypass the embedding screen). The element
-    /// types are anything byte-sliceable, so owned `Vec<u8>` columns and
-    /// borrowed mmap-backed `Bytes` columns verify through the same
-    /// kernel.
+    pub fn verify_rows<'a>(
+        &mut self,
+        op: &LexEqual,
+        query: &PreparedQuery,
+        row: impl Fn(u32) -> Lane<'a>,
+        ids: impl IntoIterator<Item = u32>,
+        e: f64,
+        hits: &mut Vec<u32>,
+    ) -> usize {
+        let mut lane_ids = [0u32; MAX_LANES];
+        let mut lane_ks = [0.0f64; MAX_LANES];
+        let mut lanes: [Lane<'a>; MAX_LANES] = [(&[], None, None); MAX_LANES];
+        let mut filled = 0;
+        let mut verified = 0;
+        for id in ids {
+            verified += 1;
+            let lane = row(id);
+            let cand = lane.0;
+            if cand == query.phoneme_ids {
+                // Keep hits in input order: everything pending precedes
+                // this id in the stream, so decide it first.
+                self.flush(op, query, &lanes[..filled], &lane_ids, &lane_ks, hits);
+                filled = 0;
+                self.counters.fast_accept += 1;
+                hits.push(id);
+                continue;
+            }
+            let smaller = cand.len().min(query.phoneme_ids.len());
+            // Same strict-predicate budget as `matches_phonemes`.
+            let k = (e * smaller as f64 - 1e-9).max(1e-12);
+            if cand.len().abs_diff(query.phoneme_ids.len()) as f64 > k {
+                self.counters.fast_reject += 1;
+                continue;
+            }
+            (lanes[filled], lane_ids[filled], lane_ks[filled]) = (lane, id, k);
+            filled += 1;
+            if filled == self.width {
+                self.flush(op, query, &lanes[..filled], &lane_ids, &lane_ks, hits);
+                filled = 0;
+            }
+        }
+        self.flush(op, query, &lanes[..filled], &lane_ids, &lane_ks, hits);
+        verified
+    }
+
+    /// [`verify_rows`](Self::verify_rows) over row-shaped slices: `corpus`
+    /// holds the candidates, `cluster_ids` (when provided) `op.cluster_ids`
+    /// of every one and `embeds` `op.embed_for` of every one (an entry
+    /// whose vector is not [`EMBED_DIM`] bytes bypasses the embedding
+    /// screen). A thin adapter for tests and benchmarks that hold their
+    /// corpus as vectors; stores verify through their row accessor.
     #[allow(clippy::too_many_arguments)]
     pub fn verify_ids<I, C, E>(
         &mut self,
@@ -660,78 +716,33 @@ impl BatchVerifier {
         C: AsRef<[u8]>,
         E: AsRef<[u8]>,
     {
-        let mut lane_ids = [0u32; MAX_LANES];
-        let mut lane_ks = [0.0f64; MAX_LANES];
-        let mut filled = 0;
-        let mut verified = 0;
-        for id in ids {
-            verified += 1;
-            let cand = &corpus[id as usize];
-            if *cand == query.phonemes {
-                // Keep hits in input order: everything pending precedes
-                // this id in the stream, so decide it first.
-                if filled > 0 {
-                    let (ids, ks) = (&lane_ids[..filled], &lane_ks);
-                    self.flush_ids(op, query, corpus, cluster_ids, embeds, ids, ks, hits);
-                    filled = 0;
-                }
-                self.counters.fast_accept += 1;
-                hits.push(id);
-                continue;
-            }
-            let smaller = cand.len().min(query.phonemes.len());
-            // Same strict-predicate budget as `matches_phonemes`.
-            let k = (e * smaller as f64 - 1e-9).max(1e-12);
-            if cand.len().abs_diff(query.phonemes.len()) as f64 > k {
-                self.counters.fast_reject += 1;
-                continue;
-            }
-            lane_ids[filled] = id;
-            lane_ks[filled] = k;
-            // The flush pointer-chases this lane's payloads up to
-            // `width` ids from now: start pulling them in behind the
-            // pre-screen, which only reads lengths from the headers.
-            #[cfg(target_arch = "x86_64")]
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(cand.id_bytes().as_ptr().cast(), _MM_HINT_T0);
-                if let Some(c) = cluster_ids {
-                    _mm_prefetch(c[id as usize].as_ref().as_ptr().cast(), _MM_HINT_T0);
-                }
-                if let Some(em) = embeds {
-                    _mm_prefetch(em[id as usize].as_ref().as_ptr().cast(), _MM_HINT_T0);
-                }
-            }
-            filled += 1;
-            if filled == self.width {
-                let (ids, ks) = (&lane_ids[..filled], &lane_ks);
-                self.flush_ids(op, query, corpus, cluster_ids, embeds, ids, ks, hits);
-                filled = 0;
-            }
-        }
-        if filled > 0 {
-            let (ids, ks) = (&lane_ids[..filled], &lane_ks);
-            self.flush_ids(op, query, corpus, cluster_ids, embeds, ids, ks, hits);
-        }
-        verified
+        let row = |id: u32| -> Lane<'_> {
+            let i = id as usize;
+            (
+                corpus[i].id_bytes(),
+                cluster_ids.map(|c| c[i].as_ref()),
+                embeds.and_then(|em| em[i].as_ref().try_into().ok()),
+            )
+        };
+        self.verify_rows(op, query, row, ids, e, hits)
     }
 
-    /// Flush one batch of pre-screened ids (each with its precomputed
-    /// budget in `ks`) through the interleaved screens, pushing matches
-    /// onto `hits` in id order.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_ids<C: AsRef<[u8]>, E: AsRef<[u8]>>(
+    /// Flush one batch of pre-screened lanes (lane `l` is id `ids[l]` with
+    /// its precomputed budget `ks[l]`) through the interleaved screens,
+    /// pushing matches onto `hits` in lane order.
+    fn flush(
         &mut self,
         op: &LexEqual,
         query: &PreparedQuery,
-        corpus: &[PhonemeString],
-        cluster_ids: Option<&[C]>,
-        embeds: Option<&[E]>,
-        ids: &[u32],
+        lanes: &[Lane<'_>],
+        ids: &[u32; MAX_LANES],
         ks: &[f64; MAX_LANES],
         hits: &mut Vec<u32>,
     ) {
-        let n = ids.len();
+        let n = lanes.len();
+        if n == 0 {
+            return;
+        }
         self.batch.calls += 1;
         self.batch.lanes_sum += n as u64;
         self.batch.lanes_max = self.batch.lanes_max.max(n as u64);
@@ -745,21 +756,9 @@ impl BatchVerifier {
             }
             a
         };
-        let mut lanes: [Lane<'_>; MAX_LANES] = [(&query.phonemes, None, None); MAX_LANES];
-        for (slot, &id) in ids.iter().enumerate() {
-            lanes[slot] = (
-                &corpus[id as usize],
-                cluster_ids.map(|c| c[id as usize].as_ref()),
-                embeds.map(|em| em[id as usize].as_ref()),
-            );
-        }
         let mut verdicts = [false; MAX_LANES];
-        self.screen_pending(op, query, &lanes[..n], ks, &IDENT[..n], &mut verdicts);
-        for (slot, &id) in ids.iter().enumerate() {
-            if verdicts[slot] {
-                hits.push(id);
-            }
-        }
+        self.screen_pending(op, query, lanes, ks, &IDENT[..n], &mut verdicts);
+        hits.extend((ids[..n].iter().zip(verdicts)).filter_map(|(&id, hit)| hit.then_some(id)));
     }
 }
 

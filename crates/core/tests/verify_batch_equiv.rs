@@ -47,7 +47,7 @@ fn batched_pairs_equal_scalar_at_every_width_and_backend() {
         let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(intra));
         let strings = corpus(0xba7c_0001 + intra.to_bits(), 32);
         let cached: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
-        let embs: Vec<Vec<u8>> = strings.iter().map(|s| op.embed_for(s).to_vec()).collect();
+        let embs: Vec<_> = strings.iter().map(|s| op.embed_for(s)).collect();
         for q in strings.iter().take(5) {
             let prepared = op.prepare_query(q);
             for e in THRESHOLDS {
@@ -82,9 +82,9 @@ fn batched_pairs_equal_scalar_at_every_width_and_backend() {
                                 .map(|(o, c)| {
                                     let i = chunk_start + o;
                                     (
-                                        c,
+                                        c.id_bytes(),
                                         (i % 2 == 0).then_some(cached[i].as_slice()),
-                                        (i % 2 == 0).then_some(embs[i].as_slice()),
+                                        (i % 2 == 0).then_some(&embs[i]),
                                     )
                                 })
                                 .collect();
@@ -217,7 +217,8 @@ fn long_queries_verify_correctly_through_the_dp_only_path() {
             let want = op.matches_phonemes(c, &long, e);
             assert_eq!(scalar.matches(&op, &prepared, c, None, None, e), want);
             let mut verdict = [false];
-            batch.matches_lanes(&op, &prepared, &[(c, None, None)], e, &mut verdict);
+            let lane = (c.id_bytes(), None, None);
+            batch.matches_lanes(&op, &prepared, &[lane], e, &mut verdict);
             assert_eq!(verdict[0], want);
         }
     }
@@ -320,9 +321,9 @@ fn embed_screen_never_changes_verdicts_under_either_cost_model() {
     }
 }
 
-/// Rows without embeddings (a store grown from a v1 snapshot before the
-/// background fill finishes) are bypassed, never misjudged — and
-/// `build_embeddings` flips them to screened without changing verdicts.
+/// A candidate handed to the scalar kernel without an embedding (an ad-hoc
+/// caller's empty or missing slice; a store's rows always carry one) is
+/// bypassed, never misjudged.
 #[test]
 fn missing_embeddings_bypass_until_built() {
     let op = LexEqual::new(MatchConfig::default());

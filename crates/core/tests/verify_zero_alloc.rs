@@ -16,12 +16,16 @@
 //! flat vectors and one mask table, however many names it indexes — and
 //! the q-gram index's: one key array and one length column per build, a
 //! gram list and a counter column per probe, nothing per gram, per
-//! signature or per candidate.
+//! signature or per candidate — and the store's own: a bulk load grows
+//! each flat column once, adopting an image's rows allocates nothing per
+//! row, the phonetic index is three arrays, and a scan cannot tell a row
+//! read in place in an image from one the store owns.
 
+use lexequal::rows::{Base, EntryRecord, ImageLayout};
 use lexequal::store::NameEntry;
 use lexequal::{
-    BatchVerifier, Language, LexEqual, MatchConfig, NameStore, PreparedQuery, QgramFilter,
-    QgramMode, Verifier, MAX_LANES,
+    BatchVerifier, Language, LexEqual, MatchConfig, NameStore, PhoneticIndex, PreparedQuery,
+    QgramFilter, QgramMode, SearchMethod, Verifier, MAX_LANES,
 };
 use lexequal_phoneme::{Inventory, Phoneme, PhonemeString};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -341,7 +345,7 @@ fn qgram_index_allocates_per_call_not_per_gram() {
         // name, whether the tail holds 10 rows or most of the corpus.
         for k in [vacuous_k, 0.25] {
             let (with_no_tail, allocations) =
-                allocations_in(|| filter.candidates_with_tail(query, k, &op, &[]));
+                allocations_in(|| filter.candidates_with_tail(query, k, &op, n, |_| &[]));
             let (plain, plain_allocations) = allocations_in(|| filter.candidates(query, k, &op));
             assert_eq!(with_no_tail, plain);
             assert_eq!(allocations, plain_allocations, "empty tail at k={k}");
@@ -349,8 +353,9 @@ fn qgram_index_allocates_per_call_not_per_gram() {
         for covered in [n - 10, n / 4] {
             let (prefix, tail) = strings.split_at(covered);
             let short = QgramFilter::build(prefix, 3, QgramMode::Strict);
+            let row = |id: usize| strings[id].id_bytes();
             let (cands, tailed) =
-                allocations_in(|| short.candidates_with_tail(query, 0.25, &op, tail));
+                allocations_in(|| short.candidates_with_tail(query, 0.25, &op, n, row));
             assert_eq!(cands, few, "index over {covered} of {n} names");
             // 72 grams at most a name: seven doublings from empty.
             assert!(
@@ -359,5 +364,120 @@ fn qgram_index_allocates_per_call_not_per_gram() {
                 tail.len()
             );
         }
+    }
+}
+
+/// `n` entries the bit-parallel paths take (1..=64 phonemes), with texts.
+fn entries(n: usize) -> Vec<NameEntry> {
+    let names = corpus(0x0f1a_7c01, 2 * n).into_iter();
+    let names = names.filter(|p| (1..=64).contains(&p.len())).take(n);
+    let entries: Vec<_> = (names.enumerate())
+        .map(|(i, phonemes)| NameEntry {
+            text: format!("name{i}"),
+            language: Language::English,
+            phonemes,
+        })
+        .collect();
+    assert_eq!(entries.len(), n);
+    entries
+}
+
+/// `store`'s rows as one shard's [`Base`] over an image laid out the way
+/// the snapshot writer lays one out: entry table, then the four arenas.
+fn base_of(store: &NameStore) -> Base {
+    let rows = store.rows();
+    let mut columns: [Vec<u8>; 5] = Default::default();
+    let [entries, texts, phonemes, clusters, embeds] = &mut columns;
+    for row in (0..rows.len()).map(|i| rows.row(i)) {
+        let language = Language::ALL.iter().position(|l| *l == row.language);
+        let rec = EntryRecord {
+            text_off: texts.len() as u32,
+            phon_off: phonemes.len() as u32,
+            text_len: row.text().len() as u16,
+            phon_len: row.phonemes.len() as u16,
+            language: language.unwrap() as u8,
+        };
+        entries.extend_from_slice(&rec.encode());
+        texts.extend_from_slice(row.text().as_bytes());
+        phonemes.extend_from_slice(row.phonemes);
+        clusters.extend_from_slice(row.clusters);
+        embeds.extend_from_slice(row.embed);
+    }
+    let mut image = Vec::new();
+    let [entries, texts, phonemes, clusters, embeds] = columns.map(|bytes| {
+        image.extend_from_slice(&bytes);
+        image.len() - bytes.len()..image.len()
+    });
+    let layout = ImageLayout {
+        entries,
+        texts,
+        phonemes,
+        clusters,
+        embeds,
+    };
+    Base::new(std::sync::Arc::new(image), layout, 1, 0).expect("a framed image")
+}
+
+/// Rows are flat columns: loading `n` names grows seven vectors once each,
+/// not four heap objects a name, and adopting an image's rows allocates
+/// nothing that depends on how many there are.
+#[test]
+fn rows_allocate_per_column_not_per_name() {
+    let config = MatchConfig::default;
+    let load = |n: usize| {
+        let (rows, mut store) = (entries(n), NameStore::new(config()));
+        allocations_in(move || {
+            store.extend_transformed(rows);
+            store
+        })
+    };
+    let ((small, loaded_small), (large, loaded_large)) = (load(400), load(800));
+    assert_eq!(
+        loaded_small, loaded_large,
+        "bulk loads of 400 and of 800 names"
+    );
+    assert!(loaded_small <= 7, "{loaded_small} allocations a bulk load");
+
+    let adopt = |store: &NameStore| {
+        let base = base_of(store);
+        allocations_in(|| NameStore::with_base(config(), base))
+    };
+    let ((based_small, adopted_small), (_, adopted_large)) = (adopt(&small), adopt(&large));
+    assert_eq!(adopted_small, adopted_large, "bases of 400 and of 800 rows");
+    // What an empty store's operator costs, and no more.
+    let ((), empty) = allocations_in(|| drop(NameStore::new(config())));
+    assert_eq!(adopted_small, empty);
+
+    // The phonetic index: the sort's scratch and the two arrays it keeps.
+    let clusters = small.operator().cost_model().clusters();
+    for store in [&small, &large] {
+        let rows = store.rows();
+        let row = |id: usize| rows.row(id).phonemes;
+        let (index, built) =
+            allocations_in(|| PhoneticIndex::build_rows(clusters, rows.len(), row));
+        assert_eq!(index.len(), rows.len());
+        assert!(
+            built <= 3,
+            "phonetic index over {} rows: {built}",
+            rows.len()
+        );
+    }
+
+    // A scan over a base and a tail allocates what a scan over owned rows
+    // does: the prepared query and the hit list, nothing per row.
+    let mut seamed = based_small;
+    seamed.extend_transformed(entries(800).split_off(400));
+    let mut verifier = BatchVerifier::new();
+    for q in [0, 399, 400, 799].map(|id| large.get(id).unwrap().phonemes) {
+        let mut scan = |store: &NameStore| {
+            store.search_phonemes_batched(&q, 0.35, SearchMethod::Scan, &mut verifier);
+            allocations_in(|| {
+                store.search_phonemes_batched(&q, 0.35, SearchMethod::Scan, &mut verifier)
+            })
+        };
+        let ((want, owned), (got, over_the_seam)) = (scan(&large), scan(&seamed));
+        assert_eq!(got, want);
+        assert!(!got.ids.is_empty() && got.verifications == 800);
+        assert_eq!(over_the_seam, owned, "scan allocations");
     }
 }

@@ -22,6 +22,14 @@ pub enum G2pError {
     /// (internal invariant violation — converters are tested to never do
     /// this for inputs in their script).
     BadEmission(PhonemeError),
+    /// The text, or the phoneme string it transforms to, is longer than a
+    /// stored name may be.
+    TooLong {
+        /// Bytes the longer of the two takes.
+        bytes: usize,
+        /// Most a stored name's text or phoneme string may take.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for G2pError {
@@ -34,6 +42,10 @@ impl fmt::Display for G2pError {
                 write!(f, "character {ch:?} is not translatable as {language}")
             }
             G2pError::BadEmission(e) => write!(f, "converter emitted invalid IPA: {e}"),
+            G2pError::TooLong { bytes, limit } => write!(
+                f,
+                "name too long: {bytes} bytes of text or phonemes, a stored name holds {limit}"
+            ),
         }
     }
 }

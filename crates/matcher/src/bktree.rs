@@ -115,6 +115,12 @@ impl BkTree {
         self.nodes.is_empty()
     }
 
+    /// Bytes the tree's two vectors hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.edges.capacity() * std::mem::size_of::<Edge>()
+    }
+
     /// The child edges of `node`, newest first.
     fn children(&self, node: u32) -> impl Iterator<Item = Edge> + '_ {
         let mut e = self.nodes[node as usize].first_edge;

@@ -184,6 +184,16 @@ impl ClusterTable {
         self.assignment[p.index()]
     }
 
+    /// [`cluster_of`](Self::cluster_of) a phoneme given as its raw
+    /// inventory id (a byte of a flat phoneme column).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the inventory.
+    pub fn cluster_of_id(&self, id: u8) -> ClusterId {
+        self.assignment[id as usize]
+    }
+
     /// Whether two phonemes are *like phonemes* (same cluster).
     pub fn same_cluster(&self, a: Phoneme, b: Phoneme) -> bool {
         self.cluster_of(a) == self.cluster_of(b)
@@ -231,7 +241,7 @@ impl ClusterTable {
         let base = self.cluster_count as u128 + 1;
         let mut acc: u128 = 0;
         for &id in ids.iter().take(self.packed_prefix_len()) {
-            acc = acc * base + (self.assignment[id as usize].0 as u128 + 1);
+            acc = acc * base + (self.cluster_of_id(id).0 as u128 + 1);
         }
         acc
     }

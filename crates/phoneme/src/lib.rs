@@ -38,7 +38,6 @@
 //! assert_eq!(clusters.cluster_of(n), clusters.cluster_of(m));
 //! ```
 
-pub mod bytes;
 pub mod cluster;
 pub mod error;
 pub mod features;
@@ -47,7 +46,6 @@ pub mod parse;
 pub mod phoneme;
 pub mod string;
 
-pub use bytes::{ByteOwner, Bytes, SharedBytes};
 pub use cluster::{ClusterId, ClusterTable};
 pub use error::PhonemeError;
 pub use features::{Backness, Height, Length, Manner, Place, Roundedness, SegmentKind, Voicing};

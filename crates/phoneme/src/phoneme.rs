@@ -31,9 +31,9 @@ impl Phoneme {
         }
     }
 
-    /// Whether a raw byte is a valid inventory id — the invariant the
-    /// zero-copy [`PhonemeString`](crate::PhonemeString) storage
-    /// enforces on every byte it adopts.
+    /// Whether a raw byte is a valid inventory id — the invariant
+    /// [`PhonemeString`](crate::PhonemeString) keeps for every byte it
+    /// stores, and an image loader checks for every byte it maps.
     #[inline]
     pub fn is_valid_id(id: u8) -> bool {
         (id as usize) < TABLE.len()

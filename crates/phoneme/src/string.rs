@@ -1,6 +1,5 @@
 //! [`PhonemeString`]: the unit of comparison in phoneme space.
 
-use crate::bytes::{Bytes, SharedBytes};
 use crate::error::PhonemeError;
 use crate::parse::parse_ipa;
 use crate::phoneme::Phoneme;
@@ -12,14 +11,13 @@ use std::str::FromStr;
 /// An immutable sequence of phonemes — the phonemic rendering of one proper
 /// name. This is what the LexEQUAL operator actually compares.
 ///
-/// Storage is [`Bytes`]: raw inventory ids, either an owned buffer
-/// (parsed or G2P-produced strings) or a borrowed view into a shared
-/// allocation (entries served straight out of a memory-mapped
-/// snapshot). The invariant that makes [`as_slice`](Self::as_slice)
-/// sound is enforced at every construction site: **every stored byte
-/// is a valid inventory id** (`< Inventory::len()`).
+/// Storage is the raw inventory ids, one byte a segment — a query or a
+/// G2P result; stored rows live in a name store's flat columns, not here.
+/// The invariant that makes [`as_slice`](Self::as_slice) sound is enforced
+/// at every construction site: **every stored byte is a valid inventory
+/// id** (`< Inventory::len()`).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct PhonemeString(Bytes);
+pub struct PhonemeString(Vec<u8>);
 
 impl PhonemeString {
     /// Create from a vector of phonemes.
@@ -33,32 +31,12 @@ impl PhonemeString {
         // `ManuallyDrop` so the allocation has exactly one owner. Every
         // byte is a valid id because it came from a `Phoneme`.
         let bytes = unsafe { Vec::from_raw_parts(ptr.cast::<u8>(), len, cap) };
-        PhonemeString(Bytes::Owned(bytes))
-    }
-
-    /// Create from a borrowed view of raw inventory ids, validating
-    /// every byte. This is the mmap-load path: the returned string
-    /// reads the shared allocation in place, no copy.
-    pub fn from_shared(ids: SharedBytes) -> Result<Self, PhonemeError> {
-        if let Some(&bad) = ids.as_slice().iter().find(|&&b| !Phoneme::is_valid_id(b)) {
-            return Err(PhonemeError::InvalidId(bad));
-        }
-        Ok(PhonemeString(Bytes::Shared(ids)))
-    }
-
-    /// [`from_shared`](Self::from_shared) for bytes a loader already
-    /// validated arena-wide. Debug builds still assert; an invalid id
-    /// smuggled through indexes the inventory out of range later (a
-    /// panic, not UB — `Phoneme` is a plain `u8` wrapper).
-    #[doc(hidden)]
-    pub fn from_shared_prevalidated(ids: SharedBytes) -> Self {
-        debug_assert!(ids.as_slice().iter().all(|&b| Phoneme::is_valid_id(b)));
-        PhonemeString(Bytes::Shared(ids))
+        PhonemeString(bytes)
     }
 
     /// Empty phoneme string.
     pub fn empty() -> Self {
-        PhonemeString(Bytes::default())
+        PhonemeString(Vec::new())
     }
 
     /// Number of segments.
@@ -77,8 +55,8 @@ impl PhonemeString {
         let bytes = self.0.as_slice();
         // SAFETY: `Phoneme` is `#[repr(transparent)]` over `u8`, so the
         // layouts match; every stored byte is a valid inventory id by
-        // the construction invariant (`new` from real `Phoneme`s,
-        // `from_shared`/`push` validated).
+        // the construction invariant (`new` and `push` take real
+        // `Phoneme`s).
         unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<Phoneme>(), bytes.len()) }
     }
 
@@ -101,7 +79,7 @@ impl PhonemeString {
         let mut v = Vec::with_capacity(self.len() + other.len());
         v.extend_from_slice(self.id_bytes());
         v.extend_from_slice(other.id_bytes());
-        PhonemeString(Bytes::Owned(v))
+        PhonemeString(v)
     }
 
     /// Push a single phoneme (used by G2P emitters).
@@ -170,7 +148,6 @@ impl<'a> IntoIterator for &'a PhonemeString {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn parse_display_round_trip() {
@@ -211,22 +188,5 @@ mod tests {
         let a: PhonemeString = "pa".parse().unwrap();
         let b: PhonemeString = "pat".parse().unwrap();
         assert!(a < b, "prefix sorts before extension");
-    }
-
-    #[test]
-    fn shared_face_is_equal_to_owned_face() {
-        let owned: PhonemeString = "neru".parse().unwrap();
-        let owner: Arc<crate::bytes::ByteOwner> = Arc::new(owned.id_bytes().to_vec());
-        let shared = PhonemeString::from_shared(SharedBytes::whole(owner)).unwrap();
-        assert_eq!(owned, shared);
-        assert_eq!(owned.to_string(), shared.to_string());
-        assert_eq!(owned.as_slice(), shared.as_slice());
-    }
-
-    #[test]
-    fn from_shared_rejects_out_of_range_ids() {
-        let owner: Arc<crate::bytes::ByteOwner> = Arc::new(vec![0u8, 255, 0]);
-        let err = PhonemeString::from_shared(SharedBytes::whole(owner)).unwrap_err();
-        assert_eq!(err, PhonemeError::InvalidId(255));
     }
 }

@@ -378,8 +378,8 @@ fn main() -> ExitCode {
     }
 
     let mut candidate = 0usize;
-    let (service, replicator, pending_embeds) = loop {
-        let (service, base_lsn, pending_embeds) = match candidates.get(candidate) {
+    let (service, replicator) = loop {
+        let (service, base_lsn) = match candidates.get(candidate) {
             Some(path) => match load_snapshot_service(path, &match_config, &args) {
                 Ok(v) => v,
                 Err(e) => {
@@ -393,7 +393,7 @@ fn main() -> ExitCode {
         // With --wal this daemon is a primary: recover the tail past the
         // snapshot, then commit every future mutation through the log.
         let Some(path) = &args.wal else {
-            break (service, None, pending_embeds);
+            break (service, None);
         };
         let start = Instant::now();
         let metrics = Arc::new(WalMetrics::default());
@@ -451,7 +451,7 @@ fn main() -> ExitCode {
             wal.head_lsn(),
             start.elapsed(),
         );
-        break (service, Some(Replicator::new(wal, metrics)), pending_embeds);
+        break (service, Some(Replicator::new(wal, metrics)));
     };
 
     // Compaction policy: the checkpoint target is fixed next to the
@@ -465,26 +465,6 @@ fn main() -> ExitCode {
                 .wal_ack_grace
                 .map_or(repl::DEFAULT_ACK_GRACE, Duration::from_secs),
         });
-    }
-
-    // A v1 snapshot image predates the embedding column: serve
-    // immediately (the embedding screen bypasses per missing entry —
-    // results are identical, just without the prefilter speedup) and
-    // backfill in the background. Snapshot saves don't depend on this:
-    // the encoder recomputes embeddings from the phoneme column.
-    if pending_embeds {
-        let service = Arc::clone(&service);
-        std::thread::Builder::new()
-            .name("lexequald-bg-embed".to_owned())
-            .spawn(move || {
-                let start = Instant::now();
-                let n = service.build_embeddings();
-                eprintln!(
-                    "lexequald: {n} phonetic embedding(s) backfilled in background in {:.2?}",
-                    start.elapsed()
-                );
-            })
-            .expect("spawn background embedding backfill");
     }
 
     let save_format = args.snapshot_format.unwrap_or(SnapshotFormat::Mmap);
@@ -644,9 +624,8 @@ fn timed_builds(service: &MatchService, specs: &[BuildSpec]) -> String {
 }
 
 /// One startup recovery candidate, loaded: the serving handle (its
-/// recorded access paths declared), the WAL LSN it covers, and whether
-/// the image predates the embedding column (v1 → backfill needed).
-type LoadedService = (Arc<MatchService>, u64, bool);
+/// recorded access paths declared) and the WAL LSN it covers.
+type LoadedService = (Arc<MatchService>, u64);
 
 /// Restore the store from a snapshot (or checkpoint) file, announcing
 /// how it loaded. Shared by every recovery candidate in `main`.
@@ -678,7 +657,7 @@ fn load_snapshot_service(
             load.load_ms,
         ),
     }
-    Ok((Arc::new(load.service), load.lsn, load.pending_embeds))
+    Ok((Arc::new(load.service), load.lsn))
 }
 
 /// No snapshot and no checkpoint: an empty store (optionally bulk-seeded
@@ -718,7 +697,7 @@ fn fresh_service(match_config: &MatchConfig, args: &Args) -> LoadedService {
             ms_since(start)
         );
     }
-    (service, 0, false)
+    (service, 0)
 }
 
 /// The `--replica-of` daemon: seed from the primary's snapshot stream,

@@ -227,8 +227,8 @@ pub struct ScreenTotals {
     pub embed_accept: AtomicU64,
     /// Pairs the embedding prefilter rejected outright.
     pub embed_reject: AtomicU64,
-    /// Pairs whose candidate had no stored embedding yet (v1 snapshot
-    /// adoption before the background rebuild finishes).
+    /// Pairs whose candidate came without an embedding (no stored row
+    /// does; the key stays for the line's shape and reads 0).
     pub embed_bypass: AtomicU64,
 }
 

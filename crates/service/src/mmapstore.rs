@@ -8,10 +8,10 @@
 //! representation**: all entry data (texts, languages, phoneme strings,
 //! cluster-id vectors) lives in aligned, length-prefixed arenas
 //! addressed by relative offsets. Loading is `mmap` + one validation
-//! pass + striping `Arc`-counted views onto the shards; no parse, no
-//! per-entry heap allocation, no copy. Replica seeding ships these same
-//! bytes verbatim and the replica serves straight out of the transfer
-//! buffer.
+//! pass; each shard then reads its stripe of the rows where they lie
+//! (`lexequal::rows::Base`): no parse, no heap allocation or reference
+//! count a row, no copy. Replica seeding ships these same bytes verbatim
+//! and the replica serves straight out of the transfer buffer.
 //!
 //! # Layout (all integers little-endian)
 //!
@@ -40,14 +40,13 @@
 //!                   phonetic embedding at g·EMBED_DIM (v2 only)
 //! ```
 //!
-//! Version 1 images (section count 5, no embedding arena) still load:
-//! entries come up with empty embedding views, the store reports them
-//! via `pending_embeddings`, and the serving layer backfills with
-//! `build_embeddings` off the critical path — exactly the deferred
-//! treatment access-path rebuilds get. The embedding screen simply
-//! bypasses rows until then, so answers are identical throughout.
+//! Version 1 images (section count 5, no embedding arena; none exists
+//! outside tests) still load, by copy: a fixed-stride column has no
+//! "missing" state, so their rows go to the shards' owned columns, which
+//! compute every embedding as they append. Answers are those of a
+//! version-2 load.
 //!
-//! One entry-table record (16 bytes):
+//! One entry-table record (16 bytes, `lexequal::rows::EntryRecord`):
 //!
 //! ```text
 //! { text_off u32, phon_off u32, text_len u16, phon_len u16,
@@ -87,10 +86,10 @@
 //! a crash (`tests/mmap_corruption.rs` is the battery).
 
 use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS};
-use lexequal::store::SharedEntry;
+use lexequal::rows::{Base, EntryRecord, ImageBytes, ImageLayout};
+use lexequal::store::NameEntry;
 use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode, EMBED_DIM};
 use lexequal_mdb::DbError;
-use lexequal_phoneme::{ByteOwner, SharedBytes};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -112,8 +111,6 @@ const V2_SECTIONS: usize = 6;
 const V1_HEADER_LEN: usize = 40 + BASE_SECTIONS * 24;
 /// Bytes before the first section in a version-2 image.
 const HEADER_LEN: usize = 40 + V2_SECTIONS * 24;
-/// Bytes per entry-table record.
-const ENTRY_RECORD: usize = 16;
 /// Bytes per build-spec record.
 const SPEC_RECORD: usize = 8;
 /// Upper bound on the header's shard count. Each shard is a live worker
@@ -495,7 +492,7 @@ pub fn write_image(
     let (text_bytes, phoneme_bytes) = store.prefix_bytes(cut.rows);
     let mut lens = [0usize; V2_SECTIONS];
     lens[SPECS] = specs.len();
-    lens[ENTRIES] = cut.rows * ENTRY_RECORD;
+    lens[ENTRIES] = cut.rows * EntryRecord::BYTES;
     lens[TEXTS] = text_bytes;
     lens[PHONEMES] = phoneme_bytes;
     lens[CLUSTERS] = phoneme_bytes;
@@ -519,7 +516,7 @@ pub fn write_image(
     let operator = LexEqual::new(store.config().clone());
     let lut = cluster_lut(&operator);
     let chunk_rows = CHUNK_ROWS.min(cut.rows);
-    let mut entries = Vec::with_capacity(chunk_rows * ENTRY_RECORD);
+    let mut entries = Vec::with_capacity(chunk_rows * EntryRecord::BYTES);
     let mut embeds = Vec::with_capacity(chunk_rows * EMBED_DIM);
     let (mut texts, mut phonemes, mut clusters) = (Vec::new(), Vec::new(), Vec::new());
     let (mut text_off, mut phon_off) = (0usize, 0usize);
@@ -535,31 +532,30 @@ pub fn write_image(
             buf.clear();
         }
         for (text, language, phon) in chunk.rows() {
-            let text_off32 =
-                u32::try_from(text_off).map_err(|_| err("text arena exceeds 4 GiB"))?;
-            let phon_off32 =
-                u32::try_from(phon_off).map_err(|_| err("phoneme arena exceeds 4 GiB"))?;
-            let text_len =
-                u16::try_from(text.len()).map_err(|_| err("entry text exceeds format limit"))?;
-            let phon_len = u16::try_from(phon.len())
-                .map_err(|_| err("entry phoneme string exceeds format limit"))?;
-            let lang = Language::ALL
-                .iter()
-                .position(|l| *l == language)
-                .expect("every language is in Language::ALL") as u8;
-            texts.extend_from_slice(text.as_bytes());
+            // Neither length can exceed its field for a row that came in
+            // through `NameEntry::new`, which refuses it against the same
+            // limit (`lexequal::rows::MAX_FIELD_BYTES`).
+            let record = EntryRecord {
+                text_off: u32::try_from(text_off).map_err(|_| err("text arena exceeds 4 GiB"))?,
+                phon_off: u32::try_from(phon_off)
+                    .map_err(|_| err("phoneme arena exceeds 4 GiB"))?,
+                text_len: u16::try_from(text.len())
+                    .map_err(|_| err("entry text exceeds format limit"))?,
+                phon_len: u16::try_from(phon.len())
+                    .map_err(|_| err("entry phoneme string exceeds format limit"))?,
+                language: Language::ALL
+                    .iter()
+                    .position(|l| *l == language)
+                    .expect("every language is in Language::ALL") as u8,
+            };
+            texts.extend_from_slice(text);
             phonemes.extend_from_slice(phon);
             clusters.extend(
                 phon.iter()
                     .map(|&p| lut[p as usize].expect("stored phoneme ids are inventory ids")),
             );
             embeds.extend_from_slice(&operator.embedder().embed_ids(phon));
-            entries.extend_from_slice(&text_off32.to_le_bytes());
-            entries.extend_from_slice(&phon_off32.to_le_bytes());
-            entries.extend_from_slice(&text_len.to_le_bytes());
-            entries.extend_from_slice(&phon_len.to_le_bytes());
-            entries.push(lang);
-            entries.extend_from_slice(&[0u8; 3]);
+            entries.extend_from_slice(&record.encode());
             text_off += text.len();
             phon_off += phon.len();
         }
@@ -710,7 +706,7 @@ pub fn remove_stale_tmp(path: impl AsRef<Path>) -> Vec<PathBuf> {
 
 /// A store loaded zero-copy from a binary snapshot image.
 pub struct LoadedImage {
-    /// The populated store: every entry's columns are views into the
+    /// The populated store: every shard reads its rows in place in the
     /// image (the mapping or the transfer buffer).
     pub store: ShardedStore,
     /// Access paths the image records. The loader declares them on the
@@ -723,11 +719,6 @@ pub struct LoadedImage {
     pub lsn: u64,
     /// Image size in bytes (what was mapped or transferred).
     pub bytes: u64,
-    /// Whether entries came up without persisted embeddings (a v1
-    /// image): the caller should schedule `build_embeddings` the same
-    /// way it schedules deferred access-path rebuilds. Until then the
-    /// embedding screen bypasses every row — answers are unaffected.
-    pub pending_embeds: bool,
 }
 
 /// Little-endian reads over the image, every access bounds-checked so
@@ -875,12 +866,12 @@ pub fn load_file(
     load_owner(config, shards, Arc::new(map))
 }
 
-/// The loader core: validate everything once, then stripe zero-copy
-/// views onto the shards.
+/// The loader core: validate everything once, then hand each shard its
+/// stripe of the image to read in place.
 fn load_owner(
     config: MatchConfig,
     shards: Option<usize>,
-    owner: Arc<ByteOwner>,
+    owner: ImageBytes,
 ) -> Result<LoadedImage, DbError> {
     let image: &[u8] = (*owner).as_ref();
     let bytes = image.len() as u64;
@@ -912,7 +903,7 @@ fn load_owner(
 
     // Entry table shape.
     let expect = entry_count
-        .checked_mul(ENTRY_RECORD)
+        .checked_mul(EntryRecord::BYTES)
         .ok_or_else(|| err("entry count overflow"))?;
     if entries.len != expect {
         return Err(err(format!(
@@ -976,40 +967,20 @@ fn load_owner(
         }
     }
 
-    // Per-entry windows, then stripe zero-copy views shard-by-shard.
-    let store = ShardedStore::new(config, snap_shards);
-    let mut striped: Vec<Vec<SharedEntry>> = (0..snap_shards)
-        .map(|s| {
-            Vec::with_capacity(
-                entry_count / snap_shards + usize::from(s < entry_count % snap_shards),
-            )
-        })
-        .collect();
-    // The entry-table section bounds were validated with its checksum,
-    // so records parse from a fixed slice — `chunks_exact` gives the
-    // optimizer fixed-size windows with no per-field bounds checks.
-    // Whole-arena views made once; per-entry views derive via `slice`
-    // (pointer arithmetic + an `Arc` bump, no dyn dispatch).
-    let text_view = SharedBytes::new(Arc::clone(&owner), texts.off, texts.len)
-        .expect("section bounds validated");
-    let phon_view = SharedBytes::new(Arc::clone(&owner), phonemes.off, phonemes.len)
-        .expect("section bounds validated");
-    let clus_view = SharedBytes::new(Arc::clone(&owner), clusters.off, clusters.len)
-        .expect("section bounds validated");
-    // v1 images have no embedding arena: every entry gets an empty view
-    // (the store treats that as "build later").
-    let embed_view = embed_sec.map(|sec| {
-        SharedBytes::new(Arc::clone(&owner), sec.off, sec.len).expect("section bounds validated")
-    });
-    let empty_embed =
-        SharedBytes::new(Arc::clone(&owner), 0, 0).expect("zero-length view is always in bounds");
+    // Per-entry windows. The entry-table section bounds were validated
+    // with its checksum, so records parse from a fixed slice —
+    // `chunks_exact` gives the optimizer fixed-size windows with no
+    // per-field bounds checks. A version-1 image has no embedding arena
+    // to read in place: its rows are copied out as they are validated,
+    // for the shards to compute the column from.
+    let mut copied = embed_sec
+        .is_none()
+        .then(|| vec![Vec::<NameEntry>::new(); snap_shards]);
     let entry_table = &image[entries.off..entries.off + entries.len];
-    for (g, rec) in entry_table.chunks_exact(ENTRY_RECORD).enumerate() {
-        let text_off = u32::from_le_bytes(rec[0..4].try_into().expect("record")) as usize;
-        let phon_off = u32::from_le_bytes(rec[4..8].try_into().expect("record")) as usize;
-        let text_len = u16::from_le_bytes(rec[8..10].try_into().expect("record")) as usize;
-        let phon_len = u16::from_le_bytes(rec[10..12].try_into().expect("record")) as usize;
-        let lang = rec[12];
+    for (g, rec) in entry_table.chunks_exact(EntryRecord::BYTES).enumerate() {
+        let rec = EntryRecord::decode(rec.try_into().expect("record"));
+        let (text_off, text_len) = (rec.text_off as usize, rec.text_len as usize);
+        let (phon_off, phon_len) = (rec.phon_off as usize, rec.phon_len as usize);
         let oob = |what: &str| err(format!("entry {g}: {what} window is out of bounds"));
         let text_end = text_off
             .checked_add(text_len)
@@ -1020,47 +991,65 @@ fn load_owner(
                 "entry {g}: text window splits a UTF-8 sequence"
             )));
         }
-        let phonemes_ok = phon_off
+        let phon_end = phon_off
             .checked_add(phon_len)
             .filter(|&e| e <= phonemes.len)
             .ok_or_else(|| oob("phoneme"))?;
-        let _ = phonemes_ok;
+        let ids = &phon_arena[phon_off..phon_end];
+        let lang = rec.language;
         let language = *Language::ALL
             .get(lang as usize)
             .ok_or_else(|| err(format!("entry {g}: unknown language tag {lang}")))?;
-        let embed = match &embed_view {
-            Some(view) => {
-                // Verify the stored embedding against a recompute from
-                // the (already-validated) phoneme window — same
-                // discipline as the cluster arena: a mismatch means the
-                // image was written under a different cluster table or
-                // doctored, and a wrong embedding could silently drop
-                // true matches.
-                let stored = &image[embed_sec.expect("view implies section").off + g * EMBED_DIM..]
-                    [..EMBED_DIM];
-                let expect = operator
-                    .embedder()
-                    .embed_ids(&phon_arena[phon_off..phon_off + phon_len]);
-                if stored != expect {
-                    return Err(err(format!(
-                        "entry {g}: stored embedding disagrees with the configured embedder \
-                         (snapshot written under a different MatchConfig?)"
-                    )));
-                }
-                view.slice(g * EMBED_DIM, EMBED_DIM)
-                    .expect("bounds checked")
+        if let Some(striped) = &mut copied {
+            let ids = ids.iter().map(|&id| Phoneme::from_id(id));
+            striped[g % snap_shards].push(NameEntry {
+                text: text_arena[text_off..text_end].to_owned(),
+                language,
+                phonemes: ids
+                    .collect::<Result<_, _>>()
+                    .expect("arena validated above"),
+            });
+        }
+        if let Some(sec) = embed_sec {
+            // Verify the stored embedding against a recompute from the
+            // (already-validated) phoneme window — same discipline as the
+            // cluster arena: a mismatch means the image was written under
+            // a different cluster table or doctored, and a wrong embedding
+            // could silently drop true matches.
+            let stored = &image[sec.off + g * EMBED_DIM..][..EMBED_DIM];
+            if stored != operator.embedder().embed_ids(ids) {
+                return Err(err(format!(
+                    "entry {g}: stored embedding disagrees with the configured embedder \
+                     (snapshot written under a different MatchConfig?)"
+                )));
             }
-            None => empty_embed.clone(),
-        };
-        striped[g % snap_shards].push(SharedEntry {
-            text: text_view.slice(text_off, text_len).expect("bounds checked"),
-            language,
-            phonemes: phon_view.slice(phon_off, phon_len).expect("bounds checked"),
-            clusters: clus_view.slice(phon_off, phon_len).expect("bounds checked"),
-            embed,
-        });
+        }
     }
-    store.import_shared(striped);
+
+    let store = match (embed_sec, copied) {
+        // Everything the rows read was validated above: each shard reads
+        // its stripe of the image where it lies.
+        (Some(embeds), _) => {
+            let window = |s: Section| s.off..s.off + s.len;
+            let layout = ImageLayout {
+                entries: window(entries),
+                texts: window(texts),
+                phonemes: window(phonemes),
+                clusters: window(clusters),
+                embeds: window(embeds),
+            };
+            let bases = (0..snap_shards)
+                .map(|s| Base::new(Arc::clone(&owner), layout.clone(), snap_shards, s))
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| err("validated sections do not frame a row store"))?;
+            ShardedStore::over_bases(config, bases)
+        }
+        (None, copied) => {
+            let store = ShardedStore::new(config, snap_shards);
+            store.import_shards(copied.expect("copied when there is no arena"));
+            store
+        }
+    };
     for &spec in &builds {
         store.declare(spec);
     }
@@ -1069,7 +1058,6 @@ fn load_owner(
         builds,
         lsn,
         bytes,
-        pending_embeds: embed_sec.is_none() && entry_count > 0,
     })
 }
 
@@ -1152,8 +1140,18 @@ mod tests {
         let store = populated(2);
         let image = encode(&store, 0).unwrap();
         let loaded = load_bytes(MatchConfig::default(), None, image).unwrap();
-        assert!(!loaded.pending_embeds);
-        assert_eq!(loaded.store.pending_embeddings(), 0);
+        loaded
+            .store
+            .search(
+                "Nehru",
+                Language::English,
+                0.45,
+                lexequal::SearchMethod::Scan,
+            )
+            .unwrap();
+        let screens = loaded.store.screen_totals();
+        assert!(screens.embed_accept + screens.embed_reject > 0);
+        assert_eq!(screens.embed_bypass, 0, "the screen examined every row");
     }
 
     #[test]

@@ -45,7 +45,9 @@
 //! `BUILD` *declares* an access path and answers at once: from that
 //! reply on `MATCH … <method>` is served through the path, exactly — an
 //! index covers it in the background, and rows `ADD`ed later are its tail
-//! until the next cover (DESIGN §5n; `STATS` reports `<method>_tail=`).
+//! until the next cover (DESIGN §5n; `STATS` reports `<method>_tail=`,
+//! and ends with what the rows cost: `row_bytes=`, `mapped_bytes=`,
+//! `index_bytes=`, DESIGN §5o).
 //! `NOTBUILT <method>` therefore means one thing: the path was never
 //! declared — no `BUILD`, no `--preload`, none recorded in the snapshot.
 //!
@@ -571,13 +573,17 @@ pub fn format_stats(s: &StatsSnapshot) -> String {
     // New keys go on the end: every older key keeps its place.
     let tail = |m| s.cover.tails[method_index(m)];
     line.push_str(&format!(
-        " declared={} qgram_tail={} phonidx_tail={} bktree_tail={} covers={} cover_ms_last={}",
+        " declared={} qgram_tail={} phonidx_tail={} bktree_tail={} covers={} cover_ms_last={} \
+         row_bytes={} mapped_bytes={} index_bytes={}",
         s.cover.declared,
         tail(SearchMethod::Qgram),
         tail(SearchMethod::PhoneticIndex),
         tail(SearchMethod::BkTree),
         s.cover.covers,
         s.cover.cover_ms_last,
+        s.cover.row_bytes,
+        s.cover.mapped_bytes,
+        s.cover.index_bytes,
     ));
     line
 }
@@ -866,12 +872,17 @@ mod tests {
                 tails: [0, 7, 0, 20_418],
                 covers: 3,
                 cover_ms_last: 11,
+                row_bytes: 1_900_000,
+                mapped_bytes: 0,
+                index_bytes: 3_000_000,
             },
         };
-        // Coverage rides on the very end of the line, in this order.
+        // Coverage, then what the rows cost, ride on the very end of the
+        // line, in this order.
         assert!(
             format_stats(&s).ends_with(
-                " declared=2 qgram_tail=7 phonidx_tail=0 bktree_tail=20418 covers=3 cover_ms_last=11"
+                " declared=2 qgram_tail=7 phonidx_tail=0 bktree_tail=20418 covers=3 cover_ms_last=11 \
+                 row_bytes=1900000 mapped_bytes=0 index_bytes=3000000"
             ),
             "{}",
             format_stats(&s)

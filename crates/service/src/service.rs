@@ -84,11 +84,6 @@ pub struct SnapshotLoad {
     /// background (`lexequald`) or synchronously (tests, replicas) via
     /// [`MatchService::build`].
     pub pending_builds: Vec<BuildSpec>,
-    /// True when the snapshot predates the embedding column (a v1 mmap
-    /// image): entries are served with the embedding screen bypassed
-    /// until [`MatchService::build_embeddings`] fills it in. Always
-    /// false for JSON loads, which recompute embeddings on restore.
-    pub pending_embeds: bool,
 }
 
 /// Service construction knobs.
@@ -282,9 +277,6 @@ impl MatchService {
         for spec in load.pending_builds {
             load.service.build(spec);
         }
-        if load.pending_embeds {
-            load.service.build_embeddings();
-        }
         Ok((load.service, load.lsn))
     }
 
@@ -312,7 +304,6 @@ impl MatchService {
                 mapped_bytes: image.bytes,
                 load_ms: start.elapsed().as_millis() as u64,
                 pending_builds: image.builds,
-                pending_embeds: image.pending_embeds,
             }
         } else {
             let f = std::fs::File::open(path).map_err(|e| {
@@ -331,7 +322,6 @@ impl MatchService {
                 mapped_bytes: 0,
                 load_ms: start.elapsed().as_millis() as u64,
                 pending_builds: Vec::new(),
-                pending_embeds: false,
             }
         };
         load.service.set_load_info(LoadInfo {
@@ -450,21 +440,6 @@ impl MatchService {
         self.store.build(spec);
     }
 
-    /// Fill in missing per-entry phonetic embeddings (entries adopted
-    /// from a v1 snapshot image, which predates the embedding column);
-    /// returns the number filled. Embeddings feed only the verification
-    /// screen, so serving stays correct (screen bypassed per missing
-    /// entry) before, during, and after the fill.
-    pub fn build_embeddings(&self) -> usize {
-        self.store.build_embeddings()
-    }
-
-    /// Entries still missing an embedding (see
-    /// [`build_embeddings`](Self::build_embeddings)).
-    pub fn pending_embeddings(&self) -> usize {
-        self.store.pending_embeddings()
-    }
-
     /// Build every access path (q-gram with the given parameters).
     pub fn build_all(&self, q: usize, mode: QgramMode) {
         self.build(BuildSpec::Qgram { q, mode });
@@ -474,16 +449,13 @@ impl MatchService {
 
     /// Transform one name (through the cache) into the entry an `ADD`
     /// would append — the *fallible* half of a WAL-logged mutation, run
-    /// before the op is appended so a bad input never reaches the log.
+    /// before the op is appended so a bad input (one that does not
+    /// transform, or is too long to store) never reaches the log.
     pub fn prepare_entry(&self, text: &str, language: Language) -> Result<NameEntry, G2pError> {
         let phonemes = self.cache.get_or_try_insert_with(text, language, || {
             self.store.config().registry.transform(text, language)
         })?;
-        Ok(NameEntry {
-            text: text.to_owned(),
-            language,
-            phonemes,
-        })
+        NameEntry::new(text.to_owned(), language, phonemes)
     }
 
     /// Append one pre-transformed entry — the infallible half of an
@@ -1034,8 +1006,8 @@ pub struct StatsSnapshot {
     pub embed_screen_accept: u64,
     /// Pairs the embedding prefilter rejected before any Myers screen.
     pub embed_screen_reject: u64,
-    /// Pairs verified without a stored embedding (v1 snapshot adoption
-    /// before the background rebuild finishes).
+    /// Pairs verified without an embedding (no stored row lacks one, so
+    /// this reads 0).
     pub embed_screen_bypass: u64,
     /// Interleaved verification steps run by the batched kernels.
     pub batch_calls: u64,

@@ -20,11 +20,12 @@
 //! striping the finished entries.
 
 use crate::metrics::{BatchTotals, ScreenTotals};
+use lexequal::rows::Base;
 use lexequal::store::{cover_due, NameEntry, SearchResult};
 pub use lexequal::BuildSpec;
 use lexequal::{
     BatchCounters, BatchVerifier, ClusterTable, G2pError, Language, MatchConfig, NameStore,
-    PathIndex, PhonemeColumn, PhonemeString, RowChunk, ScreenCounters, SearchMethod, SharedEntry,
+    PathIndex, PhonemeColumn, PhonemeString, RowChunk, ScreenCounters, SearchMethod,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -60,6 +61,10 @@ fn local_rows(rows: usize, shard: usize, shards: usize) -> usize {
     (rows + shards - 1 - shard) / shards
 }
 
+/// A shard's row count, its declared paths with the rows each index
+/// covers, and what the rows cost it ([`NameStore::memory`]).
+type Coverage = (usize, Vec<(BuildSpec, usize)>, [usize; 3]);
+
 /// One request to a shard worker. Replies travel over per-call mpsc
 /// channels so any number of client threads can have requests in flight.
 enum Cmd {
@@ -73,33 +78,17 @@ enum Cmd {
         entries: Vec<NameEntry>,
         reply: Sender<(usize, bool)>,
     },
-    /// Append zero-copy entries whose columns are views into a shared
-    /// allocation (the memory-mapped snapshot load path). Entries were
-    /// validated by the loader; the store re-validates on adoption.
-    ExtendShared {
-        entries: Vec<SharedEntry>,
-        reply: Sender<(usize, bool)>,
-    },
     /// Declare an access path (an index over zero rows unless the path
     /// already holds this spec).
     Declare { spec: BuildSpec, reply: Sender<()> },
-    /// This shard's row count and its declared paths with the rows each
-    /// index covers.
-    Coverage {
-        reply: Sender<(usize, Vec<(BuildSpec, usize)>)>,
-    },
+    /// See [`Coverage`].
+    Coverage { reply: Sender<Coverage> },
     /// Adopt an index a cover built over a prefix of this shard's rows;
     /// replies whether it was accepted (see [`NameStore::install`]).
     Install {
         index: PathIndex,
         reply: Sender<bool>,
     },
-    /// Fill in any missing per-entry phonetic embeddings (entries adopted
-    /// from a v1 snapshot image predate the embedding column). Replies
-    /// with the number of entries filled on this shard.
-    BuildEmbeds { reply: Sender<usize> },
-    /// Count entries still missing an embedding on this shard.
-    PendingEmbeds { reply: Sender<usize> },
     /// Search this shard; echoes the shard index so the coordinator can
     /// remap local ids while collecting replies out of order.
     Search {
@@ -157,32 +146,15 @@ fn worker(
                 store.extend_transformed(entries);
                 let _ = reply.send((n, store.cover_due()));
             }
-            Cmd::ExtendShared { entries, reply } => {
-                let n = entries.len();
-                store.reserve(n);
-                for e in entries {
-                    // The mmap loader validated every view against the
-                    // mapping (arena-wide) before striping; re-checking
-                    // 20K entries here would double the cold start.
-                    store.push_shared_entry_prevalidated(e);
-                }
-                let _ = reply.send((n, store.cover_due()));
-            }
             Cmd::Declare { spec, reply } => {
                 store.declare(spec);
                 let _ = reply.send(());
             }
             Cmd::Coverage { reply } => {
-                let _ = reply.send((store.len(), store.coverage()));
+                let _ = reply.send((store.len(), store.coverage(), store.memory()));
             }
             Cmd::Install { index, reply } => {
                 let _ = reply.send(store.install(index));
-            }
-            Cmd::BuildEmbeds { reply } => {
-                let _ = reply.send(store.build_embeddings());
-            }
-            Cmd::PendingEmbeds { reply } => {
-                let _ = reply.send(store.pending_embeddings());
             }
             Cmd::Search {
                 query,
@@ -312,7 +284,7 @@ impl Covering {
         prefix: &mut PhonemeColumn,
         on_chunk: &dyn Fn(),
     ) -> bool {
-        let (rows, coverage) = ask(worker, |reply| Cmd::Coverage { reply });
+        let (rows, coverage, _) = ask(worker, |reply| Cmd::Coverage { reply });
         let wanted: Vec<BuildSpec> = coverage
             .into_iter()
             .filter(|&(spec, covered)| covered < rows && want(spec, covered, rows))
@@ -375,6 +347,14 @@ pub struct CoverStats {
     pub covers: u64,
     /// How long the last of them took, in ms.
     pub cover_ms_last: u64,
+    /// Bytes the shards' owned row columns hold (arenas and offsets, by
+    /// capacity), image bytes their base rows occupy, and bytes their
+    /// indices' arrays hold — each summed over the shards.
+    pub row_bytes: usize,
+    /// See [`row_bytes`](Self::row_bytes).
+    pub mapped_bytes: usize,
+    /// See [`row_bytes`](Self::row_bytes).
+    pub index_bytes: usize,
 }
 
 impl ShardedStore {
@@ -385,13 +365,33 @@ impl ShardedStore {
     /// Panics if `shards` is zero.
     pub fn new(config: MatchConfig, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
+        let stores = (0..shards)
+            .map(|_| NameStore::new(config.clone()))
+            .collect();
+        Self::over(config, stores)
+    }
+
+    /// A store whose shard `s` starts as `bases[s]`: the rows of a
+    /// snapshot image, striped `g % N` as this module stripes them and
+    /// read where they lie (the image loader's way in; it has validated
+    /// every row).
+    pub(crate) fn over_bases(config: MatchConfig, bases: Vec<Base>) -> Self {
+        let stores = bases
+            .into_iter()
+            .map(|b| NameStore::with_base(config.clone(), b));
+        let stores = stores.collect();
+        Self::over(config, stores)
+    }
+
+    /// One worker thread a store; their rows are the published length.
+    fn over(config: MatchConfig, stores: Vec<NameStore>) -> Self {
         let screens = Arc::new(ScreenTotals::default());
         let batches = Arc::new(BatchTotals::default());
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for i in 0..shards {
+        let len = stores.iter().map(NameStore::len).sum::<usize>();
+        let mut senders = Vec::with_capacity(stores.len());
+        let mut handles = Vec::with_capacity(stores.len());
+        for (i, store) in stores.into_iter().enumerate() {
             let (tx, rx) = channel();
-            let store = NameStore::new(config.clone());
             let screens = Arc::clone(&screens);
             let batches = Arc::clone(&batches);
             handles.push(
@@ -428,7 +428,7 @@ impl ShardedStore {
             // has let go of its command channels too.
             handles: std::iter::once(coverer).chain(handles).collect(),
             grow: Mutex::new(()),
-            len: AtomicU32::new(0),
+            len: AtomicU32::new(u32::try_from(len).expect("ids are u32")),
             screens,
             batches,
             covering,
@@ -624,38 +624,17 @@ impl ShardedStore {
             cover_ms_last: self.covering.cover_ms_last.load(Ordering::Relaxed),
             ..CoverStats::default()
         };
-        for (rows, coverage) in self.ask_all(|_, reply| Cmd::Coverage { reply }) {
+        for (rows, coverage, [owned, mapped, indices]) in
+            self.ask_all(|_, reply| Cmd::Coverage { reply })
+        {
             for (spec, covered) in coverage {
                 stats.tails[crate::metrics::method_index(spec.method())] += rows - covered;
             }
+            stats.row_bytes += owned;
+            stats.mapped_bytes += mapped;
+            stats.index_bytes += indices;
         }
         stats
-    }
-
-    /// Fill in missing per-entry phonetic embeddings on every shard, in
-    /// parallel; returns the total number of entries filled. Entries
-    /// adopted from a v1 snapshot image have no embedding column and are
-    /// served with the embedding screen bypassed until this runs.
-    ///
-    /// Held under the grow lock so the fill can never interleave with an
-    /// append (embedding rows and entry rows stay column-aligned).
-    /// Embeddings feed only the verification screen, never candidate
-    /// generation, so access paths are untouched.
-    pub fn build_embeddings(&self) -> usize {
-        let _guard = self.grow.lock().expect("grow lock");
-        self.ask_all(|_, reply| Cmd::BuildEmbeds { reply })
-            .iter()
-            .sum()
-    }
-
-    /// Total number of entries across all shards still missing an
-    /// embedding (nonzero only after adopting a v1 snapshot image, until
-    /// [`build_embeddings`](Self::build_embeddings) runs).
-    pub fn pending_embeddings(&self) -> usize {
-        let _guard = self.grow.lock().expect("grow lock");
-        self.ask_all(|_, reply| Cmd::PendingEmbeds { reply })
-            .iter()
-            .sum()
     }
 
     /// The cut of this store as it stands: the published row count and
@@ -708,33 +687,16 @@ impl ShardedStore {
     /// before any is awaited, so the per-shard bulk loads run in
     /// parallel. Only valid on an empty store whose shard count equals
     /// `sections.len()` and whose sections form a round-robin stripe —
-    /// [`crate::snapshot`] validates both before calling.
+    /// the callers validate both.
     pub(crate) fn import_shards(&self, sections: Vec<Vec<NameEntry>>) {
-        self.import(sections, |entries, reply| Cmd::Extend { entries, reply });
-    }
-
-    /// Place pre-striped zero-copy sections on the shards — the
-    /// memory-mapped restore path, the borrowed twin of
-    /// [`import_shards`](Self::import_shards): same round-robin layout
-    /// contract, but each entry is three `Arc` bumps into the mapping
-    /// instead of an owned row.
-    pub(crate) fn import_shared(&self, sections: Vec<Vec<SharedEntry>>) {
-        self.import(sections, |entries, reply| Cmd::ExtendShared {
-            entries,
-            reply,
-        });
-    }
-
-    fn import<E>(
-        &self,
-        sections: Vec<Vec<E>>,
-        load: impl Fn(Vec<E>, Sender<(usize, bool)>) -> Cmd,
-    ) {
         debug_assert_eq!(sections.len(), self.shards());
         let _guard = self.grow.lock().expect("grow lock");
         debug_assert_eq!(self.len(), 0, "import into a non-empty store");
         let mut sections = sections.into_iter();
-        let loaded = self.ask_all(|_, reply| load(sections.next().expect("one a shard"), reply));
+        let loaded = self.ask_all(|_, reply| Cmd::Extend {
+            entries: sections.next().expect("one a shard"),
+            reply,
+        });
         self.publish_len(loaded.iter().map(|(rows, _)| rows as u32).sum());
     }
 
@@ -867,8 +829,9 @@ pub(crate) struct PrefixChunk<'a> {
 }
 
 impl<'a> PrefixChunk<'a> {
-    /// The rows in global-id order, each `(text, language, phoneme ids)`.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'a str, Language, &'a [u8])> {
+    /// The rows in global-id order, each `(text bytes, language, phoneme
+    /// ids)`.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'a [u8], Language, &'a [u8])> {
         let (n, first, chunks) = (self.chunks.len(), self.first, self.chunks);
         // A shard's slice of a contiguous global range is contiguous and
         // ascending, so global row g sits in shard g % n's chunk at its
@@ -954,11 +917,8 @@ fn transform_rows(
         return rows
             .into_iter()
             .map(|(text, language)| {
-                Ok(NameEntry {
-                    phonemes: config.registry.transform(&text, language)?,
-                    text,
-                    language,
-                })
+                let phonemes = config.registry.transform(&text, language)?;
+                NameEntry::new(text, language, phonemes)
             })
             .collect();
     }
@@ -972,11 +932,8 @@ fn transform_rows(
                     chunk
                         .iter()
                         .map(|(text, language)| {
-                            Ok(NameEntry {
-                                phonemes: config.registry.transform(text, *language)?,
-                                text: text.clone(),
-                                language: *language,
-                            })
+                            let phonemes = config.registry.transform(text, *language)?;
+                            NameEntry::new(text.clone(), *language, phonemes)
                         })
                         .collect()
                 })
@@ -1149,7 +1106,7 @@ mod tests {
             release.0.send(()).unwrap();
             cover.join().unwrap();
         });
-        let (rows, coverage) = ask(&s.senders[0], |reply| Cmd::Coverage { reply });
+        let (rows, coverage, _) = ask(&s.senders[0], |reply| Cmd::Coverage { reply });
         assert_eq!((rows, coverage), (50, vec![(q2, 0)]));
         assert_eq!(s.cover_stats().covers, 0, "nothing was installed");
         s.cover(&[q3, q2]);
@@ -1174,7 +1131,11 @@ mod tests {
                     let entry = &entries[seen];
                     assert_eq!(
                         (text, language, ids),
-                        (&*entry.text, entry.language, entry.phonemes.id_bytes()),
+                        (
+                            entry.text.as_bytes(),
+                            entry.language,
+                            entry.phonemes.id_bytes()
+                        ),
                         "{shards} shard(s), id {seen}"
                     );
                     text_bytes += text.len();

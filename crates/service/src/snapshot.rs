@@ -256,7 +256,7 @@ impl StoreSnapshot {
                 sections[g % shards].push(SnapEntry {
                     cluster_ids: operator.cluster_ids(&phonemes),
                     phonemes: phonemes.to_string(),
-                    text: text.to_owned(),
+                    text: String::from_utf8(text.to_vec()).expect("stored names are UTF-8"),
                     language,
                 });
                 g += 1;

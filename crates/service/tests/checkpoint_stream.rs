@@ -482,7 +482,7 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
         .filter_map(|token| token.split_once('=').map(|(key, _)| key))
         .collect();
     assert_eq!(
-        keys[keys.len() - 10..],
+        keys[keys.len() - 13..],
         [
             "divergences",
             "commit_hold_max_us",
@@ -493,7 +493,10 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
             "phonidx_tail",
             "bktree_tail",
             "covers",
-            "cover_ms_last"
+            "cover_ms_last",
+            "row_bytes",
+            "mapped_bytes",
+            "index_bytes"
         ],
         "{stats:?}"
     );

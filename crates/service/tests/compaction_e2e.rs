@@ -590,6 +590,60 @@ fn kill_during_a_streamed_checkpoint_under_load_loses_no_acknowledged_id() {
 
 /// Role and flag refusals: COMPACT needs a WAL, runs only on a primary,
 /// and a replica's refusal names the primary to go ask instead.
+/// One `ADD` whose phoneme string cannot fit the image's `u16` length
+/// field used to be acknowledged and then fail every `SAVE` and every
+/// checkpoint for good, so the log was never truncated again. It is
+/// refused before it is logged or applied — by a primary's `commit_add`
+/// and by a standalone daemon's plain `ADD` alike.
+#[test]
+fn an_oversize_add_is_refused_before_it_is_logged_or_applied() {
+    // `x` is /ks/: 40 000 of them are 80 000 phonemes, past 65 535.
+    let oversize = format!("ADD en {}", "x".repeat(40_000));
+    let refused = |resp: &str| {
+        assert!(
+            resp.starts_with("ERR") && resp.contains("65535"),
+            "an oversize ADD must be refused naming the limit: {resp}"
+        );
+    };
+    let wal = TempPath::new("oversize.wal");
+    let image = TempPath::new("oversize.img");
+    let mut primary = Server::spawn(&["--addr", "127.0.0.1:0", "--wal", wal.as_str()]);
+    primary.wait_serving();
+    let mut replica =
+        Server::spawn(&["--addr", "127.0.0.1:0", "--replica-of", &primary.addr_str()]);
+    replica.wait_serving();
+    assert_eq!(primary.request("ADD en Nehru"), "OK 0");
+    let logged = std::fs::metadata(&wal.0).expect("wal").len();
+
+    refused(&primary.request(&oversize));
+    refused(&primary.request(&oversize.replacen("ADD en", "ADD -", 1)));
+    let stats = primary.request("STATS");
+    assert_eq!(stat(&stats, "names"), Some("1"), "{stats}");
+    assert_eq!(stat(&stats, "wal_lsn"), Some("1"), "{stats}");
+    assert_eq!(std::fs::metadata(&wal.0).expect("wal").len(), logged);
+
+    // Persistence is not poisoned: a save and a forced checkpoint work,
+    // and the next ADD takes the next id and LSN.
+    let resp = primary.request(&format!("SAVE {}", image.as_str()));
+    assert!(resp.starts_with("OK saved="), "{resp}");
+    let resp = primary.request("COMPACT");
+    assert!(resp.starts_with("OK compacted checkpoint_lsn=1 "), "{resp}");
+    assert!(wal.checkpoint().exists());
+    assert_eq!(primary.request("ADD en Gandhi"), "OK 1");
+    // The replica was sent two records and holds two names.
+    let stats = wait_stats(&replica, "the replica to apply lsn 2", |s| {
+        stat(s, "repl_lsn") == Some("2")
+    });
+    assert_eq!(stat(&stats, "names"), Some("2"), "{stats}");
+
+    let mut standalone = Server::spawn(&["--addr", "127.0.0.1:0"]);
+    standalone.wait_serving();
+    refused(&standalone.request(&oversize));
+    assert_eq!(standalone.request("ADD en Nehru"), "OK 0");
+    let resp = standalone.request(&format!("SAVE {}", image.as_str()));
+    assert!(resp.starts_with("OK saved="), "{resp}");
+}
+
 #[test]
 fn compact_command_refusals_name_the_right_fix() {
     let mut standalone = Server::spawn(&["--addr", "127.0.0.1:0"]);

@@ -119,7 +119,6 @@ fn pristine_image_loads_and_checksums_are_pinned() {
     assert_eq!(loaded.lsn, 9);
     assert_eq!(loaded.store.len(), 7);
     assert_eq!(loaded.builds.len(), 3);
-    assert!(!loaded.pending_embeds, "v2 images persist embeddings");
     // Every stored checksum matches this test's independent FNV — the
     // algorithm is pinned, not just internally consistent.
     for i in 0..V2_SECTIONS {
@@ -361,9 +360,9 @@ const EMBED_BYTES: usize = 32;
 /// A version-1 image — synthesized by re-tagging a v2 image, since v1
 /// differs only in the version word, the section count, and the absent
 /// embedding arena (the sixth table record reads back as pre-section
-/// padding) — must keep loading: entries come up without embeddings,
-/// answers are identical with the embedding screen bypassing per row,
-/// and `build_embeddings` backfills off the critical path.
+/// padding) — must keep loading. It persists no embeddings: they are
+/// deferred to the load, which computes the column, so the store screens
+/// every row and answers exactly as a v2 load does.
 #[test]
 fn v1_images_load_with_deferred_embeddings() {
     let image = small_image();
@@ -371,37 +370,37 @@ fn v1_images_load_with_deferred_embeddings() {
     v1[8..12].copy_from_slice(&1u32.to_le_bytes());
     v1[32..36].copy_from_slice(&V1_SECTIONS.to_le_bytes());
 
-    let modern = load(image).expect("v2 image");
+    let modern = load(image.clone()).expect("v2 image");
     let legacy = load(v1).expect("v1 image must keep loading");
-    assert!(legacy.pending_embeds, "v1 loads defer the embedding column");
-    assert_eq!(legacy.store.pending_embeddings(), 7);
     assert_eq!(legacy.lsn, modern.lsn);
     assert_eq!(legacy.store.len(), modern.store.len());
-    assert_eq!(legacy.builds.len(), modern.builds.len());
+    assert_eq!(legacy.builds, modern.builds);
 
-    // Identical answers while the column is missing (the screen
-    // bypasses per entry rather than guessing)...
-    let a = modern
-        .store
-        .search("Nehru", Language::English, 0.45, SearchMethod::Scan)
-        .unwrap();
-    let b = legacy
-        .store
-        .search("Nehru", Language::English, 0.45, SearchMethod::Scan)
-        .unwrap();
-    assert_eq!(a, b);
+    // Identical answers and identical screen work: no row is bypassed.
+    for store in [&modern.store, &legacy.store] {
+        store.cover(&store.built_specs());
+    }
+    for method in [
+        SearchMethod::Scan,
+        SearchMethod::Qgram,
+        SearchMethod::PhoneticIndex,
+        SearchMethod::BkTree,
+    ] {
+        let search = |store: &lexequal_service::ShardedStore| {
+            store
+                .search("Nehru", Language::English, 0.45, method)
+                .unwrap()
+        };
+        assert_eq!(search(&modern.store), search(&legacy.store), "{method:?}");
+    }
     let screens = legacy.store.screen_totals();
-    assert!(screens.embed_bypass > 0, "{screens:?}");
-    assert_eq!(screens.embed_reject, 0, "{screens:?}");
+    assert_eq!(screens, modern.store.screen_totals());
+    assert!(screens.embed_accept > 0, "{screens:?}");
+    assert_eq!(screens.embed_bypass, 0, "{screens:?}");
 
-    // ...and identical again once the backfill restores the screen.
-    assert_eq!(legacy.store.build_embeddings(), 7);
-    assert_eq!(legacy.store.pending_embeddings(), 0);
-    let c = legacy
-        .store
-        .search("Nehru", Language::English, 0.45, SearchMethod::Scan)
-        .unwrap();
-    assert_eq!(a, c);
+    // What the v1 load computed is what the v2 image stores.
+    let resaved = mmapstore::encode(&legacy.store, legacy.lsn).expect("encode");
+    assert_eq!(resaved, image);
 }
 
 #[test]

@@ -231,8 +231,8 @@ fn second_generation_image_stays_identical() {
     let gen2 =
         MatchService::load_snapshot(MatchConfig::default(), None, 256, &second.0).expect("load");
     assert_identical(&original, &gen2, "second generation");
-    // Shared views round-trip through `encode` byte-for-byte, so the
-    // two generations are the same file.
+    // Rows read in place round-trip through `encode` byte-for-byte, so
+    // the two generations are the same file.
     assert_eq!(
         std::fs::read(&first.0).expect("gen1 bytes"),
         std::fs::read(&second.0).expect("gen2 bytes"),
@@ -253,6 +253,84 @@ fn replica_seeded_from_raw_transfer_bytes_matches_the_primary() {
         replica.build(spec);
     }
     assert_identical(&primary, &replica, "replica seeding");
+}
+
+/// Base + tail: a store loaded from an image — its rows read in place, at
+/// every stride and phase — and then grown by `ADD`s answers all four
+/// paths, ids and verification counts, like a store bulk-loaded with the
+/// same rows: before anything is covered, after, through a replica seeded
+/// from the raw transfer buffer, and after a save and a reload. And it
+/// writes the same image, byte for byte.
+#[test]
+fn a_loaded_store_that_grew_equals_one_bulk_loaded_with_the_same_rows() {
+    let config = MatchConfig::default();
+    let mut rows = build_dataset(&config, 220);
+    // 157 is 1 mod 2 and 1 mod 3: no stripe is as long as another.
+    let (n, k) = (157, 23);
+    assert!(rows.len() >= n + k);
+    rows.truncate(n + k);
+    for shards in 1..=3 {
+        let what = |stage: &str| format!("{shards} shard(s), {stage}");
+        let service = |rows: &[lexequal::store::NameEntry]| {
+            let service = MatchService::new(ServiceConfig {
+                match_config: config.clone(),
+                shards,
+                cache_capacity: 64,
+            });
+            service.extend_transformed(rows.to_vec());
+            service.build_all(3, lexequal::QgramMode::Strict);
+            service
+        };
+        let bulk = service(&rows);
+        let path = TempPath::new(&format!("grew{shards}.snap"));
+        service(&rows[..n]).save_snapshot(&path.0).expect("save");
+
+        let load = MatchService::load_snapshot_auto(config.clone(), None, 64, &path.0).unwrap();
+        let grown = load.service;
+        let loaded = grown.stats().cover;
+        assert_eq!(loaded.row_bytes, 0, "a load owns no row");
+        assert!(loaded.mapped_bytes > n * (16 + 32), "{loaded:?}");
+        grown.extend_transformed(rows[n..].to_vec());
+        assert_eq!(grown.stats().cover.tails[1..], [n + k; 3]);
+        assert_identical(&bulk, &grown, &what("before the cover"));
+        for spec in load.pending_builds {
+            grown.build(spec);
+        }
+        assert_identical(&bulk, &grown, &what("after the cover"));
+        let (cost, bulk_cost) = (grown.stats().cover, bulk.stats().cover);
+        assert_eq!(cost.mapped_bytes, loaded.mapped_bytes);
+        assert!(cost.row_bytes > 0 && cost.row_bytes < bulk_cost.row_bytes);
+        assert_eq!(cost.index_bytes, bulk_cost.index_bytes);
+        assert_eq!((bulk_cost.mapped_bytes, cost.tails), (0, [0; 4]));
+
+        let transfer = mmapstore::encode(grown.store(), 42).expect("encode");
+        assert_eq!(
+            transfer,
+            mmapstore::encode(bulk.store(), 42).expect("encode"),
+            "{}",
+            what("image bytes")
+        );
+        let image = mmapstore::load_bytes(config.clone(), Some(shards), transfer.clone()).unwrap();
+        let replica = MatchService::from_store(image.store, 64);
+        assert_identical(&bulk, &replica, &what("a replica, uncovered"));
+        replica.add("Nehru", Language::English).expect("add");
+        bulk.add("Nehru", Language::English).expect("add");
+        for spec in image.builds {
+            replica.build(spec);
+        }
+        assert_identical(&bulk, &replica, &what("a replica that grew, covered"));
+
+        grown.add("Nehru", Language::English).expect("add");
+        grown.save_snapshot(&path.0).expect("save again");
+        let reloaded = MatchService::load_snapshot(config.clone(), Some(shards), 64, &path.0);
+        assert_identical(&bulk, &reloaded.expect("reload"), &what("save and reload"));
+        assert_eq!(
+            std::fs::read(&path.0).expect("image"),
+            mmapstore::encode(bulk.store(), 0).expect("encode"),
+            "{}",
+            what("second image bytes")
+        );
+    }
 }
 
 /// Line-protocol client against an in-process daemon.

@@ -70,16 +70,15 @@ cargo clippy -p lexequal-matcher -p lexequal --all-targets --offline -- -D warni
 cargo test -p lexequal --offline -q --test verify_batch_equiv --test verify_zero_alloc
 LEXEQUAL_FORCE_SCALAR=1 cargo test -p lexequal --offline -q --test verify_batch_equiv
 
-echo "== BK-tree: Myers-vs-DP differential + oracle-checked socket smoke"
+echo "== BK-tree: Myers-vs-DP differential"
 # The bit-parallel probe may change how fast the tree is built and
 # walked, never the tree: unit tests (fallback lengths, duplicate
 # chains), the node-for-node differential over the paper corpus and the
 # 20 418-name preload set, and bktree == scan under both cost models.
-# Then lexbench's smoke run drives every access path of the *release*
-# daemon over a real socket and checks each reply against its oracle.
+# (The socket smoke run that drives this path of the *release* daemon
+# is the one run further down, after the flat-store step.)
 cargo test -p lexequal-matcher --offline -q bktree
 cargo test -p lexequal-bench --offline -q --test bktree_differential --test pipeline_consistency
-bash crates/lexbench/run.sh --smoke
 
 echo "== q-gram: flat-vs-reference differential + zero false dismissals"
 # The flat index may change how the candidates are found, never which:
@@ -88,7 +87,7 @@ echo "== q-gram: flat-vs-reference differential + zero false dismissals"
 # paper corpus and the preload set, qgram == scan under every cost regime,
 # allocation counts, Table 2 at full size with its own exact-answer
 # check; the socket smoke run with this path's build in it follows the
-# checkpoint step below.
+# flat-store step below.
 cargo test -p lexequal-matcher --offline -q qgram
 cargo test -p lexequal --offline -q qgram
 cargo test -p lexequal-bench --offline -q --test qgram_differential --test pipeline_consistency
@@ -104,12 +103,10 @@ echo "== checkpoint: byte-identical image, commits flow, bounded memory"
 # two savers on one path, and bounds the writer's live heap with a
 # counting allocator; the crash matrix and the e2e suite kill a writer
 # mid-stream and restart; the corruption battery reads what the new
-# writer wrote. One smoke run for this step and the q-gram step above:
-# it drives the release daemon through the q-gram path's build and
-# through write_mix's compaction cycles.
+# writer wrote. (write_mix's compaction cycles are driven by the one
+# smoke run after the flat-store step.)
 cargo test -p lexequal-service --offline -q --test checkpoint_stream \
     --test wal_compaction --test compaction_e2e --test mmap_corruption
-bash crates/lexbench/run.sh --smoke
 
 echo "== coverage: candidate sets independent of cover + paths survive ADD and restart"
 # A declared access path answers exactly whatever its index covers: the
@@ -123,14 +120,35 @@ echo "== coverage: candidate sets independent of cover + paths survive ADD and r
 # MATCH to return; the e2e regressions restart a daemon after ADDs + a
 # compaction cycle + SIGKILL, and a replica after Op::Build then Op::Add,
 # and require method=<requested> with the oracle's ids (the parent said
-# NOTBUILT); cli_flags pins preloaded -> serving on -> covered. Then the
-# socket smoke run, whose first probe of every workload now lands on a
-# daemon that is still covering.
+# NOTBUILT); cli_flags pins preloaded -> serving on -> covered.
 cargo test -p lexequal-bench --offline -q --test pipeline_consistency \
     --test qgram_differential --test bktree_differential
 cargo test -p lexequal --offline -q --test verify_zero_alloc
 cargo test -p lexequal-service --offline -q --test shard_equivalence \
     --test checkpoint_stream --test compaction_e2e --test repl_e2e --test cli_flags
+
+echo "== flat store: allocation pins + base/tail equivalence + oversize ADD"
+# Rows are flat columns: an immutable base read in place out of a loaded
+# image plus an owned tail, behind one accessor. verify_zero_alloc pins
+# the layout (a bulk load of n and of 2n names allocates the same, a
+# base or a phonetic index a handful whatever n, a scan over base + tail
+# what a scan over owned rows does); the store's unit tests read across
+# the seam and refuse a row too long to save; mmap_roundtrip holds a
+# loaded-then-grown store to a bulk-loaded one (1-3 shards, n % N != 0,
+# ids and verified on all four paths, uncovered, covered, replica, save
+# and reload, image bytes); compaction_e2e's oversize ADD is refused
+# before it is logged, and SAVE and COMPACT keep working; then the
+# corruption battery, unedited in every check it makes of a hostile
+# image, and the round-trip suite again as a whole.
+cargo test -p lexequal --offline -q --test verify_zero_alloc
+cargo test -p lexequal --offline -q --lib -- rows:: store::
+cargo test -p lexequal-service --offline -q --test compaction_e2e an_oversize_add
+cargo test -p lexequal-service --offline -q --test mmap_corruption --test mmap_roundtrip
+# The socket smoke run, once, for this step and the BK-tree, q-gram,
+# checkpoint and coverage steps above: lexbench drives the *release*
+# daemon through all four workloads (the three index builds, write_mix's
+# compaction cycles, a first probe that lands on a daemon still
+# covering) and checks each reply against its oracle.
 bash crates/lexbench/run.sh --smoke
 
 echo "== embedding prefilter: crate pass + differential suite + A/B smoke"

@@ -204,8 +204,8 @@ fn assert_coverage_is_invisible(
     let mut s = NameStore::new(config);
     s.extend_transformed(entries.to_vec());
     let clusters = s.operator().cost_model().clusters().clone();
-    let queries: Vec<_> = (s.phoneme_strings().iter().step_by(query_step))
-        .cloned()
+    let queries: Vec<_> = (entries.iter().step_by(query_step))
+        .map(|e| e.phonemes.clone())
         .collect();
     for spec in specs() {
         let mut answers = Vec::new();
@@ -213,7 +213,8 @@ fn assert_coverage_is_invisible(
             if covered == 0 {
                 s.declare(spec);
             } else {
-                let row = |id: usize| s.phoneme_strings()[id].id_bytes();
+                let rows = s.rows();
+                let row = |id: usize| rows.row(id).phonemes;
                 let index = PathIndex::build(spec, &clusters, covered, row);
                 assert!(s.install(index), "{spec:?} to {covered} rows");
             }

@@ -58,9 +58,10 @@ fn assert_flat_is_the_hashed_filter(
                     let k = e * query.len() as f64;
                     for (model, op) in operators.iter().enumerate() {
                         let want = hashed.candidates(query, k, op);
+                        let row = |id: usize| names[id].id_bytes();
                         for flat in &flats {
                             assert_eq!(
-                                flat.candidates_with_tail(query, k, op, &names[flat.len()..]),
+                                flat.candidates_with_tail(query, k, op, n, row),
                                 want,
                                 "q={q} {mode:?} e={e} cost regime {model} query /{query}/ \
                                  index over {} of {n}",

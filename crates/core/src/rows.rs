@@ -8,9 +8,9 @@
 //!   ([`Base`]), read where they lie — in the mapping, or in the buffer a
 //!   replica received — through the image's 16-byte entry table
 //!   ([`EntryRecord`]). Adopting it allocates nothing and touches no row;
-//! * an owned **tail** that bulk loads, `ADD`s and WAL replay append to:
-//!   one byte arena a column and `u32` end offsets, sized once per bulk
-//!   load.
+//! * an owned **tail** that every append goes to, a chunk of rows at a
+//!   time ([`crate::NameStore::append_rows`]): one byte arena a column and
+//!   `u32` end offsets, sized once per bulk load.
 //!
 //! [`Rows::row`] is the one accessor over both. A row reads as the same
 //! five slices whichever segment holds it, so nothing downstream — the
@@ -19,7 +19,7 @@
 //! depend on where a row lives.
 
 use lexequal_embed::EMBED_DIM;
-use lexequal_g2p::Language;
+use lexequal_g2p::{G2pError, Language};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -27,6 +27,17 @@ use std::sync::Arc;
 /// entry table keeps `u16` lengths ([`EntryRecord`]), so a longer row could
 /// never be saved.
 pub const MAX_FIELD_BYTES: usize = u16::MAX as usize;
+
+/// The one length check every row passes on its way in: a row whose text
+/// or phoneme string is longer than [`MAX_FIELD_BYTES`] could be held but
+/// never saved, so it is refused before it is logged or applied.
+pub fn check_field_bytes(text_bytes: usize, phoneme_bytes: usize) -> Result<(), G2pError> {
+    let (bytes, limit) = (text_bytes.max(phoneme_bytes), MAX_FIELD_BYTES);
+    if bytes > limit {
+        return Err(G2pError::TooLong { bytes, limit });
+    }
+    Ok(())
+}
 
 /// One record of a snapshot image's entry table: where a row's text and
 /// phonemes lie in their arenas (the cluster arena shares the phoneme

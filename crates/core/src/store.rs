@@ -15,14 +15,14 @@ use crate::config::MatchConfig;
 use crate::operator::LexEqual;
 use crate::phonidx::PhoneticIndex;
 use crate::qgram_plan::{QgramFilter, QgramMode};
-use crate::rows::{Base, Columns, Row, Rows, MAX_FIELD_BYTES};
+use crate::rows::{check_field_bytes, Base, Columns, Row, Rows};
 use crate::verify::{BatchVerifier, PreparedQuery, Verifier};
 use lexequal_embed::EMBED_DIM;
 use lexequal_g2p::{G2pError, Language};
 use lexequal_matcher::BkTree;
 use lexequal_phoneme::{ClusterTable, Phoneme, PhonemeString};
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One stored name.
 #[derive(Debug, Clone)]
@@ -37,18 +37,13 @@ pub struct NameEntry {
 
 impl NameEntry {
     /// The entry for `text`, which transformed to `phonemes` — unless
-    /// either is longer than [`MAX_FIELD_BYTES`]: a store could hold such
-    /// a row but no snapshot of it could ever be written, so it is refused
-    /// before it is logged or applied.
+    /// either is too long to store ([`check_field_bytes`]).
     pub fn new(
         text: String,
         language: Language,
         phonemes: PhonemeString,
     ) -> Result<Self, G2pError> {
-        let (bytes, limit) = (text.len().max(phonemes.len()), MAX_FIELD_BYTES);
-        if bytes > limit {
-            return Err(G2pError::TooLong { bytes, limit });
-        }
+        check_field_bytes(text.len(), phonemes.len())?;
         Ok(NameEntry {
             text,
             language,
@@ -108,9 +103,37 @@ impl PhonemeColumn {
     }
 }
 
-/// A run of consecutive rows copied out of a [`NameStore`] as a few flat
-/// buffers (see [`NameStore::read_rows`]): nothing allocated per row, and
-/// refilling a chunk reuses its allocations.
+/// Rows a chunk carries between a store and whatever reads or loads it: a
+/// snapshot writer's transient memory is one chunk whatever the corpus
+/// size, and a bulk load hands a shard its rows this many at a time.
+pub const CHUNK_ROWS: usize = 1024;
+
+/// What a bulk load will append to one store in all, so that each column
+/// is grown once however many chunks the rows arrive in (zeros: unknown).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoadSize {
+    /// Rows.
+    pub rows: usize,
+    /// Text bytes of all of them.
+    pub text_bytes: usize,
+    /// Phoneme ids of all of them.
+    pub phoneme_bytes: usize,
+}
+
+impl LoadSize {
+    /// Count one more row of `text_bytes` and `phoneme_bytes`.
+    pub fn add(&mut self, text_bytes: usize, phoneme_bytes: usize) {
+        self.rows += 1;
+        self.text_bytes += text_bytes;
+        self.phoneme_bytes += phoneme_bytes;
+    }
+}
+
+/// A run of rows as a few flat buffers — the unit rows travel in, both
+/// ways: [`NameStore::read_rows`] copies a range of a store's rows out
+/// into one, [`push`](Self::push) fills one from a source, and
+/// [`NameStore::append_rows`] appends one to a store. Nothing is allocated
+/// per row, and refilling a chunk reuses its allocations.
 #[derive(Debug, Default)]
 pub struct RowChunk {
     languages: Vec<Language>,
@@ -121,6 +144,50 @@ pub struct RowChunk {
 }
 
 impl RowChunk {
+    /// Append the row whose text is `text`'s parts back to back and whose
+    /// phoneme string is `phonemes`' — unless it is too long to store
+    /// ([`check_field_bytes`]; the chunk is then unchanged).
+    pub fn push(
+        &mut self,
+        text: &[&str],
+        language: Language,
+        phonemes: &[&PhonemeString],
+    ) -> Result<(), G2pError> {
+        check_field_bytes(
+            text.iter().map(|part| part.len()).sum(),
+            phonemes.iter().map(|part| part.len()).sum(),
+        )?;
+        for part in text {
+            self.texts.extend_from_slice(part.as_bytes());
+        }
+        self.text_ends.push(self.texts.len());
+        self.languages.push(language);
+        for part in phonemes {
+            self.phonemes.ids.extend_from_slice(part.id_bytes());
+        }
+        let end = u32::try_from(self.phonemes.ids.len()).expect("a chunk under 4 GiB");
+        self.phonemes.ends.push(end);
+        Ok(())
+    }
+
+    /// Make room for `more` on top of the rows held.
+    pub fn reserve(&mut self, more: LoadSize) {
+        self.languages.reserve(more.rows);
+        self.texts.reserve(more.text_bytes);
+        self.text_ends.reserve(more.rows);
+        self.phonemes.ids.reserve(more.phoneme_bytes);
+        self.phonemes.ends.reserve(more.rows);
+    }
+
+    /// The rows held, counted as a load ([`LoadSize`]).
+    pub fn size(&self) -> LoadSize {
+        LoadSize {
+            rows: self.len(),
+            text_bytes: self.texts.len(),
+            phoneme_bytes: self.phonemes.ids.len(),
+        }
+    }
+
     /// Number of rows held.
     pub fn len(&self) -> usize {
         self.languages.len()
@@ -147,7 +214,8 @@ impl RowChunk {
         )
     }
 
-    fn clear(&mut self) {
+    /// Empty the chunk, keeping its buffers.
+    pub fn clear(&mut self) {
         self.languages.clear();
         self.texts.clear();
         self.text_ends.clear();
@@ -297,7 +365,9 @@ const RECOVER_FLOOR: usize = 4096;
 /// ([`build`](Self::build), or [`install`](Self::install) of an index
 /// built elsewhere) only makes a path fast.
 pub struct NameStore {
-    operator: LexEqual,
+    /// Shared by the shards of one sharded store (and whoever else reads
+    /// or writes their rows): its tables are built once.
+    operator: Arc<LexEqual>,
     columns: Columns,
     /// The declared paths' indices, each over a prefix of the rows.
     qgram: Option<QgramFilter>,
@@ -318,20 +388,22 @@ struct RowViews {
 impl NameStore {
     /// Create an empty store with the given configuration.
     pub fn new(config: MatchConfig) -> Self {
-        Self::over(config, Columns::default())
+        Self::sharing(Arc::new(LexEqual::new(config)), None)
     }
 
     /// Create a store whose first rows are `base`'s, read where they lie.
     /// The caller vouches for them: cluster ids and embeddings must be
     /// what `config` computes for the phonemes (the image loader checks).
     pub fn with_base(config: MatchConfig, base: Base) -> Self {
-        Self::over(config, Columns::with_base(base))
+        Self::sharing(Arc::new(LexEqual::new(config)), Some(base))
     }
 
-    fn over(config: MatchConfig, columns: Columns) -> Self {
+    /// Create a store around an operator built elsewhere — empty, or over
+    /// `base` as [`with_base`](Self::with_base) is.
+    pub fn sharing(operator: Arc<LexEqual>, base: Option<Base>) -> Self {
         NameStore {
-            operator: LexEqual::new(config),
-            columns,
+            operator,
+            columns: base.map_or_else(Columns::default, Columns::with_base),
             qgram: None,
             phonidx: None,
             bktree: None,
@@ -401,23 +473,64 @@ impl NameStore {
         Ok(self.extend_transformed(entries))
     }
 
-    /// Bulk-load pre-transformed entries (the serving layer transforms on
-    /// its own threads); returns the contiguous id range assigned.
+    /// Bulk-load pre-transformed entries, a chunk at a time through
+    /// [`append_rows`](Self::append_rows); returns the contiguous id range
+    /// assigned.
+    ///
+    /// # Panics
+    ///
+    /// Panics at an entry too long to store (one built around
+    /// [`NameEntry::new`]); the entries before it are in.
     pub fn extend_transformed(&mut self, entries: Vec<NameEntry>) -> Range<u32> {
         let start = self.len() as u32;
+        let size = |part: &[NameEntry]| {
+            let mut size = LoadSize::default();
+            for e in part {
+                size.add(e.text.len(), e.phonemes.len());
+            }
+            size
+        };
+        let mut load = size(&entries);
+        let mut chunk = RowChunk::default();
+        for part in entries.chunks(CHUNK_ROWS) {
+            chunk.clear();
+            chunk.reserve(size(part));
+            for e in part {
+                chunk
+                    .push(&[&e.text], e.language, &[&e.phonemes])
+                    .expect("an entry passes NameEntry::new");
+            }
+            self.append_rows(&chunk, std::mem::take(&mut load));
+        }
+        start..self.len() as u32
+    }
+
+    /// Append `chunk`'s rows — the one way in, whatever the source: the
+    /// only place cluster ids and embeddings are derived and the columns
+    /// grow. `load` is everything the load this chunk begins will append
+    /// here, this chunk included: the columns are sized for it now, once
+    /// (doubling their way up would leave freed buffers half their size
+    /// behind in the heap). Returns the contiguous id range assigned.
+    pub fn append_rows(&mut self, chunk: &RowChunk, load: LoadSize) -> Range<u32> {
+        let start = self.len() as u32;
         self.views = OnceLock::new();
-        // A bulk load sizes the columns once; doubling its way up would
-        // leave freed buffers half the columns' size behind in the heap.
-        let (texts, phonemes) = entries
-            .iter()
-            .fold((0, 0), |(t, p), e| (t + e.text.len(), p + e.phonemes.len()));
-        self.columns.reserve(entries.len(), texts, phonemes);
-        for e in &entries {
-            let ids = e.phonemes.id_bytes();
+        let held = chunk.size();
+        self.columns.reserve(
+            load.rows.max(held.rows),
+            load.text_bytes.max(held.text_bytes),
+            load.phoneme_bytes.max(held.phoneme_bytes),
+        );
+        // Texts went in as `&str` parts, or came out of a store's rows.
+        let texts = std::str::from_utf8(&chunk.texts).expect("a chunk's texts are UTF-8");
+        let mut text_start = 0;
+        for (i, &text_end) in chunk.text_ends.iter().enumerate() {
+            let ids = chunk.phonemes.row(i);
             let embed = self.operator.embedder().embed_ids(ids);
             let clusters = self.operator.cluster_ids_of(ids);
+            let text = &texts[text_start..text_end];
             self.columns
-                .push(&e.text, e.language, ids, clusters, &embed);
+                .push(text, chunk.languages[i], ids, clusters, &embed);
+            text_start = text_end;
         }
         start..self.len() as u32
     }
@@ -906,6 +1019,52 @@ mod tests {
         );
     }
 
+    /// The write face is the read face run backwards: rows pushed as parts
+    /// append as the rows `insert` stores, a chunk read out of one store
+    /// appends to another as it is, and a row too long to store is refused
+    /// at the push, leaving the chunk as it was.
+    #[test]
+    fn a_chunk_takes_parts_and_appends_what_insert_stores() {
+        let full = store();
+        let mut chunk = RowChunk::default();
+        for id in 0..3 {
+            let e = full.get(id).unwrap();
+            let cut = e.text.char_indices().nth(1).map_or(0, |(at, _)| at);
+            let (head, tail) = e.text.split_at(cut);
+            let ids = e.phonemes.as_slice();
+            let (front, back) = ids.split_at(ids.len() / 2);
+            let parts = [front, back].map(|p| p.iter().copied().collect::<PhonemeString>());
+            chunk
+                .push(&[head, tail], e.language, &[&parts[0], &parts[1]])
+                .unwrap();
+        }
+        let limit = crate::rows::MAX_FIELD_BYTES;
+        let long = "x".repeat(limit / 2 + 1);
+        let before = chunk.size();
+        let err = chunk.push(&[&long, &long], Language::English, &[]);
+        let bytes = 2 * (limit / 2 + 1);
+        assert_eq!(err, Err(G2pError::TooLong { bytes, limit }));
+        assert_eq!((chunk.size(), chunk.len()), (before, 3));
+
+        let mut copy = NameStore::new(MatchConfig::default());
+        assert_eq!(copy.append_rows(&chunk, LoadSize::default()), 0..3);
+        // The rest straight out of the other store, two rows a chunk.
+        for first in (3..7).step_by(2) {
+            full.read_rows(first..first + 2, &mut chunk);
+            let ids = copy.append_rows(&chunk, LoadSize::default());
+            assert_eq!(ids, first as u32..first as u32 + 2);
+        }
+        assert_eq!(copy.append_rows(&RowChunk::default(), chunk.size()), 7..7);
+        for id in 0..7 {
+            let (a, b) = (full.rows().row(id), copy.rows().row(id));
+            assert_eq!(
+                (a.text(), a.language, a.phonemes, a.clusters, a.embed),
+                (b.text(), b.language, b.phonemes, b.clusters, b.embed),
+                "id {id}"
+            );
+        }
+    }
+
     /// A store over a base and a tail reads — entries, row chunks, phoneme
     /// columns, byte counts, answers — as the tail-only store holding the
     /// same rows does, wherever a range starts or ends.
@@ -986,7 +1145,7 @@ mod tests {
         let mut s = NameStore::new(MatchConfig::default());
         // `x` is /ks/ (/z/ up front), so n of them are 2n − 1 phonemes:
         // the text fits the limit, its phonemes do not.
-        let limit = MAX_FIELD_BYTES;
+        let limit = crate::rows::MAX_FIELD_BYTES;
         let long = "x".repeat(limit / 2 + 2);
         let err = s.extend([
             ("Nehru".to_owned(), Language::English),

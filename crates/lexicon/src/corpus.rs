@@ -54,7 +54,12 @@ impl Corpus {
     /// entries of the full corpus, tags included, without transforming
     /// the rest.
     pub fn build_prefix(config: &MatchConfig, base_names: usize) -> Self {
-        let operator = LexEqual::new(config.clone());
+        Self::build_with(&LexEqual::new(config.clone()), base_names)
+    }
+
+    /// [`build_prefix`](Self::build_prefix) with an operator built
+    /// elsewhere (a store's own, say) doing the transforms.
+    pub fn build_with(operator: &LexEqual, base_names: usize) -> Self {
         let mut entries = Vec::new();
         let mut next_tag = 0u32;
         // The paper tagged "all phonetically equivalent names … with a

@@ -23,4 +23,4 @@ pub mod synthetic;
 pub use corpus::{Corpus, LexiconEntry};
 pub use data::{NameDomain, AMERICAN_NAMES, GENERIC_NAMES, INDIAN_NAMES};
 pub use quality::{sweep, sweep_sampled, sweep_with_model, QualityPoint};
-pub use synthetic::{build_dataset, SyntheticDataset, SyntheticEntry};
+pub use synthetic::{build_dataset, SyntheticDataset, SyntheticEntry, SyntheticPairs};

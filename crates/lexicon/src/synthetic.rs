@@ -13,7 +13,7 @@
 //! takes a target size and picks the base-name prefix per language that
 //! meets it.
 
-use crate::corpus::Corpus;
+use crate::corpus::{Corpus, LexiconEntry};
 use lexequal::store::NameEntry;
 use lexequal::MatchConfig;
 use lexequal_g2p::Language;
@@ -31,20 +31,77 @@ pub struct SyntheticEntry {
 }
 
 /// The ≈`target` synthetic names as store entries, transforming only the
-/// base names [`SyntheticDataset::generate`] pairs — what `lexequald
-/// --preload` loads, entry for entry what generating from the whole corpus
-/// yields.
+/// base names [`SyntheticPairs`] pairs — entry for entry what generating
+/// from the whole corpus yields.
 pub fn build_dataset(config: &MatchConfig, target: usize) -> Vec<NameEntry> {
     let corpus = Corpus::build_prefix(config, SyntheticDataset::base_names(target));
-    SyntheticDataset::generate(&corpus, target)
-        .entries
-        .into_iter()
-        .map(|e| NameEntry {
-            text: e.text,
-            language: e.language,
-            phonemes: e.phonemes,
+    let pairs = SyntheticPairs::of(&corpus, target);
+    let entries = pairs.entries().map(|e| NameEntry {
+        text: e.text,
+        language: e.language,
+        phonemes: e.phonemes,
+    });
+    entries.collect()
+}
+
+/// The synthetic set before any name is made: the ordered pairs `(a, b)`
+/// of distinct base names within a language whose concatenations
+/// `a.text ‖ b.text`, `a.phonemes ‖ b.phonemes` are its entries, in id
+/// order — the one place that order is decided. A store loader pushes the
+/// parts as they are; [`SyntheticDataset::generate`] and [`build_dataset`]
+/// concatenate them.
+#[derive(Debug, Clone)]
+pub struct SyntheticPairs<'a> {
+    /// Per language, the base names paired.
+    base: [Vec<&'a LexiconEntry>; 3],
+}
+
+impl<'a> SyntheticPairs<'a> {
+    /// The pairs reaching ≈`target` entries, balanced across the three
+    /// languages: the first [`base_names(target)`](SyntheticDataset::base_names)
+    /// entries of each in `corpus` — or all of them, where the target asks
+    /// for more than the corpus has.
+    pub fn of(corpus: &'a Corpus, target: usize) -> Self {
+        let n = SyntheticDataset::base_names(target);
+        let base = [Language::English, Language::Hindi, Language::Tamil].map(|language| {
+            let of_language = corpus.entries.iter().filter(|e| e.language == language);
+            of_language.take(n).collect()
+        });
+        SyntheticPairs { base }
+    }
+
+    /// Number of pairs: `n · (n − 1)` a language.
+    pub fn len(&self) -> usize {
+        self.base
+            .iter()
+            .map(|b| b.len() * b.len().saturating_sub(1))
+            .sum()
+    }
+
+    /// Whether there is no pair.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entries themselves: each pair concatenated, in id order.
+    pub fn entries(&self) -> impl Iterator<Item = SyntheticEntry> + '_ {
+        self.iter().map(|(a, b)| SyntheticEntry {
+            text: format!("{}{}", a.text, b.text),
+            language: a.language,
+            phonemes: a.phonemes.concat(&b.phonemes),
         })
-        .collect()
+    }
+
+    /// The pairs in id order: by language, then first name, then second.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a LexiconEntry, &'a LexiconEntry)> + '_ {
+        self.base.iter().flat_map(|base| {
+            let others = base.len().saturating_sub(1);
+            (0..base.len() * others).map(move |at| {
+                let (i, j) = (at / others, at % others);
+                (base[i], base[j + usize::from(j >= i)])
+            })
+        })
+    }
 }
 
 /// The generated dataset.
@@ -58,34 +115,15 @@ impl SyntheticDataset {
     /// Generate ≈`target` entries from the corpus by in-language pairwise
     /// concatenation, balanced across the three languages.
     pub fn generate(corpus: &Corpus, target: usize) -> Self {
-        let n = Self::base_names(target);
-        let mut entries = Vec::with_capacity(3 * n * n.saturating_sub(1));
-        for language in [Language::English, Language::Hindi, Language::Tamil] {
-            let base: Vec<&crate::corpus::LexiconEntry> = corpus
-                .entries
-                .iter()
-                .filter(|e| e.language == language)
-                .take(n)
-                .collect();
-            for (i, a) in base.iter().enumerate() {
-                for (j, b) in base.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    entries.push(SyntheticEntry {
-                        text: format!("{}{}", a.text, b.text),
-                        language,
-                        phonemes: a.phonemes.concat(&b.phonemes),
-                    });
-                }
-            }
-        }
+        let pairs = SyntheticPairs::of(corpus, target);
+        let mut entries = Vec::with_capacity(pairs.len());
+        entries.extend(pairs.entries());
         SyntheticDataset { entries }
     }
 
-    /// How many base names per language [`generate`](Self::generate)
-    /// pairs to reach `target`: it reads no more of the corpus than its
-    /// first `3 · base_names(target)` entries.
+    /// How many base names per language [`SyntheticPairs`] pairs to reach
+    /// `target`: it reads no more of the corpus than its first
+    /// `3 · base_names(target)` entries.
     pub fn base_names(target: usize) -> usize {
         let per_language = target / 3;
         // n(n-1) >= per_language  =>  n ≈ ceil((1+sqrt(1+4p))/2)
@@ -161,6 +199,70 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The id order exists once, in [`SyntheticPairs`]; this is the loop
+    /// `generate` was before it did, kept here to hold the enumerator to.
+    #[test]
+    fn pairs_are_the_nested_loop_entry_for_entry() {
+        for target in [100, 2_000, 20_000, 200_000] {
+            let n = SyntheticDataset::base_names(target);
+            let mut want = Vec::new();
+            for language in [Language::English, Language::Hindi, Language::Tamil] {
+                let base: Vec<&LexiconEntry> = corpus()
+                    .entries
+                    .iter()
+                    .filter(|e| e.language == language)
+                    .take(n)
+                    .collect();
+                for (i, a) in base.iter().enumerate() {
+                    for (j, b) in base.iter().enumerate() {
+                        if i == j {
+                            continue;
+                        }
+                        want.push((
+                            format!("{}{}", a.text, b.text),
+                            language,
+                            a.phonemes.concat(&b.phonemes),
+                        ));
+                    }
+                }
+            }
+            let pairs = SyntheticPairs::of(corpus(), target);
+            assert_eq!(pairs.len(), want.len(), "target {target}");
+            assert_eq!(pairs.iter().count(), want.len(), "target {target}");
+            let generated = SyntheticDataset::generate(corpus(), target).entries;
+            assert_eq!(generated.len(), want.len(), "target {target}");
+            for (((a, b), e), w) in pairs.iter().zip(&generated).zip(&want) {
+                let parts = (
+                    format!("{}{}", a.text, b.text),
+                    a.language,
+                    a.phonemes.concat(&b.phonemes),
+                );
+                assert_eq!(&parts, w, "target {target}");
+                assert_eq!((&e.text, e.language, &e.phonemes), (&w.0, w.1, &w.2));
+            }
+        }
+    }
+
+    /// A target past what the lexicon can pair is capped at its ceiling —
+    /// `--preload 4000000000` used to size a vector from the target's
+    /// 36 516 base names a language and abort on a 224 GB allocation.
+    #[test]
+    fn a_target_past_the_lexicon_is_sized_from_the_names_there_are() {
+        let per_language = corpus().len() / 3;
+        let ceiling = 3 * per_language * (per_language - 1);
+        for target in [ceiling + 3, 3_000_000, 4_000_000_000] {
+            assert!(SyntheticDataset::base_names(target) > per_language);
+            assert_eq!(SyntheticPairs::of(corpus(), target).len(), ceiling);
+        }
+        assert_eq!(ceiling, 2_004_918);
+        // Five base names a language: 3 · 5 · 4 entries, whatever is asked.
+        let small = Corpus::build_prefix(&MatchConfig::default(), 5);
+        let generated = SyntheticDataset::generate(&small, 4_000_000_000);
+        assert_eq!(generated.len(), 60);
+        assert!(generated.entries.capacity() < 1_000);
+        assert!(SyntheticPairs::of(&small, 0).is_empty());
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!   pass. The store comes back with the snapshot's own shard count
 //!   unless `--shards` pins one (which must then match — re-sharding on
 //!   load is not supported).
-//! * `--preload N` — bulk-load ≈N synthetic names (paper §5 dataset)
-//!   and declare all three access paths.
+//! * `--preload N` — bulk-load ≈N synthetic names (paper §5 dataset; at
+//!   most the 2 004 918 the lexicon can pair) and declare all three
+//!   access paths.
 //!
 //! `--save-snapshot PATH` writes the store — its rows and declared paths
 //! — to PATH once it is populated (after `--preload`, before serving), so
@@ -676,11 +677,7 @@ fn fresh_service(match_config: &MatchConfig, args: &Args) -> LoadedService {
     if args.preload > 0 {
         eprintln!("lexequald: preloading ~{} synthetic names...", args.preload);
         let start = Instant::now();
-        let dataset = lexequal_lexicon::build_dataset(match_config, args.preload);
-        let (names, dataset_ms) = (dataset.len(), ms_since(start));
-        let extend = Instant::now();
-        service.extend_transformed(dataset);
-        let extend_ms = ms_since(extend);
+        let loaded = service.preload(args.preload);
         for spec in [
             BuildSpec::Qgram {
                 q: 3,
@@ -691,9 +688,19 @@ fn fresh_service(match_config: &MatchConfig, args: &Args) -> LoadedService {
         ] {
             service.store().declare(spec);
         }
+        // The target rounds up to whole pairs, so fewer names than asked
+        // for means the lexicon has no more base names to pair.
+        let names = loaded.names;
+        let capped = if names < args.preload {
+            format!(" asked={} ceiling={names}", args.preload)
+        } else {
+            String::new()
+        };
         eprintln!(
-            "lexequald: preloaded names={names} dataset_ms={dataset_ms:.1} \
-             extend_ms={extend_ms:.1} total_ms={:.1}",
+            "lexequald: preloaded names={names}{capped} base_ms={:.1} load_ms={:.1} \
+             total_ms={:.1}",
+            loaded.base.as_secs_f64() * 1e3,
+            loaded.load.as_secs_f64() * 1e3,
             ms_since(start)
         );
     }

@@ -108,8 +108,9 @@ pub use server::{
 };
 pub use service::{
     AddResolution, AutoMatchRequest, AutoPendingLookup, LoadInfo, MatchOutcome, MatchRequest,
-    MatchService, PendingLookup, ServiceConfig, SnapshotFormat, SnapshotLoad, StatsSnapshot,
+    MatchService, PendingLookup, Preloaded, ServiceConfig, SnapshotFormat, SnapshotLoad,
+    StatsSnapshot,
 };
-pub use shard::{BuildSpec, CoverStats, Cut, PendingSearch, ShardedStore};
+pub use shard::{BuildSpec, CoverStats, Cut, Loader, PendingSearch, ShardedStore};
 pub use snapshot::{StoreSnapshot, STORE_SNAPSHOT_VERSION};
 pub use wal::{CompactionStats, Op, Wal, WalCursor, WalError, WalRecord};

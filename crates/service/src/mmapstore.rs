@@ -87,8 +87,7 @@
 
 use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS};
 use lexequal::rows::{Base, EntryRecord, ImageBytes, ImageLayout};
-use lexequal::store::NameEntry;
-use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode, EMBED_DIM};
+use lexequal::{Language, LexEqual, MatchConfig, Phoneme, PhonemeString, QgramMode, EMBED_DIM};
 use lexequal_mdb::DbError;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -513,8 +512,8 @@ pub fn write_image(
 
     // The rows, a chunk at a time: each chunk's slice of every arena is
     // assembled in five reused buffers and written at its final offset.
-    let operator = LexEqual::new(store.config().clone());
-    let lut = cluster_lut(&operator);
+    let operator = store.operator();
+    let lut = cluster_lut(operator);
     let chunk_rows = CHUNK_ROWS.min(cut.rows);
     let mut entries = Vec::with_capacity(chunk_rows * EntryRecord::BYTES);
     let mut embeds = Vec::with_capacity(chunk_rows * EMBED_DIM);
@@ -532,9 +531,9 @@ pub fn write_image(
             buf.clear();
         }
         for (text, language, phon) in chunk.rows() {
-            // Neither length can exceed its field for a row that came in
-            // through `NameEntry::new`, which refuses it against the same
-            // limit (`lexequal::rows::MAX_FIELD_BYTES`).
+            // Neither length can exceed its field: every row came in past
+            // `lexequal::rows::check_field_bytes`, which holds it to the
+            // same limit.
             let record = EntryRecord {
                 text_off: u32::try_from(text_off).map_err(|_| err("text arena exceeds 4 GiB"))?,
                 phon_off: u32::try_from(phon_off)
@@ -848,7 +847,7 @@ pub fn load_bytes(
     shards: Option<usize>,
     bytes: Vec<u8>,
 ) -> Result<LoadedImage, DbError> {
-    load_owner(config, shards, Arc::new(bytes))
+    load_owner(Arc::new(LexEqual::new(config)), shards, Arc::new(bytes))
 }
 
 /// Load a binary snapshot by mapping the file at `path` (the daemon
@@ -863,13 +862,14 @@ pub fn load_file(
     let io_err = |e: std::io::Error| err(format!("open {}: {e}", path.display()));
     let file = File::open(path).map_err(io_err)?;
     let map = Mmap::map(file).map_err(io_err)?;
-    load_owner(config, shards, Arc::new(map))
+    load_owner(Arc::new(LexEqual::new(config)), shards, Arc::new(map))
 }
 
-/// The loader core: validate everything once, then hand each shard its
-/// stripe of the image to read in place.
-fn load_owner(
-    config: MatchConfig,
+/// The loader core: validate everything once — with the operator the
+/// store then keeps — and hand each shard its stripe of the image to read
+/// in place.
+pub(crate) fn load_owner(
+    operator: Arc<LexEqual>,
     shards: Option<usize>,
     owner: ImageBytes,
 ) -> Result<LoadedImage, DbError> {
@@ -925,7 +925,6 @@ fn load_owner(
     }
     let phon_arena = &image[phonemes.off..phonemes.off + phonemes.len];
     let clus_arena = &image[clusters.off..clusters.off + clusters.len];
-    let operator = LexEqual::new(config.clone());
     let lut = cluster_lut(&operator);
     for (i, (&p, &c)) in phon_arena.iter().zip(clus_arena).enumerate() {
         match lut[p as usize] {
@@ -971,11 +970,12 @@ fn load_owner(
     // with its checksum, so records parse from a fixed slice —
     // `chunks_exact` gives the optimizer fixed-size windows with no
     // per-field bounds checks. A version-1 image has no embedding arena
-    // to read in place: its rows are copied out as they are validated,
-    // for the shards to compute the column from.
-    let mut copied = embed_sec
+    // to read in place: its rows are pushed into a store of their own as
+    // they are validated, for the shards to compute the column from.
+    let copied = embed_sec
         .is_none()
-        .then(|| vec![Vec::<NameEntry>::new(); snap_shards]);
+        .then(|| ShardedStore::sharing(Arc::clone(&operator), snap_shards));
+    let mut copy = copied.as_ref().map(ShardedStore::loader);
     let entry_table = &image[entries.off..entries.off + entries.len];
     for (g, rec) in entry_table.chunks_exact(EntryRecord::BYTES).enumerate() {
         let rec = EntryRecord::decode(rec.try_into().expect("record"));
@@ -1000,15 +1000,14 @@ fn load_owner(
         let language = *Language::ALL
             .get(lang as usize)
             .ok_or_else(|| err(format!("entry {g}: unknown language tag {lang}")))?;
-        if let Some(striped) = &mut copied {
+        if let Some(loader) = &mut copy {
             let ids = ids.iter().map(|&id| Phoneme::from_id(id));
-            striped[g % snap_shards].push(NameEntry {
-                text: text_arena[text_off..text_end].to_owned(),
-                language,
-                phonemes: ids
-                    .collect::<Result<_, _>>()
-                    .expect("arena validated above"),
-            });
+            let phonemes: PhonemeString = ids
+                .collect::<Result<_, _>>()
+                .expect("arena validated above");
+            loader
+                .push(&[&text_arena[text_off..text_end]], language, &[&phonemes])
+                .expect("a record's lengths are within the limit");
         }
         if let Some(sec) = embed_sec {
             // Verify the stored embedding against a recompute from the
@@ -1026,6 +1025,7 @@ fn load_owner(
         }
     }
 
+    drop(copy);
     let store = match (embed_sec, copied) {
         // Everything the rows read was validated above: each shard reads
         // its stripe of the image where it lies.
@@ -1042,13 +1042,9 @@ fn load_owner(
                 .map(|s| Base::new(Arc::clone(&owner), layout.clone(), snap_shards, s))
                 .collect::<Option<Vec<_>>>()
                 .ok_or_else(|| err("validated sections do not frame a row store"))?;
-            ShardedStore::over_bases(config, bases)
+            ShardedStore::over_bases(operator, bases)
         }
-        (None, copied) => {
-            let store = ShardedStore::new(config, snap_shards);
-            store.import_shards(copied.expect("copied when there is no arena"));
-            store
-        }
+        (None, copied) => copied.expect("copied when there is no arena"),
     };
     for &spec in &builds {
         store.declare(spec);

@@ -1323,11 +1323,11 @@ fn apply_snapshot_delta(
     bytes: Vec<u8>,
     lsn: u64,
 ) -> Result<usize, ReplError> {
-    let config = service.store().config().clone();
+    let operator = Arc::clone(service.store().operator());
     let shards = service.store().shards();
     // Decode into a detached store; either transfer format works.
     let (snap_store, builds) = if crate::mmapstore::is_binary(&bytes) {
-        let image = crate::mmapstore::load_bytes(config, Some(shards), bytes)
+        let image = crate::mmapstore::load_owner(operator, Some(shards), Arc::new(bytes))
             .map_err(ReplError::Snapshot)?;
         if image.lsn != lsn {
             return Err(ReplError::Protocol(format!(
@@ -1345,7 +1345,7 @@ fn apply_snapshot_delta(
             )));
         }
         let store = snap
-            .restore_with_shards(config, shards)
+            .restore_with_shards(operator.config().clone(), shards)
             .map_err(ReplError::Snapshot)?;
         let builds = store.built_specs();
         (store, builds)
@@ -1384,14 +1384,15 @@ fn apply_snapshot_delta(
         }
     }
 
-    let delta: Vec<_> = (have..snap_len)
-        .map(|id| snap_store.get(id).expect("id below snapshot len"))
-        .collect();
-    let added = delta.len();
-    if added > 0 {
-        let range = service.extend_transformed(delta);
-        debug_assert_eq!(range.start, have, "ids must continue the local sequence");
+    let mut loader = service.store().loader();
+    for id in have..snap_len {
+        let e = snap_store.get(id).expect("id below snapshot len");
+        let local = loader
+            .push(&[&e.text], e.language, &[&e.phonemes])
+            .expect("a stored row passed the length check");
+        debug_assert_eq!(local, id, "ids must continue the local sequence");
     }
+    let added = loader.finish().len();
     // Converge the access paths to the snapshot's recorded set.
     for spec in builds {
         service.build(spec);
@@ -1564,6 +1565,58 @@ mod tests {
         assert_eq!(snap.lsn(), json_lsn);
 
         std::fs::remove_file(&wal_path).ok();
+    }
+
+    /// A live re-seed is one load: the rows the replica lacks come out of
+    /// the transferred snapshot — either format — and in through a loader,
+    /// across a chunk seam on every shard, and the replica ends up the
+    /// store the primary is: every entry, every path's answers, the image.
+    #[test]
+    fn a_snapshot_delta_is_one_load_and_leaves_the_primarys_store() {
+        use crate::shard::{BuildSpec, CHUNK_ROWS};
+        let service = |rows: usize| {
+            let s = MatchService::new(ServiceConfig {
+                match_config: MatchConfig::default(),
+                shards: 2,
+                cache_capacity: 16,
+            });
+            let name = |i: usize| format!("Nehru{}", "a".repeat(i % 11));
+            s.extend((0..rows).map(|i| (name(i), Language::English)))
+                .expect("rows");
+            s
+        };
+        let rows = 2 * CHUNK_ROWS + 7;
+        let primary = service(rows);
+        primary.store().declare(BuildSpec::PhoneticIndex);
+        let mut json = Vec::new();
+        primary.store().save_to(&mut json).expect("json document");
+        let image = crate::mmapstore::encode(primary.store(), 0).expect("image");
+        for (format, bytes) in [("mmap", image.clone()), ("json", json)] {
+            for have in [0, 5, rows] {
+                let replica = service(have);
+                let added = apply_snapshot_delta(&replica, bytes.clone(), 0);
+                assert_eq!(added.expect("delta"), rows - have, "{format} from {have}");
+                assert_eq!(replica.len(), rows);
+                let reencoded = crate::mmapstore::encode(replica.store(), 0).expect("image");
+                assert!(reencoded == image, "{format} from {have}: image differs");
+                let q = primary.store().get(rows as u32 - 1).unwrap().phonemes;
+                for method in crate::metrics::ALL_METHODS {
+                    let method = Some(method).filter(|m| replica.is_built(*m));
+                    let method = method.unwrap_or(SearchMethod::Scan);
+                    assert_eq!(
+                        replica.store().search_phonemes(&q, 0.35, method),
+                        primary.store().search_phonemes(&q, 0.35, method),
+                        "{format} from {have}: {method:?}"
+                    );
+                }
+            }
+        }
+        // A snapshot that is not a continuation is refused, nothing added.
+        let other = service(0);
+        other.add("Gandhi", Language::English).expect("row");
+        let refused = apply_snapshot_delta(&other, image, 0);
+        assert!(matches!(refused, Err(ReplError::NeedsResync(_))));
+        assert_eq!(other.len(), 1);
     }
 
     /// In-process end to end: primary with a WAL and a stream listener,

@@ -13,10 +13,11 @@ use crate::shard::{BuildSpec, CoverStats, PendingSearch, ShardedStore};
 use lexequal::store::NameEntry;
 use lexequal::{G2pError, Language, MatchConfig, QgramMode, SearchMethod};
 use lexequal_g2p::{Route, Router, ScriptProfile};
+use lexequal_lexicon::{Corpus, SyntheticDataset, SyntheticPairs};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Snapshot serialization formats the service can read and write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +85,18 @@ pub struct SnapshotLoad {
     /// background (`lexequald`) or synchronously (tests, replicas) via
     /// [`MatchService::build`].
     pub pending_builds: Vec<BuildSpec>,
+}
+
+/// What [`MatchService::preload`] loaded, and what it took.
+#[derive(Debug, Clone, Copy)]
+pub struct Preloaded {
+    /// Names loaded: the target rounded up to whole pairs, or the
+    /// lexicon's ceiling where the target is past it.
+    pub names: usize,
+    /// G2P of the base names.
+    pub base: Duration,
+    /// First push to the end of the load.
+    pub load: Duration,
 }
 
 /// Service construction knobs.
@@ -431,6 +444,41 @@ impl MatchService {
         self.store.extend_transformed(entries)
     }
 
+    /// Bulk-load the ≈`target` synthetic names of the paper's §5 — what
+    /// `lexequald --preload` does: the base names transformed by the
+    /// store's own operator, then their pairs
+    /// ([`load_pairs`](Self::load_pairs)).
+    pub fn preload(&self, target: usize) -> Preloaded {
+        let start = Instant::now();
+        let base_names = SyntheticDataset::base_names(target);
+        let corpus = Corpus::build_with(self.store.operator(), base_names);
+        let base = start.elapsed();
+        let names = self.load_pairs(&SyntheticPairs::of(&corpus, target));
+        Preloaded {
+            names,
+            base,
+            load: start.elapsed() - base,
+        }
+    }
+
+    /// Load the synthetic set `pairs` enumerates, each pair pushed into
+    /// one load as the parts it is: no name is ever made outside the
+    /// shards' columns. Returns how many were loaded.
+    pub fn load_pairs(&self, pairs: &SyntheticPairs<'_>) -> usize {
+        let mut loader = self.store.loader();
+        loader.reserve(pairs.iter().map(|(a, b)| {
+            let phonemes = a.phonemes.len() + b.phonemes.len();
+            (a.text.len() + b.text.len(), phonemes)
+        }));
+        for (a, b) in pairs.iter() {
+            let (text, phonemes) = ([&*a.text, &*b.text], [&a.phonemes, &b.phonemes]);
+            loader
+                .push(&text, a.language, &phonemes)
+                .expect("two base names fit a row");
+        }
+        loader.finish().len()
+    }
+
     /// Declare one access path and cover it before returning (see
     /// [`ShardedStore::build`]: the cover runs on this thread; appends
     /// and searches proceed meanwhile). A front-end that must not wait
@@ -459,9 +507,13 @@ impl MatchService {
     }
 
     /// Append one pre-transformed entry — the infallible half of an
-    /// `ADD`. Returns the assigned global id.
+    /// `ADD`: a load of one row, one message to one shard. Returns the
+    /// assigned global id.
     pub fn apply_entry(&self, entry: NameEntry) -> u32 {
-        self.extend_transformed(vec![entry]).start
+        self.store
+            .loader()
+            .push(&[&entry.text], entry.language, &[&entry.phonemes])
+            .expect("an entry passes NameEntry::new")
     }
 
     /// Deterministically apply one logged op, exactly as the original

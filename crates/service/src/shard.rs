@@ -15,22 +15,29 @@
 //! a shard's phoneme column prefix out in chunks, builds the index on its
 //! own thread — never on a worker's command loop, under no lock — and
 //! hands it back to be installed. Appends invalidate nothing; a tail that
-//! outgrows the re-cover rule schedules a background cover. Bulk loads
-//! parallelize the expensive G2P transform across scoped threads before
-//! striping the finished entries.
+//! outgrows the re-cover rule schedules a background cover.
+//!
+//! Rows come in one way, whatever their source — a generator, a vector of
+//! entries, a snapshot being restored, one `ADD`: through a [`Loader`],
+//! the prefix reader run backwards. It stripes the rows it is pushed into
+//! one [`RowChunk`] a shard and sends each full chunk to its worker, which
+//! derives the cluster ids and embeddings and hands the buffer back; the
+//! length is published once, when the load ends.
 
 use crate::metrics::{BatchTotals, ScreenTotals};
 use lexequal::rows::Base;
+pub(crate) use lexequal::store::CHUNK_ROWS;
 use lexequal::store::{cover_due, NameEntry, SearchResult};
 pub use lexequal::BuildSpec;
 use lexequal::{
-    BatchCounters, BatchVerifier, ClusterTable, G2pError, Language, MatchConfig, NameStore,
-    PathIndex, PhonemeColumn, PhonemeString, RowChunk, ScreenCounters, SearchMethod,
+    BatchCounters, BatchVerifier, ClusterTable, G2pError, Language, LexEqual, LoadSize,
+    MatchConfig, NameStore, PathIndex, PhonemeColumn, PhonemeString, RowChunk, ScreenCounters,
+    SearchMethod,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -50,11 +57,6 @@ pub struct Cut {
     pub builds: Vec<BuildSpec>,
 }
 
-/// Rows a snapshot writer pulls from the shard workers per round trip
-/// ([`PrefixReader`]): bounds a checkpoint's transient memory at one
-/// chunk whatever the corpus size.
-pub(crate) const CHUNK_ROWS: usize = 1024;
-
 /// How many of global rows `0..rows` live on `shard` of `shards` (its
 /// local rows `0..n`): row `g` is shard `g % shards`'s local `g / shards`.
 fn local_rows(rows: usize, shard: usize, shards: usize) -> usize {
@@ -68,15 +70,16 @@ type Coverage = (usize, Vec<(BuildSpec, usize)>, [usize; 3]);
 /// One request to a shard worker. Replies travel over per-call mpsc
 /// channels so any number of client threads can have requests in flight.
 enum Cmd {
-    /// Append pre-transformed entries (infallible: transforms already
-    /// happened on the coordinator side, so a failed row can never leave
-    /// the shards striped inconsistently).
-    ///
-    /// Replies with the rows appended and whether some path's tail now
-    /// meets the re-cover rule.
-    Extend {
-        entries: Vec<NameEntry>,
-        reply: Sender<(usize, bool)>,
+    /// Append `chunk`'s rows (a [`Loader`]'s; infallible: every row was
+    /// transformed and measured before it was pushed). `load` is what the
+    /// whole load brings this shard, sent with its first chunk. Replies
+    /// with the shard index, the buffer — to be refilled — and whether
+    /// some path's tail now meets the re-cover rule.
+    Append {
+        chunk: RowChunk,
+        load: LoadSize,
+        shard: usize,
+        reply: Sender<Appended>,
     },
     /// Declare an access path (an index over zero rows unless the path
     /// already holds this spec).
@@ -127,6 +130,9 @@ enum Cmd {
     },
 }
 
+/// A worker's reply to [`Cmd::Append`].
+type Appended = (usize, RowChunk, bool);
+
 fn worker(
     mut store: NameStore,
     rx: Receiver<Cmd>,
@@ -141,10 +147,14 @@ fn worker(
     let mut verifier = BatchVerifier::new();
     for cmd in rx {
         match cmd {
-            Cmd::Extend { entries, reply } => {
-                let n = entries.len();
-                store.extend_transformed(entries);
-                let _ = reply.send((n, store.cover_due()));
+            Cmd::Append {
+                chunk,
+                load,
+                shard,
+                reply,
+            } => {
+                store.append_rows(&chunk, load);
+                let _ = reply.send((shard, chunk, store.cover_due()));
             }
             Cmd::Declare { spec, reply } => {
                 store.declare(spec);
@@ -315,12 +325,15 @@ impl Covering {
 
 /// A multiscript name collection partitioned across worker threads.
 pub struct ShardedStore {
-    config: MatchConfig,
+    /// The one operator of this store: every shard's [`NameStore`] shares
+    /// it, and snapshot writers and loaders borrow it.
+    operator: Arc<LexEqual>,
     senders: Vec<Sender<Cmd>>,
     handles: Vec<JoinHandle<()>>,
     /// Serializes global-id assignment so the round-robin stripe stays
-    /// aligned with each shard's local insertion order.
-    grow: Mutex<()>,
+    /// aligned with each shard's local insertion order: a [`Loader`]
+    /// holds it for its life, and fills the buffers it guards.
+    grow: Mutex<LoadBuffers>,
     /// The published row count: stored (under `grow`) only after every
     /// shard has appended, so a reader that sees `n` can resolve every
     /// id below `n` — and never waits behind an append to learn it.
@@ -364,27 +377,30 @@ impl ShardedStore {
     ///
     /// Panics if `shards` is zero.
     pub fn new(config: MatchConfig, shards: usize) -> Self {
+        Self::sharing(Arc::new(LexEqual::new(config)), shards)
+    }
+
+    /// [`new`](Self::new) around an operator built elsewhere (a snapshot
+    /// loader validates with the operator its store then keeps).
+    pub(crate) fn sharing(operator: Arc<LexEqual>, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        let stores = (0..shards)
-            .map(|_| NameStore::new(config.clone()))
-            .collect();
-        Self::over(config, stores)
+        Self::over(operator, (0..shards).map(|_| None))
     }
 
     /// A store whose shard `s` starts as `bases[s]`: the rows of a
     /// snapshot image, striped `g % N` as this module stripes them and
     /// read where they lie (the image loader's way in; it has validated
     /// every row).
-    pub(crate) fn over_bases(config: MatchConfig, bases: Vec<Base>) -> Self {
-        let stores = bases
-            .into_iter()
-            .map(|b| NameStore::with_base(config.clone(), b));
-        let stores = stores.collect();
-        Self::over(config, stores)
+    pub(crate) fn over_bases(operator: Arc<LexEqual>, bases: Vec<Base>) -> Self {
+        Self::over(operator, bases.into_iter().map(Some))
     }
 
-    /// One worker thread a store; their rows are the published length.
-    fn over(config: MatchConfig, stores: Vec<NameStore>) -> Self {
+    /// One worker thread a shard, each store empty or over its base;
+    /// their rows are the published length.
+    fn over(operator: Arc<LexEqual>, bases: impl Iterator<Item = Option<Base>>) -> Self {
+        let stores: Vec<NameStore> = bases
+            .map(|base| NameStore::sharing(Arc::clone(&operator), base))
+            .collect();
         let screens = Arc::new(ScreenTotals::default());
         let batches = Arc::new(BatchTotals::default());
         let len = stores.iter().map(NameStore::len).sum::<usize>();
@@ -403,7 +419,7 @@ impl ShardedStore {
             senders.push(tx);
         }
         let covering = Arc::new(Covering {
-            clusters: Arc::clone(&config.clusters),
+            clusters: Arc::clone(&operator.config().clusters),
             declared: Mutex::default(),
             declared_mask: AtomicU8::new(0),
             turn: Mutex::default(),
@@ -421,13 +437,13 @@ impl ShardedStore {
                 .expect("spawn coverer")
         };
         ShardedStore {
-            config,
+            operator,
+            grow: Mutex::new(LoadBuffers::new(senders.len())),
             senders,
             coverer: coverer.thread().clone(),
             // Joined first: the workers' loops end only once the coverer
             // has let go of its command channels too.
             handles: std::iter::once(coverer).chain(handles).collect(),
-            grow: Mutex::new(()),
             len: AtomicU32::new(u32::try_from(len).expect("ids are u32")),
             screens,
             batches,
@@ -452,7 +468,12 @@ impl ShardedStore {
 
     /// The configuration in force.
     pub fn config(&self) -> &MatchConfig {
-        &self.config
+        self.operator.config()
+    }
+
+    /// The operator every shard of this store matches with.
+    pub fn operator(&self) -> &Arc<LexEqual> {
+        &self.operator
     }
 
     /// Total number of stored names.
@@ -461,8 +482,8 @@ impl ShardedStore {
         self.len.load(Ordering::Acquire) as usize
     }
 
-    /// Publish the row count once every shard has appended (caller holds
-    /// the grow lock).
+    /// Publish the row count once every shard has appended (a
+    /// [`Loader`]'s last act, under the grow lock).
     fn publish_len(&self, len: u32) {
         self.len.store(len, Ordering::Release);
     }
@@ -494,55 +515,58 @@ impl ShardedStore {
     ///
     /// All rows are transformed *first* (in parallel across scoped
     /// threads when the batch is large), so a G2P failure anywhere leaves
-    /// the store completely unchanged; the pre-transformed entries are
-    /// then striped round-robin and appended by every shard worker
-    /// concurrently.
+    /// the store completely unchanged; the entries then go in as
+    /// [`extend_transformed`](Self::extend_transformed) puts them.
     pub fn extend(
         &self,
         rows: impl IntoIterator<Item = (String, Language)>,
     ) -> Result<Range<u32>, G2pError> {
         let rows: Vec<(String, Language)> = rows.into_iter().collect();
-        let entries = transform_rows(&self.config, rows)?;
+        let entries = transform_rows(self.config(), rows)?;
         Ok(self.extend_transformed(entries))
     }
 
-    /// Bulk-load pre-transformed entries; returns the global id range.
-    /// Declared access paths stay declared — the new rows are their tails
-    /// — and a tail that has outgrown the re-cover rule
+    /// Bulk-load pre-transformed entries through a [`Loader`]; returns the
+    /// global id range. Declared access paths stay declared — the new rows
+    /// are their tails — and a tail that has outgrown the re-cover rule
     /// ([`lexequal::store::cover_due`]) starts a background cover.
+    ///
+    /// # Panics
+    ///
+    /// Panics at an entry too long to store (one built around
+    /// [`NameEntry::new`]), and the store takes no append after it.
     pub fn extend_transformed(&self, entries: Vec<NameEntry>) -> Range<u32> {
-        let n = self.shards();
-        let guard = self.grow.lock().expect("grow lock");
+        let mut loader = self.loader();
+        loader.reserve(entries.iter().map(|e| (e.text.len(), e.phonemes.len())));
+        for e in &entries {
+            loader
+                .push(&[&e.text], e.language, &[&e.phonemes])
+                .expect("an entry passes NameEntry::new");
+        }
+        loader.finish()
+    }
+
+    /// Begin a load: the returned [`Loader`] holds the grow lock until it
+    /// is finished or dropped, so every id it assigns follows the last.
+    pub fn loader(&self) -> Loader<'_> {
+        self.loader_with(&|| {})
+    }
+
+    /// [`loader`](Self::loader) with a hook run after every chunk the
+    /// load sends to a shard.
+    #[doc(hidden)]
+    pub fn loader_with<'a>(&'a self, on_chunk: &'a dyn Fn()) -> Loader<'a> {
+        let buffers = self.grow.lock().expect("grow lock");
         let start = self.len.load(Ordering::Relaxed);
-        let mut per_shard: Vec<Vec<NameEntry>> = (0..n).map(|_| Vec::new()).collect();
-        for (offset, entry) in entries.into_iter().enumerate() {
-            per_shard[(start as usize + offset) % n].push(entry);
+        Loader {
+            store: self,
+            buffers,
+            start,
+            next: start,
+            loads: Vec::new(),
+            due: false,
+            on_chunk,
         }
-        let (tx, rx) = channel();
-        for (shard, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            self.senders[shard]
-                .send(Cmd::Extend {
-                    entries: batch,
-                    reply: tx.clone(),
-                })
-                .expect("shard worker alive");
-        }
-        drop(tx);
-        let (mut added, mut due) = (0u32, false);
-        for (count, shard_due) in rx {
-            added += count as u32;
-            due |= shard_due;
-        }
-        let end = start + added;
-        self.publish_len(end);
-        drop(guard);
-        if due {
-            self.cover_in_background();
-        }
-        start..end
     }
 
     /// Declare one access path on every shard: from the moment this
@@ -680,26 +704,6 @@ impl ShardedStore {
         }
     }
 
-    /// Place pre-striped sections on the shards — the snapshot restore
-    /// path. Section `s` becomes shard `s`'s entries verbatim, so global
-    /// ids are exactly what they were in the store that was saved (shard
-    /// `s` local `l` is global `l * N + s`). All appends are enqueued
-    /// before any is awaited, so the per-shard bulk loads run in
-    /// parallel. Only valid on an empty store whose shard count equals
-    /// `sections.len()` and whose sections form a round-robin stripe —
-    /// the callers validate both.
-    pub(crate) fn import_shards(&self, sections: Vec<Vec<NameEntry>>) {
-        debug_assert_eq!(sections.len(), self.shards());
-        let _guard = self.grow.lock().expect("grow lock");
-        debug_assert_eq!(self.len(), 0, "import into a non-empty store");
-        let mut sections = sections.into_iter();
-        let loaded = self.ask_all(|_, reply| Cmd::Extend {
-            entries: sections.next().expect("one a shard"),
-            reply,
-        });
-        self.publish_len(loaded.iter().map(|(rows, _)| rows as u32).sum());
-    }
-
     /// Entry by global id.
     pub fn get(&self, id: u32) -> Option<NameEntry> {
         let n = self.shards();
@@ -717,7 +721,7 @@ impl ShardedStore {
         e: f64,
         method: SearchMethod,
     ) -> Result<SearchResult, G2pError> {
-        let q = self.config.registry.transform(query, language)?;
+        let q = self.config().registry.transform(query, language)?;
         Ok(self.search_phonemes(&q, e, method))
     }
 
@@ -766,6 +770,162 @@ impl ShardedStore {
             .map(|(q, e, method)| self.begin_search(q, *e, *method))
             .collect();
         pending.into_iter().map(PendingSearch::merge).collect()
+    }
+}
+
+/// What a load fills and the grow lock guards: per shard the chunk being
+/// filled and a second buffer for while that one is with the worker, and
+/// the channel the workers hand buffers back on. They outlive a load that
+/// never filled a chunk, so an `ADD` allocates nothing here.
+struct LoadBuffers {
+    filling: Vec<RowChunk>,
+    /// The buffer not being filled; `None` while it is with the worker.
+    spare: Vec<Option<RowChunk>>,
+    reply: Sender<Appended>,
+    replies: Receiver<Appended>,
+}
+
+impl LoadBuffers {
+    fn new(shards: usize) -> Self {
+        let (reply, replies) = channel();
+        LoadBuffers {
+            filling: (0..shards).map(|_| RowChunk::default()).collect(),
+            spare: (0..shards).map(|_| Some(RowChunk::default())).collect(),
+            reply,
+            replies,
+        }
+    }
+}
+
+/// One load into a [`ShardedStore`] (from [`ShardedStore::loader`]) — the
+/// [`PrefixReader`] run backwards, and the only way rows come in. Rows are
+/// [`push`](Self::push)ed in global-id order; row `g` goes into the chunk
+/// of shard `g % N`, a chunk of [`CHUNK_ROWS`] rows goes to its worker as
+/// one command, and the worker derives cluster ids and embeddings while
+/// the source fills the shard's other buffer. The loader holds the grow
+/// lock for its life, so a load's ids are contiguous, and the store's
+/// length moves once: [`finish`](Self::finish) — or dropping the loader,
+/// after a refused row, say — sends what is still buffered, waits for the
+/// shards and publishes exactly the rows that were accepted, so no shard
+/// ever holds a row that a published length does not come to cover.
+pub struct Loader<'a> {
+    store: &'a ShardedStore,
+    buffers: MutexGuard<'a, LoadBuffers>,
+    /// The published length when the load began, and the next id.
+    start: u32,
+    next: u32,
+    /// What the load brings each shard, until its first chunk takes it
+    /// along (empty unless [`reserve`](Self::reserve) was called).
+    loads: Vec<LoadSize>,
+    due: bool,
+    on_chunk: &'a dyn Fn(),
+}
+
+impl Loader<'_> {
+    /// Announce the rows to come, each as `(text bytes, phoneme bytes)`
+    /// in push order, so that every shard sizes its columns once, for
+    /// exactly its stripe. Optional; call it before the first push.
+    pub fn reserve(&mut self, rows: impl Iterator<Item = (usize, usize)>) {
+        debug_assert_eq!(self.next, self.start, "sizes announced mid-load");
+        let shards = self.store.shards();
+        self.loads = vec![LoadSize::default(); shards];
+        for (offset, (text_bytes, phoneme_bytes)) in rows.enumerate() {
+            self.loads[(self.next as usize + offset) % shards].add(text_bytes, phoneme_bytes);
+        }
+    }
+
+    /// Append one row — text and phonemes each given as parts, to be
+    /// stored back to back — and return its global id, or refuse it as
+    /// too long to store ([`lexequal::rows::check_field_bytes`]): the load
+    /// is then as it was before the call.
+    pub fn push(
+        &mut self,
+        text: &[&str],
+        language: Language,
+        phonemes: &[&PhonemeString],
+    ) -> Result<u32, G2pError> {
+        let id = self.next;
+        let next = id.checked_add(1).expect("ids are u32");
+        let shard = id as usize % self.store.shards();
+        self.buffers.filling[shard].push(text, language, phonemes)?;
+        self.next = next;
+        if self.buffers.filling[shard].len() == CHUNK_ROWS {
+            self.send(shard);
+        }
+        Ok(id)
+    }
+
+    /// End the load: everything pushed is appended and published; returns
+    /// the global id range the rows took.
+    pub fn finish(mut self) -> Range<u32> {
+        self.flush();
+        self.start..self.next
+    }
+
+    /// Hand shard `shard`'s filling chunk to its worker and go on filling
+    /// its other buffer, waiting first for that one to come back if it is
+    /// still out.
+    fn send(&mut self, shard: usize) {
+        while self.buffers.spare[shard].is_none() {
+            self.receive();
+        }
+        let b = &mut *self.buffers;
+        let refill = b.spare[shard].take().expect("waited for it");
+        let cmd = Cmd::Append {
+            chunk: std::mem::replace(&mut b.filling[shard], refill),
+            load: self
+                .loads
+                .get_mut(shard)
+                .map(std::mem::take)
+                .unwrap_or_default(),
+            shard,
+            reply: b.reply.clone(),
+        };
+        self.store.senders[shard]
+            .send(cmd)
+            .expect("shard worker alive");
+        (self.on_chunk)();
+    }
+
+    /// Take one buffer back from a worker.
+    fn receive(&mut self) {
+        let b = &mut *self.buffers;
+        let (shard, mut chunk, due) = b.replies.recv().expect("shard worker replies");
+        chunk.clear();
+        b.spare[shard] = Some(chunk);
+        self.due |= due;
+    }
+
+    fn flush(&mut self) {
+        let shards = self.store.shards();
+        for shard in 0..shards {
+            if !self.buffers.filling[shard].is_empty() {
+                self.send(shard);
+            }
+        }
+        while self.buffers.spare.iter().any(Option::is_none) {
+            self.receive();
+        }
+        self.store.publish_len(self.next);
+        // A bulk load's buffers, grown to a chunk each, go with it.
+        if (self.next - self.start) as usize >= CHUNK_ROWS {
+            *self.buffers = LoadBuffers::new(shards);
+        }
+        if std::mem::take(&mut self.due) {
+            self.store.cover_in_background();
+        }
+    }
+}
+
+impl Drop for Loader<'_> {
+    fn drop(&mut self) {
+        // After `finish` there is nothing left to send or wait for. Not
+        // while unwinding: a flush can panic (a dead worker), and the grow
+        // lock this guard poisons on its way out ends all appending anyway,
+        // so no later load can be striped onto the rows left unpublished.
+        if !std::thread::panicking() {
+            self.flush();
+        }
     }
 }
 

@@ -9,12 +9,12 @@
 //! language tag, phonemic rendering, cluster-id vector) in local-id
 //! order — as one versioned, self-describing JSON document written and
 //! read by the in-tree [`lexequal_mdb::Json`] codec. On load the
-//! entries go back to their original shards verbatim (so every global
-//! id survives) and the recorded access paths are rebuilt by parallel
-//! per-shard bulk load, the same recovery strategy [`lexequal_mdb`]'s
-//! own snapshots use for secondary indexes: a `lexequald --snapshot`
-//! cold start is a file read plus an index rebuild instead of a full
-//! synthetic-corpus G2P pass.
+//! entries go back in global-id order through one load of a fresh store
+//! (so every global id survives) and the recorded access paths are
+//! rebuilt, the same recovery strategy [`lexequal_mdb`]'s own snapshots
+//! use for secondary indexes: a `lexequald --snapshot` cold start is a
+//! file read plus an index rebuild instead of a full synthetic-corpus G2P
+//! pass.
 //!
 //! ## Integrity
 //!
@@ -37,8 +37,7 @@
 //! access paths.
 
 use crate::shard::{BuildSpec, Cut, ShardedStore};
-use lexequal::store::NameEntry;
-use lexequal::{Language, LexEqual, MatchConfig, Phoneme, PhonemeString, QgramMode};
+use lexequal::{Language, MatchConfig, Phoneme, PhonemeString, QgramMode};
 use lexequal_mdb::{DbError, Json};
 use std::io::{Read, Write};
 
@@ -54,7 +53,7 @@ fn decode_err(what: impl std::fmt::Display) -> DbError {
     DbError::Parse(format!("store snapshot decode: {what}"))
 }
 
-/// One persisted entry: what [`NameEntry`] carries plus its cluster-id
+/// One persisted entry: text, language and phonemes plus the cluster-id
 /// vector (recomputed and cross-checked on load).
 #[derive(Debug, Clone)]
 struct SnapEntry {
@@ -242,7 +241,7 @@ impl StoreSnapshot {
     /// lock is held, and rows appended after the cut are not in the
     /// document.
     pub fn capture_cut(store: &ShardedStore, cut: &Cut) -> StoreSnapshot {
-        let operator = LexEqual::new(store.config().clone());
+        let operator = store.operator();
         let shards = store.shards();
         let mut sections: Vec<Vec<SnapEntry>> = (0..shards).map(|_| Vec::new()).collect();
         let mut reader = store.prefix_reader(cut.rows);
@@ -299,10 +298,10 @@ impl StoreSnapshot {
 
     /// Restore into a fresh store with the snapshot's own shard count.
     ///
-    /// Entries go back to their original shards verbatim (every global
-    /// id is preserved), stored cluster-id vectors are validated against
-    /// `config`'s cost model, and the recorded access paths are rebuilt
-    /// by parallel per-shard bulk load.
+    /// Entries go back to their original shards (every global id is
+    /// preserved), stored cluster-id vectors are validated against
+    /// `config`'s cost model, a row too long to store is refused as any
+    /// other door refuses it, and the recorded access paths are rebuilt.
     pub fn restore(&self, config: MatchConfig) -> Result<ShardedStore, DbError> {
         self.restore_with_shards(config, self.shards)
     }
@@ -352,53 +351,38 @@ impl StoreSnapshot {
             ));
         }
 
-        // Parse phonemes and validate cluster ids, one scoped thread per
-        // shard section (restore's CPU-heavy part runs in parallel).
-        let operator = LexEqual::new(config.clone());
-        let decoded: Vec<Result<Vec<NameEntry>, DbError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .sections
-                .iter()
-                .enumerate()
-                .map(|(s, section)| {
-                    let operator = &operator;
-                    scope.spawn(move || {
-                        section
-                            .iter()
-                            .enumerate()
-                            .map(|(l, e)| {
-                                let phonemes = e.phonemes.parse().map_err(|err| {
-                                    decode_err(format!(
-                                        "shard {s} entry {l}: bad phoneme string: {err}"
-                                    ))
-                                })?;
-                                if operator.cluster_ids(&phonemes) != e.cluster_ids {
-                                    return Err(DbError::Unsupported(format!(
-                                        "shard {s} entry {l} ({:?}): stored cluster ids \
-                                         disagree with the configured cost model — the \
-                                         snapshot was written under a different MatchConfig",
-                                        e.text
-                                    )));
-                                }
-                                Ok(NameEntry {
-                                    text: e.text.clone(),
-                                    language: e.language,
-                                    phonemes,
-                                })
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("no panic in section decode"))
-                .collect()
-        });
-        let sections = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
-
+        // Parse phonemes, validate cluster ids and push each row, in
+        // global-id order, into a load of the new store: the shards derive
+        // their columns while the next rows are parsed, and a row that
+        // fails takes the half-filled store with it.
         let store = ShardedStore::new(config, self.shards);
-        store.import_shards(sections);
+        let operator = store.operator();
+        let entry = |g: usize| (g % self.shards, g / self.shards);
+        let mut loader = store.loader();
+        loader.reserve((0..total).map(|g| {
+            let (s, l) = entry(g);
+            let e = &self.sections[s][l];
+            (e.text.len(), e.cluster_ids.len())
+        }));
+        for (s, l) in (0..total).map(entry) {
+            let e = &self.sections[s][l];
+            let phonemes: PhonemeString = e.phonemes.parse().map_err(|err| {
+                decode_err(format!("shard {s} entry {l}: bad phoneme string: {err}"))
+            })?;
+            let stored = e.cluster_ids.iter().copied();
+            if !operator.cluster_ids_of(phonemes.id_bytes()).eq(stored) {
+                return Err(DbError::Unsupported(format!(
+                    "shard {s} entry {l} ({:?}): stored cluster ids disagree with the \
+                     configured cost model — the snapshot was written under a different \
+                     MatchConfig",
+                    e.text
+                )));
+            }
+            loader
+                .push(&[&e.text], e.language, &[&phonemes])
+                .map_err(|err| decode_err(format!("shard {s} entry {l}: {err:?}")))?;
+        }
+        loader.finish();
         for &spec in &self.builds {
             store.build(spec);
         }

@@ -681,6 +681,152 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
 }
 
 // ---------------------------------------------------------------------
+// (b'') and for a load: parked mid-way, it holds up no cut, and no cut
+// sees a row of it
+// ---------------------------------------------------------------------
+
+/// A bulk load is no longer one message a shard: it sends chunk after
+/// chunk under the grow lock and publishes its length once, at the end. So
+/// while one is parked with three chunks sent, the shards hold rows no
+/// published length covers. A `SAVE` must neither wait for the load (a cut
+/// takes the commit lock for an instant and never the grow lock) nor leak
+/// a row of it into the image; a `commit_add` waits its turn and takes the
+/// id after the load's last; a search sees what each shard holds, as it
+/// did during the old one-message load; and the first `SAVE` after the
+/// load holds every row.
+#[test]
+fn a_save_neither_waits_for_a_parked_load_nor_sees_its_rows() {
+    use lexequal::store::CHUNK_ROWS;
+    use lexequal::{NameStore, SearchMethod};
+
+    let _serial = serial();
+    let dir = TempDir::new("load");
+    let (service, repl) = primary(&dir.path().join("load.wal"), 2);
+    const BASE: usize = 1_500;
+    const LOAD: usize = 4 * CHUNK_ROWS + 5;
+    for i in 0..BASE {
+        repl.commit_add(&service, &name(i), Language::English)
+            .expect("commit");
+    }
+    let rows: Vec<_> = (BASE..BASE + LOAD)
+        .map(|i| service.prepare_entry(&name(i), Language::English).unwrap())
+        .collect();
+
+    let (parked_tx, parked_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
+    let load = {
+        let (service, rows) = (Arc::clone(&service), rows.clone());
+        std::thread::spawn(move || {
+            let sent = AtomicUsize::new(0);
+            let parked = move || {
+                if sent.fetch_add(1, Ordering::SeqCst) == 2 {
+                    parked_tx.send(()).expect("test is listening");
+                    release_rx.recv().expect("test releases the load");
+                }
+            };
+            let mut loader = service.store().loader_with(&parked);
+            for e in &rows {
+                loader
+                    .push(&[&e.text], e.language, &[&e.phonemes])
+                    .expect("a short row");
+            }
+            loader.finish()
+        })
+    };
+    parked_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the load sends its third chunk");
+
+    // Row BASE is even, so shard 0 filled first: it has been sent two
+    // chunks and shard 1 one. A round trip to each worker queues behind
+    // them, after which this is exactly what the shards hold:
+    let held = |id: usize| id < BASE || (id - BASE) / 2 < [2, 1][id % 2] * CHUNK_ROWS;
+    for shard in 0..2 {
+        assert!(service.store().get(shard).is_some());
+    }
+    assert_eq!(service.len(), BASE, "nothing is published mid-load");
+    let store = service.store();
+    assert!(store.get(BASE as u32).is_some() && held(BASE));
+    assert!(store.get((BASE + LOAD - 1) as u32).is_none() && !held(BASE + LOAD - 1));
+
+    // SAVE, on a thread so that waiting for the load is a timeout here.
+    let path = dir.path().join("parked.img");
+    let (saved_tx, saved_rx) = channel();
+    let saver = {
+        let (service, repl, path) = (Arc::clone(&service), Arc::clone(&repl), path.clone());
+        std::thread::spawn(move || {
+            let lsn = repl.save_snapshot_atomic(&service, &path).expect("SAVE");
+            saved_tx.send(lsn).expect("test is listening");
+        })
+    };
+    let lsn = saved_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("SAVE returns while a load is parked");
+    saver.join().expect("saver thread");
+    assert_eq!(lsn, BASE as u64);
+    let at_cut = ShardedStore::new(MatchConfig::default(), 2);
+    at_cut
+        .extend((0..BASE).map(|i| (name(i), Language::English)))
+        .expect("rebuild the prefix");
+    assert!(
+        std::fs::read(&path).expect("image") == oracle::encode(&at_cut, lsn),
+        "the image differs from the store as it stood before the load began"
+    );
+    let image = mmapstore::load_file(MatchConfig::default(), Some(2), &path).expect("load");
+    assert_eq!(image.store.len(), BASE);
+
+    // A search sees the rows the shards hold, published or not.
+    let mut all = NameStore::new(MatchConfig::default());
+    all.extend((0..BASE + LOAD).map(|i| (name(i), Language::English)))
+        .expect("oracle");
+    for id in [0, BASE, BASE + 2 * CHUNK_ROWS + 1] {
+        let q = all.get(id as u32).unwrap().phonemes;
+        let mut want = all.search_phonemes(&q, 0.35, SearchMethod::Scan).ids;
+        want.retain(|&hit| held(hit as usize));
+        let got = store.search_phonemes(&q, 0.35, SearchMethod::Scan);
+        assert_eq!(got.ids, want, "scan for id {id} while the load is parked");
+        assert_eq!(got.verifications, BASE + 3 * CHUNK_ROWS);
+        assert_eq!(got.ids.contains(&(id as u32)), held(id));
+    }
+
+    // An ADD waits for the load and takes the id after its last.
+    let (added_tx, added_rx) = channel();
+    let adder = {
+        let (service, repl) = (Arc::clone(&service), Arc::clone(&repl));
+        std::thread::spawn(move || {
+            let added = repl.commit_add(&service, "Nehru", Language::English);
+            added_tx.send(added.expect("commit")).expect("listening");
+        })
+    };
+    assert!(
+        added_rx.recv_timeout(Duration::from_millis(300)).is_err(),
+        "a commit_add went ahead of a load that holds the grow lock"
+    );
+    release_tx.send(()).expect("the load is waiting");
+    assert_eq!(
+        load.join().expect("load thread"),
+        BASE as u32..(BASE + LOAD) as u32
+    );
+    let (lsn, id) = added_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the ADD follows the load");
+    adder.join().expect("adder thread");
+    assert_eq!((lsn, id as usize), (BASE as u64 + 1, BASE + LOAD));
+
+    // Finished, the load is in the next image, row for row.
+    assert_eq!(service.len(), BASE + LOAD + 1);
+    let lsn = repl.save_snapshot_atomic(&service, &path).expect("SAVE");
+    let image = mmapstore::load_file(MatchConfig::default(), Some(2), &path).expect("load");
+    assert_eq!((image.lsn, image.store.len()), (lsn, BASE + LOAD + 1));
+    for id in [BASE - 1, BASE, BASE + LOAD - 1] {
+        let entry = image.store.get(id as u32).expect("a saved row");
+        assert_eq!(entry.text, name(id), "id {id}");
+    }
+    assert_eq!(image.store.get((BASE + LOAD) as u32).unwrap().text, "Nehru");
+    repl.stop_and_join();
+}
+
+// ---------------------------------------------------------------------
 // (c) rows committed after the cut are not in the image
 // ---------------------------------------------------------------------
 

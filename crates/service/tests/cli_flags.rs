@@ -313,17 +313,18 @@ fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
     let lines = daemon.wait_serving();
     let preloaded = lines
         .iter()
-        .position(|l| l.contains("preloaded names=20418 dataset_ms="))
+        .position(|l| l.contains("preloaded names=20418 base_ms="))
         .unwrap_or_else(|| panic!("no preload line in {lines:?}"));
     assert_eq!(
         preloaded + 2,
         lines.len(),
         "preloaded, then serving on: {lines:?}"
     );
-    for absent in ["qgram_ms=", "paths=", "covered"] {
+    // Not capped (20 000 is far below the lexicon's ceiling), and no cover.
+    for absent in ["asked=", "ceiling=", "qgram_ms=", "paths=", "covered"] {
         assert!(!lines[preloaded].contains(absent), "{}", lines[preloaded]);
     }
-    assert!(lines[preloaded].contains(" extend_ms=") && lines[preloaded].contains(" total_ms="));
+    assert!(lines[preloaded].contains(" load_ms=") && lines[preloaded].contains(" total_ms="));
 
     // Sent the moment the listener is announced, most likely answered
     // from an uncovered path (`shard_equivalence.rs` parks a cover to make

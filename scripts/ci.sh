@@ -32,12 +32,12 @@ cargo test -p lexequal-service --offline -q --test snapshot_roundtrip --test cli
 cargo test -p lexequal-mdb --offline -q snapshot
 
 echo "== mmap store: hostile-binary battery + bit-identical round trip"
-# The binary format's own pass: clippy over the serving crate (where
-# mmapstore lives), the corruption battery (truncation sweep, header
-# byte sweep, OOB/misaligned sections, checksum flips — named errors,
-# zero panics), and the round-trip suite (save → mmap-load → full MATCH
-# battery vs the rebuilt store, both serve modes, replica raw-transfer).
-cargo clippy -p lexequal-service --all-targets --offline -- -D warnings
+# The binary format's own pass (the serving crate, where mmapstore
+# lives, had its clippy pass near the top): the corruption battery
+# (truncation sweep, header byte sweep, OOB/misaligned sections, checksum
+# flips — named errors, zero panics), and the round-trip suite (save →
+# mmap-load → full MATCH battery vs the rebuilt store, both serve modes,
+# replica raw-transfer).
 cargo test -p lexequal-service --offline -q --test mmap_corruption --test mmap_roundtrip
 
 echo "== replication: WAL corruption matrix + primary/replica e2e"
@@ -126,6 +126,29 @@ cargo test -p lexequal-bench --offline -q --test pipeline_consistency \
 cargo test -p lexequal --offline -q --test verify_zero_alloc
 cargo test -p lexequal-service --offline -q --test shard_equivalence \
     --test checkpoint_stream --test compaction_e2e --test repl_e2e --test cli_flags
+
+echo "== bulk load: generator pin + chunk seams + allocation pins + preload ceiling"
+# Every way into the store is one loader, the prefix reader run
+# backwards. The lexicon's pair enumerator is held to the nested loop it
+# replaced, entry for entry, and sized from the names there are (a target
+# past the lexicon's 2 004 918 used to abort on a 224 GB allocation);
+# bulk_load fills stores through every door across every chunk seam and
+# stripe phase, on empty, non-empty and image-based stores, and holds
+# each to the store `insert` fills row by row (entries, four paths
+# before and after a cover, image bytes), ends a load at a refused row,
+# and counts the loading thread's allocations (none a name, none an ADD);
+# the core pins do the same for chunks into one store; the replica's
+# snapshot delta is one load; checkpoint_stream parks a load mid-way and
+# requires SAVE to return with the rows published before it, commit_add
+# to follow it, and the next SAVE to hold every row; cli_flags reads the
+# new start-up line.
+cargo test -p lexequal-lexicon --offline -q synthetic
+cargo test -p lexequal --offline -q --test verify_zero_alloc
+cargo test -p lexequal --offline -q --lib -- store::tests::a_chunk_takes
+cargo test -p lexequal-service --offline -q --test bulk_load
+cargo test -p lexequal-service --offline -q --lib -- a_snapshot_delta_is_one_load
+cargo test -p lexequal-service --offline -q --test checkpoint_stream a_save_neither_waits
+cargo test -p lexequal-service --offline -q --test cli_flags preload_listens
 
 echo "== flat store: allocation pins + base/tail equivalence + oversize ADD"
 # Rows are flat columns: an immutable base read in place out of a loaded

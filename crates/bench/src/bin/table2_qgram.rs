@@ -8,12 +8,13 @@
 //!
 //! This binary reproduces both measurements with the in-process q-gram
 //! posting structure (`--ablate` additionally reports per-filter
-//! selectivity), and demonstrates the Figure 14 SQL plan end-to-end on a
-//! subset.
+//! selectivity, and what the same filters leave at the clustered default
+//! once they are keyed on the cluster strings, as a store keys them), and
+//! demonstrates the Figure 14 SQL plan end-to-end on a subset.
 
 use lexequal::qgram_plan::{QgramFilter, QgramMode};
 use lexequal::udf::{load_names_table, load_qgram_aux_table, register_udfs};
-use lexequal::Language;
+use lexequal::{Language, MatchConfig, NameStore, SearchMethod};
 use lexequal_bench::*;
 use lexequal_mdb::Database;
 use std::sync::Arc;
@@ -188,6 +189,7 @@ fn main() {
 
     if ablate {
         ablate_filters(&op, &filter, &phonemes, &queries);
+        ablate_key_space(opts.dataset_size, &queries);
     }
 
     sql_figure14_demo(&op, &data);
@@ -236,6 +238,94 @@ fn ablate_filters(
             "+count/pos (strict)",
         ],
         &rows,
+    );
+}
+
+/// The clustered default (intra-cluster cost 0.25, `e` = 0.35), where a
+/// sound bound over phoneme ids is `k / 0.25` and the filters admit nearly
+/// everything the length filter does: the same filters keyed on the
+/// cluster strings at `⌊k⌋`, the survivors confirmed against the ball of
+/// that radius, and the matches the verifier finds among those — held to
+/// a scan's.
+fn ablate_key_space(dataset_size: usize, queries: &[&lexequal_lexicon::SyntheticEntry]) {
+    let config = MatchConfig::default();
+    let e = config.threshold;
+    // The synthetic set again, entry for entry, as store rows.
+    let entries = lexequal_lexicon::build_dataset(&config, dataset_size);
+    let phonemes: Vec<_> = entries.iter().map(|e| e.phonemes.clone()).collect();
+    let by_phoneme = QgramFilter::build(&phonemes, Q, QgramMode::Strict);
+    let mut store = NameStore::new(config);
+    store.extend_transformed(entries);
+    store.build_qgram(Q, QgramMode::Strict);
+    let (rows, op) = (store.rows(), store.operator());
+    let clusters = |id: usize| rows.row(id).clusters;
+    let (by_cluster, build_time) =
+        timed(|| QgramFilter::build_rows(rows.len(), clusters, Q, QgramMode::Strict));
+    let (mut phoneme_keyed, mut survivors, mut ball) = (0, 0, 0);
+    let (mut matches, mut dismissed) = (0, [0, 0]);
+    let mut t_ball = std::time::Duration::ZERO;
+    for q in queries {
+        let prepared = op.prepare_query(&q.phonemes);
+        let k = e * q.phonemes.len() as f64;
+        let (key, radius) = (prepared.cluster_ids(), op.cluster_radius(k));
+        let admitted = by_phoneme.candidates(&q.phonemes, k, op);
+        phoneme_keyed += admitted.len();
+        survivors += by_cluster.survivors(key, k, radius as f64).len();
+        let probe = prepared.cluster_probe();
+        let (confirmed, t) =
+            timed(|| by_cluster.within(key, k, radius, &probe, rows.len(), clusters));
+        t_ball += t;
+        ball += confirmed.len();
+        // What the store's own q-gram path hands its verifier, and finds.
+        let found = store.search_phonemes(&q.phonemes, e, SearchMethod::Qgram);
+        let scan = store.search_phonemes(&q.phonemes, e, SearchMethod::Scan);
+        assert_eq!(found.verifications, confirmed.len());
+        matches += found.ids.len();
+        for (dismissed, kept) in dismissed.iter_mut().zip([&admitted, &found.ids]) {
+            *dismissed += (scan.ids.iter())
+                .filter(|id| kept.binary_search(id).is_err())
+                .count();
+        }
+    }
+    let per_query = |total: usize| format!("{}", total / queries.len());
+    print_table(
+        &format!(
+            "Table 2 (ablation) — sound filtering at the clustered default (cost 0.25, e = {e}, \
+             mean of {} queries)",
+            queries.len(),
+        ),
+        &[
+            "filters keyed on",
+            "bound",
+            "+count/pos",
+            "confirmed ball",
+            "matches",
+            "dismissed",
+        ],
+        &[
+            vec![
+                "phoneme ids".into(),
+                "k / 0.25".into(),
+                per_query(phoneme_keyed),
+                "-".into(),
+                per_query(matches),
+                format!("{}", dismissed[0]),
+            ],
+            vec![
+                "cluster ids".into(),
+                "floor(k)".into(),
+                per_query(survivors),
+                per_query(ball),
+                per_query(matches),
+                format!("{}", dismissed[1]),
+            ],
+        ],
+    );
+    println!(
+        "cluster-keyed structure: built in {}, {:.2} bytes a gram; filters + confirmation {} a query",
+        fmt_duration(build_time),
+        by_cluster.heap_bytes() as f64 / by_cluster.total_grams() as f64,
+        fmt_duration(t_ball / queries.len() as u32)
     );
 }
 

@@ -71,7 +71,10 @@ pub use cost::{ClusteredPhonemeCost, DenseSubstCost, FeaturePhonemeCost};
 pub use operator::{LexEqual, Outcome};
 pub use phonidx::PhoneticIndex;
 pub use qgram_plan::{QgramFilter, QgramMode};
-pub use store::{BuildSpec, LoadSize, NameStore, PathIndex, PhonemeColumn, RowChunk, SearchMethod};
+pub use rows::KeyColumn;
+pub use store::{
+    BuildSpec, LoadSize, Memory, NameStore, PathIndex, RowChunk, SearchMethod, SymbolColumn,
+};
 pub use verify::{
     BatchCounters, BatchVerifier, Lane, PreparedQuery, ScreenCounters, Verifier, MAX_LANES,
 };

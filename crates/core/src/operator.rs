@@ -135,6 +135,20 @@ impl LexEqual {
         self.clus_reject_scale
     }
 
+    /// The radius of the ball of cluster strings no match at budget `k`
+    /// lies outside: a pair within clustered distance `k` has cluster
+    /// strings within `k / clus_reject_scale` unit edits (the kernel's
+    /// cluster screen, solved for the Levenshtein distance), a whole
+    /// number of them. No finite radius holds every match of a model whose
+    /// scale is 0 (some cross-cluster substitution is free).
+    pub fn cluster_radius(&self, k: f64) -> u32 {
+        if self.clus_reject_scale > 0.0 {
+            (k / self.clus_reject_scale).floor() as u32
+        } else {
+            u32::MAX
+        }
+    }
+
     /// The phonetic embedding of `s` (what stores cache per entry and the
     /// mmap image persists).
     pub fn embed_for(&self, s: &PhonemeString) -> [u8; EMBED_DIM] {

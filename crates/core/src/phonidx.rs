@@ -39,30 +39,38 @@ pub struct PhoneticIndex {
 /// price of occasional extra candidates from fold collisions — which the
 /// verification step removes.
 pub fn grouped_id(clusters: &ClusterTable, s: &PhonemeString) -> i64 {
-    grouped_id_of_ids(clusters, s.id_bytes())
+    fold(clusters.packed_key(s))
 }
 
-/// [`grouped_id`] of a string given as its raw inventory ids.
-pub fn grouped_id_of_ids(clusters: &ClusterTable, ids: &[u8]) -> i64 {
-    let wide = clusters.packed_key_of_ids(ids);
+/// [`grouped_id`] of a string given as its cluster ids under `clusters` —
+/// a row of a store's cluster column.
+pub fn grouped_id_of_clusters(clusters: &ClusterTable, cluster_ids: &[u8]) -> i64 {
+    fold(clusters.packed_key_of_clusters(cluster_ids))
+}
+
+fn fold(wide: u128) -> i64 {
     (wide % (i64::MAX as u128)) as i64
 }
 
 impl PhoneticIndex {
     /// Build the index over a corpus; ids are positions in `corpus`.
     pub fn build(clusters: &ClusterTable, corpus: &[PhonemeString]) -> Self {
-        Self::build_rows(clusters, corpus.len(), |id| corpus[id].id_bytes())
+        Self::of_keys(corpus.iter().map(|s| grouped_id(clusters, s)))
     }
 
-    /// [`build`](Self::build) over `n` rows of raw inventory ids.
+    /// [`build`](Self::build) over `n` rows of a cluster column (`row(i)`:
+    /// string `i`'s cluster ids under `clusters`).
     pub fn build_rows<'a>(
         clusters: &ClusterTable,
         n: usize,
         row: impl Fn(usize) -> &'a [u8],
     ) -> Self {
-        let mut pairs: Vec<(i64, u32)> = (0..n)
-            .map(|id| (grouped_id_of_ids(clusters, row(id)), id as u32))
-            .collect();
+        Self::of_keys((0..n).map(|id| grouped_id_of_clusters(clusters, row(id))))
+    }
+
+    /// The index of strings `0..` with these identifiers.
+    fn of_keys(keys: impl Iterator<Item = i64>) -> Self {
+        let mut pairs: Vec<(i64, u32)> = keys.zip(0..).collect();
         pairs.sort_unstable();
         PhoneticIndex {
             keys: pairs.iter().map(|&(key, _)| key).collect(),
@@ -94,22 +102,22 @@ impl PhoneticIndex {
     /// Candidate ids whose grouped identifier equals the query's,
     /// ascending.
     pub fn candidates(&self, clusters: &ClusterTable, query: &PhonemeString) -> Vec<u32> {
-        self.candidates_with_tail(clusters, query, self.len(), |_| &[])
+        self.candidates_with_tail(grouped_id(clusters, query), clusters, self.len(), |_| &[])
     }
 
-    /// [`candidates`](Self::candidates) over a column of `rows` rows that
-    /// has grown past the index: the rows appended since the build (ids
-    /// `len()..rows`, read through `row`) are admitted by the same equality
-    /// the index applies to the rows it holds — so the answer is that of
-    /// an index over every row.
+    /// The ids whose grouped identifier is `key` over a cluster column of
+    /// `rows` rows that has grown past the index: the rows appended since
+    /// the build (ids `len()..rows`, read through `row` as
+    /// [`build_rows`](Self::build_rows) reads them) are admitted by the
+    /// same equality the index applies to the rows it holds — so the
+    /// answer is that of an index over every row.
     pub fn candidates_with_tail<'a>(
         &self,
+        key: i64,
         clusters: &ClusterTable,
-        query: &PhonemeString,
         rows: usize,
         row: impl Fn(usize) -> &'a [u8],
     ) -> Vec<u32> {
-        let key = grouped_id(clusters, query);
         // The key's run: found by bisection, ended by walking it — it is
         // the answer, a couple of ids long.
         let first = self.keys.partition_point(|&k| k < key);
@@ -117,7 +125,7 @@ impl PhoneticIndex {
         let mut out = self.ids[first..first + run].to_vec();
         out.extend(
             (self.len()..rows)
-                .filter(|&id| grouped_id_of_ids(clusters, row(id)) == key)
+                .filter(|&id| grouped_id_of_clusters(clusters, row(id)) == key)
                 .map(|id| id as u32),
         );
         out

@@ -5,31 +5,41 @@
 //! … Count and Position … were used to filter out a majority of the
 //! non-matches using standard database operators only."
 //!
-//! [`QgramFilter`] is the in-process analogue: the auxiliary table as one
-//! sorted array of packed `(signature, string id, position)` rows, probed
-//! with the three filters; the surviving candidate set is then verified
-//! with the exact (expensive) LexEQUAL predicate. The same table is also
-//! exported to SQL by [`crate::udf::load_qgram_aux_table`], which
-//! recreates the paper's Figure 14 query verbatim.
+//! [`QgramFilter`] is the in-process analogue: the auxiliary table as
+//! posting lists in one array — sorted distinct signatures, where each
+//! one's run starts, and a `u32` `(string id, position)` posting a gram —
+//! probed with the three filters. The same table is also exported to SQL by
+//! [`crate::udf::load_qgram_aux_table`], which recreates the paper's
+//! Figure 14 query verbatim.
 //!
-//! ## Threshold semantics under the clustered cost model
+//! The index is over a column of `u8` symbol strings and does not care
+//! what the symbols are; the caller says what Levenshtein bound the
+//! filters may assume. Two callers:
 //!
-//! The Gravano filters are exact for unit-cost Levenshtein distance `k`.
-//! The clustered model makes substitutions *cheaper*, so a clustered
-//! budget `k` may admit pairs whose Levenshtein distance exceeds `k` —
-//! filtering at `k` would falsely dismiss them. [`QgramMode`] picks the
-//! policy:
+//! * a store under [`QgramMode::Strict`] keys it on the rows' *cluster*
+//!   strings — the paper's grouped phoneme string, indexed for approximate
+//!   search instead of equality — and asks [`QgramFilter::within`] for
+//!   the rows whose cluster string lies within `⌊k / clus_reject_scale⌋`
+//!   unit edits of the query's: every clustered edit costs at least the
+//!   unit edit it induces on the cluster strings, so no match lies outside
+//!   that ball (`verify.rs` proves and uses the same bound per pair), and
+//!   the ball is small at thresholds where a bound over phoneme ids is not;
+//! * the standalone [`QgramFilter::build`] / [`candidates`] /
+//!   [`candidates_with_tail`] — what a store under
+//!   [`QgramMode::PaperFaithful`] serves through — key it on phoneme ids,
+//!   as the paper did, and bound the clustered budget `k` by
+//!   [`QgramMode`]'s rule: `k` itself (tighter, lossy below unit
+//!   intra-cluster cost), or `k / min_nonzero_cost` under `Strict`
+//!   (lossless, and from `e` ≈ 0.12 up no filter at all — why a store
+//!   does not use it).
 //!
-//! * [`QgramMode::Strict`] scales the filter bound to
-//!   `k / min_nonzero_cost` (and degrades to length-filter-only when the
-//!   intra-cluster cost is 0), guaranteeing **no false dismissals**;
-//! * [`QgramMode::PaperFaithful`] filters at `k` as the paper (implicitly)
-//!   did — slightly tighter candidate sets, small risk of false
-//!   dismissals when the intra-cluster cost is below 1.
+//! [`candidates`]: QgramFilter::candidates
+//! [`candidates_with_tail`]: QgramFilter::candidates_with_tail
 
 use crate::operator::LexEqual;
 use crate::verify::Verifier;
 use lexequal_matcher::qgram::{count_filter_passes, length_filter_passes};
+use lexequal_matcher::Probe;
 use lexequal_phoneme::PhonemeString;
 
 /// False-dismissal policy for filtering under the clustered cost model.
@@ -42,9 +52,9 @@ pub enum QgramMode {
 }
 
 impl QgramMode {
-    /// The effective Levenshtein bound used for filtering a clustered
-    /// budget `k`. `None` means "no finite bound — use length filter only"
-    /// (Strict mode with intra-cluster cost 0).
+    /// The effective Levenshtein bound over *phoneme ids* used for
+    /// filtering a clustered budget `k`. `None` means "no finite bound —
+    /// use length filter only" (Strict mode with intra-cluster cost 0).
     fn filter_bound(self, k: f64, operator: &LexEqual) -> Option<f64> {
         match self {
             QgramMode::PaperFaithful => Some(k),
@@ -53,79 +63,155 @@ impl QgramMode {
     }
 }
 
-/// Signature codes of the `◁` / `▷` padding: phoneme ids are inventory
-/// indices, all below these two.
-const START: u64 = 0xFE;
-const END: u64 = 0xFF;
+/// Gram sizes an index takes: a signature is `8q` bits of a `u32`.
+pub const MAX_Q: usize = 4;
 
-/// Bits a packed key always leaves for gram positions, whatever the id
-/// width takes: names up to 254 grams stay indexed in any stripe.
-const MIN_POS_BITS: u32 = 8;
+/// Signature codes of the `◁` / `▷` padding: phoneme ids are inventory
+/// indices and cluster ids fewer still, all below these two.
+const START: u32 = 0xFE;
+const END: u32 = 0xFF;
+
+/// Most bits of a posting its string id takes; the position gets the rest,
+/// so names up to 254 grams stay indexed in any stripe.
+const MAX_ID_BITS: u32 = 24;
+
+/// Entries a build's signature → run table may take (32 KiB): what the
+/// trigrams of a 20-symbol alphabet need.
+const DENSE_SLOTS: usize = 1 << 13;
 
 /// The positional q-grams of `s` as `(signature, position)`: the window
 /// over the padded string, 8 bits a symbol, rolled one symbol at a time.
-fn packed_grams(s: &[u8], q: usize) -> impl Iterator<Item = (u64, u32)> + '_ {
-    let mask = (1u64 << (8 * q)) - 1;
+fn packed_grams(s: &[u8], q: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let mask = u32::MAX >> (u32::BITS - 8 * q as u32);
     let mut sig = (1..q).fold(0, |acc, _| acc << 8 | START);
     (0..s.len() + q - 1).map(move |pos| {
-        sig = (sig << 8 | s.get(pos).map_or(END, |&id| id as u64)) & mask;
+        sig = (sig << 8 | s.get(pos).map_or(END, |&id| id as u32)) & mask;
         (sig, pos as u32)
     })
 }
 
-/// `(id_bits, pos_bits)` of the key for `n` strings, the longest of
-/// `longest` symbols: the signature takes 8q bits; ids get what they need
-/// of the rest (short of [`MIN_POS_BITS`]), positions what the longest
-/// string needs of what is left.
-fn key_widths(n: usize, longest: usize, q: usize) -> (u32, u32) {
-    let bits_for = |max: usize| usize::BITS - max.leading_zeros();
-    let spare = u64::BITS - 8 * q as u32;
-    let id_bits = bits_for(n.saturating_sub(1)).min(spare - MIN_POS_BITS);
-    let pos_bits = bits_for((longest + q).saturating_sub(2)).min(spare - id_bits);
-    (id_bits, pos_bits)
+/// `(id_bits, pos_bits)` of a posting for `n` strings: ids take the bits
+/// they need, short of [`MAX_ID_BITS`], positions the rest — but never all
+/// 32 (what an index over one string or none would leave them), so a shift
+/// by either width is defined.
+fn posting_widths(n: usize) -> (u32, u32) {
+    let id_bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).min(MAX_ID_BITS);
+    (id_bits, (u32::BITS - id_bits).min(u32::BITS - 1))
 }
 
-/// A q-gram posting-list filter over a corpus of phoneme strings.
+/// Signature → index into `sigs`, for the pass of a build that places the
+/// postings: a table over the alphabet in use where `radix^q` entries fit
+/// [`DENSE_SLOTS`] (cluster ids do), a bisection of `sigs` where not.
+struct Slots<'a> {
+    sigs: &'a [u32],
+    /// A symbol's rank among the symbols in use (0 for one that is not).
+    code: [u8; 256],
+    radix: usize,
+    table: Vec<u32>,
+}
+
+impl<'a> Slots<'a> {
+    fn new(sigs: &'a [u32], q: usize) -> Self {
+        let mut code = [0u8; 256];
+        for sym in sigs.iter().flat_map(|sig| sig.to_be_bytes()) {
+            code[sym as usize] = 1;
+        }
+        let mut radix = 0usize;
+        for rank in code.iter_mut().filter(|used| **used != 0) {
+            *rank = radix as u8;
+            radix += 1;
+        }
+        let dense = (radix.checked_pow(q as u32)).filter(|&entries| entries <= DENSE_SLOTS);
+        let mut slots = Slots {
+            sigs,
+            code,
+            radix,
+            table: vec![0; dense.unwrap_or(0)],
+        };
+        if dense.is_some() {
+            for (slot, &sig) in sigs.iter().enumerate() {
+                let at = slots.dense(sig);
+                slots.table[at] = slot as u32;
+            }
+        }
+        slots
+    }
+
+    /// `sig` read as a number in base `radix`. The bytes above a short
+    /// signature are zero, and so is the rank of symbol 0, in use or not.
+    fn dense(&self, sig: u32) -> usize {
+        let digits = sig
+            .to_be_bytes()
+            .map(|sym| self.code[sym as usize] as usize);
+        digits.iter().fold(0, |at, digit| at * self.radix + digit)
+    }
+
+    /// The index of `sig`, one of `sigs`.
+    fn of(&self, sig: u32) -> usize {
+        if self.table.is_empty() {
+            (self.sigs.binary_search(&sig)).expect("a signature the first pass counted")
+        } else {
+            self.table[self.dense(sig)] as usize
+        }
+    }
+}
+
+/// A q-gram posting-list filter over a column of symbol strings.
 pub struct QgramFilter {
     q: usize,
     mode: QgramMode,
-    /// One key per indexed positional gram, `signature ‖ string id ‖
-    /// position` from the high bits down, sorted: a signature's postings
-    /// are one contiguous run, ordered by id, then position.
-    keys: Vec<u64>,
-    id_bits: u32,
+    /// The distinct gram signatures, ascending.
+    sigs: Vec<u32>,
+    /// `postings[starts[i]..starts[i + 1]]` is `sigs[i]`'s run.
+    starts: Vec<u32>,
+    /// One posting per indexed positional gram, `string id ‖ position`
+    /// from the high bits down; a run is ordered by id, then position.
+    postings: Vec<u32>,
+    /// Low bits of a posting that hold the position.
     pos_bits: u32,
     /// Ids, ascending, of the strings whose id or last gram position does
-    /// not fit the key: not indexed, admitted on the length filter alone.
+    /// not fit a posting: not indexed, admitted on the length filter alone.
     overflow: Vec<u32>,
-    /// Per-string phoneme length (for the length filter).
+    /// Per-string length (for the length filter).
     lengths: Vec<u32>,
     /// Grams of every string (len + q − 1 each), kept for stats.
     total_grams: usize,
 }
 
 impl QgramFilter {
-    /// Build the filter over a corpus. `q` is the gram size (the paper
-    /// uses 3); ids are positions in `corpus`.
+    /// Build the filter over a corpus, keyed on phoneme ids. `q` is the
+    /// gram size (the paper uses 3); ids are positions in `corpus`.
     pub fn build(corpus: &[PhonemeString], q: usize, mode: QgramMode) -> Self {
         Self::build_rows(corpus.len(), |id| corpus[id].id_bytes(), q, mode)
     }
 
-    /// [`build`](Self::build) over `n` rows of raw inventory ids.
+    /// [`build`](Self::build) over `n` rows of any `u8` symbols below
+    /// `0xFE`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `q` is in `1..=`[`MAX_Q`] (a spec from outside the
+    /// program is checked at [`crate::BuildSpec::qgram`]).
     pub fn build_rows<'a>(
         n: usize,
         row: impl Fn(usize) -> &'a [u8] + Copy,
         q: usize,
         mode: QgramMode,
     ) -> Self {
-        assert!((1..=4).contains(&q), "q must be in 1..=4");
-        let longest = (0..n).map(|id| row(id).len()).max().unwrap_or(0);
-        let (id_bits, pos_bits) = key_widths(n, longest, q);
+        let (id_bits, pos_bits) = posting_widths(n);
         Self::build_packed(n, row, q, mode, id_bits, pos_bits)
     }
 
-    /// [`build_rows`](Self::build_rows) at given key widths (`8q + id_bits
-    /// + pos_bits ≤ 64`).
+    /// [`build_rows`](Self::build_rows) at given posting widths (`id_bits +
+    /// pos_bits ≤ 32`, each below 32).
+    ///
+    /// Two passes over the rows, and nothing allocated that is not kept but
+    /// the [`Slots`] table: the first writes every gram's signature into
+    /// the array the postings will fill and sorts it where it stands — its
+    /// runs are the distinct signatures and their counts; the second visits
+    /// the rows in id order and each gram in position order and writes its
+    /// posting at its signature's cursor, so a run comes out ordered and no
+    /// posting moves again.
     fn build_packed<'a>(
         n: usize,
         row: impl Fn(usize) -> &'a [u8] + Copy,
@@ -134,27 +220,49 @@ impl QgramFilter {
         id_bits: u32,
         pos_bits: u32,
     ) -> Self {
+        assert!((1..=MAX_Q).contains(&q), "q must be in 1..={MAX_Q}");
         let grams_of = |id: usize| row(id).len() + q - 1;
         let fits = |&id: &usize| {
             (id as u64) >> id_bits == 0 && (grams_of(id) as u64).saturating_sub(1) >> pos_bits == 0
         };
         let indexed = || (0..n).filter(fits);
-        // Sized once and sorted where it stands: no per-gram or
-        // per-signature block, no second buffer the size of the index.
-        let mut keys = Vec::with_capacity(indexed().map(grams_of).sum());
+        let total: usize = indexed().map(grams_of).sum();
+        u32::try_from(total).expect("a q-gram index holds under 2^32 postings");
+        let mut postings: Vec<u32> = Vec::with_capacity(total);
         for id in indexed() {
-            let key_row = (id as u64) << pos_bits;
-            keys.extend(
-                packed_grams(row(id), q)
-                    .map(|(sig, pos)| sig << (id_bits + pos_bits) | key_row | pos as u64),
-            );
+            postings.extend(packed_grams(row(id), q).map(|(sig, _)| sig));
         }
-        keys.sort_unstable();
+        postings.sort_unstable();
+        let distinct =
+            postings.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(total > 0);
+        let mut sigs = Vec::with_capacity(distinct);
+        let mut starts = Vec::with_capacity(distinct + 1);
+        for (at, &sig) in postings.iter().enumerate() {
+            if sigs.last() != Some(&sig) {
+                sigs.push(sig);
+                starts.push(at as u32);
+            }
+        }
+        starts.push(total as u32);
+
+        let slots = Slots::new(&sigs, q);
+        for id in indexed() {
+            let posting_row = (id as u32) << pos_bits;
+            for (sig, pos) in packed_grams(row(id), q) {
+                let next = &mut starts[slots.of(sig)];
+                postings[*next as usize] = posting_row | pos;
+                *next += 1;
+            }
+        }
+        // Every cursor has reached the next run's start: back one place.
+        starts.rotate_right(1);
+        starts[0] = 0;
         QgramFilter {
             q,
             mode,
-            keys,
-            id_bits,
+            sigs,
+            starts,
+            postings,
             pos_bits,
             overflow: (0..n).filter(|id| !fits(id)).map(|id| id as u32).collect(),
             lengths: (0..n).map(|id| row(id).len() as u32).collect(),
@@ -189,13 +297,20 @@ impl QgramFilter {
 
     /// Bytes the index's arrays hold.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<u64>()
-            + (self.overflow.capacity() + self.lengths.capacity()) * std::mem::size_of::<u32>()
+        let arrays = [
+            &self.sigs,
+            &self.starts,
+            &self.postings,
+            &self.overflow,
+            &self.lengths,
+        ];
+        arrays.iter().map(|a| a.capacity()).sum::<usize>() * std::mem::size_of::<u32>()
     }
 
     /// Candidate ids for `query` under clustered distance budget `k`
-    /// (absolute, not a fraction), ascending. Applies Length, Position and
-    /// Count filters; no verification.
+    /// (absolute, not a fraction), ascending, over an index keyed on
+    /// phoneme ids. Applies Length, Position and Count filters at
+    /// [`QgramMode`]'s bound; no verification.
     pub fn candidates(&self, query: &PhonemeString, k: f64, operator: &LexEqual) -> Vec<u32> {
         self.candidates_with_tail(query, k, operator, self.len(), |_| &[])
     }
@@ -214,45 +329,94 @@ impl QgramFilter {
         rows: usize,
         row: impl Fn(usize) -> &'a [u8],
     ) -> Vec<u32> {
+        let (query, qlen) = (query.id_bytes(), query.len());
+        let bound = self.mode.filter_bound(k, operator);
+        let mut out = self.survivors(query, k, bound.unwrap_or(f64::INFINITY));
+        let tail = self.lengths.len()..rows;
+        if tail.is_empty() {
+            return out;
+        }
+        let length_ok = |len: usize| length_filter_passes(len, qlen, k);
+        match bound.filter(|&bound| !self.vacuous(qlen, k, bound)) {
+            None => out.extend(
+                tail.filter(|&id| length_ok(row(id).len()))
+                    .map(|id| id as u32),
+            ),
+            Some(bound) => {
+                let grams = sorted_grams(query, self.q);
+                let reach = reach(bound);
+                let mut scratch = Vec::new();
+                out.extend(tail.filter_map(|id| {
+                    let row = row(id);
+                    let common = shared_grams(&grams, row, self.q, reach, &mut scratch);
+                    let passes = length_ok(row.len())
+                        && count_filter_passes(row.len(), qlen, common, bound, self.q);
+                    passes.then_some(id as u32)
+                }));
+            }
+        }
+        out
+    }
+
+    /// The rows of `0..rows` inside the length filter for budget `k` whose
+    /// string lies within `radius` unit edits of `query`, ascending —
+    /// exactly, whatever prefix the index holds: the count filter's
+    /// [`survivors`](Self::survivors) over that prefix and every row past
+    /// it (ids `len()..rows`, read through `row`, as the indexed ones are)
+    /// are measured with `probe`, which must be `query`'s.
+    pub fn within<'a>(
+        &self,
+        query: &[u8],
+        k: f64,
+        radius: u32,
+        probe: &Probe,
+        rows: usize,
+        row: impl Fn(usize) -> &'a [u8],
+    ) -> Vec<u32> {
+        let mut out = self.survivors(query, k, radius as f64);
+        out.retain(|&id| probe.distance(row(id as usize)) <= radius);
+        let tail = (self.lengths.len()..rows).filter(|&id| {
+            let row = row(id);
+            length_filter_passes(row.len(), query.len(), k) && probe.distance(row) <= radius
+        });
+        out.extend(tail.map(|id| id as u32));
+        out
+    }
+
+    /// Whether the count filter can reject nothing the length filter
+    /// admits: its requirement grows with max(|a|, |b|) and falls with the
+    /// shared grams, so if the longest admissible string passes sharing
+    /// none, every admitted string passes.
+    fn vacuous(&self, qlen: usize, k: f64, bound: f64) -> bool {
+        let longest_admitted = qlen.saturating_add((k + 1e-12).floor() as usize);
+        count_filter_passes(longest_admitted, qlen, 0, bound, self.q)
+    }
+
+    /// The indexed strings that pass the Length filter at budget `k` and
+    /// the Position and Count filters at Levenshtein bound `bound` against
+    /// `query` (symbols of the alphabet the index was built over), ids
+    /// ascending: a superset of those within `bound` unit edits of it. A
+    /// string the postings could not hold passes on its length.
+    pub fn survivors(&self, query: &[u8], k: f64, bound: f64) -> Vec<u32> {
         let qlen = query.len();
         let indexed = self.lengths.len();
         // Indel cost is always 1, so the length filter may use the
-        // clustered budget k directly in both modes.
+        // clustered budget k directly whatever the bound.
         let length_ok = |len: usize| length_filter_passes(len, qlen, k);
-        let length_filter_only = || {
-            let mut out = Vec::with_capacity(rows);
+        if self.vacuous(qlen, k, bound) {
+            // The postings have nothing to say.
+            let mut out = Vec::with_capacity(indexed);
             out.extend(
                 (0u32..)
                     .zip(&self.lengths)
                     .filter_map(|(id, &l)| length_ok(l as usize).then_some(id)),
             );
-            out.extend(
-                (indexed..rows)
-                    .filter(|&id| length_ok(row(id).len()))
-                    .map(|id| id as u32),
-            );
-            out
-        };
-        let Some(bound) = self.mode.filter_bound(k, operator) else {
-            return length_filter_only();
-        };
-        // The count filter's requirement grows with max(|a|, |b|) and
-        // falls with the shared grams: if the longest string the length
-        // filter can admit passes sharing none, every admitted string
-        // passes, and the postings have nothing to say.
-        let longest_admitted = qlen.saturating_add((k + 1e-12).floor() as usize);
-        if count_filter_passes(longest_admitted, qlen, 0, bound, self.q) {
-            return length_filter_only();
+            return out;
         }
 
-        let mut grams: Vec<u64> = packed_grams(query.id_bytes(), self.q)
-            .map(|(sig, pos)| sig << 32 | pos as u64)
-            .collect();
-        grams.sort_unstable();
-        // Positions are u32: a wider window is no wider.
-        let reach = (bound.floor() as i64).min(u32::MAX as i64);
-        let shift = self.id_bits + self.pos_bits;
-        let pos_mask = (1u64 << self.pos_bits) - 1;
+        let grams = sorted_grams(query, self.q);
+        let reach = reach(bound);
+        let pos_mask = (1u32 << self.pos_bits) - 1;
         // Position-compatible shared grams per string. One increment per
         // posting at most, so a count stays within the string's grams.
         let mut shared = vec![0u32; indexed];
@@ -261,23 +425,20 @@ impl QgramFilter {
             let sig = gram >> 32;
             let (run, rest) = runs.split_at(runs.partition_point(|g| g >> 32 == sig));
             runs = rest;
-            let first = self.keys.partition_point(|&key| key >> shift < sig);
-            let (mut row, mut next) = (u64::MAX, 0);
-            for &key in &self.keys[first..] {
-                if key >> shift != sig {
-                    break;
+            let Ok(slot) = self.sigs.binary_search(&(sig as u32)) else {
+                continue;
+            };
+            let (mut row, mut next) = (u32::MAX, 0);
+            let postings = self.starts[slot] as usize..self.starts[slot + 1] as usize;
+            for &posting in &self.postings[postings] {
+                if posting >> self.pos_bits != row {
+                    (row, next) = (posting >> self.pos_bits, 0);
                 }
-                if key >> self.pos_bits != row {
-                    (row, next) = (key >> self.pos_bits, 0);
-                }
-                if takes(run, &mut next, (key & pos_mask) as i64, reach) {
-                    shared[(row - (sig << self.id_bits)) as usize] += 1;
+                if takes(run, &mut next, (posting & pos_mask) as i64, reach) {
+                    shared[row as usize] += 1;
                 }
             }
         }
-        let passes = |len: usize, shared: usize| {
-            length_ok(len) && count_filter_passes(len, qlen, shared, bound, self.q)
-        };
         // Survivors are written over the counters already read, so the
         // answer needs no vector of its own.
         let mut overflow = self.overflow.iter().peekable();
@@ -285,21 +446,18 @@ impl QgramFilter {
         for id in 0..indexed {
             let unindexed = overflow.next_if(|&&o| o as usize == id).is_some();
             let len = self.lengths[id] as usize;
-            if passes(len, shared[id] as usize) || (unindexed && length_ok(len)) {
+            let passes = count_filter_passes(len, qlen, shared[id] as usize, bound, self.q);
+            if length_ok(len) && (passes || unindexed) {
                 shared[kept] = id as u32;
                 kept += 1;
             }
         }
         shared.truncate(kept);
-        let mut scratch = Vec::new();
-        shared.extend((indexed..rows).filter_map(|id| {
-            let common = shared_grams(&grams, row(id), self.q, reach, &mut scratch);
-            passes(row(id).len(), common).then_some(id as u32)
-        }));
         shared
     }
 
-    /// Full accelerated search: filter then verify with the exact
+    /// Full accelerated search over the corpus the filter was
+    /// [`build`](Self::build)t from: filter then verify with the exact
     /// predicate. Returns ids of true matches (per the operator), plus the
     /// number of candidates that were verified (the UDF call count).
     pub fn search(
@@ -324,6 +482,21 @@ impl QgramFilter {
     }
 }
 
+/// `query`'s positional grams as `signature ‖ position`, ascending.
+fn sorted_grams(query: &[u8], q: usize) -> Vec<u64> {
+    let mut grams: Vec<u64> = packed_grams(query, q)
+        .map(|(sig, pos)| (sig as u64) << 32 | pos as u64)
+        .collect();
+    grams.sort_unstable();
+    grams
+}
+
+/// The position filter's window under `bound`. Positions are u32: a wider
+/// window is no wider.
+fn reach(bound: f64) -> i64 {
+    (bound.floor() as i64).min(u32::MAX as i64)
+}
+
 /// One step of the bag match between a string's positions of one gram
 /// (fed ascending) and the query's (`run`, `signature ‖ position`,
 /// ascending): `pos` takes the lowest query position within `reach` that
@@ -339,11 +512,11 @@ fn takes(run: &[u64], next: &mut usize, pos: i64, reach: i64) -> bool {
 }
 
 /// Position-compatible grams `row` shares with a query (`grams`: its
-/// sorted `signature ‖ position` list) — the count the posting walk
-/// accumulates for an indexed row, computed from the row alone.
+/// [`sorted_grams`]) — the count the posting walk accumulates for an
+/// indexed row, computed from the row alone.
 fn shared_grams(grams: &[u64], row: &[u8], q: usize, reach: i64, scratch: &mut Vec<u64>) -> usize {
     scratch.clear();
-    scratch.extend(packed_grams(row, q).map(|(sig, pos)| sig << 32 | pos as u64));
+    scratch.extend(packed_grams(row, q).map(|(sig, pos)| (sig as u64) << 32 | pos as u64));
     scratch.sort_unstable();
     let mut shared = 0;
     let mut rest = scratch.as_slice();
@@ -636,17 +809,36 @@ mod tests {
 
     #[test]
     fn key_widths_give_ids_their_bits_first() {
-        // Everything fits: exactly what is needed.
-        assert_eq!(key_widths(10_209, 40, 3), (14, 6));
-        assert_eq!(key_widths(0, 0, 1), (0, 0));
-        assert_eq!(key_widths(3, 4000, 4), (2, 12));
-        // 2^22 names and a 4 000-symbol one at q = 4: the long name goes.
-        assert_eq!(key_widths(1 << 22, 4000, 4), (22, 10));
-        // Past 2^24 names at q = 4 ids go too, positions keep their floor.
-        assert_eq!(key_widths(1 << 30, 4000, 4), (24, MIN_POS_BITS));
-        for q in 1..=4 {
-            let (id_bits, pos_bits) = key_widths(usize::MAX, usize::MAX / 2, q);
-            assert_eq!(8 * q as u32 + id_bits + pos_bits, 64);
+        // Ids get what they need, positions the rest.
+        assert_eq!(posting_widths(10_209), (14, 18));
+        assert_eq!(posting_widths(3), (2, 30));
+        assert_eq!(posting_widths(1 << 24), (24, 8));
+        // Past 2^24 names ids go to the overflow list; positions keep
+        // their eight bits.
+        assert_eq!(posting_widths((1 << 24) + 1), (24, 8));
+        assert_eq!(posting_widths(usize::MAX), (24, 8));
+        // One string or none needs no id bit: positions may not take 32.
+        assert_eq!(posting_widths(0), (0, 31));
+        assert_eq!(posting_widths(1), (0, 31));
+        assert_eq!(posting_widths(2), (1, 31));
+    }
+
+    /// What every `declare` builds, and the index after one `ADD`.
+    #[test]
+    fn an_index_over_no_row_or_one_answers() {
+        let ops = LexEqual::default();
+        let c = awkward_stripe();
+        for q in 1..=MAX_Q {
+            for covered in [0, 1] {
+                let flat = QgramFilter::build(&c[..covered], q, QgramMode::PaperFaithful);
+                assert_eq!(flat.pos_bits, 31);
+                assert_eq!(flat.postings.len(), covered * (c[0].len() + q - 1));
+                assert_eq!(flat.starts.last(), Some(&(flat.postings.len() as u32)));
+                for k in BUDGETS {
+                    let got = flat.candidates(&c[0], k, &ops);
+                    assert_eq!(got, (0..covered as u32).collect::<Vec<_>>(), "q={q} k={k}");
+                }
+            }
         }
     }
 
@@ -658,7 +850,13 @@ mod tests {
             for mode in [QgramMode::Strict, QgramMode::PaperFaithful] {
                 let flat = QgramFilter::build(&c, q, mode);
                 assert!(flat.overflow.is_empty(), "every name fits at q={q}");
-                assert_eq!(flat.total_grams(), flat.keys.len());
+                assert_eq!(flat.total_grams(), flat.postings.len());
+                assert!(flat.sigs.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(flat.starts.len(), flat.sigs.len() + 1);
+                for run in flat.starts.windows(2) {
+                    let run = &flat.postings[run[0] as usize..run[1] as usize];
+                    assert!(!run.is_empty() && run.windows(2).all(|w| w[0] < w[1]));
+                }
                 let oracle = reference::HashedQgramFilter::build(&c, q, mode);
                 for query in &c {
                     for k in BUDGETS {
@@ -734,6 +932,54 @@ mod tests {
                 }
                 for e in [0.0, 0.3] {
                     assert_eq!(f.search(&c, query, e, &ops).0, scan(&ops, &c, query, e));
+                }
+            }
+        }
+    }
+
+    /// `within` is the ball inside the length filter — measured here row
+    /// by row with the DP — whatever prefix the index holds and whichever
+    /// rows its postings could not: what it does not index it probes.
+    #[test]
+    fn within_is_the_ball_at_any_coverage_and_any_posting_width() {
+        use lexequal_matcher::{edit_distance, MyersPattern, UnitCost};
+        // Without the 4 000-symbol names: the DP measures every pair here.
+        let c: Vec<_> = (awkward_stripe().into_iter())
+            .filter(|s| s.len() < 4000)
+            .collect();
+        let row = |id: usize| c[id].id_bytes();
+        let mut filters: Vec<QgramFilter> = [0, 1, c.len() / 3, c.len() - 1, c.len()]
+            .iter()
+            .map(|&covered| QgramFilter::build(&c[..covered], 3, QgramMode::Strict))
+            .collect();
+        for (id_bits, pos_bits) in [(2, 5), (4, 5)] {
+            let f =
+                QgramFilter::build_packed(c.len(), row, 3, QgramMode::Strict, id_bits, pos_bits);
+            assert!(!f.overflow.is_empty());
+            filters.push(f);
+        }
+        for query in c.iter().map(|s| s.id_bytes()) {
+            let pattern = MyersPattern::build(query.iter().copied());
+            let probe = Probe::new(query, pattern.as_ref());
+            let distances: Vec<f64> = (0..c.len())
+                .map(|id| edit_distance(row(id), query, UnitCost))
+                .collect();
+            for (k, radius) in [(0.0, 0), (1.2, 1), (3.0, 3), (2.5, 9), (40.0, 12)] {
+                let inside = |id: &usize| {
+                    length_filter_passes(c[*id].len(), query.len(), k)
+                        && distances[*id] <= radius as f64
+                };
+                let ball: Vec<u32> = (0..c.len()).filter(inside).map(|id| id as u32).collect();
+                assert!(!ball.is_empty(), "the query is a row");
+                for f in &filters {
+                    assert_eq!(
+                        f.within(query, k, radius, &probe, c.len(), row),
+                        ball,
+                        "k={k} radius={radius} |query|={} index over {} rows, {} unindexed",
+                        query.len(),
+                        f.len(),
+                        f.overflow.len()
+                    );
                 }
             }
         }

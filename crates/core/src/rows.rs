@@ -263,7 +263,25 @@ pub struct Row<'a> {
     pub embed: &'a [u8; EMBED_DIM],
 }
 
+/// The two symbol-string columns of a row that an access path can be
+/// keyed on (see [`crate::BuildSpec::key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyColumn {
+    /// [`Row::phonemes`].
+    Phonemes,
+    /// [`Row::clusters`]: the phonemes' projection onto their clusters.
+    Clusters,
+}
+
 impl<'a> Row<'a> {
+    /// The row's string in `column`.
+    pub fn key(&self, column: KeyColumn) -> &'a [u8] {
+        match column {
+            KeyColumn::Phonemes => self.phonemes,
+            KeyColumn::Clusters => self.clusters,
+        }
+    }
+
     /// The name's bytes (no UTF-8 check, unlike [`text`](Self::text)).
     pub fn text_bytes(&self) -> &'a [u8] {
         self.text

@@ -13,12 +13,13 @@
 
 use crate::config::MatchConfig;
 use crate::operator::LexEqual;
-use crate::phonidx::PhoneticIndex;
-use crate::qgram_plan::{QgramFilter, QgramMode};
-use crate::rows::{check_field_bytes, Base, Columns, Row, Rows};
+use crate::phonidx::{grouped_id_of_clusters, PhoneticIndex};
+use crate::qgram_plan::{QgramFilter, QgramMode, MAX_Q};
+use crate::rows::{check_field_bytes, Base, Columns, KeyColumn, Row, Rows};
 use crate::verify::{BatchVerifier, PreparedQuery, Verifier};
 use lexequal_embed::EMBED_DIM;
 use lexequal_g2p::{G2pError, Language};
+use lexequal_matcher::qgram::length_filter_passes;
 use lexequal_matcher::BkTree;
 use lexequal_phoneme::{ClusterTable, Phoneme, PhonemeString};
 use std::ops::Range;
@@ -52,18 +53,19 @@ impl NameEntry {
     }
 }
 
-/// The phoneme-id strings of consecutive rows, back to back in one buffer:
-/// what a cover copies a store's prefix into ([`NameStore::read_phonemes`])
-/// to build an index from on its own thread — two allocations a column,
-/// none a row.
+/// One symbol string a row for consecutive rows — their phoneme ids, or the
+/// cluster ids those project to — back to back in one buffer: what a row
+/// chunk carries its phonemes in, and what a cover copies the column it
+/// will index into ([`NameStore::read_keys`]) to build from on its own
+/// thread — two allocations a column, none a row.
 #[derive(Debug, Default)]
-pub struct PhonemeColumn {
+pub struct SymbolColumn {
     ids: Vec<u8>,
     /// Row `i` ends at `ends[i]`.
     ends: Vec<u32>,
 }
 
-impl PhonemeColumn {
+impl SymbolColumn {
     /// Empty the column, keeping its buffers, and make room for `rows`
     /// rows of `bytes` ids in all.
     pub fn reset(&mut self, rows: usize, bytes: usize) {
@@ -82,7 +84,7 @@ impl PhonemeColumn {
         self.ends.is_empty()
     }
 
-    /// Row `i`'s inventory ids.
+    /// Row `i`'s symbols.
     ///
     /// # Panics
     ///
@@ -140,7 +142,7 @@ pub struct RowChunk {
     /// All texts back to back; row `i` ends at `text_ends[i]`.
     texts: Vec<u8>,
     text_ends: Vec<usize>,
-    phonemes: PhonemeColumn,
+    phonemes: SymbolColumn,
 }
 
 impl RowChunk {
@@ -223,6 +225,18 @@ impl RowChunk {
     }
 }
 
+/// What a store's rows cost it, in bytes ([`NameStore::memory`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Memory {
+    /// The arenas and offsets the store allocated, by capacity.
+    pub owned: usize,
+    /// Image bytes its base rows occupy.
+    pub mapped: usize,
+    /// The index arrays of the q-gram, phonetic-index and BK-tree paths
+    /// (0 for one never declared).
+    pub indices: [usize; 3],
+}
+
 /// Which access path a search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchMethod {
@@ -262,7 +276,31 @@ pub enum BuildSpec {
     BkTree,
 }
 
+/// A q-gram length no index can be built at (see [`BuildSpec::qgram`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadGramLength(pub usize);
+
+impl std::fmt::Display for BadGramLength {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "q-gram length {} is outside 1..={MAX_Q}", self.0)
+    }
+}
+
+impl std::error::Error for BadGramLength {}
+
 impl BuildSpec {
+    /// The q-gram spec for gram length `q` — the one door a `q` from
+    /// outside the program (the wire, a log, an image, a JSON snapshot)
+    /// comes in through: a length [`QgramFilter`] would refuse to build
+    /// at is an error here, before anything is logged or applied.
+    pub fn qgram(q: usize, mode: QgramMode) -> Result<Self, BadGramLength> {
+        if (1..=MAX_Q).contains(&q) {
+            Ok(BuildSpec::Qgram { q, mode })
+        } else {
+            Err(BadGramLength(q))
+        }
+    }
+
     /// The access path this spec serves.
     pub fn method(self) -> SearchMethod {
         match self {
@@ -271,26 +309,42 @@ impl BuildSpec {
             BuildSpec::BkTree => SearchMethod::BkTree,
         }
     }
+
+    /// The row column this spec's index is keyed on: the cluster strings —
+    /// the paper's grouped phoneme string — for every path but the q-gram
+    /// filter as the paper ran it, over the phonemes themselves.
+    pub fn key(self) -> KeyColumn {
+        match self {
+            BuildSpec::Qgram {
+                mode: QgramMode::PaperFaithful,
+                ..
+            } => KeyColumn::Phonemes,
+            _ => KeyColumn::Clusters,
+        }
+    }
 }
 
 /// One access path's index over the first [`covered`](Self::covered) rows
-/// of a phoneme column. Rows never change once appended, so an index
-/// built from any copy of a prefix — on any thread — is the index of that
-/// prefix for good; [`NameStore::install`] adopts it.
+/// of the column it is keyed on ([`BuildSpec::key`]). Rows never change
+/// once appended, so an index built from any copy of a prefix — on any
+/// thread — is the index of that prefix for good; [`NameStore::install`]
+/// adopts it.
 pub enum PathIndex {
     /// See [`QgramFilter`].
     Qgram(QgramFilter),
     /// See [`PhoneticIndex`].
     PhoneticIndex(PhoneticIndex),
-    /// Ids into the column under integer Levenshtein distance (the
-    /// clustered distance is not integer-valued; Levenshtein bounds it
-    /// from above, see `NameStore::candidates`).
+    /// Ids into the cluster column under integer Levenshtein distance (the
+    /// clustered distance is not integer-valued; the cluster strings'
+    /// Levenshtein distance bounds it from below, see
+    /// `NameStore::candidates`).
     BkTree(BkTree),
 }
 
 impl PathIndex {
-    /// Build `spec`'s index over rows `0..rows` of a phoneme column
-    /// (`row(i)`: row `i`'s inventory ids) clustered by `clusters`.
+    /// Build `spec`'s index over rows `0..rows` of its key column
+    /// (`row(i)`: row `i`'s [`Row::key`] in [`spec.key()`](BuildSpec::key))
+    /// under the cluster table `clusters`.
     pub fn build<'a>(
         spec: BuildSpec,
         clusters: &ClusterTable,
@@ -535,16 +589,18 @@ impl NameStore {
         start..self.len() as u32
     }
 
-    /// `[owned column bytes, base image bytes in use, index bytes]`: what
-    /// the rows cost this store — the arenas and offsets it allocated (by
-    /// capacity), the image bytes its base rows occupy, and the declared
-    /// paths' index arrays. Exact for a given history of loads and covers.
-    pub fn memory(&self) -> [usize; 3] {
-        let indices = self.qgram.as_ref().map_or(0, QgramFilter::heap_bytes)
-            + self.phonidx.as_ref().map_or(0, PhoneticIndex::heap_bytes)
-            + self.bktree.as_ref().map_or(0, BkTree::heap_bytes);
-        let columns = &self.columns;
-        [columns.owned_bytes(), columns.mapped_bytes(), indices]
+    /// What the rows cost this store. Exact for a given history of loads
+    /// and covers.
+    pub fn memory(&self) -> Memory {
+        Memory {
+            owned: self.columns.owned_bytes(),
+            mapped: self.columns.mapped_bytes(),
+            indices: [
+                self.qgram.as_ref().map_or(0, QgramFilter::heap_bytes),
+                self.phonidx.as_ref().map_or(0, PhoneticIndex::heap_bytes),
+                self.bktree.as_ref().map_or(0, BkTree::heap_bytes),
+            ],
+        }
     }
 
     /// Whether `method` can serve a [`search`](Self::search): its path has
@@ -617,7 +673,7 @@ impl NameStore {
     pub fn build(&mut self, spec: BuildSpec) {
         if !self.paths().any(|path| path == (spec, self.len())) {
             let rows = self.rows();
-            let row = |id: usize| rows.row(id).phonemes;
+            let row = |id: usize| rows.row(id).key(spec.key());
             self.put(PathIndex::build(spec, self.clusters(), rows.len(), row));
         }
     }
@@ -633,45 +689,69 @@ impl NameStore {
     }
 
     /// [`build`](Self::build) the BK-tree access path (Levenshtein metric
-    /// over phonemes).
+    /// over cluster strings).
     pub fn build_bktree(&mut self) {
         self.build(BuildSpec::BkTree);
     }
 
-    /// The rows `method`'s path asks the verifier about for `q` at
-    /// threshold `e`: its index's candidates over the covered prefix, then
-    /// the tail rows its pair-wise rule admits. `None` means every row —
-    /// a scan, or a BK-tree under a model with a free substitution (the
-    /// radius is `k / min positive op cost`; none is finite then).
+    /// The rows `method`'s path asks the verifier about for `query` at
+    /// threshold `e`; `None` means every row (a scan).
+    ///
+    /// The two sound paths answer with one set, a function of the rows,
+    /// the query and `e` alone: the rows inside the length filter whose
+    /// cluster string lies within [`LexEqual::cluster_radius`] unit edits
+    /// of the query's. The BK-tree enumerates it by its walk, the q-gram
+    /// filter (under `Strict`) by confirming its count filter's survivors
+    /// with the walk's probe, and a row past either index is put to that
+    /// probe directly. The two lossy paths — the phonetic index, and the
+    /// q-gram filter as the paper ran it — answer with their index's
+    /// candidates over the covered prefix, then the tail rows their own
+    /// pair-wise rule admits.
     ///
     /// # Panics
     ///
     /// Panics if the path was never declared.
-    fn candidates(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> Option<Vec<u32>> {
+    fn candidates(&self, query: &PreparedQuery, e: f64, method: SearchMethod) -> Option<Vec<u32>> {
         let undeclared = || -> ! { panic!("the {method:?} access path was never declared") };
         let rows = self.rows();
-        let row = |id: usize| rows.row(id).phonemes;
+        let n = rows.len();
+        let clusters = |id: usize| rows.row(id).clusters;
+        let q = query.phonemes();
+        // Budget depends on the candidate: e · min(|q|, |c|). Filter with
+        // the largest possible budget (e · |q|) to stay conservative; each
+        // is verified with its own.
+        let k_max = e * q.len() as f64;
+        let radius = self.operator.cluster_radius(k_max);
         match method {
             SearchMethod::Scan => None,
             SearchMethod::Qgram => {
                 let f = self.qgram.as_ref().unwrap_or_else(|| undeclared());
-                // Budget depends on the candidate: e · min(|q|, |c|).
-                // Filter with the largest possible budget (e · |q|) to
-                // stay conservative; each is verified with its own.
-                let k_max = e * q.len() as f64;
-                Some(f.candidates_with_tail(q, k_max, &self.operator, rows.len(), row))
+                Some(match f.mode() {
+                    QgramMode::Strict => {
+                        let probe = &query.cluster_probe();
+                        f.within(query.cluster_ids(), k_max, radius, probe, n, clusters)
+                    }
+                    QgramMode::PaperFaithful => {
+                        let phonemes = |id: usize| rows.row(id).phonemes;
+                        f.candidates_with_tail(q, k_max, &self.operator, n, phonemes)
+                    }
+                })
             }
             SearchMethod::PhoneticIndex => {
                 let idx = self.phonidx.as_ref().unwrap_or_else(|| undeclared());
-                Some(idx.candidates_with_tail(self.clusters(), q, rows.len(), row))
+                let key = grouped_id_of_clusters(self.clusters(), query.cluster_ids());
+                Some(idx.candidates_with_tail(key, self.clusters(), n, clusters))
             }
             SearchMethod::BkTree => {
                 let t = self.bktree.as_ref().unwrap_or_else(|| undeclared());
-                let radius = e * q.len() as f64 / self.operator.min_nonzero_cost()?;
-                let key = |id: u32| row(id as usize);
-                let through = rows.len() as u32;
-                let hits = t.range_through(key, q.id_bytes(), radius.floor() as u32, through);
-                Some(hits.into_iter().map(|(id, _)| id).collect())
+                let key = |id: u32| clusters(id as usize);
+                let mut out = Vec::new();
+                t.walk(key, &query.cluster_probe(), radius, n as u32, |id, _| {
+                    if length_filter_passes(key(id).len(), q.len(), k_max) {
+                        out.push(id);
+                    }
+                });
+                Some(out)
             }
         }
     }
@@ -715,7 +795,7 @@ impl NameStore {
             let (cc, ce) = (Some(row.clusters), Some(&row.embed[..]));
             verifier.matches_ids(&self.operator, &prepared, row.phonemes, cc, ce, e)
         };
-        match self.candidates(q, e, method) {
+        match self.candidates(&prepared, e, method) {
             None => SearchResult {
                 ids: (0..self.len() as u32).filter(&mut matches).collect(),
                 verifications: self.len(),
@@ -744,7 +824,7 @@ impl NameStore {
     ) -> SearchResult {
         let prepared = self.operator.prepare_query(q);
         let mut ids = Vec::new();
-        let verifications = match self.candidates(q, e, method) {
+        let verifications = match self.candidates(&prepared, e, method) {
             None => self.verify_ids(verifier, &prepared, 0..self.len() as u32, e, &mut ids),
             Some(candidates) => self.verify_ids(verifier, &prepared, candidates, e, &mut ids),
         };
@@ -794,12 +874,12 @@ impl NameStore {
         }
     }
 
-    /// Append rows `rows`' phoneme strings to `out` — how a cover copies
-    /// the prefix it will index, a chunk of rows a call.
-    pub fn read_phonemes(&self, rows: Range<usize>, out: &mut PhonemeColumn) {
+    /// Append rows `rows`' strings in `column` to `out` — how a cover
+    /// copies the prefix it will index, a chunk of rows a call.
+    pub fn read_keys(&self, column: KeyColumn, rows: Range<usize>, out: &mut SymbolColumn) {
         let all = self.rows();
         for i in rows {
-            out.push(all.row(i).phonemes);
+            out.push(all.row(i).key(column));
         }
     }
 
@@ -1076,10 +1156,14 @@ mod tests {
         let (image, layout) = crate::rows::tests::image_of(seed.rows());
         let base = Base::new(image, layout, 1, 0).expect("a framed image");
         let mut seamed = NameStore::with_base(MatchConfig::default(), base);
-        assert_eq!(seamed.memory()[0], 0, "adopting a base allocates no column");
+        assert_eq!(
+            seamed.memory().owned,
+            0,
+            "adopting a base allocates no column"
+        );
         seamed.extend_transformed((4..7).map(|i| full.get(i).unwrap()).collect());
-        let [owned, mapped, _] = seamed.memory();
-        assert!(owned > 0 && mapped > 0 && full.memory()[1] == 0);
+        let Memory { owned, mapped, .. } = seamed.memory();
+        assert!(owned > 0 && mapped > 0 && full.memory().mapped == 0);
 
         assert_eq!(seamed.len(), 7);
         for id in 0..8 {
@@ -1099,12 +1183,15 @@ mod tests {
             for i in 0..range.len() {
                 assert_eq!(got.row(i), want.row(i), "{range:?} row {i}");
             }
-            let (mut want, mut got) = (PhonemeColumn::default(), PhonemeColumn::default());
-            full.read_phonemes(range.clone(), &mut want);
-            seamed.read_phonemes(range.clone(), &mut got);
-            assert_eq!(got.len(), range.len());
-            for i in 0..range.len() {
-                assert_eq!(got.row(i), want.row(i), "{range:?} phonemes {i}");
+            for column in [KeyColumn::Phonemes, KeyColumn::Clusters] {
+                let (mut want, mut got) = (SymbolColumn::default(), SymbolColumn::default());
+                full.read_keys(column, range.clone(), &mut want);
+                seamed.read_keys(column, range.clone(), &mut got);
+                assert_eq!(got.len(), range.len());
+                for (i, id) in range.clone().enumerate() {
+                    assert_eq!(got.row(i), want.row(i), "{range:?} {column:?} {i}");
+                    assert_eq!(got.row(i), full.rows().row(id).key(column));
+                }
             }
         }
         for rows in 0..=7 {
@@ -1137,7 +1224,8 @@ mod tests {
                 seamed.build(spec);
             }
         }
-        assert_eq!(seamed.memory()[2], full.memory()[2], "index bytes");
+        assert_eq!(seamed.memory().indices, full.memory().indices);
+        assert!(full.memory().indices.iter().all(|&bytes| bytes > 0));
     }
 
     #[test]
@@ -1257,10 +1345,8 @@ mod tests {
         let full = store();
         s.extend_transformed((0..7).map(|i| full.get(i).unwrap()).collect());
         let clusters = s.operator().cost_model().clusters().clone();
-        let cover = |spec, rows: usize| {
-            PathIndex::build(spec, &clusters, rows, |id| {
-                s.phoneme_strings()[id].id_bytes()
-            })
+        let cover = |spec: BuildSpec, rows: usize| {
+            PathIndex::build(spec, &clusters, rows, |id| s.rows().row(id).key(spec.key()))
         };
         let (three, five) = (cover(qgram3(), 3), cover(qgram3(), 5));
         let other = cover(

@@ -30,7 +30,8 @@
 use crate::operator::LexEqual;
 use lexequal_embed::{l1, EMBED_DIM};
 use lexequal_matcher::{
-    simd_level, within_distance_dense, within_distance_scratch, DpScratch, MyersPattern, SimdLevel,
+    simd_level, within_distance_dense, within_distance_scratch, DpScratch, MyersPattern, Probe,
+    SimdLevel,
 };
 use lexequal_phoneme::PhonemeString;
 
@@ -101,6 +102,12 @@ impl PreparedQuery {
     /// The query's cluster-id sequence.
     pub fn cluster_ids(&self) -> &[u8] {
         &self.cluster_ids
+    }
+
+    /// The exact unit-cost distance from the query's cluster string to any
+    /// other: through the cluster screen's pattern where there is one.
+    pub fn cluster_probe(&self) -> Probe<'_> {
+        Probe::new(&self.cluster_ids, self.clus_pattern.as_ref())
     }
 
     /// Whether the Myers fast-accept/fast-reject screens will run for

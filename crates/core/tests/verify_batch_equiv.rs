@@ -173,9 +173,12 @@ fn batched_access_paths_equal_scalar_on_every_method() {
 }
 
 #[test]
-fn batched_bktree_falls_back_to_scan_at_zero_cost() {
-    // intra-cluster cost 0 leaves no finite Levenshtein radius: the
-    // BK-tree path must degrade to a scan in both kernels.
+fn batched_bktree_keeps_its_radius_at_zero_cost() {
+    // Intra-cluster cost 0 leaves no finite Levenshtein radius over
+    // phoneme ids, and the BK-tree used to degrade to a scan there. Over
+    // the cluster strings it is keyed on a free intra-cluster substitution
+    // is no edit at all: same radius, same answer as a scan, in both
+    // kernels, without verifying every row.
     let mut s = NameStore::new(MatchConfig::default().with_intra_cluster_cost(0.0));
     for n in ["Nehru", "Nero", "Gandhi"] {
         s.insert(n, Language::English).unwrap();
@@ -186,7 +189,9 @@ fn batched_bktree_falls_back_to_scan_at_zero_cost() {
     let want = s.search_phonemes_with(&q, 0.45, SearchMethod::BkTree, &mut Verifier::new());
     let got = s.search_phonemes_batched(&q, 0.45, SearchMethod::BkTree, &mut BatchVerifier::new());
     assert_eq!(got, want);
-    assert_eq!(want.verifications, s.len(), "fallback verifies every row");
+    let scan = s.search_phonemes(&q, 0.45, SearchMethod::Scan);
+    assert_eq!((want.ids, scan.verifications), (scan.ids, s.len()));
+    assert_eq!(want.verifications, 2, "Gandhi is outside the ball");
 }
 
 /// Regression for the silent screen bypass: queries longer than the

@@ -14,9 +14,11 @@
 //!
 //! The same allocator pins the BK-tree's layout: a build allocates its
 //! flat vectors and one mask table, however many names it indexes — and
-//! the q-gram index's: one key array and one length column per build, a
-//! gram list and a counter column per probe, nothing per gram, per
-//! signature or per candidate — and the store's own: a bulk load grows
+//! the q-gram index's: the four arrays it keeps and one small signature
+//! table per build, never more live heap than the finished index plus
+//! that table (every posting is written where it stays); a gram list and
+//! a counter column per probe, nothing per gram, per signature, per
+//! candidate or per tail row — and the store's own: a bulk load grows
 //! each flat column once however many chunks it arrives in, a refilled
 //! chunk allocates nothing, adopting an image's rows allocates nothing per
 //! row, the phonetic index is three arrays, and a scan cannot tell a row
@@ -38,14 +40,31 @@ thread_local! {
     // init: touching the counters never itself allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static COUNT_THIS_THREAD: Cell<bool> = const { Cell::new(false) };
+    // Bytes allocated less bytes freed while counting, and its high-water
+    // mark since `allocations_in` last reset it.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn counting() -> bool {
+    // `try_with` so a (never-allocating) read during TLS teardown can't
+    // panic inside the allocator.
+    COUNT_THIS_THREAD.try_with(Cell::get).unwrap_or(false)
 }
 
 fn count() {
-    // `try_with` so a (never-allocating) read during TLS teardown can't
-    // panic inside the allocator.
-    let counting = COUNT_THIS_THREAD.try_with(Cell::get).unwrap_or(false);
-    if counting {
+    if counting() {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+fn resize(by: isize) {
+    if counting() {
+        let live = LIVE.try_with(|l| {
+            l.set(l.get() + by);
+            l.get()
+        });
+        let _ = PEAK.try_with(|p| p.set(p.get().max(live.unwrap_or(0))));
     }
 }
 
@@ -56,20 +75,24 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        resize(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
@@ -80,10 +103,18 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Heap allocations `f` makes on this thread.
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
     COUNT_THIS_THREAD.with(|c| c.set(true));
     let out = f();
     COUNT_THIS_THREAD.with(|c| c.set(false));
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The most heap the last [`allocations_in`] held at once, over what was
+/// live when it began.
+fn peak_bytes() -> usize {
+    PEAK.with(Cell::get) as usize
 }
 
 /// Deterministic xorshift phoneme strings, lengths 0..=70 so the corpus
@@ -305,8 +336,8 @@ fn bktree_build_allocates_per_vector_not_per_node() {
     }
 }
 
-/// The flat q-gram index is two vectors sized up front (keys, lengths;
-/// the overflow list stays empty) and sorted in place, and a probe
+/// The flat q-gram index is four vectors sized up front (signatures, run
+/// starts, postings, lengths; the overflow list stays empty), and a probe
 /// allocates by the call, not by what it finds: the answer alone where
 /// the count filter cannot reject, the query's gram list and one counter
 /// column (which becomes the answer) where it can.
@@ -317,7 +348,7 @@ fn qgram_index_allocates_per_call_not_per_gram() {
         let strings = corpus(0x09a2_a115, n);
         let (filter, built) = allocations_in(|| QgramFilter::build(&strings, 3, QgramMode::Strict));
         assert!(
-            built <= 3,
+            built <= 4,
             "q-gram build over {n} names made {built} heap allocations"
         );
         assert_eq!(filter.len(), n);
@@ -366,6 +397,55 @@ fn qgram_index_allocates_per_call_not_per_gram() {
             );
         }
     }
+}
+
+/// A q-gram build writes every posting where it stays: at no moment does
+/// it hold more heap than the index it returns plus its signature table
+/// (a sort-then-compact build holds the index twice, and the freed copy
+/// stays in the process's peak), and it allocates by the array, not by
+/// the row — over the cluster strings a store indexes and over phoneme
+/// ids alike. A row past the index costs a `STRICT` probe no allocation:
+/// the cluster ball over a tail of 4 000 rows allocates what it does over
+/// one of 400.
+#[test]
+fn qgram_build_peaks_at_the_index_and_a_tail_probe_allocates_nothing_a_row() {
+    let op = LexEqual::default();
+    let strings = corpus(0x0c5a_11ed, 8_000);
+    let clusters: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
+    let phonemes: Vec<&[u8]> = strings.iter().map(|s| s.id_bytes()).collect();
+    let clusters: Vec<&[u8]> = clusters.iter().map(Vec::as_slice).collect();
+    for (key, rows) in [("cluster", &clusters), ("phoneme", &phonemes)] {
+        let build = |n: usize| {
+            let (filter, allocations) =
+                allocations_in(|| QgramFilter::build_rows(n, |id| rows[id], 3, QgramMode::Strict));
+            let (held, peak) = (filter.heap_bytes(), peak_bytes());
+            assert!(
+                held <= peak && peak <= held + 64 * 1024,
+                "{key} keys, {n} rows: index {held} B, build peak {peak} B"
+            );
+            assert!(held >= 4 * filter.total_grams());
+            allocations
+        };
+        let (few, many) = (build(2_000), build(8_000));
+        assert_eq!(few, many, "{key} keys: allocations at 2 000 and 8 000 rows");
+        assert!(many <= 5, "{key} keys: {many} allocations a build");
+    }
+
+    let declared = QgramFilter::build_rows(0, |_| &[], 3, QgramMode::Strict);
+    // A query the bit-parallel probe takes (the DP the longer ones fall
+    // back to allocates its rows per probe).
+    let fits = |s: &&PhonemeString| (20..=64).contains(&s.len());
+    let at = strings.iter().take(400).position(|s| fits(&s)).unwrap() as u32;
+    let prepared = op.prepare_query(&strings[at as usize]);
+    let (query, probe) = (prepared.cluster_ids(), prepared.cluster_probe());
+    let ball = |rows: usize| {
+        allocations_in(|| declared.within(query, 1.5, 1, &probe, rows, |id| clusters[id]))
+    };
+    let ((near, few), (far, many)) = (ball(400), ball(4_000));
+    assert!(near.contains(&at) && far.starts_with(&near));
+    assert!(far.len() <= 4, "one push sizes the answer: {far:?}");
+    assert_eq!(few, many, "a 400-row and a 4 000-row tail");
+    assert!(many <= 2, "{many} allocations a tail probe");
 }
 
 /// `n` entries the bit-parallel paths take (1..=64 phonemes), with texts.
@@ -503,7 +583,7 @@ fn rows_allocate_per_column_not_per_name() {
     let clusters = small.operator().cost_model().clusters();
     for store in [&small, &large] {
         let rows = store.rows();
-        let row = |id: usize| rows.row(id).phonemes;
+        let row = |id: usize| rows.row(id).clusters;
         let (index, built) =
             allocations_in(|| PhoneticIndex::build_rows(clusters, rows.len(), row));
         assert_eq!(index.len(), rows.len());

@@ -48,13 +48,23 @@ struct Edge {
 /// Exact unit-cost Levenshtein distance from one fixed key to any other
 /// string: bit-parallel where the key fits a [`MyersPattern`], the
 /// rolling-row DP for the keys it refuses (empty, or over 64 symbols).
-enum Probe<'a> {
+#[derive(Debug, Clone, Copy)]
+pub enum Probe<'a> {
+    /// The key's pattern.
     Myers(&'a MyersPattern),
+    /// The key itself.
     Dp(&'a [u8]),
 }
 
-impl Probe<'_> {
-    fn distance(&self, other: &[u8]) -> u32 {
+impl<'a> Probe<'a> {
+    /// The probe measuring from `key`, through `pattern` — built from
+    /// `key`, or `None` where [`MyersPattern::build`] refused it.
+    pub fn new(key: &'a [u8], pattern: Option<&'a MyersPattern>) -> Self {
+        pattern.map_or(Probe::Dp(key), Probe::Myers)
+    }
+
+    /// The distance between the key and `other`.
+    pub fn distance(&self, other: &[u8]) -> u32 {
         match self {
             Probe::Myers(pattern) => pattern.distance(other.iter().copied()) as u32,
             Probe::Dp(key) => edit_distance(key, other, UnitCost) as u32,
@@ -169,21 +179,19 @@ impl BkTree {
     }
 
     /// The one range walk over ids `0..rows`: calls `hit(id, d)` for every
-    /// id whose key is within distance `k` of `query`, and returns how many
-    /// keys it measured. Ids the tree does not hold yet (`len()..rows`, the
-    /// rows appended to the column since the build) are measured one by one
-    /// with the walk's own probe, so the hits are those of a tree built
-    /// over all of `0..rows`.
-    fn walk<'a>(
+    /// id whose key is within distance `k` of `probe`'s, and returns how
+    /// many keys it measured. Ids the tree does not hold yet (`len()..rows`,
+    /// the rows appended to the column since the build) are measured one by
+    /// one with the same probe, so the hits are those of a tree built over
+    /// all of `0..rows`.
+    pub fn walk<'a>(
         &self,
         key: impl Fn(u32) -> &'a [u8],
-        query: &[u8],
+        probe: &Probe,
         k: u32,
         rows: u32,
         mut hit: impl FnMut(u32, u32),
     ) -> usize {
-        let pattern = MyersPattern::build(query.iter().copied());
-        let probe = pattern.as_ref().map_or(Probe::Dp(query), Probe::Myers);
         let mut probes = 0usize;
         let mut stack = Vec::new();
         if !self.nodes.is_empty() {
@@ -239,15 +247,19 @@ impl BkTree {
         k: u32,
         rows: u32,
     ) -> Vec<(u32, u32)> {
+        let pattern = MyersPattern::build(query.iter().copied());
         let mut out = Vec::new();
-        self.walk(key, query, k, rows, |id, d| out.push((id, d)));
+        let probe = Probe::new(query, pattern.as_ref());
+        self.walk(key, &probe, k, rows, |id, d| out.push((id, d)));
         out
     }
 
     /// Number of metric evaluations a `range` query performs — exposes
     /// pruning effectiveness.
     pub fn probe_count<'a>(&self, key: impl Fn(u32) -> &'a [u8], query: &[u8], k: u32) -> usize {
-        self.walk(key, query, k, self.nodes.len() as u32, |_, _| {})
+        let pattern = MyersPattern::build(query.iter().copied());
+        let probe = Probe::new(query, pattern.as_ref());
+        self.walk(key, &probe, k, self.nodes.len() as u32, |_, _| {})
     }
 }
 

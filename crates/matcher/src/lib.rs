@@ -49,7 +49,7 @@ pub mod soundex;
 
 pub use alignment::{align, Alignment, EditOp};
 pub use banded::{within_distance, within_distance_scratch, DpScratch};
-pub use bktree::BkTree;
+pub use bktree::{BkTree, Probe};
 pub use cost::{CostModel, UnitCost};
 pub use damerau::damerau_distance;
 pub use distance::{edit_distance, edit_distance_matrix};

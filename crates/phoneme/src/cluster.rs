@@ -228,22 +228,20 @@ impl ClusterTable {
     /// condition for cluster-key equality, which preserves index
     /// correctness (it only admits extra candidates, never drops any).
     pub fn packed_key(&self, s: &PhonemeString) -> u128 {
-        self.packed_key_of_ids(s.id_bytes())
+        self.pack(s.iter().map(|&p| self.cluster_of(p).0))
     }
 
-    /// [`packed_key`](Self::packed_key) of a string given as its raw
-    /// inventory ids (a row of a flat phoneme column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is outside the inventory.
-    pub fn packed_key_of_ids(&self, ids: &[u8]) -> u128 {
+    /// [`packed_key`](Self::packed_key) of a string given as its cluster
+    /// ids under this table (a row of a flat cluster column).
+    pub fn packed_key_of_clusters(&self, clusters: &[u8]) -> u128 {
+        self.pack(clusters.iter().copied())
+    }
+
+    fn pack(&self, clusters: impl Iterator<Item = u8>) -> u128 {
         let base = self.cluster_count as u128 + 1;
-        let mut acc: u128 = 0;
-        for &id in ids.iter().take(self.packed_prefix_len()) {
-            acc = acc * base + (self.cluster_of_id(id).0 as u128 + 1);
-        }
-        acc
+        clusters
+            .take(self.packed_prefix_len())
+            .fold(0, |acc, cluster| acc * base + (cluster as u128 + 1))
     }
 
     /// How many segments fit into the packed 128-bit key without overflow.

@@ -610,7 +610,8 @@ fn ms_since(start: Instant) -> f64 {
 }
 
 /// Cover `specs` in order; the `key=value` fields a startup line reports
-/// them with: `paths=N`, one `<path>_ms` each, `build_ms` for the lot.
+/// them with: `paths=N`, one `<path>_ms` each, `build_ms` for the lot and
+/// `index_bytes` for what the shards' indices then hold.
 fn timed_builds(service: &MatchService, specs: &[BuildSpec]) -> String {
     let start = Instant::now();
     let mut fields = format!("paths={}", specs.len());
@@ -621,6 +622,8 @@ fn timed_builds(service: &MatchService, specs: &[BuildSpec]) -> String {
         fields.push_str(&format!(" {path}_ms={:.1}", ms_since(one)));
     }
     fields.push_str(&format!(" build_ms={:.1}", ms_since(start)));
+    let index_bytes: usize = service.store().cover_stats().index_bytes.iter().sum();
+    fields.push_str(&format!(" index_bytes={index_bytes}"));
     fields
 }
 

@@ -307,14 +307,14 @@ fn spec_to_record(spec: &BuildSpec) -> Result<[u8; SPEC_RECORD], DbError> {
 
 fn spec_from_record(rec: &[u8]) -> Result<BuildSpec, DbError> {
     match rec[0] {
-        0 => Ok(BuildSpec::Qgram {
-            q: rec[1] as usize,
-            mode: match rec[2] {
+        0 => {
+            let mode = match rec[2] {
                 0 => QgramMode::Strict,
                 1 => QgramMode::PaperFaithful,
                 m => return Err(err(format!("unknown q-gram mode {m}"))),
-            },
-        }),
+            };
+            BuildSpec::qgram(rec[1] as usize, mode).map_err(|e| err(format!("build spec: {e}")))
+        }
         1 => Ok(BuildSpec::PhoneticIndex),
         2 => Ok(BuildSpec::BkTree),
         t => Err(err(format!("unknown build-spec tag {t}"))),

@@ -47,7 +47,17 @@
 //! index covers it in the background, and rows `ADD`ed later are its tail
 //! until the next cover (DESIGN §5n; `STATS` reports `<method>_tail=`,
 //! and ends with what the rows cost: `row_bytes=`, `mapped_bytes=`,
-//! `index_bytes=`, DESIGN §5o).
+//! `index_bytes=` and its three parts `qgram_bytes=`, `phonidx_bytes=`,
+//! `bktree_bytes=`, DESIGN §5o). A `<q>` no index can be built at
+//! (outside 1..=4) is an `ERR`, and nothing is declared or logged.
+//!
+//! `verified=` is how many rows the path put to the exact predicate: every
+//! row for `scan`, the rows sharing the query's grouped identifier for
+//! `phonidx`, and for `qgram` (`STRICT`) and `bktree` alike the rows inside
+//! the length filter whose cluster string lies within ⌊e·|q| /
+//! clus_reject_scale⌋ unit edits of the query's (DESIGN §5k) — ≈ 130 of
+//! 20 418 names at the default threshold where it used to be ≈ 17 000, and
+//! the same number whatever part of the store an index covers.
 //! `NOTBUILT <method>` therefore means one thing: the path was never
 //! declared — no `BUILD`, no `--preload`, none recorded in the snapshot.
 //!
@@ -68,7 +78,7 @@
 
 use crate::metrics::{method_index, method_name, ALL_METHODS};
 use crate::service::{AutoMatchRequest, MatchOutcome, MatchRequest, StatsSnapshot};
-use lexequal::{Language, QgramMode, SearchMethod};
+use lexequal::{BuildSpec, Language, QgramMode, SearchMethod};
 use lexequal_g2p::Script;
 
 /// Why incremental framing gave up on a connection's byte stream.
@@ -176,17 +186,8 @@ pub enum Request {
         /// The name as written.
         text: String,
     },
-    /// `BUILD QGRAM <q> STRICT|PAPER`
-    BuildQgram {
-        /// q-gram length.
-        q: usize,
-        /// Filtering mode.
-        mode: QgramMode,
-    },
-    /// `BUILD PHONIDX`
-    BuildPhonidx,
-    /// `BUILD BKTREE`
-    BuildBktree,
+    /// `BUILD QGRAM <q> STRICT|PAPER`, `BUILD PHONIDX`, `BUILD BKTREE`.
+    Build(BuildSpec),
     /// `BUILD ALL` (q-gram defaults to `q=3 STRICT`).
     BuildAll,
     /// `MATCH <lang> <method|-> <threshold|-> <text...>`
@@ -308,9 +309,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
                         .ok_or("usage: BUILD QGRAM <q> STRICT|PAPER")?
                         .parse()
                         .map_err(|_| "BUILD QGRAM: q must be a positive integer")?;
-                    if q == 0 {
-                        return Err("BUILD QGRAM: q must be positive".into());
-                    }
                     let mode = match toks
                         .next()
                         .ok_or("usage: BUILD QGRAM <q> STRICT|PAPER")?
@@ -321,10 +319,11 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
                         "PAPER" => QgramMode::PaperFaithful,
                         other => return Err(format!("unknown q-gram mode {other:?}")),
                     };
-                    Request::BuildQgram { q, mode }
+                    let spec = BuildSpec::qgram(q, mode);
+                    Request::Build(spec.map_err(|e| format!("BUILD QGRAM: {e}"))?)
                 }
-                "PHONIDX" => Request::BuildPhonidx,
-                "BKTREE" => Request::BuildBktree,
+                "PHONIDX" => Request::Build(BuildSpec::PhoneticIndex),
+                "BKTREE" => Request::Build(BuildSpec::BkTree),
                 "ALL" => Request::BuildAll,
                 other => return Err(format!("unknown build target {other:?}")),
             }
@@ -574,7 +573,8 @@ pub fn format_stats(s: &StatsSnapshot) -> String {
     let tail = |m| s.cover.tails[method_index(m)];
     line.push_str(&format!(
         " declared={} qgram_tail={} phonidx_tail={} bktree_tail={} covers={} cover_ms_last={} \
-         row_bytes={} mapped_bytes={} index_bytes={}",
+         row_bytes={} mapped_bytes={} index_bytes={} qgram_bytes={} phonidx_bytes={} \
+         bktree_bytes={}",
         s.cover.declared,
         tail(SearchMethod::Qgram),
         tail(SearchMethod::PhoneticIndex),
@@ -583,7 +583,10 @@ pub fn format_stats(s: &StatsSnapshot) -> String {
         s.cover.cover_ms_last,
         s.cover.row_bytes,
         s.cover.mapped_bytes,
-        s.cover.index_bytes,
+        s.cover.index_bytes.iter().sum::<usize>(),
+        s.cover.index_bytes[0],
+        s.cover.index_bytes[1],
+        s.cover.index_bytes[2],
     ));
     line
 }
@@ -739,21 +742,25 @@ mod tests {
     fn parses_builds() {
         assert_eq!(
             parse_request("BUILD QGRAM 3 STRICT").unwrap().unwrap(),
-            Request::BuildQgram {
+            Request::Build(BuildSpec::Qgram {
                 q: 3,
                 mode: QgramMode::Strict
-            }
+            })
         );
         assert_eq!(
             parse_request("build qgram 2 paper").unwrap().unwrap(),
-            Request::BuildQgram {
+            Request::Build(BuildSpec::Qgram {
                 q: 2,
                 mode: QgramMode::PaperFaithful
-            }
+            })
         );
         assert_eq!(
             parse_request("BUILD PHONIDX").unwrap().unwrap(),
-            Request::BuildPhonidx
+            Request::Build(BuildSpec::PhoneticIndex)
+        );
+        assert_eq!(
+            parse_request("build bktree").unwrap().unwrap(),
+            Request::Build(BuildSpec::BkTree)
         );
         assert_eq!(
             parse_request("BUILD ALL").unwrap().unwrap(),
@@ -767,7 +774,11 @@ mod tests {
         assert!(parse_request("FROB x").is_err());
         assert!(parse_request("MATCH en scan 1.5 Nehru").is_err());
         assert!(parse_request("MATCH xx - - Nehru").is_err());
-        assert!(parse_request("BUILD QGRAM 0 STRICT").is_err());
+        for q in ["0", "5", "255", "-1", "3.0", "99999999999999999999"] {
+            let refused = parse_request(&format!("BUILD QGRAM {q} STRICT"));
+            assert!(refused.is_err(), "q = {q}: {refused:?}");
+        }
+        assert!(parse_request("BUILD QGRAM 4 PAPER").is_ok());
         assert!(parse_request("ADD en").is_err());
     }
 
@@ -874,7 +885,7 @@ mod tests {
                 cover_ms_last: 11,
                 row_bytes: 1_900_000,
                 mapped_bytes: 0,
-                index_bytes: 3_000_000,
+                index_bytes: [1_200_000, 250_000, 500_000],
             },
         };
         // Coverage, then what the rows cost, ride on the very end of the
@@ -882,7 +893,8 @@ mod tests {
         assert!(
             format_stats(&s).ends_with(
                 " declared=2 qgram_tail=7 phonidx_tail=0 bktree_tail=20418 covers=3 cover_ms_last=11 \
-                 row_bytes=1900000 mapped_bytes=0 index_bytes=3000000"
+                 row_bytes=1900000 mapped_bytes=0 index_bytes=1950000 qgram_bytes=1200000 \
+                 phonidx_bytes=250000 bktree_bytes=500000"
             ),
             "{}",
             format_stats(&s)

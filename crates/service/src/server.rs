@@ -15,7 +15,7 @@
 //!   bench compares against, and for environments without epoll.
 
 use crate::event_loop::{serve_evented, serve_evented_ctx, ShutdownSignal};
-use crate::metrics::{ConnMetrics, ReplRole, ReplStats};
+use crate::metrics::{method_name, ConnMetrics, ReplRole, ReplStats};
 use crate::proto::{format_outcome, format_stats, parse_request, Request};
 use crate::repl::{ReplicaState, Replicator};
 use crate::service::{AddResolution, MatchService};
@@ -483,18 +483,8 @@ pub(crate) fn execute_request(
                 Err(e) => vec![format!("ERR {e:?}")],
             }
         }
-        Request::BuildQgram { q, mode } => {
-            match do_build(service, ctx, BuildSpec::Qgram { q: *q, mode: *mode }) {
-                Ok(()) => vec!["OK built=qgram".to_owned()],
-                Err(e) => vec![format!("ERR {e}")],
-            }
-        }
-        Request::BuildPhonidx => match do_build(service, ctx, BuildSpec::PhoneticIndex) {
-            Ok(()) => vec!["OK built=phonidx".to_owned()],
-            Err(e) => vec![format!("ERR {e}")],
-        },
-        Request::BuildBktree => match do_build(service, ctx, BuildSpec::BkTree) {
-            Ok(()) => vec!["OK built=bktree".to_owned()],
+        Request::Build(spec) => match do_build(service, ctx, *spec) {
+            Ok(()) => vec![format!("OK built={}", method_name(spec.method()))],
             Err(e) => vec![format!("ERR {e}")],
         },
         Request::BuildAll => {

@@ -12,9 +12,9 @@
 //!
 //! An access path is *declared* on every shard (`declare`) and exact from
 //! that moment; making it fast is *covering* (DESIGN §5n): a cover copies
-//! a shard's phoneme column prefix out in chunks, builds the index on its
-//! own thread — never on a worker's command loop, under no lock — and
-//! hands it back to be installed. Appends invalidate nothing; a tail that
+//! the prefix of the column a path is keyed on out of a shard in chunks,
+//! builds the index on its own thread — never on a worker's command loop,
+//! under no lock — and hands it back to be installed. Appends invalidate nothing; a tail that
 //! outgrows the re-cover rule schedules a background cover.
 //!
 //! Rows come in one way, whatever their source — a generator, a vector of
@@ -30,9 +30,9 @@ pub(crate) use lexequal::store::CHUNK_ROWS;
 use lexequal::store::{cover_due, NameEntry, SearchResult};
 pub use lexequal::BuildSpec;
 use lexequal::{
-    BatchCounters, BatchVerifier, ClusterTable, G2pError, Language, LexEqual, LoadSize,
-    MatchConfig, NameStore, PathIndex, PhonemeColumn, PhonemeString, RowChunk, ScreenCounters,
-    SearchMethod,
+    BatchCounters, BatchVerifier, ClusterTable, G2pError, KeyColumn, Language, LexEqual, LoadSize,
+    MatchConfig, Memory, NameStore, PathIndex, PhonemeString, RowChunk, ScreenCounters,
+    SearchMethod, SymbolColumn,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -65,7 +65,7 @@ fn local_rows(rows: usize, shard: usize, shards: usize) -> usize {
 
 /// A shard's row count, its declared paths with the rows each index
 /// covers, and what the rows cost it ([`NameStore::memory`]).
-type Coverage = (usize, Vec<(BuildSpec, usize)>, [usize; 3]);
+type Coverage = (usize, Vec<(BuildSpec, usize)>, Memory);
 
 /// One request to a shard worker. Replies travel over per-call mpsc
 /// channels so any number of client threads can have requests in flight.
@@ -112,12 +112,13 @@ enum Cmd {
         rows: usize,
         reply: Sender<(usize, usize)>,
     },
-    /// Append local rows `rows`' phoneme strings to `column` and send it
+    /// Append local rows `rows`' strings in `column` to `keys` and send it
     /// back (a cover copying the prefix it will index).
-    ReadPhonemes {
+    ReadKeys {
+        column: KeyColumn,
         rows: Range<usize>,
-        column: PhonemeColumn,
-        reply: Sender<PhonemeColumn>,
+        keys: SymbolColumn,
+        reply: Sender<SymbolColumn>,
     },
     /// Copy local rows `rows` into `chunk` and send it back (snapshot
     /// capture); echoes the shard index so the reader can collect out of
@@ -184,13 +185,14 @@ fn worker(
             Cmd::PrefixBytes { rows, reply } => {
                 let _ = reply.send(store.prefix_bytes(rows));
             }
-            Cmd::ReadPhonemes {
+            Cmd::ReadKeys {
+                column,
                 rows,
-                mut column,
+                mut keys,
                 reply,
             } => {
-                store.read_phonemes(rows, &mut column);
-                let _ = reply.send(column);
+                store.read_keys(column, rows, &mut keys);
+                let _ = reply.send(keys);
             }
             Cmd::ReadRows {
                 rows,
@@ -276,7 +278,7 @@ impl Covering {
         let _turn = self.turn.lock().expect("cover turn");
         let start = Instant::now();
         // One copy buffer for the whole cover, refilled shard after shard.
-        let mut prefix = PhonemeColumn::default();
+        let mut prefix = SymbolColumn::default();
         let installed = workers.iter().fold(false, |any, worker| {
             self.cover_shard(worker, want, &mut prefix, on_chunk) | any
         });
@@ -291,7 +293,7 @@ impl Covering {
         &self,
         worker: &Sender<Cmd>,
         want: &dyn Fn(BuildSpec, usize, usize) -> bool,
-        prefix: &mut PhonemeColumn,
+        prefix: &mut SymbolColumn,
         on_chunk: &dyn Fn(),
     ) -> bool {
         let (rows, coverage, _) = ask(worker, |reply| Cmd::Coverage { reply });
@@ -300,26 +302,35 @@ impl Covering {
             .filter(|&(spec, covered)| covered < rows && want(spec, covered, rows))
             .map(|(spec, _)| spec)
             .collect();
-        if wanted.is_empty() {
-            return false;
+        // One copy a key column in use — the cluster strings, unless a
+        // q-gram filter is declared as the paper ran it.
+        let mut installed = false;
+        for column in [KeyColumn::Clusters, KeyColumn::Phonemes] {
+            let mut keyed = wanted.iter().filter(|spec| spec.key() == column).peekable();
+            if keyed.peek().is_none() {
+                continue;
+            }
+            // Copy the prefix off the worker, a chunk of rows a command:
+            // the worker is held for one chunk's memcpy at a time. A
+            // row's cluster string is as long as its phoneme string.
+            let (_, bytes) = ask(worker, |reply| Cmd::PrefixBytes { rows, reply });
+            prefix.reset(rows, bytes);
+            for first in (0..rows).step_by(CHUNK_ROWS) {
+                let rows = first..(first + CHUNK_ROWS).min(rows);
+                *prefix = ask(worker, |reply| Cmd::ReadKeys {
+                    column,
+                    rows,
+                    keys: std::mem::take(prefix),
+                    reply,
+                });
+                on_chunk();
+            }
+            for &spec in keyed {
+                let index = PathIndex::build(spec, &self.clusters, rows, |id| prefix.row(id));
+                installed |= ask(worker, |reply| Cmd::Install { index, reply });
+            }
         }
-        // Copy the prefix off the worker, a chunk of rows a command: the
-        // worker is held for one chunk's memcpy at a time.
-        let (_, bytes) = ask(worker, |reply| Cmd::PrefixBytes { rows, reply });
-        prefix.reset(rows, bytes);
-        for first in (0..rows).step_by(CHUNK_ROWS) {
-            let rows = first..(first + CHUNK_ROWS).min(rows);
-            *prefix = ask(worker, |reply| Cmd::ReadPhonemes {
-                rows,
-                column: std::mem::take(prefix),
-                reply,
-            });
-            on_chunk();
-        }
-        wanted.into_iter().fold(false, |any, spec| {
-            let index = PathIndex::build(spec, &self.clusters, rows, |id| prefix.row(id));
-            ask(worker, |reply| Cmd::Install { index, reply }) | any
-        })
+        installed
     }
 }
 
@@ -361,13 +372,14 @@ pub struct CoverStats {
     /// How long the last of them took, in ms.
     pub cover_ms_last: u64,
     /// Bytes the shards' owned row columns hold (arenas and offsets, by
-    /// capacity), image bytes their base rows occupy, and bytes their
-    /// indices' arrays hold — each summed over the shards.
+    /// capacity), image bytes their base rows occupy, and bytes the
+    /// q-gram, phonetic and BK-tree indices' arrays hold — each summed
+    /// over the shards.
     pub row_bytes: usize,
     /// See [`row_bytes`](Self::row_bytes).
     pub mapped_bytes: usize,
     /// See [`row_bytes`](Self::row_bytes).
-    pub index_bytes: usize,
+    pub index_bytes: [usize; 3],
 }
 
 impl ShardedStore {
@@ -648,15 +660,15 @@ impl ShardedStore {
             cover_ms_last: self.covering.cover_ms_last.load(Ordering::Relaxed),
             ..CoverStats::default()
         };
-        for (rows, coverage, [owned, mapped, indices]) in
-            self.ask_all(|_, reply| Cmd::Coverage { reply })
-        {
+        for (rows, coverage, memory) in self.ask_all(|_, reply| Cmd::Coverage { reply }) {
             for (spec, covered) in coverage {
                 stats.tails[crate::metrics::method_index(spec.method())] += rows - covered;
             }
-            stats.row_bytes += owned;
-            stats.mapped_bytes += mapped;
-            stats.index_bytes += indices;
+            stats.row_bytes += memory.owned;
+            stats.mapped_bytes += memory.mapped;
+            for (total, bytes) in stats.index_bytes.iter_mut().zip(memory.indices) {
+                *total += bytes;
+            }
         }
         stats
     }

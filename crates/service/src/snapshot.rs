@@ -170,17 +170,14 @@ fn build_from_json(j: &Json) -> Result<BuildSpec, DbError> {
             let q = j
                 .get("q")
                 .and_then(Json::as_i64)
-                .filter(|&q| q > 0)
+                .and_then(|q| usize::try_from(q).ok())
                 .ok_or_else(|| decode_err("qgram build spec missing q"))?;
             let mode = match j.get("mode").and_then(Json::as_str) {
                 Some("strict") => QgramMode::Strict,
                 Some("paper_faithful") => QgramMode::PaperFaithful,
                 _ => return Err(decode_err("qgram build spec has an unknown mode")),
             };
-            Ok(BuildSpec::Qgram {
-                q: q as usize,
-                mode,
-            })
+            BuildSpec::qgram(q, mode).map_err(|e| decode_err(format!("build spec: {e}")))
         }
         "phonidx" => Ok(BuildSpec::PhoneticIndex),
         "bktree" => Ok(BuildSpec::BkTree),
@@ -745,6 +742,23 @@ mod tests {
                 &src[..src.len().min(40)]
             );
         }
+    }
+
+    #[test]
+    fn a_recorded_gram_length_no_index_takes_is_a_named_error() {
+        let mode = QgramMode::PaperFaithful;
+        let good = BuildSpec::Qgram { q: 4, mode };
+        assert_eq!(build_from_json(&build_to_json(&good)).unwrap(), good);
+        for q in [0, 5, 255] {
+            let err = build_from_json(&build_to_json(&BuildSpec::Qgram { q, mode })).unwrap_err();
+            let named = format!("q-gram length {q} is outside 1..=4");
+            assert!(err.to_string().contains(&named), "{err}");
+        }
+        let mut negative = build_to_json(&good);
+        if let Json::Obj(fields) = &mut negative {
+            fields[1].1 = Json::Int(-3);
+        }
+        assert!(build_from_json(&negative).is_err());
     }
 
     #[test]

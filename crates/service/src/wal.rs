@@ -133,14 +133,14 @@ impl Op {
                         let q = toks
                             .next()
                             .and_then(|t| t.parse::<usize>().ok())
-                            .filter(|&q| q > 0)
                             .ok_or_else(|| format!("op {s:?}: bad q"))?;
                         let mode = match toks.next() {
                             Some("STRICT") => QgramMode::Strict,
                             Some("PAPER") => QgramMode::PaperFaithful,
                             other => return Err(format!("op {s:?}: bad qgram mode {other:?}")),
                         };
-                        Ok(Op::Build(BuildSpec::Qgram { q, mode }))
+                        let spec = BuildSpec::qgram(q, mode);
+                        Ok(Op::Build(spec.map_err(|e| format!("op {s:?}: {e}"))?))
                     }
                     Some("PHONIDX") => Ok(Op::Build(BuildSpec::PhoneticIndex)),
                     Some("BKTREE") => Ok(Op::Build(BuildSpec::BkTree)),
@@ -811,6 +811,10 @@ mod tests {
         }
         assert!(Op::decode("A en").is_err());
         assert!(Op::decode("B QGRAM x STRICT").is_err());
+        for q in [0, 5, 255] {
+            let refused = Op::decode(&format!("B QGRAM {q} STRICT")).unwrap_err();
+            assert!(refused.contains("is outside 1..=4"), "{refused}");
+        }
         assert!(Op::decode("Z what").is_err());
     }
 

@@ -482,7 +482,7 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
         .filter_map(|token| token.split_once('=').map(|(key, _)| key))
         .collect();
     assert_eq!(
-        keys[keys.len() - 13..],
+        keys[keys.len() - 16..],
         [
             "divergences",
             "commit_hold_max_us",
@@ -496,7 +496,10 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
             "cover_ms_last",
             "row_bytes",
             "mapped_bytes",
-            "index_bytes"
+            "index_bytes",
+            "qgram_bytes",
+            "phonidx_bytes",
+            "bktree_bytes"
         ],
         "{stats:?}"
     );

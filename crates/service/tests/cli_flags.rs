@@ -360,6 +360,7 @@ fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
         " phonidx_ms=",
         " bktree_ms=",
         " build_ms=",
+        " index_bytes=",
     ] {
         assert!(covered.contains(field), "{field:?} not in {covered:?}");
     }

@@ -630,11 +630,12 @@ fn an_oversize_add_is_refused_before_it_is_logged_or_applied() {
     assert!(resp.starts_with("OK compacted checkpoint_lsn=1 "), "{resp}");
     assert!(wal.checkpoint().exists());
     assert_eq!(primary.request("ADD en Gandhi"), "OK 1");
-    // The replica was sent two records and holds two names.
+    // The replica was sent two records and holds two names (`repl_lsn`
+    // moves when a record arrives, `names` when its load publishes).
     let stats = wait_stats(&replica, "the replica to apply lsn 2", |s| {
-        stat(s, "repl_lsn") == Some("2")
+        stat(s, "repl_lsn") == Some("2") && stat(s, "names") == Some("2")
     });
-    assert_eq!(stat(&stats, "names"), Some("2"), "{stats}");
+    assert_eq!(stat(&stats, "repl_lsn"), Some("2"), "{stats}");
 
     let mut standalone = Server::spawn(&["--addr", "127.0.0.1:0"]);
     standalone.wait_serving();
@@ -642,6 +643,75 @@ fn an_oversize_add_is_refused_before_it_is_logged_or_applied() {
     assert_eq!(standalone.request("ADD en Nehru"), "OK 0");
     let resp = standalone.request(&format!("SAVE {}", image.as_str()));
     assert!(resp.starts_with("OK saved="), "{resp}");
+}
+
+/// `BUILD QGRAM 5 STRICT` used to answer `OK built=qgram`, log the op and
+/// kill both shard workers on the index's own assertion: every later
+/// request hung, each restart replayed the op and died the same way, and
+/// a replica was sent it too. A gram length no index takes is refused at
+/// the door — nothing logged, nothing applied, nothing shipped — and a log
+/// that already holds one names it at start-up instead of serving dead.
+#[test]
+fn a_gram_length_no_index_takes_is_refused_before_it_is_logged_or_applied() {
+    use lexequal::QgramMode;
+    use lexequal_service::{BuildSpec, Op, Wal, WalMetrics};
+    let wal = TempPath::new("badq.wal");
+    let flags = ["--addr", "127.0.0.1:0", "--wal", wal.as_str()];
+    let mut primary = Server::spawn(&flags);
+    primary.wait_serving();
+    let mut replica =
+        Server::spawn(&["--addr", "127.0.0.1:0", "--replica-of", &primary.addr_str()]);
+    replica.wait_serving();
+    assert_eq!(primary.request("ADD en Nehru"), "OK 0");
+    assert_eq!(primary.request("BUILD QGRAM 3 STRICT"), "OK built=qgram");
+    let logged = std::fs::metadata(&wal.0).expect("wal").len();
+
+    for q in ["5", "0", "255"] {
+        let resp = primary.request(&format!("BUILD QGRAM {q} STRICT"));
+        assert!(
+            resp.starts_with("ERR") && resp.contains("1..=4"),
+            "BUILD QGRAM {q} must be refused naming the range: {resp}"
+        );
+    }
+    assert_eq!(std::fs::metadata(&wal.0).expect("wal").len(), logged);
+    let stats = primary.request("STATS");
+    assert_eq!(stat(&stats, "wal_lsn"), Some("2"), "{stats}");
+    assert_eq!(stat(&stats, "declared"), Some("1"), "{stats}");
+    // The workers live: the path declared before still answers, here, on
+    // the replica (sent two records, no more) and after a restart.
+    let query = "MATCH en qgram 0.35 Nehru";
+    let answer = primary.request(query);
+    assert_eq!(answer, "OK n=1 verified=1 method=qgram e=0.35 ids=0");
+    let stats = wait_stats(&replica, "the replica to apply lsn 2", |s| {
+        stat(s, "declared") == Some("1") && stat(s, "names") == Some("1")
+    });
+    assert_eq!(stat(&stats, "repl_lsn"), Some("2"), "{stats}");
+    assert_eq!(replica.request(query), answer);
+    primary.kill();
+    let mut restarted = Server::spawn(&flags);
+    restarted.wait_serving();
+    assert_eq!(restarted.request(query), answer);
+    assert_eq!(restarted.request("ADD en Gandhi"), "OK 1");
+
+    // What a daemon without the door left behind: a record with a valid
+    // checksum and a `q` of 5.
+    let hostile = TempPath::new("badq_logged.wal");
+    {
+        let metrics = std::sync::Arc::new(WalMetrics::default());
+        let (mut log, _) = Wal::open(&hostile.0, 0, metrics).expect("fresh wal");
+        let (q, mode) = (5, QgramMode::Strict);
+        log.append(&Op::Build(BuildSpec::Qgram { q, mode }))
+            .expect("append");
+    }
+    let out = lexequald()
+        .args(["--addr", "127.0.0.1:0", "--wal", hostile.as_str()])
+        .output()
+        .expect("run lexequald");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success() && stderr.contains("q-gram length 5 is outside 1..=4"),
+        "a logged q = 5 must be a named start-up error: {stderr}"
+    );
 }
 
 #[test]

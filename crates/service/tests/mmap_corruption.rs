@@ -345,6 +345,15 @@ fn hostile_arenas_and_specs_are_named() {
     reseal(&mut bad_mode, SEC_SPECS);
     expect_named_err(bad_mode, "unknown q-gram mode 7");
 
+    // A gram length no index can be built at, behind a valid checksum: the
+    // load names it (declaring it would kill the shard workers).
+    for q in [0u8, 5, 255] {
+        let mut bad_q = image.clone();
+        bad_q[qgram_rec + 1] = q;
+        reseal(&mut bad_q, SEC_SPECS);
+        expect_named_err(bad_q, &format!("q-gram length {q} is outside 1..=4"));
+    }
+
     // Spec section length that is not a record multiple.
     let spec_len_at = TABLE_AT + SEC_SPECS * TABLE_RECORD + 8;
     let mut ragged = image.clone();

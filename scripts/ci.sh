@@ -70,23 +70,33 @@ cargo clippy -p lexequal-matcher -p lexequal --all-targets --offline -- -D warni
 cargo test -p lexequal --offline -q --test verify_batch_equiv --test verify_zero_alloc
 LEXEQUAL_FORCE_SCALAR=1 cargo test -p lexequal --offline -q --test verify_batch_equiv
 
-echo "== BK-tree: Myers-vs-DP differential"
+echo "== BK-tree: Myers-vs-DP differential + the cluster ball"
 # The bit-parallel probe may change how fast the tree is built and
 # walked, never the tree: unit tests (fallback lengths, duplicate
 # chains), the node-for-node differential over the paper corpus and the
-# 20 418-name preload set, and bktree == scan under both cost models.
+# 20 418-name preload set, and bktree == scan under every cost regime.
+# A store keys the tree on the cluster strings: pipeline_consistency
+# holds what it hands the verifier to the ball measured row by row with
+# the DP (finite radius in every regime, the same rows as the q-gram
+# path) and pins how small that ball is on the preload set at e = 0.35.
 # (The socket smoke run that drives this path of the *release* daemon
 # is the one run further down, after the flat-store step.)
 cargo test -p lexequal-matcher --offline -q bktree
 cargo test -p lexequal-bench --offline -q --test bktree_differential --test pipeline_consistency
+cargo test -p lexequal --offline -q --test verify_batch_equiv batched_bktree
 
 echo "== q-gram: flat-vs-reference differential + zero false dismissals"
 # The flat index may change how the candidates are found, never which:
-# unit tests (key widths, overflow list, long/empty/repeated names), the
+# unit tests (posting widths, an index over no row, overflow list,
+# long/empty/repeated names, the confirmed ball at any coverage), the
 # call-for-call differential against the kept hash-map algorithm over the
-# paper corpus and the preload set, qgram == scan under every cost regime,
-# allocation counts, Table 2 at full size with its own exact-answer
-# check; the socket smoke run with this path's build in it follows the
+# paper corpus and the preload set — keyed on phoneme ids and, projected,
+# on the cluster strings a store indexes — qgram == scan under every cost
+# regime, the selectivity pin (posting survivors <= n / 8, the ball
+# <= n / 64 at e = 0.35), allocation counts and the build's peak heap
+# (no more than the finished index plus 64 KiB: every posting is written
+# where it stays), Table 2 at full size with its own exact-answer check;
+# the socket smoke run with this path's build in it follows the
 # flat-store step below.
 cargo test -p lexequal-matcher --offline -q qgram
 cargo test -p lexequal --offline -q qgram
@@ -121,6 +131,10 @@ echo "== coverage: candidate sets independent of cover + paths survive ADD and r
 # compaction cycle + SIGKILL, and a replica after Op::Build then Op::Add,
 # and require method=<requested> with the oracle's ids (the parent said
 # NOTBUILT); cli_flags pins preloaded -> serving on -> covered.
+# compaction_e2e also holds the door every build spec comes in through:
+# BUILD QGRAM 5 STRICT is an ERR that logs, applies and ships nothing
+# (it used to kill the shard workers for good, restart after restart),
+# and a log already holding one is a named start-up error.
 cargo test -p lexequal-bench --offline -q --test pipeline_consistency \
     --test qgram_differential --test bktree_differential
 cargo test -p lexequal --offline -q --test verify_zero_alloc

@@ -6,6 +6,9 @@
 //!
 //! * scan and strict q-gram search return identical result sets;
 //! * the BK-tree search returns identical result sets;
+//! * those two sound paths put one and the same set of rows to the
+//!   verifier — the ball of cluster strings around the query's — and it is
+//!   a small part of the store at the paper's operating point;
 //! * the phonetic index returns a subset (its dismissals), never a
 //!   superset;
 //! * everything is symmetric and deterministic;
@@ -16,10 +19,11 @@
 
 use lexequal::store::NameEntry;
 use lexequal::{
-    BatchVerifier, BuildSpec, CostModelKind, MatchConfig, NameStore, PathIndex, QgramMode,
-    SearchMethod,
+    BatchVerifier, BuildSpec, CostModelKind, MatchConfig, NameStore, PathIndex, QgramFilter,
+    QgramMode, SearchMethod,
 };
 use lexequal_lexicon::Corpus;
+use lexequal_matcher::{edit_distance, length_filter_passes, BkTree, UnitCost};
 use std::sync::OnceLock;
 
 const THRESHOLD: f64 = 0.3;
@@ -66,9 +70,10 @@ fn queries() -> Vec<lexequal::PhonemeString> {
 
 /// The three cost regimes every exact access path is held to a scan
 /// under: both cost models, and the clustered model with free
-/// intra-cluster substitutions, where no finite Levenshtein bound
-/// contains every match and the path must degrade (q-grams to the length
-/// filter, the BK-tree to a scan).
+/// intra-cluster substitutions, where no finite Levenshtein bound over
+/// *phoneme ids* contains every match — the bound over cluster strings
+/// the sound paths use does not care what an intra-cluster substitution
+/// costs.
 fn cost_regimes() -> [MatchConfig; 3] {
     [
         MatchConfig::default(),
@@ -103,19 +108,120 @@ fn bktree_equals_scan() {
     for config in cost_regimes() {
         let mut s = load(config);
         s.build_bktree();
-        let finite_radius = s.operator().min_nonzero_cost().is_some();
+        // Finite radius under every regime whose scale is positive: all
+        // three here, so none falls back to verifying every row — and at
+        // scale 1 (clustered costs, whatever the intra-cluster one) the
+        // ball is a sliver of the store.
+        let scale = s.operator().clus_reject_scale();
+        assert!(scale > 0.0);
+        let (mut verified, mut scanned) = (0, 0);
         for q in queries_of(&s) {
             for e in [0.25, 0.35, 0.45] {
                 let scan = s.search_phonemes(&q, e, SearchMethod::Scan);
                 let bk = s.search_phonemes(&q, e, SearchMethod::BkTree);
                 assert_eq!(scan.ids, bk.ids, "query /{q}/ e={e}");
                 assert!(bk.verifications <= scan.verifications);
-                if !finite_radius {
-                    assert_eq!(bk.verifications, s.len(), "fallback verifies every row");
+                assert!(s.operator().cluster_radius(e * q.len() as f64) < u32::MAX);
+                verified += bk.verifications;
+                scanned += scan.verifications;
+            }
+        }
+        let sliver = if scale == 1.0 { 16 } else { 1 };
+        assert!(
+            verified * sliver < scanned,
+            "{verified} of {scanned} rows verified at scale {scale}"
+        );
+    }
+}
+
+/// Under every regime the two sound paths hand the verifier one set, a
+/// function of rows, query and threshold: the rows inside the length
+/// filter whose cluster string is within the operator's radius of the
+/// query's — found here by measuring every row with the plain DP.
+#[test]
+fn strict_qgram_and_bktree_put_the_same_rows_to_the_verifier() {
+    for (regime, config) in cost_regimes().into_iter().enumerate() {
+        let mut s = load(config);
+        s.build_qgram(3, QgramMode::Strict);
+        s.build_bktree();
+        let (rows, op) = (s.rows(), s.operator());
+        let n = rows.len();
+        let clusters = |id: usize| rows.row(id).clusters;
+        let filter = QgramFilter::build_rows(n, clusters, 3, QgramMode::Strict);
+        let tree = BkTree::build(n as u32, |id| clusters(id as usize));
+        for q in queries_of(&s) {
+            let prepared = op.prepare_query(&q);
+            let (query, probe) = (prepared.cluster_ids(), prepared.cluster_probe());
+            for e in [0.05, 0.25, 0.35, 0.45] {
+                let k = e * q.len() as f64;
+                let radius = op.cluster_radius(k);
+                let inside = |id: &usize| {
+                    length_filter_passes(clusters(*id).len(), q.len(), k)
+                        && edit_distance(clusters(*id), query, UnitCost) <= radius as f64
+                };
+                let ball: Vec<u32> = (0..n).filter(inside).map(|id| id as u32).collect();
+                let what = format!("regime {regime} query /{q}/ e={e}");
+                let by_grams = filter.within(query, k, radius, &probe, n, clusters);
+                assert_eq!(by_grams, ball, "{what}: q-gram path");
+                let mut by_tree = Vec::new();
+                tree.walk(
+                    |id| clusters(id as usize),
+                    &probe,
+                    radius,
+                    n as u32,
+                    |id, _| by_tree.push(id),
+                );
+                by_tree.retain(|&id| inside(&(id as usize)));
+                by_tree.sort_unstable();
+                assert_eq!(by_tree, ball, "{what}: BK-tree path");
+                for method in [SearchMethod::Qgram, SearchMethod::BkTree] {
+                    let verified = s.search_phonemes(&q, e, method).verifications;
+                    assert_eq!(verified, ball.len(), "{what}: {method:?} verified");
                 }
             }
         }
     }
+}
+
+/// The preload set at the paper's operating point (clustered costs,
+/// `e` = 0.35): the cluster-keyed count filter leaves the probe under an
+/// eighth of the rows, the ball the verifier under a sixty-fourth
+/// (measured n / 13 and n / 179 over lexbench's hot pool; the phoneme-keyed
+/// bound left 18 651 and 20 055 of 20 418).
+#[test]
+fn the_sound_paths_are_selective_on_the_preload_set() {
+    let entries = lexequal_lexicon::build_dataset(&MatchConfig::default(), 20_000);
+    let mut s = NameStore::new(MatchConfig::default());
+    s.extend_transformed(entries);
+    s.build_qgram(3, QgramMode::Strict);
+    let (rows, n) = (s.rows(), s.len());
+    let filter = QgramFilter::build_rows(n, |id| rows.row(id).clusters, 3, QgramMode::Strict);
+    let queries: Vec<_> = (0..n as u32).step_by(319).collect();
+    let (mut survivors, mut ball, mut matches) = (0, 0, 0);
+    for q in queries
+        .iter()
+        .map(|&id| s.get(id).expect("valid id").phonemes)
+    {
+        let prepared = s.operator().prepare_query(&q);
+        let k = 0.35 * q.len() as f64;
+        let bound = s.operator().cluster_radius(k) as f64;
+        survivors += filter.survivors(prepared.cluster_ids(), k, bound).len();
+        let found = s.search_phonemes(&q, 0.35, SearchMethod::Qgram);
+        assert_eq!(
+            found.ids,
+            s.search_phonemes(&q, 0.35, SearchMethod::Scan).ids
+        );
+        ball += found.verifications;
+        matches += found.ids.len();
+    }
+    let mean = |total: usize| total / queries.len();
+    assert!(
+        mean(survivors) <= n / 8 && mean(ball) <= n / 64 && matches <= ball && ball <= survivors,
+        "a query: {} posting survivors, {} in the ball, {} matches of {n} names",
+        mean(survivors),
+        mean(ball),
+        mean(matches)
+    );
 }
 
 #[test]
@@ -214,7 +320,7 @@ fn assert_coverage_is_invisible(
                 s.declare(spec);
             } else {
                 let rows = s.rows();
-                let row = |id: usize| rows.row(id).phonemes;
+                let row = |id: usize| rows.row(id).key(spec.key());
                 let index = PathIndex::build(spec, &clusters, covered, row);
                 assert!(s.install(index), "{spec:?} to {covered} rows");
             }

@@ -11,9 +11,18 @@
 //! tail (`candidates_with_tail`, how a store that has grown past its
 //! index answers): the pair-wise rule the tail rows are put to is the
 //! posting walk's, so the reference cannot tell where the index ended.
+//!
+//! The index does not care what its symbols are, and a store under
+//! `STRICT` keys it on the names' *cluster* strings: every corpus goes
+//! through the harness a second time projected onto its clusters (a
+//! cluster id read as the phoneme of that number — the reference only
+//! speaks `PhonemeString`), where the alphabet is small enough for the
+//! build's dense signature table and one gram recurs in most names.
 
 use lexequal::qgram_plan::reference::HashedQgramFilter;
-use lexequal::{CostModelKind, LexEqual, MatchConfig, PhonemeString, QgramFilter, QgramMode};
+use lexequal::{
+    CostModelKind, LexEqual, MatchConfig, Phoneme, PhonemeString, QgramFilter, QgramMode,
+};
 use lexequal_lexicon::{Corpus, SyntheticDataset};
 
 /// Clustered, feature-graded, and clustered with free intra-cluster
@@ -27,13 +36,27 @@ fn operators() -> [LexEqual; 3] {
     .map(LexEqual::new)
 }
 
-/// `uncovered`: how many trailing names each prefix index leaves to its
-/// tail (0 is the whole index).
+/// `names` and then their cluster strings, each held to the reference.
 fn assert_flat_is_the_hashed_filter(
     names: &[PhonemeString],
     query_step: usize,
     uncovered: &[usize],
 ) {
+    assert_keyed_on(names, query_step, uncovered);
+    let op = LexEqual::default();
+    let cluster = |c: u8| Phoneme::from_id(c).expect("cluster ids are fewer than phonemes");
+    let projected: Vec<PhonemeString> = names
+        .iter()
+        .map(|name| op.cluster_ids(name).into_iter().map(cluster).collect())
+        .collect();
+    // Half the queries: a cluster gram's posting run is ten times a
+    // phoneme gram's, and the reference walks it through hash maps.
+    assert_keyed_on(&projected, 2 * query_step, uncovered);
+}
+
+/// `uncovered`: how many trailing names each prefix index leaves to its
+/// tail (0 is the whole index).
+fn assert_keyed_on(names: &[PhonemeString], query_step: usize, uncovered: &[usize]) {
     let operators = operators();
     let n = names.len();
     for q in 1..=4 {

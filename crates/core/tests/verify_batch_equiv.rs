@@ -287,6 +287,7 @@ fn embed_screen_never_changes_verdicts_under_either_cost_model() {
         );
         assert_eq!(off.operator().embed_scale(), 0.0);
         let mut on_scalar = Verifier::new();
+        let mut off_full_dp = 0;
         for (query, lang) in [
             ("Nehru", Language::English),
             ("Gandhi", Language::English),
@@ -314,6 +315,7 @@ fn embed_screen_never_changes_verdicts_under_either_cost_model() {
                     let _ = off.search_phonemes_with(&q, e, method, &mut off_v);
                     let c = off_v.take_counters();
                     assert_eq!(c.embed_accept + c.embed_reject + c.embed_bypass, 0);
+                    off_full_dp += c.full_dp;
                 }
             }
         }
@@ -323,6 +325,10 @@ fn embed_screen_never_changes_verdicts_under_either_cost_model() {
             "screen must both pass and prune under {kind:?}: {c:?}"
         );
         assert_eq!(c.embed_bypass, 0, "store rows all carry embeddings");
+        // The same searches, screen on and off: a pair the screen settles
+        // never reaches the DP, and it sends no pair there that the
+        // unscreened kernel would have settled earlier.
+        assert!(c.full_dp <= off_full_dp, "{kind:?}: {c:?} vs {off_full_dp}");
     }
 }
 

@@ -6,16 +6,16 @@
 //!           [--snapshot PATH] [--save-snapshot PATH] [--wal PATH]
 //!           [--wal-max-bytes N] [--wal-ack-grace SECS]
 //!           [--replica-of HOST:PORT] [--repl-listen HOST:PORT]
-//!           [--mode evented|threaded] [--workers N] [--max-pipeline N]
+//!           [--mode evented] [--workers N] [--max-pipeline N]
 //!           [--max-line BYTES] [--queue N]
 //! ```
 //!
 //! Binds a TCP listener and serves the line protocol documented in
 //! `lexequal_service::proto` (ADD, BUILD, MATCH, BATCH, STATS, SAVE,
-//! QUIT). The default `--mode evented` runs a single epoll readiness
-//! loop with a fixed pool of `--workers` verify threads and supports up
-//! to `--max-pipeline` in-flight requests per connection; `--mode
-//! threaded` is the legacy one-thread-per-connection path.
+//! QUIT) on a single epoll readiness loop with a fixed pool of
+//! `--workers` verify threads and up to `--max-pipeline` in-flight
+//! requests per connection. `--mode evented` names that loop, the only
+//! one there is; it is accepted so old command lines keep working.
 //!
 //! Every store source starts the same way — rows in, the recorded (or
 //! default) access paths *declared*, `serving on`, then one background
@@ -65,8 +65,8 @@
 use lexequal::{CostModelKind, MatchConfig};
 use lexequal_service::{
     bind_reusable, mmapstore, repl, BuildSpec, CompactionPolicy, MatchService, ReplicaState,
-    Replicator, ReqCtx, ServeMode, ServeOptions, ServiceConfig, ShutdownSignal, SnapshotFormat,
-    Wal, WalError, WalMetrics,
+    Replicator, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal, SnapshotFormat, Wal, WalError,
+    WalMetrics,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -78,7 +78,8 @@ const USAGE: &str = "usage: lexequald [--addr HOST:PORT] [--shards N] [--cache N
 [--snapshot PATH] [--save-snapshot PATH] \
 [--snapshot-format mmap|json] [--wal PATH] [--wal-max-bytes N] [--wal-ack-grace SECS] \
 [--replica-of HOST:PORT] [--repl-listen HOST:PORT] \
-[--mode evented|threaded] [--workers N] [--max-pipeline N] [--max-line BYTES] [--queue N]";
+[--mode evented] [--workers N] [--max-pipeline N] [--max-line BYTES] [--queue N]\n\
+(--mode evented names the only serve loop; it is accepted for old command lines)";
 
 struct Args {
     addr: String,
@@ -108,7 +109,6 @@ struct Args {
     wal_ack_grace: Option<u64>,
     replica_of: Option<String>,
     repl_listen: Option<String>,
-    mode: ServeMode,
     serve: ServeOptions,
 }
 
@@ -149,7 +149,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         wal_ack_grace: None,
         replica_of: None,
         repl_listen: None,
-        mode: ServeMode::Evented,
         serve: ServeOptions::default(),
     };
     let mut it = argv;
@@ -232,7 +231,12 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--mode" => {
                 let v = value("--mode")?;
-                args.mode = parse_value("--mode", &v, "evented or threaded")?;
+                if !v.eq_ignore_ascii_case("evented") {
+                    return Err(format!(
+                        "--mode: invalid value {v:?} (expected evented; the threaded \
+                         serve path was removed)"
+                    ));
+                }
             }
             "--workers" => {
                 let v = value("--workers")?;
@@ -548,10 +552,9 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "lexequald: serving on {} with {} shard(s), mode={} workers={} max-pipeline={}{}",
+        "lexequald: serving on {} with {} shard(s), workers={} max-pipeline={}{}",
         listener.local_addr().map_or(args.addr, |a| a.to_string()),
         service.store().shards(),
-        args.mode.name(),
         args.serve.workers,
         args.serve.max_pipeline,
         if replicator.is_some() {
@@ -586,9 +589,7 @@ fn main() -> ExitCode {
             .or(args.snapshot.as_ref())
             .map(PathBuf::from),
     };
-    let result = lexequal_service::serve_ctx(args.mode, listener, service, ctx, args.serve, {
-        shutdown.clone()
-    });
+    let result = lexequal_service::serve(listener, service, ctx, args.serve, shutdown.clone());
     shutdown.trigger();
     if let Some(repl) = &replicator {
         repl.stop_and_join();
@@ -779,13 +780,12 @@ fn run_replica_daemon(args: &Args, match_config: MatchConfig) -> ExitCode {
         }
     };
     eprintln!(
-        "lexequald: serving on {} with {} shard(s), mode={} workers={} max-pipeline={} \
+        "lexequald: serving on {} with {} shard(s), workers={} max-pipeline={} \
          role=replica primary={}",
         listener
             .local_addr()
             .map_or_else(|_| args.addr.clone(), |a| a.to_string()),
         service.store().shards(),
-        args.mode.name(),
         args.serve.workers,
         args.serve.max_pipeline,
         primary,
@@ -795,14 +795,8 @@ fn run_replica_daemon(args: &Args, match_config: MatchConfig) -> ExitCode {
         replica: Some(Arc::clone(&state)),
         save_path: None,
     };
-    let result = lexequal_service::serve_ctx(
-        args.mode,
-        listener,
-        service,
-        ctx,
-        args.serve.clone(),
-        shutdown.clone(),
-    );
+    let result =
+        lexequal_service::serve(listener, service, ctx, args.serve.clone(), shutdown.clone());
     shutdown.trigger();
     let _ = apply_thread.join();
     match result {

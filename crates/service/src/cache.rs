@@ -25,6 +25,11 @@ use std::sync::Mutex;
 /// Number of independently locked LRU shards.
 pub const CACHE_SHARDS: usize = 8;
 
+/// The most slots a shard reserves up front — what the daemon's default
+/// `--cache 4096` comes to a shard. `capacity` bounds eviction, not
+/// allocation: a larger cache grows into its bound on demand.
+const RESERVE_MAX: usize = 512;
+
 const NIL: usize = usize::MAX;
 
 struct Slot {
@@ -45,9 +50,10 @@ struct LruShard {
 
 impl LruShard {
     fn new(capacity: usize) -> Self {
+        let reserve = capacity.min(RESERVE_MAX);
         LruShard {
-            map: HashMap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
+            map: HashMap::with_capacity(reserve),
+            slots: Vec::with_capacity(reserve),
             head: NIL,
             tail: NIL,
             capacity,
@@ -267,6 +273,23 @@ mod tests {
         c.insert(k2, Language::English, ps("i"));
         assert!(c.get(k1, Language::English).is_none());
         assert_eq!(c.get(k2, Language::English), Some(ps("i")));
+    }
+
+    #[test]
+    fn a_huge_capacity_reserves_nothing_and_evicts_nothing_early() {
+        // `usize::MAX` used to panic (`Hash table capacity overflow`) and
+        // 4e9 to ask the allocator for 44 GB before the first request.
+        let c = TransformCache::new(usize::MAX);
+        let n = RESERVE_MAX * CACHE_SHARDS * 2;
+        for i in 0..n {
+            c.insert(&format!("n{i}"), Language::English, ps("a"));
+        }
+        assert_eq!(c.len(), n);
+        assert!((0..n).all(|i| c.get(&format!("n{i}"), Language::English).is_some()));
+        // The reservation stops at what `--cache 4096` always reserved.
+        let reserved = |capacity| LruShard::new(capacity).slots.capacity();
+        assert_eq!(reserved(usize::MAX), reserved(RESERVE_MAX));
+        assert!(reserved(RESERVE_MAX) >= RESERVE_MAX);
     }
 
     #[test]

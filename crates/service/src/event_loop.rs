@@ -1,6 +1,6 @@
-//! The evented `lexequald` serving path: a single-threaded epoll
-//! readiness loop driving nonblocking pipelined connections, with
-//! verification decoupled onto a small fixed pool of worker threads.
+//! The `lexequald` serving loop: a single-threaded epoll readiness
+//! loop driving nonblocking pipelined connections, with verification
+//! decoupled onto a small fixed pool of worker threads.
 //!
 //! The whole machine runs on a constant number of threads regardless of
 //! connection count — the event loop plus `workers` dispatch threads
@@ -155,11 +155,10 @@ impl Drop for EventFd {
 /// A cooperative stop signal shared between a serving loop and whoever
 /// wants it to exit (tests, a supervisor, a signal handler).
 ///
-/// Both serving paths honor it: the evented loop epolls the underlying
-/// `eventfd` and exits on the very next readiness wake; the threaded
-/// path's accept loop and handler threads poll the flag on short
-/// timeouts. [`trigger`](Self::trigger) is idempotent and safe from any
-/// thread.
+/// The serving loop epolls the underlying `eventfd` and exits on the
+/// very next readiness wake; background threads (compactor, replica
+/// apply, replication listener) poll the flag.
+/// [`trigger`](Self::trigger) is idempotent and safe from any thread.
 #[derive(Clone, Debug)]
 pub struct ShutdownSignal {
     inner: Arc<ShutdownInner>,
@@ -506,20 +505,12 @@ const READ_BUDGET: usize = 64 * 1024;
 /// Thread count is a constant: this loop plus `opts.workers` dispatch
 /// threads (plus the shard workers the service already owns) — it does
 /// not grow with connections. See the [module docs](self) for the
-/// pipelining, backpressure, and ordering rules.
-pub fn serve_evented(
-    listener: TcpListener,
-    service: Arc<MatchService>,
-    opts: ServeOptions,
-    shutdown: ShutdownSignal,
-) -> io::Result<()> {
-    serve_evented_ctx(listener, service, ReqCtx::default(), opts, shutdown)
-}
-
-/// [`serve_evented`] with a request context. On a primary, a
-/// `REPL HELLO` hands the socket off the event loop onto a dedicated
-/// replication sender thread once its pipelined responses have flushed.
-pub fn serve_evented_ctx(
+/// pipelining, backpressure, and ordering rules. Every request routes
+/// through `ctx` (`ReqCtx::default()` is a standalone daemon); on a
+/// primary, a `REPL HELLO` hands the socket off the loop onto a
+/// dedicated replication sender thread once its pipelined responses
+/// have flushed.
+pub fn serve(
     listener: TcpListener,
     service: Arc<MatchService>,
     ctx: ReqCtx,

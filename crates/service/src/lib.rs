@@ -3,9 +3,9 @@
 //! The serving subsystem that turns the LexEQUAL library into a system:
 //! a sharded, multi-threaded [`MatchService`] over the paper's operator
 //! and access paths, plus the `lexequald` line-oriented TCP front-end
-//! and a closed-loop load generator. Everything is built on `std`
-//! concurrency only — threads, channels, mutexes and atomics; no async
-//! runtime.
+//! (benchmarked from outside, over its socket, by `crates/lexbench`).
+//! Everything is built on `std` concurrency only — threads, channels,
+//! mutexes and atomics; no async runtime.
 //!
 //! ## Layers
 //!
@@ -26,12 +26,13 @@
 //!   graceful degraded outcomes (`NoResource`, `NotBuilt`, `BadInput`)
 //!   instead of errors.
 //! * [`proto`] / [`server`] — the `lexequald` wire protocol (with
-//!   incremental line framing) and the two serving paths: the default
-//!   epoll-based evented loop ([`event_loop`], pipelined connections,
-//!   fixed verify worker pool) and the legacy thread-per-connection
-//!   loop, both stoppable via [`ShutdownSignal`].
-//! * [`event_loop`] / [`conn`] — the evented path's readiness loop,
-//!   per-connection state machines and backpressure rules.
+//!   incremental line framing) and the one request entry point,
+//!   [`respond`](server::respond), routed through a
+//!   [`ReqCtx`] (standalone, primary or replica).
+//! * [`event_loop`] / [`conn`] — the one serving loop, [`serve`]: an
+//!   epoll readiness thread, pipelined per-connection state machines,
+//!   backpressure rules and a fixed verify worker pool, stoppable via
+//!   [`ShutdownSignal`].
 //! * [`snapshot`] — [`StoreSnapshot`](snapshot::StoreSnapshot):
 //!   versioned on-disk persistence for the sharded store (per-shard
 //!   entry sections, build specs, corpus fingerprint, covered WAL LSN);
@@ -51,11 +52,6 @@
 //!   ([`initial_sync`](repl::initial_sync) / [`run_replica`](repl::run_replica))
 //!   behind `lexequald --replica-of`, including live re-seed after
 //!   being compacted past and fatal divergence detection.
-//! * [`loadgen`] — the load generator behind the `loadgen` binary:
-//!   in-process shard scaling (`results/service_bench.json`),
-//!   socket-level serving-mode comparison (`results/evented_bench.json`),
-//!   replication apply/lag measurement (`results/repl_bench.json`) and
-//!   the bounded-WAL compaction soak (`results/compaction_bench.json`).
 //!
 //! ## Example
 //!
@@ -79,7 +75,6 @@
 pub mod cache;
 pub(crate) mod conn;
 pub mod event_loop;
-pub mod loadgen;
 pub mod metrics;
 pub mod mmapstore;
 pub mod proto;
@@ -91,8 +86,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use cache::TransformCache;
-pub use event_loop::{serve_evented, serve_evented_ctx, ShutdownSignal};
-pub use loadgen::{LoadgenConfig, LoadgenReport};
+pub use event_loop::{serve, ShutdownSignal};
 pub use metrics::{
     ConnMetrics, ConnStats, ReplRole, ReplStats, ScreenTotals, ServiceMetrics, WalMetrics, WalStats,
 };
@@ -102,10 +96,7 @@ pub use repl::{
     initial_sync, run_replica, serve_repl_listener, serve_replica, spawn_compactor, CommitError,
     CompactReport, CompactionPolicy, ReplError, ReplicaState, Replicator,
 };
-pub use server::{
-    bind_reusable, serve, serve_ctx, serve_threaded, serve_threaded_ctx, serve_with, ReqCtx,
-    ServeMode, ServeOptions,
-};
+pub use server::{bind_reusable, ReqCtx, ServeOptions};
 pub use service::{
     AddResolution, AutoMatchRequest, AutoPendingLookup, LoadInfo, MatchOutcome, MatchRequest,
     MatchService, PendingLookup, Preloaded, ServiceConfig, SnapshotFormat, SnapshotLoad,

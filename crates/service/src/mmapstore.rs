@@ -18,13 +18,13 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "LEXEQMM1"
-//!      8     4  format version (1 or 2; v2 adds the embedding arena)
+//!      8     4  format version (2)
 //!     12     4  endianness tag (= 0x01020304; a big-endian writer
 //!               would produce 0x04030201, rejected on load)
 //!     16     4  shard count N
 //!     20     4  entry count E
 //!     24     8  covered LSN
-//!     32     4  section count (5 in v1, 6 in v2)
+//!     32     4  section count (6)
 //!     36     4  reserved (0)
 //!     40  S×24  section table: S × { offset u64, len u64, checksum u64 }
 //!               (checksum: FNV-1a folded over LE u64 words, zero-padded
@@ -37,14 +37,12 @@
 //!               [3] phoneme arena raw inventory ids
 //!               [4] cluster arena cluster ids, parallel to [3]
 //!               [5] embed arena   E × EMBED_DIM bytes, entry g's
-//!                   phonetic embedding at g·EMBED_DIM (v2 only)
+//!                   phonetic embedding at g·EMBED_DIM
 //! ```
 //!
-//! Version 1 images (section count 5, no embedding arena; none exists
-//! outside tests) still load, by copy: a fixed-stride column has no
-//! "missing" state, so their rows go to the shards' owned columns, which
-//! compute every embedding as they append. Answers are those of a
-//! version-2 load.
+//! Version 1 (five sections, no embedding arena) was never written
+//! outside tests and is no longer read: a header tagged with it is the
+//! `unsupported format version` error.
 //!
 //! One entry-table record (16 bytes, `lexequal::rows::EntryRecord`):
 //!
@@ -87,7 +85,7 @@
 
 use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS};
 use lexequal::rows::{Base, EntryRecord, ImageBytes, ImageLayout};
-use lexequal::{Language, LexEqual, MatchConfig, Phoneme, PhonemeString, QgramMode, EMBED_DIM};
+use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode, EMBED_DIM};
 use lexequal_mdb::DbError;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -96,20 +94,15 @@ use std::sync::Arc;
 
 /// First eight bytes of every binary snapshot.
 pub const MAGIC: [u8; 8] = *b"LEXEQMM1";
-/// Current format version (written; versions 1..=2 are read).
+/// The format version, written and read.
 pub const FORMAT_VERSION: u32 = 2;
 /// Endianness canary: reads back as written only on a same-endian host.
 const ENDIAN_TAG: u32 = 0x0102_0304;
-/// Sections shared by every version (specs, entries, texts, phonemes,
-/// clusters).
-const BASE_SECTIONS: usize = 5;
-/// Sections in a version-2 image (base + embedding arena).
-const V2_SECTIONS: usize = 6;
-/// Bytes before the first section in a version-1 image; the smallest
-/// plausible header, so also the up-front length gate.
-const V1_HEADER_LEN: usize = 40 + BASE_SECTIONS * 24;
-/// Bytes before the first section in a version-2 image.
-const HEADER_LEN: usize = 40 + V2_SECTIONS * 24;
+/// Sections in an image: specs, entries, texts, phonemes, clusters,
+/// embeddings.
+const SECTIONS: usize = 6;
+/// Bytes before the first section; also the up-front length gate.
+const HEADER_LEN: usize = 40 + SECTIONS * 24;
 /// Bytes per build-spec record.
 const SPEC_RECORD: usize = 8;
 /// Upper bound on the header's shard count. Each shard is a live worker
@@ -276,7 +269,7 @@ pub fn sniff_file(path: impl AsRef<Path>) -> bool {
 /// count)`. Validates only the fixed header prefix; `None` if the
 /// buffer is not a plausible binary snapshot.
 pub fn peek(bytes: &[u8]) -> Option<(u64, u32)> {
-    if !is_binary(bytes) || bytes.len() < V1_HEADER_LEN {
+    if !is_binary(bytes) || bytes.len() < HEADER_LEN {
         return None;
     }
     let entries = u32::from_le_bytes(bytes[20..24].try_into().ok()?);
@@ -489,7 +482,7 @@ pub fn write_image(
 
     // Lengths-only pass, then the layout: six sections, 8-byte aligned.
     let (text_bytes, phoneme_bytes) = store.prefix_bytes(cut.rows);
-    let mut lens = [0usize; V2_SECTIONS];
+    let mut lens = [0usize; SECTIONS];
     lens[SPECS] = specs.len();
     lens[ENTRIES] = cut.rows * EntryRecord::BYTES;
     lens[TEXTS] = text_bytes;
@@ -578,7 +571,7 @@ pub fn write_image(
     header[16..20].copy_from_slice(&shards.to_le_bytes());
     header[20..24].copy_from_slice(&entry_count.to_le_bytes());
     header[24..32].copy_from_slice(&cut.lsn.to_le_bytes());
-    header[32..36].copy_from_slice(&(V2_SECTIONS as u32).to_le_bytes());
+    header[32..36].copy_from_slice(&(SECTIONS as u32).to_le_bytes());
     for (i, section) in sections.into_iter().enumerate() {
         if section.written != section.len {
             return Err(err(format!(
@@ -746,14 +739,10 @@ struct Section {
 }
 
 /// Validate the header, section table and section checksums; returns
-/// `(shards, entry_count, lsn, base sections, embed section)` — the
-/// embed section is `None` for a version-1 image.
-#[allow(clippy::type_complexity)]
-fn validate_frame(
-    image: &[u8],
-) -> Result<(usize, usize, u64, [Section; BASE_SECTIONS], Option<Section>), DbError> {
+/// `(shards, entry_count, lsn, sections)`.
+fn validate_frame(image: &[u8]) -> Result<(usize, usize, u64, [Section; SECTIONS]), DbError> {
     let r = Reader(image);
-    if image.len() < V1_HEADER_LEN {
+    if image.len() < HEADER_LEN {
         return Err(err(format!(
             "file too small ({} bytes) to hold a snapshot header",
             image.len()
@@ -763,9 +752,9 @@ fn validate_frame(
         return Err(err("bad magic (not a binary snapshot)"));
     }
     let version = r.u32(8)?;
-    if version == 0 || version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(err(format!(
-            "unsupported format version {version} (this build reads 1..={FORMAT_VERSION})"
+            "unsupported format version {version} (this build reads {FORMAT_VERSION})"
         )));
     }
     let endian = r.u32(12)?;
@@ -786,22 +775,10 @@ fn validate_frame(
     }
     let entry_count = r.u32(20)? as usize;
     let lsn = r.u64(24)?;
-    let expect_sections = if version == 1 {
-        BASE_SECTIONS
-    } else {
-        V2_SECTIONS
-    };
-    let header_len = 40 + expect_sections * 24;
-    if image.len() < header_len {
-        return Err(err(format!(
-            "file too small ({} bytes) for a version-{version} header",
-            image.len()
-        )));
-    }
     let section_count = r.u32(32)? as usize;
-    if section_count != expect_sections {
+    if section_count != SECTIONS {
         return Err(err(format!(
-            "section count {section_count} (version {version} holds {expect_sections})"
+            "section count {section_count} (version {version} holds {SECTIONS})"
         )));
     }
     let read_section = |i: usize| -> Result<Section, DbError> {
@@ -811,7 +788,7 @@ fn validate_frame(
         let sum = r.u64(at + 16)?;
         let off = usize::try_from(off).map_err(|_| err(format!("section {i} offset overflow")))?;
         let len = usize::try_from(len).map_err(|_| err(format!("section {i} length overflow")))?;
-        if off < header_len {
+        if off < HEADER_LEN {
             return Err(err(format!("section {i} overlaps the header")));
         }
         if off % 8 != 0 {
@@ -828,16 +805,11 @@ fn validate_frame(
         }
         Ok(Section { off, len })
     };
-    let mut sections = [Section { off: 0, len: 0 }; BASE_SECTIONS];
+    let mut sections = [Section { off: 0, len: 0 }; SECTIONS];
     for (i, s) in sections.iter_mut().enumerate() {
         *s = read_section(i)?;
     }
-    let embed = if expect_sections == V2_SECTIONS {
-        Some(read_section(BASE_SECTIONS)?)
-    } else {
-        None
-    };
-    Ok((shards, entry_count, lsn, sections, embed))
+    Ok((shards, entry_count, lsn, sections))
 }
 
 /// Load a binary snapshot from an owned image buffer (the replica path:
@@ -875,7 +847,7 @@ pub(crate) fn load_owner(
 ) -> Result<LoadedImage, DbError> {
     let image: &[u8] = (*owner).as_ref();
     let bytes = image.len() as u64;
-    let (snap_shards, entry_count, lsn, sections, embed_sec) = validate_frame(image)?;
+    let (snap_shards, entry_count, lsn, sections) = validate_frame(image)?;
     if let Some(requested) = shards {
         if requested != snap_shards {
             // Same contract (and near-identical wording) as the JSON
@@ -889,7 +861,7 @@ pub(crate) fn load_owner(
             )));
         }
     }
-    let [specs, entries, texts, phonemes, clusters] = sections;
+    let [specs, entries, texts, phonemes, clusters, embeds] = sections;
 
     // Build specs.
     if specs.len % SPEC_RECORD != 0 {
@@ -949,33 +921,25 @@ pub(crate) fn load_owner(
     let text_arena = std::str::from_utf8(&image[texts.off..texts.off + texts.len])
         .map_err(|_| err("text arena is not valid UTF-8"))?;
 
-    // The embedding arena (v2) is fixed-stride: exactly EMBED_DIM bytes
-    // per entry, in global-id order. Its shape is pinned here; the bytes
-    // are verified per entry below once each phoneme window is known,
-    // so a stale or doctored arena is rejected rather than silently
+    // The embedding arena is fixed-stride: exactly EMBED_DIM bytes per
+    // entry, in global-id order. Its shape is pinned here; the bytes are
+    // verified per entry below once each phoneme window is known, so a
+    // stale or doctored arena is rejected rather than silently
     // mis-screening candidates.
-    if let Some(sec) = embed_sec {
-        let expect = entry_count
-            .checked_mul(EMBED_DIM)
-            .ok_or_else(|| err("embedding arena size overflow"))?;
-        if sec.len != expect {
-            return Err(err(format!(
-                "embedding arena holds {} bytes but {entry_count} entries need {expect}",
-                sec.len
-            )));
-        }
+    let expect = entry_count
+        .checked_mul(EMBED_DIM)
+        .ok_or_else(|| err("embedding arena size overflow"))?;
+    if embeds.len != expect {
+        return Err(err(format!(
+            "embedding arena holds {} bytes but {entry_count} entries need {expect}",
+            embeds.len
+        )));
     }
 
     // Per-entry windows. The entry-table section bounds were validated
     // with its checksum, so records parse from a fixed slice —
     // `chunks_exact` gives the optimizer fixed-size windows with no
-    // per-field bounds checks. A version-1 image has no embedding arena
-    // to read in place: its rows are pushed into a store of their own as
-    // they are validated, for the shards to compute the column from.
-    let copied = embed_sec
-        .is_none()
-        .then(|| ShardedStore::sharing(Arc::clone(&operator), snap_shards));
-    let mut copy = copied.as_ref().map(ShardedStore::loader);
+    // per-field bounds checks.
     let entry_table = &image[entries.off..entries.off + entries.len];
     for (g, rec) in entry_table.chunks_exact(EntryRecord::BYTES).enumerate() {
         let rec = EntryRecord::decode(rec.try_into().expect("record"));
@@ -997,55 +961,38 @@ pub(crate) fn load_owner(
             .ok_or_else(|| oob("phoneme"))?;
         let ids = &phon_arena[phon_off..phon_end];
         let lang = rec.language;
-        let language = *Language::ALL
-            .get(lang as usize)
-            .ok_or_else(|| err(format!("entry {g}: unknown language tag {lang}")))?;
-        if let Some(loader) = &mut copy {
-            let ids = ids.iter().map(|&id| Phoneme::from_id(id));
-            let phonemes: PhonemeString = ids
-                .collect::<Result<_, _>>()
-                .expect("arena validated above");
-            loader
-                .push(&[&text_arena[text_off..text_end]], language, &[&phonemes])
-                .expect("a record's lengths are within the limit");
+        if Language::ALL.get(lang as usize).is_none() {
+            return Err(err(format!("entry {g}: unknown language tag {lang}")));
         }
-        if let Some(sec) = embed_sec {
-            // Verify the stored embedding against a recompute from the
-            // (already-validated) phoneme window — same discipline as the
-            // cluster arena: a mismatch means the image was written under
-            // a different cluster table or doctored, and a wrong embedding
-            // could silently drop true matches.
-            let stored = &image[sec.off + g * EMBED_DIM..][..EMBED_DIM];
-            if stored != operator.embedder().embed_ids(ids) {
-                return Err(err(format!(
-                    "entry {g}: stored embedding disagrees with the configured embedder \
-                     (snapshot written under a different MatchConfig?)"
-                )));
-            }
+        // Verify the stored embedding against a recompute from the
+        // (already-validated) phoneme window — same discipline as the
+        // cluster arena: a mismatch means the image was written under
+        // a different cluster table or doctored, and a wrong embedding
+        // could silently drop true matches.
+        let stored = &image[embeds.off + g * EMBED_DIM..][..EMBED_DIM];
+        if stored != operator.embedder().embed_ids(ids) {
+            return Err(err(format!(
+                "entry {g}: stored embedding disagrees with the configured embedder \
+                 (snapshot written under a different MatchConfig?)"
+            )));
         }
     }
 
-    drop(copy);
-    let store = match (embed_sec, copied) {
-        // Everything the rows read was validated above: each shard reads
-        // its stripe of the image where it lies.
-        (Some(embeds), _) => {
-            let window = |s: Section| s.off..s.off + s.len;
-            let layout = ImageLayout {
-                entries: window(entries),
-                texts: window(texts),
-                phonemes: window(phonemes),
-                clusters: window(clusters),
-                embeds: window(embeds),
-            };
-            let bases = (0..snap_shards)
-                .map(|s| Base::new(Arc::clone(&owner), layout.clone(), snap_shards, s))
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| err("validated sections do not frame a row store"))?;
-            ShardedStore::over_bases(operator, bases)
-        }
-        (None, copied) => copied.expect("copied when there is no arena"),
+    // Everything the rows read was validated above: each shard reads its
+    // stripe of the image where it lies.
+    let window = |s: Section| s.off..s.off + s.len;
+    let layout = ImageLayout {
+        entries: window(entries),
+        texts: window(texts),
+        phonemes: window(phonemes),
+        clusters: window(clusters),
+        embeds: window(embeds),
     };
+    let bases = (0..snap_shards)
+        .map(|s| Base::new(Arc::clone(&owner), layout.clone(), snap_shards, s))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| err("validated sections do not frame a row store"))?;
+    let store = ShardedStore::over_bases(operator, bases);
     for &spec in &builds {
         store.declare(spec);
     }
@@ -1122,13 +1069,11 @@ mod tests {
     fn sections_are_aligned_and_checksummed() {
         let store = populated(1);
         let image = encode(&store, 0).unwrap();
-        let (_, _, _, sections, embed) = validate_frame(&image).unwrap();
+        let (_, _, _, sections) = validate_frame(&image).unwrap();
         for s in sections {
             assert_eq!(s.off % 8, 0);
         }
-        let embed = embed.expect("v2 images carry an embedding arena");
-        assert_eq!(embed.off % 8, 0);
-        assert_eq!(embed.len, store.len() * EMBED_DIM);
+        assert_eq!(sections[SECTIONS - 1].len, store.len() * EMBED_DIM);
     }
 
     #[test]

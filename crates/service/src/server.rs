@@ -1,31 +1,21 @@
-//! `lexequald`'s connection serving: the evented default and the
-//! legacy thread-per-connection path.
+//! `lexequald`'s request side: what one request line means and what a
+//! serving loop needs to know to answer it.
 //!
-//! Both paths speak the same wire protocol through the same request
-//! executor ([`execute_request`]) and honor the same
-//! [`ShutdownSignal`]; they differ only in how connections map to
-//! threads:
-//!
-//! * [`serve_evented`] (also re-exported as the [`serve`] default) —
-//!   one epoll readiness loop plus a fixed verify worker pool; thread
-//!   count is constant no matter how many clients connect, and each
-//!   connection may pipeline many requests. See [`crate::event_loop`].
-//! * [`serve_threaded`] — one OS thread per connection, requests
-//!   handled strictly one at a time. Kept as the baseline the evented
-//!   bench compares against, and for environments without epoll.
+//! [`respond`] is the one entry point from a request line to its
+//! response lines; [`execute_request`] behind it is what the serving
+//! loop's workers call with a line they have already parsed. The loop
+//! itself — one epoll readiness thread plus a fixed verify worker pool,
+//! connections pipelined — is [`crate::event_loop::serve`].
 
-use crate::event_loop::{serve_evented, serve_evented_ctx, ShutdownSignal};
 use crate::metrics::{method_name, ConnMetrics, ReplRole, ReplStats};
 use crate::proto::{format_outcome, format_stats, parse_request, Request};
 use crate::repl::{ReplicaState, Replicator};
 use crate::service::{AddResolution, MatchService};
 use crate::shard::BuildSpec;
 use lexequal::QgramMode;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Per-serving-loop request context: which replication role the daemon
 /// plays and where `SAVE` lands without a path. `Default` is a
@@ -72,38 +62,7 @@ impl ReqCtx {
     }
 }
 
-/// How a serving loop maps connections to threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Legacy: one handler thread per connection.
-    Threaded,
-    /// Epoll readiness loop + fixed verify worker pool (the default).
-    Evented,
-}
-
-impl ServeMode {
-    /// Lowercase wire/CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeMode::Threaded => "threaded",
-            ServeMode::Evented => "evented",
-        }
-    }
-}
-
-impl std::str::FromStr for ServeMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "threaded" => Ok(ServeMode::Threaded),
-            "evented" => Ok(ServeMode::Evented),
-            other => Err(format!("unknown serve mode {other:?}")),
-        }
-    }
-}
-
-/// Evented-path tuning knobs.
+/// Serving-loop tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Verify-dispatch worker threads (the event loop itself is one more
@@ -129,46 +88,6 @@ impl Default for ServeOptions {
             max_line: 64 * 1024,
             queue_capacity: 4096,
         }
-    }
-}
-
-/// Serve with the default evented path and default options until the
-/// process dies (compat shim over [`serve_evented`] for callers that
-/// don't need a shutdown handle).
-pub fn serve(listener: TcpListener, service: Arc<MatchService>) -> std::io::Result<()> {
-    serve_evented(
-        listener,
-        service,
-        ServeOptions::default(),
-        ShutdownSignal::new()?,
-    )
-}
-
-/// Serve with the chosen mode until `shutdown` fires.
-pub fn serve_with(
-    mode: ServeMode,
-    listener: TcpListener,
-    service: Arc<MatchService>,
-    opts: ServeOptions,
-    shutdown: ShutdownSignal,
-) -> std::io::Result<()> {
-    serve_ctx(mode, listener, service, ReqCtx::default(), opts, shutdown)
-}
-
-/// [`serve_with`], carrying a replication/admin request context. Both
-/// serve modes route every request through it; on a primary a
-/// `REPL HELLO` hands the connection off to a stream sender thread.
-pub fn serve_ctx(
-    mode: ServeMode,
-    listener: TcpListener,
-    service: Arc<MatchService>,
-    ctx: ReqCtx,
-    opts: ServeOptions,
-    shutdown: ShutdownSignal,
-) -> std::io::Result<()> {
-    match mode {
-        ServeMode::Threaded => serve_threaded_ctx(listener, service, ctx, shutdown),
-        ServeMode::Evented => serve_evented_ctx(listener, service, ctx, opts, shutdown),
     }
 }
 
@@ -270,149 +189,11 @@ fn bind_reusable_one(sa: &std::net::SocketAddr) -> std::io::Result<TcpListener> 
     Ok(unsafe { TcpListener::from_raw_fd(fd) })
 }
 
-/// How often the threaded path's blocking waits surface to check the
-/// shutdown flag (accept loop sleep and handler read timeout).
-const THREADED_POLL: Duration = Duration::from_millis(100);
-
-/// Serve one thread per connection until `shutdown` fires; all handler
-/// threads are joined before returning, so tests leak nothing.
-pub fn serve_threaded(
-    listener: TcpListener,
-    service: Arc<MatchService>,
-    shutdown: ShutdownSignal,
-) -> std::io::Result<()> {
-    serve_threaded_ctx(listener, service, ReqCtx::default(), shutdown)
-}
-
-/// [`serve_threaded`] with a request context.
-pub fn serve_threaded_ctx(
-    listener: TcpListener,
-    service: Arc<MatchService>,
-    ctx: ReqCtx,
-    shutdown: ShutdownSignal,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let metrics = Arc::new(ConnMetrics::default());
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.is_triggered() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let service = Arc::clone(&service);
-                let metrics = Arc::clone(&metrics);
-                let ctx = ctx.clone();
-                let shutdown = shutdown.clone();
-                metrics.conn_opened();
-                let handle = std::thread::Builder::new()
-                    .name("lexequald-conn".to_owned())
-                    .spawn(move || {
-                        // A dropped connection is the client's business.
-                        let _ = handle_connection_ctx(stream, &service, &ctx, &metrics, &shutdown);
-                        metrics.conn_closed();
-                    })
-                    .expect("spawn connection handler");
-                handles.push(handle);
-                handles.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(THREADED_POLL);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    Ok(())
-}
-
-/// Drive one connection to completion on its own thread. Returns when
-/// the client quits, hangs up, the socket errors, or `shutdown` fires.
-pub fn handle_connection(
-    stream: TcpStream,
-    service: &MatchService,
-    metrics: &ConnMetrics,
-    shutdown: &ShutdownSignal,
-) -> std::io::Result<()> {
-    handle_connection_ctx(stream, service, &ReqCtx::default(), metrics, shutdown)
-}
-
-/// [`handle_connection`] with a request context. On a primary, a
-/// `REPL HELLO` converts the connection into a replication stream: the
-/// handler thread itself becomes the sender.
-pub fn handle_connection_ctx(
-    stream: TcpStream,
-    service: &MatchService,
-    ctx: &ReqCtx,
-    metrics: &ConnMetrics,
-    shutdown: &ShutdownSignal,
-) -> std::io::Result<()> {
-    // The read timeout turns a blocked handler into a shutdown poll; a
-    // partial line survives in `line` across timeouts.
-    stream.set_read_timeout(Some(THREADED_POLL))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
-    loop {
-        if shutdown.is_triggered() {
-            return Ok(());
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {
-                metrics.observe_pipeline(1);
-                if let (Ok(Some(Request::ReplHello { lsn, mmap })), Some(repl)) =
-                    (parse_request(&line), &ctx.repl)
-                {
-                    writer.flush()?;
-                    drop(reader);
-                    let stream = match writer.into_inner() {
-                        Ok(s) => s,
-                        Err(e) => return Err(e.into_error()),
-                    };
-                    stream.set_read_timeout(None)?;
-                    return crate::repl::serve_replica(stream, lsn, mmap, service, repl);
-                }
-                let mut quit = false;
-                for response in respond_with_ctx(&line, service, ctx, Some(metrics), &mut quit) {
-                    writer.write_all(response.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                }
-                writer.flush()?;
-                if quit {
-                    return Ok(());
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Compute the response lines for one request line (no conn gauges).
-pub fn respond(line: &str, service: &MatchService, quit: &mut bool) -> Vec<String> {
-    respond_with(line, service, None, quit)
-}
-
-/// Compute the response lines for one request line, surfacing `conn`
-/// gauges in `STATS` when a serving loop provides them.
-pub fn respond_with(
-    line: &str,
-    service: &MatchService,
-    conn: Option<&ConnMetrics>,
-    quit: &mut bool,
-) -> Vec<String> {
-    respond_with_ctx(line, service, &ReqCtx::default(), conn, quit)
-}
-
-/// [`respond_with`], routing through a request context.
-pub fn respond_with_ctx(
+/// Compute the response lines for one request line. `ctx` says which
+/// replication role answers (`ReqCtx::default()` is a standalone
+/// daemon); `conn` surfaces a serving loop's connection gauges in
+/// `STATS`; `quit` is set when the line was `QUIT`.
+pub fn respond(
     line: &str,
     service: &MatchService,
     ctx: &ReqCtx,
@@ -456,8 +237,8 @@ fn do_build(service: &MatchService, ctx: &ReqCtx, spec: BuildSpec) -> Result<(),
     Ok(())
 }
 
-/// Execute one parsed request against the service. Shared by the
-/// threaded handlers and the evented path's verify workers; `QUIT`
+/// Execute one parsed request against the service: [`respond`] past
+/// the parse, and what the serving loop's verify workers call. `QUIT`
 /// answers `BYE` here, connection teardown is the caller's job.
 /// Mutations route through `ctx`: WAL-committed on a primary, rejected
 /// with a redirect on a replica.
@@ -568,9 +349,9 @@ pub(crate) fn execute_request(
             (_, Some(_)) => {
                 "ERR this daemon is a replica; open the stream against the primary".to_owned()
             }
-            // Reached only through entry points that cannot hand the
-            // socket off (e.g. `respond` embedders); the serve loops
-            // intercept the handshake before it gets here.
+            // Reached only through `respond`, which has no socket to
+            // hand off; the serving loop intercepts the handshake
+            // before it gets here.
             (Some(_), None) => "ERR replication stream unavailable on this connection".to_owned(),
         }],
         Request::Quit => vec!["BYE".to_owned()],
@@ -650,32 +431,35 @@ mod tests {
     #[test]
     fn respond_covers_the_happy_paths() {
         let s = service();
-        let mut quit = false;
-        assert_eq!(respond("BUILD ALL", &s, &mut quit), ["OK built=all"]);
+        let (ctx, mut quit) = (ReqCtx::default(), false);
+        assert_eq!(
+            respond("BUILD ALL", &s, &ctx, None, &mut quit),
+            ["OK built=all"]
+        );
         // Strict q-grams have no false dismissals, so the Hindi spelling
         // must surface (phonidx may legitimately drop it — paper §5).
-        let lines = respond("MATCH en qgram 0.45 Nehru", &s, &mut quit);
+        let lines = respond("MATCH en qgram 0.45 Nehru", &s, &ctx, None, &mut quit);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("ids=0,1"), "{}", lines[0]);
-        let lines = respond("BATCH en - 0.45 Nehru|Gandhi", &s, &mut quit);
+        let lines = respond("BATCH en - 0.45 Nehru|Gandhi", &s, &ctx, None, &mut quit);
         assert_eq!(lines.len(), 2);
         assert!(lines.iter().all(|l| l.starts_with("OK n=")));
-        let lines = respond("ADD en Bose", &s, &mut quit);
+        let lines = respond("ADD en Bose", &s, &ctx, None, &mut quit);
         assert_eq!(lines, ["OK 3"]);
-        let stats = respond("STATS", &s, &mut quit);
+        let stats = respond("STATS", &s, &ctx, None, &mut quit);
         assert!(stats[0].contains("names=4"), "{}", stats[0]);
         assert!(!quit);
-        assert_eq!(respond("QUIT", &s, &mut quit), ["BYE"]);
+        assert_eq!(respond("QUIT", &s, &ctx, None, &mut quit), ["BYE"]);
         assert!(quit);
     }
 
     #[test]
     fn respond_reports_errors_inline() {
         let s = service();
-        let mut quit = false;
-        assert!(respond("FROB", &s, &mut quit)[0].starts_with("ERR "));
-        assert!(respond("", &s, &mut quit).is_empty());
-        let lines = respond("MATCH en bktree - Nehru", &s, &mut quit);
+        let (ctx, mut quit) = (ReqCtx::default(), false);
+        assert!(respond("FROB", &s, &ctx, None, &mut quit)[0].starts_with("ERR "));
+        assert!(respond("", &s, &ctx, None, &mut quit).is_empty());
+        let lines = respond("MATCH en bktree - Nehru", &s, &ctx, None, &mut quit);
         assert_eq!(lines, ["NOTBUILT bktree"]);
     }
 
@@ -685,46 +469,53 @@ mod tests {
         let metrics = ConnMetrics::default();
         metrics.conn_opened();
         metrics.observe_pipeline(3);
-        let mut quit = false;
-        let line = &respond_with("STATS", &s, Some(&metrics), &mut quit)[0];
+        let (ctx, mut quit) = (ReqCtx::default(), false);
+        let line = &respond("STATS", &s, &ctx, Some(&metrics), &mut quit)[0];
         assert!(line.contains("conns_current=1"), "{line}");
         assert!(line.contains("conns_peak=1"), "{line}");
         assert!(line.contains("queue_depth=0"), "{line}");
         assert!(line.contains("pipeline_max=3"), "{line}");
         // Without gauges the fields stay off the wire.
-        let bare = &respond("STATS", &s, &mut quit)[0];
+        let bare = &respond("STATS", &s, &ctx, None, &mut quit)[0];
         assert!(!bare.contains("conns_current"), "{bare}");
     }
 
+    /// (Named when there were two serve loops; the one loop is what runs.)
     #[test]
     fn both_paths_serve_a_real_socket_end_to_end() {
+        use crate::event_loop::{serve, ShutdownSignal};
         use std::io::{BufRead, BufReader, Write};
-        for mode in [ServeMode::Threaded, ServeMode::Evented] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let svc = Arc::new(service());
-            let shutdown = ShutdownSignal::new().unwrap();
-            let sd = shutdown.clone();
-            let server = std::thread::spawn(move || {
-                serve_with(mode, listener, svc, ServeOptions::default(), sd)
-            });
+        use std::net::TcpStream;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let svc = Arc::new(service());
+        let shutdown = ShutdownSignal::new().unwrap();
+        let sd = shutdown.clone();
+        let server = std::thread::spawn(move || {
+            serve(
+                listener,
+                svc,
+                ReqCtx::default(),
+                ServeOptions::default(),
+                sd,
+            )
+        });
 
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut send = |cmd: &str| {
-                let mut s = stream.try_clone().unwrap();
-                writeln!(s, "{cmd}").unwrap();
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                line.trim_end().to_owned()
-            };
-            assert_eq!(send("BUILD PHONIDX"), "OK built=phonidx", "{mode:?}");
-            let resp = send("MATCH hi phonidx 0.45 नेहरु");
-            assert!(resp.starts_with("OK n="), "{mode:?}: {resp}");
-            assert_eq!(send("QUIT"), "BYE", "{mode:?}");
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut send = |cmd: &str| {
+            let mut s = stream.try_clone().unwrap();
+            writeln!(s, "{cmd}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line.trim_end().to_owned()
+        };
+        assert_eq!(send("BUILD PHONIDX"), "OK built=phonidx");
+        let resp = send("MATCH hi phonidx 0.45 नेहरु");
+        assert!(resp.starts_with("OK n="), "{resp}");
+        assert_eq!(send("QUIT"), "BYE");
 
-            shutdown.trigger();
-            server.join().unwrap().unwrap();
-        }
+        shutdown.trigger();
+        server.join().unwrap().unwrap();
     }
 }

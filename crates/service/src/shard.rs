@@ -389,14 +389,8 @@ impl ShardedStore {
     ///
     /// Panics if `shards` is zero.
     pub fn new(config: MatchConfig, shards: usize) -> Self {
-        Self::sharing(Arc::new(LexEqual::new(config)), shards)
-    }
-
-    /// [`new`](Self::new) around an operator built elsewhere (a snapshot
-    /// loader validates with the operator its store then keeps).
-    pub(crate) fn sharing(operator: Arc<LexEqual>, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        Self::over(operator, (0..shards).map(|_| None))
+        Self::over(Arc::new(LexEqual::new(config)), (0..shards).map(|_| None))
     }
 
     /// A store whose shard `s` starts as `bases[s]`: the rows of a

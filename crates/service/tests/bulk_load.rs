@@ -224,26 +224,14 @@ fn every_door_fills_the_store_that_insert_fills() {
             }
         }
 
-        // The two snapshot restores that copy: a JSON document, and a
-        // version-1 image (a v2 image re-tagged — see `mmap_corruption.rs`).
+        // The snapshot restore that copies: a JSON document.
         let want = Start::Empty.store(shards);
         want.extend_transformed(rows(full + 1));
-        let config = MatchConfig::default;
         let mut json = Vec::new();
         want.save_to(&mut json).expect("json document");
-        let restored = ShardedStore::load_from(config(), Some(shards), &json[..]);
-        let what = format!("{shards} shard(s)");
-        assert_same_store(&restored.expect("restore"), &want, &format!("json, {what}"));
-        let mut v1 = mmapstore::encode(&want, 0).expect("encode");
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        v1[32..36].copy_from_slice(&5u32.to_le_bytes());
-        let legacy = mmapstore::load_bytes(config(), Some(shards), v1).expect("v1 image");
-        assert_eq!(
-            legacy.store.cover_stats().mapped_bytes,
-            0,
-            "copied, not mapped"
-        );
-        assert_same_store(&legacy.store, &want, &format!("v1 image, {what}"));
+        let restored = ShardedStore::load_from(MatchConfig::default(), Some(shards), &json[..]);
+        let what = format!("json, {shards} shard(s)");
+        assert_same_store(&restored.expect("restore"), &want, &what);
     }
 }
 

@@ -13,7 +13,7 @@
 use lexequal::{Language, LexEqual, MatchConfig, QgramMode, EMBED_DIM};
 use lexequal_lexicon::Corpus;
 use lexequal_service::mmapstore::{self, ImageSink};
-use lexequal_service::server::respond_with_ctx;
+use lexequal_service::server::respond;
 use lexequal_service::{
     BuildSpec, Cut, MatchService, Replicator, ReqCtx, ServiceConfig, ShardedStore, Wal, WalMetrics,
 };
@@ -462,7 +462,7 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
                 repl: Some(repl),
                 ..ReqCtx::default()
             };
-            let stats = respond_with_ctx("STATS", &service, &ctx, None, &mut false);
+            let stats = respond("STATS", &service, &ctx, None, &mut false);
             done_tx.send((ids, stats)).expect("test is listening");
         })
     };
@@ -576,11 +576,11 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
     const ADDS: usize = 40;
     let queries = ["Nehru", "Karam", "Retel"];
     let battery = move |service: &MatchService, ctx: &ReqCtx| -> Vec<String> {
-        let mut lines = respond_with_ctx("MATCH en scan - Karam", service, ctx, None, &mut false);
+        let mut lines = respond("MATCH en scan - Karam", service, ctx, None, &mut false);
         for method in ["qgram", "phonidx", "bktree"] {
             for query in queries {
                 let line = format!("MATCH en {method} - {query}");
-                lines.extend(respond_with_ctx(&line, service, ctx, None, &mut false));
+                lines.extend(respond(&line, service, ctx, None, &mut false));
             }
         }
         lines
@@ -593,12 +593,12 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
                 repl: Some(Arc::clone(&repl)),
                 ..ReqCtx::default()
             };
-            let built = respond_with_ctx("BUILD ALL", &service, &ctx, None, &mut false);
+            let built = respond("BUILD ALL", &service, &ctx, None, &mut false);
             for i in 0..ADDS {
                 repl.commit_add(&service, &name(i), Language::English)
                     .expect("commit during the cover");
             }
-            let stats = respond_with_ctx("STATS", &service, &ctx, None, &mut false);
+            let stats = respond("STATS", &service, &ctx, None, &mut false);
             let lines = battery(&service, &ctx);
             done_tx
                 .send((built, stats, lines))

@@ -389,6 +389,52 @@ fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
     daemon.stop();
 }
 
+/// `--mode` is no longer a choice: `evented` names the only serve loop
+/// and still starts a daemon (old command lines pass it); the removed
+/// value is a usage error that says so.
+#[test]
+fn mode_accepts_evented_and_names_the_removed_threaded_path() {
+    let mut daemon = Server::spawn(&["--addr", "127.0.0.1:0", "--mode", "evented"]);
+    daemon.wait_serving();
+    assert_eq!(daemon.request("ADD en Nehru"), "OK 0");
+    assert!(daemon
+        .request("MATCH en scan - Nehru")
+        .starts_with("OK n=1 "));
+    daemon.stop();
+
+    assert_usage_error(
+        &["--mode", "threaded"],
+        &["--mode", "\"threaded\"", "threaded serve path was removed"],
+    );
+    let out = lexequald().arg("--help").output().expect("spawn");
+    let usage = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(usage.contains("[--mode evented]"), "{usage}");
+    assert!(usage.contains("accepted for old command lines"), "{usage}");
+    assert!(!usage.contains("threaded"), "{usage}");
+}
+
+/// `--cache` bounds eviction; it is not an allocation request. The
+/// largest value the flag parses used to abort start-up (`Hash table
+/// capacity overflow`; 4 000 000 000 asked the allocator for 44 GB).
+#[test]
+fn a_huge_cache_bound_reserves_nothing_up_front() {
+    let mut daemon = Server::spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--cache",
+        "18446744073709551615",
+        "--preload",
+        "100",
+    ]);
+    daemon.wait_serving();
+    let first = daemon.request("MATCH en scan - Nehru");
+    assert!(first.starts_with("OK "), "{first}");
+    assert_eq!(daemon.request("MATCH en scan - Nehru"), first);
+    let stats = daemon.request("STATS");
+    assert!(stats.contains(" cache_hits=1 "), "{stats}");
+    daemon.stop();
+}
+
 #[test]
 fn replication_flags_reject_bad_combinations() {
     // Values are required and must look like addresses.

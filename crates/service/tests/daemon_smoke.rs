@@ -2,12 +2,9 @@
 //! TCP socket: add names in three scripts, build access paths, and
 //! assert the paper's flagship cross-script match (Nehru ↔ नेहरु) plus
 //! cache and stats accounting — all through the line protocol. Every
-//! scenario runs against both serving paths (evented and threaded),
-//! and every daemon is shut down and joined, so nothing leaks.
+//! daemon is shut down and joined, so nothing leaks.
 
-use lexequal_service::{
-    serve_with, MatchService, ServeMode, ServeOptions, ServiceConfig, ShutdownSignal,
-};
+use lexequal_service::{serve, MatchService, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -44,7 +41,7 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(mode: ServeMode, shards: usize) -> Self {
+    fn spawn(shards: usize) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().expect("local addr");
         let service = Arc::new(MatchService::new(ServiceConfig {
@@ -54,7 +51,13 @@ impl Daemon {
         let shutdown = ShutdownSignal::new().expect("shutdown signal");
         let sd = shutdown.clone();
         let handle = std::thread::spawn(move || {
-            serve_with(mode, listener, service, ServeOptions::default(), sd)
+            serve(
+                listener,
+                service,
+                ReqCtx::default(),
+                ServeOptions::default(),
+                sd,
+            )
         });
         Daemon {
             addr,
@@ -89,88 +92,84 @@ fn ids_of(line: &str) -> Vec<u32> {
 
 #[test]
 fn daemon_answers_cross_script_matches_over_tcp() {
-    for mode in [ServeMode::Evented, ServeMode::Threaded] {
-        let daemon = Daemon::spawn(mode, 3);
-        let mut c = Client::connect(daemon.addr);
+    let daemon = Daemon::spawn(3);
+    let mut c = Client::connect(daemon.addr);
 
-        // Load a small multiscript directory through the wire.
-        assert_eq!(c.send("ADD en Nehru"), "OK 0");
-        assert_eq!(c.send("ADD hi नेहरु"), "OK 1");
-        assert_eq!(c.send("ADD ta நேரு"), "OK 2");
-        assert_eq!(c.send("ADD en Nero"), "OK 3");
-        assert_eq!(c.send("ADD en Gandhi"), "OK 4");
-        assert_eq!(c.send("BUILD QGRAM 3 STRICT"), "OK built=qgram");
+    // Load a small multiscript directory through the wire.
+    assert_eq!(c.send("ADD en Nehru"), "OK 0");
+    assert_eq!(c.send("ADD hi नेहरु"), "OK 1");
+    assert_eq!(c.send("ADD ta நேரு"), "OK 2");
+    assert_eq!(c.send("ADD en Nero"), "OK 3");
+    assert_eq!(c.send("ADD en Gandhi"), "OK 4");
+    assert_eq!(c.send("BUILD QGRAM 3 STRICT"), "OK built=qgram");
 
-        // The paper's flagship pair: Nehru needs e=0.45 to reach नेहरु.
-        let resp = c.send("MATCH en qgram 0.45 Nehru");
-        assert!(resp.starts_with("OK "), "{resp}");
-        let ids = ids_of(&resp);
-        assert!(ids.contains(&0), "self match missing: {resp}");
-        assert!(ids.contains(&1), "Nehru ↔ नेहरु missing: {resp}");
-        assert!(ids.contains(&2), "Nehru ↔ நேரு missing: {resp}");
-        assert!(!ids.contains(&4), "Gandhi is not Nehru: {resp}");
+    // The paper's flagship pair: Nehru needs e=0.45 to reach नेहरु.
+    let resp = c.send("MATCH en qgram 0.45 Nehru");
+    assert!(resp.starts_with("OK "), "{resp}");
+    let ids = ids_of(&resp);
+    assert!(ids.contains(&0), "self match missing: {resp}");
+    assert!(ids.contains(&1), "Nehru ↔ नेहरु missing: {resp}");
+    assert!(ids.contains(&2), "Nehru ↔ நேரு missing: {resp}");
+    assert!(!ids.contains(&4), "Gandhi is not Nehru: {resp}");
 
-        // At the default 0.35 the Tamil spelling still matches (paper §4).
-        let resp = c.send("MATCH ta qgram - நேரு");
-        assert!(ids_of(&resp).contains(&0), "நேரு ↔ Nehru missing: {resp}");
+    // At the default 0.35 the Tamil spelling still matches (paper §4).
+    let resp = c.send("MATCH ta qgram - நேரு");
+    assert!(ids_of(&resp).contains(&0), "நேரு ↔ Nehru missing: {resp}");
 
-        // Repeat the first query: same answer, now served from the cache.
-        let again = c.send("MATCH en qgram 0.45 Nehru");
-        assert_eq!(ids_of(&again), ids);
+    // Repeat the first query: same answer, now served from the cache.
+    let again = c.send("MATCH en qgram 0.45 Nehru");
+    assert_eq!(ids_of(&again), ids);
 
-        // Batch: one response line per item, in order.
-        c.stream
-            .write_all("BATCH en qgram 0.45 Nehru|Gandhi\n".as_bytes())
-            .expect("write batch");
-        let first = c.recv();
-        let second = c.recv();
-        assert!(ids_of(&first).contains(&1), "{first}");
-        assert!(ids_of(&second).contains(&4), "{second}");
+    // Batch: one response line per item, in order.
+    c.stream
+        .write_all("BATCH en qgram 0.45 Nehru|Gandhi\n".as_bytes())
+        .expect("write batch");
+    let first = c.recv();
+    let second = c.recv();
+    assert!(ids_of(&first).contains(&1), "{first}");
+    assert!(ids_of(&second).contains(&4), "{second}");
 
-        // Degraded outcomes stay on the connection.
-        assert_eq!(c.send("MATCH en bktree - Nehru"), "NOTBUILT bktree");
-        assert!(c.send("MATCH xx - - Nehru").starts_with("ERR "));
+    // Degraded outcomes stay on the connection.
+    assert_eq!(c.send("MATCH en bktree - Nehru"), "NOTBUILT bktree");
+    assert!(c.send("MATCH xx - - Nehru").starts_with("ERR "));
 
-        let stats = c.send("STATS");
-        assert_eq!(stat(&stats, "names"), 5);
-        assert_eq!(stat(&stats, "shards"), 3);
-        assert!(stat(&stats, "cache_hits") > 0, "no cache hits: {stats}");
-        assert!(stat(&stats, "cache_misses") > 0, "{stats}");
-        assert_eq!(stat(&stats, "notbuilt"), 1, "{stats}");
-        assert!(stat(&stats, "requests") >= 6, "{stats}");
-        assert!(stat(&stats, "qgram_searches") >= 5, "{stats}");
-        // Both serving loops surface connection gauges in STATS.
-        assert_eq!(stat(&stats, "conns_current"), 1, "{stats}");
-        assert!(stat(&stats, "conns_peak") >= 1, "{stats}");
+    let stats = c.send("STATS");
+    assert_eq!(stat(&stats, "names"), 5);
+    assert_eq!(stat(&stats, "shards"), 3);
+    assert!(stat(&stats, "cache_hits") > 0, "no cache hits: {stats}");
+    assert!(stat(&stats, "cache_misses") > 0, "{stats}");
+    assert_eq!(stat(&stats, "notbuilt"), 1, "{stats}");
+    assert!(stat(&stats, "requests") >= 6, "{stats}");
+    assert!(stat(&stats, "qgram_searches") >= 5, "{stats}");
+    // The serving loop surfaces connection gauges in STATS.
+    assert_eq!(stat(&stats, "conns_current"), 1, "{stats}");
+    assert!(stat(&stats, "conns_peak") >= 1, "{stats}");
 
-        assert_eq!(c.send("QUIT"), "BYE");
+    assert_eq!(c.send("QUIT"), "BYE");
 
-        // The daemon keeps serving new connections after one quits.
-        let mut c2 = Client::connect(daemon.addr);
-        let resp = c2.send("MATCH en qgram 0.45 Nehru");
-        assert!(ids_of(&resp).contains(&1), "{resp}");
-        assert_eq!(c2.send("QUIT"), "BYE");
+    // The daemon keeps serving new connections after one quits.
+    let mut c2 = Client::connect(daemon.addr);
+    let resp = c2.send("MATCH en qgram 0.45 Nehru");
+    assert!(ids_of(&resp).contains(&1), "{resp}");
+    assert_eq!(c2.send("QUIT"), "BYE");
 
-        daemon.stop();
-    }
+    daemon.stop();
 }
 
 #[test]
 fn two_clients_interleave_on_one_daemon() {
-    for mode in [ServeMode::Evented, ServeMode::Threaded] {
-        let daemon = Daemon::spawn(mode, 2);
-        let mut a = Client::connect(daemon.addr);
-        let mut b = Client::connect(daemon.addr);
-        assert_eq!(a.send("ADD en Nehru"), "OK 0");
-        // Client b sees a's write immediately (shared service).
-        let resp = b.send("MATCH en scan - Nehru");
-        assert!(ids_of(&resp).contains(&0), "{resp}");
-        // Interleaved commands on both connections stay line-matched.
-        assert_eq!(b.send("ADD en Gandhi"), "OK 1");
-        let resp = a.send("MATCH en scan - Gandhi");
-        assert!(ids_of(&resp).contains(&1), "{resp}");
-        assert_eq!(a.send("QUIT"), "BYE");
-        assert_eq!(b.send("QUIT"), "BYE");
-        daemon.stop();
-    }
+    let daemon = Daemon::spawn(2);
+    let mut a = Client::connect(daemon.addr);
+    let mut b = Client::connect(daemon.addr);
+    assert_eq!(a.send("ADD en Nehru"), "OK 0");
+    // Client b sees a's write immediately (shared service).
+    let resp = b.send("MATCH en scan - Nehru");
+    assert!(ids_of(&resp).contains(&0), "{resp}");
+    // Interleaved commands on both connections stay line-matched.
+    assert_eq!(b.send("ADD en Gandhi"), "OK 1");
+    let resp = a.send("MATCH en scan - Gandhi");
+    assert!(ids_of(&resp).contains(&1), "{resp}");
+    assert_eq!(a.send("QUIT"), "BYE");
+    assert_eq!(b.send("QUIT"), "BYE");
+    daemon.stop();
 }

@@ -6,9 +6,8 @@
 //! readiness loop's framing, worker handoff and in-order response
 //! reassembly change nothing about the verdicts.
 
-use lexequal_service::event_loop::{serve_evented, ShutdownSignal};
 use lexequal_service::server::respond;
-use lexequal_service::{MatchService, ServeOptions, ServiceConfig};
+use lexequal_service::{serve, MatchService, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -55,7 +54,7 @@ fn a_thousand_pipelined_connections_match_direct_lookups_exactly() {
         .iter()
         .map(|q| {
             let mut quit = false;
-            let lines = respond(q, &reference, &mut quit);
+            let lines = respond(q, &reference, &ReqCtx::default(), None, &mut quit);
             assert_eq!(lines.len(), 1, "{q}");
             lines[0].clone()
         })
@@ -71,7 +70,7 @@ fn a_thousand_pipelined_connections_match_direct_lookups_exactly() {
     let server = {
         let service = Arc::clone(&service);
         let sd = shutdown.clone();
-        std::thread::spawn(move || serve_evented(listener, service, opts, sd))
+        std::thread::spawn(move || serve(listener, service, ReqCtx::default(), opts, sd))
     };
 
     // Two barriers pin the concurrency profile: no thread starts

@@ -1,11 +1,10 @@
-//! Socket-level framing edge cases against the evented daemon: request
+//! Socket-level framing edge cases against the serving loop: request
 //! lines split across arbitrarily small writes, many lines arriving in
-//! one write, CRLF endings, and oversized-line rejection. These are the
-//! cases a readiness loop must get right that a blocking
-//! `BufReader::read_line` handler gets for free.
+//! one write, CRLF endings, and oversized-line rejection — the cases a
+//! readiness loop must get right (a blocking `BufReader::read_line`
+//! would get them for free).
 
-use lexequal_service::event_loop::{serve_evented, ShutdownSignal};
-use lexequal_service::{MatchService, ServeOptions, ServiceConfig};
+use lexequal_service::{serve, MatchService, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -33,7 +32,7 @@ fn spawn_evented(
     service.build_all(3, lexequal::QgramMode::Strict);
     let shutdown = ShutdownSignal::new().expect("shutdown");
     let sd = shutdown.clone();
-    let handle = std::thread::spawn(move || serve_evented(listener, service, opts, sd));
+    let handle = std::thread::spawn(move || serve(listener, service, ReqCtx::default(), opts, sd));
     (addr, shutdown, handle)
 }
 

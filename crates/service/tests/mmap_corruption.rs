@@ -10,7 +10,7 @@
 //! re-implementing them here so the format is pinned independently of
 //! `mmapstore`'s own constants.
 
-use lexequal::{Language, MatchConfig, SearchMethod};
+use lexequal::{Language, MatchConfig};
 use lexequal_mdb::DbError;
 use lexequal_service::{mmapstore, MatchService, ServiceConfig};
 
@@ -27,7 +27,7 @@ const SEC_TEXTS: usize = 2;
 const SEC_PHONEMES: usize = 3;
 const SEC_CLUSTERS: usize = 4;
 const SEC_EMBEDS: usize = 5;
-/// Section count in each format version.
+/// Section count in each format version (version 1 is no longer read).
 const V1_SECTIONS: u32 = 5;
 const V2_SECTIONS: usize = 6;
 /// Bytes per entry-table record.
@@ -367,49 +367,22 @@ fn hostile_arenas_and_specs_are_named() {
 const EMBED_BYTES: usize = 32;
 
 /// A version-1 image — synthesized by re-tagging a v2 image, since v1
-/// differs only in the version word, the section count, and the absent
-/// embedding arena (the sixth table record reads back as pre-section
-/// padding) — must keep loading. It persists no embeddings: they are
-/// deferred to the load, which computes the column, so the store screens
-/// every row and answers exactly as a v2 load does.
+/// differed only in the version word, the section count, and the absent
+/// embedding arena — is no longer read (none was ever written outside
+/// tests): its header is the named version error, with or without the
+/// v1 section count, never a panic and never a load. (The name is from
+/// when such an image loaded by copy.)
 #[test]
 fn v1_images_load_with_deferred_embeddings() {
     let image = small_image();
     let mut v1 = image.clone();
     v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    expect_named_err(v1.clone(), "unsupported format version 1");
     v1[32..36].copy_from_slice(&V1_SECTIONS.to_le_bytes());
-
-    let modern = load(image.clone()).expect("v2 image");
-    let legacy = load(v1).expect("v1 image must keep loading");
-    assert_eq!(legacy.lsn, modern.lsn);
-    assert_eq!(legacy.store.len(), modern.store.len());
-    assert_eq!(legacy.builds, modern.builds);
-
-    // Identical answers and identical screen work: no row is bypassed.
-    for store in [&modern.store, &legacy.store] {
-        store.cover(&store.built_specs());
-    }
-    for method in [
-        SearchMethod::Scan,
-        SearchMethod::Qgram,
-        SearchMethod::PhoneticIndex,
-        SearchMethod::BkTree,
-    ] {
-        let search = |store: &lexequal_service::ShardedStore| {
-            store
-                .search("Nehru", Language::English, 0.45, method)
-                .unwrap()
-        };
-        assert_eq!(search(&modern.store), search(&legacy.store), "{method:?}");
-    }
-    let screens = legacy.store.screen_totals();
-    assert_eq!(screens, modern.store.screen_totals());
-    assert!(screens.embed_accept > 0, "{screens:?}");
-    assert_eq!(screens.embed_bypass, 0, "{screens:?}");
-
-    // What the v1 load computed is what the v2 image stores.
-    let resaved = mmapstore::encode(&legacy.store, legacy.lsn).expect("encode");
-    assert_eq!(resaved, image);
+    expect_named_err(v1.clone(), "unsupported format version 1");
+    // Cut to the 160-byte header a real v1 file had.
+    v1.truncate(40 + V1_SECTIONS as usize * TABLE_RECORD);
+    assert!(load(v1).is_err());
 }
 
 #[test]

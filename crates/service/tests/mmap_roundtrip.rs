@@ -2,14 +2,14 @@
 //! the mapping must be indistinguishable from the store that wrote the
 //! image — bit-identical `MatchOutcome`s on all four access paths,
 //! identical entries under every global id, identical answers through
-//! both serving modes, and a replica seeded from the raw transfer bytes
+//! the serving loop, and a replica seeded from the raw transfer bytes
 //! answering exactly like its primary.
 
 use lexequal::{Language, MatchConfig, SearchMethod};
 use lexequal_lexicon::build_dataset;
 use lexequal_service::service::SnapshotFormat;
 use lexequal_service::{
-    mmapstore, serve_with, MatchOutcome, MatchRequest, MatchService, ServeMode, ServeOptions,
+    mmapstore, serve, MatchOutcome, MatchRequest, MatchService, ReqCtx, ServeOptions,
     ServiceConfig, ShutdownSignal,
 };
 use std::io::{BufRead, BufReader, Write};
@@ -361,13 +361,19 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(mode: ServeMode, service: Arc<MatchService>) -> Self {
+    fn spawn(service: Arc<MatchService>) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().expect("local addr");
         let shutdown = ShutdownSignal::new().expect("shutdown signal");
         let sd = shutdown.clone();
         let handle = std::thread::spawn(move || {
-            serve_with(mode, listener, service, ServeOptions::default(), sd)
+            serve(
+                listener,
+                service,
+                ReqCtx::default(),
+                ServeOptions::default(),
+                sd,
+            )
         });
         Daemon {
             addr,
@@ -382,6 +388,7 @@ impl Daemon {
     }
 }
 
+/// (Named when there were two serve loops; the one loop is what runs.)
 #[test]
 fn both_serve_modes_answer_identically_from_the_mapping() {
     let original = populated_service(2);
@@ -392,28 +399,26 @@ fn both_serve_modes_answer_identically_from_the_mapping() {
     );
     let reference = Arc::new(original);
 
-    for mode in [ServeMode::Evented, ServeMode::Threaded] {
-        let want = Daemon::spawn(mode, Arc::clone(&reference));
-        let got = Daemon::spawn(mode, Arc::clone(&loaded));
-        let mut want_client = Client::connect(want.addr);
-        let mut got_client = Client::connect(got.addr);
-        for method in ["scan", "qgram", "phonidx", "bktree"] {
-            for (text, language, threshold) in battery() {
-                let line = format!("MATCH {} {method} {threshold} {text}", lang_tag(language));
-                assert_eq!(
-                    want_client.send(&line),
-                    got_client.send(&line),
-                    "{mode:?} {line:?} diverged between rebuilt and mmap-loaded daemons"
-                );
-            }
+    let want = Daemon::spawn(Arc::clone(&reference));
+    let got = Daemon::spawn(Arc::clone(&loaded));
+    let mut want_client = Client::connect(want.addr);
+    let mut got_client = Client::connect(got.addr);
+    for method in ["scan", "qgram", "phonidx", "bktree"] {
+        for (text, language, threshold) in battery() {
+            let line = format!("MATCH {} {method} {threshold} {text}", lang_tag(language));
+            assert_eq!(
+                want_client.send(&line),
+                got_client.send(&line),
+                "{line:?} diverged between rebuilt and mmap-loaded daemons"
+            );
         }
-        // STATS names the provenance on the mmap side.
-        let stats = got_client.send("STATS");
-        assert!(stats.contains("snapshot_format=mmap"), "{stats}");
-        assert!(!stats.contains("mmap_bytes=0 "), "{stats}");
-        let ref_stats = want_client.send("STATS");
-        assert!(ref_stats.contains("snapshot_format=rebuild"), "{ref_stats}");
-        want.stop();
-        got.stop();
     }
+    // STATS names the provenance on the mmap side.
+    let stats = got_client.send("STATS");
+    assert!(stats.contains("snapshot_format=mmap"), "{stats}");
+    assert!(!stats.contains("mmap_bytes=0 "), "{stats}");
+    let ref_stats = want_client.send("STATS");
+    assert!(ref_stats.contains("snapshot_format=rebuild"), "{ref_stats}");
+    want.stop();
+    got.stop();
 }

@@ -316,42 +316,6 @@ fn replica_and_recovered_primary_answer_byte_identically() {
     assert_eq!(battery(&revived), with_tail, "a cover changed an answer");
 }
 
-/// Replication also works end to end on the threaded serving path
-/// (the handler thread itself becomes the stream sender).
-#[test]
-fn threaded_mode_serves_replication_too() {
-    let wal = TempPath::new("threaded.wal");
-    let mut primary = Server::spawn(&[
-        "--addr",
-        "127.0.0.1:0",
-        "--mode",
-        "threaded",
-        "--shards",
-        "1",
-        "--wal",
-        wal.as_str(),
-    ]);
-    primary.wait_serving();
-    let primary_addr = primary.addr_str();
-    assert!(primary.request("ADD en Nehru").starts_with("OK "));
-
-    let mut replica = Server::spawn(&[
-        "--addr",
-        "127.0.0.1:0",
-        "--mode",
-        "threaded",
-        "--replica-of",
-        &primary_addr,
-    ]);
-    replica.wait_serving();
-    assert!(primary.request("ADD en Gandhi").starts_with("OK "));
-    wait_stats(&replica, "threaded replica catch-up", |s| {
-        stat(s, "repl_lag") == Some("0") && stat(s, "repl_connected") == Some("1")
-    });
-    let q = "MATCH en scan 0.45 Nehru";
-    assert_eq!(replica.request(q), primary.request(q));
-}
-
 /// `SAVE` on a standalone daemon (no WAL): explicit path works and the
 /// file restarts a daemon; no path and no default is a clean error.
 #[test]

@@ -1,15 +1,15 @@
 //! End-to-end coverage of the untagged-query subsystem over the wire:
-//! `ADD -` / `MATCH -` against both serving paths, the pinned Latin
+//! `ADD -` / `MATCH -` over a real socket, the pinned Latin
 //! fan-out union, byte-identical tagged-vs-untagged answers for
 //! unambiguous scripts, per-script goldens (Cyrillic through the new
 //! Russian converter, Hangul/Thai as `NORESOURCE`), and replica
 //! convergence for untagged `ADD`s (the WAL carries the *resolved*
 //! language, so replicas never need the routing table).
 
-use lexequal_service::server::respond_with_ctx;
+use lexequal_service::server::respond;
 use lexequal_service::{
-    serve_with, MatchService, Op, Replicator, ReqCtx, ServeMode, ServeOptions, ServiceConfig,
-    ShutdownSignal, Wal, WalMetrics,
+    serve, MatchService, Op, Replicator, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal, Wal,
+    WalMetrics,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -42,7 +42,7 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(mode: ServeMode, shards: usize) -> Self {
+    fn spawn(shards: usize) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().expect("local addr");
         let service = Arc::new(MatchService::new(ServiceConfig {
@@ -52,7 +52,13 @@ impl Daemon {
         let shutdown = ShutdownSignal::new().expect("shutdown signal");
         let sd = shutdown.clone();
         let handle = std::thread::spawn(move || {
-            serve_with(mode, listener, service, ServeOptions::default(), sd)
+            serve(
+                listener,
+                service,
+                ReqCtx::default(),
+                ServeOptions::default(),
+                sd,
+            )
         });
         Daemon {
             addr,
@@ -96,78 +102,66 @@ fn load_directory(c: &mut Client) {
     assert_eq!(c.send("BUILD QGRAM 3 STRICT"), "OK built=qgram");
 }
 
+/// (Named when there were two serve loops; the one loop is what runs.)
 #[test]
 fn untagged_match_works_over_the_wire_in_both_modes() {
-    for mode in [ServeMode::Evented, ServeMode::Threaded] {
-        let daemon = Daemon::spawn(mode, 3);
-        let mut c = Client::connect(daemon.addr);
-        load_directory(&mut c);
+    let daemon = Daemon::spawn(3);
+    let mut c = Client::connect(daemon.addr);
+    load_directory(&mut c);
 
-        // Latin untagged: the merged answer equals the union of the
-        // three tagged fan-out queries, pinned over the wire.
-        let auto = c.send("MATCH - qgram 0.45 Nehru");
-        assert!(auto.starts_with("OK "), "{mode:?}: {auto}");
-        let auto_ids = ids_of(&auto);
-        let mut union: Vec<u32> = Vec::new();
-        for lang in ["en", "fr", "es"] {
-            union.extend(ids_of(&c.send(&format!("MATCH {lang} qgram 0.45 Nehru"))));
-        }
-        union.sort_unstable();
-        union.dedup();
-        assert_eq!(auto_ids, union, "{mode:?}: fan-out merge is not the union");
-        assert!(auto_ids.contains(&0), "{mode:?}: self match missing");
-        assert!(auto_ids.contains(&1), "{mode:?}: Nehru ↔ नेहरु missing");
-
-        // Unambiguous script: untagged answer byte-identical to tagged.
-        let tagged = c.send("MATCH hi qgram 0.45 नेहरु");
-        let auto = c.send("MATCH - qgram 0.45 नेहरु");
-        assert_eq!(auto, tagged, "{mode:?}");
-
-        // Cyrillic routes to the Russian converter; Неру renders to the
-        // same phonemes as English Nehru, so both ids surface.
-        let resp = c.send("MATCH - qgram 0.45 Неру");
-        let ids = ids_of(&resp);
-        assert!(ids.contains(&5), "{mode:?}: self match missing: {resp}");
-        assert!(ids.contains(&0), "{mode:?}: Неру ↔ Nehru missing: {resp}");
-
-        // Detected-but-converterless scripts answer NORESOURCE; scripts
-        // with no tag at all and letterless input answer ERR.
-        assert_eq!(
-            c.send("MATCH - qgram - 네루"),
-            "NORESOURCE Korean",
-            "{mode:?}"
-        );
-        assert_eq!(
-            c.send("MATCH - qgram - เนห์รู"),
-            "NORESOURCE Thai",
-            "{mode:?}"
-        );
-        assert!(
-            c.send("MATCH - qgram - 北京").starts_with("ERR "),
-            "{mode:?}"
-        );
-        assert!(c.send("MATCH - qgram - 42").starts_with("ERR "), "{mode:?}");
-
-        // Untagged ADD resolves Latin to English (first fan-out tag).
-        let resp = c.send("ADD - Gandhi");
-        assert_eq!(resp, "OK 6 lang=English", "{mode:?}");
-        let resp = c.send("ADD - Ельцин");
-        assert_eq!(resp, "OK 7 lang=Russian", "{mode:?}");
-        assert_eq!(c.send("ADD - 네루"), "NORESOURCE Korean", "{mode:?}");
-        assert!(c.send("ADD - 42").starts_with("ERR bad input"), "{mode:?}");
-
-        // STATS surfaces the untagged counters once the path is used.
-        let stats = c.send("STATS");
-        assert!(stat(&stats, "untagged_requests") >= 8, "{stats}");
-        assert!(stat(&stats, "untagged_noresource") >= 2, "{stats}");
-        assert!(stat(&stats, "untagged_fanout_max") >= 3, "{stats}");
-        assert!(stat(&stats, "untagged_script_latin") >= 2, "{stats}");
-        assert!(stat(&stats, "untagged_script_cyrillic") >= 2, "{stats}");
-        assert!(stat(&stats, "untagged_script_hangul") >= 2, "{stats}");
-
-        assert_eq!(c.send("QUIT"), "BYE");
-        daemon.stop();
+    // Latin untagged: the merged answer equals the union of the
+    // three tagged fan-out queries, pinned over the wire.
+    let auto = c.send("MATCH - qgram 0.45 Nehru");
+    assert!(auto.starts_with("OK "), "{auto}");
+    let auto_ids = ids_of(&auto);
+    let mut union: Vec<u32> = Vec::new();
+    for lang in ["en", "fr", "es"] {
+        union.extend(ids_of(&c.send(&format!("MATCH {lang} qgram 0.45 Nehru"))));
     }
+    union.sort_unstable();
+    union.dedup();
+    assert_eq!(auto_ids, union, "fan-out merge is not the union");
+    assert!(auto_ids.contains(&0), "self match missing");
+    assert!(auto_ids.contains(&1), "Nehru ↔ नेहरु missing");
+
+    // Unambiguous script: untagged answer byte-identical to tagged.
+    let tagged = c.send("MATCH hi qgram 0.45 नेहरु");
+    let auto = c.send("MATCH - qgram 0.45 नेहरु");
+    assert_eq!(auto, tagged);
+
+    // Cyrillic routes to the Russian converter; Неру renders to the
+    // same phonemes as English Nehru, so both ids surface.
+    let resp = c.send("MATCH - qgram 0.45 Неру");
+    let ids = ids_of(&resp);
+    assert!(ids.contains(&5), "self match missing: {resp}");
+    assert!(ids.contains(&0), "Неру ↔ Nehru missing: {resp}");
+
+    // Detected-but-converterless scripts answer NORESOURCE; scripts
+    // with no tag at all and letterless input answer ERR.
+    assert_eq!(c.send("MATCH - qgram - 네루"), "NORESOURCE Korean");
+    assert_eq!(c.send("MATCH - qgram - เนห์รู"), "NORESOURCE Thai");
+    assert!(c.send("MATCH - qgram - 北京").starts_with("ERR "));
+    assert!(c.send("MATCH - qgram - 42").starts_with("ERR "));
+
+    // Untagged ADD resolves Latin to English (first fan-out tag).
+    let resp = c.send("ADD - Gandhi");
+    assert_eq!(resp, "OK 6 lang=English");
+    let resp = c.send("ADD - Ельцин");
+    assert_eq!(resp, "OK 7 lang=Russian");
+    assert_eq!(c.send("ADD - 네루"), "NORESOURCE Korean");
+    assert!(c.send("ADD - 42").starts_with("ERR bad input"));
+
+    // STATS surfaces the untagged counters once the path is used.
+    let stats = c.send("STATS");
+    assert!(stat(&stats, "untagged_requests") >= 8, "{stats}");
+    assert!(stat(&stats, "untagged_noresource") >= 2, "{stats}");
+    assert!(stat(&stats, "untagged_fanout_max") >= 3, "{stats}");
+    assert!(stat(&stats, "untagged_script_latin") >= 2, "{stats}");
+    assert!(stat(&stats, "untagged_script_cyrillic") >= 2, "{stats}");
+    assert!(stat(&stats, "untagged_script_hangul") >= 2, "{stats}");
+
+    assert_eq!(c.send("QUIT"), "BYE");
+    daemon.stop();
 }
 
 #[test]
@@ -192,7 +186,7 @@ fn untagged_adds_replicate_with_the_resolved_language() {
 
     let mut quit = false;
     let mut send = |line: &str| {
-        let out = respond_with_ctx(line, &primary, &ctx, None, &mut quit);
+        let out = respond(line, &primary, &ctx, None, &mut quit);
         assert_eq!(out.len(), 1, "{line:?}: {out:?}");
         out.into_iter().next().unwrap()
     };
@@ -228,8 +222,8 @@ fn untagged_adds_replicate_with_the_resolved_language() {
     let replica_ctx = ReqCtx::default();
     for query in ["MATCH ru qgram 0.45 Неру", "MATCH - qgram 0.45 Nehru"] {
         let mut q1 = false;
-        let p = respond_with_ctx(query, &primary, &ctx, None, &mut q1);
-        let r = respond_with_ctx(query, &replica, &replica_ctx, None, &mut q1);
+        let p = respond(query, &primary, &ctx, None, &mut q1);
+        let r = respond(query, &replica, &replica_ctx, None, &mut q1);
         assert_eq!(p, r, "{query}");
     }
 
@@ -241,7 +235,7 @@ fn untagged_adds_replicate_with_the_resolved_language() {
 fn per_script_goldens_route_untagged() {
     // One entry per supported script; every untagged query must find
     // its own entry back (self-match at the default threshold).
-    let daemon = Daemon::spawn(ServeMode::Evented, 2);
+    let daemon = Daemon::spawn(2);
     let mut c = Client::connect(daemon.addr);
     let goldens = [
         ("en", "Nehru"),
@@ -279,8 +273,8 @@ fn replicas_reject_untagged_writes_but_serve_untagged_reads() {
         ..ReqCtx::default()
     };
     let mut quit = false;
-    let add = respond_with_ctx("ADD - Gandhi", &service, &ctx, None, &mut quit);
+    let add = respond("ADD - Gandhi", &service, &ctx, None, &mut quit);
     assert!(add[0].starts_with("ERR read-only replica"), "{add:?}");
-    let m = respond_with_ctx("MATCH - scan - Nehru", &service, &ctx, None, &mut quit);
+    let m = respond("MATCH - scan - Nehru", &service, &ctx, None, &mut quit);
     assert!(ids_of(&m[0]).contains(&0), "{m:?}");
 }

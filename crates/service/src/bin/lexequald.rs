@@ -22,11 +22,11 @@
 //! cover (DESIGN §5n): a declared path answers exactly from the first
 //! request, fast once covered. Store population, fastest first:
 //!
-//! * `--snapshot PATH` — restore the store from a snapshot written by
-//!   `--save-snapshot` (or the `SAVE` wire command): a file map, no G2P
-//!   pass. The store comes back with the snapshot's own shard count
-//!   unless `--shards` pins one (which must then match — re-sharding on
-//!   load is not supported).
+//! * `--snapshot PATH` — restore the store from the snapshot image
+//!   written by `--save-snapshot` (or the `SAVE` wire command): a file
+//!   map, no G2P pass. The store comes back with the snapshot's own
+//!   shard count unless `--shards` pins one (which must then match —
+//!   re-sharding on load is not supported).
 //! * `--preload N` — bulk-load ≈N synthetic names (paper §5 dataset; at
 //!   most the 2 004 918 the lexicon can pair) and declare all three
 //!   access paths.
@@ -65,8 +65,7 @@
 use lexequal::{CostModelKind, MatchConfig};
 use lexequal_service::{
     bind_reusable, mmapstore, repl, BuildSpec, CompactionPolicy, MatchService, ReplicaState,
-    Replicator, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal, SnapshotFormat, Wal, WalError,
-    WalMetrics,
+    Replicator, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal, Wal, WalError, WalMetrics,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -76,7 +75,7 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "usage: lexequald [--addr HOST:PORT] [--shards N] [--cache N] \
 [--threshold E] [--preload N] [--cost-model clustered|feature] [--no-embed-screen] \
 [--snapshot PATH] [--save-snapshot PATH] \
-[--snapshot-format mmap|json] [--wal PATH] [--wal-max-bytes N] [--wal-ack-grace SECS] \
+[--wal PATH] [--wal-max-bytes N] [--wal-ack-grace SECS] \
 [--replica-of HOST:PORT] [--repl-listen HOST:PORT] \
 [--mode evented] [--workers N] [--max-pipeline N] [--max-line BYTES] [--queue N]\n\
 (--mode evented names the only serve loop; it is accepted for old command lines)";
@@ -97,9 +96,6 @@ struct Args {
     preload: usize,
     snapshot: Option<String>,
     save_snapshot: Option<String>,
-    /// `None` = default (binary mmap); `--snapshot-format json` keeps
-    /// the debug/export document for `--save-snapshot` and `SAVE`.
-    snapshot_format: Option<SnapshotFormat>,
     wal: Option<String>,
     /// Size threshold for background WAL compaction (`None` = only the
     /// explicit `COMPACT` command compacts).
@@ -143,7 +139,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         preload: 0,
         snapshot: None,
         save_snapshot: None,
-        snapshot_format: None,
         wal: None,
         wal_max_bytes: None,
         wal_ack_grace: None,
@@ -158,18 +153,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--addr" => args.addr = parse_addr("--addr", value("--addr")?)?,
             "--snapshot" => args.snapshot = Some(value("--snapshot")?),
             "--save-snapshot" => args.save_snapshot = Some(value("--save-snapshot")?),
-            "--snapshot-format" => {
-                let v = value("--snapshot-format")?;
-                args.snapshot_format = Some(match v.to_ascii_lowercase().as_str() {
-                    "mmap" | "binary" => SnapshotFormat::Mmap,
-                    "json" => SnapshotFormat::Json,
-                    _ => {
-                        return Err(format!(
-                            "--snapshot-format: invalid value {v:?} (expected mmap or json)"
-                        ))
-                    }
-                });
-            }
             "--wal" => args.wal = Some(value("--wal")?),
             "--wal-max-bytes" => {
                 let v = value("--wal-max-bytes")?;
@@ -472,23 +455,21 @@ fn main() -> ExitCode {
         });
     }
 
-    let save_format = args.snapshot_format.unwrap_or(SnapshotFormat::Mmap);
     if let Some(path) = &args.save_snapshot {
         let start = Instant::now();
         let saved = match &replicator {
             Some(repl) => repl
-                .save_snapshot_atomic_format(&service, std::path::Path::new(path), save_format)
+                .save_snapshot_atomic(&service, std::path::Path::new(path))
                 .map(|_| ()),
-            None => service.save_snapshot_with_lsn_format(path, 0, save_format),
+            None => service.save_snapshot(path),
         };
         if let Err(e) = saved {
             eprintln!("lexequald: cannot save snapshot {path:?}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "lexequald: snapshot saved to {path:?} ({} names, format={}) in {:.2?}",
+            "lexequald: snapshot saved to {path:?} ({} names) in {:.2?}",
             service.len(),
-            save_format.name(),
             start.elapsed(),
         );
     }
@@ -642,26 +623,16 @@ fn load_snapshot_service(
     let load =
         MatchService::load_snapshot_auto(match_config.clone(), args.shards, args.cache, path)
             .map_err(|e| e.to_string())?;
-    match load.format {
-        SnapshotFormat::Mmap => eprintln!(
-            "lexequald: snapshot {path:?} loaded via mmap: {} names on {} \
-             shard(s), {} bytes mapped, serve-ready in {}ms \
-             ({} access path(s) declared, covered in the background)",
-            load.service.len(),
-            load.service.store().shards(),
-            load.mapped_bytes,
-            load.load_ms,
-            load.pending_builds.len(),
-        ),
-        SnapshotFormat::Json => eprintln!(
-            "lexequald: snapshot {path:?} loaded via json parse: {} names on {} \
-             shard(s), {} access path(s) rebuilt in {}ms",
-            load.service.len(),
-            load.service.store().shards(),
-            load.service.store().built_specs().len(),
-            load.load_ms,
-        ),
-    }
+    eprintln!(
+        "lexequald: snapshot {path:?} loaded via mmap: {} names on {} \
+         shard(s), {} bytes mapped, serve-ready in {}ms \
+         ({} access path(s) declared, covered in the background)",
+        load.service.len(),
+        load.service.store().shards(),
+        load.mapped_bytes,
+        load.load_ms,
+        load.pending_builds.len(),
+    );
     Ok((Arc::new(load.service), load.lsn))
 }
 
@@ -743,12 +714,11 @@ fn run_replica_daemon(args: &Args, match_config: MatchConfig) -> ExitCode {
     let load = service.load_info();
     eprintln!(
         "lexequald: replica synced from {primary}: {} names on {} shard(s) at lsn {} in {:.2?} \
-         (transfer format={}, {} bytes, loaded in {}ms)",
+         (image of {} bytes, loaded in {}ms)",
         service.len(),
         service.store().shards(),
         state.applied(),
         start.elapsed(),
-        load.format,
         load.mapped_bytes,
         load.load_ms,
     );

@@ -45,12 +45,12 @@ pub(crate) struct Conn {
     pub peer_gone: bool,
     /// Largest in-flight window this connection ever reached.
     pub pipeline_peak: u64,
-    /// A `REPL HELLO <lsn> [MMAP]` was parsed on a primary: stop
-    /// reading, and once earlier pipelined responses have flushed
+    /// A `REPL HELLO <lsn>` was parsed on a primary: stop reading, and
+    /// once earlier pipelined responses have flushed
     /// ([`ready_for_handoff`](Self::ready_for_handoff)), the loop lifts
     /// the socket onto a dedicated replication sender thread. Carries
-    /// `(lsn, advertised binary-snapshot support)`.
-    pub handoff: Option<(u64, bool)>,
+    /// the replica's LSN.
+    pub handoff: Option<u64>,
     /// Epoll interest bits currently registered for this socket.
     pub interest: u32,
     pending: VecDeque<Slot>,

@@ -675,11 +675,11 @@ impl EventLoop {
                         conn.enqueue_done(vec!["BYE".to_owned()]);
                         conn.quitting = true;
                     }
-                    Ok(Some(Request::ReplHello { lsn, mmap })) if self.ctx.repl.is_some() => {
+                    Ok(Some(Request::ReplHello { lsn })) if self.ctx.repl.is_some() => {
                         // Stop reading; once every earlier pipelined
                         // response has flushed, the socket leaves the
                         // event loop for a dedicated sender thread.
-                        conn.handoff = Some((lsn, mmap));
+                        conn.handoff = Some(lsn);
                     }
                     Ok(Some(request)) => {
                         let seq = conn.alloc_seq();
@@ -735,7 +735,7 @@ impl EventLoop {
         if stream.set_nonblocking(false).is_err() {
             return;
         }
-        let (lsn, mmap) = conn.handoff.unwrap_or((0, false));
+        let lsn = conn.handoff.unwrap_or(0);
         let service = Arc::clone(&self.service);
         let spawned = std::thread::Builder::new()
             .name("lexequald-repl".to_owned())
@@ -743,7 +743,7 @@ impl EventLoop {
                 let repl = Arc::clone(&repl);
                 move || {
                     // A dropped replica just reconnects; nothing to report.
-                    let _ = crate::repl::serve_replica(stream, lsn, mmap, &service, &repl);
+                    let _ = crate::repl::serve_replica(stream, lsn, &service, &repl);
                 }
             });
         if let Ok(handle) = spawned {

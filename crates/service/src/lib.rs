@@ -33,11 +33,11 @@
 //!   epoll readiness thread, pipelined per-connection state machines,
 //!   backpressure rules and a fixed verify worker pool, stoppable via
 //!   [`ShutdownSignal`].
-//! * [`snapshot`] — [`StoreSnapshot`](snapshot::StoreSnapshot):
-//!   versioned on-disk persistence for the sharded store (per-shard
-//!   entry sections, build specs, corpus fingerprint, covered WAL LSN);
-//!   `lexequald --snapshot` cold starts become a file read plus an
-//!   index rebuild instead of a full G2P pass.
+//! * [`mmapstore`] — the snapshot image, the one persistent form of the
+//!   store (rows in global-id order, declared paths, covered WAL LSN,
+//!   checksummed sections): what `SAVE` and a checkpoint write, what
+//!   `lexequald --snapshot` maps and serves in place, and what a
+//!   replica is seeded with.
 //! * [`wal`] — the write-ahead op log: length-prefixed checksummed
 //!   records with monotonic LSNs; every mutation is durable before the
 //!   client sees `OK`, and restart replays the tail past the snapshot.
@@ -82,7 +82,6 @@ pub mod repl;
 pub mod server;
 pub mod service;
 pub mod shard;
-pub mod snapshot;
 pub mod wal;
 
 pub use cache::TransformCache;
@@ -90,7 +89,7 @@ pub use event_loop::{serve, ShutdownSignal};
 pub use metrics::{
     ConnMetrics, ConnStats, ReplRole, ReplStats, ScreenTotals, ServiceMetrics, WalMetrics, WalStats,
 };
-pub use mmapstore::{ImageSink, LoadedImage, Mmap};
+pub use mmapstore::{ImageError, ImageSink, LoadedImage, Mmap};
 pub use proto::{FrameError, LineFramer};
 pub use repl::{
     initial_sync, run_replica, serve_repl_listener, serve_replica, spawn_compactor, CommitError,
@@ -99,9 +98,7 @@ pub use repl::{
 pub use server::{bind_reusable, ReqCtx, ServeOptions};
 pub use service::{
     AddResolution, AutoMatchRequest, AutoPendingLookup, LoadInfo, MatchOutcome, MatchRequest,
-    MatchService, PendingLookup, Preloaded, ServiceConfig, SnapshotFormat, SnapshotLoad,
-    StatsSnapshot,
+    MatchService, PendingLookup, Preloaded, ServiceConfig, SnapshotLoad, StatsSnapshot,
 };
 pub use shard::{BuildSpec, CoverStats, Cut, Loader, PendingSearch, ShardedStore};
-pub use snapshot::{StoreSnapshot, STORE_SNAPSHOT_VERSION};
 pub use wal::{CompactionStats, Op, Wal, WalCursor, WalError, WalRecord};

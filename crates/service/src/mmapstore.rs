@@ -1,17 +1,20 @@
-//! The zero-copy memory-mapped snapshot format.
+//! The snapshot image: the one persistent form of a sharded store.
 //!
-//! The JSON snapshot (§5d, [`crate::snapshot`]) is a *parse job*: every
-//! load re-tokenizes text, re-parses IPA, and re-allocates one heap
-//! buffer per entry — which is why it loads slower than a cold G2P
-//! rebuild. This module replaces it as the default persistence format
-//! with an offset-based binary image where **the file is the runtime
-//! representation**: all entry data (texts, languages, phoneme strings,
-//! cluster-id vectors) lives in aligned, length-prefixed arenas
-//! addressed by relative offsets. Loading is `mmap` + one validation
-//! pass; each shard then reads its stripe of the rows where they lie
-//! (`lexequal::rows::Base`): no parse, no heap allocation or reference
-//! count a row, no copy. Replica seeding ships these same bytes verbatim
-//! and the replica serves straight out of the transfer buffer.
+//! The paper's systems claim is that LexEQUAL matching runs over
+//! *persistent* database structures, not throwaway in-memory ones (§2.3,
+//! contrasting Zobel & Dart's in-memory evaluation). This module is that
+//! boundary for the serving layer, and the only one: `SAVE`, the
+//! compaction checkpoint, `--snapshot` and a replica's seed all write or
+//! read the image below, and nothing else in the crate knows what a
+//! snapshot's bytes look like. It is an offset-based binary image where
+//! **the file is the runtime representation**: all entry data (texts,
+//! languages, phoneme strings, cluster-id vectors) lives in aligned,
+//! length-prefixed arenas addressed by relative offsets. Loading is
+//! `mmap` + one validation pass; each shard then reads its stripe of the
+//! rows where they lie (`lexequal::rows::Base`): no parse, no heap
+//! allocation or reference count a row, no copy. Replica seeding ships
+//! these same bytes verbatim and the replica serves straight out of the
+//! transfer buffer.
 //!
 //! # Layout (all integers little-endian)
 //!
@@ -80,15 +83,15 @@
 //! offset are validated against the mapping before the first
 //! dereference, and all reads go through `from_le_bytes` on bounds-
 //! checked subslices — no pointer-cast struct reads, no alignment UB,
-//! no panics. A corrupt file comes back as a named [`DbError`], never
-//! a crash (`tests/mmap_corruption.rs` is the battery).
+//! no panics. A corrupt file — or one that is not an image at all —
+//! comes back as a named [`ImageError`], never a crash
+//! (`tests/mmap_corruption.rs` is the battery).
 
 use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS};
 use lexequal::rows::{Base, EntryRecord, ImageBytes, ImageLayout};
 use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode, EMBED_DIM};
-use lexequal_mdb::DbError;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -102,7 +105,7 @@ const ENDIAN_TAG: u32 = 0x0102_0304;
 /// embeddings.
 const SECTIONS: usize = 6;
 /// Bytes before the first section; also the up-front length gate.
-const HEADER_LEN: usize = 40 + SECTIONS * 24;
+pub(crate) const HEADER_LEN: usize = 40 + SECTIONS * 24;
 /// Bytes per build-spec record.
 const SPEC_RECORD: usize = 8;
 /// Upper bound on the header's shard count. Each shard is a live worker
@@ -110,8 +113,34 @@ const SPEC_RECORD: usize = 8;
 /// threads from four bytes; no real deployment shards wider than this.
 const MAX_SHARDS: usize = 1024;
 
-fn err(what: impl std::fmt::Display) -> DbError {
-    DbError::Parse(format!("mmap snapshot: {what}"))
+/// Why an image could not be written, read or loaded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ImageError {
+    /// The bytes are not a valid image (bad magic, a failed checksum, an
+    /// out-of-bounds window, a foreign cost model), or could not be read
+    /// or written at all.
+    Parse(String),
+    /// A well-formed image this load cannot take: the shard-pin
+    /// contract, or a file that cannot be opened.
+    Unsupported(String),
+}
+
+impl std::fmt::Display for ImageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (ImageError::Parse(what) | ImageError::Unsupported(what)) = self;
+        f.write_str(what)
+    }
+}
+
+impl std::error::Error for ImageError {}
+
+fn err(what: impl std::fmt::Display) -> ImageError {
+    ImageError::Parse(format!("mmap snapshot: {what}"))
+}
+
+/// What a file or transfer that is not an image is.
+pub(crate) fn bad_magic() -> ImageError {
+    err("bad magic (not a binary snapshot)")
 }
 
 /// Raw `mmap`/`munmap`/`flock` shims. `std` links libc, so these
@@ -254,17 +283,6 @@ pub fn is_binary(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
 
-/// Whether the file at `path` starts with the binary-snapshot magic
-/// (false on any I/O error — the caller's format dispatch then falls
-/// through to JSON, whose parser produces the real error).
-pub fn sniff_file(path: impl AsRef<Path>) -> bool {
-    let mut head = [0u8; 8];
-    match File::open(path) {
-        Ok(mut f) => f.read_exact(&mut head).is_ok() && head == MAGIC,
-        Err(_) => false,
-    }
-}
-
 /// Minimal peek at an already-transferred image: `(covered LSN, entry
 /// count)`. Validates only the fixed header prefix; `None` if the
 /// buffer is not a plausible binary snapshot.
@@ -281,7 +299,7 @@ pub fn peek(bytes: &[u8]) -> Option<(u64, u32)> {
 // Writer
 // ---------------------------------------------------------------------
 
-fn spec_to_record(spec: &BuildSpec) -> Result<[u8; SPEC_RECORD], DbError> {
+fn spec_to_record(spec: &BuildSpec) -> Result<[u8; SPEC_RECORD], ImageError> {
     let mut rec = [0u8; SPEC_RECORD];
     match spec {
         BuildSpec::Qgram { q, mode } => {
@@ -298,7 +316,7 @@ fn spec_to_record(spec: &BuildSpec) -> Result<[u8; SPEC_RECORD], DbError> {
     Ok(rec)
 }
 
-fn spec_from_record(rec: &[u8]) -> Result<BuildSpec, DbError> {
+fn spec_from_record(rec: &[u8]) -> Result<BuildSpec, ImageError> {
     match rec[0] {
         0 => {
             let mode = match rec[2] {
@@ -469,7 +487,7 @@ pub fn write_image(
     store: &ShardedStore,
     cut: &Cut,
     sink: &mut impl ImageSink,
-) -> Result<u64, DbError> {
+) -> Result<u64, ImageError> {
     let io_err = |e: io::Error| err(format!("write image: {e}"));
     let shards =
         u32::try_from(store.shards()).map_err(|_| err("shard count exceeds format limit"))?;
@@ -593,15 +611,15 @@ pub fn write_image(
 /// prefix the store had published when the call began; the caller makes
 /// `lsn` exact for it by holding its own writes off for that instant
 /// (the primary cuts under the commit lock and calls [`write_image`]).
-pub fn encode(store: &ShardedStore, lsn: u64) -> Result<Vec<u8>, DbError> {
+pub fn encode(store: &ShardedStore, lsn: u64) -> Result<Vec<u8>, ImageError> {
     let mut image = Vec::new();
     write_image(store, &store.cut(lsn), &mut image)?;
     Ok(image)
 }
 
 /// Where a snapshot writer of this process stages `path`:
-/// `<file name>.tmp.<pid>` beside it. Both formats' writers name their
-/// temp file here, so [`remove_stale_tmp`] has one pattern to match.
+/// `<file name>.tmp.<pid>` beside it — the one pattern
+/// [`remove_stale_tmp`] matches.
 pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
@@ -613,8 +631,8 @@ pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
 /// on any error the temp file is removed.
 fn write_atomic<T>(
     path: &Path,
-    write: impl FnOnce(&mut File) -> Result<T, DbError>,
-) -> Result<T, DbError> {
+    write: impl FnOnce(&mut File) -> Result<T, ImageError>,
+) -> Result<T, ImageError> {
     let tmp = tmp_sibling(path);
     let io_err = |e: io::Error| err(format!("write {}: {e}", path.display()));
     let result = (|| {
@@ -637,13 +655,13 @@ pub fn write_file_atomic(
     store: &ShardedStore,
     cut: &Cut,
     path: impl AsRef<Path>,
-) -> Result<u64, DbError> {
+) -> Result<u64, ImageError> {
     write_atomic(path.as_ref(), |f| write_image(store, cut, f))
 }
 
 /// Write an already-encoded image atomically (the replica seeding path
 /// persists the transferred bytes verbatim).
-pub fn write_image_atomic(image: &[u8], path: impl AsRef<Path>) -> Result<(), DbError> {
+pub fn write_image_atomic(image: &[u8], path: impl AsRef<Path>) -> Result<(), ImageError> {
     let path = path.as_ref();
     write_atomic(path, |f| {
         f.write_all(image)
@@ -718,15 +736,15 @@ pub struct LoadedImage {
 struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn bytes(&self, off: usize, len: usize) -> Result<&'a [u8], DbError> {
+    fn bytes(&self, off: usize, len: usize) -> Result<&'a [u8], ImageError> {
         off.checked_add(len)
             .and_then(|end| self.0.get(off..end))
             .ok_or_else(|| err(format!("read of {len} bytes at {off} is out of bounds")))
     }
-    fn u32(&self, off: usize) -> Result<u32, DbError> {
+    fn u32(&self, off: usize) -> Result<u32, ImageError> {
         Ok(u32::from_le_bytes(self.bytes(off, 4)?.try_into().unwrap()))
     }
-    fn u64(&self, off: usize) -> Result<u64, DbError> {
+    fn u64(&self, off: usize) -> Result<u64, ImageError> {
         Ok(u64::from_le_bytes(self.bytes(off, 8)?.try_into().unwrap()))
     }
 }
@@ -740,7 +758,7 @@ struct Section {
 
 /// Validate the header, section table and section checksums; returns
 /// `(shards, entry_count, lsn, sections)`.
-fn validate_frame(image: &[u8]) -> Result<(usize, usize, u64, [Section; SECTIONS]), DbError> {
+fn validate_frame(image: &[u8]) -> Result<(usize, usize, u64, [Section; SECTIONS]), ImageError> {
     let r = Reader(image);
     if image.len() < HEADER_LEN {
         return Err(err(format!(
@@ -749,7 +767,7 @@ fn validate_frame(image: &[u8]) -> Result<(usize, usize, u64, [Section; SECTIONS
         )));
     }
     if image[..8] != MAGIC {
-        return Err(err("bad magic (not a binary snapshot)"));
+        return Err(bad_magic());
     }
     let version = r.u32(8)?;
     if version != FORMAT_VERSION {
@@ -781,7 +799,7 @@ fn validate_frame(image: &[u8]) -> Result<(usize, usize, u64, [Section; SECTIONS
             "section count {section_count} (version {version} holds {SECTIONS})"
         )));
     }
-    let read_section = |i: usize| -> Result<Section, DbError> {
+    let read_section = |i: usize| -> Result<Section, ImageError> {
         let at = 40 + i * 24;
         let off = r.u64(at)?;
         let len = r.u64(at + 8)?;
@@ -818,7 +836,7 @@ pub fn load_bytes(
     config: MatchConfig,
     shards: Option<usize>,
     bytes: Vec<u8>,
-) -> Result<LoadedImage, DbError> {
+) -> Result<LoadedImage, ImageError> {
     load_owner(Arc::new(LexEqual::new(config)), shards, Arc::new(bytes))
 }
 
@@ -829,7 +847,7 @@ pub fn load_file(
     config: MatchConfig,
     shards: Option<usize>,
     path: impl AsRef<Path>,
-) -> Result<LoadedImage, DbError> {
+) -> Result<LoadedImage, ImageError> {
     let path = path.as_ref();
     let io_err = |e: std::io::Error| err(format!("open {}: {e}", path.display()));
     let file = File::open(path).map_err(io_err)?;
@@ -844,20 +862,18 @@ pub(crate) fn load_owner(
     operator: Arc<LexEqual>,
     shards: Option<usize>,
     owner: ImageBytes,
-) -> Result<LoadedImage, DbError> {
+) -> Result<LoadedImage, ImageError> {
     let image: &[u8] = (*owner).as_ref();
     let bytes = image.len() as u64;
     let (snap_shards, entry_count, lsn, sections) = validate_frame(image)?;
     if let Some(requested) = shards {
         if requested != snap_shards {
-            // Same contract (and near-identical wording) as the JSON
-            // path: shard rebalancing at load is not supported in
-            // either snapshot format.
-            return Err(DbError::Unsupported(format!(
+            // A contract error, not corruption: the stripe is `g % N`,
+            // so an N-shard image read by M workers would scramble ids.
+            return Err(ImageError::Unsupported(format!(
                 "snapshot holds {snap_shards} shard(s) but {requested} were requested; \
-                 re-striping at load is not supported in the binary or JSON snapshot \
-                 formats (ROADMAP: shard rebalancing) — load with {snap_shards} \
-                 shard(s) or rebuild from the corpus"
+                 re-striping at load is not supported (ROADMAP: shard rebalancing) — \
+                 load with {snap_shards} shard(s) or rebuild from the corpus"
             )));
         }
     }
@@ -888,7 +904,7 @@ pub(crate) fn load_owner(
     // arena's parallel twin, every phoneme byte a valid inventory id,
     // and every cluster byte exactly what the *configured* cost model
     // assigns — a snapshot written under a different MatchConfig is
-    // rejected here, same as the JSON path.
+    // rejected here, never left to change match semantics silently.
     if clusters.len != phonemes.len {
         return Err(err(format!(
             "cluster arena ({} bytes) is not parallel to the phoneme arena ({} bytes)",
@@ -1052,7 +1068,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_pin_mismatch_names_both_formats() {
+    fn shard_pin_mismatch_names_both_counts() {
         let store = populated(2);
         let image = encode(&store, 0).unwrap();
         let msg = match load_bytes(MatchConfig::default(), Some(3), image) {
@@ -1061,7 +1077,6 @@ mod tests {
         };
         assert!(msg.contains("2 shard"), "{msg}");
         assert!(msg.contains("3 were requested"), "{msg}");
-        assert!(msg.contains("JSON"), "{msg}");
         assert!(msg.contains("rebalancing"), "{msg}");
     }
 

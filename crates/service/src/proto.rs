@@ -13,9 +13,9 @@
 //! MATCH <lang|-> <method|-> <threshold|-> <text...>
 //! BATCH <lang> <method|-> <threshold|-> <text>|<text>|...
 //! STATS
-//! SAVE [JSON] [path]
+//! SAVE [path]
 //! COMPACT
-//! REPL HELLO <lsn> [MMAP]
+//! REPL HELLO <lsn> [capability…]
 //! QUIT
 //! ```
 //!
@@ -62,19 +62,20 @@
 //! declared — no `BUILD`, no `--preload`, none recorded in the snapshot.
 //!
 //! `SAVE` snapshots the running store to disk (atomically, temp file +
-//! rename) in the binary mmap format; `SAVE JSON` writes the
-//! human-readable document instead (debug/export). Without a path it
-//! uses the daemon's configured snapshot path. `COMPACT` (primaries
-//! with `--wal` only) runs one checkpoint-and-truncate cycle by hand:
-//! a durable checkpoint at the WAL head, then the log prefix every
-//! in-grace replica has acknowledged is dropped — the same cycle the
-//! `--wal-max-bytes` trigger runs automatically (see
-//! [`crate::repl::Replicator::compact`]). `REPL HELLO <lsn> [MMAP]`
-//! is not a request/response pair: on a primary started with `--wal` it
-//! converts the connection into a replication stream (see
-//! [`crate::repl`] for the stream grammar and the snapshot-format
-//! negotiation the optional `MMAP` capability token drives); anywhere
-//! else it draws an `ERR`.
+//! rename) as a snapshot image ([`crate::mmapstore`]); everything after
+//! the command word is the path. Without a path it uses the daemon's
+//! configured snapshot path. `COMPACT` (primaries with `--wal` only)
+//! runs one checkpoint-and-truncate cycle by hand: a durable checkpoint
+//! at the WAL head, then the log prefix every in-grace replica has
+//! acknowledged is dropped — the same cycle the `--wal-max-bytes`
+//! trigger runs automatically (see
+//! [`crate::repl::Replicator::compact`]). `REPL HELLO <lsn>` is not a
+//! request/response pair: on a primary started with `--wal` it converts
+//! the connection into a replication stream (see [`crate::repl`] for the
+//! stream grammar); anywhere else it draws an `ERR`. Tokens after the
+//! LSN are capability advertisements and are ignored — a replica sends
+//! `MMAP`, which every primary since the image became the only seed
+//! takes as read.
 
 use crate::metrics::{method_index, method_name, ALL_METHODS};
 use crate::service::{AutoMatchRequest, MatchOutcome, MatchRequest, StatsSnapshot};
@@ -199,27 +200,17 @@ pub enum Request {
     Batch(Vec<MatchRequest>),
     /// `STATS`
     Stats,
-    /// `SAVE [JSON] [path]` — snapshot the running store on demand.
+    /// `SAVE [path]` — snapshot the running store on demand.
     Save {
         /// Target path; `None` uses the daemon's configured default.
         path: Option<String>,
-        /// `true` for `SAVE JSON …`: write the human-readable debug/
-        /// export document instead of the default binary mmap image.
-        json: bool,
     },
-    /// `REPL HELLO <lsn> [MMAP]` — a replica opening the stream,
-    /// carrying the last LSN it applied (0 = fresh) and optionally
-    /// advertising that it understands the binary mmap snapshot format.
-    /// A bare `REPL HELLO <lsn>` (a replica from before the binary
-    /// format existed) is served the JSON document instead, so rolling
-    /// upgrades (new primary, old replicas) keep seeding. Unknown
-    /// trailing capability tokens are ignored for the same reason in
-    /// the other direction.
+    /// `REPL HELLO <lsn> [capability…]` — a replica opening the stream,
+    /// carrying the last LSN it applied (0 = fresh). Trailing capability
+    /// tokens are ignored, so a newer replica's HELLO is still accepted.
     ReplHello {
         /// The replica's last applied LSN.
         lsn: u64,
-        /// Whether the replica advertised binary-snapshot support.
-        mmap: bool,
     },
     /// `COMPACT` — checkpoint the store and truncate the WAL prefix
     /// every in-grace replica has acknowledged (primaries only; the
@@ -382,24 +373,11 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
             Request::Batch(reqs)
         }
         "STATS" => Request::Stats,
-        "SAVE" => {
-            let (json, rest) = match rest.split_whitespace().next() {
-                Some(tok) if tok.eq_ignore_ascii_case("json") => {
-                    (true, rest.trim_start()[tok.len()..].trim_start())
-                }
-                _ => (false, rest),
-            };
-            Request::Save {
-                path: if rest.is_empty() {
-                    None
-                } else {
-                    Some(rest.to_owned())
-                },
-                json,
-            }
-        }
+        "SAVE" => Request::Save {
+            path: (!rest.is_empty()).then(|| rest.to_owned()),
+        },
         "REPL" => {
-            let usage = "usage: REPL HELLO <lsn> [MMAP]";
+            let usage = "usage: REPL HELLO <lsn>";
             let mut toks = rest.split_whitespace();
             match toks.next().map(str::to_ascii_uppercase).as_deref() {
                 Some("HELLO") => {
@@ -408,11 +386,10 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
                         .ok_or(usage)?
                         .parse::<u64>()
                         .map_err(|_| "REPL HELLO: lsn must be a non-negative integer")?;
-                    // Trailing tokens are capability advertisements;
-                    // unknown ones are ignored so an older primary
-                    // still accepts a newer replica's HELLO.
-                    let mmap = toks.any(|t| t.eq_ignore_ascii_case("MMAP"));
-                    Request::ReplHello { lsn, mmap }
+                    // Trailing tokens are capability advertisements,
+                    // ignored so this primary still accepts a newer
+                    // replica's HELLO.
+                    Request::ReplHello { lsn }
                 }
                 _ => return Err(usage.into()),
             }
@@ -660,29 +637,41 @@ mod tests {
 
     #[test]
     fn parses_repl_hello_with_and_without_mmap_capability() {
-        // A replica from before the binary snapshot format: bare HELLO.
-        assert_eq!(
-            parse_request("REPL HELLO 42").unwrap().unwrap(),
-            Request::ReplHello {
-                lsn: 42,
-                mmap: false
-            }
-        );
-        // A current replica advertises MMAP (case-insensitive).
-        assert_eq!(
-            parse_request("REPL HELLO 0 mmap").unwrap().unwrap(),
-            Request::ReplHello { lsn: 0, mmap: true }
-        );
-        // Unknown trailing capability tokens are ignored, so a *future*
-        // replica can keep talking to this primary (the same contract
-        // that lets today's replica send MMAP to an old primary).
-        assert_eq!(
-            parse_request("REPL HELLO 7 MMAP SOME-FUTURE-CAP")
-                .unwrap()
-                .unwrap(),
-            Request::ReplHello { lsn: 7, mmap: true }
-        );
+        // Bare, with the token every replica sends, and with one no
+        // primary has heard of yet: the same request. Capability tokens
+        // are ignored, so a *future* replica keeps talking to this primary.
+        for line in [
+            "REPL HELLO 7",
+            "REPL HELLO 7 MMAP",
+            "repl hello 7 mmap",
+            "REPL HELLO 7 MMAP SOME-FUTURE-CAP",
+        ] {
+            assert_eq!(
+                parse_request(line).unwrap().unwrap(),
+                Request::ReplHello { lsn: 7 },
+                "{line}"
+            );
+        }
         assert!(parse_request("REPL HELLO nope").is_err());
+        assert!(parse_request("REPL HELLO").is_err());
+    }
+
+    #[test]
+    fn save_takes_the_rest_of_the_line_as_its_path() {
+        let save = |path: Option<&str>| Request::Save {
+            path: path.map(str::to_owned),
+        };
+        assert_eq!(parse_request("SAVE").unwrap().unwrap(), save(None));
+        assert_eq!(parse_request("save  ").unwrap().unwrap(), save(None));
+        assert_eq!(
+            parse_request("SAVE /tmp/a b.img").unwrap().unwrap(),
+            save(Some("/tmp/a b.img"))
+        );
+        // No word after SAVE is a keyword: this names the file `JSON x`.
+        assert_eq!(
+            parse_request("SAVE JSON x").unwrap().unwrap(),
+            save(Some("JSON x"))
+        );
     }
 
     #[test]

@@ -8,18 +8,18 @@
 //! `REPL HELLO <lsn> MMAP` and applies what comes back through the same
 //! deterministic [`MatchService::apply_op`] path WAL replay uses.
 //!
-//! The trailing `MMAP` token negotiates the snapshot transfer format: a
-//! replica that advertises it is shipped the binary mmap image verbatim
-//! (loaded zero-copy from the transfer buffer), while a bare
-//! `REPL HELLO <lsn>` — a replica from before the binary format
-//! existed — is served the JSON document it understands. Either side
-//! may be upgraded first: an old primary ignores the unknown token, and
-//! a new replica sniffs the transfer's magic bytes to pick its loader.
+//! A snapshot transfer is the snapshot image ([`crate::mmapstore`]),
+//! shipped verbatim and loaded zero-copy from the transfer buffer. The
+//! trailing `MMAP` is a capability token from when a second format
+//! existed: the replica still sends it (a primary of that generation
+//! needs it to ship the image), and a primary ignores every token after
+//! the LSN. A transfer that is not an image is the loader's bad-magic
+//! error, and the replica retries.
 //!
 //! # Stream grammar (primary → replica, after the HELLO)
 //!
 //! ```text
-//! SNAP lsn=<l> bytes=<n>\n<n snapshot bytes>   full transfer, then streaming
+//! SNAP lsn=<l> bytes=<n>\n<n image bytes>      full transfer, then streaming
 //! OK lsn=<head>\n                              incremental catch-up possible
 //! OP <lsn> <op payload>\n                      one committed mutation
 //! PING lsn=<head>\n                            heartbeat (~500ms when idle)
@@ -49,9 +49,9 @@
 
 use crate::event_loop::ShutdownSignal;
 use crate::metrics::{ReplRole, ReplStats, WalMetrics, WalStats};
-use crate::service::{MatchService, SnapshotFormat};
+use crate::mmapstore::{self, ImageError};
+use crate::service::{LoadInfo, MatchService};
 use crate::shard::Cut;
-use crate::snapshot::StoreSnapshot;
 use crate::wal::{self, Op, Wal, WalCursor, WalError, WalRecord};
 use lexequal::MatchConfig;
 use std::collections::HashMap;
@@ -404,47 +404,21 @@ impl Replicator {
         service.store().cut(wal.head_lsn())
     }
 
-    /// Cut at the WAL head, then stream the binary image into `sink`
-    /// with no lock held (see [`cut`](Self::cut)); returns the cut the
-    /// image holds. A replica's binary seed is this call pointed at a
-    /// `Vec`; `SAVE` and the compaction checkpoint are the same two
-    /// steps around a temp file ([`save_snapshot_atomic_format`]).
-    ///
-    /// [`save_snapshot_atomic_format`]: Self::save_snapshot_atomic_format
+    /// Cut at the WAL head, then stream the image into `sink` with no
+    /// lock held (see [`cut`](Self::cut)); returns the cut the image
+    /// holds. A replica's seed is this call pointed at a `Vec` — exactly
+    /// what a snapshot file holds, so the replica loads the transfer
+    /// buffer directly; `SAVE` and the compaction checkpoint are the same
+    /// two steps around a temp file
+    /// ([`save_snapshot_atomic`](Self::save_snapshot_atomic)).
     pub fn checkpoint_to(
         &self,
         service: &MatchService,
-        sink: &mut impl crate::mmapstore::ImageSink,
-    ) -> Result<Cut, lexequal_mdb::DbError> {
+        sink: &mut impl mmapstore::ImageSink,
+    ) -> Result<Cut, ImageError> {
         let cut = self.cut(service);
-        crate::mmapstore::write_image(service.store(), &cut, sink)?;
+        mmapstore::write_image(service.store(), &cut, sink)?;
         Ok(cut)
-    }
-
-    /// Capture a store snapshot exact at the WAL head it is stamped
-    /// with, as bytes: returns `(image bytes, lsn)`. The commit lock is
-    /// held for the [`cut`](Self::cut) only, not while the bytes are
-    /// produced. With [`SnapshotFormat::Mmap`] the bytes are the binary
-    /// image — exactly what a snapshot file holds, so a replica that
-    /// advertised the capability loads the transfer buffer directly (or
-    /// persists it verbatim) with no re-encode. [`SnapshotFormat::Json`]
-    /// is the pre-binary wire document, kept for replicas that predate
-    /// the mmap format (rolling upgrades: new primary, old replicas).
-    pub fn snapshot_document(
-        &self,
-        service: &MatchService,
-        format: SnapshotFormat,
-    ) -> Result<(Vec<u8>, u64), lexequal_mdb::DbError> {
-        let mut bytes = Vec::new();
-        let cut = match format {
-            SnapshotFormat::Mmap => self.checkpoint_to(service, &mut bytes)?,
-            SnapshotFormat::Json => {
-                let cut = self.cut(service);
-                StoreSnapshot::capture_cut(service.store(), &cut).write_to(&mut bytes)?;
-                cut
-            }
-        };
-        Ok((bytes, cut.lsn))
     }
 
     /// Snapshot the store to `path` atomically (temp file, fsync,
@@ -458,20 +432,8 @@ impl Replicator {
         &self,
         service: &MatchService,
         path: &Path,
-    ) -> Result<u64, lexequal_mdb::DbError> {
-        self.save_snapshot_atomic_format(service, path, SnapshotFormat::Mmap)
-    }
-
-    /// [`save_snapshot_atomic`](Self::save_snapshot_atomic) in an
-    /// explicit format (`SAVE JSON` on a primary).
-    pub fn save_snapshot_atomic_format(
-        &self,
-        service: &MatchService,
-        path: &Path,
-        format: SnapshotFormat,
-    ) -> Result<u64, lexequal_mdb::DbError> {
-        self.save_cut_atomic(service, path, format)
-            .map(|(cut, _)| cut.lsn)
+    ) -> Result<u64, ImageError> {
+        self.save_cut_atomic(service, path).map(|(cut, _)| cut.lsn)
     }
 
     /// Cut, write the file, record `checkpoint_{ms,rows}_last`; returns
@@ -482,12 +444,11 @@ impl Replicator {
         &self,
         service: &MatchService,
         path: &Path,
-        format: SnapshotFormat,
-    ) -> Result<(Cut, u64), lexequal_mdb::DbError> {
+    ) -> Result<(Cut, u64), ImageError> {
         let _writer = self.snapshot_writer.lock().expect("snapshot writer lock");
         let start = Instant::now();
         let cut = self.cut(service);
-        service.save_cut(path, &cut, format)?;
+        mmapstore::write_file_atomic(service.store(), &cut, path)?;
         let ms = start.elapsed().as_millis() as u64;
         self.checkpoint_ms_last.store(ms, Ordering::Relaxed);
         self.checkpoint_rows_last
@@ -615,7 +576,7 @@ impl Replicator {
         };
 
         let (cut, checkpoint_ms) = self
-            .save_cut_atomic(service, &checkpoint, SnapshotFormat::Mmap)
+            .save_cut_atomic(service, &checkpoint)
             .map_err(|e| format!("checkpoint write failed: {e}"))?;
         let checkpoint_lsn = cut.lsn;
         self.checkpoint_lsn
@@ -708,14 +669,10 @@ fn io_other(e: impl std::fmt::Display) -> io::Error {
 
 /// Serve one replica's stream on the current thread until the link
 /// drops or the replicator stops. `hello_lsn` is the replica's last
-/// applied LSN (0 = fresh); `peer_mmap` is whether its HELLO advertised
-/// the binary snapshot format (a bare `REPL HELLO <lsn>` from a
-/// pre-binary replica gets the JSON document, so rolling upgrades keep
-/// seeding).
+/// applied LSN (0 = fresh).
 pub fn serve_replica(
     stream: TcpStream,
     hello_lsn: u64,
-    peer_mmap: bool,
     service: &MatchService,
     repl: &Replicator,
 ) -> io::Result<()> {
@@ -750,7 +707,7 @@ pub fn serve_replica(
     // the scope never hangs on join.
     let r = std::thread::scope(|s| {
         let reader = s.spawn(|| read_acks(reader_stream, repl, id));
-        let r = stream_to_replica(&mut w, hello_lsn, peer_mmap, service, repl, id);
+        let r = stream_to_replica(&mut w, hello_lsn, service, repl, id);
         shutdown_handle.shutdown(Shutdown::Both).ok();
         let _ = reader.join();
         r
@@ -797,16 +754,10 @@ fn read_acks(stream: TcpStream, repl: &Replicator, id: u64) {
 fn stream_to_replica(
     w: &mut impl Write,
     hello_lsn: u64,
-    peer_mmap: bool,
     service: &MatchService,
     repl: &Replicator,
     id: u64,
 ) -> io::Result<()> {
-    let format = if peer_mmap {
-        SnapshotFormat::Mmap
-    } else {
-        SnapshotFormat::Json
-    };
     let mut from = hello_lsn;
     if repl.can_serve_incremental(hello_lsn) {
         writeln!(w, "OK lsn={}", repl.head())?;
@@ -822,10 +773,11 @@ fn stream_to_replica(
                 repl.wal_first_lsn()
             );
         }
-        let (bytes, lsn) = repl.snapshot_document(service, format).map_err(io_other)?;
-        writeln!(w, "SNAP lsn={lsn} bytes={}", bytes.len())?;
-        w.write_all(&bytes)?;
-        from = lsn;
+        let mut image = Vec::new();
+        let cut = repl.checkpoint_to(service, &mut image).map_err(io_other)?;
+        writeln!(w, "SNAP lsn={} bytes={}", cut.lsn, image.len())?;
+        w.write_all(&image)?;
+        from = cut.lsn;
     }
     // The stream now owes everything past `from`, and the transfer in
     // flight provably carries state up to it — that floor (not 0) is
@@ -937,9 +889,9 @@ fn handshake_and_serve(
     let mut line = String::new();
     reader.read_line(&mut line)?;
     match crate::proto::parse_request(&line) {
-        Ok(Some(crate::proto::Request::ReplHello { lsn, mmap })) => {
+        Ok(Some(crate::proto::Request::ReplHello { lsn })) => {
             stream.set_read_timeout(None)?;
-            serve_replica(stream, lsn, mmap, service, repl)
+            serve_replica(stream, lsn, service, repl)
         }
         _ => {
             let mut stream = stream;
@@ -1038,8 +990,8 @@ pub enum ReplError {
     /// The primary spoke something this replica doesn't understand —
     /// or went silent past the heartbeat budget.
     Protocol(String),
-    /// The shipped snapshot failed to decode/restore.
-    Snapshot(lexequal_mdb::DbError),
+    /// The shipped snapshot is not an image this replica can load.
+    Snapshot(ImageError),
     /// The primary demanded a full snapshot transfer after this
     /// replica's store already held data: the lineages diverged (e.g.
     /// the primary lost its WAL) and live re-seeding is not supported —
@@ -1072,6 +1024,31 @@ fn kv_u64(tokens: &str, key: &str) -> Result<u64, ReplError> {
         .split_whitespace()
         .find_map(|t| t.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
         .ok_or_else(|| ReplError::Protocol(format!("missing {key}= in {tokens:?}")))
+}
+
+/// The transfer a `SNAP lsn=<l> bytes=<n>` header announces (`header` is
+/// the line past `SNAP `): `(image bytes, lsn)`. The buffer grows with
+/// the bytes that arrive, never with what the header claims, and a
+/// stream that ends short of `bytes=` — like an image stamped with another
+/// LSN than its header — is a retryable [`ReplError::Protocol`]. Bytes
+/// that are no image at all are left for the loader to name.
+fn read_snap(header: &str, reader: &mut impl Read) -> Result<(Vec<u8>, u64), ReplError> {
+    let lsn = kv_u64(header, "lsn")?;
+    let announced = kv_u64(header, "bytes")?;
+    let mut image = Vec::new();
+    reader.take(announced).read_to_end(&mut image)?;
+    if (image.len() as u64) < announced {
+        return Err(ReplError::Protocol(format!(
+            "snapshot transfer ended after {} of {announced} bytes",
+            image.len()
+        )));
+    }
+    match mmapstore::peek(&image) {
+        Some((image_lsn, _)) if image_lsn != lsn => Err(ReplError::Protocol(format!(
+            "snapshot says lsn {image_lsn} but the header said {lsn}"
+        ))),
+        _ => Ok((image, lsn)),
+    }
 }
 
 /// Sleep `*backoff` in shutdown-checking slices, then double it
@@ -1114,7 +1091,9 @@ pub fn initial_sync(
     }
 }
 
-fn try_initial_sync(
+/// One attempt of [`initial_sync`]: connect, `REPL HELLO 0 MMAP`, load the
+/// transfer.
+pub fn try_initial_sync(
     primary: &str,
     config: &MatchConfig,
     shards: Option<usize>,
@@ -1125,9 +1104,8 @@ fn try_initial_sync(
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     let mut w = stream.try_clone()?;
-    // Advertise binary-snapshot support; an older primary ignores the
-    // trailing token and ships JSON, which the magic sniff below still
-    // handles.
+    // `MMAP` is what a primary from when a second format existed ships
+    // the image for; today's ignores it.
     w.write_all(b"REPL HELLO 0 MMAP\n")?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
@@ -1142,55 +1120,22 @@ fn try_initial_sync(
             "expected SNAP for a fresh replica, got {header:?}"
         )));
     };
-    let lsn = kv_u64(rest, "lsn")?;
-    let nbytes = kv_u64(rest, "bytes")? as usize;
-    let mut bytes = vec![0u8; nbytes];
-    reader.read_exact(&mut bytes)?;
-    let start = std::time::Instant::now();
-    let service = if crate::mmapstore::is_binary(&bytes) {
-        // The primary ships the binary image verbatim: load the
-        // transfer buffer directly — no re-parse, no re-encode.
-        let image = crate::mmapstore::load_bytes(config.clone(), shards, bytes)
-            .map_err(ReplError::Snapshot)?;
-        if image.lsn != lsn {
-            return Err(ReplError::Protocol(format!(
-                "snapshot says lsn {} but the header said {lsn}",
-                image.lsn
-            )));
-        }
-        let service = MatchService::from_store(image.store, cache_capacity);
-        // A replica serves immediately after seeding, so its recorded
-        // access paths are rebuilt before the handshake completes.
-        for spec in image.builds {
-            service.build(spec);
-        }
-        service.set_load_info(crate::service::LoadInfo {
-            format: "mmap",
-            mapped_bytes: image.bytes,
-            load_ms: start.elapsed().as_millis() as u64,
-        });
-        service
-    } else {
-        let snap = StoreSnapshot::read_from(bytes.as_slice()).map_err(ReplError::Snapshot)?;
-        if snap.lsn() != lsn {
-            return Err(ReplError::Protocol(format!(
-                "snapshot says lsn {} but the header said {lsn}",
-                snap.lsn()
-            )));
-        }
-        let store = match shards {
-            Some(m) => snap.restore_with_shards(config.clone(), m),
-            None => snap.restore(config.clone()),
-        }
-        .map_err(ReplError::Snapshot)?;
-        let service = MatchService::from_store(store, cache_capacity);
-        service.set_load_info(crate::service::LoadInfo {
-            format: "json",
-            mapped_bytes: nbytes as u64,
-            load_ms: start.elapsed().as_millis() as u64,
-        });
-        service
-    };
+    let (image, lsn) = read_snap(rest, &mut reader)?;
+    let start = Instant::now();
+    // The transfer buffer becomes the store's backing allocation.
+    let image =
+        mmapstore::load_bytes(config.clone(), shards, image).map_err(ReplError::Snapshot)?;
+    let service = MatchService::from_store(image.store, cache_capacity);
+    // A replica serves immediately after seeding, so its recorded
+    // access paths are rebuilt before the handshake completes.
+    for spec in image.builds {
+        service.build(spec);
+    }
+    service.set_load_info(LoadInfo {
+        format: "mmap",
+        mapped_bytes: image.bytes,
+        load_ms: start.elapsed().as_millis() as u64,
+    });
     state.applied.store(lsn, Ordering::Release);
     state.head.fetch_max(lsn, Ordering::AcqRel);
     state.connected.store(true, Ordering::Release);
@@ -1280,10 +1225,7 @@ fn reconnect(
         )));
     }
     if let Some(rest) = header.strip_prefix("SNAP ") {
-        let lsn = kv_u64(rest, "lsn")?;
-        let nbytes = kv_u64(rest, "bytes")? as usize;
-        let mut bytes = vec![0u8; nbytes];
-        reader.read_exact(&mut bytes)?;
+        let (image, lsn) = read_snap(rest, &mut reader)?;
         if lsn < applied {
             state.divergences.fetch_add(1, Ordering::Relaxed);
             return Err(ReplError::NeedsResync(format!(
@@ -1291,7 +1233,7 @@ fn reconnect(
                  {applied}: histories diverged"
             )));
         }
-        let added = apply_snapshot_delta(service, bytes, lsn)?;
+        let added = apply_snapshot_delta(service, image)?;
         if !(added == 0 && service.is_empty()) {
             // A genuine mid-life re-seed, not the both-sides-fresh case.
             state.reseeds.fetch_add(1, Ordering::Relaxed);
@@ -1318,38 +1260,13 @@ fn reconnect(
 /// snapshot's recorded access paths. Returns how many entries were
 /// appended; a snapshot that contradicts local state is
 /// [`ReplError::NeedsResync`].
-fn apply_snapshot_delta(
-    service: &MatchService,
-    bytes: Vec<u8>,
-    lsn: u64,
-) -> Result<usize, ReplError> {
+fn apply_snapshot_delta(service: &MatchService, image: Vec<u8>) -> Result<usize, ReplError> {
     let operator = Arc::clone(service.store().operator());
     let shards = service.store().shards();
-    // Decode into a detached store; either transfer format works.
-    let (snap_store, builds) = if crate::mmapstore::is_binary(&bytes) {
-        let image = crate::mmapstore::load_owner(operator, Some(shards), Arc::new(bytes))
-            .map_err(ReplError::Snapshot)?;
-        if image.lsn != lsn {
-            return Err(ReplError::Protocol(format!(
-                "snapshot says lsn {} but the header said {lsn}",
-                image.lsn
-            )));
-        }
-        (image.store, image.builds)
-    } else {
-        let snap = StoreSnapshot::read_from(bytes.as_slice()).map_err(ReplError::Snapshot)?;
-        if snap.lsn() != lsn {
-            return Err(ReplError::Protocol(format!(
-                "snapshot says lsn {} but the header said {lsn}",
-                snap.lsn()
-            )));
-        }
-        let store = snap
-            .restore_with_shards(operator.config().clone(), shards)
-            .map_err(ReplError::Snapshot)?;
-        let builds = store.built_specs();
-        (store, builds)
-    };
+    // Load into a detached store over the transfer buffer.
+    let image = mmapstore::load_owner(operator, Some(shards), Arc::new(image))
+        .map_err(ReplError::Snapshot)?;
+    let (snap_store, builds) = (image.store, image.builds);
 
     let have = service.len() as u32;
     let snap_len = snap_store.len() as u32;
@@ -1522,55 +1439,42 @@ mod tests {
         ))
     }
 
-    /// Regression: replica seeding used to hard-code the binary image,
-    /// which broke rolling upgrades (new primary, pre-mmap replicas).
-    /// The transfer format now follows the peer's advertised
-    /// capability, and the JSON branch must still be the exact
-    /// pre-binary wire document an old replica can parse.
+    /// The one reader both handshakes share: it takes exactly the bytes
+    /// the header announces and leaves the stream behind them alone, and a
+    /// header the payload does not bear out is an error, not an allocation.
     #[test]
-    fn snapshot_document_format_follows_peer_capability() {
-        let primary = MatchService::new(ServiceConfig {
-            match_config: MatchConfig::default(),
-            shards: 2,
-            cache_capacity: 16,
-        });
-        let wal_path = temp_wal("format");
-        std::fs::remove_file(&wal_path).ok();
-        let metrics = Arc::new(WalMetrics::default());
-        let (wal, _replay) = Wal::open(&wal_path, 0, Arc::clone(&metrics)).expect("open wal");
-        let repl = Replicator::new(wal, metrics);
-        for text in ["Nehru", "Gandhi"] {
-            repl.commit_add(&primary, text, Language::English)
-                .expect("commit");
+    fn a_snap_transfer_is_read_to_its_announced_length_or_refused() {
+        let store = crate::shard::ShardedStore::new(MatchConfig::default(), 2);
+        let image = mmapstore::encode(&store, 9).expect("image");
+        let header = |lsn: u64, bytes: u64| format!("lsn={lsn} bytes={bytes}");
+        let n = image.len() as u64;
+
+        let mut stream = io::Cursor::new([&image[..], b"OP 10 A en Nehru\n"].concat());
+        let (read, lsn) = read_snap(&header(9, n), &mut stream).expect("whole transfer");
+        assert!(read == image && lsn == 9);
+        assert_eq!(stream.position(), n, "the op line is still to be read");
+
+        for (header, needle) in [
+            (header(9, n + 1), "ended after"),
+            (header(9, 4_000_000_000_000), "ended after"),
+            (header(9, u64::MAX), "ended after"),
+            (header(8, n), "snapshot says lsn 9"),
+            ("lsn=9".to_owned(), "missing bytes="),
+        ] {
+            match read_snap(&header, &mut io::Cursor::new(&image)) {
+                Err(ReplError::Protocol(what)) => assert!(what.contains(needle), "{what}"),
+                other => panic!(
+                    "{header}: {:?}",
+                    other.map(|(image, lsn)| (image.len(), lsn))
+                ),
+            }
         }
-
-        let (mmap_bytes, mmap_lsn) = repl
-            .snapshot_document(&primary, SnapshotFormat::Mmap)
-            .expect("binary document");
-        assert!(
-            crate::mmapstore::is_binary(&mmap_bytes),
-            "an MMAP-capable peer gets the binary image"
-        );
-
-        let (json_bytes, json_lsn) = repl
-            .snapshot_document(&primary, SnapshotFormat::Json)
-            .expect("json document");
-        assert!(
-            !crate::mmapstore::is_binary(&json_bytes),
-            "a bare-HELLO peer must never see binary bytes"
-        );
-        assert_eq!(mmap_lsn, json_lsn, "both formats stamp the WAL head");
-
-        let snap = StoreSnapshot::read_from(&json_bytes[..]).expect("old-format parse");
-        assert_eq!(snap.lsn(), json_lsn);
-
-        std::fs::remove_file(&wal_path).ok();
     }
 
     /// A live re-seed is one load: the rows the replica lacks come out of
-    /// the transferred snapshot — either format — and in through a loader,
-    /// across a chunk seam on every shard, and the replica ends up the
-    /// store the primary is: every entry, every path's answers, the image.
+    /// the transferred image and in through a loader, across a chunk seam
+    /// on every shard, and the replica ends up the store the primary is:
+    /// every entry, every path's answers, the image.
     #[test]
     fn a_snapshot_delta_is_one_load_and_leaves_the_primarys_store() {
         use crate::shard::{BuildSpec, CHUNK_ROWS};
@@ -1588,33 +1492,29 @@ mod tests {
         let rows = 2 * CHUNK_ROWS + 7;
         let primary = service(rows);
         primary.store().declare(BuildSpec::PhoneticIndex);
-        let mut json = Vec::new();
-        primary.store().save_to(&mut json).expect("json document");
-        let image = crate::mmapstore::encode(primary.store(), 0).expect("image");
-        for (format, bytes) in [("mmap", image.clone()), ("json", json)] {
-            for have in [0, 5, rows] {
-                let replica = service(have);
-                let added = apply_snapshot_delta(&replica, bytes.clone(), 0);
-                assert_eq!(added.expect("delta"), rows - have, "{format} from {have}");
-                assert_eq!(replica.len(), rows);
-                let reencoded = crate::mmapstore::encode(replica.store(), 0).expect("image");
-                assert!(reencoded == image, "{format} from {have}: image differs");
-                let q = primary.store().get(rows as u32 - 1).unwrap().phonemes;
-                for method in crate::metrics::ALL_METHODS {
-                    let method = Some(method).filter(|m| replica.is_built(*m));
-                    let method = method.unwrap_or(SearchMethod::Scan);
-                    assert_eq!(
-                        replica.store().search_phonemes(&q, 0.35, method),
-                        primary.store().search_phonemes(&q, 0.35, method),
-                        "{format} from {have}: {method:?}"
-                    );
-                }
+        let image = mmapstore::encode(primary.store(), 0).expect("image");
+        for have in [0, 5, rows] {
+            let replica = service(have);
+            let added = apply_snapshot_delta(&replica, image.clone());
+            assert_eq!(added.expect("delta"), rows - have, "from {have}");
+            assert_eq!(replica.len(), rows);
+            let reencoded = mmapstore::encode(replica.store(), 0).expect("image");
+            assert!(reencoded == image, "from {have}: image differs");
+            let q = primary.store().get(rows as u32 - 1).unwrap().phonemes;
+            for method in crate::metrics::ALL_METHODS {
+                let method = Some(method).filter(|m| replica.is_built(*m));
+                let method = method.unwrap_or(SearchMethod::Scan);
+                assert_eq!(
+                    replica.store().search_phonemes(&q, 0.35, method),
+                    primary.store().search_phonemes(&q, 0.35, method),
+                    "from {have}: {method:?}"
+                );
             }
         }
         // A snapshot that is not a continuation is refused, nothing added.
         let other = service(0);
         other.add("Gandhi", Language::English).expect("row");
-        let refused = apply_snapshot_delta(&other, image, 0);
+        let refused = apply_snapshot_delta(&other, image);
         assert!(matches!(refused, Err(ReplError::NeedsResync(_))));
         assert_eq!(other.len(), 1);
     }

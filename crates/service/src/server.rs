@@ -322,7 +322,7 @@ pub(crate) fn execute_request(
             snapshot.repl = ctx.repl_stats();
             vec![format_stats(&snapshot)]
         }
-        Request::Save { path, json } => execute_save(service, ctx, path.as_deref(), *json),
+        Request::Save { path } => execute_save(service, ctx, path.as_deref()),
         Request::Compact => vec![match (&ctx.repl, &ctx.replica) {
             (Some(repl), _) => match repl.compact(service) {
                 Ok(report) => format!(
@@ -358,16 +358,9 @@ pub(crate) fn execute_request(
     }
 }
 
-/// `SAVE [JSON] [path]`: snapshot the running store atomically, stamped
-/// with the WAL head (primary), the applied LSN (replica), or 0. The
-/// default format is the binary mmap image; `SAVE JSON` writes the
-/// debug/export document.
-fn execute_save(
-    service: &MatchService,
-    ctx: &ReqCtx,
-    path: Option<&str>,
-    json: bool,
-) -> Vec<String> {
+/// `SAVE [path]`: snapshot the running store atomically, stamped with
+/// the WAL head (primary), the applied LSN (replica), or 0.
+fn execute_save(service: &MatchService, ctx: &ReqCtx, path: Option<&str>) -> Vec<String> {
     let target = match path.map(PathBuf::from).or_else(|| ctx.save_path.clone()) {
         Some(t) => t,
         None => {
@@ -378,22 +371,15 @@ fn execute_save(
             ]
         }
     };
-    let format = if json {
-        crate::service::SnapshotFormat::Json
-    } else {
-        crate::service::SnapshotFormat::Mmap
-    };
     let saved = if let Some(repl) = &ctx.repl {
         // Cut under the commit lock, written outside it: the snapshot
         // is exact at its LSN and commits flow during the write.
-        repl.save_snapshot_atomic_format(service, &target, format)
+        repl.save_snapshot_atomic(service, &target)
     } else {
         // On a replica the apply loop may advance while capturing; the
         // stamped LSN is a lower bound (see DESIGN §5e).
         let lsn = ctx.replica.as_ref().map_or(0, |s| s.applied());
-        service
-            .save_snapshot_with_lsn_format(&target, lsn, format)
-            .map(|()| lsn)
+        service.save_snapshot_with_lsn(&target, lsn).map(|()| lsn)
     };
     match saved {
         Ok(lsn) => vec![format!(

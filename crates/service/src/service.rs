@@ -9,37 +9,17 @@
 
 use crate::cache::TransformCache;
 use crate::metrics::{method_index, ConnStats, ServiceMetrics, UntaggedStats};
+use crate::mmapstore::{self, ImageError};
 use crate::shard::{BuildSpec, CoverStats, PendingSearch, ShardedStore};
 use lexequal::store::NameEntry;
 use lexequal::{G2pError, Language, MatchConfig, QgramMode, SearchMethod};
 use lexequal_g2p::{Route, Router, ScriptProfile};
 use lexequal_lexicon::{Corpus, SyntheticDataset, SyntheticPairs};
+use std::io::Read;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Snapshot serialization formats the service can read and write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    /// The zero-copy memory-mapped binary format ([`crate::mmapstore`]) —
-    /// the default for every save path.
-    Mmap,
-    /// The versioned JSON document ([`crate::snapshot`]) — kept as an
-    /// explicit debug/export format (`SAVE JSON`, `--snapshot-format
-    /// json`).
-    Json,
-}
-
-impl SnapshotFormat {
-    /// Wire/log name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SnapshotFormat::Mmap => "mmap",
-            SnapshotFormat::Json => "json",
-        }
-    }
-}
 
 /// How this service's corpus came to be — surfaced in `STATS`
 /// (`snapshot_format=`/`mmap_bytes=`/`load_ms=`) and the daemon's
@@ -47,11 +27,10 @@ impl SnapshotFormat {
 /// of regression is visible instead of silent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadInfo {
-    /// `"mmap"`, `"json"`, or `"rebuild"` (fresh store, corpus built
-    /// from source).
+    /// `"mmap"` (started from an image: a file, or a replica's
+    /// transfer) or `"rebuild"` (fresh store, corpus built from source).
     pub format: &'static str,
-    /// Bytes mapped (mmap) or transferred (replica seeding); 0 for
-    /// JSON loads and rebuilds.
+    /// Bytes mapped or transferred; 0 for a rebuild.
     pub mapped_bytes: u64,
     /// Validate-to-serve-ready time in milliseconds.
     pub load_ms: u64,
@@ -71,18 +50,15 @@ impl Default for LoadInfo {
 pub struct SnapshotLoad {
     /// The serving handle (scan path ready; see `pending_builds`).
     pub service: MatchService,
-    /// WAL LSN the snapshot covers (0 for pre-replication snapshots).
+    /// WAL LSN the snapshot covers (0 when it was written without a WAL).
     pub lsn: u64,
-    /// Which format the file turned out to be.
-    pub format: SnapshotFormat,
-    /// Bytes mapped (0 for JSON).
+    /// Bytes mapped.
     pub mapped_bytes: u64,
     /// Validate-to-serve-ready time in milliseconds.
     pub load_ms: u64,
-    /// Access paths the snapshot records that are declared — exact —
-    /// but not covered yet. Empty for JSON loads (which build
-    /// synchronously); for mmap loads the caller chooses — cover in the
-    /// background (`lexequald`) or synchronously (tests, replicas) via
+    /// Access paths the snapshot records: declared — exact — but not
+    /// covered yet. The caller chooses — cover in the background
+    /// (`lexequald`) or synchronously (tests, replicas) via
     /// [`MatchService::build`].
     pub pending_builds: Vec<BuildSpec>,
 }
@@ -254,38 +230,33 @@ impl MatchService {
     }
 
     /// Persist the store (entries, striping, declared access paths) to
-    /// `path` in the default (binary mmap) format — see
-    /// [`crate::mmapstore`].
-    pub fn save_snapshot(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), lexequal_mdb::DbError> {
+    /// `path` as a snapshot image — see [`crate::mmapstore`].
+    pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), ImageError> {
         self.save_snapshot_with_lsn(path, 0)
     }
 
-    /// Build a service around a store loaded from a snapshot file,
-    /// detecting the format by magic. `shards`: `None` accepts the
-    /// snapshot's own shard count, `Some(m)` insists on `m`.
+    /// Build a service around a store loaded from a snapshot file.
+    /// `shards`: `None` accepts the snapshot's own shard count, `Some(m)`
+    /// insists on `m`.
     pub fn load_snapshot(
         match_config: MatchConfig,
         shards: Option<usize>,
         cache_capacity: usize,
         path: impl AsRef<std::path::Path>,
-    ) -> Result<Self, lexequal_mdb::DbError> {
+    ) -> Result<Self, ImageError> {
         Self::load_snapshot_with_lsn(match_config, shards, cache_capacity, path).map(|(s, _)| s)
     }
 
     /// [`load_snapshot`](Self::load_snapshot), also returning the WAL
-    /// LSN the snapshot covers (0 for pre-replication snapshots) so the
-    /// daemon knows where log replay starts. Recorded access paths are
-    /// covered synchronously before returning; use
-    /// [`load_snapshot_auto`](Self::load_snapshot_auto) to defer that.
+    /// LSN the snapshot covers, which is where log replay starts.
+    /// Recorded access paths are covered synchronously before returning;
+    /// use [`load_snapshot_auto`](Self::load_snapshot_auto) to defer that.
     pub fn load_snapshot_with_lsn(
         match_config: MatchConfig,
         shards: Option<usize>,
         cache_capacity: usize,
         path: impl AsRef<std::path::Path>,
-    ) -> Result<(Self, u64), lexequal_mdb::DbError> {
+    ) -> Result<(Self, u64), ImageError> {
         let load = Self::load_snapshot_auto(match_config, shards, cache_capacity, path)?;
         for spec in load.pending_builds {
             load.service.build(spec);
@@ -293,52 +264,29 @@ impl MatchService {
         Ok((load.service, load.lsn))
     }
 
-    /// Load a snapshot with format detection by magic: binary images
-    /// are `mmap`ed and served zero-copy out of the mapping (scan path
-    /// ready as soon as validation passes — O(1) cold start), JSON
-    /// documents take the legacy parse-and-rebuild path. The returned
-    /// [`SnapshotLoad`] carries provenance for logs/STATS plus any
-    /// recorded access paths not yet covered.
+    /// Map the snapshot image at `path` and serve out of the mapping:
+    /// the scan path and every recorded access path answer as soon as
+    /// validation passes — an O(1) cold start. The returned
+    /// [`SnapshotLoad`] carries provenance for logs/STATS plus the
+    /// recorded access paths, none covered yet. A file that is not an
+    /// image is [`crate::mmapstore`]'s bad-magic error.
     pub fn load_snapshot_auto(
         match_config: MatchConfig,
         shards: Option<usize>,
         cache_capacity: usize,
         path: impl AsRef<std::path::Path>,
-    ) -> Result<SnapshotLoad, lexequal_mdb::DbError> {
-        let path = path.as_ref();
+    ) -> Result<SnapshotLoad, ImageError> {
         let start = Instant::now();
-        let load = if crate::mmapstore::sniff_file(path) {
-            let image = crate::mmapstore::load_file(match_config, shards, path)?;
-            let service = MatchService::from_store(image.store, cache_capacity);
-            SnapshotLoad {
-                service,
-                lsn: image.lsn,
-                format: SnapshotFormat::Mmap,
-                mapped_bytes: image.bytes,
-                load_ms: start.elapsed().as_millis() as u64,
-                pending_builds: image.builds,
-            }
-        } else {
-            let f = std::fs::File::open(path).map_err(|e| {
-                lexequal_mdb::DbError::Unsupported(format!("store snapshot open: {e}"))
-            })?;
-            let snap = crate::snapshot::StoreSnapshot::read_from(std::io::BufReader::new(f))?;
-            let lsn = snap.lsn();
-            let store = match shards {
-                Some(m) => snap.restore_with_shards(match_config, m),
-                None => snap.restore(match_config),
-            }?;
-            SnapshotLoad {
-                service: MatchService::from_store(store, cache_capacity),
-                lsn,
-                format: SnapshotFormat::Json,
-                mapped_bytes: 0,
-                load_ms: start.elapsed().as_millis() as u64,
-                pending_builds: Vec::new(),
-            }
+        let image = mmapstore::load_file(match_config, shards, path)?;
+        let load = SnapshotLoad {
+            service: MatchService::from_store(image.store, cache_capacity),
+            lsn: image.lsn,
+            mapped_bytes: image.bytes,
+            load_ms: start.elapsed().as_millis() as u64,
+            pending_builds: image.builds,
         };
         load.service.set_load_info(LoadInfo {
-            format: load.format.name(),
+            format: "mmap",
             mapped_bytes: load.mapped_bytes,
             load_ms: load.load_ms,
         });
@@ -346,59 +294,29 @@ impl MatchService {
     }
 
     /// The WAL LSN the snapshot file at `path` covers, without restoring
-    /// a store from it: a header peek for a binary image, a parse for a
-    /// JSON document.
-    pub fn snapshot_lsn(path: impl AsRef<std::path::Path>) -> Result<u64, lexequal_mdb::DbError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| lexequal_mdb::DbError::Unsupported(format!("store snapshot open: {e}")))?;
-        match crate::mmapstore::peek(&bytes) {
-            Some((lsn, _)) => Ok(lsn),
-            None => crate::snapshot::StoreSnapshot::read_from(&bytes[..]).map(|s| s.lsn()),
-        }
+    /// a store from it: a header peek.
+    pub fn snapshot_lsn(path: impl AsRef<std::path::Path>) -> Result<u64, ImageError> {
+        let mut header = [0u8; mmapstore::HEADER_LEN];
+        std::fs::File::open(path)
+            .and_then(|mut f| f.read_exact(&mut header))
+            .map_err(|e| ImageError::Unsupported(format!("store snapshot open: {e}")))?;
+        let (lsn, _) = mmapstore::peek(&header).ok_or_else(mmapstore::bad_magic)?;
+        Ok(lsn)
     }
 
     /// Persist the store atomically (temp file + rename), stamping the
-    /// WAL LSN the state corresponds to, in the default (binary mmap)
-    /// format. The image holds the rows published when the call began;
-    /// `lsn` is exact for them only if the caller holds its writes off
-    /// for that instant (a primary does not come through here: it cuts
-    /// under its commit lock, see [`crate::repl::Replicator::cut`]).
+    /// WAL LSN the state corresponds to. The image holds the rows
+    /// published when the call began; `lsn` is exact for them only if the
+    /// caller holds its writes off for that instant (a primary does not
+    /// come through here: it cuts under its commit lock, see
+    /// [`crate::repl::Replicator::cut`]). No lock is held during the
+    /// write: it reads the store's immutable prefix, so mutations proceed.
     pub fn save_snapshot_with_lsn(
         &self,
         path: impl AsRef<std::path::Path>,
         lsn: u64,
-    ) -> Result<(), lexequal_mdb::DbError> {
-        self.save_snapshot_with_lsn_format(path, lsn, SnapshotFormat::Mmap)
-    }
-
-    /// [`save_snapshot_with_lsn`](Self::save_snapshot_with_lsn) in an
-    /// explicit format (`SAVE JSON` keeps the human-readable document
-    /// available as a debug/export path).
-    pub fn save_snapshot_with_lsn_format(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        lsn: u64,
-        format: SnapshotFormat,
-    ) -> Result<(), lexequal_mdb::DbError> {
-        self.save_cut(path, &self.store.cut(lsn), format)
-    }
-
-    /// Persist exactly the rows and declared paths of `cut` to `path`,
-    /// atomically, without holding any lock: the capture reads the
-    /// store's immutable prefix, so mutations proceed during the write.
-    pub(crate) fn save_cut(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        cut: &crate::shard::Cut,
-        format: SnapshotFormat,
-    ) -> Result<(), lexequal_mdb::DbError> {
-        match format {
-            SnapshotFormat::Mmap => {
-                crate::mmapstore::write_file_atomic(&self.store, cut, path).map(|_| ())
-            }
-            SnapshotFormat::Json => crate::snapshot::StoreSnapshot::capture_cut(&self.store, cut)
-                .write_to_file_atomic(path),
-        }
+    ) -> Result<(), ImageError> {
+        mmapstore::write_file_atomic(&self.store, &self.store.cut(lsn), path).map(|_| ())
     }
 
     /// The underlying sharded store.
@@ -1090,9 +1008,9 @@ pub struct StatsSnapshot {
     /// fan-out widths, dedupe hits. All-zero until the first untagged
     /// request, and the `STATS` line omits the block while it is.
     pub untagged: UntaggedStats,
-    /// How the store came up: snapshot format served from (`mmap` |
-    /// `json`), bytes mapped, and validate-to-serve-ready time.
-    /// `format: "rebuild"` when no snapshot was loaded.
+    /// How the store came up: `format: "mmap"` with the bytes mapped and
+    /// the validate-to-serve-ready time, or `format: "rebuild"` when no
+    /// snapshot was loaded.
     pub load: LoadInfo,
     /// Declared access paths, the rows their indices do not cover yet,
     /// and what covering has cost.

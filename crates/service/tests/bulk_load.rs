@@ -223,15 +223,6 @@ fn every_door_fills_the_store_that_insert_fills() {
                 assert_same_store(&extended, &want, &what("extend_transformed"));
             }
         }
-
-        // The snapshot restore that copies: a JSON document.
-        let want = Start::Empty.store(shards);
-        want.extend_transformed(rows(full + 1));
-        let mut json = Vec::new();
-        want.save_to(&mut json).expect("json document");
-        let restored = ShardedStore::load_from(MatchConfig::default(), Some(shards), &json[..]);
-        let what = format!("json, {shards} shard(s)");
-        assert_same_store(&restored.expect("restore"), &want, &what);
     }
 }
 

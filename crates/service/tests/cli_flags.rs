@@ -84,12 +84,30 @@ fn missing_and_corrupt_snapshots_fail_cleanly() {
     assert!(stderr.contains("cannot load snapshot"), "{stderr}");
 
     let path =
-        std::env::temp_dir().join(format!("lexequal_cli_corrupt_{}.json", std::process::id()));
+        std::env::temp_dir().join(format!("lexequal_cli_corrupt_{}.img", std::process::id()));
     std::fs::write(&path, b"{ not a snapshot").expect("write corrupt file");
     let (ok, stderr) = run_expect_exit(&["--snapshot", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
     assert!(!ok, "corrupt snapshot must not serve");
     assert!(stderr.contains("cannot load snapshot"), "{stderr}");
+
+    // What `SAVE JSON` wrote before the image became the only snapshot
+    // format (a PR-22 daemon, two names, `BUILD PHONIDX`): well-formed,
+    // and no longer a snapshot — there is no second parser to fall to.
+    let retired = r#"{"format":"lexequal-store-snapshot","version":1,"shards":2,"names":2,"lsn":0,"fingerprint":"3b0b3026fbb326d1","builds":[{"path":"phonidx"}],"sections":[[["Nehru","English","nɛru","060b070d"]],[["नेहरु","Hindi","neɦrʊ","060b08070d"]]]}"#;
+    std::fs::write(&path, retired).expect("write retired document");
+    let (ok, stderr) = run_expect_exit(&["--snapshot", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert!(!ok, "a JSON document must not serve");
+    assert!(stderr.contains("cannot load snapshot"), "{stderr}");
+    assert!(stderr.contains("bad magic"), "{stderr}");
+    // Nor is there a flag left to ask for it with.
+    assert_usage_error(
+        &["--snapshot-format", "json"],
+        &["--snapshot-format", "unknown flag"],
+    );
+    let help = lexequald().arg("--help").output().expect("spawn");
+    assert!(!String::from_utf8_lossy(&help.stdout).contains("--snapshot-format"));
 }
 
 /// A running daemon child whose stderr is consumed line by line.
@@ -163,7 +181,7 @@ impl Drop for Server {
 /// and assert the restarted daemon answers a MATCH bit-identically.
 #[test]
 fn snapshot_written_by_one_run_serves_the_next() {
-    let snap = std::env::temp_dir().join(format!("lexequal_cli_cycle_{}.json", std::process::id()));
+    let snap = std::env::temp_dir().join(format!("lexequal_cli_cycle_{}.img", std::process::id()));
     let snap_str = snap.to_str().unwrap().to_owned();
 
     let mut first = Server::spawn(&[

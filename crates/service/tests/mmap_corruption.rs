@@ -3,7 +3,7 @@
 //! truncation at every prefix, a full header byte sweep, bad
 //! magic/version/endianness, out-of-bounds and misaligned section
 //! offsets, checksum flips, and hostile entry records — must come back
-//! as a *named* `DbError`, never a panic and never undefined behaviour.
+//! as a *named* `ImageError`, never a panic and never undefined behaviour.
 //!
 //! The test speaks the on-disk layout directly (header offsets, record
 //! shapes, the word-folded FNV-1a section checksum), deliberately
@@ -11,8 +11,7 @@
 //! `mmapstore`'s own constants.
 
 use lexequal::{Language, MatchConfig};
-use lexequal_mdb::DbError;
-use lexequal_service::{mmapstore, MatchService, ServiceConfig};
+use lexequal_service::{mmapstore, ImageError, MatchService, ServiceConfig};
 
 /// Fixed header size: 40 bytes + 6 section-table entries of 24 bytes
 /// (a version-2 image; version 1 had 5 entries and a 160-byte header).
@@ -79,7 +78,7 @@ fn small_image() -> Vec<u8> {
     mmapstore::encode(service.store(), 9).expect("encode")
 }
 
-fn load(bytes: Vec<u8>) -> Result<mmapstore::LoadedImage, DbError> {
+fn load(bytes: Vec<u8>) -> Result<mmapstore::LoadedImage, ImageError> {
     mmapstore::load_bytes(MatchConfig::default(), None, bytes)
 }
 
@@ -103,7 +102,7 @@ fn reseal(image: &mut [u8], i: usize) {
 /// Load must fail with a `Parse` error naming the problem.
 fn expect_named_err(bytes: Vec<u8>, needle: &str) {
     match load(bytes) {
-        Err(DbError::Parse(msg)) => assert!(
+        Err(ImageError::Parse(msg)) => assert!(
             msg.contains(needle),
             "error {msg:?} does not name {needle:?}"
         ),
@@ -439,7 +438,7 @@ fn garbage_and_tiny_files_error_cleanly() {
 fn shard_pin_mismatch_is_a_contract_error_not_corruption() {
     let image = small_image();
     match mmapstore::load_bytes(MatchConfig::default(), Some(3), image) {
-        Err(DbError::Unsupported(msg)) => {
+        Err(ImageError::Unsupported(msg)) => {
             assert!(msg.contains("2 shard(s) but 3 were requested"), "{msg}");
             assert!(msg.contains("re-striping"), "{msg}");
         }

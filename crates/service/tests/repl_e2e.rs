@@ -6,7 +6,7 @@
 //! primary-after-restart, and the replica.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -152,7 +152,7 @@ fn battery(server: &Server) -> Vec<String> {
 #[test]
 fn replica_and_recovered_primary_answer_byte_identically() {
     let wal = TempPath::new("e2e.wal");
-    let snap = TempPath::new("e2e.snap.json");
+    let snap = TempPath::new("e2e.snap.img");
 
     // Primary with a WAL, empty store.
     let mut primary = Server::spawn(&[
@@ -320,7 +320,7 @@ fn replica_and_recovered_primary_answer_byte_identically() {
 /// file restarts a daemon; no path and no default is a clean error.
 #[test]
 fn save_command_works_standalone() {
-    let snap = TempPath::new("standalone.snap.json");
+    let snap = TempPath::new("standalone.snap.img");
     let mut server = Server::spawn(&["--addr", "127.0.0.1:0", "--shards", "2", "--preload", "300"]);
     server.wait_serving();
 
@@ -349,7 +349,7 @@ fn save_command_works_standalone() {
 /// `--save-snapshot` doubles as the `SAVE` default target.
 #[test]
 fn save_without_path_uses_the_configured_default() {
-    let snap = TempPath::new("default.snap.json");
+    let snap = TempPath::new("default.snap.img");
     let mut server = Server::spawn(&[
         "--addr",
         "127.0.0.1:0",
@@ -363,4 +363,70 @@ fn save_without_path_uses_the_configured_default() {
     let saved = server.request("SAVE");
     assert!(saved.starts_with("OK saved="), "{saved}");
     assert!(saved.contains(snap.as_str()), "{saved}");
+}
+
+/// Regression: a replica sized its transfer buffer from the `SNAP`
+/// header before a payload byte had arrived, so a confused or hostile
+/// peer's `bytes=` aborted it (allocation failure at 4 TB, `capacity
+/// overflow` at `u64::MAX`). Memory follows the bytes received, and a
+/// transfer that ends short is one more handshake failure to retry.
+#[test]
+fn a_snap_header_that_lies_about_its_length_is_retried_not_fatal() {
+    let headers: [(&str, &[u8]); 3] = [
+        ("SNAP lsn=0 bytes=4000000000000", b""),
+        ("SNAP lsn=0 bytes=18446744073709551615", b""),
+        ("SNAP lsn=0 bytes=1000", b"ten bytes."),
+    ];
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    // A scripted primary: one header (and what payload there is) per
+    // connection, then the socket closes.
+    let primary = std::thread::spawn(move || {
+        for (header, payload) in headers {
+            let (mut conn, _) = listener.accept().expect("accept replica");
+            let mut hello = String::new();
+            let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+            reader.read_line(&mut hello).expect("read hello");
+            assert_eq!(hello, "REPL HELLO 0 MMAP\n");
+            conn.write_all(format!("{header}\n").as_bytes())
+                .expect("write header");
+            conn.write_all(payload).expect("write payload");
+        }
+    });
+
+    let mut replica = Server::spawn(&["--addr", "127.0.0.1:0", "--replica-of", &addr]);
+    let mut retries = Vec::new();
+    while retries.len() < headers.len() {
+        let mut line = String::new();
+        let n = replica.stderr.read_line(&mut line).expect("read stderr");
+        assert!(n > 0, "replica died; retries so far: {retries:?}");
+        if line.contains("initial sync with") && line.contains("retrying") {
+            retries.push(line);
+        }
+    }
+    primary.join().expect("scripted primary");
+    for (retry, (header, payload)) in retries.iter().zip(headers) {
+        let announced = header.rsplit('=').next().expect("bytes=");
+        let ended = format!("ended after {} of {announced} bytes", payload.len());
+        assert!(retry.contains(&ended), "{header}: {retry}");
+    }
+    assert!(
+        replica.child.try_wait().expect("poll replica").is_none(),
+        "the replica is still up"
+    );
+    // It never held more than it was sent: far under the advertised 4 TB.
+    let status = std::fs::read_to_string(format!("/proc/{}/status", replica.child.id()));
+    if let Ok(status) = status {
+        let hwm_kb: u64 = status
+            .lines()
+            .find_map(|l| {
+                l.strip_prefix("VmHWM:")?
+                    .split_whitespace()
+                    .next()?
+                    .parse()
+                    .ok()
+            })
+            .expect("VmHWM");
+        assert!(hwm_kb < 256 * 1024, "replica peaked at {hwm_kb} kB");
+    }
 }

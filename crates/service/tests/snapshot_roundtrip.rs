@@ -3,11 +3,11 @@
 //! `SearchResult`s on all four access paths, identical entries under
 //! every global id, and identical serving behaviour through
 //! `MatchService`. Corrupt or truncated snapshot files must come back
-//! as clean `DbError`s, never panics.
+//! as clean `ImageError`s, never panics.
 
 use lexequal::{Language, MatchConfig, SearchMethod};
 use lexequal_lexicon::build_dataset;
-use lexequal_service::{MatchOutcome, MatchRequest, MatchService, ServiceConfig, ShardedStore};
+use lexequal_service::{mmapstore, MatchOutcome, MatchRequest, MatchService, ServiceConfig};
 use std::path::PathBuf;
 
 /// A self-cleaning temp path.
@@ -82,7 +82,7 @@ fn battery() -> Vec<(String, Language, f64)> {
 #[test]
 fn reloaded_service_is_bit_identical_on_all_four_access_paths() {
     let original = populated_service(3);
-    let path = TempPath::new("roundtrip.json");
+    let path = TempPath::new("roundtrip.img");
     original.save_snapshot(&path.0).expect("save");
 
     let loaded =
@@ -120,10 +120,12 @@ fn reloaded_service_is_bit_identical_on_all_four_access_paths() {
 #[test]
 fn store_level_search_results_survive_the_round_trip() {
     let original = populated_service(2);
-    let mut buf = Vec::new();
-    original.store().save_to(&mut buf).expect("save");
-    let loaded =
-        ShardedStore::load_from(MatchConfig::default(), None, buf.as_slice()).expect("load");
+    let image = mmapstore::encode(original.store(), 0).expect("encode");
+    let image = mmapstore::load_bytes(MatchConfig::default(), None, image).expect("load");
+    let loaded = image.store;
+    for spec in image.builds {
+        loaded.build(spec);
+    }
 
     for (text, language, e) in battery() {
         for method in METHODS {
@@ -141,7 +143,7 @@ fn store_level_search_results_survive_the_round_trip() {
 fn get_by_global_id_is_stable_across_reload() {
     for shards in [1, 2, 3, 5] {
         let original = populated_service(shards);
-        let path = TempPath::new(&format!("idstable_{shards}.json"));
+        let path = TempPath::new(&format!("idstable_{shards}.img"));
         original.save_snapshot(&path.0).expect("save");
         let loaded =
             MatchService::load_snapshot(MatchConfig::default(), None, 16, &path.0).expect("load");
@@ -168,7 +170,7 @@ fn get_by_global_id_is_stable_across_reload() {
 #[test]
 fn corrupted_and_truncated_snapshot_files_error_cleanly() {
     let original = populated_service(2);
-    let path = TempPath::new("corrupt.json");
+    let path = TempPath::new("corrupt.img");
     original.save_snapshot(&path.0).expect("save");
     let full = std::fs::read(&path.0).expect("read snapshot back");
 
@@ -187,19 +189,19 @@ fn corrupted_and_truncated_snapshot_files_error_cleanly() {
             Err(e) => e,
             Ok(_) => panic!("corpse {i} ({} bytes) loaded", bytes.len()),
         };
-        // A clean DbError with a message, not a panic.
+        // A clean ImageError with a message, not a panic.
         assert!(!err.to_string().is_empty());
     }
 
     // A missing file is also a clean error.
-    let gone = TempPath::new("never_written.json");
+    let gone = TempPath::new("never_written.img");
     assert!(MatchService::load_snapshot(MatchConfig::default(), None, 16, &gone.0).is_err());
 }
 
 #[test]
 fn shard_count_pin_must_match_the_snapshot() {
     let original = populated_service(2);
-    let path = TempPath::new("shardpin.json");
+    let path = TempPath::new("shardpin.img");
     original.save_snapshot(&path.0).expect("save");
 
     let err = match MatchService::load_snapshot(MatchConfig::default(), Some(4), 16, &path.0) {
@@ -219,7 +221,7 @@ fn reloaded_service_keeps_serving_writes_and_rebuilds() {
     // The restored store is a first-class store: appends, rebuilds and
     // a second snapshot generation all work.
     let original = populated_service(2);
-    let path = TempPath::new("generations.json");
+    let path = TempPath::new("generations.img");
     original.save_snapshot(&path.0).expect("save");
     let loaded =
         MatchService::load_snapshot(MatchConfig::default(), None, 16, &path.0).expect("load");
@@ -231,7 +233,7 @@ fn reloaded_service_keeps_serving_writes_and_rebuilds() {
     assert_eq!(loaded.stats().cover.tails, [0, 1, 1, 1]);
     // ...which is how the second-generation snapshot records them: it
     // round-trips the larger store with no build in between.
-    let path2 = TempPath::new("generations2.json");
+    let path2 = TempPath::new("generations2.img");
     loaded.save_snapshot(&path2.0).expect("save gen2");
     let gen2 =
         MatchService::load_snapshot(MatchConfig::default(), None, 16, &path2.0).expect("load gen2");

@@ -45,4 +45,9 @@ echo "== cargo bench --no-run"
 # restored criterion dependency this covers the bench *binaries* only.
 cargo bench --workspace --offline --no-run
 
+echo "== line counts (whole .rs files, bin/ included; ROADMAP item 2's exit criterion)"
+for dir in crates/service/src crates/core/src; do
+    echo "$dir $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
+done
+
 echo "ci: all green"

@@ -318,7 +318,7 @@ impl QgramFilter {
     /// [`candidates`](Self::candidates) over a column of `rows` rows that
     /// has grown past the index: the rows appended since the build (ids
     /// `len()..rows`, read through `row`) are each put to the same three
-    /// filters pair-wise ([`shared_grams`] matches a row's grams the way
+    /// filters pair-wise (`shared_grams` matches a row's grams the way
     /// the posting walk does), so the answer is that of an index over
     /// every row.
     pub fn candidates_with_tail<'a>(

@@ -2,7 +2,7 @@
 //!
 //! A row is five values — text, language, phoneme ids, cluster ids
 //! (parallel to the phonemes byte for byte) and a fixed-width embedding —
-//! and [`Columns`] keeps each as one column over two segments:
+//! and `Columns` keeps each as one column over two segments:
 //!
 //! * an optional immutable **base**: one shard's rows of a snapshot image
 //!   ([`Base`]), read where they lie — in the mapping, or in the buffer a

@@ -391,7 +391,7 @@ fn qgram_spec(f: &QgramFilter) -> BuildSpec {
 }
 
 /// Whether an index over `covered` of a store's `rows` rows is due a
-/// re-cover: its tail holds at least [`RECOVER_FLOOR`] rows and a quarter
+/// re-cover: its tail holds at least `RECOVER_FLOOR` rows and a quarter
 /// of the prefix. A search then does pair-wise work on at most a quarter
 /// of what its index spares it, and rebuilding over `n` rows every `n / 4`
 /// appends keeps covering amortised O(1) per append; the floor keeps small

@@ -11,8 +11,8 @@
 //! The tree is *id-keyed*: it indexes ids `0..n` of a column of strings the
 //! caller owns and stores no key itself — every method takes the column as
 //! `key: impl Fn(u32) -> &[u8]`. Node `i` is id `i`'s node, so the whole
-//! tree is two flat vectors of fixed-size records: one [`Node`] per id and
-//! one [`Edge`] per distinct key below the root.
+//! tree is two flat vectors of fixed-size records: one `Node` per id and
+//! one `Edge` per distinct key below the root.
 //!
 //! Both walks measure with one [`Probe`] built once per key: the inserted
 //! key's (or the query's) [`MyersPattern`], asked for the exact distance

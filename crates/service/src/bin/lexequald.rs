@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! lexequald [--addr HOST:PORT] [--shards N] [--cache N] [--threshold E] [--preload N]
-//!           [--cost-model clustered|feature] [--no-embed-screen]
 //!           [--snapshot PATH] [--save-snapshot PATH] [--wal PATH]
 //!           [--wal-max-bytes N] [--wal-ack-grace SECS]
 //!           [--replica-of HOST:PORT] [--repl-listen HOST:PORT]
@@ -16,6 +15,8 @@
 //! `--workers` verify threads and up to `--max-pipeline` in-flight
 //! requests per connection. `--mode evented` names that loop, the only
 //! one there is; it is accepted so old command lines keep working.
+//! `--shards` is at most 1024, the most a snapshot image may hold. The
+//! cost model and embedding screen are `MatchConfig` settings, not flags.
 //!
 //! Every store source starts the same way — rows in, the recorded (or
 //! default) access paths *declared*, `serving on`, then one background
@@ -62,7 +63,8 @@
 //! `<wal>.checkpoint` automatically; with no `--snapshot` at all the
 //! checkpoint is used whenever it exists.
 
-use lexequal::{CostModelKind, MatchConfig};
+use lexequal::MatchConfig;
+use lexequal_service::shard::MAX_SHARDS;
 use lexequal_service::{
     bind_reusable, mmapstore, repl, BuildSpec, CompactionPolicy, MatchService, ReplicaState,
     Replicator, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal, Wal, WalError, WalMetrics,
@@ -73,7 +75,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: lexequald [--addr HOST:PORT] [--shards N] [--cache N] \
-[--threshold E] [--preload N] [--cost-model clustered|feature] [--no-embed-screen] \
+[--threshold E] [--preload N] \
 [--snapshot PATH] [--save-snapshot PATH] \
 [--wal PATH] [--wal-max-bytes N] [--wal-ack-grace SECS] \
 [--replica-of HOST:PORT] [--repl-listen HOST:PORT] \
@@ -87,12 +89,6 @@ struct Args {
     shards: Option<usize>,
     cache: usize,
     threshold: Option<f64>,
-    /// `None` = default (clustered); `--cost-model feature` switches
-    /// substitutions to the articulatory-feature-graded matrix.
-    cost_model: Option<CostModelKind>,
-    /// `--no-embed-screen` disables the embedding prefilter (ablation /
-    /// A-B benchmarking; results are bit-identical either way).
-    embed_screen: bool,
     preload: usize,
     snapshot: Option<String>,
     save_snapshot: Option<String>,
@@ -134,8 +130,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         shards: None,
         cache: 4096,
         threshold: None,
-        cost_model: None,
-        embed_screen: true,
         preload: 0,
         snapshot: None,
         save_snapshot: None,
@@ -181,6 +175,11 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 if n == 0 {
                     return Err(format!("--shards: invalid value {v:?} (must be positive)"));
                 }
+                if n > MAX_SHARDS {
+                    return Err(format!(
+                        "--shards: invalid value {v:?} (at most {MAX_SHARDS})"
+                    ));
+                }
                 args.shards = Some(n);
             }
             "--cache" => {
@@ -196,19 +195,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 args.threshold = Some(e);
             }
-            "--cost-model" => {
-                let v = value("--cost-model")?;
-                args.cost_model = Some(match v.to_ascii_lowercase().as_str() {
-                    "clustered" => CostModelKind::Clustered,
-                    "feature" => CostModelKind::Feature,
-                    _ => {
-                        return Err(format!(
-                            "--cost-model: invalid value {v:?} (expected clustered or feature)"
-                        ))
-                    }
-                });
-            }
-            "--no-embed-screen" => args.embed_screen = false,
             "--preload" => {
                 args.preload = parse_value("--preload", &value("--preload")?, "an integer")?;
             }
@@ -313,12 +299,6 @@ fn main() -> ExitCode {
     let mut match_config = MatchConfig::default();
     if let Some(e) = args.threshold {
         match_config = match_config.with_threshold(e);
-    }
-    if let Some(kind) = args.cost_model {
-        match_config = match_config.with_cost_model(kind);
-    }
-    if !args.embed_screen {
-        match_config = match_config.with_embed_screen(false);
     }
 
     if args.replica_of.is_some() {

@@ -31,18 +31,18 @@
 //! * **Ordering** — jobs route to a worker by connection token, and each
 //!   worker drains its queue FIFO, so requests from one connection
 //!   execute in arrival order (a pipelined `ADD` is visible to the
-//!   `MATCH` behind it). Consecutive `MATCH` jobs are fanned out to the
-//!   shards together before any of them is merged, so one worker keeps
-//!   every shard busy.
+//!   `MATCH` behind it). Consecutive lookup jobs — `MATCH`, `MATCH -` and
+//!   every item of a `BATCH` — are fanned out to the shards together
+//!   before any of them is merged, so one worker keeps every shard busy.
 //!
 //! No new dependencies: the epoll/eventfd surface is four `extern "C"`
 //! shims over the libc that `std` already links.
 
 use crate::conn::{Conn, WRITE_HIGH_WATER};
 use crate::metrics::ConnMetrics;
-use crate::proto::{format_outcome, parse_request, FrameError, Request};
-use crate::server::{execute_request, ReqCtx, ServeOptions};
-use crate::service::MatchService;
+use crate::proto::{parse_request, FrameError, Request};
+use crate::server::{begin_lookups, execute_request, finish_lookups, ReqCtx, ServeOptions};
+use crate::service::{MatchService, PendingLookup};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
 use std::net::TcpListener;
@@ -278,6 +278,16 @@ struct Completion {
     lines: Vec<String>,
 }
 
+impl Completion {
+    fn of(job: &Job, lines: Vec<String>) -> Self {
+        Completion {
+            token: job.token,
+            seq: job.seq,
+            lines,
+        }
+    }
+}
+
 /// Worker → event-loop channel: a mutexed batch plus an eventfd wake.
 struct CompletionQueue {
     items: Mutex<Vec<Completion>>,
@@ -316,7 +326,7 @@ struct WorkerQueue {
     capacity: usize,
 }
 
-/// How many jobs one worker drains per wakeup. Consecutive `MATCH` jobs
+/// How many jobs one worker drains per wakeup. Consecutive lookup jobs
 /// in a drained batch are fanned out to the shards together before any
 /// merge, so even a single worker keeps every shard busy.
 const WORKER_BATCH: usize = 16;
@@ -427,55 +437,34 @@ fn worker_loop(
         };
         metrics.queue_popped(batch.len() as u64);
         let mut out = Vec::with_capacity(batch.len());
-        let mut i = 0;
-        // Tagged and untagged matches mix in one overlap run; each kind
-        // keeps its own pending type.
-        enum Begun {
-            Tagged(crate::service::PendingLookup),
-            Auto(crate::service::AutoPendingLookup),
-        }
-        let is_match = |r: &Request| matches!(r, Request::Match(_) | Request::MatchAuto(_));
-        while i < batch.len() {
-            if is_match(&batch[i].request) {
-                // Overlap a run of consecutive MATCH jobs: enqueue every
-                // fan-out before merging any of them. Runs never cross a
-                // non-MATCH job, so a pipelined ADD/BUILD still happens
-                // before the MATCH behind it.
-                let run_end = batch[i..]
-                    .iter()
-                    .position(|j| !is_match(&j.request))
-                    .map_or(batch.len(), |p| i + p);
-                let pending: Vec<_> = batch[i..run_end]
-                    .iter()
-                    .map(|job| match &job.request {
-                        Request::Match(req) => Begun::Tagged(service.lookup_begin(req)),
-                        Request::MatchAuto(req) => Begun::Auto(service.lookup_auto_begin(req)),
-                        _ => unreachable!("run contains only MATCH jobs"),
-                    })
-                    .collect();
-                for (job, p) in batch[i..run_end].iter().zip(pending) {
-                    let outcome = match p {
-                        Begun::Tagged(p) => service.lookup_finish(p),
-                        Begun::Auto(p) => service.lookup_auto_finish(p),
-                    };
-                    out.push(Completion {
-                        token: job.token,
-                        seq: job.seq,
-                        lines: vec![format_outcome(&outcome)],
-                    });
+        // Overlap a run of consecutive lookup jobs (`MATCH`, `MATCH -`,
+        // `BATCH`): every item's fan-out is enqueued before any is merged.
+        // Any other job ends the run first, so a pipelined ADD/BUILD still
+        // happens before the lookup behind it.
+        let mut run = Vec::new();
+        for job in &batch {
+            match begin_lookups(service, &job.request) {
+                Some(begun) => run.push((job, begun)),
+                None => {
+                    finish_run(service, &mut run, &mut out);
+                    let lines = execute_request(service, ctx, &job.request, Some(metrics));
+                    out.push(Completion::of(job, lines));
                 }
-                i = run_end;
-            } else {
-                let job = &batch[i];
-                out.push(Completion {
-                    token: job.token,
-                    seq: job.seq,
-                    lines: execute_request(service, ctx, &job.request, Some(metrics)),
-                });
-                i += 1;
             }
         }
+        finish_run(service, &mut run, &mut out);
         completions.push(out);
+    }
+}
+
+/// Finish a run of begun lookup jobs, in order.
+fn finish_run(
+    service: &MatchService,
+    run: &mut Vec<(&Job, Vec<PendingLookup>)>,
+    out: &mut Vec<Completion>,
+) {
+    for (job, begun) in run.drain(..) {
+        out.push(Completion::of(job, finish_lookups(service, begun)));
     }
 }
 

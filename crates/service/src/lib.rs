@@ -9,27 +9,27 @@
 //!
 //! ## Layers
 //!
-//! * [`shard`] — [`ShardedStore`](shard::ShardedStore): N
-//!   [`NameStore`](lexequal::NameStore) shards, each owned by a worker
-//!   thread; global ids stripe round-robin (`id % N` picks the shard,
-//!   `id / N` the local slot), searches fan out over channels and merge
-//!   exactly. Access paths are declared (exact at once) and covered by
-//!   indices built off the workers, behind the traffic; appends are
+//! * [`shard`] — [`ShardedStore`]: N [`NameStore`](lexequal::NameStore)
+//!   shards (at most [`MAX_SHARDS`](shard::MAX_SHARDS)), each owned by a
+//!   worker thread; global ids stripe round-robin (`id % N` picks the
+//!   shard, `id / N` the local slot), searches fan out over channels and
+//!   merge exactly. Access paths are declared (exact at once) and covered
+//!   by indices built off the workers, behind the traffic; appends are
 //!   their tails, never an invalidation.
-//! * [`cache`] — [`TransformCache`](cache::TransformCache): a
-//!   sharded-mutex LRU memoizing `(text, language) → PhonemeString`
-//!   with hit/miss counters.
+//! * [`cache`] — [`TransformCache`]: a sharded-mutex LRU memoizing
+//!   `(text, language) → PhonemeString` with hit/miss counters.
 //! * [`metrics`] — lock-free request counters and a log2-bucket latency
 //!   histogram per access path.
-//! * [`service`] — [`MatchService`](service::MatchService): the
-//!   request-level API; per-request threshold/method overrides and
-//!   graceful degraded outcomes (`NoResource`, `NotBuilt`, `BadInput`)
-//!   instead of errors.
+//! * [`service`] — [`MatchService`]: the request-level API. Tagged and
+//!   untagged lookups run one ladder — a language tag is a route of one,
+//!   no tag lets the script pick the route — with per-request
+//!   threshold/method overrides and graceful degraded outcomes
+//!   (`NoResource`, `NotBuilt`, `BadInput`) instead of errors.
 //! * [`proto`] / [`server`] — the `lexequald` wire protocol (with
 //!   incremental line framing) and the one request entry point,
 //!   [`respond`](server::respond), routed through a
 //!   [`ReqCtx`] (standalone, primary or replica).
-//! * [`event_loop`] / [`conn`] — the one serving loop, [`serve`]: an
+//! * [`event_loop`] / `conn` — the one serving loop, [`serve`]: an
 //!   epoll readiness thread, pipelined per-connection state machines,
 //!   backpressure rules and a fixed verify worker pool, stoppable via
 //!   [`ShutdownSignal`].
@@ -44,14 +44,13 @@
 //!   Cursor-based tail reads and an atomic checkpoint-and-truncate
 //!   rewrite ([`Wal::compact_to`](wal::Wal::compact_to)) keep the file
 //!   bounded.
-//! * [`repl`] — replication: the primary's [`Replicator`](repl::Replicator)
-//!   (WAL commit lock + per-replica sender threads streaming snapshots
-//!   and op records, replica ACK tracking, and the
-//!   [`spawn_compactor`](repl::spawn_compactor) checkpoint/compaction
-//!   loop with replica-aware horizons) and the replica side
-//!   ([`initial_sync`](repl::initial_sync) / [`run_replica`](repl::run_replica))
-//!   behind `lexequald --replica-of`, including live re-seed after
-//!   being compacted past and fatal divergence detection.
+//! * [`repl`] — replication: the primary's [`Replicator`] (WAL commit
+//!   lock + per-replica sender threads streaming snapshots and op
+//!   records, replica ACK tracking, and the [`spawn_compactor`]
+//!   checkpoint/compaction loop with replica-aware horizons) and the
+//!   replica side ([`initial_sync`] / [`run_replica`]) behind `lexequald
+//!   --replica-of`, including live re-seed after being compacted past and
+//!   fatal divergence detection.
 //!
 //! ## Example
 //!
@@ -97,8 +96,8 @@ pub use repl::{
 };
 pub use server::{bind_reusable, ReqCtx, ServeOptions};
 pub use service::{
-    AddResolution, AutoMatchRequest, AutoPendingLookup, LoadInfo, MatchOutcome, MatchRequest,
-    MatchService, PendingLookup, Preloaded, ServiceConfig, SnapshotLoad, StatsSnapshot,
+    AddResolution, AutoMatchRequest, LoadInfo, MatchOutcome, MatchRequest, MatchService, Preloaded,
+    ServiceConfig, SnapshotLoad, StatsSnapshot,
 };
 pub use shard::{BuildSpec, CoverStats, Cut, Loader, PendingSearch, ShardedStore};
 pub use wal::{CompactionStats, Op, Wal, WalCursor, WalError, WalRecord};

@@ -87,7 +87,7 @@
 //! comes back as a named [`ImageError`], never a crash
 //! (`tests/mmap_corruption.rs` is the battery).
 
-use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS};
+use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS, MAX_SHARDS};
 use lexequal::rows::{Base, EntryRecord, ImageBytes, ImageLayout};
 use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode, EMBED_DIM};
 use std::fs::File;
@@ -108,10 +108,6 @@ const SECTIONS: usize = 6;
 pub(crate) const HEADER_LEN: usize = 40 + SECTIONS * 24;
 /// Bytes per build-spec record.
 const SPEC_RECORD: usize = 8;
-/// Upper bound on the header's shard count. Each shard is a live worker
-/// thread, so an unchecked hostile header could demand billions of
-/// threads from four bytes; no real deployment shards wider than this.
-const MAX_SHARDS: usize = 1024;
 
 /// Why an image could not be written, read or loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1096,15 +1092,15 @@ mod tests {
         let store = populated(2);
         let image = encode(&store, 0).unwrap();
         let loaded = load_bytes(MatchConfig::default(), None, image).unwrap();
+        let q = loaded
+            .store
+            .config()
+            .registry
+            .transform("Nehru", Language::English)
+            .unwrap();
         loaded
             .store
-            .search(
-                "Nehru",
-                Language::English,
-                0.45,
-                lexequal::SearchMethod::Scan,
-            )
-            .unwrap();
+            .search_phonemes(&q, 0.45, lexequal::SearchMethod::Scan);
         let screens = loaded.store.screen_totals();
         assert!(screens.embed_accept + screens.embed_reject > 0);
         assert_eq!(screens.embed_bypass, 0, "the screen examined every row");

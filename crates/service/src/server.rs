@@ -2,17 +2,19 @@
 //! serving loop needs to know to answer it.
 //!
 //! [`respond`] is the one entry point from a request line to its
-//! response lines; [`execute_request`] behind it is what the serving
-//! loop's workers call with a line they have already parsed. The loop
+//! response lines; `execute_request` behind it is what the serving
+//! loop's workers call with a line they have already parsed, except for
+//! a lookup (`MATCH`, `MATCH -`, `BATCH`), which they begin and finish
+//! in two halves so a run of them overlaps on the shards. The loop
 //! itself — one epoll readiness thread plus a fixed verify worker pool,
 //! connections pipelined — is [`crate::event_loop::serve`].
 
 use crate::metrics::{method_name, ConnMetrics, ReplRole, ReplStats};
 use crate::proto::{format_outcome, format_stats, parse_request, Request};
 use crate::repl::{ReplicaState, Replicator};
-use crate::service::{AddResolution, MatchService};
+use crate::service::{AddResolution, MatchRequest, MatchService, PendingLookup};
 use crate::shard::BuildSpec;
-use lexequal::QgramMode;
+use lexequal::{Language, QgramMode};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -237,33 +239,60 @@ fn do_build(service: &MatchService, ctx: &ReqCtx, spec: BuildSpec) -> Result<(),
     Ok(())
 }
 
+/// Route one add through the context as [`do_build`] routes a build;
+/// returns the row's id.
+fn do_add(service: &MatchService, ctx: &ReqCtx, text: &str, lang: Language) -> Result<u32, String> {
+    if let Some(state) = &ctx.replica {
+        return Err(replica_read_only(state));
+    }
+    match &ctx.repl {
+        Some(repl) => repl
+            .commit_add(service, text, lang)
+            .map(|(_lsn, id)| id)
+            .map_err(|e| e.to_string()),
+        None => service.add(text, lang).map_err(|e| format!("{e:?}")),
+    }
+}
+
+/// Begin every lookup `req` is — one for a `MATCH` or `MATCH -`, one
+/// an item for a `BATCH` — or `None` for any other request.
+pub(crate) fn begin_lookups(service: &MatchService, req: &Request) -> Option<Vec<PendingLookup>> {
+    let tagged = |r: &MatchRequest| service.begin(&r.text, Some(r.language), r.method, r.threshold);
+    Some(match req {
+        Request::Match(r) => vec![tagged(r)],
+        Request::MatchAuto(r) => vec![service.begin(&r.text, None, r.method, r.threshold)],
+        Request::Batch(items) => items.iter().map(tagged).collect(),
+        _ => return None,
+    })
+}
+
+/// Finish begun lookups in order: one reply line each.
+pub(crate) fn finish_lookups(service: &MatchService, begun: Vec<PendingLookup>) -> Vec<String> {
+    begun
+        .into_iter()
+        .map(|p| format_outcome(&service.finish(p)))
+        .collect()
+}
+
 /// Execute one parsed request against the service: [`respond`] past
-/// the parse, and what the serving loop's verify workers call. `QUIT`
-/// answers `BYE` here, connection teardown is the caller's job.
-/// Mutations route through `ctx`: WAL-committed on a primary, rejected
-/// with a redirect on a replica.
+/// the parse, and what the serving loop's verify workers call for
+/// anything but a lookup. `QUIT` answers `BYE` here, connection teardown
+/// is the caller's job. Mutations route through `ctx`: WAL-committed on a
+/// primary, rejected with a redirect on a replica.
 pub(crate) fn execute_request(
     service: &MatchService,
     ctx: &ReqCtx,
     request: &Request,
     conn: Option<&ConnMetrics>,
 ) -> Vec<String> {
+    if let Some(begun) = begin_lookups(service, request) {
+        return finish_lookups(service, begun);
+    }
     match request {
-        Request::Add { language, text } => {
-            if let Some(state) = &ctx.replica {
-                return vec![format!("ERR {}", replica_read_only(state))];
-            }
-            if let Some(repl) = &ctx.repl {
-                return match repl.commit_add(service, text, *language) {
-                    Ok((_lsn, id)) => vec![format!("OK {id}")],
-                    Err(e) => vec![format!("ERR {e}")],
-                };
-            }
-            match service.add(text, *language) {
-                Ok(id) => vec![format!("OK {id}")],
-                Err(e) => vec![format!("ERR {e:?}")],
-            }
-        }
+        Request::Add { language, text } => match do_add(service, ctx, text, *language) {
+            Ok(id) => vec![format!("OK {id}")],
+            Err(e) => vec![format!("ERR {e}")],
+        },
         Request::Build(spec) => match do_build(service, ctx, *spec) {
             Ok(()) => vec![format!("OK built={}", method_name(spec.method()))],
             Err(e) => vec![format!("ERR {e}")],
@@ -289,7 +318,8 @@ pub(crate) fn execute_request(
         Request::AddAuto { text } => {
             // Untagged ADD: resolve the language *here*, once, so the WAL
             // logs a concrete tag and replicas converge byte-identically
-            // without knowing the routing table.
+            // without knowing the routing table. A replica refuses before
+            // resolving: its reply and untagged counters stay as they were.
             if let Some(state) = &ctx.replica {
                 return vec![format!("ERR {}", replica_read_only(state))];
             }
@@ -298,24 +328,14 @@ pub(crate) fn execute_request(
                 AddResolution::NoResource(l) => return vec![format!("NORESOURCE {l}")],
                 AddResolution::BadInput(msg) => return vec![format!("ERR bad input: {msg}")],
             };
-            if let Some(repl) = &ctx.repl {
-                return match repl.commit_add(service, text, language) {
-                    Ok((_lsn, id)) => vec![format!("OK {id} lang={language}")],
-                    Err(e) => vec![format!("ERR {e}")],
-                };
-            }
-            match service.add(text, language) {
+            match do_add(service, ctx, text, language) {
                 Ok(id) => vec![format!("OK {id} lang={language}")],
-                Err(e) => vec![format!("ERR {e:?}")],
+                Err(e) => vec![format!("ERR {e}")],
             }
         }
-        Request::Match(req) => vec![format_outcome(&service.lookup(req))],
-        Request::MatchAuto(req) => vec![format_outcome(&service.lookup_auto(req))],
-        Request::Batch(reqs) => service
-            .lookup_batch(reqs)
-            .iter()
-            .map(format_outcome)
-            .collect(),
+        Request::Match(_) | Request::MatchAuto(_) | Request::Batch(_) => {
+            unreachable!("a lookup is answered above")
+        }
         Request::Stats => {
             let mut snapshot = service.stats();
             snapshot.conn = conn.map(ConnMetrics::snapshot);

@@ -12,7 +12,7 @@ use crate::metrics::{method_index, ConnStats, ServiceMetrics, UntaggedStats};
 use crate::mmapstore::{self, ImageError};
 use crate::shard::{BuildSpec, CoverStats, PendingSearch, ShardedStore};
 use lexequal::store::NameEntry;
-use lexequal::{G2pError, Language, MatchConfig, QgramMode, SearchMethod};
+use lexequal::{G2pError, Language, MatchConfig, PhonemeString, QgramMode, SearchMethod};
 use lexequal_g2p::{Route, Router, ScriptProfile};
 use lexequal_lexicon::{Corpus, SyntheticDataset, SyntheticPairs};
 use std::io::Read;
@@ -482,202 +482,106 @@ impl MatchService {
 
     /// Serve one lookup.
     pub fn lookup(&self, req: &MatchRequest) -> MatchOutcome {
-        self.lookup_finish(self.lookup_begin(req))
+        self.finish(self.begin(&req.text, Some(req.language), req.method, req.threshold))
     }
 
-    /// Start one lookup without waiting for the shards: degraded cases
-    /// (`NoResource`, `NotBuilt`, `BadInput`) resolve immediately, a
-    /// searchable request has its fan-out *enqueued* on every shard
-    /// worker and comes back as a pending handle. Beginning several
-    /// lookups before finishing any lets one caller thread keep every
-    /// shard busy — the evented daemon's verify workers lean on this.
-    pub fn lookup_begin(&self, req: &MatchRequest) -> PendingLookup {
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let config = self.store.config();
-        if !config.registry.supports(req.language) {
-            self.metrics.no_resource.fetch_add(1, Ordering::Relaxed);
-            return PendingLookup::ready(MatchOutcome::NoResource(req.language));
-        }
-        let method = req.method.unwrap_or_else(|| self.default_method());
-        if !self.is_built(method) {
-            self.metrics.not_built.fetch_add(1, Ordering::Relaxed);
-            return PendingLookup::ready(MatchOutcome::NotBuilt(method));
-        }
-        let threshold = req.threshold.unwrap_or(config.threshold);
-        let query = match self
-            .cache
-            .get_or_try_insert_with(&req.text, req.language, || {
-                config.registry.transform(&req.text, req.language)
-            }) {
-            Ok(q) => q,
-            Err(e) => {
-                self.metrics.bad_input.fetch_add(1, Ordering::Relaxed);
-                return PendingLookup::ready(MatchOutcome::BadInput(format!("{e:?}")));
-            }
-        };
-        PendingLookup {
-            kind: PendingKind::Searching {
-                pending: self.store.begin_search(&query, threshold, method),
-                method,
-                threshold,
-                start: Instant::now(),
-            },
-        }
-    }
-
-    /// Collect a lookup started by [`lookup_begin`](Self::lookup_begin):
-    /// merge the per-shard replies and record metrics. The outcome is
-    /// identical to a blocking [`lookup`](Self::lookup) call.
-    pub fn lookup_finish(&self, pending: PendingLookup) -> MatchOutcome {
-        match pending.kind {
-            PendingKind::Ready(outcome) => outcome,
-            PendingKind::Searching {
-                pending,
-                method,
-                threshold,
-                start,
-            } => {
-                let result = pending.merge();
-                self.metrics
-                    .record_search(method, start.elapsed(), result.ids.len());
-                MatchOutcome::Matches {
-                    method,
-                    threshold,
-                    ids: result.ids,
-                    verifications: result.verifications,
-                }
-            }
-        }
-    }
-
-    /// Serve one **untagged** lookup (`MATCH -`): profile the script,
-    /// route to one converter or a fan-out set, union + dedupe.
+    /// Serve one **untagged** lookup (`MATCH -`): the same ladder as
+    /// [`lookup`](Self::lookup), on the route the text's script picks
+    /// (Latin fans out over every enabled converter, the answers unioned).
     pub fn lookup_auto(&self, req: &AutoMatchRequest) -> MatchOutcome {
-        self.lookup_auto_finish(self.lookup_auto_begin(req))
+        self.finish(self.begin(&req.text, None, req.method, req.threshold))
     }
 
-    /// Start one untagged lookup without waiting for the shards — the
-    /// untagged twin of [`lookup_begin`](Self::lookup_begin).
-    ///
-    /// The text is profiled ([`ScriptProfile`]) and routed ([`Router`]):
-    /// an unambiguous script transforms under its single converter
-    /// (outcome byte-identical to the tagged request); Latin input
-    /// transforms under every enabled fan-out language, identical phoneme
-    /// strings dedupe *before* the shards (counted as dedupe hits), and
-    /// each surviving query has its per-shard fan-out enqueued before any
-    /// is merged — the same overlap machinery tagged lookups use, just
-    /// one level up. Hangul/Thai resolve to the paper's `NORESOURCE`;
-    /// letterless or unroutable input is `BadInput`.
-    pub fn lookup_auto_begin(&self, req: &AutoMatchRequest) -> AutoPendingLookup {
+    /// Start one lookup without waiting for the shards. A tag is a route
+    /// of one; without one the script picks it ([`Router::route`]). Then:
+    /// no enabled converter on the route → `NoResource`, an undeclared
+    /// path → `NotBuilt`, a cached transform per enabled language (`BadInput`
+    /// if none takes the text), identical renderings deduped, and one
+    /// [`ShardedStore::begin_search`] each — enqueued, so a caller that
+    /// begins several lookups before finishing any keeps every shard busy.
+    /// The `untagged_*` counters move only when `tag` is `None`.
+    pub(crate) fn begin(
+        &self,
+        text: &str,
+        tag: Option<Language>,
+        method: Option<SearchMethod>,
+        threshold: Option<f64>,
+    ) -> PendingLookup {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let profile = ScriptProfile::of(&req.text);
-        self.metrics.untagged.record_request(profile.primary());
-        let config = self.store.config();
-        let candidates: Vec<Language> = match Router::route(&profile) {
-            Route::Single(l) => {
-                if !config.registry.supports(l) {
-                    return AutoPendingLookup::ready(self.untagged_no_resource(l));
-                }
-                vec![l]
-            }
-            Route::FanOut(set) => {
-                let enabled: Vec<Language> = set
-                    .iter()
-                    .copied()
-                    .filter(|l| config.registry.supports(*l))
-                    .collect();
-                if enabled.is_empty() {
-                    // Every converter for this script is disabled in this
-                    // deployment; report the script's default tag.
-                    return AutoPendingLookup::ready(self.untagged_no_resource(set[0]));
-                }
-                enabled
-            }
-            Route::NoResource(l) => {
-                return AutoPendingLookup::ready(self.untagged_no_resource(l));
-            }
-            Route::Unsupported(s) => {
-                self.metrics.bad_input.fetch_add(1, Ordering::Relaxed);
-                return AutoPendingLookup::ready(MatchOutcome::BadInput(format!(
-                    "unsupported script {s}"
-                )));
-            }
-            Route::NoLetters => {
-                self.metrics.bad_input.fetch_add(1, Ordering::Relaxed);
-                return AutoPendingLookup::ready(MatchOutcome::BadInput(
-                    "no letters to detect a script from".to_owned(),
-                ));
-            }
+        let route = tag.map_or_else(
+            || {
+                let profile = ScriptProfile::of(text);
+                self.metrics.untagged.record_request(profile.primary());
+                Router::route(&profile)
+            },
+            Route::Single,
+        );
+        let languages: &[Language] = match &route {
+            Route::Single(l) => std::slice::from_ref(l),
+            Route::FanOut(set) => set,
+            Route::NoResource(l) => return self.no_resource(*l, tag),
+            Route::Unsupported(s) => return self.bad_input(format!("unsupported script {s}")),
+            Route::NoLetters => return self.bad_input("no letters to detect a script from".into()),
         };
-        let method = req.method.unwrap_or_else(|| self.default_method());
+        let config = self.store.config();
+        let enabled = || languages.iter().filter(|l| config.registry.supports(**l));
+        if enabled().next().is_none() {
+            return self.no_resource(languages[0], tag);
+        }
+        let method = method.unwrap_or_else(|| self.default_method());
         if !self.is_built(method) {
             self.metrics.not_built.fetch_add(1, Ordering::Relaxed);
-            return AutoPendingLookup::ready(MatchOutcome::NotBuilt(method));
+            return PendingLookup::Ready(MatchOutcome::NotBuilt(method));
         }
-        let threshold = req.threshold.unwrap_or(config.threshold);
-        // Transform under every candidate; languages whose converter
-        // rejects the text just drop out of the fan-out, and identical
-        // phoneme renderings collapse to one shard query.
-        let mut queries: Vec<lexequal::PhonemeString> = Vec::with_capacity(candidates.len());
-        let mut deduped = 0u64;
-        let mut last_err: Option<G2pError> = None;
-        for &lang in &candidates {
-            match self.cache.get_or_try_insert_with(&req.text, lang, || {
-                config.registry.transform(&req.text, lang)
-            }) {
-                Ok(q) => {
-                    if queries.contains(&q) {
-                        deduped += 1;
-                    } else {
-                        queries.push(q);
-                    }
-                }
+        let threshold = threshold.unwrap_or(config.threshold);
+        let mut queries: Vec<PhonemeString> = Vec::with_capacity(languages.len());
+        let (mut deduped, mut last_err) = (0u64, None);
+        for &lang in enabled() {
+            match self
+                .cache
+                .get_or_try_insert_with(text, lang, || config.registry.transform(text, lang))
+            {
+                Ok(q) if queries.contains(&q) => deduped += 1,
+                Ok(q) => queries.push(q),
                 Err(e) => last_err = Some(e),
             }
         }
-        if queries.is_empty() {
-            self.metrics.bad_input.fetch_add(1, Ordering::Relaxed);
-            self.metrics.untagged.record_fanout(0, deduped);
-            let e = last_err.expect("no queries implies at least one transform error");
-            return AutoPendingLookup::ready(MatchOutcome::BadInput(format!("{e:?}")));
+        if tag.is_none() {
+            let width = queries.len() as u64;
+            self.metrics.untagged.record_fanout(width, deduped);
         }
-        self.metrics
-            .untagged
-            .record_fanout(queries.len() as u64, deduped);
+        if queries.is_empty() {
+            let e = last_err.expect("an enabled language either transformed or failed");
+            return self.bad_input(format!("{e:?}"));
+        }
         let start = Instant::now();
-        // Enqueue every query's per-shard fan-out before merging any.
-        let pendings: Vec<PendingSearch> = queries
-            .iter()
-            .map(|q| self.store.begin_search(q, threshold, method))
-            .collect();
-        AutoPendingLookup {
-            kind: AutoPendingKind::Searching {
-                pendings,
-                method,
-                threshold,
-                start,
-            },
+        PendingLookup::Searching {
+            searches: queries
+                .iter()
+                .map(|q| self.store.begin_search(q, threshold, method))
+                .collect(),
+            method,
+            threshold,
+            start,
         }
     }
 
-    /// Collect an untagged lookup started by
-    /// [`lookup_auto_begin`](Self::lookup_auto_begin): merge every
-    /// per-language search, union + dedupe the ids (fan-out can only add
-    /// recall; every id was confirmed by the same bit-identical verifier
-    /// a tagged query uses), sum the verification work.
-    pub fn lookup_auto_finish(&self, pending: AutoPendingLookup) -> MatchOutcome {
-        match pending.kind {
-            AutoPendingKind::Ready(outcome) => outcome,
-            AutoPendingKind::Searching {
-                pendings,
+    /// Collect a lookup started by [`begin`](Self::begin): merge every
+    /// rendering's search, union + dedupe the ids (a fan-out can only add
+    /// recall; every id was confirmed by the same verifier), sum the
+    /// verification work and record the begin→finish latency.
+    pub(crate) fn finish(&self, pending: PendingLookup) -> MatchOutcome {
+        match pending {
+            PendingLookup::Ready(outcome) => outcome,
+            PendingLookup::Searching {
+                searches,
                 method,
                 threshold,
                 start,
             } => {
-                let mut ids: Vec<u32> = Vec::new();
-                let mut verifications = 0usize;
-                for pending in pendings {
-                    let result = pending.merge();
+                let (mut ids, mut verifications) = (Vec::new(), 0);
+                for search in searches {
+                    let result = search.merge();
                     ids.extend(result.ids);
                     verifications += result.verifications;
                 }
@@ -695,13 +599,18 @@ impl MatchService {
         }
     }
 
-    fn untagged_no_resource(&self, language: Language) -> MatchOutcome {
+    fn no_resource(&self, language: Language, tag: Option<Language>) -> PendingLookup {
         self.metrics.no_resource.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .untagged
-            .no_resource
-            .fetch_add(1, Ordering::Relaxed);
-        MatchOutcome::NoResource(language)
+        if tag.is_none() {
+            let untagged = &self.metrics.untagged.no_resource;
+            untagged.fetch_add(1, Ordering::Relaxed);
+        }
+        PendingLookup::Ready(MatchOutcome::NoResource(language))
+    }
+
+    fn bad_input(&self, msg: String) -> PendingLookup {
+        self.metrics.bad_input.fetch_add(1, Ordering::Relaxed);
+        PendingLookup::Ready(MatchOutcome::BadInput(msg))
     }
 
     /// Resolve the language tag an untagged `ADD` commits under: route by
@@ -764,74 +673,6 @@ impl MatchService {
         }
     }
 
-    /// Serve a batch of lookups in request order.
-    ///
-    /// Degraded outcomes (`NoResource`, `NotBuilt`, `BadInput`) resolve
-    /// up front; the searchable remainder goes through
-    /// [`ShardedStore::search_phonemes_batch`], which enqueues every
-    /// item's per-shard fan-out before merging any of them, so shards
-    /// verify item `i + 1` while item `i`'s stragglers are still being
-    /// collected. Outcomes are identical to calling
-    /// [`lookup`](Self::lookup) per item; per-item latency is recorded as
-    /// the batch fan-out time amortized over the searched items.
-    pub fn lookup_batch(&self, reqs: &[MatchRequest]) -> Vec<MatchOutcome> {
-        let config = self.store.config();
-        let mut outcomes: Vec<Option<MatchOutcome>> = Vec::with_capacity(reqs.len());
-        let mut queries: Vec<(lexequal::PhonemeString, f64, SearchMethod)> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        for (i, req) in reqs.iter().enumerate() {
-            self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-            if !config.registry.supports(req.language) {
-                self.metrics.no_resource.fetch_add(1, Ordering::Relaxed);
-                outcomes.push(Some(MatchOutcome::NoResource(req.language)));
-                continue;
-            }
-            let method = req.method.unwrap_or_else(|| self.default_method());
-            if !self.is_built(method) {
-                self.metrics.not_built.fetch_add(1, Ordering::Relaxed);
-                outcomes.push(Some(MatchOutcome::NotBuilt(method)));
-                continue;
-            }
-            let threshold = req.threshold.unwrap_or(config.threshold);
-            let query = match self
-                .cache
-                .get_or_try_insert_with(&req.text, req.language, || {
-                    config.registry.transform(&req.text, req.language)
-                }) {
-                Ok(q) => q,
-                Err(e) => {
-                    self.metrics.bad_input.fetch_add(1, Ordering::Relaxed);
-                    outcomes.push(Some(MatchOutcome::BadInput(format!("{e:?}"))));
-                    continue;
-                }
-            };
-            outcomes.push(None);
-            slots.push(i);
-            queries.push((query, threshold, method));
-        }
-        if !queries.is_empty() {
-            let start = Instant::now();
-            let results = self.store.search_phonemes_batch(&queries);
-            let amortized = start.elapsed() / queries.len() as u32;
-            for ((slot, (_, threshold, method)), result) in
-                slots.into_iter().zip(queries).zip(results)
-            {
-                self.metrics
-                    .record_search(method, amortized, result.ids.len());
-                outcomes[slot] = Some(MatchOutcome::Matches {
-                    method,
-                    threshold,
-                    ids: result.ids,
-                    verifications: result.verifications,
-                });
-            }
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every searched slot was filled"))
-            .collect()
-    }
-
     /// A point-in-time snapshot of every counter (for `STATS`).
     pub fn stats(&self) -> StatsSnapshot {
         let (cache_hits, cache_misses) = self.cache.stats();
@@ -879,53 +720,17 @@ impl MatchService {
     }
 }
 
-/// A lookup in flight: either already resolved (degraded outcomes never
-/// reach the shards) or waiting on every shard's reply.
-pub struct PendingLookup {
-    kind: PendingKind,
-}
-
-enum PendingKind {
+/// A lookup in flight (from [`MatchService::begin`]): resolved up front
+/// (a degraded outcome never reaches the shards) or waiting on one search
+/// per distinct phoneme rendering of the query.
+pub(crate) enum PendingLookup {
     Ready(MatchOutcome),
     Searching {
-        pending: PendingSearch,
+        searches: Vec<PendingSearch>,
         method: SearchMethod,
         threshold: f64,
         start: Instant,
     },
-}
-
-impl PendingLookup {
-    fn ready(outcome: MatchOutcome) -> Self {
-        PendingLookup {
-            kind: PendingKind::Ready(outcome),
-        }
-    }
-}
-
-/// An untagged lookup in flight: resolved up front (degraded outcomes,
-/// `NORESOURCE`, unroutable scripts) or waiting on one pending search per
-/// unique per-language phoneme rendering.
-pub struct AutoPendingLookup {
-    kind: AutoPendingKind,
-}
-
-enum AutoPendingKind {
-    Ready(MatchOutcome),
-    Searching {
-        pendings: Vec<PendingSearch>,
-        method: SearchMethod,
-        threshold: f64,
-        start: Instant,
-    },
-}
-
-impl AutoPendingLookup {
-    fn ready(outcome: MatchOutcome) -> Self {
-        AutoPendingLookup {
-            kind: AutoPendingKind::Ready(outcome),
-        }
-    }
 }
 
 /// One access path's share of a [`StatsSnapshot`].
@@ -1202,6 +1007,15 @@ mod tests {
         assert!(st.matches_returned >= 3, "{}", st.matches_returned);
     }
 
+    /// Every reply line `lines` get from a standalone `respond`.
+    fn respond_all(s: &MatchService, lines: &[&str]) -> Vec<String> {
+        let (ctx, mut quit) = (crate::server::ReqCtx::default(), false);
+        lines
+            .iter()
+            .flat_map(|line| crate::server::respond(line, s, &ctx, None, &mut quit))
+            .collect()
+    }
+
     #[test]
     fn batch_equals_per_item_lookups_including_degraded_outcomes() {
         let a = service(3);
@@ -1212,24 +1026,29 @@ mod tests {
                 mode: QgramMode::Strict,
             });
         }
-        let reqs = vec![
-            MatchRequest {
-                threshold: Some(0.45),
-                ..MatchRequest::new("Nehru", Language::English)
-            },
-            // Script/language mismatch → BadInput.
-            MatchRequest::new("नेहरु", Language::Tamil),
-            MatchRequest {
-                method: Some(SearchMethod::BkTree),
-                ..MatchRequest::new("Nero", Language::English)
-            },
-            MatchRequest::new("Gandhi", Language::English),
-        ];
-        let batched = a.lookup_batch(&reqs);
-        let singles: Vec<MatchOutcome> = reqs.iter().map(|r| b.lookup(r)).collect();
+        let batched = respond_all(
+            &a,
+            &[
+                "BATCH en - 0.45 Nehru",
+                // Script/language mismatch → BadInput.
+                "BATCH ta - - नेहरु",
+                "BATCH en bktree - Nero",
+                "BATCH en - - Gandhi|Nero",
+            ],
+        );
+        let singles = respond_all(
+            &b,
+            &[
+                "MATCH en - 0.45 Nehru",
+                "MATCH ta - - नेहरु",
+                "MATCH en bktree - Nero",
+                "MATCH en - - Gandhi",
+                "MATCH en - - Nero",
+            ],
+        );
         assert_eq!(batched, singles);
-        assert!(matches!(batched[1], MatchOutcome::BadInput(_)));
-        assert_eq!(batched[2], MatchOutcome::NotBuilt(SearchMethod::BkTree));
+        assert!(batched[1].starts_with("ERR bad input"), "{batched:?}");
+        assert_eq!(batched[2], "NOTBUILT bktree");
         let (sa, sb) = (a.stats(), b.stats());
         assert_eq!(sa.requests, sb.requests);
         assert_eq!(sa.bad_input, 1);
@@ -1429,17 +1248,14 @@ mod tests {
             q: 3,
             mode: QgramMode::Strict,
         });
-        let reqs = vec![
-            MatchRequest {
-                threshold: Some(0.45),
-                ..MatchRequest::new("Nehru", Language::English)
-            },
-            MatchRequest::new("Gandhi", Language::English),
-        ];
-        let outs = s.lookup_batch(&reqs);
+        let outs = respond_all(&s, &["BATCH en - 0.45 Nehru|Gandhi"]);
         assert_eq!(outs.len(), 2);
+        assert_eq!(
+            outs,
+            respond_all(&s, &["MATCH en - 0.45 Nehru", "MATCH en - 0.45 Gandhi"])
+        );
         for out in outs {
-            assert!(matches!(out, MatchOutcome::Matches { .. }));
+            assert!(out.starts_with("OK n="), "{out}");
         }
     }
 }

@@ -382,14 +382,22 @@ pub struct CoverStats {
     pub index_bytes: [usize; 3],
 }
 
+/// The most shards a store may have, a flag may ask for and an image may
+/// declare: each is a worker thread, so an unchecked count (four bytes of
+/// a hostile header) could demand more than the host can spawn.
+pub const MAX_SHARDS: usize = 1024;
+
 impl ShardedStore {
     /// Create an empty store with `shards` worker threads.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero.
+    /// Panics if `shards` is zero or above [`MAX_SHARDS`].
     pub fn new(config: MatchConfig, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
+        assert!(
+            (1..=MAX_SHARDS).contains(&shards),
+            "need 1..={MAX_SHARDS} shards, not {shards}"
+        );
         Self::over(Arc::new(LexEqual::new(config)), (0..shards).map(|_| None))
     }
 
@@ -719,18 +727,6 @@ impl ShardedStore {
         })
     }
 
-    /// Search with a query string: transform, then fan out.
-    pub fn search(
-        &self,
-        query: &str,
-        language: Language,
-        e: f64,
-        method: SearchMethod,
-    ) -> Result<SearchResult, G2pError> {
-        let q = self.config().registry.transform(query, language)?;
-        Ok(self.search_phonemes(&q, e, method))
-    }
-
     /// Fan a pre-transformed query out over every shard and merge: local
     /// ids remap to global ids, verification counts sum, the merged id
     /// list is sorted ascending (same order an unsharded scan produces).
@@ -746,8 +742,8 @@ impl ShardedStore {
     /// Enqueue one query's fan-out on every shard worker and return
     /// without waiting. The caller collects the merged result with
     /// [`PendingSearch::merge`] whenever it likes; beginning several
-    /// searches before merging any is exactly how the batch path and the
-    /// evented daemon's verify workers keep all shards busy at once.
+    /// searches before merging any is exactly how the daemon's verify
+    /// workers keep all shards busy at once.
     pub fn begin_search(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> PendingSearch {
         PendingSearch {
             rx: self.ask_all(|shard, reply| Cmd::Search {
@@ -759,23 +755,6 @@ impl ShardedStore {
             }),
             shards: self.shards(),
         }
-    }
-
-    /// Fan a batch of pre-transformed queries out over the shards,
-    /// pipelined: every item's per-shard commands are enqueued before any
-    /// merge starts, so shard `s` verifies item `i + 1` while the
-    /// coordinator is still collecting item `i`'s replies from slower
-    /// shards. Results come back in item order; each is identical to a
-    /// standalone [`search_phonemes`](Self::search_phonemes) call.
-    pub fn search_phonemes_batch(
-        &self,
-        queries: &[(PhonemeString, f64, SearchMethod)],
-    ) -> Vec<SearchResult> {
-        let pending: Vec<_> = queries
-            .iter()
-            .map(|(q, e, method)| self.begin_search(q, *e, *method))
-            .collect();
-        pending.into_iter().map(PendingSearch::merge).collect()
     }
 }
 
@@ -804,7 +783,7 @@ impl LoadBuffers {
 }
 
 /// One load into a [`ShardedStore`] (from [`ShardedStore::loader`]) — the
-/// [`PrefixReader`] run backwards, and the only way rows come in. Rows are
+/// `PrefixReader` run backwards, and the only way rows come in. Rows are
 /// [`push`](Self::push)ed in global-id order; row `g` goes into the chunk
 /// of shard `g % N`, a chunk of [`CHUNK_ROWS`] rows goes to its worker as
 /// one command, and the worker derives cluster ids and embeddings while
@@ -1159,11 +1138,20 @@ mod tests {
         let a = flat
             .search("Nehru", Language::English, 0.45, SearchMethod::Scan)
             .unwrap();
-        let b = sharded
-            .search("Nehru", Language::English, 0.45, SearchMethod::Scan)
+        let q = sharded
+            .config()
+            .registry
+            .transform("Nehru", Language::English)
             .unwrap();
+        let b = sharded.search_phonemes(&q, 0.45, SearchMethod::Scan);
         assert_eq!(a, b);
         assert!(b.ids.contains(&1), "cross-script नेहरु: {:?}", b.ids);
+    }
+
+    #[test]
+    #[should_panic(expected = "shards")]
+    fn a_store_wider_than_max_shards_is_refused() {
+        ShardedStore::new(MatchConfig::default(), MAX_SHARDS + 1);
     }
 
     #[test]

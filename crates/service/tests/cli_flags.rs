@@ -27,7 +27,7 @@ fn run_expect_exit(args: &[&str]) -> (bool, String) {
 }
 
 /// Assert one bad invocation dies with a message containing every
-/// `needles` fragment plus the usage line.
+/// `needles` fragment plus the usage line, and no panic.
 fn assert_usage_error(args: &[&str], needles: &[&str]) {
     let (ok, stderr) = run_expect_exit(args);
     assert!(!ok, "{args:?} must exit non-zero, stderr: {stderr}");
@@ -41,6 +41,7 @@ fn assert_usage_error(args: &[&str], needles: &[&str]) {
         stderr.contains("usage:"),
         "{args:?}: no usage line in {stderr:?}"
     );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr:?}");
 }
 
 #[test]
@@ -59,10 +60,29 @@ fn bad_flag_values_name_the_flag_and_value() {
     assert_usage_error(&["--threshold", "9"], &["--threshold", "\"9\"", "[0,1]"]);
     assert_usage_error(&["--workers", "0"], &["--workers", "\"0\""]);
     assert_usage_error(&["--max-line", "4"], &["--max-line", "\"4\""]);
+    // Wider than a snapshot image may be: refused before any file is
+    // opened (not after a checkpoint it cannot load), and never a panic
+    // spawning the workers.
+    for n in ["1025", "100000"] {
+        let name = format!("lexequal_cli_shards_{n}_{}.wal", std::process::id());
+        let wal = std::env::temp_dir().join(name);
+        let args = ["--shards", n, "--wal", wal.to_str().unwrap()];
+        assert_usage_error(&args, &["--shards", &format!("{n:?}"), "at most 1024"]);
+        assert!(!wal.exists(), "--shards {n} opened the wal");
+    }
 
     // Structural errors.
     assert_usage_error(&["--shards"], &["--shards", "needs a value"]);
     assert_usage_error(&["--frobnicate"], &["--frobnicate", "unknown flag"]);
+    // Retired knobs: library settings (`MatchConfig`), not daemon flags.
+    assert_usage_error(
+        &["--cost-model", "feature"],
+        &["--cost-model", "unknown flag"],
+    );
+    assert_usage_error(
+        &["--no-embed-screen"],
+        &["--no-embed-screen", "unknown flag"],
+    );
     assert_usage_error(&["--mode", "fast"], &["--mode", "\"fast\""]);
     assert_usage_error(
         &["--snapshot", "s.json", "--preload", "10"],
@@ -74,7 +94,11 @@ fn bad_flag_values_name_the_flag_and_value() {
 fn help_prints_usage_and_exits_zero() {
     let out = lexequald().arg("--help").output().expect("spawn");
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert!(help.contains("usage:"));
+    for retired in ["--cost-model", "--no-embed-screen"] {
+        assert!(!help.contains(retired), "{help}");
+    }
 }
 
 #[test]

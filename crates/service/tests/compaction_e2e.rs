@@ -682,8 +682,10 @@ fn a_gram_length_no_index_takes_is_refused_before_it_is_logged_or_applied() {
     let query = "MATCH en qgram 0.35 Nehru";
     let answer = primary.request(query);
     assert_eq!(answer, "OK n=1 verified=1 method=qgram e=0.35 ids=0");
+    // The apply loop declares before it publishes the LSN: wait on both.
     let stats = wait_stats(&replica, "the replica to apply lsn 2", |s| {
-        stat(s, "declared") == Some("1") && stat(s, "names") == Some("1")
+        let lsn: u64 = stat(s, "repl_lsn").map_or(0, |v| v.parse().expect("lsn"));
+        stat(s, "declared") == Some("1") && stat(s, "names") == Some("1") && lsn >= 2
     });
     assert_eq!(stat(&stats, "repl_lsn"), Some("2"), "{stats}");
     assert_eq!(replica.request(query), answer);

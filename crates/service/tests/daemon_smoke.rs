@@ -4,6 +4,7 @@
 //! cache and stats accounting — all through the line protocol. Every
 //! daemon is shut down and joined, so nothing leaks.
 
+use lexequal::{G2pRegistry, Language, MatchConfig};
 use lexequal_service::{serve, MatchService, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -42,12 +43,16 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(shards: usize) -> Self {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-        let addr = listener.local_addr().expect("local addr");
-        let service = Arc::new(MatchService::new(ServiceConfig {
+        Self::serving(MatchService::new(ServiceConfig {
             shards,
             ..ServiceConfig::default()
-        }));
+        }))
+    }
+
+    fn serving(service: MatchService) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().expect("local addr");
+        let service = Arc::new(service);
         let shutdown = ShutdownSignal::new().expect("shutdown signal");
         let sd = shutdown.clone();
         let handle = std::thread::spawn(move || {
@@ -154,6 +159,171 @@ fn daemon_answers_cross_script_matches_over_tcp() {
     assert_eq!(c2.send("QUIT"), "BYE");
 
     daemon.stop();
+}
+
+/// One pipelined script: tagged (ok, `NOTBUILT`, bad input, a language
+/// with no converter), untagged (Latin fan-out with and without a dedupe,
+/// Cyrillic, Devanagari, Hangul, Han, letterless, `NOTBUILT`) and `BATCH`
+/// lines, one with a bad item.
+const SCRIPT: &[&str] = &[
+    "ADD en Nehru",
+    "ADD hi नेहरु",
+    "ADD ta நேரு",
+    "ADD fr Descartes",
+    "ADD es Nero",
+    "ADD ru Неру",
+    "MATCH en scan 0.45 Nehru",
+    "MATCH en qgram - Nehru",
+    "MATCH ta - - नेहरु",
+    "MATCH hi - 0.45 नेहरु",
+    "MATCH - scan 0.45 Nehru",
+    "MATCH - - 0.45 Неру",
+    "MATCH - - 0.45 नेहरु",
+    "MATCH - - - 네루",
+    "MATCH - - - 北京",
+    "MATCH - - - 42",
+    "MATCH - bktree - Nehru",
+    "BATCH en - 0.45 Nehru|Nero",
+    "BATCH ta - 0.45 நேரு|नेहरु",
+    "MATCH - scan - Ana",
+    "MATCH en scan 0.45 Nehru",
+    "MATCH - scan 0.45 Nehru",
+    "STATS",
+];
+
+/// Send [`SCRIPT`] in one write; every reply line but `STATS`'s, then the
+/// lookup counters of the `STATS` line.
+fn run_script(service: MatchService) -> (Vec<String>, Vec<String>) {
+    let daemon = Daemon::serving(service);
+    let mut c = Client::connect(daemon.addr);
+    let burst: String = SCRIPT.iter().map(|line| format!("{line}\n")).collect();
+    c.stream.write_all(burst.as_bytes()).expect("write script");
+    let replies = SCRIPT
+        .iter()
+        .map(|l| {
+            l.strip_prefix("BATCH ")
+                .map_or(1, |items| items.split('|').count())
+        })
+        .sum();
+    let mut lines: Vec<String> = (0..replies).map(|_| c.recv()).collect();
+    let stats = lines.pop().expect("STATS replied");
+    let counters = ["requests", "matches", "noresource", "notbuilt", "badinput"];
+    let counters = stats
+        .split_whitespace()
+        .filter(|kv| {
+            let key = kv.split('=').next().unwrap_or_default();
+            counters.contains(&key) || key.starts_with("cache_") || key.starts_with("untagged_")
+        })
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(c.send("QUIT"), "BYE");
+    daemon.stop();
+    (lines, counters)
+}
+
+/// Every reply byte and every lookup counter of [`SCRIPT`], as the daemon
+/// answered it before tagged and untagged lookups and `BATCH` items came
+/// to share one begin/finish.
+#[test]
+fn a_fixed_script_answers_byte_for_byte_with_the_same_counters() {
+    let (lines, counters) = run_script(MatchService::new(ServiceConfig {
+        shards: 3,
+        ..ServiceConfig::default()
+    }));
+    let bad_tamil = "ERR bad input: UntranslatableChar { ch: 'न', language: Tamil }";
+    let nehru = "OK n=5 verified=6 method=scan e=0.45 ids=0,1,2,4,5";
+    let nehru_untagged = "OK n=5 verified=18 method=scan e=0.45 ids=0,1,2,4,5";
+    let expected = [
+        "OK 0",
+        "OK 1",
+        "OK 2",
+        "OK 3",
+        "OK 4",
+        "OK 5",
+        nehru,
+        "NOTBUILT qgram",
+        bad_tamil,
+        "OK n=4 verified=6 method=scan e=0.45 ids=0,1,2,5",
+        nehru_untagged,
+        nehru,
+        "OK n=4 verified=6 method=scan e=0.45 ids=0,1,2,5",
+        "NORESOURCE Korean",
+        "ERR bad input: unsupported script other",
+        "ERR bad input: no letters to detect a script from",
+        "NOTBUILT bktree",
+        nehru,
+        "OK n=4 verified=6 method=scan e=0.45 ids=0,2,4,5",
+        nehru,
+        bad_tamil,
+        "OK n=0 verified=12 method=scan e=0.35 ids=",
+        nehru,
+        nehru_untagged,
+    ];
+    assert_eq!(lines, expected);
+    assert_eq!(
+        counters.join(" "),
+        "requests=18 matches=47 noresource=1 notbuilt=2 badinput=4 cache_hits=7 \
+         cache_misses=12 untagged_requests=9 untagged_noresource=1 untagged_fanout_sum=10 \
+         untagged_fanout_max=3 untagged_dedup=1 untagged_script_latin=4 \
+         untagged_script_devanagari=1 untagged_script_cyrillic=1 untagged_script_hangul=1 \
+         untagged_script_other=1"
+    );
+}
+
+/// [`SCRIPT`] against a registry without Hindi and Spanish: the tagged
+/// `NORESOURCE`, a narrower Latin fan-out, and an untagged Devanagari
+/// query whose one converter is off.
+#[test]
+fn a_fixed_script_on_a_restricted_registry_answers_byte_for_byte() {
+    let registry = G2pRegistry::with_languages(&[
+        Language::English,
+        Language::French,
+        Language::Tamil,
+        Language::Russian,
+    ]);
+    let (lines, counters) = run_script(MatchService::new(ServiceConfig {
+        match_config: MatchConfig::default().with_registry(registry),
+        shards: 3,
+        cache_capacity: 4096,
+    }));
+    let bad_tamil = "ERR bad input: UntranslatableChar { ch: 'न', language: Tamil }";
+    let nehru = "OK n=3 verified=4 method=scan e=0.45 ids=0,1,3";
+    let nehru_untagged = "OK n=3 verified=8 method=scan e=0.45 ids=0,1,3";
+    let expected = [
+        "OK 0",
+        "ERR NoResource(Hindi)",
+        "OK 1",
+        "OK 2",
+        "ERR NoResource(Spanish)",
+        "OK 3",
+        nehru,
+        "NOTBUILT qgram",
+        bad_tamil,
+        "NORESOURCE Hindi",
+        nehru_untagged,
+        nehru,
+        "NORESOURCE Hindi",
+        "NORESOURCE Korean",
+        "ERR bad input: unsupported script other",
+        "ERR bad input: no letters to detect a script from",
+        "NOTBUILT bktree",
+        nehru,
+        nehru,
+        nehru,
+        bad_tamil,
+        "OK n=0 verified=8 method=scan e=0.35 ids=",
+        nehru,
+        nehru_untagged,
+    ];
+    assert_eq!(lines, expected);
+    assert_eq!(
+        counters.join(" "),
+        "requests=18 matches=24 noresource=3 notbuilt=2 badinput=4 cache_hits=5 \
+         cache_misses=9 untagged_requests=9 untagged_noresource=2 untagged_fanout_sum=7 \
+         untagged_fanout_max=2 untagged_dedup=0 untagged_script_latin=4 \
+         untagged_script_devanagari=1 untagged_script_cyrillic=1 untagged_script_hangul=1 \
+         untagged_script_other=1"
+    );
 }
 
 #[test]

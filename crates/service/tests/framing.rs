@@ -65,32 +65,44 @@ fn a_request_split_into_single_bytes_still_parses() {
 fn many_lines_in_one_write_pipeline_in_order() {
     let (addr, shutdown, handle) = spawn_evented(ServeOptions::default());
     let mut stream = TcpStream::connect(addr).expect("connect");
-    // One write, five requests, mixed endings and a blank line (which
+    // One write, eight requests, mixed endings and a blank line (which
     // produces no response). Responses must come back in order (this
-    // test is about framing; the MATCH uses the path that needs no
-    // BUILD).
-    let burst = "ADD en Bose\r\nMATCH en scan 0.45 Nehru\n\nADD en Tagore\nSTATS\n";
+    // test is about framing; the lookups use the path that needs no
+    // BUILD). The BATCH sits in one overlap run with the MATCHes around
+    // it, behind both ADDs: a non-lookup request still ends the run, so
+    // each of its items sees the row its ADD just made.
+    let burst = "ADD en Bose\r\nMATCH en scan 0.45 Nehru\n\nADD en Tagore\n\
+                 MATCH en scan 0.45 Nehru\nBATCH en scan 0.45 Bose|Tagore\n\
+                 MATCH en scan 0.45 Tagore\nSTATS\n";
     stream.write_all(burst.as_bytes()).expect("write burst");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut lines = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..8 {
         let mut line = String::new();
         reader.read_line(&mut line).expect("read");
         lines.push(line.trim_end().to_owned());
     }
+    let ids = |line: &str| -> Vec<u32> {
+        let ids = line.split_once(" ids=").expect("ids").1;
+        ids.split(',').filter_map(|id| id.parse().ok()).collect()
+    };
     assert_eq!(lines[0], "OK 2", "{lines:?}");
     assert!(lines[1].starts_with("OK n="), "{lines:?}");
     assert!(lines[1].contains("ids=0,1"), "{lines:?}");
     assert_eq!(lines[2], "OK 3", "{lines:?}");
-    assert!(lines[3].starts_with("OK names=4"), "{lines:?}");
+    assert_eq!(ids(&lines[3]), ids(&lines[1]), "{lines:?}");
+    assert!(ids(&lines[4]).contains(&2), "BATCH Bose: {lines:?}");
+    assert!(ids(&lines[5]).contains(&3), "BATCH Tagore: {lines:?}");
+    assert!(ids(&lines[6]).contains(&3), "{lines:?}");
+    assert!(lines[7].starts_with("OK names=4"), "{lines:?}");
     // The daemon saw the whole burst as a pipeline, depth > 1.
-    let depth: u64 = lines[3]
+    let depth: u64 = lines[7]
         .split_whitespace()
         .find_map(|kv| kv.strip_prefix("pipeline_max="))
         .expect("pipeline_max in STATS")
         .parse()
         .expect("number");
-    assert!(depth >= 2, "burst not pipelined: {}", lines[3]);
+    assert!(depth >= 2, "burst not pipelined: {}", lines[7]);
     shutdown.trigger();
     handle.join().unwrap().unwrap();
 }

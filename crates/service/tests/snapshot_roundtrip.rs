@@ -129,8 +129,9 @@ fn store_level_search_results_survive_the_round_trip() {
 
     for (text, language, e) in battery() {
         for method in METHODS {
-            let a = original.store().search(&text, language, e, method).unwrap();
-            let b = loaded.search(&text, language, e, method).unwrap();
+            let q = loaded.config().registry.transform(&text, language).unwrap();
+            let a = original.store().search_phonemes(&q, e, method);
+            let b = loaded.search_phonemes(&q, e, method);
             assert_eq!(a, b, "{text} e={e} {method:?}");
         }
     }

@@ -17,6 +17,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc -D warnings (a doc link to a deleted item fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== cargo build --release"
 cargo build --workspace --release --offline
 

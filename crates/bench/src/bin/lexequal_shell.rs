@@ -10,13 +10,12 @@
 //! LexEQUAL UDFs are registered. Dot-commands:
 //!
 //! * `.tables` — list tables
-//! * `.save FILE` / `.load FILE` — snapshot persistence (`mdb::snapshot`)
 //! * `.quit`
 
 use lexequal::udf::register_udfs;
 use lexequal::{LexEqual, MatchConfig};
 use lexequal_mdb::{Database, ResultSet};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 use std::sync::Arc;
 
 fn demo_db() -> Database {
@@ -64,7 +63,9 @@ fn print_result(rs: &ResultSet) {
 fn main() {
     let mut db = demo_db();
     let stdin = std::io::stdin();
-    let interactive = atty_stdin();
+    // Banner and prompt only for a person at a terminal; piped input
+    // gets the results alone.
+    let interactive = stdin.is_terminal();
     if interactive {
         println!(
             "lexequal shell — demo catalog loaded (table: books).\n\
@@ -99,43 +100,11 @@ fn main() {
                     let rows = db.catalog().table(n).map(|t| t.len()).unwrap_or(0);
                     println!("{n} ({rows} rows)");
                 }
-                continue;
             }
-            _ => {}
-        }
-        if let Some(path) = line.strip_prefix(".save ") {
-            match db.save_to_file(path.trim()) {
-                Ok(()) => println!("saved to {path}"),
+            sql => match db.execute(sql) {
+                Ok(rs) => print_result(&rs),
                 Err(e) => eprintln!("error: {e}"),
-            }
-            continue;
-        }
-        if let Some(path) = line.strip_prefix(".load ") {
-            match Database::load_from_file(path.trim()) {
-                Ok(mut loaded) => {
-                    register_udfs(&mut loaded, Arc::new(LexEqual::new(MatchConfig::default())));
-                    db = loaded;
-                    println!("loaded {path}");
-                }
-                Err(e) => eprintln!("error: {e}"),
-            }
-            continue;
-        }
-        match db.execute(line) {
-            Ok(rs) => print_result(&rs),
-            Err(e) => eprintln!("error: {e}"),
+            },
         }
     }
-}
-
-/// Crude interactivity detection without a TTY crate: honour an env
-/// override, default to non-interactive when stdin is piped (heuristic:
-/// TERM unset is treated as piped too).
-fn atty_stdin() -> bool {
-    if std::env::var_os("LEXEQUAL_SHELL_BANNER").is_some() {
-        return true;
-    }
-    // No reliable portable check without a dependency; keep quiet unless
-    // asked. Output-only difference, harmless either way.
-    false
 }

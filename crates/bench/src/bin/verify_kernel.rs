@@ -8,20 +8,18 @@
 //! in front of the same banded DP on reused scratch.
 //!
 //! Both kernels decide the identical predicate (asserted per threshold),
-//! so the comparison is pure throughput. Emits a plain-text table and
-//! `results/verify_kernel_bench.json`.
+//! so the comparison is pure throughput.
 //!
 //! A second sweep compares the pair-at-a-time kernel against the
 //! batched [`lexequal::BatchVerifier`] across batch widths (1/4/8/16)
-//! and every SIMD backend this machine offers, emitting
-//! `results/verify_batch_bench.json` (with the detected dispatch level
-//! and `available_parallelism` recorded for reproduction).
+//! and every SIMD backend this machine offers, ending with a headline:
+//! the mean speedup at the detected dispatch level and widths 8+.
 //!
-//! Usage: `verify_kernel [--quick] [--size N] [--queries N]`
+//! Usage: `verify_kernel [--quick] [--size N] [--queries N]`; the
+//! committed `results/verify_kernel.txt` is its stdout.
 
 use lexequal::{available_simd_levels, simd_level, BatchVerifier, PreparedQuery, Verifier};
 use lexequal_bench::{operator, print_table, synthetic, timed, timed_best, RunOptions};
-use lexequal_mdb::Json;
 use lexequal_phoneme::PhonemeString;
 
 /// Thresholds swept: the paper's quality knee (0.25–0.45) plus a loose
@@ -45,7 +43,6 @@ fn main() {
     let pairs = queries.len() * names.len();
 
     let mut rows = Vec::new();
-    let mut json_runs = Vec::new();
     for e in THRESHOLDS {
         // Old kernel: the pre-kernel verification loop, verbatim.
         let (old_hits, old_time) = timed(|| {
@@ -93,19 +90,6 @@ fn main() {
             format!("{}", counters.fast_reject),
             format!("{}", counters.full_dp),
         ]);
-        json_runs.push(Json::Obj(vec![
-            ("threshold".into(), Json::Float(e)),
-            ("pairs".into(), Json::Int(pairs as i64)),
-            ("matches".into(), Json::Int(old_hits as i64)),
-            ("old_ns".into(), Json::Int(old_time.as_nanos() as i64)),
-            ("new_ns".into(), Json::Int(new_time.as_nanos() as i64)),
-            ("old_mpairs_per_s".into(), Json::Float(mpairs(old_time))),
-            ("new_mpairs_per_s".into(), Json::Float(mpairs(new_time))),
-            ("speedup".into(), Json::Float(speedup)),
-            ("fast_accept".into(), Json::Int(counters.fast_accept as i64)),
-            ("fast_reject".into(), Json::Int(counters.fast_reject as i64)),
-            ("full_dp".into(), Json::Int(counters.full_dp as i64)),
-        ]));
     }
 
     print_table(
@@ -115,18 +99,6 @@ fn main() {
         ],
         &rows,
     );
-
-    let report = Json::Obj(vec![
-        ("dataset_size".into(), Json::Int(names.len() as i64)),
-        ("queries".into(), Json::Int(queries.len() as i64)),
-        ("runs".into(), Json::Arr(json_runs)),
-    ]);
-    let out = std::path::Path::new("results/verify_kernel_bench.json");
-    if let Some(parent) = out.parent() {
-        std::fs::create_dir_all(parent).expect("create results dir");
-    }
-    std::fs::write(out, report.render()).expect("write report");
-    println!("\nWrote {}", out.display());
 
     batch_sweep(&op, &names, &cluster_ids, &embeds, &queries);
 }
@@ -146,7 +118,10 @@ fn batch_sweep(
 ) {
     let pairs = queries.len() * names.len();
     let mut rows = Vec::new();
-    let mut json_runs = Vec::new();
+    // The speedup the serving layer actually gets: detected SIMD level,
+    // production widths (8+), across thresholds.
+    let detected = simd_level();
+    let mut headline = Vec::new();
     let mpairs = |t: std::time::Duration| pairs as f64 / t.as_secs_f64() / 1e6;
     // Best-of-N timing: this sweep's cells are short enough that one
     // noisy-neighbour window can swamp a single pass.
@@ -203,18 +178,9 @@ fn batch_sweep(
                     format!("{:.2}", mpairs(batch_time)),
                     format!("{speedup:.2}x"),
                 ]);
-                json_runs.push(Json::Obj(vec![
-                    ("threshold".into(), Json::Float(e)),
-                    ("width".into(), Json::Int(width as i64)),
-                    ("simd".into(), Json::Str(level.name().into())),
-                    ("pairs".into(), Json::Int(pairs as i64)),
-                    ("matches".into(), Json::Int(batch_hits as i64)),
-                    ("base_ns".into(), Json::Int(base_time.as_nanos() as i64)),
-                    ("batch_ns".into(), Json::Int(batch_time.as_nanos() as i64)),
-                    ("base_mpairs_per_s".into(), Json::Float(mpairs(base_time))),
-                    ("batch_mpairs_per_s".into(), Json::Float(mpairs(batch_time))),
-                    ("speedup".into(), Json::Float(speedup)),
-                ]));
+                if level == detected && width >= 8 {
+                    headline.push(speedup);
+                }
             }
         }
     }
@@ -225,52 +191,9 @@ fn batch_sweep(
         &rows,
     );
 
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    // Headline: the speedup the serving layer actually gets — detected
-    // SIMD level, production widths (8+), averaged across thresholds.
-    let detected = simd_level().name();
-    let headline: Vec<f64> = json_runs
-        .iter()
-        .filter_map(|r| match r {
-            Json::Obj(fields) => {
-                let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-                match (get("simd"), get("width"), get("speedup")) {
-                    (Some(Json::Str(s)), Some(Json::Int(w)), Some(Json::Float(sp)))
-                        if s == detected && *w >= 8 =>
-                    {
-                        Some(*sp)
-                    }
-                    _ => None,
-                }
-            }
-            _ => None,
-        })
-        .collect();
     let headline_mean = headline.iter().sum::<f64>() / headline.len().max(1) as f64;
-    println!("\nheadline ({detected}, width 8+): mean speedup {headline_mean:.2}x");
-    let report = Json::Obj(vec![
-        ("dataset_size".into(), Json::Int(names.len() as i64)),
-        ("queries".into(), Json::Int(queries.len() as i64)),
-        (
-            "available_parallelism".into(),
-            Json::Int(parallelism as i64),
-        ),
-        (
-            "simd_detected".into(),
-            Json::Str(simd_level().name().into()),
-        ),
-        (
-            "headline_speedup_width8plus".into(),
-            Json::Float(headline_mean),
-        ),
-        ("runs".into(), Json::Arr(json_runs)),
-    ]);
-    let out = std::path::Path::new("results/verify_batch_bench.json");
-    if let Some(parent) = out.parent() {
-        std::fs::create_dir_all(parent).expect("create results dir");
-    }
-    std::fs::write(out, report.render()).expect("write report");
-    println!("\nWrote {}", out.display());
+    println!(
+        "\nheadline ({}, width 8+): mean speedup {headline_mean:.2}x",
+        detected.name()
+    );
 }

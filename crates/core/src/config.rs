@@ -2,7 +2,14 @@
 
 use lexequal_g2p::G2pRegistry;
 use lexequal_phoneme::ClusterTable;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
+
+/// Every threshold `e` the operator accepts, at every door that carries
+/// one: [`MatchConfig::with_threshold`], the SQL `LEXEQUAL`/`PHONEQUAL`
+/// UDFs, the daemon's wire requests and its `--threshold` flag. NaN is
+/// outside it (`contains` compares).
+pub const THRESHOLD_RANGE: RangeInclusive<f64> = 0.0..=1.0;
 
 /// Which substitution-cost model the operator materializes into its dense
 /// matrix.
@@ -67,7 +74,7 @@ impl Default for MatchConfig {
 impl MatchConfig {
     /// Set the match threshold.
     pub fn with_threshold(mut self, e: f64) -> Self {
-        assert!((0.0..=1.0).contains(&e), "threshold must be in [0,1]");
+        assert!(THRESHOLD_RANGE.contains(&e), "threshold must be in [0,1]");
         self.threshold = e;
         self
     }

@@ -19,6 +19,7 @@
 //! parses in `lexequal-mdb` and lowers to the `LEXEQUAL` UDF registered
 //! here, so the paper's queries run verbatim.
 
+use crate::config::THRESHOLD_RANGE;
 use crate::operator::{LexEqual, Outcome};
 use lexequal_g2p::{detect_language, Language};
 use lexequal_matcher::qgram::{positional_qgrams, QgramSymbol};
@@ -66,6 +67,16 @@ fn ipa(v: &Value) -> Result<PhonemeString, DbError> {
         .map_err(|e| DbError::Udf(format!("bad IPA operand: {e}")))
 }
 
+/// A threshold operand, refused outside [`THRESHOLD_RANGE`] as every
+/// other door refuses it.
+fn threshold(v: &Value) -> Result<f64, DbError> {
+    let e = v.as_f64()?;
+    if !THRESHOLD_RANGE.contains(&e) {
+        return Err(DbError::Udf(format!("threshold {e} outside [0,1]")));
+    }
+    Ok(e)
+}
+
 /// Register every LexEQUAL-related UDF on a database.
 pub fn register_udfs(db: &mut Database, operator: Arc<LexEqual>) {
     let op = operator.clone();
@@ -79,7 +90,7 @@ pub fn register_udfs(db: &mut Database, operator: Arc<LexEqual>) {
             return Ok(Value::Null);
         }
         let allowed = parse_langs(langs.as_str()?)?;
-        let e = e.as_f64()?;
+        let e = threshold(e)?;
         let Some(ll) = resolve_language(l.as_str()?, allowed.as_deref()) else {
             return Ok(Value::Bool(false)); // outside the target languages
         };
@@ -105,9 +116,8 @@ pub fn register_udfs(db: &mut Database, operator: Arc<LexEqual>) {
         if l.is_null() || r.is_null() {
             return Ok(Value::Null);
         }
-        let a = ipa(l)?;
-        let b = ipa(r)?;
-        Ok(Value::Bool(op.matches_phonemes(&a, &b, e.as_f64()?)))
+        let e = threshold(e)?;
+        Ok(Value::Bool(op.matches_phonemes(&ipa(l)?, &ipa(r)?, e)))
     }));
 
     let op = operator.clone();

@@ -177,19 +177,6 @@ impl Catalog {
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.keys().map(String::as_str)
     }
-
-    /// All index definitions as (index name, table, column name) —
-    /// the snapshot/recovery interface.
-    pub fn index_definitions(&self) -> impl Iterator<Item = (&str, &str, &str)> {
-        self.indexes.values().map(|ix| {
-            let column_name = self
-                .tables
-                .get(&ix.table)
-                .map(|t| t.schema().column(ix.column).name.as_str())
-                .unwrap_or("");
-            (ix.name.as_str(), ix.table.as_str(), column_name)
-        })
-    }
 }
 
 #[cfg(test)]

@@ -42,11 +42,6 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access (bulk loads).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Insert a row programmatically (faster than SQL INSERT for bulk
     /// loads; still maintains indexes).
     pub fn insert(&mut self, table: &str, row: Row) -> Result<(), DbError> {

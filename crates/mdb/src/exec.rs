@@ -2,7 +2,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::expr::{Binder, BoundAggregate, BoundSchema, EvalCtx, Expr};
+use crate::expr::{checked, Binder, BoundAggregate, BoundSchema, EvalCtx, Expr};
 use crate::plan::{plan_relational, RelPlan};
 use crate::row::Row;
 use crate::sql::ast::{Aggregate, Select, SelectItem, SqlExpr};
@@ -369,7 +369,10 @@ impl ExecContext<'_> {
                 if vs.is_empty() {
                     Value::Null
                 } else if vs.iter().all(|v| matches!(v, Value::Int(_))) {
-                    Value::Int(vs.iter().map(|v| v.as_i64().expect("int")).sum())
+                    let sum = vs
+                        .iter()
+                        .try_fold(0i64, |s, v| s.checked_add(v.as_i64().expect("int")));
+                    checked(sum, || format!("SUM over {} rows", vs.len()))?
                 } else {
                     let mut s = 0.0;
                     for v in &vs {

@@ -287,7 +287,7 @@ impl Expr {
                 match op {
                     UnOp::Not => Ok(Value::Bool(!v.truthy())),
                     UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Int(i) => checked(i.checked_neg(), || format!("-({i})")),
                         Value::Float(f) => Ok(Value::Float(-f)),
                         other => Err(DbError::Type(format!("cannot negate {other}"))),
                     },
@@ -356,20 +356,18 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, DbError> {
                 return Ok(Value::Null);
             }
             // Integer arithmetic when both sides are integers (except /).
-            if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
-                return Ok(match op {
-                    Add => Value::Int(a + b),
-                    Sub => Value::Int(a - b),
-                    Mul => Value::Int(a * b),
-                    Div => {
-                        if *b == 0 {
-                            Value::Null
-                        } else {
-                            Value::Float(*a as f64 / *b as f64)
-                        }
-                    }
+            if let (&Value::Int(a), &Value::Int(b)) = (&l, &r) {
+                return match op {
+                    Add => checked(a.checked_add(b), || format!("{a} + {b}")),
+                    Sub => checked(a.checked_sub(b), || format!("{a} - {b}")),
+                    Mul => checked(a.checked_mul(b), || format!("{a} * {b}")),
+                    Div => Ok(if b == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(a as f64 / b as f64)
+                    }),
                     _ => unreachable!("arithmetic op"),
-                });
+                };
             }
             let a = l.as_f64()?;
             let b = r.as_f64()?;
@@ -391,6 +389,13 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, DbError> {
     }
 }
 
+/// An `i64` result, or the type error naming the expression that left
+/// the integer range (never a wrapped value, never a promotion to float).
+pub(crate) fn checked(v: Option<i64>, expr: impl FnOnce() -> String) -> Result<Value, DbError> {
+    v.map(Value::Int)
+        .ok_or_else(|| DbError::Type(format!("integer overflow: {}", expr())))
+}
+
 fn eval_call(name: &str, args: &[Value], ctx: &EvalCtx<'_>) -> Result<Value, DbError> {
     match name {
         "LEN" | "LENGTH" => {
@@ -408,7 +413,7 @@ fn eval_call(name: &str, args: &[Value], ctx: &EvalCtx<'_>) -> Result<Value, DbE
             };
             match v {
                 Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i.abs())),
+                Value::Int(i) => checked(i.checked_abs(), || format!("ABS({i})")),
                 Value::Float(f) => Ok(Value::Float(f.abs())),
                 other => Err(DbError::Type(format!("ABS of {other}"))),
             }
@@ -545,6 +550,40 @@ mod tests {
         let (e, _) = bind_where("SELECT x FROM t WHERE 1 / 0 = 1");
         let v = eval_simple(&e, &[Value::Null, Value::Null, Value::Null]);
         assert_eq!(v, Value::Bool(false)); // NULL = 1 is false
+    }
+
+    #[test]
+    fn integer_overflow_is_a_named_type_error() {
+        let (max, min) = (i64::MAX, i64::MIN);
+        // `{min}` cannot be written as one literal: `-9223372036854775808`
+        // is the negation of an out-of-range integer.
+        let min_expr = format!("(-{max} - 1)");
+        for (expr, want) in [
+            (format!("{max} + 1"), Err("9223372036854775807 + 1")),
+            (format!("{min_expr} - 1"), Err("-9223372036854775808 - 1")),
+            (format!("{max} * 2"), Err("9223372036854775807 * 2")),
+            (format!("-{min_expr}"), Err("-(-9223372036854775808)")),
+            (format!("ABS({min_expr})"), Err("ABS(-9223372036854775808)")),
+            (format!("{max} - 1 + 1"), Ok(max)),
+            (format!("{min_expr} + 0"), Ok(min)),
+            (format!("-(-{max})"), Ok(max)),
+            (format!("{max} * -1"), Ok(-max)),
+        ] {
+            let (e, _) = bind_where(&format!("SELECT x FROM t WHERE {expr}"));
+            let got = e.eval(&EvalCtx {
+                row: &[],
+                udfs: &UdfRegistry::new(),
+                aggs: None,
+                stats: &Stats::default(),
+            });
+            match want {
+                Ok(v) => assert_eq!(got, Ok(Value::Int(v)), "{expr}"),
+                Err(msg) => {
+                    let want = DbError::Type(format!("integer overflow: {msg}"));
+                    assert_eq!(got, Err(want), "{expr}");
+                }
+            }
+        }
     }
 
     #[test]

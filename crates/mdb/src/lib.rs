@@ -44,11 +44,9 @@ pub mod db;
 pub mod error;
 pub mod exec;
 pub mod expr;
-pub mod json;
 pub mod plan;
 pub mod row;
 pub mod schema;
-pub mod snapshot;
 pub mod sql;
 pub mod stats;
 pub mod table;
@@ -60,10 +58,8 @@ pub use catalog::Catalog;
 pub use db::{Database, ResultSet};
 pub use error::DbError;
 pub use expr::Expr;
-pub use json::{Json, JsonError};
 pub use row::{Row, RowId};
 pub use schema::{Column, Schema};
-pub use snapshot::Snapshot;
 pub use stats::Stats;
 pub use table::Table;
 pub use udf::{Udf, UdfRegistry};

@@ -63,6 +63,7 @@
 //! `<wal>.checkpoint` automatically; with no `--snapshot` at all the
 //! checkpoint is used whenever it exists.
 
+use lexequal::config::THRESHOLD_RANGE;
 use lexequal::MatchConfig;
 use lexequal_service::shard::MAX_SHARDS;
 use lexequal_service::{
@@ -188,7 +189,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--threshold" => {
                 let v = value("--threshold")?;
                 let e: f64 = parse_value("--threshold", &v, "a number in [0,1]")?;
-                if !(0.0..=1.0).contains(&e) {
+                if !THRESHOLD_RANGE.contains(&e) {
                     return Err(format!(
                         "--threshold: invalid value {v:?} (must be in [0,1])"
                     ));

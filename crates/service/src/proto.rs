@@ -79,6 +79,7 @@
 
 use crate::metrics::{method_index, method_name, ALL_METHODS};
 use crate::service::{AutoMatchRequest, MatchOutcome, MatchRequest, StatsSnapshot};
+use lexequal::config::THRESHOLD_RANGE;
 use lexequal::{BuildSpec, Language, QgramMode, SearchMethod};
 use lexequal_g2p::Script;
 
@@ -238,7 +239,7 @@ fn parse_threshold(tok: &str) -> Result<Option<f64>, String> {
         return Ok(None);
     }
     let e: f64 = tok.parse().map_err(|_| format!("bad threshold {tok:?}"))?;
-    if !(0.0..=1.0).contains(&e) {
+    if !THRESHOLD_RANGE.contains(&e) {
         return Err(format!("threshold {e} outside [0,1]"));
     }
     Ok(Some(e))

@@ -486,9 +486,8 @@ mod tests {
         assert!(!bare.contains("conns_current"), "{bare}");
     }
 
-    /// (Named when there were two serve loops; the one loop is what runs.)
     #[test]
-    fn both_paths_serve_a_real_socket_end_to_end() {
+    fn serve_answers_a_real_socket_end_to_end() {
         use crate::event_loop::{serve, ShutdownSignal};
         use std::io::{BufRead, BufReader, Write};
         use std::net::TcpStream;

@@ -369,10 +369,9 @@ const EMBED_BYTES: usize = 32;
 /// differed only in the version word, the section count, and the absent
 /// embedding arena — is no longer read (none was ever written outside
 /// tests): its header is the named version error, with or without the
-/// v1 section count, never a panic and never a load. (The name is from
-/// when such an image loaded by copy.)
+/// v1 section count, never a panic and never a load.
 #[test]
-fn v1_images_load_with_deferred_embeddings() {
+fn v1_images_are_a_named_version_error() {
     let image = small_image();
     let mut v1 = image.clone();
     v1[8..12].copy_from_slice(&1u32.to_le_bytes());

@@ -395,9 +395,8 @@ impl Daemon {
     }
 }
 
-/// (Named when there were two serve loops; the one loop is what runs.)
 #[test]
-fn both_serve_modes_answer_identically_from_the_mapping() {
+fn mmap_loaded_daemon_answers_like_the_rebuilt_one() {
     let original = populated_service(2);
     let path = TempPath::new("serve.snap");
     original.save_snapshot(&path.0).expect("save");

@@ -102,9 +102,8 @@ fn load_directory(c: &mut Client) {
     assert_eq!(c.send("BUILD QGRAM 3 STRICT"), "OK built=qgram");
 }
 
-/// (Named when there were two serve loops; the one loop is what runs.)
 #[test]
-fn untagged_match_works_over_the_wire_in_both_modes() {
+fn untagged_match_and_add_route_by_script_over_the_wire() {
     let daemon = Daemon::spawn(3);
     let mut c = Client::connect(daemon.addr);
     load_directory(&mut c);

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification, exactly what CI runs. Fully offline: the
-# workspace has no external dependencies (see the workspace Cargo.toml
-# for how to restore the optional proptest/criterion extras).
+# workspace has no external dependencies.
 #
 # Each thing runs once. What each suite holds is listed in README.md
 # ("What tier-1 holds"); a step appears here a second time only when it
@@ -41,12 +40,6 @@ echo "== lexbench smoke: the release daemon over a socket, oracle-checked"
 # cycles and SIGKILL + replay, a first probe that lands on a daemon still
 # covering), every reply checked against the in-process oracle.
 bash crates/lexbench/run.sh --smoke
-
-echo "== cargo bench --no-run"
-# Compile-checks the bench harnesses. The criterion micro-benchmarks are
-# behind required-features = ["criterion-benches"], so without the
-# restored criterion dependency this covers the bench *binaries* only.
-cargo bench --workspace --offline --no-run
 
 echo "== line counts (whole .rs files, bin/ included; ROADMAP item 2's exit criterion)"
 for dir in crates/service/src crates/core/src; do

@@ -3,7 +3,9 @@
 
 use lexequal::udf::{load_names_table, load_qgram_aux_table, register_udfs};
 use lexequal::{Language, LexEqual, MatchConfig};
-use lexequal_mdb::{Database, Value};
+use lexequal_mdb::{Database, DbError, Value};
+use std::io::Write;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 fn catalog_db() -> Database {
@@ -145,6 +147,101 @@ fn full_accelerated_pipeline_over_names_table() {
     // Index lookups recorded, UDF not called for every row.
     assert!(db.stats().index_lookups() >= 1);
     assert!(db.stats().udf_calls("PHONEQUAL") < names.len() as u64);
+}
+
+#[test]
+fn thresholds_outside_the_unit_interval_are_named_errors() {
+    let mut db = catalog_db();
+    let select = |e: &str| {
+        format!(
+            "SELECT author FROM books WHERE author LEXEQUAL 'Nehru' THRESHOLD {e} INLANGUAGES *"
+        )
+    };
+    for (sql, range_error) in [
+        (select("-1"), true),
+        (select("7"), true),
+        (select("0"), false),
+        (select("1"), false),
+        (
+            "SELECT author FROM books WHERE PHONEQUAL('nɛru', 'nɛru', -3)".into(),
+            true,
+        ),
+        (
+            "SELECT author FROM books WHERE PHONEQUAL('nɛru', 'nɛru', 1)".into(),
+            false,
+        ),
+    ] {
+        match db.execute(&sql) {
+            Err(DbError::Udf(msg)) if range_error => {
+                assert!(msg.contains("outside [0,1]"), "{msg}")
+            }
+            Ok(rs) if !range_error => assert!(!rs.rows.is_empty(), "{sql}"),
+            other => panic!("{sql}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn integer_sum_overflow_is_a_named_error() {
+    let mut db = catalog_db();
+    let err = db
+        .execute("SELECT SUM(9223372036854775807) FROM books")
+        .unwrap_err();
+    assert_eq!(
+        err,
+        DbError::Type("integer overflow: SUM over 6 rows".into())
+    );
+    let rs = db.execute("SELECT SUM(1) FROM books").expect("sum");
+    assert_eq!(rs.rows[0][0], Value::Int(6));
+}
+
+/// The shell as a pipe sees it: results only (no banner, no prompt),
+/// errors on stderr, and `.save` is not a command (it reaches the SQL
+/// parser and writes nothing).
+#[test]
+fn shell_answers_piped_input_without_a_prompt() {
+    let dir = std::env::temp_dir().join(format!("lexequal-shell-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lexequal_shell"))
+        .current_dir(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn shell");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(
+            b"select * from books where author lexequal 'Nehru' threshold 0.45 inlanguages *\n\
+              .tables\n\
+              .save x\n",
+        )
+        .expect("write");
+    let out = child.wait_with_output().expect("shell exits");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(out.status.success(), "{stderr}");
+    let authors: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split(" | ").next())
+        .filter(|a| ["Nehru", "नेहरु", "நேரு", "Nero", "ネルー"].contains(a))
+        .collect();
+    assert_eq!(authors.len(), 5, "{stdout}");
+    assert!(stdout.contains("(5 rows)"), "{stdout}");
+    assert!(stdout.contains("books (8 rows)"), "{stdout}");
+    assert!(
+        !stdout.contains("lexequal"),
+        "banner or prompt on a pipe: {stdout}"
+    );
+    assert_eq!(
+        stderr.lines().filter(|l| l.starts_with("error: ")).count(),
+        1,
+        "{stderr}"
+    );
+    assert!(!dir.join("x").exists(), ".save wrote a file");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! lexequald [--addr HOST:PORT] [--shards N] [--cache N] [--threshold E] [--preload N]
 //!           [--snapshot PATH] [--save-snapshot PATH] [--wal PATH]
 //!           [--wal-max-bytes N] [--wal-ack-grace SECS]
-//!           [--replica-of HOST:PORT] [--repl-listen HOST:PORT]
+//!           [--replica-of HOST:PORT]
 //!           [--mode evented] [--workers N] [--max-pipeline N]
 //!           [--max-line BYTES] [--queue N]
 //! ```
@@ -42,9 +42,8 @@
 //! * `--wal PATH` makes this daemon a **primary**: every mutation
 //!   appends to the write-ahead op log (fsynced) before the client sees
 //!   `OK`, restart replays the WAL tail past `--snapshot`'s covered
-//!   LSN, and `REPL HELLO <lsn>` on any connection opens a replication
-//!   stream. `--repl-listen HOST:PORT` additionally serves streams on a
-//!   dedicated listener.
+//!   LSN, and `REPL HELLO <lsn>` on any connection to `--addr` opens a
+//!   replication stream — the one door a replica comes in by.
 //! * `--replica-of HOST:PORT` makes this daemon a **read-only replica**:
 //!   it seeds itself with a snapshot transfer from the primary, applies
 //!   the op stream continuously (reconnecting with backoff), answers
@@ -68,18 +67,20 @@ use lexequal::MatchConfig;
 use lexequal_service::shard::MAX_SHARDS;
 use lexequal_service::{
     bind_reusable, mmapstore, repl, BuildSpec, CompactionPolicy, MatchService, ReplicaState,
-    Replicator, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal, Wal, WalError, WalMetrics,
+    Replicator, ReqCtx, Role, ServeOptions, ServiceConfig, ShutdownSignal, Wal, WalError,
+    WalMetrics,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: lexequald [--addr HOST:PORT] [--shards N] [--cache N] \
 [--threshold E] [--preload N] \
 [--snapshot PATH] [--save-snapshot PATH] \
 [--wal PATH] [--wal-max-bytes N] [--wal-ack-grace SECS] \
-[--replica-of HOST:PORT] [--repl-listen HOST:PORT] \
+[--replica-of HOST:PORT] \
 [--mode evented] [--workers N] [--max-pipeline N] [--max-line BYTES] [--queue N]\n\
 (--mode evented names the only serve loop; it is accepted for old command lines)";
 
@@ -101,7 +102,6 @@ struct Args {
     /// pinning the compaction horizon (`None` = default).
     wal_ack_grace: Option<u64>,
     replica_of: Option<String>,
-    repl_listen: Option<String>,
     serve: ServeOptions,
 }
 
@@ -138,7 +138,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         wal_max_bytes: None,
         wal_ack_grace: None,
         replica_of: None,
-        repl_listen: None,
         serve: ServeOptions::default(),
     };
     let mut it = argv;
@@ -166,9 +165,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--replica-of" => {
                 args.replica_of = Some(parse_addr("--replica-of", value("--replica-of")?)?);
-            }
-            "--repl-listen" => {
-                args.repl_listen = Some(parse_addr("--repl-listen", value("--repl-listen")?)?);
             }
             "--shards" => {
                 let v = value("--shards")?;
@@ -261,7 +257,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             ("--wal", args.wal.is_some()),
             ("--snapshot", args.snapshot.is_some()),
             ("--save-snapshot", args.save_snapshot.is_some()),
-            ("--repl-listen", args.repl_listen.is_some()),
             ("--preload", args.preload > 0),
         ] {
             if set {
@@ -271,9 +266,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 ));
             }
         }
-    }
-    if args.repl_listen.is_some() && args.wal.is_none() {
-        return Err("--repl-listen requires --wal (only a primary serves replicas)".to_owned());
     }
     for (flag, set) in [
         ("--wal-max-bytes", args.wal_max_bytes.is_some()),
@@ -302,10 +294,39 @@ fn main() -> ExitCode {
         match_config = match_config.with_threshold(e);
     }
 
-    if args.replica_of.is_some() {
-        return run_replica_daemon(&args, match_config);
+    let shutdown = match ShutdownSignal::new() {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("lexequald: cannot create shutdown signal: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let started = match &args.replica_of {
+        Some(primary) => start_replica(primary, &args, &match_config, &shutdown),
+        None => start_local(&args, &match_config, &shutdown),
+    };
+    match started {
+        Some(started) => serve_role(args, started, shutdown),
+        None => ExitCode::FAILURE,
     }
+}
 
+/// A daemon ready to serve: its store, the role it answers in, the
+/// declared paths still to cover, and (on a replica) the apply thread.
+struct Started {
+    service: Arc<MatchService>,
+    role: Role,
+    uncovered: Vec<BuildSpec>,
+    apply: Option<JoinHandle<()>>,
+}
+
+/// A standalone daemon, or with `--wal` a primary: recover the store
+/// from the newest usable snapshot and the log, or populate a fresh one.
+fn start_local(
+    args: &Args,
+    match_config: &MatchConfig,
+    shutdown: &ShutdownSignal,
+) -> Option<Started> {
     // Recovery candidates, preferred first: the explicit --snapshot,
     // then the compaction checkpoint (<wal>.checkpoint) when one
     // exists, then a fresh store. A candidate too old for a compacted
@@ -340,7 +361,7 @@ fn main() -> ExitCode {
                     "lexequald: refusing --preload: wal checkpoint {c:?} exists and \
                      already holds a corpus (remove it to start fresh)"
                 );
-                return ExitCode::FAILURE;
+                return None;
             }
             candidates.push(c.clone());
         }
@@ -349,14 +370,14 @@ fn main() -> ExitCode {
     let mut candidate = 0usize;
     let (service, replicator) = loop {
         let (service, base_lsn) = match candidates.get(candidate) {
-            Some(path) => match load_snapshot_service(path, &match_config, &args) {
+            Some(path) => match load_snapshot_service(path, match_config, args) {
                 Ok(v) => v,
                 Err(e) => {
                     eprintln!("lexequald: cannot load snapshot {path:?}: {e}");
-                    return ExitCode::FAILURE;
+                    return None;
                 }
             },
-            None => fresh_service(&match_config, &args),
+            None => fresh_service(match_config, args),
         };
 
         // With --wal this daemon is a primary: recover the tail past the
@@ -380,7 +401,7 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("lexequald: cannot open wal {path:?}: {e}");
-                return ExitCode::FAILURE;
+                return None;
             }
         };
         // A log holding no record cannot show a gap: a cycle that dropped
@@ -413,7 +434,7 @@ fn main() -> ExitCode {
             }
         }
         if replay_failed {
-            return ExitCode::FAILURE;
+            return None;
         }
         eprintln!(
             "lexequald: wal {path:?} replayed {replayed} op(s), head lsn {} in {:.2?}",
@@ -446,7 +467,7 @@ fn main() -> ExitCode {
         };
         if let Err(e) = saved {
             eprintln!("lexequald: cannot save snapshot {path:?}: {e}");
-            return ExitCode::FAILURE;
+            return None;
         }
         eprintln!(
             "lexequald: snapshot saved to {path:?} ({} names) in {:.2?}",
@@ -454,14 +475,6 @@ fn main() -> ExitCode {
             start.elapsed(),
         );
     }
-
-    let shutdown = match ShutdownSignal::new() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("lexequald: cannot create shutdown signal: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
 
     // Background compactor: polls the live byte count and runs a
     // checkpoint-and-truncate cycle whenever the log outgrows the
@@ -476,36 +489,25 @@ fn main() -> ExitCode {
         }
     }
 
-    // Optional dedicated replication listener (streams also work on the
-    // main address; this isolates them for firewalling or QoS).
-    let repl_thread = match (&replicator, &args.repl_listen) {
-        (Some(repl), Some(addr)) => {
-            let listener = match bind_reusable(addr) {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("lexequald: cannot bind replication listener {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!("lexequald: replication listener on {addr}");
-            let service = Arc::clone(&service);
-            let repl = Arc::clone(repl);
-            let shutdown = shutdown.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("lexequald-repl-accept".to_owned())
-                    .spawn(move || {
-                        if let Err(e) = repl::serve_repl_listener(listener, service, repl, shutdown)
-                        {
-                            eprintln!("lexequald: replication listener failed: {e}");
-                        }
-                    })
-                    .expect("spawn replication listener"),
-            )
-        }
-        _ => None,
-    };
+    let uncovered = service.store().built_specs();
+    Some(Started {
+        service,
+        role: replicator.map_or(Role::Standalone, Role::Primary),
+        uncovered,
+        apply: None,
+    })
+}
 
+/// Every role's tail: bind, announce, cover the declared paths still
+/// uncovered behind the traffic, serve until shutdown, then stop what
+/// the role started. The `serving on` line differs only in its suffix.
+fn serve_role(args: Args, started: Started, shutdown: ShutdownSignal) -> ExitCode {
+    let Started {
+        service,
+        role,
+        uncovered,
+        apply,
+    } = started;
     let listener = match bind_reusable(&args.addr) {
         Ok(l) => l,
         Err(e) => {
@@ -513,38 +515,38 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let suffix = match &role {
+        Role::Standalone => String::new(),
+        Role::Primary(_) => " role=primary".to_owned(),
+        Role::Replica(state) => format!(" role=replica primary={}", state.primary),
+    };
     eprintln!(
-        "lexequald: serving on {} with {} shard(s), workers={} max-pipeline={}{}",
-        listener.local_addr().map_or(args.addr, |a| a.to_string()),
+        "lexequald: serving on {} with {} shard(s), workers={} max-pipeline={}{suffix}",
+        listener
+            .local_addr()
+            .map_or_else(|_| args.addr.clone(), |a| a.to_string()),
         service.store().shards(),
         args.serve.workers,
         args.serve.max_pipeline,
-        if replicator.is_some() {
-            " role=primary"
-        } else {
-            ""
-        },
     );
     // Whatever the source — preload, image, replayed `BUILD`s — every
     // declared path already answers exactly; cover them all once, behind
     // the traffic. (Strictly after WAL replay: covering first would only
     // leave the replayed rows as a tail.)
-    let declared = service.store().built_specs();
-    if !declared.is_empty() {
+    if !uncovered.is_empty() {
         let service = Arc::clone(&service);
         std::thread::Builder::new()
             .name("lexequald-bg-cover".to_owned())
             .spawn(move || {
                 eprintln!(
                     "lexequald: covered in background {}",
-                    timed_builds(&service, &declared)
+                    timed_builds(&service, &uncovered)
                 );
             })
             .expect("spawn background cover");
     }
     let ctx = ReqCtx {
-        repl: replicator.clone(),
-        replica: None,
+        role: role.clone(),
         save_path: args
             .save_snapshot
             .as_ref()
@@ -553,11 +555,11 @@ fn main() -> ExitCode {
     };
     let result = lexequal_service::serve(listener, service, ctx, args.serve, shutdown.clone());
     shutdown.trigger();
-    if let Some(repl) = &replicator {
+    if let Role::Primary(repl) = &role {
         repl.stop_and_join();
     }
-    if let Some(handle) = repl_thread {
-        let _ = handle.join();
+    if let Some(apply) = apply {
+        let _ = apply.join();
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -663,32 +665,30 @@ fn fresh_service(match_config: &MatchConfig, args: &Args) -> LoadedService {
     (service, 0)
 }
 
-/// The `--replica-of` daemon: seed from the primary's snapshot stream,
-/// keep applying ops on a background thread, serve reads locally.
-fn run_replica_daemon(args: &Args, match_config: MatchConfig) -> ExitCode {
-    let primary = args.replica_of.clone().expect("replica_of checked");
-    let state = Arc::new(ReplicaState::new(primary.clone()));
-    let shutdown = match ShutdownSignal::new() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("lexequald: cannot create shutdown signal: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// `--replica-of`: seed from the primary's snapshot stream (covering
+/// its recorded paths before serving) and keep applying its ops on a
+/// background thread.
+fn start_replica(
+    primary: &str,
+    args: &Args,
+    match_config: &MatchConfig,
+    shutdown: &ShutdownSignal,
+) -> Option<Started> {
+    let state = Arc::new(ReplicaState::new(primary.to_owned()));
     let start = Instant::now();
     eprintln!("lexequald: replica of {primary}: waiting for initial sync...");
     let (service, stream, reader) = match repl::initial_sync(
-        &primary,
-        &match_config,
+        primary,
+        match_config,
         args.shards,
         args.cache,
         &state,
-        &shutdown,
+        shutdown,
     ) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("lexequald: initial sync with {primary} failed: {e}");
-            return ExitCode::FAILURE;
+            return None;
         }
     };
     let service = Arc::new(service);
@@ -704,7 +704,7 @@ fn run_replica_daemon(args: &Args, match_config: MatchConfig) -> ExitCode {
         load.load_ms,
     );
 
-    let apply_thread = {
+    let apply = {
         let service = Arc::clone(&service);
         let state = Arc::clone(&state);
         let shutdown = shutdown.clone();
@@ -722,39 +722,10 @@ fn run_replica_daemon(args: &Args, match_config: MatchConfig) -> ExitCode {
             })
             .expect("spawn replica apply thread")
     };
-
-    let listener = match bind_reusable(&args.addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("lexequald: cannot bind {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "lexequald: serving on {} with {} shard(s), workers={} max-pipeline={} \
-         role=replica primary={}",
-        listener
-            .local_addr()
-            .map_or_else(|_| args.addr.clone(), |a| a.to_string()),
-        service.store().shards(),
-        args.serve.workers,
-        args.serve.max_pipeline,
-        primary,
-    );
-    let ctx = ReqCtx {
-        repl: None,
-        replica: Some(Arc::clone(&state)),
-        save_path: None,
-    };
-    let result =
-        lexequal_service::serve(listener, service, ctx, args.serve.clone(), shutdown.clone());
-    shutdown.trigger();
-    let _ = apply_thread.join();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("lexequald: listener failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Some(Started {
+        service,
+        role: Role::Replica(state),
+        uncovered: Vec::new(),
+        apply: Some(apply),
+    })
 }

@@ -41,7 +41,7 @@
 use crate::conn::{Conn, WRITE_HIGH_WATER};
 use crate::metrics::ConnMetrics;
 use crate::proto::{parse_request, FrameError, Request};
-use crate::server::{begin_lookups, execute_request, finish_lookups, ReqCtx, ServeOptions};
+use crate::server::{begin_lookups, execute_request, finish_lookups, ReqCtx, Role, ServeOptions};
 use crate::service::{MatchService, PendingLookup};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
@@ -664,7 +664,9 @@ impl EventLoop {
                         conn.enqueue_done(vec!["BYE".to_owned()]);
                         conn.quitting = true;
                     }
-                    Ok(Some(Request::ReplHello { lsn })) if self.ctx.repl.is_some() => {
+                    Ok(Some(Request::ReplHello { lsn }))
+                        if matches!(self.ctx.role, Role::Primary(_)) =>
+                    {
                         // Stop reading; once every earlier pipelined
                         // response has flushed, the socket leaves the
                         // event loop for a dedicated sender thread.
@@ -717,9 +719,10 @@ impl EventLoop {
         };
         self.poller.delete(conn.stream.as_raw_fd());
         self.metrics.conn_closed();
-        let Some(repl) = self.ctx.repl.clone() else {
+        let Role::Primary(repl) = &self.ctx.role else {
             return;
         };
+        let repl = Arc::clone(repl);
         let stream = conn.stream;
         if stream.set_nonblocking(false).is_err() {
             return;

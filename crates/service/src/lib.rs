@@ -27,8 +27,8 @@
 //!   (`NoResource`, `NotBuilt`, `BadInput`) instead of errors.
 //! * [`proto`] / [`server`] — the `lexequald` wire protocol (with
 //!   incremental line framing) and the one request entry point,
-//!   [`respond`](server::respond), routed through a
-//!   [`ReqCtx`] (standalone, primary or replica).
+//!   [`respond`](server::respond), answered in the daemon's one
+//!   [`Role`] (standalone, primary or replica) carried by its [`ReqCtx`].
 //! * [`event_loop`] / `conn` — the one serving loop, [`serve`]: an
 //!   epoll readiness thread, pipelined per-connection state machines,
 //!   backpressure rules and a fixed verify worker pool, stoppable via
@@ -45,12 +45,13 @@
 //!   rewrite ([`Wal::compact_to`](wal::Wal::compact_to)) keep the file
 //!   bounded.
 //! * [`repl`] — replication: the primary's [`Replicator`] (WAL commit
-//!   lock + per-replica sender threads streaming snapshots and op
-//!   records, replica ACK tracking, and the [`spawn_compactor`]
-//!   checkpoint/compaction loop with replica-aware horizons) and the
-//!   replica side ([`initial_sync`] / [`run_replica`]) behind `lexequald
-//!   --replica-of`, including live re-seed after being compacted past and
-//!   fatal divergence detection.
+//!   lock + per-replica sender threads, started by a `REPL HELLO` on the
+//!   serving port, streaming snapshots and op records, replica ACK
+//!   tracking, and the [`spawn_compactor`] checkpoint/compaction loop
+//!   with replica-aware horizons) and the replica side behind `lexequald
+//!   --replica-of`: one handshake that [`initial_sync`] seeds with and
+//!   [`run_replica`] reconnects with, re-seeding live after being
+//!   compacted past and refusing a divergent history.
 //!
 //! ## Example
 //!
@@ -91,10 +92,10 @@ pub use metrics::{
 pub use mmapstore::{ImageError, ImageSink, LoadedImage, Mmap};
 pub use proto::{FrameError, LineFramer};
 pub use repl::{
-    initial_sync, run_replica, serve_repl_listener, serve_replica, spawn_compactor, CommitError,
-    CompactReport, CompactionPolicy, ReplError, ReplicaState, Replicator,
+    initial_sync, run_replica, spawn_compactor, CommitError, CompactReport, CompactionPolicy,
+    ReplError, ReplicaState, Replicator,
 };
-pub use server::{bind_reusable, ReqCtx, ServeOptions};
+pub use server::{bind_reusable, ReqCtx, Role, ServeOptions};
 pub use service::{
     AddResolution, AutoMatchRequest, LoadInfo, MatchOutcome, MatchRequest, MatchService, Preloaded,
     ServiceConfig, SnapshotLoad, StatsSnapshot,

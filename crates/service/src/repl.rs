@@ -4,9 +4,12 @@
 //! commit path that appends every mutation to the log (fsynced) and
 //! only then applies it to the store, under one lock — so LSN order is
 //! store-apply order, on the primary and on every copy. A replica
-//! (`--replica-of HOST:PORT`) opens the primary's line protocol with
-//! `REPL HELLO <lsn> MMAP` and applies what comes back through the same
-//! deterministic [`MatchService::apply_op`] path WAL replay uses.
+//! (`--replica-of HOST:PORT`) sends `REPL HELLO <lsn> MMAP` on the
+//! primary's serving port, the one door a stream opens through, and
+//! applies what comes back through the same deterministic
+//! [`MatchService::apply_op`] path WAL replay uses. A fresh seed and a
+//! reconnect are one handshake; they differ only in what they do with
+//! its answer.
 //!
 //! A snapshot transfer is the snapshot image ([`crate::mmapstore`]),
 //! shipped verbatim and loaded zero-copy from the transfer buffer. The
@@ -29,7 +32,10 @@
 //! The replica talks back on the same socket: `ACK <lsn>\n` after
 //! applying (throttled, and on every heartbeat), which the primary
 //! records per replica as that stream's acknowledged horizon — the
-//! input to WAL compaction (see [`Replicator::compact`]).
+//! input to WAL compaction (see [`Replicator::compact`]). Neither side
+//! trusts a peer's line length: the primary reads at most
+//! `wal::MAX_ACK_LINE` bytes a line and drops the stream past it, the
+//! replica at most `wal::MAX_STREAM_LINE` and reconnects past it.
 //!
 //! The primary answers `SNAP` when the replica's LSN is 0 or has fallen
 //! behind the log horizon (the WAL no longer holds `lsn+1`), `OK`
@@ -50,13 +56,13 @@
 use crate::event_loop::ShutdownSignal;
 use crate::metrics::{ReplRole, ReplStats, WalMetrics, WalStats};
 use crate::mmapstore::{self, ImageError};
-use crate::service::{LoadInfo, MatchService};
+use crate::service::MatchService;
 use crate::shard::Cut;
 use crate::wal::{self, Op, Wal, WalCursor, WalError, WalRecord};
 use lexequal::MatchConfig;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -294,11 +300,6 @@ impl Replicator {
         self.compactions.load(Ordering::Relaxed)
     }
 
-    /// LSN covered by the newest durable checkpoint (0 = none yet).
-    pub fn checkpoint_lsn(&self) -> u64 {
-        self.checkpoint_lsn.load(Ordering::Relaxed)
-    }
-
     /// Snapshot-transfer catch-ups served to non-fresh replicas.
     pub fn reseeds(&self) -> u64 {
         self.reseeds.load(Ordering::Relaxed)
@@ -307,21 +308,6 @@ impl Replicator {
     /// Replicas that arrived *ahead* of this primary's history.
     pub fn divergences(&self) -> u64 {
         self.divergences.load(Ordering::Relaxed)
-    }
-
-    /// Longest single hold of the commit lock since start, in µs — an
-    /// `ADD`'s own append + fsync unless something stops the world.
-    pub fn commit_hold_max_us(&self) -> u64 {
-        self.commit_hold_max_us.load(Ordering::Relaxed)
-    }
-
-    /// `(milliseconds, rows)` of the newest snapshot written through
-    /// this replicator (0, 0 before the first).
-    pub fn checkpoint_last(&self) -> (u64, u64) {
-        (
-            self.checkpoint_ms_last.load(Ordering::Relaxed),
-            self.checkpoint_rows_last.load(Ordering::Relaxed),
-        )
     }
 
     /// Last committed LSN.
@@ -337,6 +323,33 @@ impl Replicator {
     /// WAL counter snapshot.
     pub fn wal_stats(&self) -> WalStats {
         self.metrics.stats()
+    }
+
+    /// The `STATS` view of this primary. `commit_hold_max_us` is the
+    /// longest single hold of the commit lock since start — an `ADD`'s
+    /// own append + fsync unless something stops the world;
+    /// `checkpoint_{ms,rows}_last` describe the newest snapshot written
+    /// through this replicator (0 before the first).
+    pub(crate) fn stats(&self) -> ReplStats {
+        let head = self.head();
+        ReplStats {
+            role: ReplRole::Primary,
+            head_lsn: head,
+            applied_lsn: head,
+            lag: 0,
+            connected: true,
+            replicas: self.replicas(),
+            wal: Some(self.wal_stats()),
+            primary_addr: None,
+            wal_bytes_live: self.live_bytes(),
+            compactions: self.compactions(),
+            checkpoint_lsn: self.checkpoint_lsn.load(Ordering::Relaxed),
+            reseeds: self.reseeds(),
+            divergences: self.divergences(),
+            commit_hold_max_us: self.commit_hold_max_us.load(Ordering::Relaxed),
+            checkpoint_ms_last: self.checkpoint_ms_last.load(Ordering::Relaxed),
+            checkpoint_rows_last: self.checkpoint_rows_last.load(Ordering::Relaxed),
+        }
     }
 
     /// Commit one `ADD`: validate (transform) first, append+fsync, then
@@ -460,15 +473,6 @@ impl Replicator {
     /// (0 always demands a snapshot — a fresh replica has no state).
     pub fn can_serve_incremental(&self, from: u64) -> bool {
         from != 0 && self.commit_lock().can_serve_from(from)
-    }
-
-    /// Records with `lsn > from`, in order.
-    ///
-    /// Holds the commit lock across a whole-file scan — kept only for
-    /// small one-shot reads; stream senders use
-    /// [`read_tail`](Self::read_tail), which does neither.
-    pub fn read_from(&self, from: u64) -> Result<Vec<WalRecord>, WalError> {
-        self.commit_lock().read_from(from)
     }
 
     /// Records at or past `cursor`, advancing it. The commit lock is
@@ -643,9 +647,18 @@ impl Replicator {
         self.tail_cv.notify_all();
     }
 
-    /// Track a sender/accept thread for [`stop_and_join`](Self::stop_and_join).
+    /// Track a sender or compactor thread for
+    /// [`stop_and_join`](Self::stop_and_join). Threads that have already
+    /// exited are joined here first: a sender ends with its stream, and
+    /// an unjoined one keeps its stack mapped until shutdown.
     pub fn adopt_thread(&self, handle: JoinHandle<()>) {
-        self.threads.lock().expect("threads lock").push(handle);
+        let mut threads = self.threads.lock().expect("threads lock");
+        let (done, live): (Vec<_>, Vec<_>) = threads.drain(..).partition(|h| h.is_finished());
+        for h in done {
+            h.join().ok();
+        }
+        *threads = live;
+        threads.push(handle);
     }
 
     /// Stop and join every tracked thread.
@@ -667,10 +680,32 @@ fn io_other(e: impl std::fmt::Display) -> io::Error {
     io::Error::other(e.to_string())
 }
 
+/// Read one `\n`-terminated line into `line`, refusing to hold more than
+/// `max` bytes before the newline. A line a read timeout split is left
+/// in `line`, and the next call budgets only what is left of `max`, so
+/// it counts in full. Past `max`: [`io::ErrorKind::InvalidData`].
+/// Otherwise as [`BufRead::read_until`]: `Ok(0)` is end of stream.
+fn read_line_bounded(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    max: usize,
+) -> io::Result<usize> {
+    let budget = (max + 1).saturating_sub(line.len()) as u64;
+    let n = reader.take(budget).read_until(b'\n', line)?;
+    if line.last() != Some(&b'\n') && line.len() > max {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line of more than {max} bytes"),
+        ));
+    }
+    Ok(n)
+}
+
 /// Serve one replica's stream on the current thread until the link
 /// drops or the replicator stops. `hello_lsn` is the replica's last
-/// applied LSN (0 = fresh).
-pub fn serve_replica(
+/// applied LSN (0 = fresh). The event loop calls this once it has
+/// parsed a `REPL HELLO` and handed the socket off.
+pub(crate) fn serve_replica(
     stream: TcpStream,
     hello_lsn: u64,
     service: &MatchService,
@@ -718,22 +753,29 @@ pub fn serve_replica(
 }
 
 /// Drain `ACK <lsn>` lines a replica sends back on its stream socket,
-/// feeding the compaction horizon. Exits on EOF/error or when the
-/// replicator stops (the read timeout bounds how long that takes).
+/// feeding the compaction horizon. Exits on EOF or when the replicator
+/// stops (the read timeout bounds how long that takes); a line past
+/// [`wal::MAX_ACK_LINE`], or any other read error, also shuts the
+/// socket down, which ends the sender's stream at its next write.
 fn read_acks(stream: TcpStream, repl: &Replicator, id: u64) {
     if stream.set_read_timeout(Some(HEARTBEAT)).is_err() {
         return;
     }
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut reader = BufReader::new(&stream);
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        match read_line_bounded(&mut reader, &mut line, wal::MAX_ACK_LINE) {
             Ok(0) => return,
             Ok(_) => {
-                if let Some(rest) = line.trim_end().strip_prefix("ACK ") {
-                    if let Ok(lsn) = rest.trim().parse::<u64>() {
-                        repl.note_ack(id, lsn);
-                    }
+                let ack = std::str::from_utf8(&line).ok().and_then(|l| {
+                    l.trim_end()
+                        .strip_prefix("ACK ")?
+                        .trim()
+                        .parse::<u64>()
+                        .ok()
+                });
+                if let Some(lsn) = ack {
+                    repl.note_ack(id, lsn);
                 }
                 // Unknown chatter is ignored: future replicas may say more.
                 line.clear();
@@ -746,7 +788,10 @@ fn read_acks(stream: TcpStream, repl: &Replicator, id: u64) {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
+            Err(_) => {
+                stream.shutdown(Shutdown::Both).ok();
+                return;
+            }
         }
     }
 }
@@ -845,62 +890,6 @@ pub fn spawn_compactor(
         .expect("spawn compactor thread")
 }
 
-/// Accept loop for a dedicated `--repl-listen` port: each connection
-/// must open with `REPL HELLO <lsn>` and is then served the stream on
-/// its own thread (tracked by the replicator).
-pub fn serve_repl_listener(
-    listener: TcpListener,
-    service: Arc<MatchService>,
-    repl: Arc<Replicator>,
-    shutdown: ShutdownSignal,
-) -> io::Result<()> {
-    const ACCEPT_POLL: Duration = Duration::from_millis(100);
-    listener.set_nonblocking(true)?;
-    while !shutdown.is_triggered() && !repl.stopped() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let service = Arc::clone(&service);
-                let repl2 = Arc::clone(&repl);
-                let handle = std::thread::Builder::new()
-                    .name("lexequald-repl".to_owned())
-                    .spawn(move || {
-                        let _ = handshake_and_serve(stream, &service, &repl2);
-                    })
-                    .expect("spawn replication sender");
-                repl.adopt_thread(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Read the one `REPL HELLO` line a dedicated-port connection owes,
-/// then stream.
-fn handshake_and_serve(
-    stream: TcpStream,
-    service: &MatchService,
-    repl: &Replicator,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    match crate::proto::parse_request(&line) {
-        Ok(Some(crate::proto::Request::ReplHello { lsn })) => {
-            stream.set_read_timeout(None)?;
-            serve_replica(stream, lsn, service, repl)
-        }
-        _ => {
-            let mut stream = stream;
-            stream.write_all(b"ERR expected REPL HELLO <lsn>\n").ok();
-            Ok(())
-        }
-    }
-}
-
 /// Replica-side gauges: what `STATS` reports and the apply loop updates.
 #[derive(Debug)]
 pub struct ReplicaState {
@@ -948,11 +937,6 @@ impl ReplicaState {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Whether the stream link is currently up.
-    pub fn is_connected(&self) -> bool {
-        self.connected.load(Ordering::Acquire)
-    }
-
     /// `head - applied` (0 when caught up).
     pub fn lag(&self) -> u64 {
         self.head().saturating_sub(self.applied())
@@ -966,7 +950,7 @@ impl ReplicaState {
             head_lsn: head,
             applied_lsn: self.applied(),
             lag: head.saturating_sub(self.applied()),
-            connected: self.is_connected(),
+            connected: self.connected.load(Ordering::Acquire),
             replicas: 0,
             wal: None,
             primary_addr: Some(self.primary.clone()),
@@ -992,10 +976,10 @@ pub enum ReplError {
     Protocol(String),
     /// The shipped snapshot is not an image this replica can load.
     Snapshot(ImageError),
-    /// The primary demanded a full snapshot transfer after this
-    /// replica's store already held data: the lineages diverged (e.g.
-    /// the primary lost its WAL) and live re-seeding is not supported —
-    /// restart the replica to sync from scratch.
+    /// The primary's history contradicts this replica's: it answered
+    /// `DIVERGED`, or shipped a snapshot that is not a continuation of
+    /// the rows held here. Continuing would silently roll back
+    /// acknowledged state — wipe the replica and seed it deliberately.
     NeedsResync(String),
 }
 
@@ -1091,8 +1075,67 @@ pub fn initial_sync(
     }
 }
 
-/// One attempt of [`initial_sync`]: connect, `REPL HELLO 0 MMAP`, load the
-/// transfer.
+/// What a primary answers a `REPL HELLO`.
+enum Hello {
+    /// `OK lsn=<head>`: the log still holds everything past the HELLO.
+    Ok(u64),
+    /// `SNAP lsn=<lsn> bytes=<n>`: the image it announced, and the LSN.
+    Snap(Vec<u8>, u64),
+    /// `DIVERGED lsn=<head>`: the HELLO is past the primary's history.
+    Diverged(u64),
+}
+
+/// A handshaken stream: the socket `ACK`s go out on, and its reader.
+type Link = (TcpStream, BufReader<TcpStream>);
+
+/// Read one line of the primary's stream, at most
+/// [`wal::MAX_STREAM_LINE`] bytes; past it, a retryable
+/// [`ReplError::Protocol`].
+fn read_stream_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Result<usize, ReplError> {
+    read_line_bounded(reader, line, wal::MAX_STREAM_LINE).map_err(|e| match e.kind() {
+        io::ErrorKind::InvalidData => ReplError::Protocol(format!("primary sent a {e}")),
+        _ => ReplError::Io(e),
+    })
+}
+
+/// The one replica handshake: connect to `primary`, send `REPL HELLO
+/// <applied> MMAP`, read one bounded line and, after a `SNAP`, the image
+/// it announces. A fresh seed and a reconnect differ only in what they
+/// do with the answer.
+fn hello(primary: &str, applied: u64) -> Result<(Hello, Link), ReplError> {
+    let stream = TcpStream::connect(primary)?;
+    stream.set_nodelay(true).ok();
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    // `MMAP` is what a primary from when a second format existed ships
+    // the image for; today's ignores it.
+    (&stream).write_all(format!("REPL HELLO {applied} MMAP\n").as_bytes())?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut line = Vec::new();
+    if read_stream_line(&mut reader, &mut line)? == 0 {
+        return Err(ReplError::Protocol(
+            "primary closed the connection during the handshake".into(),
+        ));
+    }
+    let header = String::from_utf8_lossy(&line);
+    let header = header.trim_end();
+    let answer = match header.split_once(' ') {
+        Some(("OK", rest)) => Hello::Ok(kv_u64(rest, "lsn")?),
+        Some(("SNAP", rest)) => {
+            let (image, lsn) = read_snap(rest, &mut reader)?;
+            Hello::Snap(image, lsn)
+        }
+        Some(("DIVERGED", rest)) => Hello::Diverged(kv_u64(rest, "lsn").unwrap_or(0)),
+        _ => {
+            let what = format!("unexpected handshake reply {header:?}");
+            return Err(ReplError::Protocol(what));
+        }
+    };
+    stream.set_read_timeout(Some(REPLICA_READ_TIMEOUT))?;
+    Ok((answer, (stream, reader)))
+}
+
+/// One attempt of [`initial_sync`]: `REPL HELLO 0 MMAP`, then load the
+/// transfer the way a snapshot file loads.
 pub fn try_initial_sync(
     primary: &str,
     config: &MatchConfig,
@@ -1100,47 +1143,25 @@ pub fn try_initial_sync(
     cache_capacity: usize,
     state: &ReplicaState,
 ) -> Result<(MatchService, TcpStream, BufReader<TcpStream>), ReplError> {
-    let stream = TcpStream::connect(primary)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    let mut w = stream.try_clone()?;
-    // `MMAP` is what a primary from when a second format existed ships
-    // the image for; today's ignores it.
-    w.write_all(b"REPL HELLO 0 MMAP\n")?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let (Hello::Snap(image, lsn), (stream, reader)) = hello(primary, 0)? else {
         return Err(ReplError::Protocol(
-            "primary closed the connection during the handshake".into(),
+            "expected SNAP for a fresh replica".into(),
         ));
-    }
-    let header = line.trim_end();
-    let Some(rest) = header.strip_prefix("SNAP ") else {
-        return Err(ReplError::Protocol(format!(
-            "expected SNAP for a fresh replica, got {header:?}"
-        )));
     };
-    let (image, lsn) = read_snap(rest, &mut reader)?;
-    let start = Instant::now();
     // The transfer buffer becomes the store's backing allocation.
-    let image =
-        mmapstore::load_bytes(config.clone(), shards, image).map_err(ReplError::Snapshot)?;
-    let service = MatchService::from_store(image.store, cache_capacity);
+    let load = MatchService::from_image(cache_capacity, || {
+        mmapstore::load_bytes(config.clone(), shards, image)
+    })
+    .map_err(ReplError::Snapshot)?;
     // A replica serves immediately after seeding, so its recorded
     // access paths are rebuilt before the handshake completes.
-    for spec in image.builds {
-        service.build(spec);
+    for spec in load.pending_builds {
+        load.service.build(spec);
     }
-    service.set_load_info(LoadInfo {
-        format: "mmap",
-        mapped_bytes: image.bytes,
-        load_ms: start.elapsed().as_millis() as u64,
-    });
     state.applied.store(lsn, Ordering::Release);
     state.head.fetch_max(lsn, Ordering::AcqRel);
     state.connected.store(true, Ordering::Release);
-    stream.set_read_timeout(Some(REPLICA_READ_TIMEOUT))?;
-    Ok((service, stream, reader))
+    Ok((load.service, stream, reader))
 }
 
 /// Apply the primary's stream to `service` until `shutdown` fires,
@@ -1187,69 +1208,48 @@ pub fn run_replica(
 /// past us: re-seed live from the transfer (see
 /// [`apply_snapshot_delta`]). A `DIVERGED` reply — or a snapshot that
 /// contradicts local state — is the fatal [`ReplError::NeedsResync`].
-fn reconnect(
-    service: &MatchService,
-    state: &ReplicaState,
-) -> Result<(TcpStream, BufReader<TcpStream>), ReplError> {
-    let stream = TcpStream::connect(&state.primary)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+fn reconnect(service: &MatchService, state: &ReplicaState) -> Result<Link, ReplError> {
     let applied = state.applied();
-    let mut w = stream.try_clone()?;
-    w.write_all(format!("REPL HELLO {applied} MMAP\n").as_bytes())?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(ReplError::Protocol(
-            "primary closed the connection during the handshake".into(),
-        ));
-    }
-    let header = line.trim_end();
-    if let Some(rest) = header.strip_prefix("OK ") {
-        state.head.fetch_max(kv_u64(rest, "lsn")?, Ordering::AcqRel);
-        stream.set_read_timeout(Some(REPLICA_READ_TIMEOUT))?;
-        return Ok((stream, reader));
-    }
-    if let Some(rest) = header.strip_prefix("DIVERGED ") {
-        let primary_head = kv_u64(rest, "lsn").unwrap_or(0);
-        state.divergences.fetch_add(1, Ordering::Relaxed);
-        eprintln!(
-            "lexequald: DIVERGENCE: this replica applied lsn {applied} but primary {} \
-             only reaches lsn {primary_head}; continuing would roll back acknowledged \
-             state — refusing",
-            state.primary
-        );
-        return Err(ReplError::NeedsResync(format!(
-            "history diverged: replica at lsn {applied} is ahead of primary head \
-             {primary_head}; wipe this replica deliberately to re-seed it"
-        )));
-    }
-    if let Some(rest) = header.strip_prefix("SNAP ") {
-        let (image, lsn) = read_snap(rest, &mut reader)?;
-        if lsn < applied {
+    let (answer, link) = hello(&state.primary, applied)?;
+    match answer {
+        Hello::Ok(head) => {
+            state.head.fetch_max(head, Ordering::AcqRel);
+        }
+        Hello::Diverged(primary_head) => {
             state.divergences.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "lexequald: DIVERGENCE: this replica applied lsn {applied} but primary {} \
+                 only reaches lsn {primary_head}; continuing would roll back acknowledged \
+                 state — refusing",
+                state.primary
+            );
             return Err(ReplError::NeedsResync(format!(
-                "primary's snapshot covers lsn {lsn}, behind this replica's applied \
-                 {applied}: histories diverged"
+                "history diverged: replica at lsn {applied} is ahead of primary head \
+                 {primary_head}; wipe this replica deliberately to re-seed it"
             )));
         }
-        let added = apply_snapshot_delta(service, image)?;
-        if !(added == 0 && service.is_empty()) {
-            // A genuine mid-life re-seed, not the both-sides-fresh case.
-            state.reseeds.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "lexequald: primary's log was compacted past lsn {applied}; re-seeded \
-                 live from its snapshot at lsn {lsn} ({added} entries appended)"
-            );
+        Hello::Snap(image, lsn) => {
+            if lsn < applied {
+                state.divergences.fetch_add(1, Ordering::Relaxed);
+                return Err(ReplError::NeedsResync(format!(
+                    "primary's snapshot covers lsn {lsn}, behind this replica's applied \
+                     {applied}: histories diverged"
+                )));
+            }
+            let added = apply_snapshot_delta(service, image)?;
+            if !(added == 0 && service.is_empty()) {
+                // A genuine mid-life re-seed, not the both-sides-fresh case.
+                state.reseeds.fetch_add(1, Ordering::Relaxed);
+                eprintln!(
+                    "lexequald: primary's log was compacted past lsn {applied}; re-seeded \
+                     live from its snapshot at lsn {lsn} ({added} entries appended)"
+                );
+            }
+            state.applied.store(lsn, Ordering::Release);
+            state.head.fetch_max(lsn, Ordering::AcqRel);
         }
-        state.applied.store(lsn, Ordering::Release);
-        state.head.fetch_max(lsn, Ordering::AcqRel);
-        stream.set_read_timeout(Some(REPLICA_READ_TIMEOUT))?;
-        return Ok((stream, reader));
     }
-    Err(ReplError::Protocol(format!(
-        "unexpected handshake reply {header:?}"
-    )))
+    Ok(link)
 }
 
 /// Catch this replica up from a full snapshot transfer *without*
@@ -1259,7 +1259,8 @@ fn reconnect(
 /// entries (already transformed — no G2P cost), and rebuild the
 /// snapshot's recorded access paths. Returns how many entries were
 /// appended; a snapshot that contradicts local state is
-/// [`ReplError::NeedsResync`].
+/// [`ReplError::NeedsResync`] naming the first id that differs, and
+/// nothing is appended.
 fn apply_snapshot_delta(service: &MatchService, image: Vec<u8>) -> Result<usize, ReplError> {
     let operator = Arc::clone(service.store().operator());
     let shards = service.store().shards();
@@ -1276,28 +1277,23 @@ fn apply_snapshot_delta(service: &MatchService, image: Vec<u8>) -> Result<usize,
              {have}: histories diverged"
         )));
     }
-    // Spot-check the prefix property at both ends and the middle: ids
-    // assign in append order, so any divergent history shows up as a
-    // mismatched entry at the same id.
-    let mut probes = vec![];
-    if have > 0 {
-        probes.extend([0, have / 2, have - 1]);
-        probes.dedup();
-    }
-    for id in probes {
-        let mine = service.store().get(id);
-        let theirs = snap_store.get(id);
-        let same = match (&mine, &theirs) {
-            (Some(a), Some(b)) => a.text == b.text && a.language == b.language,
-            _ => false,
-        };
-        if !same {
-            return Err(ReplError::NeedsResync(format!(
-                "entry id {id} differs between this replica and the primary's snapshot \
-                 ({:?} vs {:?}): histories diverged",
-                mine.map(|e| e.text),
-                theirs.map(|e| e.text)
-            )));
+    // Ids assign in append order, so a divergent history shows up as
+    // some id whose row differs: compare every row the replica holds —
+    // text, language and phonemes — a chunk of both stores at a time.
+    let mut mine = service.store().prefix_reader(have as usize);
+    let mut theirs = snap_store.prefix_reader(have as usize);
+    let mut id = 0u32;
+    while let (Some(a), Some(b)) = (mine.next_chunk(), theirs.next_chunk()) {
+        for (row, snap_row) in a.rows().zip(b.rows()) {
+            if row != snap_row {
+                return Err(ReplError::NeedsResync(format!(
+                    "entry id {id} differs between this replica and the primary's snapshot \
+                     ({:?} vs {:?}): histories diverged",
+                    String::from_utf8_lossy(row.0),
+                    String::from_utf8_lossy(snap_row.0),
+                )));
+            }
+            id += 1;
         }
     }
 
@@ -1329,7 +1325,7 @@ fn apply_stream(
     mut reader: BufReader<TcpStream>,
     shutdown: &ShutdownSignal,
 ) -> Result<(), ReplError> {
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut last_ack_lsn = state.applied();
     let mut last_ack_at = Instant::now();
     // Establish our position immediately: a primary deciding a
@@ -1339,13 +1335,15 @@ fn apply_stream(
         if shutdown.is_triggered() {
             return Ok(());
         }
-        // NB: `read_line` may buffer a partial line across a timeout, so
+        // NB: a partial line may stay buffered across a timeout, so
         // `line` is only cleared after a full line is processed.
-        match reader.read_line(&mut line) {
+        match read_stream_line(&mut reader, &mut line) {
             Ok(0) => return Err(ReplError::Protocol("primary closed the stream".into())),
             Ok(_) => {
-                let is_ping = line.starts_with("PING ");
-                apply_stream_line(service, state, line.trim_end())?;
+                let text = std::str::from_utf8(&line)
+                    .map_err(|_| ReplError::Protocol("stream line is not utf-8".into()))?;
+                let is_ping = text.starts_with("PING ");
+                apply_stream_line(service, state, text.trim_end())?;
                 line.clear();
                 let applied = state.applied();
                 if is_ping || (applied > last_ack_lsn && last_ack_at.elapsed() >= ACK_INTERVAL) {
@@ -1354,7 +1352,7 @@ fn apply_stream(
                     last_ack_at = Instant::now();
                 }
             }
-            Err(e)
+            Err(ReplError::Io(e))
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if shutdown.is_triggered() {
@@ -1366,8 +1364,8 @@ fn apply_stream(
                     "primary silent for {REPLICA_READ_TIMEOUT:?}"
                 )));
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ReplError::Io(e)),
+            Err(ReplError::Io(e)) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -1439,7 +1437,7 @@ mod tests {
         ))
     }
 
-    /// The one reader both handshakes share: it takes exactly the bytes
+    /// The transfer reader behind a `SNAP` answer: it takes exactly the bytes
     /// the header announces and leaves the stream behind them alone, and a
     /// header the payload does not bear out is an error, not an allocation.
     #[test]
@@ -1469,6 +1467,94 @@ mod tests {
                 ),
             }
         }
+    }
+
+    /// In-process end to end: a primary with a WAL serving through
+    /// [`crate::serve`], the door every replica uses, and a replica syncing (snapshot transfer) then following commits
+    /// (incremental tail), converging to identical lookups.
+    #[test]
+    fn replica_converges_in_process() {
+        let config = MatchConfig::default();
+        let primary = Arc::new(MatchService::new(ServiceConfig {
+            match_config: config.clone(),
+            shards: 2,
+            cache_capacity: 64,
+        }));
+        let wal_path = temp_wal("converge");
+        std::fs::remove_file(&wal_path).ok();
+        let metrics = Arc::new(WalMetrics::default());
+        let (wal, replay) = Wal::open(&wal_path, 0, Arc::clone(&metrics)).expect("open wal");
+        assert!(replay.is_empty());
+        let repl = Replicator::new(wal, metrics);
+
+        // Pre-replica history: names + builds, all through the commit path.
+        for text in ["Nehru", "Nero", "Gandhi"] {
+            repl.commit_add(&primary, text, Language::English)
+                .expect("commit");
+        }
+        repl.commit_build(&primary, crate::shard::BuildSpec::BkTree)
+            .expect("commit build");
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let shutdown = ShutdownSignal::new().expect("shutdown signal");
+        let server = {
+            let ctx = crate::server::ReqCtx {
+                role: crate::server::Role::Primary(Arc::clone(&repl)),
+                ..Default::default()
+            };
+            let (service, shutdown) = (Arc::clone(&primary), shutdown.clone());
+            let opts = crate::server::ServeOptions::default();
+            std::thread::spawn(move || crate::serve(listener, service, ctx, opts, shutdown))
+        };
+
+        let state = Arc::new(ReplicaState::new(addr));
+        let (replica, stream, reader) =
+            initial_sync(&state.primary, &config, None, 64, &state, &shutdown).expect("sync");
+        assert_eq!(replica.len(), 3, "snapshot transfer carried the corpus");
+        assert_eq!(state.applied(), 4);
+        let replica = Arc::new(replica);
+        let apply = {
+            let replica = Arc::clone(&replica);
+            let state = Arc::clone(&state);
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || {
+                run_replica(&replica, &state, Some((stream, reader)), &shutdown)
+            })
+        };
+
+        // Incremental tail: more names + a build.
+        for text in ["Krishnan", "Bose"] {
+            repl.commit_add(&primary, text, Language::English)
+                .expect("commit");
+        }
+        repl.commit_build(&primary, crate::shard::BuildSpec::PhoneticIndex)
+            .expect("commit build");
+
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while state.applied() < repl.head() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(state.applied(), repl.head(), "replica caught up");
+        assert_eq!(state.lag(), 0);
+        assert_eq!(replica.len(), primary.len());
+
+        // Identical answers on both copies.
+        for text in ["Nehru", "Bose", "Gandhi"] {
+            let req = crate::service::MatchRequest {
+                threshold: Some(0.4),
+                method: Some(SearchMethod::Scan),
+                ..crate::service::MatchRequest::new(text, Language::English)
+            };
+            assert_eq!(primary.lookup(&req), replica.lookup(&req), "{text}");
+        }
+        assert!(replica.is_built(SearchMethod::PhoneticIndex));
+
+        shutdown.trigger();
+        repl.stop_and_join();
+        apply.join().expect("apply thread").expect("stream clean");
+        server.join().expect("serve thread").expect("serve clean");
+        std::fs::remove_file(&wal_path).ok();
     }
 
     /// A live re-seed is one load: the rows the replica lacks come out of
@@ -1517,90 +1603,75 @@ mod tests {
         let refused = apply_snapshot_delta(&other, image);
         assert!(matches!(refused, Err(ReplError::NeedsResync(_))));
         assert_eq!(other.len(), 1);
+
+        // Nor is one that differs only away from the ends and the middle:
+        // every row of the prefix is compared, and the first that differs
+        // is named.
+        let names = |names: &[&str]| {
+            let s = service(0);
+            s.extend(names.iter().map(|n| (n.to_string(), Language::English)))
+                .expect("rows");
+            s
+        };
+        let replica = names(&["Nehru", "Gandhi", "Tagore", "Bose", "Patel"]);
+        let primary = names(&["Nehru", "Nandi", "Tagore", "Rao", "Patel", "Shah"]);
+        let image = mmapstore::encode(primary.store(), 0).expect("image");
+        match apply_snapshot_delta(&replica, image) {
+            Err(ReplError::NeedsResync(what)) => {
+                assert!(what.contains("entry id 1 "), "{what}");
+                assert!(what.contains("Gandhi") && what.contains("Nandi"), "{what}");
+            }
+            other => panic!("a divergent prefix was accepted: {other:?}"),
+        }
+        assert_eq!(replica.len(), 5, "nothing appended");
     }
 
-    /// In-process end to end: primary with a WAL and a stream listener,
-    /// a replica syncing (snapshot transfer) then following commits
-    /// (incremental tail), converging to identical lookups.
+    /// A line is read whole up to the bound and refused one byte past
+    /// it, counting what an earlier call left buffered.
     #[test]
-    fn replica_converges_in_process() {
-        let config = MatchConfig::default();
-        let primary = Arc::new(MatchService::new(ServiceConfig {
-            match_config: config.clone(),
-            shards: 2,
-            cache_capacity: 64,
-        }));
-        let wal_path = temp_wal("converge");
+    fn a_line_past_its_bound_is_refused_not_buffered() {
+        let read = |buffered: &[u8], input: &[u8]| {
+            let mut line = buffered.to_vec();
+            read_line_bounded(&mut io::BufReader::new(input), &mut line, 8).map(|_| line)
+        };
+        assert_eq!(
+            read(b"", b"ACK 1234\nrest").expect("at the bound"),
+            b"ACK 1234\n"
+        );
+        assert_eq!(
+            read(b"ACK 12", b"34\n").expect("split at the bound"),
+            b"ACK 1234\n"
+        );
+        assert_eq!(read(b"", b"ACK").expect("no newline yet"), b"ACK");
+        for (buffered, input) in [(&b""[..], &b"ACK 12345\n"[..]), (b"ACK 12", b"345\n")] {
+            let refused = read(buffered, input).expect_err("one byte past");
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// Adopting a thread joins the ones that have exited: a primary that
+    /// served many short streams tracks only the senders still running.
+    #[test]
+    fn adopting_a_thread_joins_the_ones_that_have_exited() {
+        let wal_path = temp_wal("adopt");
         std::fs::remove_file(&wal_path).ok();
         let metrics = Arc::new(WalMetrics::default());
-        let (wal, replay) = Wal::open(&wal_path, 0, Arc::clone(&metrics)).expect("open wal");
-        assert!(replay.is_empty());
+        let (wal, _) = Wal::open(&wal_path, 0, Arc::clone(&metrics)).expect("open wal");
         let repl = Replicator::new(wal, metrics);
-
-        // Pre-replica history: names + builds, all through the commit path.
-        for text in ["Nehru", "Nero", "Gandhi"] {
-            repl.commit_add(&primary, text, Language::English)
-                .expect("commit");
+        for _ in 0..8 {
+            repl.adopt_thread(std::thread::spawn(|| {}));
         }
-        repl.commit_build(&primary, crate::shard::BuildSpec::BkTree)
-            .expect("commit build");
-
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let shutdown = ShutdownSignal::new().expect("shutdown signal");
-        let accept = {
-            let service = Arc::clone(&primary);
-            let repl = Arc::clone(&repl);
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || serve_repl_listener(listener, service, repl, shutdown))
-        };
-
-        let state = Arc::new(ReplicaState::new(addr));
-        let (replica, stream, reader) =
-            initial_sync(&state.primary, &config, None, 64, &state, &shutdown).expect("sync");
-        assert_eq!(replica.len(), 3, "snapshot transfer carried the corpus");
-        assert_eq!(state.applied(), 4);
-        let replica = Arc::new(replica);
-        let apply = {
-            let replica = Arc::clone(&replica);
-            let state = Arc::clone(&state);
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || {
-                run_replica(&replica, &state, Some((stream, reader)), &shutdown)
-            })
-        };
-
-        // Incremental tail: more names + a build.
-        for text in ["Krishnan", "Bose"] {
-            repl.commit_add(&primary, text, Language::English)
-                .expect("commit");
-        }
-        repl.commit_build(&primary, crate::shard::BuildSpec::PhoneticIndex)
-            .expect("commit build");
-
         let deadline = Instant::now() + Duration::from_secs(20);
-        while state.applied() < repl.head() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        while !repl.threads.lock().unwrap().iter().all(|h| h.is_finished()) {
+            assert!(Instant::now() < deadline, "the adopted threads never ended");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(state.applied(), repl.head(), "replica caught up");
-        assert_eq!(state.lag(), 0);
-        assert_eq!(replica.len(), primary.len());
-
-        // Identical answers on both copies.
-        for text in ["Nehru", "Bose", "Gandhi"] {
-            let req = crate::service::MatchRequest {
-                threshold: Some(0.4),
-                method: Some(SearchMethod::Scan),
-                ..crate::service::MatchRequest::new(text, Language::English)
-            };
-            assert_eq!(primary.lookup(&req), replica.lookup(&req), "{text}");
-        }
-        assert!(replica.is_built(SearchMethod::PhoneticIndex));
-
-        shutdown.trigger();
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        repl.adopt_thread(std::thread::spawn(move || parked.recv().unwrap_or(())));
+        assert_eq!(repl.threads.lock().unwrap().len(), 1, "only the live one");
+        release.send(()).expect("release");
         repl.stop_and_join();
-        apply.join().expect("apply thread").expect("stream clean");
-        accept.join().expect("accept thread").expect("accept clean");
+        assert!(repl.threads.lock().unwrap().is_empty());
         std::fs::remove_file(&wal_path).ok();
     }
 

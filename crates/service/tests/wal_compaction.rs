@@ -2,19 +2,22 @@
 //! checkpoint-and-truncate cycle (recovery must compose checkpoint +
 //! surviving tail byte-identically at every intermediate filesystem
 //! state), the straggler live re-seed path, divergence refusal on both
-//! sides of the wire, and the incremental-serving edges around a
-//! compacted base.
+//! sides of the wire, a flooding peer dropped, and the
+//! incremental-serving edges around a compacted base. Every primary here
+//! serves its replicas the way the daemon does: through `serve`, a `REPL
+//! HELLO` on the serving port.
 
 use lexequal::{Language, MatchConfig};
 use lexequal_service::repl::{self, CompactionPolicy, ReplicaState, Replicator};
 use lexequal_service::{
-    bind_reusable, mmapstore, MatchRequest, MatchService, ServiceConfig, ShutdownSignal, Wal,
-    WalError, WalMetrics,
+    bind_reusable, mmapstore, serve, MatchRequest, MatchService, ReqCtx, Role, ServeOptions,
+    ServiceConfig, ShutdownSignal, Wal, WalError, WalMetrics,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A scratch directory that cleans up after itself.
@@ -65,6 +68,27 @@ fn new_primary(wal_path: &Path, config: &MatchConfig) -> (Arc<MatchService>, Arc
     let (wal, tail) = Wal::open(wal_path, 0, metrics.clone()).expect("open wal");
     assert!(tail.is_empty(), "fresh wal must be empty");
     (service, Replicator::new(wal, metrics))
+}
+
+/// Serve `service` as a primary on an ephemeral port — the one door a
+/// replica's stream comes in by: its address, the signal that stops it,
+/// and the serving thread.
+fn serve_primary(
+    service: &Arc<MatchService>,
+    repl: &Arc<Replicator>,
+) -> (String, ShutdownSignal, JoinHandle<std::io::Result<()>>) {
+    let listener = bind_reusable("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let shutdown = ShutdownSignal::new().expect("shutdown");
+    let ctx = ReqCtx {
+        role: Role::Primary(Arc::clone(repl)),
+        ..ReqCtx::default()
+    };
+    let server = {
+        let (service, shutdown) = (Arc::clone(service), shutdown.clone());
+        std::thread::spawn(move || serve(listener, service, ctx, ServeOptions::default(), shutdown))
+    };
+    (addr, shutdown, server)
 }
 
 /// Every answer the first `n` names produce — the byte-identical
@@ -319,6 +343,57 @@ fn recovery_composes_checkpoint_and_surviving_tail_at_every_crash_point() {
     }
 }
 
+/// A peer that opens a stream and then sends bytes with no newline is
+/// cut off once it passes the ack line bound: the primary buffers no
+/// more than that, closes the stream, and stops counting the replica.
+#[test]
+fn a_replica_that_floods_its_ack_channel_is_dropped() {
+    let dir = TempDir::new("flood");
+    let config = MatchConfig::default();
+    let (service, repl) = new_primary(&dir.path().join("primary.wal"), &config);
+    repl.commit_add(&service, &name(0), Language::English)
+        .expect("commit");
+    let (addr, shutdown, server) = serve_primary(&service, &repl);
+
+    let sock = TcpStream::connect(&addr).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    (&sock).write_all(b"REPL HELLO 0\n").expect("hello");
+    let mut reader = BufReader::new(&sock);
+    let mut header = String::new();
+    reader.read_line(&mut header).expect("snap header");
+    assert!(header.starts_with("SNAP "), "{header:?}");
+    assert_eq!(repl.replicas(), 1);
+
+    let flood = {
+        let mut sock = sock.try_clone().expect("clone");
+        // The primary resets the socket mid-send: a write error is the
+        // expected end of the flood.
+        std::thread::spawn(move || sock.write_all(&vec![b'x'; 1 << 20]).ok())
+    };
+    // The image, then heartbeats, until the primary closes or resets
+    // the stream.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut buf = [0u8; 4096];
+    loop {
+        assert!(
+            Instant::now() < deadline,
+            "the primary kept the stream open"
+        );
+        match reader.read(&mut buf) {
+            Ok(0) => break,
+            Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            _ => {}
+        }
+    }
+    flood.join().expect("flood thread");
+    wait_until("the primary to stop counting it", || repl.replicas() == 0);
+
+    shutdown.trigger();
+    repl.stop_and_join();
+    server.join().expect("serve thread").expect("serve clean");
+}
+
 /// A replica that disconnects, misses a compaction that truncates past
 /// its position, and reconnects is re-seeded live via the snapshot
 /// transfer — no restart, no error — and then continues incrementally.
@@ -334,15 +409,7 @@ fn straggler_reseeds_live_after_compaction_passes_it() {
         grace: Duration::from_secs(10),
     });
 
-    let listener = bind_reusable("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let shutdown = ShutdownSignal::new().expect("shutdown");
-    let accept = {
-        let service = Arc::clone(&service);
-        let repl = Arc::clone(&repl);
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || repl::serve_repl_listener(listener, service, repl, shutdown))
-    };
+    let (addr, shutdown, server) = serve_primary(&service, &repl);
 
     for i in 0..6 {
         repl.commit_add(&service, &name(i), Language::English)
@@ -418,7 +485,7 @@ fn straggler_reseeds_live_after_compaction_passes_it() {
     shutdown.trigger();
     repl.stop_and_join();
     apply2.join().expect("apply2 thread").expect("clean stop");
-    accept.join().expect("accept thread").ok();
+    server.join().expect("serve thread").expect("serve clean");
 }
 
 /// A HELLO claiming an LSN past the primary's head is a diverged
@@ -430,15 +497,7 @@ fn hello_ahead_of_the_head_is_refused_as_divergence() {
     let config = MatchConfig::default();
     let (service, repl) = new_primary(&wal_path, &config);
 
-    let listener = bind_reusable("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let shutdown = ShutdownSignal::new().expect("shutdown");
-    let accept = {
-        let service = Arc::clone(&service);
-        let repl = Arc::clone(&repl);
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || repl::serve_repl_listener(listener, service, repl, shutdown))
-    };
+    let (addr, shutdown, server) = serve_primary(&service, &repl);
     for i in 0..3 {
         repl.commit_add(&service, &name(i), Language::English)
             .expect("commit");
@@ -455,7 +514,7 @@ fn hello_ahead_of_the_head_is_refused_as_divergence() {
 
     shutdown.trigger();
     repl.stop_and_join();
-    accept.join().expect("accept thread").ok();
+    server.join().expect("serve thread").expect("serve clean");
 }
 
 /// The replica side of the same refusal: a primary answering `DIVERGED`
@@ -468,15 +527,7 @@ fn replica_treats_diverged_reply_as_fatal() {
     let config = MatchConfig::default();
     let (service, repl) = new_primary(&wal_path, &config);
 
-    let listener = bind_reusable("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let shutdown = ShutdownSignal::new().expect("shutdown");
-    let accept = {
-        let service = Arc::clone(&service);
-        let repl = Arc::clone(&repl);
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || repl::serve_repl_listener(listener, service, repl, shutdown))
-    };
+    let (addr, shutdown, server) = serve_primary(&service, &repl);
     for i in 0..3 {
         repl.commit_add(&service, &name(i), Language::English)
             .expect("commit");
@@ -492,7 +543,7 @@ fn replica_treats_diverged_reply_as_fatal() {
     assert_eq!(state.applied(), 3);
     shutdown.trigger();
     repl.stop_and_join();
-    accept.join().expect("accept thread").ok();
+    server.join().expect("serve thread").expect("serve clean");
 
     // A scripted impostor takes over the address and answers the
     // replica's `REPL HELLO 3` with a head behind it.

@@ -679,6 +679,7 @@ mod tests {
     use super::*;
     use crate::config::MatchConfig;
     use lexequal_g2p::Language;
+    use lexequal_phoneme::testkit::{ensure_eq, for_cases, Rng};
     use lexequal_phoneme::Phoneme;
 
     fn corpus(ops: &LexEqual, names: &[&str]) -> Vec<PhonemeString> {
@@ -998,31 +999,31 @@ mod tests {
         assert_eq!(f.candidates(&c[0], 10.0, &ops), [0, 1]);
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Strict-mode completeness over random phoneme strings.
-            #[test]
-            fn strict_never_dismisses_true_matches(
-                seeds in proptest::collection::vec("[nmkrlt][aeiou][nmkrlt]?[aeiou]?[nmkrlt]?", 2..12),
-                e in 0.0f64..0.6,
-            ) {
-                let ops = LexEqual::default();
-                let corpus: Vec<PhonemeString> =
-                    seeds.iter().map(|s| s.parse().unwrap()).collect();
-                let f = QgramFilter::build(&corpus, 3, QgramMode::Strict);
-                let query = corpus[0].clone();
-                let (mut hits, _) = f.search(&corpus, &query, e, &ops);
-                hits.sort_unstable();
-                let mut scan: Vec<u32> = (0..corpus.len() as u32)
-                    .filter(|&i| ops.matches_phonemes(&corpus[i as usize], &query, e))
-                    .collect();
-                scan.sort_unstable();
-                prop_assert_eq!(hits, scan);
-            }
+    /// A name of the shape `[nmkrlt][aeiou][nmkrlt]?[aeiou]?[nmkrlt]?`.
+    fn syllables(rng: &mut Rng) -> String {
+        let mut name = rng.string("nmkrlt", 1..=1) + &rng.string("aeiou", 1..=1);
+        for class in ["nmkrlt", "aeiou", "nmkrlt"] {
+            name += &rng.string(class, 0..=1);
         }
+        name
+    }
+
+    /// Strict-mode completeness over random phoneme strings.
+    #[test]
+    fn strict_never_dismisses_true_matches() {
+        let ops = LexEqual::default();
+        for_cases(0x9b01, 256, |rng| {
+            let corpus: Vec<PhonemeString> =
+                rng.vec(2..=11, |rng| syllables(rng).parse().expect("IPA letters"));
+            let e = rng.f64_in(0.0..0.6);
+            let f = QgramFilter::build(&corpus, 3, QgramMode::Strict);
+            let query = corpus[0].clone();
+            let (mut hits, _) = f.search(&corpus, &query, e, &ops);
+            hits.sort_unstable();
+            let scan: Vec<u32> = (0..corpus.len() as u32)
+                .filter(|&i| ops.matches_phonemes(&corpus[i as usize], &query, e))
+                .collect();
+            ensure_eq((e, hits), (e, scan))
+        });
     }
 }

@@ -773,29 +773,13 @@ impl BatchVerifier {
 mod tests {
     use super::*;
     use crate::config::MatchConfig;
-    use lexequal_phoneme::{Inventory, Phoneme};
+    use lexequal_phoneme::testkit::{ensure_eq, for_cases, Rng};
 
-    /// Deterministic xorshift corpus: phoneme strings of length 0..=70
-    /// (past the 64-symbol Myers limit to exercise the no-screen path).
+    /// Phoneme strings of length 0..=70 (past the 64-symbol Myers limit to
+    /// exercise the no-screen path).
     fn corpus(seed: u64, count: usize) -> Vec<PhonemeString> {
-        let mut state = seed;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let n = Inventory::len() as u64;
-        (0..count)
-            .map(|_| {
-                let len = (next() % 71) as usize;
-                PhonemeString::new(
-                    (0..len)
-                        .map(|_| Phoneme::from_id((next() % n) as u8).unwrap())
-                        .collect(),
-                )
-            })
-            .collect()
+        let mut rng = Rng::new(seed);
+        (0..count).map(|_| rng.phonemes(0..=70)).collect()
     }
 
     #[test]
@@ -854,42 +838,25 @@ mod tests {
         assert_eq!(sum.total(), 2 * first.total());
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn phoneme_string(max_len: usize) -> impl Strategy<Value = PhonemeString> {
-            proptest::collection::vec(0..Inventory::len() as u8, 0..=max_len).prop_map(|ids| {
-                PhonemeString::new(
-                    ids.into_iter()
-                        .map(|id| Phoneme::from_id(id).unwrap())
-                        .collect(),
-                )
-            })
-        }
-
-        proptest! {
-            /// Verifier::matches == matches_phonemes on random phoneme
-            /// strings up to length 64 (the Myers screen window).
-            #[test]
-            fn kernel_equals_reference(
-                q in phoneme_string(64),
-                c in phoneme_string(64),
-                e in 0.0f64..1.2,
-                intra in prop_oneof![Just(0.0), Just(0.25), Just(0.5), Just(1.0)]
-            ) {
-                let op = LexEqual::new(
-                    MatchConfig::default().with_intra_cluster_cost(intra),
-                );
-                let mut v = Verifier::new();
-                let prepared = op.prepare_query(&q);
-                let cached = op.cluster_ids(&c);
-                let emb = op.embed_for(&c);
-                let want = op.matches_phonemes(&c, &q, e);
-                prop_assert_eq!(v.matches(&op, &prepared, &c, Some(&cached), Some(&emb), e), want);
-                prop_assert_eq!(v.matches(&op, &prepared, &c, None, None, e), want);
-            }
-        }
+    /// Verifier::matches == matches_phonemes on random phoneme strings up
+    /// to length 64 (the Myers screen window).
+    #[test]
+    fn kernel_equals_reference() {
+        let ops = [0.0, 0.25, 0.5, 1.0]
+            .map(|intra| LexEqual::new(MatchConfig::default().with_intra_cluster_cost(intra)));
+        let mut v = Verifier::new();
+        for_cases(0x7e01, 256, |rng| {
+            let (q, c) = (rng.phonemes(0..=64), rng.phonemes(0..=64));
+            let (e, op) = (rng.f64_in(0.0..1.2), rng.pick(&ops));
+            let prepared = op.prepare_query(&q);
+            let cached = op.cluster_ids(&c);
+            let emb = op.embed_for(&c);
+            let want = op.matches_phonemes(&c, &q, e);
+            ensure_eq(
+                v.matches(op, &prepared, &c, Some(&cached), Some(&emb), e),
+                want,
+            )?;
+            ensure_eq(v.matches(op, &prepared, &c, None, None, e), want)
+        });
     }
 }

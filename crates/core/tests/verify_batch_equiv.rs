@@ -14,29 +14,14 @@ use lexequal::{
     available_simd_levels, BatchVerifier, CostModelKind, Language, LexEqual, MatchConfig,
     NameStore, SearchMethod, Verifier, MAX_LANES,
 };
+use lexequal_phoneme::testkit::Rng;
 use lexequal_phoneme::{Inventory, Phoneme, PhonemeString};
 
-/// Deterministic xorshift phoneme strings, lengths 0..=70 so the corpus
+/// Seeded phoneme strings, lengths 0..=70 so the corpus
 /// crosses the 64-symbol Myers window (DP-only queries included).
 fn corpus(seed: u64, count: usize) -> Vec<PhonemeString> {
-    let mut state = seed;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let n = Inventory::len() as u64;
-    (0..count)
-        .map(|_| {
-            let len = (next() % 71) as usize;
-            PhonemeString::new(
-                (0..len)
-                    .map(|_| Phoneme::from_id((next() % n) as u8).unwrap())
-                    .collect(),
-            )
-        })
-        .collect()
+    let mut rng = Rng::new(seed);
+    (0..count).map(|_| rng.phonemes(0..=70)).collect()
 }
 
 const THRESHOLDS: [f64; 5] = [0.0, 0.15, 0.35, 0.5, 1.0];

@@ -30,7 +30,8 @@ use lexequal::{
     BatchVerifier, Language, LexEqual, LoadSize, MatchConfig, NameStore, PhoneticIndex,
     PreparedQuery, QgramFilter, QgramMode, RowChunk, SearchMethod, Verifier, MAX_LANES,
 };
-use lexequal_phoneme::{Inventory, Phoneme, PhonemeString};
+use lexequal_phoneme::testkit::Rng;
+use lexequal_phoneme::PhonemeString;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -117,27 +118,11 @@ fn peak_bytes() -> usize {
     PEAK.with(Cell::get) as usize
 }
 
-/// Deterministic xorshift phoneme strings, lengths 0..=70 so the corpus
+/// Seeded phoneme strings, lengths 0..=70 so the corpus
 /// crosses the 64-symbol Myers window and exercises the DP-only path too.
 fn corpus(seed: u64, count: usize) -> Vec<PhonemeString> {
-    let mut state = seed;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let n = Inventory::len() as u64;
-    (0..count)
-        .map(|_| {
-            let len = (next() % 71) as usize;
-            PhonemeString::new(
-                (0..len)
-                    .map(|_| Phoneme::from_id((next() % n) as u8).unwrap())
-                    .collect(),
-            )
-        })
-        .collect()
+    let mut rng = Rng::new(seed);
+    (0..count).map(|_| rng.phonemes(0..=70)).collect()
 }
 
 fn verify_all(

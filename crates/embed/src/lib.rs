@@ -307,6 +307,7 @@ mod feature_cost_tests {
 mod embed_tests {
     use super::*;
     use lexequal_matcher::edit_distance;
+    use lexequal_phoneme::testkit::Rng;
     use std::sync::Arc;
 
     /// Clustered cost mirroring lexequal's `ClusteredPhonemeCost` — the
@@ -333,21 +334,6 @@ mod embed_tests {
                 1.0
             }
         }
-    }
-
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
-    fn random_string(state: &mut u64, max_len: usize) -> PhonemeString {
-        let len = (xorshift(state) as usize) % (max_len + 1);
-        let n = Inventory::len() as u64;
-        (0..len)
-            .map(|_| Phoneme::from_id((xorshift(state) % n) as u8).unwrap())
-            .collect()
     }
 
     #[test]
@@ -411,10 +397,9 @@ mod embed_tests {
             let feature = FeatureCost::new();
             let s_c = e.conservative_scale(&clustered);
             let s_f = e.conservative_scale(&feature);
-            let mut state = 0x9e3779b97f4a7c15u64;
+            let mut rng = Rng::new(0x9e37_79b9_7f4a_7c15);
             for _ in 0..400 {
-                let a = random_string(&mut state, 24);
-                let b = random_string(&mut state, 24);
+                let (a, b) = (rng.phonemes(0..=24), rng.phonemes(0..=24));
                 let gap = l1(&e.embed(&a), &e.embed(&b)) as f64;
                 let d_c = edit_distance(a.as_slice(), b.as_slice(), &clustered);
                 let d_f = edit_distance(a.as_slice(), b.as_slice(), feature);

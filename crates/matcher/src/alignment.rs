@@ -99,6 +99,7 @@ pub fn align<T: Copy + PartialEq, M: CostModel<T>>(
 mod tests {
     use super::*;
     use crate::cost::UnitCost;
+    use lexequal_phoneme::testkit::{ensure, ensure_eq, for_cases};
 
     fn chars(s: &str) -> Vec<char> {
         s.chars().collect()
@@ -147,33 +148,28 @@ mod tests {
         assert_eq!(a.distance, 2.0);
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// The alignment's operation costs must sum to the DP distance,
-            /// and replaying it must transform left into right.
-            #[test]
-            fn alignment_is_consistent(a in "[a-d]{0,10}", b in "[a-d]{0,10}") {
-                let av = chars(&a);
-                let bv = chars(&b);
-                let al = align(&av, &bv, UnitCost);
-                let total: f64 = al.ops.iter().map(|o| o.cost(&UnitCost)).sum();
-                prop_assert!((total - al.distance).abs() < 1e-9);
-                // Replay.
-                let mut rebuilt = Vec::new();
-                for op in &al.ops {
-                    match op {
-                        EditOp::Match(c) => rebuilt.push(*c),
-                        EditOp::Substitute { right, .. } => rebuilt.push(*right),
-                        EditOp::Insert(c) => rebuilt.push(*c),
-                        EditOp::Delete(_) => {}
-                    }
-                }
-                prop_assert_eq!(rebuilt, bv);
-            }
-        }
+    /// The alignment's operation costs must sum to the DP distance, and
+    /// replaying it must transform left into right.
+    #[test]
+    fn alignment_is_consistent() {
+        for_cases(0xa101, 512, |rng| {
+            let (av, bv) = (
+                chars(&rng.string("a-d", 0..=10)),
+                chars(&rng.string("a-d", 0..=10)),
+            );
+            let al = align(&av, &bv, UnitCost);
+            let total: f64 = al.ops.iter().map(|o| o.cost(&UnitCost)).sum();
+            ensure((total - al.distance).abs() < 1e-9, || {
+                format!("{av:?} {bv:?}: ops cost {total}, distance {}", al.distance)
+            })?;
+            let rebuilt: Vec<char> = (al.ops.iter())
+                .filter_map(|op| match op {
+                    EditOp::Match(c) | EditOp::Insert(c) => Some(*c),
+                    EditOp::Substitute { right, .. } => Some(*right),
+                    EditOp::Delete(_) => None,
+                })
+                .collect();
+            ensure_eq(rebuilt, bv)
+        });
     }
 }

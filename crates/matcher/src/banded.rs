@@ -138,6 +138,8 @@ pub fn within_distance_scratch<T, M: CostModel<T>>(
 mod tests {
     use super::*;
     use crate::cost::UnitCost;
+    use crate::distance::edit_distance;
+    use lexequal_phoneme::testkit::{ensure_eq, for_cases};
 
     fn chars(s: &str) -> Vec<char> {
         s.chars().collect()
@@ -222,39 +224,35 @@ mod tests {
         assert!(!within_distance(&a, &b, 0.49, QuarterSub));
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use crate::distance::edit_distance;
-        use proptest::prelude::*;
+    #[test]
+    fn agrees_with_exact_distance() {
+        for_cases(0xba01, 512, |rng| {
+            let (av, bv) = (
+                chars(&rng.string("a-d", 0..=12)),
+                chars(&rng.string("a-d", 0..=12)),
+            );
+            let k = rng.f64_in(0.0..6.0);
+            let exact = edit_distance(&av, &bv, UnitCost);
+            ensure_eq(
+                (k, within_distance(&av, &bv, k, UnitCost)),
+                (k, exact <= k + 1e-12),
+            )
+        });
+    }
 
-        proptest! {
-            #[test]
-            fn agrees_with_exact_distance(
-                a in "[a-d]{0,12}", b in "[a-d]{0,12}", k in 0.0f64..6.0
-            ) {
-                let av = chars(&a);
-                let bv = chars(&b);
-                let exact = edit_distance(&av, &bv, UnitCost);
-                prop_assert_eq!(
-                    within_distance(&av, &bv, k, UnitCost),
-                    exact <= k + 1e-12,
-                    "a={} b={} k={} exact={}", a, b, k, exact
-                );
-            }
-
-            #[test]
-            fn agrees_with_exact_distance_fractional(
-                a in "[a-c]{0,10}", b in "[a-c]{0,10}", k in 0.0f64..4.0
-            ) {
-                let av = chars(&a);
-                let bv = chars(&b);
-                let exact = edit_distance(&av, &bv, QuarterSub);
-                prop_assert_eq!(
-                    within_distance(&av, &bv, k, QuarterSub),
-                    exact <= k + 1e-12
-                );
-            }
-        }
+    #[test]
+    fn agrees_with_exact_distance_fractional() {
+        for_cases(0xba02, 512, |rng| {
+            let (av, bv) = (
+                chars(&rng.string("a-c", 0..=10)),
+                chars(&rng.string("a-c", 0..=10)),
+            );
+            let k = rng.f64_in(0.0..4.0);
+            let exact = edit_distance(&av, &bv, QuarterSub);
+            ensure_eq(
+                (k, within_distance(&av, &bv, k, QuarterSub)),
+                (k, exact <= k + 1e-12),
+            )
+        });
     }
 }

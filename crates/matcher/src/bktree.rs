@@ -267,6 +267,7 @@ impl BkTree {
 mod tests {
     use super::*;
     use crate::distance::bounded_levenshtein;
+    use lexequal_phoneme::testkit::for_cases;
 
     fn tree_of(words: &[Vec<u8>]) -> BkTree {
         BkTree::build(words.len() as u32, |i| &words[i as usize])
@@ -411,22 +412,14 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// BK-tree range queries must agree exactly with a linear scan.
-            #[test]
-            fn range_agrees_with_linear_scan(
-                words in proptest::collection::vec("[a-c]{0,6}", 1..30),
-                query in "[a-c]{0,6}",
-                k in 0u32..4
-            ) {
-                let w: Vec<Vec<u8>> = words.into_iter().map(String::into_bytes).collect();
-                assert_range_is_exact(&tree_of(&w), &w, query.as_bytes(), k);
-            }
-        }
+    /// BK-tree range queries must agree exactly with a linear scan.
+    #[test]
+    fn range_agrees_with_linear_scan() {
+        for_cases(0xb701, 256, |rng| {
+            let w = rng.vec(1..=29, |rng| rng.string("a-c", 0..=6).into_bytes());
+            let (query, k) = (rng.string("a-c", 0..=6), rng.below(4) as u32);
+            assert_range_is_exact(&tree_of(&w), &w, query.as_bytes(), k);
+            Ok(())
+        });
     }
 }

@@ -57,6 +57,7 @@ mod tests {
     use super::*;
     use crate::cost::UnitCost;
     use crate::distance::edit_distance;
+    use lexequal_phoneme::testkit::{ensure, ensure_eq, for_cases};
 
     fn chars(s: &str) -> Vec<char> {
         s.chars().collect()
@@ -94,40 +95,43 @@ mod tests {
         assert_eq!(expensive, 2.0);
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use proptest::prelude::*;
+    /// Damerau never exceeds Levenshtein (a transposition is also two
+    /// substitutions), and equals it when transpositions cost 2.
+    #[test]
+    fn bounded_by_levenshtein() {
+        for_cases(0xda01, 512, |rng| {
+            let (av, bv) = (
+                chars(&rng.string("a-d", 0..=10)),
+                chars(&rng.string("a-d", 0..=10)),
+            );
+            let lev = edit_distance(&av, &bv, UnitCost);
+            let dam = damerau_distance(&av, &bv, UnitCost, 1.0);
+            let dam2 = damerau_distance(&av, &bv, UnitCost, 2.0);
+            ensure(dam <= lev + 1e-12 && (dam2 - lev).abs() < 1e-9, || {
+                format!("{av:?} {bv:?}: levenshtein {lev}, damerau {dam} / {dam2}")
+            })
+        });
+    }
 
-        proptest! {
-            /// Damerau never exceeds Levenshtein (a transposition is also two
-            /// substitutions), and equals it when transpositions cost 2.
-            #[test]
-            fn bounded_by_levenshtein(a in "[a-d]{0,10}", b in "[a-d]{0,10}") {
-                let av = chars(&a);
-                let bv = chars(&b);
-                let lev = edit_distance(&av, &bv, UnitCost);
-                let dam = damerau_distance(&av, &bv, UnitCost, 1.0);
-                prop_assert!(dam <= lev + 1e-12);
-                let dam2 = damerau_distance(&av, &bv, UnitCost, 2.0);
-                prop_assert!((dam2 - lev).abs() < 1e-9);
-            }
+    #[test]
+    fn symmetric() {
+        for_cases(0xda02, 512, |rng| {
+            let (av, bv) = (
+                chars(&rng.string("a-d", 0..=10)),
+                chars(&rng.string("a-d", 0..=10)),
+            );
+            ensure_eq(
+                damerau_distance(&av, &bv, UnitCost, 1.0),
+                damerau_distance(&bv, &av, UnitCost, 1.0),
+            )
+        });
+    }
 
-            #[test]
-            fn symmetric(a in "[a-d]{0,10}", b in "[a-d]{0,10}") {
-                let av = chars(&a);
-                let bv = chars(&b);
-                prop_assert_eq!(
-                    damerau_distance(&av, &bv, UnitCost, 1.0),
-                    damerau_distance(&bv, &av, UnitCost, 1.0)
-                );
-            }
-
-            #[test]
-            fn zero_iff_equal(a in "[a-d]{0,8}", b in "[a-d]{0,8}") {
-                let d = dd(&a, &b);
-                prop_assert_eq!(d == 0.0, a == b);
-            }
-        }
+    #[test]
+    fn zero_iff_equal() {
+        for_cases(0xda03, 512, |rng| {
+            let (a, b) = (rng.string("a-d", 0..=8), rng.string("a-d", 0..=8));
+            ensure_eq(dd(&a, &b) == 0.0, a == b)
+        });
     }
 }

@@ -144,6 +144,7 @@ pub(crate) fn bounded_levenshtein<T: PartialEq>(a: &[T], b: &[T], bound: u32) ->
 mod tests {
     use super::*;
     use crate::cost::{CostModel, UnitCost};
+    use lexequal_phoneme::testkit::{ensure, ensure_eq, for_cases};
 
     #[test]
     fn classic_levenshtein_cases() {
@@ -230,49 +231,56 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use proptest::prelude::*;
+    #[test]
+    fn distance_is_symmetric_under_unit_cost() {
+        for_cases(0xd151, 512, |rng| {
+            let (a, b) = (rng.string("a-d", 0..=12), rng.string("a-d", 0..=12));
+            ensure_eq(levenshtein(&a, &b), levenshtein(&b, &a))
+        });
+    }
 
-        proptest! {
-            #[test]
-            fn distance_is_symmetric_under_unit_cost(a in "[a-d]{0,12}", b in "[a-d]{0,12}") {
-                prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-            }
+    #[test]
+    fn distance_zero_iff_equal() {
+        for_cases(0xd152, 512, |rng| {
+            let (a, b) = (rng.string("a-d", 0..=10), rng.string("a-d", 0..=10));
+            ensure_eq(levenshtein(&a, &b) == 0, a == b)
+        });
+    }
 
-            #[test]
-            fn distance_zero_iff_equal(a in "[a-d]{0,10}", b in "[a-d]{0,10}") {
-                let d = levenshtein(&a, &b);
-                prop_assert_eq!(d == 0, a == b);
-            }
+    #[test]
+    fn triangle_inequality() {
+        for_cases(0xd153, 512, |rng| {
+            let [a, b, c] = [(); 3].map(|()| rng.string("a-c", 0..=8));
+            let (ab, bc, ac) = (
+                levenshtein(&a, &b),
+                levenshtein(&b, &c),
+                levenshtein(&a, &c),
+            );
+            ensure(ac <= ab + bc, || {
+                format!("{a:?} {b:?} {c:?}: {ac} > {ab} + {bc}")
+            })
+        });
+    }
 
-            #[test]
-            fn triangle_inequality(
-                a in "[a-c]{0,8}", b in "[a-c]{0,8}", c in "[a-c]{0,8}"
-            ) {
-                let ab = levenshtein(&a, &b);
-                let bc = levenshtein(&b, &c);
-                let ac = levenshtein(&a, &c);
-                prop_assert!(ac <= ab + bc);
-            }
+    #[test]
+    fn bounded_by_longer_length() {
+        for_cases(0xd154, 512, |rng| {
+            let (a, b) = (rng.string("a-e", 0..=12), rng.string("a-e", 0..=12));
+            let d = levenshtein(&a, &b);
+            let (la, lb) = (a.chars().count(), b.chars().count());
+            ensure(d <= la.max(lb) && d >= la.abs_diff(lb), || {
+                format!("{a:?} {b:?}: distance {d}")
+            })
+        });
+    }
 
-            #[test]
-            fn bounded_by_longer_length(a in "[a-e]{0,12}", b in "[a-e]{0,12}") {
-                let d = levenshtein(&a, &b);
-                let la = a.chars().count();
-                let lb = b.chars().count();
-                prop_assert!(d <= la.max(lb));
-                prop_assert!(d >= la.abs_diff(lb));
-            }
-
-            #[test]
-            fn rolling_equals_matrix_prop(a in "[a-d]{0,10}", b in "[a-d]{0,10}") {
-                let av: Vec<char> = a.chars().collect();
-                let bv: Vec<char> = b.chars().collect();
-                let m = edit_distance_matrix(&av, &bv, UnitCost);
-                prop_assert_eq!(m[av.len()][bv.len()], edit_distance(&av, &bv, UnitCost));
-            }
-        }
+    #[test]
+    fn rolling_equals_matrix_prop() {
+        for_cases(0xd155, 512, |rng| {
+            let av: Vec<char> = rng.string("a-d", 0..=10).chars().collect();
+            let bv: Vec<char> = rng.string("a-d", 0..=10).chars().collect();
+            let m = edit_distance_matrix(&av, &bv, UnitCost);
+            ensure_eq(m[av.len()][bv.len()], edit_distance(&av, &bv, UnitCost))
+        });
     }
 }

@@ -132,6 +132,7 @@ mod tests {
     use super::*;
     use crate::cost::UnitCost;
     use crate::distance::edit_distance;
+    use lexequal_phoneme::testkit::{ensure_eq, for_cases, Rng};
 
     fn reference(a: &[u8], b: &[u8]) -> usize {
         edit_distance(a, b, UnitCost) as usize
@@ -197,19 +198,10 @@ mod tests {
 
     #[test]
     fn agrees_with_dp_on_deterministic_corpus() {
-        // xorshift-generated strings: no external dependency, fixed seed.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut strings: Vec<Vec<u8>> = Vec::new();
-        for _ in 0..60 {
-            let len = (next() % 65) as usize;
-            strings.push((0..len).map(|_| (next() % 6) as u8).collect());
-        }
+        let mut rng = Rng::new(0x9e37_79b9_7f4a_7c15);
+        let strings: Vec<Vec<u8>> = (0..60)
+            .map(|_| rng.vec(0..=64, |rng| rng.below(6) as u8))
+            .collect();
         for a in &strings {
             let Some(pat) = MyersPattern::build(a.iter().copied()) else {
                 continue; // empty pattern
@@ -224,20 +216,13 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Myers == classic Levenshtein for all patterns up to 64 symbols.
-            #[test]
-            fn myers_equals_levenshtein(
-                a in proptest::collection::vec(0u8..8, 1..=64),
-                b in proptest::collection::vec(0u8..8, 0..=80)
-            ) {
-                prop_assert_eq!(myers(&a, &b), reference(&a, &b));
-            }
-        }
+    /// Myers == classic Levenshtein for all patterns up to 64 symbols.
+    #[test]
+    fn myers_equals_levenshtein() {
+        for_cases(0x3e01, 512, |rng| {
+            let a = rng.vec(1..=64, |rng| rng.below(8) as u8);
+            let b = rng.vec(0..=80, |rng| rng.below(8) as u8);
+            ensure_eq(myers(&a, &b), reference(&a, &b))
+        });
     }
 }

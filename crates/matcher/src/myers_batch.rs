@@ -298,28 +298,16 @@ impl MyersPattern {
 mod tests {
     use super::*;
     use crate::simd::available_simd_levels;
-
-    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed;
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        }
-    }
+    use lexequal_phoneme::testkit::Rng;
 
     #[test]
     fn batch_equals_scalar_on_mixed_length_texts() {
-        let mut next = xorshift(0xbadc_0001);
+        let mut rng = Rng::new(0xbadc_0001);
         let strings: Vec<Vec<u8>> = (0..48)
-            .map(|_| {
-                let len = (next() % 80) as usize;
-                (0..len).map(|_| (next() % 7) as u8).collect()
-            })
+            .map(|_| rng.vec(0..=79, |rng| rng.below(7) as u8))
             .collect();
         for plen in [1usize, 5, 31, 64] {
-            let pattern: Vec<u8> = (0..plen).map(|_| (next() % 7) as u8).collect();
+            let pattern = rng.vec(plen..=plen, |rng| rng.below(7) as u8);
             let pat = MyersPattern::build(pattern.iter().copied()).unwrap();
             for level in available_simd_levels() {
                 for width in 1..=MAX_LANES {

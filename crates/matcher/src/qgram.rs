@@ -182,6 +182,9 @@ pub fn qgram_candidate<T: Copy + Ord + Hash>(a: &[T], b: &[T], k: f64, q: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::UnitCost;
+    use crate::distance::edit_distance;
+    use lexequal_phoneme::testkit::{ensure, ensure_eq, for_cases};
 
     fn chars(s: &str) -> Vec<char> {
         s.chars().collect()
@@ -260,50 +263,40 @@ mod tests {
         assert!(sigs[0] != sigs[1] && sigs[1] != sigs[2] && sigs[0] != sigs[2]);
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use crate::cost::UnitCost;
-        use crate::distance::edit_distance;
-        use proptest::prelude::*;
+    /// Completeness: the filters must NEVER reject a true match (no false
+    /// dismissals) under unit-cost edit distance.
+    #[test]
+    fn filters_are_complete() {
+        for_cases(0x9601, 1024, |rng| {
+            let (a, b) = (rng.string("a-c", 0..=10), rng.string("a-c", 0..=10));
+            let (k, q) = (rng.f64_in(0.0..5.0), 1 + rng.below(3));
+            let (av, bv) = (chars(&a), chars(&b));
+            let d = edit_distance(&av, &bv, UnitCost);
+            ensure(d > k || qgram_candidate(&av, &bv, k, q), || {
+                format!("false dismissal: {a:?} {b:?} d={d} k={k} q={q}")
+            })
+        });
+    }
 
-        proptest! {
-            /// Completeness: the filters must NEVER reject a true match
-            /// (no false dismissals) under unit-cost edit distance.
-            #[test]
-            fn filters_are_complete(
-                a in "[a-c]{0,10}", b in "[a-c]{0,10}",
-                k in 0.0f64..5.0, q in 1usize..4
-            ) {
-                let av = chars(&a);
-                let bv = chars(&b);
-                let d = edit_distance(&av, &bv, UnitCost);
-                if d <= k {
-                    prop_assert!(
-                        qgram_candidate(&av, &bv, k, q),
-                        "false dismissal: {:?} {:?} d={} k={} q={}", a, b, d, k, q
-                    );
-                }
-            }
+    #[test]
+    fn matching_qgrams_is_symmetric() {
+        for_cases(0x9602, 512, |rng| {
+            let ga = positional_qgrams(&chars(&rng.string("a-c", 0..=8)), 2);
+            let gb = positional_qgrams(&chars(&rng.string("a-c", 0..=8)), 2);
+            let k = rng.f64_in(0.0..4.0);
+            ensure_eq(matching_qgrams(&ga, &gb, k), matching_qgrams(&gb, &ga, k))
+        });
+    }
 
-            #[test]
-            fn matching_qgrams_is_symmetric(
-                a in "[a-c]{0,8}", b in "[a-c]{0,8}", k in 0.0f64..4.0
-            ) {
-                let ga = positional_qgrams(&chars(&a), 2);
-                let gb = positional_qgrams(&chars(&b), 2);
-                prop_assert_eq!(matching_qgrams(&ga, &gb, k), matching_qgrams(&gb, &ga, k));
-            }
-
-            #[test]
-            fn shared_grams_bounded_by_gram_count(
-                a in "[a-c]{0,8}", b in "[a-c]{0,8}"
-            ) {
-                let ga = positional_qgrams(&chars(&a), 3);
-                let gb = positional_qgrams(&chars(&b), 3);
-                let shared = matching_qgrams(&ga, &gb, 10.0);
-                prop_assert!(shared <= ga.len().min(gb.len()));
-            }
-        }
+    #[test]
+    fn shared_grams_bounded_by_gram_count() {
+        for_cases(0x9603, 512, |rng| {
+            let ga = positional_qgrams(&chars(&rng.string("a-c", 0..=8)), 3);
+            let gb = positional_qgrams(&chars(&rng.string("a-c", 0..=8)), 3);
+            let shared = matching_qgrams(&ga, &gb, 10.0);
+            ensure(shared <= ga.len().min(gb.len()), || {
+                format!("{shared} shared of {} and {} grams", ga.len(), gb.len())
+            })
+        });
     }
 }

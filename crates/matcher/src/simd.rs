@@ -350,6 +350,7 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::within_distance_scratch;
+    use lexequal_phoneme::testkit::Rng;
 
     /// A dense matrix as a generic cost model — the reference the SIMD
     /// kernels must reproduce bit-for-bit.
@@ -370,26 +371,16 @@ mod tests {
         }
     }
 
-    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed;
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        }
-    }
-
     #[test]
     fn dense_dp_matches_generic_on_every_backend() {
         let n_syms = 9usize;
-        let mut next = xorshift(0x51d3_77aa);
+        let mut rng = Rng::new(0x51d3_77aa);
         // A symmetric-ish matrix with zero diagonal and fractional costs.
         let mut matrix = vec![0.0f64; n_syms * n_syms];
         for a in 0..n_syms {
             for b in 0..n_syms {
                 if a != b {
-                    matrix[a * n_syms + b] = 0.25 + (next() % 4) as f64 * 0.25;
+                    matrix[a * n_syms + b] = 0.25 + rng.below(4) as f64 * 0.25;
                 }
             }
         }
@@ -398,10 +389,7 @@ mod tests {
             n: n_syms,
         };
         let strings: Vec<Vec<u8>> = (0..40)
-            .map(|_| {
-                let len = (next() % 70) as usize;
-                (0..len).map(|_| (next() % n_syms as u64) as u8).collect()
-            })
+            .map(|_| rng.vec(0..=69, |rng| rng.below(n_syms) as u8))
             .collect();
         let levels = available_simd_levels();
         assert!(levels.contains(&SimdLevel::Scalar));

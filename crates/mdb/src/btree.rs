@@ -361,6 +361,8 @@ impl BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lexequal_phoneme::testkit::{ensure, ensure_eq, for_cases};
+    use std::collections::BTreeMap;
 
     #[test]
     fn insert_and_lookup_small() {
@@ -463,76 +465,63 @@ mod tests {
         assert_eq!(t.range_bounds(None, None).len(), 100);
     }
 
-    #[cfg(feature = "property-tests")]
-    mod property {
-        use super::*;
-        use proptest::prelude::*;
+    #[test]
+    fn range_bounds_agrees_with_range() {
+        for_cases(0xb101, 256, |rng| {
+            let entries = rng.vec(0..=299, |rng| (rng.below(100) as i64, rng.below(50)));
+            let (a, b) = (rng.below(100) as i64, rng.below(100) as i64);
+            let mut t = BTreeIndex::new();
+            for (k, v) in &entries {
+                t.insert(Value::Int(*k), *v);
+            }
+            let (lo, hi) = (a.min(b), a.max(b));
+            let inclusive = t.range(&Value::Int(lo), &Value::Int(hi));
+            let bounded =
+                t.range_bounds(Some((&Value::Int(lo), true)), Some((&Value::Int(hi), true)));
+            ensure_eq(inclusive, bounded)
+        });
+    }
 
-        proptest! {
-            #[test]
-            fn range_bounds_agrees_with_range(
-                entries in proptest::collection::vec((0i64..100, 0usize..50), 0..300),
-                a in 0i64..100, b in 0i64..100,
-            ) {
-                let mut t = BTreeIndex::new();
-                for (k, v) in &entries {
-                    t.insert(Value::Int(*k), *v);
-                }
+    #[test]
+    fn agrees_with_btreemap() {
+        for_cases(0xb102, 128, |rng| {
+            let entries = rng.vec(0..=1999, |rng| (rng.below(500) as i64, rng.below(1000)));
+            let probes = rng.vec(0..=49, |rng| rng.below(500) as i64);
+            let ranges = rng.vec(0..=19, |rng| (rng.below(500) as i64, rng.below(500) as i64));
+            let mut t = BTreeIndex::new();
+            let mut m: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
+            for (k, v) in &entries {
+                t.insert(Value::Int(*k), *v);
+                m.entry(*k).or_default().push(*v);
+            }
+            for p in probes {
+                let mut got = t.lookup(&Value::Int(p));
+                got.sort_unstable();
+                let mut want = m.get(&p).cloned().unwrap_or_default();
+                want.sort_unstable();
+                ensure_eq(got, want)?;
+            }
+            for (a, b) in ranges {
                 let (lo, hi) = (a.min(b), a.max(b));
-                let inclusive = t.range(&Value::Int(lo), &Value::Int(hi));
-                let bounded = t.range_bounds(
-                    Some((&Value::Int(lo), true)),
-                    Some((&Value::Int(hi), true)),
-                );
-                prop_assert_eq!(inclusive, bounded);
+                let got: Vec<(i64, usize)> = t
+                    .range(&Value::Int(lo), &Value::Int(hi))
+                    .into_iter()
+                    .map(|(k, r)| (k.as_i64().unwrap(), r))
+                    .collect();
+                let mut want: Vec<(i64, usize)> = m
+                    .range(lo..=hi)
+                    .flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v)))
+                    .collect();
+                ensure(got.windows(2).all(|w| w[0].0 <= w[1].0), || {
+                    format!("keys out of order: {got:?}")
+                })?;
+                // same multiset
+                let mut got = got;
+                got.sort_unstable();
+                want.sort_unstable();
+                ensure_eq(got, want)?;
             }
-
-            #[test]
-            fn agrees_with_btreemap(
-                entries in proptest::collection::vec((0i64..500, 0usize..1000), 0..2000),
-                probes in proptest::collection::vec(0i64..500, 0..50),
-                ranges in proptest::collection::vec((0i64..500, 0i64..500), 0..20),
-            ) {
-                use std::collections::BTreeMap;
-                let mut t = BTreeIndex::new();
-                let mut m: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
-                for (k, v) in &entries {
-                    t.insert(Value::Int(*k), *v);
-                    m.entry(*k).or_default().push(*v);
-                }
-                for p in probes {
-                    let mut got = t.lookup(&Value::Int(p));
-                    got.sort_unstable();
-                    let mut want = m.get(&p).cloned().unwrap_or_default();
-                    want.sort_unstable();
-                    prop_assert_eq!(got, want);
-                }
-                for (a, b) in ranges {
-                    let (lo, hi) = (a.min(b), a.max(b));
-                    let got: Vec<(i64, usize)> = t
-                        .range(&Value::Int(lo), &Value::Int(hi))
-                        .into_iter()
-                        .map(|(k, r)| (k.as_i64().unwrap(), r))
-                        .collect();
-                    let mut want: Vec<(i64, usize)> = Vec::new();
-                    for (k, vs) in m.range(lo..=hi) {
-                        for v in vs {
-                            want.push((*k, *v));
-                        }
-                    }
-                    // keys must come back in order
-                    let keys: Vec<i64> = got.iter().map(|(k, _)| *k).collect();
-                    let mut sorted = keys.clone();
-                    sorted.sort_unstable();
-                    prop_assert_eq!(&keys, &sorted);
-                    // same multiset
-                    let mut g = got.clone();
-                    let mut w = want.clone();
-                    g.sort_unstable();
-                    w.sort_unstable();
-                    prop_assert_eq!(g, w);
-                }
-            }
-        }
+            Ok(())
+        });
     }
 }

@@ -45,6 +45,8 @@ pub mod inventory;
 pub mod parse;
 pub mod phoneme;
 pub mod string;
+#[doc(hidden)]
+pub mod testkit;
 
 pub use cluster::{ClusterId, ClusterTable};
 pub use error::PhonemeError;

@@ -15,7 +15,8 @@
 //! `--workers` verify threads and up to `--max-pipeline` in-flight
 //! requests per connection. `--mode evented` names that loop, the only
 //! one there is; it is accepted so old command lines keep working.
-//! `--shards` is at most 1024, the most a snapshot image may hold. The
+//! `--shards` is at most 1024, the most a snapshot image may hold, and
+//! `--workers` at most 1024, each a thread spawned before serving. The
 //! cost model and embedding screen are `MatchConfig` settings, not flags.
 //!
 //! Every store source starts the same way — rows in, the recorded (or
@@ -68,7 +69,7 @@ use lexequal_service::shard::MAX_SHARDS;
 use lexequal_service::{
     bind_reusable, mmapstore, repl, BuildSpec, CompactionPolicy, MatchService, ReplicaState,
     Replicator, ReqCtx, Role, ServeOptions, ServiceConfig, ShutdownSignal, Wal, WalError,
-    WalMetrics,
+    WalMetrics, MAX_WORKERS,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -76,13 +77,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: lexequald [--addr HOST:PORT] [--shards N] [--cache N] \
-[--threshold E] [--preload N] \
-[--snapshot PATH] [--save-snapshot PATH] \
-[--wal PATH] [--wal-max-bytes N] [--wal-ack-grace SECS] \
-[--replica-of HOST:PORT] \
-[--mode evented] [--workers N] [--max-pipeline N] [--max-line BYTES] [--queue N]\n\
-(--mode evented names the only serve loop; it is accepted for old command lines)";
+fn usage() -> String {
+    format!(
+        "usage: lexequald [--addr HOST:PORT] [--shards N] [--cache N] \
+         [--threshold E] [--preload N] \
+         [--snapshot PATH] [--save-snapshot PATH] \
+         [--wal PATH] [--wal-max-bytes N] [--wal-ack-grace SECS] \
+         [--replica-of HOST:PORT] \
+         [--mode evented] [--workers N] [--max-pipeline N] [--max-line BYTES] [--queue N]\n\
+         (--workers is at most {MAX_WORKERS}; --mode evented names the only serve loop; \
+         it is accepted for old command lines)"
+    )
+}
 
 struct Args {
     addr: String,
@@ -210,6 +216,11 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 if args.serve.workers == 0 {
                     return Err(format!("--workers: invalid value {v:?} (must be positive)"));
                 }
+                if args.serve.workers > MAX_WORKERS {
+                    return Err(format!(
+                        "--workers: invalid value {v:?} (at most {MAX_WORKERS})"
+                    ));
+                }
             }
             "--max-pipeline" => {
                 let v = value("--max-pipeline")?;
@@ -237,7 +248,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other:?}")),
@@ -285,7 +296,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("lexequald: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };

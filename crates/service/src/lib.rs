@@ -95,7 +95,7 @@ pub use repl::{
     initial_sync, run_replica, spawn_compactor, CommitError, CompactReport, CompactionPolicy,
     ReplError, ReplicaState, Replicator,
 };
-pub use server::{bind_reusable, ReqCtx, Role, ServeOptions};
+pub use server::{bind_reusable, ReqCtx, Role, ServeOptions, MAX_WORKERS};
 pub use service::{
     AddResolution, AutoMatchRequest, LoadInfo, MatchOutcome, MatchRequest, MatchService, Preloaded,
     ServiceConfig, SnapshotLoad, StatsSnapshot,

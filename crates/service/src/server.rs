@@ -55,6 +55,12 @@ impl ReqCtx {
     }
 }
 
+/// The most verify-dispatch workers [`ServeOptions::workers`] may ask for:
+/// each is a thread and a queue allocated before the first request, so an
+/// unchecked count from the command line could demand more than the host
+/// can spawn or hold.
+pub const MAX_WORKERS: usize = 1024;
+
 /// Serving-loop tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {

@@ -70,6 +70,15 @@ fn bad_flag_values_name_the_flag_and_value() {
         assert_usage_error(&args, &["--shards", &format!("{n:?}"), "at most 1024"]);
         assert!(!wal.exists(), "--shards {n} opened the wal");
     }
+    // More verify workers than the bound: refused at the parse too, not a
+    // `capacity overflow` panic sizing the pool after the log is created.
+    for n in ["1025", "18446744073709551615"] {
+        let name = format!("lexequal_cli_workers_{n}_{}.wal", std::process::id());
+        let wal = std::env::temp_dir().join(name);
+        let args = ["--workers", n, "--wal", wal.to_str().unwrap()];
+        assert_usage_error(&args, &["--workers", &format!("{n:?}"), "at most 1024"]);
+        assert!(!wal.exists(), "--workers {n} opened the wal");
+    }
 
     // Structural errors.
     assert_usage_error(&["--shards"], &["--shards", "needs a value"]);
@@ -96,6 +105,7 @@ fn help_prints_usage_and_exits_zero() {
     assert!(out.status.success());
     let help = String::from_utf8_lossy(&out.stdout);
     assert!(help.contains("usage:"));
+    assert!(help.contains("--workers is at most 1024"), "{help}");
     for retired in ["--cost-model", "--no-embed-screen"] {
         assert!(!help.contains(retired), "{help}");
     }

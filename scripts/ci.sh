@@ -13,6 +13,20 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== no cargo features, no test gates, no proptest"
+# Every test runs under a plain `cargo test`; property tests run on
+# `lexequal_phoneme::testkit`, which needs no crate the offline build
+# cannot fetch.
+if grep -nE '^\[features\]|required-features' Cargo.toml crates/*/Cargo.toml; then
+    echo "ci: a manifest declares a cargo feature or a required-features gate" >&2
+    exit 1
+fi
+if grep -rln --include='*.rs' --include='*.toml' --exclude-dir=target --exclude-dir=.git \
+    --exclude-dir=.bench_build proptest . | grep -v '^\./crates/lexbench/'; then
+    echo "ci: the files above name proptest" >&2
+    exit 1
+fi
+
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -41,7 +55,7 @@ echo "== lexbench smoke: the release daemon over a socket, oracle-checked"
 # covering), every reply checked against the in-process oracle.
 bash crates/lexbench/run.sh --smoke
 
-echo "== line counts (whole .rs files, bin/ included; ROADMAP item 2's exit criterion)"
+echo "== line counts (whole .rs files, bin/ included; ROADMAP item 5's exit criterion)"
 for dir in crates/service/src crates/core/src; do
     echo "$dir $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
 done

@@ -626,10 +626,11 @@ impl NameStore {
         [qgram, phonidx, bktree].into_iter().flatten()
     }
 
-    /// Whether some declared path is [due a re-cover](cover_due).
-    pub fn cover_due(&self) -> bool {
+    /// The declared paths [due a re-cover](cover_due).
+    pub fn due_paths(&self) -> impl Iterator<Item = SearchMethod> + '_ {
         self.paths()
-            .any(|(_, covered)| cover_due(covered, self.len()))
+            .filter(|&(_, covered)| cover_due(covered, self.len()))
+            .map(|(spec, _)| spec.method())
     }
 
     /// Declare `spec`'s path: from here on searches through it are exact,
@@ -1300,7 +1301,11 @@ mod tests {
             (BuildSpec::BkTree, 7),
         ];
         assert_eq!(grown.coverage(), tail);
-        assert!(!grown.cover_due(), "two rows are far below the floor");
+        assert_eq!(
+            grown.due_paths().count(),
+            0,
+            "two rows are far below the floor"
+        );
         let mut fresh = NameStore::new(MatchConfig::default());
         fresh.extend_transformed((0..9).map(|i| grown.get(i).unwrap()).collect());
         for (spec, _) in tail {
@@ -1382,23 +1387,29 @@ mod tests {
         };
         let mut s = NameStore::new(MatchConfig::default());
         s.extend_transformed((0..RECOVER_FLOOR - 1).map(name).collect());
-        assert!(!s.cover_due(), "nothing declared");
+        let due = |s: &NameStore| s.due_paths().collect::<Vec<_>>();
+        assert_eq!(due(&s), [], "nothing declared");
         s.declare(BuildSpec::PhoneticIndex);
-        assert!(!s.cover_due());
+        assert_eq!(due(&s), []);
         s.extend_transformed(vec![name(0)]);
-        assert!(
-            s.cover_due(),
+        assert_eq!(
+            due(&s),
+            [SearchMethod::PhoneticIndex],
             "the whole store is tail, and it is 4096 rows"
         );
         s.build_phonetic_index();
         s.extend_transformed((0..RECOVER_FLOOR - 1).map(name).collect());
-        assert!(!s.cover_due(), "a quarter of 4096 is under the floor");
+        assert_eq!(due(&s), [], "a quarter of 4096 is under the floor");
         s.extend_transformed((0..RECOVER_FLOOR * 4 + 1).map(name).collect());
         s.build_phonetic_index();
         assert_eq!(s.coverage(), [(BuildSpec::PhoneticIndex, 24_576)]);
         s.extend_transformed((0..24_576 / 4 - 1).map(name).collect());
-        assert!(!s.cover_due());
+        assert_eq!(due(&s), []);
         s.extend_transformed(vec![name(1)]);
-        assert!(s.cover_due(), "a quarter of 24 576");
+        assert_eq!(
+            due(&s),
+            [SearchMethod::PhoneticIndex],
+            "a quarter of 24 576"
+        );
     }
 }

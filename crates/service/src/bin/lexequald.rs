@@ -20,9 +20,10 @@
 //! cost model and embedding screen are `MatchConfig` settings, not flags.
 //!
 //! Every store source starts the same way — rows in, the recorded (or
-//! default) access paths *declared*, `serving on`, then one background
-//! cover (DESIGN §5n): a declared path answers exactly from the first
-//! request, fast once covered. Store population, fastest first:
+//! default) access paths *declared*, `serving on` (DESIGN §5n): a declared
+//! path answers exactly from the first request, and is covered — made
+//! fast — in the background when a request first names it or `BUILD`
+//! asks for it. Store population, fastest first:
 //!
 //! * `--snapshot PATH` — restore the store from the snapshot image
 //!   written by `--save-snapshot` (or the `SAVE` wire command): a file
@@ -322,12 +323,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// A daemon ready to serve: its store, the role it answers in, the
-/// declared paths still to cover, and (on a replica) the apply thread.
+/// A daemon ready to serve: its store, the role it answers in and (on a
+/// replica) the apply thread.
 struct Started {
     service: Arc<MatchService>,
     role: Role,
-    uncovered: Vec<BuildSpec>,
     apply: Option<JoinHandle<()>>,
 }
 
@@ -500,23 +500,20 @@ fn start_local(
         }
     }
 
-    let uncovered = service.store().built_specs();
     Some(Started {
         service,
         role: replicator.map_or(Role::Standalone, Role::Primary),
-        uncovered,
         apply: None,
     })
 }
 
-/// Every role's tail: bind, announce, cover the declared paths still
-/// uncovered behind the traffic, serve until shutdown, then stop what
-/// the role started. The `serving on` line differs only in its suffix.
+/// Every role's tail: bind, announce, serve until shutdown, then stop
+/// what the role started. The `serving on` line differs only in its
+/// suffix.
 fn serve_role(args: Args, started: Started, shutdown: ShutdownSignal) -> ExitCode {
     let Started {
         service,
         role,
-        uncovered,
         apply,
     } = started;
     let listener = match bind_reusable(&args.addr) {
@@ -540,22 +537,6 @@ fn serve_role(args: Args, started: Started, shutdown: ShutdownSignal) -> ExitCod
         args.serve.workers,
         args.serve.max_pipeline,
     );
-    // Whatever the source — preload, image, replayed `BUILD`s — every
-    // declared path already answers exactly; cover them all once, behind
-    // the traffic. (Strictly after WAL replay: covering first would only
-    // leave the replayed rows as a tail.)
-    if !uncovered.is_empty() {
-        let service = Arc::clone(&service);
-        std::thread::Builder::new()
-            .name("lexequald-bg-cover".to_owned())
-            .spawn(move || {
-                eprintln!(
-                    "lexequald: covered in background {}",
-                    timed_builds(&service, &uncovered)
-                );
-            })
-            .expect("spawn background cover");
-    }
     let ctx = ReqCtx {
         role: role.clone(),
         save_path: args
@@ -585,24 +566,6 @@ fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Cover `specs` in order; the `key=value` fields a startup line reports
-/// them with: `paths=N`, one `<path>_ms` each, `build_ms` for the lot and
-/// `index_bytes` for what the shards' indices then hold.
-fn timed_builds(service: &MatchService, specs: &[BuildSpec]) -> String {
-    let start = Instant::now();
-    let mut fields = format!("paths={}", specs.len());
-    for &spec in specs {
-        let one = Instant::now();
-        service.store().cover(&[spec]);
-        let path = lexequal_service::metrics::method_name(spec.method());
-        fields.push_str(&format!(" {path}_ms={:.1}", ms_since(one)));
-    }
-    fields.push_str(&format!(" build_ms={:.1}", ms_since(start)));
-    let index_bytes: usize = service.store().cover_stats().index_bytes.iter().sum();
-    fields.push_str(&format!(" index_bytes={index_bytes}"));
-    fields
-}
-
 /// One startup recovery candidate, loaded: the serving handle (its
 /// recorded access paths declared) and the WAL LSN it covers.
 type LoadedService = (Arc<MatchService>, u64);
@@ -620,7 +583,7 @@ fn load_snapshot_service(
     eprintln!(
         "lexequald: snapshot {path:?} loaded via mmap: {} names on {} \
          shard(s), {} bytes mapped, serve-ready in {}ms \
-         ({} access path(s) declared, covered in the background)",
+         ({} access path(s) declared, each covered when first named)",
         load.service.len(),
         load.service.store().shards(),
         load.mapped_bytes,
@@ -676,9 +639,8 @@ fn fresh_service(match_config: &MatchConfig, args: &Args) -> LoadedService {
     (service, 0)
 }
 
-/// `--replica-of`: seed from the primary's snapshot stream (covering
-/// its recorded paths before serving) and keep applying its ops on a
-/// background thread.
+/// `--replica-of`: seed from the primary's snapshot stream (its recorded
+/// paths declared) and keep applying its ops on a background thread.
 fn start_replica(
     primary: &str,
     args: &Args,
@@ -736,7 +698,6 @@ fn start_replica(
     Some(Started {
         service,
         role: Role::Replica(state),
-        uncovered: Vec::new(),
         apply: Some(apply),
     })
 }

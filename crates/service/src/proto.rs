@@ -45,10 +45,12 @@
 //! `BUILD` *declares* an access path and answers at once: from that
 //! reply on `MATCH … <method>` is served through the path, exactly — an
 //! index covers it in the background, and rows `ADD`ed later are its tail
-//! until the next cover (DESIGN §5n; `STATS` reports `<method>_tail=`,
-//! and ends with what the rows cost: `row_bytes=`, `mapped_bytes=`,
-//! `index_bytes=` and its three parts `qgram_bytes=`, `phonidx_bytes=`,
-//! `bktree_bytes=`, DESIGN §5o). A `<q>` no index can be built at
+//! until the next cover. `--preload`, a snapshot load and a replica's seed
+//! only declare: rows in → paths declared → `serving on`, and a path is
+//! covered when a request first names it or `BUILD` asks (DESIGN §5n;
+//! `STATS` reports `<method>_tail=`, and ends with what the rows cost:
+//! `row_bytes=`, `mapped_bytes=`, `index_bytes=` and its three parts
+//! `qgram_bytes=`, `phonidx_bytes=`, `bktree_bytes=`, DESIGN §5o). A `<q>` no index can be built at
 //! (outside 1..=4) is an `ERR`, and nothing is declared or logged.
 //!
 //! `verified=` is how many rows the path put to the exact predicate: every
@@ -240,9 +242,11 @@ fn parse_threshold(tok: &str) -> Result<Option<f64>, String> {
     }
     let e: f64 = tok.parse().map_err(|_| format!("bad threshold {tok:?}"))?;
     if !THRESHOLD_RANGE.contains(&e) {
-        return Err(format!("threshold {e} outside [0,1]"));
+        // The token as sent: `1e308` printed as a number is 309 digits.
+        return Err(format!("threshold {tok:?} outside [0,1]"));
     }
-    Ok(Some(e))
+    // `-0` is in range and is zero; a reply must not echo `e=-0`.
+    Ok(Some(e.abs()))
 }
 
 fn parse_lookup_head(
@@ -770,6 +774,32 @@ mod tests {
         }
         assert!(parse_request("BUILD QGRAM 4 PAPER").is_ok());
         assert!(parse_request("ADD en").is_err());
+    }
+
+    /// A refused threshold is named as it was sent — `1e308` is 309 digits
+    /// as a number — and `-0` is zero, replied as `e=0`.
+    #[test]
+    fn thresholds_are_echoed_as_sent_and_minus_zero_is_zero() {
+        for (line, tok) in [
+            ("MATCH en scan 1e308 x", "1e308"),
+            ("MATCH - scan -1e-9 x", "-1e-9"),
+            ("BATCH en - NaN x|y", "NaN"),
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err, format!("threshold \"{tok}\" outside [0,1]"));
+        }
+        let Request::Match(r) = parse_request("MATCH en scan -0 x").unwrap().unwrap() else {
+            panic!()
+        };
+        let e = r.threshold.expect("an override");
+        assert!(e == 0.0 && e.is_sign_positive(), "{e}");
+        let line = format_outcome(&MatchOutcome::Matches {
+            method: SearchMethod::Scan,
+            threshold: e,
+            ids: vec![],
+            verifications: 0,
+        });
+        assert_eq!(line, "OK n=0 verified=0 method=scan e=0 ids=");
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! compacted log re-seeds: when the snapshot's history is a strict
 //! extension of the replica's own (same entries, same order — which
 //! non-divergent WAL history guarantees), the replica appends the
-//! missing tail entries from the transfer and rebuilds the snapshot's
+//! missing tail entries from the transfer and declares the snapshot's
 //! access paths, all without restarting. Only a genuine divergence —
 //! the snapshot contradicting entries the replica already holds, or a
 //! `DIVERGED` reply (this replica's LSN is ahead of the primary's whole
@@ -1148,16 +1148,12 @@ pub fn try_initial_sync(
             "expected SNAP for a fresh replica".into(),
         ));
     };
-    // The transfer buffer becomes the store's backing allocation.
+    // The transfer buffer becomes the store's backing allocation; the
+    // recorded access paths come declared, each covered when first named.
     let load = MatchService::from_image(cache_capacity, || {
         mmapstore::load_bytes(config.clone(), shards, image)
     })
     .map_err(ReplError::Snapshot)?;
-    // A replica serves immediately after seeding, so its recorded
-    // access paths are rebuilt before the handshake completes.
-    for spec in load.pending_builds {
-        load.service.build(spec);
-    }
     state.applied.store(lsn, Ordering::Release);
     state.head.fetch_max(lsn, Ordering::AcqRel);
     state.connected.store(true, Ordering::Release);
@@ -1256,7 +1252,7 @@ fn reconnect(service: &MatchService, state: &ReplicaState) -> Result<Link, ReplE
 /// restarting: non-divergent WAL history means the local store is a
 /// strict prefix of the snapshot (entries append in LSN order on every
 /// copy), so it suffices to verify the prefix, append the missing tail
-/// entries (already transformed — no G2P cost), and rebuild the
+/// entries (already transformed — no G2P cost), and declare the
 /// snapshot's recorded access paths. Returns how many entries were
 /// appended; a snapshot that contradicts local state is
 /// [`ReplError::NeedsResync`] naming the first id that differs, and
@@ -1306,9 +1302,9 @@ fn apply_snapshot_delta(service: &MatchService, image: Vec<u8>) -> Result<usize,
         debug_assert_eq!(local, id, "ids must continue the local sequence");
     }
     let added = loader.finish().len();
-    // Converge the access paths to the snapshot's recorded set.
+    // Converge the declared paths to the snapshot's recorded set.
     for spec in builds {
-        service.build(spec);
+        service.store().declare(spec);
     }
     Ok(added)
 }

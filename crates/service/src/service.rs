@@ -56,9 +56,8 @@ pub struct SnapshotLoad {
     /// Validate-to-serve-ready time in milliseconds.
     pub load_ms: u64,
     /// Access paths the snapshot records: declared — exact — but not
-    /// covered yet. The caller chooses — cover in the background
-    /// (`lexequald`) or synchronously (tests, replicas) via
-    /// [`MatchService::build`].
+    /// covered yet. Each is covered when a search first names it, or
+    /// here and now by [`MatchService::build`].
     pub pending_builds: Vec<BuildSpec>,
 }
 
@@ -444,9 +443,9 @@ impl MatchService {
                 let entry = self.prepare_entry(text, *language)?;
                 Ok(Some(self.apply_entry(entry)))
             }
-            // Declared only: a log replays many ops, and whoever replays
-            // them covers once at the end (`lexequald` after the tail,
-            // a replica's stream loop per op).
+            // Declared only: a log replays many ops, and a path is
+            // covered when a request first names it (a replica's stream
+            // loop covers a replicated `BUILD` as the primary did).
             crate::wal::Op::Build(spec) => {
                 self.store.declare(*spec);
                 Ok(None)

@@ -14,8 +14,10 @@
 //! that moment; making it fast is *covering* (DESIGN §5n): a cover copies
 //! the prefix of the column a path is keyed on out of a shard in chunks,
 //! builds the index on its own thread — never on a worker's command loop,
-//! under no lock — and hands it back to be installed. Appends invalidate nothing; a tail that
-//! outgrows the re-cover rule schedules a background cover.
+//! under no lock — and hands it back to be installed. A path is first
+//! covered when a search or a `BUILD` *names* it; a path nothing names
+//! costs its declaration only. Appends invalidate nothing; a named path's
+//! tail that outgrows the re-cover rule schedules a background cover.
 //!
 //! Rows come in one way, whatever their source — a generator, a vector of
 //! entries, a snapshot being restored, one `ADD`: through a [`Loader`],
@@ -73,8 +75,8 @@ enum Cmd {
     /// Append `chunk`'s rows (a [`Loader`]'s; infallible: every row was
     /// transformed and measured before it was pushed). `load` is what the
     /// whole load brings this shard, sent with its first chunk. Replies
-    /// with the shard index, the buffer — to be refilled — and whether
-    /// some path's tail now meets the re-cover rule.
+    /// with the shard index, the buffer — to be refilled — and the paths
+    /// whose tails now meet the re-cover rule (bit = `method_index`).
     Append {
         chunk: RowChunk,
         load: LoadSize,
@@ -132,7 +134,12 @@ enum Cmd {
 }
 
 /// A worker's reply to [`Cmd::Append`].
-type Appended = (usize, RowChunk, bool);
+type Appended = (usize, RowChunk, u8);
+
+/// `method`'s bit in a path mask.
+fn bit(method: SearchMethod) -> u8 {
+    1 << crate::metrics::method_index(method)
+}
 
 fn worker(
     mut store: NameStore,
@@ -155,7 +162,8 @@ fn worker(
                 reply,
             } => {
                 store.append_rows(&chunk, load);
-                let _ = reply.send((shard, chunk, store.cover_due()));
+                let due = store.due_paths().fold(0, |due, method| due | bit(method));
+                let _ = reply.send((shard, chunk, due));
             }
             Cmd::Declare { spec, reply } => {
                 store.declare(spec);
@@ -225,6 +233,9 @@ struct Covering {
     /// The same as a bitmask (bit = `method_index`), for the request
     /// path: set once every shard holds the declaration, never cleared.
     declared_mask: AtomicU8,
+    /// Paths a search or a `BUILD` has named, the same way: the only
+    /// paths the re-cover rule spends a cover on. Never cleared.
+    named: AtomicU8,
     /// One cover at a time; the next finds what this one left.
     turn: Mutex<()>,
     /// Paths the next background cover finishes whatever their tail.
@@ -241,8 +252,8 @@ struct Covering {
 impl Covering {
     /// The background coverer's life: parked until a cover is asked for
     /// ([`ShardedStore::cover_in_background`] unparks it), then one cover
-    /// of the paths [`ShardedStore::schedule_cover`] named and any path
-    /// the re-cover rule names.
+    /// of the paths [`ShardedStore::schedule_cover`] was given and any
+    /// named path the re-cover rule picks.
     fn run(&self, workers: &[Sender<Cmd>]) {
         loop {
             // Cleared before the cover looks at anything, so whatever is
@@ -254,7 +265,11 @@ impl Covering {
                 std::thread::park();
             }
             let forced = std::mem::take(&mut *self.forced.lock().expect("forced lock"));
-            let want = |spec, covered, rows| forced.contains(&spec) || cover_due(covered, rows);
+            let named = self.named.load(Ordering::Acquire);
+            let want = |spec: BuildSpec, covered, rows| {
+                forced.contains(&spec)
+                    || (named & bit(spec.method()) != 0 && cover_due(covered, rows))
+            };
             self.cover(workers, &want, &|| {});
         }
     }
@@ -436,6 +451,7 @@ impl ShardedStore {
             clusters: Arc::clone(&operator.config().clusters),
             declared: Mutex::default(),
             declared_mask: AtomicU8::new(0),
+            named: AtomicU8::new(0),
             turn: Mutex::default(),
             forced: Mutex::default(),
             scheduled: AtomicBool::new(false),
@@ -578,38 +594,61 @@ impl ShardedStore {
             start,
             next: start,
             loads: Vec::new(),
-            due: false,
+            due: 0,
             on_chunk,
         }
     }
 
     /// Declare one access path on every shard: from the moment this
     /// returns, searches through it are exact — over the path's pair-wise
-    /// rule alone until a cover installs an index. Re-declaring a path
-    /// moves it to the end of the recorded order; with a different spec
-    /// (another `q`) it also resets the path's coverage.
+    /// rule alone until a cover installs an index, which waits for the
+    /// path to be named. Re-declaring a path moves it to the end of the
+    /// recorded order; with a different spec (another `q`) it also resets
+    /// the path's coverage, and a named path is then covered anew.
     pub fn declare(&self, spec: BuildSpec) {
         let mut declared = self.covering.declared.lock().expect("declared lock");
         self.ask_all(|_, reply| Cmd::Declare { spec, reply })
             .iter()
             .count();
+        let reset = !declared.contains(&spec);
         declared.retain(|d| d.method() != spec.method());
         declared.push(spec);
-        let bit = 1 << crate::metrics::method_index(spec.method());
+        let bit = bit(spec.method());
         self.covering.declared_mask.fetch_or(bit, Ordering::Release);
+        if reset && self.covering.named.load(Ordering::Acquire) & bit != 0 {
+            self.schedule_cover(spec);
+        }
     }
 
     /// Whether `method` can serve a search: its path has been declared on
     /// every shard (a scan needs none). Lock-free; never revoked.
     pub fn is_declared(&self, method: SearchMethod) -> bool {
-        let bit = 1 << crate::metrics::method_index(method);
         method == SearchMethod::Scan
-            || self.covering.declared_mask.load(Ordering::Acquire) & bit != 0
+            || self.covering.declared_mask.load(Ordering::Acquire) & bit(method) != 0
     }
 
-    /// Declare one access path and [`cover`](Self::cover) it.
+    /// Mark `method`'s path named. The first naming of a declared path
+    /// leaves its cover to the background, whatever its tail; from then on
+    /// the re-cover rule keeps it covered. A scan names nothing. Costs a
+    /// search one relaxed load once the path is named.
+    fn name(&self, method: SearchMethod) {
+        let bit = bit(method);
+        if method == SearchMethod::Scan || self.covering.named.load(Ordering::Relaxed) & bit != 0 {
+            return;
+        }
+        let spec = (self.built_specs().into_iter()).find(|spec| spec.method() == method);
+        if let Some(spec) = spec {
+            self.schedule_cover(spec);
+        }
+    }
+
+    /// Declare one access path and [`cover`](Self::cover) it; the path is
+    /// named from here on.
     pub fn build(&self, spec: BuildSpec) {
         self.declare(spec);
+        self.covering
+            .named
+            .fetch_or(bit(spec.method()), Ordering::AcqRel);
         self.cover(&[spec]);
     }
 
@@ -629,8 +668,12 @@ impl ShardedStore {
 
     /// Leave covering a declared path, whatever its tail, to a background
     /// thread (the non-blocking half of a wire `BUILD`, after
-    /// [`declare`](Self::declare)).
+    /// [`declare`](Self::declare), and of a path's first naming); the path
+    /// is named from here on.
     pub fn schedule_cover(&self, spec: BuildSpec) {
+        self.covering
+            .named
+            .fetch_or(bit(spec.method()), Ordering::AcqRel);
         self.covering.forced.lock().expect("forced lock").push(spec);
         self.cover_in_background();
     }
@@ -743,8 +786,10 @@ impl ShardedStore {
     /// without waiting. The caller collects the merged result with
     /// [`PendingSearch::merge`] whenever it likes; beginning several
     /// searches before merging any is exactly how the daemon's verify
-    /// workers keep all shards busy at once.
+    /// workers keep all shards busy at once. The first search through a
+    /// path is what covers it (see [`declare`](Self::declare)).
     pub fn begin_search(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> PendingSearch {
+        self.name(method);
         PendingSearch {
             rx: self.ask_all(|shard, reply| Cmd::Search {
                 query: q.clone(),
@@ -802,7 +847,8 @@ pub struct Loader<'a> {
     /// What the load brings each shard, until its first chunk takes it
     /// along (empty unless [`reserve`](Self::reserve) was called).
     loads: Vec<LoadSize>,
-    due: bool,
+    /// Paths whose tails a shard reported due a re-cover.
+    due: u8,
     on_chunk: &'a dyn Fn(),
 }
 
@@ -896,7 +942,9 @@ impl Loader<'_> {
         if (self.next - self.start) as usize >= CHUNK_ROWS {
             *self.buffers = LoadBuffers::new(shards);
         }
-        if std::mem::take(&mut self.due) {
+        // A due tail of a path nothing has named wakes nobody.
+        let named = self.store.covering.named.load(Ordering::Acquire);
+        if std::mem::take(&mut self.due) & named != 0 {
             self.store.cover_in_background();
         }
     }
@@ -1220,15 +1268,47 @@ mod tests {
         assert_eq!(s.cover_stats().tails, [0, 0, 7800, 8000]);
         assert_eq!(s.cover_stats().covers, 1);
         // The append that takes a shard's tails to the floor starts a
-        // cover of every due path — here both — and nobody waits for it.
+        // cover of every due path a build or a search has named — here
+        // the phonetic index alone — and nobody waits for it.
         s.extend_transformed(plain_names(2 * 196));
         assert!(cover_due(100, 4196) && cover_due(0, 4196));
         wait_for("the background cover", || s.cover_stats().covers == 2);
+        assert_eq!(s.cover_stats().tails, [0, 0, 0, 8392]);
+        // The first search through the BK-tree names it, and covers it.
+        let q: PhonemeString = "neru".parse().unwrap();
+        let before = s.search_phonemes(&q, 0.3, SearchMethod::BkTree);
+        wait_for("the named path's cover", || s.cover_stats().covers == 3);
         assert_eq!(s.cover_stats().tails, [0; 4]);
+        assert_eq!(s.search_phonemes(&q, 0.3, SearchMethod::BkTree), before);
         assert_eq!(
             s.built_specs(),
             [BuildSpec::PhoneticIndex, BuildSpec::BkTree]
         );
+    }
+
+    /// A due tail of a path nothing has named does not wake the coverer:
+    /// every `ADD` past the floor would otherwise send it round the shards
+    /// for nothing. The coverer is held inside a cover (the test holds the
+    /// turn), so a wake would stay visible as `scheduled`.
+    #[test]
+    fn an_unnamed_paths_due_tail_wakes_no_cover() {
+        let s = ShardedStore::new(MatchConfig::default(), 2);
+        let turn = s.covering.turn.lock().unwrap();
+        // Names a path no shard declares: the coverer wakes, then waits
+        // for the turn.
+        s.schedule_cover(BuildSpec::PhoneticIndex);
+        wait_for("the coverer to wake", || {
+            !s.covering.scheduled.load(Ordering::Acquire)
+        });
+        s.declare(BuildSpec::BkTree);
+        s.extend_transformed(plain_names(2 * 4096));
+        assert!(!s.covering.scheduled.load(Ordering::Acquire), "woken");
+        assert_eq!(s.cover_stats().tails, [0, 0, 0, 8192]);
+        // Named, the same tail wakes it.
+        s.search_phonemes(&"neru".parse().unwrap(), 0.3, SearchMethod::BkTree);
+        assert!(s.covering.scheduled.load(Ordering::Acquire));
+        drop(turn);
+        wait_for("the named path's cover", || s.cover_stats().tails == [0; 4]);
     }
 
     /// `BUILD QGRAM 2 PAPER` landing while `q = 3` is being covered wins:
@@ -1265,6 +1345,34 @@ mod tests {
         assert_eq!(s.cover_stats().covers, 0, "nothing was installed");
         s.cover(&[q3, q2]);
         assert_eq!(s.cover_stats().tails, [0; 4]);
+    }
+
+    /// Re-declaring a named path with another spec (a live re-seed that
+    /// changes `q`) covers it anew, however small the store: below the
+    /// re-cover rule's floor nothing else would, and the path would stay a
+    /// whole tail until the next `BUILD`.
+    #[test]
+    fn a_named_path_redeclared_with_another_spec_is_covered_anew() {
+        let q3 = BuildSpec::Qgram {
+            q: 3,
+            mode: lexequal::QgramMode::Strict,
+        };
+        let q2 = BuildSpec::Qgram {
+            q: 2,
+            mode: lexequal::QgramMode::PaperFaithful,
+        };
+        let s = ShardedStore::new(MatchConfig::default(), 1);
+        s.extend_transformed(plain_names(50));
+        s.declare(q3);
+        let q: PhonemeString = "neru".parse().unwrap();
+        s.search_phonemes(&q, 0.3, SearchMethod::Qgram);
+        wait_for("the first naming's cover", || s.cover_stats().covers == 1);
+        assert_eq!(s.cover_stats().tails, [0; 4]);
+        s.declare(q2);
+        wait_for("the new spec's cover", || s.cover_stats().covers == 2);
+        assert_eq!(s.cover_stats().tails, [0; 4]);
+        let (rows, coverage, _) = ask(&s.senders[0], |reply| Cmd::Coverage { reply });
+        assert_eq!((rows, coverage), (50, vec![(q2, 50)]));
     }
 
     #[test]

@@ -253,8 +253,9 @@ fn snapshot_written_by_one_run_serves_the_next() {
         lines.iter().any(|l| l.contains("2 shard(s)")),
         "snapshot shard count not adopted: {lines:?}"
     );
-    // An mmap load declares the recorded access paths and covers them in
-    // the background: the very first method-pinned MATCH is exact.
+    // An mmap load declares the recorded access paths, each covered in
+    // the background once named: the very first method-pinned MATCH is
+    // exact.
     let after = second.request(query);
     assert_eq!(after, before, "MATCH diverged across the restart");
     // STATS agrees on the corpus size (strip the volatile counters).
@@ -290,7 +291,7 @@ fn save_snapshot_after_mmap_load_records_access_paths() {
     let first_str = first_snap.to_str().unwrap().to_owned();
     let second_str = second_snap.to_str().unwrap().to_owned();
 
-    // Seed run: preload builds every access path, then saves.
+    // Seed run: preload declares every access path, then saves.
     let mut seed = Server::spawn(&[
         "--addr",
         "127.0.0.1:0",
@@ -347,8 +348,9 @@ fn save_snapshot_after_mmap_load_records_access_paths() {
     std::fs::remove_file(&second_snap).ok();
 }
 
-/// The one start-up sequence: rows in, paths declared, `serving on`, and
-/// only then the cover — whose first requests are answered exactly.
+/// The one start-up sequence: rows in, paths declared, `serving on` —
+/// and no cover. A path is covered when a request first names it; the
+/// requests before, during and after answer exactly.
 #[test]
 fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
     use lexequal::{Language, MatchConfig, NameStore, QgramMode, SearchMethod};
@@ -377,10 +379,32 @@ fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
         assert!(!lines[preloaded].contains(absent), "{}", lines[preloaded]);
     }
     assert!(lines[preloaded].contains(" load_ms=") && lines[preloaded].contains(" total_ms="));
+    let tails = |stats: &str| -> Vec<usize> {
+        ["qgram_tail=", "phonidx_tail=", "bktree_tail="]
+            .iter()
+            .map(|key| {
+                let kv = stats.split(' ').find(|kv| kv.starts_with(key));
+                kv.and_then(|kv| kv[key.len()..].parse().ok())
+                    .unwrap_or_else(|| panic!("no {key} in {stats}"))
+            })
+            .collect()
+    };
+    let stats = daemon.request("STATS");
+    assert!(
+        stats.contains(
+            " declared=3 qgram_tail=20418 phonidx_tail=20418 bktree_tail=20418 covers=0 "
+        ),
+        "{stats}"
+    );
+    // What a declaration costs: the empty q-gram CSR's one offset a shard.
+    assert!(
+        stats.ends_with(" index_bytes=8 qgram_bytes=8 phonidx_bytes=0 bktree_bytes=0"),
+        "{stats}"
+    );
 
-    // Sent the moment the listener is announced, most likely answered
-    // from an uncovered path (`shard_equivalence.rs` parks a cover to make
-    // that certain); either way it is what a fully built store says.
+    // The first request through the phonetic index names it: answered
+    // from the uncovered path (`cover_on_use.rs` parks the cover to make
+    // that certain), it is what a fully built store says.
     let dataset = lexequal_lexicon::build_dataset(&MatchConfig::default(), 20_000);
     let stored = dataset[0].text.clone();
     assert_eq!(dataset[0].language, Language::English);
@@ -404,38 +428,54 @@ fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
     assert_eq!(got, expect(&oracle, SearchMethod::PhoneticIndex, &stored));
     assert!(!got.contains(" n=0 "), "{got}");
 
-    // The cover reports once, after the listener, with the per-path fields.
-    let mut covered = String::new();
-    daemon.stderr.read_line(&mut covered).expect("read stderr");
-    for field in [
-        "lexequald: covered in background paths=3 qgram_ms=",
-        " phonidx_ms=",
-        " bktree_ms=",
-        " build_ms=",
-        " index_bytes=",
-    ] {
-        assert!(covered.contains(field), "{field:?} not in {covered:?}");
-    }
-    // Covered, the paths answer the same — and an ADD costs none of them.
+    // It covers that path alone, in the background; the two nobody named
+    // stay whole tails.
+    let settle = |daemon: &Server, want: [usize; 3]| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            let stats = daemon.request("STATS");
+            if tails(&stats) == want {
+                break stats;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "never reached tails {want:?}: {stats}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    };
+    let stats = settle(&daemon, [20418, 0, 20418]);
+    assert!(stats.contains(" covers=1 "), "{stats}");
+    assert!(
+        stats.contains(" qgram_bytes=8 phonidx_bytes=") && stats.ends_with(" bktree_bytes=0"),
+        "{stats}"
+    );
+
+    // Covered, the path answers the same — and an ADD costs no path.
     assert_eq!(daemon.request(&format!("MATCH en phonidx - {stored}")), got);
     assert_eq!(daemon.request("ADD en Nehru"), "OK 20418");
     oracle.insert("Nehru", Language::English).unwrap();
     oracle.build_qgram(3, QgramMode::Strict);
     oracle.build_phonetic_index();
     oracle.build_bktree();
-    for (wire, method) in [
-        ("qgram", SearchMethod::Qgram),
-        ("phonidx", SearchMethod::PhoneticIndex),
-        ("bktree", SearchMethod::BkTree),
+    assert_eq!(tails(&daemon.request("STATS")), [20419, 1, 20419]);
+    // Each first naming covers its path, one cover at a time; the one-row
+    // tail of the covered phonetic index stays, far below the re-cover
+    // floor.
+    for (wire, method, after) in [
+        ("qgram", SearchMethod::Qgram, [0, 1, 20419]),
+        ("phonidx", SearchMethod::PhoneticIndex, [0, 1, 20419]),
+        ("bktree", SearchMethod::BkTree, [0, 1, 0]),
     ] {
         let reply = daemon.request(&format!("MATCH en {wire} - Nehru"));
         assert_eq!(reply, expect(&oracle, method, "Nehru"));
         assert!(reply.contains("20418"), "{reply}");
+        settle(&daemon, after);
     }
     let stats = daemon.request("STATS");
     assert!(stats.contains(" notbuilt=0 "), "{stats}");
     assert!(
-        stats.contains(" declared=3 qgram_tail=1 phonidx_tail=1 bktree_tail=1 covers=3 "),
+        stats.contains(" declared=3 qgram_tail=0 phonidx_tail=1 bktree_tail=0 covers=3 "),
         "{stats}"
     );
     daemon.stop();

@@ -17,7 +17,14 @@
 # after every run), every run's result line verbatim, and per workload and
 # metric the medians and IQRs of both sides with a verdict against the
 # relative bound BENCHMARK.json gives the metric (null where it gives
-# none). Needs bash, git and jq. Compile nothing else while it runs.
+# none). Each bounded metric also gets its pair-by-pair record in the
+# direction BENCHMARK.json calls better — `wins`, `losses` and `ties` (a
+# tie, or a pair missing a side, counts for neither) — and a `claim`:
+# "gain" only when wins >= ceil(0.9 x pairs), the medians differ, the
+# better way, by more than the parent's IQR, and the workload's failure
+# verdict is "no more failures"; "no gain" otherwise. The claim gates
+# nothing. Needs bash, git and jq. Compile nothing else while
+# it runs.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -108,26 +115,46 @@ jq -s \
             | ($w | map(.result.metrics // {} | keys) | add // [] | unique) as $names
             | def fail_share($side): $w | map(select(.side == $side and .result != null)
                                            | .result.failed / .result.attempted) | summary;
-            {key: $w[0].workload, value: {
-                fail_share: (fail_share("parent") as $p | fail_share("change") as $c
+            {key: $w[0].workload, value: (
+                (fail_share("parent") as $p | fail_share("change") as $c
                     | {parent: $p, change: $c,
                        runs_without_result: ($w | map(select(.result == null)) | length),
                        verdict: (if $c.median == null or $p.median == null then null
                                  elif $c.median > $p.median then "more failures"
-                                 else "no more failures" end)}),
+                                 else "no more failures" end)}) as $fails
+              | {fail_share: $fails,
                 metrics: ($names | map(. as $m | {key: $m, value: (
                     ($w | map(select(.side == "parent") | .result.metrics[$m].value // empty) | summary) as $p
                     | ($w | map(select(.side == "change") | .result.metrics[$m].value // empty) | summary) as $c
                     | $bounds[$m] as $b
                     | (if $p.median == null or $c.median == null or $p.median == 0 then null
                        else ($c.median - $p.median) / $p.median end) as $rel
+                    | def value($pair; $side): $w
+                        | map(select(.pair == $pair and .side == $side) | .result.metrics[$m].value)
+                        | .[0];
+                      ([range(1; $pairs + 1)] | map(value(.; "parent") as $pv | value(.; "change") as $cv
+                        | if $b == null or $pv == null or $cv == null or $pv == $cv then "tie"
+                          elif ($b.better == "lower") == ($cv < $pv) then "win"
+                          else "loss" end)) as $outcomes
+                    | ($outcomes | map(select(. == "win")) | length) as $wins
+                    | (if $b.better == "lower" then $p.median - $c.median
+                       else $c.median - $p.median end) as $gained
                     | {parent: $p, change: $c, relative_change: $rel,
                        better: ($b.better // null), bound: ($b.bound // null),
                        verdict: (if $b == null or $rel == null then null
                                  elif ($b.better == "lower" and $rel > $b.bound)
                                    or ($b.better == "higher" and -$rel > $b.bound) then "outside bound"
-                                 else "within bound" end)})}) | from_entries)
-              }})
+                                 else "within bound" end),
+                       wins: (if $b == null then null else $wins end),
+                       losses: (if $b == null then null
+                                else $outcomes | map(select(. == "loss")) | length end),
+                       ties: (if $b == null then null
+                              else $outcomes | map(select(. == "tie")) | length end),
+                       claim: (if $b == null or $rel == null then null
+                               elif $fails.verdict == "no more failures"
+                                 and $wins >= ($pairs * 0.9 | ceil) and $gained > $p.iqr then "gain"
+                               else "no gain" end)})}) | from_entries)
+              })})
             | from_entries)
       }' "$runs" >"$out"
 echo "bench_pairs: wrote $out" >&2

@@ -18,10 +18,12 @@ for the EXPERIMENTS.md table "Checkpoints that do not stop the world".
 """
 import argparse
 import os
+import queue
 import shutil
 import socket
 import subprocess
 import tempfile
+import threading
 import time
 
 ADDS, MATCHES_PER_ADD, STALL_MS = 4000, 4, 8.0
@@ -33,22 +35,39 @@ def name(i):
     return f"{HEADS[(i // 8) % 8]}{TAILS[i % 8]}{i // 64}"
 
 
-def spawn(daemon, *args, settled=("lexequald: serving on ",)):
-    """Start a daemon; return (process, address) once it printed a line
-    starting with one of `settled`."""
+def spawn(daemon, *args, settled=(), grace=0.0):
+    """Start a daemon; return (process, address) once it printed its
+    `serving on` line and then a line starting with one of `settled`, or
+    `grace` seconds after `serving on` when none came by then."""
     proc = subprocess.Popen(
         [daemon, "--addr", "127.0.0.1:0", "--shards", "2", *args],
         stderr=subprocess.PIPE,
         text=True,
     )
+    # Read on a thread of its own, so the wait below times out on lines,
+    # not on what the pipe's buffer already holds; it also keeps the pipe
+    # drained for the daemon's life.
+    stderr = queue.Queue()
+
+    def pump():
+        for line in proc.stderr:
+            stderr.put(line)
+        stderr.put(None)
+
+    threading.Thread(target=pump, daemon=True).start()
     lines, addr = [], None
-    for line in proc.stderr:
+    while True:
+        try:
+            line = stderr.get(timeout=grace if addr else None)
+        except queue.Empty:
+            return proc, addr
+        if line is None:
+            raise SystemExit(f"daemon exited before serving: {lines}")
         lines.append(line.rstrip())
         if line.startswith("lexequald: serving on "):
             addr = line.split()[3]
-        if addr and line.startswith(settled):
+        if addr and (not settled or line.startswith(settled)):
             return proc, addr
-    raise SystemExit(f"daemon exited before serving: {lines}")
 
 
 def stat(line, key):
@@ -63,12 +82,14 @@ def probe(daemon, image, work, cap):
     args = ["--snapshot", image, "--wal", wal]
     if cap:
         args += ["--wal-max-bytes", str(cap)]
-    # Wait out the background cover of the image's access paths, so both
-    # runs start from the same indices. (A daemon from before covers says
-    # "rebuilt": there the rebuild also held the store's grow lock for a
-    # few milliseconds, a stall of its own that EXPERIMENTS.md records.)
+    # The traffic below is scan-only, so it names no access path and
+    # nothing is covered. A daemon that covered every path at start-up
+    # said so on stderr within milliseconds ("covered in background", or
+    # "rebuilt" before covers existed, when the rebuild also held the
+    # grow lock, a stall EXPERIMENTS.md records): wait that out, so a run
+    # against such a build starts from its indices too.
     settled = ("lexequald: covered in background", "lexequald: rebuilt in background")
-    proc, addr = spawn(daemon, *args, settled=settled)
+    proc, addr = spawn(daemon, *args, settled=settled, grace=1.0)
     try:
         host, port = addr.rsplit(":", 1)
         conn = socket.create_connection((host, int(port)))

@@ -50,9 +50,10 @@ cargo run --release -p lexequal-bench --offline --bin table2_qgram \
     | grep "false dismissals vs exact answer: scan 0, join 0"
 
 echo "== lexbench smoke: the release daemon over a socket, oracle-checked"
-# All four workloads (the three index builds, write_mix's compaction
-# cycles and SIGKILL + replay, a first probe that lands on a daemon still
-# covering), every reply checked against the in-process oracle.
+# All four workloads (qgram_hot and phonidx_cold each cover the one path
+# they name on its first request, scan_hot and write_mix cover nothing;
+# write_mix's compaction cycles and SIGKILL + replay), every reply checked
+# against the in-process oracle.
 bash crates/lexbench/run.sh --smoke
 
 echo "== line counts (whole .rs files, bin/ included; ROADMAP item 5's exit criterion)"
@@ -68,7 +69,9 @@ if [[ -f "$newest" ]]; then
         (.summary | to_entries[] | .key as $w
          | "  \($w) failures: \(.value.fail_share.verdict)",
            (.value.metrics | to_entries[] | select(.value.bound != null)
-            | "  \($w) \(.key): median \(.value.parent.median) -> \(.value.change.median) (\(.value.verdict))"))' \
+            | "  \($w) \(.key): median \(.value.parent.median) -> \(.value.change.median) (\(.value.verdict))"
+              + (if .value.claim == null then ""
+                 else "; wins/losses/ties \(.value.wins)/\(.value.losses)/\(.value.ties), claim: \(.value.claim)" end)))' \
         "$newest"
 fi
 

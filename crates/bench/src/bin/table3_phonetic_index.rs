@@ -14,8 +14,11 @@
 //! (fine) cluster table with the coarse Soundex-like one.
 
 use lexequal::phonidx::{grouped_id, PhoneticIndex};
+use lexequal::store::NameEntry;
 use lexequal::udf::{load_names_table, register_udfs};
-use lexequal::{ClusterTable, Language, LexEqual, MatchConfig, NameStore, SearchMethod};
+use lexequal::{
+    ClusterTable, Language, LexEqual, MatchConfig, NameStore, PhonemeString, SearchMethod,
+};
 use lexequal_bench::*;
 use lexequal_mdb::Database;
 use std::sync::Arc;
@@ -168,11 +171,15 @@ fn main() {
     // inflating the rate; measure the real-lexicon rate too.
     let real = corpus();
     let real_phonemes: Vec<_> = real.entries.iter().map(|e| e.phonemes.clone()).collect();
-    let real_index = PhoneticIndex::build(clusters, &real_phonemes);
+    let real_rows = real
+        .entries
+        .iter()
+        .map(|e| (&e.text, e.language, &e.phonemes));
+    let real_store = indexed(op.clone(), real_rows);
     let (mut real_scan_hits, mut real_index_hits) = (0usize, 0usize);
     for q in real.entries.iter().step_by(23) {
-        let (ids, _) = real_index.search(&real_phonemes, &q.phonemes, THRESHOLD, &op);
-        real_index_hits += ids.len();
+        let found = real_store.search_phonemes(&q.phonemes, THRESHOLD, SearchMethod::PhoneticIndex);
+        real_index_hits += found.ids.len();
         real_scan_hits += real_phonemes
             .iter()
             .filter(|p| op.matches_phonemes(p, &q.phonemes, THRESHOLD))
@@ -198,6 +205,23 @@ fn main() {
          at the cost of 4–5% false dismissals vs the classical edit-distance answer \
          set; suitable where very fast response outweighs completeness (web search).",
     );
+}
+
+/// `rows` (text, language, phonemes) in a store around `op`, with the
+/// phonetic index built.
+fn indexed<'a>(
+    op: Arc<LexEqual>,
+    rows: impl Iterator<Item = (&'a String, Language, &'a PhonemeString)>,
+) -> NameStore {
+    let entry = |(text, language, phonemes): (&String, Language, &PhonemeString)| NameEntry {
+        text: text.clone(),
+        language,
+        phonemes: phonemes.clone(),
+    };
+    let mut store = NameStore::sharing(op, None);
+    store.extend_transformed(rows.map(entry).collect());
+    store.build_phonetic_index();
+    store
 }
 
 /// The clustered default (intra-cluster cost 0.25, `e` = 0.35): the
@@ -311,15 +335,22 @@ fn ablate_cluster_granularity(
         ("standard (fine)", ClusterTable::standard()),
         ("coarse (Soundex-like)", ClusterTable::coarse()),
     ] {
-        let op = LexEqual::new(MatchConfig::default().with_clusters(table.clone()));
-        let index = PhoneticIndex::build(op.cost_model().clusters(), &phonemes);
+        let op = Arc::new(LexEqual::new(
+            MatchConfig::default().with_clusters(table.clone()),
+        ));
+        let distinct_keys = PhoneticIndex::build(&table, &phonemes).distinct_keys();
+        let entries = data
+            .entries
+            .iter()
+            .map(|e| (&e.text, e.language, &e.phonemes));
+        let store = indexed(op.clone(), entries);
         let mut index_hits = 0usize;
         let mut scan_hits = 0usize;
         let mut verified = 0usize;
         for q in queries.iter().take(10) {
-            let (ids, v) = index.search(&phonemes, &q.phonemes, THRESHOLD, &op);
-            index_hits += ids.len();
-            verified += v;
+            let found = store.search_phonemes(&q.phonemes, THRESHOLD, SearchMethod::PhoneticIndex);
+            index_hits += found.ids.len();
+            verified += found.verifications;
             for p in &phonemes {
                 if op.matches_phonemes(p, &q.phonemes, THRESHOLD) {
                     scan_hits += 1;
@@ -328,7 +359,7 @@ fn ablate_cluster_granularity(
         }
         rows.push(vec![
             name.into(),
-            format!("{}", index.distinct_keys()),
+            format!("{distinct_keys}"),
             format!("{}", verified),
             format!("{index_hits}/{scan_hits}"),
             format!(

@@ -11,20 +11,6 @@ use std::sync::Arc;
 /// outside it (`contains` compares).
 pub const THRESHOLD_RANGE: RangeInclusive<f64> = 0.0..=1.0;
 
-/// Which substitution-cost model the operator materializes into its dense
-/// matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModelKind {
-    /// The paper's clustered model: substitutions within a cluster cost
-    /// `intra_cluster_cost`, everything else 1 (§3.3).
-    #[default]
-    Clustered,
-    /// Feature-graded costs ([`lexequal_embed::FeatureCost`]):
-    /// substitution cost proportional to articulatory feature distance,
-    /// the finest-grained "installable cost matrix" resource (§3.2).
-    Feature,
-}
-
 /// Tunable parameters of the LexEQUAL operator (paper §3.3).
 ///
 /// The defaults sit in the knee region the paper identifies as optimal for
@@ -46,16 +32,6 @@ pub struct MatchConfig {
     pub clusters: Arc<ClusterTable>,
     /// Installed text-to-phoneme converters (the paper's `S_L`).
     pub registry: Arc<G2pRegistry>,
-    /// Which substitution-cost model to serve with. The clustered default
-    /// reproduces the paper; [`CostModelKind::Feature`] swaps in the
-    /// feature-graded matrix (cluster semantics — grouped identifiers,
-    /// cluster-id columns — stay defined by `clusters` either way).
-    pub cost_model: CostModelKind,
-    /// Whether the conservative embedding prefilter screens candidates in
-    /// front of the Myers screens (DESIGN §5j). Verdicts are identical
-    /// either way; disabling only changes how much work the exact kernel
-    /// sees.
-    pub embed_screen: bool,
 }
 
 impl Default for MatchConfig {
@@ -65,8 +41,6 @@ impl Default for MatchConfig {
             intra_cluster_cost: 0.25,
             clusters: Arc::new(ClusterTable::standard()),
             registry: Arc::new(G2pRegistry::standard()),
-            cost_model: CostModelKind::default(),
-            embed_screen: true,
         }
     }
 }
@@ -95,18 +69,6 @@ impl MatchConfig {
     /// Use a restricted converter registry.
     pub fn with_registry(mut self, r: G2pRegistry) -> Self {
         self.registry = Arc::new(r);
-        self
-    }
-
-    /// Select the substitution-cost model.
-    pub fn with_cost_model(mut self, kind: CostModelKind) -> Self {
-        self.cost_model = kind;
-        self
-    }
-
-    /// Enable or disable the embedding prefilter screen.
-    pub fn with_embed_screen(mut self, on: bool) -> Self {
-        self.embed_screen = on;
         self
     }
 }
@@ -138,19 +100,8 @@ mod tests {
     fn builders_apply() {
         let c = MatchConfig::default()
             .with_threshold(0.25)
-            .with_intra_cluster_cost(0.0)
-            .with_cost_model(CostModelKind::Feature)
-            .with_embed_screen(false);
+            .with_intra_cluster_cost(0.0);
         assert_eq!(c.threshold, 0.25);
         assert_eq!(c.intra_cluster_cost, 0.0);
-        assert_eq!(c.cost_model, CostModelKind::Feature);
-        assert!(!c.embed_screen);
-    }
-
-    #[test]
-    fn defaults_reproduce_the_paper() {
-        let c = MatchConfig::default();
-        assert_eq!(c.cost_model, CostModelKind::Clustered);
-        assert!(c.embed_screen);
     }
 }

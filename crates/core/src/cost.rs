@@ -100,18 +100,9 @@ pub struct DenseSubstCost {
 impl DenseSubstCost {
     /// Materialize `source` over the full phoneme inventory.
     pub fn from_clustered(source: &ClusteredPhonemeCost) -> Self {
-        DenseSubstCost::from_model(source)
-    }
-
-    /// Materialize any phoneme cost model over the full inventory. The
-    /// caller's model must use unit insert/delete costs (the dense form
-    /// hardcodes them, like every model in this stack).
-    pub fn from_model<M: CostModel<Phoneme>>(source: &M) -> Self {
         let n = Inventory::len();
         let mut sub = vec![0.0f64; n * n];
         for a in Inventory::iter() {
-            debug_assert_eq!(source.ins(&a), 1.0);
-            debug_assert_eq!(source.del(&a), 1.0);
             for b in Inventory::iter() {
                 sub[a.index() * n + b.index()] = source.sub(&a, &b);
             }
@@ -265,28 +256,8 @@ mod tests {
     }
 }
 
-/// The feature-graded substitution model, re-exported from its home in
-/// `lexequal-embed` under the name this crate's API has always used.
-/// (It lives next to the [`Embedder`](lexequal_embed::Embedder) because
-/// both are pure functions of the articulatory feature bundles.)
+/// The feature-graded substitution model of the cost-model ablation
+/// (`ablation_costs`), re-exported from its home in `lexequal-embed`, next
+/// to the [`Embedder`](lexequal_embed::Embedder): both are pure functions
+/// of the articulatory feature bundles. The operator never serves it.
 pub use lexequal_embed::FeatureCost as FeaturePhonemeCost;
-
-#[cfg(test)]
-mod feature_dense_tests {
-    use super::*;
-
-    #[test]
-    fn dense_matrix_reproduces_feature_costs_exactly() {
-        let feature = FeaturePhonemeCost::new();
-        let dense = DenseSubstCost::from_model(&feature);
-        for a in Inventory::iter() {
-            for b in Inventory::iter() {
-                assert_eq!(
-                    dense.sub(&a, &b).to_bits(),
-                    feature.sub(&a, &b).to_bits(),
-                    "{a:?} vs {b:?}"
-                );
-            }
-        }
-    }
-}

@@ -66,7 +66,7 @@ pub mod store;
 pub mod udf;
 pub mod verify;
 
-pub use config::{CostModelKind, MatchConfig};
+pub use config::MatchConfig;
 pub use cost::{ClusteredPhonemeCost, DenseSubstCost, FeaturePhonemeCost};
 pub use operator::{LexEqual, Outcome};
 pub use phonidx::PhoneticIndex;
@@ -79,7 +79,7 @@ pub use verify::{
     BatchCounters, BatchVerifier, Lane, PreparedQuery, ScreenCounters, Verifier, MAX_LANES,
 };
 
-pub use lexequal_embed::{Embedder, FeatureCost, EMBED_DIM};
+pub use lexequal_embed::{Embedder, EMBED_DIM};
 pub use lexequal_g2p::{G2pError, G2pRegistry, Language, Route, Router, Script, ScriptProfile};
 pub use lexequal_matcher::{available_simd_levels, simd_level, SimdLevel};
 pub use lexequal_phoneme::{ClusterTable, Phoneme, PhonemeString};

@@ -1,12 +1,12 @@
 //! The LexEQUAL operator — the algorithm of the paper's Figure 8.
 
-use crate::config::{CostModelKind, MatchConfig};
-use crate::cost::{ClusteredPhonemeCost, DenseSubstCost, FeaturePhonemeCost};
+use crate::config::MatchConfig;
+use crate::cost::{ClusteredPhonemeCost, DenseSubstCost};
 use crate::verify::PreparedQuery;
 use lexequal_embed::{Embedder, EMBED_DIM};
 use lexequal_g2p::{G2pError, Language};
-use lexequal_matcher::{edit_distance, within_distance, CostModel};
-use lexequal_phoneme::{Inventory, PhonemeString};
+use lexequal_matcher::{edit_distance, within_distance};
+use lexequal_phoneme::PhonemeString;
 use std::sync::Arc;
 
 /// The three-valued result of a LexEQUAL comparison (Figure 8): a match,
@@ -25,66 +25,33 @@ pub enum Outcome {
 #[derive(Debug, Clone)]
 pub struct LexEqual {
     config: MatchConfig,
-    /// Cluster semantics (tables, grouped identifiers, cluster-id
-    /// columns) — always the clustered parameterization, regardless of
-    /// which model the dense matrix serves.
+    /// The clustered model (§3.3): its cluster table and intra-cluster
+    /// cost.
     cost: ClusteredPhonemeCost,
-    /// The matrix the predicate and every DP actually evaluate: the
-    /// clustered or feature-graded model per `config.cost_model`.
+    /// `cost` as the flat matrix the predicate and every DP evaluate.
     dense: DenseSubstCost,
     /// Phonetic embedding tables (shared across operator clones — the
     /// service layer clones one operator per shard).
     embedder: Arc<Embedder>,
     /// Calibrated conservative scale of the embedding screen under
-    /// `dense`: reject when `embed_scale · l1 > k`. `0.0` disables the
-    /// screen (by config, or because no sound scale exists).
+    /// `dense`: reject when `embed_scale · l1 > k`. `0.0` when no sound
+    /// scale exists (intra-cluster cost 0), which turns the screen off.
     embed_scale: f64,
-    /// Conservative per-unit-op cost of the cluster-id Myers screen:
-    /// every clustered edit op that induces a unit op on the cluster-id
-    /// strings costs at least this much, so
-    /// `lev_clus · clus_reject_scale > k` is a sound reject. Exactly 1.0
-    /// for the clustered model (preserving its bit-identical screen
-    /// arithmetic); the minimum cross-cluster substitution cost, capped
-    /// at 1, for graded models.
-    clus_reject_scale: f64,
-    /// [`min_nonzero_cost`](Self::min_nonzero_cost), scanned out of
-    /// `dense` once: every q-gram probe and BK-tree query asks for it.
-    min_nonzero_cost: Option<f64>,
 }
 
 impl LexEqual {
     /// Build the operator from a configuration.
     pub fn new(config: MatchConfig) -> Self {
         let cost = ClusteredPhonemeCost::new(config.clusters.clone(), config.intra_cluster_cost);
-        let dense = match config.cost_model {
-            CostModelKind::Clustered => DenseSubstCost::from_clustered(&cost),
-            CostModelKind::Feature => DenseSubstCost::from_model(&FeaturePhonemeCost::new()),
-        };
+        let dense = DenseSubstCost::from_clustered(&cost);
         let embedder = Arc::new(Embedder::new(&config.clusters));
-        let embed_scale = if config.embed_screen {
-            embedder.conservative_scale(&dense)
-        } else {
-            0.0
-        };
-        let mut clus_reject_scale = f64::INFINITY;
-        for a in Inventory::iter() {
-            for b in Inventory::iter() {
-                if a != b && !config.clusters.same_cluster(a, b) {
-                    clus_reject_scale = clus_reject_scale.min(dense.sub(&a, &b));
-                }
-            }
-        }
-        // Insertions and deletions induce unit cluster ops at cost 1.
-        let clus_reject_scale = clus_reject_scale.min(1.0);
-        let min_nonzero_cost = min_nonzero_cost(&dense);
+        let embed_scale = embedder.conservative_scale(&dense);
         LexEqual {
             config,
             cost,
             dense,
             embedder,
             embed_scale,
-            clus_reject_scale,
-            min_nonzero_cost,
         }
     }
 
@@ -93,27 +60,25 @@ impl LexEqual {
         &self.config
     }
 
-    /// The clustered parameterization — the source of cluster *semantics*
-    /// (tables, grouped identifiers, cluster-id columns) even when the
-    /// serving matrix is feature-graded.
+    /// The clustered cost model: the cluster table (grouped identifiers,
+    /// cluster-id columns) and the intra-cluster cost.
     pub fn cost_model(&self) -> &ClusteredPhonemeCost {
         &self.cost
     }
 
     /// The cost model materialized as a dense substitution matrix — what
     /// the predicate and the verification kernels actually evaluate
-    /// (flat-array lookup; clustered or feature-graded per
-    /// [`MatchConfig::cost_model`]).
+    /// (flat-array lookup).
     pub fn dense_cost(&self) -> &DenseSubstCost {
         &self.dense
     }
 
-    /// The smallest non-zero edit-operation cost of the *serving* matrix —
-    /// maps a threshold to a conservative Levenshtein bound for q-gram
-    /// filtering and BK-tree radii. `None` when some distinct pair
-    /// substitutes for free (no finite bound exists).
+    /// The smallest non-zero edit-operation cost — maps a threshold to a
+    /// conservative Levenshtein bound over phoneme ids for q-gram
+    /// filtering ([`ClusteredPhonemeCost::min_nonzero_cost`]). `None` when
+    /// intra-cluster substitutions are free (no finite bound exists).
     pub fn min_nonzero_cost(&self) -> Option<f64> {
-        self.min_nonzero_cost
+        self.cost.min_nonzero_cost()
     }
 
     /// The phonetic embedder in force (shared tables).
@@ -121,32 +86,28 @@ impl LexEqual {
         &self.embedder
     }
 
-    /// The conservative embedding-screen scale under the serving matrix;
-    /// `0.0` means the screen is off (config, or no sound scale exists —
-    /// e.g. clustered costs at intra-cluster cost 0).
+    /// The conservative embedding-screen scale; `0.0` means the screen is
+    /// off because no sound scale exists (intra-cluster cost 0).
     pub fn embed_scale(&self) -> f64 {
         self.embed_scale
     }
 
-    /// The cluster-screen scale (see the field docs): multiply the
-    /// cluster-id Levenshtein by this before comparing against the
-    /// budget. 1.0 for the clustered model.
+    /// The cost of one unit edit between cluster strings: 1.0, since every
+    /// cross-cluster substitution, insertion and deletion costs exactly 1.
+    /// Kept for benchmarks that restate the cluster screen's arithmetic.
+    #[doc(hidden)]
     pub fn clus_reject_scale(&self) -> f64 {
-        self.clus_reject_scale
+        1.0
     }
 
     /// The radius of the ball of cluster strings no match at budget `k`
-    /// lies outside: a pair within clustered distance `k` has cluster
-    /// strings within `k / clus_reject_scale` unit edits (the kernel's
-    /// cluster screen, solved for the Levenshtein distance), a whole
-    /// number of them. No finite radius holds every match of a model whose
-    /// scale is 0 (some cross-cluster substitution is free).
+    /// lies outside: `⌊k⌋`. Every clustered edit that is not an
+    /// intra-cluster substitution costs 1 and is one unit edit on the
+    /// cluster strings, so a pair within clustered distance `k` has
+    /// cluster strings within `⌊k⌋` unit edits (the kernel's cluster
+    /// screen, solved for the Levenshtein distance).
     pub fn cluster_radius(&self, k: f64) -> u32 {
-        if self.clus_reject_scale > 0.0 {
-            (k / self.clus_reject_scale).floor() as u32
-        } else {
-            u32::MAX
-        }
+        k.floor() as u32
     }
 
     /// The phonetic embedding of `s` (what stores cache per entry and the
@@ -256,10 +217,8 @@ impl LexEqual {
         // zero-distance pairs (identical up to free intra-cluster
         // substitutions when the cost is 0) matching at threshold 0.
         let k = (e * smaller as f64 - 1e-9).max(1e-12);
-        // The dense matrix holds the exact floats of the configured model
-        // (bit-equality pinned by `dense_matrix_reproduces_*` tests), so
-        // evaluating through it keeps verdicts identical while serving
-        // whichever model `config.cost_model` selects.
+        // The dense matrix holds the exact floats of the clustered model
+        // (bit-equality pinned by `dense_matrix_reproduces_clustered_*`).
         within_distance(a.as_slice(), b.as_slice(), k, &self.dense)
     }
 
@@ -275,25 +234,6 @@ impl LexEqual {
     pub fn budget(&self, a: &PhonemeString, b: &PhonemeString, e: f64) -> f64 {
         e * a.len().min(b.len()) as f64
     }
-}
-
-/// The smallest non-zero edit-operation cost of `dense` (insertions and
-/// deletions cost 1); `None` when some distinct pair substitutes for free.
-fn min_nonzero_cost(dense: &DenseSubstCost) -> Option<f64> {
-    let mut min = 1.0f64; // ins/del
-    for a in Inventory::iter() {
-        for b in Inventory::iter() {
-            if a == b {
-                continue;
-            }
-            let s = dense.sub(&a, &b);
-            if s == 0.0 {
-                return None;
-            }
-            min = min.min(s);
-        }
-    }
-    Some(min)
 }
 
 impl Default for LexEqual {
@@ -433,66 +373,45 @@ mod tests {
     }
 
     #[test]
-    fn feature_model_serves_end_to_end() {
-        use crate::config::CostModelKind;
-        let l = LexEqual::new(MatchConfig::default().with_cost_model(CostModelKind::Feature));
-        // Cross-script match still holds under the graded matrix (its
-        // substitutions are pricier than clustered's 0.25, so the knee
-        // threshold sits a bit higher).
-        assert_eq!(
-            l.match_strings_with("Nehru", Language::English, "नेहरु", Language::Hindi, 0.45)
-                .unwrap(),
-            Outcome::True
-        );
-        assert_eq!(
-            l.match_strings("Nehru", Language::English, "Gandhi", Language::English)
-                .unwrap(),
-            Outcome::False
-        );
-        // Every graded op cost is ≤ its unit-cost counterpart, so the
-        // graded distance never exceeds plain Levenshtein.
-        let a = l.transform("Catherine", Language::English).unwrap();
-        let b = l.transform("Kathryn", Language::English).unwrap();
-        let lev = edit_distance(a.as_slice(), b.as_slice(), lexequal_matcher::UnitCost);
-        assert!(l.distance(&a, &b) <= lev + 1e-12);
-        assert!(l.distance(&a, &b) > 0.0);
-    }
-
-    #[test]
     fn min_nonzero_cost_reflects_the_dense_matrix() {
-        use crate::config::CostModelKind;
-        // Clustered: min op cost is the intra-cluster cost (or None at 0).
-        let l = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.25));
-        assert_eq!(l.min_nonzero_cost(), Some(0.25));
-        let free = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.0));
-        assert_eq!(free.min_nonzero_cost(), None);
-        // Feature: the floor bounds every distinct-pair substitution from
-        // below; no two distinct phonemes share a feature bundle, so the
-        // cheapest op is strictly above the floor but well under 1.
-        let f = LexEqual::new(MatchConfig::default().with_cost_model(CostModelKind::Feature));
-        let c = f.min_nonzero_cost().unwrap();
-        assert!(c >= lexequal_embed::FeatureCost::new().floor);
-        assert!(c < 1.0);
+        use lexequal_matcher::CostModel;
+        use lexequal_phoneme::{ClusterTable, Inventory};
+        // The cheapest edit of the matrix the DP evaluates, scanned out of
+        // it: `None` when some distinct pair substitutes for free. Both
+        // shipped tables have a cluster of more than one phoneme, so it is
+        // the intra-cluster cost whenever that is positive.
+        let scanned = |l: &LexEqual| {
+            let dense = l.dense_cost();
+            Inventory::iter()
+                .flat_map(|a| {
+                    Inventory::iter()
+                        .filter(move |&b| b != a)
+                        .map(move |b| (a, b))
+                })
+                .map(|(a, b)| dense.sub(&a, &b))
+                .try_fold(1.0f64, |min, s| (s > 0.0).then_some(min.min(s)))
+        };
+        for table in [ClusterTable::standard(), ClusterTable::coarse()] {
+            for intra in [0.0, 0.25, 0.5, 1.0] {
+                let config = MatchConfig::default()
+                    .with_clusters(table.clone())
+                    .with_intra_cluster_cost(intra);
+                let l = LexEqual::new(config);
+                assert_eq!(l.min_nonzero_cost(), scanned(&l), "intra={intra}");
+                assert_eq!(l.min_nonzero_cost(), (intra > 0.0).then_some(intra));
+            }
+        }
     }
 
     #[test]
     fn screen_scales_are_sound_defaults() {
-        use crate::config::CostModelKind;
-        for kind in [CostModelKind::Clustered, CostModelKind::Feature] {
-            let l = LexEqual::new(MatchConfig::default().with_cost_model(kind));
-            assert!(l.embed_scale() > 0.0, "{kind:?} must admit a screen");
-            assert!(l.clus_reject_scale() > 0.0 && l.clus_reject_scale() <= 1.0);
-            let off = LexEqual::new(
-                MatchConfig::default()
-                    .with_cost_model(kind)
-                    .with_embed_screen(false),
-            );
-            assert_eq!(off.embed_scale(), 0.0, "flag must disable the screen");
-        }
-        // Clustered at the default table: the historical cluster screen
-        // scale is exactly 1.0 (cheapest cross-cluster substitution).
         let l = lex();
+        assert!(l.embed_scale() > 0.0, "the default must admit a screen");
+        // A cross-cluster substitution costs exactly 1: one unit edit on
+        // the cluster strings, so the radius of a budget is its floor.
         assert_eq!(l.clus_reject_scale(), 1.0);
+        assert_eq!(l.cluster_radius(0.99), 0);
+        assert_eq!(l.cluster_radius(2.7), 2);
         // A free intra-cluster substitution kills the embedding screen
         // (no sound positive scale exists) but not the predicate.
         let free = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.0));

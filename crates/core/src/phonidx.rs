@@ -16,8 +16,6 @@
 //! never retrieved. The paper measured that cost at 4–5% of true matches;
 //! our evaluation harness reproduces the measurement.
 
-use crate::operator::LexEqual;
-use crate::verify::Verifier;
 use lexequal_phoneme::{ClusterTable, PhonemeString};
 
 /// The phonetic index: grouped-phoneme-string-identifier → string ids, as
@@ -130,44 +128,24 @@ impl PhoneticIndex {
         );
         out
     }
-
-    /// Accelerated search: index probe, then verify each candidate with
-    /// the exact predicate (the Figure 15 plan). Returns matching ids and
-    /// the number of verification (UDF) calls.
-    pub fn search(
-        &self,
-        corpus: &[PhonemeString],
-        query: &PhonemeString,
-        e: f64,
-        operator: &LexEqual,
-    ) -> (Vec<u32>, usize) {
-        let prepared = operator.prepare_query(query);
-        let mut verifier = Verifier::new();
-        let cands = self.candidates(operator.cost_model().clusters(), query);
-        let verified = cands.len();
-        let mut hits: Vec<u32> = cands
-            .into_iter()
-            .filter(|&c| verifier.matches(operator, &prepared, &corpus[c as usize], None, None, e))
-            .collect();
-        hits.sort_unstable();
-        (hits, verified)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MatchConfig;
+    use crate::operator::LexEqual;
+    use crate::store::{NameStore, SearchMethod};
     use lexequal_g2p::Language;
 
-    fn setup(names: &[&str]) -> (LexEqual, Vec<PhonemeString>, PhoneticIndex) {
-        let ops = LexEqual::new(MatchConfig::default());
-        let corpus: Vec<PhonemeString> = names
-            .iter()
-            .map(|n| ops.transform(n, Language::English).unwrap())
-            .collect();
-        let idx = PhoneticIndex::build(ops.cost_model().clusters(), &corpus);
-        (ops, corpus, idx)
+    /// English `names` in a store with the phonetic index built, searched
+    /// the way every caller searches it.
+    fn store(names: &[&str]) -> NameStore {
+        let mut s = NameStore::new(MatchConfig::default());
+        s.extend(names.iter().map(|n| (n.to_string(), Language::English)))
+            .unwrap();
+        s.build_phonetic_index();
+        s
     }
 
     #[test]
@@ -183,29 +161,27 @@ mod tests {
 
     #[test]
     fn probe_retrieves_like_sounding_names() {
-        let (ops, corpus, idx) = setup(&["Nehru", "Gandhi", "Bose", "Patel"]);
-        // The Hindi rendering of Nehru probes the same bucket iff its
-        // cluster sequence matches; verify through the full search.
-        let q = ops.transform("नेहरु", Language::Hindi).unwrap();
-        let (hits, _) = idx.search(&corpus, &q, 0.3, &ops);
+        let s = store(&["Nehru", "Gandhi", "Bose", "Patel"]);
         // nɛru vs neɦrʊ differ by an inserted ɦ → different identifier:
-        // this is exactly the paper's false-dismissal mechanism. The
-        // direct English probe, by contrast, must hit.
-        let q_en = ops.transform("Nehru", Language::English).unwrap();
-        let (hits_en, verified) = idx.search(&corpus, &q_en, 0.3, &ops);
-        assert_eq!(hits_en, vec![0]);
-        assert!(verified <= corpus.len());
-        let _ = hits;
+        // the Hindi rendering of Nehru is exactly the paper's
+        // false-dismissal mechanism. The direct English probe, by
+        // contrast, must hit.
+        let q_en = s.operator().transform("Nehru", Language::English).unwrap();
+        let r = s.search_phonemes(&q_en, 0.3, SearchMethod::PhoneticIndex);
+        assert_eq!(r.ids, vec![0]);
+        assert!(r.verifications <= s.len());
     }
 
     #[test]
     fn search_never_returns_false_positives() {
-        let (ops, corpus, idx) = setup(&["Nehru", "Neru", "Nero", "Gandhi", "Krishnan"]);
-        let q = ops.transform("Neru", Language::English).unwrap();
-        let (hits, _) = idx.search(&corpus, &q, 0.3, &ops);
+        let s = store(&["Nehru", "Neru", "Nero", "Gandhi", "Krishnan"]);
+        let q = s.operator().transform("Neru", Language::English).unwrap();
+        let hits = s.search_phonemes(&q, 0.3, SearchMethod::PhoneticIndex).ids;
+        assert!(!hits.is_empty());
         for h in &hits {
             assert!(
-                ops.matches_phonemes(&corpus[*h as usize], &q, 0.3),
+                s.operator()
+                    .matches_phonemes(&s.phoneme_strings()[*h as usize], &q, 0.3),
                 "id {h} is not a true match"
             );
         }
@@ -213,13 +189,13 @@ mod tests {
 
     #[test]
     fn hits_are_subset_of_scan_with_possible_dismissals() {
-        let (ops, corpus, idx) =
-            setup(&["Catherine", "Kathryn", "Cathy", "Nehru", "Nero", "Neruda"]);
-        let q = ops.transform("Catherine", Language::English).unwrap();
-        let (hits, _) = idx.search(&corpus, &q, 0.4, &ops);
-        let scan: Vec<u32> = (0..corpus.len() as u32)
-            .filter(|&i| ops.matches_phonemes(&corpus[i as usize], &q, 0.4))
-            .collect();
+        let s = store(&["Catherine", "Kathryn", "Cathy", "Nehru", "Nero", "Neruda"]);
+        let q = s
+            .operator()
+            .transform("Catherine", Language::English)
+            .unwrap();
+        let hits = s.search_phonemes(&q, 0.4, SearchMethod::PhoneticIndex).ids;
+        let scan = s.search_phonemes(&q, 0.4, SearchMethod::Scan).ids;
         for h in &hits {
             assert!(scan.contains(h), "index returned a non-scan hit");
         }
@@ -248,10 +224,10 @@ mod tests {
     fn empty_corpus() {
         let idx = PhoneticIndex::build(&ClusterTable::standard(), &[]);
         assert!(idx.is_empty());
-        let ops = LexEqual::default();
+        let s = store(&[]);
         let q: PhonemeString = "neru".parse().unwrap();
-        let (hits, verified) = idx.search(&[], &q, 0.3, &ops);
-        assert!(hits.is_empty());
-        assert_eq!(verified, 0);
+        let r = s.search_phonemes(&q, 0.3, SearchMethod::PhoneticIndex);
+        assert!(r.ids.is_empty());
+        assert_eq!(r.verifications, 0);
     }
 }

@@ -19,11 +19,11 @@
 //! * a store under [`QgramMode::Strict`] keys it on the rows' *cluster*
 //!   strings — the paper's grouped phoneme string, indexed for approximate
 //!   search instead of equality — and asks [`QgramFilter::within`] for
-//!   the rows whose cluster string lies within `⌊k / clus_reject_scale⌋`
-//!   unit edits of the query's: every clustered edit costs at least the
-//!   unit edit it induces on the cluster strings, so no match lies outside
-//!   that ball (`verify.rs` proves and uses the same bound per pair), and
-//!   the ball is small at thresholds where a bound over phoneme ids is not;
+//!   the rows whose cluster string lies within `⌊k⌋` unit edits of the
+//!   query's: every clustered edit costs at least the unit edit it induces
+//!   on the cluster strings, so no match lies outside that ball
+//!   (`verify.rs` proves and uses the same bound per pair), and the ball
+//!   is small at thresholds where a bound over phoneme ids is not;
 //! * the standalone [`QgramFilter::build`] / [`candidates`] /
 //!   [`candidates_with_tail`] — what a store under
 //!   [`QgramMode::PaperFaithful`] serves through — key it on phoneme ids,
@@ -37,7 +37,6 @@
 //! [`candidates_with_tail`]: QgramFilter::candidates_with_tail
 
 use crate::operator::LexEqual;
-use crate::verify::Verifier;
 use lexequal_matcher::qgram::{count_filter_passes, length_filter_passes};
 use lexequal_matcher::Probe;
 use lexequal_phoneme::PhonemeString;
@@ -455,31 +454,6 @@ impl QgramFilter {
         shared.truncate(kept);
         shared
     }
-
-    /// Full accelerated search over the corpus the filter was
-    /// [`build`](Self::build)t from: filter then verify with the exact
-    /// predicate. Returns ids of true matches (per the operator), plus the
-    /// number of candidates that were verified (the UDF call count).
-    pub fn search(
-        &self,
-        corpus: &[PhonemeString],
-        query: &PhonemeString,
-        e: f64,
-        operator: &LexEqual,
-    ) -> (Vec<u32>, usize) {
-        let prepared = operator.prepare_query(query);
-        let mut verifier = Verifier::new();
-        // Budget depends on the candidate: e · min(|q|, |c|). Filter with
-        // the largest possible budget (e · |q|) to stay conservative,
-        // then verify each with its true budget.
-        let cands = self.candidates(query, e * query.len() as f64, operator);
-        let verified = cands.len();
-        let hits = cands
-            .into_iter()
-            .filter(|&c| verifier.matches(operator, &prepared, &corpus[c as usize], None, None, e))
-            .collect();
-        (hits, verified)
-    }
 }
 
 /// `query`'s positional grams as `signature ‖ position`, ascending.
@@ -678,9 +652,11 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::config::MatchConfig;
+    use crate::store::{NameEntry, NameStore, SearchMethod};
     use lexequal_g2p::Language;
-    use lexequal_phoneme::testkit::{ensure_eq, for_cases, Rng};
+    use lexequal_phoneme::testkit::{ensure, ensure_eq, for_cases, Rng};
     use lexequal_phoneme::Phoneme;
+    use std::sync::Arc;
 
     fn corpus(ops: &LexEqual, names: &[&str]) -> Vec<PhonemeString> {
         names
@@ -689,19 +665,35 @@ mod tests {
             .collect()
     }
 
+    /// `c` as the rows of a store under `ops`, with the q = 3 filter
+    /// declared in `mode` and covering every row: searched the way every
+    /// caller searches it.
+    fn store_of(ops: &LexEqual, c: &[PhonemeString], mode: QgramMode) -> NameStore {
+        let mut s = NameStore::sharing(Arc::new(ops.clone()), None);
+        let entry = |p: &PhonemeString| NameEntry::new(p.to_string(), Language::English, p.clone());
+        s.extend_transformed(c.iter().map(|p| entry(p).unwrap()).collect());
+        s.build_qgram(3, mode);
+        s
+    }
+
+    /// Whether every id of `hits` is among `candidates`: a filter that
+    /// keeps all of a scan's hits dismisses no true match.
+    fn keeps(candidates: &[u32], hits: &[u32]) -> bool {
+        hits.iter().all(|id| candidates.contains(id))
+    }
+
     #[test]
     fn filter_keeps_true_matches_and_drops_garbage() {
         let ops = LexEqual::default();
         let names = ["Nehru", "Neru", "Nero", "Gandhi", "Krishnan", "Washington"];
-        let c = corpus(&ops, &names);
-        let f = QgramFilter::build(&c, 3, QgramMode::Strict);
+        let s = store_of(&ops, &corpus(&ops, &names), QgramMode::Strict);
         let query = ops.transform("Nehru", Language::English).unwrap();
-        let (hits, verified) = f.search(&c, &query, 0.3, &ops);
-        assert!(hits.contains(&0), "self match");
-        assert!(hits.contains(&1), "Neru matches Nehru");
-        assert!(!hits.contains(&3), "Gandhi is not a match");
+        let r = s.search_phonemes(&query, 0.3, SearchMethod::Qgram);
+        assert!(r.ids.contains(&0), "self match");
+        assert!(r.ids.contains(&1), "Neru matches Nehru");
+        assert!(!r.ids.contains(&3), "Gandhi is not a match");
         // The filter must have spared us some UDF calls vs scanning all 6.
-        assert!(verified <= names.len());
+        assert!(r.verifications <= names.len());
     }
 
     #[test]
@@ -720,17 +712,17 @@ mod tests {
             "Gandhi",
         ];
         let c = corpus(&ops, &names);
+        let s = store_of(&ops, &c, QgramMode::Strict);
+        // The filter over phoneme ids under its own STRICT bound.
         let f = QgramFilter::build(&c, 3, QgramMode::Strict);
         for query_name in ["Catherine", "Nehru", "Kumar"] {
             let q = ops.transform(query_name, Language::English).unwrap();
             for e in [0.0, 0.2, 0.3, 0.5] {
-                let (mut hits, _) = f.search(&c, &q, e, &ops);
-                hits.sort_unstable();
-                let mut scan: Vec<u32> = (0..c.len() as u32)
-                    .filter(|&i| ops.matches_phonemes(&c[i as usize], &q, e))
-                    .collect();
-                scan.sort_unstable();
-                assert_eq!(hits, scan, "query {query_name} e={e}");
+                let want = scan(&ops, &c, &q, e);
+                let hits = s.search_phonemes(&q, e, SearchMethod::Qgram).ids;
+                assert_eq!(hits, want, "query {query_name} e={e}");
+                let budget = e * q.len() as f64;
+                assert!(keeps(&f.candidates(&q, budget, &ops), &want));
             }
         }
     }
@@ -932,7 +924,9 @@ mod tests {
                     }
                 }
                 for e in [0.0, 0.3] {
-                    assert_eq!(f.search(&c, query, e, &ops).0, scan(&ops, &c, query, e));
+                    let budget = e * query.len() as f64;
+                    let got = f.candidates(query, budget, &ops);
+                    assert!(keeps(&got, &scan(&ops, &c, query, e)));
                 }
             }
         }
@@ -1008,7 +1002,9 @@ mod tests {
         name
     }
 
-    /// Strict-mode completeness over random phoneme strings.
+    /// Strict-mode completeness over random phoneme strings: a store's
+    /// STRICT search (keyed on cluster strings) returns the scan's hits,
+    /// and the filter over phoneme ids keeps every one of them.
     #[test]
     fn strict_never_dismisses_true_matches() {
         let ops = LexEqual::default();
@@ -1016,14 +1012,16 @@ mod tests {
             let corpus: Vec<PhonemeString> =
                 rng.vec(2..=11, |rng| syllables(rng).parse().expect("IPA letters"));
             let e = rng.f64_in(0.0..0.6);
-            let f = QgramFilter::build(&corpus, 3, QgramMode::Strict);
             let query = corpus[0].clone();
-            let (mut hits, _) = f.search(&corpus, &query, e, &ops);
-            hits.sort_unstable();
-            let scan: Vec<u32> = (0..corpus.len() as u32)
-                .filter(|&i| ops.matches_phonemes(&corpus[i as usize], &query, e))
-                .collect();
-            ensure_eq((e, hits), (e, scan))
+            let want = scan(&ops, &corpus, &query, e);
+            let s = store_of(&ops, &corpus, QgramMode::Strict);
+            let hits = s.search_phonemes(&query, e, SearchMethod::Qgram).ids;
+            ensure_eq((e, &hits), (e, &want))?;
+            let f = QgramFilter::build(&corpus, 3, QgramMode::Strict);
+            let candidates = f.candidates(&query, e * query.len() as f64, &ops);
+            ensure(keeps(&candidates, &want), || {
+                format!("e={e}: candidates {candidates:?} miss hits of {want:?}")
+            })
         });
     }
 }

@@ -758,7 +758,9 @@ impl NameStore {
     }
 
     /// Search for names phonetically equal to `query` (in `language`)
-    /// within threshold `e`, via the chosen access path.
+    /// within threshold `e`, via the chosen access path: the text entry
+    /// point, which transforms the query and then runs
+    /// [`search_phonemes`](Self::search_phonemes).
     ///
     /// # Panics
     ///
@@ -774,22 +776,18 @@ impl NameStore {
         Ok(self.search_phonemes(&q, e, method))
     }
 
-    /// Search with a pre-transformed query.
+    /// Search with a pre-transformed query, one candidate at a time
+    /// through the scalar [`Verifier`]: the reference the served path,
+    /// [`search_phonemes_batched`](Self::search_phonemes_batched), is held
+    /// to — same ids, same verification count — by the differential
+    /// suites and the benchmark's oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chosen access path has not been declared.
     pub fn search_phonemes(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> SearchResult {
-        self.search_phonemes_with(q, e, method, &mut Verifier::new())
-    }
-
-    /// [`search_phonemes`](Self::search_phonemes) with a caller-owned
-    /// [`Verifier`]: identical results, but the kernel's DP scratch and
-    /// screen counters persist across calls.
-    pub fn search_phonemes_with(
-        &self,
-        q: &PhonemeString,
-        e: f64,
-        method: SearchMethod,
-        verifier: &mut Verifier,
-    ) -> SearchResult {
         let prepared = self.operator.prepare_query(q);
+        let mut verifier = Verifier::new();
         let rows = self.rows();
         let mut matches = |id: &u32| {
             let row = rows.row(*id as usize);
@@ -810,12 +808,12 @@ impl NameStore {
         }
     }
 
-    /// [`search_phonemes_with`](Self::search_phonemes_with) through the
-    /// batched kernel: the access path produces candidate ids as before,
-    /// and one [`BatchVerifier::verify_rows`] call disposes of them in
-    /// width-sized interleaved steps. Hits and verification counts are
-    /// bit-for-bit identical to the pair-at-a-time form on every method
-    /// (the shard workers serve through this form).
+    /// [`search_phonemes`](Self::search_phonemes) through the batched
+    /// kernel — the path the shard workers serve: the access path produces
+    /// candidate ids as before, and one [`BatchVerifier::verify_rows`] call
+    /// disposes of them in width-sized interleaved steps. Hits and
+    /// verification counts are bit-for-bit identical to the
+    /// pair-at-a-time reference on every method.
     pub fn search_phonemes_batched(
         &self,
         q: &PhonemeString,
@@ -1012,12 +1010,13 @@ mod tests {
 
     #[test]
     fn kernel_path_is_identical_to_reference_on_every_method() {
-        // The kernel (screens + dense DP + scratch) must reproduce the
-        // raw `matches_phonemes` decision bit-for-bit on every access
-        // path; the phonetic index may dismiss but never diverge on what
-        // it verifies.
+        // Both kernels (screens + dense DP + scratch), the scalar reference
+        // and the served batched one, must reproduce the raw
+        // `matches_phonemes` decision bit-for-bit on every access path;
+        // the phonetic index may dismiss but never diverge on what it
+        // verifies.
         let s = store();
-        let mut verifier = Verifier::new();
+        let mut batch = BatchVerifier::new();
         for query in ["Nehru", "Nero", "Gandhi", "Krishnan", "Bose"] {
             let q = s.operator().transform(query, Language::English).unwrap();
             for e in [0.0, 0.15, 0.3, 0.45, 0.75] {
@@ -1032,16 +1031,20 @@ mod tests {
                     SearchMethod::Qgram,
                     SearchMethod::BkTree,
                 ] {
-                    let r = s.search_phonemes_with(&q, e, method, &mut verifier);
+                    let r = s.search_phonemes(&q, e, method);
                     assert_eq!(r.ids, reference, "{query} e={e} {method:?}");
+                    let b = s.search_phonemes_batched(&q, e, method, &mut batch);
+                    assert_eq!(b, r, "{query} e={e} {method:?} batched");
                 }
-                let pi = s.search_phonemes_with(&q, e, SearchMethod::PhoneticIndex, &mut verifier);
+                let pi = s.search_phonemes(&q, e, SearchMethod::PhoneticIndex);
                 for id in &pi.ids {
                     assert!(reference.contains(id), "{query} e={e} index false positive");
                 }
+                let method = SearchMethod::PhoneticIndex;
+                assert_eq!(s.search_phonemes_batched(&q, e, method, &mut batch), pi);
             }
         }
-        let c = verifier.counters();
+        let c = batch.counters();
         assert!(c.total() > 0);
         assert!(c.fast_reject > 0, "screens never fired: {c:?}");
     }

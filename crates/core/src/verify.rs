@@ -267,10 +267,8 @@ impl Verifier {
                 Some(ids) => clus.distance(ids.iter().copied()),
                 None => clus.distance(op.cluster_ids_of(cand)),
             };
-            // Distance ≥ cluster-id Levenshtein · per-op floor: reject.
-            // (The scale is exactly 1.0 for the clustered model, keeping
-            // this arithmetic bit-identical to the historical screen.)
-            if lev_clus as f64 * op.clus_reject_scale() > k + 1e-12 {
+            // Distance ≥ cluster-id Levenshtein: reject.
+            if lev_clus as f64 > k + 1e-12 {
                 self.counters.fast_reject += 1;
                 return false;
             }
@@ -578,13 +576,10 @@ impl BatchVerifier {
                 };
             }
             clus.distance_batch(&texts[..n_pending], &mut self.scr_dists, self.level);
-            // Distance ≥ cluster-id Levenshtein · per-op floor: reject
-            // (scale exactly 1.0 for the clustered model — bit-identical
-            // to the historical screen).
-            let scale = op.clus_reject_scale();
+            // Distance ≥ cluster-id Levenshtein: reject.
             let mut n_surv = 0;
             for (slot, &l) in pending[..n_pending].iter().enumerate() {
-                if self.scr_dists[slot] as f64 * scale > ks[l] + 1e-12 {
+                if self.scr_dists[slot] as f64 > ks[l] + 1e-12 {
                     self.counters.fast_reject += 1;
                     self.batch.lane_reject += 1;
                     verdicts[l] = false;

@@ -6,13 +6,14 @@
 //! identical** to running the scalar [`Verifier`] pair by pair — same
 //! hits, same verification counts, same screen-counter totals.
 //!
-//! The scalar kernel is itself pinned against `matches_phonemes` by the
-//! unit suites, so transitively the batched kernel computes the paper's
-//! exact predicate.
+//! Both are also held directly to `matches_phonemes`, the predicate with
+//! no screen in front of it: every search returns exactly the rows it
+//! admits.
 
+use lexequal::phonidx::grouped_id;
 use lexequal::{
-    available_simd_levels, BatchVerifier, CostModelKind, Language, LexEqual, MatchConfig,
-    NameStore, SearchMethod, Verifier, MAX_LANES,
+    available_simd_levels, BatchVerifier, Language, LexEqual, MatchConfig, NameStore, SearchMethod,
+    Verifier, MAX_LANES,
 };
 use lexequal_phoneme::testkit::Rng;
 use lexequal_phoneme::{Inventory, Phoneme, PhonemeString};
@@ -141,7 +142,7 @@ fn batched_access_paths_equal_scalar_on_every_method() {
         let q = op.transform(query, lang).unwrap();
         for e in [0.0, 0.3, 0.45] {
             for method in methods {
-                let want = store.search_phonemes_with(&q, e, method, &mut Verifier::new());
+                let want = store.search_phonemes(&q, e, method);
                 for level in available_simd_levels() {
                     for width in 1..=MAX_LANES {
                         let mut batch = BatchVerifier::with_width_and_level(width, level);
@@ -171,7 +172,7 @@ fn batched_bktree_keeps_its_radius_at_zero_cost() {
     s.build_bktree();
     let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.0));
     let q = op.transform("Nehru", Language::English).unwrap();
-    let want = s.search_phonemes_with(&q, 0.45, SearchMethod::BkTree, &mut Verifier::new());
+    let want = s.search_phonemes(&q, 0.45, SearchMethod::BkTree);
     let got = s.search_phonemes_batched(&q, 0.45, SearchMethod::BkTree, &mut BatchVerifier::new());
     assert_eq!(got, want);
     let scan = s.search_phonemes(&q, 0.45, SearchMethod::Scan);
@@ -222,14 +223,19 @@ fn long_queries_verify_correctly_through_the_dp_only_path() {
     }
 }
 
-/// The tentpole's soundness contract: under both cost models, turning
-/// the embedding screen on must never change a single verdict, id or
-/// verification count — on any access path, at any batch width, under
-/// any SIMD backend (re-run with `LEXEQUAL_FORCE_SCALAR=1` to pin the
-/// forced-scalar dispatch too). The screen may only change how much
-/// work the exact kernel sees, which the counters make observable.
+/// The screens' soundness contract, held to the strongest oracle there
+/// is: every search, scalar and batched, returns exactly the rows
+/// `LexEqual::matches_phonemes` admits — the DP with no screen in front of
+/// it — on every access path, at every batch width, under every SIMD
+/// backend (re-run with `LEXEQUAL_FORCE_SCALAR=1` to pin the forced-scalar
+/// dispatch too), at intra-cluster cost 0 (no sound embedding scale
+/// exists, so no embedding screen), 0.25 and 1.0. The phonetic index
+/// answers with the admitted rows that share the query's grouped
+/// identifier: its dismissals are the paper's, never a screen's. The
+/// screens may only change how much work reaches the DP, which the
+/// counters make observable.
 #[test]
-fn embed_screen_never_changes_verdicts_under_either_cost_model() {
+fn every_search_returns_exactly_the_rows_the_unscreened_predicate_admits() {
     let names: [(&str, Language); 11] = [
         ("Nehru", Language::English),
         ("नेहरु", Language::Hindi),
@@ -243,77 +249,75 @@ fn embed_screen_never_changes_verdicts_under_either_cost_model() {
         ("Catherine", Language::English),
         ("Katherine", Language::English),
     ];
-    let build = |kind: CostModelKind, screen: bool| {
-        let mut s = NameStore::new(
-            MatchConfig::default()
-                .with_cost_model(kind)
-                .with_embed_screen(screen),
-        );
-        for (n, l) in names {
-            s.insert(n, l).unwrap();
-        }
-        s.build_qgram(3, lexequal::QgramMode::Strict);
-        s.build_phonetic_index();
-        s.build_bktree();
-        s
-    };
     let methods = [
         SearchMethod::Scan,
         SearchMethod::Qgram,
         SearchMethod::PhoneticIndex,
         SearchMethod::BkTree,
     ];
-    for kind in [CostModelKind::Clustered, CostModelKind::Feature] {
-        let on = build(kind, true);
-        let off = build(kind, false);
-        assert!(
-            on.operator().embed_scale() > 0.0,
-            "default models must admit a sound screen scale ({kind:?})"
-        );
-        assert_eq!(off.operator().embed_scale(), 0.0);
-        let mut on_scalar = Verifier::new();
-        let mut off_full_dp = 0;
+    for intra in [0.0, 0.25, 1.0] {
+        let mut s = NameStore::new(MatchConfig::default().with_intra_cluster_cost(intra));
+        for (n, l) in names {
+            s.insert(n, l).unwrap();
+        }
+        s.build_qgram(3, lexequal::QgramMode::Strict);
+        s.build_phonetic_index();
+        s.build_bktree();
+        let op = s.operator();
+        let clusters = op.cost_model().clusters();
+        let rows = s.phoneme_strings();
+        let mut screened = BatchVerifier::new();
         for (query, lang) in [
             ("Nehru", Language::English),
             ("Gandhi", Language::English),
             ("நேரு", Language::Tamil),
             ("Kumari", Language::English),
         ] {
-            let q = on.operator().transform(query, lang).unwrap();
+            let q = op.transform(query, lang).unwrap();
+            let key = grouped_id(clusters, &q);
             for e in [0.0, 0.3, 0.45] {
+                let admitted = (0u32..)
+                    .zip(rows)
+                    .filter(|(_, r)| op.matches_phonemes(r, &q, e));
+                let admitted: Vec<u32> = admitted.map(|(id, _)| id).collect();
                 for method in methods {
-                    let want = off.search_phonemes_with(&q, e, method, &mut Verifier::new());
-                    let got = on.search_phonemes_with(&q, e, method, &mut on_scalar);
-                    assert_eq!(got, want, "scalar {kind:?} q={query} e={e} {method:?}");
+                    let want: Vec<u32> = match method {
+                        SearchMethod::PhoneticIndex => (admitted.iter().copied())
+                            .filter(|&id| grouped_id(clusters, &rows[id as usize]) == key)
+                            .collect(),
+                        _ => admitted.clone(),
+                    };
+                    let scalar = s.search_phonemes(&q, e, method);
+                    assert_eq!(
+                        scalar.ids, want,
+                        "scalar intra={intra} q={query} e={e} {method:?}"
+                    );
                     for level in available_simd_levels() {
                         for width in 1..=MAX_LANES {
                             let mut batch = BatchVerifier::with_width_and_level(width, level);
-                            let got = on.search_phonemes_batched(&q, e, method, &mut batch);
+                            let got = s.search_phonemes_batched(&q, e, method, &mut batch);
                             assert_eq!(
-                                got, want,
-                                "{kind:?} q={query} e={e} {method:?} width={width} level={level}"
+                                got, scalar,
+                                "intra={intra} q={query} e={e} {method:?} width={width} level={level}"
                             );
                         }
                     }
-                    // Screen-off stores must never touch the embed counters.
-                    let mut off_v = Verifier::new();
-                    let _ = off.search_phonemes_with(&q, e, method, &mut off_v);
-                    let c = off_v.take_counters();
-                    assert_eq!(c.embed_accept + c.embed_reject + c.embed_bypass, 0);
-                    off_full_dp += c.full_dp;
+                    let _ = s.search_phonemes_batched(&q, e, method, &mut screened);
                 }
             }
         }
-        let c = on_scalar.take_counters();
-        assert!(
-            c.embed_accept > 0 && c.embed_reject > 0,
-            "screen must both pass and prune under {kind:?}: {c:?}"
-        );
-        assert_eq!(c.embed_bypass, 0, "store rows all carry embeddings");
-        // The same searches, screen on and off: a pair the screen settles
-        // never reaches the DP, and it sends no pair there that the
-        // unscreened kernel would have settled earlier.
-        assert!(c.full_dp <= off_full_dp, "{kind:?}: {c:?} vs {off_full_dp}");
+        let c = screened.take_counters();
+        if intra == 0.0 {
+            assert_eq!(op.embed_scale(), 0.0, "a free substitution leaves no scale");
+            assert_eq!(c.embed_accept + c.embed_reject + c.embed_bypass, 0);
+        } else {
+            assert!(op.embed_scale() > 0.0, "intra={intra} must admit a screen");
+            assert!(
+                c.embed_accept > 0 && c.embed_reject > 0,
+                "screen must both pass and prune at intra={intra}: {c:?}"
+            );
+            assert_eq!(c.embed_bypass, 0, "store rows all carry embeddings");
+        }
     }
 }
 

@@ -56,10 +56,10 @@
 //! `verified=` is how many rows the path put to the exact predicate: every
 //! row for `scan`, the rows sharing the query's grouped identifier for
 //! `phonidx`, and for `qgram` (`STRICT`) and `bktree` alike the rows inside
-//! the length filter whose cluster string lies within ⌊e·|q| /
-//! clus_reject_scale⌋ unit edits of the query's (DESIGN §5k) — ≈ 130 of
-//! 20 418 names at the default threshold where it used to be ≈ 17 000, and
-//! the same number whatever part of the store an index covers.
+//! the length filter whose cluster string lies within ⌊e·|q|⌋ unit edits
+//! of the query's (DESIGN §5k) — ≈ 130 of 20 418 names at the default
+//! threshold where it used to be ≈ 17 000, and the same number whatever
+//! part of the store an index covers.
 //! `NOTBUILT <method>` therefore means one thing: the path was never
 //! declared — no `BUILD`, no `--preload`, none recorded in the snapshot.
 //!

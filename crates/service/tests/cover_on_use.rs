@@ -85,6 +85,13 @@ fn tails(service: &MatchService) -> [usize; 4] {
     service.stats().cover.tails
 }
 
+/// Covers finished so far. A cover counts itself after its last shard has
+/// installed, so waiting for the count (not for a tail to reach 0) waits
+/// the cover out.
+fn covers(service: &MatchService) -> u64 {
+    service.stats().cover.covers
+}
+
 /// Every method's replies to a tagged `MATCH` and a `BATCH` of `queries`,
 /// checked against the oracle — `label` names the state they were asked in.
 fn assert_answers(service: &MatchService, oracle: &NameStore, queries: &[String], label: &str) {
@@ -168,7 +175,7 @@ fn the_first_naming_covers_that_path_alone() {
         let before = service.stats().cover;
         assert_eq!((before.covers, before.tails), (0, [0, n, n, n]));
         assert!(ask(&service, request).iter().all(|r| r.starts_with("OK ")));
-        wait_for(request, || tails(&service)[covered] == 0);
+        wait_for(request, || covers(&service) == 1);
         let mut want = [0, n, n, n];
         want[covered] = 0;
         let after = service.stats().cover;
@@ -187,7 +194,7 @@ fn build_covers_without_a_search() {
     let n = rows.len();
     let service = declared(rows, 2);
     assert_eq!(ask(&service, "BUILD BKTREE"), ["OK built=bktree"]);
-    wait_for("the BUILD's cover", || tails(&service)[3] == 0);
+    wait_for("the BUILD's cover", || covers(&service) == 1);
     let stats = service.stats().cover;
     assert_eq!((stats.covers, stats.tails), (1, [0, n, n, 0]));
     assert_eq!(stats.index_bytes[0..2], [8, 0], "declarations only");
@@ -218,14 +225,14 @@ fn adds_cover_only_named_paths() {
     assert_eq!((stats.covers, stats.tails), (0, [0, 5_000, 5_000, 5_000]));
     // One shard, 5 000 rows covered: due again at a tail of 4 096.
     assert!(ask(&service, "MATCH en phonidx - Nehru")[0].starts_with("OK "));
-    wait_for("the first naming's cover", || tails(&service)[2] == 0);
+    wait_for("the first naming's cover", || covers(&service) == 1);
     for i in 5_000..9_095 {
         ask(&service, &format!("ADD en {}", name(i)));
     }
     let stats = service.stats().cover;
     assert_eq!((stats.covers, stats.tails), (1, [0, 9_095, 4_095, 9_095]));
     ask(&service, &format!("ADD en {}", name(9_095)));
-    wait_for("the re-cover", || tails(&service)[2] == 0);
+    wait_for("the re-cover", || covers(&service) == 2);
     let stats = service.stats().cover;
     assert_eq!((stats.covers, stats.tails), (2, [0, 9_096, 0, 9_096]));
 }

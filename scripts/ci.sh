@@ -36,6 +36,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== cargo build --release"
 cargo build --workspace --release --offline
 
+echo "== the examples run in release, not only compile"
+# They drive `MatchConfig` and `NameStore` the way a library user does; a
+# panic or a non-zero exit fails the step.
+for example in quickstart books_catalog author_join phonetic_search tune_parameters; do
+    echo "-- $example"
+    cargo run --release --offline -q -p lexequal-bench --example "$example" > /dev/null
+done
+
 echo "== cargo test"
 cargo test --workspace --offline -q
 

@@ -4,13 +4,27 @@
 //! absolute numbers (our substrate differs), but the relationships the
 //! paper's conclusions rest on.
 
-use lexequal::{ClusterTable, LexEqual, MatchConfig, PhoneticIndex};
+use lexequal::store::NameEntry;
+use lexequal::{ClusterTable, MatchConfig, NameStore, PhoneticIndex, SearchMethod};
 use lexequal_lexicon::{sweep_sampled, Corpus, QualityPoint, SyntheticDataset};
 use std::sync::OnceLock;
 
 fn corpus() -> &'static Corpus {
     static C: OnceLock<Corpus> = OnceLock::new();
     C.get_or_init(|| Corpus::build(&MatchConfig::default()))
+}
+
+/// The corpus as the rows of a store under `config`, phonetic index built.
+fn indexed(config: MatchConfig) -> NameStore {
+    let entry = |e: &lexequal_lexicon::LexiconEntry| NameEntry {
+        text: e.text.clone(),
+        language: e.language,
+        phonemes: e.phonemes.clone(),
+    };
+    let mut s = NameStore::new(config);
+    s.extend_transformed(corpus().entries.iter().map(entry).collect());
+    s.build_phonetic_index();
+    s
 }
 
 fn quality_grid() -> &'static [QualityPoint] {
@@ -157,15 +171,14 @@ fn table3_phonetic_index_dismisses_small_fraction_of_self_probes() {
     // always shares its own grouped id, so self-matches are never lost;
     // cross-script matches with cross-cluster edits are. The dismissal
     // rate must be well below half for corpus probes at the knee.
-    let op = LexEqual::new(MatchConfig::default());
-    let c = corpus();
-    let phonemes: Vec<_> = c.entries.iter().map(|e| e.phonemes.clone()).collect();
-    let index = PhoneticIndex::build(op.cost_model().clusters(), &phonemes);
+    let store = indexed(MatchConfig::default());
+    let op = store.operator();
+    let phonemes = store.phoneme_strings();
     let mut scan_hits = 0usize;
     let mut index_hits = 0usize;
     for q in phonemes.iter().step_by(29) {
-        let (ids, _) = index.search(&phonemes, q, 0.25, &op);
-        index_hits += ids.len();
+        let found = store.search_phonemes(q, 0.25, SearchMethod::PhoneticIndex);
+        index_hits += found.ids.len();
         scan_hits += phonemes
             .iter()
             .filter(|p| op.matches_phonemes(p, q, 0.25))
@@ -184,17 +197,17 @@ fn table3_phonetic_index_dismisses_small_fraction_of_self_probes() {
 fn coarse_clusters_increase_candidates_and_reduce_dismissals() {
     let c = corpus();
     let phonemes: Vec<_> = c.entries.iter().map(|e| e.phonemes.clone()).collect();
-    let fine = PhoneticIndex::build(&ClusterTable::standard(), &phonemes);
-    let coarse = PhoneticIndex::build(&ClusterTable::coarse(), &phonemes);
-    assert!(coarse.distinct_keys() < fine.distinct_keys());
+    let keys = |table: &ClusterTable| PhoneticIndex::build(table, &phonemes).distinct_keys();
+    assert!(keys(&ClusterTable::coarse()) < keys(&ClusterTable::standard()));
 
-    let fine_op = LexEqual::new(MatchConfig::default());
-    let coarse_op = LexEqual::new(MatchConfig::default().with_clusters(ClusterTable::coarse()));
+    let fine = indexed(MatchConfig::default());
+    let coarse = indexed(MatchConfig::default().with_clusters(ClusterTable::coarse()));
     let mut fine_hits = 0usize;
     let mut coarse_hits = 0usize;
     for q in phonemes.iter().step_by(47) {
-        fine_hits += fine.search(&phonemes, q, 0.25, &fine_op).0.len();
-        coarse_hits += coarse.search(&phonemes, q, 0.25, &coarse_op).0.len();
+        let hits = |s: &NameStore| s.search_phonemes(q, 0.25, SearchMethod::PhoneticIndex).ids;
+        fine_hits += hits(&fine).len();
+        coarse_hits += hits(&coarse).len();
     }
     // Coarser grouping retrieves at least as many candidates.
     assert!(coarse_hits >= fine_hits);

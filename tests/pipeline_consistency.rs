@@ -19,8 +19,8 @@
 
 use lexequal::store::NameEntry;
 use lexequal::{
-    BatchVerifier, BuildSpec, CostModelKind, MatchConfig, NameStore, PathIndex, QgramFilter,
-    QgramMode, SearchMethod,
+    BatchVerifier, BuildSpec, MatchConfig, NameStore, PathIndex, QgramFilter, QgramMode,
+    SearchMethod,
 };
 use lexequal_lexicon::Corpus;
 use lexequal_matcher::{edit_distance, length_filter_passes, BkTree, UnitCost};
@@ -69,15 +69,16 @@ fn queries() -> Vec<lexequal::PhonemeString> {
 }
 
 /// The three cost regimes every exact access path is held to a scan
-/// under: both cost models, and the clustered model with free
-/// intra-cluster substitutions, where no finite Levenshtein bound over
-/// *phoneme ids* contains every match — the bound over cluster strings
-/// the sound paths use does not care what an intra-cluster substitution
-/// costs.
+/// under: fractional, unit and free intra-cluster substitutions. Unit cost
+/// is plain Levenshtein (`min_nonzero_cost` is 1, so STRICT's bound over
+/// phoneme ids is the budget itself); free substitutions leave no finite
+/// bound over phoneme ids that contains every match — the bound over
+/// cluster strings the sound paths use does not care what an
+/// intra-cluster substitution costs.
 fn cost_regimes() -> [MatchConfig; 3] {
     [
         MatchConfig::default(),
-        MatchConfig::default().with_cost_model(CostModelKind::Feature),
+        MatchConfig::default().with_intra_cluster_cost(1.0),
         MatchConfig::default().with_intra_cluster_cost(0.0),
     ]
 }
@@ -108,12 +109,9 @@ fn bktree_equals_scan() {
     for config in cost_regimes() {
         let mut s = load(config);
         s.build_bktree();
-        // Finite radius under every regime whose scale is positive: all
-        // three here, so none falls back to verifying every row — and at
-        // scale 1 (clustered costs, whatever the intra-cluster one) the
-        // ball is a sliver of the store.
-        let scale = s.operator().clus_reject_scale();
-        assert!(scale > 0.0);
+        // The radius is `⌊k⌋` whatever the intra-cluster cost, so no
+        // regime falls back to verifying every row: the ball is a sliver
+        // of the store.
         let (mut verified, mut scanned) = (0, 0);
         for q in queries_of(&s) {
             for e in [0.25, 0.35, 0.45] {
@@ -121,15 +119,13 @@ fn bktree_equals_scan() {
                 let bk = s.search_phonemes(&q, e, SearchMethod::BkTree);
                 assert_eq!(scan.ids, bk.ids, "query /{q}/ e={e}");
                 assert!(bk.verifications <= scan.verifications);
-                assert!(s.operator().cluster_radius(e * q.len() as f64) < u32::MAX);
                 verified += bk.verifications;
                 scanned += scan.verifications;
             }
         }
-        let sliver = if scale == 1.0 { 16 } else { 1 };
         assert!(
-            verified * sliver < scanned,
-            "{verified} of {scanned} rows verified at scale {scale}"
+            verified * 16 < scanned,
+            "{verified} of {scanned} rows verified"
         );
     }
 }

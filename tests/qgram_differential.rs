@@ -20,17 +20,16 @@
 //! build's dense signature table and one gram recurs in most names.
 
 use lexequal::qgram_plan::reference::HashedQgramFilter;
-use lexequal::{
-    CostModelKind, LexEqual, MatchConfig, Phoneme, PhonemeString, QgramFilter, QgramMode,
-};
+use lexequal::{LexEqual, MatchConfig, Phoneme, PhonemeString, QgramFilter, QgramMode};
 use lexequal_lexicon::{Corpus, SyntheticDataset};
 
-/// Clustered, feature-graded, and clustered with free intra-cluster
-/// substitutions (STRICT has no finite bound: length filter only).
+/// Fractional, unit and free intra-cluster substitution costs: unit cost
+/// is plain Levenshtein (STRICT's bound is the budget itself), free leaves
+/// STRICT no finite bound (length filter only).
 fn operators() -> [LexEqual; 3] {
     [
         MatchConfig::default(),
-        MatchConfig::default().with_cost_model(CostModelKind::Feature),
+        MatchConfig::default().with_intra_cluster_cost(1.0),
         MatchConfig::default().with_intra_cluster_cost(0.0),
     ]
     .map(LexEqual::new)
@@ -77,7 +76,7 @@ fn assert_keyed_on(names: &[PhonemeString], query_step: usize, uncovered: &[usiz
             let flats: Vec<QgramFilter> = flats.collect();
             for query in names.iter().step_by(query_step) {
                 for e in [0.0, 0.05, 0.15, 0.25, 0.35, 0.45] {
-                    // The budget `search` filters with.
+                    // The budget a store's search filters with.
                     let k = e * query.len() as f64;
                     for (model, op) in operators.iter().enumerate() {
                         let want = hashed.candidates(query, k, op);

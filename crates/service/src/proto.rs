@@ -53,6 +53,13 @@
 //! `qgram_bytes=`, `phonidx_bytes=`, `bktree_bytes=`, DESIGN §5o). A `<q>` no index can be built at
 //! (outside 1..=4) is an `ERR`, and nothing is declared or logged.
 //!
+//! `STATS` opens with the request and outcome counters, the transform
+//! cache's `cache_hits=` / `cache_misses=`, the screen and batch counters
+//! and the dispatched `simd=` level, then what the transform cache holds:
+//! `transform_entries=` and `transform_bytes=` (its slot arenas, indices
+//! and entries). Per-path searches and latencies, connection gauges,
+//! untagged routing, replication and the coverage keys above follow.
+//!
 //! `verified=` is how many rows the path put to the exact predicate: every
 //! row for `scan`, the rows sharing the query's grouped identifier for
 //! `phonidx`, and for `qgram` (`STRICT`) and `bktree` alike the rows inside
@@ -438,7 +445,7 @@ pub fn format_outcome(out: &MatchOutcome) -> String {
 /// Render a stats snapshot as the single-line `STATS` response.
 pub fn format_stats(s: &StatsSnapshot) -> String {
     let mut line = format!(
-        "OK names={} shards={} requests={} matches={} noresource={} notbuilt={} badinput={} cache_hits={} cache_misses={} screen_accept={} screen_reject={} screen_dp={} screen_bypass={} embed_screen_accept={} embed_screen_reject={} embed_screen_bypass={} batch_calls={} batch_lanes_sum={} batch_lanes_max={} batch_accept={} batch_reject={} batch_dp={} simd={}",
+        "OK names={} shards={} requests={} matches={} noresource={} notbuilt={} badinput={} cache_hits={} cache_misses={} screen_accept={} screen_reject={} screen_dp={} screen_bypass={} embed_screen_accept={} embed_screen_reject={} embed_screen_bypass={} batch_calls={} batch_lanes_sum={} batch_lanes_max={} batch_accept={} batch_reject={} batch_dp={} simd={} transform_entries={} transform_bytes={}",
         s.names,
         s.shards,
         s.requests,
@@ -462,6 +469,8 @@ pub fn format_stats(s: &StatsSnapshot) -> String {
         s.batch_lane_reject,
         s.batch_lane_dp,
         s.simd_level,
+        s.transform_entries,
+        s.transform_bytes,
     );
     line.push_str(&format!(
         " snapshot_format={} mmap_bytes={} load_ms={}",
@@ -881,6 +890,8 @@ mod tests {
             batch_lane_reject: 0,
             batch_lane_dp: 0,
             simd_level: "scalar",
+            transform_entries: 0,
+            transform_bytes: 0,
             per_method: ALL_METHODS.map(|m| crate::service::MethodStats {
                 method: m,
                 searches: 0,
@@ -919,6 +930,8 @@ mod tests {
             "{}",
             format_stats(&s)
         );
+        assert!(format_stats(&s)
+            .contains(" simd=scalar transform_entries=0 transform_bytes=0 snapshot_format="));
         assert!(!format_stats(&s).contains("untagged_"));
         assert!(format_stats(&s).contains("snapshot_format=rebuild mmap_bytes=0 load_ms=0"));
         s.untagged.requests = 2;

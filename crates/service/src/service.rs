@@ -696,6 +696,8 @@ impl MatchService {
             batch_lane_reject: batches.lane_reject,
             batch_lane_dp: batches.lane_dp,
             simd_level: lexequal::simd_level().name(),
+            transform_entries: self.cache.len(),
+            transform_bytes: self.cache.bytes(),
             per_method: crate::metrics::ALL_METHODS.map(|m| {
                 let pm = &self.metrics.per_method[method_index(m)];
                 MethodStats {
@@ -793,6 +795,11 @@ pub struct StatsSnapshot {
     /// The SIMD backend the DP drain dispatched to at startup
     /// (`avx2` | `sse2` | `scalar`).
     pub simd_level: &'static str,
+    /// Transforms the cache holds now.
+    pub transform_entries: usize,
+    /// Heap bytes the transform cache holds: slot arenas, indices and
+    /// entries ([`TransformCache::bytes`]).
+    pub transform_bytes: usize,
     /// Per-access-path counters.
     pub per_method: [MethodStats; 4],
     /// Serving-loop connection/queue/pipelining gauges. `None` from

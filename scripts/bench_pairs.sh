@@ -13,18 +13,23 @@
 #
 # on both sides, parent first in odd pairs and change first in even ones.
 # Writes <out> (default BENCH_pairs.json) at the repository root: both
-# revisions, host facts (nproc, CPU model, kernel, /proc/loadavg before and
-# after every run), every run's result line verbatim, and per workload and
-# metric the medians and IQRs of both sides with a verdict against the
-# relative bound BENCHMARK.json gives the metric (null where it gives
-# none). Each bounded metric also gets its pair-by-pair record in the
-# direction BENCHMARK.json calls better — `wins`, `losses` and `ties` (a
-# tie, or a pair missing a side, counts for neither) — and a `claim`:
-# "gain" only when wins >= ceil(0.9 x pairs), the medians differ, the
-# better way, by more than the parent's IQR, and the workload's failure
-# verdict is "no more failures"; "no gain" otherwise. The claim gates
-# nothing. Needs bash, git and jq. Compile nothing else while
-# it runs.
+# revisions — and, when the working tree differs from HEAD, `change_tree`
+# (its `git write-tree`, taken through a scratch index) and
+# `change_diffstat` (`git diff --shortstat` against HEAD) — host facts
+# (nproc, CPU model, kernel, /proc/loadavg before and after every run),
+# every run's result line verbatim beside `reported`, the metrics lexbench
+# printed on stdout that the result line does not carry (closed_ops_s,
+# the closed/open_lo/open_hi p50 and p99, and on write_mix add_p50/p99_us
+# and restart_ready_s). Per workload and metric, scripts/bench_summary.jq
+# gives the medians and IQRs of both sides, a verdict against the
+# relative bound BENCHMARK.json gives the metric (null for the reported
+# ones, which hold none), the pair-by-pair record in the direction the
+# metric calls better — `wins`, `losses` and `ties` (a tie, or a pair
+# missing a side, counts for neither) — and a `claim`: "gain" only when
+# wins >= ceil(0.9 x pairs), the medians differ, the better way, by more
+# than the parent's IQR, and the workload's failure verdict is "no more
+# failures"; "no gain" otherwise. The claim gates nothing. Needs bash,
+# git and jq. Compile nothing else while it runs.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -38,8 +43,20 @@ pairs="${2:-3}"
 out="${3:-BENCH_pairs.json}"
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || { echo "pairs must be a positive integer" >&2; exit 2; }
 change_rev="$(git rev-parse HEAD)"
+# The tree measured: the working tree as `git add -A` would stage it,
+# written through a scratch index so the real one is left alone.
+scratch_index="$(mktemp -d)"
+GIT_INDEX_FILE="$scratch_index/index" git read-tree HEAD
+GIT_INDEX_FILE="$scratch_index/index" git add -A
+change_tree="$(GIT_INDEX_FILE="$scratch_index/index" git write-tree)"
+change_diffstat="$(GIT_INDEX_FILE="$scratch_index/index" git diff --cached --shortstat HEAD)"
+rm -rf "$scratch_index"
 change_dirty=false
-[[ -z "$(git status --porcelain --untracked-files=no)" ]] || change_dirty=true
+if [[ $change_tree == "$(git rev-parse 'HEAD^{tree}')" ]]; then
+    change_tree="" change_diffstat=""
+else
+    change_dirty=true
+fi
 
 # The parent: a clone sharing this repository's objects, so nothing is
 # registered in (or left behind by) this repository's .git.
@@ -74,11 +91,21 @@ run_one() { # <side> <pair> <workload>
     after="$(cat /proc/loadavg)"
     line="$(grep '^{' <<<"$log" | tail -n 1 || true)"
     echo "bench_pairs: pair $pair $workload $side exit=$status" >&2
+    # `reported`: the metric lines lexbench printed that the result line
+    # does not carry, `  <workload> <metric> <value> <unit> (<lower|higher>
+    # is better, ...)`.
     jq -cn --arg side "$side" --argjson pair "$pair" --arg workload "$workload" \
         --argjson exit "$status" --arg before "$before" --arg after "$after" --arg line "$line" \
-        '{workload: $workload, pair: $pair, side: $side, seed: $pair, exit: $exit,
-          loadavg_before: $before, loadavg_after: $after,
-          line: (if $line == "" then null else $line end)}' >>"$runs"
+        --arg log "$log" '
+        ($line | if . == "" then {} else fromjson.metrics end) as $bounded
+        | {workload: $workload, pair: $pair, side: $side, seed: $pair, exit: $exit,
+           loadavg_before: $before, loadavg_after: $after,
+           line: (if $line == "" then null else $line end),
+           reported: ([$log | splits("\n")
+               | capture("^  (?<w>\\S+) +(?<m>\\S+) +(?<v>\\S+) +(?<unit>\\S*) *\\((?<better>lower|higher) is better")
+               | select(.w == $workload and $bounded[.m] == null)
+               | {key: .m, value: {value: (.v | tonumber? // null), unit, better}}]
+               | from_entries)}' >>"$runs"
 }
 
 mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
@@ -91,70 +118,10 @@ for ((pair = 1; pair <= pairs; pair++)); do
     done
 done
 
-jq -s \
-    --slurpfile bench BENCHMARK.json \
+jq -s --slurpfile bench BENCHMARK.json \
     --arg parent "$parent_rev" --arg change "$change_rev" --argjson dirty "$change_dirty" \
+    --arg tree "$change_tree" --arg diffstat "$change_diffstat" \
     --arg nproc "$(nproc)" --arg kernel "$(uname -r)" \
     --arg cpu "$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)" \
-    --argjson pairs "$pairs" '
-    def quantile($q): sort as $s | ($s | length) as $n
-        | if $n == 0 then null
-          else (($n - 1) * $q) as $p | ($p | floor) as $i
-            | $s[$i] + ($s[[$i + 1, $n - 1] | min] - $s[$i]) * ($p - $i) end;
-    def summary: {median: quantile(0.5), iqr: (quantile(0.75) - quantile(0.25)), n: length};
-    ($bench[0].end_to_end | map({key: .name, value: .}) | from_entries) as $bounds
-    | map(. + {result: (.line | if . == null then null else fromjson end)}) as $runs
-    | {
-        parent: $parent, change: $change, change_dirty: $dirty,
-        command: "crates/lexbench/run.sh --workload W --seed <pair> --seconds 25 --trace 0",
-        pairs: $pairs,
-        host: {nproc: ($nproc | tonumber), cpu: $cpu, kernel: $kernel},
-        runs: ($runs | map(del(.result))),
-        summary: ($runs | group_by(.workload) | map(
-            . as $w
-            | ($w | map(.result.metrics // {} | keys) | add // [] | unique) as $names
-            | def fail_share($side): $w | map(select(.side == $side and .result != null)
-                                           | .result.failed / .result.attempted) | summary;
-            {key: $w[0].workload, value: (
-                (fail_share("parent") as $p | fail_share("change") as $c
-                    | {parent: $p, change: $c,
-                       runs_without_result: ($w | map(select(.result == null)) | length),
-                       verdict: (if $c.median == null or $p.median == null then null
-                                 elif $c.median > $p.median then "more failures"
-                                 else "no more failures" end)}) as $fails
-              | {fail_share: $fails,
-                metrics: ($names | map(. as $m | {key: $m, value: (
-                    ($w | map(select(.side == "parent") | .result.metrics[$m].value // empty) | summary) as $p
-                    | ($w | map(select(.side == "change") | .result.metrics[$m].value // empty) | summary) as $c
-                    | $bounds[$m] as $b
-                    | (if $p.median == null or $c.median == null or $p.median == 0 then null
-                       else ($c.median - $p.median) / $p.median end) as $rel
-                    | def value($pair; $side): $w
-                        | map(select(.pair == $pair and .side == $side) | .result.metrics[$m].value)
-                        | .[0];
-                      ([range(1; $pairs + 1)] | map(value(.; "parent") as $pv | value(.; "change") as $cv
-                        | if $b == null or $pv == null or $cv == null or $pv == $cv then "tie"
-                          elif ($b.better == "lower") == ($cv < $pv) then "win"
-                          else "loss" end)) as $outcomes
-                    | ($outcomes | map(select(. == "win")) | length) as $wins
-                    | (if $b.better == "lower" then $p.median - $c.median
-                       else $c.median - $p.median end) as $gained
-                    | {parent: $p, change: $c, relative_change: $rel,
-                       better: ($b.better // null), bound: ($b.bound // null),
-                       verdict: (if $b == null or $rel == null then null
-                                 elif ($b.better == "lower" and $rel > $b.bound)
-                                   or ($b.better == "higher" and -$rel > $b.bound) then "outside bound"
-                                 else "within bound" end),
-                       wins: (if $b == null then null else $wins end),
-                       losses: (if $b == null then null
-                                else $outcomes | map(select(. == "loss")) | length end),
-                       ties: (if $b == null then null
-                              else $outcomes | map(select(. == "tie")) | length end),
-                       claim: (if $b == null or $rel == null then null
-                               elif $fails.verdict == "no more failures"
-                                 and $wins >= ($pairs * 0.9 | ceil) and $gained > $p.iqr then "gain"
-                               else "no gain" end)})}) | from_entries)
-              })})
-            | from_entries)
-      }' "$runs" >"$out"
+    --argjson pairs "$pairs" -f scripts/bench_summary.jq "$runs" >"$out"
 echo "bench_pairs: wrote $out" >&2

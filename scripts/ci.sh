@@ -69,15 +69,17 @@ for dir in crates/service/src crates/core/src; do
     echo "$dir $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
 done
 
-echo "== benchmark trajectory: the newest BENCH_*.json, printed, not gated"
+echo "== benchmark trajectory: the newest BENCH_*.json, printed, not gated (bounded and reported metrics)"
 newest="$(printf '%s\n' BENCH_*.json | sort -V | tail -n 1)"
 if [[ -f "$newest" ]]; then
     jq -r --arg file "$newest" '
-        "\($file): parent \(.parent[0:12]) -> change \(.change[0:12]), \(.pairs) pairs",
+        "\($file): parent \(.parent[0:12]) -> change \(.change[0:12])"
+          + (if .change_tree == null then "" else " + tree \(.change_tree[0:12]) (\(.change_diffstat | ltrimstr(" ")))" end)
+          + ", \(.pairs) pairs",
         (.summary | to_entries[] | .key as $w
          | "  \($w) failures: \(.value.fail_share.verdict)",
-           (.value.metrics | to_entries[] | select(.value.bound != null)
-            | "  \($w) \(.key): median \(.value.parent.median) -> \(.value.change.median) (\(.value.verdict))"
+           (.value.metrics | to_entries[]
+            | "  \($w) \(.key): median \(.value.parent.median) -> \(.value.change.median) (\(.value.verdict // "no bound"))"
               + (if .value.claim == null then ""
                  else "; wins/losses/ties \(.value.wins)/\(.value.losses)/\(.value.ties), claim: \(.value.claim)" end)))' \
         "$newest"

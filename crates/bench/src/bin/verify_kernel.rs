@@ -35,9 +35,8 @@ fn main() {
     );
     let data = synthetic(opts.dataset_size);
     let names: Vec<PhonemeString> = data.entries.iter().map(|e| e.phonemes.clone()).collect();
-    // The cached side-tables every NameStore now carries.
+    // The cached side-table every NameStore now carries.
     let cluster_ids: Vec<Vec<u8>> = names.iter().map(|p| op.cluster_ids(p)).collect();
-    let embeds: Vec<Vec<u8>> = names.iter().map(|p| op.embed_for(p).to_vec()).collect();
     let stride = (names.len() / opts.queries).max(1);
     let queries: Vec<&PhonemeString> = names.iter().step_by(stride).take(opts.queries).collect();
     let pairs = queries.len() * names.len();
@@ -64,8 +63,8 @@ fn main() {
             let mut hits = 0usize;
             for q in &queries {
                 let prepared: PreparedQuery = op.prepare_query(q);
-                for (i, (c, ids)) in names.iter().zip(&cluster_ids).enumerate() {
-                    if verifier.matches(&op, &prepared, c, Some(ids), Some(&embeds[i]), e) {
+                for (c, ids) in names.iter().zip(&cluster_ids) {
+                    if verifier.matches(&op, &prepared, c, Some(ids), None, e) {
                         hits += 1;
                     }
                 }
@@ -100,7 +99,7 @@ fn main() {
         &rows,
     );
 
-    batch_sweep(&op, &names, &cluster_ids, &embeds, &queries);
+    batch_sweep(&op, &names, &cluster_ids, &queries);
 }
 
 /// Batch widths swept against the pair-at-a-time baseline.
@@ -113,7 +112,6 @@ fn batch_sweep(
     op: &lexequal::LexEqual,
     names: &[PhonemeString],
     cluster_ids: &[Vec<u8>],
-    embeds: &[Vec<u8>],
     queries: &[&PhonemeString],
 ) {
     let pairs = queries.len() * names.len();
@@ -133,8 +131,8 @@ fn batch_sweep(
             let mut hits = 0usize;
             for q in queries {
                 let prepared: PreparedQuery = op.prepare_query(q);
-                for (i, (c, ids)) in names.iter().zip(cluster_ids).enumerate() {
-                    if verifier.matches(op, &prepared, c, Some(ids), Some(&embeds[i]), e) {
+                for (c, ids) in names.iter().zip(cluster_ids) {
+                    if verifier.matches(op, &prepared, c, Some(ids), None, e) {
                         hits += 1;
                     }
                 }
@@ -151,12 +149,12 @@ fn batch_sweep(
                     for q in queries {
                         let prepared: PreparedQuery = op.prepare_query(q);
                         lane_hits.clear();
-                        bv.verify_ids(
+                        bv.verify_ids::<_, _, Vec<u8>>(
                             op,
                             &prepared,
                             names,
                             Some(cluster_ids),
-                            Some(embeds),
+                            None,
                             0..names.len() as u32,
                             e,
                             &mut lane_hits,

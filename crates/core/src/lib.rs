@@ -79,7 +79,10 @@ pub use verify::{
     BatchCounters, BatchVerifier, Lane, PreparedQuery, ScreenCounters, Verifier, MAX_LANES,
 };
 
-pub use lexequal_embed::{Embedder, EMBED_DIM};
+/// Width of the retired embedding screen's vectors (DESIGN §5j). Kept only
+/// for the benchmark's kernel replay; goes with ROADMAP item 2.
+#[doc(hidden)]
+pub use lexequal_embed::EMBED_DIM;
 pub use lexequal_g2p::{G2pError, G2pRegistry, Language, Route, Router, Script, ScriptProfile};
 pub use lexequal_matcher::{available_simd_levels, simd_level, SimdLevel};
 pub use lexequal_phoneme::{ClusterTable, Phoneme, PhonemeString};
@@ -108,7 +111,6 @@ mod send_sync_audit {
         assert_send_sync::<QgramFilter>();
         assert_send_sync::<PhoneticIndex>();
         assert_send_sync::<DenseSubstCost>();
-        assert_send_sync::<Embedder>();
         assert_send_sync::<Verifier>();
         assert_send_sync::<PreparedQuery>();
         assert_send_sync::<ScriptProfile>();

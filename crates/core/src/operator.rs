@@ -3,11 +3,9 @@
 use crate::config::MatchConfig;
 use crate::cost::{ClusteredPhonemeCost, DenseSubstCost};
 use crate::verify::PreparedQuery;
-use lexequal_embed::{Embedder, EMBED_DIM};
 use lexequal_g2p::{G2pError, Language};
 use lexequal_matcher::{edit_distance, within_distance};
 use lexequal_phoneme::PhonemeString;
-use std::sync::Arc;
 
 /// The three-valued result of a LexEQUAL comparison (Figure 8): a match,
 /// a non-match, or "no TTP resource for one of the languages".
@@ -30,13 +28,6 @@ pub struct LexEqual {
     cost: ClusteredPhonemeCost,
     /// `cost` as the flat matrix the predicate and every DP evaluate.
     dense: DenseSubstCost,
-    /// Phonetic embedding tables (shared across operator clones — the
-    /// service layer clones one operator per shard).
-    embedder: Arc<Embedder>,
-    /// Calibrated conservative scale of the embedding screen under
-    /// `dense`: reject when `embed_scale · l1 > k`. `0.0` when no sound
-    /// scale exists (intra-cluster cost 0), which turns the screen off.
-    embed_scale: f64,
 }
 
 impl LexEqual {
@@ -44,14 +35,10 @@ impl LexEqual {
     pub fn new(config: MatchConfig) -> Self {
         let cost = ClusteredPhonemeCost::new(config.clusters.clone(), config.intra_cluster_cost);
         let dense = DenseSubstCost::from_clustered(&cost);
-        let embedder = Arc::new(Embedder::new(&config.clusters));
-        let embed_scale = embedder.conservative_scale(&dense);
         LexEqual {
             config,
             cost,
             dense,
-            embedder,
-            embed_scale,
         }
     }
 
@@ -81,15 +68,12 @@ impl LexEqual {
         self.cost.min_nonzero_cost()
     }
 
-    /// The phonetic embedder in force (shared tables).
-    pub fn embedder(&self) -> &Arc<Embedder> {
-        &self.embedder
-    }
-
-    /// The conservative embedding-screen scale; `0.0` means the screen is
-    /// off because no sound scale exists (intra-cluster cost 0).
+    /// The embedding screen's scale: always `0.0`, "no screen" — the
+    /// kernel runs none (DESIGN §5j). Kept only so the benchmark's kernel
+    /// replay still compiles; goes with ROADMAP item 2.
+    #[doc(hidden)]
     pub fn embed_scale(&self) -> f64 {
-        self.embed_scale
+        0.0
     }
 
     /// The cost of one unit edit between cluster strings: 1.0, since every
@@ -108,12 +92,6 @@ impl LexEqual {
     /// screen, solved for the Levenshtein distance).
     pub fn cluster_radius(&self, k: f64) -> u32 {
         k.floor() as u32
-    }
-
-    /// The phonetic embedding of `s` (what stores cache per entry and the
-    /// mmap image persists).
-    pub fn embed_for(&self, s: &PhonemeString) -> [u8; EMBED_DIM] {
-        self.embedder.embed(s)
     }
 
     /// The cluster-id sequence of `s` under the configured cluster table —
@@ -406,22 +384,22 @@ mod tests {
     #[test]
     fn screen_scales_are_sound_defaults() {
         let l = lex();
-        assert!(l.embed_scale() > 0.0, "the default must admit a screen");
         // A cross-cluster substitution costs exactly 1: one unit edit on
         // the cluster strings, so the radius of a budget is its floor.
         assert_eq!(l.clus_reject_scale(), 1.0);
         assert_eq!(l.cluster_radius(0.99), 0);
         assert_eq!(l.cluster_radius(2.7), 2);
-        // A free intra-cluster substitution kills the embedding screen
-        // (no sound positive scale exists) but not the predicate.
-        let free = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.0));
-        assert_eq!(free.embed_scale(), 0.0);
+        // The embedding screen is retired: its scale reads "no screen".
+        assert_eq!(l.embed_scale(), 0.0);
     }
 
     #[test]
     fn embed_for_matches_the_embedder() {
+        // The query embedding a prepared query still hands out on demand
+        // is the one an embedder over the operator's cluster table computes.
         let l = lex();
         let a = l.transform("Krishnan", Language::English).unwrap();
-        assert_eq!(l.embed_for(&a), l.embedder().embed_ids(a.id_bytes()));
+        let embedder = lexequal_embed::Embedder::new(l.cost_model().clusters());
+        assert_eq!(l.prepare_query(&a).embed(), &embedder.embed(&a));
     }
 }

@@ -1,8 +1,8 @@
 //! A store's rows as flat columns, in the snapshot image's own layout.
 //!
-//! A row is five values — text, language, phoneme ids, cluster ids
-//! (parallel to the phonemes byte for byte) and a fixed-width embedding —
-//! and `Columns` keeps each as one column over two segments:
+//! A row is four values — text, language, phoneme ids and cluster ids
+//! (parallel to the phonemes byte for byte) — and `Columns` keeps each as
+//! one column over two segments:
 //!
 //! * an optional immutable **base**: one shard's rows of a snapshot image
 //!   ([`Base`]), read where they lie — in the mapping, or in the buffer a
@@ -13,12 +13,11 @@
 //!   `u32` end offsets, sized once per bulk load.
 //!
 //! [`Rows::row`] is the one accessor over both. A row reads as the same
-//! five slices whichever segment holds it, so nothing downstream — the
+//! four values whichever segment holds it, so nothing downstream — the
 //! verification kernel, the access paths' tail rules, the snapshot writer
 //! — can tell the segments apart, and ids and verification counts cannot
 //! depend on where a row lives.
 
-use lexequal_embed::EMBED_DIM;
 use lexequal_g2p::{G2pError, Language};
 use std::ops::Range;
 use std::sync::Arc;
@@ -41,8 +40,7 @@ pub fn check_field_bytes(text_bytes: usize, phoneme_bytes: usize) -> Result<(), 
 
 /// One record of a snapshot image's entry table: where a row's text and
 /// phonemes lie in their arenas (the cluster arena shares the phoneme
-/// window) and its language as an index into [`Language::ALL`]. Row `g`'s
-/// embedding is the `g`th [`EMBED_DIM`] bytes of the embedding arena.
+/// window) and its language as an index into [`Language::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryRecord {
     /// Text offset in the text arena.
@@ -100,8 +98,6 @@ pub struct ImageLayout {
     pub phonemes: Range<usize>,
     /// Cluster-id arena, parallel to `phonemes`.
     pub clusters: Range<usize>,
-    /// Embedding arena, [`EMBED_DIM`] bytes a row.
-    pub embeds: Range<usize>,
 }
 
 /// One shard's rows of a snapshot image, read in place: local row `l` is
@@ -113,7 +109,7 @@ pub struct Base {
     stride: usize,
     phase: usize,
     rows: usize,
-    /// Image bytes these rows occupy (records, windows, embeddings).
+    /// Image bytes these rows occupy (records and windows).
     bytes: usize,
 }
 
@@ -121,9 +117,8 @@ impl Base {
     /// Shard `phase` of `stride`'s rows of `image`. The caller has
     /// validated the image (its loader checks every arena and every
     /// entry's windows); this checks only the frame — `None` unless every
-    /// window lies inside the image, the fixed-stride windows hold a whole
-    /// number of rows and agree on it, and the cluster arena is as long as
-    /// the phoneme arena. A window the loader failed to check is a panic at
+    /// window lies inside the image, the entry table holds a whole number
+    /// of records, and the cluster arena is as long as the phoneme arena. A window the loader failed to check is a panic at
     /// the read that uses it, never a read outside the image.
     pub fn new(
         image: ImageBytes,
@@ -137,12 +132,10 @@ impl Base {
             &layout.texts,
             &layout.phonemes,
             &layout.clusters,
-            &layout.embeds,
         ];
         let entries = layout.entries.len() / EntryRecord::BYTES;
         let framed = windows.iter().all(|w| w.start <= w.end && w.end <= len)
             && layout.entries.len() == entries * EntryRecord::BYTES
-            && layout.embeds.len() == entries * EMBED_DIM
             && layout.clusters.len() == layout.phonemes.len()
             && phase < stride;
         if !framed {
@@ -159,7 +152,7 @@ impl Base {
         let view = base.view();
         base.bytes = (0..base.rows)
             .map(|l| view.record(l))
-            .map(|r| EntryRecord::BYTES + EMBED_DIM + r.text_len as usize + 2 * r.phon_len as usize)
+            .map(|r| EntryRecord::BYTES + r.text_len as usize + 2 * r.phon_len as usize)
             .sum();
         Some(base)
     }
@@ -176,7 +169,6 @@ impl Base {
             texts: &image[self.layout.texts.clone()],
             phonemes: &image[self.layout.phonemes.clone()],
             clusters: &image[self.layout.clusters.clone()],
-            embeds: &image[self.layout.embeds.clone()],
             stride: self.stride,
             phase: self.phase,
             rows: self.rows,
@@ -192,7 +184,6 @@ struct BaseView<'a> {
     texts: &'a [u8],
     phonemes: &'a [u8],
     clusters: &'a [u8],
-    embeds: &'a [u8],
     stride: usize,
     phase: usize,
     rows: usize,
@@ -204,7 +195,6 @@ impl<'a> BaseView<'a> {
         texts: &[],
         phonemes: &[],
         clusters: &[],
-        embeds: &[],
         stride: 1,
         phase: 0,
         rows: 0,
@@ -220,19 +210,13 @@ impl<'a> BaseView<'a> {
         let rec = self.record(local);
         let text = rec.text_off as usize..rec.text_off as usize + rec.text_len as usize;
         let phon = rec.phon_off as usize..rec.phon_off as usize + rec.phon_len as usize;
-        let embed = (local * self.stride + self.phase) * EMBED_DIM;
         Row {
             text: &self.texts[text],
             language: Language::ALL[rec.language as usize],
             phonemes: &self.phonemes[phon.clone()],
             clusters: &self.clusters[phon],
-            embed: fixed(&self.embeds[embed..embed + EMBED_DIM]),
         }
     }
-}
-
-fn fixed(embed: &[u8]) -> &[u8; EMBED_DIM] {
-    embed.try_into().expect("an embedding-sized window")
 }
 
 /// The owned segment: what was appended since the store was created or
@@ -245,7 +229,6 @@ struct Tail {
     /// Parallel to `phonemes`, so `phon_ends` serves both.
     clusters: Vec<u8>,
     phon_ends: Vec<u32>,
-    embeds: Vec<u8>,
     languages: Vec<Language>,
 }
 
@@ -259,8 +242,6 @@ pub struct Row<'a> {
     pub phonemes: &'a [u8],
     /// Cluster ids under the store's cost model, parallel to `phonemes`.
     pub clusters: &'a [u8],
-    /// Phonetic embedding of `phonemes`.
-    pub embed: &'a [u8; EMBED_DIM],
 }
 
 /// The two symbol-string columns of a row that an access path can be
@@ -309,7 +290,6 @@ pub struct Rows<'a> {
     phonemes: &'a [u8],
     clusters: &'a [u8],
     phon_ends: &'a [u32],
-    embeds: &'a [u8],
     languages: &'a [Language],
 }
 
@@ -342,7 +322,6 @@ impl<'a> Rows<'a> {
             language: self.languages[i],
             phonemes: &self.phonemes[phon.clone()],
             clusters: &self.clusters[phon],
-            embed: fixed(&self.embeds[i * EMBED_DIM..(i + 1) * EMBED_DIM]),
         }
     }
 }
@@ -375,7 +354,6 @@ impl Columns {
             phonemes: &t.phonemes,
             clusters: &t.clusters,
             phon_ends: &t.phon_ends,
-            embeds: &t.embeds,
             languages: &t.languages,
         }
     }
@@ -387,7 +365,6 @@ impl Columns {
         t.texts.reserve(text_bytes);
         t.phonemes.reserve(phoneme_bytes);
         t.clusters.reserve(phoneme_bytes);
-        t.embeds.reserve(rows * EMBED_DIM);
         t.text_ends.reserve(rows);
         t.phon_ends.reserve(rows);
         t.languages.reserve(rows);
@@ -404,14 +381,12 @@ impl Columns {
         language: Language,
         phonemes: &[u8],
         clusters: impl Iterator<Item = u8>,
-        embed: &[u8; EMBED_DIM],
     ) {
         let t = &mut self.tail;
         t.texts.extend_from_slice(text.as_bytes());
         t.phonemes.extend_from_slice(phonemes);
         t.clusters.extend(clusters);
         debug_assert_eq!(t.clusters.len(), t.phonemes.len());
-        t.embeds.extend_from_slice(embed);
         let end = |arena: &[u8]| u32::try_from(arena.len()).expect("a column arena under 4 GiB");
         t.text_ends.push(end(&t.texts));
         t.phon_ends.push(end(&t.phonemes));
@@ -421,7 +396,7 @@ impl Columns {
     /// Bytes the owned columns hold, arenas and offsets, by capacity.
     pub(crate) fn owned_bytes(&self) -> usize {
         let t = &self.tail;
-        let arenas = [&t.texts, &t.phonemes, &t.clusters, &t.embeds];
+        let arenas = [&t.texts, &t.phonemes, &t.clusters];
         arenas.iter().map(|a| a.capacity()).sum::<usize>()
             + (t.text_ends.capacity() + t.phon_ends.capacity()) * std::mem::size_of::<u32>()
             + t.languages.capacity() * std::mem::size_of::<Language>()
@@ -452,10 +427,10 @@ pub(crate) mod tests {
     }
 
     /// `rows` laid out the way a snapshot image lays them out — entry
-    /// table, then the four arenas — behind eight bytes of something else.
+    /// table, then the three arenas — behind eight bytes of something else.
     pub(crate) fn image_of(rows: Rows<'_>) -> (ImageBytes, ImageLayout) {
-        let mut columns: [Vec<u8>; 5] = Default::default();
-        let [entries, texts, phonemes, clusters, embeds] = &mut columns;
+        let mut columns: [Vec<u8>; 4] = Default::default();
+        let [entries, texts, phonemes, clusters] = &mut columns;
         for row in (0..rows.len()).map(|i| rows.row(i)) {
             let language = Language::ALL.iter().position(|l| *l == row.language);
             let rec = EntryRecord {
@@ -469,10 +444,9 @@ pub(crate) mod tests {
             texts.extend_from_slice(row.text().as_bytes());
             phonemes.extend_from_slice(row.phonemes);
             clusters.extend_from_slice(row.clusters);
-            embeds.extend_from_slice(row.embed);
         }
         let mut image = vec![0xEE; 8];
-        let [entries, texts, phonemes, clusters, embeds] = columns.map(|bytes| {
+        let [entries, texts, phonemes, clusters] = columns.map(|bytes| {
             image.extend_from_slice(&bytes);
             image.len() - bytes.len()..image.len()
         });
@@ -481,7 +455,6 @@ pub(crate) mod tests {
             texts,
             phonemes,
             clusters,
-            embeds,
         };
         (Arc::new(image), layout)
     }
@@ -490,10 +463,9 @@ pub(crate) mod tests {
         let mut columns = Columns::default();
         let rows: [(&str, usize, &[u8]); 3] =
             [("ab", 0, &[1, 2, 3]), ("", 1, &[]), ("çd", 2, &[4])];
-        for (g, (text, language, phon)) in rows.into_iter().enumerate() {
+        for (text, language, phon) in rows {
             let clusters = phon.iter().map(|p| p + 100);
-            let embed = [g as u8; EMBED_DIM];
-            columns.push(text, Language::ALL[language], phon, clusters, &embed);
+            columns.push(text, Language::ALL[language], phon, clusters);
         }
         image_of(columns.rows())
     }
@@ -502,23 +474,17 @@ pub(crate) mod tests {
     fn a_base_reads_its_stripe_in_place_and_the_tail_follows_it() {
         let (image, layout) = three_rows();
         let odd = Base::new(Arc::clone(&image), layout.clone(), 2, 1).unwrap();
-        assert_eq!((odd.rows(), odd.bytes), (1, 16 + 32));
+        assert_eq!((odd.rows(), odd.bytes), (1, 16));
         let even = Base::new(image, layout, 2, 0).unwrap();
         assert_eq!(even.rows(), 2);
         let mut columns = Columns::with_base(even);
-        assert_eq!(columns.mapped_bytes(), 2 * (16 + 32) + 2 + 2 * 3 + 3 + 2);
+        assert_eq!(columns.mapped_bytes(), 2 * 16 + 2 + 2 * 3 + 3 + 2);
         assert_eq!(columns.owned_bytes(), 0);
         columns.reserve(1, 1, 2);
-        columns.push(
-            "x",
-            Language::Hindi,
-            &[7, 8],
-            [70, 80].into_iter(),
-            &[9; EMBED_DIM],
-        );
-        // By capacity: at least the row's 5 + 32 data bytes, its two
-        // offsets and its language.
-        assert!(columns.owned_bytes() >= 5 + EMBED_DIM + 9);
+        columns.push("x", Language::Hindi, &[7, 8], [70, 80].into_iter());
+        // By capacity: at least the row's 5 data bytes, its two offsets
+        // and its language.
+        assert!(columns.owned_bytes() >= 5 + 9);
         let rows = columns.rows();
         assert_eq!((rows.len(), columns.len()), (3, 3));
         let seen: Vec<_> = (0..3).map(|i| rows.row(i)).collect();
@@ -529,16 +495,12 @@ pub(crate) mod tests {
         assert_eq!(seen[0].phonemes, [1, 2, 3]);
         assert_eq!(seen[0].clusters, [101, 102, 103]);
         assert_eq!((seen[1].phonemes, seen[1].clusters), (&[4][..], &[104][..]));
-        assert_eq!(seen[1].embed, &[2; EMBED_DIM]);
         assert_eq!(seen[1].language, Language::ALL[2]);
         assert_eq!(
             (seen[2].phonemes, seen[2].clusters),
             (&[7, 8][..], &[70, 80][..])
         );
-        assert_eq!(
-            (seen[2].embed, seen[2].language),
-            (&[9; EMBED_DIM], Language::Hindi)
-        );
+        assert_eq!(seen[2].language, Language::Hindi);
     }
 
     #[test]
@@ -550,9 +512,9 @@ pub(crate) mod tests {
             Base::new(Arc::clone(&image), l, 1, 0).is_none()
         };
         assert!(!with(&|_| {}));
-        assert!(with(&|l| l.embeds.end += 1), "past the image");
+        let past = |l: &mut ImageLayout| l.clusters = l.clusters.start + 8..l.clusters.end + 8;
+        assert!(with(&past), "past the image");
         assert!(with(&|l| l.entries.end -= 1), "not a whole record");
-        assert!(with(&|l| l.embeds.start += EMBED_DIM), "a row short");
         assert!(with(&|l| l.clusters.start += 1), "not parallel");
         assert!(
             Base::new(image, layout, 2, 2).is_none(),

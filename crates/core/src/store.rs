@@ -17,7 +17,7 @@ use crate::phonidx::{grouped_id_of_clusters, PhoneticIndex};
 use crate::qgram_plan::{QgramFilter, QgramMode, MAX_Q};
 use crate::rows::{check_field_bytes, Base, Columns, KeyColumn, Row, Rows};
 use crate::verify::{BatchVerifier, PreparedQuery, Verifier};
-use lexequal_embed::EMBED_DIM;
+use lexequal_embed::{embed_clustered, EMBED_DIM};
 use lexequal_g2p::{G2pError, Language};
 use lexequal_matcher::qgram::length_filter_passes;
 use lexequal_matcher::BkTree;
@@ -427,8 +427,9 @@ pub struct NameStore {
     qgram: Option<QgramFilter>,
     phonidx: Option<PhoneticIndex>,
     bktree: Option<BkTree>,
-    /// Row-shaped copies of three columns for the `#[doc(hidden)]`
-    /// benchmark views below; never filled on a serving path.
+    /// Row-shaped copies of two columns, and the embeddings computed from
+    /// them, for the `#[doc(hidden)]` benchmark views below; never filled
+    /// on a serving path.
     views: OnceLock<RowViews>,
 }
 
@@ -446,8 +447,8 @@ impl NameStore {
     }
 
     /// Create a store whose first rows are `base`'s, read where they lie.
-    /// The caller vouches for them: cluster ids and embeddings must be
-    /// what `config` computes for the phonemes (the image loader checks).
+    /// The caller vouches for them: cluster ids must be what `config`
+    /// computes for the phonemes (the image loader checks).
     pub fn with_base(config: MatchConfig, base: Base) -> Self {
         Self::sharing(Arc::new(LexEqual::new(config)), Some(base))
     }
@@ -481,7 +482,7 @@ impl NameStore {
     }
 
     /// The rows, resolved for reading: `rows().row(i)` is row `i` as
-    /// `(text, language, phonemes, clusters, embed)`, in place.
+    /// `(text, language, phonemes, clusters)`, in place.
     pub fn rows(&self) -> Rows<'_> {
         self.columns.rows()
     }
@@ -560,11 +561,11 @@ impl NameStore {
     }
 
     /// Append `chunk`'s rows — the one way in, whatever the source: the
-    /// only place cluster ids and embeddings are derived and the columns
-    /// grow. `load` is everything the load this chunk begins will append
-    /// here, this chunk included: the columns are sized for it now, once
-    /// (doubling their way up would leave freed buffers half their size
-    /// behind in the heap). Returns the contiguous id range assigned.
+    /// only place cluster ids are derived and the columns grow. `load` is
+    /// everything the load this chunk begins will append here, this chunk
+    /// included: the columns are sized for it now, once (doubling their
+    /// way up would leave freed buffers half their size behind in the
+    /// heap). Returns the contiguous id range assigned.
     pub fn append_rows(&mut self, chunk: &RowChunk, load: LoadSize) -> Range<u32> {
         let start = self.len() as u32;
         self.views = OnceLock::new();
@@ -579,11 +580,9 @@ impl NameStore {
         let mut text_start = 0;
         for (i, &text_end) in chunk.text_ends.iter().enumerate() {
             let ids = chunk.phonemes.row(i);
-            let embed = self.operator.embedder().embed_ids(ids);
             let clusters = self.operator.cluster_ids_of(ids);
             let text = &texts[text_start..text_end];
-            self.columns
-                .push(text, chunk.languages[i], ids, clusters, &embed);
+            self.columns.push(text, chunk.languages[i], ids, clusters);
             text_start = text_end;
         }
         start..self.len() as u32
@@ -791,8 +790,13 @@ impl NameStore {
         let rows = self.rows();
         let mut matches = |id: &u32| {
             let row = rows.row(*id as usize);
-            let (cc, ce) = (Some(row.clusters), Some(&row.embed[..]));
-            verifier.matches_ids(&self.operator, &prepared, row.phonemes, cc, ce, e)
+            verifier.matches_ids(
+                &self.operator,
+                &prepared,
+                row.phonemes,
+                Some(row.clusters),
+                e,
+            )
         };
         match self.candidates(&prepared, e, method) {
             None => SearchResult {
@@ -843,7 +847,7 @@ impl NameStore {
         let rows = self.rows();
         let lane = |id: u32| {
             let row = rows.row(id as usize);
-            (row.phonemes, Some(row.clusters), Some(row.embed))
+            (row.phonemes, Some(row.clusters))
         };
         verifier.verify_rows(&self.operator, query, lane, candidates, e, hits)
     }
@@ -882,7 +886,7 @@ impl NameStore {
         }
     }
 
-    /// The three row-shaped views below, copied out of the flat columns on
+    /// The three row-shaped views below, made from the flat columns on
     /// first use and dropped by the next append.
     fn views(&self) -> &RowViews {
         self.views.get_or_init(|| {
@@ -891,7 +895,9 @@ impl NameStore {
             for row in (0..rows.len()).map(|i| rows.row(i)) {
                 views.phonemes.push(phoneme_string(row.phonemes));
                 views.clusters.push(row.clusters.to_vec());
-                views.embeds.push(*row.embed);
+                views
+                    .embeds
+                    .push(embed_clustered(row.phonemes, row.clusters));
             }
             views
         })
@@ -907,8 +913,10 @@ impl NameStore {
     }
 
     /// Per-string embedding vectors, parallel to
-    /// [`phoneme_strings`](Self::phoneme_strings); a copy, as
-    /// [`cluster_id_vectors`](Self::cluster_id_vectors) is.
+    /// [`phoneme_strings`](Self::phoneme_strings), computed from the
+    /// phoneme and cluster columns on first call. No row stores one and no
+    /// kernel reads one (DESIGN §5j); kept only for the benchmark's kernel
+    /// replay, and goes with ROADMAP item 2.
     #[doc(hidden)]
     pub fn embed_vectors(&self) -> &[[u8; EMBED_DIM]] {
         &self.views().embeds
@@ -1142,8 +1150,8 @@ mod tests {
         for id in 0..7 {
             let (a, b) = (full.rows().row(id), copy.rows().row(id));
             assert_eq!(
-                (a.text(), a.language, a.phonemes, a.clusters, a.embed),
-                (b.text(), b.language, b.phonemes, b.clusters, b.embed),
+                (a.text(), a.language, a.phonemes, a.clusters),
+                (b.text(), b.language, b.phonemes, b.clusters),
                 "id {id}"
             );
         }

@@ -28,21 +28,22 @@
 //! kernel's verdict is bit-for-bit identical to `matches_phonemes`.
 
 use crate::operator::LexEqual;
-use lexequal_embed::{l1, EMBED_DIM};
+use lexequal_embed::{embed_clustered, EMBED_DIM};
 use lexequal_matcher::{
     simd_level, within_distance_dense, within_distance_scratch, DpScratch, MyersPattern, Probe,
     SimdLevel,
 };
 use lexequal_phoneme::PhonemeString;
+use std::sync::OnceLock;
 
 /// Maximum candidates one interleaved [`BatchVerifier`] step processes
 /// (re-exported from the matcher's lane-batched Myers module).
 pub const MAX_LANES: usize = lexequal_matcher::MAX_LANES;
 
 /// One batched-verification lane: the candidate's phoneme ids plus its
-/// optional cached cluster-id sequence and optional stored embedding (see
+/// optional cached cluster-id sequence (see
 /// [`BatchVerifier::matches_lanes`]).
-pub type Lane<'a> = (&'a [u8], Option<&'a [u8]>, Option<&'a [u8; EMBED_DIM]>);
+pub type Lane<'a> = (&'a [u8], Option<&'a [u8]>);
 
 /// A query preprocessed for repeated verification: its cluster-id and
 /// phoneme-id vectors and the two Myers bitmask tables (phoneme ids,
@@ -58,10 +59,9 @@ pub struct PreparedQuery {
     phonemes: PhonemeString,
     phoneme_ids: Vec<u8>,
     cluster_ids: Vec<u8>,
-    /// The query's phonetic embedding — left side of the embedding
-    /// screen's L1 distance (computed unconditionally; it is a few
-    /// dozen saturating adds).
-    embed: [u8; EMBED_DIM],
+    /// The query's phonetic embedding, computed by the first
+    /// [`embed`](Self::embed) call: the kernel never reads it.
+    embed: OnceLock<[u8; EMBED_DIM]>,
     phon_pattern: Option<MyersPattern>,
     clus_pattern: Option<MyersPattern>,
 }
@@ -77,15 +77,19 @@ impl PreparedQuery {
             phonemes: q.clone(),
             phoneme_ids,
             cluster_ids,
-            embed: op.embed_for(q),
+            embed: OnceLock::new(),
             phon_pattern,
             clus_pattern,
         }
     }
 
-    /// The query's phonetic embedding.
+    /// The query's phonetic embedding, made on first call from its
+    /// phoneme and cluster ids. No kernel reads it (DESIGN §5j); kept only
+    /// for the benchmark's kernel replay, and goes with ROADMAP item 2.
+    #[doc(hidden)]
     pub fn embed(&self) -> &[u8; EMBED_DIM] {
-        &self.embed
+        self.embed
+            .get_or_init(|| embed_clustered(&self.phoneme_ids, &self.cluster_ids))
     }
 
     /// The query phoneme string.
@@ -134,18 +138,11 @@ pub struct ScreenCounters {
     /// in `full_dp` — `bypass` is a diagnostic overlay, not a fourth
     /// outcome — so it does not contribute to [`total`](Self::total).
     pub bypass: u64,
-    /// Pairs the embedding screen examined and passed downstream. Like
-    /// `bypass`, the three `embed_*` counters are diagnostic overlays on
-    /// the three outcome counters, not extra outcomes; none appear in
-    /// [`total`](Self::total), and all stay zero when the screen is off.
-    pub embed_accept: u64,
-    /// Pairs the embedding screen rejected (`scale · l1` provably past
-    /// the budget). Each is *also* counted in `fast_reject`.
+    /// Pairs an embedding screen rejected: always 0, since the kernel
+    /// runs none (DESIGN §5j). Kept only for the benchmark's kernel
+    /// replay; goes with ROADMAP item 2.
+    #[doc(hidden)]
     pub embed_reject: u64,
-    /// Pairs the enabled screen could not examine because the caller
-    /// supplied no embedding — passed downstream unexamined. A store's
-    /// rows always carry one, so a served search counts none.
-    pub embed_bypass: u64,
 }
 
 impl ScreenCounters {
@@ -160,9 +157,6 @@ impl ScreenCounters {
         self.fast_reject += other.fast_reject;
         self.full_dp += other.full_dp;
         self.bypass += other.bypass;
-        self.embed_accept += other.embed_accept;
-        self.embed_reject += other.embed_reject;
-        self.embed_bypass += other.embed_bypass;
     }
 }
 
@@ -202,20 +196,18 @@ impl Verifier {
     /// stores cache these per entry; `None` derives cluster ids on the fly
     /// (still allocation-free, one table load per symbol).
     ///
-    /// `cand_embed`, when provided *and* [`EMBED_DIM`] bytes long, must be
-    /// `op.embed_for(cand)` — the embedding screen only ever reads stored
-    /// vectors (it never derives them per pair; a missing embedding just
-    /// counts as `embed_bypass` and flows downstream).
+    /// `_cand_embed` is accepted and ignored: the embedding screen is
+    /// retired (DESIGN §5j), and the argument goes with ROADMAP item 2.
     pub fn matches(
         &mut self,
         op: &LexEqual,
         query: &PreparedQuery,
         cand: &PhonemeString,
         cand_clusters: Option<&[u8]>,
-        cand_embed: Option<&[u8]>,
+        _cand_embed: Option<&[u8]>,
         e: f64,
     ) -> bool {
-        self.matches_ids(op, query, cand.id_bytes(), cand_clusters, cand_embed, e)
+        self.matches_ids(op, query, cand.id_bytes(), cand_clusters, e)
     }
 
     /// [`matches`](Self::matches) for a candidate given as its raw
@@ -226,7 +218,6 @@ impl Verifier {
         query: &PreparedQuery,
         cand: &[u8],
         cand_clusters: Option<&[u8]>,
-        cand_embed: Option<&[u8]>,
         e: f64,
     ) -> bool {
         if cand == query.phoneme_ids {
@@ -241,25 +232,6 @@ impl Verifier {
         if cand.len().abs_diff(query.phoneme_ids.len()) as f64 > k {
             self.counters.fast_reject += 1;
             return false;
-        }
-        // Embedding screen (DESIGN §5j): `embed_scale · l1` is a proven
-        // lower bound on the exact distance, so exceeding the budget —
-        // with a 1e-6 margin dwarfing any f64 rounding — is a sound
-        // reject. Runs ahead of the Myers screens because it is O(1) in
-        // the candidate's length and also covers pattern-less queries.
-        let embed_scale = op.embed_scale();
-        if embed_scale > 0.0 {
-            match cand_embed.filter(|v| v.len() == EMBED_DIM) {
-                Some(emb) => {
-                    if embed_scale * l1(emb, &query.embed) as f64 > k + 1e-6 {
-                        self.counters.embed_reject += 1;
-                        self.counters.fast_reject += 1;
-                        return false;
-                    }
-                    self.counters.embed_accept += 1;
-                }
-                None => self.counters.embed_bypass += 1,
-            }
         }
         // Both patterns exist iff 1 ≤ |query| ≤ 64.
         if let (Some(phon), Some(clus)) = (&query.phon_pattern, &query.clus_pattern) {
@@ -362,14 +334,12 @@ pub struct BatchVerifier {
     /// did not supply cached cluster ids); phoneme ids are read in
     /// place, no buffer needed.
     clus_bufs: Vec<Vec<u8>>,
-    /// Screen scratch, kept across calls so each flush skips ~0.5KB of
+    /// Screen scratch, kept across calls so each flush skips ~0.4KB of
     /// array zero-inits: per-slot Myers distances, survivor lane
-    /// indices, undecided (DP-bound) lane indices, and lanes surviving
-    /// the embedding screen.
+    /// indices and undecided (DP-bound) lane indices.
     scr_dists: [usize; MAX_LANES],
     scr_surv: [usize; MAX_LANES],
     scr_dp: [usize; MAX_LANES],
-    scr_emb: [usize; MAX_LANES],
 }
 
 impl Default for BatchVerifier {
@@ -406,7 +376,6 @@ impl BatchVerifier {
             scr_dists: [0; MAX_LANES],
             scr_surv: [0; MAX_LANES],
             scr_dp: [0; MAX_LANES],
-            scr_emb: [0; MAX_LANES],
         }
     }
 
@@ -448,11 +417,8 @@ impl BatchVerifier {
     /// what [`Verifier::matches`] returns for that pair.
     ///
     /// Each lane is a candidate's phoneme ids plus its optional cached
-    /// cluster-id sequence (`op.cluster_ids(cand)`) and optional stored
-    /// embedding (`op.embed_for(cand)`); `None` cluster ids are derived
-    /// into an internal per-lane buffer, while a `None` embedding just
-    /// bypasses the embedding screen — embeddings are never derived per
-    /// pair.
+    /// cluster-id sequence (`op.cluster_ids(cand)`); `None` cluster ids
+    /// are derived into an internal per-lane buffer.
     ///
     /// # Panics
     ///
@@ -478,7 +444,7 @@ impl BatchVerifier {
         let mut ks = [0.0f64; MAX_LANES];
         let mut pending = [0usize; MAX_LANES];
         let mut n_pending = 0;
-        for (l, &(cand, _, _)) in lanes.iter().enumerate() {
+        for (l, &(cand, _)) in lanes.iter().enumerate() {
             if cand == query.phoneme_ids {
                 self.counters.fast_accept += 1;
                 self.batch.lane_accept += 1;
@@ -517,41 +483,6 @@ impl BatchVerifier {
         pending: &[usize],
         verdicts: &mut [bool],
     ) {
-        // Embedding screen (DESIGN §5j), ahead of the Myers screens:
-        // `embed_scale · l1` lower-bounds the exact distance, so lanes it
-        // rejects are settled without touching the candidate strings at
-        // all — and unlike the Myers screens it also covers pattern-less
-        // (>64-phoneme) queries. Same per-pair arithmetic and counter
-        // discipline as the scalar kernel; lanes without a stored
-        // embedding flow through unexamined (`embed_bypass`).
-        let embed_scale = op.embed_scale();
-        let pending: &[usize] = if embed_scale > 0.0 {
-            let mut n_emb = 0;
-            for &l in pending {
-                match lanes[l].2 {
-                    Some(emb) => {
-                        if embed_scale * l1(emb, &query.embed) as f64 > ks[l] + 1e-6 {
-                            self.counters.embed_reject += 1;
-                            self.counters.fast_reject += 1;
-                            self.batch.lane_reject += 1;
-                            verdicts[l] = false;
-                        } else {
-                            self.counters.embed_accept += 1;
-                            self.scr_emb[n_emb] = l;
-                            n_emb += 1;
-                        }
-                    }
-                    None => {
-                        self.counters.embed_bypass += 1;
-                        self.scr_emb[n_emb] = l;
-                        n_emb += 1;
-                    }
-                }
-            }
-            &self.scr_emb[..n_emb]
-        } else {
-            pending
-        };
         let n_pending = pending.len();
 
         // Lane indices still undecided after the screens.
@@ -561,7 +492,7 @@ impl BatchVerifier {
             // Interleaved cluster screen: one pass advances every
             // pending lane's Myers recurrence in lock-step.
             for (slot, &l) in pending[..n_pending].iter().enumerate() {
-                let (cand, cached, _) = lanes[l];
+                let (cand, cached) = lanes[l];
                 if cached.is_none() {
                     let buf = &mut self.clus_bufs[slot];
                     buf.clear();
@@ -661,7 +592,7 @@ impl BatchVerifier {
     ) -> usize {
         let mut lane_ids = [0u32; MAX_LANES];
         let mut lane_ks = [0.0f64; MAX_LANES];
-        let mut lanes: [Lane<'a>; MAX_LANES] = [(&[], None, None); MAX_LANES];
+        let mut lanes: [Lane<'a>; MAX_LANES] = [(&[], None); MAX_LANES];
         let mut filled = 0;
         let mut verified = 0;
         for id in ids {
@@ -696,11 +627,12 @@ impl BatchVerifier {
     }
 
     /// [`verify_rows`](Self::verify_rows) over row-shaped slices: `corpus`
-    /// holds the candidates, `cluster_ids` (when provided) `op.cluster_ids`
-    /// of every one and `embeds` `op.embed_for` of every one (an entry
-    /// whose vector is not [`EMBED_DIM`] bytes bypasses the embedding
-    /// screen). A thin adapter for tests and benchmarks that hold their
-    /// corpus as vectors; stores verify through their row accessor.
+    /// holds the candidates and `cluster_ids` (when provided)
+    /// `op.cluster_ids` of every one. `_embeds` is accepted and ignored:
+    /// the embedding screen is retired (DESIGN §5j), and the argument goes
+    /// with ROADMAP item 2. A thin adapter for tests and benchmarks that
+    /// hold their corpus as vectors; stores verify through their row
+    /// accessor.
     #[allow(clippy::too_many_arguments)]
     pub fn verify_ids<I, C, E>(
         &mut self,
@@ -708,7 +640,7 @@ impl BatchVerifier {
         query: &PreparedQuery,
         corpus: &[PhonemeString],
         cluster_ids: Option<&[C]>,
-        embeds: Option<&[E]>,
+        _embeds: Option<&[E]>,
         ids: I,
         e: f64,
         hits: &mut Vec<u32>,
@@ -720,11 +652,7 @@ impl BatchVerifier {
     {
         let row = |id: u32| -> Lane<'_> {
             let i = id as usize;
-            (
-                corpus[i].id_bytes(),
-                cluster_ids.map(|c| c[i].as_ref()),
-                embeds.and_then(|em| em[i].as_ref().try_into().ok()),
-            )
+            (corpus[i].id_bytes(), cluster_ids.map(|c| c[i].as_ref()))
         };
         self.verify_rows(op, query, row, ids, e, hits)
     }
@@ -791,9 +719,8 @@ mod tests {
                     for e in [0.0, 0.15, 0.35, 0.5, 1.0] {
                         let want = op.matches_phonemes(c, q, e);
                         let cached = op.cluster_ids(c);
-                        let emb = op.embed_for(c);
                         assert_eq!(
-                            v.matches(&op, &prepared, c, Some(&cached), Some(&emb), e),
+                            v.matches(&op, &prepared, c, Some(&cached), None, e),
                             want,
                             "cached clusters: |q|={} |c|={} e={e} intra={intra}",
                             q.len(),
@@ -845,12 +772,8 @@ mod tests {
             let (e, op) = (rng.f64_in(0.0..1.2), rng.pick(&ops));
             let prepared = op.prepare_query(&q);
             let cached = op.cluster_ids(&c);
-            let emb = op.embed_for(&c);
             let want = op.matches_phonemes(&c, &q, e);
-            ensure_eq(
-                v.matches(op, &prepared, &c, Some(&cached), Some(&emb), e),
-                want,
-            )?;
+            ensure_eq(v.matches(op, &prepared, &c, Some(&cached), None, e), want)?;
             ensure_eq(v.matches(op, &prepared, &c, None, None, e), want)
         });
     }

@@ -33,7 +33,6 @@ fn batched_pairs_equal_scalar_at_every_width_and_backend() {
         let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(intra));
         let strings = corpus(0xba7c_0001 + intra.to_bits(), 32);
         let cached: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
-        let embs: Vec<_> = strings.iter().map(|s| op.embed_for(s)).collect();
         for q in strings.iter().take(5) {
             let prepared = op.prepare_query(q);
             for e in THRESHOLDS {
@@ -45,11 +44,9 @@ fn batched_pairs_equal_scalar_at_every_width_and_backend() {
                     .enumerate()
                     .map(|(i, (c, ids))| {
                         // Alternate cached and derive-on-the-fly cluster
-                        // ids (and present/absent embeddings), as the
-                        // batched lanes below do.
+                        // ids, as the batched lanes below do.
                         let cc = (i % 2 == 0).then_some(ids.as_slice());
-                        let ce = (i % 2 == 0).then_some(embs[i].as_slice());
-                        scalar.matches(&op, &prepared, c, cc, ce, e)
+                        scalar.matches(&op, &prepared, c, cc, None, e)
                     })
                     .collect();
                 let want_counters = scalar.take_counters();
@@ -67,11 +64,7 @@ fn batched_pairs_equal_scalar_at_every_width_and_backend() {
                                 .enumerate()
                                 .map(|(o, c)| {
                                     let i = chunk_start + o;
-                                    (
-                                        c.id_bytes(),
-                                        (i % 2 == 0).then_some(cached[i].as_slice()),
-                                        (i % 2 == 0).then_some(&embs[i]),
-                                    )
+                                    (c.id_bytes(), (i % 2 == 0).then_some(cached[i].as_slice()))
                                 })
                                 .collect();
                             let mut verdicts = vec![false; lanes.len()];
@@ -208,7 +201,7 @@ fn long_queries_verify_correctly_through_the_dp_only_path() {
             let want = op.matches_phonemes(c, &long, e);
             assert_eq!(scalar.matches(&op, &prepared, c, None, None, e), want);
             let mut verdict = [false];
-            let lane = (c.id_bytes(), None, None);
+            let lane = (c.id_bytes(), None);
             batch.matches_lanes(&op, &prepared, &[lane], e, &mut verdict);
             assert_eq!(verdict[0], want);
         }
@@ -228,8 +221,7 @@ fn long_queries_verify_correctly_through_the_dp_only_path() {
 /// `LexEqual::matches_phonemes` admits — the DP with no screen in front of
 /// it — on every access path, at every batch width, under every SIMD
 /// backend (re-run with `LEXEQUAL_FORCE_SCALAR=1` to pin the forced-scalar
-/// dispatch too), at intra-cluster cost 0 (no sound embedding scale
-/// exists, so no embedding screen), 0.25 and 1.0. The phonetic index
+/// dispatch too), at intra-cluster cost 0, 0.25 and 1.0. The phonetic index
 /// answers with the admitted rows that share the query's grouped
 /// identifier: its dismissals are the paper's, never a screen's. The
 /// screens may only change how much work reaches the DP, which the
@@ -307,39 +299,99 @@ fn every_search_returns_exactly_the_rows_the_unscreened_predicate_admits() {
             }
         }
         let c = screened.take_counters();
-        if intra == 0.0 {
-            assert_eq!(op.embed_scale(), 0.0, "a free substitution leaves no scale");
-            assert_eq!(c.embed_accept + c.embed_reject + c.embed_bypass, 0);
-        } else {
-            assert!(op.embed_scale() > 0.0, "intra={intra} must admit a screen");
-            assert!(
-                c.embed_accept > 0 && c.embed_reject > 0,
-                "screen must both pass and prune at intra={intra}: {c:?}"
-            );
-            assert_eq!(c.embed_bypass, 0, "store rows all carry embeddings");
-        }
+        assert!(
+            c.fast_accept > 0 && c.fast_reject > 0 && c.full_dp > 0,
+            "the screens settle some pairs and leave others to the DP at intra={intra}: {c:?}"
+        );
     }
 }
 
-/// A candidate handed to the scalar kernel without an embedding (an ad-hoc
-/// caller's empty or missing slice; a store's rows always carry one) is
-/// bypassed, never misjudged.
-#[test]
-fn missing_embeddings_bypass_until_built() {
-    let op = LexEqual::new(MatchConfig::default());
-    let strings = corpus(0xeb3d_0001, 24);
-    let cached: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
-    let prepared = op.prepare_query(&strings[1]);
-    let mut v = Verifier::new();
-    for (c, ids) in strings.iter().zip(&cached) {
-        let want = op.matches_phonemes(c, &strings[1], 0.35);
-        // Empty embedding slice = "not built": must bypass, not reject.
-        assert_eq!(
-            v.matches(&op, &prepared, c, Some(ids), Some(&[][..]), 0.35),
-            want
-        );
+/// `s` with `edits` random single-phoneme edits (substitute, insert or
+/// delete): a near neighbour that a loose threshold admits.
+fn perturbed(rng: &mut Rng, s: &PhonemeString, edits: usize) -> PhonemeString {
+    let mut ids: Vec<Phoneme> = s.iter().copied().collect();
+    for _ in 0..edits {
+        let p = Phoneme::from_id(rng.below(Inventory::len()) as u8).unwrap();
+        let at = rng.below(ids.len() + 1);
+        match rng.below(3) {
+            0 if at < ids.len() => ids[at] = p,
+            1 if at < ids.len() => {
+                ids.remove(at);
+            }
+            _ => ids.insert(at, p),
+        }
     }
-    let c = v.take_counters();
-    assert!(c.embed_bypass > 0, "empty embeds must count as bypasses");
-    assert_eq!(c.embed_reject, 0);
+    PhonemeString::new(ids)
+}
+
+/// Queries of 65–160 phonemes build no Myers pattern, so no screen stands
+/// between them and the DP: on every access path, scalar and batched
+/// under every backend, a search returns exactly the rows the
+/// unscreened predicate admits (the phonetic index: those sharing the
+/// query's grouped identifier).
+#[test]
+fn long_queries_return_exactly_the_rows_the_unscreened_predicate_admits() {
+    let mut rng = Rng::new(0x10a6_0165);
+    let queries: Vec<PhonemeString> = (0..3).map(|_| rng.phonemes(65..=160)).collect();
+    let mut rows: Vec<PhonemeString> = (0..12).map(|_| rng.phonemes(0..=160)).collect();
+    for q in &queries {
+        rows.push(q.clone());
+        for edits in [1, 4, 12, 30] {
+            rows.push(perturbed(&mut rng, q, edits));
+        }
+    }
+    let methods = [
+        SearchMethod::Scan,
+        SearchMethod::Qgram,
+        SearchMethod::PhoneticIndex,
+        SearchMethod::BkTree,
+    ];
+    for intra in [0.0, 0.25, 1.0] {
+        let mut s = NameStore::new(MatchConfig::default().with_intra_cluster_cost(intra));
+        let entries = rows.iter().enumerate().map(|(i, r)| {
+            lexequal::store::NameEntry::new(format!("n{i}"), Language::English, r.clone())
+        });
+        s.extend_transformed(entries.collect::<Result<_, _>>().unwrap());
+        s.build_qgram(3, lexequal::QgramMode::Strict);
+        s.build_phonetic_index();
+        s.build_bktree();
+        let op = s.operator();
+        let clusters = op.cost_model().clusters();
+        let mut hits = 0;
+        for q in &queries {
+            assert!(!op.prepare_query(q).screens_active(), "|q| = {}", q.len());
+            let key = grouped_id(clusters, q);
+            for e in [0.0, 0.15, 0.35, 0.5] {
+                let admitted = (0u32..)
+                    .zip(&rows)
+                    .filter(|(_, r)| op.matches_phonemes(r, q, e));
+                let admitted: Vec<u32> = admitted.map(|(id, _)| id).collect();
+                hits += admitted.len();
+                for method in methods {
+                    let want: Vec<u32> = match method {
+                        SearchMethod::PhoneticIndex => (admitted.iter().copied())
+                            .filter(|&id| grouped_id(clusters, &rows[id as usize]) == key)
+                            .collect(),
+                        _ => admitted.clone(),
+                    };
+                    let scalar = s.search_phonemes(q, e, method);
+                    assert_eq!(scalar.ids, want, "scalar intra={intra} e={e} {method:?}");
+                    // Full width under every backend, and one lane a step:
+                    // the DP drain is the only stage these lanes reach.
+                    let kernels = (available_simd_levels().into_iter())
+                        .map(|level| (MAX_LANES, level))
+                        .chain([(1, lexequal::simd_level())]);
+                    for (width, level) in kernels {
+                        let mut batch = BatchVerifier::with_width_and_level(width, level);
+                        let got = s.search_phonemes_batched(q, e, method, &mut batch);
+                        assert_eq!(
+                            got, scalar,
+                            "intra={intra} e={e} {method:?} width={width} level={level}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(hits > 4 * queries.len(), "near neighbours match: {hits}");
+    }
 }

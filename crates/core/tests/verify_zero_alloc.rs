@@ -131,15 +131,14 @@ fn verify_all(
     prepared: &PreparedQuery,
     strings: &[PhonemeString],
     cluster_ids: &[Vec<u8>],
-    embeds: &[Vec<u8>],
 ) -> usize {
     let mut hits = 0;
-    for (i, (cand, ids)) in strings.iter().zip(cluster_ids).enumerate() {
+    for (cand, ids) in strings.iter().zip(cluster_ids) {
         for e in [0.0, 0.15, 0.35, 0.5, 1.0] {
-            // Both the cached path (stores: cluster ids + embeddings) and
-            // the derive-on-the-fly path (ad-hoc callers) must stay
+            // Both the cached path (stores: cluster ids) and the
+            // derive-on-the-fly path (ad-hoc callers) must stay
             // allocation-free.
-            if verifier.matches(op, prepared, cand, Some(ids), Some(&embeds[i]), e) {
+            if verifier.matches(op, prepared, cand, Some(ids), None, e) {
                 hits += 1;
             }
             if verifier.matches(op, prepared, cand, None, None, e) {
@@ -155,30 +154,14 @@ fn warmed_up_verification_does_not_allocate() {
     let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.25));
     let strings = corpus(0x0a11_0c5e, 60);
     let cluster_ids: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
-    let embeds: Vec<Vec<u8>> = strings.iter().map(|s| op.embed_for(s).to_vec()).collect();
     let prepared = op.prepare_query(&strings[0]);
     let mut verifier = Verifier::new();
 
     // Warm-up pass: the DP scratch grows to its high-water mark here.
-    let warm_hits = verify_all(
-        &mut verifier,
-        &op,
-        &prepared,
-        &strings,
-        &cluster_ids,
-        &embeds,
-    );
+    let warm_hits = verify_all(&mut verifier, &op, &prepared, &strings, &cluster_ids);
 
-    let (hits, delta) = allocations_in(|| {
-        verify_all(
-            &mut verifier,
-            &op,
-            &prepared,
-            &strings,
-            &cluster_ids,
-            &embeds,
-        )
-    });
+    let (hits, delta) =
+        allocations_in(|| verify_all(&mut verifier, &op, &prepared, &strings, &cluster_ids));
 
     assert_eq!(hits, warm_hits);
     assert!(hits > 0, "corpus must produce some matches");
@@ -201,18 +184,17 @@ fn verify_all_batched(
     prepared: &PreparedQuery,
     strings: &[PhonemeString],
     cluster_ids: &[Vec<u8>],
-    embeds: &[Vec<u8>],
     hits: &mut Vec<u32>,
 ) -> usize {
     let mut total = 0;
     for e in [0.0, 0.15, 0.35, 0.5, 1.0] {
-        // Cached cluster ids and embeddings (the store path)…
-        verifier.verify_ids(
+        // Cached cluster ids (the store path)…
+        verifier.verify_ids::<_, _, Vec<u8>>(
             op,
             prepared,
             strings,
             Some(cluster_ids),
-            Some(embeds),
+            None,
             0..strings.len() as u32,
             e,
             hits,
@@ -244,7 +226,6 @@ fn warmed_up_batched_verification_does_not_allocate() {
     let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.25));
     let strings = corpus(0x0a11_0c5e, 60);
     let cluster_ids: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
-    let embeds: Vec<Vec<u8>> = strings.iter().map(|s| op.embed_for(s).to_vec()).collect();
     let prepared = op.prepare_query(&strings[0]);
     let mut verifier = BatchVerifier::new();
     assert_eq!(verifier.width(), MAX_LANES);
@@ -258,7 +239,6 @@ fn warmed_up_batched_verification_does_not_allocate() {
         &prepared,
         &strings,
         &cluster_ids,
-        &embeds,
         &mut hits,
     );
 
@@ -269,7 +249,6 @@ fn warmed_up_batched_verification_does_not_allocate() {
             &prepared,
             &strings,
             &cluster_ids,
-            &embeds,
             &mut hits,
         )
     });
@@ -449,11 +428,11 @@ fn entries(n: usize) -> Vec<NameEntry> {
 }
 
 /// `store`'s rows as one shard's [`Base`] over an image laid out the way
-/// the snapshot writer lays one out: entry table, then the four arenas.
+/// the snapshot writer lays one out: entry table, then the three arenas.
 fn base_of(store: &NameStore) -> Base {
     let rows = store.rows();
-    let mut columns: [Vec<u8>; 5] = Default::default();
-    let [entries, texts, phonemes, clusters, embeds] = &mut columns;
+    let mut columns: [Vec<u8>; 4] = Default::default();
+    let [entries, texts, phonemes, clusters] = &mut columns;
     for row in (0..rows.len()).map(|i| rows.row(i)) {
         let language = Language::ALL.iter().position(|l| *l == row.language);
         let rec = EntryRecord {
@@ -467,10 +446,9 @@ fn base_of(store: &NameStore) -> Base {
         texts.extend_from_slice(row.text().as_bytes());
         phonemes.extend_from_slice(row.phonemes);
         clusters.extend_from_slice(row.clusters);
-        embeds.extend_from_slice(row.embed);
     }
     let mut image = Vec::new();
-    let [entries, texts, phonemes, clusters, embeds] = columns.map(|bytes| {
+    let [entries, texts, phonemes, clusters] = columns.map(|bytes| {
         image.extend_from_slice(&bytes);
         image.len() - bytes.len()..image.len()
     });
@@ -479,12 +457,11 @@ fn base_of(store: &NameStore) -> Base {
         texts,
         phonemes,
         clusters,
-        embeds,
     };
     Base::new(std::sync::Arc::new(image), layout, 1, 0).expect("a framed image")
 }
 
-/// Rows come in as chunks: the first chunk of a sized load grows the seven
+/// Rows come in as chunks: the first chunk of a sized load grows the six
 /// column vectors once each, the chunks after it grow nothing, and a chunk
 /// refilled with rows it has held before allocates nothing either — so a
 /// load costs the same allocations whatever its length.
@@ -515,7 +492,7 @@ fn a_load_allocates_per_column_not_per_name_or_per_chunk() {
                 allocations_in(|| store.append_rows(&chunk, std::mem::take(&mut load)));
             assert_eq!(ids, (i * 256) as u32..(i * 256 + part.len()) as u32);
             if i == 0 {
-                assert!(appended <= 7, "{appended} allocations sizing {n} rows");
+                assert!(appended <= 6, "{appended} allocations sizing {n} rows");
             } else {
                 assert_eq!(appended, 0, "appending chunk {i} of {n} rows");
             }
@@ -533,7 +510,7 @@ fn a_load_allocates_per_column_not_per_name_or_per_chunk() {
     }
 }
 
-/// Rows are flat columns: loading `n` names grows seven vectors once each
+/// Rows are flat columns: loading `n` names grows six vectors once each
 /// (and the five buffers of the chunk they travel in), not four heap
 /// objects a name, and adopting an image's rows allocates nothing that
 /// depends on how many there are.

@@ -127,19 +127,9 @@ impl Embedder {
         let mut contrib = vec![[0u8; EMBED_DIM]; n];
         let mut norms = vec![0u32; n];
         for p in Inventory::iter() {
-            let v = &mut contrib[p.index()];
-            // Cluster identity dominates (weight 2): like phonemes land in
-            // the same bin and contribute nothing to the pair's L1 gap.
-            // Tables with more than 16 clusters fold mod 16 — collisions
-            // only *shrink* gaps, which weakens the screen but can never
-            // break the lower bound.
-            v[(table.cluster_of(p).0 % 16) as usize] += 2;
-            let f = p.features();
-            v[16 + usize::from(matches!(f, Features::Vowel(_)))] += 1;
-            for (i, code) in feature_codes(&f).into_iter().enumerate() {
-                v[16 + (code as usize * 7 + i * 5) % 16] += 1;
-            }
+            let v = contribution(p, table.cluster_of(p).0);
             norms[p.index()] = v.iter().map(|&x| x as u32).sum();
+            contrib[p.index()] = v;
         }
         Embedder { contrib, norms }
     }
@@ -195,6 +185,41 @@ impl Embedder {
         // is exact — at most 32 · 255 = 8160, an integer in f64).
         scale * (1.0 - 1e-9)
     }
+}
+
+/// Phoneme `p`'s contribution vector when its cluster is `cluster`.
+fn contribution(p: Phoneme, cluster: u8) -> [u8; EMBED_DIM] {
+    let mut v = [0u8; EMBED_DIM];
+    // Cluster identity dominates (weight 2): like phonemes land in the
+    // same bin and contribute nothing to the pair's L1 gap. Tables with
+    // more than 16 clusters fold mod 16 — collisions only *shrink* gaps,
+    // which weakens the screen but can never break the lower bound.
+    v[(cluster % 16) as usize] += 2;
+    let f = p.features();
+    v[16 + usize::from(matches!(f, Features::Vowel(_)))] += 1;
+    for (i, code) in feature_codes(&f).into_iter().enumerate() {
+        v[16 + (code as usize * 7 + i * 5) % 16] += 1;
+    }
+    v
+}
+
+/// What [`Embedder::embed_ids`] returns for `ids` under the table that
+/// gave them `clusters` (one cluster id a phoneme id), read off those two
+/// columns — no table, no contribution cache.
+///
+/// # Panics
+///
+/// Panics if a byte of `ids` is not an inventory id.
+pub fn embed_clustered(ids: &[u8], clusters: &[u8]) -> [u8; EMBED_DIM] {
+    debug_assert_eq!(ids.len(), clusters.len());
+    let mut out = [0u8; EMBED_DIM];
+    for (&id, &cluster) in ids.iter().zip(clusters) {
+        let p = Phoneme::from_id(id).expect("an inventory id");
+        for (o, c) in out.iter_mut().zip(contribution(p, cluster)) {
+            *o = o.saturating_add(c);
+        }
+    }
+    out
 }
 
 /// L1 distance between two embedding vectors: `u8::abs_diff` accumulated
@@ -345,6 +370,19 @@ mod embed_tests {
         assert_eq!(e.embed(&a), e.embed(&rev), "bag pooling ignores order");
         assert_eq!(e.embed(&PhonemeString::empty()), [0u8; EMBED_DIM]);
         assert_eq!(l1(&e.embed(&a), &e.embed(&a)), 0);
+    }
+
+    #[test]
+    fn clustered_embedding_equals_the_table_embedding() {
+        for table in [ClusterTable::standard(), ClusterTable::coarse()] {
+            let e = Embedder::new(&table);
+            let mut rng = lexequal_phoneme::testkit::Rng::new(0xe3b3);
+            for _ in 0..64 {
+                let s = rng.phonemes(0..=80);
+                let clusters: Vec<u8> = s.iter().map(|&p| table.cluster_of(p).0).collect();
+                assert_eq!(embed_clustered(s.id_bytes(), &clusters), e.embed(&s));
+            }
+        }
     }
 
     #[test]

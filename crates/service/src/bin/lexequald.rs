@@ -17,7 +17,8 @@
 //! one there is; it is accepted so old command lines keep working.
 //! `--shards` is at most 1024, the most a snapshot image may hold, and
 //! `--workers` at most 1024, each a thread spawned before serving. The
-//! cost model and embedding screen are `MatchConfig` settings, not flags.
+//! cluster table and intra-cluster cost are `MatchConfig` settings, not
+//! flags.
 //!
 //! Every store source starts the same way — rows in, the recorded (or
 //! default) access paths *declared*, `serving on` (DESIGN §5n): a declared

@@ -222,14 +222,6 @@ pub struct ScreenTotals {
     /// phonemes) — a diagnostic overlay on `full_dp`, not a fourth
     /// outcome.
     pub bypass: AtomicU64,
-    /// Pairs the embedding prefilter examined but could not reject
-    /// (overlay over the other dispositions, not part of the total).
-    pub embed_accept: AtomicU64,
-    /// Pairs the embedding prefilter rejected outright.
-    pub embed_reject: AtomicU64,
-    /// Pairs whose candidate came without an embedding (no stored row
-    /// does; the key stays for the line's shape and reads 0).
-    pub embed_bypass: AtomicU64,
 }
 
 impl ScreenTotals {
@@ -239,12 +231,6 @@ impl ScreenTotals {
         self.fast_reject.fetch_add(c.fast_reject, Ordering::Relaxed);
         self.full_dp.fetch_add(c.full_dp, Ordering::Relaxed);
         self.bypass.fetch_add(c.bypass, Ordering::Relaxed);
-        self.embed_accept
-            .fetch_add(c.embed_accept, Ordering::Relaxed);
-        self.embed_reject
-            .fetch_add(c.embed_reject, Ordering::Relaxed);
-        self.embed_bypass
-            .fetch_add(c.embed_bypass, Ordering::Relaxed);
     }
 
     /// Current totals as a plain value.
@@ -254,9 +240,7 @@ impl ScreenTotals {
             fast_reject: self.fast_reject.load(Ordering::Relaxed),
             full_dp: self.full_dp.load(Ordering::Relaxed),
             bypass: self.bypass.load(Ordering::Relaxed),
-            embed_accept: self.embed_accept.load(Ordering::Relaxed),
-            embed_reject: self.embed_reject.load(Ordering::Relaxed),
-            embed_bypass: self.embed_bypass.load(Ordering::Relaxed),
+            ..ScreenCounters::default()
         }
     }
 }

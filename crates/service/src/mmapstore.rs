@@ -21,13 +21,13 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "LEXEQMM1"
-//!      8     4  format version (2)
+//!      8     4  format version (3)
 //!     12     4  endianness tag (= 0x01020304; a big-endian writer
 //!               would produce 0x04030201, rejected on load)
 //!     16     4  shard count N
 //!     20     4  entry count E
 //!     24     8  covered LSN
-//!     32     4  section count (6)
+//!     32     4  section count (5)
 //!     36     4  reserved (0)
 //!     40  S×24  section table: S × { offset u64, len u64, checksum u64 }
 //!               (checksum: FNV-1a folded over LE u64 words, zero-padded
@@ -39,13 +39,12 @@
 //!               [2] text arena    UTF-8 bytes
 //!               [3] phoneme arena raw inventory ids
 //!               [4] cluster arena cluster ids, parallel to [3]
-//!               [5] embed arena   E × EMBED_DIM bytes, entry g's
-//!                   phonetic embedding at g·EMBED_DIM
 //! ```
 //!
-//! Version 1 (five sections, no embedding arena) was never written
-//! outside tests and is no longer read: a header tagged with it is the
-//! `unsupported format version` error.
+//! Older versions are not read: a header tagged with one is the
+//! `unsupported format version` error. Version 2 carried a sixth section,
+//! a 32-byte phonetic embedding a row for a screen that no longer runs
+//! (DESIGN §5j); version 1 was never written outside tests.
 //!
 //! One entry-table record (16 bytes, `lexequal::rows::EntryRecord`):
 //!
@@ -68,11 +67,11 @@
 //! # Streaming writer
 //!
 //! [`write_image`] never holds the corpus: it takes a [`Cut`] (a row
-//! count, not a copy), sizes the six sections from a lengths-only pass
+//! count, not a copy), sizes the five sections from a lengths-only pass
 //! on the shard workers, then pulls the prefix a fixed 1024 rows at a
 //! time and writes each chunk's slice of every section at its final
 //! offset, folding a running checksum per section; the header goes in
-//! last. Transient memory is one chunk plus five small output buffers,
+//! last. Transient memory is one chunk plus four small output buffers,
 //! whatever the corpus size, and no store lock is held at any point —
 //! rows below a published length never change (DESIGN §5m).
 //!
@@ -89,7 +88,7 @@
 
 use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS, MAX_SHARDS};
 use lexequal::rows::{Base, EntryRecord, ImageBytes, ImageLayout};
-use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode, EMBED_DIM};
+use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -98,12 +97,11 @@ use std::sync::Arc;
 /// First eight bytes of every binary snapshot.
 pub const MAGIC: [u8; 8] = *b"LEXEQMM1";
 /// The format version, written and read.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Endianness canary: reads back as written only on a same-endian host.
 const ENDIAN_TAG: u32 = 0x0102_0304;
-/// Sections in an image: specs, entries, texts, phonemes, clusters,
-/// embeddings.
-const SECTIONS: usize = 6;
+/// Sections in an image: specs, entries, texts, phonemes, clusters.
+const SECTIONS: usize = 5;
 /// Bytes before the first section; also the up-front length gate.
 pub(crate) const HEADER_LEN: usize = 40 + SECTIONS * 24;
 /// Bytes per build-spec record.
@@ -439,7 +437,6 @@ const ENTRIES: usize = 1;
 const TEXTS: usize = 2;
 const PHONEMES: usize = 3;
 const CLUSTERS: usize = 4;
-const EMBEDS: usize = 5;
 
 /// One section while it is streamed: its window in the file, how much
 /// of it has been written, and the checksum of that much.
@@ -476,9 +473,9 @@ fn cluster_lut(operator: &LexEqual) -> [Option<u8>; 256] {
 /// Reads the prefix through the store's chunked reader with no lock held
 /// (commits, appends and index builds proceed meanwhile — rows below the
 /// cut never change), so the image is the store exactly as it stood when
-/// the cut was taken. Cluster ids and embeddings are recomputed from the
-/// phonemes under the configured cost model, making the image
-/// self-consistent by construction.
+/// the cut was taken. Cluster ids are recomputed from the phonemes under
+/// the configured cost model, making the image self-consistent by
+/// construction.
 pub fn write_image(
     store: &ShardedStore,
     cut: &Cut,
@@ -494,7 +491,7 @@ pub fn write_image(
         specs.extend_from_slice(&spec_to_record(spec)?);
     }
 
-    // Lengths-only pass, then the layout: six sections, 8-byte aligned.
+    // Lengths-only pass, then the layout: five sections, 8-byte aligned.
     let (text_bytes, phoneme_bytes) = store.prefix_bytes(cut.rows);
     let mut lens = [0usize; SECTIONS];
     lens[SPECS] = specs.len();
@@ -502,7 +499,6 @@ pub fn write_image(
     lens[TEXTS] = text_bytes;
     lens[PHONEMES] = phoneme_bytes;
     lens[CLUSTERS] = phoneme_bytes;
-    lens[EMBEDS] = cut.rows * EMBED_DIM;
     let mut end = HEADER_LEN as u64;
     let mut sections = lens.map(|len| {
         let off = end.next_multiple_of(8);
@@ -518,23 +514,15 @@ pub fn write_image(
     sections[SPECS].put(sink, &specs).map_err(io_err)?;
 
     // The rows, a chunk at a time: each chunk's slice of every arena is
-    // assembled in five reused buffers and written at its final offset.
-    let operator = store.operator();
-    let lut = cluster_lut(operator);
+    // assembled in four reused buffers and written at its final offset.
+    let lut = cluster_lut(store.operator());
     let chunk_rows = CHUNK_ROWS.min(cut.rows);
     let mut entries = Vec::with_capacity(chunk_rows * EntryRecord::BYTES);
-    let mut embeds = Vec::with_capacity(chunk_rows * EMBED_DIM);
     let (mut texts, mut phonemes, mut clusters) = (Vec::new(), Vec::new(), Vec::new());
     let (mut text_off, mut phon_off) = (0usize, 0usize);
     let mut reader = store.prefix_reader(cut.rows);
     while let Some(chunk) = reader.next_chunk() {
-        for buf in [
-            &mut entries,
-            &mut texts,
-            &mut phonemes,
-            &mut clusters,
-            &mut embeds,
-        ] {
+        for buf in [&mut entries, &mut texts, &mut phonemes, &mut clusters] {
             buf.clear();
         }
         for (text, language, phon) in chunk.rows() {
@@ -560,7 +548,6 @@ pub fn write_image(
                 phon.iter()
                     .map(|&p| lut[p as usize].expect("stored phoneme ids are inventory ids")),
             );
-            embeds.extend_from_slice(&operator.embedder().embed_ids(phon));
             entries.extend_from_slice(&record.encode());
             text_off += text.len();
             phon_off += phon.len();
@@ -570,7 +557,6 @@ pub fn write_image(
             (TEXTS, &texts),
             (PHONEMES, &phonemes),
             (CLUSTERS, &clusters),
-            (EMBEDS, &embeds),
         ] {
             sections[section].put(sink, buf).map_err(io_err)?;
         }
@@ -873,7 +859,7 @@ pub(crate) fn load_owner(
             )));
         }
     }
-    let [specs, entries, texts, phonemes, clusters, embeds] = sections;
+    let [specs, entries, texts, phonemes, clusters] = sections;
 
     // Build specs.
     if specs.len % SPEC_RECORD != 0 {
@@ -933,21 +919,6 @@ pub(crate) fn load_owner(
     let text_arena = std::str::from_utf8(&image[texts.off..texts.off + texts.len])
         .map_err(|_| err("text arena is not valid UTF-8"))?;
 
-    // The embedding arena is fixed-stride: exactly EMBED_DIM bytes per
-    // entry, in global-id order. Its shape is pinned here; the bytes are
-    // verified per entry below once each phoneme window is known, so a
-    // stale or doctored arena is rejected rather than silently
-    // mis-screening candidates.
-    let expect = entry_count
-        .checked_mul(EMBED_DIM)
-        .ok_or_else(|| err("embedding arena size overflow"))?;
-    if embeds.len != expect {
-        return Err(err(format!(
-            "embedding arena holds {} bytes but {entry_count} entries need {expect}",
-            embeds.len
-        )));
-    }
-
     // Per-entry windows. The entry-table section bounds were validated
     // with its checksum, so records parse from a fixed slice —
     // `chunks_exact` gives the optimizer fixed-size windows with no
@@ -967,26 +938,13 @@ pub(crate) fn load_owner(
                 "entry {g}: text window splits a UTF-8 sequence"
             )));
         }
-        let phon_end = phon_off
+        phon_off
             .checked_add(phon_len)
             .filter(|&e| e <= phonemes.len)
             .ok_or_else(|| oob("phoneme"))?;
-        let ids = &phon_arena[phon_off..phon_end];
         let lang = rec.language;
         if Language::ALL.get(lang as usize).is_none() {
             return Err(err(format!("entry {g}: unknown language tag {lang}")));
-        }
-        // Verify the stored embedding against a recompute from the
-        // (already-validated) phoneme window — same discipline as the
-        // cluster arena: a mismatch means the image was written under
-        // a different cluster table or doctored, and a wrong embedding
-        // could silently drop true matches.
-        let stored = &image[embeds.off + g * EMBED_DIM..][..EMBED_DIM];
-        if stored != operator.embedder().embed_ids(ids) {
-            return Err(err(format!(
-                "entry {g}: stored embedding disagrees with the configured embedder \
-                 (snapshot written under a different MatchConfig?)"
-            )));
         }
     }
 
@@ -998,7 +956,6 @@ pub(crate) fn load_owner(
         texts: window(texts),
         phonemes: window(phonemes),
         clusters: window(clusters),
-        embeds: window(embeds),
     };
     let bases = (0..snap_shards)
         .map(|s| Base::new(Arc::clone(&owner), layout.clone(), snap_shards, s))
@@ -1084,26 +1041,8 @@ mod tests {
         for s in sections {
             assert_eq!(s.off % 8, 0);
         }
-        assert_eq!(sections[SECTIONS - 1].len, store.len() * EMBED_DIM);
-    }
-
-    #[test]
-    fn loaded_entries_carry_validated_embeddings() {
-        let store = populated(2);
-        let image = encode(&store, 0).unwrap();
-        let loaded = load_bytes(MatchConfig::default(), None, image).unwrap();
-        let q = loaded
-            .store
-            .config()
-            .registry
-            .transform("Nehru", Language::English)
-            .unwrap();
-        loaded
-            .store
-            .search_phonemes(&q, 0.45, lexequal::SearchMethod::Scan);
-        let screens = loaded.store.screen_totals();
-        assert!(screens.embed_accept + screens.embed_reject > 0);
-        assert_eq!(screens.embed_bypass, 0, "the screen examined every row");
+        let (_, phoneme_bytes) = store.prefix_bytes(store.len());
+        assert_eq!(sections[SECTIONS - 1].len, phoneme_bytes);
     }
 
     #[test]

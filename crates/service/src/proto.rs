@@ -54,8 +54,11 @@
 //! (outside 1..=4) is an `ERR`, and nothing is declared or logged.
 //!
 //! `STATS` opens with the request and outcome counters, the transform
-//! cache's `cache_hits=` / `cache_misses=`, the screen and batch counters
-//! and the dispatched `simd=` level, then what the transform cache holds:
+//! cache's `cache_hits=` / `cache_misses=`, the screen counters
+//! (`screen_accept=`, `screen_reject=`, `screen_dp=`, `screen_bypass=`),
+//! the batch counters (`batch_calls=`, `batch_lanes_sum=`,
+//! `batch_lanes_max=`, `batch_accept=`, `batch_reject=`, `batch_dp=`) and
+//! the dispatched `simd=` level, then what the transform cache holds:
 //! `transform_entries=` and `transform_bytes=` (its slot arenas, indices
 //! and entries). Per-path searches and latencies, connection gauges,
 //! untagged routing, replication and the coverage keys above follow.
@@ -445,7 +448,7 @@ pub fn format_outcome(out: &MatchOutcome) -> String {
 /// Render a stats snapshot as the single-line `STATS` response.
 pub fn format_stats(s: &StatsSnapshot) -> String {
     let mut line = format!(
-        "OK names={} shards={} requests={} matches={} noresource={} notbuilt={} badinput={} cache_hits={} cache_misses={} screen_accept={} screen_reject={} screen_dp={} screen_bypass={} embed_screen_accept={} embed_screen_reject={} embed_screen_bypass={} batch_calls={} batch_lanes_sum={} batch_lanes_max={} batch_accept={} batch_reject={} batch_dp={} simd={} transform_entries={} transform_bytes={}",
+        "OK names={} shards={} requests={} matches={} noresource={} notbuilt={} badinput={} cache_hits={} cache_misses={} screen_accept={} screen_reject={} screen_dp={} screen_bypass={} batch_calls={} batch_lanes_sum={} batch_lanes_max={} batch_accept={} batch_reject={} batch_dp={} simd={} transform_entries={} transform_bytes={}",
         s.names,
         s.shards,
         s.requests,
@@ -459,9 +462,6 @@ pub fn format_stats(s: &StatsSnapshot) -> String {
         s.screen_fast_reject,
         s.screen_full_dp,
         s.screen_bypass,
-        s.embed_screen_accept,
-        s.embed_screen_reject,
-        s.embed_screen_bypass,
         s.batch_calls,
         s.batch_lanes_sum,
         s.batch_lanes_max,
@@ -880,9 +880,6 @@ mod tests {
             screen_fast_reject: 0,
             screen_full_dp: 0,
             screen_bypass: 0,
-            embed_screen_accept: 0,
-            embed_screen_reject: 0,
-            embed_screen_bypass: 0,
             batch_calls: 0,
             batch_lanes_sum: 0,
             batch_lanes_max: 0,
@@ -930,8 +927,11 @@ mod tests {
             "{}",
             format_stats(&s)
         );
-        assert!(format_stats(&s)
-            .contains(" simd=scalar transform_entries=0 transform_bytes=0 snapshot_format="));
+        assert!(format_stats(&s).contains(
+            " cache_misses=0 screen_accept=0 screen_reject=0 screen_dp=0 screen_bypass=0 \
+             batch_calls=0 batch_lanes_sum=0 batch_lanes_max=0 batch_accept=0 batch_reject=0 \
+             batch_dp=0 simd=scalar transform_entries=0 transform_bytes=0 snapshot_format="
+        ));
         assert!(!format_stats(&s).contains("untagged_"));
         assert!(format_stats(&s).contains("snapshot_format=rebuild mmap_bytes=0 load_ms=0"));
         s.untagged.requests = 2;

@@ -686,9 +686,6 @@ impl MatchService {
             screen_fast_reject: screens.fast_reject,
             screen_full_dp: screens.full_dp,
             screen_bypass: screens.bypass,
-            embed_screen_accept: screens.embed_accept,
-            embed_screen_reject: screens.embed_reject,
-            embed_screen_bypass: screens.embed_bypass,
             batch_calls: batches.calls,
             batch_lanes_sum: batches.lanes_sum,
             batch_lanes_max: batches.lanes_max,
@@ -772,14 +769,6 @@ pub struct StatsSnapshot {
     /// Verified pairs that skipped both screens (query empty or >64
     /// phonemes) — an overlay on `screen_full_dp`.
     pub screen_bypass: u64,
-    /// Pairs the embedding prefilter examined but could not reject (an
-    /// overlay on the other dispositions; zero with the screen off).
-    pub embed_screen_accept: u64,
-    /// Pairs the embedding prefilter rejected before any Myers screen.
-    pub embed_screen_reject: u64,
-    /// Pairs verified without an embedding (no stored row lacks one, so
-    /// this reads 0).
-    pub embed_screen_bypass: u64,
     /// Interleaved verification steps run by the batched kernels.
     pub batch_calls: u64,
     /// Sum of lane counts over those steps (`/ batch_calls` = mean fill).

@@ -23,7 +23,7 @@
 //! entries, a snapshot being restored, one `ADD`: through a [`Loader`],
 //! the prefix reader run backwards. It stripes the rows it is pushed into
 //! one [`RowChunk`] a shard and sends each full chunk to its worker, which
-//! derives the cluster ids and embeddings and hands the buffer back; the
+//! derives the cluster ids and hands the buffer back; the
 //! length is published once, when the load ends.
 
 use crate::metrics::{BatchTotals, ScreenTotals};
@@ -831,7 +831,7 @@ impl LoadBuffers {
 /// `PrefixReader` run backwards, and the only way rows come in. Rows are
 /// [`push`](Self::push)ed in global-id order; row `g` goes into the chunk
 /// of shard `g % N`, a chunk of [`CHUNK_ROWS`] rows goes to its worker as
-/// one command, and the worker derives cluster ids and embeddings while
+/// one command, and the worker derives cluster ids while
 /// the source fills the shard's other buffer. The loader holds the grow
 /// lock for its life, so a load's ids are contiguous, and the store's
 /// length moves once: [`finish`](Self::finish) — or dropping the loader,

@@ -13,8 +13,8 @@
 //! that is not what is pinned here.
 
 use lexequal::store::{NameEntry, CHUNK_ROWS};
-use lexequal::{G2pError, Language, MatchConfig, QgramMode, SearchMethod};
-use lexequal_lexicon::{Corpus, SyntheticPairs};
+use lexequal::{G2pError, Language, MatchConfig, NameStore, QgramMode, SearchMethod};
+use lexequal_lexicon::{Corpus, SyntheticDataset, SyntheticPairs};
 use lexequal_service::{mmapstore, BuildSpec, Loader, MatchService, ServiceConfig, ShardedStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -329,4 +329,25 @@ fn a_load_allocates_per_chunk_buffer_not_per_name() {
     });
     assert_eq!(ids, 67);
     assert!(allocations <= 8, "{allocations} allocations over 64 ADDs");
+}
+
+/// What a row costs the owned columns, to the byte: a load of the
+/// benchmark's 20K-name corpus, sized once, holds each row's text, its
+/// phoneme ids twice (the phoneme and cluster columns), two `u32` end
+/// offsets and a language — nothing else, so no per-row column comes back
+/// unnoticed.
+#[test]
+fn a_row_costs_its_text_its_phonemes_twice_two_ends_and_a_language() {
+    let dataset = SyntheticDataset::generate(corpus(), 20_000);
+    let entries: Vec<NameEntry> = (dataset.entries.into_iter())
+        .map(|e| NameEntry::new(e.text, e.language, e.phonemes).expect("a storable row"))
+        .collect();
+    let rows = entries.len();
+    let texts: usize = entries.iter().map(|e| e.text.len()).sum();
+    let phonemes: usize = entries.iter().map(|e| e.phonemes.len()).sum();
+    let mut store = NameStore::new(MatchConfig::default());
+    store.extend_transformed(entries);
+    let per_row = 2 * std::mem::size_of::<u32>() + std::mem::size_of::<Language>();
+    assert!(rows >= 20_000, "{rows} rows");
+    assert_eq!(store.memory().owned, texts + 2 * phonemes + rows * per_row);
 }

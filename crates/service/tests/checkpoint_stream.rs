@@ -10,7 +10,7 @@
 //! sink is blocked mid-file; rows committed after the cut are not in the
 //! image; transient memory is one chunk, not three copies of the corpus).
 
-use lexequal::{Language, LexEqual, MatchConfig, QgramMode, EMBED_DIM};
+use lexequal::{Language, LexEqual, MatchConfig, QgramMode};
 use lexequal_lexicon::Corpus;
 use lexequal_service::mmapstore::{self, ImageSink};
 use lexequal_service::server::respond;
@@ -97,10 +97,10 @@ mod oracle {
     use super::*;
 
     const MAGIC: [u8; 8] = *b"LEXEQMM1";
-    const FORMAT_VERSION: u32 = 2;
+    const FORMAT_VERSION: u32 = 3;
     const ENDIAN_TAG: u32 = 0x0102_0304;
-    const V2_SECTIONS: usize = 6;
-    const HEADER_LEN: usize = 40 + V2_SECTIONS * 24;
+    const V3_SECTIONS: usize = 5;
+    const HEADER_LEN: usize = 40 + V3_SECTIONS * 24;
     const ENTRY_RECORD: usize = 16;
     const SPEC_RECORD: usize = 8;
 
@@ -156,7 +156,6 @@ mod oracle {
         let mut texts = Vec::new();
         let mut phonemes = Vec::new();
         let mut clusters = Vec::new();
-        let mut embeds = Vec::with_capacity(total * EMBED_DIM);
         for g in 0..total {
             let entry = store.get(g as u32).expect("id below len");
             let text = entry.text.as_bytes();
@@ -172,7 +171,6 @@ mod oracle {
             texts.extend_from_slice(text);
             phonemes.extend_from_slice(phon);
             clusters.extend_from_slice(&operator.cluster_ids(&entry.phonemes));
-            embeds.extend_from_slice(&operator.embed_for(&entry.phonemes));
             entry_table.extend_from_slice(&text_off.to_le_bytes());
             entry_table.extend_from_slice(&phon_off.to_le_bytes());
             entry_table.extend_from_slice(&text_len.to_le_bytes());
@@ -192,13 +190,12 @@ mod oracle {
         image.extend_from_slice(&(shards as u32).to_le_bytes());
         image.extend_from_slice(&entry_count.to_le_bytes());
         image.extend_from_slice(&lsn.to_le_bytes());
-        image.extend_from_slice(&(V2_SECTIONS as u32).to_le_bytes());
+        image.extend_from_slice(&(V3_SECTIONS as u32).to_le_bytes());
         image.extend_from_slice(&0u32.to_le_bytes());
         image.resize(HEADER_LEN, 0);
 
-        let payloads: [&[u8]; V2_SECTIONS] =
-            [&specs, &entry_table, &texts, &phonemes, &clusters, &embeds];
-        let mut table = [[0u64; 3]; V2_SECTIONS];
+        let payloads: [&[u8]; V3_SECTIONS] = [&specs, &entry_table, &texts, &phonemes, &clusters];
+        let mut table = [[0u64; 3]; V3_SECTIONS];
         for (i, payload) in payloads.iter().enumerate() {
             pad_to_align(&mut image);
             table[i] = [
@@ -428,8 +425,8 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
     let mut sink = GatedSink {
         image: Vec::new(),
         writes: 0,
-        // Write 1 is the spec section; 2..=6 are the first chunk's five
-        // arenas. Stop in the middle of those.
+        // Write 1 is the spec section; 2..=5 are the first chunk's entry
+        // table and three arenas. Stop in the middle of those.
         block_at: 4,
         blocked: blocked_tx,
         release: release_rx,

@@ -13,22 +13,23 @@
 use lexequal::{Language, MatchConfig};
 use lexequal_service::{mmapstore, ImageError, MatchService, ServiceConfig};
 
-/// Fixed header size: 40 bytes + 6 section-table entries of 24 bytes
-/// (a version-2 image; version 1 had 5 entries and a 160-byte header).
-const HEADER_LEN: usize = 184;
+/// Fixed header size: 40 bytes + 5 section-table entries of 24 bytes
+/// (a version-3 image; version 2 had 6 entries and a 184-byte header).
+const HEADER_LEN: usize = 160;
 /// Section-table start and record size.
 const TABLE_AT: usize = 40;
 const TABLE_RECORD: usize = 24;
-/// Section indices in a version-2 image.
+/// Section indices in a version-3 image.
 const SEC_SPECS: usize = 0;
 const SEC_ENTRIES: usize = 1;
 const SEC_TEXTS: usize = 2;
 const SEC_PHONEMES: usize = 3;
 const SEC_CLUSTERS: usize = 4;
-const SEC_EMBEDS: usize = 5;
-/// Section count in each format version (version 1 is no longer read).
+/// Section count in each format version (versions 1 and 2 are no longer
+/// read).
 const V1_SECTIONS: u32 = 5;
-const V2_SECTIONS: usize = 6;
+const V2_SECTIONS: u32 = 6;
+const V3_SECTIONS: usize = 5;
 /// Bytes per entry-table record.
 const ENTRY_RECORD: usize = 16;
 
@@ -120,7 +121,7 @@ fn pristine_image_loads_and_checksums_are_pinned() {
     assert_eq!(loaded.builds.len(), 3);
     // Every stored checksum matches this test's independent FNV — the
     // algorithm is pinned, not just internally consistent.
-    for i in 0..V2_SECTIONS {
+    for i in 0..V3_SECTIONS {
         let (off, len) = section(&image, i);
         let at = TABLE_AT + i * TABLE_RECORD + 16;
         let stored = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
@@ -174,8 +175,8 @@ fn bad_magic_version_endianness_and_counts_are_named() {
     expect_named_err(bad_magic, "bad magic");
 
     let mut bad_version = image.clone();
-    bad_version[8..12].copy_from_slice(&3u32.to_le_bytes());
-    expect_named_err(bad_version, "unsupported format version 3");
+    bad_version[8..12].copy_from_slice(&4u32.to_le_bytes());
+    expect_named_err(bad_version, "unsupported format version 4");
 
     let mut bad_endian = image.clone();
     bad_endian[12..16].copy_from_slice(&0x0403_0201u32.to_le_bytes());
@@ -232,7 +233,7 @@ fn oob_and_misaligned_sections_are_named() {
 #[test]
 fn checksum_flip_in_every_section_is_caught() {
     let image = small_image();
-    for i in 0..V2_SECTIONS {
+    for i in 0..V3_SECTIONS {
         let (off, len) = section(&image, i);
         assert!(len > 0, "section {i} unexpectedly empty");
         let mut flipped = image.clone();
@@ -361,15 +362,10 @@ fn hostile_arenas_and_specs_are_named() {
     expect_named_err(ragged, "not a record multiple");
 }
 
-/// Bytes per stored phonetic embedding, pinned independently of
-/// `lexequal::EMBED_DIM`.
-const EMBED_BYTES: usize = 32;
-
-/// A version-1 image — synthesized by re-tagging a v2 image, since v1
-/// differed only in the version word, the section count, and the absent
-/// embedding arena — is no longer read (none was ever written outside
-/// tests): its header is the named version error, with or without the
-/// v1 section count, never a panic and never a load.
+/// A version-1 image — synthesized by re-tagging a v3 image, since v1 had
+/// the same five sections under another version word — is no longer read
+/// (none was ever written outside tests): its header is the named version
+/// error, never a panic and never a load.
 #[test]
 fn v1_images_are_a_named_version_error() {
     let image = small_image();
@@ -383,42 +379,25 @@ fn v1_images_are_a_named_version_error() {
     assert!(load(v1).is_err());
 }
 
+/// A version-2 image (six sections: these five and a 32-byte embedding a
+/// row) is not read: its header is the named version error, whether it
+/// declares its own six sections or this build's five.
 #[test]
-fn hostile_embedding_arenas_are_named() {
-    let image = small_image();
-    let (emb_off, emb_len) = section(&image, SEC_EMBEDS);
-    assert_eq!(emb_len, 7 * EMBED_BYTES, "arena stride drifted");
+fn v2_images_are_a_named_version_error() {
+    let mut v2 = small_image();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    expect_named_err(v2.clone(), "unsupported format version 2");
+    v2[32..36].copy_from_slice(&V2_SECTIONS.to_le_bytes());
+    expect_named_err(v2, "unsupported format version 2");
+}
 
-    // A doctored embedding behind a resealed checksum: the per-entry
-    // recompute-and-compare, not the checksum wall, must answer — a
-    // wrong vector could silently drop true matches.
-    let mut doctored = image.clone();
-    doctored[emb_off] ^= 0xFF;
-    reseal(&mut doctored, SEC_EMBEDS);
-    expect_named_err(doctored, "entry 0: stored embedding disagrees");
-
-    // Arena length off the per-entry stride (resealed over the
-    // shortened payload, so the shape check answers).
-    let len_at = TABLE_AT + SEC_EMBEDS * TABLE_RECORD + 8;
-    let mut ragged = image.clone();
-    ragged[len_at..len_at + 8].copy_from_slice(&((emb_len as u64) - 1).to_le_bytes());
-    reseal(&mut ragged, SEC_EMBEDS);
-    expect_named_err(ragged, "embedding arena holds");
-
-    // A whole missing row is the same shape violation: v2 images may
-    // not smuggle in a partially-populated column.
-    let mut missing_row = image.clone();
-    missing_row[len_at..len_at + 8]
-        .copy_from_slice(&((emb_len - EMBED_BYTES) as u64).to_le_bytes());
-    reseal(&mut missing_row, SEC_EMBEDS);
-    expect_named_err(missing_row, "embedding arena holds");
-
-    // An unsealed payload flip trips the checksum first (the sweep in
-    // `checksum_flip_in_every_section_is_caught` covers every section;
-    // this pins the message for the new one).
-    let mut bad_sum = image.clone();
-    bad_sum[emb_off] ^= 0xFF;
-    expect_named_err(bad_sum, &format!("section {SEC_EMBEDS} checksum mismatch"));
+/// A version-3 header that declares a sixth section — a v2 arena under a
+/// v3 version word — is the section-count error.
+#[test]
+fn a_v3_header_declaring_six_sections_is_the_section_count_error() {
+    let mut six = small_image();
+    six[32..36].copy_from_slice(&V2_SECTIONS.to_le_bytes());
+    expect_named_err(six, "section count 6 (version 3 holds 5)");
 }
 
 #[test]

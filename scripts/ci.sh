@@ -27,6 +27,14 @@ if grep -rln --include='*.rs' --include='*.toml' --exclude-dir=target --exclude-
     exit 1
 fi
 
+echo "== the daemon keeps no embedding"
+# The embedding screen is retired (DESIGN §5j): no row, image section or
+# kernel stage carries one, and the serving crate names none of it.
+if grep -rnE 'EMBED_DIM|lexequal_embed|embed_for' crates/service/src; then
+    echo "ci: crates/service/src names the retired embedding (lines above)" >&2
+    exit 1
+fi
+
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -64,8 +72,8 @@ echo "== lexbench smoke: the release daemon over a socket, oracle-checked"
 # against the in-process oracle.
 bash crates/lexbench/run.sh --smoke
 
-echo "== line counts (whole .rs files, bin/ included; ROADMAP item 5's exit criterion)"
-for dir in crates/service/src crates/core/src; do
+echo "== line counts (whole .rs files, bin/ included; ROADMAP item 5's exit criterion, and item 3's crate exit for crates/embed)"
+for dir in crates/service/src crates/core/src crates/embed/src; do
     echo "$dir $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
 done
 

@@ -10,12 +10,14 @@
 //! ## Layers
 //!
 //! * [`shard`] — [`ShardedStore`]: N [`NameStore`](lexequal::NameStore)
-//!   shards (at most [`MAX_SHARDS`](shard::MAX_SHARDS)), each owned by a
-//!   worker thread; global ids stripe round-robin (`id % N` picks the
-//!   shard, `id / N` the local slot), searches fan out over channels and
-//!   merge exactly. Access paths are declared (exact at once) and covered
-//!   by indices built off the workers, behind the traffic; appends are
-//!   their tails, never an invalidation.
+//!   shards (at most [`MAX_SHARDS`](shard::MAX_SHARDS)), each behind a
+//!   read-write lock its worker thread shares; global ids stripe
+//!   round-robin (`id % N` picks the shard, `id / N` the local slot),
+//!   searches and appends queue on the workers, searches fan out over
+//!   channels and merge exactly, and every other read is a direct call
+//!   under the read lock. Access paths are declared (exact at once) and
+//!   covered by indices built off the workers and off the locks, behind
+//!   the traffic; appends are their tails, never an invalidation.
 //! * [`cache`] — [`TransformCache`]: a sharded-mutex LRU memoizing
 //!   `(text, language) → PhonemeString` with hit/miss counters.
 //! * [`metrics`] — lock-free request counters and a log2-bucket latency

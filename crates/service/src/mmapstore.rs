@@ -68,12 +68,13 @@
 //!
 //! [`write_image`] never holds the corpus: it takes a [`Cut`] (a row
 //! count, not a copy), sizes the five sections from a lengths-only pass
-//! on the shard workers, then pulls the prefix a fixed 1024 rows at a
-//! time and writes each chunk's slice of every section at its final
-//! offset, folding a running checksum per section; the header goes in
-//! last. Transient memory is one chunk plus four small output buffers,
-//! whatever the corpus size, and no store lock is held at any point —
-//! rows below a published length never change (DESIGN §5m).
+//! over the shards, then pulls the prefix a fixed 1024 rows at a time
+//! and writes each chunk's slice of every section at its final offset,
+//! folding a running checksum per section; the header goes in last.
+//! Transient memory is one chunk plus four small output buffers,
+//! whatever the corpus size, and no lock is held but one shard's read
+//! lock for the copy of its slice of a chunk — rows below a published
+//! length never change (DESIGN §5m).
 //!
 //! # Hostile-file discipline
 //!
@@ -525,7 +526,7 @@ pub fn write_image(
         for buf in [&mut entries, &mut texts, &mut phonemes, &mut clusters] {
             buf.clear();
         }
-        for (text, language, phon) in chunk.rows() {
+        for (text, language, phon) in chunk {
             // Neither length can exceed its field: every row came in past
             // `lexequal::rows::check_field_bytes`, which holds it to the
             // same limit.

@@ -1280,7 +1280,7 @@ fn apply_snapshot_delta(service: &MatchService, image: Vec<u8>) -> Result<usize,
     let mut theirs = snap_store.prefix_reader(have as usize);
     let mut id = 0u32;
     while let (Some(a), Some(b)) = (mine.next_chunk(), theirs.next_chunk()) {
-        for (row, snap_row) in a.rows().zip(b.rows()) {
+        for (row, snap_row) in a.zip(b) {
             if row != snap_row {
                 return Err(ReplError::NeedsResync(format!(
                     "entry id {id} differs between this replica and the primary's snapshot \

@@ -2,19 +2,31 @@
 //!
 //! Names are striped across `N` shards round-robin by global id: global id
 //! `g` lives on shard `g % N` at local id `g / N`. Each shard is a plain
-//! single-threaded [`NameStore`] *owned* by a dedicated worker thread;
-//! all access goes through that worker's command channel, so no shard
-//! state is ever shared between threads. A search fans out to every shard
-//! and merges the per-shard [`SearchResult`]s — local ids are remapped
-//! back to global ids and verification counts are summed, so the merged
-//! result is bit-identical to what an unsharded store over the same rows
-//! would return (see `tests/shard_equivalence.rs`).
+//! [`NameStore`] behind one read-write lock, shared by the store, the
+//! shard's worker thread and the coverer. The worker runs the two jobs
+//! worth a thread: a search, under the read lock for the search, and an
+//! append, under the write lock for one chunk. Everything else is a call
+//! under the lock on the caller's thread: declaring a path and installing
+//! a cover's index write; `get`, the coverage gauges and a prefix copy
+//! read, and never wait behind the searches queued on the worker. A
+//! search fans out to every shard and merges the per-shard
+//! [`SearchResult`]s — local ids are remapped back to global ids and
+//! verification counts are summed, so the merged result is bit-identical
+//! to what an unsharded store over the same rows would return (see
+//! `tests/shard_equivalence.rs`).
+//!
+//! Lock discipline:
+//! - A shard lock is taken last: after the grow lock, the `declared` list
+//!   and a cover's turn, never before them.
+//! - No thread holds two shard locks at once.
+//! - No shard lock is held across a channel send or receive, or across an
+//!   `on_chunk` hook.
 //!
 //! An access path is *declared* on every shard (`declare`) and exact from
 //! that moment; making it fast is *covering* (DESIGN §5n): a cover copies
 //! the prefix of the column a path is keyed on out of a shard in chunks,
-//! builds the index on its own thread — never on a worker's command loop,
-//! under no lock — and hands it back to be installed. A path is first
+//! one read lock a chunk, builds the index on its own thread under no
+//! shard lock, and installs it under the write lock. A path is first
 //! covered when a search or a `BUILD` *names* it; a path nothing names
 //! costs its declaration only. Appends invalidate nothing; a named path's
 //! tail that outgrows the re-cover rule schedules a background cover.
@@ -33,15 +45,15 @@ use lexequal::store::{cover_due, NameEntry, SearchResult};
 pub use lexequal::BuildSpec;
 use lexequal::{
     BatchCounters, BatchVerifier, ClusterTable, G2pError, KeyColumn, Language, LexEqual, LoadSize,
-    MatchConfig, Memory, NameStore, PathIndex, PhonemeString, RowChunk, ScreenCounters,
-    SearchMethod, SymbolColumn,
+    MatchConfig, NameStore, PathIndex, PhonemeString, RowChunk, ScreenCounters, SearchMethod,
+    SymbolColumn,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 /// A point-in-time cut of an append-only store: "the store at `lsn`" is
 /// rows `0..rows` with `builds` declared. Rows never change once
@@ -65,75 +77,45 @@ fn local_rows(rows: usize, shard: usize, shards: usize) -> usize {
     (rows + shards - 1 - shard) / shards
 }
 
-/// A shard's row count, its declared paths with the rows each index
-/// covers, and what the rows cost it ([`NameStore::memory`]).
-type Coverage = (usize, Vec<(BuildSpec, usize)>, Memory);
+/// One shard's rows and indices, shared by the store, the shard's worker
+/// and the coverer (see the lock discipline in the module docs).
+struct Shard(RwLock<NameStore>);
 
-/// One request to a shard worker. Replies travel over per-call mpsc
-/// channels so any number of client threads can have requests in flight.
-enum Cmd {
+impl Shard {
+    fn read(&self) -> RwLockReadGuard<'_, NameStore> {
+        self.0.read().expect("shard lock")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, NameStore> {
+        self.0.write().expect("shard lock")
+    }
+}
+
+/// A job for a shard worker: the two kinds of work worth a thread. Replies
+/// travel over channels the sender chose, echoing the shard index so one
+/// channel can collect every shard's reply out of order.
+enum Job {
     /// Append `chunk`'s rows (a [`Loader`]'s; infallible: every row was
     /// transformed and measured before it was pushed). `load` is what the
     /// whole load brings this shard, sent with its first chunk. Replies
-    /// with the shard index, the buffer — to be refilled — and the paths
-    /// whose tails now meet the re-cover rule (bit = `method_index`).
+    /// with the buffer — to be refilled — and the paths whose tails now
+    /// meet the re-cover rule (bit = `method_index`).
     Append {
         chunk: RowChunk,
         load: LoadSize,
-        shard: usize,
         reply: Sender<Appended>,
     },
-    /// Declare an access path (an index over zero rows unless the path
-    /// already holds this spec).
-    Declare { spec: BuildSpec, reply: Sender<()> },
-    /// See [`Coverage`].
-    Coverage { reply: Sender<Coverage> },
-    /// Adopt an index a cover built over a prefix of this shard's rows;
-    /// replies whether it was accepted (see [`NameStore::install`]).
-    Install {
-        index: PathIndex,
-        reply: Sender<bool>,
-    },
-    /// Search this shard; echoes the shard index so the coordinator can
-    /// remap local ids while collecting replies out of order.
+    /// Search this shard.
     Search {
         query: PhonemeString,
         e: f64,
         method: SearchMethod,
-        shard: usize,
         reply: Sender<(usize, SearchResult)>,
-    },
-    /// Fetch one entry by local id.
-    Get {
-        local: u32,
-        reply: Sender<Option<NameEntry>>,
-    },
-    /// `(text bytes, phoneme bytes)` of local rows `0..rows` (a snapshot
-    /// writer's lengths-only pass).
-    PrefixBytes {
-        rows: usize,
-        reply: Sender<(usize, usize)>,
-    },
-    /// Append local rows `rows`' strings in `column` to `keys` and send it
-    /// back (a cover copying the prefix it will index).
-    ReadKeys {
-        column: KeyColumn,
-        rows: Range<usize>,
-        keys: SymbolColumn,
-        reply: Sender<SymbolColumn>,
-    },
-    /// Copy local rows `rows` into `chunk` and send it back (snapshot
-    /// capture); echoes the shard index so the reader can collect out of
-    /// order. The buffer travels both ways so its allocations are reused.
-    ReadRows {
-        rows: Range<usize>,
-        chunk: RowChunk,
-        shard: usize,
-        reply: Sender<(usize, RowChunk)>,
     },
 }
 
-/// A worker's reply to [`Cmd::Append`].
+/// A worker's reply to [`Job::Append`]: the shard, its buffer and the due
+/// paths.
 type Appended = (usize, RowChunk, u8);
 
 /// `method`'s bit in a path mask.
@@ -142,8 +124,9 @@ fn bit(method: SearchMethod) -> u8 {
 }
 
 fn worker(
-    mut store: NameStore,
-    rx: Receiver<Cmd>,
+    index: usize,
+    shard: Arc<Shard>,
+    rx: Receiver<Job>,
     screens: Arc<ScreenTotals>,
     batches: Arc<BatchTotals>,
 ) {
@@ -153,80 +136,44 @@ fn worker(
     // evented front-end feeds whole candidate slices through here, so
     // each search step verifies up to MAX_LANES candidates interleaved.
     let mut verifier = BatchVerifier::new();
-    for cmd in rx {
-        match cmd {
-            Cmd::Append {
-                chunk,
-                load,
-                shard,
-                reply,
-            } => {
-                store.append_rows(&chunk, load);
-                let due = store.due_paths().fold(0, |due, method| due | bit(method));
-                let _ = reply.send((shard, chunk, due));
+    for job in rx {
+        match job {
+            Job::Append { chunk, load, reply } => {
+                let due = {
+                    let mut store = shard.write();
+                    store.append_rows(&chunk, load);
+                    store.due_paths().fold(0, |due, method| due | bit(method))
+                };
+                let _ = reply.send((index, chunk, due));
             }
-            Cmd::Declare { spec, reply } => {
-                store.declare(spec);
-                let _ = reply.send(());
-            }
-            Cmd::Coverage { reply } => {
-                let _ = reply.send((store.len(), store.coverage(), store.memory()));
-            }
-            Cmd::Install { index, reply } => {
-                let _ = reply.send(store.install(index));
-            }
-            Cmd::Search {
+            Job::Search {
                 query,
                 e,
                 method,
-                shard,
                 reply,
             } => {
-                let result = store.search_phonemes_batched(&query, e, method, &mut verifier);
+                let result =
+                    (shard.read()).search_phonemes_batched(&query, e, method, &mut verifier);
                 screens.add(&verifier.take_counters());
                 batches.add(&verifier.take_batch_counters());
-                let _ = reply.send((shard, result));
-            }
-            Cmd::Get { local, reply } => {
-                let _ = reply.send(store.get(local));
-            }
-            Cmd::PrefixBytes { rows, reply } => {
-                let _ = reply.send(store.prefix_bytes(rows));
-            }
-            Cmd::ReadKeys {
-                column,
-                rows,
-                mut keys,
-                reply,
-            } => {
-                store.read_keys(column, rows, &mut keys);
-                let _ = reply.send(keys);
-            }
-            Cmd::ReadRows {
-                rows,
-                mut chunk,
-                shard,
-                reply,
-            } => {
-                store.read_rows(rows, &mut chunk);
-                let _ = reply.send((shard, chunk));
+                let _ = reply.send((index, result));
             }
         }
     }
 }
 
-/// Send one command to a worker and wait for its reply.
-fn ask<T>(worker: &Sender<Cmd>, cmd: impl FnOnce(Sender<T>) -> Cmd) -> T {
-    let (tx, rx) = channel();
-    worker.send(cmd(tx)).expect("shard worker alive");
-    rx.recv().expect("shard worker replies")
-}
+/// How long the background coverer waits between being asked for a cover
+/// and beginning it, so that the request that asked — a search naming a
+/// path, an `ADD` whose tail fell due — sends its reply before the build
+/// takes a core from it. Asks made meanwhile are the same cover.
+const COVER_DELAY: Duration = Duration::from_millis(1);
 
 /// What covering shares between the store and its background coverer — a
-/// thread that holds this and its own clones of the command channels,
-/// never the store, which therefore drops when its owner says.
+/// thread that holds this, never the store, which therefore drops when its
+/// owner says.
 struct Covering {
     clusters: Arc<ClusterTable>,
+    shards: Vec<Arc<Shard>>,
     /// Declared access paths in declaration order — what a [`Cut`]
     /// records and a load re-declares.
     declared: Mutex<Vec<BuildSpec>>,
@@ -250,52 +197,67 @@ struct Covering {
 }
 
 impl Covering {
+    /// Name `spec`'s path and leave covering it, whatever its tail, to the
+    /// background `coverer`.
+    fn schedule(&self, coverer: &Thread, spec: BuildSpec) {
+        self.named.fetch_or(bit(spec.method()), Ordering::AcqRel);
+        self.forced.lock().expect("forced lock").push(spec);
+        self.wake(coverer);
+    }
+
+    /// Ask the background coverer for a cover; asks made before it begins
+    /// are one cover.
+    fn wake(&self, coverer: &Thread) {
+        self.scheduled.store(true, Ordering::Release);
+        coverer.unpark();
+    }
+
     /// The background coverer's life: parked until a cover is asked for
-    /// ([`ShardedStore::cover_in_background`] unparks it), then one cover
+    /// ([`wake`](Self::wake) unparks it), then one cover
     /// of the paths [`ShardedStore::schedule_cover`] was given and any
     /// named path the re-cover rule picks.
-    fn run(&self, workers: &[Sender<Cmd>]) {
+    fn run(&self) {
         loop {
-            // Cleared before the cover looks at anything, so whatever is
-            // asked from here on gets a cover of its own.
-            while !self.scheduled.swap(false, Ordering::AcqRel) {
+            while !self.scheduled.load(Ordering::Acquire) {
                 if self.stopping.load(Ordering::Acquire) {
                     return;
                 }
                 std::thread::park();
             }
+            std::thread::sleep(COVER_DELAY);
+            if self.stopping.load(Ordering::Acquire) {
+                return;
+            }
+            // Cleared before the cover looks at anything, so whatever is
+            // asked from here on gets a cover of its own.
+            self.scheduled.store(false, Ordering::Release);
             let forced = std::mem::take(&mut *self.forced.lock().expect("forced lock"));
             let named = self.named.load(Ordering::Acquire);
             let want = |spec: BuildSpec, covered, rows| {
                 forced.contains(&spec)
                     || (named & bit(spec.method()) != 0 && cover_due(covered, rows))
             };
-            self.cover(workers, &want, &|| {});
+            self.cover(&want, &|| {});
         }
     }
 
     /// On every shard in turn, build and install an index over the rows
     /// the shard holds now for each declared path `want(spec, covered,
-    /// rows)` names. All of it happens on the calling thread — a worker is
-    /// asked for its coverage, for one chunk of rows at a time, and to
-    /// adopt the finished index, each a command of microseconds between
-    /// which it serves its queue — and under no lock but the covers' own
-    /// turn. One thread, so a cover takes one core from the traffic it
-    /// runs behind however many shards there are, and holds one shard's
-    /// prefix copy at a time. `on_chunk` runs after every chunk read
-    /// (tests park a cover there).
-    fn cover(
-        &self,
-        workers: &[Sender<Cmd>],
-        want: &dyn Fn(BuildSpec, usize, usize) -> bool,
-        on_chunk: &dyn Fn(),
-    ) {
+    /// rows)` names. All of it happens on the calling thread, holding the
+    /// shard's lock only to read its coverage, to copy one chunk of rows at
+    /// a time and to adopt the finished index — microseconds each, between
+    /// which searches and appends run — and the covers' own turn
+    /// throughout. One thread, so a cover takes one core from the traffic
+    /// it runs behind however many shards there are, and holds one shard's
+    /// prefix copy at a time. `on_chunk` runs after every chunk read, under
+    /// no shard lock (tests park a cover there).
+    fn cover(&self, want: &dyn Fn(BuildSpec, usize, usize) -> bool, on_chunk: &dyn Fn()) {
         let _turn = self.turn.lock().expect("cover turn");
         let start = Instant::now();
         // One copy buffer for the whole cover, refilled shard after shard.
         let mut prefix = SymbolColumn::default();
-        let installed = workers.iter().fold(false, |any, worker| {
-            self.cover_shard(worker, want, &mut prefix, on_chunk) | any
+        let installed = self.shards.iter().fold(false, |any, shard| {
+            self.cover_shard(shard, want, &mut prefix, on_chunk) | any
         });
         if installed {
             self.covers.fetch_add(1, Ordering::Relaxed);
@@ -306,12 +268,15 @@ impl Covering {
 
     fn cover_shard(
         &self,
-        worker: &Sender<Cmd>,
+        shard: &Shard,
         want: &dyn Fn(BuildSpec, usize, usize) -> bool,
         prefix: &mut SymbolColumn,
         on_chunk: &dyn Fn(),
     ) -> bool {
-        let (rows, coverage, _) = ask(worker, |reply| Cmd::Coverage { reply });
+        let (rows, coverage) = {
+            let store = shard.read();
+            (store.len(), store.coverage())
+        };
         let wanted: Vec<BuildSpec> = coverage
             .into_iter()
             .filter(|&(spec, covered)| covered < rows && want(spec, covered, rows))
@@ -325,24 +290,19 @@ impl Covering {
             if keyed.peek().is_none() {
                 continue;
             }
-            // Copy the prefix off the worker, a chunk of rows a command:
-            // the worker is held for one chunk's memcpy at a time. A
-            // row's cluster string is as long as its phoneme string.
-            let (_, bytes) = ask(worker, |reply| Cmd::PrefixBytes { rows, reply });
+            // Copy the prefix out of the shard a chunk of rows at a time:
+            // an append waits for one chunk's memcpy at most. A row's
+            // cluster string is as long as its phoneme string.
+            let (_, bytes) = shard.read().prefix_bytes(rows);
             prefix.reset(rows, bytes);
             for first in (0..rows).step_by(CHUNK_ROWS) {
-                let rows = first..(first + CHUNK_ROWS).min(rows);
-                *prefix = ask(worker, |reply| Cmd::ReadKeys {
-                    column,
-                    rows,
-                    keys: std::mem::take(prefix),
-                    reply,
-                });
+                let chunk = first..(first + CHUNK_ROWS).min(rows);
+                shard.read().read_keys(column, chunk, prefix);
                 on_chunk();
             }
             for &spec in keyed {
                 let index = PathIndex::build(spec, &self.clusters, rows, |id| prefix.row(id));
-                installed |= ask(worker, |reply| Cmd::Install { index, reply });
+                installed |= shard.write().install(index);
             }
         }
         installed
@@ -354,7 +314,9 @@ pub struct ShardedStore {
     /// The one operator of this store: every shard's [`NameStore`] shares
     /// it, and snapshot writers and loaders borrow it.
     operator: Arc<LexEqual>,
-    senders: Vec<Sender<Cmd>>,
+    /// Each shard worker's queue (the shards themselves are in
+    /// `covering`).
+    senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
     /// Serializes global-id assignment so the round-robin stripe stays
     /// aligned with each shard's local insertion order: a [`Loader`]
@@ -370,7 +332,7 @@ pub struct ShardedStore {
     batches: Arc<BatchTotals>,
     covering: Arc<Covering>,
     /// The background coverer (see [`Covering::run`]), to unpark.
-    coverer: std::thread::Thread,
+    coverer: Thread,
 }
 
 /// What `STATS` reports of the access paths' coverage.
@@ -427,28 +389,33 @@ impl ShardedStore {
     /// One worker thread a shard, each store empty or over its base;
     /// their rows are the published length.
     fn over(operator: Arc<LexEqual>, bases: impl Iterator<Item = Option<Base>>) -> Self {
-        let stores: Vec<NameStore> = bases
-            .map(|base| NameStore::sharing(Arc::clone(&operator), base))
+        let shards: Vec<Arc<Shard>> = bases
+            .map(|base| {
+                let store = NameStore::sharing(Arc::clone(&operator), base);
+                Arc::new(Shard(RwLock::new(store)))
+            })
             .collect();
         let screens = Arc::new(ScreenTotals::default());
         let batches = Arc::new(BatchTotals::default());
-        let len = stores.iter().map(NameStore::len).sum::<usize>();
-        let mut senders = Vec::with_capacity(stores.len());
-        let mut handles = Vec::with_capacity(stores.len());
-        for (i, store) in stores.into_iter().enumerate() {
+        let len = shards.iter().map(|s| s.read().len()).sum::<usize>();
+        let mut senders = Vec::with_capacity(shards.len());
+        let mut handles = Vec::with_capacity(shards.len());
+        for (i, shard) in shards.iter().enumerate() {
             let (tx, rx) = channel();
+            let shard = Arc::clone(shard);
             let screens = Arc::clone(&screens);
             let batches = Arc::clone(&batches);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("lexequal-shard-{i}"))
-                    .spawn(move || worker(store, rx, screens, batches))
+                    .spawn(move || worker(i, shard, rx, screens, batches))
                     .expect("spawn shard worker"),
             );
             senders.push(tx);
         }
         let covering = Arc::new(Covering {
             clusters: Arc::clone(&operator.config().clusters),
+            shards,
             declared: Mutex::default(),
             declared_mask: AtomicU8::new(0),
             named: AtomicU8::new(0),
@@ -460,10 +427,10 @@ impl ShardedStore {
             cover_ms_last: AtomicU64::new(0),
         });
         let coverer = {
-            let (covering, workers) = (Arc::clone(&covering), senders.clone());
+            let covering = Arc::clone(&covering);
             std::thread::Builder::new()
                 .name("lexequal-cover".to_owned())
-                .spawn(move || covering.run(&workers))
+                .spawn(move || covering.run())
                 .expect("spawn coverer")
         };
         ShardedStore {
@@ -471,8 +438,6 @@ impl ShardedStore {
             grow: Mutex::new(LoadBuffers::new(senders.len())),
             senders,
             coverer: coverer.thread().clone(),
-            // Joined first: the workers' loops end only once the coverer
-            // has let go of its command channels too.
             handles: std::iter::once(coverer).chain(handles).collect(),
             len: AtomicU32::new(u32::try_from(len).expect("ids are u32")),
             screens,
@@ -508,32 +473,13 @@ impl ShardedStore {
 
     /// Total number of stored names.
     pub fn len(&self) -> usize {
-        // Acquire pairs with the Release store in `publish_len`.
+        // Acquire pairs with the Release store in `Loader::flush`.
         self.len.load(Ordering::Acquire) as usize
-    }
-
-    /// Publish the row count once every shard has appended (a
-    /// [`Loader`]'s last act, under the grow lock).
-    fn publish_len(&self, len: u32) {
-        self.len.store(len, Ordering::Release);
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Send `cmd(shard, reply)` to every worker — all of them before any
-    /// reply is awaited, so the shards work side by side; the replies
-    /// arrive on the returned channel, one a shard.
-    fn ask_all<T>(&self, mut cmd: impl FnMut(usize, Sender<T>) -> Cmd) -> Receiver<T> {
-        let (tx, rx) = channel();
-        for (shard, worker) in self.senders.iter().enumerate() {
-            worker
-                .send(cmd(shard, tx.clone()))
-                .expect("shard worker alive");
-        }
-        rx
     }
 
     /// Insert one name; returns its global id.
@@ -607,9 +553,9 @@ impl ShardedStore {
     /// the path's coverage, and a named path is then covered anew.
     pub fn declare(&self, spec: BuildSpec) {
         let mut declared = self.covering.declared.lock().expect("declared lock");
-        self.ask_all(|_, reply| Cmd::Declare { spec, reply })
-            .iter()
-            .count();
+        for shard in &self.covering.shards {
+            shard.write().declare(spec);
+        }
         let reset = !declared.contains(&spec);
         declared.retain(|d| d.method() != spec.method());
         declared.push(spec);
@@ -627,19 +573,22 @@ impl ShardedStore {
             || self.covering.declared_mask.load(Ordering::Acquire) & bit(method) != 0
     }
 
-    /// Mark `method`'s path named. The first naming of a declared path
-    /// leaves its cover to the background, whatever its tail; from then on
-    /// the re-cover rule keeps it covered. A scan names nothing. Costs a
-    /// search one relaxed load once the path is named.
-    fn name(&self, method: SearchMethod) {
+    /// What a search through `method` names: its declared path, unless a
+    /// search has named it already (a scan names nothing). The first
+    /// naming of a declared path leaves its cover to the background,
+    /// whatever its tail; from then on the re-cover rule keeps it covered.
+    /// Costs a search one relaxed load once the path is named.
+    fn naming(&self, method: SearchMethod) -> Option<Naming> {
         let bit = bit(method);
         if method == SearchMethod::Scan || self.covering.named.load(Ordering::Relaxed) & bit != 0 {
-            return;
+            return None;
         }
-        let spec = (self.built_specs().into_iter()).find(|spec| spec.method() == method);
-        if let Some(spec) = spec {
-            self.schedule_cover(spec);
-        }
+        let spec = (self.built_specs().into_iter()).find(|spec| spec.method() == method)?;
+        Some(Naming(
+            Arc::clone(&self.covering),
+            self.coverer.clone(),
+            spec,
+        ))
     }
 
     /// Declare one access path and [`cover`](Self::cover) it; the path is
@@ -663,7 +612,7 @@ impl ShardedStore {
     #[doc(hidden)]
     pub fn cover_with(&self, specs: &[BuildSpec], on_chunk: &dyn Fn()) {
         let want = |spec, _, _| specs.contains(&spec);
-        self.covering.cover(&self.senders, &want, on_chunk);
+        self.covering.cover(&want, on_chunk);
     }
 
     /// Leave covering a declared path, whatever its tail, to a background
@@ -671,18 +620,7 @@ impl ShardedStore {
     /// [`declare`](Self::declare), and of a path's first naming); the path
     /// is named from here on.
     pub fn schedule_cover(&self, spec: BuildSpec) {
-        self.covering
-            .named
-            .fetch_or(bit(spec.method()), Ordering::AcqRel);
-        self.covering.forced.lock().expect("forced lock").push(spec);
-        self.cover_in_background();
-    }
-
-    /// Ask the background coverer for a cover; asks made before it begins
-    /// are one cover.
-    fn cover_in_background(&self) {
-        self.covering.scheduled.store(true, Ordering::Release);
-        self.coverer.unpark();
+        self.covering.schedule(&self.coverer, spec);
     }
 
     /// The declared access paths, in declaration order (what a snapshot
@@ -695,8 +633,8 @@ impl ShardedStore {
             .clone()
     }
 
-    /// Coverage gauges for `STATS`: asks every worker (one queue slot
-    /// each), so the tails are what the shards hold, not what a
+    /// Coverage gauges for `STATS`: read off every shard under its read
+    /// lock, so the tails are what the shards hold, not what a
     /// coordinator-side counter believes.
     pub fn cover_stats(&self) -> CoverStats {
         let mut stats = CoverStats {
@@ -705,9 +643,11 @@ impl ShardedStore {
             cover_ms_last: self.covering.cover_ms_last.load(Ordering::Relaxed),
             ..CoverStats::default()
         };
-        for (rows, coverage, memory) in self.ask_all(|_, reply| Cmd::Coverage { reply }) {
-            for (spec, covered) in coverage {
-                stats.tails[crate::metrics::method_index(spec.method())] += rows - covered;
+        for shard in &self.covering.shards {
+            let store = shard.read();
+            let memory = store.memory();
+            for (spec, covered) in store.coverage() {
+                stats.tails[crate::metrics::method_index(spec.method())] += store.len() - covered;
             }
             stats.row_bytes += memory.owned;
             stats.mapped_bytes += memory.mapped;
@@ -732,42 +672,35 @@ impl ShardedStore {
     }
 
     /// `(text bytes, phoneme bytes)` held by global rows `0..rows`,
-    /// summed on the shard workers — no row is copied.
+    /// summed over the shards — no row is copied.
     pub(crate) fn prefix_bytes(&self, rows: usize) -> (usize, usize) {
-        let shard_rows = |shard| local_rows(rows, shard, self.shards());
-        self.ask_all(|shard, reply| Cmd::PrefixBytes {
-            rows: shard_rows(shard),
-            reply,
-        })
-        .iter()
-        .fold((0, 0), |(t, p), (dt, dp)| (t + dt, p + dp))
+        let n = self.shards();
+        (self.covering.shards.iter().enumerate())
+            .map(|(i, shard)| shard.read().prefix_bytes(local_rows(rows, i, n)))
+            .fold((0, 0), |(t, p), (dt, dp)| (t + dt, p + dp))
     }
 
     /// Read global rows `0..rows` in id order, [`CHUNK_ROWS`] at a time —
-    /// the one capture path of both snapshot formats. `rows` must not
-    /// exceed a length this store has published; rows below it never
-    /// change, so no lock is held and appends and covers interleave
-    /// freely with the reader.
-    pub(crate) fn prefix_reader(&self, rows: usize) -> PrefixReader<'_> {
+    /// the one capture path of a snapshot image. `rows` must not exceed a length
+    /// this store has published; rows below it never change, and each
+    /// shard's slice of a chunk is copied under that shard's read lock
+    /// alone, so appends and covers interleave freely with the reader.
+    pub fn prefix_reader(&self, rows: usize) -> PrefixReader<'_> {
         debug_assert!(rows <= self.len(), "prefix past the published length");
-        let (reply, replies) = channel();
         PrefixReader {
             store: self,
             rows,
             next: 0,
             chunks: (0..self.shards()).map(|_| RowChunk::default()).collect(),
-            reply,
-            replies,
         }
     }
 
     /// Entry by global id.
     pub fn get(&self, id: u32) -> Option<NameEntry> {
         let n = self.shards();
-        ask(&self.senders[id as usize % n], |reply| Cmd::Get {
-            local: id / n as u32,
-            reply,
-        })
+        self.covering.shards[id as usize % n]
+            .read()
+            .get(id / n as u32)
     }
 
     /// Fan a pre-transformed query out over every shard and merge: local
@@ -787,18 +720,23 @@ impl ShardedStore {
     /// [`PendingSearch::merge`] whenever it likes; beginning several
     /// searches before merging any is exactly how the daemon's verify
     /// workers keep all shards busy at once. The first search through a
-    /// path is what covers it (see [`declare`](Self::declare)).
+    /// path is what covers it (see [`declare`](Self::declare)), once it
+    /// is merged.
     pub fn begin_search(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> PendingSearch {
-        self.name(method);
-        PendingSearch {
-            rx: self.ask_all(|shard, reply| Cmd::Search {
+        let (reply, rx) = channel();
+        for worker in &self.senders {
+            let job = Job::Search {
                 query: q.clone(),
                 e,
                 method,
-                shard,
-                reply,
-            }),
+                reply: reply.clone(),
+            };
+            worker.send(job).expect("shard worker alive");
+        }
+        PendingSearch {
+            rx,
             shards: self.shards(),
+            naming: self.naming(method),
         }
     }
 }
@@ -831,7 +769,7 @@ impl LoadBuffers {
 /// `PrefixReader` run backwards, and the only way rows come in. Rows are
 /// [`push`](Self::push)ed in global-id order; row `g` goes into the chunk
 /// of shard `g % N`, a chunk of [`CHUNK_ROWS`] rows goes to its worker as
-/// one command, and the worker derives cluster ids while
+/// one job, and the worker derives cluster ids while
 /// the source fills the shard's other buffer. The loader holds the grow
 /// lock for its life, so a load's ids are contiguous, and the store's
 /// length moves once: [`finish`](Self::finish) — or dropping the loader,
@@ -902,18 +840,17 @@ impl Loader<'_> {
         }
         let b = &mut *self.buffers;
         let refill = b.spare[shard].take().expect("waited for it");
-        let cmd = Cmd::Append {
+        let job = Job::Append {
             chunk: std::mem::replace(&mut b.filling[shard], refill),
             load: self
                 .loads
                 .get_mut(shard)
                 .map(std::mem::take)
                 .unwrap_or_default(),
-            shard,
             reply: b.reply.clone(),
         };
         self.store.senders[shard]
-            .send(cmd)
+            .send(job)
             .expect("shard worker alive");
         (self.on_chunk)();
     }
@@ -937,7 +874,8 @@ impl Loader<'_> {
         while self.buffers.spare.iter().any(Option::is_none) {
             self.receive();
         }
-        self.store.publish_len(self.next);
+        // Published once every shard has appended, under the grow lock.
+        self.store.len.store(self.next, Ordering::Release);
         // A bulk load's buffers, grown to a chunk each, go with it.
         if (self.next - self.start) as usize >= CHUNK_ROWS {
             *self.buffers = LoadBuffers::new(shards);
@@ -945,7 +883,7 @@ impl Loader<'_> {
         // A due tail of a path nothing has named wakes nobody.
         let named = self.store.covering.named.load(Ordering::Acquire);
         if std::mem::take(&mut self.due) & named != 0 {
-            self.store.cover_in_background();
+            (self.store.covering).wake(&self.store.coverer);
         }
     }
 }
@@ -964,75 +902,40 @@ impl Drop for Loader<'_> {
 
 /// Chunked reader over a store's row prefix (from
 /// [`ShardedStore::prefix_reader`]). It owns one [`RowChunk`] per shard
-/// and sends each to its worker to be refilled, so a whole pass over the
-/// store allocates what the largest chunk needs, once.
-pub(crate) struct PrefixReader<'a> {
+/// and refills each under that shard's read lock, one shard at a time, so
+/// a whole pass over the store allocates what the largest chunk needs,
+/// once.
+pub struct PrefixReader<'a> {
     store: &'a ShardedStore,
     rows: usize,
     /// First global row of the next chunk.
     next: usize,
     chunks: Vec<RowChunk>,
-    reply: Sender<(usize, RowChunk)>,
-    replies: Receiver<(usize, RowChunk)>,
 }
 
 impl PrefixReader<'_> {
-    /// Fetch the next chunk; `None` once the prefix is exhausted. The
-    /// rows come back through [`PrefixChunk::rows`] in global-id order.
-    pub(crate) fn next_chunk(&mut self) -> Option<PrefixChunk<'_>> {
+    /// Fetch the next chunk: its rows in global-id order, each `(text
+    /// bytes, language, phoneme ids)`; `None` once the prefix is exhausted.
+    pub fn next_chunk(&mut self) -> Option<impl Iterator<Item = (&[u8], Language, &[u8])> + '_> {
         if self.next >= self.rows {
             return None;
         }
         let first = self.next;
         let end = (first + CHUNK_ROWS).min(self.rows);
         self.next = end;
-        let mut expected = 0usize;
-        for (shard, s) in self.store.senders.iter().enumerate() {
-            let n = self.store.shards();
-            let rows = local_rows(first, shard, n)..local_rows(end, shard, n);
-            if rows.is_empty() {
-                continue;
+        let n = self.store.shards();
+        let shards = &self.store.covering.shards;
+        for (i, (shard, chunk)) in shards.iter().zip(&mut self.chunks).enumerate() {
+            let rows = local_rows(first, i, n)..local_rows(end, i, n);
+            if !rows.is_empty() {
+                shard.read().read_rows(rows, chunk);
             }
-            expected += 1;
-            s.send(Cmd::ReadRows {
-                rows,
-                chunk: std::mem::take(&mut self.chunks[shard]),
-                shard,
-                reply: self.reply.clone(),
-            })
-            .expect("shard worker alive");
         }
-        for _ in 0..expected {
-            let (shard, chunk) = self.replies.recv().expect("shard worker replies");
-            self.chunks[shard] = chunk;
-        }
-        Some(PrefixChunk {
-            first,
-            len: end - first,
-            chunks: &self.chunks,
-        })
-    }
-}
-
-/// One chunk of consecutive global rows, still striped per shard.
-pub(crate) struct PrefixChunk<'a> {
-    first: usize,
-    len: usize,
-    chunks: &'a [RowChunk],
-}
-
-impl<'a> PrefixChunk<'a> {
-    /// The rows in global-id order, each `(text bytes, language, phoneme
-    /// ids)`.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'a [u8], Language, &'a [u8])> {
-        let (n, first, chunks) = (self.chunks.len(), self.first, self.chunks);
         // A shard's slice of a contiguous global range is contiguous and
         // ascending, so global row g sits in shard g % n's chunk at its
         // local id less the chunk's first.
-        (first..first + self.len).map(move |g| {
-            let shard = g % n;
-            chunks[shard].row(g / n - local_rows(first, shard, n))
-        })
+        let chunks = &self.chunks;
+        Some((first..end).map(move |g| chunks[g % n].row(g / n - local_rows(first, g % n, n))))
     }
 }
 
@@ -1045,48 +948,53 @@ impl<'a> PrefixChunk<'a> {
 pub struct PendingSearch {
     rx: Receiver<(usize, SearchResult)>,
     shards: usize,
+    naming: Option<Naming>,
 }
+
+/// A search's first naming of a path: the cover it asks for is scheduled
+/// when the search is merged, so that it runs behind the reply, not beside
+/// it (DESIGN §5n). A search dropped unmerged names nothing.
+struct Naming(Arc<Covering>, Thread, BuildSpec);
 
 impl PendingSearch {
     /// Block until every shard has replied and merge, exactly like
-    /// [`ShardedStore::search_phonemes`].
+    /// [`ShardedStore::search_phonemes`]: local ids remap to global ids,
+    /// verification counts sum, ids sort ascending.
     pub fn merge(self) -> SearchResult {
-        merge_replies(self.rx, self.shards)
-    }
-}
-
-/// Collect one reply per shard and merge: local ids remap to global ids,
-/// verification counts sum, ids sort ascending.
-fn merge_replies(rx: Receiver<(usize, SearchResult)>, n: usize) -> SearchResult {
-    let mut ids = Vec::new();
-    let mut verifications = 0usize;
-    let mut replies = 0usize;
-    for (shard, result) in rx {
-        replies += 1;
-        verifications += result.verifications;
-        ids.extend(
-            result
-                .ids
-                .iter()
-                .map(|local| local * n as u32 + shard as u32),
-        );
-        if replies == n {
-            break;
+        let n = self.shards;
+        let mut ids = Vec::new();
+        let mut verifications = 0usize;
+        let mut replies = 0usize;
+        for (shard, result) in self.rx {
+            replies += 1;
+            verifications += result.verifications;
+            ids.extend(
+                result
+                    .ids
+                    .iter()
+                    .map(|local| local * n as u32 + shard as u32),
+            );
+            if replies == n {
+                break;
+            }
         }
+        // A worker that died (e.g. searching an undeclared access path)
+        // hangs up instead of replying; a partial merge must never be
+        // passed off as a complete result.
+        assert_eq!(replies, n, "a shard worker died mid-search");
+        ids.sort_unstable();
+        if let Some(Naming(covering, coverer, spec)) = self.naming {
+            covering.schedule(&coverer, spec);
+        }
+        SearchResult { ids, verifications }
     }
-    // A worker that died (e.g. searching an undeclared access path) hangs up
-    // instead of replying; a partial merge must never be passed off as a
-    // complete result.
-    assert_eq!(replies, n, "a shard worker died mid-search");
-    ids.sort_unstable();
-    SearchResult { ids, verifications }
 }
 
 impl Drop for ShardedStore {
     fn drop(&mut self) {
         self.covering.stopping.store(true, Ordering::Release);
         self.coverer.unpark();
-        // Hanging up every command channel ends the worker loops.
+        // Hanging up every queue ends the worker loops.
         self.senders.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -1340,7 +1248,10 @@ mod tests {
             release.0.send(()).unwrap();
             cover.join().unwrap();
         });
-        let (rows, coverage, _) = ask(&s.senders[0], |reply| Cmd::Coverage { reply });
+        let (rows, coverage) = {
+            let store = s.covering.shards[0].read();
+            (store.len(), store.coverage())
+        };
         assert_eq!((rows, coverage), (50, vec![(q2, 0)]));
         assert_eq!(s.cover_stats().covers, 0, "nothing was installed");
         s.cover(&[q3, q2]);
@@ -1371,7 +1282,10 @@ mod tests {
         s.declare(q2);
         wait_for("the new spec's cover", || s.cover_stats().covers == 2);
         assert_eq!(s.cover_stats().tails, [0; 4]);
-        let (rows, coverage, _) = ask(&s.senders[0], |reply| Cmd::Coverage { reply });
+        let (rows, coverage) = {
+            let store = s.covering.shards[0].read();
+            (store.len(), store.coverage())
+        };
         assert_eq!((rows, coverage), (50, vec![(q2, 50)]));
     }
 
@@ -1389,7 +1303,7 @@ mod tests {
             let (mut seen, mut text_bytes, mut phoneme_bytes) = (0usize, 0usize, 0usize);
             let mut reader = s.prefix_reader(rows);
             while let Some(chunk) = reader.next_chunk() {
-                for (text, language, ids) in chunk.rows() {
+                for (text, language, ids) in chunk {
                     let entry = &entries[seen];
                     assert_eq!(
                         (text, language, ids),
@@ -1407,6 +1321,47 @@ mod tests {
             }
             assert_eq!(seen, rows, "{shards} shard(s)");
             assert_eq!(s.prefix_bytes(rows), (text_bytes, phoneme_bytes));
+        }
+    }
+
+    /// A read is a call under the shard's read lock, not a job queued
+    /// behind the worker's searches: with 64 scans queued on the one
+    /// shard, `get`, the coverage gauges and a prefix chunk each answer
+    /// in a fraction of the time the queue takes to drain.
+    #[test]
+    fn reads_do_not_wait_behind_queued_searches() {
+        let s = ShardedStore::new(MatchConfig::default(), 1);
+        s.extend_transformed(plain_names(20_000));
+        let q: PhonemeString = "neru".parse().unwrap();
+        let start = Instant::now();
+        let pending: Vec<PendingSearch> = (0..64)
+            .map(|_| s.begin_search(&q, 0.3, SearchMethod::Scan))
+            .collect();
+        let timed = |read: &dyn Fn()| {
+            let t = Instant::now();
+            read();
+            t.elapsed()
+        };
+        let reads = [
+            ("get", timed(&|| assert!(s.get(0).is_some()))),
+            (
+                "cover_stats",
+                timed(&|| assert_eq!(s.cover_stats().declared, 0)),
+            ),
+            (
+                "prefix chunk",
+                timed(&|| assert!(s.prefix_reader(s.len()).next_chunk().is_some())),
+            ),
+        ];
+        let results: Vec<SearchResult> = pending.into_iter().map(PendingSearch::merge).collect();
+        let drained = start.elapsed();
+        assert!(!results[0].ids.is_empty());
+        assert!(results.iter().all(|r| *r == results[0]));
+        for (what, took) in reads {
+            assert!(
+                took < drained / 4,
+                "{what} took {took:?} beside a queue that drained in {drained:?}"
+            );
         }
     }
 

@@ -1024,8 +1024,9 @@ fn a_checkpoint_holds_one_chunk_not_the_corpus() {
     );
 
     // Four times the rows, chunk for chunk the same content: the same
-    // buffers, refilled four times as often. All that may scale with the
-    // chunk count is the worker channels' 31-message blocks.
+    // buffers, refilled four times as often. Each chunk is copied under
+    // a shard's read lock, not sent over a channel, so nothing scales
+    // with the chunk count.
     let (bytes4, count4, peak4) = stream(4);
     assert!(bytes4 > 4_000_000, "{bytes4}");
     assert!(

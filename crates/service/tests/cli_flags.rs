@@ -4,13 +4,10 @@
 //! snapshot serving cycle: `--save-snapshot` on one run, `--snapshot`
 //! on the next, with a bit-identical MATCH response across the restart.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+mod common;
 
-fn lexequald() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_lexequald"))
-}
+use common::{lexequald, Server};
+use std::process::Stdio;
 
 /// Run the daemon with `args`, expecting it to exit immediately, and
 /// return (exit-ok, stderr).
@@ -144,73 +141,6 @@ fn missing_and_corrupt_snapshots_fail_cleanly() {
     assert!(!String::from_utf8_lossy(&help.stdout).contains("--snapshot-format"));
 }
 
-/// A running daemon child whose stderr is consumed line by line.
-struct Server {
-    child: Child,
-    stderr: BufReader<std::process::ChildStderr>,
-    addr: Option<std::net::SocketAddr>,
-}
-
-impl Server {
-    fn spawn(args: &[&str]) -> Self {
-        let mut child = lexequald()
-            .args(args)
-            .stdin(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn lexequald");
-        let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-        Server {
-            child,
-            stderr,
-            addr: None,
-        }
-    }
-
-    /// Read stderr until the "serving on ADDR" line; return lines seen.
-    fn wait_serving(&mut self) -> Vec<String> {
-        let mut seen = Vec::new();
-        loop {
-            let mut line = String::new();
-            let n = self.stderr.read_line(&mut line).expect("read stderr");
-            assert!(
-                n > 0,
-                "daemon exited before serving; stderr so far: {seen:?}"
-            );
-            let line = line.trim_end().to_owned();
-            if let Some(rest) = line.strip_prefix("lexequald: serving on ") {
-                let addr = rest.split_whitespace().next().expect("addr token");
-                self.addr = Some(addr.parse().expect("socket addr"));
-                seen.push(line);
-                return seen;
-            }
-            seen.push(line);
-        }
-    }
-
-    /// One request/response round trip on a fresh connection.
-    fn request(&self, line: &str) -> String {
-        let mut stream = TcpStream::connect(self.addr.expect("serving")).expect("connect");
-        writeln!(stream, "{line}").expect("write");
-        let mut reader = BufReader::new(&stream);
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("read");
-        resp.trim_end().to_owned()
-    }
-
-    fn stop(mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
 /// The full serving cycle: preload + save a snapshot, restart from it,
 /// and assert the restarted daemon answers a MATCH bit-identically.
 #[test]
@@ -237,7 +167,7 @@ fn snapshot_written_by_one_run_serves_the_next() {
     let before = first.request(query);
     assert!(before.starts_with("OK "), "{before}");
     let names_before = first.request("STATS");
-    first.stop();
+    first.kill();
 
     // Restart purely from the snapshot — no --preload, no --shards: the
     // store must come back with the snapshot's own shard count.
@@ -265,7 +195,7 @@ fn snapshot_written_by_one_run_serves_the_next() {
             .map(str::to_owned)
     };
     assert_eq!(names(&names_before), names(&second.request("STATS")));
-    second.stop();
+    second.kill();
 
     // A --shards pin that disagrees with the snapshot is a clean startup
     // failure pointing at the open re-sharding item.
@@ -303,7 +233,7 @@ fn save_snapshot_after_mmap_load_records_access_paths() {
         &first_str,
     ]);
     seed.wait_serving();
-    seed.stop();
+    seed.kill();
 
     // Chained run: load the image, save a new one — with no build in
     // between.
@@ -327,7 +257,7 @@ fn save_snapshot_after_mmap_load_records_access_paths() {
         resp.starts_with("OK ") && resp.contains("method=qgram"),
         "{resp}"
     );
-    chain.stop();
+    chain.kill();
 
     // The chained image itself records the access paths: a third
     // daemon loading it knows what to rebuild.
@@ -478,7 +408,7 @@ fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
         stats.contains(" declared=3 qgram_tail=0 phonidx_tail=1 bktree_tail=0 covers=3 "),
         "{stats}"
     );
-    daemon.stop();
+    daemon.kill();
 }
 
 /// `--mode` is no longer a choice: `evented` names the only serve loop
@@ -492,7 +422,7 @@ fn mode_accepts_evented_and_names_the_removed_threaded_path() {
     assert!(daemon
         .request("MATCH en scan - Nehru")
         .starts_with("OK n=1 "));
-    daemon.stop();
+    daemon.kill();
 
     assert_usage_error(
         &["--mode", "threaded"],
@@ -524,7 +454,7 @@ fn a_huge_cache_bound_reserves_nothing_up_front() {
     assert_eq!(daemon.request("MATCH en scan - Nehru"), first);
     let stats = daemon.request("STATS");
     assert!(stats.contains(" cache_hits=1 "), "{stats}");
-    daemon.stop();
+    daemon.kill();
 }
 
 #[test]

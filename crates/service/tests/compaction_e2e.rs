@@ -5,144 +5,12 @@
 //! arbitrary points of the compaction cycle, and the flag/role
 //! refusals.
 
+mod common;
+
+use common::{lexequald, stat, wait_stats, Server, TempPath};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-fn lexequald() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_lexequald"))
-}
-
-/// A temp file path that cleans up after itself (and its checkpoint).
-struct TempPath(std::path::PathBuf);
-
-impl TempPath {
-    fn new(name: &str) -> Self {
-        let p =
-            std::env::temp_dir().join(format!("lexequal_compact_{}_{name}", std::process::id()));
-        std::fs::remove_file(&p).ok();
-        std::fs::remove_file(p.with_file_name(format!(
-            "{}.checkpoint",
-            p.file_name().unwrap().to_str().unwrap()
-        )))
-        .ok();
-        TempPath(p)
-    }
-
-    fn as_str(&self) -> &str {
-        self.0.to_str().expect("utf-8 temp path")
-    }
-
-    fn checkpoint(&self) -> std::path::PathBuf {
-        self.0.with_file_name(format!(
-            "{}.checkpoint",
-            self.0.file_name().unwrap().to_str().unwrap()
-        ))
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
-        std::fs::remove_file(self.checkpoint()).ok();
-    }
-}
-
-/// A running daemon child whose stderr is consumed line by line.
-struct Server {
-    child: Child,
-    stderr: BufReader<std::process::ChildStderr>,
-    addr: Option<std::net::SocketAddr>,
-}
-
-impl Server {
-    fn spawn(args: &[&str]) -> Self {
-        let mut child = lexequald()
-            .args(args)
-            .stdin(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn lexequald");
-        let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-        Server {
-            child,
-            stderr,
-            addr: None,
-        }
-    }
-
-    /// Read stderr until the "serving on ADDR" line; return lines seen.
-    fn wait_serving(&mut self) -> Vec<String> {
-        let mut seen = Vec::new();
-        loop {
-            let mut line = String::new();
-            let n = self.stderr.read_line(&mut line).expect("read stderr");
-            assert!(
-                n > 0,
-                "daemon exited before serving; stderr so far: {seen:?}"
-            );
-            let line = line.trim_end().to_owned();
-            if let Some(rest) = line.strip_prefix("lexequald: serving on ") {
-                let addr = rest.split_whitespace().next().expect("addr token");
-                self.addr = Some(addr.parse().expect("socket addr"));
-                seen.push(line);
-                return seen;
-            }
-            seen.push(line);
-        }
-    }
-
-    fn addr_str(&self) -> String {
-        self.addr.expect("serving").to_string()
-    }
-
-    /// One request/response round trip on a fresh connection.
-    fn request(&self, line: &str) -> String {
-        let mut stream = TcpStream::connect(self.addr.expect("serving")).expect("connect");
-        writeln!(stream, "{line}").expect("write");
-        let mut reader = BufReader::new(&stream);
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("read");
-        resp.trim_end().to_owned()
-    }
-
-    /// SIGKILL — the crash the checkpoint-before-truncate ordering
-    /// exists for.
-    fn kill(mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-/// Pull `key=value` out of a STATS line.
-fn stat<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
-}
-
-/// Poll the server's STATS until `pred` holds (or fail loudly).
-fn wait_stats(server: &Server, what: &str, pred: impl Fn(&str) -> bool) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = server.request("STATS");
-        if pred(&stats) {
-            return stats;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}; last STATS: {stats}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
 
 /// The i-th synthetic name: always alphabetic, always G2P-transformable.
 fn name(i: usize) -> String {
@@ -172,7 +40,7 @@ fn battery(server: &Server, names: &[String]) -> Vec<String> {
 /// drains its lag to zero and answers byte-identically.
 #[test]
 fn bounded_wal_soaks_with_a_live_replica() {
-    let wal = TempPath::new("soak.wal");
+    let wal = TempPath::new("lexequal_compact", "soak.wal");
     let mut primary = Server::spawn(&[
         "--addr",
         "127.0.0.1:0",
@@ -291,7 +159,7 @@ fn bounded_wal_soaks_with_a_live_replica() {
 /// every time.
 #[test]
 fn kill_loops_across_compaction_recover_byte_identically() {
-    let wal = TempPath::new("killloop.wal");
+    let wal = TempPath::new("lexequal_compact", "killloop.wal");
     let mut names: Vec<String> = Vec::new();
     let mut next = 0usize;
     // Staggered post-commit delays walk the kill across the compactor's
@@ -362,8 +230,8 @@ fn kill_loops_across_compaction_recover_byte_identically() {
 /// acknowledged `ADD` comes back.
 #[test]
 fn restart_with_original_flags_after_a_cycle_emptied_the_log() {
-    let image = TempPath::new("emptied.img");
-    let wal = TempPath::new("emptied.wal");
+    let image = TempPath::new("lexequal_compact", "emptied.img");
+    let wal = TempPath::new("lexequal_compact", "emptied.wal");
     let mut seed = Server::spawn(&[
         "--addr",
         "127.0.0.1:0",
@@ -471,8 +339,8 @@ fn restart_with_original_flags_after_a_cycle_emptied_the_log() {
 /// every acknowledged id, and must sweep the dead writer's temp file.
 #[test]
 fn kill_during_a_streamed_checkpoint_under_load_loses_no_acknowledged_id() {
-    let image = TempPath::new("midstream.img");
-    let wal = TempPath::new("midstream.wal");
+    let image = TempPath::new("lexequal_compact", "midstream.img");
+    let wal = TempPath::new("lexequal_compact", "midstream.wal");
     let mut seed = Server::spawn(&[
         "--addr",
         "127.0.0.1:0",
@@ -605,8 +473,8 @@ fn an_oversize_add_is_refused_before_it_is_logged_or_applied() {
             "an oversize ADD must be refused naming the limit: {resp}"
         );
     };
-    let wal = TempPath::new("oversize.wal");
-    let image = TempPath::new("oversize.img");
+    let wal = TempPath::new("lexequal_compact", "oversize.wal");
+    let image = TempPath::new("lexequal_compact", "oversize.img");
     let mut primary = Server::spawn(&["--addr", "127.0.0.1:0", "--wal", wal.as_str()]);
     primary.wait_serving();
     let mut replica =
@@ -655,7 +523,7 @@ fn an_oversize_add_is_refused_before_it_is_logged_or_applied() {
 fn a_gram_length_no_index_takes_is_refused_before_it_is_logged_or_applied() {
     use lexequal::QgramMode;
     use lexequal_service::{BuildSpec, Op, Wal, WalMetrics};
-    let wal = TempPath::new("badq.wal");
+    let wal = TempPath::new("lexequal_compact", "badq.wal");
     let flags = ["--addr", "127.0.0.1:0", "--wal", wal.as_str()];
     let mut primary = Server::spawn(&flags);
     primary.wait_serving();
@@ -697,7 +565,7 @@ fn a_gram_length_no_index_takes_is_refused_before_it_is_logged_or_applied() {
 
     // What a daemon without the door left behind: a record with a valid
     // checksum and a `q` of 5.
-    let hostile = TempPath::new("badq_logged.wal");
+    let hostile = TempPath::new("lexequal_compact", "badq_logged.wal");
     {
         let metrics = std::sync::Arc::new(WalMetrics::default());
         let (mut log, _) = Wal::open(&hostile.0, 0, metrics).expect("fresh wal");
@@ -726,7 +594,7 @@ fn compact_command_refusals_name_the_right_fix() {
         "{resp}"
     );
 
-    let wal = TempPath::new("refusals.wal");
+    let wal = TempPath::new("lexequal_compact", "refusals.wal");
     let mut primary = Server::spawn(&["--addr", "127.0.0.1:0", "--wal", wal.as_str()]);
     primary.wait_serving();
     let primary_addr = primary.addr_str();

@@ -5,130 +5,11 @@
 //! MATCH answer byte-identical across primary-before-crash,
 //! primary-after-restart, and the replica.
 
+mod common;
+
+use common::{stat, wait_stats, Server, TempPath};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-fn lexequald() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_lexequald"))
-}
-
-/// A temp file path that cleans up after itself.
-struct TempPath(std::path::PathBuf);
-
-impl TempPath {
-    fn new(name: &str) -> Self {
-        let p = std::env::temp_dir().join(format!("lexequal_repl_{}_{name}", std::process::id()));
-        std::fs::remove_file(&p).ok();
-        TempPath(p)
-    }
-
-    fn as_str(&self) -> &str {
-        self.0.to_str().expect("utf-8 temp path")
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
-    }
-}
-
-/// A running daemon child whose stderr is consumed line by line.
-struct Server {
-    child: Child,
-    stderr: BufReader<std::process::ChildStderr>,
-    addr: Option<std::net::SocketAddr>,
-}
-
-impl Server {
-    fn spawn(args: &[&str]) -> Self {
-        let mut child = lexequald()
-            .args(args)
-            .stdin(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn lexequald");
-        let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-        Server {
-            child,
-            stderr,
-            addr: None,
-        }
-    }
-
-    /// Read stderr until the "serving on ADDR" line; return lines seen.
-    fn wait_serving(&mut self) -> Vec<String> {
-        let mut seen = Vec::new();
-        loop {
-            let mut line = String::new();
-            let n = self.stderr.read_line(&mut line).expect("read stderr");
-            assert!(
-                n > 0,
-                "daemon exited before serving; stderr so far: {seen:?}"
-            );
-            let line = line.trim_end().to_owned();
-            if let Some(rest) = line.strip_prefix("lexequald: serving on ") {
-                let addr = rest.split_whitespace().next().expect("addr token");
-                self.addr = Some(addr.parse().expect("socket addr"));
-                seen.push(line);
-                return seen;
-            }
-            seen.push(line);
-        }
-    }
-
-    fn addr_str(&self) -> String {
-        self.addr.expect("serving").to_string()
-    }
-
-    /// One request/response round trip on a fresh connection.
-    fn request(&self, line: &str) -> String {
-        let mut stream = TcpStream::connect(self.addr.expect("serving")).expect("connect");
-        writeln!(stream, "{line}").expect("write");
-        let mut reader = BufReader::new(&stream);
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("read");
-        resp.trim_end().to_owned()
-    }
-
-    /// SIGKILL — the crash the WAL exists for.
-    fn kill(mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-        // Defuse Drop's second kill (already done).
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-/// Pull `key=value` out of a STATS line.
-fn stat<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
-}
-
-/// Poll the server's STATS until `pred` holds (or fail loudly).
-fn wait_stats(server: &Server, what: &str, pred: impl Fn(&str) -> bool) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = server.request("STATS");
-        if pred(&stats) {
-            return stats;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}; last STATS: {stats}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
+use std::net::TcpListener;
 
 /// The MATCH battery both sides must answer identically. Every name is
 /// plain English (always G2P-transformable) and every access path is
@@ -151,8 +32,8 @@ fn battery(server: &Server) -> Vec<String> {
 /// The headline acceptance test: converge, crash, recover, reconverge.
 #[test]
 fn replica_and_recovered_primary_answer_byte_identically() {
-    let wal = TempPath::new("e2e.wal");
-    let snap = TempPath::new("e2e.snap.img");
+    let wal = TempPath::new("lexequal_repl", "e2e.wal");
+    let snap = TempPath::new("lexequal_repl", "e2e.snap.img");
 
     // Primary with a WAL, empty store.
     let mut primary = Server::spawn(&[
@@ -320,7 +201,7 @@ fn replica_and_recovered_primary_answer_byte_identically() {
 /// file restarts a daemon; no path and no default is a clean error.
 #[test]
 fn save_command_works_standalone() {
-    let snap = TempPath::new("standalone.snap.img");
+    let snap = TempPath::new("lexequal_repl", "standalone.snap.img");
     let mut server = Server::spawn(&["--addr", "127.0.0.1:0", "--shards", "2", "--preload", "300"]);
     server.wait_serving();
 
@@ -349,7 +230,7 @@ fn save_command_works_standalone() {
 /// `--save-snapshot` doubles as the `SAVE` default target.
 #[test]
 fn save_without_path_uses_the_configured_default() {
-    let snap = TempPath::new("default.snap.img");
+    let snap = TempPath::new("lexequal_repl", "default.snap.img");
     let mut server = Server::spawn(&[
         "--addr",
         "127.0.0.1:0",

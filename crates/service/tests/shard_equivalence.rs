@@ -141,7 +141,10 @@ fn concurrent_searchers_agree_with_sequential_answers() {
 /// An `ADD` storm beside searches through every path beside a cover that
 /// never stops: whatever each index happens to cover when a search
 /// arrives, the reply — ids and verification count — is that of a store
-/// built from scratch over exactly the rows acknowledged so far.
+/// built from scratch over exactly the rows acknowledged so far. Beside
+/// them a reader takes the direct reads — `get`, the coverage gauges and
+/// a full prefix pass — and every row it reads is the reference row of
+/// its id, a pass never past the published length.
 #[test]
 fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -150,6 +153,8 @@ fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
     let (seed, storm) = rows.split_at(rows.len() / 2);
     let sharded = sharded_store(seed, 3);
     let mut oracle = reference_store(seed);
+    let mut all = NameStore::new(MatchConfig::default());
+    all.extend(rows.iter().cloned()).expect("bulk load");
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -160,6 +165,35 @@ fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
                     mode: QgramMode::Strict,
                 });
                 sharded.build(BuildSpec::PhoneticIndex);
+            }
+        });
+        scope.spawn(|| {
+            let mut passes = 0usize;
+            while !stop.load(Ordering::Relaxed) || passes == 0 {
+                let published = sharded.len();
+                let entry = |e: lexequal::store::NameEntry| (e.text, e.language, e.phonemes);
+                for id in (0..published as u32).step_by(97) {
+                    let want = all.get(id).map(entry);
+                    assert_eq!(sharded.get(id).map(entry), want, "get({id})");
+                }
+                assert_eq!(sharded.cover_stats().declared, 3);
+                let mut reader = sharded.prefix_reader(published);
+                let mut id = 0u32;
+                while let Some(chunk) = reader.next_chunk() {
+                    for row in chunk {
+                        let want = all.get(id).expect("a published row");
+                        let want = (
+                            want.text.as_bytes(),
+                            want.language,
+                            want.phonemes.id_bytes(),
+                        );
+                        assert_eq!(row, want, "prefix row {id}");
+                        id += 1;
+                    }
+                }
+                assert_eq!(id as usize, published, "a pass reads the published rows");
+                assert!(sharded.len() >= published);
+                passes += 1;
             }
         });
         for (text, language) in storm {

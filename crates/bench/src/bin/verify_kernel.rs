@@ -3,9 +3,9 @@
 //! The "old" kernel is what every access path ran before the kernel
 //! landed: `LexEqual::matches_phonemes(candidate, query, e)` per pair,
 //! allocating two fresh DP rows each call. The "new" kernel is
-//! [`lexequal::Verifier`] with a prepared query and the store's cached
-//! per-name cluster-id vectors — Myers fast-accept / fast-reject screens
-//! in front of the same banded DP on reused scratch.
+//! [`lexequal::Verifier`] with a prepared query — Myers fast-accept /
+//! fast-reject screens, both reading the candidate's phoneme ids, in
+//! front of the same banded DP on reused scratch.
 //!
 //! Both kernels decide the identical predicate (asserted per threshold),
 //! so the comparison is pure throughput.
@@ -35,8 +35,6 @@ fn main() {
     );
     let data = synthetic(opts.dataset_size);
     let names: Vec<PhonemeString> = data.entries.iter().map(|e| e.phonemes.clone()).collect();
-    // The cached side-table every NameStore now carries.
-    let cluster_ids: Vec<Vec<u8>> = names.iter().map(|p| op.cluster_ids(p)).collect();
     let stride = (names.len() / opts.queries).max(1);
     let queries: Vec<&PhonemeString> = names.iter().step_by(stride).take(opts.queries).collect();
     let pairs = queries.len() * names.len();
@@ -63,8 +61,8 @@ fn main() {
             let mut hits = 0usize;
             for q in &queries {
                 let prepared: PreparedQuery = op.prepare_query(q);
-                for (c, ids) in names.iter().zip(&cluster_ids) {
-                    if verifier.matches(&op, &prepared, c, Some(ids), None, e) {
+                for c in &names {
+                    if verifier.matches_ids(&op, &prepared, c.id_bytes(), e) {
                         hits += 1;
                     }
                 }
@@ -99,7 +97,7 @@ fn main() {
         &rows,
     );
 
-    batch_sweep(&op, &names, &cluster_ids, &queries);
+    batch_sweep(&op, &names, &queries);
 }
 
 /// Batch widths swept against the pair-at-a-time baseline.
@@ -107,13 +105,8 @@ const WIDTHS: [usize; 4] = [1, 4, 8, 16];
 
 /// The batched-kernel sweep: width × SIMD backend, one row per cell,
 /// speedups relative to the pair-at-a-time `Verifier` on the same
-/// verify-bound workload (every pair screened, cached cluster ids).
-fn batch_sweep(
-    op: &lexequal::LexEqual,
-    names: &[PhonemeString],
-    cluster_ids: &[Vec<u8>],
-    queries: &[&PhonemeString],
-) {
+/// verify-bound workload (every pair screened).
+fn batch_sweep(op: &lexequal::LexEqual, names: &[PhonemeString], queries: &[&PhonemeString]) {
     let pairs = queries.len() * names.len();
     let mut rows = Vec::new();
     // The speedup the serving layer actually gets: detected SIMD level,
@@ -131,8 +124,8 @@ fn batch_sweep(
             let mut hits = 0usize;
             for q in queries {
                 let prepared: PreparedQuery = op.prepare_query(q);
-                for (c, ids) in names.iter().zip(cluster_ids) {
-                    if verifier.matches(op, &prepared, c, Some(ids), None, e) {
+                for c in names {
+                    if verifier.matches_ids(op, &prepared, c.id_bytes(), e) {
                         hits += 1;
                     }
                 }
@@ -149,16 +142,9 @@ fn batch_sweep(
                     for q in queries {
                         let prepared: PreparedQuery = op.prepare_query(q);
                         lane_hits.clear();
-                        bv.verify_ids::<_, _, Vec<u8>>(
-                            op,
-                            &prepared,
-                            names,
-                            Some(cluster_ids),
-                            None,
-                            0..names.len() as u32,
-                            e,
-                            &mut lane_hits,
-                        );
+                        let row = |id: u32| names[id as usize].id_bytes();
+                        let ids = 0..names.len() as u32;
+                        bv.verify_rows(op, &prepared, row, ids, e, &mut lane_hits);
                         hits += lane_hits.len();
                     }
                     hits

@@ -28,6 +28,8 @@ pub struct LexEqual {
     cost: ClusteredPhonemeCost,
     /// `cost` as the flat matrix the predicate and every DP evaluate.
     dense: DenseSubstCost,
+    /// The cluster table as a phoneme id → cluster id map.
+    classes: [u8; 256],
 }
 
 impl LexEqual {
@@ -35,10 +37,12 @@ impl LexEqual {
     pub fn new(config: MatchConfig) -> Self {
         let cost = ClusteredPhonemeCost::new(config.clusters.clone(), config.intra_cluster_cost);
         let dense = DenseSubstCost::from_clustered(&cost);
+        let classes = config.clusters.class_map();
         LexEqual {
             config,
             cost,
             dense,
+            classes,
         }
     }
 
@@ -48,7 +52,7 @@ impl LexEqual {
     }
 
     /// The clustered cost model: the cluster table (grouped identifiers,
-    /// cluster-id columns) and the intra-cluster cost.
+    /// cluster-keyed index columns) and the intra-cluster cost.
     pub fn cost_model(&self) -> &ClusteredPhonemeCost {
         &self.cost
     }
@@ -96,24 +100,25 @@ impl LexEqual {
 
     /// The cluster-id sequence of `s` under the configured cluster table —
     /// the per-string form of the paper's grouped phoneme string
-    /// identifier, used by the kernel's fast-reject screen.
+    /// identifier.
     pub fn cluster_ids(&self, s: &PhonemeString) -> Vec<u8> {
-        self.cluster_ids_of(s.id_bytes()).collect()
+        s.id_bytes()
+            .iter()
+            .map(|&id| self.classes[id as usize])
+            .collect()
     }
 
-    /// [`cluster_ids`](Self::cluster_ids) of a string given as its raw
-    /// inventory ids, one at a time.
-    ///
-    /// # Panics
-    ///
-    /// The iterator panics at an id outside the inventory.
-    pub fn cluster_ids_of<'a>(&'a self, ids: &'a [u8]) -> impl Iterator<Item = u8> + 'a {
-        let clusters = self.cost.clusters();
-        ids.iter().map(|&id| clusters.cluster_of_id(id).0)
+    /// The cluster table as a map from phoneme inventory id to cluster id
+    /// ([`ClusterTable::class_map`](lexequal_phoneme::ClusterTable::class_map)):
+    /// what the cluster screen reads a row's phoneme ids through, and
+    /// what an index keyed on cluster strings is built from.
+    pub fn class_map(&self) -> &[u8; 256] {
+        &self.classes
     }
 
     /// Preprocess a query for the verification kernel: cluster-id vector
-    /// plus Myers bitmask tables over phoneme ids and cluster ids. Build
+    /// plus Myers bitmask tables over phoneme ids and cluster ids (the
+    /// latter read through [`class_map`](Self::class_map)). Build
     /// once per query, verify many candidates through
     /// [`Verifier`](crate::verify::Verifier).
     pub fn prepare_query(&self, q: &PhonemeString) -> PreparedQuery {

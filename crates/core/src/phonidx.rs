@@ -41,7 +41,7 @@ pub fn grouped_id(clusters: &ClusterTable, s: &PhonemeString) -> i64 {
 }
 
 /// [`grouped_id`] of a string given as its cluster ids under `clusters` —
-/// a row of a store's cluster column.
+/// a row of an index build's cluster-keyed copy.
 pub fn grouped_id_of_clusters(clusters: &ClusterTable, cluster_ids: &[u8]) -> i64 {
     fold(clusters.packed_key_of_clusters(cluster_ids))
 }
@@ -103,12 +103,12 @@ impl PhoneticIndex {
         self.candidates_with_tail(grouped_id(clusters, query), clusters, self.len(), |_| &[])
     }
 
-    /// The ids whose grouped identifier is `key` over a cluster column of
+    /// The ids whose grouped identifier is `key` over a phoneme column of
     /// `rows` rows that has grown past the index: the rows appended since
-    /// the build (ids `len()..rows`, read through `row` as
-    /// [`build_rows`](Self::build_rows) reads them) are admitted by the
-    /// same equality the index applies to the rows it holds — so the
-    /// answer is that of an index over every row.
+    /// the build (ids `len()..rows`, read through `row` as phoneme ids and
+    /// mapped onto `clusters` as they are read) are admitted by the same
+    /// equality the index applies to the rows it holds — so the answer is
+    /// that of an index over every row.
     pub fn candidates_with_tail<'a>(
         &self,
         key: i64,
@@ -123,7 +123,7 @@ impl PhoneticIndex {
         let mut out = self.ids[first..first + run].to_vec();
         out.extend(
             (self.len()..rows)
-                .filter(|&id| grouped_id_of_clusters(clusters, row(id)) == key)
+                .filter(|&id| fold(clusters.packed_key_of_ids(row(id))) == key)
                 .map(|id| id as u32),
         );
         out

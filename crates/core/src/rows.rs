@@ -1,8 +1,12 @@
 //! A store's rows as flat columns, in the snapshot image's own layout.
 //!
-//! A row is four values — text, language, phoneme ids and cluster ids
-//! (parallel to the phonemes byte for byte) — and `Columns` keeps each as
-//! one column over two segments:
+//! A row is three values — text, language and phoneme ids — and `Columns`
+//! keeps each as one column over two segments. A row's cluster string (the
+//! paper's grouped phoneme string, §5.3) is a function of its phonemes and
+//! is not stored: the kernel's cluster screen reads the phoneme ids through
+//! a remapped pattern (`crate::verify`), and an index keyed on cluster
+//! strings is built from a copy mapped through the cluster table
+//! ([`crate::NameStore::read_keys`]). The two segments:
 //!
 //! * an optional immutable **base**: one shard's rows of a snapshot image
 //!   ([`Base`]), read where they lie — in the mapping, or in the buffer a
@@ -13,7 +17,7 @@
 //!   `u32` end offsets, sized once per bulk load.
 //!
 //! [`Rows::row`] is the one accessor over both. A row reads as the same
-//! four values whichever segment holds it, so nothing downstream — the
+//! three values whichever segment holds it, so nothing downstream — the
 //! verification kernel, the access paths' tail rules, the snapshot writer
 //! — can tell the segments apart, and ids and verification counts cannot
 //! depend on where a row lives.
@@ -39,17 +43,17 @@ pub fn check_field_bytes(text_bytes: usize, phoneme_bytes: usize) -> Result<(), 
 }
 
 /// One record of a snapshot image's entry table: where a row's text and
-/// phonemes lie in their arenas (the cluster arena shares the phoneme
-/// window) and its language as an index into [`Language::ALL`].
+/// phonemes lie in their arenas and its language as an index into
+/// [`Language::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryRecord {
     /// Text offset in the text arena.
     pub text_off: u32,
-    /// Phoneme (and cluster) offset in its arena.
+    /// Phoneme offset in its arena.
     pub phon_off: u32,
     /// Text length in bytes.
     pub text_len: u16,
-    /// Phoneme (and cluster) count.
+    /// Phoneme count.
     pub phon_len: u16,
     /// Index into [`Language::ALL`].
     pub language: u8,
@@ -96,8 +100,6 @@ pub struct ImageLayout {
     pub texts: Range<usize>,
     /// Phoneme-id arena.
     pub phonemes: Range<usize>,
-    /// Cluster-id arena, parallel to `phonemes`.
-    pub clusters: Range<usize>,
 }
 
 /// One shard's rows of a snapshot image, read in place: local row `l` is
@@ -117,8 +119,8 @@ impl Base {
     /// Shard `phase` of `stride`'s rows of `image`. The caller has
     /// validated the image (its loader checks every arena and every
     /// entry's windows); this checks only the frame — `None` unless every
-    /// window lies inside the image, the entry table holds a whole number
-    /// of records, and the cluster arena is as long as the phoneme arena. A window the loader failed to check is a panic at
+    /// window lies inside the image and the entry table holds a whole
+    /// number of records. A window the loader failed to check is a panic at
     /// the read that uses it, never a read outside the image.
     pub fn new(
         image: ImageBytes,
@@ -127,16 +129,10 @@ impl Base {
         phase: usize,
     ) -> Option<Self> {
         let len = (*image).as_ref().len();
-        let windows = [
-            &layout.entries,
-            &layout.texts,
-            &layout.phonemes,
-            &layout.clusters,
-        ];
+        let windows = [&layout.entries, &layout.texts, &layout.phonemes];
         let entries = layout.entries.len() / EntryRecord::BYTES;
         let framed = windows.iter().all(|w| w.start <= w.end && w.end <= len)
             && layout.entries.len() == entries * EntryRecord::BYTES
-            && layout.clusters.len() == layout.phonemes.len()
             && phase < stride;
         if !framed {
             return None;
@@ -152,7 +148,7 @@ impl Base {
         let view = base.view();
         base.bytes = (0..base.rows)
             .map(|l| view.record(l))
-            .map(|r| EntryRecord::BYTES + r.text_len as usize + 2 * r.phon_len as usize)
+            .map(|r| EntryRecord::BYTES + r.text_len as usize + r.phon_len as usize)
             .sum();
         Some(base)
     }
@@ -168,7 +164,6 @@ impl Base {
             entries: &image[self.layout.entries.clone()],
             texts: &image[self.layout.texts.clone()],
             phonemes: &image[self.layout.phonemes.clone()],
-            clusters: &image[self.layout.clusters.clone()],
             stride: self.stride,
             phase: self.phase,
             rows: self.rows,
@@ -183,7 +178,6 @@ struct BaseView<'a> {
     entries: &'a [u8],
     texts: &'a [u8],
     phonemes: &'a [u8],
-    clusters: &'a [u8],
     stride: usize,
     phase: usize,
     rows: usize,
@@ -194,7 +188,6 @@ impl<'a> BaseView<'a> {
         entries: &[],
         texts: &[],
         phonemes: &[],
-        clusters: &[],
         stride: 1,
         phase: 0,
         rows: 0,
@@ -213,8 +206,7 @@ impl<'a> BaseView<'a> {
         Row {
             text: &self.texts[text],
             language: Language::ALL[rec.language as usize],
-            phonemes: &self.phonemes[phon.clone()],
-            clusters: &self.clusters[phon],
+            phonemes: &self.phonemes[phon],
         }
     }
 }
@@ -226,8 +218,6 @@ struct Tail {
     texts: Vec<u8>,
     text_ends: Vec<u32>,
     phonemes: Vec<u8>,
-    /// Parallel to `phonemes`, so `phon_ends` serves both.
-    clusters: Vec<u8>,
     phon_ends: Vec<u32>,
     languages: Vec<Language>,
 }
@@ -240,29 +230,20 @@ pub struct Row<'a> {
     pub language: Language,
     /// Phoneme inventory ids.
     pub phonemes: &'a [u8],
-    /// Cluster ids under the store's cost model, parallel to `phonemes`.
-    pub clusters: &'a [u8],
 }
 
-/// The two symbol-string columns of a row that an access path can be
-/// keyed on (see [`crate::BuildSpec::key`]).
+/// The two symbol strings of a row that an access path can be keyed on
+/// (see [`crate::BuildSpec::key`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyColumn {
     /// [`Row::phonemes`].
     Phonemes,
-    /// [`Row::clusters`]: the phonemes' projection onto their clusters.
+    /// The phonemes' projection onto their clusters under the store's
+    /// cluster table, computed as it is read.
     Clusters,
 }
 
 impl<'a> Row<'a> {
-    /// The row's string in `column`.
-    pub fn key(&self, column: KeyColumn) -> &'a [u8] {
-        match column {
-            KeyColumn::Phonemes => self.phonemes,
-            KeyColumn::Clusters => self.clusters,
-        }
-    }
-
     /// The name's bytes (no UTF-8 check, unlike [`text`](Self::text)).
     pub fn text_bytes(&self) -> &'a [u8] {
         self.text
@@ -288,7 +269,6 @@ pub struct Rows<'a> {
     texts: &'a [u8],
     text_ends: &'a [u32],
     phonemes: &'a [u8],
-    clusters: &'a [u8],
     phon_ends: &'a [u32],
     languages: &'a [Language],
 }
@@ -320,8 +300,7 @@ impl<'a> Rows<'a> {
         Row {
             text: &self.texts[start(self.text_ends)..self.text_ends[i] as usize],
             language: self.languages[i],
-            phonemes: &self.phonemes[phon.clone()],
-            clusters: &self.clusters[phon],
+            phonemes: &self.phonemes[phon],
         }
     }
 }
@@ -352,7 +331,6 @@ impl Columns {
             texts: &t.texts,
             text_ends: &t.text_ends,
             phonemes: &t.phonemes,
-            clusters: &t.clusters,
             phon_ends: &t.phon_ends,
             languages: &t.languages,
         }
@@ -364,29 +342,20 @@ impl Columns {
         let t = &mut self.tail;
         t.texts.reserve(text_bytes);
         t.phonemes.reserve(phoneme_bytes);
-        t.clusters.reserve(phoneme_bytes);
         t.text_ends.reserve(rows);
         t.phon_ends.reserve(rows);
         t.languages.reserve(rows);
     }
 
-    /// Append one row; `clusters` yields one id a phoneme.
+    /// Append one row.
     ///
     /// # Panics
     ///
     /// Panics if an arena would pass 4 GiB (the image format's own limit).
-    pub(crate) fn push(
-        &mut self,
-        text: &str,
-        language: Language,
-        phonemes: &[u8],
-        clusters: impl Iterator<Item = u8>,
-    ) {
+    pub(crate) fn push(&mut self, text: &str, language: Language, phonemes: &[u8]) {
         let t = &mut self.tail;
         t.texts.extend_from_slice(text.as_bytes());
         t.phonemes.extend_from_slice(phonemes);
-        t.clusters.extend(clusters);
-        debug_assert_eq!(t.clusters.len(), t.phonemes.len());
         let end = |arena: &[u8]| u32::try_from(arena.len()).expect("a column arena under 4 GiB");
         t.text_ends.push(end(&t.texts));
         t.phon_ends.push(end(&t.phonemes));
@@ -396,8 +365,7 @@ impl Columns {
     /// Bytes the owned columns hold, arenas and offsets, by capacity.
     pub(crate) fn owned_bytes(&self) -> usize {
         let t = &self.tail;
-        let arenas = [&t.texts, &t.phonemes, &t.clusters];
-        arenas.iter().map(|a| a.capacity()).sum::<usize>()
+        (t.texts.capacity() + t.phonemes.capacity())
             + (t.text_ends.capacity() + t.phon_ends.capacity()) * std::mem::size_of::<u32>()
             + t.languages.capacity() * std::mem::size_of::<Language>()
     }
@@ -427,10 +395,10 @@ pub(crate) mod tests {
     }
 
     /// `rows` laid out the way a snapshot image lays them out — entry
-    /// table, then the three arenas — behind eight bytes of something else.
+    /// table, then the two arenas — behind eight bytes of something else.
     pub(crate) fn image_of(rows: Rows<'_>) -> (ImageBytes, ImageLayout) {
-        let mut columns: [Vec<u8>; 4] = Default::default();
-        let [entries, texts, phonemes, clusters] = &mut columns;
+        let mut columns: [Vec<u8>; 3] = Default::default();
+        let [entries, texts, phonemes] = &mut columns;
         for row in (0..rows.len()).map(|i| rows.row(i)) {
             let language = Language::ALL.iter().position(|l| *l == row.language);
             let rec = EntryRecord {
@@ -443,10 +411,9 @@ pub(crate) mod tests {
             entries.extend_from_slice(&rec.encode());
             texts.extend_from_slice(row.text().as_bytes());
             phonemes.extend_from_slice(row.phonemes);
-            clusters.extend_from_slice(row.clusters);
         }
         let mut image = vec![0xEE; 8];
-        let [entries, texts, phonemes, clusters] = columns.map(|bytes| {
+        let [entries, texts, phonemes] = columns.map(|bytes| {
             image.extend_from_slice(&bytes);
             image.len() - bytes.len()..image.len()
         });
@@ -454,7 +421,6 @@ pub(crate) mod tests {
             entries,
             texts,
             phonemes,
-            clusters,
         };
         (Arc::new(image), layout)
     }
@@ -464,8 +430,7 @@ pub(crate) mod tests {
         let rows: [(&str, usize, &[u8]); 3] =
             [("ab", 0, &[1, 2, 3]), ("", 1, &[]), ("çd", 2, &[4])];
         for (text, language, phon) in rows {
-            let clusters = phon.iter().map(|p| p + 100);
-            columns.push(text, Language::ALL[language], phon, clusters);
+            columns.push(text, Language::ALL[language], phon);
         }
         image_of(columns.rows())
     }
@@ -478,13 +443,13 @@ pub(crate) mod tests {
         let even = Base::new(image, layout, 2, 0).unwrap();
         assert_eq!(even.rows(), 2);
         let mut columns = Columns::with_base(even);
-        assert_eq!(columns.mapped_bytes(), 2 * 16 + 2 + 2 * 3 + 3 + 2);
+        assert_eq!(columns.mapped_bytes(), 2 * 16 + 2 + 3 + 3 + 1);
         assert_eq!(columns.owned_bytes(), 0);
         columns.reserve(1, 1, 2);
-        columns.push("x", Language::Hindi, &[7, 8], [70, 80].into_iter());
-        // By capacity: at least the row's 5 data bytes, its two offsets
+        columns.push("x", Language::Hindi, &[7, 8]);
+        // By capacity: at least the row's 3 data bytes, its two offsets
         // and its language.
-        assert!(columns.owned_bytes() >= 5 + 9);
+        assert!(columns.owned_bytes() >= 3 + 9);
         let rows = columns.rows();
         assert_eq!((rows.len(), columns.len()), (3, 3));
         let seen: Vec<_> = (0..3).map(|i| rows.row(i)).collect();
@@ -493,13 +458,9 @@ pub(crate) mod tests {
             ["ab", "çd", "x"]
         );
         assert_eq!(seen[0].phonemes, [1, 2, 3]);
-        assert_eq!(seen[0].clusters, [101, 102, 103]);
-        assert_eq!((seen[1].phonemes, seen[1].clusters), (&[4][..], &[104][..]));
+        assert_eq!(seen[1].phonemes, [4]);
         assert_eq!(seen[1].language, Language::ALL[2]);
-        assert_eq!(
-            (seen[2].phonemes, seen[2].clusters),
-            (&[7, 8][..], &[70, 80][..])
-        );
+        assert_eq!(seen[2].phonemes, [7, 8]);
         assert_eq!(seen[2].language, Language::Hindi);
     }
 
@@ -512,10 +473,9 @@ pub(crate) mod tests {
             Base::new(Arc::clone(&image), l, 1, 0).is_none()
         };
         assert!(!with(&|_| {}));
-        let past = |l: &mut ImageLayout| l.clusters = l.clusters.start + 8..l.clusters.end + 8;
+        let past = |l: &mut ImageLayout| l.phonemes = l.phonemes.start + 8..l.phonemes.end + 8;
         assert!(with(&past), "past the image");
         assert!(with(&|l| l.entries.end -= 1), "not a whole record");
-        assert!(with(&|l| l.clusters.start += 1), "not parallel");
         assert!(
             Base::new(image, layout, 2, 2).is_none(),
             "phase past stride"

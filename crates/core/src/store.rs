@@ -55,9 +55,9 @@ impl NameEntry {
 
 /// One symbol string a row for consecutive rows — their phoneme ids, or the
 /// cluster ids those project to — back to back in one buffer: what a row
-/// chunk carries its phonemes in, and what a cover copies the column it
-/// will index into ([`NameStore::read_keys`]) to build from on its own
-/// thread — two allocations a column, none a row.
+/// chunk carries its phonemes in, and what every index build copies the
+/// column it will index into ([`NameStore::read_keys`]) — two allocations
+/// a column, none a row.
 #[derive(Debug, Default)]
 pub struct SymbolColumn {
     ids: Vec<u8>,
@@ -96,6 +96,12 @@ impl SymbolColumn {
 
     fn push(&mut self, ids: &[u8]) {
         self.ids.extend_from_slice(ids);
+        self.ends.push(self.ids.len() as u32);
+    }
+
+    /// Push `ids` with every symbol mapped through `class`.
+    fn push_mapped(&mut self, ids: &[u8], class: &[u8; 256]) {
+        self.ids.extend(ids.iter().map(|&id| class[id as usize]));
         self.ends.push(self.ids.len() as u32);
     }
 
@@ -334,17 +340,18 @@ pub enum PathIndex {
     Qgram(QgramFilter),
     /// See [`PhoneticIndex`].
     PhoneticIndex(PhoneticIndex),
-    /// Ids into the cluster column under integer Levenshtein distance (the
-    /// clustered distance is not integer-valued; the cluster strings'
-    /// Levenshtein distance bounds it from below, see
+    /// Ids keyed on their cluster strings under integer Levenshtein
+    /// distance (the clustered distance is not integer-valued; the cluster
+    /// strings' Levenshtein distance bounds it from below, see
     /// `NameStore::candidates`).
     BkTree(BkTree),
 }
 
 impl PathIndex {
     /// Build `spec`'s index over rows `0..rows` of its key column
-    /// (`row(i)`: row `i`'s [`Row::key`] in [`spec.key()`](BuildSpec::key))
-    /// under the cluster table `clusters`.
+    /// (`row(i)`: row `i`'s string in [`spec.key()`](BuildSpec::key), as
+    /// [`NameStore::read_keys`] copies it) under the cluster table
+    /// `clusters`.
     pub fn build<'a>(
         spec: BuildSpec,
         clusters: &ClusterTable,
@@ -447,8 +454,8 @@ impl NameStore {
     }
 
     /// Create a store whose first rows are `base`'s, read where they lie.
-    /// The caller vouches for them: cluster ids must be what `config`
-    /// computes for the phonemes (the image loader checks).
+    /// The caller vouches for them: every phoneme byte must be an inventory
+    /// id (the image loader checks).
     pub fn with_base(config: MatchConfig, base: Base) -> Self {
         Self::sharing(Arc::new(LexEqual::new(config)), Some(base))
     }
@@ -482,7 +489,7 @@ impl NameStore {
     }
 
     /// The rows, resolved for reading: `rows().row(i)` is row `i` as
-    /// `(text, language, phonemes, clusters)`, in place.
+    /// `(text, language, phonemes)`, in place.
     pub fn rows(&self) -> Rows<'_> {
         self.columns.rows()
     }
@@ -561,9 +568,8 @@ impl NameStore {
     }
 
     /// Append `chunk`'s rows — the one way in, whatever the source: the
-    /// only place cluster ids are derived and the columns grow. `load` is
-    /// everything the load this chunk begins will append here, this chunk
-    /// included: the columns are sized for it now, once (doubling their
+    /// only place the columns grow. `load` is everything the load this
+    /// chunk begins will append here, this chunk included: the columns are sized for it now, once (doubling their
     /// way up would leave freed buffers half their size behind in the
     /// heap). Returns the contiguous id range assigned.
     pub fn append_rows(&mut self, chunk: &RowChunk, load: LoadSize) -> Range<u32> {
@@ -579,10 +585,8 @@ impl NameStore {
         let texts = std::str::from_utf8(&chunk.texts).expect("a chunk's texts are UTF-8");
         let mut text_start = 0;
         for (i, &text_end) in chunk.text_ends.iter().enumerate() {
-            let ids = chunk.phonemes.row(i);
-            let clusters = self.operator.cluster_ids_of(ids);
-            let text = &texts[text_start..text_end];
-            self.columns.push(text, chunk.languages[i], ids, clusters);
+            let (text, ids) = (&texts[text_start..text_end], chunk.phonemes.row(i));
+            self.columns.push(text, chunk.languages[i], ids);
             text_start = text_end;
         }
         start..self.len() as u32
@@ -669,12 +673,16 @@ impl NameStore {
         self.operator.cost_model().clusters()
     }
 
-    /// Declare `spec`'s path and cover every row, here and now.
+    /// Declare `spec`'s path and cover every row, here and now, from a
+    /// copy of its key column ([`read_keys`](Self::read_keys)).
     pub fn build(&mut self, spec: BuildSpec) {
-        if !self.paths().any(|path| path == (spec, self.len())) {
-            let rows = self.rows();
-            let row = |id: usize| rows.row(id).key(spec.key());
-            self.put(PathIndex::build(spec, self.clusters(), rows.len(), row));
+        let rows = self.len();
+        if !self.paths().any(|path| path == (spec, rows)) {
+            let mut keys = SymbolColumn::default();
+            keys.reset(rows, self.prefix_bytes(rows).1);
+            self.read_keys(spec.key(), 0..rows, &mut keys);
+            let row = |id: usize| keys.row(id);
+            self.put(PathIndex::build(spec, self.clusters(), rows, row));
         }
     }
 
@@ -703,7 +711,10 @@ impl NameStore {
     /// of the query's. The BK-tree enumerates it by its walk, the q-gram
     /// filter (under `Strict`) by confirming its count filter's survivors
     /// with the walk's probe, and a row past either index is put to that
-    /// probe directly. The two lossy paths — the phonetic index, and the
+    /// probe directly. The probe reads each row's phoneme ids as its
+    /// cluster string ([`PreparedQuery::cluster_probe`]), so both indices,
+    /// built over cluster strings, are walked and confirmed over the
+    /// phoneme column. The two lossy paths — the phonetic index, and the
     /// q-gram filter as the paper ran it — answer with their index's
     /// candidates over the covered prefix, then the tail rows their own
     /// pair-wise rule admits.
@@ -715,7 +726,7 @@ impl NameStore {
         let undeclared = || -> ! { panic!("the {method:?} access path was never declared") };
         let rows = self.rows();
         let n = rows.len();
-        let clusters = |id: usize| rows.row(id).clusters;
+        let phonemes = |id: usize| rows.row(id).phonemes;
         let q = query.phonemes();
         // Budget depends on the candidate: e · min(|q|, |c|). Filter with
         // the largest possible budget (e · |q|) to stay conservative; each
@@ -729,10 +740,9 @@ impl NameStore {
                 Some(match f.mode() {
                     QgramMode::Strict => {
                         let probe = &query.cluster_probe();
-                        f.within(query.cluster_ids(), k_max, radius, probe, n, clusters)
+                        f.within(query.cluster_ids(), k_max, radius, probe, n, phonemes)
                     }
                     QgramMode::PaperFaithful => {
-                        let phonemes = |id: usize| rows.row(id).phonemes;
                         f.candidates_with_tail(q, k_max, &self.operator, n, phonemes)
                     }
                 })
@@ -740,11 +750,11 @@ impl NameStore {
             SearchMethod::PhoneticIndex => {
                 let idx = self.phonidx.as_ref().unwrap_or_else(|| undeclared());
                 let key = grouped_id_of_clusters(self.clusters(), query.cluster_ids());
-                Some(idx.candidates_with_tail(key, self.clusters(), n, clusters))
+                Some(idx.candidates_with_tail(key, self.clusters(), n, phonemes))
             }
             SearchMethod::BkTree => {
                 let t = self.bktree.as_ref().unwrap_or_else(|| undeclared());
-                let key = |id: u32| clusters(id as usize);
+                let key = |id: u32| phonemes(id as usize);
                 let mut out = Vec::new();
                 t.walk(key, &query.cluster_probe(), radius, n as u32, |id, _| {
                     if length_filter_passes(key(id).len(), q.len(), k_max) {
@@ -789,14 +799,8 @@ impl NameStore {
         let mut verifier = Verifier::new();
         let rows = self.rows();
         let mut matches = |id: &u32| {
-            let row = rows.row(*id as usize);
-            verifier.matches_ids(
-                &self.operator,
-                &prepared,
-                row.phonemes,
-                Some(row.clusters),
-                e,
-            )
+            let cand = rows.row(*id as usize).phonemes;
+            verifier.matches_ids(&self.operator, &prepared, cand, e)
         };
         match self.candidates(&prepared, e, method) {
             None => SearchResult {
@@ -845,10 +849,7 @@ impl NameStore {
         hits: &mut Vec<u32>,
     ) -> usize {
         let rows = self.rows();
-        let lane = |id: u32| {
-            let row = rows.row(id as usize);
-            (row.phonemes, Some(row.clusters))
-        };
+        let lane = |id: u32| rows.row(id as usize).phonemes;
         verifier.verify_rows(&self.operator, query, lane, candidates, e, hits)
     }
 
@@ -877,12 +878,19 @@ impl NameStore {
         }
     }
 
-    /// Append rows `rows`' strings in `column` to `out` — how a cover
-    /// copies the prefix it will index, a chunk of rows a call.
+    /// Append rows `rows`' strings in `column` to `out` — the phoneme ids,
+    /// or the cluster ids they map to through the operator's
+    /// [`class_map`](LexEqual::class_map). How every index build copies
+    /// the prefix it will index: [`build`](Self::build) in one call, a
+    /// background cover a chunk of rows a call.
     pub fn read_keys(&self, column: KeyColumn, rows: Range<usize>, out: &mut SymbolColumn) {
         let all = self.rows();
-        for i in rows {
-            out.push(all.row(i).key(column));
+        let class = self.operator.class_map();
+        for phonemes in rows.map(|i| all.row(i).phonemes) {
+            match column {
+                KeyColumn::Phonemes => out.push(phonemes),
+                KeyColumn::Clusters => out.push_mapped(phonemes, class),
+            }
         }
     }
 
@@ -892,21 +900,23 @@ impl NameStore {
         self.views.get_or_init(|| {
             let rows = self.rows();
             let mut views = RowViews::default();
-            for row in (0..rows.len()).map(|i| rows.row(i)) {
-                views.phonemes.push(phoneme_string(row.phonemes));
-                views.clusters.push(row.clusters.to_vec());
-                views
-                    .embeds
-                    .push(embed_clustered(row.phonemes, row.clusters));
+            let class = self.operator.class_map();
+            for phonemes in (0..rows.len()).map(|i| rows.row(i).phonemes) {
+                let clusters: Vec<u8> = phonemes.iter().map(|&p| class[p as usize]).collect();
+                views.phonemes.push(phoneme_string(phonemes));
+                views.embeds.push(embed_clustered(phonemes, &clusters));
+                views.clusters.push(clusters);
             }
             views
         })
     }
 
     /// Per-string cluster-id vectors, parallel to
-    /// [`phoneme_strings`](Self::phoneme_strings): a copy of the column,
-    /// one heap block a row, made on first call — for benchmarks that
-    /// dissect the kernel over row-shaped slices, never for serving.
+    /// [`phoneme_strings`](Self::phoneme_strings): computed from the
+    /// phoneme column on first call, one heap block a row — for the
+    /// benchmark's kernel replay, never for serving. No kernel reads them
+    /// (the cluster screen reads phoneme ids through the remapped query
+    /// pattern); goes with ROADMAP item 2a.
     #[doc(hidden)]
     pub fn cluster_id_vectors(&self) -> &[Vec<u8>] {
         &self.views().clusters
@@ -914,7 +924,7 @@ impl NameStore {
 
     /// Per-string embedding vectors, parallel to
     /// [`phoneme_strings`](Self::phoneme_strings), computed from the
-    /// phoneme and cluster columns on first call. No row stores one and no
+    /// phoneme column on first call. No row stores one and no
     /// kernel reads one (DESIGN §5j); kept only for the benchmark's kernel
     /// replay, and goes with ROADMAP item 2.
     #[doc(hidden)]
@@ -922,7 +932,7 @@ impl NameStore {
         &self.views().embeds
     }
 
-    /// The phoneme strings; a copy, as
+    /// The phoneme strings; a copy made on first call, as
     /// [`cluster_id_vectors`](Self::cluster_id_vectors) is.
     #[doc(hidden)]
     pub fn phoneme_strings(&self) -> &[PhonemeString] {
@@ -1150,8 +1160,8 @@ mod tests {
         for id in 0..7 {
             let (a, b) = (full.rows().row(id), copy.rows().row(id));
             assert_eq!(
-                (a.text(), a.language, a.phonemes, a.clusters),
-                (b.text(), b.language, b.phonemes, b.clusters),
+                (a.text(), a.language, a.phonemes),
+                (b.text(), b.language, b.phonemes),
                 "id {id}"
             );
         }
@@ -1200,9 +1210,15 @@ mod tests {
                 full.read_keys(column, range.clone(), &mut want);
                 seamed.read_keys(column, range.clone(), &mut got);
                 assert_eq!(got.len(), range.len());
+                let op = full.operator();
                 for (i, id) in range.clone().enumerate() {
                     assert_eq!(got.row(i), want.row(i), "{range:?} {column:?} {i}");
-                    assert_eq!(got.row(i), full.rows().row(id).key(column));
+                    let e = full.get(id as u32).unwrap();
+                    let key = match column {
+                        KeyColumn::Phonemes => e.phonemes.id_bytes().to_vec(),
+                        KeyColumn::Clusters => op.cluster_ids(&e.phonemes),
+                    };
+                    assert_eq!(got.row(i), key);
                 }
             }
         }
@@ -1362,7 +1378,9 @@ mod tests {
         s.extend_transformed((0..7).map(|i| full.get(i).unwrap()).collect());
         let clusters = s.operator().cost_model().clusters().clone();
         let cover = |spec: BuildSpec, rows: usize| {
-            PathIndex::build(spec, &clusters, rows, |id| s.rows().row(id).key(spec.key()))
+            let mut keys = SymbolColumn::default();
+            s.read_keys(spec.key(), 0..rows, &mut keys);
+            PathIndex::build(spec, &clusters, rows, |id| keys.row(id))
         };
         let (three, five) = (cover(qgram3(), 3), cover(qgram3(), 5));
         let other = cover(

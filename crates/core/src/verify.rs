@@ -15,7 +15,15 @@
 //!    a unit op), so Levenshtein over cluster ids bounds it from below:
 //!    `lev(cluster(a), cluster(b)) > k` is a sound **fast-reject** — the
 //!    per-pair analogue of the paper's grouped phoneme string identifier.
-//!    Both distances are exact and cost O(|candidate|) word ops.
+//!    Both distances are exact and cost O(|candidate|) word ops. No row
+//!    stores its cluster string: Myers reads a text symbol only as an index
+//!    into the pattern's mask table, so the query's cluster pattern is
+//!    built once with that table remapped to the phoneme alphabet
+//!    (`peq'[p] = peq[cluster(p)]`, one 256-entry pass), and run over the
+//!    candidate's phoneme ids it computes exactly `lev(cluster(q),
+//!    cluster(c))` — every text symbol `p` matches pattern position `i`
+//!    iff `cluster(p) == cluster(q)[i]`, which is the cluster string's
+//!    own match relation.
 //! 2. **Dense cost matrix** — pairs that survive both screens run the
 //!    banded DP with [`DenseSubstCost`](crate::cost::DenseSubstCost):
 //!    same floats, flat-array substitution lookup.
@@ -40,14 +48,13 @@ use std::sync::OnceLock;
 /// (re-exported from the matcher's lane-batched Myers module).
 pub const MAX_LANES: usize = lexequal_matcher::MAX_LANES;
 
-/// One batched-verification lane: the candidate's phoneme ids plus its
-/// optional cached cluster-id sequence (see
+/// One batched-verification lane: the candidate's phoneme ids (see
 /// [`BatchVerifier::matches_lanes`]).
-pub type Lane<'a> = (&'a [u8], Option<&'a [u8]>);
+pub type Lane<'a> = &'a [u8];
 
 /// A query preprocessed for repeated verification: its cluster-id and
-/// phoneme-id vectors and the two Myers bitmask tables (phoneme ids,
-/// cluster ids).
+/// phoneme-id vectors and the two Myers bitmask tables — over phoneme ids,
+/// and over cluster ids remapped to read phoneme ids.
 ///
 /// Built once per query via [`LexEqual::prepare_query`]; the patterns are
 /// `None` when the query is empty or longer than 64 phonemes
@@ -63,7 +70,11 @@ pub struct PreparedQuery {
     /// [`embed`](Self::embed) call: the kernel never reads it.
     embed: OnceLock<[u8; EMBED_DIM]>,
     phon_pattern: Option<MyersPattern>,
+    /// Built over `cluster_ids` and remapped through `classes`.
     clus_pattern: Option<MyersPattern>,
+    /// The operator's phoneme id → cluster id map, which the cluster probe
+    /// reads a candidate through.
+    classes: [u8; 256],
 }
 
 impl PreparedQuery {
@@ -71,8 +82,12 @@ impl PreparedQuery {
     pub fn new(op: &LexEqual, q: &PhonemeString) -> Self {
         let cluster_ids = op.cluster_ids(q);
         let phoneme_ids: Vec<u8> = q.iter().map(|p| p.id()).collect();
+        let classes = *op.class_map();
         let phon_pattern = MyersPattern::build(phoneme_ids.iter().copied());
-        let clus_pattern = MyersPattern::build(cluster_ids.iter().copied());
+        let clus_pattern = MyersPattern::build(cluster_ids.iter().copied()).map(|mut pattern| {
+            pattern.remap(&classes);
+            pattern
+        });
         PreparedQuery {
             phonemes: q.clone(),
             phoneme_ids,
@@ -80,6 +95,7 @@ impl PreparedQuery {
             embed: OnceLock::new(),
             phon_pattern,
             clus_pattern,
+            classes,
         }
     }
 
@@ -108,10 +124,11 @@ impl PreparedQuery {
         &self.cluster_ids
     }
 
-    /// The exact unit-cost distance from the query's cluster string to any
-    /// other: through the cluster screen's pattern where there is one.
+    /// The exact unit-cost distance from the query's cluster string to the
+    /// cluster string of any row, given as the row's phoneme ids: through
+    /// the cluster screen's pattern where there is one.
     pub fn cluster_probe(&self) -> Probe<'_> {
-        Probe::new(&self.cluster_ids, self.clus_pattern.as_ref())
+        Probe::classed(&self.cluster_ids, self.clus_pattern.as_ref(), &self.classes)
     }
 
     /// Whether the Myers fast-accept/fast-reject screens will run for
@@ -192,22 +209,20 @@ impl Verifier {
     /// (note the argument order — candidate on the left, as every access
     /// path calls it), decided screen-first.
     ///
-    /// `cand_clusters`, when provided, must be `op.cluster_ids(cand)` —
-    /// stores cache these per entry; `None` derives cluster ids on the fly
-    /// (still allocation-free, one table load per symbol).
-    ///
-    /// `_cand_embed` is accepted and ignored: the embedding screen is
-    /// retired (DESIGN §5j), and the argument goes with ROADMAP item 2.
+    /// `_cand_clusters` and `_cand_embed` are accepted and ignored: the
+    /// cluster screen reads `cand`'s phoneme ids through the query's
+    /// remapped pattern, and the embedding screen is retired (DESIGN §5j).
+    /// Both arguments go with ROADMAP item 2a.
     pub fn matches(
         &mut self,
         op: &LexEqual,
         query: &PreparedQuery,
         cand: &PhonemeString,
-        cand_clusters: Option<&[u8]>,
+        _cand_clusters: Option<&[u8]>,
         _cand_embed: Option<&[u8]>,
         e: f64,
     ) -> bool {
-        self.matches_ids(op, query, cand.id_bytes(), cand_clusters, e)
+        self.matches_ids(op, query, cand.id_bytes(), e)
     }
 
     /// [`matches`](Self::matches) for a candidate given as its raw
@@ -217,7 +232,6 @@ impl Verifier {
         op: &LexEqual,
         query: &PreparedQuery,
         cand: &[u8],
-        cand_clusters: Option<&[u8]>,
         e: f64,
     ) -> bool {
         if cand == query.phoneme_ids {
@@ -235,10 +249,8 @@ impl Verifier {
         }
         // Both patterns exist iff 1 ≤ |query| ≤ 64.
         if let (Some(phon), Some(clus)) = (&query.phon_pattern, &query.clus_pattern) {
-            let lev_clus = match cand_clusters {
-                Some(ids) => clus.distance(ids.iter().copied()),
-                None => clus.distance(op.cluster_ids_of(cand)),
-            };
+            // The remapped pattern reads `cand`'s phonemes as clusters.
+            let lev_clus = clus.distance(cand.iter().copied());
             // Distance ≥ cluster-id Levenshtein: reject.
             if lev_clus as f64 > k + 1e-12 {
                 self.counters.fast_reject += 1;
@@ -307,9 +319,10 @@ impl BatchCounters {
 /// per *batch*:
 ///
 /// 1. per-lane scalar pre-screens (equality, threshold, length filter);
-/// 2. one **interleaved** Myers pass over the cluster-id strings of all
-///    surviving lanes (struct-of-arrays state, shared pattern masks —
-///    see `lexequal_matcher::myers_batch`) for the fast-reject bound;
+/// 2. one **interleaved** Myers pass of the remapped cluster pattern over
+///    the phoneme ids of all surviving lanes (struct-of-arrays state,
+///    shared pattern masks — see `lexequal_matcher::myers_batch`) for the
+///    fast-reject bound;
 /// 3. one interleaved Myers pass over the phoneme-id strings of the
 ///    remainder for the fast-accept bound;
 /// 4. a DP drain of still-undecided lanes through the **dense SIMD**
@@ -321,8 +334,8 @@ impl BatchCounters {
 /// same floats in the same per-pair order — so reordering work *across*
 /// lanes cannot change any verdict.
 ///
-/// Like [`Verifier`], it owns its DP scratch and per-lane id buffers, so
-/// steady-state verification performs zero heap allocations.
+/// Like [`Verifier`], it owns its DP scratch and reads every lane in
+/// place, so steady-state verification performs zero heap allocations.
 #[derive(Debug)]
 pub struct BatchVerifier {
     scratch: DpScratch,
@@ -330,10 +343,6 @@ pub struct BatchVerifier {
     batch: BatchCounters,
     width: usize,
     level: SimdLevel,
-    /// Per-lane cluster-id buffers (filled only for lanes whose caller
-    /// did not supply cached cluster ids); phoneme ids are read in
-    /// place, no buffer needed.
-    clus_bufs: Vec<Vec<u8>>,
     /// Screen scratch, kept across calls so each flush skips ~0.4KB of
     /// array zero-inits: per-slot Myers distances, survivor lane
     /// indices and undecided (DP-bound) lane indices.
@@ -372,7 +381,6 @@ impl BatchVerifier {
             batch: BatchCounters::default(),
             width,
             level,
-            clus_bufs: (0..MAX_LANES).map(|_| Vec::new()).collect(),
             scr_dists: [0; MAX_LANES],
             scr_surv: [0; MAX_LANES],
             scr_dp: [0; MAX_LANES],
@@ -416,9 +424,8 @@ impl BatchVerifier {
     /// `verdicts[l]` receives the verdict for `lanes[l]`, bit-for-bit
     /// what [`Verifier::matches`] returns for that pair.
     ///
-    /// Each lane is a candidate's phoneme ids plus its optional cached
-    /// cluster-id sequence (`op.cluster_ids(cand)`); `None` cluster ids
-    /// are derived into an internal per-lane buffer.
+    /// Each lane is a candidate's phoneme ids, read in place by both
+    /// screens and the DP.
     ///
     /// # Panics
     ///
@@ -444,7 +451,7 @@ impl BatchVerifier {
         let mut ks = [0.0f64; MAX_LANES];
         let mut pending = [0usize; MAX_LANES];
         let mut n_pending = 0;
-        for (l, &(cand, _)) in lanes.iter().enumerate() {
+        for (l, &cand) in lanes.iter().enumerate() {
             if cand == query.phoneme_ids {
                 self.counters.fast_accept += 1;
                 self.batch.lane_accept += 1;
@@ -490,21 +497,11 @@ impl BatchVerifier {
 
         if let (Some(phon), Some(clus)) = (&query.phon_pattern, &query.clus_pattern) {
             // Interleaved cluster screen: one pass advances every
-            // pending lane's Myers recurrence in lock-step.
-            for (slot, &l) in pending[..n_pending].iter().enumerate() {
-                let (cand, cached) = lanes[l];
-                if cached.is_none() {
-                    let buf = &mut self.clus_bufs[slot];
-                    buf.clear();
-                    buf.extend(op.cluster_ids_of(cand));
-                }
-            }
+            // pending lane's Myers recurrence in lock-step, the remapped
+            // pattern reading each lane's phoneme ids in place.
             let mut texts: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
             for (slot, &l) in pending[..n_pending].iter().enumerate() {
-                texts[slot] = match lanes[l].1 {
-                    Some(ids) => ids,
-                    None => &self.clus_bufs[slot],
-                };
+                texts[slot] = lanes[l];
             }
             clus.distance_batch(&texts[..n_pending], &mut self.scr_dists, self.level);
             // Distance ≥ cluster-id Levenshtein: reject.
@@ -520,11 +517,10 @@ impl BatchVerifier {
                 }
             }
 
-            // Interleaved phoneme screen over the survivors; texts view
-            // each candidate's phoneme ids in place — no copy.
+            // Interleaved phoneme screen over the survivors.
             let mut texts: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
             for (slot, &l) in self.scr_surv[..n_surv].iter().enumerate() {
-                texts[slot] = lanes[l].0;
+                texts[slot] = lanes[l];
             }
             phon.distance_batch(&texts[..n_surv], &mut self.scr_dists, self.level);
             // Clustered distance ≤ phoneme Levenshtein: accept.
@@ -557,7 +553,7 @@ impl BatchVerifier {
             self.counters.full_dp += 1;
             self.batch.lane_dp += 1;
             verdicts[l] = within_distance_dense(
-                lanes[l].0,
+                lanes[l],
                 &query.phoneme_ids,
                 ks[l],
                 dense.matrix(),
@@ -570,7 +566,7 @@ impl BatchVerifier {
 
     /// Verify rows by id in width-sized batches, appending the matching
     /// ids to `hits` in input order; returns the number of candidates
-    /// verified. `row(id)` is the candidate as a [`Lane`] — a store hands
+    /// verified. `row(id)` is the candidate's phoneme ids — a store hands
     /// its row accessor in, so the kernel reads each row where it lies.
     ///
     /// Candidates the O(1) pre-screens settle (equality accept, length
@@ -592,13 +588,12 @@ impl BatchVerifier {
     ) -> usize {
         let mut lane_ids = [0u32; MAX_LANES];
         let mut lane_ks = [0.0f64; MAX_LANES];
-        let mut lanes: [Lane<'a>; MAX_LANES] = [(&[], None); MAX_LANES];
+        let mut lanes: [Lane<'a>; MAX_LANES] = [&[]; MAX_LANES];
         let mut filled = 0;
         let mut verified = 0;
         for id in ids {
             verified += 1;
-            let lane = row(id);
-            let cand = lane.0;
+            let cand = row(id);
             if cand == query.phoneme_ids {
                 // Keep hits in input order: everything pending precedes
                 // this id in the stream, so decide it first.
@@ -615,7 +610,7 @@ impl BatchVerifier {
                 self.counters.fast_reject += 1;
                 continue;
             }
-            (lanes[filled], lane_ids[filled], lane_ks[filled]) = (lane, id, k);
+            (lanes[filled], lane_ids[filled], lane_ks[filled]) = (cand, id, k);
             filled += 1;
             if filled == self.width {
                 self.flush(op, query, &lanes[..filled], &lane_ids, &lane_ks, hits);
@@ -627,19 +622,19 @@ impl BatchVerifier {
     }
 
     /// [`verify_rows`](Self::verify_rows) over row-shaped slices: `corpus`
-    /// holds the candidates and `cluster_ids` (when provided)
-    /// `op.cluster_ids` of every one. `_embeds` is accepted and ignored:
-    /// the embedding screen is retired (DESIGN §5j), and the argument goes
-    /// with ROADMAP item 2. A thin adapter for tests and benchmarks that
-    /// hold their corpus as vectors; stores verify through their row
-    /// accessor.
+    /// holds the candidates. `_cluster_ids` and `_embeds` are accepted and
+    /// ignored: the cluster screen reads each candidate's phoneme ids
+    /// through the query's remapped pattern, and the embedding screen is
+    /// retired (DESIGN §5j). Both arguments go with ROADMAP item 2a. A thin
+    /// adapter for tests and benchmarks that hold their corpus as vectors;
+    /// stores verify through their row accessor.
     #[allow(clippy::too_many_arguments)]
     pub fn verify_ids<I, C, E>(
         &mut self,
         op: &LexEqual,
         query: &PreparedQuery,
         corpus: &[PhonemeString],
-        cluster_ids: Option<&[C]>,
+        _cluster_ids: Option<&[C]>,
         _embeds: Option<&[E]>,
         ids: I,
         e: f64,
@@ -650,10 +645,7 @@ impl BatchVerifier {
         C: AsRef<[u8]>,
         E: AsRef<[u8]>,
     {
-        let row = |id: u32| -> Lane<'_> {
-            let i = id as usize;
-            (corpus[i].id_bytes(), cluster_ids.map(|c| c[i].as_ref()))
-        };
+        let row = |id: u32| corpus[id as usize].id_bytes();
         self.verify_rows(op, query, row, ids, e, hits)
     }
 
@@ -717,19 +709,10 @@ mod tests {
                 assert_eq!(prepared.cluster_ids(), &q_check[..]);
                 for c in &strings {
                     for e in [0.0, 0.15, 0.35, 0.5, 1.0] {
-                        let want = op.matches_phonemes(c, q, e);
-                        let cached = op.cluster_ids(c);
                         assert_eq!(
-                            v.matches(&op, &prepared, c, Some(&cached), None, e),
-                            want,
-                            "cached clusters: |q|={} |c|={} e={e} intra={intra}",
-                            q.len(),
-                            c.len()
-                        );
-                        assert_eq!(
-                            v.matches(&op, &prepared, c, None, None, e),
-                            want,
-                            "derived clusters: |q|={} |c|={} e={e} intra={intra}",
+                            v.matches_ids(&op, &prepared, c.id_bytes(), e),
+                            op.matches_phonemes(c, q, e),
+                            "|q|={} |c|={} e={e} intra={intra}",
                             q.len(),
                             c.len()
                         );
@@ -737,7 +720,7 @@ mod tests {
                 }
             }
             let c = v.counters();
-            assert_eq!(c.total(), (strings.len() * strings.len() * 5 * 2) as u64);
+            assert_eq!(c.total(), (strings.len() * strings.len() * 5) as u64);
             assert!(c.fast_accept > 0 && c.fast_reject > 0);
         }
     }
@@ -771,10 +754,8 @@ mod tests {
             let (q, c) = (rng.phonemes(0..=64), rng.phonemes(0..=64));
             let (e, op) = (rng.f64_in(0.0..1.2), rng.pick(&ops));
             let prepared = op.prepare_query(&q);
-            let cached = op.cluster_ids(&c);
             let want = op.matches_phonemes(&c, &q, e);
-            ensure_eq(v.matches(op, &prepared, &c, Some(&cached), None, e), want)?;
-            ensure_eq(v.matches(op, &prepared, &c, None, None, e), want)
+            ensure_eq(v.matches_ids(op, &prepared, c.id_bytes(), e), want)
         });
     }
 }

@@ -32,7 +32,6 @@ fn batched_pairs_equal_scalar_at_every_width_and_backend() {
     for intra in [0.0, 0.25, 1.0] {
         let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(intra));
         let strings = corpus(0xba7c_0001 + intra.to_bits(), 32);
-        let cached: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
         for q in strings.iter().take(5) {
             let prepared = op.prepare_query(q);
             for e in THRESHOLDS {
@@ -40,14 +39,7 @@ fn batched_pairs_equal_scalar_at_every_width_and_backend() {
                 let mut scalar = Verifier::new();
                 let want: Vec<bool> = strings
                     .iter()
-                    .zip(&cached)
-                    .enumerate()
-                    .map(|(i, (c, ids))| {
-                        // Alternate cached and derive-on-the-fly cluster
-                        // ids, as the batched lanes below do.
-                        let cc = (i % 2 == 0).then_some(ids.as_slice());
-                        scalar.matches(&op, &prepared, c, cc, None, e)
-                    })
+                    .map(|c| scalar.matches(&op, &prepared, c, None, None, e))
                     .collect();
                 let want_counters = scalar.take_counters();
 
@@ -59,14 +51,8 @@ fn batched_pairs_equal_scalar_at_every_width_and_backend() {
                             .step_by(width)
                             .map(|s| (s, &strings[s..(s + width).min(strings.len())]))
                         {
-                            let lanes: Vec<lexequal::Lane<'_>> = chunk
-                                .iter()
-                                .enumerate()
-                                .map(|(o, c)| {
-                                    let i = chunk_start + o;
-                                    (c.id_bytes(), (i % 2 == 0).then_some(cached[i].as_slice()))
-                                })
-                                .collect();
+                            let lanes: Vec<lexequal::Lane<'_>> =
+                                chunk.iter().map(|c| c.id_bytes()).collect();
                             let mut verdicts = vec![false; lanes.len()];
                             batch.matches_lanes(&op, &prepared, &lanes, e, &mut verdicts);
                             got[chunk_start..chunk_start + lanes.len()].copy_from_slice(&verdicts);
@@ -201,8 +187,7 @@ fn long_queries_verify_correctly_through_the_dp_only_path() {
             let want = op.matches_phonemes(c, &long, e);
             assert_eq!(scalar.matches(&op, &prepared, c, None, None, e), want);
             let mut verdict = [false];
-            let lane = (c.id_bytes(), None);
-            batch.matches_lanes(&op, &prepared, &[lane], e, &mut verdict);
+            batch.matches_lanes(&op, &prepared, &[c.id_bytes()], e, &mut verdict);
             assert_eq!(verdict[0], want);
         }
     }

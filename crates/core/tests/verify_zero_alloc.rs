@@ -27,8 +27,9 @@
 use lexequal::rows::{Base, EntryRecord, ImageLayout};
 use lexequal::store::NameEntry;
 use lexequal::{
-    BatchVerifier, Language, LexEqual, LoadSize, MatchConfig, NameStore, PhoneticIndex,
-    PreparedQuery, QgramFilter, QgramMode, RowChunk, SearchMethod, Verifier, MAX_LANES,
+    BatchVerifier, KeyColumn, Language, LexEqual, LoadSize, MatchConfig, NameStore, PhoneticIndex,
+    PreparedQuery, QgramFilter, QgramMode, RowChunk, SearchMethod, SymbolColumn, Verifier,
+    MAX_LANES,
 };
 use lexequal_phoneme::testkit::Rng;
 use lexequal_phoneme::PhonemeString;
@@ -130,17 +131,10 @@ fn verify_all(
     op: &LexEqual,
     prepared: &PreparedQuery,
     strings: &[PhonemeString],
-    cluster_ids: &[Vec<u8>],
 ) -> usize {
     let mut hits = 0;
-    for (cand, ids) in strings.iter().zip(cluster_ids) {
+    for cand in strings {
         for e in [0.0, 0.15, 0.35, 0.5, 1.0] {
-            // Both the cached path (stores: cluster ids) and the
-            // derive-on-the-fly path (ad-hoc callers) must stay
-            // allocation-free.
-            if verifier.matches(op, prepared, cand, Some(ids), None, e) {
-                hits += 1;
-            }
             if verifier.matches(op, prepared, cand, None, None, e) {
                 hits += 1;
             }
@@ -153,15 +147,13 @@ fn verify_all(
 fn warmed_up_verification_does_not_allocate() {
     let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.25));
     let strings = corpus(0x0a11_0c5e, 60);
-    let cluster_ids: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
     let prepared = op.prepare_query(&strings[0]);
     let mut verifier = Verifier::new();
 
     // Warm-up pass: the DP scratch grows to its high-water mark here.
-    let warm_hits = verify_all(&mut verifier, &op, &prepared, &strings, &cluster_ids);
+    let warm_hits = verify_all(&mut verifier, &op, &prepared, &strings);
 
-    let (hits, delta) =
-        allocations_in(|| verify_all(&mut verifier, &op, &prepared, &strings, &cluster_ids));
+    let (hits, delta) = allocations_in(|| verify_all(&mut verifier, &op, &prepared, &strings));
 
     assert_eq!(hits, warm_hits);
     assert!(hits > 0, "corpus must produce some matches");
@@ -183,25 +175,10 @@ fn verify_all_batched(
     op: &LexEqual,
     prepared: &PreparedQuery,
     strings: &[PhonemeString],
-    cluster_ids: &[Vec<u8>],
     hits: &mut Vec<u32>,
 ) -> usize {
     let mut total = 0;
     for e in [0.0, 0.15, 0.35, 0.5, 1.0] {
-        // Cached cluster ids (the store path)…
-        verifier.verify_ids::<_, _, Vec<u8>>(
-            op,
-            prepared,
-            strings,
-            Some(cluster_ids),
-            None,
-            0..strings.len() as u32,
-            e,
-            hits,
-        );
-        total += hits.len();
-        hits.clear();
-        // …and derive-on-the-fly (fills the kernel's own lane buffers).
         verifier.verify_ids::<_, Vec<u8>, Vec<u8>>(
             op,
             prepared,
@@ -218,40 +195,24 @@ fn verify_all_batched(
     total
 }
 
-/// The batched kernel keeps the same guarantee: once its DP scratch and
-/// per-lane id buffers have grown, a full batched verification sweep
-/// allocates nothing (the caller-owned hit vector is pre-grown too).
+/// The batched kernel keeps the same guarantee: once its DP scratch has
+/// grown, a full batched verification sweep allocates nothing (the
+/// caller-owned hit vector is pre-grown too).
 #[test]
 fn warmed_up_batched_verification_does_not_allocate() {
     let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.25));
     let strings = corpus(0x0a11_0c5e, 60);
-    let cluster_ids: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
     let prepared = op.prepare_query(&strings[0]);
     let mut verifier = BatchVerifier::new();
     assert_eq!(verifier.width(), MAX_LANES);
     let mut hits = Vec::with_capacity(strings.len());
 
-    // Warm-up: scratch, lane buffers and the hit vector reach their
-    // high-water marks here.
-    let warm_hits = verify_all_batched(
-        &mut verifier,
-        &op,
-        &prepared,
-        &strings,
-        &cluster_ids,
-        &mut hits,
-    );
+    // Warm-up: the scratch and the hit vector reach their high-water
+    // marks here.
+    let warm_hits = verify_all_batched(&mut verifier, &op, &prepared, &strings, &mut hits);
 
-    let (total, delta) = allocations_in(|| {
-        verify_all_batched(
-            &mut verifier,
-            &op,
-            &prepared,
-            &strings,
-            &cluster_ids,
-            &mut hits,
-        )
-    });
+    let (total, delta) =
+        allocations_in(|| verify_all_batched(&mut verifier, &op, &prepared, &strings, &mut hits));
 
     assert_eq!(total, warm_hits);
     assert!(total > 0, "corpus must produce some matches");
@@ -272,7 +233,8 @@ fn warmed_up_batched_verification_does_not_allocate() {
 /// The id-keyed BK-tree clones no key and owns no per-node heap block:
 /// building it over `n` names allocates its two flat vectors (sized up
 /// front) and the one Myers mask table the inserts share — the same
-/// handful at 400 names as at 4000.
+/// handful at 400 names as at 4000. A store's build adds the two vectors
+/// of the cluster-string copy it builds from, and nothing else.
 #[test]
 fn bktree_build_allocates_per_vector_not_per_node() {
     for n in [400usize, 4000] {
@@ -292,11 +254,16 @@ fn bktree_build_allocates_per_vector_not_per_node() {
         let mut store = NameStore::new(MatchConfig::default());
         store.extend_transformed(entries);
 
-        let ((), delta) = allocations_in(|| store.build_bktree());
+        let mut keys = SymbolColumn::default();
+        store.read_keys(KeyColumn::Clusters, 0..n, &mut keys);
+        let key = |id: u32| keys.row(id as usize);
+        let (_, delta) = allocations_in(|| lexequal_matcher::BkTree::build(n as u32, key));
         assert!(
             delta <= 3,
             "BK-tree build over {n} names made {delta} heap allocations"
         );
+        let ((), built) = allocations_in(|| store.build_bktree());
+        assert_eq!(built, delta + 2, "a store's BK-tree build over {n} names");
     }
 }
 
@@ -402,8 +369,9 @@ fn qgram_build_peaks_at_the_index_and_a_tail_probe_allocates_nothing_a_row() {
     let at = strings.iter().take(400).position(|s| fits(&s)).unwrap() as u32;
     let prepared = op.prepare_query(&strings[at as usize]);
     let (query, probe) = (prepared.cluster_ids(), prepared.cluster_probe());
+    // The probe reads the rows' phoneme ids as their cluster strings.
     let ball = |rows: usize| {
-        allocations_in(|| declared.within(query, 1.5, 1, &probe, rows, |id| clusters[id]))
+        allocations_in(|| declared.within(query, 1.5, 1, &probe, rows, |id| phonemes[id]))
     };
     let ((near, few), (far, many)) = (ball(400), ball(4_000));
     assert!(near.contains(&at) && far.starts_with(&near));
@@ -428,11 +396,11 @@ fn entries(n: usize) -> Vec<NameEntry> {
 }
 
 /// `store`'s rows as one shard's [`Base`] over an image laid out the way
-/// the snapshot writer lays one out: entry table, then the three arenas.
+/// the snapshot writer lays one out: entry table, then the two arenas.
 fn base_of(store: &NameStore) -> Base {
     let rows = store.rows();
-    let mut columns: [Vec<u8>; 4] = Default::default();
-    let [entries, texts, phonemes, clusters] = &mut columns;
+    let mut columns: [Vec<u8>; 3] = Default::default();
+    let [entries, texts, phonemes] = &mut columns;
     for row in (0..rows.len()).map(|i| rows.row(i)) {
         let language = Language::ALL.iter().position(|l| *l == row.language);
         let rec = EntryRecord {
@@ -445,10 +413,9 @@ fn base_of(store: &NameStore) -> Base {
         entries.extend_from_slice(&rec.encode());
         texts.extend_from_slice(row.text().as_bytes());
         phonemes.extend_from_slice(row.phonemes);
-        clusters.extend_from_slice(row.clusters);
     }
     let mut image = Vec::new();
-    let [entries, texts, phonemes, clusters] = columns.map(|bytes| {
+    let [entries, texts, phonemes] = columns.map(|bytes| {
         image.extend_from_slice(&bytes);
         image.len() - bytes.len()..image.len()
     });
@@ -456,12 +423,11 @@ fn base_of(store: &NameStore) -> Base {
         entries,
         texts,
         phonemes,
-        clusters,
     };
     Base::new(std::sync::Arc::new(image), layout, 1, 0).expect("a framed image")
 }
 
-/// Rows come in as chunks: the first chunk of a sized load grows the six
+/// Rows come in as chunks: the first chunk of a sized load grows the five
 /// column vectors once each, the chunks after it grow nothing, and a chunk
 /// refilled with rows it has held before allocates nothing either — so a
 /// load costs the same allocations whatever its length.
@@ -510,7 +476,7 @@ fn a_load_allocates_per_column_not_per_name_or_per_chunk() {
     }
 }
 
-/// Rows are flat columns: loading `n` names grows six vectors once each
+/// Rows are flat columns: loading `n` names grows five vectors once each
 /// (and the five buffers of the chunk they travel in), not four heap
 /// objects a name, and adopting an image's rows allocates nothing that
 /// depends on how many there are.
@@ -544,15 +510,16 @@ fn rows_allocate_per_column_not_per_name() {
     // The phonetic index: the sort's scratch and the two arrays it keeps.
     let clusters = small.operator().cost_model().clusters();
     for store in [&small, &large] {
-        let rows = store.rows();
-        let row = |id: usize| rows.row(id).clusters;
+        let mut keys = SymbolColumn::default();
+        store.read_keys(KeyColumn::Clusters, 0..store.len(), &mut keys);
+        let row = |id: usize| keys.row(id);
         let (index, built) =
-            allocations_in(|| PhoneticIndex::build_rows(clusters, rows.len(), row));
-        assert_eq!(index.len(), rows.len());
+            allocations_in(|| PhoneticIndex::build_rows(clusters, keys.len(), row));
+        assert_eq!(index.len(), keys.len());
         assert!(
             built <= 3,
             "phonetic index over {} rows: {built}",
-            rows.len()
+            keys.len()
         );
     }
 

@@ -20,7 +20,7 @@
 
 use crate::cost::UnitCost;
 use crate::distance::edit_distance;
-use crate::myers::MyersPattern;
+use crate::myers::{MyersPattern, IDENTITY_CLASSES};
 
 /// "No such node / edge" in the `u32` links below.
 const NIL: u32 = u32::MAX;
@@ -46,28 +46,42 @@ struct Edge {
 }
 
 /// Exact unit-cost Levenshtein distance from one fixed key to any other
-/// string: bit-parallel where the key fits a [`MyersPattern`], the
-/// rolling-row DP for the keys it refuses (empty, or over 64 symbols).
+/// string read through a class map: bit-parallel where the key fits a
+/// [`MyersPattern`], the rolling-row DP for the keys it refuses (empty, or
+/// over 64 symbols). The other string's symbol `s` counts as `class[s]`,
+/// so a key of cluster ids measures against a string of phoneme ids as
+/// against its cluster string.
 #[derive(Debug, Clone, Copy)]
 pub enum Probe<'a> {
-    /// The key's pattern.
+    /// The key's pattern, [remapped](MyersPattern::remap) through the
+    /// class map.
     Myers(&'a MyersPattern),
-    /// The key itself.
-    Dp(&'a [u8]),
+    /// The key itself, and the class map.
+    Dp(&'a [u8], &'a [u8; 256]),
 }
 
 impl<'a> Probe<'a> {
-    /// The probe measuring from `key`, through `pattern` — built from
-    /// `key`, or `None` where [`MyersPattern::build`] refused it.
+    /// The probe measuring from `key` to strings read as they are, through
+    /// `pattern` — built from `key`, or `None` where
+    /// [`MyersPattern::build`] refused it.
     pub fn new(key: &'a [u8], pattern: Option<&'a MyersPattern>) -> Self {
-        pattern.map_or(Probe::Dp(key), Probe::Myers)
+        Self::classed(key, pattern, &IDENTITY_CLASSES)
     }
 
-    /// The distance between the key and `other`.
+    /// The probe measuring from `key` to strings read through `class`:
+    /// `pattern` must be built from `key` and remapped through `class`.
+    pub fn classed(key: &'a [u8], pattern: Option<&'a MyersPattern>, class: &'a [u8; 256]) -> Self {
+        pattern.map_or(Probe::Dp(key, class), Probe::Myers)
+    }
+
+    /// The distance between the key and `other` read through the class map.
     pub fn distance(&self, other: &[u8]) -> u32 {
         match self {
             Probe::Myers(pattern) => pattern.distance(other.iter().copied()) as u32,
-            Probe::Dp(key) => edit_distance(key, other, UnitCost) as u32,
+            Probe::Dp(key, class) => {
+                let other: Vec<u8> = other.iter().map(|&s| class[s as usize]).collect();
+                edit_distance(key, &other, UnitCost) as u32
+            }
         }
     }
 }
@@ -108,7 +122,7 @@ impl BkTree {
             let probe = if bit_parallel && pattern.rebuild(k) {
                 Probe::Myers(&pattern)
             } else {
-                Probe::Dp(k)
+                Probe::Dp(k, &IDENTITY_CLASSES)
             };
             tree.insert(&key, &probe);
         }
@@ -180,7 +194,9 @@ impl BkTree {
 
     /// The one range walk over ids `0..rows`: calls `hit(id, d)` for every
     /// id whose key is within distance `k` of `probe`'s, and returns how
-    /// many keys it measured. Ids the tree does not hold yet (`len()..rows`,
+    /// many keys it measured. `key` may be any column that reads, through
+    /// the probe's class map, as the one the tree was built over — the
+    /// phoneme ids of a tree built over their cluster strings. Ids the tree does not hold yet (`len()..rows`,
     /// the rows appended to the column since the build) are measured one by
     /// one with the same probe, so the hits are those of a tree built over
     /// all of `0..rows`.

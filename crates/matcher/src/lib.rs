@@ -53,7 +53,7 @@ pub use bktree::{BkTree, Probe};
 pub use cost::{CostModel, UnitCost};
 pub use damerau::damerau_distance;
 pub use distance::{edit_distance, edit_distance_matrix};
-pub use myers::MyersPattern;
+pub use myers::{MyersPattern, IDENTITY_CLASSES};
 pub use myers_batch::MAX_LANES;
 pub use qgram::{
     count_filter_passes, length_filter_passes, matching_qgrams, positional_qgrams, Gram,

@@ -16,6 +16,24 @@
 //!   it induces on the cluster-id strings (intra-cluster substitutions
 //!   become matches, cross-cluster substitutions and indels become unit
 //!   ops), so `myers(cluster(a), cluster(b)) > k` proves it fails.
+//!
+//! The recurrence reads the text only through `peq[text_symbol]`, so a
+//! pattern over cluster ids whose table is [`remap`](MyersPattern::remap)ped
+//! to the phoneme alphabet (`peq'[p] = peq[class[p]]`) measures
+//! `lev(cluster(a), cluster(b))` straight off `b`'s phoneme ids: the
+//! candidate's cluster string is never materialised.
+
+/// The class map that maps every symbol to itself: a text read through it
+/// is the text.
+pub const IDENTITY_CLASSES: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut s = 0;
+    while s < 256 {
+        class[s] = s as u8;
+        s += 1;
+    }
+    class
+};
 
 /// A pattern preprocessed for bit-parallel distance computations.
 ///
@@ -24,11 +42,16 @@
 /// allocation-free and O(|text|). A caller probing with many patterns in
 /// turn keeps one value and [`rebuild`](MyersPattern::rebuild)s it.
 pub struct MyersPattern {
-    /// `peq[s]` bit `i` is set iff `pattern[i] == s`.
+    /// `peq[s]` bit `i` is set iff `pattern[i] == class[s]`, where `class`
+    /// is what the [`remap`](Self::remap)s since the last (re)build compose
+    /// to ([`IDENTITY_CLASSES`] without one).
     peq: Box<[u64; 256]>,
     /// The pattern itself: the `peq` entries a rebuild has to clear.
     syms: [u8; Self::MAX_LEN],
     len: usize,
+    /// Whether the table was remapped: then any entry may be set, and a
+    /// rebuild clears all 256.
+    remapped: bool,
 }
 
 impl MyersPattern {
@@ -49,20 +72,27 @@ impl MyersPattern {
             peq: Box::new([0u64; 256]),
             syms,
             len: 0,
+            remapped: false,
         };
         built.rebuild(&syms[..len]).then_some(built)
     }
 
     /// Re-point this value at `pattern`, reusing the mask table: only the
-    /// entries the previous pattern set are cleared, not all 256. Returns
-    /// `false`, leaving the previous pattern in place, exactly when
-    /// [`build`](Self::build) would refuse `pattern`.
+    /// entries the previous pattern set are cleared, not all 256 (unless
+    /// the table was remapped). Returns `false`, leaving the previous
+    /// pattern in place, exactly when [`build`](Self::build) would refuse
+    /// `pattern`. The rebuilt pattern reads texts as they are.
     pub fn rebuild(&mut self, pattern: &[u8]) -> bool {
         if pattern.is_empty() || pattern.len() > Self::MAX_LEN {
             return false;
         }
-        for &sym in &self.syms[..self.len] {
-            self.peq[sym as usize] = 0;
+        if self.remapped {
+            self.peq.fill(0);
+            self.remapped = false;
+        } else {
+            for &sym in &self.syms[..self.len] {
+                self.peq[sym as usize] = 0;
+            }
         }
         for (i, &sym) in pattern.iter().enumerate() {
             self.peq[sym as usize] |= 1u64 << i;
@@ -70,6 +100,21 @@ impl MyersPattern {
         self.syms[..pattern.len()].copy_from_slice(pattern);
         self.len = pattern.len();
         true
+    }
+
+    /// Read every text through `class` from here on: symbol `s` of a text
+    /// counts as `class[s]`, so [`distance`](Self::distance) and
+    /// [`distance_batch`](Self::distance_batch) return the distance from
+    /// the pattern to the text mapped symbol by symbol through `class` —
+    /// with `class` a phoneme → cluster map and a pattern of cluster ids,
+    /// `lev(cluster(q), cluster(text))` over the text's phoneme ids. One
+    /// pass over the 256-entry table; the recurrence is unchanged.
+    pub fn remap(&mut self, class: &[u8; 256]) {
+        let by_symbol = *self.peq;
+        for (eq, &c) in self.peq.iter_mut().zip(class) {
+            *eq = by_symbol[c as usize];
+        }
+        self.remapped = true;
     }
 
     /// Pattern length in symbols (1..=64).

@@ -194,6 +194,18 @@ impl ClusterTable {
         self.assignment[id as usize]
     }
 
+    /// The cluster id of every inventory id, as one table a byte of a flat
+    /// phoneme column indexes directly: `class_map()[id]` is
+    /// [`cluster_of_id(id)`](Self::cluster_of_id), and `0xFF` for a byte
+    /// outside the inventory.
+    pub fn class_map(&self) -> [u8; 256] {
+        let mut class = [u8::MAX; 256];
+        for (slot, cluster) in class.iter_mut().zip(&self.assignment) {
+            *slot = cluster.0;
+        }
+        class
+    }
+
     /// Whether two phonemes are *like phonemes* (same cluster).
     pub fn same_cluster(&self, a: Phoneme, b: Phoneme) -> bool {
         self.cluster_of(a) == self.cluster_of(b)
@@ -232,9 +244,19 @@ impl ClusterTable {
     }
 
     /// [`packed_key`](Self::packed_key) of a string given as its cluster
-    /// ids under this table (a row of a flat cluster column).
+    /// ids under this table (an index build's copy of a cluster-keyed column).
     pub fn packed_key_of_clusters(&self, clusters: &[u8]) -> u128 {
         self.pack(clusters.iter().copied())
+    }
+
+    /// [`packed_key`](Self::packed_key) of a string given as its raw
+    /// inventory ids (a row of a flat phoneme column).
+    ///
+    /// # Panics
+    ///
+    /// Panics at an id outside the inventory.
+    pub fn packed_key_of_ids(&self, ids: &[u8]) -> u128 {
+        self.pack(ids.iter().map(|&id| self.cluster_of_id(id).0))
     }
 
     fn pack(&self, clusters: impl Iterator<Item = u8>) -> u128 {

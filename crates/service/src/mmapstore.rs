@@ -8,8 +8,8 @@
 //! read the image below, and nothing else in the crate knows what a
 //! snapshot's bytes look like. It is an offset-based binary image where
 //! **the file is the runtime representation**: all entry data (texts,
-//! languages, phoneme strings, cluster-id vectors) lives in aligned,
-//! length-prefixed arenas addressed by relative offsets. Loading is
+//! languages, phoneme strings) lives in aligned, length-prefixed arenas
+//! addressed by relative offsets. Loading is
 //! `mmap` + one validation pass; each shard then reads its stripe of the
 //! rows where they lie (`lexequal::rows::Base`): no parse, no heap
 //! allocation or reference count a row, no copy. Replica seeding ships
@@ -21,13 +21,13 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "LEXEQMM1"
-//!      8     4  format version (3)
+//!      8     4  format version (4)
 //!     12     4  endianness tag (= 0x01020304; a big-endian writer
 //!               would produce 0x04030201, rejected on load)
 //!     16     4  shard count N
 //!     20     4  entry count E
 //!     24     8  covered LSN
-//!     32     4  section count (5)
+//!     32     4  section count (4)
 //!     36     4  reserved (0)
 //!     40  S×24  section table: S × { offset u64, len u64, checksum u64 }
 //!               (checksum: FNV-1a folded over LE u64 words, zero-padded
@@ -38,13 +38,16 @@
 //!               [1] entry table  16 bytes each (see below)
 //!               [2] text arena    UTF-8 bytes
 //!               [3] phoneme arena raw inventory ids
-//!               [4] cluster arena cluster ids, parallel to [3]
 //! ```
 //!
 //! Older versions are not read: a header tagged with one is the
-//! `unsupported format version` error. Version 2 carried a sixth section,
-//! a 32-byte phonetic embedding a row for a screen that no longer runs
-//! (DESIGN §5j); version 1 was never written outside tests.
+//! `unsupported format version` error. Version 3 carried a fifth section,
+//! the cluster ids parallel to the phoneme arena: a function of the
+//! phonemes under the cluster table, which the kernels now read through
+//! the query's remapped cluster pattern instead (`lexequal::verify`).
+//! Version 2 carried a sixth, a 32-byte phonetic embedding a row for a
+//! screen that no longer runs (DESIGN §5j); version 1 was never written
+//! outside tests.
 //!
 //! One entry-table record (16 bytes, `lexequal::rows::EntryRecord`):
 //!
@@ -53,10 +56,7 @@
 //!   language u8 (index into Language::ALL), pad[3] }
 //! ```
 //!
-//! Offsets are relative to their arena's start. The cluster arena is
-//! parallel to the phoneme arena byte-for-byte (one cluster id per
-//! phoneme id), so entry records address both with the same
-//! `(phon_off, phon_len)` window.
+//! Offsets are relative to their arena's start.
 //!
 //! Entries are stored in **global-id order**. Shard striping is the
 //! pure function `g % N` / `g / N` (see [`crate::shard`]), so the
@@ -67,11 +67,11 @@
 //! # Streaming writer
 //!
 //! [`write_image`] never holds the corpus: it takes a [`Cut`] (a row
-//! count, not a copy), sizes the five sections from a lengths-only pass
+//! count, not a copy), sizes the four sections from a lengths-only pass
 //! over the shards, then pulls the prefix a fixed 1024 rows at a time
 //! and writes each chunk's slice of every section at its final offset,
 //! folding a running checksum per section; the header goes in last.
-//! Transient memory is one chunk plus four small output buffers,
+//! Transient memory is one chunk plus three small output buffers,
 //! whatever the corpus size, and no lock is held but one shard's read
 //! lock for the copy of its slice of a chunk — rows below a published
 //! length never change (DESIGN §5m).
@@ -98,11 +98,11 @@ use std::sync::Arc;
 /// First eight bytes of every binary snapshot.
 pub const MAGIC: [u8; 8] = *b"LEXEQMM1";
 /// The format version, written and read.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 /// Endianness canary: reads back as written only on a same-endian host.
 const ENDIAN_TAG: u32 = 0x0102_0304;
-/// Sections in an image: specs, entries, texts, phonemes, clusters.
-const SECTIONS: usize = 5;
+/// Sections in an image: specs, entries, texts, phonemes.
+const SECTIONS: usize = 4;
 /// Bytes before the first section; also the up-front length gate.
 pub(crate) const HEADER_LEN: usize = 40 + SECTIONS * 24;
 /// Bytes per build-spec record.
@@ -112,8 +112,8 @@ const SPEC_RECORD: usize = 8;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ImageError {
     /// The bytes are not a valid image (bad magic, a failed checksum, an
-    /// out-of-bounds window, a foreign cost model), or could not be read
-    /// or written at all.
+    /// out-of-bounds window, a byte outside the phoneme inventory), or
+    /// could not be read or written at all.
     Parse(String),
     /// A well-formed image this load cannot take: the shard-pin
     /// contract, or a file that cannot be opened.
@@ -437,7 +437,6 @@ const SPECS: usize = 0;
 const ENTRIES: usize = 1;
 const TEXTS: usize = 2;
 const PHONEMES: usize = 3;
-const CLUSTERS: usize = 4;
 
 /// One section while it is streamed: its window in the file, how much
 /// of it has been written, and the checksum of that much.
@@ -457,16 +456,6 @@ impl SectionWriter {
     }
 }
 
-/// The cluster id of every inventory id under `operator`'s cluster table
-/// (`None` for a byte outside the inventory).
-fn cluster_lut(operator: &LexEqual) -> [Option<u8>; 256] {
-    let table = operator.cost_model().clusters();
-    std::array::from_fn(|id| {
-        let p = Phoneme::from_id(id as u8).ok()?;
-        Some(table.cluster_of(p).0)
-    })
-}
-
 /// Stream the store's rows `0..cut.rows` into `sink` as a binary
 /// snapshot image covering `cut.lsn` and recording `cut.builds`; returns
 /// the image length.
@@ -474,9 +463,7 @@ fn cluster_lut(operator: &LexEqual) -> [Option<u8>; 256] {
 /// Reads the prefix through the store's chunked reader with no lock held
 /// (commits, appends and index builds proceed meanwhile — rows below the
 /// cut never change), so the image is the store exactly as it stood when
-/// the cut was taken. Cluster ids are recomputed from the phonemes under
-/// the configured cost model, making the image self-consistent by
-/// construction.
+/// the cut was taken.
 pub fn write_image(
     store: &ShardedStore,
     cut: &Cut,
@@ -492,14 +479,13 @@ pub fn write_image(
         specs.extend_from_slice(&spec_to_record(spec)?);
     }
 
-    // Lengths-only pass, then the layout: five sections, 8-byte aligned.
+    // Lengths-only pass, then the layout: four sections, 8-byte aligned.
     let (text_bytes, phoneme_bytes) = store.prefix_bytes(cut.rows);
     let mut lens = [0usize; SECTIONS];
     lens[SPECS] = specs.len();
     lens[ENTRIES] = cut.rows * EntryRecord::BYTES;
     lens[TEXTS] = text_bytes;
     lens[PHONEMES] = phoneme_bytes;
-    lens[CLUSTERS] = phoneme_bytes;
     let mut end = HEADER_LEN as u64;
     let mut sections = lens.map(|len| {
         let off = end.next_multiple_of(8);
@@ -515,15 +501,14 @@ pub fn write_image(
     sections[SPECS].put(sink, &specs).map_err(io_err)?;
 
     // The rows, a chunk at a time: each chunk's slice of every arena is
-    // assembled in four reused buffers and written at its final offset.
-    let lut = cluster_lut(store.operator());
+    // assembled in three reused buffers and written at its final offset.
     let chunk_rows = CHUNK_ROWS.min(cut.rows);
     let mut entries = Vec::with_capacity(chunk_rows * EntryRecord::BYTES);
-    let (mut texts, mut phonemes, mut clusters) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut texts, mut phonemes) = (Vec::new(), Vec::new());
     let (mut text_off, mut phon_off) = (0usize, 0usize);
     let mut reader = store.prefix_reader(cut.rows);
     while let Some(chunk) = reader.next_chunk() {
-        for buf in [&mut entries, &mut texts, &mut phonemes, &mut clusters] {
+        for buf in [&mut entries, &mut texts, &mut phonemes] {
             buf.clear();
         }
         for (text, language, phon) in chunk {
@@ -545,20 +530,11 @@ pub fn write_image(
             };
             texts.extend_from_slice(text);
             phonemes.extend_from_slice(phon);
-            clusters.extend(
-                phon.iter()
-                    .map(|&p| lut[p as usize].expect("stored phoneme ids are inventory ids")),
-            );
             entries.extend_from_slice(&record.encode());
             text_off += text.len();
             phon_off += phon.len();
         }
-        for (section, buf) in [
-            (ENTRIES, &entries),
-            (TEXTS, &texts),
-            (PHONEMES, &phonemes),
-            (CLUSTERS, &clusters),
-        ] {
+        for (section, buf) in [(ENTRIES, &entries), (TEXTS, &texts), (PHONEMES, &phonemes)] {
             sections[section].put(sink, buf).map_err(io_err)?;
         }
     }
@@ -860,7 +836,7 @@ pub(crate) fn load_owner(
             )));
         }
     }
-    let [specs, entries, texts, phonemes, clusters] = sections;
+    let [specs, entries, texts, phonemes] = sections;
 
     // Build specs.
     if specs.len % SPEC_RECORD != 0 {
@@ -883,35 +859,15 @@ pub(crate) fn load_owner(
         )));
     }
 
-    // Arena-wide invariants. The cluster arena must be the phoneme
-    // arena's parallel twin, every phoneme byte a valid inventory id,
-    // and every cluster byte exactly what the *configured* cost model
-    // assigns — a snapshot written under a different MatchConfig is
-    // rejected here, never left to change match semantics silently.
-    if clusters.len != phonemes.len {
-        return Err(err(format!(
-            "cluster arena ({} bytes) is not parallel to the phoneme arena ({} bytes)",
-            clusters.len, phonemes.len
-        )));
-    }
+    // Every phoneme byte must be an inventory id: the kernels index the
+    // cost matrix and the cluster table with it.
     let phon_arena = &image[phonemes.off..phonemes.off + phonemes.len];
-    let clus_arena = &image[clusters.off..clusters.off + clusters.len];
-    let lut = cluster_lut(&operator);
-    for (i, (&p, &c)) in phon_arena.iter().zip(clus_arena).enumerate() {
-        match lut[p as usize] {
-            None => {
-                return Err(err(format!(
-                    "phoneme arena byte {i} (id {p}) is outside the inventory"
-                )))
-            }
-            Some(expect) if expect != c => {
-                return Err(err(
-                    "stored cluster ids disagree with the configured cost model \
-                     (snapshot written under a different MatchConfig?)",
-                ))
-            }
-            Some(_) => {}
-        }
+    let inventory: [bool; 256] = std::array::from_fn(|id| Phoneme::from_id(id as u8).is_ok());
+    if let Some(i) = phon_arena.iter().position(|&p| !inventory[p as usize]) {
+        let p = phon_arena[i];
+        return Err(err(format!(
+            "phoneme arena byte {i} (id {p}) is outside the inventory"
+        )));
     }
 
     // The text arena validates as UTF-8 once, whole; a window into it
@@ -956,7 +912,6 @@ pub(crate) fn load_owner(
         entries: window(entries),
         texts: window(texts),
         phonemes: window(phonemes),
-        clusters: window(clusters),
     };
     let bases = (0..snap_shards)
         .map(|s| Base::new(Arc::clone(&owner), layout.clone(), snap_shards, s))

@@ -10,7 +10,7 @@
 //! sink is blocked mid-file; rows committed after the cut are not in the
 //! image; transient memory is one chunk, not three copies of the corpus).
 
-use lexequal::{Language, LexEqual, MatchConfig, QgramMode};
+use lexequal::{Language, MatchConfig, QgramMode};
 use lexequal_lexicon::Corpus;
 use lexequal_service::mmapstore::{self, ImageSink};
 use lexequal_service::server::respond;
@@ -89,18 +89,19 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize, isize) {
 // ---------------------------------------------------------------------
 // The oracle: the whole-store encoder this PR replaced, verbatim except
 // that it reads rows through the public `get` instead of the deleted
-// `export_shards`. It shares nothing with the product writer — not the
-// checksum, not the layout arithmetic, not the cluster lookup.
+// `export_shards` and writes the four sections of format 4 (format 3's
+// cluster arena is gone). It shares nothing with the product writer — not
+// the checksum, not the layout arithmetic.
 // ---------------------------------------------------------------------
 
 mod oracle {
     use super::*;
 
     const MAGIC: [u8; 8] = *b"LEXEQMM1";
-    const FORMAT_VERSION: u32 = 3;
+    const FORMAT_VERSION: u32 = 4;
     const ENDIAN_TAG: u32 = 0x0102_0304;
-    const V3_SECTIONS: usize = 5;
-    const HEADER_LEN: usize = 40 + V3_SECTIONS * 24;
+    const V4_SECTIONS: usize = 4;
+    const HEADER_LEN: usize = 40 + V4_SECTIONS * 24;
     const ENTRY_RECORD: usize = 16;
     const SPEC_RECORD: usize = 8;
 
@@ -150,12 +151,10 @@ mod oracle {
         let shards = store.shards();
         let total = store.len();
         let entry_count = u32::try_from(total).expect("entry count fits");
-        let operator = LexEqual::new(store.config().clone());
 
         let mut entry_table = Vec::with_capacity(total * ENTRY_RECORD);
         let mut texts = Vec::new();
         let mut phonemes = Vec::new();
-        let mut clusters = Vec::new();
         for g in 0..total {
             let entry = store.get(g as u32).expect("id below len");
             let text = entry.text.as_bytes();
@@ -170,7 +169,6 @@ mod oracle {
                 .expect("every language is in Language::ALL") as u8;
             texts.extend_from_slice(text);
             phonemes.extend_from_slice(phon);
-            clusters.extend_from_slice(&operator.cluster_ids(&entry.phonemes));
             entry_table.extend_from_slice(&text_off.to_le_bytes());
             entry_table.extend_from_slice(&phon_off.to_le_bytes());
             entry_table.extend_from_slice(&text_len.to_le_bytes());
@@ -190,12 +188,12 @@ mod oracle {
         image.extend_from_slice(&(shards as u32).to_le_bytes());
         image.extend_from_slice(&entry_count.to_le_bytes());
         image.extend_from_slice(&lsn.to_le_bytes());
-        image.extend_from_slice(&(V3_SECTIONS as u32).to_le_bytes());
+        image.extend_from_slice(&(V4_SECTIONS as u32).to_le_bytes());
         image.extend_from_slice(&0u32.to_le_bytes());
         image.resize(HEADER_LEN, 0);
 
-        let payloads: [&[u8]; V3_SECTIONS] = [&specs, &entry_table, &texts, &phonemes, &clusters];
-        let mut table = [[0u64; 3]; V3_SECTIONS];
+        let payloads: [&[u8]; V4_SECTIONS] = [&specs, &entry_table, &texts, &phonemes];
+        let mut table = [[0u64; 3]; V4_SECTIONS];
         for (i, payload) in payloads.iter().enumerate() {
             pad_to_align(&mut image);
             table[i] = [

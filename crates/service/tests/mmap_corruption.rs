@@ -13,23 +13,24 @@
 use lexequal::{Language, MatchConfig};
 use lexequal_service::{mmapstore, ImageError, MatchService, ServiceConfig};
 
-/// Fixed header size: 40 bytes + 5 section-table entries of 24 bytes
-/// (a version-3 image; version 2 had 6 entries and a 184-byte header).
-const HEADER_LEN: usize = 160;
+/// Fixed header size: 40 bytes + 4 section-table entries of 24 bytes
+/// (a version-4 image; version 3 had 5 entries and a 160-byte header,
+/// version 2 had 6 and a 184-byte one).
+const HEADER_LEN: usize = 136;
 /// Section-table start and record size.
 const TABLE_AT: usize = 40;
 const TABLE_RECORD: usize = 24;
-/// Section indices in a version-3 image.
+/// Section indices in a version-4 image.
 const SEC_SPECS: usize = 0;
 const SEC_ENTRIES: usize = 1;
 const SEC_TEXTS: usize = 2;
 const SEC_PHONEMES: usize = 3;
-const SEC_CLUSTERS: usize = 4;
-/// Section count in each format version (versions 1 and 2 are no longer
+/// Section count in each format version (versions 1 to 3 are no longer
 /// read).
 const V1_SECTIONS: u32 = 5;
 const V2_SECTIONS: u32 = 6;
-const V3_SECTIONS: usize = 5;
+const V3_SECTIONS: u32 = 5;
+const V4_SECTIONS: usize = 4;
 /// Bytes per entry-table record.
 const ENTRY_RECORD: usize = 16;
 
@@ -83,6 +84,11 @@ fn load(bytes: Vec<u8>) -> Result<mmapstore::LoadedImage, ImageError> {
     mmapstore::load_bytes(MatchConfig::default(), None, bytes)
 }
 
+/// The section count the header declares.
+fn section_count(image: &[u8]) -> usize {
+    u32::from_le_bytes(image[32..36].try_into().unwrap()) as usize
+}
+
 /// Read section `i`'s (offset, length) from the table.
 fn section(image: &[u8], i: usize) -> (usize, usize) {
     let at = TABLE_AT + i * TABLE_RECORD;
@@ -121,7 +127,8 @@ fn pristine_image_loads_and_checksums_are_pinned() {
     assert_eq!(loaded.builds.len(), 3);
     // Every stored checksum matches this test's independent FNV — the
     // algorithm is pinned, not just internally consistent.
-    for i in 0..V3_SECTIONS {
+    assert_eq!(section_count(&image), V4_SECTIONS);
+    for i in 0..V4_SECTIONS {
         let (off, len) = section(&image, i);
         let at = TABLE_AT + i * TABLE_RECORD + 16;
         let stored = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
@@ -175,8 +182,8 @@ fn bad_magic_version_endianness_and_counts_are_named() {
     expect_named_err(bad_magic, "bad magic");
 
     let mut bad_version = image.clone();
-    bad_version[8..12].copy_from_slice(&4u32.to_le_bytes());
-    expect_named_err(bad_version, "unsupported format version 4");
+    bad_version[8..12].copy_from_slice(&5u32.to_le_bytes());
+    expect_named_err(bad_version, "unsupported format version 5");
 
     let mut bad_endian = image.clone();
     bad_endian[12..16].copy_from_slice(&0x0403_0201u32.to_le_bytes());
@@ -197,8 +204,8 @@ fn bad_magic_version_endianness_and_counts_are_named() {
     expect_named_err(bad_entry_count, "6 entries need");
 
     let mut bad_section_count = image.clone();
-    bad_section_count[32..36].copy_from_slice(&4u32.to_le_bytes());
-    expect_named_err(bad_section_count, "section count 4");
+    bad_section_count[32..36].copy_from_slice(&3u32.to_le_bytes());
+    expect_named_err(bad_section_count, "section count 3");
 }
 
 #[test]
@@ -233,7 +240,8 @@ fn oob_and_misaligned_sections_are_named() {
 #[test]
 fn checksum_flip_in_every_section_is_caught() {
     let image = small_image();
-    for i in 0..V3_SECTIONS {
+    assert_eq!(section_count(&image), V4_SECTIONS);
+    for i in 0..V4_SECTIONS {
         let (off, len) = section(&image, i);
         assert!(len > 0, "section {i} unexpectedly empty");
         let mut flipped = image.clone();
@@ -312,22 +320,6 @@ fn hostile_arenas_and_specs_are_named() {
     reseal(&mut bad_phoneme, SEC_PHONEMES);
     expect_named_err(bad_phoneme, "outside the inventory");
 
-    // A cluster id that disagrees with the configured cost model.
-    let (clus_off, clus_len) = section(&image, SEC_CLUSTERS);
-    assert_eq!(clus_len, phon_len, "arenas must be parallel twins");
-    let mut bad_cluster = image.clone();
-    bad_cluster[clus_off] ^= 1;
-    reseal(&mut bad_cluster, SEC_CLUSTERS);
-    expect_named_err(bad_cluster, "disagree with the configured cost model");
-
-    // Cluster arena shorter than the phoneme arena (checksum resealed
-    // over the shortened payload, so the parallel-twin check answers).
-    let len_at = TABLE_AT + SEC_CLUSTERS * TABLE_RECORD + 8;
-    let mut short_clusters = image.clone();
-    short_clusters[len_at..len_at + 8].copy_from_slice(&((clus_len as u64) - 1).to_le_bytes());
-    reseal(&mut short_clusters, SEC_CLUSTERS);
-    expect_named_err(short_clusters, "not parallel to the phoneme arena");
-
     // Unknown build-spec tag and q-gram mode.
     let (spec_off, spec_len) = section(&image, SEC_SPECS);
     assert!(spec_len >= 8, "three recorded builds expected");
@@ -362,8 +354,8 @@ fn hostile_arenas_and_specs_are_named() {
     expect_named_err(ragged, "not a record multiple");
 }
 
-/// A version-1 image — synthesized by re-tagging a v3 image, since v1 had
-/// the same five sections under another version word — is no longer read
+/// A version-1 image — synthesized by re-tagging a v4 image and declaring
+/// v1's five sections — is no longer read
 /// (none was ever written outside tests): its header is the named version
 /// error, never a panic and never a load.
 #[test]
@@ -379,9 +371,9 @@ fn v1_images_are_a_named_version_error() {
     assert!(load(v1).is_err());
 }
 
-/// A version-2 image (six sections: these five and a 32-byte embedding a
-/// row) is not read: its header is the named version error, whether it
-/// declares its own six sections or this build's five.
+/// A version-2 image (six sections: these four, a cluster arena and a
+/// 32-byte embedding a row) is not read: its header is the named version
+/// error, whether it declares its own six sections or this build's four.
 #[test]
 fn v2_images_are_a_named_version_error() {
     let mut v2 = small_image();
@@ -391,13 +383,26 @@ fn v2_images_are_a_named_version_error() {
     expect_named_err(v2, "unsupported format version 2");
 }
 
-/// A version-3 header that declares a sixth section — a v2 arena under a
-/// v3 version word — is the section-count error.
+/// A version-3 image (five sections: these four and a cluster arena
+/// parallel to the phoneme arena) is not read: its header is the named
+/// version error, whether it declares its own five sections or this
+/// build's four.
 #[test]
-fn a_v3_header_declaring_six_sections_is_the_section_count_error() {
-    let mut six = small_image();
-    six[32..36].copy_from_slice(&V2_SECTIONS.to_le_bytes());
-    expect_named_err(six, "section count 6 (version 3 holds 5)");
+fn v3_images_are_a_named_version_error() {
+    let mut v3 = small_image();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    expect_named_err(v3.clone(), "unsupported format version 3");
+    v3[32..36].copy_from_slice(&V3_SECTIONS.to_le_bytes());
+    expect_named_err(v3, "unsupported format version 3");
+}
+
+/// A version-4 header that declares a fifth section — a v3 cluster arena
+/// under a v4 version word — is the section-count error.
+#[test]
+fn a_v4_header_declaring_five_sections_is_the_section_count_error() {
+    let mut five = small_image();
+    five[32..36].copy_from_slice(&V3_SECTIONS.to_le_bytes());
+    expect_named_err(five, "section count 5 (version 4 holds 4)");
 }
 
 #[test]

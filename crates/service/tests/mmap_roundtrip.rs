@@ -296,7 +296,10 @@ fn a_loaded_store_that_grew_equals_one_bulk_loaded_with_the_same_rows() {
         let grown = load.service;
         let loaded = grown.stats().cover;
         assert_eq!(loaded.row_bytes, 0, "a load owns no row");
-        assert!(loaded.mapped_bytes > n * (16 + 32), "{loaded:?}");
+        // A 16-byte record, the text and the phonemes a row, to the byte.
+        let row_bytes = |e: &lexequal::store::NameEntry| 16 + e.text.len() + e.phonemes.len();
+        let image_rows: usize = rows[..n].iter().map(row_bytes).sum();
+        assert_eq!(loaded.mapped_bytes, image_rows, "{loaded:?}");
         grown.extend_transformed(rows[n..].to_vec());
         assert_eq!(grown.stats().cover.tails[1..], [n + k; 3]);
         assert_identical(&bulk, &grown, &what("before the cover"));

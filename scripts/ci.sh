@@ -79,7 +79,7 @@ echo "== lexbench smoke: the release daemon over a socket, oracle-checked"
 # against the in-process oracle.
 bash crates/lexbench/run.sh --smoke
 
-echo "== line counts (whole .rs files, bin/ included; ROADMAP item 5's exit criterion, and item 3's crate exit for crates/embed)"
+echo "== line counts (whole .rs files, bin/ included; ROADMAP item 3's exit criterion, its crate exit for crates/embed among them)"
 for dir in crates/service/src crates/core/src crates/embed/src; do
     echo "$dir $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
 done
@@ -100,5 +100,22 @@ if [[ -f "$newest" ]]; then
                  else "; wins/losses/ties \(.value.wins)/\(.value.losses)/\(.value.ties), claim: \(.value.claim)" end)))' \
         "$newest"
 fi
+
+echo "== benchmark trajectory from BENCH_31: within-pair ratios chained, hosts and gaps flagged, printed, not gated (scripts/trajectory.jq)"
+prev=""
+for point in $(printf '%s\n' BENCH_*.json | sort -V); do
+    number="${point//[!0-9]/}"
+    (( number >= 31 )) || continue
+    parent="$(jq -r .parent "$point")"
+    # Commits from the previous point's parent to this one's: more than one
+    # means a commit in between was never measured.
+    gap=null
+    if [[ -n $prev ]]; then
+        gap="$(git rev-list --count "$prev..$parent" 2>/dev/null || echo null)"
+    fi
+    jq -c --arg file "$point" --argjson gap "$gap" \
+        '{file: $file, gap: $gap, parent, kernel: .host.kernel, runs}' "$point"
+    prev="$parent"
+done | jq -s -r -f scripts/trajectory.jq
 
 echo "ci: all green"

@@ -19,8 +19,8 @@
 
 use lexequal::store::NameEntry;
 use lexequal::{
-    BatchVerifier, BuildSpec, MatchConfig, NameStore, PathIndex, QgramFilter, QgramMode,
-    SearchMethod,
+    BatchVerifier, BuildSpec, KeyColumn, MatchConfig, NameStore, PathIndex, QgramFilter, QgramMode,
+    SearchMethod, SymbolColumn,
 };
 use lexequal_lexicon::Corpus;
 use lexequal_matcher::{edit_distance, length_filter_passes, BkTree, UnitCost};
@@ -133,7 +133,9 @@ fn bktree_equals_scan() {
 /// Under every regime the two sound paths hand the verifier one set, a
 /// function of rows, query and threshold: the rows inside the length
 /// filter whose cluster string is within the operator's radius of the
-/// query's — found here by measuring every row with the plain DP.
+/// query's — found here by measuring every row's cluster string, copied
+/// out of the store, with the plain DP. The paths themselves read the
+/// phoneme column through the query's remapped probe.
 #[test]
 fn strict_qgram_and_bktree_put_the_same_rows_to_the_verifier() {
     for (regime, config) in cost_regimes().into_iter().enumerate() {
@@ -142,7 +144,10 @@ fn strict_qgram_and_bktree_put_the_same_rows_to_the_verifier() {
         s.build_bktree();
         let (rows, op) = (s.rows(), s.operator());
         let n = rows.len();
-        let clusters = |id: usize| rows.row(id).clusters;
+        let mut keys = SymbolColumn::default();
+        s.read_keys(KeyColumn::Clusters, 0..n, &mut keys);
+        let clusters = |id: usize| keys.row(id);
+        let phonemes = |id: usize| rows.row(id).phonemes;
         let filter = QgramFilter::build_rows(n, clusters, 3, QgramMode::Strict);
         let tree = BkTree::build(n as u32, |id| clusters(id as usize));
         for q in queries_of(&s) {
@@ -157,11 +162,11 @@ fn strict_qgram_and_bktree_put_the_same_rows_to_the_verifier() {
                 };
                 let ball: Vec<u32> = (0..n).filter(inside).map(|id| id as u32).collect();
                 let what = format!("regime {regime} query /{q}/ e={e}");
-                let by_grams = filter.within(query, k, radius, &probe, n, clusters);
+                let by_grams = filter.within(query, k, radius, &probe, n, phonemes);
                 assert_eq!(by_grams, ball, "{what}: q-gram path");
                 let mut by_tree = Vec::new();
                 tree.walk(
-                    |id| clusters(id as usize),
+                    |id| phonemes(id as usize),
                     &probe,
                     radius,
                     n as u32,
@@ -190,8 +195,10 @@ fn the_sound_paths_are_selective_on_the_preload_set() {
     let mut s = NameStore::new(MatchConfig::default());
     s.extend_transformed(entries);
     s.build_qgram(3, QgramMode::Strict);
-    let (rows, n) = (s.rows(), s.len());
-    let filter = QgramFilter::build_rows(n, |id| rows.row(id).clusters, 3, QgramMode::Strict);
+    let n = s.len();
+    let mut keys = SymbolColumn::default();
+    s.read_keys(KeyColumn::Clusters, 0..n, &mut keys);
+    let filter = QgramFilter::build_rows(n, |id| keys.row(id), 3, QgramMode::Strict);
     let queries: Vec<_> = (0..n as u32).step_by(319).collect();
     let (mut survivors, mut ball, mut matches) = (0, 0, 0);
     for q in queries
@@ -315,9 +322,9 @@ fn assert_coverage_is_invisible(
             if covered == 0 {
                 s.declare(spec);
             } else {
-                let rows = s.rows();
-                let row = |id: usize| rows.row(id).key(spec.key());
-                let index = PathIndex::build(spec, &clusters, covered, row);
+                let mut keys = SymbolColumn::default();
+                s.read_keys(spec.key(), 0..covered, &mut keys);
+                let index = PathIndex::build(spec, &clusters, covered, |id| keys.row(id));
                 assert!(s.install(index), "{spec:?} to {covered} rows");
             }
             assert_eq!(s.coverage().last(), Some(&(spec, covered)));

@@ -2,11 +2,13 @@
 //! loop driving nonblocking pipelined connections, with verification
 //! decoupled onto a small fixed pool of worker threads.
 //!
-//! The whole machine runs on a constant number of threads regardless of
-//! connection count — the event loop plus `workers` dispatch threads
-//! (which in turn lean on the existing shard workers, each owning a warm
-//! [`lexequal::BatchVerifier`] that disposes of its access path's
-//! candidate stream in interleaved lane-batched steps):
+//! The loop runs on a constant number of threads regardless of
+//! connection count or `--shards` (the [crate docs](crate) list them all):
+//! itself plus `workers` verify threads, each of which runs a request
+//! whole — a lookup searches every shard in turn under its read lock,
+//! through the worker's own warm [`lexequal::BatchVerifier`], which
+//! disposes of an access path's candidate stream in interleaved
+//! lane-batched steps:
 //!
 //! ```text
 //!              epoll readiness loop (1 thread)
@@ -15,8 +17,8 @@
 //!     │                                        per-worker bounded queues
 //!     │                                                    │
 //!     │        eventfd wake ◀── completion queue ◀── worker threads
-//!     │                │                              (lookup via the
-//!     └── write ◀── fill response slot                 shard workers)
+//!     │                │                              (each shard in turn,
+//!     └── write ◀── fill response slot                 under its read lock)
 //! ```
 //!
 //! * **Pipelining** — a client may have many request lines in flight on
@@ -31,9 +33,7 @@
 //! * **Ordering** — jobs route to a worker by connection token, and each
 //!   worker drains its queue FIFO, so requests from one connection
 //!   execute in arrival order (a pipelined `ADD` is visible to the
-//!   `MATCH` behind it). Consecutive lookup jobs — `MATCH`, `MATCH -` and
-//!   every item of a `BATCH` — are fanned out to the shards together
-//!   before any of them is merged, so one worker keeps every shard busy.
+//!   `MATCH` behind it).
 //!
 //! No new dependencies: the epoll/eventfd surface is four `extern "C"`
 //! shims over the libc that `std` already links.
@@ -41,8 +41,8 @@
 use crate::conn::{Conn, WRITE_HIGH_WATER};
 use crate::metrics::ConnMetrics;
 use crate::proto::{parse_request, FrameError, Request};
-use crate::server::{begin_lookups, execute_request, finish_lookups, ReqCtx, Role, ServeOptions};
-use crate::service::{MatchService, PendingLookup};
+use crate::server::{execute_request, ReqCtx, Role, ServeOptions};
+use crate::service::MatchService;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
 use std::net::TcpListener;
@@ -326,15 +326,13 @@ struct WorkerQueue {
     capacity: usize,
 }
 
-/// How many jobs one worker drains per wakeup. Consecutive lookup jobs
-/// in a drained batch are fanned out to the shards together before any
-/// merge, so even a single worker keeps every shard busy.
+/// How many jobs one worker drains per wakeup.
 const WORKER_BATCH: usize = 16;
 
 /// The fixed verify-dispatch pool. Jobs route to `queues[token % n]`,
 /// which preserves per-connection execution order (each queue drains
-/// FIFO); verification itself happens on the shard workers' warm
-/// [`lexequal::BatchVerifier`]s, reached through [`MatchService`].
+/// FIFO); each worker runs its jobs through [`MatchService`] on its own
+/// thread, verification included.
 struct WorkerPool {
     queues: Vec<Arc<WorkerQueue>>,
     stop: Arc<AtomicBool>,
@@ -436,35 +434,14 @@ fn worker_loop(
             jobs.drain(..n).collect()
         };
         metrics.queue_popped(batch.len() as u64);
-        let mut out = Vec::with_capacity(batch.len());
-        // Overlap a run of consecutive lookup jobs (`MATCH`, `MATCH -`,
-        // `BATCH`): every item's fan-out is enqueued before any is merged.
-        // Any other job ends the run first, so a pipelined ADD/BUILD still
-        // happens before the lookup behind it.
-        let mut run = Vec::new();
-        for job in &batch {
-            match begin_lookups(service, &job.request) {
-                Some(begun) => run.push((job, begun)),
-                None => {
-                    finish_run(service, &mut run, &mut out);
-                    let lines = execute_request(service, ctx, &job.request, Some(metrics));
-                    out.push(Completion::of(job, lines));
-                }
-            }
-        }
-        finish_run(service, &mut run, &mut out);
+        let out = batch
+            .iter()
+            .map(|job| {
+                let lines = execute_request(service, ctx, &job.request, Some(metrics));
+                Completion::of(job, lines)
+            })
+            .collect();
         completions.push(out);
-    }
-}
-
-/// Finish a run of begun lookup jobs, in order.
-fn finish_run(
-    service: &MatchService,
-    run: &mut Vec<(&Job, Vec<PendingLookup>)>,
-    out: &mut Vec<Completion>,
-) {
-    for (job, begun) in run.drain(..) {
-        out.push(Completion::of(job, finish_lookups(service, begun)));
     }
 }
 
@@ -491,14 +468,13 @@ const READ_BUDGET: usize = 64 * 1024;
 
 /// Serve connections on an epoll readiness loop until `shutdown` fires.
 ///
-/// Thread count is a constant: this loop plus `opts.workers` dispatch
-/// threads (plus the shard workers the service already owns) — it does
-/// not grow with connections. See the [module docs](self) for the
-/// pipelining, backpressure, and ordering rules. Every request routes
-/// through `ctx` (`ReqCtx::default()` is a standalone daemon); on a
-/// primary, a `REPL HELLO` hands the socket off the loop onto a
-/// dedicated replication sender thread once its pipelined responses
-/// have flushed.
+/// Thread count is a constant: this loop plus `opts.workers` verify
+/// threads — it grows with neither connections nor shards. See the
+/// [module docs](self) for the pipelining, backpressure, and ordering
+/// rules. Every request routes through `ctx` (`ReqCtx::default()` is a
+/// standalone daemon); on a primary, a `REPL HELLO` hands the socket off
+/// the loop onto a dedicated replication sender thread once its
+/// pipelined responses have flushed.
 pub fn serve(
     listener: TcpListener,
     service: Arc<MatchService>,

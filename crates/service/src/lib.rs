@@ -4,20 +4,21 @@
 //! a sharded, multi-threaded [`MatchService`] over the paper's operator
 //! and access paths, plus the `lexequald` line-oriented TCP front-end
 //! (benchmarked from outside, over its socket, by `crates/lexbench`).
-//! Everything is built on `std` concurrency only — threads, channels,
-//! mutexes and atomics; no async runtime.
+//! Everything is built on `std` concurrency only — threads, locks and
+//! atomics; no async runtime.
 //!
 //! ## Layers
 //!
 //! * [`shard`] — [`ShardedStore`]: N [`NameStore`](lexequal::NameStore)
 //!   shards (at most [`MAX_SHARDS`](shard::MAX_SHARDS)), each behind a
-//!   read-write lock its worker thread shares; global ids stripe
-//!   round-robin (`id % N` picks the shard, `id / N` the local slot),
-//!   searches and appends queue on the workers, searches fan out over
-//!   channels and merge exactly, and every other read is a direct call
-//!   under the read lock. Access paths are declared (exact at once) and
-//!   covered by indices built off the workers and off the locks, behind
-//!   the traffic; appends are their tails, never an invalidation.
+//!   read-write lock and none owning a thread; global ids stripe
+//!   round-robin (`id % N` picks the shard, `id / N` the local slot). A
+//!   search visits every shard in turn on the caller's thread, under each
+//!   read lock, and merges exactly; an append takes a shard's write lock
+//!   for one chunk on the loading thread. Access paths are declared
+//!   (exact at once) and covered by indices built on one background
+//!   coverer thread, off the locks, behind the traffic; appends are their
+//!   tails, never an invalidation.
 //! * [`cache`] — [`TransformCache`]: a sharded-mutex LRU memoizing
 //!   `(text, language) → PhonemeString` with hit/miss counters.
 //! * [`metrics`] — lock-free request counters and a log2-bucket latency
@@ -54,6 +55,14 @@
 //!   --replica-of`: one handshake that [`initial_sync`] seeds with and
 //!   [`run_replica`] reconnects with, re-seeding live after being
 //!   compacted past and refusing a divergent history.
+//!
+//! ## Threads
+//!
+//! A daemon runs a fixed set of threads, whatever its shard or connection
+//! count: the event loop, `--workers` verify workers (each runs a request
+//! whole, a lookup's search over every shard included) and the store's
+//! one coverer; plus, when those are on, a primary's compactor and one
+//! sender a replica streaming from it, or a replica's apply thread.
 //!
 //! ## Example
 //!
@@ -102,5 +111,5 @@ pub use service::{
     AddResolution, AutoMatchRequest, LoadInfo, MatchOutcome, MatchRequest, MatchService, Preloaded,
     ServiceConfig, SnapshotLoad, StatsSnapshot,
 };
-pub use shard::{BuildSpec, CoverStats, Cut, Loader, PendingSearch, ShardedStore};
+pub use shard::{BuildSpec, CoverStats, Cut, Loader, ShardedStore};
 pub use wal::{CompactionStats, Op, Wal, WalCursor, WalError, WalRecord};

@@ -205,9 +205,9 @@ pub struct PathMetrics {
     pub latency: LatencyHistogram,
 }
 
-/// Verification-kernel screen counters aggregated across every shard
-/// worker. Each worker owns a long-lived `lexequal::BatchVerifier` and flushes
-/// its per-search [`ScreenCounters`] here after answering, so a `STATS`
+/// Verification-kernel screen counters aggregated across every search.
+/// Each searching thread owns a long-lived `lexequal::BatchVerifier` and
+/// flushes its [`ScreenCounters`] here after each shard, so a `STATS`
 /// snapshot shows how many verified pairs the bit-parallel screens
 /// disposed of without the full DP.
 #[derive(Debug, Default)]
@@ -225,7 +225,7 @@ pub struct ScreenTotals {
 }
 
 impl ScreenTotals {
-    /// Fold one worker's counters into the totals.
+    /// Fold one shard search's counters into the totals.
     pub fn add(&self, c: &ScreenCounters) {
         self.fast_accept.fetch_add(c.fast_accept, Ordering::Relaxed);
         self.fast_reject.fetch_add(c.fast_reject, Ordering::Relaxed);
@@ -245,9 +245,9 @@ impl ScreenTotals {
     }
 }
 
-/// Batch-shape counters aggregated across every shard worker, the
-/// lock-free mirror of [`BatchCounters`]: each worker owns a long-lived
-/// `lexequal::BatchVerifier` and flushes here after answering, so a
+/// Batch-shape counters aggregated across every search, the lock-free
+/// mirror of [`BatchCounters`]: each searching thread owns a long-lived
+/// `lexequal::BatchVerifier` and flushes here after each shard, so a
 /// `STATS` snapshot shows how many interleaved steps ran and how full
 /// their lanes were.
 #[derive(Debug, Default)]
@@ -267,7 +267,7 @@ pub struct BatchTotals {
 }
 
 impl BatchTotals {
-    /// Fold one worker's counters into the totals.
+    /// Fold one shard search's counters into the totals.
     pub fn add(&self, c: &BatchCounters) {
         self.calls.fetch_add(c.calls, Ordering::Relaxed);
         self.lanes_sum.fetch_add(c.lanes_sum, Ordering::Relaxed);

@@ -3,16 +3,16 @@
 //!
 //! [`respond`] is the one entry point from a request line to its
 //! response lines; `execute_request` behind it is what the serving
-//! loop's workers call with a line they have already parsed, except for
-//! a lookup (`MATCH`, `MATCH -`, `BATCH`), which they begin and finish
-//! in two halves so a run of them overlaps on the shards. The loop
+//! loop's workers call with a line they have already parsed, and it
+//! answers a lookup (`MATCH`, `MATCH -`, each `BATCH` item) where it
+//! stands, searching the shards on the worker's own thread. The loop
 //! itself — one epoll readiness thread plus a fixed verify worker pool,
 //! connections pipelined — is [`crate::event_loop::serve`].
 
 use crate::metrics::{method_name, ConnMetrics, ReplStats};
 use crate::proto::{format_outcome, format_stats, parse_request, Request};
 use crate::repl::{ReplicaState, Replicator};
-use crate::service::{AddResolution, MatchRequest, MatchService, PendingLookup};
+use crate::service::{AddResolution, MatchService};
 use crate::shard::BuildSpec;
 use lexequal::{Language, QgramMode};
 use std::net::TcpListener;
@@ -64,8 +64,9 @@ pub const MAX_WORKERS: usize = 1024;
 /// Serving-loop tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Verify-dispatch worker threads (the event loop itself is one more
-    /// thread; the shard workers belong to the service).
+    /// Verify-dispatch worker threads, each running whole requests, a
+    /// lookup's search over every shard included (the crate docs list
+    /// every thread a daemon runs).
     pub workers: usize,
     /// Per-connection in-flight request window; reads pause beyond it.
     pub max_pipeline: usize,
@@ -250,29 +251,8 @@ fn do_add(service: &MatchService, ctx: &ReqCtx, text: &str, lang: Language) -> R
     }
 }
 
-/// Begin every lookup `req` is — one for a `MATCH` or `MATCH -`, one
-/// an item for a `BATCH` — or `None` for any other request.
-pub(crate) fn begin_lookups(service: &MatchService, req: &Request) -> Option<Vec<PendingLookup>> {
-    let tagged = |r: &MatchRequest| service.begin(&r.text, Some(r.language), r.method, r.threshold);
-    Some(match req {
-        Request::Match(r) => vec![tagged(r)],
-        Request::MatchAuto(r) => vec![service.begin(&r.text, None, r.method, r.threshold)],
-        Request::Batch(items) => items.iter().map(tagged).collect(),
-        _ => return None,
-    })
-}
-
-/// Finish begun lookups in order: one reply line each.
-pub(crate) fn finish_lookups(service: &MatchService, begun: Vec<PendingLookup>) -> Vec<String> {
-    begun
-        .into_iter()
-        .map(|p| format_outcome(&service.finish(p)))
-        .collect()
-}
-
 /// Execute one parsed request against the service: [`respond`] past
-/// the parse, and what the serving loop's verify workers call for
-/// anything but a lookup. `QUIT` answers `BYE` here, connection teardown
+/// the parse, and what the serving loop's verify workers call. `QUIT` answers `BYE` here, connection teardown
 /// is the caller's job. Mutations route through `ctx`: WAL-committed on a
 /// primary, rejected with a redirect on a replica.
 pub(crate) fn execute_request(
@@ -281,10 +261,13 @@ pub(crate) fn execute_request(
     request: &Request,
     conn: Option<&ConnMetrics>,
 ) -> Vec<String> {
-    if let Some(begun) = begin_lookups(service, request) {
-        return finish_lookups(service, begun);
-    }
     match request {
+        Request::Match(r) => vec![format_outcome(&service.lookup(r))],
+        Request::MatchAuto(r) => vec![format_outcome(&service.lookup_auto(r))],
+        Request::Batch(items) => items
+            .iter()
+            .map(|r| format_outcome(&service.lookup(r)))
+            .collect(),
         Request::Add { language, text } => match do_add(service, ctx, text, *language) {
             Ok(id) => vec![format!("OK {id}")],
             Err(e) => vec![format!("ERR {e}")],
@@ -328,9 +311,6 @@ pub(crate) fn execute_request(
                 Ok(id) => vec![format!("OK {id} lang={language}")],
                 Err(e) => vec![format!("ERR {e}")],
             }
-        }
-        Request::Match(_) | Request::MatchAuto(_) | Request::Batch(_) => {
-            unreachable!("a lookup is answered above")
         }
         Request::Stats => {
             let mut snapshot = service.stats();

@@ -4,13 +4,13 @@
 //! generator) talks to. It owns the [`ShardedStore`], memoizes query
 //! transforms in the [`TransformCache`], tracks which access paths have
 //! been declared so a request for one that never was degrades to a
-//! structured outcome instead of a worker panic, and records request
+//! structured outcome instead of a panic, and records request
 //! metrics.
 
 use crate::cache::TransformCache;
 use crate::metrics::{method_index, ConnStats, ServiceMetrics, UntaggedStats};
 use crate::mmapstore::{self, ImageError};
-use crate::shard::{BuildSpec, CoverStats, PendingSearch, ShardedStore};
+use crate::shard::{BuildSpec, CoverStats, ShardedStore};
 use lexequal::store::NameEntry;
 use lexequal::{G2pError, Language, MatchConfig, PhonemeString, QgramMode, SearchMethod};
 use lexequal_g2p::{Route, Router, ScriptProfile};
@@ -78,7 +78,7 @@ pub struct Preloaded {
 pub struct ServiceConfig {
     /// Operator configuration (threshold default, cost model, registry).
     pub match_config: MatchConfig,
-    /// Number of store shards (worker threads).
+    /// Number of store shards.
     pub shards: usize,
     /// Transform-cache capacity in entries.
     pub cache_capacity: usize,
@@ -476,31 +476,33 @@ impl MatchService {
 
     /// Serve one lookup.
     pub fn lookup(&self, req: &MatchRequest) -> MatchOutcome {
-        self.finish(self.begin(&req.text, Some(req.language), req.method, req.threshold))
+        self.answer(&req.text, Some(req.language), req.method, req.threshold)
     }
 
     /// Serve one **untagged** lookup (`MATCH -`): the same ladder as
     /// [`lookup`](Self::lookup), on the route the text's script picks
     /// (Latin fans out over every enabled converter, the answers unioned).
     pub fn lookup_auto(&self, req: &AutoMatchRequest) -> MatchOutcome {
-        self.finish(self.begin(&req.text, None, req.method, req.threshold))
+        self.answer(&req.text, None, req.method, req.threshold)
     }
 
-    /// Start one lookup without waiting for the shards. A tag is a route
-    /// of one; without one the script picks it ([`Router::route`]). Then:
-    /// no enabled converter on the route → `NoResource`, an undeclared
-    /// path → `NotBuilt`, a cached transform per enabled language (`BadInput`
-    /// if none takes the text), identical renderings deduped, and one
-    /// [`ShardedStore::begin_search`] each — enqueued, so a caller that
-    /// begins several lookups before finishing any keeps every shard busy.
-    /// The `untagged_*` counters move only when `tag` is `None`.
-    pub(crate) fn begin(
+    /// The one lookup ladder. A tag is a route of one; without one the
+    /// script picks it ([`Router::route`]). Then: no enabled converter on
+    /// the route → `NoResource`, an undeclared path → `NotBuilt`, a cached
+    /// transform per enabled language (`BadInput` if none takes the text),
+    /// identical renderings deduped, and one
+    /// [`ShardedStore::search_phonemes`] each. The ids are unioned and
+    /// deduped (a fan-out can only add recall; every id was confirmed by
+    /// the same verifier), the verification work summed and the search
+    /// latency recorded. The `untagged_*` counters move only when `tag` is
+    /// `None`.
+    fn answer(
         &self,
         text: &str,
         tag: Option<Language>,
         method: Option<SearchMethod>,
         threshold: Option<f64>,
-    ) -> PendingLookup {
+    ) -> MatchOutcome {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let route = tag.map_or_else(
             || {
@@ -525,7 +527,7 @@ impl MatchService {
         let method = method.unwrap_or_else(|| self.default_method());
         if !self.is_built(method) {
             self.metrics.not_built.fetch_add(1, Ordering::Relaxed);
-            return PendingLookup::Ready(MatchOutcome::NotBuilt(method));
+            return MatchOutcome::NotBuilt(method);
         }
         let threshold = threshold.unwrap_or(config.threshold);
         let mut queries: Vec<PhonemeString> = Vec::with_capacity(languages.len());
@@ -549,62 +551,36 @@ impl MatchService {
             return self.bad_input(format!("{e:?}"));
         }
         let start = Instant::now();
-        PendingLookup::Searching {
-            searches: queries
-                .iter()
-                .map(|q| self.store.begin_search(q, threshold, method))
-                .collect(),
+        let (mut ids, mut verifications) = (Vec::new(), 0);
+        for q in &queries {
+            let result = self.store.search_phonemes(q, threshold, method);
+            ids.extend(result.ids);
+            verifications += result.verifications;
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        self.metrics
+            .record_search(method, start.elapsed(), ids.len());
+        MatchOutcome::Matches {
             method,
             threshold,
-            start,
+            ids,
+            verifications,
         }
     }
 
-    /// Collect a lookup started by [`begin`](Self::begin): merge every
-    /// rendering's search, union + dedupe the ids (a fan-out can only add
-    /// recall; every id was confirmed by the same verifier), sum the
-    /// verification work and record the begin→finish latency.
-    pub(crate) fn finish(&self, pending: PendingLookup) -> MatchOutcome {
-        match pending {
-            PendingLookup::Ready(outcome) => outcome,
-            PendingLookup::Searching {
-                searches,
-                method,
-                threshold,
-                start,
-            } => {
-                let (mut ids, mut verifications) = (Vec::new(), 0);
-                for search in searches {
-                    let result = search.merge();
-                    ids.extend(result.ids);
-                    verifications += result.verifications;
-                }
-                ids.sort_unstable();
-                ids.dedup();
-                self.metrics
-                    .record_search(method, start.elapsed(), ids.len());
-                MatchOutcome::Matches {
-                    method,
-                    threshold,
-                    ids,
-                    verifications,
-                }
-            }
-        }
-    }
-
-    fn no_resource(&self, language: Language, tag: Option<Language>) -> PendingLookup {
+    fn no_resource(&self, language: Language, tag: Option<Language>) -> MatchOutcome {
         self.metrics.no_resource.fetch_add(1, Ordering::Relaxed);
         if tag.is_none() {
             let untagged = &self.metrics.untagged.no_resource;
             untagged.fetch_add(1, Ordering::Relaxed);
         }
-        PendingLookup::Ready(MatchOutcome::NoResource(language))
+        MatchOutcome::NoResource(language)
     }
 
-    fn bad_input(&self, msg: String) -> PendingLookup {
+    fn bad_input(&self, msg: String) -> MatchOutcome {
         self.metrics.bad_input.fetch_add(1, Ordering::Relaxed);
-        PendingLookup::Ready(MatchOutcome::BadInput(msg))
+        MatchOutcome::BadInput(msg)
     }
 
     /// Resolve the language tag an untagged `ADD` commits under: route by
@@ -713,19 +689,6 @@ impl MatchService {
     }
 }
 
-/// A lookup in flight (from [`MatchService::begin`]): resolved up front
-/// (a degraded outcome never reaches the shards) or waiting on one search
-/// per distinct phoneme rendering of the query.
-pub(crate) enum PendingLookup {
-    Ready(MatchOutcome),
-    Searching {
-        searches: Vec<PendingSearch>,
-        method: SearchMethod,
-        threshold: f64,
-        start: Instant,
-    },
-}
-
 /// One access path's share of a [`StatsSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodStats {
@@ -773,7 +736,7 @@ pub struct StatsSnapshot {
     pub batch_calls: u64,
     /// Sum of lane counts over those steps (`/ batch_calls` = mean fill).
     pub batch_lanes_sum: u64,
-    /// Widest batch any worker ran.
+    /// Widest batch any search ran.
     pub batch_lanes_max: u64,
     /// Lanes disposed of by equality / phoneme fast-accept.
     pub batch_lane_accept: u64,
@@ -859,7 +822,7 @@ mod tests {
             ..MatchRequest::new("Nehru", Language::English)
         });
         assert_eq!(out, MatchOutcome::NotBuilt(SearchMethod::Qgram));
-        // And serving still works afterwards (no worker died).
+        // And serving still works afterwards (nothing panicked).
         s.build(BuildSpec::Qgram {
             q: 3,
             mode: QgramMode::Strict,
@@ -1069,7 +1032,7 @@ mod tests {
             ..MatchRequest::new("Nehru", Language::English)
         });
         let st = s.stats();
-        // The shard workers verify through the batched kernel: every
+        // A search verifies through the batched kernel: every
         // pair the O(1) pre-screens can't settle inline becomes a lane
         // of some interleaved step, so the lane totals are bounded by
         // (and here nonzero under) the per-pair screen totals.

@@ -1,26 +1,24 @@
-//! [`ShardedStore`]: a [`NameStore`] partitioned across worker threads.
+//! [`ShardedStore`]: a [`NameStore`] striped across shards.
 //!
 //! Names are striped across `N` shards round-robin by global id: global id
 //! `g` lives on shard `g % N` at local id `g / N`. Each shard is a plain
-//! [`NameStore`] behind one read-write lock, shared by the store, the
-//! shard's worker thread and the coverer. The worker runs the two jobs
-//! worth a thread: a search, under the read lock for the search, and an
-//! append, under the write lock for one chunk. Everything else is a call
-//! under the lock on the caller's thread: declaring a path and installing
-//! a cover's index write; `get`, the coverage gauges and a prefix copy
-//! read, and never wait behind the searches queued on the worker. A
-//! search fans out to every shard and merges the per-shard
-//! [`SearchResult`]s — local ids are remapped back to global ids and
-//! verification counts are summed, so the merged result is bit-identical
-//! to what an unsharded store over the same rows would return (see
-//! `tests/shard_equivalence.rs`).
+//! [`NameStore`] behind one read-write lock, shared by the store and the
+//! coverer. A shard is a lock, not a thread: the operator is a pairwise
+//! predicate, so whoever holds a shard's lock can run its part of any
+//! request. Everything is a call under a shard's lock on the caller's
+//! thread. A search visits every shard in turn under its read lock and
+//! merges the per-shard [`SearchResult`]s — local ids are remapped back to
+//! global ids and verification counts are summed, so the merged result is
+//! bit-identical to what an unsharded store over the same rows would
+//! return (see `tests/shard_equivalence.rs`). An append takes the write
+//! lock for one chunk, as do declaring a path and installing a cover's
+//! index; `get`, the coverage gauges and a prefix copy take the read lock.
 //!
 //! Lock discipline:
 //! - A shard lock is taken last: after the grow lock, the `declared` list
 //!   and a cover's turn, never before them.
 //! - No thread holds two shard locks at once.
-//! - No shard lock is held across a channel send or receive, or across an
-//!   `on_chunk` hook.
+//! - No shard lock is held across an `on_chunk` hook.
 //!
 //! An access path is *declared* on every shard (`declare`) and exact from
 //! that moment; making it fast is *covering* (DESIGN §5n): a cover copies
@@ -34,9 +32,9 @@
 //! Rows come in one way, whatever their source — a generator, a vector of
 //! entries, a snapshot being restored, one `ADD`: through a [`Loader`],
 //! the prefix reader run backwards. It stripes the rows it is pushed into
-//! one [`RowChunk`] a shard and sends each full chunk to its worker, which
-//! derives the cluster ids and hands the buffer back; the
-//! length is published once, when the load ends.
+//! one [`RowChunk`] a shard and appends each full chunk to its shard under
+//! the write lock, on the loading thread; the length is published once,
+//! when the load ends.
 
 use crate::metrics::{BatchTotals, ScreenTotals};
 use lexequal::rows::Base;
@@ -48,9 +46,9 @@ use lexequal::{
     MatchConfig, NameStore, PathIndex, PhonemeString, RowChunk, ScreenCounters, SearchMethod,
     SymbolColumn,
 };
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -77,8 +75,8 @@ fn local_rows(rows: usize, shard: usize, shards: usize) -> usize {
     (rows + shards - 1 - shard) / shards
 }
 
-/// One shard's rows and indices, shared by the store, the shard's worker
-/// and the coverer (see the lock discipline in the module docs).
+/// One shard's rows and indices, shared by the store and the coverer (see
+/// the lock discipline in the module docs).
 struct Shard(RwLock<NameStore>);
 
 impl Shard {
@@ -91,75 +89,16 @@ impl Shard {
     }
 }
 
-/// A job for a shard worker: the two kinds of work worth a thread. Replies
-/// travel over channels the sender chose, echoing the shard index so one
-/// channel can collect every shard's reply out of order.
-enum Job {
-    /// Append `chunk`'s rows (a [`Loader`]'s; infallible: every row was
-    /// transformed and measured before it was pushed). `load` is what the
-    /// whole load brings this shard, sent with its first chunk. Replies
-    /// with the buffer — to be refilled — and the paths whose tails now
-    /// meet the re-cover rule (bit = `method_index`).
-    Append {
-        chunk: RowChunk,
-        load: LoadSize,
-        reply: Sender<Appended>,
-    },
-    /// Search this shard.
-    Search {
-        query: PhonemeString,
-        e: f64,
-        method: SearchMethod,
-        reply: Sender<(usize, SearchResult)>,
-    },
-}
-
-/// A worker's reply to [`Job::Append`]: the shard, its buffer and the due
-/// paths.
-type Appended = (usize, RowChunk, u8);
-
 /// `method`'s bit in a path mask.
 fn bit(method: SearchMethod) -> u8 {
     1 << crate::metrics::method_index(method)
 }
 
-fn worker(
-    index: usize,
-    shard: Arc<Shard>,
-    rx: Receiver<Job>,
-    screens: Arc<ScreenTotals>,
-    batches: Arc<BatchTotals>,
-) {
-    // One long-lived batched verification kernel per worker: its DP
-    // scratch and lane buffers grow to the longest candidate once and
-    // every later verification on this shard is allocation-free. The
-    // evented front-end feeds whole candidate slices through here, so
-    // each search step verifies up to MAX_LANES candidates interleaved.
-    let mut verifier = BatchVerifier::new();
-    for job in rx {
-        match job {
-            Job::Append { chunk, load, reply } => {
-                let due = {
-                    let mut store = shard.write();
-                    store.append_rows(&chunk, load);
-                    store.due_paths().fold(0, |due, method| due | bit(method))
-                };
-                let _ = reply.send((index, chunk, due));
-            }
-            Job::Search {
-                query,
-                e,
-                method,
-                reply,
-            } => {
-                let result =
-                    (shard.read()).search_phonemes_batched(&query, e, method, &mut verifier);
-                screens.add(&verifier.take_counters());
-                batches.add(&verifier.take_batch_counters());
-                let _ = reply.send((index, result));
-            }
-        }
-    }
+thread_local! {
+    /// One long-lived batched verification kernel per thread that searches:
+    /// its DP scratch and lane buffers grow to the longest candidate once,
+    /// and every later verification on the thread is allocation-free.
+    static VERIFIER: RefCell<BatchVerifier> = RefCell::new(BatchVerifier::new());
 }
 
 /// How long the background coverer waits between being asked for a cover
@@ -309,30 +248,31 @@ impl Covering {
     }
 }
 
-/// A multiscript name collection partitioned across worker threads.
+/// A multiscript name collection striped across shards (the shards
+/// themselves are in `covering`).
 pub struct ShardedStore {
     /// The one operator of this store: every shard's [`NameStore`] shares
     /// it, and snapshot writers and loaders borrow it.
     operator: Arc<LexEqual>,
-    /// Each shard worker's queue (the shards themselves are in
-    /// `covering`).
-    senders: Vec<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
     /// Serializes global-id assignment so the round-robin stripe stays
     /// aligned with each shard's local insertion order: a [`Loader`]
-    /// holds it for its life, and fills the buffers it guards.
-    grow: Mutex<LoadBuffers>,
+    /// holds it for its life, and fills the chunks it guards, one a
+    /// shard. They outlive a load that never filled a chunk, so an `ADD`
+    /// allocates nothing here.
+    grow: Mutex<Vec<RowChunk>>,
     /// The published row count: stored (under `grow`) only after every
     /// shard has appended, so a reader that sees `n` can resolve every
     /// id below `n` — and never waits behind an append to learn it.
     len: AtomicU32,
-    /// Kernel screen counters, flushed by every worker after each search.
-    screens: Arc<ScreenTotals>,
+    /// Kernel screen counters, flushed after every shard a search visits.
+    screens: ScreenTotals,
     /// Batch-shape counters, flushed alongside the screen counters.
-    batches: Arc<BatchTotals>,
+    batches: BatchTotals,
     covering: Arc<Covering>,
     /// The background coverer (see [`Covering::run`]), to unpark.
     coverer: Thread,
+    /// Its handle, taken to join it when the store drops.
+    cover_thread: Option<JoinHandle<()>>,
 }
 
 /// What `STATS` reports of the access paths' coverage.
@@ -360,12 +300,14 @@ pub struct CoverStats {
 }
 
 /// The most shards a store may have, a flag may ask for and an image may
-/// declare: each is a worker thread, so an unchecked count (four bytes of
-/// a hostile header) could demand more than the host can spawn.
+/// declare. A shard is no thread, but each is a lock, a [`NameStore`] and
+/// a chunk buffer made up front, and a search visits every one of them:
+/// an unchecked count (four bytes of a hostile header) could ask for
+/// billions.
 pub const MAX_SHARDS: usize = 1024;
 
 impl ShardedStore {
-    /// Create an empty store with `shards` worker threads.
+    /// Create an empty store of `shards` shards.
     ///
     /// # Panics
     ///
@@ -386,8 +328,8 @@ impl ShardedStore {
         Self::over(operator, bases.into_iter().map(Some))
     }
 
-    /// One worker thread a shard, each store empty or over its base;
-    /// their rows are the published length.
+    /// Each shard's store empty or over its base; their rows are the
+    /// published length. The coverer is the one thread a store spawns.
     fn over(operator: Arc<LexEqual>, bases: impl Iterator<Item = Option<Base>>) -> Self {
         let shards: Vec<Arc<Shard>> = bases
             .map(|base| {
@@ -395,24 +337,8 @@ impl ShardedStore {
                 Arc::new(Shard(RwLock::new(store)))
             })
             .collect();
-        let screens = Arc::new(ScreenTotals::default());
-        let batches = Arc::new(BatchTotals::default());
         let len = shards.iter().map(|s| s.read().len()).sum::<usize>();
-        let mut senders = Vec::with_capacity(shards.len());
-        let mut handles = Vec::with_capacity(shards.len());
-        for (i, shard) in shards.iter().enumerate() {
-            let (tx, rx) = channel();
-            let shard = Arc::clone(shard);
-            let screens = Arc::clone(&screens);
-            let batches = Arc::clone(&batches);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("lexequal-shard-{i}"))
-                    .spawn(move || worker(i, shard, rx, screens, batches))
-                    .expect("spawn shard worker"),
-            );
-            senders.push(tx);
-        }
+        let chunks = new_chunks(shards.len());
         let covering = Arc::new(Covering {
             clusters: Arc::clone(&operator.config().clusters),
             shards,
@@ -426,7 +352,7 @@ impl ShardedStore {
             covers: AtomicU64::new(0),
             cover_ms_last: AtomicU64::new(0),
         });
-        let coverer = {
+        let cover_thread = {
             let covering = Arc::clone(&covering);
             std::thread::Builder::new()
                 .name("lexequal-cover".to_owned())
@@ -435,30 +361,29 @@ impl ShardedStore {
         };
         ShardedStore {
             operator,
-            grow: Mutex::new(LoadBuffers::new(senders.len())),
-            senders,
-            coverer: coverer.thread().clone(),
-            handles: std::iter::once(coverer).chain(handles).collect(),
+            grow: Mutex::new(chunks),
+            coverer: cover_thread.thread().clone(),
+            cover_thread: Some(cover_thread),
             len: AtomicU32::new(u32::try_from(len).expect("ids are u32")),
-            screens,
-            batches,
+            screens: ScreenTotals::default(),
+            batches: BatchTotals::default(),
             covering,
         }
     }
 
-    /// Aggregated verification-kernel screen counters across all workers.
+    /// Aggregated verification-kernel screen counters across all searches.
     pub fn screen_totals(&self) -> ScreenCounters {
         self.screens.snapshot()
     }
 
-    /// Aggregated batch-shape counters across all workers.
+    /// Aggregated batch-shape counters across all searches.
     pub fn batch_totals(&self) -> BatchCounters {
         self.batches.snapshot()
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.covering.shards.len()
     }
 
     /// The configuration in force.
@@ -529,14 +454,14 @@ impl ShardedStore {
     }
 
     /// [`loader`](Self::loader) with a hook run after every chunk the
-    /// load sends to a shard.
+    /// load appends to a shard, under no shard lock.
     #[doc(hidden)]
     pub fn loader_with<'a>(&'a self, on_chunk: &'a dyn Fn()) -> Loader<'a> {
-        let buffers = self.grow.lock().expect("grow lock");
+        let chunks = self.grow.lock().expect("grow lock");
         let start = self.len.load(Ordering::Relaxed);
         Loader {
             store: self,
-            buffers,
+            chunks,
             start,
             next: start,
             loads: Vec::new(),
@@ -578,17 +503,12 @@ impl ShardedStore {
     /// naming of a declared path leaves its cover to the background,
     /// whatever its tail; from then on the re-cover rule keeps it covered.
     /// Costs a search one relaxed load once the path is named.
-    fn naming(&self, method: SearchMethod) -> Option<Naming> {
+    fn naming(&self, method: SearchMethod) -> Option<BuildSpec> {
         let bit = bit(method);
         if method == SearchMethod::Scan || self.covering.named.load(Ordering::Relaxed) & bit != 0 {
             return None;
         }
-        let spec = (self.built_specs().into_iter()).find(|spec| spec.method() == method)?;
-        Some(Naming(
-            Arc::clone(&self.covering),
-            self.coverer.clone(),
-            spec,
-        ))
+        (self.built_specs().into_iter()).find(|spec| spec.method() == method)
     }
 
     /// Declare one access path and [`cover`](Self::cover) it; the path is
@@ -703,89 +623,88 @@ impl ShardedStore {
             .get(id / n as u32)
     }
 
-    /// Fan a pre-transformed query out over every shard and merge: local
-    /// ids remap to global ids, verification counts sum, the merged id
-    /// list is sorted ascending (same order an unsharded scan produces).
+    /// Search every shard for a pre-transformed query, one after another
+    /// on this thread, each under its read lock, and merge: local ids
+    /// remap to global ids, verification counts sum, the merged id list is
+    /// sorted ascending (same order an unsharded scan produces). The first
+    /// search through a declared path names it (see
+    /// [`declare`](Self::declare)); its cover is scheduled once the
+    /// result is merged, and `COVER_DELAY` keeps it behind the reply.
     ///
     /// # Panics
     ///
-    /// Panics (on the worker thread) if the access path was never
-    /// declared; see [`crate::MatchService`] for the graceful front-end.
+    /// Panics if the access path was never declared; see
+    /// [`crate::MatchService`] for the graceful front-end.
     pub fn search_phonemes(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> SearchResult {
-        self.begin_search(q, e, method).merge()
+        let naming = self.naming(method);
+        let n = self.shards() as u32;
+        let (mut ids, mut verifications) = (Vec::new(), 0);
+        VERIFIER.with_borrow_mut(|verifier| {
+            for (shard, store) in (0..n).zip(&self.covering.shards) {
+                let result = store.read().search_phonemes_batched(q, e, method, verifier);
+                self.screens.add(&verifier.take_counters());
+                self.batches.add(&verifier.take_batch_counters());
+                verifications += result.verifications;
+                ids.extend(result.ids.iter().map(|local| local * n + shard));
+            }
+        });
+        ids.sort_unstable();
+        if let Some(spec) = naming {
+            self.schedule_cover(spec);
+        }
+        SearchResult { ids, verifications }
     }
 
-    /// Enqueue one query's fan-out on every shard worker and return
-    /// without waiting. The caller collects the merged result with
-    /// [`PendingSearch::merge`] whenever it likes; beginning several
-    /// searches before merging any is exactly how the daemon's verify
-    /// workers keep all shards busy at once. The first search through a
-    /// path is what covers it (see [`declare`](Self::declare)), once it
-    /// is merged.
+    /// [`search_phonemes`](Self::search_phonemes), run now, its result
+    /// handed back through [`PendingSearch::merge`]: a shim that keeps
+    /// lexbench's trace compiling until ROADMAP item 2a moves it onto
+    /// `search_phonemes`.
+    #[doc(hidden)]
     pub fn begin_search(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> PendingSearch {
-        let (reply, rx) = channel();
-        for worker in &self.senders {
-            let job = Job::Search {
-                query: q.clone(),
-                e,
-                method,
-                reply: reply.clone(),
-            };
-            worker.send(job).expect("shard worker alive");
-        }
-        PendingSearch {
-            rx,
-            shards: self.shards(),
-            naming: self.naming(method),
-        }
+        PendingSearch(self.search_phonemes(q, e, method))
     }
 }
 
-/// What a load fills and the grow lock guards: per shard the chunk being
-/// filled and a second buffer for while that one is with the worker, and
-/// the channel the workers hand buffers back on. They outlive a load that
-/// never filled a chunk, so an `ADD` allocates nothing here.
-struct LoadBuffers {
-    filling: Vec<RowChunk>,
-    /// The buffer not being filled; `None` while it is with the worker.
-    spare: Vec<Option<RowChunk>>,
-    reply: Sender<Appended>,
-    replies: Receiver<Appended>,
+/// A search [`ShardedStore::begin_search`] has run already: a shim kept
+/// for lexbench's trace until ROADMAP item 2a.
+#[doc(hidden)]
+pub struct PendingSearch(SearchResult);
+
+impl PendingSearch {
+    /// The result (a shim kept until ROADMAP item 2a).
+    #[doc(hidden)]
+    pub fn merge(self) -> SearchResult {
+        self.0
+    }
 }
 
-impl LoadBuffers {
-    fn new(shards: usize) -> Self {
-        let (reply, replies) = channel();
-        LoadBuffers {
-            filling: (0..shards).map(|_| RowChunk::default()).collect(),
-            spare: (0..shards).map(|_| Some(RowChunk::default())).collect(),
-            reply,
-            replies,
-        }
-    }
+/// One empty [`RowChunk`] a shard, for a [`Loader`] to fill.
+fn new_chunks(shards: usize) -> Vec<RowChunk> {
+    (0..shards).map(|_| RowChunk::default()).collect()
 }
 
 /// One load into a [`ShardedStore`] (from [`ShardedStore::loader`]) — the
 /// `PrefixReader` run backwards, and the only way rows come in. Rows are
 /// [`push`](Self::push)ed in global-id order; row `g` goes into the chunk
-/// of shard `g % N`, a chunk of [`CHUNK_ROWS`] rows goes to its worker as
-/// one job, and the worker derives cluster ids while
-/// the source fills the shard's other buffer. The loader holds the grow
-/// lock for its life, so a load's ids are contiguous, and the store's
-/// length moves once: [`finish`](Self::finish) — or dropping the loader,
-/// after a refused row, say — sends what is still buffered, waits for the
-/// shards and publishes exactly the rows that were accepted, so no shard
-/// ever holds a row that a published length does not come to cover.
+/// of shard `g % N`, and a chunk of [`CHUNK_ROWS`] rows is appended to its
+/// shard under the shard's write lock, on this thread, and refilled. The
+/// loader holds the grow lock for its life, so a load's ids are
+/// contiguous, and the store's length moves once:
+/// [`finish`](Self::finish) — or dropping the loader, after a refused
+/// row, say — appends what is still buffered and publishes exactly the
+/// rows that were accepted, so no shard ever holds a row that a published
+/// length does not come to cover.
 pub struct Loader<'a> {
     store: &'a ShardedStore,
-    buffers: MutexGuard<'a, LoadBuffers>,
+    /// The chunk each shard's rows fill until it is appended.
+    chunks: MutexGuard<'a, Vec<RowChunk>>,
     /// The published length when the load began, and the next id.
     start: u32,
     next: u32,
     /// What the load brings each shard, until its first chunk takes it
     /// along (empty unless [`reserve`](Self::reserve) was called).
     loads: Vec<LoadSize>,
-    /// Paths whose tails a shard reported due a re-cover.
+    /// Paths whose tails an append left due a re-cover.
     due: u8,
     on_chunk: &'a dyn Fn(),
 }
@@ -816,10 +735,10 @@ impl Loader<'_> {
         let id = self.next;
         let next = id.checked_add(1).expect("ids are u32");
         let shard = id as usize % self.store.shards();
-        self.buffers.filling[shard].push(text, language, phonemes)?;
+        self.chunks[shard].push(text, language, phonemes)?;
         self.next = next;
-        if self.buffers.filling[shard].len() == CHUNK_ROWS {
-            self.send(shard);
+        if self.chunks[shard].len() == CHUNK_ROWS {
+            self.append(shard);
         }
         Ok(id)
     }
@@ -831,54 +750,32 @@ impl Loader<'_> {
         self.start..self.next
     }
 
-    /// Hand shard `shard`'s filling chunk to its worker and go on filling
-    /// its other buffer, waiting first for that one to come back if it is
-    /// still out.
-    fn send(&mut self, shard: usize) {
-        while self.buffers.spare[shard].is_none() {
-            self.receive();
+    /// Append shard `shard`'s chunk to the shard under its write lock,
+    /// note the paths its tails leave due, and empty the chunk.
+    fn append(&mut self, shard: usize) {
+        let load = (self.loads.get_mut(shard).map(std::mem::take)).unwrap_or_default();
+        let chunk = &mut self.chunks[shard];
+        {
+            let mut store = self.store.covering.shards[shard].write();
+            store.append_rows(chunk, load);
+            self.due |= store.due_paths().fold(0, |due, method| due | bit(method));
         }
-        let b = &mut *self.buffers;
-        let refill = b.spare[shard].take().expect("waited for it");
-        let job = Job::Append {
-            chunk: std::mem::replace(&mut b.filling[shard], refill),
-            load: self
-                .loads
-                .get_mut(shard)
-                .map(std::mem::take)
-                .unwrap_or_default(),
-            reply: b.reply.clone(),
-        };
-        self.store.senders[shard]
-            .send(job)
-            .expect("shard worker alive");
-        (self.on_chunk)();
-    }
-
-    /// Take one buffer back from a worker.
-    fn receive(&mut self) {
-        let b = &mut *self.buffers;
-        let (shard, mut chunk, due) = b.replies.recv().expect("shard worker replies");
         chunk.clear();
-        b.spare[shard] = Some(chunk);
-        self.due |= due;
+        (self.on_chunk)();
     }
 
     fn flush(&mut self) {
         let shards = self.store.shards();
         for shard in 0..shards {
-            if !self.buffers.filling[shard].is_empty() {
-                self.send(shard);
+            if !self.chunks[shard].is_empty() {
+                self.append(shard);
             }
-        }
-        while self.buffers.spare.iter().any(Option::is_none) {
-            self.receive();
         }
         // Published once every shard has appended, under the grow lock.
         self.store.len.store(self.next, Ordering::Release);
-        // A bulk load's buffers, grown to a chunk each, go with it.
+        // A bulk load's chunks, grown to a chunk's rows each, go with it.
         if (self.next - self.start) as usize >= CHUNK_ROWS {
-            *self.buffers = LoadBuffers::new(shards);
+            *self.chunks = new_chunks(shards);
         }
         // A due tail of a path nothing has named wakes nobody.
         let named = self.store.covering.named.load(Ordering::Acquire);
@@ -890,10 +787,10 @@ impl Loader<'_> {
 
 impl Drop for Loader<'_> {
     fn drop(&mut self) {
-        // After `finish` there is nothing left to send or wait for. Not
-        // while unwinding: a flush can panic (a dead worker), and the grow
-        // lock this guard poisons on its way out ends all appending anyway,
-        // so no later load can be striped onto the rows left unpublished.
+        // After `finish` there is nothing left to append. Not while
+        // unwinding: the grow lock this guard poisons on its way out ends
+        // all appending anyway, so no later load can be striped onto the
+        // rows left unpublished.
         if !std::thread::panicking() {
             self.flush();
         }
@@ -939,65 +836,12 @@ impl PrefixReader<'_> {
     }
 }
 
-/// A search whose per-shard fan-out has been enqueued but whose replies
-/// have not been collected yet (from [`ShardedStore::begin_search`]).
-///
-/// Dropping a `PendingSearch` without merging is safe — the shard
-/// workers still run the search, their replies just land on a
-/// disconnected channel.
-pub struct PendingSearch {
-    rx: Receiver<(usize, SearchResult)>,
-    shards: usize,
-    naming: Option<Naming>,
-}
-
-/// A search's first naming of a path: the cover it asks for is scheduled
-/// when the search is merged, so that it runs behind the reply, not beside
-/// it (DESIGN §5n). A search dropped unmerged names nothing.
-struct Naming(Arc<Covering>, Thread, BuildSpec);
-
-impl PendingSearch {
-    /// Block until every shard has replied and merge, exactly like
-    /// [`ShardedStore::search_phonemes`]: local ids remap to global ids,
-    /// verification counts sum, ids sort ascending.
-    pub fn merge(self) -> SearchResult {
-        let n = self.shards;
-        let mut ids = Vec::new();
-        let mut verifications = 0usize;
-        let mut replies = 0usize;
-        for (shard, result) in self.rx {
-            replies += 1;
-            verifications += result.verifications;
-            ids.extend(
-                result
-                    .ids
-                    .iter()
-                    .map(|local| local * n as u32 + shard as u32),
-            );
-            if replies == n {
-                break;
-            }
-        }
-        // A worker that died (e.g. searching an undeclared access path)
-        // hangs up instead of replying; a partial merge must never be
-        // passed off as a complete result.
-        assert_eq!(replies, n, "a shard worker died mid-search");
-        ids.sort_unstable();
-        if let Some(Naming(covering, coverer, spec)) = self.naming {
-            covering.schedule(&coverer, spec);
-        }
-        SearchResult { ids, verifications }
-    }
-}
-
 impl Drop for ShardedStore {
     fn drop(&mut self) {
         self.covering.stopping.store(true, Ordering::Release);
         self.coverer.unpark();
-        // Hanging up every queue ends the worker loops.
-        self.senders.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        if let Some(coverer) = self.cover_thread.take() {
+            let _ = coverer.join();
         }
     }
 }
@@ -1055,6 +899,7 @@ fn transform_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::channel;
 
     fn demo_rows() -> Vec<(String, Language)> {
         [
@@ -1324,43 +1169,49 @@ mod tests {
         }
     }
 
-    /// A read is a call under the shard's read lock, not a job queued
-    /// behind the worker's searches: with 64 scans queued on the one
-    /// shard, `get`, the coverage gauges and a prefix chunk each answer
-    /// in a fraction of the time the queue takes to drain.
+    /// A read is a call under the shard's read lock, not a turn behind
+    /// the searches holding it: with 64 scans running on the one shard from
+    /// another thread, `get`, the coverage gauges and a prefix chunk each
+    /// answer in a fraction of the time the scans take to drain.
     #[test]
-    fn reads_do_not_wait_behind_queued_searches() {
+    fn reads_do_not_wait_behind_running_searches() {
         let s = ShardedStore::new(MatchConfig::default(), 1);
         s.extend_transformed(plain_names(20_000));
         let q: PhonemeString = "neru".parse().unwrap();
-        let start = Instant::now();
-        let pending: Vec<PendingSearch> = (0..64)
-            .map(|_| s.begin_search(&q, 0.3, SearchMethod::Scan))
-            .collect();
         let timed = |read: &dyn Fn()| {
             let t = Instant::now();
             read();
             t.elapsed()
         };
-        let reads = [
-            ("get", timed(&|| assert!(s.get(0).is_some()))),
-            (
-                "cover_stats",
-                timed(&|| assert_eq!(s.cover_stats().declared, 0)),
-            ),
-            (
-                "prefix chunk",
-                timed(&|| assert!(s.prefix_reader(s.len()).next_chunk().is_some())),
-            ),
-        ];
-        let results: Vec<SearchResult> = pending.into_iter().map(PendingSearch::merge).collect();
+        let start = Instant::now();
+        let (reads, results) = std::thread::scope(|scope| {
+            let scans = scope.spawn(|| {
+                (0..64)
+                    .map(|_| s.search_phonemes(&q, 0.3, SearchMethod::Scan))
+                    .collect::<Vec<_>>()
+            });
+            // The first scan has been merged; 63 are still to run.
+            wait_for("the first scan", || s.batch_totals().calls > 0);
+            let reads = [
+                ("get", timed(&|| assert!(s.get(0).is_some()))),
+                (
+                    "cover_stats",
+                    timed(&|| assert_eq!(s.cover_stats().declared, 0)),
+                ),
+                (
+                    "prefix chunk",
+                    timed(&|| assert!(s.prefix_reader(s.len()).next_chunk().is_some())),
+                ),
+            ];
+            (reads, scans.join().expect("scans"))
+        });
         let drained = start.elapsed();
         assert!(!results[0].ids.is_empty());
         assert!(results.iter().all(|r| *r == results[0]));
         for (what, took) in reads {
             assert!(
                 took < drained / 4,
-                "{what} took {took:?} beside a queue that drained in {drained:?}"
+                "{what} took {took:?} beside scans that drained in {drained:?}"
             );
         }
     }

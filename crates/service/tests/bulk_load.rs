@@ -1,6 +1,6 @@
 //! Every way into the store is one way: a [`Loader`], the prefix reader
 //! run backwards. It stripes the rows it is pushed into one chunk a shard,
-//! sends full chunks to the workers and publishes the length once — so a
+//! appends full chunks to the shards and publishes the length once — so a
 //! store filled through it, by any door, across any chunk seam and stripe
 //! phase, on top of whatever the store already held, must be the store
 //! that `insert` fills one row at a time: every entry, every path's ids
@@ -9,8 +9,8 @@
 //! makes no heap object a name on the thread that feeds it.
 //!
 //! The counting allocator is per thread (as in core's
-//! `verify_zero_alloc.rs`): the shard workers allocate the columns, and
-//! that is not what is pinned here.
+//! `verify_zero_alloc.rs`). The loading thread appends, so it counts the
+//! shards' columns growing too.
 
 use lexequal::store::{NameEntry, CHUNK_ROWS};
 use lexequal::{G2pError, Language, MatchConfig, NameStore, QgramMode, SearchMethod};
@@ -301,34 +301,44 @@ fn a_load_allocates_per_chunk_buffer_not_per_name() {
     };
     let ((small, few), (large, many)) = (generate(10_000), generate(20_000));
     assert!(large > 2 * small - 500, "{small} and {large} names");
-    // The per-shard sizes, the workers' channel blocks, and two chunk
-    // buffers a shard, each five vectors doubling their way up to a chunk:
-    // the parent made two objects a name.
+    // The per-shard sizes, each shard's columns sized once, and one chunk
+    // buffer a shard, five vectors doubling their way up to a chunk: a
+    // load that made an object a name would make thousands.
     assert!(few <= 256, "{few} allocations loading {small} names");
     assert!(
         many <= few + 2,
         "{few} for {small} names, {many} for {large}"
     );
 
-    // One ADD is one load of one row: after the first on each shard has
-    // left its buffer behind, nothing but the odd channel block (one per
-    // 31 messages) — the parent made a vector of entries, a vector of
-    // vectors, one more a shard and a channel, every time.
-    let service = service(2);
-    let entry = |i: usize| {
-        let text = format!("Nehru{}", "a".repeat(i % 7));
-        service.prepare_entry(&text, Language::English).unwrap()
+    // One ADD is one load of one row, appended on this thread: after the
+    // first on each shard has left its chunk behind, an ADD allocates only
+    // when a shard's column outgrows its capacity, which doubles. So twice
+    // the ADDs cost at most one more reallocation per column per shard,
+    // where anything allocated per ADD would cost 64 more.
+    let adds = |n: usize| {
+        let service = service(2);
+        let entry = |i: usize| {
+            let text = format!("Nehru{}", "a".repeat(i % 7));
+            service.prepare_entry(&text, Language::English).unwrap()
+        };
+        for i in 0..4 {
+            service.apply_entry(entry(i));
+        }
+        let entries: Vec<_> = (4..4 + n).map(entry).collect();
+        let (last, allocations) = allocations_in(|| {
+            let ids = entries.into_iter().map(|e| service.apply_entry(e));
+            ids.fold(0, |_, id| id)
+        });
+        assert_eq!(last as usize, 3 + n);
+        allocations
     };
-    for i in 0..4 {
-        service.apply_entry(entry(i));
-    }
-    let entries: Vec<_> = (4..68).map(entry).collect();
-    let (ids, allocations) = allocations_in(|| {
-        let ids = entries.into_iter().map(|e| service.apply_entry(e));
-        ids.fold(0, |_, id| id)
-    });
-    assert_eq!(ids, 67);
-    assert!(allocations <= 8, "{allocations} allocations over 64 ADDs");
+    let (sixty_four, one_twenty_eight) = (adds(64), adds(128));
+    // Text, text ends, phonemes, phoneme ends and languages, on each shard.
+    let columns = 5 * 2;
+    assert!(
+        one_twenty_eight <= sixty_four + columns,
+        "{sixty_four} allocations over 64 ADDs, {one_twenty_eight} over 128"
+    );
 }
 
 /// What a row costs the owned columns, to the byte: a load of the

@@ -27,7 +27,8 @@ use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Counting allocator (style of `verify_zero_alloc.rs::allocations_in`,
-// but process-wide: a checkpoint allocates on the shard workers too).
+// but process-wide: a checkpoint allocates on threads other than the
+// test's too).
 // ---------------------------------------------------------------------
 
 struct Counting;
@@ -529,7 +530,7 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
 // ---------------------------------------------------------------------
 
 /// A `BUILD` used to hold the commit lock (and the grow lock, and every
-/// shard worker) for the whole index construction. A cover holds none of
+/// shard) for the whole index construction. A cover holds none of
 /// them: with one parked right after its first chunk of rows, `BUILD ALL`,
 /// forty `ADD`s, `STATS` and a `MATCH` through every path all return —
 /// and the `MATCH`es, served by paths no index covers yet, say what a
@@ -734,11 +735,11 @@ fn a_save_neither_waits_for_a_parked_load_nor_sees_its_rows() {
     };
     parked_rx
         .recv_timeout(Duration::from_secs(30))
-        .expect("the load sends its third chunk");
+        .expect("the load appends its third chunk");
 
-    // Row BASE is even, so shard 0 filled first: it has been sent two
-    // chunks and shard 1 one. A round trip to each worker queues behind
-    // them, after which this is exactly what the shards hold:
+    // Row BASE is even, so shard 0 filled first: two of its chunks and
+    // one of shard 1's were appended before the hook ran, so this is
+    // exactly what the shards hold:
     let held = |id: usize| id < BASE || (id - BASE) / 2 < [2, 1][id % 2] * CHUNK_ROWS;
     for shard in 0..2 {
         assert!(service.store().get(shard).is_some());

@@ -545,7 +545,7 @@ fn a_gram_length_no_index_takes_is_refused_before_it_is_logged_or_applied() {
     let stats = primary.request("STATS");
     assert_eq!(stat(&stats, "wal_lsn"), Some("2"), "{stats}");
     assert_eq!(stat(&stats, "declared"), Some("1"), "{stats}");
-    // The workers live: the path declared before still answers, here, on
+    // The daemon lives: the path declared before still answers, here, on
     // the replica (sent two records, no more) and after a restart.
     let query = "MATCH en qgram 0.35 Nehru";
     let answer = primary.request(query);

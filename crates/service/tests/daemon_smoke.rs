@@ -4,6 +4,8 @@
 //! cache and stats accounting — all through the line protocol. Every
 //! daemon is shut down and joined, so nothing leaks.
 
+mod common;
+
 use lexequal::{G2pRegistry, Language, MatchConfig};
 use lexequal_service::{serve, MatchService, ReqCtx, ServeOptions, ServiceConfig, ShutdownSignal};
 use std::io::{BufRead, BufReader, Write};
@@ -342,4 +344,31 @@ fn two_clients_interleave_on_one_daemon() {
     assert_eq!(a.send("QUIT"), "BYE");
     assert_eq!(b.send("QUIT"), "BYE");
     daemon.stop();
+}
+
+/// A shard is a lock, not a thread: a daemon's threads are the same set
+/// at one shard and at eight (the crate docs list them).
+#[test]
+fn the_daemons_thread_count_does_not_depend_on_shards() {
+    let threads = |shards: &str| {
+        let mut server = common::Server::spawn(&[
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            shards,
+            "--workers",
+            "2",
+        ]);
+        server.wait_serving();
+        // A reply comes back through a verify worker: the pool is up.
+        let stats = server.request("STATS");
+        assert_eq!(common::stat(&stats, "shards"), Some(shards), "{stats}");
+        let tasks = format!("/proc/{}/task", server.child.id());
+        let count = std::fs::read_dir(tasks)
+            .expect("the daemon's tasks")
+            .count();
+        server.kill();
+        count
+    };
+    assert_eq!(threads("1"), threads("8"));
 }

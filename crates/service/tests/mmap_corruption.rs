@@ -193,8 +193,8 @@ fn bad_magic_version_endianness_and_counts_are_named() {
     zero_shards[16..20].copy_from_slice(&0u32.to_le_bytes());
     expect_named_err(zero_shards, "zero shard count");
 
-    // A hostile shard count would spawn that many worker threads; the
-    // loader caps it long before the allocator or the OS has to.
+    // A hostile shard count would ask for that many shard stores and
+    // locks; the loader caps it long before the allocator has to.
     let mut huge_shards = image.clone();
     huge_shards[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
     expect_named_err(huge_shards, "implausible shard count");
@@ -338,7 +338,7 @@ fn hostile_arenas_and_specs_are_named() {
     expect_named_err(bad_mode, "unknown q-gram mode 7");
 
     // A gram length no index can be built at, behind a valid checksum: the
-    // load names it (declaring it would kill the shard workers).
+    // load names it (declaring it would panic the first search through it).
     for q in [0u8, 5, 255] {
         let mut bad_q = image.clone();
         bad_q[qgram_rec + 1] = q;

@@ -63,10 +63,11 @@ LEXEQUAL_FORCE_SCALAR=1 cargo test -p lexequal --offline -q --test verify_batch_
 
 echo "== the shard concurrency suites again, in release"
 # The searches, appends, covers and direct reads these race interleave at
-# other speeds when optimised; the lock discipline (shard module docs)
+# other speeds when optimised: appends and searches run on callers'
+# threads under the shard locks. The lock discipline (shard module docs)
 # must hold at both.
 cargo test --release -p lexequal-service --offline -q \
-    --test shard_equivalence --test cover_on_use --test checkpoint_stream
+    --test shard_equivalence --test cover_on_use --test checkpoint_stream --test bulk_load
 
 echo "== Table 2 at full size: zero false dismissals"
 cargo run --release -p lexequal-bench --offline --bin table2_qgram \
@@ -83,7 +84,9 @@ echo "== line counts (whole .rs files, bin/ included; ROADMAP item 3's exit crit
 for dir in crates/service/src crates/core/src crates/embed/src; do
     echo "$dir $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
 done
-echo "crates/service/src/shard.rs $(wc -l < crates/service/src/shard.rs)"
+for file in crates/service/src/shard.rs crates/service/src/event_loop.rs; do
+    echo "$file $(wc -l < "$file")"
+done
 
 echo "== benchmark trajectory: the newest BENCH_*.json, printed, not gated (bounded and reported metrics)"
 newest="$(printf '%s\n' BENCH_*.json | sort -V | tail -n 1)"

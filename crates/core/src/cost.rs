@@ -88,8 +88,7 @@ impl CostModel<Phoneme> for ClusteredPhonemeCost {
 /// The matrix stores the *exact* `f64` values `ClusteredPhonemeCost::sub`
 /// returns, so distances computed through either model are bit-identical.
 ///
-/// The matrix is behind an `Arc`: cloning the operator (which the service
-/// layer does per shard) shares one copy.
+/// The matrix is behind an `Arc`: cloning the operator shares one copy.
 #[derive(Debug, Clone)]
 pub struct DenseSubstCost {
     /// Row-major `N×N`: `sub[a.index() * n + b.index()]`.

@@ -8,7 +8,7 @@
 //! strings is built from a copy mapped through the cluster table
 //! ([`crate::NameStore::read_keys`]). The two segments:
 //!
-//! * an optional immutable **base**: one shard's rows of a snapshot image
+//! * an optional immutable **base**: the rows of a snapshot image
 //!   ([`Base`]), read where they lie — in the mapping, or in the buffer a
 //!   replica received — through the image's 16-byte entry table
 //!   ([`EntryRecord`]). Adopting it allocates nothing and touches no row;
@@ -102,58 +102,48 @@ pub struct ImageLayout {
     pub phonemes: Range<usize>,
 }
 
-/// One shard's rows of a snapshot image, read in place: local row `l` is
-/// the image's entry `l * stride + phase`.
+/// The rows of a snapshot image, read in place: row `i` is the image's
+/// entry `i`.
 #[derive(Clone)]
 pub struct Base {
     image: ImageBytes,
     layout: ImageLayout,
-    stride: usize,
-    phase: usize,
     rows: usize,
     /// Image bytes these rows occupy (records and windows).
     bytes: usize,
 }
 
 impl Base {
-    /// Shard `phase` of `stride`'s rows of `image`. The caller has
+    /// The rows of `image`. The caller has
     /// validated the image (its loader checks every arena and every
     /// entry's windows); this checks only the frame — `None` unless every
     /// window lies inside the image and the entry table holds a whole
     /// number of records. A window the loader failed to check is a panic at
     /// the read that uses it, never a read outside the image.
-    pub fn new(
-        image: ImageBytes,
-        layout: ImageLayout,
-        stride: usize,
-        phase: usize,
-    ) -> Option<Self> {
+    pub fn new(image: ImageBytes, layout: ImageLayout) -> Option<Self> {
         let len = (*image).as_ref().len();
         let windows = [&layout.entries, &layout.texts, &layout.phonemes];
-        let entries = layout.entries.len() / EntryRecord::BYTES;
+        let rows = layout.entries.len() / EntryRecord::BYTES;
         let framed = windows.iter().all(|w| w.start <= w.end && w.end <= len)
-            && layout.entries.len() == entries * EntryRecord::BYTES
-            && phase < stride;
+            && layout.entries.len() == rows * EntryRecord::BYTES;
         if !framed {
             return None;
         }
         let mut base = Base {
             image,
             layout,
-            stride,
-            phase,
-            rows: (entries + stride - 1 - phase) / stride,
+            rows,
             bytes: 0,
         };
         let view = base.view();
         base.bytes = (0..base.rows)
-            .map(|l| view.record(l))
+            .map(|i| view.record(i))
             .map(|r| EntryRecord::BYTES + r.text_len as usize + r.phon_len as usize)
             .sum();
         Some(base)
     }
 
-    /// Rows this shard holds of the image.
+    /// Rows the image holds.
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -164,8 +154,6 @@ impl Base {
             entries: &image[self.layout.entries.clone()],
             texts: &image[self.layout.texts.clone()],
             phonemes: &image[self.layout.phonemes.clone()],
-            stride: self.stride,
-            phase: self.phase,
             rows: self.rows,
         }
     }
@@ -178,8 +166,6 @@ struct BaseView<'a> {
     entries: &'a [u8],
     texts: &'a [u8],
     phonemes: &'a [u8],
-    stride: usize,
-    phase: usize,
     rows: usize,
 }
 
@@ -188,19 +174,17 @@ impl<'a> BaseView<'a> {
         entries: &[],
         texts: &[],
         phonemes: &[],
-        stride: 1,
-        phase: 0,
         rows: 0,
     };
 
-    fn record(&self, local: usize) -> EntryRecord {
-        let at = (local * self.stride + self.phase) * EntryRecord::BYTES;
+    fn record(&self, row: usize) -> EntryRecord {
+        let at = row * EntryRecord::BYTES;
         let rec = &self.entries[at..at + EntryRecord::BYTES];
         EntryRecord::decode(rec.try_into().expect("a record-sized window"))
     }
 
-    fn row(&self, local: usize) -> Row<'a> {
-        let rec = self.record(local);
+    fn row(&self, row: usize) -> Row<'a> {
+        let rec = self.record(row);
         let text = rec.text_off as usize..rec.text_off as usize + rec.text_len as usize;
         let phon = rec.phon_off as usize..rec.phon_off as usize + rec.phon_len as usize;
         Row {
@@ -438,12 +422,10 @@ pub(crate) mod tests {
     #[test]
     fn a_base_reads_its_stripe_in_place_and_the_tail_follows_it() {
         let (image, layout) = three_rows();
-        let odd = Base::new(Arc::clone(&image), layout.clone(), 2, 1).unwrap();
-        assert_eq!((odd.rows(), odd.bytes), (1, 16));
-        let even = Base::new(image, layout, 2, 0).unwrap();
-        assert_eq!(even.rows(), 2);
-        let mut columns = Columns::with_base(even);
-        assert_eq!(columns.mapped_bytes(), 2 * 16 + 2 + 3 + 3 + 1);
+        let base = Base::new(image, layout).unwrap();
+        assert_eq!((base.rows(), base.bytes), (3, 3 * 16 + 2 + 3 + 3 + 1));
+        let mut columns = Columns::with_base(base);
+        assert_eq!(columns.mapped_bytes(), 3 * 16 + 2 + 3 + 3 + 1);
         assert_eq!(columns.owned_bytes(), 0);
         columns.reserve(1, 1, 2);
         columns.push("x", Language::Hindi, &[7, 8]);
@@ -451,17 +433,19 @@ pub(crate) mod tests {
         // and its language.
         assert!(columns.owned_bytes() >= 3 + 9);
         let rows = columns.rows();
-        assert_eq!((rows.len(), columns.len()), (3, 3));
-        let seen: Vec<_> = (0..3).map(|i| rows.row(i)).collect();
+        assert_eq!((rows.len(), columns.len()), (4, 4));
+        let seen: Vec<_> = (0..4).map(|i| rows.row(i)).collect();
         assert_eq!(
             seen.iter().map(|r| r.text()).collect::<Vec<_>>(),
-            ["ab", "çd", "x"]
+            ["ab", "", "çd", "x"]
         );
         assert_eq!(seen[0].phonemes, [1, 2, 3]);
-        assert_eq!(seen[1].phonemes, [4]);
-        assert_eq!(seen[1].language, Language::ALL[2]);
-        assert_eq!(seen[2].phonemes, [7, 8]);
-        assert_eq!(seen[2].language, Language::Hindi);
+        assert!(seen[1].phonemes.is_empty());
+        assert_eq!(seen[1].language, Language::ALL[1]);
+        assert_eq!(seen[2].phonemes, [4]);
+        assert_eq!(seen[2].language, Language::ALL[2]);
+        assert_eq!(seen[3].phonemes, [7, 8]);
+        assert_eq!(seen[3].language, Language::Hindi);
     }
 
     #[test]
@@ -470,15 +454,11 @@ pub(crate) mod tests {
         let with = |edit: &dyn Fn(&mut ImageLayout)| {
             let mut l = layout.clone();
             edit(&mut l);
-            Base::new(Arc::clone(&image), l, 1, 0).is_none()
+            Base::new(Arc::clone(&image), l).is_none()
         };
         assert!(!with(&|_| {}));
         let past = |l: &mut ImageLayout| l.phonemes = l.phonemes.start + 8..l.phonemes.end + 8;
         assert!(with(&past), "past the image");
         assert!(with(&|l| l.entries.end -= 1), "not a whole record");
-        assert!(
-            Base::new(image, layout, 2, 2).is_none(),
-            "phase past stride"
-        );
     }
 }

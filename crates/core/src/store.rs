@@ -113,7 +113,7 @@ impl SymbolColumn {
 
 /// Rows a chunk carries between a store and whatever reads or loads it: a
 /// snapshot writer's transient memory is one chunk whatever the corpus
-/// size, and a bulk load hands a shard its rows this many at a time.
+/// size, and a bulk load hands a store its rows this many at a time.
 pub const CHUNK_ROWS: usize = 1024;
 
 /// What a bulk load will append to one store in all, so that each column
@@ -426,8 +426,8 @@ const RECOVER_FLOOR: usize = 4096;
 /// ([`build`](Self::build), or [`install`](Self::install) of an index
 /// built elsewhere) only makes a path fast.
 pub struct NameStore {
-    /// Shared by the shards of one sharded store (and whoever else reads
-    /// or writes their rows): its tables are built once.
+    /// Shared with whoever else reads or writes these rows (a serving
+    /// store's loaders and snapshot writers): its tables are built once.
     operator: Arc<LexEqual>,
     columns: Columns,
     /// The declared paths' indices, each over a prefix of the rows.
@@ -817,7 +817,7 @@ impl NameStore {
     }
 
     /// [`search_phonemes`](Self::search_phonemes) through the batched
-    /// kernel — the path the shard workers serve: the access path produces
+    /// kernel — the path a served search takes: the access path produces
     /// candidate ids as before, and one [`BatchVerifier::verify_rows`] call
     /// disposes of them in width-sized interleaved steps. Hits and
     /// verification counts are bit-for-bit identical to the
@@ -1176,7 +1176,7 @@ mod tests {
         let mut seed = NameStore::new(MatchConfig::default());
         seed.extend_transformed((0..4).map(|i| full.get(i).unwrap()).collect());
         let (image, layout) = crate::rows::tests::image_of(seed.rows());
-        let base = Base::new(image, layout, 1, 0).expect("a framed image");
+        let base = Base::new(image, layout).expect("a framed image");
         let mut seamed = NameStore::with_base(MatchConfig::default(), base);
         assert_eq!(
             seamed.memory().owned,

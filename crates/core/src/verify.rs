@@ -28,7 +28,7 @@
 //!    banded DP with [`DenseSubstCost`](crate::cost::DenseSubstCost):
 //!    same floats, flat-array substitution lookup.
 //! 3. **Reusable scratch** — the DP rows live in the `Verifier` (one per
-//!    shard worker or query loop), so a verified pair performs zero heap
+//!    searching thread or query loop), so a verified pair performs zero heap
 //!    allocations once the rows have grown to the longest candidate.
 //!
 //! Because the screens are exact bounds and the fallback runs the same
@@ -179,7 +179,7 @@ impl ScreenCounters {
 
 /// The verification kernel: DP scratch plus screen counters.
 ///
-/// One `Verifier` per shard worker (long-lived) or per query loop; it is
+/// One `Verifier` per searching thread (long-lived) or per query loop; it is
 /// cheap to construct but reusing it is what makes verification
 /// allocation-free.
 #[derive(Debug, Default)]

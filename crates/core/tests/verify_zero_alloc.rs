@@ -424,7 +424,7 @@ fn base_of(store: &NameStore) -> Base {
         texts,
         phonemes,
     };
-    Base::new(std::sync::Arc::new(image), layout, 1, 0).expect("a framed image")
+    Base::new(std::sync::Arc::new(image), layout).expect("a framed image")
 }
 
 /// Rows come in as chunks: the first chunk of a sized load grows the five

@@ -15,10 +15,11 @@
 //! `--workers` verify threads and up to `--max-pipeline` in-flight
 //! requests per connection. `--mode evented` names that loop, the only
 //! one there is; it is accepted so old command lines keep working.
-//! `--shards` is at most 1024, the most a snapshot image may hold, and
-//! `--workers` at most 1024, each a thread spawned before serving. The
-//! cluster table and intra-cluster cost are `MatchConfig` settings, not
-//! flags.
+//! `--shards` is validated (1..=1024) and otherwise ignored: the store is
+//! one partition, and a fresh store's `STATS` echoes the value as
+//! `shards=`. `--workers` is at most 1024, each a thread spawned before
+//! serving. The cluster table and intra-cluster cost are `MatchConfig`
+//! settings, not flags.
 //!
 //! Every store source starts the same way — rows in, the recorded (or
 //! default) access paths *declared*, `serving on` (DESIGN §5n): a declared
@@ -28,9 +29,7 @@
 //!
 //! * `--snapshot PATH` — restore the store from the snapshot image
 //!   written by `--save-snapshot` (or the `SAVE` wire command): a file
-//!   map, no G2P pass. The store comes back with the snapshot's own
-//!   shard count unless `--shards` pins one (which must then match —
-//!   re-sharding on load is not supported).
+//!   map, no G2P pass, whatever shard count the image's header names.
 //! * `--preload N` — bulk-load ≈N synthetic names (paper §5 dataset; at
 //!   most the 2 004 918 the lexicon can pair) and declare all three
 //!   access paths.
@@ -94,9 +93,8 @@ fn usage() -> String {
 
 struct Args {
     addr: String,
-    /// `None` until `--shards` is given: a snapshot load then adopts the
-    /// snapshot's own shard count instead of guessing.
-    shards: Option<usize>,
+    /// `--shards`: partitions nothing; a fresh store's `STATS` echoes it.
+    shards: usize,
     cache: usize,
     threshold: Option<f64>,
     preload: usize,
@@ -136,7 +134,7 @@ fn parse_addr(flag: &str, value: String) -> Result<String, String> {
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7077".to_owned(),
-        shards: None,
+        shards: 1,
         cache: 4096,
         threshold: None,
         preload: 0,
@@ -185,7 +183,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                         "--shards: invalid value {v:?} (at most {MAX_SHARDS})"
                     ));
                 }
-                args.shards = Some(n);
+                args.shards = n;
             }
             "--cache" => {
                 args.cache = parse_value("--cache", &value("--cache")?, "an integer")?;
@@ -530,11 +528,10 @@ fn serve_role(args: Args, started: Started, shutdown: ShutdownSignal) -> ExitCod
         Role::Replica(state) => format!(" role=replica primary={}", state.primary),
     };
     eprintln!(
-        "lexequald: serving on {} with {} shard(s), workers={} max-pipeline={}{suffix}",
+        "lexequald: serving on {} workers={} max-pipeline={}{suffix}",
         listener
             .local_addr()
             .map_or_else(|_| args.addr.clone(), |a| a.to_string()),
-        service.store().shards(),
         args.serve.workers,
         args.serve.max_pipeline,
     );
@@ -578,15 +575,13 @@ fn load_snapshot_service(
     match_config: &MatchConfig,
     args: &Args,
 ) -> Result<LoadedService, String> {
-    let load =
-        MatchService::load_snapshot_auto(match_config.clone(), args.shards, args.cache, path)
-            .map_err(|e| e.to_string())?;
+    let load = MatchService::load_snapshot_auto(match_config.clone(), args.cache, path)
+        .map_err(|e| e.to_string())?;
     eprintln!(
-        "lexequald: snapshot {path:?} loaded via mmap: {} names on {} \
-         shard(s), {} bytes mapped, serve-ready in {}ms \
+        "lexequald: snapshot {path:?} loaded via mmap: {} names, {} bytes \
+         mapped, serve-ready in {}ms \
          ({} access path(s) declared, each covered when first named)",
         load.service.len(),
-        load.service.store().shards(),
         load.mapped_bytes,
         load.load_ms,
         load.pending_builds.len(),
@@ -597,14 +592,9 @@ fn load_snapshot_service(
 /// No snapshot and no checkpoint: an empty store (optionally bulk-seeded
 /// via `--preload`) starting at LSN 0.
 fn fresh_service(match_config: &MatchConfig, args: &Args) -> LoadedService {
-    let shards = args.shards.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
     let service = Arc::new(MatchService::new(ServiceConfig {
         match_config: match_config.clone(),
-        shards,
+        shards: args.shards,
         cache_capacity: args.cache,
     }));
     if args.preload > 0 {
@@ -651,27 +641,20 @@ fn start_replica(
     let state = Arc::new(ReplicaState::new(primary.to_owned()));
     let start = Instant::now();
     eprintln!("lexequald: replica of {primary}: waiting for initial sync...");
-    let (service, stream, reader) = match repl::initial_sync(
-        primary,
-        match_config,
-        args.shards,
-        args.cache,
-        &state,
-        shutdown,
-    ) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("lexequald: initial sync with {primary} failed: {e}");
-            return None;
-        }
-    };
+    let (service, stream, reader) =
+        match repl::initial_sync(primary, match_config, args.cache, &state, shutdown) {
+            Ok(v) => v,
+            Err(e) => {
+                eprintln!("lexequald: initial sync with {primary} failed: {e}");
+                return None;
+            }
+        };
     let service = Arc::new(service);
     let load = service.load_info();
     eprintln!(
-        "lexequald: replica synced from {primary}: {} names on {} shard(s) at lsn {} in {:.2?} \
+        "lexequald: replica synced from {primary}: {} names at lsn {} in {:.2?} \
          (image of {} bytes, loaded in {}ms)",
         service.len(),
-        service.store().shards(),
         state.applied(),
         start.elapsed(),
         load.mapped_bytes,

@@ -3,10 +3,10 @@
 //! decoupled onto a small fixed pool of worker threads.
 //!
 //! The loop runs on a constant number of threads regardless of
-//! connection count or `--shards` (the [crate docs](crate) list them all):
-//! itself plus `workers` verify threads, each of which runs a request
-//! whole — a lookup searches every shard in turn under its read lock,
-//! through the worker's own warm [`lexequal::BatchVerifier`], which
+//! connection count (the [crate docs](crate) list them all): itself plus
+//! `workers` verify threads, each of which runs a request whole — a
+//! lookup searches the store under its read lock, through the worker's
+//! own warm [`lexequal::BatchVerifier`], which
 //! disposes of an access path's candidate stream in interleaved
 //! lane-batched steps:
 //!
@@ -17,8 +17,8 @@
 //!     │                                        per-worker bounded queues
 //!     │                                                    │
 //!     │        eventfd wake ◀── completion queue ◀── worker threads
-//!     │                │                              (each shard in turn,
-//!     └── write ◀── fill response slot                 under its read lock)
+//!     │                │                              (one job at a time,
+//!     └── write ◀── fill response slot                 the store read-locked)
 //! ```
 //!
 //! * **Pipelining** — a client may have many request lines in flight on
@@ -302,14 +302,8 @@ impl CompletionQueue {
         })
     }
 
-    fn push(&self, mut batch: Vec<Completion>) {
-        if batch.is_empty() {
-            return;
-        }
-        self.items
-            .lock()
-            .expect("completion lock")
-            .append(&mut batch);
+    fn push(&self, completion: Completion) {
+        self.items.lock().expect("completion lock").push(completion);
         self.wake.signal();
     }
 
@@ -325,9 +319,6 @@ struct WorkerQueue {
     available: Condvar,
     capacity: usize,
 }
-
-/// How many jobs one worker drains per wakeup.
-const WORKER_BATCH: usize = 16;
 
 /// The fixed verify-dispatch pool. Jobs route to `queues[token % n]`,
 /// which preserves per-connection execution order (each queue drains
@@ -422,26 +413,23 @@ fn worker_loop(
     stop: &AtomicBool,
 ) {
     loop {
-        let batch: Vec<Job> = {
+        let job = {
             let mut jobs = queue.jobs.lock().expect("worker queue lock");
-            while jobs.is_empty() {
+            loop {
+                if let Some(job) = jobs.pop_front() {
+                    break job;
+                }
                 if stop.load(Ordering::Acquire) {
                     return;
                 }
                 jobs = queue.available.wait(jobs).expect("worker queue wait");
             }
-            let n = jobs.len().min(WORKER_BATCH);
-            jobs.drain(..n).collect()
         };
-        metrics.queue_popped(batch.len() as u64);
-        let out = batch
-            .iter()
-            .map(|job| {
-                let lines = execute_request(service, ctx, &job.request, Some(metrics));
-                Completion::of(job, lines)
-            })
-            .collect();
-        completions.push(out);
+        metrics.queue_popped(1);
+        // Each reply goes back the moment its request has run: a
+        // pipelined reply never waits for the jobs queued behind it.
+        let lines = execute_request(service, ctx, &job.request, Some(metrics));
+        completions.push(Completion::of(&job, lines));
     }
 }
 
@@ -469,7 +457,7 @@ const READ_BUDGET: usize = 64 * 1024;
 /// Serve connections on an epoll readiness loop until `shutdown` fires.
 ///
 /// Thread count is a constant: this loop plus `opts.workers` verify
-/// threads — it grows with neither connections nor shards. See the
+/// threads — it does not grow with connections. See the
 /// [module docs](self) for the pipelining, backpressure, and ordering
 /// rules. Every request routes through `ctx` (`ReqCtx::default()` is a
 /// standalone daemon); on a primary, a `REPL HELLO` hands the socket off

@@ -1,7 +1,7 @@
 //! # lexequal-service: phonetic match serving
 //!
 //! The serving subsystem that turns the LexEQUAL library into a system:
-//! a sharded, multi-threaded [`MatchService`] over the paper's operator
+//! a multi-threaded [`MatchService`] over the paper's operator
 //! and access paths, plus the `lexequald` line-oriented TCP front-end
 //! (benchmarked from outside, over its socket, by `crates/lexbench`).
 //! Everything is built on `std` concurrency only — threads, locks and
@@ -9,16 +9,14 @@
 //!
 //! ## Layers
 //!
-//! * [`shard`] — [`ShardedStore`]: N [`NameStore`](lexequal::NameStore)
-//!   shards (at most [`MAX_SHARDS`](shard::MAX_SHARDS)), each behind a
-//!   read-write lock and none owning a thread; global ids stripe
-//!   round-robin (`id % N` picks the shard, `id / N` the local slot). A
-//!   search visits every shard in turn on the caller's thread, under each
-//!   read lock, and merges exactly; an append takes a shard's write lock
-//!   for one chunk on the loading thread. Access paths are declared
-//!   (exact at once) and covered by indices built on one background
-//!   coverer thread, off the locks, behind the traffic; appends are their
-//!   tails, never an invalidation.
+//! * [`shard`] — [`Store`]: one [`NameStore`](lexequal::NameStore)
+//!   behind one read-write lock, owning no thread but its coverer; a
+//!   global id is the row id. A search is one call under the read lock
+//!   on the caller's thread; an append takes the write lock for one chunk
+//!   on the loading thread. Access paths are declared (exact at once) and
+//!   covered by indices built on one background coverer thread, off the
+//!   lock, behind the traffic; appends are their tails, never an
+//!   invalidation.
 //! * [`cache`] — [`TransformCache`]: a sharded-mutex LRU memoizing
 //!   `(text, language) → PhonemeString` with hit/miss counters.
 //! * [`metrics`] — lock-free request counters and a log2-bucket latency
@@ -58,10 +56,9 @@
 //!
 //! ## Threads
 //!
-//! A daemon runs a fixed set of threads, whatever its shard or connection
-//! count: the event loop, `--workers` verify workers (each runs a request
-//! whole, a lookup's search over every shard included) and the store's
-//! one coverer; plus, when those are on, a primary's compactor and one
+//! A daemon runs a fixed set of threads, whatever its connection count:
+//! the event loop, `--workers` verify workers (each runs a request whole,
+//! a lookup's search included) and the store's one coverer; plus, when those are on, a primary's compactor and one
 //! sender a replica streaming from it, or a replica's apply thread.
 //!
 //! ## Example
@@ -70,7 +67,7 @@
 //! use lexequal_service::{MatchOutcome, MatchRequest, MatchService, ServiceConfig};
 //! use lexequal::Language;
 //!
-//! let service = MatchService::new(ServiceConfig { shards: 2, ..Default::default() });
+//! let service = MatchService::new(ServiceConfig::default());
 //! service.extend([
 //!     ("Nehru".to_owned(), Language::English),
 //!     ("नेहरु".to_owned(), Language::Hindi),
@@ -111,5 +108,5 @@ pub use service::{
     AddResolution, AutoMatchRequest, LoadInfo, MatchOutcome, MatchRequest, MatchService, Preloaded,
     ServiceConfig, SnapshotLoad, StatsSnapshot,
 };
-pub use shard::{BuildSpec, CoverStats, Cut, Loader, ShardedStore};
+pub use shard::{BuildSpec, CoverStats, Cut, Loader, Store};
 pub use wal::{CompactionStats, Op, Wal, WalCursor, WalError, WalRecord};

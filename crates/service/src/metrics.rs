@@ -118,7 +118,7 @@ pub struct ServiceMetrics {
     /// Lookups whose text failed to transform.
     pub bad_input: AtomicU64,
     /// Per-access-path search counts and latencies (`method_index` order);
-    /// latency covers the sharded fan-out + merge, not the transform.
+    /// latency covers the search, not the transform.
     pub per_method: [PathMetrics; 4],
     /// Untagged-request path (`ADD -` / `MATCH -`): script detections,
     /// fan-out widths, dedupe hits.
@@ -143,7 +143,7 @@ pub struct UntaggedMetrics {
     /// a single-script language absent from the registry).
     pub no_resource: AtomicU64,
     /// Fan-out candidates dropped because another language produced the
-    /// identical phoneme string (merge dedupe before the shards).
+    /// identical phoneme string (deduped before the search).
     pub dedup_hits: AtomicU64,
 }
 
@@ -159,7 +159,7 @@ impl UntaggedMetrics {
     }
 
     /// Record the number of unique phoneme queries issued (`width`) and
-    /// how many candidates deduped away before the shards (`deduped`).
+    /// how many candidates deduped away before the search (`deduped`).
     pub fn record_fanout(&self, width: u64, deduped: u64) {
         self.fanout_width_sum.fetch_add(width, Ordering::Relaxed);
         self.fanout_width_max.fetch_max(width, Ordering::Relaxed);
@@ -192,7 +192,7 @@ pub struct UntaggedStats {
     pub fanout_width_max: u64,
     /// Untagged `NORESOURCE` outcomes.
     pub no_resource: u64,
-    /// Candidates deduped before the shards.
+    /// Candidates deduped before the search.
     pub dedup_hits: u64,
 }
 
@@ -207,7 +207,7 @@ pub struct PathMetrics {
 
 /// Verification-kernel screen counters aggregated across every search.
 /// Each searching thread owns a long-lived `lexequal::BatchVerifier` and
-/// flushes its [`ScreenCounters`] here after each shard, so a `STATS`
+/// flushes its [`ScreenCounters`] here after each search, so a `STATS`
 /// snapshot shows how many verified pairs the bit-parallel screens
 /// disposed of without the full DP.
 #[derive(Debug, Default)]
@@ -225,7 +225,7 @@ pub struct ScreenTotals {
 }
 
 impl ScreenTotals {
-    /// Fold one shard search's counters into the totals.
+    /// Fold one search's counters into the totals.
     pub fn add(&self, c: &ScreenCounters) {
         self.fast_accept.fetch_add(c.fast_accept, Ordering::Relaxed);
         self.fast_reject.fetch_add(c.fast_reject, Ordering::Relaxed);
@@ -247,7 +247,7 @@ impl ScreenTotals {
 
 /// Batch-shape counters aggregated across every search, the lock-free
 /// mirror of [`BatchCounters`]: each searching thread owns a long-lived
-/// `lexequal::BatchVerifier` and flushes here after each shard, so a
+/// `lexequal::BatchVerifier` and flushes here after each search, so a
 /// `STATS` snapshot shows how many interleaved steps ran and how full
 /// their lanes were.
 #[derive(Debug, Default)]
@@ -267,7 +267,7 @@ pub struct BatchTotals {
 }
 
 impl BatchTotals {
-    /// Fold one shard search's counters into the totals.
+    /// Fold one search's counters into the totals.
     pub fn add(&self, c: &BatchCounters) {
         self.calls.fetch_add(c.calls, Ordering::Relaxed);
         self.lanes_sum.fetch_add(c.lanes_sum, Ordering::Relaxed);

@@ -1,4 +1,4 @@
-//! The snapshot image: the one persistent form of a sharded store.
+//! The snapshot image: the one persistent form of a store.
 //!
 //! The paper's systems claim is that LexEQUAL matching runs over
 //! *persistent* database structures, not throwaway in-memory ones (§2.3,
@@ -10,8 +10,8 @@
 //! **the file is the runtime representation**: all entry data (texts,
 //! languages, phoneme strings) lives in aligned, length-prefixed arenas
 //! addressed by relative offsets. Loading is
-//! `mmap` + one validation pass; each shard then reads its stripe of the
-//! rows where they lie (`lexequal::rows::Base`): no parse, no heap
+//! `mmap` + one validation pass; the store then reads the rows where they
+//! lie (`lexequal::rows::Base`): no parse, no heap
 //! allocation or reference count a row, no copy. Replica seeding ships
 //! these same bytes verbatim and the replica serves straight out of the
 //! transfer buffer.
@@ -24,7 +24,8 @@
 //!      8     4  format version (4)
 //!     12     4  endianness tag (= 0x01020304; a big-endian writer
 //!               would produce 0x04030201, rejected on load)
-//!     16     4  shard count N
+//!     16     4  shard count (written as 1; read, range-checked
+//!               and otherwise ignored)
 //!     20     4  entry count E
 //!     24     8  covered LSN
 //!     32     4  section count (4)
@@ -58,22 +59,22 @@
 //!
 //! Offsets are relative to their arena's start.
 //!
-//! Entries are stored in **global-id order**. Shard striping is the
-//! pure function `g % N` / `g / N` (see [`crate::shard`]), so the
-//! loader reconstructs each shard's rows without any per-shard
-//! sections, and the writer reads the rows back in global order through
-//! the store's chunked prefix reader.
+//! Entries are stored in **global-id order**, so entry `g` is row `g` of
+//! the loaded store, and the writer reads the rows back in that order
+//! through the store's chunked prefix reader. Images written while a
+//! store was striped across shards hold their entries in the same order,
+//! whatever shard count their header names, and load the same way.
 //!
 //! # Streaming writer
 //!
 //! [`write_image`] never holds the corpus: it takes a [`Cut`] (a row
 //! count, not a copy), sizes the four sections from a lengths-only pass
-//! over the shards, then pulls the prefix a fixed 1024 rows at a time
+//! over the rows, then pulls the prefix a fixed 1024 rows at a time
 //! and writes each chunk's slice of every section at its final offset,
 //! folding a running checksum per section; the header goes in last.
 //! Transient memory is one chunk plus three small output buffers,
-//! whatever the corpus size, and no lock is held but one shard's read
-//! lock for the copy of its slice of a chunk — rows below a published
+//! whatever the corpus size, and no lock is held but the store's read
+//! lock for the copy of a chunk — rows below a published
 //! length never change (DESIGN §5m).
 //!
 //! # Hostile-file discipline
@@ -87,7 +88,7 @@
 //! comes back as a named [`ImageError`], never a crash
 //! (`tests/mmap_corruption.rs` is the battery).
 
-use crate::shard::{BuildSpec, Cut, ShardedStore, CHUNK_ROWS, MAX_SHARDS};
+use crate::shard::{BuildSpec, Cut, Store, CHUNK_ROWS, MAX_SHARDS};
 use lexequal::rows::{Base, EntryRecord, ImageBytes, ImageLayout};
 use lexequal::{Language, LexEqual, MatchConfig, Phoneme, QgramMode};
 use std::fs::File;
@@ -113,16 +114,13 @@ const SPEC_RECORD: usize = 8;
 pub enum ImageError {
     /// The bytes are not a valid image (bad magic, a failed checksum, an
     /// out-of-bounds window, a byte outside the phoneme inventory), or
-    /// could not be read or written at all.
+    /// could not be opened, read or written at all.
     Parse(String),
-    /// A well-formed image this load cannot take: the shard-pin
-    /// contract, or a file that cannot be opened.
-    Unsupported(String),
 }
 
 impl std::fmt::Display for ImageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (ImageError::Parse(what) | ImageError::Unsupported(what)) = self;
+        let ImageError::Parse(what) = self;
         f.write_str(what)
     }
 }
@@ -464,14 +462,8 @@ impl SectionWriter {
 /// (commits, appends and index builds proceed meanwhile — rows below the
 /// cut never change), so the image is the store exactly as it stood when
 /// the cut was taken.
-pub fn write_image(
-    store: &ShardedStore,
-    cut: &Cut,
-    sink: &mut impl ImageSink,
-) -> Result<u64, ImageError> {
+pub fn write_image(store: &Store, cut: &Cut, sink: &mut impl ImageSink) -> Result<u64, ImageError> {
     let io_err = |e: io::Error| err(format!("write image: {e}"));
-    let shards =
-        u32::try_from(store.shards()).map_err(|_| err("shard count exceeds format limit"))?;
     let entry_count =
         u32::try_from(cut.rows).map_err(|_| err("entry count exceeds format limit"))?;
     let mut specs = Vec::with_capacity(cut.builds.len() * SPEC_RECORD);
@@ -545,7 +537,7 @@ pub fn write_image(
     header[..8].copy_from_slice(&MAGIC);
     header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     header[12..16].copy_from_slice(&ENDIAN_TAG.to_le_bytes());
-    header[16..20].copy_from_slice(&shards.to_le_bytes());
+    header[16..20].copy_from_slice(&1u32.to_le_bytes());
     header[20..24].copy_from_slice(&entry_count.to_le_bytes());
     header[24..32].copy_from_slice(&cut.lsn.to_le_bytes());
     header[32..36].copy_from_slice(&(SECTIONS as u32).to_le_bytes());
@@ -570,7 +562,7 @@ pub fn write_image(
 /// prefix the store had published when the call began; the caller makes
 /// `lsn` exact for it by holding its own writes off for that instant
 /// (the primary cuts under the commit lock and calls [`write_image`]).
-pub fn encode(store: &ShardedStore, lsn: u64) -> Result<Vec<u8>, ImageError> {
+pub fn encode(store: &Store, lsn: u64) -> Result<Vec<u8>, ImageError> {
     let mut image = Vec::new();
     write_image(store, &store.cut(lsn), &mut image)?;
     Ok(image)
@@ -611,7 +603,7 @@ fn write_atomic<T>(
 /// Stream the cut of `store` to `path` atomically ([`write_image`] into
 /// a temp file, fsync, rename); returns the image length.
 pub fn write_file_atomic(
-    store: &ShardedStore,
+    store: &Store,
     cut: &Cut,
     path: impl AsRef<Path>,
 ) -> Result<u64, ImageError> {
@@ -675,9 +667,9 @@ pub fn remove_stale_tmp(path: impl AsRef<Path>) -> Vec<PathBuf> {
 
 /// A store loaded zero-copy from a binary snapshot image.
 pub struct LoadedImage {
-    /// The populated store: every shard reads its rows in place in the
-    /// image (the mapping or the transfer buffer).
-    pub store: ShardedStore,
+    /// The populated store: it reads its rows in place in the image (the
+    /// mapping or the transfer buffer).
+    pub store: Store,
     /// Access paths the image records. The loader declares them on the
     /// store — every one answers exactly at once (that's the O(1) cold
     /// start) — and covers none; callers decide whether to cover
@@ -716,8 +708,8 @@ struct Section {
 }
 
 /// Validate the header, section table and section checksums; returns
-/// `(shards, entry_count, lsn, sections)`.
-fn validate_frame(image: &[u8]) -> Result<(usize, usize, u64, [Section; SECTIONS]), ImageError> {
+/// `(entry_count, lsn, sections)`.
+fn validate_frame(image: &[u8]) -> Result<(usize, u64, [Section; SECTIONS]), ImageError> {
     let r = Reader(image);
     if image.len() < HEADER_LEN {
         return Err(err(format!(
@@ -741,6 +733,8 @@ fn validate_frame(image: &[u8]) -> Result<(usize, usize, u64, [Section; SECTIONS
              written on an incompatible host"
         )));
     }
+    // The shard count is range-checked as it always was, and ignored:
+    // entries are in global-id order whatever it says.
     let shards = r.u32(16)? as usize;
     if shards == 0 {
         return Err(err("zero shard count"));
@@ -786,56 +780,42 @@ fn validate_frame(image: &[u8]) -> Result<(usize, usize, u64, [Section; SECTIONS
     for (i, s) in sections.iter_mut().enumerate() {
         *s = read_section(i)?;
     }
-    Ok((shards, entry_count, lsn, sections))
+    Ok((entry_count, lsn, sections))
 }
 
 /// Load a binary snapshot from an owned image buffer (the replica path:
 /// the transfer buffer becomes the store's backing allocation).
-pub fn load_bytes(
-    config: MatchConfig,
-    shards: Option<usize>,
-    bytes: Vec<u8>,
-) -> Result<LoadedImage, ImageError> {
-    load_owner(Arc::new(LexEqual::new(config)), shards, Arc::new(bytes))
+pub fn load_bytes(config: MatchConfig, bytes: Vec<u8>) -> Result<LoadedImage, ImageError> {
+    load_owner(Arc::new(LexEqual::new(config)), Arc::new(bytes))
 }
 
 /// Load a binary snapshot by mapping the file at `path` (the daemon
 /// path: the mapping becomes the store's backing allocation and pages
 /// are shared with every other process serving the same file).
+///
+/// `_shards` is ignored: the store is one partition. It stays in the
+/// signature for lexbench's trace until ROADMAP item 2a.
 pub fn load_file(
     config: MatchConfig,
-    shards: Option<usize>,
+    _shards: Option<usize>,
     path: impl AsRef<Path>,
 ) -> Result<LoadedImage, ImageError> {
     let path = path.as_ref();
     let io_err = |e: std::io::Error| err(format!("open {}: {e}", path.display()));
     let file = File::open(path).map_err(io_err)?;
     let map = Mmap::map(file).map_err(io_err)?;
-    load_owner(Arc::new(LexEqual::new(config)), shards, Arc::new(map))
+    load_owner(Arc::new(LexEqual::new(config)), Arc::new(map))
 }
 
 /// The loader core: validate everything once — with the operator the
-/// store then keeps — and hand each shard its stripe of the image to read
-/// in place.
+/// store then keeps — and hand the store the image to read in place.
 pub(crate) fn load_owner(
     operator: Arc<LexEqual>,
-    shards: Option<usize>,
     owner: ImageBytes,
 ) -> Result<LoadedImage, ImageError> {
     let image: &[u8] = (*owner).as_ref();
     let bytes = image.len() as u64;
-    let (snap_shards, entry_count, lsn, sections) = validate_frame(image)?;
-    if let Some(requested) = shards {
-        if requested != snap_shards {
-            // A contract error, not corruption: the stripe is `g % N`,
-            // so an N-shard image read by M workers would scramble ids.
-            return Err(ImageError::Unsupported(format!(
-                "snapshot holds {snap_shards} shard(s) but {requested} were requested; \
-                 re-striping at load is not supported (ROADMAP: shard rebalancing) — \
-                 load with {snap_shards} shard(s) or rebuild from the corpus"
-            )));
-        }
-    }
+    let (entry_count, lsn, sections) = validate_frame(image)?;
     let [specs, entries, texts, phonemes] = sections;
 
     // Build specs.
@@ -905,19 +885,17 @@ pub(crate) fn load_owner(
         }
     }
 
-    // Everything the rows read was validated above: each shard reads its
-    // stripe of the image where it lies.
+    // Everything the rows read was validated above: the store reads the
+    // image where it lies.
     let window = |s: Section| s.off..s.off + s.len;
     let layout = ImageLayout {
         entries: window(entries),
         texts: window(texts),
         phonemes: window(phonemes),
     };
-    let bases = (0..snap_shards)
-        .map(|s| Base::new(Arc::clone(&owner), layout.clone(), snap_shards, s))
-        .collect::<Option<Vec<_>>>()
+    let base = Base::new(Arc::clone(&owner), layout)
         .ok_or_else(|| err("validated sections do not frame a row store"))?;
-    let store = ShardedStore::over_bases(operator, bases);
+    let store = Store::over(operator, Some(base));
     for &spec in &builds {
         store.declare(spec);
     }
@@ -934,8 +912,8 @@ mod tests {
     use super::*;
     use lexequal::Language;
 
-    fn populated(shards: usize) -> ShardedStore {
-        let store = ShardedStore::new(MatchConfig::default(), shards);
+    fn populated() -> Store {
+        let store = Store::new(MatchConfig::default());
         store
             .extend(
                 [
@@ -958,14 +936,14 @@ mod tests {
 
     #[test]
     fn encode_load_round_trips_entries_builds_and_lsn() {
-        let store = populated(2);
+        let store = populated();
         let image = encode(&store, 42).unwrap();
         assert!(is_binary(&image));
         assert_eq!(peek(&image), Some((42, 5)));
-        let loaded = load_bytes(MatchConfig::default(), None, image).unwrap();
+        assert_eq!(image[16..20], 1u32.to_le_bytes(), "the shard count");
+        let loaded = load_bytes(MatchConfig::default(), image).unwrap();
         assert_eq!(loaded.lsn, 42);
         assert_eq!(loaded.store.len(), 5);
-        assert_eq!(loaded.store.shards(), 2);
         assert_eq!(loaded.builds, store.built_specs());
         for id in 0..5u32 {
             let a = store.get(id).unwrap();
@@ -977,23 +955,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_pin_mismatch_names_both_counts() {
-        let store = populated(2);
-        let image = encode(&store, 0).unwrap();
-        let msg = match load_bytes(MatchConfig::default(), Some(3), image) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("3-shard load of a 2-shard image must fail"),
-        };
-        assert!(msg.contains("2 shard"), "{msg}");
-        assert!(msg.contains("3 were requested"), "{msg}");
-        assert!(msg.contains("rebalancing"), "{msg}");
-    }
-
-    #[test]
     fn sections_are_aligned_and_checksummed() {
-        let store = populated(1);
+        let store = populated();
         let image = encode(&store, 0).unwrap();
-        let (_, _, _, sections) = validate_frame(&image).unwrap();
+        let (_, _, sections) = validate_frame(&image).unwrap();
         for s in sections {
             assert_eq!(s.off % 8, 0);
         }
@@ -1003,11 +968,10 @@ mod tests {
 
     #[test]
     fn empty_store_round_trips() {
-        let store = ShardedStore::new(MatchConfig::default(), 3);
+        let store = Store::new(MatchConfig::default());
         let image = encode(&store, 7).unwrap();
-        let loaded = load_bytes(MatchConfig::default(), None, image).unwrap();
+        let loaded = load_bytes(MatchConfig::default(), image).unwrap();
         assert_eq!(loaded.store.len(), 0);
-        assert_eq!(loaded.store.shards(), 3);
         assert_eq!(loaded.lsn, 7);
     }
 }

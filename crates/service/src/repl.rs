@@ -1055,7 +1055,6 @@ fn sleep_backoff(backoff: &mut Duration, shutdown: &ShutdownSignal) {
 pub fn initial_sync(
     primary: &str,
     config: &MatchConfig,
-    shards: Option<usize>,
     cache_capacity: usize,
     state: &ReplicaState,
     shutdown: &ShutdownSignal,
@@ -1065,7 +1064,7 @@ pub fn initial_sync(
         if shutdown.is_triggered() {
             return Err(ReplError::Protocol("shutdown during initial sync".into()));
         }
-        match try_initial_sync(primary, config, shards, cache_capacity, state) {
+        match try_initial_sync(primary, config, cache_capacity, state) {
             Ok(link) => return Ok(link),
             Err(e) => {
                 eprintln!("lexequald: initial sync with {primary} failed ({e}), retrying");
@@ -1139,7 +1138,6 @@ fn hello(primary: &str, applied: u64) -> Result<(Hello, Link), ReplError> {
 pub fn try_initial_sync(
     primary: &str,
     config: &MatchConfig,
-    shards: Option<usize>,
     cache_capacity: usize,
     state: &ReplicaState,
 ) -> Result<(MatchService, TcpStream, BufReader<TcpStream>), ReplError> {
@@ -1151,7 +1149,7 @@ pub fn try_initial_sync(
     // The transfer buffer becomes the store's backing allocation; the
     // recorded access paths come declared, each covered when first named.
     let load = MatchService::from_image(cache_capacity, || {
-        mmapstore::load_bytes(config.clone(), shards, image)
+        mmapstore::load_bytes(config.clone(), image)
     })
     .map_err(ReplError::Snapshot)?;
     state.applied.store(lsn, Ordering::Release);
@@ -1259,10 +1257,8 @@ fn reconnect(service: &MatchService, state: &ReplicaState) -> Result<Link, ReplE
 /// nothing is appended.
 fn apply_snapshot_delta(service: &MatchService, image: Vec<u8>) -> Result<usize, ReplError> {
     let operator = Arc::clone(service.store().operator());
-    let shards = service.store().shards();
     // Load into a detached store over the transfer buffer.
-    let image = mmapstore::load_owner(operator, Some(shards), Arc::new(image))
-        .map_err(ReplError::Snapshot)?;
+    let image = mmapstore::load_owner(operator, Arc::new(image)).map_err(ReplError::Snapshot)?;
     let (snap_store, builds) = (image.store, image.builds);
 
     let have = service.len() as u32;
@@ -1438,7 +1434,7 @@ mod tests {
     /// header the payload does not bear out is an error, not an allocation.
     #[test]
     fn a_snap_transfer_is_read_to_its_announced_length_or_refused() {
-        let store = crate::shard::ShardedStore::new(MatchConfig::default(), 2);
+        let store = crate::shard::Store::new(MatchConfig::default());
         let image = mmapstore::encode(&store, 9).expect("image");
         let header = |lsn: u64, bytes: u64| format!("lsn={lsn} bytes={bytes}");
         let n = image.len() as u64;
@@ -1473,8 +1469,8 @@ mod tests {
         let config = MatchConfig::default();
         let primary = Arc::new(MatchService::new(ServiceConfig {
             match_config: config.clone(),
-            shards: 2,
             cache_capacity: 64,
+            ..ServiceConfig::default()
         }));
         let wal_path = temp_wal("converge");
         std::fs::remove_file(&wal_path).ok();
@@ -1506,7 +1502,7 @@ mod tests {
 
         let state = Arc::new(ReplicaState::new(addr));
         let (replica, stream, reader) =
-            initial_sync(&state.primary, &config, None, 64, &state, &shutdown).expect("sync");
+            initial_sync(&state.primary, &config, 64, &state, &shutdown).expect("sync");
         assert_eq!(replica.len(), 3, "snapshot transfer carried the corpus");
         assert_eq!(state.applied(), 4);
         let replica = Arc::new(replica);
@@ -1555,7 +1551,7 @@ mod tests {
 
     /// A live re-seed is one load: the rows the replica lacks come out of
     /// the transferred image and in through a loader, across a chunk seam
-    /// on every shard, and the replica ends up the store the primary is:
+    /// in the store, and the replica ends up the store the primary is:
     /// every entry, every path's answers, the image.
     #[test]
     fn a_snapshot_delta_is_one_load_and_leaves_the_primarys_store() {
@@ -1563,8 +1559,8 @@ mod tests {
         let service = |rows: usize| {
             let s = MatchService::new(ServiceConfig {
                 match_config: MatchConfig::default(),
-                shards: 2,
                 cache_capacity: 16,
+                ..ServiceConfig::default()
             });
             let name = |i: usize| format!("Nehru{}", "a".repeat(i % 11));
             s.extend((0..rows).map(|i| (name(i), Language::English)))
@@ -1678,8 +1674,8 @@ mod tests {
         let config = crate::service::ServiceConfig {
             match_config: lexequal::MatchConfig::default()
                 .with_registry(lexequal::G2pRegistry::with_languages(&[Language::English])),
-            shards: 1,
             cache_capacity: 16,
+            ..ServiceConfig::default()
         };
         let primary = MatchService::new(config);
         let wal_path = temp_wal("badinput");

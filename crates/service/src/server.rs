@@ -5,7 +5,7 @@
 //! response lines; `execute_request` behind it is what the serving
 //! loop's workers call with a line they have already parsed, and it
 //! answers a lookup (`MATCH`, `MATCH -`, each `BATCH` item) where it
-//! stands, searching the shards on the worker's own thread. The loop
+//! stands, searching the store on the worker's own thread. The loop
 //! itself — one epoll readiness thread plus a fixed verify worker pool,
 //! connections pipelined — is [`crate::event_loop::serve`].
 
@@ -65,8 +65,8 @@ pub const MAX_WORKERS: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Verify-dispatch worker threads, each running whole requests, a
-    /// lookup's search over every shard included (the crate docs list
-    /// every thread a daemon runs).
+    /// lookup's search included (the crate docs list every thread a
+    /// daemon runs).
     pub workers: usize,
     /// Per-connection in-flight request window; reads pause beyond it.
     pub max_pipeline: usize,
@@ -396,10 +396,7 @@ mod tests {
     use lexequal::Language;
 
     fn service() -> MatchService {
-        let s = MatchService::new(ServiceConfig {
-            shards: 2,
-            ..ServiceConfig::default()
-        });
+        let s = MatchService::new(ServiceConfig::default());
         s.extend(
             [
                 ("Nehru", Language::English),

@@ -1,7 +1,7 @@
-//! [`MatchService`]: the request-level API over the sharded store.
+//! [`MatchService`]: the request-level API over the store.
 //!
 //! This is the layer a front-end (TCP daemon, embedded server, load
-//! generator) talks to. It owns the [`ShardedStore`], memoizes query
+//! generator) talks to. It owns the [`Store`], memoizes query
 //! transforms in the [`TransformCache`], tracks which access paths have
 //! been declared so a request for one that never was degrades to a
 //! structured outcome instead of a panic, and records request
@@ -10,7 +10,7 @@
 use crate::cache::TransformCache;
 use crate::metrics::{method_index, ConnStats, ServiceMetrics, UntaggedStats};
 use crate::mmapstore::{self, ImageError};
-use crate::shard::{BuildSpec, CoverStats, ShardedStore};
+use crate::shard::{BuildSpec, CoverStats, Store};
 use lexequal::store::NameEntry;
 use lexequal::{G2pError, Language, MatchConfig, PhonemeString, QgramMode, SearchMethod};
 use lexequal_g2p::{Route, Router, ScriptProfile};
@@ -78,7 +78,9 @@ pub struct Preloaded {
 pub struct ServiceConfig {
     /// Operator configuration (threshold default, cost model, registry).
     pub match_config: MatchConfig,
-    /// Number of store shards.
+    /// Partitions nothing: the store is one partition. `STATS` echoes it
+    /// as `shards=`; kept for lexbench until ROADMAP item 2a.
+    #[doc(hidden)]
     pub shards: usize,
     /// Transform-cache capacity in entries.
     pub cache_capacity: usize,
@@ -88,9 +90,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             match_config: MatchConfig::default(),
-            shards: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            shards: 1,
             cache_capacity: 4096,
         }
     }
@@ -184,9 +184,12 @@ pub enum MatchOutcome {
     BadInput(String),
 }
 
-/// The serving subsystem: sharded store + transform cache + metrics.
+/// The serving subsystem: store + transform cache + metrics.
 pub struct MatchService {
-    store: ShardedStore,
+    store: Store,
+    /// The `ServiceConfig::shards` this service was made with (1 for
+    /// one made around a store): what `STATS` reports as `shards=`.
+    shards: usize,
     cache: TransformCache,
     metrics: ServiceMetrics,
     /// How the corpus was loaded (STATS / startup-log provenance).
@@ -197,7 +200,8 @@ impl MatchService {
     /// Build a service from the configuration.
     pub fn new(config: ServiceConfig) -> Self {
         MatchService {
-            store: ShardedStore::new(config.match_config, config.shards),
+            store: Store::new(config.match_config),
+            shards: config.shards,
             cache: TransformCache::new(config.cache_capacity),
             metrics: ServiceMetrics::default(),
             load_info: LoadInfo::default(),
@@ -207,9 +211,10 @@ impl MatchService {
     /// Wrap an existing store (typically one restored from a snapshot):
     /// a path the snapshot recorded is declared on it, and serves
     /// immediately.
-    pub fn from_store(store: ShardedStore, cache_capacity: usize) -> Self {
+    pub fn from_store(store: Store, cache_capacity: usize) -> Self {
         MatchService {
             store,
+            shards: 1,
             cache: TransformCache::new(cache_capacity),
             metrics: ServiceMetrics::default(),
             load_info: LoadInfo::default(),
@@ -222,22 +227,23 @@ impl MatchService {
         self.load_info
     }
 
-    /// Persist the store (entries, striping, declared access paths) to
+    /// Persist the store (entries and declared access paths) to
     /// `path` as a snapshot image — see [`crate::mmapstore`].
     pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), ImageError> {
         self.save_snapshot_with_lsn(path, 0)
     }
 
     /// Build a service around a store loaded from a snapshot file, its
-    /// recorded access paths covered before it returns. `shards`: `None`
-    /// accepts the snapshot's own shard count, `Some(m)` insists on `m`.
+    /// recorded access paths covered before it returns. `_shards` is
+    /// ignored (the store is one partition); it stays in the signature
+    /// for lexbench until ROADMAP item 2a.
     pub fn load_snapshot(
         match_config: MatchConfig,
-        shards: Option<usize>,
+        _shards: Option<usize>,
         cache_capacity: usize,
         path: impl AsRef<std::path::Path>,
     ) -> Result<Self, ImageError> {
-        let load = Self::load_snapshot_auto(match_config, shards, cache_capacity, path)?;
+        let load = Self::load_snapshot_auto(match_config, cache_capacity, path)?;
         for spec in load.pending_builds {
             load.service.build(spec);
         }
@@ -252,12 +258,11 @@ impl MatchService {
     /// image is [`crate::mmapstore`]'s bad-magic error.
     pub fn load_snapshot_auto(
         match_config: MatchConfig,
-        shards: Option<usize>,
         cache_capacity: usize,
         path: impl AsRef<std::path::Path>,
     ) -> Result<SnapshotLoad, ImageError> {
         Self::from_image(cache_capacity, || {
-            mmapstore::load_file(match_config, shards, path)
+            mmapstore::load_file(match_config, None, path)
         })
     }
 
@@ -293,7 +298,7 @@ impl MatchService {
         let mut header = [0u8; mmapstore::HEADER_LEN];
         std::fs::File::open(path)
             .and_then(|mut f| f.read_exact(&mut header))
-            .map_err(|e| ImageError::Unsupported(format!("store snapshot open: {e}")))?;
+            .map_err(|e| ImageError::Parse(format!("store snapshot open: {e}")))?;
         let (lsn, _) = mmapstore::peek(&header).ok_or_else(mmapstore::bad_magic)?;
         Ok(lsn)
     }
@@ -313,8 +318,8 @@ impl MatchService {
         mmapstore::write_file_atomic(&self.store, &self.store.cut(lsn), path).map(|_| ())
     }
 
-    /// The underlying sharded store.
-    pub fn store(&self) -> &ShardedStore {
+    /// The underlying store.
+    pub fn store(&self) -> &Store {
         &self.store
     }
 
@@ -375,7 +380,7 @@ impl MatchService {
 
     /// Load the synthetic set `pairs` enumerates, each pair pushed into
     /// one load as the parts it is: no name is ever made outside the
-    /// shards' columns. Returns how many were loaded.
+    /// store's columns. Returns how many were loaded.
     pub fn load_pairs(&self, pairs: &SyntheticPairs<'_>) -> usize {
         let mut loader = self.store.loader();
         loader.reserve(pairs.iter().map(|(a, b)| {
@@ -392,10 +397,10 @@ impl MatchService {
     }
 
     /// Declare one access path and cover it before returning (see
-    /// [`ShardedStore::build`]: the cover runs on this thread; appends
+    /// [`Store::build`]: the cover runs on this thread; appends
     /// and searches proceed meanwhile). A front-end that must not wait
-    /// uses the store's [`declare`](ShardedStore::declare) +
-    /// [`schedule_cover`](ShardedStore::schedule_cover) instead.
+    /// uses the store's [`declare`](Store::declare) +
+    /// [`schedule_cover`](Store::schedule_cover) instead.
     pub fn build(&self, spec: BuildSpec) {
         self.store.build(spec);
     }
@@ -419,7 +424,7 @@ impl MatchService {
     }
 
     /// Append one pre-transformed entry — the infallible half of an
-    /// `ADD`: a load of one row, one message to one shard. Returns the
+    /// `ADD`: a load of one row. Returns the
     /// assigned global id.
     pub fn apply_entry(&self, entry: NameEntry) -> u32 {
         self.store
@@ -491,7 +496,7 @@ impl MatchService {
     /// the route → `NoResource`, an undeclared path → `NotBuilt`, a cached
     /// transform per enabled language (`BadInput` if none takes the text),
     /// identical renderings deduped, and one
-    /// [`ShardedStore::search_phonemes`] each. The ids are unioned and
+    /// [`Store::search_phonemes`] each. The ids are unioned and
     /// deduped (a fan-out can only add recall; every id was confirmed by
     /// the same verifier), the verification work summed and the search
     /// latency recorded. The `untagged_*` counters move only when `tag` is
@@ -650,7 +655,7 @@ impl MatchService {
         let batches = self.store.batch_totals();
         StatsSnapshot {
             names: self.store.len(),
-            shards: self.store.shards(),
+            shards: self.shards,
             requests: self.metrics.requests.load(Ordering::Relaxed),
             matches_returned: self.metrics.matches_returned.load(Ordering::Relaxed),
             no_resource: self.metrics.no_resource.load(Ordering::Relaxed),
@@ -707,7 +712,8 @@ pub struct MethodStats {
 pub struct StatsSnapshot {
     /// Stored names.
     pub names: usize,
-    /// Store shards.
+    /// The `ServiceConfig::shards` the service was made with; the store
+    /// is one partition whatever it says.
     pub shards: usize,
     /// Lookup requests served.
     pub requests: u64,
@@ -779,11 +785,8 @@ pub struct StatsSnapshot {
 mod tests {
     use super::*;
 
-    fn service(shards: usize) -> MatchService {
-        let s = MatchService::new(ServiceConfig {
-            shards,
-            ..ServiceConfig::default()
-        });
+    fn service() -> MatchService {
+        let s = MatchService::new(ServiceConfig::default());
         s.extend(
             [
                 ("Nehru", Language::English),
@@ -800,7 +803,7 @@ mod tests {
 
     #[test]
     fn lookup_over_scan_needs_no_build() {
-        let s = service(2);
+        let s = service();
         let out = s.lookup(&MatchRequest {
             threshold: Some(0.45),
             ..MatchRequest::new("Nehru", Language::English)
@@ -816,7 +819,7 @@ mod tests {
 
     #[test]
     fn unbuilt_path_is_a_graceful_outcome() {
-        let s = service(2);
+        let s = service();
         let out = s.lookup(&MatchRequest {
             method: Some(SearchMethod::Qgram),
             ..MatchRequest::new("Nehru", Language::English)
@@ -839,12 +842,12 @@ mod tests {
     /// `MATCH` into `NOTBUILT` for good.
     #[test]
     fn adds_leave_every_path_declared_and_exact() {
-        let s = service(2);
+        let s = service();
         s.build_all(3, QgramMode::Strict);
         assert_eq!(s.default_method(), SearchMethod::PhoneticIndex);
         let id = s.add("Bose", Language::English).unwrap();
         assert_eq!(s.default_method(), SearchMethod::PhoneticIndex);
-        let fresh = service(2);
+        let fresh = service();
         fresh.add("Bose", Language::English).unwrap();
         fresh.build_all(3, QgramMode::Strict);
         for method in crate::metrics::ALL_METHODS {
@@ -867,16 +870,17 @@ mod tests {
     }
 
     /// Regression, first for a race (a rebuild re-marking paths an append
-    /// had torn down, so the next pinned MATCH panicked inside a shard
-    /// worker and every later request died on the closed channel) and now
-    /// for the rule that removed it: a declared path stays declared, a
-    /// cover only ever adds coverage, so builds hammering beside appends
-    /// never cost a request its path or a worker its life.
+    /// had torn down, so the next pinned MATCH panicked inside what was
+    /// then a shard worker and every later request died on the closed
+    /// channel) and now for the rule that removed it: a declared path
+    /// stays declared, a cover only ever adds coverage, so builds
+    /// hammering beside appends never cost a request its path or a worker
+    /// its life.
     #[test]
     fn covers_racing_adds_never_cost_a_request_its_path() {
         use std::sync::atomic::AtomicBool;
 
-        let s = std::sync::Arc::new(service(3));
+        let s = std::sync::Arc::new(service());
         s.store.declare(BuildSpec::PhoneticIndex);
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let builder = {
@@ -922,8 +926,8 @@ mod tests {
             .with_registry(lexequal::G2pRegistry::with_languages(&[Language::English]));
         let s = MatchService::new(ServiceConfig {
             match_config: config,
-            shards: 2,
             cache_capacity: 16,
+            ..ServiceConfig::default()
         });
         s.extend([("Nehru".to_owned(), Language::English)]).unwrap();
         assert_eq!(
@@ -934,14 +938,14 @@ mod tests {
 
     #[test]
     fn bad_input_is_reported_not_errored() {
-        let s = service(2);
+        let s = service();
         let out = s.lookup(&MatchRequest::new("नेहरु", Language::Tamil));
         assert!(matches!(out, MatchOutcome::BadInput(_)), "{out:?}");
     }
 
     #[test]
     fn repeated_queries_hit_the_cache_and_count_stats() {
-        let s = service(2);
+        let s = service();
         for _ in 0..3 {
             s.lookup(&MatchRequest {
                 threshold: Some(0.45),
@@ -953,7 +957,7 @@ mod tests {
         assert_eq!(st.cache_misses, 1);
         assert_eq!(st.cache_hits, 2);
         assert_eq!(st.names, 5);
-        assert_eq!(st.shards, 2);
+        assert_eq!(st.shards, 1);
         let scan = st.per_method[method_index(SearchMethod::Scan)];
         assert_eq!(scan.searches, 3);
         assert!(scan.p50_upper_ns.is_some());
@@ -971,8 +975,8 @@ mod tests {
 
     #[test]
     fn batch_equals_per_item_lookups_including_degraded_outcomes() {
-        let a = service(3);
-        let b = service(3);
+        let a = service();
+        let b = service();
         for s in [&a, &b] {
             s.build(BuildSpec::Qgram {
                 q: 3,
@@ -1011,7 +1015,7 @@ mod tests {
 
     #[test]
     fn screen_counters_surface_in_stats() {
-        let s = service(2);
+        let s = service();
         s.lookup(&MatchRequest {
             threshold: Some(0.45),
             ..MatchRequest::new("Nehru", Language::English)
@@ -1026,7 +1030,7 @@ mod tests {
 
     #[test]
     fn batch_counters_surface_in_stats() {
-        let s = service(2);
+        let s = service();
         s.lookup(&MatchRequest {
             threshold: Some(0.45),
             ..MatchRequest::new("Nehru", Language::English)
@@ -1056,7 +1060,7 @@ mod tests {
 
     #[test]
     fn untagged_latin_merge_equals_union_of_tagged_queries() {
-        let s = service(3);
+        let s = service();
         s.extend(
             [("Descartes", Language::French), ("Nero", Language::Spanish)]
                 .map(|(t, l)| (t.to_owned(), l)),
@@ -1087,8 +1091,8 @@ mod tests {
 
     #[test]
     fn unambiguous_untagged_is_byte_identical_to_tagged() {
-        let tagged = service(2);
-        let untagged = service(2);
+        let tagged = service();
+        let untagged = service();
         let t = tagged.lookup(&MatchRequest {
             threshold: Some(0.45),
             ..MatchRequest::new("नेहरु", Language::Hindi)
@@ -1103,7 +1107,7 @@ mod tests {
 
     #[test]
     fn untagged_cyrillic_routes_to_russian() {
-        let s = service(2);
+        let s = service();
         s.add("Неру", Language::Russian).unwrap();
         let out = s.lookup_auto(&AutoMatchRequest {
             threshold: Some(0.45),
@@ -1122,7 +1126,7 @@ mod tests {
 
     #[test]
     fn untagged_hangul_and_thai_are_noresource() {
-        let s = service(2);
+        let s = service();
         assert_eq!(
             s.lookup_auto(&AutoMatchRequest::new("네루")),
             MatchOutcome::NoResource(Language::Korean)
@@ -1146,7 +1150,7 @@ mod tests {
 
     #[test]
     fn untagged_stats_track_fanout_and_scripts() {
-        let s = service(2);
+        let s = service();
         s.lookup_auto(&AutoMatchRequest {
             threshold: Some(0.45),
             ..AutoMatchRequest::new("Nehru")
@@ -1158,7 +1162,7 @@ mod tests {
             1
         );
         // All three Latin converters produced a rendering; at least one
-        // shard query was issued and the width never exceeds three.
+        // search was issued and the width never exceeds three.
         assert!(st.untagged.fanout_width_max >= 1);
         assert!(st.untagged.fanout_width_max <= 3);
         assert_eq!(
@@ -1171,7 +1175,7 @@ mod tests {
 
     #[test]
     fn resolve_add_language_commits_to_one_tag() {
-        let s = service(2);
+        let s = service();
         assert_eq!(
             s.resolve_add_language("Nehru"),
             AddResolution::Resolved(Language::English)
@@ -1196,7 +1200,7 @@ mod tests {
 
     #[test]
     fn batch_preserves_request_order() {
-        let s = service(3);
+        let s = service();
         s.build(BuildSpec::Qgram {
             q: 3,
             mode: QgramMode::Strict,

@@ -1,40 +1,33 @@
-//! [`ShardedStore`]: a [`NameStore`] striped across shards.
+//! [`Store`]: one [`NameStore`] behind one read-write lock.
 //!
-//! Names are striped across `N` shards round-robin by global id: global id
-//! `g` lives on shard `g % N` at local id `g / N`. Each shard is a plain
-//! [`NameStore`] behind one read-write lock, shared by the store and the
-//! coverer. A shard is a lock, not a thread: the operator is a pairwise
-//! predicate, so whoever holds a shard's lock can run its part of any
-//! request. Everything is a call under a shard's lock on the caller's
-//! thread. A search visits every shard in turn under its read lock and
-//! merges the per-shard [`SearchResult`]s — local ids are remapped back to
-//! global ids and verification counts are summed, so the merged result is
-//! bit-identical to what an unsharded store over the same rows would
-//! return (see `tests/shard_equivalence.rs`). An append takes the write
-//! lock for one chunk, as do declaring a path and installing a cover's
-//! index; `get`, the coverage gauges and a prefix copy take the read lock.
+//! The store is the paper's one relation: one set of rows, one q-gram
+//! auxiliary table, one phonetic index and one BK-tree (§4–5), a plain
+//! [`NameStore`] behind a read-write lock that the store shares with its
+//! coverer. A global id is the row id. Everything is a call under that
+//! lock on the caller's thread: a search is one batched search under the
+//! read lock; an append takes the write lock for one chunk, as do
+//! declaring a path and installing a cover's index; `get`, the coverage
+//! gauges and a prefix copy take the read lock.
 //!
 //! Lock discipline:
-//! - A shard lock is taken last: after the grow lock, the `declared` list
-//!   and a cover's turn, never before them.
-//! - No thread holds two shard locks at once.
-//! - No shard lock is held across an `on_chunk` hook.
+//! - The store lock is taken last: after the grow lock, the `declared`
+//!   list and a cover's turn, never before them.
+//! - It is not held across an `on_chunk` hook.
 //!
-//! An access path is *declared* on every shard (`declare`) and exact from
-//! that moment; making it fast is *covering* (DESIGN §5n): a cover copies
-//! the prefix of the column a path is keyed on out of a shard in chunks,
-//! one read lock a chunk, builds the index on its own thread under no
-//! shard lock, and installs it under the write lock. A path is first
-//! covered when a search or a `BUILD` *names* it; a path nothing names
-//! costs its declaration only. Appends invalidate nothing; a named path's
-//! tail that outgrows the re-cover rule schedules a background cover.
+//! An access path is *declared* (`declare`) and exact from that moment;
+//! making it fast is *covering* (DESIGN §5n): a cover copies the prefix of
+//! the column a path is keyed on out of the store in chunks, one read lock
+//! a chunk, builds the index on its own thread under no store lock, and
+//! installs it under the write lock. A path is first covered when a search
+//! or a `BUILD` *names* it; a path nothing names costs its declaration
+//! only. Appends invalidate nothing; a named path's tail that outgrows the
+//! re-cover rule schedules a background cover.
 //!
 //! Rows come in one way, whatever their source — a generator, a vector of
 //! entries, a snapshot being restored, one `ADD`: through a [`Loader`],
-//! the prefix reader run backwards. It stripes the rows it is pushed into
-//! one [`RowChunk`] a shard and appends each full chunk to its shard under
-//! the write lock, on the loading thread; the length is published once,
-//! when the load ends.
+//! the prefix reader run backwards. It fills one [`RowChunk`] and appends
+//! each full chunk under the write lock, on the loading thread; the length
+//! is published once, when the load ends.
 
 use crate::metrics::{BatchTotals, ScreenTotals};
 use lexequal::rows::Base;
@@ -58,7 +51,7 @@ use std::time::{Duration, Instant};
 /// appended and ids are assigned in commit order, so the prefix read at
 /// any later time *is* the store as it stood when the cut was taken —
 /// which is why taking one copies nothing (see
-/// [`ShardedStore::cut`] and [`crate::repl::Replicator::cut`]).
+/// [`Store::cut`] and [`crate::repl::Replicator::cut`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cut {
     /// WAL LSN the cut covers (0 = no WAL).
@@ -67,26 +60,6 @@ pub struct Cut {
     pub rows: usize,
     /// Access paths declared at the cut.
     pub builds: Vec<BuildSpec>,
-}
-
-/// How many of global rows `0..rows` live on `shard` of `shards` (its
-/// local rows `0..n`): row `g` is shard `g % shards`'s local `g / shards`.
-fn local_rows(rows: usize, shard: usize, shards: usize) -> usize {
-    (rows + shards - 1 - shard) / shards
-}
-
-/// One shard's rows and indices, shared by the store and the coverer (see
-/// the lock discipline in the module docs).
-struct Shard(RwLock<NameStore>);
-
-impl Shard {
-    fn read(&self) -> RwLockReadGuard<'_, NameStore> {
-        self.0.read().expect("shard lock")
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, NameStore> {
-        self.0.write().expect("shard lock")
-    }
 }
 
 /// `method`'s bit in a path mask.
@@ -112,12 +85,13 @@ const COVER_DELAY: Duration = Duration::from_millis(1);
 /// owner says.
 struct Covering {
     clusters: Arc<ClusterTable>,
-    shards: Vec<Arc<Shard>>,
+    /// The rows and indices (see the lock discipline in the module docs).
+    names: RwLock<NameStore>,
     /// Declared access paths in declaration order — what a [`Cut`]
     /// records and a load re-declares.
     declared: Mutex<Vec<BuildSpec>>,
     /// The same as a bitmask (bit = `method_index`), for the request
-    /// path: set once every shard holds the declaration, never cleared.
+    /// path: set once the store holds the declaration, never cleared.
     declared_mask: AtomicU8,
     /// Paths a search or a `BUILD` has named, the same way: the only
     /// paths the re-cover rule spends a cover on. Never cleared.
@@ -136,6 +110,14 @@ struct Covering {
 }
 
 impl Covering {
+    fn read(&self) -> RwLockReadGuard<'_, NameStore> {
+        self.names.read().expect("store lock")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, NameStore> {
+        self.names.write().expect("store lock")
+    }
+
     /// Name `spec`'s path and leave covering it, whatever its tail, to the
     /// background `coverer`.
     fn schedule(&self, coverer: &Thread, spec: BuildSpec) {
@@ -153,7 +135,7 @@ impl Covering {
 
     /// The background coverer's life: parked until a cover is asked for
     /// ([`wake`](Self::wake) unparks it), then one cover
-    /// of the paths [`ShardedStore::schedule_cover`] was given and any
+    /// of the paths [`Store::schedule_cover`] was given and any
     /// named path the re-cover rule picks.
     fn run(&self) {
         loop {
@@ -180,40 +162,19 @@ impl Covering {
         }
     }
 
-    /// On every shard in turn, build and install an index over the rows
-    /// the shard holds now for each declared path `want(spec, covered,
-    /// rows)` names. All of it happens on the calling thread, holding the
-    /// shard's lock only to read its coverage, to copy one chunk of rows at
-    /// a time and to adopt the finished index — microseconds each, between
-    /// which searches and appends run — and the covers' own turn
-    /// throughout. One thread, so a cover takes one core from the traffic
-    /// it runs behind however many shards there are, and holds one shard's
-    /// prefix copy at a time. `on_chunk` runs after every chunk read, under
-    /// no shard lock (tests park a cover there).
+    /// Build and install an index over the rows the store holds now for
+    /// each declared path `want(spec, covered, rows)` names. All of it
+    /// happens on the calling thread, holding the store lock only to read
+    /// its coverage, to copy one chunk of rows at a time and to adopt the
+    /// finished index — microseconds each, between which searches and
+    /// appends run — and the covers' own turn throughout. `on_chunk` runs
+    /// after every chunk read, under no store lock (tests park a cover
+    /// there).
     fn cover(&self, want: &dyn Fn(BuildSpec, usize, usize) -> bool, on_chunk: &dyn Fn()) {
         let _turn = self.turn.lock().expect("cover turn");
         let start = Instant::now();
-        // One copy buffer for the whole cover, refilled shard after shard.
-        let mut prefix = SymbolColumn::default();
-        let installed = self.shards.iter().fold(false, |any, shard| {
-            self.cover_shard(shard, want, &mut prefix, on_chunk) | any
-        });
-        if installed {
-            self.covers.fetch_add(1, Ordering::Relaxed);
-            let ms = start.elapsed().as_millis() as u64;
-            self.cover_ms_last.store(ms, Ordering::Relaxed);
-        }
-    }
-
-    fn cover_shard(
-        &self,
-        shard: &Shard,
-        want: &dyn Fn(BuildSpec, usize, usize) -> bool,
-        prefix: &mut SymbolColumn,
-        on_chunk: &dyn Fn(),
-    ) -> bool {
         let (rows, coverage) = {
-            let store = shard.read();
+            let store = self.read();
             (store.len(), store.coverage())
         };
         let wanted: Vec<BuildSpec> = coverage
@@ -223,48 +184,51 @@ impl Covering {
             .collect();
         // One copy a key column in use — the cluster strings, unless a
         // q-gram filter is declared as the paper ran it.
+        let mut prefix = SymbolColumn::default();
         let mut installed = false;
         for column in [KeyColumn::Clusters, KeyColumn::Phonemes] {
             let mut keyed = wanted.iter().filter(|spec| spec.key() == column).peekable();
             if keyed.peek().is_none() {
                 continue;
             }
-            // Copy the prefix out of the shard a chunk of rows at a time:
+            // Copy the prefix out of the store a chunk of rows at a time:
             // an append waits for one chunk's memcpy at most. A row's
             // cluster string is as long as its phoneme string.
-            let (_, bytes) = shard.read().prefix_bytes(rows);
+            let (_, bytes) = self.read().prefix_bytes(rows);
             prefix.reset(rows, bytes);
             for first in (0..rows).step_by(CHUNK_ROWS) {
                 let chunk = first..(first + CHUNK_ROWS).min(rows);
-                shard.read().read_keys(column, chunk, prefix);
+                self.read().read_keys(column, chunk, &mut prefix);
                 on_chunk();
             }
             for &spec in keyed {
                 let index = PathIndex::build(spec, &self.clusters, rows, |id| prefix.row(id));
-                installed |= shard.write().install(index);
+                installed |= self.write().install(index);
             }
         }
-        installed
+        if installed {
+            self.covers.fetch_add(1, Ordering::Relaxed);
+            let ms = start.elapsed().as_millis() as u64;
+            self.cover_ms_last.store(ms, Ordering::Relaxed);
+        }
     }
 }
 
-/// A multiscript name collection striped across shards (the shards
-/// themselves are in `covering`).
-pub struct ShardedStore {
-    /// The one operator of this store: every shard's [`NameStore`] shares
-    /// it, and snapshot writers and loaders borrow it.
+/// A multiscript name collection served to many threads (its rows are in
+/// `covering`).
+pub struct Store {
+    /// The one operator of this store: its [`NameStore`] shares it, and
+    /// snapshot writers and loaders borrow it.
     operator: Arc<LexEqual>,
-    /// Serializes global-id assignment so the round-robin stripe stays
-    /// aligned with each shard's local insertion order: a [`Loader`]
-    /// holds it for its life, and fills the chunks it guards, one a
-    /// shard. They outlive a load that never filled a chunk, so an `ADD`
-    /// allocates nothing here.
-    grow: Mutex<Vec<RowChunk>>,
-    /// The published row count: stored (under `grow`) only after every
-    /// shard has appended, so a reader that sees `n` can resolve every
-    /// id below `n` — and never waits behind an append to learn it.
+    /// Serializes global-id assignment: a [`Loader`] holds it for its
+    /// life, and fills the chunk it guards. The chunk outlives a load that
+    /// never filled it, so an `ADD` allocates nothing here.
+    grow: Mutex<RowChunk>,
+    /// The published row count: stored (under `grow`) only after a load
+    /// has appended its last chunk, so a reader that sees `n` can resolve
+    /// every id below `n` — and never waits behind an append to learn it.
     len: AtomicU32,
-    /// Kernel screen counters, flushed after every shard a search visits.
+    /// Kernel screen counters, flushed after every search.
     screens: ScreenTotals,
     /// Batch-shape counters, flushed alongside the screen counters.
     batches: BatchTotals,
@@ -281,17 +245,16 @@ pub struct CoverStats {
     /// Declared access paths.
     pub declared: usize,
     /// Rows no index covers yet, per path in
-    /// [`method_index`](crate::metrics::method_index) order, summed over
-    /// the shards (0 for a scan and for an undeclared path).
+    /// [`method_index`](crate::metrics::method_index) order (0 for a scan
+    /// and for an undeclared path).
     pub tails: [usize; 4],
     /// Covers that installed an index since start.
     pub covers: u64,
     /// How long the last of them took, in ms.
     pub cover_ms_last: u64,
-    /// Bytes the shards' owned row columns hold (arenas and offsets, by
-    /// capacity), image bytes their base rows occupy, and bytes the
-    /// q-gram, phonetic and BK-tree indices' arrays hold — each summed
-    /// over the shards.
+    /// Bytes the owned row columns hold (arenas and offsets, by
+    /// capacity), image bytes the base rows occupy, and bytes the q-gram,
+    /// phonetic and BK-tree indices' arrays hold.
     pub row_bytes: usize,
     /// See [`row_bytes`](Self::row_bytes).
     pub mapped_bytes: usize,
@@ -299,49 +262,27 @@ pub struct CoverStats {
     pub index_bytes: [usize; 3],
 }
 
-/// The most shards a store may have, a flag may ask for and an image may
-/// declare. A shard is no thread, but each is a lock, a [`NameStore`] and
-/// a chunk buffer made up front, and a search visits every one of them:
-/// an unchecked count (four bytes of a hostile header) could ask for
-/// billions.
+/// The most shards `lexequald --shards` accepts and an image header may
+/// declare. The store is one partition whatever either says; the bound
+/// keeps the flag's and the header field's validation as it was.
 pub const MAX_SHARDS: usize = 1024;
 
-impl ShardedStore {
-    /// Create an empty store of `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or above [`MAX_SHARDS`].
-    pub fn new(config: MatchConfig, shards: usize) -> Self {
-        assert!(
-            (1..=MAX_SHARDS).contains(&shards),
-            "need 1..={MAX_SHARDS} shards, not {shards}"
-        );
-        Self::over(Arc::new(LexEqual::new(config)), (0..shards).map(|_| None))
+impl Store {
+    /// Create an empty store.
+    pub fn new(config: MatchConfig) -> Self {
+        Self::over(Arc::new(LexEqual::new(config)), None)
     }
 
-    /// A store whose shard `s` starts as `bases[s]`: the rows of a
-    /// snapshot image, striped `g % N` as this module stripes them and
-    /// read where they lie (the image loader's way in; it has validated
-    /// every row).
-    pub(crate) fn over_bases(operator: Arc<LexEqual>, bases: Vec<Base>) -> Self {
-        Self::over(operator, bases.into_iter().map(Some))
-    }
-
-    /// Each shard's store empty or over its base; their rows are the
-    /// published length. The coverer is the one thread a store spawns.
-    fn over(operator: Arc<LexEqual>, bases: impl Iterator<Item = Option<Base>>) -> Self {
-        let shards: Vec<Arc<Shard>> = bases
-            .map(|base| {
-                let store = NameStore::sharing(Arc::clone(&operator), base);
-                Arc::new(Shard(RwLock::new(store)))
-            })
-            .collect();
-        let len = shards.iter().map(|s| s.read().len()).sum::<usize>();
-        let chunks = new_chunks(shards.len());
+    /// A store empty or over `base` — the rows of a snapshot image, read
+    /// where they lie (the image loader's way in; it has validated every
+    /// row); its rows are the published length. The coverer is the one
+    /// thread a store spawns.
+    pub(crate) fn over(operator: Arc<LexEqual>, base: Option<Base>) -> Self {
+        let names = NameStore::sharing(Arc::clone(&operator), base);
+        let len = names.len();
         let covering = Arc::new(Covering {
             clusters: Arc::clone(&operator.config().clusters),
-            shards,
+            names: RwLock::new(names),
             declared: Mutex::default(),
             declared_mask: AtomicU8::new(0),
             named: AtomicU8::new(0),
@@ -359,9 +300,9 @@ impl ShardedStore {
                 .spawn(move || covering.run())
                 .expect("spawn coverer")
         };
-        ShardedStore {
+        Store {
             operator,
-            grow: Mutex::new(chunks),
+            grow: Mutex::default(),
             coverer: cover_thread.thread().clone(),
             cover_thread: Some(cover_thread),
             len: AtomicU32::new(u32::try_from(len).expect("ids are u32")),
@@ -381,17 +322,12 @@ impl ShardedStore {
         self.batches.snapshot()
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.covering.shards.len()
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &MatchConfig {
         self.operator.config()
     }
 
-    /// The operator every shard of this store matches with.
+    /// The operator this store matches with.
     pub fn operator(&self) -> &Arc<LexEqual> {
         &self.operator
     }
@@ -454,33 +390,31 @@ impl ShardedStore {
     }
 
     /// [`loader`](Self::loader) with a hook run after every chunk the
-    /// load appends to a shard, under no shard lock.
+    /// load appends, under no store lock.
     #[doc(hidden)]
     pub fn loader_with<'a>(&'a self, on_chunk: &'a dyn Fn()) -> Loader<'a> {
-        let chunks = self.grow.lock().expect("grow lock");
+        let chunk = self.grow.lock().expect("grow lock");
         let start = self.len.load(Ordering::Relaxed);
         Loader {
             store: self,
-            chunks,
+            chunk,
             start,
             next: start,
-            loads: Vec::new(),
+            load: LoadSize::default(),
             due: 0,
             on_chunk,
         }
     }
 
-    /// Declare one access path on every shard: from the moment this
-    /// returns, searches through it are exact — over the path's pair-wise
-    /// rule alone until a cover installs an index, which waits for the
-    /// path to be named. Re-declaring a path moves it to the end of the
-    /// recorded order; with a different spec (another `q`) it also resets
-    /// the path's coverage, and a named path is then covered anew.
+    /// Declare one access path: from the moment this returns, searches
+    /// through it are exact — over the path's pair-wise rule alone until a
+    /// cover installs an index, which waits for the path to be named.
+    /// Re-declaring a path moves it to the end of the recorded order; with
+    /// a different spec (another `q`) it also resets the path's coverage,
+    /// and a named path is then covered anew.
     pub fn declare(&self, spec: BuildSpec) {
         let mut declared = self.covering.declared.lock().expect("declared lock");
-        for shard in &self.covering.shards {
-            shard.write().declare(spec);
-        }
+        self.covering.write().declare(spec);
         let reset = !declared.contains(&spec);
         declared.retain(|d| d.method() != spec.method());
         declared.push(spec);
@@ -491,8 +425,8 @@ impl ShardedStore {
         }
     }
 
-    /// Whether `method` can serve a search: its path has been declared on
-    /// every shard (a scan needs none). Lock-free; never revoked.
+    /// Whether `method` can serve a search: its path has been declared (a
+    /// scan needs none). Lock-free; never revoked.
     pub fn is_declared(&self, method: SearchMethod) -> bool {
         method == SearchMethod::Scan
             || self.covering.declared_mask.load(Ordering::Acquire) & bit(method) != 0
@@ -553,9 +487,9 @@ impl ShardedStore {
             .clone()
     }
 
-    /// Coverage gauges for `STATS`: read off every shard under its read
-    /// lock, so the tails are what the shards hold, not what a
-    /// coordinator-side counter believes.
+    /// Coverage gauges for `STATS`: read off the rows under the read
+    /// lock, so the tails are what the indices cover, not what a counter
+    /// beside them believes.
     pub fn cover_stats(&self) -> CoverStats {
         let mut stats = CoverStats {
             declared: self.built_specs().len(),
@@ -563,18 +497,14 @@ impl ShardedStore {
             cover_ms_last: self.covering.cover_ms_last.load(Ordering::Relaxed),
             ..CoverStats::default()
         };
-        for shard in &self.covering.shards {
-            let store = shard.read();
-            let memory = store.memory();
-            for (spec, covered) in store.coverage() {
-                stats.tails[crate::metrics::method_index(spec.method())] += store.len() - covered;
-            }
-            stats.row_bytes += memory.owned;
-            stats.mapped_bytes += memory.mapped;
-            for (total, bytes) in stats.index_bytes.iter_mut().zip(memory.indices) {
-                *total += bytes;
-            }
+        let store = self.covering.read();
+        for (spec, covered) in store.coverage() {
+            stats.tails[crate::metrics::method_index(spec.method())] = store.len() - covered;
         }
+        let memory = store.memory();
+        stats.row_bytes = memory.owned;
+        stats.mapped_bytes = memory.mapped;
+        stats.index_bytes = memory.indices;
         stats
     }
 
@@ -591,45 +521,37 @@ impl ShardedStore {
         }
     }
 
-    /// `(text bytes, phoneme bytes)` held by global rows `0..rows`,
-    /// summed over the shards — no row is copied.
+    /// `(text bytes, phoneme bytes)` held by global rows `0..rows` — no
+    /// row is copied.
     pub(crate) fn prefix_bytes(&self, rows: usize) -> (usize, usize) {
-        let n = self.shards();
-        (self.covering.shards.iter().enumerate())
-            .map(|(i, shard)| shard.read().prefix_bytes(local_rows(rows, i, n)))
-            .fold((0, 0), |(t, p), (dt, dp)| (t + dt, p + dp))
+        self.covering.read().prefix_bytes(rows)
     }
 
     /// Read global rows `0..rows` in id order, [`CHUNK_ROWS`] at a time —
-    /// the one capture path of a snapshot image. `rows` must not exceed a length
-    /// this store has published; rows below it never change, and each
-    /// shard's slice of a chunk is copied under that shard's read lock
-    /// alone, so appends and covers interleave freely with the reader.
+    /// the one capture path of a snapshot image. `rows` must not exceed a
+    /// length this store has published; rows below it never change, and
+    /// each chunk is copied under the read lock alone, so appends and
+    /// covers interleave freely with the reader.
     pub fn prefix_reader(&self, rows: usize) -> PrefixReader<'_> {
         debug_assert!(rows <= self.len(), "prefix past the published length");
         PrefixReader {
             store: self,
             rows,
             next: 0,
-            chunks: (0..self.shards()).map(|_| RowChunk::default()).collect(),
+            chunk: RowChunk::default(),
         }
     }
 
     /// Entry by global id.
     pub fn get(&self, id: u32) -> Option<NameEntry> {
-        let n = self.shards();
-        self.covering.shards[id as usize % n]
-            .read()
-            .get(id / n as u32)
+        self.covering.read().get(id)
     }
 
-    /// Search every shard for a pre-transformed query, one after another
-    /// on this thread, each under its read lock, and merge: local ids
-    /// remap to global ids, verification counts sum, the merged id list is
-    /// sorted ascending (same order an unsharded scan produces). The first
-    /// search through a declared path names it (see
-    /// [`declare`](Self::declare)); its cover is scheduled once the
-    /// result is merged, and `COVER_DELAY` keeps it behind the reply.
+    /// Search for a pre-transformed query on this thread, under the read
+    /// lock, through the thread's warm [`BatchVerifier`]; ids ascend. The
+    /// first search through a declared path names it (see
+    /// [`declare`](Self::declare)); its cover is scheduled once the search
+    /// is done, and `COVER_DELAY` keeps it behind the reply.
     ///
     /// # Panics
     ///
@@ -637,22 +559,16 @@ impl ShardedStore {
     /// [`crate::MatchService`] for the graceful front-end.
     pub fn search_phonemes(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> SearchResult {
         let naming = self.naming(method);
-        let n = self.shards() as u32;
-        let (mut ids, mut verifications) = (Vec::new(), 0);
-        VERIFIER.with_borrow_mut(|verifier| {
-            for (shard, store) in (0..n).zip(&self.covering.shards) {
-                let result = store.read().search_phonemes_batched(q, e, method, verifier);
-                self.screens.add(&verifier.take_counters());
-                self.batches.add(&verifier.take_batch_counters());
-                verifications += result.verifications;
-                ids.extend(result.ids.iter().map(|local| local * n + shard));
-            }
+        let result = VERIFIER.with_borrow_mut(|verifier| {
+            let result = (self.covering.read()).search_phonemes_batched(q, e, method, verifier);
+            self.screens.add(&verifier.take_counters());
+            self.batches.add(&verifier.take_batch_counters());
+            result
         });
-        ids.sort_unstable();
         if let Some(spec) = naming {
             self.schedule_cover(spec);
         }
-        SearchResult { ids, verifications }
+        result
     }
 
     /// [`search_phonemes`](Self::search_phonemes), run now, its result
@@ -665,8 +581,8 @@ impl ShardedStore {
     }
 }
 
-/// A search [`ShardedStore::begin_search`] has run already: a shim kept
-/// for lexbench's trace until ROADMAP item 2a.
+/// A search [`Store::begin_search`] has run already: a shim kept for
+/// lexbench's trace until ROADMAP item 2a.
 #[doc(hidden)]
 pub struct PendingSearch(SearchResult);
 
@@ -678,32 +594,26 @@ impl PendingSearch {
     }
 }
 
-/// One empty [`RowChunk`] a shard, for a [`Loader`] to fill.
-fn new_chunks(shards: usize) -> Vec<RowChunk> {
-    (0..shards).map(|_| RowChunk::default()).collect()
-}
-
-/// One load into a [`ShardedStore`] (from [`ShardedStore::loader`]) — the
+/// One load into a [`Store`] (from [`Store::loader`]) — the
 /// `PrefixReader` run backwards, and the only way rows come in. Rows are
-/// [`push`](Self::push)ed in global-id order; row `g` goes into the chunk
-/// of shard `g % N`, and a chunk of [`CHUNK_ROWS`] rows is appended to its
-/// shard under the shard's write lock, on this thread, and refilled. The
-/// loader holds the grow lock for its life, so a load's ids are
-/// contiguous, and the store's length moves once:
+/// [`push`](Self::push)ed in global-id order into one chunk, and a chunk
+/// of [`CHUNK_ROWS`] rows is appended under the write lock, on this
+/// thread, and refilled. The loader holds the grow lock for its life, so
+/// a load's ids are contiguous, and the store's length moves once:
 /// [`finish`](Self::finish) — or dropping the loader, after a refused
 /// row, say — appends what is still buffered and publishes exactly the
-/// rows that were accepted, so no shard ever holds a row that a published
-/// length does not come to cover.
+/// rows that were accepted, so the store never holds a row that a
+/// published length does not come to cover.
 pub struct Loader<'a> {
-    store: &'a ShardedStore,
-    /// The chunk each shard's rows fill until it is appended.
-    chunks: MutexGuard<'a, Vec<RowChunk>>,
+    store: &'a Store,
+    /// The chunk the rows fill until it is appended.
+    chunk: MutexGuard<'a, RowChunk>,
     /// The published length when the load began, and the next id.
     start: u32,
     next: u32,
-    /// What the load brings each shard, until its first chunk takes it
-    /// along (empty unless [`reserve`](Self::reserve) was called).
-    loads: Vec<LoadSize>,
+    /// What the load brings, until its first chunk takes it along (empty
+    /// unless [`reserve`](Self::reserve) was called).
+    load: LoadSize,
     /// Paths whose tails an append left due a re-cover.
     due: u8,
     on_chunk: &'a dyn Fn(),
@@ -711,14 +621,13 @@ pub struct Loader<'a> {
 
 impl Loader<'_> {
     /// Announce the rows to come, each as `(text bytes, phoneme bytes)`
-    /// in push order, so that every shard sizes its columns once, for
-    /// exactly its stripe. Optional; call it before the first push.
+    /// in push order, so that the store sizes its columns once. Optional;
+    /// call it before the first push.
     pub fn reserve(&mut self, rows: impl Iterator<Item = (usize, usize)>) {
         debug_assert_eq!(self.next, self.start, "sizes announced mid-load");
-        let shards = self.store.shards();
-        self.loads = vec![LoadSize::default(); shards];
-        for (offset, (text_bytes, phoneme_bytes)) in rows.enumerate() {
-            self.loads[(self.next as usize + offset) % shards].add(text_bytes, phoneme_bytes);
+        self.load = LoadSize::default();
+        for (text_bytes, phoneme_bytes) in rows {
+            self.load.add(text_bytes, phoneme_bytes);
         }
     }
 
@@ -734,11 +643,10 @@ impl Loader<'_> {
     ) -> Result<u32, G2pError> {
         let id = self.next;
         let next = id.checked_add(1).expect("ids are u32");
-        let shard = id as usize % self.store.shards();
-        self.chunks[shard].push(text, language, phonemes)?;
+        self.chunk.push(text, language, phonemes)?;
         self.next = next;
-        if self.chunks[shard].len() == CHUNK_ROWS {
-            self.append(shard);
+        if self.chunk.len() == CHUNK_ROWS {
+            self.append();
         }
         Ok(id)
     }
@@ -750,32 +658,27 @@ impl Loader<'_> {
         self.start..self.next
     }
 
-    /// Append shard `shard`'s chunk to the shard under its write lock,
-    /// note the paths its tails leave due, and empty the chunk.
-    fn append(&mut self, shard: usize) {
-        let load = (self.loads.get_mut(shard).map(std::mem::take)).unwrap_or_default();
-        let chunk = &mut self.chunks[shard];
+    /// Append the chunk under the write lock, note the paths its tails
+    /// leave due, and empty the chunk.
+    fn append(&mut self) {
         {
-            let mut store = self.store.covering.shards[shard].write();
-            store.append_rows(chunk, load);
+            let mut store = self.store.covering.write();
+            store.append_rows(&self.chunk, std::mem::take(&mut self.load));
             self.due |= store.due_paths().fold(0, |due, method| due | bit(method));
         }
-        chunk.clear();
+        self.chunk.clear();
         (self.on_chunk)();
     }
 
     fn flush(&mut self) {
-        let shards = self.store.shards();
-        for shard in 0..shards {
-            if !self.chunks[shard].is_empty() {
-                self.append(shard);
-            }
+        if !self.chunk.is_empty() {
+            self.append();
         }
-        // Published once every shard has appended, under the grow lock.
+        // Published once the last chunk is in, under the grow lock.
         self.store.len.store(self.next, Ordering::Release);
-        // A bulk load's chunks, grown to a chunk's rows each, go with it.
+        // A bulk load's chunk, grown to a chunk's rows, goes with it.
         if (self.next - self.start) as usize >= CHUNK_ROWS {
-            *self.chunks = new_chunks(shards);
+            *self.chunk = RowChunk::default();
         }
         // A due tail of a path nothing has named wakes nobody.
         let named = self.store.covering.named.load(Ordering::Acquire);
@@ -789,8 +692,8 @@ impl Drop for Loader<'_> {
     fn drop(&mut self) {
         // After `finish` there is nothing left to append. Not while
         // unwinding: the grow lock this guard poisons on its way out ends
-        // all appending anyway, so no later load can be striped onto the
-        // rows left unpublished.
+        // all appending anyway, so no later load can land on the rows
+        // left unpublished.
         if !std::thread::panicking() {
             self.flush();
         }
@@ -798,16 +701,15 @@ impl Drop for Loader<'_> {
 }
 
 /// Chunked reader over a store's row prefix (from
-/// [`ShardedStore::prefix_reader`]). It owns one [`RowChunk`] per shard
-/// and refills each under that shard's read lock, one shard at a time, so
-/// a whole pass over the store allocates what the largest chunk needs,
-/// once.
+/// [`Store::prefix_reader`]). It owns one [`RowChunk`] and refills it
+/// under the read lock, so a whole pass over the store allocates what one
+/// chunk needs, once.
 pub struct PrefixReader<'a> {
-    store: &'a ShardedStore,
+    store: &'a Store,
     rows: usize,
     /// First global row of the next chunk.
     next: usize,
-    chunks: Vec<RowChunk>,
+    chunk: RowChunk,
 }
 
 impl PrefixReader<'_> {
@@ -817,26 +719,15 @@ impl PrefixReader<'_> {
         if self.next >= self.rows {
             return None;
         }
-        let first = self.next;
-        let end = (first + CHUNK_ROWS).min(self.rows);
-        self.next = end;
-        let n = self.store.shards();
-        let shards = &self.store.covering.shards;
-        for (i, (shard, chunk)) in shards.iter().zip(&mut self.chunks).enumerate() {
-            let rows = local_rows(first, i, n)..local_rows(end, i, n);
-            if !rows.is_empty() {
-                shard.read().read_rows(rows, chunk);
-            }
-        }
-        // A shard's slice of a contiguous global range is contiguous and
-        // ascending, so global row g sits in shard g % n's chunk at its
-        // local id less the chunk's first.
-        let chunks = &self.chunks;
-        Some((first..end).map(move |g| chunks[g % n].row(g / n - local_rows(first, g % n, n))))
+        let rows = self.next..(self.next + CHUNK_ROWS).min(self.rows);
+        self.next = rows.end;
+        (self.store.covering.read()).read_rows(rows.clone(), &mut self.chunk);
+        let chunk = &self.chunk;
+        Some((0..rows.len()).map(move |i| chunk.row(i)))
     }
 }
 
-impl Drop for ShardedStore {
+impl Drop for Store {
     fn drop(&mut self) {
         self.covering.stopping.store(true, Ordering::Release);
         self.coverer.unpark();
@@ -918,7 +809,7 @@ mod tests {
 
     #[test]
     fn global_ids_follow_insertion_order() {
-        let s = ShardedStore::new(MatchConfig::default(), 3);
+        let s = Store::new(MatchConfig::default());
         let range = s.extend(demo_rows()).unwrap();
         assert_eq!(range, 0..7);
         assert_eq!(s.len(), 7);
@@ -934,30 +825,24 @@ mod tests {
         for (t, l) in &rows {
             flat.insert(t, *l).unwrap();
         }
-        let sharded = ShardedStore::new(MatchConfig::default(), 3);
-        sharded.extend(rows).unwrap();
+        let served = Store::new(MatchConfig::default());
+        served.extend(rows).unwrap();
         let a = flat
             .search("Nehru", Language::English, 0.45, SearchMethod::Scan)
             .unwrap();
-        let q = sharded
+        let q = served
             .config()
             .registry
             .transform("Nehru", Language::English)
             .unwrap();
-        let b = sharded.search_phonemes(&q, 0.45, SearchMethod::Scan);
+        let b = served.search_phonemes(&q, 0.45, SearchMethod::Scan);
         assert_eq!(a, b);
         assert!(b.ids.contains(&1), "cross-script नेहरु: {:?}", b.ids);
     }
 
     #[test]
-    #[should_panic(expected = "shards")]
-    fn a_store_wider_than_max_shards_is_refused() {
-        ShardedStore::new(MatchConfig::default(), MAX_SHARDS + 1);
-    }
-
-    #[test]
     fn failed_transform_leaves_store_unchanged() {
-        let s = ShardedStore::new(MatchConfig::default(), 2);
+        let s = Store::new(MatchConfig::default());
         // The second row's script does not match its language tag.
         let err = s.extend([
             ("Nehru".to_owned(), Language::English),
@@ -971,7 +856,7 @@ mod tests {
     /// append or a cover: both read the published length.
     #[test]
     fn len_and_cut_do_not_take_the_grow_lock_or_a_covers_turn() {
-        let s = ShardedStore::new(MatchConfig::default(), 2);
+        let s = Store::new(MatchConfig::default());
         s.extend(demo_rows()).unwrap();
         s.build(BuildSpec::BkTree);
         let _in_flight = s.grow.lock().unwrap();
@@ -1008,7 +893,7 @@ mod tests {
     #[test]
     fn appends_become_tails_and_a_due_tail_is_covered_in_the_background() {
         use lexequal::store::cover_due;
-        let s = ShardedStore::new(MatchConfig::default(), 2);
+        let s = Store::new(MatchConfig::default());
         s.extend_transformed(plain_names(200));
         s.build(BuildSpec::PhoneticIndex);
         s.declare(BuildSpec::BkTree);
@@ -1016,17 +901,17 @@ mod tests {
         assert_eq!((stats.declared, stats.covers), (2, 1));
         assert_eq!(stats.tails, [0, 0, 0, 200], "declared is not covered");
         // Under the floor nothing moves: the rows are every path's tail.
-        s.extend_transformed(plain_names(2 * 3900));
-        assert!(!cover_due(100, 4000) && !cover_due(0, 4000));
-        assert_eq!(s.cover_stats().tails, [0, 0, 7800, 8000]);
+        s.extend_transformed(plain_names(3800));
+        assert!(!cover_due(200, 4000) && !cover_due(0, 4000));
+        assert_eq!(s.cover_stats().tails, [0, 0, 3800, 4000]);
         assert_eq!(s.cover_stats().covers, 1);
-        // The append that takes a shard's tails to the floor starts a
-        // cover of every due path a build or a search has named — here
-        // the phonetic index alone — and nobody waits for it.
-        s.extend_transformed(plain_names(2 * 196));
-        assert!(cover_due(100, 4196) && cover_due(0, 4196));
+        // The append that takes the tails to the floor starts a cover of
+        // every due path a build or a search has named — here the
+        // phonetic index alone — and nobody waits for it.
+        s.extend_transformed(plain_names(296));
+        assert!(cover_due(200, 4296) && cover_due(0, 4296));
         wait_for("the background cover", || s.cover_stats().covers == 2);
-        assert_eq!(s.cover_stats().tails, [0, 0, 0, 8392]);
+        assert_eq!(s.cover_stats().tails, [0, 0, 0, 4296]);
         // The first search through the BK-tree names it, and covers it.
         let q: PhonemeString = "neru".parse().unwrap();
         let before = s.search_phonemes(&q, 0.3, SearchMethod::BkTree);
@@ -1040,14 +925,14 @@ mod tests {
     }
 
     /// A due tail of a path nothing has named does not wake the coverer:
-    /// every `ADD` past the floor would otherwise send it round the shards
+    /// every `ADD` past the floor would otherwise send it over the store
     /// for nothing. The coverer is held inside a cover (the test holds the
     /// turn), so a wake would stay visible as `scheduled`.
     #[test]
     fn an_unnamed_paths_due_tail_wakes_no_cover() {
-        let s = ShardedStore::new(MatchConfig::default(), 2);
+        let s = Store::new(MatchConfig::default());
         let turn = s.covering.turn.lock().unwrap();
-        // Names a path no shard declares: the coverer wakes, then waits
+        // Names a path the store does not declare: the coverer wakes, then waits
         // for the turn.
         s.schedule_cover(BuildSpec::PhoneticIndex);
         wait_for("the coverer to wake", || {
@@ -1076,7 +961,7 @@ mod tests {
             q: 2,
             mode: lexequal::QgramMode::PaperFaithful,
         };
-        let s = ShardedStore::new(MatchConfig::default(), 1);
+        let s = Store::new(MatchConfig::default());
         s.extend_transformed(plain_names(50));
         s.declare(q3);
         let (parked, release) = (channel(), channel::<()>());
@@ -1094,7 +979,7 @@ mod tests {
             cover.join().unwrap();
         });
         let (rows, coverage) = {
-            let store = s.covering.shards[0].read();
+            let store = s.covering.read();
             (store.len(), store.coverage())
         };
         assert_eq!((rows, coverage), (50, vec![(q2, 0)]));
@@ -1117,7 +1002,7 @@ mod tests {
             q: 2,
             mode: lexequal::QgramMode::PaperFaithful,
         };
-        let s = ShardedStore::new(MatchConfig::default(), 1);
+        let s = Store::new(MatchConfig::default());
         s.extend_transformed(plain_names(50));
         s.declare(q3);
         let q: PhonemeString = "neru".parse().unwrap();
@@ -1128,7 +1013,7 @@ mod tests {
         wait_for("the new spec's cover", || s.cover_stats().covers == 2);
         assert_eq!(s.cover_stats().tails, [0; 4]);
         let (rows, coverage) = {
-            let store = s.covering.shards[0].read();
+            let store = s.covering.read();
             (store.len(), store.coverage())
         };
         assert_eq!((rows, coverage), (50, vec![(q2, 50)]));
@@ -1141,41 +1026,39 @@ mod tests {
             .map(|i| (format!("Nehru{}", "a".repeat(i % 7)), Language::English))
             .collect();
         let entries = transform_rows(&MatchConfig::default(), names).unwrap();
-        for shards in 1..=3 {
-            let s = ShardedStore::new(MatchConfig::default(), shards);
-            s.extend_transformed(entries.clone());
-            // Rows past the cut are in the store and not in the read.
-            let (mut seen, mut text_bytes, mut phoneme_bytes) = (0usize, 0usize, 0usize);
-            let mut reader = s.prefix_reader(rows);
-            while let Some(chunk) = reader.next_chunk() {
-                for (text, language, ids) in chunk {
-                    let entry = &entries[seen];
-                    assert_eq!(
-                        (text, language, ids),
-                        (
-                            entry.text.as_bytes(),
-                            entry.language,
-                            entry.phonemes.id_bytes()
-                        ),
-                        "{shards} shard(s), id {seen}"
-                    );
-                    text_bytes += text.len();
-                    phoneme_bytes += ids.len();
-                    seen += 1;
-                }
+        let s = Store::new(MatchConfig::default());
+        s.extend_transformed(entries.clone());
+        // Rows past the cut are in the store and not in the read.
+        let (mut seen, mut text_bytes, mut phoneme_bytes) = (0usize, 0usize, 0usize);
+        let mut reader = s.prefix_reader(rows);
+        while let Some(chunk) = reader.next_chunk() {
+            for (text, language, ids) in chunk {
+                let entry = &entries[seen];
+                assert_eq!(
+                    (text, language, ids),
+                    (
+                        entry.text.as_bytes(),
+                        entry.language,
+                        entry.phonemes.id_bytes()
+                    ),
+                    "id {seen}"
+                );
+                text_bytes += text.len();
+                phoneme_bytes += ids.len();
+                seen += 1;
             }
-            assert_eq!(seen, rows, "{shards} shard(s)");
-            assert_eq!(s.prefix_bytes(rows), (text_bytes, phoneme_bytes));
         }
+        assert_eq!(seen, rows);
+        assert_eq!(s.prefix_bytes(rows), (text_bytes, phoneme_bytes));
     }
 
-    /// A read is a call under the shard's read lock, not a turn behind
-    /// the searches holding it: with 64 scans running on the one shard from
+    /// A read is a call under the store's read lock, not a turn behind
+    /// the searches holding it: with 64 scans running on the store from
     /// another thread, `get`, the coverage gauges and a prefix chunk each
     /// answer in a fraction of the time the scans take to drain.
     #[test]
     fn reads_do_not_wait_behind_running_searches() {
-        let s = ShardedStore::new(MatchConfig::default(), 1);
+        let s = Store::new(MatchConfig::default());
         s.extend_transformed(plain_names(20_000));
         let q: PhonemeString = "neru".parse().unwrap();
         let timed = |read: &dyn Fn()| {
@@ -1218,7 +1101,7 @@ mod tests {
 
     #[test]
     fn incremental_insert_interleaves_with_bulk() {
-        let s = ShardedStore::new(MatchConfig::default(), 2);
+        let s = Store::new(MatchConfig::default());
         let id = s.insert("Nehru", Language::English).unwrap();
         assert_eq!(id, 0);
         let range = s.extend(demo_rows()).unwrap();

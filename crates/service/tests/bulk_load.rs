@@ -1,8 +1,8 @@
 //! Every way into the store is one way: a [`Loader`], the prefix reader
-//! run backwards. It stripes the rows it is pushed into one chunk a shard,
-//! appends full chunks to the shards and publishes the length once — so a
-//! store filled through it, by any door, across any chunk seam and stripe
-//! phase, on top of whatever the store already held, must be the store
+//! run backwards. It fills one chunk with the rows it is pushed, appends
+//! each full chunk to the store and publishes the length once — so a
+//! store filled through it, by any door, across any chunk seam, on top of
+//! whatever the store already held, must be the store
 //! that `insert` fills one row at a time: every entry, every path's ids
 //! and verification counts before and after a cover, the image byte for
 //! byte. A row refused mid-load ends the load where it stands, and a load
@@ -10,12 +10,12 @@
 //!
 //! The counting allocator is per thread (as in core's
 //! `verify_zero_alloc.rs`). The loading thread appends, so it counts the
-//! shards' columns growing too.
+//! store's columns growing too.
 
 use lexequal::store::{NameEntry, CHUNK_ROWS};
 use lexequal::{G2pError, Language, MatchConfig, NameStore, QgramMode, SearchMethod};
 use lexequal_lexicon::{Corpus, SyntheticDataset, SyntheticPairs};
-use lexequal_service::{mmapstore, BuildSpec, Loader, MatchService, ServiceConfig, ShardedStore};
+use lexequal_service::{mmapstore, BuildSpec, Loader, MatchService, ServiceConfig, Store};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -102,15 +102,15 @@ fn rows(n: usize) -> Vec<NameEntry> {
 #[derive(Debug, Clone, Copy)]
 enum Start {
     Empty,
-    /// Five rows, so the load begins off every stripe's phase 0.
+    /// Five rows, so the load begins mid-chunk.
     Rows,
-    /// A seven-row image, read in place: the load is every shard's tail.
+    /// A seven-row image, read in place: the load is the store's tail.
     Image,
 }
 
 impl Start {
-    fn store(self, shards: usize) -> ShardedStore {
-        let store = ShardedStore::new(MatchConfig::default(), shards);
+    fn store(self) -> Store {
+        let store = Store::new(MatchConfig::default());
         let seed = match self {
             Start::Empty => 0,
             Start::Rows => 5,
@@ -123,7 +123,7 @@ impl Start {
             return store;
         }
         let image = mmapstore::encode(&store, 0).expect("encode the base");
-        let loaded = mmapstore::load_bytes(MatchConfig::default(), Some(shards), image);
+        let loaded = mmapstore::load_bytes(MatchConfig::default(), image);
         loaded.expect("load the base").store
     }
 }
@@ -144,7 +144,7 @@ fn push_parts(loader: &mut Loader<'_>, rows: &[NameEntry]) {
 
 /// `got` is the store `want` is: entries, image, and every path's answers
 /// — declared only, then covered.
-fn assert_same_store(got: &ShardedStore, want: &ShardedStore, what: &str) {
+fn assert_same_store(got: &Store, want: &Store, what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: len");
     let len = want.len() as u32;
     for id in 0..len + 1 {
@@ -184,44 +184,41 @@ fn assert_same_store(got: &ShardedStore, want: &ShardedStore, what: &str) {
     }
 }
 
-/// (b) Every door, every seam, every phase.
+/// (b) Every door, every seam.
 #[test]
 fn every_door_fills_the_store_that_insert_fills() {
-    for shards in 1..=3 {
-        let full = CHUNK_ROWS * shards;
-        for n in [full - 1, full + 1, 1, 0] {
-            let rows = rows(n);
-            for start in [Start::Empty, Start::Rows, Start::Image] {
-                let what = |door: &str| format!("{door}: {shards} shard(s), {n} rows on {start:?}");
-                let want = start.store(shards);
-                for e in &rows {
-                    want.insert(&e.text, e.language).expect("insert");
-                }
-
-                let sized = start.store(shards);
-                let first = sized.len() as u32;
-                let mut loader = sized.loader();
-                loader.reserve(rows.iter().map(|e| (e.text.len(), e.phonemes.len())));
-                push_parts(&mut loader, &rows);
-                assert_eq!(sized.len() as u32, first, "published only at the end");
-                assert_eq!(loader.finish(), first..first + n as u32);
-                assert_same_store(&sized, &want, &what("a sized load"));
-                // Sized, the columns are the row-by-row store's or
-                // tighter: each grew once, to what its stripe holds.
-                let bytes = |s: &ShardedStore| s.cover_stats().row_bytes;
-                assert!(bytes(&sized) <= bytes(&want), "{}", what("row_bytes"));
-
-                let unsized_ = start.store(shards);
-                let mut loader = unsized_.loader();
-                push_parts(&mut loader, &rows);
-                drop(loader);
-                assert_same_store(&unsized_, &want, &what("an unsized load, dropped"));
-
-                let extended = start.store(shards);
-                let range = extended.extend_transformed(rows.clone());
-                assert_eq!(range, first..first + n as u32);
-                assert_same_store(&extended, &want, &what("extend_transformed"));
+    for n in [CHUNK_ROWS - 1, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 1, 0] {
+        let rows = rows(n);
+        for start in [Start::Empty, Start::Rows, Start::Image] {
+            let what = |door: &str| format!("{door}: {n} rows on {start:?}");
+            let want = start.store();
+            for e in &rows {
+                want.insert(&e.text, e.language).expect("insert");
             }
+
+            let sized = start.store();
+            let first = sized.len() as u32;
+            let mut loader = sized.loader();
+            loader.reserve(rows.iter().map(|e| (e.text.len(), e.phonemes.len())));
+            push_parts(&mut loader, &rows);
+            assert_eq!(sized.len() as u32, first, "published only at the end");
+            assert_eq!(loader.finish(), first..first + n as u32);
+            assert_same_store(&sized, &want, &what("a sized load"));
+            // Sized, the columns are the row-by-row store's or tighter:
+            // each grew once, to what the load holds.
+            let bytes = |s: &Store| s.cover_stats().row_bytes;
+            assert!(bytes(&sized) <= bytes(&want), "{}", what("row_bytes"));
+
+            let unsized_ = start.store();
+            let mut loader = unsized_.loader();
+            push_parts(&mut loader, &rows);
+            drop(loader);
+            assert_same_store(&unsized_, &want, &what("an unsized load, dropped"));
+
+            let extended = start.store();
+            let range = extended.extend_transformed(rows.clone());
+            assert_eq!(range, first..first + n as u32);
+            assert_same_store(&extended, &want, &what("extend_transformed"));
         }
     }
 }
@@ -231,16 +228,15 @@ fn every_door_fills_the_store_that_insert_fills() {
 fn a_refused_row_publishes_what_came_before_it_and_nothing_else() {
     let service = MatchService::new(ServiceConfig {
         match_config: MatchConfig::default(),
-        shards: 2,
         cache_capacity: 16,
+        ..ServiceConfig::default()
     });
     let store = service.store();
     store.declare(BuildSpec::PhoneticIndex);
     // Searched through nowhere, so never covered: its tail is what the
-    // shards hold.
+    // store holds.
     store.declare(BuildSpec::BkTree);
-    // Past a chunk seam on both shards, an odd count: the refused row
-    // would have been shard 1's.
+    // Past two chunk seams, mid-chunk.
     let n = 2 * CHUNK_ROWS + 3;
     let rows = rows(n + 2);
     let long = "x".repeat(65_536);
@@ -253,7 +249,7 @@ fn a_refused_row_publishes_what_came_before_it_and_nothing_else() {
     drop(loader);
 
     assert_eq!(store.len(), n);
-    assert_eq!(store.cover_stats().tails[3], n, "what the shards hold");
+    assert_eq!(store.cover_stats().tails[3], n, "what the store holds");
     for id in [0, CHUNK_ROWS * 2 - 1, CHUNK_ROWS * 2, n - 1] {
         let e = store.get(id as u32).expect("a published row");
         assert_eq!((&e.text, &e.phonemes), (&rows[id].text, &rows[id].phonemes));
@@ -265,7 +261,7 @@ fn a_refused_row_publishes_what_came_before_it_and_nothing_else() {
     }
     assert!(store.get(n as u32).is_none());
 
-    // The next ADD takes the id the refused row did not, on its shard.
+    // The next ADD takes the id the refused row did not.
     assert_eq!(service.add("Nehru", Language::English), Ok(n as u32));
     assert_eq!(store.get(n as u32).expect("the ADD").text, "Nehru");
     let range = store.extend_transformed(rows[n..].to_vec());
@@ -283,27 +279,27 @@ fn a_refused_row_publishes_what_came_before_it_and_nothing_else() {
 /// (d) No heap object a name on the loading thread.
 #[test]
 fn a_load_allocates_per_chunk_buffer_not_per_name() {
-    let service = |shards| {
+    let service = || {
         MatchService::new(ServiceConfig {
             match_config: MatchConfig::default(),
-            shards,
             cache_capacity: 16,
+            ..ServiceConfig::default()
         })
     };
     // The generator load `lexequald --preload` makes, at n and at 2n names
     // (the pairs enumerated outside the window: their base names are the
     // corpus's, which a daemon transforms first).
     let generate = |target: usize| {
-        let (service, pairs) = (service(2), SyntheticPairs::of(corpus(), target));
+        let (service, pairs) = (service(), SyntheticPairs::of(corpus(), target));
         let (names, allocations) = allocations_in(|| service.load_pairs(&pairs));
         assert_eq!((names, service.len()), (pairs.len(), pairs.len()));
         (names, allocations)
     };
     let ((small, few), (large, many)) = (generate(10_000), generate(20_000));
     assert!(large > 2 * small - 500, "{small} and {large} names");
-    // The per-shard sizes, each shard's columns sized once, and one chunk
-    // buffer a shard, five vectors doubling their way up to a chunk: a
-    // load that made an object a name would make thousands.
+    // The load's size, the columns sized once, and one chunk buffer, five
+    // vectors doubling their way up to a chunk: a load that made an
+    // object a name would make thousands.
     assert!(few <= 256, "{few} allocations loading {small} names");
     assert!(
         many <= few + 2,
@@ -311,12 +307,12 @@ fn a_load_allocates_per_chunk_buffer_not_per_name() {
     );
 
     // One ADD is one load of one row, appended on this thread: after the
-    // first on each shard has left its chunk behind, an ADD allocates only
-    // when a shard's column outgrows its capacity, which doubles. So twice
-    // the ADDs cost at most one more reallocation per column per shard,
-    // where anything allocated per ADD would cost 64 more.
+    // first has left its chunk behind, an ADD allocates only when a
+    // column outgrows its capacity, which doubles. So twice the ADDs cost
+    // at most one more reallocation per column, where anything allocated
+    // per ADD would cost 64 more.
     let adds = |n: usize| {
-        let service = service(2);
+        let service = service();
         let entry = |i: usize| {
             let text = format!("Nehru{}", "a".repeat(i % 7));
             service.prepare_entry(&text, Language::English).unwrap()
@@ -333,8 +329,8 @@ fn a_load_allocates_per_chunk_buffer_not_per_name() {
         allocations
     };
     let (sixty_four, one_twenty_eight) = (adds(64), adds(128));
-    // Text, text ends, phonemes, phoneme ends and languages, on each shard.
-    let columns = 5 * 2;
+    // Text, text ends, phonemes, phoneme ends and languages.
+    let columns = 5;
     assert!(
         one_twenty_eight <= sixty_four + columns,
         "{sixty_four} allocations over 64 ADDs, {one_twenty_eight} over 128"

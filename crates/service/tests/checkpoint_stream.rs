@@ -15,8 +15,7 @@ use lexequal_lexicon::Corpus;
 use lexequal_service::mmapstore::{self, ImageSink};
 use lexequal_service::server::respond;
 use lexequal_service::{
-    BuildSpec, Cut, MatchService, Replicator, ReqCtx, Role, ServiceConfig, ShardedStore, Wal,
-    WalMetrics,
+    BuildSpec, Cut, MatchService, Replicator, ReqCtx, Role, ServiceConfig, Store, Wal, WalMetrics,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
@@ -147,9 +146,8 @@ mod oracle {
         h
     }
 
-    pub fn encode(store: &ShardedStore, lsn: u64) -> Vec<u8> {
+    pub fn encode(store: &Store, lsn: u64) -> Vec<u8> {
         let builds = store.built_specs();
-        let shards = store.shards();
         let total = store.len();
         let entry_count = u32::try_from(total).expect("entry count fits");
 
@@ -186,7 +184,7 @@ mod oracle {
         image.extend_from_slice(&MAGIC);
         image.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         image.extend_from_slice(&ENDIAN_TAG.to_le_bytes());
-        image.extend_from_slice(&(shards as u32).to_le_bytes());
+        image.extend_from_slice(&1u32.to_le_bytes()); // shard count
         image.extend_from_slice(&entry_count.to_le_bytes());
         image.extend_from_slice(&lsn.to_le_bytes());
         image.extend_from_slice(&(V4_SECTIONS as u32).to_le_bytes());
@@ -280,26 +278,26 @@ fn name(i: usize) -> String {
     s
 }
 
-fn service(shards: usize) -> Arc<MatchService> {
+fn service() -> Arc<MatchService> {
     Arc::new(MatchService::new(ServiceConfig {
         match_config: MatchConfig::default(),
-        shards,
         cache_capacity: 256,
+        ..ServiceConfig::default()
     }))
 }
 
-fn primary(wal_path: &Path, shards: usize) -> (Arc<MatchService>, Arc<Replicator>) {
+fn primary(wal_path: &Path) -> (Arc<MatchService>, Arc<Replicator>) {
     let metrics = Arc::new(WalMetrics::default());
     let (wal, tail) = Wal::open(wal_path, 0, Arc::clone(&metrics)).expect("open wal");
     assert!(tail.is_empty(), "fresh wal must be empty");
-    (service(shards), Replicator::new(wal, metrics))
+    (service(), Replicator::new(wal, metrics))
 }
 
 // ---------------------------------------------------------------------
 // (a) byte-identical images
 // ---------------------------------------------------------------------
 
-fn assert_same_image(store: &ShardedStore, lsn: u64, what: &str) {
+fn assert_same_image(store: &Store, lsn: u64, what: &str) {
     let streamed = mmapstore::encode(store, lsn).expect("encode");
     let expected = oracle::encode(store, lsn);
     assert_eq!(streamed.len(), expected.len(), "{what}: image length");
@@ -314,34 +312,24 @@ fn image_is_byte_identical_to_the_whole_store_encoder() {
     let config = MatchConfig::default();
     let corpus = paper_corpus();
     let preload = preload_set();
-    for shards in 1..=3 {
-        let empty = ShardedStore::new(config.clone(), shards);
-        assert_same_image(&empty, 7, &format!("empty store, {shards} shard(s)"));
+    let empty = Store::new(config.clone());
+    assert_same_image(&empty, 7, "empty store");
 
-        let paper = ShardedStore::new(config.clone(), shards);
-        paper.extend(corpus.iter().cloned()).expect("paper corpus");
-        assert_same_image(&paper, 0, &format!("paper corpus, {shards} shard(s)"));
-        for spec in all_specs() {
-            paper.build(spec);
-        }
-        assert_same_image(
-            &paper,
-            u64::MAX,
-            &format!("paper corpus with recorded specs, {shards} shard(s)"),
-        );
-
-        // The preload set spans twenty chunks, so chunk seams fall inside
-        // every arena and off every 8-byte checksum word.
-        let big = ShardedStore::new(config.clone(), shards);
-        big.extend_transformed(preload.clone());
-        assert_same_image(&big, 41, &format!("preload set, {shards} shard(s)"));
-        big.build(BuildSpec::PhoneticIndex);
-        assert_same_image(
-            &big,
-            42,
-            &format!("preload set with a recorded spec, {shards} shard(s)"),
-        );
+    let paper = Store::new(config.clone());
+    paper.extend(corpus.iter().cloned()).expect("paper corpus");
+    assert_same_image(&paper, 0, "paper corpus");
+    for spec in all_specs() {
+        paper.build(spec);
     }
+    assert_same_image(&paper, u64::MAX, "paper corpus with recorded specs");
+
+    // The preload set spans twenty chunks, so chunk seams fall inside
+    // every arena and off every 8-byte checksum word.
+    let big = Store::new(config.clone());
+    big.extend_transformed(preload.clone());
+    assert_same_image(&big, 41, "preload set");
+    big.build(BuildSpec::PhoneticIndex);
+    assert_same_image(&big, 42, "preload set with a recorded spec");
 }
 
 #[test]
@@ -349,34 +337,24 @@ fn image_of_an_mmap_loaded_store_with_an_owned_tail_is_byte_identical() {
     let _serial = serial();
     let dir = TempDir::new("mmap_tail");
     let config = MatchConfig::default();
-    for shards in 1..=3 {
-        let path = dir.path().join(format!("base{shards}.img"));
-        let base = ShardedStore::new(config.clone(), shards);
-        base.extend(paper_corpus()).expect("paper corpus");
-        base.build(BuildSpec::BkTree);
-        mmapstore::write_file_atomic(&base, &base.cut(5), &path).expect("write base image");
+    let path = dir.path().join("base.img");
+    let base = Store::new(config.clone());
+    base.extend(paper_corpus()).expect("paper corpus");
+    base.build(BuildSpec::BkTree);
+    mmapstore::write_file_atomic(&base, &base.cut(5), &path).expect("write base image");
 
-        // Rows 0..n are views into the mapping, the tail rows own theirs.
-        let loaded = mmapstore::load_file(config.clone(), Some(shards), &path).expect("load");
-        assert_eq!(loaded.builds, vec![BuildSpec::BkTree]);
-        for i in 0..3_000 {
-            loaded
-                .store
-                .insert(&name(i), Language::English)
-                .expect("ADD tail");
-        }
-        assert_same_image(
-            &loaded.store,
-            9,
-            &format!("mmap-loaded + owned tail, {shards} shard(s)"),
-        );
-        loaded.store.build(BuildSpec::PhoneticIndex);
-        assert_same_image(
-            &loaded.store,
-            10,
-            &format!("mmap-loaded + owned tail + spec, {shards} shard(s)"),
-        );
+    // Rows 0..n are views into the mapping, the tail rows own theirs.
+    let loaded = mmapstore::load_file(config.clone(), None, &path).expect("load");
+    assert_eq!(loaded.builds, vec![BuildSpec::BkTree]);
+    for i in 0..3_000 {
+        loaded
+            .store
+            .insert(&name(i), Language::English)
+            .expect("ADD tail");
     }
+    assert_same_image(&loaded.store, 9, "mmap-loaded + owned tail");
+    loaded.store.build(BuildSpec::PhoneticIndex);
+    assert_same_image(&loaded.store, 10, "mmap-loaded + owned tail + spec");
 }
 
 // ---------------------------------------------------------------------
@@ -410,7 +388,7 @@ impl ImageSink for GatedSink {
 fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
     let _serial = serial();
     let dir = TempDir::new("gated");
-    let (service, repl) = primary(&dir.path().join("gated.wal"), 2);
+    let (service, repl) = primary(&dir.path().join("gated.wal"));
     // Five chunks' worth, so the gate closes with most of the prefix
     // still unread.
     const ROWS: usize = 5_000;
@@ -514,7 +492,7 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
 
     // The forty rows committed mid-stream are not in the image: it is the
     // store at the cut, to the byte.
-    let at_cut = ShardedStore::new(MatchConfig::default(), 2);
+    let at_cut = Store::new(MatchConfig::default());
     at_cut
         .extend((0..ROWS).map(|i| (name(i), Language::English)))
         .expect("rebuild the prefix");
@@ -529,8 +507,8 @@ fn commits_and_stats_proceed_while_the_sink_is_blocked_mid_file() {
 // (b') the same for a cover: parked in its first chunk, it blocks nothing
 // ---------------------------------------------------------------------
 
-/// A `BUILD` used to hold the commit lock (and the grow lock, and every
-/// shard) for the whole index construction. A cover holds none of
+/// A `BUILD` used to hold the commit lock (and the grow lock, and the
+/// store) for the whole index construction. A cover holds none of
 /// them: with one parked right after its first chunk of rows, `BUILD ALL`,
 /// forty `ADD`s, `STATS` and a `MATCH` through every path all return —
 /// and the `MATCH`es, served by paths no index covers yet, say what a
@@ -542,7 +520,7 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
 
     let _serial = serial();
     let dir = TempDir::new("cover");
-    let (service, repl) = primary(&dir.path().join("cover.wal"), 2);
+    let (service, repl) = primary(&dir.path().join("cover.wal"));
     let seed = preload_set();
     service.extend_transformed(seed.clone());
     for spec in all_specs() {
@@ -557,7 +535,7 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
         let first = AtomicBool::new(true);
         std::thread::spawn(move || {
             service.store().cover_with(&all_specs(), &|| {
-                // One shard's cover parks; the other runs to its install.
+                // The cover parks after its first chunk of rows.
                 if first.swap(false, Ordering::SeqCst) {
                     parked_tx.send(()).expect("test is listening");
                     let gate = release_rx.lock().expect("gate");
@@ -610,8 +588,8 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
     let rows = seed.len() + ADDS;
     assert!(stats[0].contains(&format!("names={rows} ")), "{stats:?}");
     assert!(stats[0].contains(" notbuilt=0 "), "{stats:?}");
-    // One shard's three indices are in; the parked shard's rows — and
-    // every row added since — are still tails.
+    // No index is in: every row — the seed and each one added since —
+    // is still a tail.
     let tail = |key: &str| -> usize {
         let (_, rest) = stats[0].split_once(key).expect("tail key");
         rest.split(' ')
@@ -622,7 +600,7 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
     };
     for key in [" qgram_tail=", " phonidx_tail=", " bktree_tail="] {
         assert!(
-            tail(key) >= seed.len() / 2 + ADDS,
+            tail(key) >= seed.len() + ADDS,
             "{key} while parked: {stats:?}"
         );
     }
@@ -685,15 +663,14 @@ fn commits_stats_and_every_path_proceed_while_a_cover_is_parked_in_its_first_chu
 // sees a row of it
 // ---------------------------------------------------------------------
 
-/// A bulk load is no longer one message a shard: it sends chunk after
-/// chunk under the grow lock and publishes its length once, at the end. So
-/// while one is parked with three chunks sent, the shards hold rows no
-/// published length covers. A `SAVE` must neither wait for the load (a cut
+/// A bulk load appends chunk after chunk under the grow lock and
+/// publishes its length once, at the end. So while one is parked with
+/// three chunks appended, the store holds rows no published length
+/// covers. A `SAVE` must neither wait for the load (a cut
 /// takes the commit lock for an instant and never the grow lock) nor leak
 /// a row of it into the image; a `commit_add` waits its turn and takes the
-/// id after the load's last; a search sees what each shard holds, as it
-/// did during the old one-message load; and the first `SAVE` after the
-/// load holds every row.
+/// id after the load's last; a search sees what the store holds; and the
+/// first `SAVE` after the load holds every row.
 #[test]
 fn a_save_neither_waits_for_a_parked_load_nor_sees_its_rows() {
     use lexequal::store::CHUNK_ROWS;
@@ -701,7 +678,7 @@ fn a_save_neither_waits_for_a_parked_load_nor_sees_its_rows() {
 
     let _serial = serial();
     let dir = TempDir::new("load");
-    let (service, repl) = primary(&dir.path().join("load.wal"), 2);
+    let (service, repl) = primary(&dir.path().join("load.wal"));
     const BASE: usize = 1_500;
     const LOAD: usize = 4 * CHUNK_ROWS + 5;
     for i in 0..BASE {
@@ -737,13 +714,9 @@ fn a_save_neither_waits_for_a_parked_load_nor_sees_its_rows() {
         .recv_timeout(Duration::from_secs(30))
         .expect("the load appends its third chunk");
 
-    // Row BASE is even, so shard 0 filled first: two of its chunks and
-    // one of shard 1's were appended before the hook ran, so this is
-    // exactly what the shards hold:
-    let held = |id: usize| id < BASE || (id - BASE) / 2 < [2, 1][id % 2] * CHUNK_ROWS;
-    for shard in 0..2 {
-        assert!(service.store().get(shard).is_some());
-    }
+    // Three chunks were appended before the hook ran, so this is exactly
+    // what the store holds:
+    let held = |id: usize| id < BASE + 3 * CHUNK_ROWS;
     assert_eq!(service.len(), BASE, "nothing is published mid-load");
     let store = service.store();
     assert!(store.get(BASE as u32).is_some() && held(BASE));
@@ -764,7 +737,7 @@ fn a_save_neither_waits_for_a_parked_load_nor_sees_its_rows() {
         .expect("SAVE returns while a load is parked");
     saver.join().expect("saver thread");
     assert_eq!(lsn, BASE as u64);
-    let at_cut = ShardedStore::new(MatchConfig::default(), 2);
+    let at_cut = Store::new(MatchConfig::default());
     at_cut
         .extend((0..BASE).map(|i| (name(i), Language::English)))
         .expect("rebuild the prefix");
@@ -772,10 +745,10 @@ fn a_save_neither_waits_for_a_parked_load_nor_sees_its_rows() {
         std::fs::read(&path).expect("image") == oracle::encode(&at_cut, lsn),
         "the image differs from the store as it stood before the load began"
     );
-    let image = mmapstore::load_file(MatchConfig::default(), Some(2), &path).expect("load");
+    let image = mmapstore::load_file(MatchConfig::default(), None, &path).expect("load");
     assert_eq!(image.store.len(), BASE);
 
-    // A search sees the rows the shards hold, published or not.
+    // A search sees the rows the store holds, published or not.
     let mut all = NameStore::new(MatchConfig::default());
     all.extend((0..BASE + LOAD).map(|i| (name(i), Language::English)))
         .expect("oracle");
@@ -816,7 +789,7 @@ fn a_save_neither_waits_for_a_parked_load_nor_sees_its_rows() {
     // Finished, the load is in the next image, row for row.
     assert_eq!(service.len(), BASE + LOAD + 1);
     let lsn = repl.save_snapshot_atomic(&service, &path).expect("SAVE");
-    let image = mmapstore::load_file(MatchConfig::default(), Some(2), &path).expect("load");
+    let image = mmapstore::load_file(MatchConfig::default(), None, &path).expect("load");
     assert_eq!((image.lsn, image.store.len()), (lsn, BASE + LOAD + 1));
     for id in [BASE - 1, BASE, BASE + LOAD - 1] {
         let entry = image.store.get(id as u32).expect("a saved row");
@@ -835,7 +808,7 @@ fn checkpoints_under_an_add_storm_compose_with_the_wal_tail() {
     let _serial = serial();
     let dir = TempDir::new("storm");
     let wal_path = dir.path().join("storm.wal");
-    let (service, repl) = primary(&wal_path, 2);
+    let (service, repl) = primary(&wal_path);
     const BASE: usize = 6_000;
     const STORM: usize = 1_500;
     for i in 0..BASE {
@@ -876,7 +849,7 @@ fn checkpoints_under_an_add_storm_compose_with_the_wal_tail() {
     drop(repl);
 
     for (path, lsn) in images {
-        let load = MatchService::load_snapshot_auto(MatchConfig::default(), Some(2), 256, &path)
+        let load = MatchService::load_snapshot_auto(MatchConfig::default(), 256, &path)
             .expect("load checkpoint");
         assert_eq!(load.lsn, lsn);
         for spec in load.pending_builds {
@@ -913,7 +886,7 @@ fn checkpoints_under_an_add_storm_compose_with_the_wal_tail() {
 fn concurrent_saves_to_one_path_queue_and_never_regress_the_image() {
     let _serial = serial();
     let dir = TempDir::new("racing");
-    let (service, repl) = primary(&dir.path().join("racing.wal"), 2);
+    let (service, repl) = primary(&dir.path().join("racing.wal"));
     const BASE: usize = 4_000;
     for i in 0..BASE {
         repl.commit_add(&service, &name(i), Language::English)
@@ -944,7 +917,7 @@ fn concurrent_saves_to_one_path_queue_and_never_regress_the_image() {
                         .unwrap_or_else(|e| panic!("save {round} failed: {e}"));
                     // Whichever writer renamed last, the file is whole
                     // and at least as new as what this call wrote.
-                    let image = mmapstore::load_file(MatchConfig::default(), Some(2), &path)
+                    let image = mmapstore::load_file(MatchConfig::default(), None, &path)
                         .unwrap_or_else(|e| panic!("image after save {round} (lsn {lsn}): {e}"));
                     assert!(
                         image.lsn >= lsn,
@@ -967,7 +940,7 @@ fn concurrent_saves_to_one_path_queue_and_never_regress_the_image() {
     storm.join().expect("storm thread");
     repl.stop_and_join();
 
-    let image = mmapstore::load_file(MatchConfig::default(), Some(2), &path).expect("final image");
+    let image = mmapstore::load_file(MatchConfig::default(), None, &path).expect("final image");
     assert_eq!(image.lsn, newest, "the newest cut is the one on disk");
     let leftovers: Vec<_> = std::fs::read_dir(dir.path())
         .expect("list")
@@ -1002,7 +975,7 @@ fn a_checkpoint_holds_one_chunk_not_the_corpus() {
     let _serial = serial();
     let preload = preload_set();
     let stream = |copies: usize| {
-        let store = ShardedStore::new(MatchConfig::default(), 2);
+        let store = Store::new(MatchConfig::default());
         for _ in 0..copies {
             store.extend_transformed(preload.clone());
         }
@@ -1024,7 +997,7 @@ fn a_checkpoint_holds_one_chunk_not_the_corpus() {
 
     // Four times the rows, chunk for chunk the same content: the same
     // buffers, refilled four times as often. Each chunk is copied under
-    // a shard's read lock, not sent over a channel, so nothing scales
+    // the store's read lock, not sent over a channel, so nothing scales
     // with the chunk count.
     let (bytes4, count4, peak4) = stream(4);
     assert!(bytes4 > 4_000_000, "{bytes4}");

@@ -169,19 +169,22 @@ fn snapshot_written_by_one_run_serves_the_next() {
     let names_before = first.request("STATS");
     first.kill();
 
-    // Restart purely from the snapshot — no --preload, no --shards: the
-    // store must come back with the snapshot's own shard count.
-    let mut second = Server::spawn(&["--addr", "127.0.0.1:0", "--snapshot", &snap_str]);
+    // Restart purely from the snapshot, no --preload. A --shards that is
+    // not the first run's is accepted and partitions nothing.
+    let mut second = Server::spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--snapshot",
+        &snap_str,
+        "--shards",
+        "5",
+    ]);
     let lines = second.wait_serving();
     assert!(
         lines
             .iter()
             .any(|l| l.contains("loaded via mmap") && l.contains("serve-ready")),
         "no mmap load line in {lines:?}"
-    );
-    assert!(
-        lines.iter().any(|l| l.contains("2 shard(s)")),
-        "snapshot shard count not adopted: {lines:?}"
     );
     // An mmap load declares the recorded access paths, each covered in
     // the background once named: the very first method-pinned MATCH is
@@ -196,13 +199,6 @@ fn snapshot_written_by_one_run_serves_the_next() {
     };
     assert_eq!(names(&names_before), names(&second.request("STATS")));
     second.kill();
-
-    // A --shards pin that disagrees with the snapshot is a clean startup
-    // failure pointing at the open re-sharding item.
-    let (ok, stderr) = run_expect_exit(&["--snapshot", &snap_str, "--shards", "5"]);
-    assert!(!ok, "mismatched --shards must not serve");
-    assert!(stderr.contains("2 shard"), "{stderr}");
-    assert!(stderr.contains("rebalancing"), "{stderr}");
 
     std::fs::remove_file(&snap).ok();
 }
@@ -326,9 +322,9 @@ fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
         ),
         "{stats}"
     );
-    // What a declaration costs: the empty q-gram CSR's one offset a shard.
+    // What a declaration costs: the empty q-gram CSR's one offset.
     assert!(
-        stats.ends_with(" index_bytes=8 qgram_bytes=8 phonidx_bytes=0 bktree_bytes=0"),
+        stats.ends_with(" index_bytes=4 qgram_bytes=4 phonidx_bytes=0 bktree_bytes=0"),
         "{stats}"
     );
 
@@ -377,7 +373,7 @@ fn preload_listens_before_it_covers_and_answers_exactly_meanwhile() {
     let stats = settle(&daemon, [20418, 0, 20418]);
     assert!(stats.contains(" covers=1 "), "{stats}");
     assert!(
-        stats.contains(" qgram_bytes=8 phonidx_bytes=") && stats.ends_with(" bktree_bytes=0"),
+        stats.contains(" qgram_bytes=4 phonidx_bytes=") && stats.ends_with(" bktree_bytes=0"),
         "{stats}"
     );
 

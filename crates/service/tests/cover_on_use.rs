@@ -35,11 +35,11 @@ fn dataset() -> Vec<NameEntry> {
 
 /// A service over `rows` with every path declared and none covered —
 /// what `--preload` leaves.
-fn declared(rows: Vec<NameEntry>, shards: usize) -> MatchService {
+fn declared(rows: Vec<NameEntry>) -> MatchService {
     let service = MatchService::new(ServiceConfig {
         match_config: MatchConfig::default(),
-        shards,
         cache_capacity: 64,
+        ..ServiceConfig::default()
     });
     service.extend_transformed(rows);
     for spec in PATHS {
@@ -85,7 +85,7 @@ fn tails(service: &MatchService) -> [usize; 4] {
     service.stats().cover.tails
 }
 
-/// Covers finished so far. A cover counts itself after its last shard has
+/// Covers finished so far. A cover counts itself after its last index is
 /// installed, so waiting for the count (not for a tail to reach 0) waits
 /// the cover out.
 fn covers(service: &MatchService) -> u64 {
@@ -132,7 +132,7 @@ fn every_method_answers_like_a_built_store_before_during_and_after_its_cover() {
         .collect();
     assert!(queries.len() >= 3, "{queries:?}");
     for parked in PATHS {
-        let service = declared(rows.clone(), 2);
+        let service = declared(rows.clone());
         assert_eq!(tails(&service), [0, n, n, n], "declared only");
         let (reached, reach) = channel();
         let (release, wait) = channel::<()>();
@@ -171,7 +171,7 @@ fn the_first_naming_covers_that_path_alone() {
         ("MATCH en - - Nehru", 2),
         ("MATCH - qgram - Nehru", 1),
     ] {
-        let service = declared(rows.clone(), 2);
+        let service = declared(rows.clone());
         let before = service.stats().cover;
         assert_eq!((before.covers, before.tails), (0, [0, n, n, n]));
         assert!(ask(&service, request).iter().all(|r| r.starts_with("OK ")));
@@ -192,12 +192,12 @@ fn the_first_naming_covers_that_path_alone() {
 fn build_covers_without_a_search() {
     let rows = dataset();
     let n = rows.len();
-    let service = declared(rows, 2);
+    let service = declared(rows);
     assert_eq!(ask(&service, "BUILD BKTREE"), ["OK built=bktree"]);
     wait_for("the BUILD's cover", || covers(&service) == 1);
     let stats = service.stats().cover;
     assert_eq!((stats.covers, stats.tails), (1, [0, n, n, 0]));
-    assert_eq!(stats.index_bytes[0..2], [8, 0], "declarations only");
+    assert_eq!(stats.index_bytes[0..2], [4, 0], "declarations only");
     assert!(stats.index_bytes[2] > 0);
 }
 
@@ -216,14 +216,14 @@ fn adds_cover_only_named_paths() {
             }
         }
     };
-    let service = declared(Vec::new(), 1);
+    let service = declared(Vec::new());
     for i in 0..5_000 {
         let added = ask(&service, &format!("ADD en {}", name(i)));
         assert_eq!(added, [format!("OK {i}")]);
     }
     let stats = service.stats().cover;
     assert_eq!((stats.covers, stats.tails), (0, [0, 5_000, 5_000, 5_000]));
-    // One shard, 5 000 rows covered: due again at a tail of 4 096.
+    // 5 000 rows covered: due again at a tail of 4 096.
     assert!(ask(&service, "MATCH en phonidx - Nehru")[0].starts_with("OK "));
     wait_for("the first naming's cover", || covers(&service) == 1);
     for i in 5_000..9_095 {
@@ -290,7 +290,7 @@ impl Daemon {
         assert!(stats.contains(" declared=3 "), "{what}: {stats}");
         assert!(stats.contains(" covers=0 "), "{what}: {stats}");
         assert!(
-            stats.ends_with(" index_bytes=8 qgram_bytes=8 phonidx_bytes=0 bktree_bytes=0"),
+            stats.ends_with(" index_bytes=4 qgram_bytes=4 phonidx_bytes=0 bktree_bytes=0"),
             "{what}: {stats}"
         );
     }
@@ -308,7 +308,7 @@ impl Drop for Daemon {
 
 /// After `--preload`, an image load and a replica seed, `STATS` shows no
 /// cover and no index: what `declare` leaves (an empty q-gram CSR's one
-/// offset a shard) and nothing more.
+/// offset) and nothing more.
 #[test]
 fn no_start_up_source_covers_anything() {
     let preloaded = Daemon::spawn(&["--shards", "2", "--preload", "2000"]);
@@ -318,7 +318,7 @@ fn no_start_up_source_covers_anything() {
     let image = std::env::temp_dir().join(format!("lexequal_cover_on_use_{pid}.img"));
     let wal = std::env::temp_dir().join(format!("lexequal_cover_on_use_{pid}.wal"));
     std::fs::remove_file(&wal).ok();
-    declared(dataset(), 2)
+    declared(dataset())
         .save_snapshot(&image)
         .expect("save image");
     let (image_str, wal_str) = (image.to_str().unwrap(), wal.to_str().unwrap());

@@ -228,10 +228,7 @@ fn run_script(service: MatchService) -> (Vec<String>, Vec<String>) {
 /// to share one begin/finish.
 #[test]
 fn a_fixed_script_answers_byte_for_byte_with_the_same_counters() {
-    let (lines, counters) = run_script(MatchService::new(ServiceConfig {
-        shards: 3,
-        ..ServiceConfig::default()
-    }));
+    let (lines, counters) = run_script(MatchService::new(ServiceConfig::default()));
     let bad_tamil = "ERR bad input: UntranslatableChar { ch: 'न', language: Tamil }";
     let nehru = "OK n=5 verified=6 method=scan e=0.45 ids=0,1,2,4,5";
     let nehru_untagged = "OK n=5 verified=18 method=scan e=0.45 ids=0,1,2,4,5";
@@ -285,8 +282,8 @@ fn a_fixed_script_on_a_restricted_registry_answers_byte_for_byte() {
     ]);
     let (lines, counters) = run_script(MatchService::new(ServiceConfig {
         match_config: MatchConfig::default().with_registry(registry),
-        shards: 3,
         cache_capacity: 4096,
+        ..ServiceConfig::default()
     }));
     let bad_tamil = "ERR bad input: UntranslatableChar { ch: 'न', language: Tamil }";
     let nehru = "OK n=3 verified=4 method=scan e=0.45 ids=0,1,3";
@@ -344,6 +341,62 @@ fn two_clients_interleave_on_one_daemon() {
     assert_eq!(a.send("QUIT"), "BYE");
     assert_eq!(b.send("QUIT"), "BYE");
     daemon.stop();
+}
+
+/// A verify worker sends each reply back the moment its request has run.
+/// One worker: a `BATCH` of sixteen scans on one connection holds it
+/// while sixteen scans pipelined on another queue behind; once the
+/// `BATCH` is answered they come back one at a time, the first long
+/// before the last, not in one clump behind every job drained with it.
+#[test]
+fn pipelined_replies_leave_as_each_request_finishes() {
+    let mut server = common::Server::spawn(&[
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "1",
+        "--preload",
+        "4000",
+    ]);
+    server.wait_serving();
+    let addr = server.addr.expect("serving");
+    let scan = "AakashAbhijit";
+    let read_ok = |reader: &mut BufReader<&TcpStream>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        assert!(line.starts_with("OK "), "{line}");
+    };
+
+    let hold = TcpStream::connect(addr).expect("connect");
+    let batch = vec![scan; 16].join("|");
+    writeln!(&hold, "BATCH en scan 0.35 {batch}").expect("write");
+    // A pause so that the worker takes the BATCH alone and the scans
+    // queue behind it, which is where a worker that drained a batch of
+    // jobs held their replies back. On a worker that runs one job at a
+    // time the assertion holds however the jobs interleave.
+    std::thread::sleep(std::time::Duration::from_millis(30));
+    let scans = TcpStream::connect(addr).expect("connect");
+    let pipelined = format!("MATCH en scan 0.35 {scan}\n").repeat(16);
+    (&scans).write_all(pipelined.as_bytes()).expect("write");
+
+    let mut held = BufReader::new(&hold);
+    for _ in 0..16 {
+        read_ok(&mut held);
+    }
+    let released = std::time::Instant::now();
+    let mut replies = BufReader::new(&scans);
+    let arrivals: Vec<_> = (0..16)
+        .map(|_| {
+            read_ok(&mut replies);
+            released.elapsed()
+        })
+        .collect();
+    let (first, last) = (arrivals[0], arrivals[15]);
+    assert!(
+        first < last / 2,
+        "the first reply came {first:?} after the BATCH, the last {last:?}: {arrivals:?}"
+    );
+    server.kill();
 }
 
 /// A shard is a lock, not a thread: a daemon's threads are the same set

@@ -20,10 +20,7 @@ const WINDOWS_PER_CONN: usize = 2;
 const POOL: usize = 64;
 
 fn build_service(dataset: &[lexequal::store::NameEntry]) -> MatchService {
-    let service = MatchService::new(ServiceConfig {
-        shards: 2,
-        ..ServiceConfig::default()
-    });
+    let service = MatchService::new(ServiceConfig::default());
     service.extend_transformed(dataset.to_vec());
     service.build(lexequal_service::BuildSpec::PhoneticIndex);
     service

@@ -19,10 +19,7 @@ fn spawn_evented(
 ) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let service = Arc::new(MatchService::new(ServiceConfig {
-        shards: 2,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(MatchService::new(ServiceConfig::default()));
     service
         .extend([
             ("Nehru".to_owned(), lexequal::Language::English),

@@ -33,12 +33,12 @@ impl Drop for TempPath {
 
 /// A populated service: the paper's flagship names plus a slice of the
 /// synthetic §5 corpus, all access paths built.
-fn populated_service(shards: usize) -> MatchService {
+fn populated_service() -> MatchService {
     let config = MatchConfig::default();
     let service = MatchService::new(ServiceConfig {
         match_config: config.clone(),
-        shards,
         cache_capacity: 256,
+        ..ServiceConfig::default()
     });
     service
         .extend(
@@ -137,7 +137,7 @@ fn assert_identical(original: &MatchService, loaded: &MatchService, what: &str) 
 
 #[test]
 fn default_save_writes_the_binary_format() {
-    let service = populated_service(2);
+    let service = populated_service();
     let path = TempPath::new("default.snap");
     service.save_snapshot(&path.0).expect("save");
     let bytes = std::fs::read(&path.0).expect("read image");
@@ -153,7 +153,7 @@ fn default_save_writes_the_binary_format() {
 
 #[test]
 fn mmap_reload_is_bit_identical_on_all_four_access_paths() {
-    let original = populated_service(3);
+    let original = populated_service();
     let path = TempPath::new("roundtrip.snap");
     original.save_snapshot(&path.0).expect("save");
 
@@ -167,12 +167,12 @@ fn mmap_reload_is_bit_identical_on_all_four_access_paths() {
 
 #[test]
 fn a_load_serves_every_recorded_path_before_any_is_covered() {
-    let original = populated_service(2);
+    let original = populated_service();
     let path = TempPath::new("deferred.snap");
     original.save_snapshot(&path.0).expect("save");
 
     let load =
-        MatchService::load_snapshot_auto(MatchConfig::default(), None, 256, &path.0).expect("load");
+        MatchService::load_snapshot_auto(MatchConfig::default(), 256, &path.0).expect("load");
     assert_eq!(load.pending_builds.len(), 3, "three recorded access paths");
     // Serve-ready means every recorded path answers — exactly, ids and
     // verification counts — before any index exists.
@@ -192,7 +192,7 @@ fn a_load_serves_every_recorded_path_before_any_is_covered() {
 
 #[test]
 fn second_generation_image_stays_identical() {
-    let original = populated_service(2);
+    let original = populated_service();
     let first = TempPath::new("gen1.snap");
     let second = TempPath::new("gen2.snap");
     original.save_snapshot(&first.0).expect("save gen1");
@@ -233,14 +233,14 @@ fn seed_from(lsn: u64, payload: Vec<u8>) -> Result<(MatchService, ReplicaState),
         conn.write_all(&payload).expect("write payload");
     });
     let state = ReplicaState::new(addr.clone());
-    let synced = repl::try_initial_sync(&addr, &MatchConfig::default(), None, 256, &state);
+    let synced = repl::try_initial_sync(&addr, &MatchConfig::default(), 256, &state);
     primary.join().expect("scripted primary");
     synced.map(|(service, _, _)| (service, state))
 }
 
 #[test]
 fn replica_seeded_from_raw_transfer_bytes_matches_the_primary() {
-    let primary = populated_service(2);
+    let primary = populated_service();
     // What the primary's sender thread ships: the encoded image, raw.
     let transfer = mmapstore::encode(primary.store(), 42).expect("encode");
     let (replica, state) = seed_from(42, transfer.clone()).expect("seed");
@@ -262,8 +262,8 @@ fn replica_seeded_from_raw_transfer_bytes_matches_the_primary() {
     }
 }
 
-/// Base + tail: a store loaded from an image — its rows read in place, at
-/// every stride and phase — and then grown by `ADD`s answers all four
+/// Base + tail: a store loaded from an image — its rows read in place —
+/// and then grown by `ADD`s answers all four
 /// paths, ids and verification counts, like a store bulk-loaded with the
 /// same rows: before anything is covered, after, through a replica seeded
 /// from the raw transfer buffer, and after a save and a reload. And it
@@ -272,75 +272,69 @@ fn replica_seeded_from_raw_transfer_bytes_matches_the_primary() {
 fn a_loaded_store_that_grew_equals_one_bulk_loaded_with_the_same_rows() {
     let config = MatchConfig::default();
     let mut rows = build_dataset(&config, 220);
-    // 157 is 1 mod 2 and 1 mod 3: no stripe is as long as another.
     let (n, k) = (157, 23);
     assert!(rows.len() >= n + k);
     rows.truncate(n + k);
-    for shards in 1..=3 {
-        let what = |stage: &str| format!("{shards} shard(s), {stage}");
-        let service = |rows: &[lexequal::store::NameEntry]| {
-            let service = MatchService::new(ServiceConfig {
-                match_config: config.clone(),
-                shards,
-                cache_capacity: 64,
-            });
-            service.extend_transformed(rows.to_vec());
-            service.build_all(3, lexequal::QgramMode::Strict);
-            service
-        };
-        let bulk = service(&rows);
-        let path = TempPath::new(&format!("grew{shards}.snap"));
-        service(&rows[..n]).save_snapshot(&path.0).expect("save");
+    let service = |rows: &[lexequal::store::NameEntry]| {
+        let service = MatchService::new(ServiceConfig {
+            match_config: config.clone(),
+            cache_capacity: 64,
+            ..ServiceConfig::default()
+        });
+        service.extend_transformed(rows.to_vec());
+        service.build_all(3, lexequal::QgramMode::Strict);
+        service
+    };
+    let bulk = service(&rows);
+    let path = TempPath::new("grew.snap");
+    service(&rows[..n]).save_snapshot(&path.0).expect("save");
 
-        let load = MatchService::load_snapshot_auto(config.clone(), None, 64, &path.0).unwrap();
-        let grown = load.service;
-        let loaded = grown.stats().cover;
-        assert_eq!(loaded.row_bytes, 0, "a load owns no row");
-        // A 16-byte record, the text and the phonemes a row, to the byte.
-        let row_bytes = |e: &lexequal::store::NameEntry| 16 + e.text.len() + e.phonemes.len();
-        let image_rows: usize = rows[..n].iter().map(row_bytes).sum();
-        assert_eq!(loaded.mapped_bytes, image_rows, "{loaded:?}");
-        grown.extend_transformed(rows[n..].to_vec());
-        assert_eq!(grown.stats().cover.tails[1..], [n + k; 3]);
-        assert_identical(&bulk, &grown, &what("before the cover"));
-        for spec in load.pending_builds {
-            grown.build(spec);
-        }
-        assert_identical(&bulk, &grown, &what("after the cover"));
-        let (cost, bulk_cost) = (grown.stats().cover, bulk.stats().cover);
-        assert_eq!(cost.mapped_bytes, loaded.mapped_bytes);
-        assert!(cost.row_bytes > 0 && cost.row_bytes < bulk_cost.row_bytes);
-        assert_eq!(cost.index_bytes, bulk_cost.index_bytes);
-        assert_eq!((bulk_cost.mapped_bytes, cost.tails), (0, [0; 4]));
-
-        let transfer = mmapstore::encode(grown.store(), 42).expect("encode");
-        assert_eq!(
-            transfer,
-            mmapstore::encode(bulk.store(), 42).expect("encode"),
-            "{}",
-            what("image bytes")
-        );
-        let image = mmapstore::load_bytes(config.clone(), Some(shards), transfer.clone()).unwrap();
-        let replica = MatchService::from_store(image.store, 64);
-        assert_identical(&bulk, &replica, &what("a replica, uncovered"));
-        replica.add("Nehru", Language::English).expect("add");
-        bulk.add("Nehru", Language::English).expect("add");
-        for spec in image.builds {
-            replica.build(spec);
-        }
-        assert_identical(&bulk, &replica, &what("a replica that grew, covered"));
-
-        grown.add("Nehru", Language::English).expect("add");
-        grown.save_snapshot(&path.0).expect("save again");
-        let reloaded = MatchService::load_snapshot(config.clone(), Some(shards), 64, &path.0);
-        assert_identical(&bulk, &reloaded.expect("reload"), &what("save and reload"));
-        assert_eq!(
-            std::fs::read(&path.0).expect("image"),
-            mmapstore::encode(bulk.store(), 0).expect("encode"),
-            "{}",
-            what("second image bytes")
-        );
+    let load = MatchService::load_snapshot_auto(config.clone(), 64, &path.0).unwrap();
+    let grown = load.service;
+    let loaded = grown.stats().cover;
+    assert_eq!(loaded.row_bytes, 0, "a load owns no row");
+    // A 16-byte record, the text and the phonemes a row, to the byte.
+    let row_bytes = |e: &lexequal::store::NameEntry| 16 + e.text.len() + e.phonemes.len();
+    let image_rows: usize = rows[..n].iter().map(row_bytes).sum();
+    assert_eq!(loaded.mapped_bytes, image_rows, "{loaded:?}");
+    grown.extend_transformed(rows[n..].to_vec());
+    assert_eq!(grown.stats().cover.tails[1..], [n + k; 3]);
+    assert_identical(&bulk, &grown, "before the cover");
+    for spec in load.pending_builds {
+        grown.build(spec);
     }
+    assert_identical(&bulk, &grown, "after the cover");
+    let (cost, bulk_cost) = (grown.stats().cover, bulk.stats().cover);
+    assert_eq!(cost.mapped_bytes, loaded.mapped_bytes);
+    assert!(cost.row_bytes > 0 && cost.row_bytes < bulk_cost.row_bytes);
+    assert_eq!(cost.index_bytes, bulk_cost.index_bytes);
+    assert_eq!((bulk_cost.mapped_bytes, cost.tails), (0, [0; 4]));
+
+    let transfer = mmapstore::encode(grown.store(), 42).expect("encode");
+    assert_eq!(
+        transfer,
+        mmapstore::encode(bulk.store(), 42).expect("encode"),
+        "image bytes"
+    );
+    let image = mmapstore::load_bytes(config.clone(), transfer.clone()).unwrap();
+    let replica = MatchService::from_store(image.store, 64);
+    assert_identical(&bulk, &replica, "a replica, uncovered");
+    replica.add("Nehru", Language::English).expect("add");
+    bulk.add("Nehru", Language::English).expect("add");
+    for spec in image.builds {
+        replica.build(spec);
+    }
+    assert_identical(&bulk, &replica, "a replica that grew, covered");
+
+    grown.add("Nehru", Language::English).expect("add");
+    grown.save_snapshot(&path.0).expect("save again");
+    let reloaded = MatchService::load_snapshot(config.clone(), None, 64, &path.0);
+    assert_identical(&bulk, &reloaded.expect("reload"), "save and reload");
+    assert_eq!(
+        std::fs::read(&path.0).expect("image"),
+        mmapstore::encode(bulk.store(), 0).expect("encode"),
+        "second image bytes"
+    );
 }
 
 /// Line-protocol client against an in-process daemon.
@@ -400,7 +394,7 @@ impl Daemon {
 
 #[test]
 fn mmap_loaded_daemon_answers_like_the_rebuilt_one() {
-    let original = populated_service(2);
+    let original = populated_service();
     let path = TempPath::new("serve.snap");
     original.save_snapshot(&path.0).expect("save");
     let loaded = Arc::new(

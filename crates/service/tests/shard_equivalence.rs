@@ -1,21 +1,17 @@
-//! Sharding must be invisible: a [`ShardedStore`] with any shard count
-//! returns exactly the same global id set as an unsharded [`NameStore`]
-//! over the same data, for every access path.
+//! The served store must answer as a plain [`NameStore`] does: a
+//! [`Store`] returns exactly the same global id set and verification work
+//! as a [`NameStore`] over the same data, for every access path, whatever
+//! the threads around it do.
 //!
-//! This holds because every access path's candidate predicate is
-//! pairwise (query vs one stored string) — partitioning the collection
-//! cannot change which pairs pass — and because global id striping is a
-//! bijection (`id % N` → shard, `id / N` → local slot). The tests pin
-//! both facts: shard counts that divide the data evenly (2, 4) and one
-//! that doesn't (7), all four methods, and concurrent searchers racing
-//! the same store. The same argument makes *coverage* invisible — a row
+//! The tests pin this on all four methods, with concurrent searchers
+//! racing the same store. *Coverage* is invisible the same way — a row
 //! an index does not hold yet is put to the path's pair-wise rule instead
 //! — so the last test runs appends and searches beside covers that never
 //! stop, and holds every reply to a store built from scratch.
 
 use lexequal::{MatchConfig, NameStore, QgramMode, SearchMethod};
 use lexequal_lexicon::Corpus;
-use lexequal_service::shard::{BuildSpec, ShardedStore};
+use lexequal_service::shard::{BuildSpec, Store};
 use std::sync::Arc;
 
 const THRESHOLD: f64 = 0.3;
@@ -46,8 +42,8 @@ fn reference_store(rows: &[(String, lexequal::Language)]) -> NameStore {
     store
 }
 
-fn sharded_store(rows: &[(String, lexequal::Language)], shards: usize) -> ShardedStore {
-    let store = ShardedStore::new(MatchConfig::default(), shards);
+fn served_store(rows: &[(String, lexequal::Language)]) -> Store {
+    let store = Store::new(MatchConfig::default());
     store.extend(rows.iter().cloned()).expect("bulk load");
     store.build(BuildSpec::Qgram {
         q: 3,
@@ -63,37 +59,31 @@ fn query_ids(len: usize) -> impl Iterator<Item = u32> {
 }
 
 #[test]
-fn every_shard_count_matches_the_unsharded_store_on_every_method() {
+fn the_store_matches_a_name_store_on_every_method() {
     let rows = corpus_rows();
     assert!(rows.len() > 100, "slice too small: {}", rows.len());
     let reference = reference_store(&rows);
+    let served = served_store(&rows);
+    assert_eq!(served.len(), reference.len());
 
-    for shards in [2, 4, 7] {
-        let sharded = sharded_store(&rows, shards);
-        assert_eq!(sharded.len(), reference.len());
+    // Ids address the same entries in both stores.
+    for id in query_ids(rows.len()) {
+        let a = reference.get(id).expect("reference id");
+        let b = served.get(id).expect("served id");
+        assert_eq!(a.text, b.text, "id {id} diverges");
+        assert_eq!(a.phonemes, b.phonemes);
+    }
 
-        // Ids address the same entries in both stores.
+    for method in METHODS {
         for id in query_ids(rows.len()) {
-            let a = reference.get(id).expect("reference id");
-            let b = sharded.get(id).expect("sharded id");
-            assert_eq!(a.text, b.text, "id {id} diverges at {shards} shards");
-            assert_eq!(a.phonemes, b.phonemes);
-        }
-
-        for method in METHODS {
-            for id in query_ids(rows.len()) {
-                let q = &reference.get(id).expect("valid id").phonemes;
-                let want = reference.search_phonemes(q, THRESHOLD, method);
-                let got = sharded.search_phonemes(q, THRESHOLD, method);
-                assert_eq!(
-                    got.ids, want.ids,
-                    "{method:?} diverges for id {id} at {shards} shards"
-                );
-                assert_eq!(
-                    got.verifications, want.verifications,
-                    "{method:?} does different verification work at {shards} shards"
-                );
-            }
+            let q = &reference.get(id).expect("valid id").phonemes;
+            let want = reference.search_phonemes(q, THRESHOLD, method);
+            let got = served.search_phonemes(q, THRESHOLD, method);
+            assert_eq!(got.ids, want.ids, "{method:?} diverges for id {id}");
+            assert_eq!(
+                got.verifications, want.verifications,
+                "{method:?} does different verification work for id {id}"
+            );
         }
     }
 }
@@ -102,7 +92,7 @@ fn every_shard_count_matches_the_unsharded_store_on_every_method() {
 fn concurrent_searchers_agree_with_sequential_answers() {
     let rows = corpus_rows();
     let reference = reference_store(&rows);
-    let sharded = Arc::new(sharded_store(&rows, 4));
+    let served = Arc::new(served_store(&rows));
 
     // Sequential ground truth for a spread of queries, via the q-gram
     // path (strict: no dismissals) and the scan.
@@ -119,7 +109,7 @@ fn concurrent_searchers_agree_with_sequential_answers() {
 
     std::thread::scope(|scope| {
         for t in 0..8 {
-            let sharded = Arc::clone(&sharded);
+            let served = Arc::clone(&served);
             let reference = &reference;
             let cases = &cases;
             let expected = &expected;
@@ -130,7 +120,7 @@ fn concurrent_searchers_agree_with_sequential_answers() {
                     let i = (k + t * 13) % cases.len();
                     let (id, m) = cases[i];
                     let q = &reference.get(id).expect("valid id").phonemes;
-                    let got = sharded.search_phonemes(q, THRESHOLD, m);
+                    let got = served.search_phonemes(q, THRESHOLD, m);
                     assert_eq!(got.ids, expected[i], "thread {t}, case {i}");
                 }
             });
@@ -151,7 +141,7 @@ fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
 
     let rows = corpus_rows();
     let (seed, storm) = rows.split_at(rows.len() / 2);
-    let sharded = sharded_store(seed, 3);
+    let served = served_store(seed);
     let mut oracle = reference_store(seed);
     let mut all = NameStore::new(MatchConfig::default());
     all.extend(rows.iter().cloned()).expect("bulk load");
@@ -159,25 +149,25 @@ fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                sharded.build(BuildSpec::BkTree);
-                sharded.build(BuildSpec::Qgram {
+                served.build(BuildSpec::BkTree);
+                served.build(BuildSpec::Qgram {
                     q: 3,
                     mode: QgramMode::Strict,
                 });
-                sharded.build(BuildSpec::PhoneticIndex);
+                served.build(BuildSpec::PhoneticIndex);
             }
         });
         scope.spawn(|| {
             let mut passes = 0usize;
             while !stop.load(Ordering::Relaxed) || passes == 0 {
-                let published = sharded.len();
+                let published = served.len();
                 let entry = |e: lexequal::store::NameEntry| (e.text, e.language, e.phonemes);
                 for id in (0..published as u32).step_by(97) {
                     let want = all.get(id).map(entry);
-                    assert_eq!(sharded.get(id).map(entry), want, "get({id})");
+                    assert_eq!(served.get(id).map(entry), want, "get({id})");
                 }
-                assert_eq!(sharded.cover_stats().declared, 3);
-                let mut reader = sharded.prefix_reader(published);
+                assert_eq!(served.cover_stats().declared, 3);
+                let mut reader = served.prefix_reader(published);
                 let mut id = 0u32;
                 while let Some(chunk) = reader.next_chunk() {
                     for row in chunk {
@@ -192,12 +182,12 @@ fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
                     }
                 }
                 assert_eq!(id as usize, published, "a pass reads the published rows");
-                assert!(sharded.len() >= published);
+                assert!(served.len() >= published);
                 passes += 1;
             }
         });
         for (text, language) in storm {
-            let id = sharded.insert(text, *language).expect("add");
+            let id = served.insert(text, *language).expect("add");
             assert_eq!(oracle.insert(text, *language).expect("oracle add"), id);
             oracle.build_qgram(3, QgramMode::Strict);
             oracle.build_phonetic_index();
@@ -207,7 +197,7 @@ fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
                 let q = &oracle.get(query).expect("valid id").phonemes;
                 for method in METHODS {
                     assert_eq!(
-                        sharded.search_phonemes(q, THRESHOLD, method),
+                        served.search_phonemes(q, THRESHOLD, method),
                         oracle.search_phonemes(q, THRESHOLD, method),
                         "{method:?} for id {query} with {} rows",
                         id + 1
@@ -217,8 +207,8 @@ fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
         }
         stop.store(true, Ordering::Relaxed);
     });
-    assert_eq!(sharded.len(), rows.len());
-    let stats = sharded.cover_stats();
+    assert_eq!(served.len(), rows.len());
+    let stats = served.cover_stats();
     assert_eq!(stats.declared, 3);
     assert!(
         stats.covers > 3,

@@ -42,13 +42,10 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(shards: usize) -> Self {
+    fn spawn() -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().expect("local addr");
-        let service = Arc::new(MatchService::new(ServiceConfig {
-            shards,
-            ..ServiceConfig::default()
-        }));
+        let service = Arc::new(MatchService::new(ServiceConfig::default()));
         let shutdown = ShutdownSignal::new().expect("shutdown signal");
         let sd = shutdown.clone();
         let handle = std::thread::spawn(move || {
@@ -104,7 +101,7 @@ fn load_directory(c: &mut Client) {
 
 #[test]
 fn untagged_match_and_add_route_by_script_over_the_wire() {
-    let daemon = Daemon::spawn(3);
+    let daemon = Daemon::spawn();
     let mut c = Client::connect(daemon.addr);
     load_directory(&mut c);
 
@@ -174,10 +171,7 @@ fn untagged_adds_replicate_with_the_resolved_language() {
     let (wal, tail) = Wal::open(&wal_path, 0, Arc::clone(&metrics)).expect("open wal");
     assert!(tail.is_empty());
     let repl = Replicator::new(wal, metrics);
-    let primary = MatchService::new(ServiceConfig {
-        shards: 2,
-        ..ServiceConfig::default()
-    });
+    let primary = MatchService::new(ServiceConfig::default());
     let ctx = ReqCtx {
         role: Role::Primary(Arc::clone(&repl)),
         ..ReqCtx::default()
@@ -208,10 +202,7 @@ fn untagged_adds_replicate_with_the_resolved_language() {
         .collect();
     assert_eq!(langs, ["English", "Russian", "Hindi"]);
 
-    let replica = MatchService::new(ServiceConfig {
-        shards: 2,
-        ..ServiceConfig::default()
-    });
+    let replica = MatchService::new(ServiceConfig::default());
     for r in &records {
         replica.apply_op(&r.op).expect("apply");
     }
@@ -234,7 +225,7 @@ fn untagged_adds_replicate_with_the_resolved_language() {
 fn per_script_goldens_route_untagged() {
     // One entry per supported script; every untagged query must find
     // its own entry back (self-match at the default threshold).
-    let daemon = Daemon::spawn(2);
+    let daemon = Daemon::spawn();
     let mut c = Client::connect(daemon.addr);
     let goldens = [
         ("en", "Nehru"),

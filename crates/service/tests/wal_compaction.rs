@@ -57,8 +57,8 @@ fn name(i: usize) -> String {
 fn fresh_service(config: &MatchConfig) -> Arc<MatchService> {
     Arc::new(MatchService::new(ServiceConfig {
         match_config: config.clone(),
-        shards: 2,
         cache_capacity: 1024,
+        ..ServiceConfig::default()
     }))
 }
 
@@ -124,7 +124,7 @@ fn recover(
     for (i, candidate) in candidates.iter().map(Some).chain([None]).enumerate() {
         let (service, base) = match candidate {
             Some(path) => {
-                let load = MatchService::load_snapshot_auto(config.clone(), None, 1024, path)
+                let load = MatchService::load_snapshot_auto(config.clone(), 1024, path)
                     .expect("load snapshot");
                 for spec in load.pending_builds {
                     load.service.build(spec);
@@ -419,8 +419,7 @@ fn straggler_reseeds_live_after_compaction_passes_it() {
     let state = Arc::new(ReplicaState::new(addr.clone()));
     let replica_shutdown = ShutdownSignal::new().expect("replica shutdown");
     let (replica, stream, reader) =
-        repl::initial_sync(&addr, &config, Some(2), 1024, &state, &replica_shutdown)
-            .expect("initial sync");
+        repl::initial_sync(&addr, &config, 1024, &state, &replica_shutdown).expect("initial sync");
     let replica = Arc::new(replica);
     let apply = {
         let replica = Arc::clone(&replica);
@@ -537,8 +536,7 @@ fn replica_treats_diverged_reply_as_fatal() {
     let state = Arc::new(ReplicaState::new(addr.clone()));
     let replica_shutdown = ShutdownSignal::new().expect("replica shutdown");
     let (replica, stream, reader) =
-        repl::initial_sync(&addr, &config, Some(2), 1024, &state, &replica_shutdown)
-            .expect("initial sync");
+        repl::initial_sync(&addr, &config, 1024, &state, &replica_shutdown).expect("initial sync");
     drop((stream, reader));
     assert_eq!(state.applied(), 3);
     shutdown.trigger();

@@ -16,7 +16,11 @@
 # revisions — and, when the working tree differs from HEAD, `change_tree`
 # (its `git write-tree`, taken through a scratch index) and
 # `change_diffstat` (`git diff --shortstat` against HEAD) — host facts
-# (nproc, CPU model, kernel, /proc/loadavg before and after every run),
+# (nproc, CPU model, kernel, /proc/loadavg before and after every run,
+# the first CPU's MHz and a SHA-256 of its flags line from /proc/cpuinfo,
+# and the seconds one fixed calibration loop — SHA-256 over 256 MiB of
+# /dev/zero, run by this script — took before the first run and after
+# the last; none of them normalises or gates anything),
 # every run's result line verbatim beside `reported`, the metrics lexbench
 # printed on stdout that the result line does not carry (closed_ops_s,
 # the closed/open_lo/open_hi p50 and p99, and on write_mix add_p50/p99_us
@@ -81,6 +85,16 @@ build "$root"
 runs="$(mktemp)"
 trap 'rm -f "$runs"' EXIT
 
+# One fixed piece of CPU work, timed where it runs: in this script's own
+# processes, touching no machine setting. Its drift between the start and
+# the end of a run, and between points, says how much the host moved.
+calibrate() {
+    local start=$EPOCHREALTIME
+    head -c 268435456 /dev/zero | sha256sum >/dev/null
+    echo "$EPOCHREALTIME - $start" | awk '{ printf "%.3f", $1 - $3 }'
+}
+calibration_start="$(calibrate)"
+
 run_one() { # <side> <pair> <workload>
     local side=$1 pair=$2 workload=$3 dir=$root target=${CARGO_TARGET_DIR:-target}
     if [[ $side == parent ]]; then dir=$parent_src target=$parent_target; fi
@@ -117,11 +131,15 @@ for ((pair = 1; pair <= pairs; pair++)); do
         done
     done
 done
+calibration_end="$(calibrate)"
 
 jq -s --slurpfile bench BENCHMARK.json \
     --arg parent "$parent_rev" --arg change "$change_rev" --argjson dirty "$change_dirty" \
     --arg tree "$change_tree" --arg diffstat "$change_diffstat" \
     --arg nproc "$(nproc)" --arg kernel "$(uname -r)" \
     --arg cpu "$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)" \
+    --arg cpu_mhz "$(sed -n 's/^cpu MHz[[:space:]]*: //p' /proc/cpuinfo | head -n 1)" \
+    --arg cpu_flags_sha256 "$(grep -m 1 '^flags' /proc/cpuinfo | sha256sum | cut -c 1-64)" \
+    --arg calibration_start "$calibration_start" --arg calibration_end "$calibration_end" \
     --argjson pairs "$pairs" -f scripts/bench_summary.jq "$runs" >"$out"
 echo "bench_pairs: wrote $out" >&2

@@ -61,11 +61,11 @@ echo "== batched verification on the forced-scalar dispatch"
 # process of its own.
 LEXEQUAL_FORCE_SCALAR=1 cargo test -p lexequal --offline -q --test verify_batch_equiv
 
-echo "== the shard concurrency suites again, in release"
+echo "== the store concurrency suites again, in release"
 # The searches, appends, covers and direct reads these race interleave at
 # other speeds when optimised: appends and searches run on callers'
-# threads under the shard locks. The lock discipline (shard module docs)
-# must hold at both.
+# threads under the one store lock. The lock discipline (the store's
+# module docs, crates/service/src/shard.rs) must hold at both.
 cargo test --release -p lexequal-service --offline -q \
     --test shard_equivalence --test cover_on_use --test checkpoint_stream --test bulk_load
 
@@ -84,7 +84,7 @@ echo "== line counts (whole .rs files, bin/ included; ROADMAP item 3's exit crit
 for dir in crates/service/src crates/core/src crates/embed/src; do
     echo "$dir $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
 done
-for file in crates/service/src/shard.rs crates/service/src/event_loop.rs; do
+for file in crates/service/src/shard.rs crates/core/src/rows.rs crates/service/src/event_loop.rs; do
     echo "$file $(wc -l < "$file")"
 done
 

@@ -840,7 +840,10 @@ impl NameStore {
         SearchResult { ids, verifications }
     }
 
-    fn verify_ids(
+    /// Verify `candidates` against `query` through the batched kernel,
+    /// pushing the ids that match onto `hits` in candidate order; returns
+    /// the number verified.
+    pub fn verify_ids(
         &self,
         verifier: &mut BatchVerifier,
         query: &PreparedQuery,

@@ -1,10 +1,12 @@
 //! The catalog: named tables and their indexes.
 
-use crate::btree::BTreeIndex;
 use crate::error::DbError;
+use crate::row::{Row, RowId};
 use crate::schema::Schema;
 use crate::table::Table;
-use std::collections::HashMap;
+use crate::value::Value;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Metadata + structure for one secondary index.
 #[derive(Debug)]
@@ -15,8 +17,18 @@ pub struct IndexEntry {
     pub table: String,
     /// Indexed column position in the table schema.
     pub column: usize,
-    /// The B-tree itself.
-    pub btree: BTreeIndex,
+    /// Each column value's row ids, in insertion order.
+    pub postings: BTreeMap<Value, Vec<RowId>>,
+}
+
+impl IndexEntry {
+    /// Post rows `rids` of `table` under their column values.
+    fn add(&mut self, table: &Table, rids: Range<RowId>) {
+        for rid in rids {
+            let key = table.row(rid)[self.column].clone();
+            self.postings.entry(key).or_default().push(rid);
+        }
+    }
 }
 
 /// All tables and indexes of a database.
@@ -49,30 +61,9 @@ impl Catalog {
             .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
     }
 
-    /// Get a table mutably. Note: mutating a table invalidates its indexes
-    /// only in the sense of missing new rows; use
-    /// [`Catalog::insert_row`](Self::insert_row) to keep them in sync.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
-        self.tables
-            .get_mut(&name.to_ascii_lowercase())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
-    }
-
     /// Insert a row, maintaining all indexes on the table.
-    pub fn insert_row(&mut self, table: &str, row: crate::row::Row) -> Result<(), DbError> {
-        let key = table.to_ascii_lowercase();
-        let t = self
-            .tables
-            .get_mut(&key)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        let rid = t.insert(row)?;
-        let stored = t.row(rid).expect("just inserted").clone();
-        for idx in self.indexes.values_mut() {
-            if idx.table == key {
-                idx.btree.insert(stored[idx.column].clone(), rid);
-            }
-        }
-        Ok(())
+    pub fn insert_row(&mut self, table: &str, row: Row) -> Result<(), DbError> {
+        self.insert_rows(table, vec![row]).map(drop)
     }
 
     /// Insert a batch of rows, maintaining all indexes on the table.
@@ -81,57 +72,20 @@ impl Catalog {
     /// — and index maintenance clones only the indexed column values, not
     /// whole rows. Returns the number of rows inserted; a bad row aborts
     /// the whole batch before anything is stored.
-    pub fn insert_rows(
-        &mut self,
-        table: &str,
-        rows: Vec<crate::row::Row>,
-    ) -> Result<usize, DbError> {
+    pub fn insert_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<usize, DbError> {
         let key = table.to_ascii_lowercase();
         let t = self
             .tables
             .get_mut(&key)
             .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
         let range = t.insert_many(rows)?;
-        let inserted = range.len();
-        for idx in self.indexes.values_mut() {
-            if idx.table == key {
-                for rid in range.clone() {
-                    let stored = t.row(rid).expect("just inserted");
-                    idx.btree.insert(stored[idx.column].clone(), rid);
-                }
-            }
+        for idx in self.indexes.values_mut().filter(|idx| idx.table == key) {
+            idx.add(t, range.clone());
         }
-        Ok(inserted)
+        Ok(range.len())
     }
 
-    /// Tombstone a row. Index entries pointing at it become stale; every
-    /// reader resolves ids through [`Table::row`], which filters them.
-    pub fn delete_row(&mut self, table: &str, rid: crate::row::RowId) -> Result<bool, DbError> {
-        let t = self.table_mut(table)?;
-        Ok(t.delete(rid))
-    }
-
-    /// Update a row: tombstone the old version and insert the new one
-    /// (secondary indexes pick up the new id on insert).
-    pub fn update_row(
-        &mut self,
-        table: &str,
-        rid: crate::row::RowId,
-        new_row: crate::row::Row,
-    ) -> Result<(), DbError> {
-        let key = table.to_ascii_lowercase();
-        {
-            let t = self.table_mut(&key)?;
-            if !t.delete(rid) {
-                return Err(DbError::SchemaMismatch(format!(
-                    "update of missing row {rid} in {key}"
-                )));
-            }
-        }
-        self.insert_row(&key, new_row)
-    }
-
-    /// Create a B-tree index over `table(column)` and bulk-load existing rows.
+    /// Create an index over `table(column)` and load the rows it holds.
     pub fn create_index(&mut self, name: &str, table: &str, column: &str) -> Result<(), DbError> {
         let key = name.to_ascii_lowercase();
         if self.indexes.contains_key(&key) {
@@ -142,19 +96,14 @@ impl Catalog {
             .schema()
             .index_of(column)
             .ok_or_else(|| DbError::NoSuchColumn(column.to_owned()))?;
-        let mut btree = BTreeIndex::new();
-        for (rid, v) in t.column_values(col) {
-            btree.insert(v.clone(), rid);
-        }
-        self.indexes.insert(
-            key.clone(),
-            IndexEntry {
-                name: key,
-                table: table.to_ascii_lowercase(),
-                column: col,
-                btree,
-            },
-        );
+        let mut index = IndexEntry {
+            name: key.clone(),
+            table: table.to_ascii_lowercase(),
+            column: col,
+            postings: BTreeMap::new(),
+        };
+        index.add(t, 0..t.len());
+        self.indexes.insert(key, index);
         Ok(())
     }
 
@@ -224,16 +173,14 @@ mod tests {
         }
         c.create_index("ix_id", "names", "id").unwrap();
         // Bulk-loaded entries:
-        assert_eq!(
-            c.index("ix_id").unwrap().btree.lookup(&Value::Int(7)),
-            vec![7]
-        );
+        assert_eq!(c.index("ix_id").unwrap().postings[&Value::Int(7)], vec![7]);
         // Maintained on subsequent insert:
         c.insert_row("names", vec![Value::Int(7), Value::from("y")])
             .unwrap();
-        let mut hits = c.index("ix_id").unwrap().btree.lookup(&Value::Int(7));
-        hits.sort_unstable();
-        assert_eq!(hits, vec![7, 10]);
+        assert_eq!(
+            c.index("ix_id").unwrap().postings[&Value::Int(7)],
+            vec![7, 10]
+        );
         // index_on finds it by (table, column).
         assert!(c.index_on("names", 0).is_some());
         assert!(c.index_on("names", 1).is_none());
@@ -257,11 +204,9 @@ mod tests {
             b.table("names").unwrap().len()
         );
         for key in 0..5 {
-            let mut ha = a.index("ix_id").unwrap().btree.lookup(&Value::Int(key));
-            let mut hb = b.index("ix_id").unwrap().btree.lookup(&Value::Int(key));
-            ha.sort_unstable();
-            hb.sort_unstable();
-            assert_eq!(ha, hb, "key {key}");
+            let key = Value::Int(key);
+            let (ha, hb) = (a.index("ix_id").unwrap(), b.index("ix_id").unwrap());
+            assert_eq!(ha.postings[&key], hb.postings[&key], "key {key}");
         }
     }
 

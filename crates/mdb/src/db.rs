@@ -55,7 +55,8 @@ impl Database {
         self.catalog.insert_rows(table, rows)
     }
 
-    /// Execute one SQL statement. DDL/DML return empty result sets.
+    /// Execute one SQL statement. `CREATE` and `INSERT` return empty
+    /// result sets.
     pub fn execute(&mut self, sql: &str) -> Result<ResultSet, DbError> {
         match parse(sql)? {
             Statement::Select(select) => {
@@ -83,77 +84,6 @@ impl Database {
                     rows: vec![],
                 })
             }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => {
-                let rids = self.matching_rids(&table, where_clause.as_ref())?;
-                let mut n = 0i64;
-                for rid in rids {
-                    if self.catalog.delete_row(&table, rid)? {
-                        n += 1;
-                    }
-                }
-                Ok(ResultSet {
-                    columns: vec!["deleted".into()],
-                    rows: vec![vec![crate::value::Value::Int(n)]],
-                })
-            }
-            Statement::Update {
-                table,
-                set,
-                where_clause,
-            } => {
-                let rids = self.matching_rids(&table, where_clause.as_ref())?;
-                // Bind assignments against the table schema.
-                let t = self.catalog.table(&table)?;
-                let schema = crate::expr::BoundSchema {
-                    columns: t
-                        .schema()
-                        .columns()
-                        .iter()
-                        .map(|c| (table.to_uppercase(), c.name.to_uppercase()))
-                        .collect(),
-                };
-                let mut binder = crate::expr::Binder::new(&schema);
-                let mut assignments = Vec::new();
-                for (col, e) in &set {
-                    let idx = t
-                        .schema()
-                        .index_of(col)
-                        .ok_or_else(|| DbError::NoSuchColumn(col.clone()))?;
-                    let bound = binder.bind(e)?;
-                    if !binder.aggregates.is_empty() {
-                        return Err(DbError::Unsupported("aggregate in UPDATE SET".into()));
-                    }
-                    assignments.push((idx, bound));
-                }
-                // Compute new rows first (immutably), then apply.
-                let mut updates = Vec::new();
-                for rid in rids {
-                    let t = self.catalog.table(&table)?;
-                    let Some(row) = t.row(rid) else { continue };
-                    let mut new_row = row.clone();
-                    for (idx, e) in &assignments {
-                        let ctx = crate::expr::EvalCtx {
-                            row,
-                            udfs: &self.udfs,
-                            aggs: None,
-                            stats: &self.stats,
-                        };
-                        new_row[*idx] = e.eval(&ctx)?;
-                    }
-                    updates.push((rid, new_row));
-                }
-                let n = updates.len() as i64;
-                for (rid, new_row) in updates {
-                    self.catalog.update_row(&table, rid, new_row)?;
-                }
-                Ok(ResultSet {
-                    columns: vec!["updated".into()],
-                    rows: vec![vec![crate::value::Value::Int(n)]],
-                })
-            }
             Statement::CreateTable { name, columns } => {
                 let schema =
                     Schema::new(columns.iter().map(|(n, t)| Column::new(n, *t)).collect())?;
@@ -175,53 +105,6 @@ impl Database {
                 })
             }
         }
-    }
-
-    /// Row ids of a table matching an optional predicate.
-    fn matching_rids(
-        &self,
-        table: &str,
-        predicate: Option<&crate::sql::ast::SqlExpr>,
-    ) -> Result<Vec<crate::row::RowId>, DbError> {
-        let t = self.catalog.table(table)?;
-        let schema = crate::expr::BoundSchema {
-            columns: t
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| (table.to_uppercase(), c.name.to_uppercase()))
-                .collect(),
-        };
-        let bound = match predicate {
-            Some(p) => {
-                let mut binder = crate::expr::Binder::new(&schema);
-                let e = binder.bind(p)?;
-                if !binder.aggregates.is_empty() {
-                    return Err(DbError::Unsupported("aggregate in DML WHERE".into()));
-                }
-                Some(e)
-            }
-            None => None,
-        };
-        let mut rids = Vec::new();
-        for (rid, row) in t.scan() {
-            let keep = match &bound {
-                Some(e) => {
-                    let ctx = crate::expr::EvalCtx {
-                        row,
-                        udfs: &self.udfs,
-                        aggs: None,
-                        stats: &self.stats,
-                    };
-                    e.eval(&ctx)?.truthy()
-                }
-                None => true,
-            };
-            if keep {
-                rids.push(rid);
-            }
-        }
-        Ok(rids)
     }
 
     /// EXPLAIN-style plan description for a SELECT (for tests/benches).
@@ -363,9 +246,9 @@ mod tests {
     #[test]
     fn wildcard_projection() {
         let mut db = books_db();
-        let rs = db.execute("SELECT * FROM books LIMIT 2").unwrap();
+        let rs = db.execute("SELECT * FROM books").unwrap();
         assert_eq!(rs.columns.len(), 4);
-        assert_eq!(rs.rows.len(), 2);
+        assert_eq!(rs.rows.len(), 5);
     }
 
     #[test]
@@ -413,68 +296,6 @@ mod extended_sql_tests {
     }
 
     #[test]
-    fn in_list() {
-        let mut db = names_db();
-        let rs = db
-            .execute("SELECT name FROM t WHERE id IN (1, 3, 99) ORDER BY id")
-            .unwrap();
-        assert_eq!(
-            rs.rows,
-            vec![vec![Value::from("Nehru")], vec![Value::from("Neruda")]]
-        );
-        let rs = db
-            .execute("SELECT COUNT(*) FROM t WHERE id NOT IN (1, 3)")
-            .unwrap();
-        assert_eq!(rs.rows[0][0], Value::Int(3));
-    }
-
-    #[test]
-    fn between() {
-        let mut db = names_db();
-        let rs = db
-            .execute("SELECT name FROM t WHERE price BETWEEN 10 AND 30 ORDER BY price")
-            .unwrap();
-        assert_eq!(rs.rows.len(), 3); // 15, 20, 30 (inclusive)
-        let rs = db
-            .execute("SELECT COUNT(*) FROM t WHERE price NOT BETWEEN 10 AND 30")
-            .unwrap();
-        assert_eq!(rs.rows[0][0], Value::Int(2));
-    }
-
-    #[test]
-    fn like_patterns() {
-        let mut db = names_db();
-        let rs = db
-            .execute("SELECT name FROM t WHERE name LIKE 'Ne%' ORDER BY name")
-            .unwrap();
-        assert_eq!(rs.rows.len(), 3);
-        let rs = db
-            .execute("SELECT name FROM t WHERE name LIKE 'Ner_'")
-            .unwrap();
-        assert_eq!(rs.rows, vec![vec![Value::from("Nero")]]);
-        let rs = db
-            .execute("SELECT name FROM t WHERE name LIKE '%dhi'")
-            .unwrap();
-        assert_eq!(rs.rows, vec![vec![Value::from("Gandhi")]]);
-        let rs = db
-            .execute("SELECT COUNT(*) FROM t WHERE name NOT LIKE 'Ne%'")
-            .unwrap();
-        assert_eq!(rs.rows[0][0], Value::Int(2));
-    }
-
-    #[test]
-    fn like_on_multiscript_text() {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE b (author TEXT)").unwrap();
-        db.execute("INSERT INTO b VALUES ('नेहरु'), ('நேரு'), ('Nehru')")
-            .unwrap();
-        let rs = db
-            .execute("SELECT author FROM b WHERE author LIKE 'नेह%'")
-            .unwrap();
-        assert_eq!(rs.rows, vec![vec![Value::from("नेहरु")]]);
-    }
-
-    #[test]
     fn explain_statement() {
         let mut db = names_db();
         let rs = db
@@ -496,127 +317,49 @@ mod extended_sql_tests {
         let mut db = names_db();
         assert!(db.execute("SELECT name FROM t WHERE id NOT 3").is_err());
     }
-}
 
-#[cfg(test)]
-mod dml_tests {
-    use super::*;
-    use crate::value::Value;
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE t (id INT, name TEXT, price FLOAT)")
-            .unwrap();
-        db.execute("INSERT INTO t VALUES (1,'a',10.0), (2,'b',20.0), (3,'c',30.0), (4,'b',40.0)")
-            .unwrap();
-        db
-    }
-
+    /// SQL outside the subset the paper's queries use is refused with a
+    /// named error, before it can touch a table.
     #[test]
-    fn delete_with_predicate() {
-        let mut db = db();
-        let rs = db.execute("DELETE FROM t WHERE name = 'b'").unwrap();
-        assert_eq!(rs.rows[0][0], Value::Int(2));
-        let rs = db.execute("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(rs.rows[0][0], Value::Int(2));
-        // Deleted rows do not reappear anywhere.
-        let rs = db.execute("SELECT id FROM t ORDER BY id").unwrap();
-        assert_eq!(rs.rows, vec![vec![Value::Int(1)], vec![Value::Int(3)]]);
-    }
-
-    #[test]
-    fn delete_all_and_reinsert() {
-        let mut db = db();
-        db.execute("DELETE FROM t").unwrap();
-        assert_eq!(
-            db.execute("SELECT COUNT(*) FROM t").unwrap().rows[0][0],
-            Value::Int(0)
-        );
-        db.execute("INSERT INTO t VALUES (9,'z',1.0)").unwrap();
-        assert_eq!(
-            db.execute("SELECT COUNT(*) FROM t").unwrap().rows[0][0],
-            Value::Int(1)
-        );
-    }
-
-    #[test]
-    fn delete_respects_indexes() {
-        let mut db = db();
-        db.execute("CREATE INDEX ix ON t (id)").unwrap();
-        db.execute("DELETE FROM t WHERE id = 2").unwrap();
-        // Index probe must not resurrect the tombstoned row.
-        let rs = db.execute("SELECT name FROM t WHERE id = 2").unwrap();
-        assert!(rs.rows.is_empty());
-        assert!(db
-            .explain("SELECT name FROM t WHERE id = 2")
-            .unwrap()
-            .contains("IndexScan"));
-    }
-
-    #[test]
-    fn update_values_and_expressions() {
-        let mut db = db();
-        let rs = db
-            .execute("UPDATE t SET price = price * 2 WHERE name = 'b'")
-            .unwrap();
-        assert_eq!(rs.rows[0][0], Value::Int(2));
-        let rs = db
-            .execute("SELECT price FROM t WHERE name = 'b' ORDER BY price")
-            .unwrap();
-        assert_eq!(
-            rs.rows,
-            vec![vec![Value::Float(40.0)], vec![Value::Float(80.0)]]
-        );
-        // Row count is unchanged by updates.
-        assert_eq!(
-            db.execute("SELECT COUNT(*) FROM t").unwrap().rows[0][0],
-            Value::Int(4)
-        );
-    }
-
-    #[test]
-    fn update_indexed_column_moves_index_entry() {
-        let mut db = db();
-        db.execute("CREATE INDEX ix ON t (id)").unwrap();
-        db.execute("UPDATE t SET id = 99 WHERE id = 1").unwrap();
-        let rs = db.execute("SELECT name FROM t WHERE id = 99").unwrap();
-        assert_eq!(rs.rows, vec![vec![Value::from("a")]]);
-        let rs = db.execute("SELECT name FROM t WHERE id = 1").unwrap();
-        assert!(rs.rows.is_empty());
-    }
-
-    #[test]
-    fn update_missing_column_fails() {
-        let mut db = db();
-        assert!(db.execute("UPDATE t SET nope = 1").is_err());
-    }
-
-    #[test]
-    fn select_distinct() {
-        let mut db = db();
-        let rs = db
-            .execute("SELECT DISTINCT name FROM t ORDER BY name")
-            .unwrap();
-        assert_eq!(
-            rs.rows,
-            vec![
-                vec![Value::from("a")],
-                vec![Value::from("b")],
-                vec![Value::from("c")]
-            ]
-        );
-        // DISTINCT over multiple columns keeps distinct combinations.
-        let rs = db.execute("SELECT DISTINCT name, price FROM t").unwrap();
-        assert_eq!(rs.rows.len(), 4);
+    fn shed_syntax_is_a_named_error_and_changes_no_table() {
+        let mut db = names_db();
+        db.execute("CREATE INDEX ix_id ON t (id)").unwrap();
+        let rows = |db: &Database| db.catalog().table("t").unwrap().len();
+        for sql in [
+            "DELETE FROM t WHERE id = 1",
+            "DELETE FROM t",
+            "UPDATE t SET price = price * 2 WHERE name = 'Nero'",
+            "SELECT DISTINCT name FROM t",
+            "SELECT name FROM t ORDER BY name LIMIT 2",
+            "SELECT * FROM t LIMIT 2",
+            "SELECT name FROM t WHERE id IN (1, 3)",
+            "SELECT name FROM t WHERE id NOT IN (1, 3)",
+            "SELECT name FROM t WHERE price BETWEEN 10 AND 30",
+            "SELECT name FROM t WHERE id BETWEEN 1 AND 3",
+            "SELECT name FROM t WHERE name LIKE 'Ne%'",
+            "SELECT name FROM t WHERE name NOT LIKE 'Ne%'",
+            "EXPLAIN SELECT name FROM t WHERE id IN (1, 3)",
+        ] {
+            match db.execute(sql) {
+                Err(DbError::Parse(_) | DbError::Unsupported(_)) => {}
+                other => panic!("{sql}: {other:?}"),
+            }
+            assert_eq!(rows(&db), 5, "{sql}");
+        }
+        let rs = db.execute("SELECT COUNT(*) FROM t WHERE id = 2").unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(1)]]);
     }
 }
 
+/// Range predicates on an indexed column: the index answers equality
+/// probes only, so a range conjunct is a filter over what they return.
 #[cfg(test)]
 mod range_scan_tests {
     use super::*;
     use crate::value::Value;
 
-    fn db() -> Database {
+    #[test]
+    fn equality_still_preferred_over_range() {
         let mut db = Database::new();
         db.execute("CREATE TABLE t (id INT, name TEXT)").unwrap();
         for i in 0..1000 {
@@ -624,56 +367,15 @@ mod range_scan_tests {
                 .unwrap();
         }
         db.execute("CREATE INDEX ix_id ON t (id)").unwrap();
-        db
-    }
-
-    #[test]
-    fn range_scan_results_match_full_scan() {
-        let mut db = db();
-        for sql in [
-            "SELECT COUNT(*) FROM t WHERE id < 17",
-            "SELECT COUNT(*) FROM t WHERE id <= 17",
-            "SELECT COUNT(*) FROM t WHERE id > 990",
-            "SELECT COUNT(*) FROM t WHERE id >= 990",
-            "SELECT COUNT(*) FROM t WHERE id BETWEEN 100 AND 110",
-            "SELECT COUNT(*) FROM t WHERE 500 > id",
-        ] {
-            let plan = db.explain(sql).unwrap();
-            assert!(plan.contains("IndexRangeScan"), "{sql} -> {plan}");
-            let indexed = db.execute(sql).unwrap();
-            // Same predicate against the unindexed name column-less rewrite:
-            // force a scan by wrapping with a no-op arithmetic identity.
-            let scanned = db.execute(&sql.replace("id", "(id + 0)")).unwrap();
-            assert_eq!(indexed.rows, scanned.rows, "{sql}");
-        }
-    }
-
-    #[test]
-    fn range_scan_respects_residual_filters() {
-        let mut db = db();
-        let sql = "SELECT COUNT(*) FROM t WHERE id < 100 AND name LIKE '%7'";
-        let plan = db.explain(sql).unwrap();
-        assert!(plan.contains("IndexRangeScan"), "{plan}");
-        let rs = db.execute(sql).unwrap();
-        assert_eq!(rs.rows[0][0], Value::Int(10)); // 7, 17, ..., 97
-    }
-
-    #[test]
-    fn range_scan_sees_tombstones_and_updates() {
-        let mut db = db();
-        db.execute("DELETE FROM t WHERE id = 5").unwrap();
-        db.execute("UPDATE t SET id = 3 WHERE id = 7").unwrap();
-        let rs = db.execute("SELECT COUNT(*) FROM t WHERE id < 10").unwrap();
-        // 0..10 originally; minus deleted 5, 7 moved to 3 (still < 10).
-        assert_eq!(rs.rows[0][0], Value::Int(9));
-    }
-
-    #[test]
-    fn equality_still_preferred_over_range() {
-        let db = db();
-        let plan = db
-            .explain("SELECT name FROM t WHERE id = 5 AND id < 100")
-            .unwrap();
-        assert!(plan.contains("IndexScan("), "{plan}");
+        let sql = "SELECT name FROM t WHERE id = 5 AND id < 100";
+        assert_eq!(db.explain(sql).unwrap(), "Filter(IndexScan(T via ix_id))");
+        assert_eq!(
+            db.execute(sql).unwrap().rows,
+            vec![vec![Value::from("n0005")]]
+        );
+        assert_eq!(
+            db.explain("SELECT name FROM t WHERE id < 100").unwrap(),
+            "Filter(Scan(T))"
+        );
     }
 }

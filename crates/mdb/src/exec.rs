@@ -2,7 +2,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::expr::{checked, Binder, BoundAggregate, BoundSchema, EvalCtx, Expr};
+use crate::expr::{checked, Binder, BoundAggregate, EvalCtx, Expr};
 use crate::plan::{plan_relational, RelPlan};
 use crate::row::Row;
 use crate::sql::ast::{Aggregate, Select, SelectItem, SqlExpr};
@@ -43,82 +43,20 @@ impl ExecContext<'_> {
     /// Execute a relational plan to a row vector.
     pub fn run_rel(&self, plan: &RelPlan) -> Result<Vec<Row>, DbError> {
         match plan {
-            RelPlan::Scan { table, filter, .. } => {
+            RelPlan::Scan { table, .. } => {
                 let t = self.catalog.table(table)?;
-                let mut out = Vec::new();
-                for (_, row) in t.scan() {
-                    self.stats.record_scan(1);
-                    if let Some(f) = filter {
-                        if !self.eval(f, row, None)?.truthy() {
-                            continue;
-                        }
-                    }
-                    out.push(row.clone());
-                }
-                Ok(out)
+                self.stats.record_scan(t.len() as u64);
+                Ok(t.scan().map(|(_, row)| row.clone()).collect())
             }
             RelPlan::IndexScan {
-                table,
-                index,
-                key,
-                filter,
-                ..
+                table, index, key, ..
             } => {
                 let t = self.catalog.table(table)?;
                 let entry = self.catalog.index(index)?;
                 let k = self.eval(key, &[], None)?;
                 self.stats.record_index_lookup();
-                let mut out = Vec::new();
-                for rid in entry.btree.lookup(&k) {
-                    // Stale index entries (tombstoned rows) resolve to None.
-                    let Some(row) = t.row(rid) else {
-                        continue;
-                    };
-                    if let Some(f) = filter {
-                        if !self.eval(f, row, None)?.truthy() {
-                            continue;
-                        }
-                    }
-                    out.push(row.clone());
-                }
-                Ok(out)
-            }
-            RelPlan::IndexRangeScan {
-                table,
-                index,
-                lo,
-                hi,
-                filter,
-                ..
-            } => {
-                let t = self.catalog.table(table)?;
-                let entry = self.catalog.index(index)?;
-                let lo_val = match lo {
-                    Some((e, inc)) => Some((self.eval(e, &[], None)?, *inc)),
-                    None => None,
-                };
-                let hi_val = match hi {
-                    Some((e, inc)) => Some((self.eval(e, &[], None)?, *inc)),
-                    None => None,
-                };
-                self.stats.record_index_lookup();
-                let hits = entry.btree.range_bounds(
-                    lo_val.as_ref().map(|(v, i)| (v, *i)),
-                    hi_val.as_ref().map(|(v, i)| (v, *i)),
-                );
-                let mut out = Vec::new();
-                for (_, rid) in hits {
-                    let Some(row) = t.row(rid) else {
-                        continue; // tombstoned
-                    };
-                    if let Some(f) = filter {
-                        if !self.eval(f, row, None)?.truthy() {
-                            continue;
-                        }
-                    }
-                    out.push(row.clone());
-                }
-                Ok(out)
+                let rids = entry.postings.get(&k).map_or(&[][..], Vec::as_slice);
+                Ok(rids.iter().map(|&rid| t.row(rid).clone()).collect())
             }
             RelPlan::Filter { input, predicate } => {
                 let rows = self.run_rel(input)?;
@@ -284,11 +222,6 @@ impl ExecContext<'_> {
             units = keyed.into_iter().map(|(_, u)| u).collect();
         }
 
-        // LIMIT.
-        if let Some(n) = select.limit {
-            units.truncate(n);
-        }
-
         // Projection.
         let mut out_rows = Vec::with_capacity(units.len());
         for (row, aggs) in &units {
@@ -297,12 +230,6 @@ impl ExecContext<'_> {
                 out.push(self.eval(e, row, Some(aggs))?);
             }
             out_rows.push(out);
-        }
-        // DISTINCT: dedup projected rows, keeping first occurrences (and
-        // therefore any ORDER BY ordering).
-        if select.distinct {
-            let mut seen: std::collections::HashSet<Row> = std::collections::HashSet::new();
-            out_rows.retain(|r| seen.insert(r.clone()));
         }
         Ok(ResultSet {
             columns: out_names,
@@ -415,7 +342,3 @@ fn default_name(e: &SqlExpr) -> String {
         _ => "expr".into(),
     }
 }
-
-/// Keep `BoundSchema` import alive for rustdoc links.
-#[allow(unused)]
-fn _schema_doc(_: &BoundSchema) {}

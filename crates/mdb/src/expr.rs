@@ -139,86 +139,6 @@ impl<'a> Binder<'a> {
                 });
                 Expr::AggregateSlot(slot)
             }
-            SqlExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                // Lower to an OR chain of equalities.
-                let bound = self.bind(expr)?;
-                let mut chain: Option<Expr> = None;
-                for item in list {
-                    let eq = Expr::Binary {
-                        op: BinOp::Eq,
-                        left: Box::new(bound.clone()),
-                        right: Box::new(self.bind(item)?),
-                    };
-                    chain = Some(match chain {
-                        None => eq,
-                        Some(c) => Expr::Binary {
-                            op: BinOp::Or,
-                            left: Box::new(c),
-                            right: Box::new(eq),
-                        },
-                    });
-                }
-                let chain = chain.unwrap_or(Expr::Literal(Value::Bool(false)));
-                if *negated {
-                    Expr::Unary {
-                        op: UnOp::Not,
-                        operand: Box::new(chain),
-                    }
-                } else {
-                    chain
-                }
-            }
-            SqlExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let bound = self.bind(expr)?;
-                let range = Expr::Binary {
-                    op: BinOp::And,
-                    left: Box::new(Expr::Binary {
-                        op: BinOp::Ge,
-                        left: Box::new(bound.clone()),
-                        right: Box::new(self.bind(low)?),
-                    }),
-                    right: Box::new(Expr::Binary {
-                        op: BinOp::Le,
-                        left: Box::new(bound),
-                        right: Box::new(self.bind(high)?),
-                    }),
-                };
-                if *negated {
-                    Expr::Unary {
-                        op: UnOp::Not,
-                        operand: Box::new(range),
-                    }
-                } else {
-                    range
-                }
-            }
-            SqlExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let call = Expr::Call {
-                    name: "LIKE".to_owned(),
-                    args: vec![self.bind(expr)?, self.bind(pattern)?],
-                };
-                if *negated {
-                    Expr::Unary {
-                        op: UnOp::Not,
-                        operand: Box::new(call),
-                    }
-                } else {
-                    call
-                }
-            }
             SqlExpr::LexEqual {
                 left,
                 right,
@@ -424,15 +344,6 @@ fn eval_call(name: &str, args: &[Value], ctx: &EvalCtx<'_>) -> Result<Value, DbE
             };
             Ok(Value::Str(v.as_str()?.to_uppercase()))
         }
-        "LIKE" => {
-            let [v, p] = args else {
-                return Err(DbError::Type("LIKE takes 2 arguments".into()));
-            };
-            if v.is_null() || p.is_null() {
-                return Ok(Value::Bool(false));
-            }
-            Ok(Value::Bool(like_match(v.as_str()?, p.as_str()?)))
-        }
         "LOWER" => {
             let [v] = args else {
                 return Err(DbError::Type("LOWER takes 1 argument".into()));
@@ -448,22 +359,6 @@ fn eval_call(name: &str, args: &[Value], ctx: &EvalCtx<'_>) -> Result<Value, DbE
             udf.call(args)
         }
     }
-}
-
-/// SQL LIKE matching: `%` matches any run (including empty), `_` matches
-/// exactly one character. Case-sensitive, over chars.
-fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => s.is_empty(),
-            Some(('%', rest)) => (0..=s.len()).any(|k| rec(&s[k..], rest)),
-            Some(('_', rest)) => !s.is_empty() && rec(&s[1..], rest),
-            Some((&c, rest)) => s.first() == Some(&c) && rec(&s[1..], rest),
-        }
-    }
-    let sv: Vec<char> = s.chars().collect();
-    let pv: Vec<char> = pattern.chars().collect();
-    rec(&sv, &pv)
 }
 
 #[cfg(test)]

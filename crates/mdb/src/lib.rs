@@ -5,21 +5,23 @@
 //! called from SQL, accelerated by auxiliary q-gram tables (joins +
 //! GROUP BY/HAVING) and by a B-tree index over grouped phoneme string
 //! identifiers. Reproducing those experiments therefore needs a database
-//! substrate with:
+//! substrate with no more than those queries use:
 //!
-//! * typed tables ([`Table`], [`Schema`], [`Value`]);
-//! * **B-tree indexes** with duplicate keys and range scans ([`BTreeIndex`]);
+//! * typed, append-only tables ([`Table`], [`Schema`], [`Value`]);
+//! * **secondary indexes** answering equality probes: std's `BTreeMap`
+//!   from a column value to the ids of the rows holding it ([`Catalog`]);
 //! * a **SQL subset** — `SELECT`/`INSERT`/`CREATE TABLE`/`CREATE INDEX`
-//!   with multi-table joins, `WHERE`, `GROUP BY`/`HAVING`, `ORDER BY`,
-//!   `LIMIT` ([`sql`]);
+//!   and `EXPLAIN`, with multi-table joins, `WHERE`, `GROUP BY`/`HAVING`
+//!   and `ORDER BY` ([`sql`]); `DELETE`, `UPDATE`, `DISTINCT`, `LIMIT`,
+//!   `IN`, `BETWEEN` and `LIKE` are refused with a named [`DbError`];
 //! * an executor with full scans, index scans, **hash joins** for
-//!   equi-predicates, index nested-loop joins, grouping and aggregation
+//!   equi-predicates, nested-loop joins, grouping and aggregation
 //!   ([`exec`]);
 //! * **scalar UDFs** registered by name ([`UdfRegistry`]) — the vehicle for
 //!   the LexEQUAL operator itself, exactly as the paper deployed it on
 //!   Oracle 9i via PL/SQL;
-//! * execution statistics (rows scanned, UDF calls, index node visits) so
-//!   the benchmark harness can report *why* a plan is fast ([`Stats`]).
+//! * execution statistics (UDF calls, index lookups) so the paper
+//!   binaries can report *why* a plan is fast ([`Stats`]).
 //!
 //! The engine is single-threaded and fully in-memory, matching the paper's
 //! single-connection experimental setup; see DESIGN.md §2 for the
@@ -38,7 +40,6 @@
 //! assert_eq!(rs.rows[0][0], Value::from("Nehru"));
 //! ```
 
-pub mod btree;
 pub mod catalog;
 pub mod db;
 pub mod error;
@@ -53,7 +54,6 @@ pub mod table;
 pub mod udf;
 pub mod value;
 
-pub use btree::BTreeIndex;
 pub use catalog::Catalog;
 pub use db::{Database, ResultSet};
 pub use error::DbError;

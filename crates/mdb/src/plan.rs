@@ -4,7 +4,7 @@
 //!
 //! * single-table scans with pushed-down filters;
 //! * **index scans** when a `col = constant` conjunct has a matching
-//!   B-tree (the phonetic-index plan of Figure 15);
+//!   index (the phonetic-index plan of Figure 15);
 //! * multi-table FROM lists joined with **hash joins** on equi-conjuncts
 //!   (the q-gram auxiliary-table joins of Figure 14) and nested loops
 //!   otherwise (the UDF-join baseline of Table 1, where the paper notes
@@ -18,16 +18,15 @@ use crate::sql::ast::{BinOp, Select, SqlExpr};
 /// A relational plan node producing rows.
 #[derive(Debug)]
 pub enum RelPlan {
-    /// Full scan of a table, with an optional pushed-down predicate.
+    /// Full scan of a table; predicates sit in a [`Filter`](Self::Filter)
+    /// above it.
     Scan {
         /// Table name.
         table: String,
-        /// Residual predicate (bound to this node's schema).
-        filter: Option<Expr>,
         /// Output schema.
         schema: BoundSchema,
     },
-    /// B-tree lookup: `column = key`, plus an optional residual predicate.
+    /// Index probe: the rows whose indexed column equals `key`.
     IndexScan {
         /// Table name.
         table: String,
@@ -35,23 +34,6 @@ pub enum RelPlan {
         index: String,
         /// Key expression — must not reference any column.
         key: Expr,
-        /// Residual predicate.
-        filter: Option<Expr>,
-        /// Output schema.
-        schema: BoundSchema,
-    },
-    /// B-tree range scan: `lo ≤/< column ≤/< hi` with open ends allowed.
-    IndexRangeScan {
-        /// Table name.
-        table: String,
-        /// Index name.
-        index: String,
-        /// Lower bound (expr must not reference columns) and inclusivity.
-        lo: Option<(Expr, bool)>,
-        /// Upper bound and inclusivity.
-        hi: Option<(Expr, bool)>,
-        /// Residual predicate.
-        filter: Option<Expr>,
         /// Output schema.
         schema: BoundSchema,
     },
@@ -92,7 +74,6 @@ impl RelPlan {
         match self {
             RelPlan::Scan { schema, .. }
             | RelPlan::IndexScan { schema, .. }
-            | RelPlan::IndexRangeScan { schema, .. }
             | RelPlan::HashJoin { schema, .. }
             | RelPlan::NestedLoop { schema, .. } => schema,
             RelPlan::Filter { input, .. } => input.schema(),
@@ -102,17 +83,8 @@ impl RelPlan {
     /// A one-line plan summary (for tests and EXPLAIN-style output).
     pub fn describe(&self) -> String {
         match self {
-            RelPlan::Scan { table, filter, .. } => {
-                if filter.is_some() {
-                    format!("Scan({table}, filtered)")
-                } else {
-                    format!("Scan({table})")
-                }
-            }
+            RelPlan::Scan { table, .. } => format!("Scan({table})"),
             RelPlan::IndexScan { table, index, .. } => format!("IndexScan({table} via {index})"),
-            RelPlan::IndexRangeScan { table, index, .. } => {
-                format!("IndexRangeScan({table} via {index})")
-            }
             RelPlan::HashJoin { left, right, .. } => {
                 format!("HashJoin({}, {})", left.describe(), right.describe())
             }
@@ -152,11 +124,6 @@ fn has_aggregate(e: &SqlExpr) -> bool {
             threshold,
             ..
         } => has_aggregate(left) || has_aggregate(right) || has_aggregate(threshold),
-        SqlExpr::InList { expr, list, .. } => has_aggregate(expr) || list.iter().any(has_aggregate),
-        SqlExpr::Between {
-            expr, low, high, ..
-        } => has_aggregate(expr) || has_aggregate(low) || has_aggregate(high),
-        SqlExpr::Like { expr, pattern, .. } => has_aggregate(expr) || has_aggregate(pattern),
         _ => false,
     }
 }
@@ -196,30 +163,20 @@ pub fn plan_relational(catalog: &Catalog, select: &Select) -> Result<RelPlan, Db
     // Single relation: try the index-scan shortcut.
     let (first_table, first_alias) = &select.from[0];
     let first_schema = base_schema(first_table, first_alias)?;
-    let mut plan: RelPlan = if select.from.len() == 1 {
-        match try_index_scan(catalog, first_table, &first_schema, &mut pending)? {
-            Some(p) => p,
-            None => try_index_range_scan(catalog, first_table, &first_schema, &mut pending)?
-                .unwrap_or(RelPlan::Scan {
-                    table: first_table.clone(),
-                    filter: None,
-                    schema: first_schema,
-                }),
-        }
-    } else {
-        RelPlan::Scan {
-            table: first_table.clone(),
-            filter: None,
-            schema: first_schema,
-        }
+    let index_scan = match select.from.len() {
+        1 => try_index_scan(catalog, first_table, &first_schema, &mut pending),
+        _ => None,
     };
+    let mut plan = index_scan.unwrap_or(RelPlan::Scan {
+        table: first_table.clone(),
+        schema: first_schema,
+    });
     plan = attach_ready_filters(plan, &mut pending)?;
 
     for (table, alias) in &select.from[1..] {
         let right_schema = base_schema(table, alias)?;
         let right = RelPlan::Scan {
             table: table.clone(),
-            filter: None,
             schema: right_schema.clone(),
         };
         // Look for an equi-conjunct splitting across the two sides.
@@ -326,7 +283,7 @@ fn try_index_scan(
     table: &str,
     schema: &BoundSchema,
     pending: &mut Vec<SqlExpr>,
-) -> Result<Option<RelPlan>, DbError> {
+) -> Option<RelPlan> {
     let empty = BoundSchema::default();
     let mut found: Option<(usize, String, Expr)> = None;
     'outer: for (i, c) in pending.iter().enumerate() {
@@ -359,113 +316,15 @@ fn try_index_scan(
             }
         }
     }
-    Ok(found.map(|(i, index, key)| {
+    found.map(|(i, index, key)| {
         pending.remove(i);
         RelPlan::IndexScan {
             table: table.to_owned(),
             index,
             key,
-            filter: None,
             schema: schema.clone(),
         }
-    }))
-}
-
-/// If a pending conjunct constrains an indexed column with `<`, `<=`,
-/// `>`, `>=` or `BETWEEN` against row-free expressions, build an
-/// IndexRangeScan. Only the first such conjunct is absorbed; any others
-/// stay behind as (correct, re-checking) filters.
-fn try_index_range_scan(
-    catalog: &Catalog,
-    table: &str,
-    schema: &BoundSchema,
-    pending: &mut Vec<SqlExpr>,
-) -> Result<Option<RelPlan>, DbError> {
-    let empty = BoundSchema::default();
-    let bind_free = |e: &SqlExpr| -> Option<Expr> {
-        let mut b = Binder::new(&empty);
-        b.bind(e).ok().filter(|_| b.aggregates.is_empty())
-    };
-    let resolve_col = |e: &SqlExpr| -> Option<usize> {
-        let SqlExpr::Column { qualifier, name } = e else {
-            return None;
-        };
-        schema.resolve(qualifier.as_deref(), name).ok()
-    };
-    // (predicate index, index name, lower bound, upper bound); each bound
-    // is (expression, inclusive).
-    type RangePick = (usize, String, Option<(Expr, bool)>, Option<(Expr, bool)>);
-    let mut found: Option<RangePick> = None;
-    for (i, c) in pending.iter().enumerate() {
-        // BETWEEN on an indexed column.
-        if let SqlExpr::Between {
-            expr,
-            low,
-            high,
-            negated: false,
-        } = c
-        {
-            if let Some(col) = resolve_col(expr) {
-                if let Some(entry) = catalog.index_on(table, col) {
-                    if let (Some(lo), Some(hi)) = (bind_free(low), bind_free(high)) {
-                        found = Some((i, entry.name.clone(), Some((lo, true)), Some((hi, true))));
-                        break;
-                    }
-                }
-            }
-        }
-        // Single comparison with the column on either side.
-        let SqlExpr::Binary { op, left, right } = c else {
-            continue;
-        };
-        // (column OP key) or (key OP column) — flip the operator when the
-        // column is on the right.
-        let candidates = [
-            (resolve_col(left), bind_free(right), *op),
-            (
-                resolve_col(right),
-                bind_free(left),
-                match op {
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::Le => BinOp::Ge,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::Ge => BinOp::Le,
-                    other => *other,
-                },
-            ),
-        ];
-        for (col, key, eff_op) in candidates {
-            let (Some(col), Some(key)) = (col, key) else {
-                continue;
-            };
-            let Some(entry) = catalog.index_on(table, col) else {
-                continue;
-            };
-            let (lo, hi) = match eff_op {
-                BinOp::Lt => (None, Some((key, false))),
-                BinOp::Le => (None, Some((key, true))),
-                BinOp::Gt => (Some((key, false)), None),
-                BinOp::Ge => (Some((key, true)), None),
-                _ => continue,
-            };
-            found = Some((i, entry.name.clone(), lo, hi));
-            break;
-        }
-        if found.is_some() {
-            break;
-        }
-    }
-    Ok(found.map(|(i, index, lo, hi)| {
-        pending.remove(i);
-        RelPlan::IndexRangeScan {
-            table: table.to_owned(),
-            index,
-            lo,
-            hi,
-            filter: None,
-            schema: schema.clone(),
-        }
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -537,27 +396,6 @@ mod tests {
         // And with extra residual predicates, filter goes on top.
         let p = plan_of(&c, "SELECT pname FROM names WHERE id = 7 AND pname = 'x'");
         assert_eq!(p.describe(), "Filter(IndexScan(NAMES via ix_names_id))");
-    }
-
-    #[test]
-    fn range_scan_chosen_for_indexed_inequalities() {
-        let c = catalog();
-        for sql in [
-            "SELECT pname FROM names WHERE id < 5",
-            "SELECT pname FROM names WHERE id >= 3",
-            "SELECT pname FROM names WHERE 5 > id",
-            "SELECT pname FROM names WHERE id BETWEEN 2 AND 6",
-        ] {
-            let p = plan_of(&c, sql);
-            assert!(
-                p.describe().contains("IndexRangeScan"),
-                "{sql} -> {}",
-                p.describe()
-            );
-        }
-        // Unindexed column still scans.
-        let p = plan_of(&c, "SELECT pname FROM names WHERE pname < 'm'");
-        assert!(!p.describe().contains("IndexRangeScan"), "{}", p.describe());
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl Schema {
         let lower = name.to_ascii_lowercase();
         self.columns.iter().position(|c| c.name == lower)
     }
-
-    /// Column at index.
-    pub fn column(&self, i: usize) -> &Column {
-        &self.columns[i]
-    }
 }
 
 #[cfg(test)]

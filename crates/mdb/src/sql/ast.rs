@@ -5,7 +5,7 @@ use crate::value::DataType;
 /// A parsed SQL statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
-    /// `SELECT … FROM … [WHERE …] [GROUP BY …] [HAVING …] [ORDER BY …] [LIMIT n]`
+    /// `SELECT … FROM … [WHERE …] [GROUP BY …] [HAVING …] [ORDER BY …]`
     Select(Select),
     /// `EXPLAIN SELECT …` — returns the plan description as one row.
     Explain(Select),
@@ -15,22 +15,6 @@ pub enum Statement {
         table: String,
         /// Row literals.
         rows: Vec<Vec<Literal>>,
-    },
-    /// `DELETE FROM table [WHERE expr]`
-    Delete {
-        /// Target table.
-        table: String,
-        /// Row predicate (all rows when absent).
-        where_clause: Option<SqlExpr>,
-    },
-    /// `UPDATE table SET col = expr, … [WHERE expr]`
-    Update {
-        /// Target table.
-        table: String,
-        /// Column assignments.
-        set: Vec<(String, SqlExpr)>,
-        /// Row predicate (all rows when absent).
-        where_clause: Option<SqlExpr>,
     },
     /// `CREATE TABLE name (col ty, …)`
     CreateTable {
@@ -53,8 +37,6 @@ pub enum Statement {
 /// The SELECT statement body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Select {
-    /// SELECT DISTINCT: deduplicate output rows.
-    pub distinct: bool,
     /// Projection list.
     pub items: Vec<SelectItem>,
     /// FROM relations: (table, alias).
@@ -67,8 +49,6 @@ pub struct Select {
     pub having: Option<SqlExpr>,
     /// ORDER BY keys.
     pub order_by: Vec<OrderBy>,
-    /// LIMIT row count.
-    pub limit: Option<usize>,
 }
 
 /// One projection item.
@@ -205,35 +185,6 @@ pub enum SqlExpr {
         agg: Aggregate,
         /// Aggregated expression, if any.
         arg: Option<Box<SqlExpr>>,
-    },
-    /// `expr [NOT] IN (lit, …)`.
-    InList {
-        /// The tested expression.
-        expr: Box<SqlExpr>,
-        /// The candidate list.
-        list: Vec<SqlExpr>,
-        /// Negated form.
-        negated: bool,
-    },
-    /// `expr [NOT] BETWEEN low AND high` (inclusive).
-    Between {
-        /// The tested expression.
-        expr: Box<SqlExpr>,
-        /// Lower bound.
-        low: Box<SqlExpr>,
-        /// Upper bound.
-        high: Box<SqlExpr>,
-        /// Negated form.
-        negated: bool,
-    },
-    /// `expr [NOT] LIKE pattern` with `%` and `_` wildcards.
-    Like {
-        /// The tested expression.
-        expr: Box<SqlExpr>,
-        /// The pattern (a string expression).
-        pattern: Box<SqlExpr>,
-        /// Negated form.
-        negated: bool,
     },
     /// The LexEQUAL syntax extension (paper Figure 3):
     /// `left LEXEQUAL right THRESHOLD t [INLANGUAGES {…} | INLANGUAGES *]`.

@@ -3,10 +3,10 @@
 //! Grammar (case-insensitive keywords):
 //!
 //! ```text
-//! stmt      := select | insert | create_table | create_index
+//! stmt      := [EXPLAIN] select | insert | create_table | create_index
 //! select    := SELECT item (, item)* FROM rel (, rel)*
 //!              [WHERE expr] [GROUP BY colref (, colref)*] [HAVING expr]
-//!              [ORDER BY colref [ASC|DESC]] [LIMIT int]
+//!              [ORDER BY expr [ASC|DESC] (, expr [ASC|DESC])*]
 //! item      := expr [[AS] ident] | *
 //! rel       := ident [ident]                      -- table [alias]
 //! insert    := INSERT INTO ident VALUES ( lit (, lit)* ) (, ( ... ))*
@@ -18,6 +18,11 @@
 //!                 operand LEXEQUAL operand THRESHOLD number
 //!                         [INLANGUAGES { ident (, ident)* } | INLANGUAGES *]
 //! ```
+//!
+//! A statement naming `DELETE`, `UPDATE`, `DISTINCT`, `LIMIT`, `IN`,
+//! `BETWEEN` or `LIKE` is refused whole with
+//! [`DbError::Unsupported`](crate::DbError::Unsupported): the paper's
+//! queries need none of them, and the tables are append-only.
 //!
 //! The `LEXEQUAL … THRESHOLD … INLANGUAGES …` form is this engine's single
 //! syntax extension, mirroring the paper's Figure 3. It lowers to a call of

@@ -5,9 +5,22 @@ use crate::sql::ast::*;
 use crate::sql::lexer::{lex, Token};
 use crate::value::DataType;
 
+/// Keywords of SQL this engine refuses: none of the paper's queries
+/// uses them.
+const UNSUPPORTED: [&str; 7] = [
+    "DELETE", "UPDATE", "DISTINCT", "LIMIT", "IN", "BETWEEN", "LIKE",
+];
+
 /// Parse one SQL statement.
 pub fn parse(input: &str) -> Result<Statement, DbError> {
     let tokens = lex(input)?;
+    for t in &tokens {
+        if let Some(kw) = UNSUPPORTED.into_iter().find(|kw| t.is_kw(kw)) {
+            return Err(DbError::Unsupported(format!(
+                "{kw} is outside the SQL subset"
+            )));
+        }
+    }
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.statement()?;
     if p.pos != p.tokens.len() {
@@ -97,42 +110,6 @@ impl Parser {
         if self.eat_kw("INSERT") {
             return self.insert();
         }
-        if self.eat_kw("DELETE") {
-            self.expect_kw("FROM")?;
-            let table = self.ident()?;
-            let where_clause = if self.eat_kw("WHERE") {
-                Some(self.expr()?)
-            } else {
-                None
-            };
-            return Ok(Statement::Delete {
-                table,
-                where_clause,
-            });
-        }
-        if self.eat_kw("UPDATE") {
-            let table = self.ident()?;
-            self.expect_kw("SET")?;
-            let mut set = Vec::new();
-            loop {
-                let col = self.ident()?;
-                self.expect_sym("=")?;
-                set.push((col, self.expr()?));
-                if !self.eat_sym(",") {
-                    break;
-                }
-            }
-            let where_clause = if self.eat_kw("WHERE") {
-                Some(self.expr()?)
-            } else {
-                None
-            };
-            return Ok(Statement::Update {
-                table,
-                set,
-                where_clause,
-            });
-        }
         if self.eat_kw("CREATE") {
             if self.eat_kw("TABLE") {
                 return self.create_table();
@@ -151,7 +128,6 @@ impl Parser {
     }
 
     fn select_body(&mut self) -> Result<Select, DbError> {
-        let distinct = self.eat_kw("DISTINCT");
         let mut items = Vec::new();
         loop {
             if self.eat_sym("*") {
@@ -162,8 +138,7 @@ impl Parser {
                     Some(self.ident()?)
                 } else if let Some(Token::Word(w)) = self.peek() {
                     // bare alias, but not a clause keyword
-                    const CLAUSES: &[&str] =
-                        &["FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT"];
+                    const CLAUSES: &[&str] = &["FROM", "WHERE", "GROUP", "HAVING", "ORDER"];
                     if CLAUSES.contains(&w.as_str()) {
                         None
                     } else {
@@ -183,7 +158,7 @@ impl Parser {
         loop {
             let table = self.ident()?;
             let alias = if let Some(Token::Word(w)) = self.peek() {
-                const CLAUSES: &[&str] = &["WHERE", "GROUP", "HAVING", "ORDER", "LIMIT"];
+                const CLAUSES: &[&str] = &["WHERE", "GROUP", "HAVING", "ORDER"];
                 if CLAUSES.contains(&w.as_str()) {
                     table.clone()
                 } else {
@@ -234,23 +209,13 @@ impl Parser {
                 }
             }
         }
-        let limit = if self.eat_kw("LIMIT") {
-            match self.next() {
-                Some(Token::Int(n)) if n >= 0 => Some(n as usize),
-                other => return Err(DbError::Parse(format!("bad LIMIT: {other:?}"))),
-            }
-        } else {
-            None
-        };
         Ok(Select {
-            distinct,
             items,
             from,
             where_clause,
             group_by,
             having,
             order_by,
-            limit,
         })
     }
 
@@ -407,53 +372,6 @@ impl Parser {
                 threshold: Box::new(threshold),
                 languages,
             });
-        }
-        // [NOT] IN / BETWEEN / LIKE.
-        let negated = if self.peek().is_some_and(|t| t.is_kw("NOT"))
-            && matches!(self.tokens.get(self.pos + 1), Some(Token::Word(w)) if w == "IN" || w == "BETWEEN" || w == "LIKE")
-        {
-            self.pos += 1;
-            true
-        } else {
-            false
-        };
-        if self.eat_kw("IN") {
-            self.expect_sym("(")?;
-            let mut list = Vec::new();
-            loop {
-                list.push(self.expr()?);
-                if !self.eat_sym(",") {
-                    break;
-                }
-            }
-            self.expect_sym(")")?;
-            return Ok(SqlExpr::InList {
-                expr: Box::new(left),
-                list,
-                negated,
-            });
-        }
-        if self.eat_kw("BETWEEN") {
-            let low = self.additive()?;
-            self.expect_kw("AND")?;
-            let high = self.additive()?;
-            return Ok(SqlExpr::Between {
-                expr: Box::new(left),
-                low: Box::new(low),
-                high: Box::new(high),
-                negated,
-            });
-        }
-        if self.eat_kw("LIKE") {
-            let pattern = self.additive()?;
-            return Ok(SqlExpr::Like {
-                expr: Box::new(left),
-                pattern: Box::new(pattern),
-                negated,
-            });
-        }
-        if negated {
-            return Err(DbError::Parse("dangling NOT before comparison".into()));
         }
         let op = match self.peek() {
             Some(Token::Sym("=")) => Some(BinOp::Eq),
@@ -699,7 +617,7 @@ mod tests {
     fn group_by_having_with_aggregates() {
         let s = parse(
             "SELECT n.id, COUNT(*) FROM names n GROUP BY n.id \
-             HAVING COUNT(*) >= 3 AND MIN(n.len) > 2 ORDER BY n.id DESC LIMIT 10",
+             HAVING COUNT(*) >= 3 AND MIN(n.len) > 2 ORDER BY n.id DESC",
         )
         .unwrap();
         let Statement::Select(sel) = s else {
@@ -709,7 +627,6 @@ mod tests {
         assert!(sel.having.is_some());
         assert_eq!(sel.order_by.len(), 1);
         assert!(!sel.order_by[0].asc);
-        assert_eq!(sel.limit, Some(10));
     }
 
     #[test]

@@ -3,19 +3,15 @@
 use crate::error::DbError;
 use crate::row::{Row, RowId};
 use crate::schema::Schema;
-use crate::value::Value;
+use std::ops::Range;
 
-/// A heap table: a schema plus a row store with tombstones. Row ids are
-/// heap positions and remain stable; DELETE marks a slot dead rather than
-/// compacting, so secondary indexes may hold stale ids — readers must
-/// treat a `None` from [`Table::row`] as "filtered out".
+/// A heap table: a schema plus an append-only row store. Row ids are
+/// heap positions; a row never changes once stored.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Row>,
-    deleted: Vec<bool>,
-    live: usize,
 }
 
 impl Table {
@@ -25,8 +21,6 @@ impl Table {
             name: name.to_ascii_lowercase(),
             schema,
             rows: Vec::new(),
-            deleted: Vec::new(),
-            live: 0,
         }
     }
 
@@ -40,43 +34,21 @@ impl Table {
         &self.schema
     }
 
-    /// Live row count (tombstoned rows excluded).
+    /// Row count.
     pub fn len(&self) -> usize {
-        self.live
+        self.rows.len()
     }
 
-    /// Whether the table has no live rows.
+    /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Insert a row after validating arity and coercing types.
-    /// Returns the new row id.
-    pub fn insert(&mut self, row: Row) -> Result<RowId, DbError> {
-        if row.len() != self.schema.arity() {
-            return Err(DbError::SchemaMismatch(format!(
-                "table {} expects {} columns, got {}",
-                self.name,
-                self.schema.arity(),
-                row.len()
-            )));
-        }
-        let mut coerced = Vec::with_capacity(row.len());
-        for (v, col) in row.into_iter().zip(self.schema.columns()) {
-            coerced.push(v.coerce(col.ty)?);
-        }
-        self.rows.push(coerced);
-        self.deleted.push(false);
-        self.live += 1;
-        Ok(self.rows.len() - 1)
+        self.rows.is_empty()
     }
 
     /// Insert a batch of rows, returning the contiguous row-id range
-    /// assigned. All rows are validated and coerced *before* any is
-    /// stored, so a bad row leaves the table unchanged; the per-row
-    /// arity/type bookkeeping is otherwise identical to
-    /// [`insert`](Self::insert) called in a loop.
-    pub fn insert_many(&mut self, rows: Vec<Row>) -> Result<std::ops::Range<RowId>, DbError> {
+    /// assigned. Every row's arity is checked and its values coerced to
+    /// the column types *before* any is stored, so a bad row leaves the
+    /// table unchanged.
+    pub fn insert_many(&mut self, rows: Vec<Row>) -> Result<Range<RowId>, DbError> {
         let mut coerced_rows = Vec::with_capacity(rows.len());
         for row in rows {
             if row.len() != self.schema.arity() {
@@ -94,44 +66,22 @@ impl Table {
             coerced_rows.push(coerced);
         }
         let start = self.rows.len();
-        self.live += coerced_rows.len();
-        self.deleted.resize(start + coerced_rows.len(), false);
         self.rows.extend(coerced_rows);
         Ok(start..self.rows.len())
     }
 
-    /// Tombstone a row. Returns `false` if the id was out of range or the
-    /// row was already deleted.
-    pub fn delete(&mut self, rid: RowId) -> bool {
-        match self.deleted.get_mut(rid) {
-            Some(d) if !*d => {
-                *d = true;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
+    /// The row with id `rid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no row has that id.
+    pub fn row(&self, rid: RowId) -> &Row {
+        &self.rows[rid]
     }
 
-    /// Fetch a live row by id (`None` for tombstoned or out-of-range ids).
-    pub fn row(&self, rid: RowId) -> Option<&Row> {
-        if *self.deleted.get(rid)? {
-            return None;
-        }
-        self.rows.get(rid)
-    }
-
-    /// Iterate live rows with their ids.
+    /// Iterate rows with their ids.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.deleted[*i])
-    }
-
-    /// Column values of one column across live rows (index builds).
-    pub fn column_values(&self, col: usize) -> impl Iterator<Item = (RowId, &Value)> {
-        self.scan().map(move |(i, r)| (i, &r[col]))
+        self.rows.iter().enumerate()
     }
 }
 
@@ -139,7 +89,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::Column;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn table() -> Table {
         Table::new(
@@ -156,19 +106,23 @@ mod tests {
     #[test]
     fn insert_validates_arity() {
         let mut t = table();
-        assert!(t.insert(vec![Value::Int(1)]).is_err());
-        let rid = t
-            .insert(vec![Value::Int(1), Value::from("x"), Value::Int(2)])
+        assert!(t.insert_many(vec![vec![Value::Int(1)]]).is_err());
+        let rids = t
+            .insert_many(vec![vec![Value::Int(1), Value::from("x"), Value::Int(2)]])
             .unwrap();
-        assert_eq!(rid, 0);
+        assert_eq!(rids, 0..1);
         // Int coerced into Float column.
-        assert_eq!(t.row(0).unwrap()[2], Value::Float(2.0));
+        assert_eq!(t.row(0)[2], Value::Float(2.0));
     }
 
     #[test]
     fn insert_rejects_bad_types() {
         let mut t = table();
-        let err = t.insert(vec![Value::from("x"), Value::from("y"), Value::Float(1.0)]);
+        let err = t.insert_many(vec![vec![
+            Value::from("x"),
+            Value::from("y"),
+            Value::Float(1.0),
+        ]]);
         assert!(err.is_err());
     }
 
@@ -176,8 +130,12 @@ mod tests {
     fn scan_yields_rows_in_insertion_order() {
         let mut t = table();
         for i in 0..5 {
-            t.insert(vec![Value::Int(i), Value::from("n"), Value::Float(0.0)])
-                .unwrap();
+            t.insert_many(vec![vec![
+                Value::Int(i),
+                Value::from("n"),
+                Value::Float(0.0),
+            ]])
+            .unwrap();
         }
         let ids: Vec<RowId> = t.scan().map(|(rid, _)| rid).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);

@@ -31,7 +31,7 @@ impl fmt::Display for DataType {
 
 /// A dynamically-typed runtime value.
 ///
-/// `Value` implements a *total* ordering (needed for B-tree keys and
+/// `Value` implements a *total* ordering (needed for index keys and
 /// ORDER BY): `Null < Bool < Int/Float < Text`, with Int and Float
 /// compared numerically against each other.
 #[derive(Debug, Clone)]
@@ -49,17 +49,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value's data type, if not NULL.
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Bool(_) => Some(DataType::Bool),
-            Value::Int(_) => Some(DataType::Int),
-            Value::Float(_) => Some(DataType::Float),
-            Value::Str(_) => Some(DataType::Text),
-        }
-    }
-
     /// Is this SQL NULL?
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

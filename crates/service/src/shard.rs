@@ -5,13 +5,14 @@
 //! [`NameStore`] behind a read-write lock that the store shares with its
 //! coverer. A global id is the row id. Everything is a call under that
 //! lock on the caller's thread: a search is one batched search under the
-//! read lock; an append takes the write lock for one chunk, as do
-//! declaring a path and installing a cover's index; `get`, the coverage
-//! gauges and a prefix copy take the read lock.
+//! read lock, a scan one per [`CHUNK_ROWS`] rows; an append takes the
+//! write lock for one chunk, as do declaring a path and installing a
+//! cover's index; `get`, the coverage gauges and a prefix copy take the
+//! read lock.
 //!
 //! Lock discipline:
 //! - The store lock is taken last: after the grow lock, the `declared`
-//!   list and a cover's turn, never before them.
+//!   list, a cover's turn and the append turn, never before them.
 //! - It is not held across an `on_chunk` hook.
 //!
 //! An access path is *declared* (`declare`) and exact from that moment;
@@ -224,6 +225,10 @@ pub struct Store {
     /// life, and fills the chunk it guards. The chunk outlives a load that
     /// never filled it, so an `ADD` allocates nothing here.
     grow: Mutex<RowChunk>,
+    /// Held by an append from before it asks for the write lock until it
+    /// is done; a scan passes it before each range's read lock, so it
+    /// cannot take that lock back ahead of a waiting append.
+    append_turn: Mutex<()>,
     /// The published row count: stored (under `grow`) only after a load
     /// has appended its last chunk, so a reader that sees `n` can resolve
     /// every id below `n` — and never waits behind an append to learn it.
@@ -303,6 +308,7 @@ impl Store {
         Store {
             operator,
             grow: Mutex::default(),
+            append_turn: Mutex::default(),
             coverer: cover_thread.thread().clone(),
             cover_thread: Some(cover_thread),
             len: AtomicU32::new(u32::try_from(len).expect("ids are u32")),
@@ -560,7 +566,10 @@ impl Store {
     pub fn search_phonemes(&self, q: &PhonemeString, e: f64, method: SearchMethod) -> SearchResult {
         let naming = self.naming(method);
         let result = VERIFIER.with_borrow_mut(|verifier| {
-            let result = (self.covering.read()).search_phonemes_batched(q, e, method, verifier);
+            let result = match method {
+                SearchMethod::Scan => self.scan(q, e, verifier),
+                _ => (self.covering.read()).search_phonemes_batched(q, e, method, verifier),
+            };
             self.screens.add(&verifier.take_counters());
             self.batches.add(&verifier.take_batch_counters());
             result
@@ -569,6 +578,22 @@ impl Store {
             self.schedule_cover(spec);
         }
         result
+    }
+
+    /// A scan of the rows stored when it begins, [`CHUNK_ROWS`] at a
+    /// time under one read lock each: an append waits for one range of a
+    /// scan, not the whole of it.
+    fn scan(&self, q: &PhonemeString, e: f64, verifier: &mut BatchVerifier) -> SearchResult {
+        let query = self.operator.prepare_query(q);
+        let rows = self.covering.read().len() as u32;
+        let (mut ids, mut verifications) = (Vec::new(), 0);
+        for first in (0..rows).step_by(CHUNK_ROWS) {
+            let range = first..rows.min(first + CHUNK_ROWS as u32);
+            drop(self.append_turn.lock().expect("append turn"));
+            let store = self.covering.read();
+            verifications += store.verify_ids(verifier, &query, range, e, &mut ids);
+        }
+        SearchResult { ids, verifications }
     }
 
     /// [`search_phonemes`](Self::search_phonemes), run now, its result
@@ -662,6 +687,7 @@ impl Loader<'_> {
     /// leave due, and empty the chunk.
     fn append(&mut self) {
         {
+            let _turn = self.store.append_turn.lock().expect("append turn");
             let mut store = self.store.covering.write();
             store.append_rows(&self.chunk, std::mem::take(&mut self.load));
             self.due |= store.due_paths().fold(0, |due, method| due | bit(method));

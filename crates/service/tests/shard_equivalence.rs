@@ -7,12 +7,17 @@
 //! racing the same store. *Coverage* is invisible the same way — a row
 //! an index does not hold yet is put to the path's pair-wise rule instead
 //! — so the last test runs appends and searches beside covers that never
-//! stop, and holds every reply to a store built from scratch.
+//! stop, and holds every reply to a store built from scratch. A scan
+//! holds the store's read lock one range of rows at a time, so an append
+//! does not wait for a whole scan.
 
-use lexequal::{MatchConfig, NameStore, QgramMode, SearchMethod};
+use lexequal::store::NameEntry;
+use lexequal::{Language, MatchConfig, NameStore, PhonemeString, QgramMode, SearchMethod};
 use lexequal_lexicon::Corpus;
 use lexequal_service::shard::{BuildSpec, Store};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const THRESHOLD: f64 = 0.3;
 
@@ -213,5 +218,52 @@ fn adds_and_searches_beside_running_covers_equal_a_freshly_built_store() {
     assert!(
         stats.covers > 3,
         "the covers ran beside the storm: {stats:?}"
+    );
+}
+
+/// An `insert` begun while a scan runs returns before the scan does: it
+/// waits for the range of rows the scan holds the read lock for, not for
+/// the scan.
+#[test]
+fn an_insert_beside_a_running_scan_returns_before_the_scan() {
+    let store = Store::new(MatchConfig::default());
+    let q: PhonemeString = "neru".parse().unwrap();
+    let scan = || store.search_phonemes(&q, THRESHOLD, SearchMethod::Scan);
+    // Grow the store until one scan takes tens of milliseconds.
+    let mut took = Duration::ZERO;
+    while took < Duration::from_millis(20) {
+        let n = store.len();
+        store.extend_transformed(
+            (n..n + 20_000)
+                .map(|i| NameEntry {
+                    text: format!("n{i}"),
+                    language: Language::English,
+                    phonemes: format!("ne{}ru", "a".repeat(i % 9)).parse().unwrap(),
+                })
+                .collect(),
+        );
+        let t = Instant::now();
+        scan();
+        took = t.elapsed();
+    }
+    let started = AtomicBool::new(false);
+    let (inserted, scanned) = std::thread::scope(|scope| {
+        let scanning = scope.spawn(|| {
+            started.store(true, Ordering::Release);
+            scan();
+            Instant::now()
+        });
+        while !started.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        std::thread::sleep(took / 4);
+        store.insert("Nehru", Language::English).unwrap();
+        (Instant::now(), scanning.join().expect("scan"))
+    });
+    let margin = scanned.saturating_duration_since(inserted);
+    assert!(
+        margin > took / 8,
+        "an insert begun {:?} into a {took:?} scan returned {margin:?} before it ended",
+        took / 4
     );
 }

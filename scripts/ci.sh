@@ -84,6 +84,7 @@ echo "== line counts (whole .rs files, bin/ included; ROADMAP item 3's exit crit
 for dir in crates/service/src crates/core/src crates/embed/src; do
     echo "$dir $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
 done
+echo "crates/mdb/src $(find crates/mdb/src -name '*.rs' -exec cat {} + | wc -l) (ROADMAP item 15's exit: below 5 356)"
 for file in crates/service/src/shard.rs crates/core/src/rows.rs crates/service/src/event_loop.rs; do
     echo "$file $(wc -l < "$file")"
 done

@@ -104,6 +104,26 @@ fn orderby_limit_and_aggregates_compose_with_lexequal() {
     let n = rs.rows[0][0].as_i64().expect("count");
     assert!(n >= 3, "expected at least the three Nehru renderings");
     assert_eq!(rs.rows[0][1], Value::Float(9.95));
+    // The same selection in descending price order: the Tamil rendering
+    // (250.0) first, the English one (9.95) last.
+    let selection = "select Author, Price from Books \
+                     where Author LexEQUAL 'Nehru' Threshold 0.45 inlanguages * \
+                     order by Price desc";
+    let rs = db.execute(selection).expect("order by");
+    assert_eq!(rs.rows.len() as i64, n);
+    let prices: Vec<f64> = rs
+        .rows
+        .iter()
+        .map(|r| r[1].as_f64().expect("price"))
+        .collect();
+    assert!(prices.windows(2).all(|w| w[0] >= w[1]), "{prices:?}");
+    assert_eq!(rs.rows[0][0], Value::from("நேரு"));
+    assert_eq!(rs.rows[rs.rows.len() - 1][0], Value::from("Nehru"));
+    // LIMIT is outside the engine's SQL subset: a named error, not a cut.
+    assert!(matches!(
+        db.execute(&format!("{selection} limit 2")),
+        Err(DbError::Unsupported(_))
+    ));
 }
 
 #[test]
